@@ -54,6 +54,7 @@ import (
 	"syscall"
 	"time"
 
+	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
@@ -487,61 +488,49 @@ func listen(addr string) (net.Listener, error) {
 // re-journals (SubscribeRestored): the store already holds each profile.
 // Eagerly, every learner is replayed into the heap at boot; lazily (with
 // -max-resident-profiles), each user becomes an evicted stub that
-// hydrates from the store on first use — boot cost is O(subscribers), not
-// O(journal events). Either way a boot checkpoint then compacts every
-// dirty lane, so replays (the next boot's, and each lazy hydration's)
-// start from segments instead of long logs.
+// hydrates from the store on first use — the names come from the store's
+// offset index, so boot reads each segment once through a fixed buffer and
+// holds O(subscribers) index entries, never the state. Either way a boot
+// checkpoint then compacts every dirty lane, so replays (the next boot's,
+// and each lazy hydration's) start from segments instead of long logs.
 func restore(st *store.Store, broker *pubsub.Broker, srv *wire.Server, logger *obs.Logger, lazy bool) error {
-	profiles, events, err := st.Load()
-	if err != nil {
-		return err
+	names := map[string]string{}
+	learners := map[string]filter.Learner{}
+	if lazy {
+		var err error
+		if names, err = st.RestoredNames(); err != nil {
+			return err
+		}
+	} else {
+		profiles, events, err := st.Load()
+		if err != nil {
+			return err
+		}
+		if learners, err = store.Restore(profiles, events); err != nil {
+			return err
+		}
+		for u, l := range learners {
+			names[u] = l.Name()
+		}
 	}
-	adopt := func(user string, sub *pubsub.Subscription, err error) error {
+	users := make([]string, 0, len(names))
+	for u := range names {
+		users = append(users, u)
+	}
+	sort.Strings(users)
+	for _, user := range users {
+		sub, err := broker.SubscribeRestored(user, names[user], learners[user])
 		if err != nil {
 			return fmt.Errorf("restoring %q: %w", user, err)
 		}
 		srv.Adopt(user, sub)
-		return nil
-	}
-	var users []string
-	if lazy {
-		names := store.RestoredNames(profiles, events)
-		users = make([]string, 0, len(names))
-		for u := range names {
-			users = append(users, u)
-		}
-		sort.Strings(users)
-		for _, user := range users {
-			sub, err := broker.SubscribeRestored(user, names[user], nil)
-			if err := adopt(user, sub, err); err != nil {
-				return err
-			}
-		}
-	} else {
-		learners, err := store.Restore(profiles, events)
-		if err != nil {
-			return err
-		}
-		users = make([]string, 0, len(learners))
-		for u := range learners {
-			users = append(users, u)
-		}
-		sort.Strings(users)
-		for _, user := range users {
-			sub, err := broker.SubscribeRestored(user, learners[user].Name(), learners[user])
-			if err := adopt(user, sub, err); err != nil {
-				return err
-			}
-		}
 	}
 	if len(users) > 0 {
 		logger.Info("mmserver: restored subscribers",
 			slog.Int("subscribers", len(users)),
-			slog.Bool("lazy", lazy),
-			slog.Int("snapshot_records", len(profiles)),
-			slog.Int("journal_events", len(events)))
+			slog.Bool("lazy", lazy))
 	}
-	_, err = st.Checkpoint(1)
+	_, err := st.Checkpoint(1)
 	return err
 }
 

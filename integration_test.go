@@ -38,12 +38,12 @@ func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()
 	srv := wire.NewServer(broker, func(string, ...any) {})
 
 	if st != nil {
-		profiles, events, err := st.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if maxResident > 0 {
-			for user, name := range store.RestoredNames(profiles, events) {
+			names, err := st.RestoredNames()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for user, name := range names {
 				sub, err := broker.SubscribeRestored(user, name, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -51,6 +51,10 @@ func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()
 				srv.Adopt(user, sub)
 			}
 		} else {
+			profiles, events, err := st.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
 			learners, err := store.Restore(profiles, events)
 			if err != nil {
 				t.Fatal(err)

@@ -32,6 +32,9 @@ import (
 type File interface {
 	io.Writer
 	io.Closer
+	// ReaderAt is how the store hydrates one record without reading the
+	// file around it (pread). Reads are not fault points.
+	io.ReaderAt
 	// Name returns the path the file was opened with.
 	Name() string
 	// Sync flushes the file's contents (and its own metadata) to stable

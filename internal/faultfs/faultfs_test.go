@@ -2,6 +2,8 @@ package faultfs
 
 import (
 	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"testing"
 )
@@ -225,5 +227,77 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if err := fsys.Remove(dir + "/b"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAt pins the pread surface on both filesystems, used the way the
+// store uses it: one handle appends, a second, read-only handle on the same
+// file reads back what the first has written so far. EOF is reported the
+// io.ReaderAt way, and the simulator serves the volatile image — unsynced
+// bytes included, exactly like ReadFile — until a Reboot kills the handle
+// and only the durable image remains.
+func TestReadAt(t *testing.T) {
+	sim := NewSim()
+	mustMkdir(t, sim, "/d")
+	for name, c := range map[string]struct {
+		fsys FS
+		dir  string
+	}{"os": {OS(), t.TempDir()}, "sim": {sim, "/d"}} {
+		w, err := c.fsys.OpenFile(c.dir+"/a", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeAll(t, w, []byte("hello "))
+		r, err := c.fsys.OpenFile(c.dir+"/a", os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeAll(t, w, []byte("world")) // after the reader opened; never synced
+		buf := make([]byte, 5)
+		if n, err := r.ReadAt(buf, 6); n != 5 || err != nil || string(buf) != "world" {
+			t.Errorf("%s: ReadAt(6) = %d %q %v", name, n, buf, err)
+		}
+		if n, err := r.ReadAt(buf, 8); n != 3 || err != io.EOF || string(buf[:n]) != "rld" {
+			t.Errorf("%s: short ReadAt = %d %q %v, want 3 bytes and io.EOF", name, n, buf[:n], err)
+		}
+		if n, err := r.ReadAt(buf, 11); n != 0 || err != io.EOF {
+			t.Errorf("%s: ReadAt at end = %d %v, want 0 and io.EOF", name, n, err)
+		}
+		w.Close()
+		r.Close()
+	}
+
+	// Simulator only: durability. Sync "hello ", leave the rest volatile.
+	w, _ := sim.OpenFile("/d/b", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	writeAll(t, w, []byte("hello "))
+	w.Sync()
+	sim.SyncDir("/d")
+	writeAll(t, w, []byte("world"))
+	f, err := sim.OpenFile("/d/b", os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := sim.Ops()
+	buf := make([]byte, 11)
+	if n, err := f.ReadAt(buf, 0); n != 11 || err != nil {
+		t.Fatalf("volatile image not served: %d %v", n, err)
+	}
+	if sim.Ops() != ops {
+		t.Error("a read counted as a fault point")
+	}
+	sim.Reboot()
+	if _, err := f.ReadAt(buf, 0); !errors.Is(err, ErrCrashed) {
+		t.Errorf("pre-reboot handle still reads: %v", err)
+	}
+	g, err := sim.OpenFile("/d/b", os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := g.ReadAt(buf, 0); n != 6 || err != io.EOF || string(buf[:n]) != "hello " {
+		t.Errorf("after reboot ReadAt = %d %q %v, want the durable image", n, buf[:n], err)
+	}
+	g.Close()
+	if _, err := g.ReadAt(buf, 0); !errors.Is(err, fs.ErrClosed) {
+		t.Errorf("closed handle still reads: %v", err)
 	}
 }

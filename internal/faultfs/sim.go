@@ -3,6 +3,7 @@ package faultfs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -433,6 +434,28 @@ func (h *simHandle) Write(p []byte) (int, error) {
 		return len(apply), err
 	}
 	return len(p), nil
+}
+
+// ReadAt serves the volatile image, exactly as ReadFile does: what the
+// page cache holds, synced or not. Like every read it is not a fault
+// point and does not count as an operation.
+func (h *simHandle) ReadAt(p []byte, off int64) (int, error) {
+	h.sim.mu.Lock()
+	defer h.sim.mu.Unlock()
+	if err := h.check(); err != nil {
+		return 0, err
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("faultfs: read %s: negative offset", h.name)
+	}
+	if off >= int64(len(h.file.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, h.file.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 func (h *simHandle) Sync() error {

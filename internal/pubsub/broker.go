@@ -221,7 +221,10 @@ type subscriber struct {
 	closed  bool
 
 	indexed bool // learner implements filter.VectorSource
-	queue   chan Delivery
+	// queue is made on first use, under mu (queueLocked): a subscriber
+	// nobody has delivered to or listened on — every evicted stub of a
+	// lazy boot — holds no buffer.
+	queue chan Delivery
 
 	// nextSeq is the sequence number the next delivery will carry (equal to
 	// the count of deliveries ever assigned to this subscriber); dropped
@@ -359,7 +362,6 @@ func (b *Broker) subscribe(id string, l filter.Learner, journal func() error) (*
 		id:      id,
 		learner: l,
 		indexed: indexed,
-		queue:   make(chan Delivery, b.opts.QueueSize),
 	}
 	// Telemetry baselines: adaptation counters report only operations
 	// performed under this broker, not the learner's prior history
@@ -439,7 +441,7 @@ func (b *Broker) closeRemoved(s *subscriber) {
 		_ = b.opts.Journal.AppendUnsubscribe(id)
 	}
 	s.closed = true
-	close(s.queue)
+	close(b.queueLocked(s)) // made here if never used: later readers must still find it closed
 	b.idx.RemoveUser(id)
 	resident := s.learner != nil
 	gone := s.lastSize
@@ -686,6 +688,15 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	return id, delivered
 }
 
+// queueLocked returns s's delivery queue, making it on first use. Caller
+// holds s.mu.
+func (b *Broker) queueLocked(s *subscriber) chan Delivery {
+	if s.queue == nil {
+		s.queue = make(chan Delivery, b.opts.QueueSize)
+	}
+	return s.queue
+}
+
 // deliver enqueues without blocking, dropping the oldest undelivered item
 // when the queue is full. It reports whether the delivery was enqueued
 // (false only when the subscriber is gone). Each enqueued delivery is
@@ -701,10 +712,11 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 	}
 	d.Seq = s.nextSeq
 	s.nextSeq++
+	q := b.queueLocked(s)
 	overflowed := false
 	for {
 		select {
-		case s.queue <- d:
+		case q <- d:
 			b.m.deliveries.Inc()
 			b.top.deliveries.Offer(s.id, 1)
 			if overflowed {
@@ -714,7 +726,7 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 		default:
 			overflowed = true
 			select {
-			case <-s.queue:
+			case <-q:
 				s.dropped++
 				b.m.dropped.Inc()
 				b.top.drops.Offer(s.id, 1)
@@ -996,7 +1008,11 @@ func (b *Broker) Layout() Layout {
 
 // Deliveries returns the subscription's stream. The channel is closed by
 // Unsubscribe.
-func (s *Subscription) Deliveries() <-chan Delivery { return s.sub.queue }
+func (s *Subscription) Deliveries() <-chan Delivery {
+	s.sub.mu.Lock()
+	defer s.sub.mu.Unlock()
+	return s.b.queueLocked(s.sub)
+}
 
 // ID returns the subscriber id.
 func (s *Subscription) ID() string { return s.sub.id }

@@ -242,11 +242,7 @@ func (b *Broker) SubscribeRestored(id, learner string, l filter.Learner) (*Subsc
 			return nil, fmt.Errorf("pubsub: restore %q: %w", id, err)
 		}
 		_, indexed := probe.(filter.VectorSource)
-		s := &subscriber{
-			id:      id,
-			indexed: indexed,
-			queue:   make(chan Delivery, b.opts.QueueSize),
-		}
+		s := &subscriber{id: id, indexed: indexed}
 		if err := b.reg.insert(id, s, nil); err != nil {
 			if err == errDuplicate {
 				return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -200,13 +201,12 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	profiles, events, err := st2.Load()
+	names, err := st2.RestoredNames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
 	b2 := New(Options{Threshold: 0.3, Journal: st2, Hydrator: st2, MaxResident: 1, Metrics: reg})
-	names := store.RestoredNames(profiles, events)
 	subs := map[string]*Subscription{}
 	for u, name := range names {
 		sub, err := b2.SubscribeRestored(u, name, nil)
@@ -276,6 +276,69 @@ func TestSubscribeRestoredErrors(t *testing.T) {
 	if _, err := b.SubscribeRestored("v", "MM", core.NewDefault()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSubscribeRestoredStubHoldsNoQueue pins what an evicted stub costs:
+// no delivery buffer until something is delivered to it or someone listens
+// on it — and an unsubscribe still closes the stream for readers who were
+// waiting on it and for readers who only ask afterwards.
+func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b := New(Options{Threshold: 0.3, Journal: st, Hydrator: st, MaxResident: 4})
+	subs := map[string]*Subscription{}
+	for _, u := range []string{"waited", "asked-late", "matched"} {
+		if err := st.AppendSubscribe(u, "MM", nil); err != nil {
+			t.Fatal(err)
+		}
+		if subs[u], err = b.SubscribeRestored(u, "MM", nil); err != nil {
+			t.Fatal(err)
+		}
+		if subs[u].sub.queue != nil {
+			t.Fatalf("stub %q was born with a delivery buffer", u)
+		}
+	}
+	got := make(chan bool)
+	go func() { _, ok := <-subs["waited"].Deliveries(); got <- ok }()
+	for !subs["waited"].sub.queueMade() {
+		runtime.Gosched()
+	}
+	b.Unsubscribe("waited")
+	if <-got {
+		t.Error("a reader waiting across the unsubscribe got a delivery, want a closed stream")
+	}
+	b.Unsubscribe("asked-late")
+	if _, ok := <-subs["asked-late"].Deliveries(); ok {
+		t.Error("a reader arriving after the unsubscribe did not find the stream closed")
+	}
+
+	// First delivery makes the buffer, and the accounting starts at zero.
+	doc, _ := b.PublishVector(vec("cat", 1.0))
+	if err := b.Feedback("matched", doc, filter.Relevant); err != nil {
+		t.Fatal(err)
+	}
+	if subs["matched"].sub.queueMade() {
+		t.Error("feedback alone made a delivery buffer")
+	}
+	if _, n := b.PublishVector(vec("cat", 1.0)); n != 1 {
+		t.Fatalf("deliveries = %d, want 1", n)
+	}
+	if d := <-subs["matched"].Deliveries(); d.Seq != 0 {
+		t.Errorf("first delivery carries seq %d, want 0", d.Seq)
+	}
+	if next, dropped := subs["matched"].DeliveryStats(); next != 1 || dropped != 0 {
+		t.Errorf("DeliveryStats = %d, %d, want 1, 0", next, dropped)
+	}
+}
+
+// queueMade reports, under the lock, whether the delivery buffer exists.
+func (s *subscriber) queueMade() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue != nil
 }
 
 // TestBoundedResidencyConcurrent churns feedbacks, publishes, and

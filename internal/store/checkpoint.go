@@ -4,6 +4,8 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
+	"io"
+	"sort"
 	"time"
 
 	"mmprofile/internal/filter"
@@ -79,10 +81,9 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 
 	type flip struct {
 		ln        *lane
-		gen       uint64 // new generation
-		recs      []segEntry
+		gen       uint64            // new generation
+		idx       map[string]segRef // the new segment's offset index
 		durableTo uint64
-		bytes     int64
 	}
 	var flips []*flip
 	var locked []*lane
@@ -145,30 +146,16 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		s.m.fsyncLat.ObserveSince(ts)
 		fl.durableTo = ln.recs
 
-		recs, carried, err := s.compactLane(ln)
-		if err != nil {
-			return st, err
-		}
-		fl.recs = recs
-		st.Profiles += len(recs)
-		st.Carried += carried
-
 		tmp, err := s.fsys.CreateTemp(s.dir, "seg-*.tmp")
 		if err != nil {
 			return st, fmt.Errorf("store: %w", err)
 		}
-		werr := func() error {
-			for _, e := range recs {
-				if err := writeRecord(tmp, e.payload); err != nil {
-					return err
-				}
-				fl.bytes += int64(len(e.payload)) + 8 // record framing header
+		idx, carried, size, werr := s.compactLane(ln, tmp)
+		if werr == nil {
+			if werr = tmp.Sync(); werr != nil {
+				werr = fmt.Errorf("store: %w", werr)
 			}
-			if err := tmp.Sync(); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			return nil
-		}()
+		}
 		if cerr := tmp.Close(); werr == nil && cerr != nil {
 			werr = fmt.Errorf("store: %w", cerr)
 		}
@@ -179,7 +166,10 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 			s.fsys.Remove(tmp.Name())
 			return st, werr
 		}
-		st.Bytes += fl.bytes
+		fl.idx = idx
+		st.Profiles += len(idx)
+		st.Carried += carried
+		st.Bytes += size
 	}
 	// The renamed segments must be durable before the manifest may
 	// reference them: a manifest entry pointing at an un-persisted
@@ -209,7 +199,11 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 	for _, fl := range flips {
 		ln := fl.ln
 		old := ln.wal
-		ln.gen = fl.gen
+		// The index flips with the generation, to the offsets this pass
+		// just wrote (openLaneWAL below starts the new WAL's index), and the
+		// read handles go before cleanStrays removes what they name.
+		ln.closeReaders()
+		ln.gen, ln.segIdx = fl.gen, fl.idx
 		ln.wal = nil
 		if err := s.openLaneWAL(ln); err != nil {
 			ln.failed = err
@@ -222,13 +216,6 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		old.Close()
 		s.m.dirtyProfiles.Add(-float64(len(ln.dirty)))
 		ln.dirty = make(map[string]struct{})
-		// Prime the segment cache with what was just written: hydration
-		// and the next compaction read it without touching disk.
-		idx := make(map[string]int, len(fl.recs))
-		for i, e := range fl.recs {
-			idx[e.user] = i
-		}
-		ln.segRecs, ln.segIdx, ln.segLoaded = fl.recs, idx, true
 		st.Rewritten++
 		s.m.ckptLanesRewritten.Inc()
 	}
@@ -259,95 +246,105 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 }
 
 // compactLane replays ln's committed WAL over its current segment and
-// returns the next segment's records (caller holds ln.mu). Clean users'
-// records are carried forward verbatim; users touched by the WAL are
-// rehydrated through the filter registry, replayed, and re-serialized.
-// Segment order is preserved, with users first seen in the WAL appended
-// in event order, so compaction is deterministic.
-func (s *Store) compactLane(ln *lane) (recs []segEntry, carried int, err error) {
-	if err := s.loadSeg(ln); err != nil {
-		return nil, 0, err
+// streams the next segment to w, returning its offset index (caller holds
+// ln.mu). Clean users' frames are copied from the old segment file one at
+// a time, checksums verified; users touched by the WAL are rehydrated
+// through the filter registry, replayed, and re-serialized — so a
+// checkpoint holds the lane's dirty profiles and never the lane. Segment
+// order is preserved, with users first seen in the WAL appended in event
+// order, so compaction is deterministic.
+func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carried int, size int64, err error) {
+	if err := s.indexLane(ln); err != nil {
+		return nil, 0, 0, err
 	}
-	payloads, err := s.laneWALRecords(ln)
+	payloads, err := s.laneRecords(ln, walFile)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
+	// One slot per user the WAL touches; l is nil once unsubscribed.
 	type slot struct {
-		payload []byte // serialized record, nil once live
-		l       filter.Learner
-		lname   string
-		live    bool
+		l     filter.Learner
+		lname string
 	}
-	order := make([]string, 0, len(ln.segRecs))
-	slots := make(map[string]*slot, len(ln.segRecs))
-	for _, e := range ln.segRecs {
-		order = append(order, e.user)
-		slots[e.user] = &slot{payload: e.payload}
+	order := make([]string, 0, len(ln.segIdx))
+	for user := range ln.segIdx {
+		order = append(order, user)
 	}
+	sort.Slice(order, func(i, j int) bool { return ln.segIdx[order[i]].off < ln.segIdx[order[j]].off })
+	touched := make(map[string]*slot)
+	var buf []byte
 	for i, p := range payloads {
 		ev, err := decodeEvent(p)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
 		}
+		sl := touched[ev.User]
+		ref, inSeg := ln.segIdx[ev.User]
 		switch ev.Type {
 		case EventSubscribe:
-			sl := slots[ev.User]
-			if sl == nil {
-				sl = &slot{}
-				slots[ev.User] = sl
-				order = append(order, ev.User)
-			}
 			l, err := newRestored(ev.User, ev.Learner, ev.State)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
-			sl.l, sl.lname, sl.live, sl.payload = l, ev.Learner, true, nil
+			if sl == nil && !inSeg {
+				order = append(order, ev.User)
+			}
+			touched[ev.User] = &slot{l: l, lname: ev.Learner}
 		case EventUnsubscribe:
-			if sl := slots[ev.User]; sl != nil {
-				sl.l, sl.payload, sl.live = nil, nil, false
+			if sl != nil || inSeg {
+				touched[ev.User] = &slot{}
 			}
 		case EventFeedback:
-			sl := slots[ev.User]
-			if sl == nil || (!sl.live && sl.payload == nil) {
-				return nil, 0, fmt.Errorf("store: lane %d compaction: feedback for unknown user %q", ln.id, ev.User)
+			if sl == nil && inSeg {
+				// First touch of a segment profile: rehydrate it.
+				sl = &slot{lname: ref.learner}
+				if sl.l, buf, err = s.segLearner(ln, ref, buf); err != nil {
+					return nil, 0, 0, err
+				}
+				touched[ev.User] = sl
 			}
-			if !sl.live {
-				rec, err := decodeProfileRecord(sl.payload)
-				if err != nil {
-					return nil, 0, fmt.Errorf("store: lane %d segment %d: %w", ln.id, ln.gen, err)
-				}
-				l, err := newRestored(rec.User, rec.Learner, rec.Data)
-				if err != nil {
-					return nil, 0, err
-				}
-				sl.l, sl.lname, sl.live = l, rec.Learner, true
+			if sl == nil || sl.l == nil {
+				return nil, 0, 0, fmt.Errorf("store: lane %d compaction: feedback for unknown user %q", ln.id, ev.User)
 			}
 			sl.l.Observe(ev.Vec, ev.Fd)
 		default:
-			return nil, 0, fmt.Errorf("store: lane %d wal %d record %d: unknown event type %d", ln.id, ln.gen, i, ev.Type)
+			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: unknown event type %d", ln.id, ln.gen, i, ev.Type)
 		}
 	}
 
+	idx = make(map[string]segRef, len(order))
 	for _, user := range order {
-		sl := slots[user]
+		sl, ref := touched[user], ln.segIdx[user]
 		switch {
-		case sl.live:
+		case sl == nil: // clean: the old frame, verbatim
+			if buf, err = s.readAt(ln, segFile, ref.off, ref.n, buf); err != nil {
+				return nil, 0, 0, err
+			}
+			if _, err := w.Write(buf); err != nil {
+				return nil, 0, 0, fmt.Errorf("store: %w", err)
+			}
+			carried++
+		case sl.l == nil:
+			continue // unsubscribed: dropped from the new segment
+		default:
 			m, ok := sl.l.(encoding.BinaryMarshaler)
 			if !ok {
-				return nil, 0, fmt.Errorf("store: learner %q for %q is not serializable", sl.lname, user)
+				return nil, 0, 0, fmt.Errorf("store: learner %q for %q is not serializable", sl.lname, user)
 			}
 			data, err := m.MarshalBinary()
 			if err != nil {
-				return nil, 0, fmt.Errorf("store: serializing %q: %w", user, err)
+				return nil, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
 			}
-			recs = append(recs, segEntry{user: user, payload: encodeProfilePayload(user, sl.lname, data)})
-		case sl.payload != nil:
-			recs = append(recs, segEntry{user: user, payload: sl.payload})
-			carried++
-		default:
-			// unsubscribed: dropped from the new segment
+			payload := encodeProfilePayload(user, sl.lname, data)
+			if err := writeRecord(w, payload); err != nil {
+				return nil, 0, 0, err
+			}
+			ref = segRef{n: uint32(len(payload)), learner: sl.lname}
 		}
+		ref.off = size
+		idx[user] = ref
+		size += 8 + int64(ref.n)
 	}
-	return recs, carried, nil
+	return idx, carried, size, nil
 }

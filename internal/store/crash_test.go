@@ -6,7 +6,9 @@ package store
 // in-flight write), reboot, reopen, and require that Load+Restore
 // succeeds and yields exactly a prefix of the workload — never shorter
 // than what durability was acknowledged for, never a panic, never an
-// error, and always appendable afterwards. This is the test that proves
+// error, and always appendable afterwards — and that the lazy read path
+// (RestoredNames + RestoreUser over the offset index) agrees with it user
+// for user. This is the test that proves
 // the torn-tail repair, the segment/manifest rename ordering in
 // Checkpoint (including crashes between a lane's fsync and the manifest
 // rename), and the group-commit ack semantics all at once.
@@ -223,6 +225,10 @@ func crashMatrix(t *testing.T, durable bool) {
 			if err != nil {
 				t.Fatalf("restore after crash: %v", err)
 			}
+			// The offset index the reopen built over whatever the crash left
+			// — torn tails, half-staged segments, either side of the manifest
+			// rename — must hydrate every user to what the full load holds.
+			requireHydrationEqualsRestore(t, s2, learners)
 			got := probeState(learners, len(matrixScript))
 			match := -1
 			for m := guaranteed; m <= applied+1 && m <= len(matrixScript); m++ {
@@ -262,6 +268,7 @@ func crashMatrix(t *testing.T, durable bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireHydrationEqualsRestore(t, s3, l3)
 			if l3["q"] == nil || l3["q"].Score(fbVec(9)) <= 1e-9 {
 				t.Fatalf("post-recovery appends lost")
 			}
@@ -374,6 +381,7 @@ func TestMigrationCrashMatrix(t *testing.T) {
 			if len(learners) != 3 {
 				t.Fatalf("restored %d users, want 3", len(learners))
 			}
+			requireHydrationEqualsRestore(t, s2, learners)
 			if learners["alice"].Score(fbVec(0)) <= 1e-9 || learners["alice"].Score(fbVec(1)) <= 1e-9 {
 				t.Fatal("alice lost state across migration crash")
 			}
@@ -431,6 +439,7 @@ func TestCheckpointDurableAcrossCrash(t *testing.T) {
 	if learners["u"].Score(fbVec(0)) <= 1e-9 {
 		t.Fatal("checkpointed profile lost feedback 0")
 	}
+	requireHydrationEqualsRestore(t, s2, learners)
 }
 
 // TestLyingFsyncIsOutOfScope documents the fault model's boundary: a

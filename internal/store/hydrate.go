@@ -15,62 +15,69 @@ import (
 // the pubsub LRU residency bound. found is false when the user does not
 // exist (or its last event is an unsubscribe).
 //
-// Cost is one cached segment lookup plus one scan of the lane's WAL
-// (events for other users are skipped without decoding their vectors);
-// checkpoints bound the WAL, so hydration stays proportional to the
-// lane's recent activity, not its history.
+// Cost is what the user's own records cost, whatever else the lane holds:
+// the offset index (lane.go) names the user's segment record and its
+// events in the current WAL, and each is pread and checksummed on its
+// own. mm_store_restore_read_bytes_total counts the bytes.
 func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 	ln := s.laneFor(user)
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 
-	if err := s.loadSeg(ln); err != nil {
+	if err := s.indexLane(ln); err != nil {
 		return nil, false, err
 	}
 	var l filter.Learner
-	found := false
-	if i, ok := ln.segIdx[user]; ok {
-		rec, err := decodeProfileRecord(ln.segRecs[i].payload)
-		if err != nil {
-			return nil, false, fmt.Errorf("store: lane %d segment %d: %w", ln.id, ln.gen, err)
+	var buf []byte // reused: each record is consumed before the next read
+	if ref, ok := ln.segIdx[user]; ok {
+		var err error
+		if l, buf, err = s.segLearner(ln, ref, buf); err != nil {
+			return nil, false, err
 		}
-		nl, err := newRestored(rec.User, rec.Learner, rec.Data)
+		s.m.restoreReadBytes.Add(int64(len(buf)))
+	}
+	for _, ref := range ln.walIdx[user] {
+		frame, err := s.readAt(ln, walFile, ref.off, ref.n, buf)
 		if err != nil {
 			return nil, false, err
 		}
-		l, found = nl, true
-	}
-
-	payloads, err := s.laneWALRecords(ln)
-	if err != nil {
-		return nil, false, err
-	}
-	for i, p := range payloads {
-		if !eventUserIs(p, user) {
-			continue
-		}
-		ev, err := decodeEvent(p)
+		buf = frame
+		s.m.restoreReadBytes.Add(int64(len(frame)))
+		ev, err := decodeEvent(frame[8:])
 		if err != nil {
-			return nil, false, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, false, fmt.Errorf("store: lane %d wal %d offset %d: %w", ln.id, ln.gen, ref.off, err)
 		}
 		switch ev.Type {
 		case EventSubscribe:
-			nl, err := newRestored(ev.User, ev.Learner, ev.State)
-			if err != nil {
+			if l, err = newRestored(user, ev.Learner, ev.State); err != nil {
 				return nil, false, err
 			}
-			l, found = nl, true
 		case EventUnsubscribe:
-			l, found = nil, false
+			l = nil
 		case EventFeedback:
-			if !found {
+			if l == nil {
 				return nil, false, fmt.Errorf("store: lane %d: feedback for unknown user %q", ln.id, user)
 			}
 			l.Observe(ev.Vec, ev.Fd)
 		}
 	}
-	if found {
+	if l != nil {
 		s.m.userRestores.Inc()
 	}
-	return l, found, nil
+	return l, l != nil, nil
+}
+
+// segLearner preads the segment record ref names and rebuilds its learner
+// (caller holds ln.mu). It returns the frame read, for reuse as buf.
+func (s *Store) segLearner(ln *lane, ref segRef, buf []byte) (filter.Learner, []byte, error) {
+	frame, err := s.readAt(ln, segFile, ref.off, ref.n, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec, err := decodeProfileRecord(frame[8:])
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, ref.off, err)
+	}
+	l, err := newRestored(rec.User, rec.Learner, rec.Data)
+	return l, frame, err
 }

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -26,7 +29,7 @@ type lane struct {
 	legacy bool // pre-manifest single-WAL file naming (read-only inspection)
 
 	// mu guards the lane's write path: the WAL handle, the committed byte
-	// length, the record count, the dirty set, and the segment cache.
+	// length, the record count, the dirty set, and the offset index.
 	mu     sync.Mutex
 	gen    uint64
 	wal    faultfs.File
@@ -35,29 +38,43 @@ type lane struct {
 	failed error               // sticky write-path failure; reopen repairs
 	dirty  map[string]struct{} // users with events in the current WAL generation
 
-	// Segment cache: the current generation's segment, decoded once and
-	// reused by checkpoint compaction and RestoreUser hydration. Segments
-	// are immutable after their manifest commit, so the cache can only go
-	// stale when a checkpoint flips the generation — which re-primes it
-	// with the records it just wrote. This is the mmap stand-in: faultfs
-	// only exposes ReadFile, so "mmap-friendly" here means append-ordered
-	// immutable records cached per lane rather than a real mapping.
-	segRecs   []segEntry
-	segIdx    map[string]int
-	segLoaded bool
+	// Offset index (DESIGN.md §14): where each user's records sit in the
+	// current generation's files, so a cold profile costs index entries and
+	// no payload bytes. segIdx is built by one streaming pass on first use
+	// (nil until then); walIdx by the scan that opens the WAL — in a
+	// ReadOnly store on first use, as tolerant of a torn tail — and grows
+	// with every append. A checkpoint flip installs the offsets it wrote,
+	// starts an empty walIdx and closes the read handles, so nothing ever
+	// reads a removed generation.
+	rd     [2]faultfs.File // read handles, by segFile / walFile
+	segIdx map[string]segRef
+	walIdx map[string][]walRef
 
 	// Group-commit state, guarded by Store.cmu (never by mu).
 	durable uint64 // records covered by the last acknowledged fsync
 	syncErr error  // sticky fsync failure: durability is unknowable past it
 }
 
-// segEntry is one decoded segment record: the user plus the raw framed
-// payload (user, learner, state) kept verbatim, so clean profiles are
-// carried into the next segment without a decode/re-encode round trip.
-type segEntry struct {
-	user    string
-	payload []byte
+// segRef locates one user's framed record in the lane's segment: header
+// offset, payload length, and the learner name (all a lazy boot needs).
+type segRef struct {
+	off     int64
+	n       uint32
+	learner string
 }
+
+// walRef locates one framed event in the lane's current WAL.
+type walRef struct {
+	off int64
+	n   uint32
+	typ EventType
+}
+
+// The lane's two files, as reader, readAt and laneRecords name them.
+const (
+	segFile = iota
+	walFile
+)
 
 // laneFNV32 is the 32-bit FNV-1a hash used for lane routing. The lane
 // count is pinned by the manifest, so the mapping is stable across
@@ -124,32 +141,26 @@ func laneFile(name, prefix, suffix string) (laneID int, gen uint64, ok bool) {
 }
 
 // openLaneWAL opens ln's current-generation log for appending, truncating
-// any torn tail first. Caller holds ln.mu (or is the constructor /
-// checkpoint, which own the lane exclusively). The new directory entry is
-// NOT synced here — Open and Checkpoint batch one SyncDir over every lane
-// they touch, so a 16-lane store does not pay 16 directory fsyncs.
+// any torn tail first and indexing the records before it. Caller holds
+// ln.mu (or is the constructor / checkpoint, which own the lane
+// exclusively). The new directory entry is NOT synced here — Open and
+// Checkpoint batch one SyncDir over every lane they touch, so a 16-lane
+// store does not pay 16 directory fsyncs.
 func (s *Store) openLaneWAL(ln *lane) error {
-	path := s.walPath(ln, ln.gen)
-	data, err := s.fsys.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, committed, err := scanRecords(data)
+	size, err := s.indexWAL(ln)
 	if err != nil {
-		// Valid records exist beyond the damage: this is not a torn
-		// append, and truncating would destroy them. Refuse to open.
-		return fmt.Errorf("store: lane %d wal %d: %w", ln.id, ln.gen, err)
+		return err
 	}
-	f, err := s.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := s.fsys.OpenFile(s.walPath(ln, ln.gen), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if committed < len(data) {
+	if ln.walLen < size {
 		// Torn tail from a crash mid-append: chop it so the next append
 		// starts at a record boundary — appending after garbage is what
 		// used to turn one torn record into a whole-log loss on the
 		// following reload.
-		if err := f.Truncate(int64(committed)); err != nil {
+		if err := f.Truncate(ln.walLen); err != nil {
 			f.Close()
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
@@ -160,67 +171,156 @@ func (s *Store) openLaneWAL(ln *lane) error {
 		s.m.tornTails.Inc()
 	}
 	ln.wal = f
-	ln.walLen = int64(committed)
 	return nil
 }
 
-// loadSeg populates the lane's segment cache (caller holds ln.mu).
-// Segments are written via temp + rename and referenced only after a
-// manifest commit, so any parse failure here is real corruption, never a
-// torn write.
-func (s *Store) loadSeg(ln *lane) error {
-	if ln.segLoaded {
-		return nil
-	}
-	ln.segRecs, ln.segIdx = nil, nil
-	if ln.gen > 0 {
-		data, err := s.readFileOrEmpty(s.segPath(ln, ln.gen))
-		if err != nil {
-			return fmt.Errorf("store: lane %d segment %d: %w", ln.id, ln.gen, err)
-		}
-		payloads, committed, err := scanRecords(data)
-		if err == nil && committed != len(data) {
-			err = fmt.Errorf("truncated record at offset %d", committed)
-		}
-		if err != nil {
-			return fmt.Errorf("store: lane %d segment %d: %w", ln.id, ln.gen, err)
-		}
-		ln.segIdx = make(map[string]int, len(payloads))
-		for i, payload := range payloads {
-			rec, err := decodeProfileRecord(payload)
-			if err != nil {
-				return fmt.Errorf("store: lane %d segment %d record %d: %w", ln.id, ln.gen, i, err)
-			}
-			ln.segRecs = append(ln.segRecs, segEntry{user: rec.User, payload: payload})
-			ln.segIdx[rec.User] = i
-		}
-	}
-	if ln.segIdx == nil {
-		ln.segIdx = map[string]int{}
-	}
-	ln.segLoaded = true
-	return nil
-}
-
-// laneWALRecords reads the committed records of ln's current WAL (caller
-// holds ln.mu). In read-write mode, bytes past the committed length can
-// only be a poisoned write's remnants and are clamped away; in ReadOnly
-// mode a torn tail is tolerated exactly the way recovery would tolerate
-// it.
-func (s *Store) laneWALRecords(ln *lane) ([][]byte, error) {
+// indexWAL scans ln's current WAL once: it sets ln.walLen to the valid
+// prefix's length, rebuilds ln.walIdx from that prefix and returns the
+// file's size. A torn tail is not an error — the prefix stops before it,
+// which is all a ReadOnly store ever does about one. Valid records beyond
+// the damage are: that is no torn append, and truncating would lose them.
+func (s *Store) indexWAL(ln *lane) (size int64, err error) {
 	data, err := s.readFileOrEmpty(s.walPath(ln, ln.gen))
 	if err != nil {
-		return nil, fmt.Errorf("store: lane %d wal %d: %w", ln.id, ln.gen, err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	if !s.opts.ReadOnly && int64(len(data)) > ln.walLen {
+	payloads, committed, err := scanRecords(data)
+	if err != nil {
+		return 0, fmt.Errorf("store: lane %d wal %d: %w", ln.id, ln.gen, err)
+	}
+	idx := make(map[string][]walRef)
+	off := int64(0)
+	for i, p := range payloads {
+		// Only the event's head is decoded: type byte, then the user.
+		user, _, err := readLenBytes(p[min(1, len(p)):])
+		if err != nil {
+			return 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+		}
+		idx[string(user)] = append(idx[string(user)], walRef{off: off, n: uint32(len(p)), typ: EventType(p[0])})
+		off += 8 + int64(len(p))
+	}
+	ln.walIdx, ln.walLen = idx, int64(committed)
+	return int64(len(data)), nil
+}
+
+// indexLane makes sure both of ln's offset indexes exist (caller holds
+// ln.mu). The segment is streamed through one buffer, every record
+// checksummed and decoded once, so indexing never holds more than one
+// profile; segments are written via temp + rename and referenced only
+// after a manifest commit, so any failure here is real corruption, never
+// a torn write.
+func (s *Store) indexLane(ln *lane) error {
+	if ln.wal == nil && !s.opts.ReadOnly {
+		return errClosed
+	}
+	if ln.walIdx == nil { // ReadOnly: no openLaneWAL ran
+		if _, err := s.indexWAL(ln); err != nil {
+			return err
+		}
+	}
+	if ln.segIdx != nil {
+		return nil
+	}
+	idx := make(map[string]segRef)
+	f, err := s.reader(ln, segFile)
+	if errors.Is(err, fs.ErrNotExist) { // generation 0, or a lane that migrated empty
+		ln.segIdx = idx
+		return nil
+	} else if err != nil {
+		return err
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, math.MaxInt64), 64<<10)
+	var frame []byte
+	var learner string // the last record's: entries share one copy of a name
+	for off := int64(0); ; off += int64(len(frame)) {
+		if frame, err = readRecord(r, frame); err == io.EOF {
+			ln.segIdx = idx
+			return nil
+		}
+		var rec ProfileRecord
+		if err == nil {
+			rec, err = decodeProfileRecord(frame[8:])
+		}
+		if err != nil {
+			return fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, off, err)
+		}
+		if rec.Learner != learner {
+			learner = rec.Learner
+		}
+		idx[rec.User] = segRef{off: off, n: uint32(len(frame) - 8), learner: learner}
+	}
+}
+
+// reader returns ln's read handle on its current segment or WAL, opening
+// it on first use (caller holds ln.mu).
+func (s *Store) reader(ln *lane, which int) (faultfs.File, error) {
+	if ln.rd[which] == nil {
+		path := s.segPath(ln, ln.gen)
+		if which == walFile {
+			path = s.walPath(ln, ln.gen)
+		}
+		f, err := s.fsys.OpenFile(path, os.O_RDONLY, 0)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		ln.rd[which] = f
+	}
+	return ln.rd[which], nil
+}
+
+// readAt preads the record of n payload bytes framed at off in ln's
+// current segment or WAL and verifies it (caller holds ln.mu). It returns
+// the frame, payload at [8:], in buf when that is large enough.
+func (s *Store) readAt(ln *lane, which int, off int64, n uint32, buf []byte) ([]byte, error) {
+	f, err := s.reader(ln, which)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := readRecord(io.NewSectionReader(f, off, 8+int64(n)), buf)
+	if err == nil && len(frame) != 8+int(n) {
+		err = errors.New("checksum mismatch") // in the length field
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %s offset %d: %w", f.Name(), off, err)
+	}
+	return frame, nil
+}
+
+// closeReaders drops ln's read handles (caller holds ln.mu): at Close,
+// and at a checkpoint flip before the files they name are removed.
+func (ln *lane) closeReaders() {
+	for i, f := range ln.rd {
+		if f != nil {
+			f.Close()
+			ln.rd[i] = nil
+		}
+	}
+}
+
+// laneRecords reads and verifies one of ln's current files whole, for the
+// paths that want every record at once — Load, compaction's replay, legacy
+// migration (caller holds ln.mu). A segment must parse to its last byte;
+// so must a WAL up to its committed length (bytes past it can only be a
+// poisoned write's remnants and are clamped away), except that ReadOnly
+// mode tolerates a torn tail exactly the way recovery would.
+func (s *Store) laneRecords(ln *lane, which int) ([][]byte, error) {
+	path, strict := s.segPath(ln, ln.gen), true
+	if which == walFile {
+		path, strict = s.walPath(ln, ln.gen), !s.opts.ReadOnly
+	}
+	data, err := s.readFileOrEmpty(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: lane %d: %w", ln.id, err)
+	}
+	if which == walFile && strict && int64(len(data)) > ln.walLen {
 		data = data[:ln.walLen]
 	}
 	payloads, committed, err := scanRecords(data)
-	if err == nil && !s.opts.ReadOnly && committed != len(data) {
+	if err == nil && strict && committed != len(data) {
 		err = fmt.Errorf("truncated record at offset %d", committed)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("store: lane %d wal %d: %w", ln.id, ln.gen, err)
+		return nil, fmt.Errorf("store: lane %d %s: %w", ln.id, filepath.Base(path), err)
 	}
 	return payloads, nil
 }

@@ -222,26 +222,17 @@ func (s *Store) migrateLegacy(legacySeq uint64) error {
 	old := &lane{legacy: true, gen: legacySeq}
 
 	profs := make([][][]byte, len(s.lanes))
-	if legacySeq > 0 {
-		data, err := s.readFileOrEmpty(s.segPath(old, legacySeq))
+	payloads, err := s.laneRecords(old, segFile)
+	if err != nil {
+		return err
+	}
+	for i, payload := range payloads {
+		rec, err := decodeProfileRecord(payload)
 		if err != nil {
-			return fmt.Errorf("store: snapshot %d: %w", legacySeq, err)
+			return fmt.Errorf("store: snapshot %d record %d: %w", legacySeq, i, err)
 		}
-		payloads, committed, err := scanRecords(data)
-		if err == nil && committed != len(data) {
-			err = fmt.Errorf("truncated record at offset %d", committed)
-		}
-		if err != nil {
-			return fmt.Errorf("store: snapshot %d: %w", legacySeq, err)
-		}
-		for i, payload := range payloads {
-			rec, err := decodeProfileRecord(payload)
-			if err != nil {
-				return fmt.Errorf("store: snapshot %d record %d: %w", legacySeq, i, err)
-			}
-			id := s.laneFor(rec.User).id
-			profs[id] = append(profs[id], payload)
-		}
+		id := s.laneFor(rec.User).id
+		profs[id] = append(profs[id], payload)
 	}
 
 	evs := make([][][]byte, len(s.lanes))

@@ -35,6 +35,7 @@ type storeMetrics struct {
 	ckptLanesRewritten *metrics.Counter
 	ckptLanesSkipped   *metrics.Counter
 	userRestores       *metrics.Counter
+	restoreReadBytes   *metrics.Counter
 }
 
 // RegisterMetrics registers the store's instrument family on reg and
@@ -79,5 +80,7 @@ func RegisterMetrics(reg *metrics.Registry) storeMetrics {
 			"Dirty lanes left alone by checkpoints (below the dirty threshold)."),
 		userRestores: reg.Counter("mm_store_user_restores_total",
 			"Single-user hydration replays served from segment plus lane WAL."),
+		restoreReadBytes: reg.Counter("mm_store_restore_read_bytes_total",
+			"Bytes single-user hydration read from segments and lane WALs (framing included)."),
 	}
 }

@@ -351,6 +351,7 @@ func (s *Store) Close() error {
 	var fins []fin
 	for _, ln := range s.lanes {
 		ln.mu.Lock()
+		ln.closeReaders()
 		if ln.wal != nil {
 			var lerr error
 			if ln.failed == nil {
@@ -448,6 +449,7 @@ func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error
 		ws.End()
 		return err
 	}
+	ln.walIdx[user] = append(ln.walIdx[user], walRef{off: ln.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
 	ln.walLen += int64(len(payload)) + 8
 	ln.recs++
 	pos := ln.recs
@@ -652,18 +654,19 @@ func (s *Store) Load() ([]ProfileRecord, []Event, error) {
 // loadLane decodes one lane's segment and committed WAL (caller holds
 // ln.mu).
 func (s *Store) loadLane(ln *lane) ([]ProfileRecord, []Event, error) {
-	if err := s.loadSeg(ln); err != nil {
+	segs, err := s.laneRecords(ln, segFile)
+	if err != nil {
 		return nil, nil, err
 	}
-	var profiles []ProfileRecord
-	for i, e := range ln.segRecs {
-		rec, err := decodeProfileRecord(e.payload)
+	profiles := make([]ProfileRecord, 0, len(segs))
+	for i, payload := range segs {
+		rec, err := decodeProfileRecord(payload)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: lane %d segment %d record %d: %w", ln.id, ln.gen, i, err)
 		}
 		profiles = append(profiles, rec)
 	}
-	payloads, err := s.laneWALRecords(ln)
+	payloads, err := s.laneRecords(ln, walFile)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -877,17 +880,6 @@ func decodeEvent(payload []byte) (Event, error) {
 	return ev, nil
 }
 
-// eventUserIs reports whether the framed event payload names user,
-// without decoding the rest of the event (RestoreUser filters a whole
-// lane WAL this way before paying for vector decodes).
-func eventUserIs(payload []byte, user string) bool {
-	if len(payload) < 1 {
-		return false
-	}
-	u, _, err := readLenBytes(payload[1:])
-	return err == nil && string(u) == user
-}
-
 func readLenBytes(buf []byte) ([]byte, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 || n > uint64(len(buf)-k) {
@@ -915,9 +907,39 @@ func writeRecord(w io.Writer, payload []byte) error {
 	return nil
 }
 
+// readRecord reads the next framed record from r into buf (replaced when
+// too small) and verifies it as scanRecords would. It returns the whole
+// frame, payload at [8:]; io.EOF means r ended cleanly before the record.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 8 {
+		buf = make([]byte, 8)
+	}
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(buf[:4])
+	if n > maxRecordLen {
+		return nil, fmt.Errorf("implausible record size %d", n)
+	}
+	if cap(buf) < 8+int(n) {
+		buf = append(make([]byte, 0, 8+int(n)), buf[:8]...)
+	}
+	buf = buf[:8+int(n)]
+	if _, err := io.ReadFull(r, buf[8:]); err == io.EOF {
+		return nil, io.ErrUnexpectedEOF
+	} else if err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(buf[8:]) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return nil, errors.New("checksum mismatch")
+	}
+	return buf, nil
+}
+
 // scanRecords parses framed records from data, returning the records of
-// the valid prefix and that prefix's byte length. A remainder that looks
-// like one torn append — a truncated header, a record extending past EOF,
+// the valid prefix — sub-slices of data, back to back from offset 0 with
+// 8 bytes of framing each — and that prefix's byte length. A remainder
+// that looks like one torn append — a truncated header, a record extending past EOF,
 // or a checksum failure on the final record — is not an error: committed
 // simply stops before it. Anything else (a bad checksum or implausible
 // length with valid data beyond it) is corruption and returns an error,
@@ -946,7 +968,7 @@ func scanRecords(data []byte) (payloads [][]byte, committed int, err error) {
 			}
 			return payloads, off, fmt.Errorf("checksum mismatch at offset %d", off)
 		}
-		payloads = append(payloads, append([]byte(nil), payload...))
+		payloads = append(payloads, payload)
 		off += 8 + int(n)
 	}
 	return payloads, off, nil
@@ -1016,23 +1038,53 @@ func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learne
 	return out, nil
 }
 
-// RestoredNames maps each surviving user to its learner's registry name,
-// without instantiating any learner state — the boot path for lazy
-// hydration (pubsub registers evicted stubs and hydrates on first touch).
-func RestoredNames(profiles []ProfileRecord, events []Event) map[string]string {
-	out := make(map[string]string, len(profiles))
-	for _, p := range profiles {
-		out[p.User] = p.Learner
-	}
-	for _, ev := range events {
-		switch ev.Type {
-		case EventSubscribe:
-			out[ev.User] = ev.Learner
-		case EventUnsubscribe:
-			delete(out, ev.User)
+// RestoredNames maps each surviving user to its learner's registry name
+// from the lanes' offset indexes, without reading a profile or
+// instantiating a learner — the boot path for lazy hydration (pubsub
+// registers evicted stubs and hydrates on first touch). Only a user whose
+// subscription is newer than its segment costs a read, of that one event.
+func (s *Store) RestoredNames() (map[string]string, error) {
+	out := make(map[string]string)
+	for _, ln := range s.lanes {
+		if err := s.laneNames(ln, out); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return out, nil
+}
+
+func (s *Store) laneNames(ln *lane, out map[string]string) error {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if err := s.indexLane(ln); err != nil {
+		return err
+	}
+	for user, ref := range ln.segIdx {
+		out[user] = ref.learner
+	}
+	var buf []byte
+	for user, refs := range ln.walIdx {
+		i := len(refs) - 1
+		for i >= 0 && refs[i].typ == EventFeedback {
+			i--
+		}
+		switch {
+		case i < 0: // feedback only: the segment's entry stands
+		case refs[i].typ == EventUnsubscribe:
+			delete(out, user)
+		default:
+			frame, err := s.readAt(ln, walFile, refs[i].off, refs[i].n, buf)
+			if err != nil {
+				return err
+			}
+			ev, err := decodeEvent(frame[8:])
+			if err != nil {
+				return fmt.Errorf("store: lane %d wal %d offset %d: %w", ln.id, ln.gen, refs[i].off, err)
+			}
+			out[user], buf = ev.Learner, frame
+		}
+	}
+	return nil
 }
 
 // Users lists the distinct users across a Load result, sorted.

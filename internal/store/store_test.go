@@ -231,6 +231,23 @@ func TestTornTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A read-only store repairs nothing; the index it builds on first use
+	// stops before the torn record, exactly as its Load does.
+	ro, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := ro.RestoredNames(); err != nil || len(names) != 1 || names["alice"] != "MM" {
+		t.Errorf("read-only RestoredNames over a torn tail = %v, %v", names, err)
+	}
+	if l, found, err := ro.RestoreUser("alice"); err != nil || !found || l.ProfileSize() != 0 {
+		t.Errorf("read-only RestoreUser over a torn tail: found=%v err=%v", found, err)
+	}
+	ro.Close()
+	if after, _ := os.ReadFile(walPath); len(after) != len(data)-5 {
+		t.Errorf("read-only hydration changed the log: %d bytes, want %d", len(after), len(data)-5)
+	}
+
 	s2 := openStore(t, dir)
 	_, events, err := s2.Load()
 	if err != nil {
@@ -268,6 +285,9 @@ func TestCorruptionMidLogIsAnError(t *testing.T) {
 	defer ro.Close()
 	if _, _, err := ro.Load(); err == nil {
 		t.Error("mid-log corruption not reported by read-only Load")
+	}
+	if _, _, err := ro.RestoreUser("alice"); err == nil {
+		t.Error("mid-log corruption not reported by read-only RestoreUser")
 	}
 	if _, err := ro.WALInfo(); err == nil {
 		t.Error("WALInfo did not report corruption")
@@ -409,16 +429,45 @@ func TestUsers(t *testing.T) {
 }
 
 func TestRestoredNames(t *testing.T) {
-	profiles := []ProfileRecord{{User: "zed", Learner: "MM"}}
-	events := []Event{
-		{Type: EventSubscribe, User: "alice", Learner: "RI"},
-		{Type: EventSubscribe, User: "alice", Learner: "NRN"}, // resubscribe wins
-		{Type: EventUnsubscribe, User: "zed"},
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := RestoredNames(profiles, events)
-	if len(got) != 1 || got["alice"] != "NRN" {
-		t.Errorf("RestoredNames = %v", got)
+	must(s.AppendSubscribe("zed", "MM", nil))
+	must(s.AppendSubscribe("kept", "MM", nil))
+	if _, err := s.Checkpoint(1); err != nil {
+		t.Fatal(err) // zed and kept now live in segments
 	}
+	must(s.AppendSubscribe("alice", "RI", nil))
+	must(s.AppendSubscribe("alice", "NRN", nil)) // resubscribe wins
+	must(s.AppendFeedback("alice", vec("x", 1.0), filter.Relevant))
+	must(s.AppendFeedback("kept", vec("x", 1.0), filter.Relevant)) // feedback only: the segment's name stands
+	must(s.AppendUnsubscribe("zed"))
+	must(s.AppendUnsubscribe("nobody"))
+
+	check := func(s *Store) {
+		t.Helper()
+		got, err := s.RestoredNames()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 || got["alice"] != "NRN" || got["kept"] != "MM" {
+			t.Errorf("RestoredNames = %v", got)
+		}
+	}
+	check(s)
+	s.Close()
+	check(openStore(t, dir)) // same answer from the index the open-time scan builds
+	ro, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	check(ro) // ... and from the one a read-only store builds on first use
 }
 
 func TestClosedStoreErrors(t *testing.T) {
@@ -432,6 +481,14 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 	if err := s.Sync(); err == nil {
 		t.Error("sync after close accepted")
+	}
+	// Close dropped the read handles too: hydration must refuse, not
+	// quietly reopen them.
+	if _, _, err := s.RestoreUser("a"); err == nil {
+		t.Error("hydration after close accepted")
+	}
+	if _, err := s.RestoredNames(); err == nil {
+		t.Error("names after close accepted")
 	}
 	if err := s.Close(); err != nil {
 		t.Error("double close errored")

@@ -428,9 +428,10 @@ func (s *Server) subscribe(req Request) Response {
 // unlimited — the explicit contract poll, watch, and session frames share
 // (the old code relied on a -1 happening to hit a 1<<30 sentinel).
 func drain(sub *pubsub.Subscription, out []DeliveryMsg, max int) (msgs []DeliveryMsg, closed bool) {
+	q := sub.Deliveries()
 	for max <= 0 || len(out) < max {
 		select {
-		case d, ok := <-sub.Deliveries():
+		case d, ok := <-q:
 			if !ok {
 				return out, true
 			}
@@ -556,9 +557,10 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 	defer s.removeKick(req.User, kick)
 
 	msgs := make([]DeliveryMsg, 0, batch)
+	q := sub.Deliveries()
 	for {
 		select {
-		case d, ok := <-sub.Deliveries():
+		case d, ok := <-q:
 			if !ok {
 				s.unregister(req.User, sub)
 				next, dropped := sub.DeliveryStats()
