@@ -8,7 +8,6 @@ package mmprofile_test
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"testing"
 
@@ -307,9 +306,7 @@ var matchTier = bench.NewHarness(bench.MatchTierConfig())
 // match-tier collection (10k distinct pages — cycling 144 pages to a
 // million vectors would make ~0.7% of the index an exact duplicate of
 // every probe) and probed at the tier's θ = 0.5 after Optimize() commits
-// the staged tails. Before/after numbers are recorded in BENCH_index.json;
-// MM_PRUNE=off in the environment disables pruning for the "before" column
-// of an A/B run.
+// the staged tails.
 func BenchmarkIndexMatch(b *testing.B) {
 	for _, n := range []int{1000, 10_000, 100_000, 1_000_000} {
 		ds, theta := harness.Dataset(), 0.25
@@ -318,7 +315,6 @@ func BenchmarkIndexMatch(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("vectors=%d", n), func(b *testing.B) {
 			ix := index.New()
-			ix.SetPruning(os.Getenv("MM_PRUNE") != "off")
 			users := n / 5
 			for i := 0; i < n; i++ {
 				d := ds.Docs[i%len(ds.Docs)]
@@ -406,7 +402,7 @@ func brokerWithVectors(b *testing.B, n int) *pubsub.Broker {
 
 // BenchmarkBrokerPublish measures the full dissemination path: publish a
 // pre-vectorized page to a broker whose population holds ~n indexed profile
-// vectors. The 10k and 100k sizes back BENCH_index.json.
+// vectors.
 func BenchmarkBrokerPublish(b *testing.B) {
 	ds := harness.Dataset()
 	for _, n := range []int{100, 10_000, 100_000} {
@@ -446,52 +442,6 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 			i++
 		}
 	})
-}
-
-// BenchmarkBrokerPublishBatch measures concurrent batch-publish throughput
-// of pre-vectorized documents at several worker-pool widths — the broker's
-// internal sharding at work (a single-lock broker flattens as workers grow;
-// a sharded one should hold or improve). Before/after numbers are recorded
-// in BENCH_pubsub.json.
-func BenchmarkBrokerPublishBatch(b *testing.B) {
-	ds := harness.Dataset()
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			broker := pubsub.New(pubsub.Options{
-				Threshold:      0.25,
-				QueueSize:      16,
-				PublishWorkers: workers,
-			})
-			rng := rand.New(rand.NewSource(11))
-			for i := 0; i < 500; i++ {
-				u := sim.NewUser(sim.RandomTopInterests(rng, ds, 2)...)
-				mm := core.NewDefault()
-				seen := 0
-				for _, d := range ds.Docs[rng.Intn(len(ds.Docs)):] {
-					if u.Feedback(d) == filter.Relevant {
-						mm.Observe(d.Vec, filter.Relevant)
-						if seen++; seen == 2 {
-							break
-						}
-					}
-				}
-				if _, err := broker.Subscribe(fmt.Sprintf("user%04d", i), mm); err != nil {
-					b.Fatal(err)
-				}
-			}
-			batch := make([]vsm.Vector, 512)
-			for i := range batch {
-				batch[i] = ds.Docs[i%len(ds.Docs)].Vec
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				broker.PublishVectorBatch(batch)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-		})
-	}
 }
 
 // BenchmarkBrokerFeedback measures the feedback path including reindexing.

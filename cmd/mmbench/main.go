@@ -4,12 +4,14 @@
 //
 // Usage:
 //
-//	mmbench [-fig all|ablations|everything|4|...|learning|eta|group|merge|decay|lsi|scale|prune|pubsub|store]
-//	        [-runs N] [-quick] [-csv DIR] [-seed N] [-prune=false]
+//	mmbench [-fig KEY[,KEY...]|all|ablations|everything] [-list]
+//	        [-runs N] [-quick] [-csv DIR] [-svg DIR] [-seed N]
+//	        [-populations N,N,...]
 //
 // "all" runs the paper's figures; "ablations" runs the design-choice
 // ablations and extensions (η sweep, RG group-size sweep, merge on/off,
-// decay variants, LSI space); "everything" runs both.
+// decay variants, LSI space, matching cost); "everything" runs both.
+// -list prints every key. Performance is measured by perf/, not here.
 package main
 
 import (
@@ -22,23 +24,87 @@ import (
 	"time"
 
 	"mmprofile/internal/bench"
-	"mmprofile/internal/metrics"
 )
 
+// experiment is one row of the experiment index: -list, the -fig help,
+// group selection and dispatch all read this one table.
+type experiment struct {
+	key   string
+	group string // "all" (the paper's figures), "ablations", or "" (by key only)
+	title string
+	run   func(*env) []bench.Figure
+}
+
+// env is what an experiment runs against.
+type env struct {
+	h           *bench.Harness
+	populations []int
+	threshold   []bench.Figure // Figs. 6 and 7 come out of one sweep
+}
+
+func (e *env) thresholdFigure(i int) []bench.Figure {
+	if e.threshold == nil {
+		p, s := e.h.ThresholdFigures()
+		e.threshold = []bench.Figure{p, s}
+	}
+	return e.threshold[i : i+1]
+}
+
+func one(f bench.Figure) []bench.Figure    { return []bench.Figure{f} }
+func two(p, s bench.Figure) []bench.Figure { return []bench.Figure{p, s} }
+
+var experiments = []experiment{
+	{"4", "all", "Fig. 4 — niap, top-level categories (RI, RG10, MM)", func(e *env) []bench.Figure { return one(e.h.Fig4()) }},
+	{"5", "all", "Fig. 5 — niap, second-level categories", func(e *env) []bench.Figure { return one(e.h.Fig5()) }},
+	{"6", "all", "Fig. 6 — precision vs threshold θ", func(e *env) []bench.Figure { return e.thresholdFigure(0) }},
+	{"7", "all", "Fig. 7 — profile size vs threshold θ", func(e *env) []bench.Figure { return e.thresholdFigure(1) }},
+	{"8", "all", "Fig. 8 — partial interest shift", func(e *env) []bench.Figure { return one(e.h.Fig8()) }},
+	{"9", "all", "Fig. 9 — complete interest shift", func(e *env) []bench.Figure { return one(e.h.Fig9()) }},
+	{"10", "all", "Fig. 10 — adding an interest", func(e *env) []bench.Figure { return one(e.h.Fig10()) }},
+	{"11", "all", "Fig. 11 — deleting an interest", func(e *env) []bench.Figure { return one(e.h.Fig11()) }},
+	{"batch", "all", "§5.2 — batch Rocchio vs incremental learners", func(e *env) []bench.Figure { return one(e.h.BatchFigure()) }},
+	{"learning", "all", "§5.1 — learning rate", func(e *env) []bench.Figure { return one(e.h.LearningRateFigure()) }},
+	{"eta", "ablations", "A1 — adaptability η sweep", func(e *env) []bench.Figure { return one(e.h.EtaSweepFigure()) }},
+	{"group", "ablations", "A2 — Rocchio group-size sweep", func(e *env) []bench.Figure { return one(e.h.GroupSizeFigure()) }},
+	{"merge", "ablations", "A3 — merge operation on/off", func(e *env) []bench.Figure { return two(e.h.MergeAblationFigure()) }},
+	{"decay", "ablations", "A4 — strength-decay variants", func(e *env) []bench.Figure { return one(e.h.DecayVariantFigure()) }},
+	{"noise", "ablations", "A6 — feedback-noise robustness", func(e *env) []bench.Figure { return one(e.h.NoiseFigure()) }},
+	{"kmeans", "ablations", "A7 — single-pass vs batch clustering", func(e *env) []bench.Figure { return two(e.h.BatchClusterFigure()) }},
+	{"lsi", "ablations", "A5 — keyword vs LSI space", func(e *env) []bench.Figure { return one(e.h.LSIFigure()) }},
+	{"scale", "ablations", "matching cost vs subscriber count (index vs brute force)", func(e *env) []bench.Figure { return one(e.h.ScaleFigure(e.populations)) }},
+	{"ttest", "", "paired significance tests (MM vs RG10, MM vs RI)", func(e *env) []bench.Figure {
+		n := max(e.h.Cfg.Runs, 10) // t-tests at the figure default of 4 runs have little power
+		bench.WriteComparisons(os.Stdout, e.h.Significance("MM", "RG10", n))
+		fmt.Println()
+		bench.WriteComparisons(os.Stdout, e.h.Significance("MM", "RI", n))
+		return nil
+	}},
+}
+
 func main() {
+	keys := make([]string, len(experiments))
+	for i, x := range experiments {
+		keys[i] = x.key
+	}
 	var (
-		figFlag = flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11,batch,learning or all")
+		figFlag = flag.String("fig", "all", "comma-separated experiments: "+strings.Join(keys, ", ")+"; or a group: all (the paper's figures), ablations, everything")
 		runs    = flag.Int("runs", 0, "seeded repetitions per data point (0 = config default)")
 		quick   = flag.Bool("quick", false, "use the scaled-down configuration (fast smoke run)")
 		csvDir  = flag.String("csv", "", "also write <fig>.csv files into this directory")
 		svgDir  = flag.String("svg", "", "also write <fig>.svg charts into this directory")
 		seed    = flag.Int64("seed", 0, "base seed (0 = config default)")
 		list    = flag.Bool("list", false, "print the experiment index and exit")
-		pops    = flag.String("populations", "", "comma-separated subscriber counts for -fig scale/prune (empty = defaults)")
-		pshards = flag.Int("pubsub-shards", 0, "broker shard suggestion for -fig pubsub (0 = GOMAXPROCS default)")
-		prune   = flag.Bool("prune", true, "threshold-aware match pruning in index figures; -prune=false scans every posting (A/B escape hatch)")
+		pops    = flag.String("populations", "", "comma-separated subscriber counts for -fig scale (empty = defaults)")
 	)
 	flag.Parse()
+
+	if *list {
+		fmt.Println("experiments (-fig KEY; groups: all, ablations, everything):")
+		for _, x := range experiments {
+			fmt.Printf("  %-9s %s\n", x.key, x.title)
+		}
+		return
+	}
 
 	var populations []int
 	if *pops != "" {
@@ -52,11 +118,6 @@ func main() {
 		}
 	}
 
-	if *list {
-		printIndex()
-		return
-	}
-
 	cfg := bench.DefaultConfig()
 	if *quick {
 		cfg = bench.QuickConfig()
@@ -67,107 +128,32 @@ func main() {
 	if *seed != 0 {
 		cfg.BaseSeed = *seed
 	}
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg
-	cfg.PruneOff = !*prune
-	h := bench.NewHarness(cfg)
+	e := &env{h: bench.NewHarness(cfg), populations: populations}
 
-	// The prune figure defaults to the 100k and 1M tiers; -quick scales the
-	// vector counts down the way it scales the corpus down.
-	pruneSizes := populations
-	if len(pruneSizes) == 0 && *quick {
-		pruneSizes = []int{20_000, 100_000}
-	}
-
-	type runner struct {
-		key string
-		fn  func() []bench.Figure
-	}
-	runners := []runner{
-		{"4", func() []bench.Figure { return []bench.Figure{h.Fig4()} }},
-		{"5", func() []bench.Figure { return []bench.Figure{h.Fig5()} }},
-		{"6", func() []bench.Figure { p, _ := h.ThresholdFigures(); return []bench.Figure{p} }},
-		{"7", func() []bench.Figure { _, s := h.ThresholdFigures(); return []bench.Figure{s} }},
-		{"8", func() []bench.Figure { return []bench.Figure{h.Fig8()} }},
-		{"9", func() []bench.Figure { return []bench.Figure{h.Fig9()} }},
-		{"10", func() []bench.Figure { return []bench.Figure{h.Fig10()} }},
-		{"11", func() []bench.Figure { return []bench.Figure{h.Fig11()} }},
-		{"batch", func() []bench.Figure { return []bench.Figure{h.BatchFigure()} }},
-		{"learning", func() []bench.Figure { return []bench.Figure{h.LearningRateFigure()} }},
-		// Ablations and extensions (not in the paper's figure set; run with
-		// -fig ablations or by name).
-		{"eta", func() []bench.Figure { return []bench.Figure{h.EtaSweepFigure()} }},
-		{"group", func() []bench.Figure { return []bench.Figure{h.GroupSizeFigure()} }},
-		{"merge", func() []bench.Figure {
-			p, s := h.MergeAblationFigure()
-			return []bench.Figure{p, s}
-		}},
-		{"decay", func() []bench.Figure { return []bench.Figure{h.DecayVariantFigure()} }},
-		{"noise", func() []bench.Figure { return []bench.Figure{h.NoiseFigure()} }},
-		{"kmeans", func() []bench.Figure {
-			p, s := h.BatchClusterFigure()
-			return []bench.Figure{p, s}
-		}},
-		{"lsi", func() []bench.Figure { return []bench.Figure{h.LSIFigure()} }},
-		{"scale", func() []bench.Figure { return []bench.Figure{h.ScaleFigure(populations)} }},
-		{"prune", func() []bench.Figure { return []bench.Figure{h.PruneFigure(pruneSizes, nil)} }},
-		{"pubsub", func() []bench.Figure { return []bench.Figure{h.PubsubFigure(nil, *pshards, 0)} }},
-		{"store", func() []bench.Figure { return []bench.Figure{h.StoreLanesFigure(nil, 64)} }},
-	}
-
-	ablationKeys := map[string]bool{"eta": true, "group": true, "merge": true, "decay": true, "noise": true, "kmeans": true, "lsi": true, "scale": true, "prune": true, "pubsub": true, "store": true}
 	want := strings.Split(*figFlag, ",")
-
-	// -fig ttest prints paired significance tests instead of a figure.
-	for _, w := range want {
-		if strings.TrimSpace(w) == "ttest" {
-			n := cfg.Runs
-			if n < 10 {
-				n = 10 // t-tests at the figure default of 4 runs have little power
-			}
-			bench.WriteComparisons(os.Stdout, h.Significance("MM", "RG10", n))
-			fmt.Println()
-			bench.WriteComparisons(os.Stdout, h.Significance("MM", "RI", n))
-			return
-		}
-	}
-	selected := func(key string) bool {
+	selected := func(x experiment) bool {
 		for _, w := range want {
 			w = strings.TrimSpace(w)
-			switch {
-			case w == key || w == "everything":
-				return true
-			case w == "all" && !ablationKeys[key]:
-				return true
-			case w == "ablations" && ablationKeys[key]:
+			if w == x.key || x.group != "" && (w == x.group || w == "everything") {
 				return true
 			}
 		}
 		return false
 	}
 
-	// Figures 6 and 7 share one sweep; when both are selected, run it once.
-	if selected("6") && selected("7") {
-		runners[2] = runner{"6+7", func() []bench.Figure {
-			p, s := h.ThresholdFigures()
-			return []bench.Figure{p, s}
-		}}
-		runners = append(runners[:3], runners[4:]...)
-	}
-
 	shiftFigs := map[string]bool{"fig8": true, "fig9": true, "fig10": true, "fig11": true}
 	ran := 0
-	for _, r := range runners {
-		keys := strings.Split(r.key, "+")
-		if !selected(keys[0]) && (len(keys) < 2 || !selected(keys[1])) {
+	for _, x := range experiments {
+		if !selected(x) {
 			continue
 		}
+		ran++
 		start := time.Now()
-		for _, fig := range r.fn() {
+		for _, fig := range x.run(e) {
 			fig.WriteText(os.Stdout)
 			if shiftFigs[fig.ID] {
 				fmt.Printf("  docs to recover 95%% of shift-point precision:")
-				rt := h.RecoveryTimes(fig)
+				rt := e.h.RecoveryTimes(fig)
 				for _, s := range fig.Series {
 					if rt[s.Label] >= 0 {
 						fmt.Printf("  %s=%d", s.Label, rt[s.Label])
@@ -197,65 +183,10 @@ func main() {
 				}
 			}
 		}
-		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "mmbench: no figure matches -fig=%s\n", *figFlag)
+		fmt.Fprintf(os.Stderr, "mmbench: no experiment matches -fig=%s (see -list)\n", *figFlag)
 		os.Exit(2)
-	}
-	printMetrics(reg)
-}
-
-// printMetrics writes the run's final instrumentation snapshot: one line
-// per instrument, histograms as count plus p50/p95/p99. Empty when no
-// selected experiment exercised an instrumented subsystem.
-func printMetrics(reg *metrics.Registry) {
-	exports := reg.Exports()
-	if len(exports) == 0 {
-		return
-	}
-	fmt.Println("metrics:")
-	for _, e := range exports {
-		switch v := e.Value.(type) {
-		case metrics.HistogramSnapshot:
-			fmt.Printf("  %-32s count=%d p50=%.3gms p95=%.3gms p99=%.3gms\n",
-				e.Name, v.Count, v.P50*1e3, v.P95*1e3, v.P99*1e3)
-		case int64:
-			fmt.Printf("  %-32s %d\n", e.Name, v)
-		case float64:
-			fmt.Printf("  %-32s %g\n", e.Name, v)
-		}
-	}
-}
-
-func printIndex() {
-	rows := [][2]string{
-		{"4", "Fig. 4 — niap, top-level categories (RI, RG10, MM)"},
-		{"5", "Fig. 5 — niap, second-level categories"},
-		{"6", "Fig. 6 — precision vs threshold θ"},
-		{"7", "Fig. 7 — profile size vs threshold θ"},
-		{"8", "Fig. 8 — partial interest shift"},
-		{"9", "Fig. 9 — complete interest shift"},
-		{"10", "Fig. 10 — adding an interest"},
-		{"11", "Fig. 11 — deleting an interest"},
-		{"batch", "§5.2 — batch Rocchio vs incremental learners"},
-		{"learning", "§5.1 — learning rate"},
-		{"eta", "A1 — adaptability η sweep"},
-		{"group", "A2 — Rocchio group-size sweep"},
-		{"merge", "A3 — merge operation on/off"},
-		{"decay", "A4 — strength-decay variants"},
-		{"noise", "A6 — feedback-noise robustness"},
-		{"kmeans", "A7 — single-pass vs batch clustering"},
-		{"lsi", "A5 — keyword vs LSI space"},
-		{"scale", "matching cost vs subscriber count (index vs brute force)"},
-		{"prune", "match-pruning effort vs θ (postings scanned, blocks skipped)"},
-		{"pubsub", "broker publish throughput vs workers (sharded vs 1-shard)"},
-		{"store", "durable append latency and fsyncs/append vs WAL lane count (64 writers)"},
-		{"ttest", "paired significance tests (MM vs RG10, MM vs RI)"},
-	}
-	fmt.Println("experiments (-fig KEY; groups: all, ablations, everything):")
-	for _, r := range rows {
-		fmt.Printf("  %-9s %s\n", r[0], r[1])
 	}
 }
 

@@ -1,12 +1,11 @@
 // Command mmclient talks to an mmserver: subscribe with an adaptive
-// profile, publish pages, poll deliveries, send relevance feedback, and
+// profile, publish pages, stream deliveries, send relevance feedback, and
 // inspect profiles.
 //
 // Usage:
 //
 //	mmclient [-addr host:7070] subscribe -user alice [-learner MM] [-keywords "cats,jazz"]
 //	mmclient publish -file page.html        (or -text "...")
-//	mmclient poll -user alice [-max 10]     (or: watch [-timeout 30s] to long-poll)
 //	mmclient listen -user alice [-batch 64] (server-push session; streams until closed)
 //	mmclient feedback -user alice -doc 12 -relevant=true
 //	mmclient profile -user alice
@@ -178,41 +177,9 @@ func main() {
 			fmt.Printf("trace %s (mmclient trace -http ... -id %s)\n", traceID, traceID)
 		}
 
-	case "poll":
-		fs := flag.NewFlagSet("poll", flag.ExitOnError)
-		user := fs.String("user", "", "subscriber id")
-		max := fs.Int("max", 0, "max deliveries (0 = all)")
-		parse(fs, rest)
-		ds, err := c.Poll(*user, *max)
-		check(err)
-		if len(ds) == 0 {
-			fmt.Println("no deliveries")
-			return
-		}
-		for _, d := range ds {
-			fmt.Printf("doc %d  score %.4f\n", d.Doc, d.Score)
-		}
-
-	case "watch":
-		fs := flag.NewFlagSet("watch", flag.ExitOnError)
-		user := fs.String("user", "", "subscriber id")
-		max := fs.Int("max", 0, "max deliveries (0 = all)")
-		timeout := fs.Duration("timeout", 30*time.Second, "how long to wait")
-		parse(fs, rest)
-		ds, err := c.Watch(*user, *max, *timeout)
-		check(err)
-		if len(ds) == 0 {
-			fmt.Println("no deliveries (timed out)")
-			return
-		}
-		for _, d := range ds {
-			fmt.Printf("doc %d  score %.4f\n", d.Doc, d.Score)
-		}
-
 	case "listen":
 		// listen holds the connection open in server-push session mode and
-		// prints deliveries as the server pushes them — unlike watch, the
-		// connection is never blocked on a serial request/response cycle, and
+		// prints deliveries as the server pushes them, queued ones first;
 		// sequence gaps (deliveries lost to queue overflow) are reported as
 		// they are observed.
 		fs := flag.NewFlagSet("listen", flag.ExitOnError)
@@ -659,6 +626,6 @@ func fail(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mmclient [-addr host:port] subscribe|unsubscribe|publish|poll|watch|listen|feedback|profile|fetch|export|import|stats|trace|explain|top|health [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mmclient [-addr host:port] subscribe|unsubscribe|publish|listen|feedback|profile|fetch|export|import|stats|trace|explain|top|health [flags]")
 	os.Exit(2)
 }

@@ -1,334 +1,44 @@
-// Command mmload drives an mmserver with synthetic load. Two modes:
-//
-// -mode feedback (the default) subscribes a population of adaptive
-// profiles, fans publishers out over the synthetic collection, has every
-// subscriber consume (watch) and judge its deliveries, and reports publish
-// throughput, round-trip latency percentiles, and delivery counts — the
-// adaptation-side workload.
-//
-// -mode sessions is the c10k-and-up delivery benchmark: it opens one
+// Command mmload is the c10k-and-up loss-reconciliation run: it opens one
 // server-push session per subscriber (100k+ concurrent connections),
-// publishes topic-tagged documents, measures end-to-end delivery latency
-// (publish call → frame received), and reconciles every session's
-// sequence state so that any delivery lost to queue overflow is observed
-// — received + dropped == next_seq per session, or the run exits nonzero.
-// Percentiles are appended to -out (results/delivery.csv). With
-// -addr pipe the harness runs the full wire.Server stack in-process over
-// net.Pipe connections, which is how 100k+ sessions fit under a 20k file
-// descriptor limit; any other -addr (host:port or unix:/path) drives a
-// real mmserver over sockets.
+// publishes topic-tagged documents, and reconciles every session's
+// sequence state so that any delivery lost to queue overflow is observed —
+// received + dropped == next_seq per session, or the run exits nonzero.
+// With -addr pipe the harness runs the full wire.Server stack in-process
+// over net.Pipe connections, which is how 100k+ sessions fit under a 20k
+// file descriptor limit; any other -addr (host:port or unix:/path) drives
+// a real mmserver over sockets.
 //
 // Usage:
 //
-//	mmload [-addr 127.0.0.1:7070] [-subscribers 20] [-publishers 4]
-//	       [-docs 2000] [-seed 1] [-trace-every 100] [-status localhost:8080]
-//	mmload -mode sessions [-addr pipe] [-subscribers 100000] [-topics 100]
-//	       [-docs 500] [-publishers 4] [-batch 0] [-queue 128]
-//	       [-out results/delivery.csv] [-status localhost:8080]
+//	mmload [-addr pipe] [-subscribers 100000] [-topics 100] [-docs 500]
+//	       [-publishers 4] [-batch 0] [-queue 128] [-status localhost:8080]
 //
-// Sessions mode also prints the top-5 sessions by client-observed gaps
-// and cross-checks every session's server-reported drop count against
-// the server's subscriber_drops hot-key sketch (in-process in pipe mode,
-// via /topz with -status over sockets); a count outside the sketch's
-// error band fails the run.
+// It also prints the top-5 sessions by client-observed gaps and
+// cross-checks every session's server-reported drop count against the
+// server's subscriber_drops hot-key sketch (in-process in pipe mode, via
+// /topz with -status over sockets); a count outside the sketch's error
+// band fails the run. The rates it prints are progress output: throughput
+// and latency are measured by perf/, with output checks.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
 	"os"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"mmprofile/internal/corpus"
-	"mmprofile/internal/text"
-	"mmprofile/internal/trace"
-	"mmprofile/internal/wire"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:7070", "mmserver address (sessions mode also takes unix:/path, or pipe for in-process)")
-		mode        = flag.String("mode", "feedback", "workload: feedback (watch+judge) or sessions (server-push delivery benchmark)")
-		subscribers = flag.Int("subscribers", 20, "subscriber connections (sessions mode: concurrent sessions)")
-		publishers  = flag.Int("publishers", 4, "publisher connections")
-		docs        = flag.Int("docs", 2000, "total pages to publish")
-		seed        = flag.Int64("seed", 1, "corpus and workload seed")
-		traceEvery  = flag.Int("trace-every", 0, "propagate trace context on every Nth publish, forcing server-side capture (0 = off)")
-		statusAddr  = flag.String("status", "", "mmserver -http address; feedback mode prints the slow-trace summary from /tracez, sessions mode cross-checks drops against /topz")
-		topics      = flag.Int("topics", 100, "sessions mode: distinct topics (fan-out per doc = subscribers/topics)")
-		batch       = flag.Int("batch", 0, "sessions mode: deliveries coalesced per pushed frame (0 = server default)")
-		queue       = flag.Int("queue", 128, "sessions mode with -addr pipe: per-subscriber delivery buffer")
-		out         = flag.String("out", "results/delivery.csv", "sessions mode: CSV file latency percentiles are appended to")
-	)
+	var cfg sessionsConfig
+	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7070", "mmserver address (host:port or unix:/path), or pipe for an in-process server")
+	flag.IntVar(&cfg.sessions, "subscribers", 20, "concurrent push sessions")
+	flag.IntVar(&cfg.publishers, "publishers", 4, "publisher connections")
+	flag.IntVar(&cfg.docs, "docs", 2000, "total documents to publish")
+	flag.StringVar(&cfg.status, "status", "", "mmserver -http address; cross-checks drops against /topz")
+	flag.IntVar(&cfg.topics, "topics", 100, "distinct topics (fan-out per doc = subscribers/topics)")
+	flag.IntVar(&cfg.batch, "batch", 0, "deliveries coalesced per pushed frame (0 = server default)")
+	flag.IntVar(&cfg.queue, "queue", 128, "with -addr pipe: per-subscriber delivery buffer")
 	flag.Parse()
-
-	switch *mode {
-	case "sessions":
-		runSessions(sessionsConfig{
-			addr:       *addr,
-			status:     *statusAddr,
-			sessions:   *subscribers,
-			publishers: *publishers,
-			docs:       *docs,
-			topics:     *topics,
-			batch:      *batch,
-			queue:      *queue,
-			out:        *out,
-		})
-		return
-	case "feedback":
-	default:
-		fail(fmt.Errorf("unknown -mode %q (feedback or sessions)", *mode))
-	}
-
-	cfg := corpus.DefaultConfig()
-	cfg.Seed = *seed
-	coll := corpus.Generate(cfg)
-	rng := rand.New(rand.NewSource(*seed))
-
-	// Subscribe the population. Each subscriber seeds its profile with a
-	// few words from a randomly chosen page of its "interest" category, so
-	// deliveries start immediately.
-	for i := 0; i < *subscribers; i++ {
-		c, err := wire.Dial(*addr)
-		if err != nil {
-			fail(err)
-		}
-		page := coll.Pages[rng.Intn(len(coll.Pages))]
-		if err := c.Subscribe(fmt.Sprintf("load-user-%03d", i), "", topicWords(page.HTML, 6)); err != nil {
-			fail(err)
-		}
-		c.Close()
-	}
-	fmt.Printf("subscribed %d users\n", *subscribers)
-
-	// Consumers: poll deliveries and send feedback (alternating polarity,
-	// which exercises the adaptation path server-side).
-	stop := make(chan struct{})
-	var consumed atomic.Int64
-	var consumerWG sync.WaitGroup
-	for i := 0; i < *subscribers; i++ {
-		consumerWG.Add(1)
-		go func(i int) {
-			defer consumerWG.Done()
-			c, err := wire.Dial(*addr)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			user := fmt.Sprintf("load-user-%03d", i)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ds, err := c.Watch(user, 32, 500*time.Millisecond)
-				if err != nil {
-					return
-				}
-				for _, d := range ds {
-					// Mostly-positive judgments (every fifth negative)
-					// exercise the adaptation path without starving fresh
-					// single-vector profiles, which one early negative
-					// would decay away.
-					n := consumed.Add(1)
-					_ = c.Feedback(user, d.Doc, n%5 != 0)
-				}
-			}
-		}(i)
-	}
-
-	// Publishers: split the document budget, measure per-publish RTT.
-	// Traced publishes also record their (latency, trace id) pair so the
-	// summary can correlate straggler RTTs with server-side span trees.
-	type tracedPublish struct {
-		lat   time.Duration
-		trace string
-	}
-	var pubWG sync.WaitGroup
-	latencies := make([][]time.Duration, *publishers)
-	tracedLats := make([][]tracedPublish, *publishers)
-	var published, traced atomic.Int64
-	start := time.Now()
-	for p := 0; p < *publishers; p++ {
-		pubWG.Add(1)
-		go func(p int) {
-			defer pubWG.Done()
-			c, err := wire.Dial(*addr)
-			if err != nil {
-				return
-			}
-			defer c.Close()
-			prng := rand.New(rand.NewSource(*seed + int64(p)))
-			n := *docs / *publishers
-			lats := make([]time.Duration, 0, n)
-			for i := 0; i < n; i++ {
-				page := coll.Pages[prng.Intn(len(coll.Pages))]
-				// Client-driven sampling: a propagated context forces the
-				// server to capture this request regardless of its own
-				// head-sampling rate, so a load run can collect traces from
-				// a production-tuned (rarely sampling) server.
-				ctx := ""
-				if *traceEvery > 0 && i%*traceEvery == 0 {
-					ctx = trace.FormatContext(
-						trace.TraceID(prng.Uint64()|1), trace.SpanID(prng.Uint64()|1))
-				}
-				t0 := time.Now()
-				_, _, tid, err := c.PublishTrace(page.HTML, ctx)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "mmload: publish:", err)
-					return
-				}
-				rtt := time.Since(t0)
-				if tid != "" {
-					traced.Add(1)
-					tracedLats[p] = append(tracedLats[p], tracedPublish{lat: rtt, trace: tid})
-				}
-				lats = append(lats, rtt)
-				published.Add(1)
-			}
-			latencies[p] = lats
-		}(p)
-	}
-	pubWG.Wait()
-	elapsed := time.Since(start)
-	// Let consumers drain the tail, then stop them.
-	time.Sleep(700 * time.Millisecond)
-	close(stop)
-	consumerWG.Wait()
-
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	fmt.Printf("\npublished %d pages in %v (%.0f pages/s, %d publishers)\n",
-		published.Load(), elapsed.Round(time.Millisecond),
-		float64(published.Load())/elapsed.Seconds(), *publishers)
-	if len(all) > 0 {
-		fmt.Printf("publish RTT: p50 %v  p95 %v  p99 %v  max %v\n",
-			pct(all, 50), pct(all, 95), pct(all, 99), all[len(all)-1])
-	}
-	fmt.Printf("deliveries consumed (with feedback): %d\n", consumed.Load())
-
-	if traced.Load() > 0 {
-		fmt.Printf("traced publishes: %d (server captured; inspect with mmclient trace -http ...)\n", traced.Load())
-		// Straggler correlation: the slowest traced RTTs, each with the
-		// trace id the server captured for it, so "why was the tail slow"
-		// goes straight from this summary to a span tree.
-		var stragglers []tracedPublish
-		for _, tl := range tracedLats {
-			stragglers = append(stragglers, tl...)
-		}
-		sort.Slice(stragglers, func(i, j int) bool { return stragglers[i].lat > stragglers[j].lat })
-		if len(stragglers) > 5 {
-			stragglers = stragglers[:5]
-		}
-		for _, s := range stragglers {
-			fmt.Printf("  straggler: %v  trace %s  (mmclient trace -http ... -id %s)\n",
-				s.lat.Round(time.Microsecond), s.trace, s.trace)
-		}
-	}
-
-	c, err := wire.Dial(*addr)
-	if err == nil {
-		if st, err := c.Stats(); err == nil {
-			fmt.Printf("server: %d published, %d delivered (%d dropped), %d feedbacks, index %d vectors\n",
-				st.Published, st.Deliveries, st.Dropped, st.Feedbacks, st.IndexVectors)
-		}
-		c.Close()
-	}
-
-	if *statusAddr != "" {
-		if err := slowSummary(*statusAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "mmload: slow-trace summary:", err)
-		}
-	}
-}
-
-// slowSummary reads the server's /tracez and reports the slow ring — the
-// requests that exceeded -trace-slow during the run, which is what a load
-// test is usually hunting for.
-func slowSummary(addr string) error {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	resp, err := http.Get(addr + "/tracez")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /tracez: %s", resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	var out struct {
-		Enabled  bool           `json:"enabled"`
-		Snapshot trace.Snapshot `json:"snapshot"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		return err
-	}
-	if !out.Enabled {
-		fmt.Println("\nserver tracing disabled (start mmserver with -trace-sample / -trace-slow)")
-		return nil
-	}
-	fmt.Printf("\nserver traces: %d sampled, %d slow-captured (threshold %.3gms)\n",
-		out.Snapshot.Sampled, out.Snapshot.SlowCaptured, out.Snapshot.SlowThresholdMS)
-	slow := out.Snapshot.Slow
-	sort.Slice(slow, func(i, j int) bool { return slow[i].DurationMS > slow[j].DurationMS })
-	if len(slow) > 5 {
-		slow = slow[:5]
-	}
-	for _, ts := range slow {
-		fmt.Printf("  slow: %s  %-22s %9.3fms  (mmclient trace -http %s -id %s)\n",
-			ts.Trace, ts.Root, ts.DurationMS, addr, ts.Trace)
-	}
-	return nil
-}
-
-// topicWords extracts a page's k most frequent pipeline terms — after
-// stop-listing, high-frequency terms are the topical ones — to use as a
-// subscription seed.
-func topicWords(page string, k int) []string {
-	counts := map[string]int{}
-	for _, t := range text.NewPipeline().Terms(page) {
-		counts[t]++
-	}
-	terms := make([]string, 0, len(counts))
-	for t := range counts {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		if counts[terms[i]] != counts[terms[j]] {
-			return counts[terms[i]] > counts[terms[j]]
-		}
-		return terms[i] < terms[j]
-	})
-	if len(terms) > k {
-		terms = terms[:k]
-	}
-	return terms
-}
-
-func pct(sorted []time.Duration, p int) time.Duration {
-	i := p * len(sorted) / 100
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	runSessions(cfg)
 }
 
 func fail(err error) {

@@ -1,15 +1,12 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +18,7 @@ import (
 	"mmprofile/internal/wire"
 )
 
-// sessionsConfig shapes one -mode sessions run.
+// sessionsConfig shapes one run.
 type sessionsConfig struct {
 	addr       string // "pipe" = in-process server over net.Pipe
 	status     string // mmserver -http address, for the /topz cross-check
@@ -31,28 +28,12 @@ type sessionsConfig struct {
 	topics     int
 	batch      int
 	queue      int
-	out        string
 }
 
-// recvRec is one received delivery: the document and when it arrived,
-// as nanoseconds from the run's monotonic anchor.
-type recvRec struct {
-	doc int64
-	at  int64
-}
-
-// sessionState is one subscriber's end of the benchmark: its live session
-// plus the receive log its consumer goroutine appends to (single-writer;
-// read only after the consumer exits).
-type sessionState struct {
-	sess *wire.Session
-	recv []recvRec
-}
-
-// runSessions is the c10k-and-up delivery benchmark: subscribers/topics
-// sessions per topic, each holding one server-push connection; publishers
-// emit topic-tagged documents; latency is publish-call-to-frame-received.
-// After the drain every session's sequence state is reconciled — any
+// runSessions is the c10k-and-up delivery run: subscribers/topics sessions
+// per topic, each holding one server-push connection; publishers emit
+// topic-tagged documents. After the drain every session's sequence state is
+// reconciled — any
 // delivery neither received nor accounted for by the server's drop counter
 // is unobserved loss and fails the run.
 func runSessions(cfg sessionsConfig) {
@@ -92,7 +73,7 @@ func runSessions(cfg sessionsConfig) {
 	// serializing 100k dials.
 	fmt.Printf("opening %d sessions over %d topics (transport %s)...\n",
 		cfg.sessions, cfg.topics, cfg.addr)
-	states := make([]*sessionState, cfg.sessions)
+	states := make([]*wire.Session, cfg.sessions)
 	start := time.Now()
 	var totalReceived atomic.Int64
 	var consumerWG sync.WaitGroup
@@ -111,8 +92,7 @@ func runSessions(cfg sessionsConfig) {
 			c.Close()
 			return err
 		}
-		st := &sessionState{sess: sess}
-		states[i] = st
+		states[i] = sess
 		consumerWG.Add(1)
 		go func() {
 			defer consumerWG.Done()
@@ -120,10 +100,6 @@ func runSessions(cfg sessionsConfig) {
 				frame, err := sess.Recv()
 				if err != nil {
 					return
-				}
-				now := time.Since(start).Nanoseconds()
-				for _, d := range frame.Deliveries {
-					st.recv = append(st.recv, recvRec{doc: d.Doc, at: now})
 				}
 				totalReceived.Add(int64(len(frame.Deliveries)))
 				if frame.Closed {
@@ -140,11 +116,7 @@ func runSessions(cfg sessionsConfig) {
 	fmt.Printf("sessions open: %d in %v (%.0f/s)\n",
 		cfg.sessions, opened.Round(time.Millisecond), float64(cfg.sessions)/opened.Seconds())
 
-	// Publish the topic-tagged documents, recording each doc's send time
-	// (captured before the publish call, so latency includes the full
-	// publish round trip and can never be negative).
-	var pubMu sync.Mutex
-	publishT0 := make(map[int64]int64, cfg.docs)
+	// Publish the topic-tagged documents.
 	var pubWG sync.WaitGroup
 	pubStart := time.Now()
 	var nextDoc atomic.Int64
@@ -163,15 +135,10 @@ func runSessions(cfg sessionsConfig) {
 				if n >= cfg.docs {
 					return
 				}
-				t0 := time.Since(start).Nanoseconds()
-				doc, _, err := c.Publish(topicDocs[n%cfg.topics])
-				if err != nil {
+				if _, _, err := c.Publish(topicDocs[n%cfg.topics]); err != nil {
 					fmt.Fprintln(os.Stderr, "mmload: publish:", err)
 					return
 				}
-				pubMu.Lock()
-				publishT0[doc] = t0
-				pubMu.Unlock()
 			}
 		}()
 	}
@@ -181,7 +148,7 @@ func runSessions(cfg sessionsConfig) {
 		cfg.docs, pubElapsed.Round(time.Millisecond), float64(cfg.docs)/pubElapsed.Seconds())
 
 	// Quiesce: the run is drained when the global receive count holds still
-	// for 2s (bounded at 60s so a wedged pump can't hang the benchmark).
+	// for 2s (bounded at 60s so a wedged pump can't hang the run).
 	last, stableMS := int64(-1), 0
 	for waited := 0; waited < 60_000 && stableMS < 2_000; waited += 200 {
 		time.Sleep(200 * time.Millisecond)
@@ -194,8 +161,8 @@ func runSessions(cfg sessionsConfig) {
 
 	// Tear down: closing each connection ends its server pump and unblocks
 	// its consumer's Recv.
-	for _, st := range states {
-		st.sess.Close()
+	for _, sess := range states {
+		sess.Close()
 	}
 	consumerWG.Wait()
 
@@ -204,8 +171,8 @@ func runSessions(cfg sessionsConfig) {
 	// under backpressure, but each discard must be visible in the drop
 	// counter (and as a gap in the received sequence numbers).
 	var received, dropped, gaps, lossSessions, unobserved int64
-	for _, st := range states {
-		r, d, n, g := st.sess.Received(), st.sess.Dropped(), st.sess.NextSeq(), st.sess.Gaps()
+	for _, sess := range states {
+		r, d, n, g := sess.Received(), sess.Dropped(), sess.NextSeq(), sess.Gaps()
 		received += int64(r)
 		dropped += int64(d)
 		gaps += int64(g)
@@ -225,31 +192,6 @@ func runSessions(cfg sessionsConfig) {
 	// directly; socket mode reads /topz via -status.
 	dropsFailed := reportDrops(cfg, states, localDrops)
 
-	// End-to-end latency: join every receive record against its doc's
-	// publish time.
-	var lats []time.Duration
-	for _, st := range states {
-		for _, r := range st.recv {
-			if t0, ok := publishT0[r.doc]; ok {
-				lats = append(lats, time.Duration(r.at-t0))
-			}
-		}
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	p50, p95, p99 := pct(lats, 50), pct(lats, 95), pct(lats, 99)
-	if len(lats) > 0 {
-		fmt.Printf("delivery latency (publish call → frame received): p50 %v  p95 %v  p99 %v  max %v\n",
-			p50, p95, p99, lats[len(lats)-1])
-	}
-
-	if cfg.out != "" {
-		if err := appendDeliveryCSV(cfg.out, cfg, received, dropped, p50, p95, p99); err != nil {
-			fmt.Fprintln(os.Stderr, "mmload: write csv:", err)
-		} else {
-			fmt.Printf("appended percentiles to %s\n", cfg.out)
-		}
-	}
-
 	if lossSessions > 0 {
 		fail(fmt.Errorf("UNOBSERVED LOSS: %d session(s) with received+dropped != next_seq (%d deliveries unaccounted for)",
 			lossSessions, unobserved))
@@ -267,18 +209,18 @@ func runSessions(cfg sessionsConfig) {
 // untracked keys by the sketch's epsilon. Returns true when any session
 // falls outside its band (which, against a freshly started server, means
 // attribution lost or invented drops).
-func reportDrops(cfg sessionsConfig, states []*sessionState, localDrops func() (topk.Snapshot, bool)) bool {
+func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (topk.Snapshot, bool)) bool {
 	type row struct {
 		user string
 		gaps uint64
 		drop uint64
 	}
 	rows := make([]row, 0, len(states))
-	for i, st := range states {
+	for i, sess := range states {
 		rows = append(rows, row{
 			user: fmt.Sprintf("sess-%06d", i),
-			gaps: st.sess.Gaps(),
-			drop: st.sess.Dropped(),
+			gaps: sess.Gaps(),
+			drop: sess.Dropped(),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -448,53 +390,4 @@ func topicToken(i int) string {
 			return string(b)
 		}
 	}
-}
-
-// appendDeliveryCSV appends one row of run results to path, creating it
-// (and its directory) with a header first when absent.
-func appendDeliveryCSV(path string, cfg sessionsConfig, received, dropped int64, p50, p95, p99 time.Duration) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if info.Size() == 0 {
-		if err := w.Write([]string{
-			"transport", "sessions", "topics", "publishers", "docs",
-			"received", "dropped", "p50_ms", "p95_ms", "p99_ms",
-		}); err != nil {
-			return err
-		}
-	}
-	ms := func(d time.Duration) string {
-		return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
-	}
-	transportName := "tcp"
-	switch {
-	case cfg.addr == "pipe":
-		transportName = "pipe"
-	case strings.HasPrefix(cfg.addr, "unix:"):
-		transportName = "unix"
-	}
-	if err := w.Write([]string{
-		transportName,
-		strconv.Itoa(cfg.sessions), strconv.Itoa(cfg.topics),
-		strconv.Itoa(cfg.publishers), strconv.Itoa(cfg.docs),
-		strconv.FormatInt(received, 10), strconv.FormatInt(dropped, 10),
-		ms(p50), ms(p95), ms(p99),
-	}); err != nil {
-		return err
-	}
-	w.Flush()
-	return w.Error()
 }

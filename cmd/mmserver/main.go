@@ -64,10 +64,14 @@ import (
 	"mmprofile/internal/wire"
 )
 
-// config is the flag surface that shapes the engine (as opposed to the
-// flags main consumes directly, like -addr). Split from main so the
-// flag → options translation is unit-testable.
+// config is mmserver's whole flag surface. Split from main so the
+// flag → options translation and the flag set itself (TestFlagSurface)
+// are unit-testable.
 type config struct {
+	addr        string
+	httpAddr    string
+	stateDir    string
+	checkpoint  time.Duration
 	threshold   float64
 	queue       int
 	retention   int
@@ -77,11 +81,9 @@ type config struct {
 	lanes       int
 	ckptDirty   int
 	maxResident int
-	pubWorkers  int
 	shards      int
 	traceSample float64
 	traceSlow   time.Duration
-	prune       bool
 	logFormat   string
 	logLevel    string
 	dumpDir     string
@@ -92,6 +94,10 @@ type config struct {
 }
 
 func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", ":7070", "listen address (host:port, or unix:/path for a Unix domain socket)")
+	fs.StringVar(&c.httpAddr, "http", "", "optional HTTP status address (e.g. :8080)")
+	fs.StringVar(&c.stateDir, "state", "", "directory for durable profiles (empty = in-memory only)")
+	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "interval between incremental checkpoints when -state is set (0 = only at shutdown)")
 	fs.Float64Var(&c.threshold, "threshold", 0.25, "minimum profile/document similarity for delivery")
 	fs.IntVar(&c.queue, "queue", 128, "per-subscriber delivery buffer")
 	fs.IntVar(&c.retention, "retention", 4096, "recent documents kept for feedback")
@@ -101,11 +107,9 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.lanes, "lanes", 0, "WAL lanes the journal is sharded into by user (0 = store default; pinned by the manifest on reopen)")
 	fs.IntVar(&c.ckptDirty, "checkpoint-dirty", 1, "minimum changed profiles before a checkpoint rewrites a lane's segment")
 	fs.IntVar(&c.maxResident, "max-resident-profiles", 0, "profiles kept in the heap; colder ones hydrate from -state on demand (0 = all resident; requires -state)")
-	fs.IntVar(&c.pubWorkers, "publish-workers", 0, "goroutines for batch publishes (0 = GOMAXPROCS)")
 	fs.IntVar(&c.shards, "pubsub-shards", 0, "suggested shard count for the broker's registry/docstore layers (0 = GOMAXPROCS, rounded to a power of two)")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of requests to capture as traces, 0..1 (0 = off; see /tracez)")
 	fs.DurationVar(&c.traceSlow, "trace-slow", 0, "capture any request slower than this even when unsampled (0 = off)")
-	fs.BoolVar(&c.prune, "prune", true, "threshold-aware match pruning (block-max skipping); -prune=false scans every posting")
 	fs.StringVar(&c.logFormat, "log-format", "text", "log encoding: text or json")
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	fs.StringVar(&c.dumpDir, "dump-dir", "", "flight-recorder bundle directory (default <state>/dumps, or the OS temp dir without -state)")
@@ -152,16 +156,14 @@ func resolveDumpDir(flagVal, stateDir string) string {
 // brokerOptions translates the flags into the broker configuration.
 func (c *config) brokerOptions(reg *metrics.Registry) pubsub.Options {
 	return pubsub.Options{
-		Threshold:      c.threshold,
-		QueueSize:      c.queue,
-		Retention:      c.retention,
-		RetainContent:  c.retainBody,
-		PublishWorkers: c.pubWorkers,
-		Shards:         c.shards,
-		Metrics:        reg,
-		Trace:          c.tracer(),
-		NoPrune:        !c.prune,
-		TopCapacity:    c.topCap,
+		Threshold:     c.threshold,
+		QueueSize:     c.queue,
+		Retention:     c.retention,
+		RetainContent: c.retainBody,
+		Shards:        c.shards,
+		Metrics:       reg,
+		Trace:         c.tracer(),
+		TopCapacity:   c.topCap,
 	}
 }
 
@@ -189,12 +191,6 @@ const (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":7070", "listen address (host:port, or unix:/path for a Unix domain socket)")
-		httpAddr   = flag.String("http", "", "optional HTTP status address (e.g. :8080)")
-		stateDir   = flag.String("state", "", "directory for durable profiles (empty = in-memory only)")
-		checkpoint = flag.Duration("checkpoint", 5*time.Minute, "snapshot interval when -state is set")
-	)
 	var cfg config
 	cfg.register(flag.CommandLine)
 	flag.Parse()
@@ -222,12 +218,12 @@ func main() {
 	opts.Top = topReg
 
 	var st *store.Store
-	if *stateDir != "" {
+	if cfg.stateDir != "" {
 		sopts := cfg.storeOptions(reg)
 		if cfg.topCap >= 0 {
 			sopts.Top = topReg
 		}
-		st, err = store.Open(*stateDir, sopts)
+		st, err = store.Open(cfg.stateDir, sopts)
 		if err != nil {
 			fatal(err)
 		}
@@ -299,7 +295,7 @@ func main() {
 	// Flight recorder: panic (via the deferred RecoverRepanic here and in
 	// every wire connection handler), SIGQUIT, the match-SLO burn trigger
 	// below, and POST /debugz/dump all write bundles to dumpDir.
-	dumpDir := resolveDumpDir(cfg.dumpDir, *stateDir)
+	dumpDir := resolveDumpDir(cfg.dumpDir, cfg.stateDir)
 	src := obs.BundleSources{Metrics: reg, Tracer: broker.Tracer(), Health: health, Top: topReg, Window: win}
 	if st != nil {
 		src.WALInfo = func() (any, error) { return st.WALInfo() }
@@ -370,7 +366,7 @@ func main() {
 		}
 	}
 
-	lis, err := listen(*addr)
+	lis, err := listen(cfg.addr)
 	if err != nil {
 		fatal(err)
 	}
@@ -378,7 +374,7 @@ func main() {
 	logger.Info("mmserver: listening",
 		slog.String("addr", lis.Addr().String()),
 		slog.Float64("threshold", cfg.threshold),
-		slog.String("state", *stateDir),
+		slog.String("state", cfg.stateDir),
 		slog.String("dump_dir", dumpDir),
 		slog.Int("registry_shards", lay.RegistryShards),
 		slog.Int("doc_shards", lay.DocShards),
@@ -391,8 +387,8 @@ func main() {
 	}
 	health.Set("server", obs.StatusReady, "")
 
-	if *httpAddr != "" {
-		httpLis, err := net.Listen("tcp", *httpAddr)
+	if cfg.httpAddr != "" {
+		httpLis, err := net.Listen("tcp", cfg.httpAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -406,9 +402,9 @@ func main() {
 	}
 
 	stopCheckpoints := make(chan struct{})
-	if st != nil && *checkpoint > 0 {
+	if st != nil && cfg.checkpoint > 0 {
 		go func() {
-			t := time.NewTicker(*checkpoint)
+			t := time.NewTicker(cfg.checkpoint)
 			defer t.Stop()
 			for {
 				select {

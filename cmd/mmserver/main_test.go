@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,21 +40,26 @@ func TestConfigDefaults(t *testing.T) {
 	if st.Durable || st.SyncInterval != 0 {
 		t.Errorf("store options = %+v", st)
 	}
-	if !cfg.prune || opts.NoPrune {
-		t.Error("match pruning must default to on")
-	}
 }
 
-// TestConfigPruneFlag pins the -prune=false escape hatch reaching the
-// broker as NoPrune.
-func TestConfigPruneFlag(t *testing.T) {
-	cfg := parse(t, "-prune=false")
-	if opts := cfg.brokerOptions(nil); !opts.NoPrune {
-		t.Error("-prune=false did not set NoPrune")
+// TestFlagSurface pins mmserver's exact flag set: every flag is a
+// configuration to test, benchmark and document, so a new one has to edit
+// this table and say which two existing workloads need different values.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "checkpoint", "checkpoint-dirty", "dump-dir",
+		"evict-drop-rate", "evict-windows", "fsync", "http", "lanes",
+		"log-format", "log-level", "match-slo", "max-resident-profiles",
+		"pubsub-shards", "queue", "retain-content", "retention", "state",
+		"sync-interval", "threshold", "top-capacity", "trace-sample",
+		"trace-slow",
 	}
-	cfg = parse(t, "-prune=true")
-	if opts := cfg.brokerOptions(nil); opts.NoPrune {
-		t.Error("-prune=true set NoPrune")
+	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)
+	new(config).register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
+	if !slices.Equal(got, want) {
+		t.Errorf("flag surface changed:\n got %d: %v\nwant %d: %v", len(got), got, len(want), want)
 	}
 }
 

@@ -95,8 +95,8 @@ func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()
 
 const integPage = "<html><head><title>t</title></head><body>cats and kittens and cat toys</body></html>"
 
-// TestIntegrationLifecycle drives subscribe → publish → watch → feedback →
-// profile → fetch over a real socket.
+// TestIntegrationLifecycle drives subscribe → publish → session → feedback
+// → profile → fetch over real sockets.
 func TestIntegrationLifecycle(t *testing.T) {
 	c, shutdown := startStack(t, "", 0)
 	defer shutdown()
@@ -108,9 +108,11 @@ func TestIntegrationLifecycle(t *testing.T) {
 	if err != nil || delivered != 1 {
 		t.Fatalf("publish: %v, delivered %d", err, delivered)
 	}
-	ds, err := c.Watch("alice", 0, 2*time.Second)
-	if err != nil || len(ds) != 1 || ds[0].Doc != doc {
-		t.Fatalf("watch: %v %+v", err, ds)
+	sess := openSession(t, c, "alice")
+	defer sess.Close()
+	frame, err := sess.Recv()
+	if err != nil || len(frame.Deliveries) != 1 || frame.Deliveries[0].Doc != doc {
+		t.Fatalf("session frame: %v %+v", err, frame)
 	}
 	if err := c.Feedback("alice", doc, true); err != nil {
 		t.Fatal(err)
@@ -220,33 +222,29 @@ func TestIntegrationLazyHydration(t *testing.T) {
 }
 
 // TestIntegrationManyClients hammers one stack from concurrent
-// connections mixing subscribes, publishes, polls and feedback.
+// connections mixing subscribes, publishes, push sessions and feedback.
 func TestIntegrationManyClients(t *testing.T) {
 	c0, shutdown := startStack(t, "", 0)
 	defer shutdown()
 
 	const users = 6
-	for i := 0; i < users; i++ {
-		if err := c0.Subscribe(fmt.Sprintf("u%d", i), "", []string{"cats"}); err != nil {
+	sessions := make([]*wire.Session, users)
+	for i := range sessions {
+		user := fmt.Sprintf("u%d", i)
+		if err := c0.Subscribe(user, "", []string{"cats"}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	addrClient := func() *wire.Client { // each goroutine needs its own conn
-		c, err := wire.Dial(dialAddr(t, c0))
-		if err != nil {
-			t.Error(err)
-			return nil
-		}
-		return c
+		sessions[i] = openSession(t, c0, user)
 	}
 
-	var wg sync.WaitGroup
+	var publishers, consumers sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := addrClient()
-			if c == nil {
+		publishers.Add(1)
+		go func() {
+			defer publishers.Done()
+			c, err := wire.Dial(c0.RemoteAddr()) // each goroutine needs its own conn
+			if err != nil {
+				t.Error(err)
 				return
 			}
 			defer c.Close()
@@ -256,29 +254,24 @@ func TestIntegrationManyClients(t *testing.T) {
 					return
 				}
 			}
-		}(g)
+		}()
 	}
-	for i := 0; i < users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := addrClient()
-			if c == nil {
+	for i, sess := range sessions {
+		consumers.Add(1)
+		go func(user string, sess *wire.Session) {
+			defer consumers.Done()
+			c, err := wire.Dial(c0.RemoteAddr())
+			if err != nil {
+				t.Error(err)
 				return
 			}
 			defer c.Close()
-			user := fmt.Sprintf("u%d", i)
-			judged := 0
-			for judged < 10 {
-				ds, err := c.Watch(user, 8, time.Second)
+			for judged := 0; judged < 10; {
+				frame, err := sess.Recv()
 				if err != nil {
-					t.Error(err)
-					return
+					return // closed below: the run is over
 				}
-				if len(ds) == 0 {
-					return // publishers done and queue drained
-				}
-				for _, d := range ds {
+				for _, d := range frame.Deliveries {
 					if err := c.Feedback(user, d.Doc, true); err != nil {
 						t.Error(err)
 						return
@@ -286,9 +279,21 @@ func TestIntegrationManyClients(t *testing.T) {
 					judged++
 				}
 			}
-		}(i)
+		}(fmt.Sprintf("u%d", i), sess)
 	}
-	wg.Wait()
+	publishers.Wait()
+	judged := make(chan struct{})
+	go func() { consumers.Wait(); close(judged) }()
+	select {
+	case <-judged:
+	case <-time.After(10 * time.Second):
+		t.Error("a session never received its ten deliveries")
+	}
+	for _, sess := range sessions {
+		sess.Close() // unblocks a starved consumer's Recv
+	}
+	consumers.Wait()
+
 	st, err := c0.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +306,19 @@ func TestIntegrationManyClients(t *testing.T) {
 	}
 }
 
-// dialAddr recovers the server address from an existing client's
-// connection (test helper; the stack does not export its listener).
-func dialAddr(t *testing.T, c *wire.Client) string {
+// openSession dials the server c is connected to and switches the new
+// connection into push mode for user (the stack does not export its
+// listener).
+func openSession(t *testing.T, c *wire.Client, user string) *wire.Session {
 	t.Helper()
-	return c.RemoteAddr()
+	sc, err := wire.Dial(c.RemoteAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sc.Session(user, 0)
+	if err != nil {
+		sc.Close()
+		t.Fatal(err)
+	}
+	return sess
 }

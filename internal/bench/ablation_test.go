@@ -197,67 +197,6 @@ func TestScaleFigureShape(t *testing.T) {
 	}
 }
 
-func TestPruneFigureShape(t *testing.T) {
-	thetas := []float64{0.1, 0.3}
-	fig := quickHarness.PruneFigure([]int{2000}, thetas)
-	scanned := fig.SeriesByLabel("scanned@2k")
-	skipped := fig.SeriesByLabel("skipped@2k")
-	perDoc := fig.SeriesByLabel("us-per-doc@2k")
-	if scanned == nil || skipped == nil || perDoc == nil {
-		t.Fatalf("series: %+v", fig.Series)
-	}
-	for _, s := range []*Series{scanned, skipped, perDoc} {
-		if len(s.X) != len(thetas) || len(s.Y) != len(thetas) {
-			t.Fatalf("%s: %d points, want %d", s.Label, len(s.Y), len(thetas))
-		}
-		for i, x := range s.X {
-			if x != thetas[i] {
-				t.Errorf("%s X[%d] = %v, want %v", s.Label, i, x, thetas[i])
-			}
-		}
-	}
-	// Raising θ can only tighten the pruning bound, so scans fall (or hold)
-	// while skips rise (or hold).
-	if scanned.Y[1] > scanned.Y[0] {
-		t.Errorf("scanned grew with θ: %v -> %v", scanned.Y[0], scanned.Y[1])
-	}
-	if skipped.Y[1] < skipped.Y[0] {
-		t.Errorf("skipped shrank with θ: %v -> %v", skipped.Y[0], skipped.Y[1])
-	}
-
-	// The unpruned twin scans at least as much and skips nothing.
-	offCfg := QuickConfig()
-	offCfg.PruneOff = true
-	offFig := NewHarness(offCfg).PruneFigure([]int{2000}, thetas)
-	offScanned, offSkipped := offFig.SeriesByLabel("scanned@2k"), offFig.SeriesByLabel("skipped@2k")
-	if offScanned == nil || offSkipped == nil {
-		t.Fatalf("prune-off series: %+v", offFig.Series)
-	}
-	for i := range thetas {
-		if offSkipped.Y[i] != 0 {
-			t.Errorf("prune-off skipped blocks at θ=%v: %v", thetas[i], offSkipped.Y[i])
-		}
-		if offScanned.Y[i] < scanned.Y[i] {
-			t.Errorf("prune-off scanned %v < pruned %v at θ=%v", offScanned.Y[i], scanned.Y[i], thetas[i])
-		}
-	}
-}
-
-func TestPubsubFigureShape(t *testing.T) {
-	fig := quickHarness.PubsubFigure([]int{1, 2}, 0, 40)
-	sharded, single := fig.SeriesByLabel("sharded"), fig.SeriesByLabel("1-shard")
-	if sharded == nil || single == nil || len(sharded.Y) != 2 || len(single.Y) != 2 {
-		t.Fatalf("series: %+v", fig.Series)
-	}
-	for _, s := range fig.Series {
-		for i, y := range s.Y {
-			if y <= 0 {
-				t.Errorf("%s point %d non-positive throughput: %v", s.Label, i, y)
-			}
-		}
-	}
-}
-
 func TestLSIFigureShape(t *testing.T) {
 	fig := quickHarness.LSIFigure()
 	for _, label := range []string{"MM", "LSI-MM", "LSI-NRN"} {

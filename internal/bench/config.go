@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mmprofile/internal/corpus"
-	"mmprofile/internal/metrics"
 	"mmprofile/internal/text"
 )
 
@@ -30,14 +29,6 @@ type Config struct {
 	ShiftAt     int
 	// BaseSeed decorrelates repetitions; run r uses BaseSeed + r.
 	BaseSeed int64
-	// Metrics, when non-nil, receives instrumentation from the experiments
-	// that exercise instrumented subsystems (the scale and prune figures'
-	// inverted indexes). mmbench prints its snapshot after the run.
-	Metrics *metrics.Registry
-	// PruneOff disables the index's threshold-aware match pruning in the
-	// figures that build indexes (mmbench -prune=off), so A/B runs of the
-	// same figure differ by exactly one flag.
-	PruneOff bool
 }
 
 // DefaultConfig returns the paper's experimental setup.
@@ -74,7 +65,7 @@ func QuickConfig() Config {
 }
 
 // MatchTierConfig returns the population used to benchmark the 1M-vector
-// match tier (BenchmarkIndexMatch/vectors=1000000, mmbench -fig prune).
+// match tier (BenchmarkIndexMatch/vectors=1000000).
 // The quick corpus's 144 distinct pages are fine for figure-shape runs,
 // but cycled to a million vectors they make ~0.7% of the index an exact
 // duplicate of every probe document: duplicate matches alone dominate

@@ -61,13 +61,6 @@ func (h *Harness) ScaleFigure(populations []int) Figure {
 			pop = maxPop
 		}
 		ix := index.New()
-		ix.SetPruning(!h.Cfg.PruneOff)
-		if h.Cfg.Metrics != nil {
-			// Registration is idempotent, so every population's index
-			// shares the counters and histograms; the live-size gauges
-			// follow the most recent index (last writer wins).
-			ix.Instrument(h.Cfg.Metrics)
-		}
 		var flat []vsm.Vector
 		for _, p := range profiles[:pop] {
 			ix.SetUser(p.user, p.vecs)

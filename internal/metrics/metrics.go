@@ -539,7 +539,7 @@ func (r *Registry) Exports() []Export {
 }
 
 // Snapshot returns every instrument's current value keyed by name,
-// suitable for JSON encoding (and for expvar publication).
+// suitable for JSON encoding.
 func (r *Registry) Snapshot() map[string]any {
 	exports := r.Exports()
 	out := make(map[string]any, len(exports))

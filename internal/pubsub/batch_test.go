@@ -9,8 +9,34 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-func TestPublishVectorBatch(t *testing.T) {
-	b := New(Options{Threshold: 0.3, QueueSize: 64, PublishWorkers: 2})
+// published is one document's outcome.
+type published struct {
+	Doc        int64
+	Deliveries int
+}
+
+// publishConcurrently publishes every vector from its own goroutine, all
+// released together, and returns the outcomes in input order.
+func publishConcurrently(b *Broker, vecs []vsm.Vector) []published {
+	out := make([]published, len(vecs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range vecs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			doc, n := b.PublishVector(vecs[i])
+			out[i] = published{Doc: doc, Deliveries: n}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	return out
+}
+
+func TestConcurrentPublishVector(t *testing.T) {
+	b := New(Options{Threshold: 0.3, QueueSize: 64})
 	catSub, err := b.Subscribe("cat-fan", trainedMM("cat", "dog"))
 	if err != nil {
 		t.Fatal(err)
@@ -19,15 +45,12 @@ func TestPublishVectorBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := []vsm.Vector{
+	docs := []vsm.Vector{
 		vec("cat", 1.0, "dog", 1.0),      // → cat-fan
 		vec("stock", 1.0, "bond", 1.0),   // → trader
 		vec("weather", 1.0, "rain", 1.0), // → nobody
 	}
-	results := b.PublishVectorBatch(batch)
-	if len(results) != len(batch) {
-		t.Fatalf("got %d results for %d documents", len(results), len(batch))
-	}
+	results := publishConcurrently(b, docs)
 	wantDeliveries := []int{1, 1, 0}
 	seen := map[int64]bool{}
 	for i, r := range results {
@@ -35,11 +58,10 @@ func TestPublishVectorBatch(t *testing.T) {
 			t.Errorf("doc %d delivered to %d subscribers, want %d", i, r.Deliveries, wantDeliveries[i])
 		}
 		if seen[r.Doc] {
-			t.Errorf("duplicate document id %d in batch results", r.Doc)
+			t.Errorf("duplicate document id %d across concurrent publishes", r.Doc)
 		}
 		seen[r.Doc] = true
 	}
-	// Results are positional: results[0] must be the cat document's id.
 	select {
 	case d := <-catSub.Deliveries():
 		if d.Doc != results[0].Doc {
@@ -48,41 +70,44 @@ func TestPublishVectorBatch(t *testing.T) {
 	default:
 		t.Fatal("cat-fan got no delivery")
 	}
-
-	if got := b.Stats(); got.Published != int64(len(batch)) {
-		t.Errorf("Published = %d, want %d", got.Published, len(batch))
-	}
-	if results2 := b.PublishVectorBatch(nil); len(results2) != 0 {
-		t.Errorf("empty batch returned %d results", len(results2))
+	if got := b.Stats(); got.Published != int64(len(docs)) {
+		t.Errorf("Published = %d, want %d", got.Published, len(docs))
 	}
 }
 
-func TestPublishBatchPages(t *testing.T) {
-	b := New(Options{Threshold: 0.05, QueueSize: 64})
+func TestConcurrentPublishPages(t *testing.T) {
+	b := New(Options{Threshold: 0.05, QueueSize: 64, RetainContent: true})
 	pages := []string{
 		"the cat and the dog played in the garden",
 		"stock markets rallied as bond yields fell",
 		"cat videos dominate the internet",
 	}
-	results := b.PublishBatch(pages)
-	if len(results) != len(pages) {
-		t.Fatalf("got %d results for %d pages", len(results), len(pages))
+	ids := make([]int64, len(pages))
+	var wg sync.WaitGroup
+	for i := range pages {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ids[i], _ = b.Publish(pages[i])
+		}(i)
 	}
-	for i, r := range results {
-		if v, ok := b.DocumentVector(r.Doc); !ok || v.IsZero() {
-			t.Errorf("page %d: document vector missing for id %d", i, r.Doc)
+	wg.Wait()
+	for i, id := range ids {
+		if v, ok := b.DocumentVector(id); !ok || v.IsZero() {
+			t.Errorf("page %d: document vector missing for id %d", i, id)
 		}
-		if c, ok := b.DocumentContent(r.Doc); b.opts.RetainContent && (!ok || c != pages[i]) {
-			t.Errorf("page %d: content mismatch for id %d: %q", i, r.Doc, c)
+		if c, ok := b.DocumentContent(id); !ok || c != pages[i] {
+			t.Errorf("page %d: content mismatch for id %d: %q", i, id, c)
 		}
 	}
 }
 
-// TestBatchMatchesSequentialPublish checks that a batch delivers exactly
-// what the same documents published one at a time would.
-func TestBatchMatchesSequentialPublish(t *testing.T) {
-	mk := func(workers int) (*Broker, []BatchResult) {
-		b := New(Options{Threshold: 0.3, QueueSize: 256, PublishWorkers: workers})
+// TestConcurrentPublishMatchesSequential checks that documents published
+// all at once deliver exactly what the same documents published one at a
+// time would.
+func TestConcurrentPublishMatchesSequential(t *testing.T) {
+	mk := func() (*Broker, []vsm.Vector) {
+		b := New(Options{Threshold: 0.3, QueueSize: 256})
 		for i := 0; i < 10; i++ {
 			if _, err := b.Subscribe(fmt.Sprintf("u%d", i), trainedMM(fmt.Sprintf("topic%d", i%4))); err != nil {
 				t.Fatal(err)
@@ -92,33 +117,32 @@ func TestBatchMatchesSequentialPublish(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			docs = append(docs, vec(fmt.Sprintf("topic%d", i%4), 1.0, "common", 0.2))
 		}
-		return b, b.PublishVectorBatch(docs)
+		return b, docs
 	}
-	_, batched := mk(4)
-	_, oneByOne := mk(1)
-	for i := range batched {
-		if batched[i].Deliveries != oneByOne[i].Deliveries {
-			t.Errorf("doc %d: %d deliveries with 4 workers, %d with 1",
-				i, batched[i].Deliveries, oneByOne[i].Deliveries)
+	b, docs := mk()
+	concurrent := publishConcurrently(b, docs)
+	b, docs = mk()
+	for i, d := range docs {
+		if _, n := b.PublishVector(d); n != concurrent[i].Deliveries {
+			t.Errorf("doc %d: %d deliveries published concurrently, %d one at a time",
+				i, concurrent[i].Deliveries, n)
 		}
 	}
 }
 
-// TestBrokerConcurrentStress mixes batch publishes with subscribe/feedback/
-// unsubscribe churn; meaningful under -race.
+// TestBrokerConcurrentStress mixes concurrent publishes with subscribe/
+// feedback/unsubscribe churn; meaningful under -race.
 func TestBrokerConcurrentStress(t *testing.T) {
-	b := New(Options{Threshold: 0.2, QueueSize: 16, PublishWorkers: 2})
+	b := New(Options{Threshold: 0.2, QueueSize: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				var batch []vsm.Vector
 				for j := 0; j < 4; j++ {
-					batch = append(batch, vec(fmt.Sprintf("topic%d", (i+j)%5), 1.0))
+					b.PublishVector(vec(fmt.Sprintf("topic%d", (i+j)%5), 1.0))
 				}
-				b.PublishVectorBatch(batch)
 			}
 		}(g)
 	}
@@ -146,7 +170,7 @@ func TestBrokerConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 	st := b.Stats()
-	if st.Published != 360 { // 3 publishers × 30 batches × 4 docs
+	if st.Published != 360 { // 3 publishers × 30 rounds × 4 docs
 		t.Errorf("Published = %d, want 360", st.Published)
 	}
 	if st.Subscribers != 30 {

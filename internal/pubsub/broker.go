@@ -33,7 +33,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mmprofile/internal/core"
@@ -105,9 +104,6 @@ type Options struct {
 	// were sent (DocumentContent / the wire "fetch" op). Off by default:
 	// raw pages dominate memory at scale.
 	RetainContent bool
-	// PublishWorkers bounds the worker pool PublishBatch fans a document
-	// batch out over; 0 means one worker per CPU.
-	PublishWorkers int
 	// Shards suggests how many ways the subscriber registry and the
 	// document retention window are sharded (mmserver -pubsub-shards);
 	// 0 means GOMAXPROCS. The registry rounds up to a power of two; the
@@ -142,11 +138,6 @@ type Options struct {
 	// the residency list. 0 means unbounded (every profile stays resident).
 	// Requires Hydrator.
 	MaxResident int
-	// NoPrune disables the index's threshold-aware match pruning
-	// (DESIGN.md §12), forcing every posting to be scanned exactly. Match
-	// results are identical either way; the flag (mmserver/mmbench
-	// -prune=off) exists for A/B comparisons and as an escape hatch.
-	NoPrune bool
 	// Log, when set, receives the broker's structured events: subscriber
 	// lifecycle at info, per-publish/per-feedback detail at debug. Debug
 	// statements on the publish hot path are guarded by Log.Enabled, so
@@ -299,7 +290,6 @@ func New(opts Options) *Broker {
 		m:     newBrokerMetrics(reg),
 	}
 	b.idx.Instrument(reg)
-	b.idx.SetPruning(!opts.NoPrune)
 	topReg := opts.Top
 	if topReg == nil {
 		topReg = topk.NewRegistry()
@@ -489,84 +479,6 @@ func (b *Broker) PublishSpan(page string, parent *trace.Span) (int64, int) {
 // benchmarks.
 func (b *Broker) PublishVector(vec vsm.Vector) (int64, int) {
 	return b.publishRecord(vec, "", nil)
-}
-
-// BatchResult is one document's outcome within a PublishBatch call.
-type BatchResult struct {
-	Doc        int64
-	Deliveries int
-}
-
-// PublishBatch ingests a batch of raw pages through a bounded worker pool
-// (Options.PublishWorkers, default one per CPU). Results are returned in
-// input order; document ids are still assigned in a total order but, with
-// multiple workers, not necessarily in input order. Collection statistics
-// accumulate concurrently in the striped termstats layer exactly as with
-// sequential Publish.
-func (b *Broker) PublishBatch(pages []string) []BatchResult {
-	t0 := time.Now()
-	// One sampling decision covers the whole batch; each worker's publish
-	// then hangs off the batch root, so a sampled batch is captured with
-	// every document's match/deliver phases as (concurrent) subtrees.
-	sp := b.opts.Trace.RootAt("pubsub.publish_batch", t0, trace.Remote{})
-	out := make([]BatchResult, len(pages))
-	b.fanOut(len(pages), func(i int) {
-		doc, n := b.PublishSpan(pages[i], sp)
-		out[i] = BatchResult{Doc: doc, Deliveries: n}
-	})
-	sp.SetInt("docs", int64(len(pages)))
-	sp.End()
-	b.m.batchLat.ObserveSince(t0)
-	return out
-}
-
-// PublishVectorBatch is PublishBatch for pre-vectorized (unit-normalized)
-// documents.
-func (b *Broker) PublishVectorBatch(vecs []vsm.Vector) []BatchResult {
-	t0 := time.Now()
-	sp := b.opts.Trace.RootAt("pubsub.publish_batch", t0, trace.Remote{})
-	out := make([]BatchResult, len(vecs))
-	b.fanOut(len(vecs), func(i int) {
-		doc, n := b.publishRecord(vecs[i], "", sp)
-		out[i] = BatchResult{Doc: doc, Deliveries: n}
-	})
-	sp.SetInt("docs", int64(len(vecs)))
-	sp.End()
-	b.m.batchLat.ObserveSince(t0)
-	return out
-}
-
-// fanOut runs fn(0..n-1) over the publish worker pool.
-func (b *Broker) fanOut(n int, fn func(int)) {
-	workers := b.opts.PublishWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Span) (int64, int) {

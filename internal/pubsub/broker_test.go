@@ -59,28 +59,6 @@ func TestSubscribePublishDeliver(t *testing.T) {
 	}
 }
 
-// TestNoPruneOption pins the Options.NoPrune plumbing: the flag reaches
-// the index's pruning toggle, and a NoPrune broker still delivers.
-func TestNoPruneOption(t *testing.T) {
-	b := New(Options{NoPrune: true})
-	if b.idx.PruningEnabled() {
-		t.Error("NoPrune broker left index pruning on")
-	}
-	if on := New(Options{}); !on.idx.PruningEnabled() {
-		t.Error("default broker disabled index pruning")
-	}
-	s, err := b.Subscribe("alice", trainedMM("cat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish("the cat sat on the cat mat cat")
-	select {
-	case <-s.Deliveries():
-	default:
-		t.Error("NoPrune broker delivered nothing")
-	}
-}
-
 func TestDuplicateSubscriber(t *testing.T) {
 	b := New(Options{})
 	if _, err := b.Subscribe("alice", core.NewDefault()); err != nil {

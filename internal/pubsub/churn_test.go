@@ -10,8 +10,7 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-// TestChurnStress runs concurrent Subscribe / Publish / PublishBatch /
-// Feedback / Unsubscribe against one broker (meaningful under -race) and
+// TestChurnStress runs concurrent Subscribe / Publish / Feedback / Unsubscribe against one broker (meaningful under -race) and
 // then checks the cross-layer invariants the sharded design must hold:
 //
 //   - no ghost index entries: the index holds exactly the live indexed
@@ -21,7 +20,7 @@ import (
 //     profile-vector gauge all match ground truth reconstructed from the
 //     surviving subscriptions.
 func TestChurnStress(t *testing.T) {
-	b := New(Options{Threshold: 0.2, QueueSize: 8, PublishWorkers: 2})
+	b := New(Options{Threshold: 0.2, QueueSize: 8})
 
 	// One persistent brute-force subscriber keeps the snapshot-and-score
 	// path active throughout the churn.
@@ -43,11 +42,9 @@ func TestChurnStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < pubIters; i++ {
 				b.PublishVector(vec(fmt.Sprintf("topic%d", (g+i)%6), 1.0))
-				batch := make([]vsm.Vector, 4)
-				for j := range batch {
-					batch[j] = vec(fmt.Sprintf("topic%d", (g+i+j)%6), 1.0, "common", 0.3)
+				for j := 0; j < 4; j++ {
+					b.PublishVector(vec(fmt.Sprintf("topic%d", (g+i+j)%6), 1.0, "common", 0.3))
 				}
-				b.PublishVectorBatch(batch)
 			}
 		}(g)
 	}
@@ -79,7 +76,7 @@ func TestChurnStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	wantPublished := int64(publishers * pubIters * 5) // 1 single + 4 batched per iteration
+	wantPublished := int64(publishers * pubIters * 5) // 1 single-term + 4 two-term per iteration
 	st := b.Stats()
 	if st.Published != wantPublished {
 		t.Errorf("Published = %d, want %d", st.Published, wantPublished)

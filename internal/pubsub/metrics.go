@@ -26,7 +26,6 @@ type brokerMetrics struct {
 	matchLat    *metrics.Histogram
 	deliverLat  *metrics.Histogram
 	feedbackLat *metrics.Histogram
-	batchLat    *metrics.Histogram
 
 	// Adaptation-event telemetry: the paper's §3.3 profile dynamics
 	// (create / incorporate / merge / strength-decay delete) aggregated
@@ -71,8 +70,6 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 			"Latency of fanning one document's matches out to subscriber queues."),
 		feedbackLat: reg.Histogram("mm_pubsub_feedback_seconds",
 			"Latency of one feedback step: journaling, profile update, and reindexing."),
-		batchLat: reg.Histogram("mm_pubsub_batch_seconds",
-			"Wall-clock duration of one PublishBatch/PublishVectorBatch fan-out across the worker pool."),
 		vecCreated: reg.Counter("mm_vectors_created_total",
 			"Profile vectors created by relevant feedback outside every similarity circle (paper 3.2)."),
 		vecIncorporated: reg.Counter("mm_vectors_incorporated_total",

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,38 +195,40 @@ func TestPublishSlowCapture(t *testing.T) {
 	}
 }
 
-// TestBatchWorkersInheritBatchRoot checks PublishBatch takes one sampling
-// decision and every worker's publish nests under the batch root.
-func TestBatchWorkersInheritBatchRoot(t *testing.T) {
+// TestConcurrentPublishesShareParentSpan: publishes running on several
+// goroutines under one parent span all nest under it, in one trace.
+func TestConcurrentPublishesShareParentSpan(t *testing.T) {
 	tr := trace.New(trace.Options{SampleRate: 1})
-	b := New(Options{Threshold: 0.3, PublishWorkers: 4, Trace: tr})
+	b := New(Options{Threshold: 0.3, Trace: tr})
 	if _, err := b.Subscribe("alice", trainedMM("cat", "dog")); err != nil {
 		t.Fatal(err)
 	}
-	pages := make([]string, 8)
-	for i := range pages {
-		pages[i] = "<html><body>cat dog</body></html>"
+	const n = 8
+	root := tr.RootAt("test.fanin", time.Now(), trace.Remote{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.PublishSpan("<html><body>cat dog</body></html>", root)
+		}()
 	}
-	b.PublishBatch(pages)
+	wg.Wait()
+	root.End()
 
-	var batch *trace.TraceSnapshot
-	for _, ts := range tr.Snapshot().Recent {
-		if ts.Root == "pubsub.publish_batch" {
-			ts := ts
-			batch = &ts
-		}
-	}
-	if batch == nil {
-		t.Fatal("no batch trace captured")
-	}
 	publishes := 0
-	for _, s := range batch.Spans {
-		if s.Name == "pubsub.publish" {
-			publishes++
+	for _, ts := range tr.Snapshot().Recent {
+		if ts.Root != "test.fanin" {
+			continue
+		}
+		for _, s := range ts.Spans {
+			if s.Name == "pubsub.publish" {
+				publishes++
+			}
 		}
 	}
-	if publishes != len(pages) {
-		t.Fatalf("batch trace has %d publish spans, want %d", publishes, len(pages))
+	if publishes != n {
+		t.Fatalf("shared trace has %d publish spans, want %d", publishes, n)
 	}
 }
 

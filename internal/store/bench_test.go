@@ -62,7 +62,7 @@ func BenchmarkDurableAppend(b *testing.B) {
 // 64 concurrent writers spread across user ids (and therefore across WAL
 // lanes), with the lane count swept. Reports the same fsyncs/append
 // amplification metric as benchDurableAppend so the two tables compare
-// directly; BENCH_store.json pins the 64-writer row per lane count.
+// directly.
 func benchDurableAppendLanes(b *testing.B, lanes, workers int) {
 	reg := metrics.NewRegistry()
 	s, err := Open(b.TempDir(), Options{Durable: true, Lanes: lanes, Metrics: reg})

@@ -14,10 +14,10 @@ package store
 // rename), and the group-commit ack semantics all at once.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"mmprofile/internal/core"
@@ -276,129 +276,6 @@ func crashMatrix(t *testing.T, durable bool) {
 	}
 }
 
-// seedLegacy writes a durable pre-manifest layout (one snapshot, one WAL)
-// into the simulator: alice checkpointed with feedback 0, then a log with
-// feedback 1 for alice and subscriptions + feedback for "u" and "z".
-func seedLegacy(t *testing.T, sim *faultfs.Sim) {
-	t.Helper()
-	if err := sim.MkdirAll("/state", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	mm := core.NewDefault()
-	mm.Observe(fbVec(0), filter.Relevant)
-	blob, err := mm.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap, wal bytes.Buffer
-	if err := writeRecord(&snap, encodeProfilePayload("alice", "MM", blob)); err != nil {
-		t.Fatal(err)
-	}
-	sub := func(user string) []byte {
-		p := []byte{byte(EventSubscribe)}
-		p = appendLenBytes(p, []byte(user))
-		p = appendLenBytes(p, []byte("MM"))
-		return appendLenBytes(p, nil)
-	}
-	fb := func(user string, i int) []byte {
-		p := []byte{byte(EventFeedback)}
-		p = appendLenBytes(p, []byte(user))
-		p = append(p, 1)
-		return vsm.AppendVector(p, fbVec(i))
-	}
-	for _, payload := range [][]byte{fb("alice", 1), sub("u"), fb("u", 2), sub("z"), fb("z", 3)} {
-		if err := writeRecord(&wal, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write := func(path string, data []byte) {
-		f, err := sim.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("/state/snap-00000001.db", snap.Bytes())
-	write("/state/wal-00000001.log", wal.Bytes())
-	if err := sim.SyncDir("/state"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMigrationCrashMatrix crashes the legacy→lane migration at every
-// syscall boundary. The legacy files were durable before the migration
-// started and are removed only after the manifest commit, so recovery
-// after any crash point must come back with the complete legacy state —
-// either by re-running the migration or from the committed lane layout.
-func TestMigrationCrashMatrix(t *testing.T) {
-	calib := faultfs.NewSim()
-	seedLegacy(t, calib)
-	seedOps := calib.Ops()
-	s, err := Open("/state", Options{FS: calib, Lanes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	total := calib.Ops()
-	if total <= seedOps {
-		t.Fatalf("migration performed no operations (%d..%d)", seedOps, total)
-	}
-
-	for k := seedOps + 1; k <= total; k++ {
-		k := k
-		t.Run(fmt.Sprintf("crash_at_%03d", k), func(t *testing.T) {
-			sim := faultfs.NewSim()
-			seedLegacy(t, sim)
-			sim.SetHook(faultfs.CrashAt(k))
-			if s, err := Open("/state", Options{FS: sim, Lanes: 2}); err == nil {
-				s.Close()
-			} else if !errors.Is(err, faultfs.ErrCrashed) {
-				t.Fatalf("open failed with a non-crash error: %v", err)
-			}
-			sim.SetHook(nil)
-			sim.Reboot()
-
-			s2, err := Open("/state", Options{FS: sim, Lanes: 2})
-			if err != nil {
-				t.Fatalf("reopen after crash: %v", err)
-			}
-			profiles, events, err := s2.Load()
-			if err != nil {
-				t.Fatalf("load after crash: %v", err)
-			}
-			learners, err := Restore(profiles, events)
-			if err != nil {
-				t.Fatalf("restore after crash: %v", err)
-			}
-			if len(learners) != 3 {
-				t.Fatalf("restored %d users, want 3", len(learners))
-			}
-			requireHydrationEqualsRestore(t, s2, learners)
-			if learners["alice"].Score(fbVec(0)) <= 1e-9 || learners["alice"].Score(fbVec(1)) <= 1e-9 {
-				t.Fatal("alice lost state across migration crash")
-			}
-			if learners["u"].Score(fbVec(2)) <= 1e-9 || learners["z"].Score(fbVec(3)) <= 1e-9 {
-				t.Fatal("sharded users lost state across migration crash")
-			}
-			// The migrated store must be fully usable.
-			if err := s2.AppendFeedback("u", fbVec(4), filter.Relevant); err != nil {
-				t.Fatalf("append after migration recovery: %v", err)
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatalf("close after migration recovery: %v", err)
-			}
-		})
-	}
-}
-
 // TestCheckpointDurableAcrossCrash pins the rename-ordering fix in
 // isolation: once Checkpoint returns, a hard power cut must not roll
 // recovery back a generation — the segment rename, the manifest rename,
@@ -531,5 +408,57 @@ func TestWriteErrorPoisonsStore(t *testing.T) {
 	_, events, err = s2.Load()
 	if err != nil || len(events) != 3 {
 		t.Fatalf("after repair: %d events, %v", len(events), err)
+	}
+}
+
+// TestOpenRefusesPreManifestLayout: a directory without a MANIFEST that
+// holds wal-<seq>.log / snap-<seq>.db files is some earlier release's
+// acknowledged journal. Open — read-write and ReadOnly — must name the
+// layout in its error and perform no mutating filesystem operation: the
+// fresh-store branch would write a manifest and its stray sweep would then
+// delete the log.
+func TestOpenRefusesPreManifestLayout(t *testing.T) {
+	const snap, wal = "/state/snap-00000001.db", "/state/wal-00000001.log"
+	for _, files := range [][]string{{snap, wal}, {snap}, {wal}} {
+		sim := faultfs.NewSim()
+		if err := sim.MkdirAll("/state", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			f, err := sim.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("acknowledged: " + path)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeded := sim.Ops()
+
+		for _, opts := range []Options{{FS: sim, Lanes: 2}, {FS: sim, ReadOnly: true}} {
+			s, err := Open("/state", opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open(%v, ReadOnly=%v) accepted a pre-manifest directory", files, opts.ReadOnly)
+			}
+			if !strings.Contains(err.Error(), "pre-manifest layout") {
+				t.Errorf("Open(%v, ReadOnly=%v) error does not name the layout: %v", files, opts.ReadOnly, err)
+			}
+		}
+
+		if got := sim.Ops(); got != seeded {
+			t.Errorf("%v: refused opens performed %d mutating operations", files, got-seeded)
+		}
+		if entries, err := sim.ReadDir("/state"); err != nil || len(entries) != len(files) {
+			t.Errorf("%v: directory holds %d entries after the refused opens (%v)", files, len(entries), err)
+		}
+		for _, path := range files {
+			if got, err := sim.ReadFile(path); err != nil || string(got) != "acknowledged: "+path {
+				t.Errorf("%s after the refused opens = %q, %v", path, got, err)
+			}
+		}
 	}
 }

@@ -25,8 +25,7 @@ import (
 // fsyncs every lane with unacknowledged records in one pass) and the
 // checkpoint (one manifest rename commits all lane generations at once).
 type lane struct {
-	id     int
-	legacy bool // pre-manifest single-WAL file naming (read-only inspection)
+	id int
 
 	// mu guards the lane's write path: the WAL handle, the committed byte
 	// length, the record count, the dirty set, and the offset index.
@@ -104,22 +103,16 @@ func makeLanes(n int) []*lane {
 }
 
 func (s *Store) walPath(ln *lane, gen uint64) string {
-	if ln.legacy {
-		return filepath.Join(s.dir, fmt.Sprintf("%s%08d.log", walPrefix, gen))
-	}
 	return filepath.Join(s.dir, fmt.Sprintf("%s%03d-%08d.log", walPrefix, ln.id, gen))
 }
 
 func (s *Store) segPath(ln *lane, gen uint64) string {
-	if ln.legacy {
-		return filepath.Join(s.dir, fmt.Sprintf("%s%08d.db", snapPrefix, gen))
-	}
 	return filepath.Join(s.dir, fmt.Sprintf("%s%03d-%08d.db", segPrefix, ln.id, gen))
 }
 
 // laneFile parses a lane-qualified file name (wal-003-00000042.log,
-// seg-003-00000042.db) into its lane id and generation. Legacy names
-// (wal-00000042.log) have no lane part and do not match.
+// seg-003-00000042.db) into its lane id and generation. Pre-manifest
+// names (wal-00000042.log) have no lane part and do not match.
 func laneFile(name, prefix, suffix string) (laneID int, gen uint64, ok bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, 0, false
@@ -223,7 +216,7 @@ func (s *Store) indexLane(ln *lane) error {
 	}
 	idx := make(map[string]segRef)
 	f, err := s.reader(ln, segFile)
-	if errors.Is(err, fs.ErrNotExist) { // generation 0, or a lane that migrated empty
+	if errors.Is(err, fs.ErrNotExist) { // generation 0: no segment yet
 		ln.segIdx = idx
 		return nil
 	} else if err != nil {
@@ -298,8 +291,8 @@ func (ln *lane) closeReaders() {
 }
 
 // laneRecords reads and verifies one of ln's current files whole, for the
-// paths that want every record at once — Load, compaction's replay, legacy
-// migration (caller holds ln.mu). A segment must parse to its last byte;
+// paths that want every record at once — Load and compaction's replay
+// (caller holds ln.mu). A segment must parse to its last byte;
 // so must a WAL up to its committed length (bytes past it can only be a
 // poisoned write's remnants and are clamped away), except that ReadOnly
 // mode tolerates a torn tail exactly the way recovery would.

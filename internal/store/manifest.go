@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"mmprofile/internal/faultfs"
@@ -77,8 +77,7 @@ func decodeManifest(payload []byte) (manifest, error) {
 	return manifest{epoch: epoch, gens: gens}, nil
 }
 
-// readManifest loads dir's MANIFEST. found is false when none exists —
-// a fresh store, or the pre-manifest single-WAL legacy layout. The
+// readManifest loads dir's MANIFEST. found is false when none exists. The
 // manifest is written atomically (temp + fsync + rename), so a torn or
 // corrupt one is real damage and fails the open instead of silently
 // falling back a generation.
@@ -147,8 +146,8 @@ func (s *Store) writeManifest(mf manifest) error {
 }
 
 // cleanStrays removes files the manifest does not reference: stale or
-// uncommitted lane generations, temp files from crashed checkpoints, and
-// (after migration) the legacy single-WAL layout. Removal is best-effort
+// uncommitted lane generations and temp files from crashed checkpoints.
+// Removal is best-effort
 // — an unreferenced file is harmless until the next cleanup — but the
 // directory sync after a successful pass keeps crash-looped checkpoints
 // from accumulating garbage. Caller holds ckptMu (or is the constructor).
@@ -176,10 +175,6 @@ func (s *Store) cleanStrays() {
 			stale = true
 		} else if _, _, ok := laneFile(name, segPrefix, ".db"); ok {
 			stale = true
-		} else if _, ok := genSeq(name, walPrefix, ".log"); ok {
-			stale = true // legacy WAL, superseded by migration
-		} else if _, ok := genSeq(name, snapPrefix, ".db"); ok {
-			stale = true // legacy snapshot, superseded by migration
 		}
 		if stale && s.fsys.Remove(filepath.Join(s.dir, name)) == nil {
 			removed = true
@@ -190,118 +185,31 @@ func (s *Store) cleanStrays() {
 	}
 }
 
-// detectLegacy looks for the pre-manifest layout: snap-<seq>.db and
-// wal-<seq>.log with no lane component in the name.
-func detectLegacy(fsys faultfs.FS, dir string) (seq uint64, found bool, err error) {
+// detectLegacy refuses a manifest-less directory that holds the
+// pre-manifest layout: snap-<seq>.db and wal-<seq>.log, no lane component
+// in the name. Nothing reads that layout any more, and initializing such a
+// directory as a fresh store would discard a journal an earlier release
+// acknowledged, so the open fails before any file is written or removed.
+func detectLegacy(fsys faultfs.FS, dir string) error {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return 0, false, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range entries {
-		if n, ok := genSeq(e.Name(), snapPrefix, ".db"); ok {
-			found = true
-			if n > seq {
-				seq = n
-			}
-		} else if _, ok := genSeq(e.Name(), walPrefix, ".log"); ok {
-			found = true
+		if seqFile(e.Name(), walPrefix, ".log") || seqFile(e.Name(), "snap-", ".db") {
+			return fmt.Errorf("store: %s holds the pre-manifest layout (%s, no %s), which this version does not read; open it once with a release that migrates it",
+				dir, e.Name(), manifestName)
 		}
 	}
-	return seq, found, nil
-}
-
-// migrateLegacy converts a pre-manifest layout (one snap-<seq>.db plus
-// one wal-<seq>.log) into lanes: profiles and events are sharded by user
-// into per-lane generation-1 segment and WAL files, and the manifest
-// commit makes the new layout authoritative. The legacy files are removed
-// only after that commit (by cleanStrays), so a crash anywhere during
-// migration leaves the legacy layout intact and migration simply re-runs;
-// half-written lane files from the interrupted attempt are overwritten or
-// collected as strays.
-func (s *Store) migrateLegacy(legacySeq uint64) error {
-	old := &lane{legacy: true, gen: legacySeq}
-
-	profs := make([][][]byte, len(s.lanes))
-	payloads, err := s.laneRecords(old, segFile)
-	if err != nil {
-		return err
-	}
-	for i, payload := range payloads {
-		rec, err := decodeProfileRecord(payload)
-		if err != nil {
-			return fmt.Errorf("store: snapshot %d record %d: %w", legacySeq, i, err)
-		}
-		id := s.laneFor(rec.User).id
-		profs[id] = append(profs[id], payload)
-	}
-
-	evs := make([][][]byte, len(s.lanes))
-	data, err := s.readFileOrEmpty(s.walPath(old, legacySeq))
-	if err != nil {
-		return fmt.Errorf("store: wal %d: %w", legacySeq, err)
-	}
-	// A torn tail is crash residue, dropped here exactly as the torn-tail
-	// repair would have dropped it; damage before the tail refuses the
-	// migration the way it refuses an open.
-	payloads, committed, err := scanRecords(data)
-	if err != nil {
-		return fmt.Errorf("store: wal %d: %w", legacySeq, err)
-	}
-	if committed < len(data) {
-		s.m.tornTails.Inc()
-	}
-	for i, payload := range payloads {
-		ev, err := decodeEvent(payload)
-		if err != nil {
-			return fmt.Errorf("store: wal %d record %d: %w", legacySeq, i, err)
-		}
-		id := s.laneFor(ev.User).id
-		evs[id] = append(evs[id], payload)
-	}
-
-	for _, ln := range s.lanes {
-		if len(profs[ln.id]) > 0 {
-			if err := s.writeRecordsFile(s.segPath(ln, 1), profs[ln.id]); err != nil {
-				return err
-			}
-		}
-		if len(evs[ln.id]) > 0 {
-			if err := s.writeRecordsFile(s.walPath(ln, 1), evs[ln.id]); err != nil {
-				return err
-			}
-		}
-		ln.gen = 1
-	}
-	if err := s.fsys.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.epoch.Store(1)
-	if err := s.writeManifest(s.manifestNow()); err != nil {
-		return err
-	}
-	s.cleanStrays()
 	return nil
 }
 
-// writeRecordsFile writes framed records to path (truncating any partial
-// leftover from a crashed earlier attempt) and fsyncs the contents.
-func (s *Store) writeRecordsFile(path string, payloads [][]byte) error {
-	f, err := s.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+// seqFile reports whether name is prefix + decimal sequence + suffix.
+func seqFile(name, prefix, suffix string) bool {
+	mid, ok := strings.CutPrefix(name, prefix)
+	if ok {
+		mid, ok = strings.CutSuffix(mid, suffix)
 	}
-	for _, p := range payloads {
-		if err := writeRecord(f, p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	_, err := strconv.ParseUint(mid, 10, 64)
+	return ok && err == nil
 }

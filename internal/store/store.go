@@ -44,8 +44,6 @@ import (
 	"io"
 	"io/fs"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,13 +104,13 @@ type Options struct {
 	// the lanes every interval. Sync() remains an explicit barrier.
 	SyncInterval time.Duration
 	// ReadOnly opens the store for inspection: no torn-tail repair, no
-	// log handles, no migration, and Load tolerates a torn tail the way
+	// log handles, no manifest write, and Load tolerates a torn tail the way
 	// recovery would. Appends, Checkpoint, and Sync fail. mmstore uses
 	// this so inspecting a crashed state directory never mutates it.
 	ReadOnly bool
 	// Lanes is the WAL lane (shard) count used when creating a store from
-	// scratch or migrating a pre-manifest layout. An existing manifest
-	// pins the count and this value is ignored. <= 0 means DefaultLanes.
+	// scratch. An existing manifest pins the count and this value is
+	// ignored. <= 0 means DefaultLanes.
 	Lanes int
 	// FS overrides the filesystem — fault injection in tests
 	// (faultfs.Sim). Nil means the real OS filesystem.
@@ -166,9 +164,8 @@ type Store struct {
 }
 
 const (
-	snapPrefix = "snap-" // legacy pre-manifest snapshot naming
-	walPrefix  = "wal-"
-	segPrefix  = "seg-"
+	walPrefix = "wal-"
+	segPrefix = "seg-"
 	// maxRecordLen bounds a record's claimed payload size. Records are
 	// written in one Write call, so any readable length field was fully
 	// written; a length beyond this bound is therefore corruption, never
@@ -181,10 +178,10 @@ var errClosed = errors.New("store: closed")
 // Open opens (or initializes) a store in dir, creating it if needed. A
 // torn lane tail left by a crash mid-append is truncated here, before any
 // append can land behind it; mid-log corruption makes Open fail rather
-// than risk silently dropping everything after the damage. A pre-manifest
-// single-WAL directory is migrated into the lane layout on first
-// read-write open (the legacy files are removed only after the manifest
-// commit, so a crash mid-migration just re-runs it).
+// than risk silently dropping everything after the damage. A directory
+// without a manifest that holds pre-manifest files (wal-<seq>.log,
+// snap-<seq>.db) is refused untouched: initializing it as a fresh store
+// would discard a journal some earlier release acknowledged.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -203,34 +200,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var legacySeq uint64
-	var hasLegacy bool
-	if !found {
-		if legacySeq, hasLegacy, err = detectLegacy(fsys, dir); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case found:
+	if found {
 		s.epoch.Store(mf.epoch)
 		s.lanes = makeLanes(len(mf.gens))
 		for i, g := range mf.gens {
 			s.lanes[i].gen = g
 		}
-	case opts.ReadOnly:
-		// Pre-manifest (or empty) directory: inspect it through a single
-		// legacy-named lane; nothing is repaired, migrated, or written.
-		s.lanes = []*lane{{legacy: true, gen: legacySeq, dirty: map[string]struct{}{}}}
-	case hasLegacy:
-		s.lanes = makeLanes(laneCount(opts))
-		if err := s.migrateLegacy(legacySeq); err != nil {
+	} else {
+		if err := detectLegacy(fsys, dir); err != nil {
 			return nil, err
 		}
-	default:
 		s.lanes = makeLanes(laneCount(opts))
-		s.epoch.Store(1)
-		if err := s.writeManifest(s.manifestNow()); err != nil {
-			return nil, err
+		if !opts.ReadOnly { // an empty directory is inspected as it is
+			s.epoch.Store(1)
+			if err := s.writeManifest(s.manifestNow()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	s.m.lanes.Set(float64(len(s.lanes)))
@@ -291,20 +276,6 @@ func (s *Store) closeLaneHandles() {
 			ln.wal = nil
 		}
 	}
-}
-
-// genSeq parses a legacy generation file name (prefix + zero-padded seq +
-// suffix, no lane component); ok is false for anything else, including
-// lane-qualified names and stray files.
-func genSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // flushLoop is the SyncInterval background flusher.
@@ -550,9 +521,9 @@ func (s *Store) waitDurable(ln *lane, pos uint64) error {
 
 // syncTarget is one lane the leader pass must fsync.
 type syncTarget struct {
-	ln *lane
-	f  faultfs.File
-	to uint64
+	ln  *lane
+	f   faultfs.File
+	to  uint64
 	err error
 }
 

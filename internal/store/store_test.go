@@ -632,8 +632,8 @@ func TestLoadConcurrentWithAppends(t *testing.T) {
 }
 
 // TestCheckpointCleansStrays pins stray collection: anything the manifest
-// does not reference — legacy-layout files, stale or uncommitted lane
-// generations, orphaned temp files — is removed by the next checkpoint's
+// does not reference — stale or uncommitted lane generations, orphaned
+// temp files — is removed by the next checkpoint's
 // cleanup pass, regardless of generation gaps.
 func TestCheckpointCleansStrays(t *testing.T) {
 	dir := t.TempDir()
@@ -652,9 +652,9 @@ func TestCheckpointCleansStrays(t *testing.T) {
 	}
 	ck()
 	ck()
-	// Plant debris: a legacy log, a legacy snapshot, an uncommitted lane
-	// generation, and an orphaned checkpoint temp file.
-	for _, stray := range []string{"wal-00000000.log", "snap-00000007.db", "seg-000-00000099.db", "seg-123456.tmp"} {
+	// Plant debris: a stale lane log, an uncommitted lane generation, and
+	// an orphaned checkpoint temp file.
+	for _, stray := range []string{"wal-000-00000001.log", "seg-000-00000099.db", "seg-123456.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("debris"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -904,84 +904,6 @@ func TestEmptyLaneReopen(t *testing.T) {
 	}
 	if len(events) != 1 {
 		t.Fatalf("events after first append to empty lane = %d", len(events))
-	}
-}
-
-// TestLegacyLayoutMigration: a pre-manifest directory (single snap-/wal-
-// pair) opens into the lane layout with identical restored state, the
-// legacy files are gone afterwards, and the second open is a plain
-// manifest open.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	mm := core.NewDefault()
-	mm.Observe(vec("cat", 1.0), filter.Relevant)
-	blob, err := mm.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap, wal bytes.Buffer
-	if err := writeRecord(&snap, encodeProfilePayload("alice", "MM", blob)); err != nil {
-		t.Fatal(err)
-	}
-	sub := []byte{byte(EventSubscribe)}
-	sub = appendLenBytes(sub, []byte("bob"))
-	sub = appendLenBytes(sub, []byte("MM"))
-	sub = appendLenBytes(sub, nil)
-	fb := func(user, term string) []byte {
-		p := []byte{byte(EventFeedback)}
-		p = appendLenBytes(p, []byte(user))
-		p = append(p, 1)
-		return vsm.AppendVector(p, vec(term, 1.0))
-	}
-	for _, payload := range [][]byte{sub, fb("alice", "dog"), fb("bob", "fish")} {
-		if err := writeRecord(&wal, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, "snap-00000002.db"), snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "wal-00000002.log"), wal.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir, Options{Lanes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(s *Store) map[string]filter.Learner {
-		t.Helper()
-		profiles, events, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Restore(profiles, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(restored) != 2 {
-			t.Fatalf("restored %d users, want 2", len(restored))
-		}
-		if restored["alice"].Score(vec("cat", 1.0)) <= 1e-9 || restored["alice"].Score(vec("dog", 1.0)) <= 1e-9 {
-			t.Error("alice lost state in migration")
-		}
-		if restored["bob"].Score(vec("fish", 1.0)) <= 1e-9 {
-			t.Error("bob lost state in migration")
-		}
-		return restored
-	}
-	check(s)
-	s.Close()
-
-	for _, name := range dirNames(t, dir) {
-		if name == "snap-00000002.db" || name == "wal-00000002.log" {
-			t.Fatalf("legacy file %s survived migration", name)
-		}
-	}
-	s2 := openStore(t, dir)
-	check(s2)
-	if err := s2.AppendFeedback("bob", vec("boat", 1.0), filter.Relevant); err != nil {
-		t.Fatal(err)
 	}
 }
 

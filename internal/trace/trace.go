@@ -260,7 +260,7 @@ func (s *Span) ID() SpanID {
 }
 
 // ChildAt starts a child span at the given timestamp. Safe to call from
-// multiple goroutines sharing a parent (PublishBatch workers do).
+// multiple goroutines sharing a parent.
 func (s *Span) ChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil

@@ -108,31 +108,6 @@ func (c *Client) FeedbackTrace(user string, doc int64, relevant bool, ctx string
 	return resp.Trace, nil
 }
 
-// Poll drains up to max queued deliveries for user (max ≤ 0 means all).
-func (c *Client) Poll(user string, max int) ([]DeliveryMsg, error) {
-	resp, err := c.roundTrip(Request{Op: OpPoll, User: user, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Deliveries, nil
-}
-
-// Watch long-polls for deliveries: it blocks until at least one item is
-// available (then drains up to max; max ≤ 0 means all), or the server-side
-// timeout elapses (returning an empty slice).
-func (c *Client) Watch(user string, max int, timeout time.Duration) ([]DeliveryMsg, error) {
-	resp, err := c.roundTrip(Request{
-		Op:        OpWatch,
-		User:      user,
-		Max:       max,
-		TimeoutMS: int(timeout / time.Millisecond),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Deliveries, nil
-}
-
 // Fetch retrieves a retained document's raw content (server must run with
 // content retention enabled).
 func (c *Client) Fetch(doc int64) (string, error) {

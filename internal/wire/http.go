@@ -20,41 +20,16 @@ package wire
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"html"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
-	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/topk"
 )
-
-// expvar's namespace is process-global, so the "mmprofile" var can only
-// be published once regardless of how many handlers (or test brokers)
-// exist. The var reads whichever registry was installed most recently —
-// in practice the one serving mmserver's -http listener.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[metrics.Registry]
-)
-
-func publishExpvar(reg *metrics.Registry) {
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("mmprofile", expvar.Func(func() any {
-			if r := expvarReg.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
-}
 
 // StatusOptions wires the optional obs layer into the status handler.
 type StatusOptions struct {
@@ -96,7 +71,6 @@ type StatusOptions struct {
 //	                     ?trace=<id> looks up one trace by hex id
 //	GET  /explainz     — ?user= profile vectors + adaptation audit journal;
 //	                     &doc= additionally scores a retained document
-//	GET  /varz         — Go expvar JSON (memstats, cmdline, "mmprofile")
 //	GET  /debug/pprof/ — runtime profiling endpoints
 //	GET  /             — a minimal human-readable dashboard
 //
@@ -112,7 +86,6 @@ func NewStatusHandler(b *pubsub.Broker) http.Handler {
 // NewStatusHandlerOpts is NewStatusHandler with the obs layer attached.
 func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 	reg := b.Metrics()
-	publishExpvar(reg)
 	top := o.Top
 	if top == nil {
 		top = b.Top()
@@ -328,7 +301,6 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 		}
 		json.NewEncoder(w).Encode(out)
 	})
-	mux.Handle("/varz", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -353,7 +325,7 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 <tr><td>index</td><td>%d vectors over %d terms (%d postings)</td></tr>
 <tr><td>sharding</td><td>registry ×%d · docstore ×%d · termstats ×%d · index ×%d</td></tr>
 </table>
-<p><a href="%s">/statsz</a> · <a href="%s">/metrics</a> · <a href="%s">/topz</a> · <a href="%s">/tsz</a> · <a href="%s">/tracez</a> · <a href="%s">/explainz</a> · <a href="%s">/varz</a> · <a href="%s">/debug/pprof/</a> · <a href="%s">/healthz</a> · <a href="%s">/readyz</a> · POST /debugz/dump</p>
+<p><a href="%s">/statsz</a> · <a href="%s">/metrics</a> · <a href="%s">/topz</a> · <a href="%s">/tsz</a> · <a href="%s">/tracez</a> · <a href="%s">/explainz</a> · <a href="%s">/debug/pprof/</a> · <a href="%s">/healthz</a> · <a href="%s">/readyz</a> · POST /debugz/dump</p>
 </body></html>`,
 			c.Subscribers, c.Published, c.Deliveries, c.Dropped, c.Feedbacks,
 			ix.Vectors, ix.Terms, ix.Postings,
@@ -361,7 +333,6 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 			html.EscapeString("/statsz"), html.EscapeString("/metrics"),
 			html.EscapeString("/topz"), html.EscapeString("/tsz"),
 			html.EscapeString("/tracez"), html.EscapeString("/explainz?user="),
-			html.EscapeString("/varz"),
 			html.EscapeString("/debug/pprof/"), html.EscapeString("/healthz"),
 			html.EscapeString("/readyz"))
 	})

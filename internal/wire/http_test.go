@@ -152,13 +152,6 @@ func TestStatusHandlerMetrics(t *testing.T) {
 		t.Errorf("statsz metrics = %v", inner["mm_pubsub_published_total"])
 	}
 
-	// /varz: expvar JSON including the published registry.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/varz", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "\"mmprofile\"") {
-		t.Errorf("varz: %d, mmprofile var missing", rec.Code)
-	}
-
 	// /debug/pprof/: index page is served.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
@@ -190,7 +183,6 @@ func TestHTTPContentTypes(t *testing.T) {
 		{"/metrics?format=json", "application/json"},
 		{"/tracez", "application/json"},
 		{"/explainz?user=alice", "application/json"},
-		{"/varz", "application/json; charset=utf-8"},
 		{"/", "text/html; charset=utf-8"},
 	}
 	for _, tc := range cases {

@@ -3,25 +3,17 @@
 // run as a standalone daemon (cmd/mmserver) with remote publishers and
 // subscribers (cmd/mmclient).
 //
-// Deliveries reach clients three ways, all carrying the subscriber's
-// monotone sequence numbers so the broker's drop-oldest overflow policy is
-// observable rather than silent (DESIGN.md §15):
+// Deliveries reach clients one way: "session" switches a connection into
+// server-push mode. The server owns the socket from the ack onward and
+// pushes coalesced delivery batches as they happen, with no per-batch
+// round trip; one persistent connection holds one session (DESIGN.md §15).
 //
-//   - "poll" drains whatever is queued, strictly request/response;
-//   - "watch" long-polls: it blocks its connection's serial request loop
-//     until a delivery arrives or the timeout elapses — simple, but a
-//     watching connection can serve no other request while blocked;
-//   - "session" switches the connection into server-push mode: the server
-//     owns the socket from the ack onward and pushes coalesced delivery
-//     batches as they happen, with no per-batch round trip. One persistent
-//     connection holds one session; this is the mode built for large
-//     subscriber populations.
-//
-// Every delivery-bearing response reports next_seq (the sequence the
-// subscriber's next delivery will be assigned) and dropped (the cumulative
-// per-subscriber drop count), so a client can always reconcile
-// received + dropped + still-queued == next_seq and detect loss the moment
-// a sequence number is skipped.
+// The ack and every frame report next_seq (the sequence the subscriber's
+// next delivery will be assigned) and dropped (the cumulative
+// per-subscriber drop count) beside each delivery's own seq, so the
+// broker's drop-oldest overflow policy is observable rather than silent: a
+// client can always reconcile received + dropped + still-queued ==
+// next_seq and detect loss the moment a sequence number is skipped.
 package wire
 
 import "fmt"
@@ -34,8 +26,6 @@ const (
 	OpUnsubscribe Op = "unsubscribe"
 	OpPublish     Op = "publish"
 	OpFeedback    Op = "feedback"
-	OpPoll        Op = "poll"
-	OpWatch       Op = "watch"
 	// OpSession converts the connection into a server-push delivery stream
 	// for one subscriber: after the OK ack, the server sends coalesced
 	// delivery frames (Response values with deliveries/next_seq/dropped)
@@ -69,15 +59,9 @@ type Request struct {
 	// Doc and Relevant carry a feedback judgment.
 	Doc      int64 `json:"doc,omitempty"`
 	Relevant bool  `json:"relevant,omitempty"`
-	// Max bounds the number of deliveries returned by poll and watch;
-	// anything ≤ 0 means unlimited (drain everything queued).
-	Max int `json:"max,omitempty"`
 	// Batch bounds how many deliveries a session coalesces into one pushed
 	// frame (≤ 0 means the server default of 64).
 	Batch int `json:"batch,omitempty"`
-	// TimeoutMS bounds how long a watch blocks waiting for the first
-	// delivery (0 = server default of 30s).
-	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// State carries a serialized profile for import (JSON base64-encodes
 	// byte slices automatically).
 	State []byte `json:"state,omitempty"`
@@ -89,7 +73,7 @@ type Request struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// DeliveryMsg is one pushed document in a poll/watch/session response.
+// DeliveryMsg is one pushed document in a session frame.
 type DeliveryMsg struct {
 	Doc   int64   `json:"doc"`
 	Score float64 `json:"score"`
@@ -127,19 +111,18 @@ type Response struct {
 	Doc int64 `json:"doc,omitempty"`
 	// Delivered is the fan-out count of a publish.
 	Delivered int `json:"delivered,omitempty"`
-	// Deliveries answers poll/watch and fills session frames.
+	// Deliveries fills session frames.
 	Deliveries []DeliveryMsg `json:"deliveries,omitempty"`
 	// NextSeq is the sequence number the subscriber's next delivery will be
 	// assigned; Dropped is the subscriber's cumulative drop count. Set on
-	// every poll/watch response and session frame: together with the per-
+	// the session ack and every frame: together with the per-
 	// delivery seq values they make every dropped delivery observable
 	// (received + dropped + still-queued always equals next_seq).
 	NextSeq uint64 `json:"next_seq,omitempty"`
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Closed marks the final deliveries of an unsubscribed subscriber: the
 	// attached deliveries (possibly none) were queued before the close and
-	// no more will follow. Poll/watch/session all set it rather than
-	// discarding the drained tail.
+	// no more will follow.
 	Closed  bool        `json:"closed,omitempty"`
 	Stats   *StatsMsg   `json:"stats,omitempty"`
 	Profile *ProfileMsg `json:"profile,omitempty"`

@@ -42,7 +42,7 @@ type Server struct {
 	lis    net.Listener
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
-	done   chan struct{} // closed by Close; unblocks watch and session handlers
+	done   chan struct{} // closed by Close; unblocks session handlers
 
 	// sessKicks tracks every in-flight push session's kick channel by
 	// user, so the slow-consumer eviction policy (mmserver
@@ -286,10 +286,6 @@ func (s *Server) dispatchTimed(req Request, d0, d1 time.Time) Response {
 		return s.publishOp(req, d0, d1)
 	case OpFeedback:
 		return s.feedbackOp(req, d0, d1)
-	case OpPoll:
-		return s.poll(req)
-	case OpWatch:
-		return s.watch(req)
 	case OpSession:
 		// Reachable only through direct dispatch (tests, fuzzing): on a live
 		// connection the request loop hands session off before dispatching.
@@ -424,12 +420,10 @@ func (s *Server) subscribe(req Request) Response {
 }
 
 // drain appends queued deliveries to out without blocking until the queue
-// is empty, the subscriber closes, or out reaches max. max ≤ 0 means
-// unlimited — the explicit contract poll, watch, and session frames share
-// (the old code relied on a -1 happening to hit a 1<<30 sentinel).
+// is empty, the subscriber closes, or out reaches max.
 func drain(sub *pubsub.Subscription, out []DeliveryMsg, max int) (msgs []DeliveryMsg, closed bool) {
 	q := sub.Deliveries()
-	for max <= 0 || len(out) < max {
+	for len(out) < max {
 		select {
 		case d, ok := <-q:
 			if !ok {
@@ -443,68 +437,6 @@ func drain(sub *pubsub.Subscription, out []DeliveryMsg, max int) (msgs []Deliver
 	return out, false
 }
 
-// deliveryResponse assembles poll/watch's reply: the drained deliveries
-// plus the gap signal (next expected sequence and cumulative drop count).
-// A closed subscriber is unregistered from the connection map — the fix
-// for the old leak where entries lingered forever — and its drained tail
-// is returned, never discarded: only when nothing was queued does the
-// close surface as the terminal "closed" error.
-func (s *Server) deliveryResponse(user string, sub *pubsub.Subscription, out []DeliveryMsg, closed bool) Response {
-	next, dropped := sub.DeliveryStats()
-	if closed {
-		s.unregister(user, sub)
-		if len(out) == 0 {
-			return errResponse("wire: subscriber %q closed", user)
-		}
-	}
-	return Response{OK: true, Deliveries: out, NextSeq: next, Dropped: dropped, Closed: closed}
-}
-
-func (s *Server) poll(req Request) Response {
-	sub := s.lookup(req.User)
-	if sub == nil {
-		return errResponse("wire: unknown subscriber %q", req.User)
-	}
-	out, closed := drain(sub, nil, req.Max)
-	return s.deliveryResponse(req.User, sub, out, closed)
-}
-
-// watch is the long-poll variant of poll: it blocks until at least one
-// delivery is queued, the timeout elapses (returning an empty, successful
-// response), or the server shuts down. Note that a blocked watch wedges
-// its connection's serial request loop for up to the timeout — the session
-// op exists so persistent consumers don't pay that; watch remains for
-// one-shot CLI-style waiting.
-func (s *Server) watch(req Request) Response {
-	sub := s.lookup(req.User)
-	if sub == nil {
-		return errResponse("wire: unknown subscriber %q", req.User)
-	}
-	timeout := 30 * time.Second
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case d, ok := <-sub.Deliveries():
-		if !ok {
-			return s.deliveryResponse(req.User, sub, nil, true)
-		}
-		// First delivery in hand; drain whatever else is queued without
-		// blocking. A subscriber closing mid-drain no longer discards the
-		// deliveries already collected — they return with Closed set.
-		out := []DeliveryMsg{{Doc: d.Doc, Score: d.Score, Seq: d.Seq}}
-		out, closed := drain(sub, out, req.Max)
-		return s.deliveryResponse(req.User, sub, out, closed)
-	case <-timer.C:
-		next, dropped := sub.DeliveryStats()
-		return Response{OK: true, NextSeq: next, Dropped: dropped}
-	case <-s.done:
-		return errResponse("wire: server shutting down")
-	}
-}
-
 // defaultSessionBatch caps deliveries coalesced into one session frame
 // when the client doesn't choose (Request.Batch).
 const defaultSessionBatch = 64
@@ -513,10 +445,11 @@ const defaultSessionBatch = 64
 // connection (OpSession). After the OK ack the server owns the socket:
 // every queued delivery is pushed as soon as it exists, coalesced with
 // whatever else is queued (up to the batch bound) into a single frame —
-// one write per burst instead of one round trip per document, and no
-// 30s-blocked serial loop. The pump ends when the subscriber is
-// unsubscribed (final frame carries Closed), the client closes or writes
-// anything, a push fails, or the server shuts down.
+// one write per burst instead of one round trip per document. The pump
+// ends when the subscriber is unsubscribed (the final frame carries Closed
+// and whatever was still queued, and the subscriber is unregistered from
+// the server's map), the client closes or writes anything, a push fails,
+// or the server shuts down.
 func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, req Request) {
 	sub := s.lookup(req.User)
 	if sub == nil {
@@ -570,6 +503,9 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 			msgs = append(msgs[:0], DeliveryMsg{Doc: d.Doc, Score: d.Score, Seq: d.Seq})
 			var closed bool
 			msgs, closed = drain(sub, msgs, batch)
+			if closed { // before the frame: a client that saw Closed finds the entry gone
+				s.unregister(req.User, sub)
+			}
 			next, dropped := sub.DeliveryStats()
 			if err := enc.Encode(Response{OK: true, Deliveries: msgs, NextSeq: next, Dropped: dropped, Closed: closed}); err != nil {
 				return
@@ -577,7 +513,6 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 			s.sessionFrames.Inc()
 			s.sessionDeliveries.Add(int64(len(msgs)))
 			if closed {
-				s.unregister(req.User, sub)
 				return
 			}
 		case reason := <-kick:
@@ -657,7 +592,7 @@ func (s *Server) unregister(user string, sub *pubsub.Subscription) {
 }
 
 // Adopt registers an existing subscription (e.g. one restored from the
-// persistence layer at boot) so poll/profile requests can address it.
+// persistence layer at boot) so session/profile requests can address it.
 // Adopting over a live entry closes the old subscription rather than
 // leaking it.
 func (s *Server) Adopt(user string, sub *pubsub.Subscription) {

@@ -9,9 +9,11 @@ import (
 	"mmprofile/internal/pubsub"
 )
 
-// startServerOpts is startServer with an explicit broker configuration,
-// returning the broker too so tests can drive it from underneath the wire
-// layer (e.g. closing a subscriber without going through OpUnsubscribe).
+// startServerOpts runs a server for a broker built from opts on a loopback
+// listener and returns a connected client, the server and the broker (so
+// tests can drive it from underneath the wire layer, e.g. closing a
+// subscriber without going through OpUnsubscribe); shutdown is registered
+// as cleanup.
 func startServerOpts(t *testing.T, opts pubsub.Options) (*Client, *Server, *pubsub.Broker) {
 	t.Helper()
 	b := pubsub.New(opts)
@@ -37,13 +39,51 @@ func startServerOpts(t *testing.T, opts pubsub.Options) (*Client, *Server, *pubs
 	return c, srv, b
 }
 
-// TestPollReportsDropOldestGap pins the end-to-end loss-observability
+// openSession dials a second connection to srv and switches it into push
+// mode for user; reads on it give up after ten seconds rather than hanging
+// the test binary.
+func openSession(t *testing.T, srv *Server, user string, batch int) *Session {
+	t.Helper()
+	addr, err := srv.Addr()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	if err := sc.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sc.Session(user, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// recvN reads frames until n deliveries have arrived and returns them.
+func recvN(t *testing.T, sess *Session, n int) []DeliveryMsg {
+	t.Helper()
+	var out []DeliveryMsg
+	for len(out) < n {
+		frame, err := sess.Recv()
+		if err != nil {
+			t.Fatalf("after %d of %d deliveries: %v", len(out), n, err)
+		}
+		out = append(out, frame.Deliveries...)
+	}
+	return out
+}
+
+// TestSessionReportsDropOldestGap pins the end-to-end loss-observability
 // contract over a real socket: queue of 2, five matching publishes, and the
-// poll response must carry the two surviving deliveries with the two
-// highest sequence numbers plus next_seq/dropped values that account for
-// every discarded one.
-func TestPollReportsDropOldestGap(t *testing.T) {
-	c, _, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 2})
+// session must carry the two surviving deliveries with the two highest
+// sequence numbers plus next_seq/dropped values that account for every
+// discarded one.
+func TestSessionReportsDropOldestGap(t *testing.T) {
+	c, srv, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 2})
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,42 +92,50 @@ func TestPollReportsDropOldestGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := c.roundTrip(Request{Op: OpPoll, User: "alice"})
-	if err != nil {
-		t.Fatal(err)
+	sess := openSession(t, srv, "alice", 0)
+	if sess.NextSeq() != 5 || sess.Dropped() != 3 {
+		t.Fatalf("ack: next_seq %d, dropped %d, want 5 and 3", sess.NextSeq(), sess.Dropped())
 	}
-	if len(resp.Deliveries) != 2 || resp.Deliveries[0].Seq != 3 || resp.Deliveries[1].Seq != 4 {
-		t.Fatalf("deliveries = %+v, want seqs [3 4]", resp.Deliveries)
+	ds := recvN(t, sess, 2)
+	if len(ds) != 2 || ds[0].Seq != 3 || ds[1].Seq != 4 {
+		t.Fatalf("deliveries = %+v, want seqs [3 4]", ds)
 	}
-	if resp.NextSeq != 5 || resp.Dropped != 3 {
-		t.Fatalf("next_seq %d, dropped %d, want 5 and 3", resp.NextSeq, resp.Dropped)
+	if sess.NextSeq() != 5 || sess.Dropped() != 3 {
+		t.Fatalf("frame: next_seq %d, dropped %d, want 5 and 3", sess.NextSeq(), sess.Dropped())
 	}
 	// The client-side reconciliation the protocol guarantees: the first
 	// received seq equals the drop count (seqs 0-2 vanished), and
 	// received + dropped == next_seq.
-	if got := uint64(len(resp.Deliveries)) + resp.Dropped; got != resp.NextSeq {
-		t.Fatalf("received + dropped = %d, want %d", got, resp.NextSeq)
+	if got := sess.Received() + sess.Dropped(); got != sess.NextSeq() {
+		t.Fatalf("received + dropped = %d, want %d", got, sess.NextSeq())
 	}
 }
 
-// TestPollNegativeMaxDrainsAll pins the explicit "max ≤ 0 means unlimited"
-// contract (the old code only handled it for 0 by way of a sentinel).
-func TestPollNegativeMaxDrainsAll(t *testing.T) {
-	c, _ := startServer(t)
+// TestSessionBatchBoundsFrames: the handshake's batch is the most a frame
+// carries, and deliveries queued before the session opened are pushed at
+// once, oldest first.
+func TestSessionBatchBoundsFrames(t *testing.T) {
+	c, srv := startServer(t)
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		if _, _, err := c.Publish(catPage); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ds, err := c.Poll("alice", -7)
-	if err != nil {
-		t.Fatal(err)
+	sess := openSession(t, srv, "alice", 2)
+	for _, want := range []int{2, 2, 1} {
+		frame, err := sess.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame.Deliveries) != want {
+			t.Fatalf("frame of %d deliveries, want %d", len(frame.Deliveries), want)
+		}
 	}
-	if len(ds) != 3 {
-		t.Fatalf("poll(max=-7) = %d items, want 3", len(ds))
+	if sess.Gaps() != 0 || sess.Received() != 5 {
+		t.Fatalf("gaps %d, received %d, want 0 and 5", sess.Gaps(), sess.Received())
 	}
 }
 
@@ -200,12 +248,12 @@ func TestSessionUnknownUser(t *testing.T) {
 	}
 }
 
-// TestWatchReturnsClosedTail pins the drain fix: a subscriber closed
+// TestSessionReturnsClosedTail pins the drain fix: a subscriber closed
 // broker-side (bypassing OpUnsubscribe) with deliveries still queued must
-// get that tail back from watch — the old code discarded it — and the
-// server must then drop its map entry instead of leaking it forever.
-func TestWatchReturnsClosedTail(t *testing.T) {
-	c, _, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
+// get that tail in the Closed frame, and the server must then drop its map
+// entry instead of leaking it forever.
+func TestSessionReturnsClosedTail(t *testing.T) {
+	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,32 +263,36 @@ func TestWatchReturnsClosedTail(t *testing.T) {
 		}
 	}
 	b.Unsubscribe("alice") // closes the queue underneath the wire layer
-	ds, err := c.Watch("alice", 0, 5*time.Second)
+	frame, err := openSession(t, srv, "alice", 0).Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 2 {
-		t.Fatalf("watch on closed subscriber returned %d deliveries, want the queued 2", len(ds))
+	if !frame.Closed || len(frame.Deliveries) != 2 {
+		t.Fatalf("frame on closed subscriber = %+v, want Closed with the queued 2", frame)
 	}
 	// The leak fix: the entry is gone, not wedged as "closed" forever.
-	if _, err := c.Poll("alice", 0); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
-		t.Fatalf("poll after closed watch: %v, want unknown subscriber", err)
+	if _, err := c.Session("alice", 0); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
+		t.Fatalf("session after the Closed frame: %v, want unknown subscriber", err)
 	}
 }
 
-// TestPollClosedEmptyUnregisters is the no-tail variant: the close surfaces
-// as a terminal error exactly once, then the subscriber reads as unknown.
-func TestPollClosedEmptyUnregisters(t *testing.T) {
-	c, _, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+// TestSessionClosedEmptyUnregisters is the no-tail variant: the close
+// surfaces as one empty Closed frame, then the subscriber reads as unknown.
+func TestSessionClosedEmptyUnregisters(t *testing.T) {
+	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
 	if err := c.Subscribe("bob", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	b.Unsubscribe("bob")
-	if _, err := c.Poll("bob", 0); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Fatalf("first poll after close: %v, want closed", err)
+	frame, err := openSession(t, srv, "bob", 0).Recv()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Poll("bob", 0); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
-		t.Fatalf("second poll after close: %v, want unknown subscriber", err)
+	if !frame.Closed || len(frame.Deliveries) != 0 {
+		t.Fatalf("frame on closed, empty subscriber = %+v, want an empty Closed frame", frame)
+	}
+	if _, err := c.Session("bob", 0); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
+		t.Fatalf("session after the Closed frame: %v, want unknown subscriber", err)
 	}
 }
 

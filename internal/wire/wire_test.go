@@ -2,47 +2,25 @@ package wire
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mmprofile/internal/pubsub"
 )
 
-// startServer runs a server on a loopback listener and returns a connected
-// client plus a cleanup-registered shutdown.
+// startServer is startServerOpts with the configuration most tests use.
 func startServer(t *testing.T) (*Client, *Server) {
 	t.Helper()
-	b := pubsub.New(pubsub.Options{Threshold: 0.2, QueueSize: 64})
-	srv := NewServer(b, func(string, ...any) {})
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(lis)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	c, srv, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	return c, srv
 }
 
 // catPage is a page whose stemmed terms overlap the "cats" keyword seed.
 const catPage = "<html><body>cats and cat toys for every cat lover</body></html>"
 
-func TestEndToEndSubscribePublishPollFeedback(t *testing.T) {
-	c, _ := startServer(t)
+func TestEndToEndSubscribePublishSessionFeedback(t *testing.T) {
+	c, srv := startServer(t)
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +31,9 @@ func TestEndToEndSubscribePublishPollFeedback(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	ds, err := c.Poll("alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 1 || ds[0].Doc != doc {
-		t.Fatalf("poll = %+v", ds)
+	ds := recvN(t, openSession(t, srv, "alice", 0), 1)
+	if ds[0].Doc != doc {
+		t.Fatalf("session delivered %+v, want doc %d", ds, doc)
 	}
 	if err := c.Feedback("alice", doc, true); err != nil {
 		t.Fatal(err)
@@ -101,9 +76,6 @@ func TestProtocolErrors(t *testing.T) {
 	if err := c.Feedback("ghost", 0, true); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
 		t.Errorf("feedback for unknown user: %v", err)
 	}
-	if _, err := c.Poll("ghost", 0); err == nil {
-		t.Error("poll for unknown user accepted")
-	}
 	if _, err := c.Profile("ghost"); err == nil {
 		t.Error("profile for unknown user accepted")
 	}
@@ -136,131 +108,8 @@ func TestUnsubscribeOverWire(t *testing.T) {
 	}
 }
 
-func TestPollMax(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, _, err := c.Publish(catPage); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ds, err := c.Poll("alice", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 2 {
-		t.Fatalf("poll(max=2) = %d items", len(ds))
-	}
-	rest, err := c.Poll("alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 3 {
-		t.Fatalf("remaining = %d items", len(rest))
-	}
-}
-
-func TestWatchReturnsQueuedImmediately(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.Publish(catPage); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ds, err := c.Watch("alice", 2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 2 {
-		t.Fatalf("watch(max=2) = %d items", len(ds))
-	}
-	rest, err := c.Watch("alice", 0, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 1 {
-		t.Fatalf("second watch = %d items", len(rest))
-	}
-}
-
-func TestWatchBlocksUntilPublish(t *testing.T) {
-	c, srv := startServer(t)
-	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Publish from a second connection after a short delay, while the
-	// first connection blocks in watch.
-	go func() {
-		pub, err := Dial(addr.String())
-		if err != nil {
-			return
-		}
-		defer pub.Close()
-		time.Sleep(100 * time.Millisecond)
-		pub.Publish(catPage)
-	}()
-	start := time.Now()
-	ds, err := c.Watch("alice", 0, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 1 {
-		t.Fatalf("watch = %d items", len(ds))
-	}
-	if time.Since(start) < 50*time.Millisecond {
-		t.Error("watch did not block")
-	}
-}
-
-func TestWatchTimesOutEmpty(t *testing.T) {
-	c, _ := startServer(t)
-	if err := c.Subscribe("alice", "", nil); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	ds, err := c.Watch("alice", 0, 80*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 0 {
-		t.Fatalf("timed-out watch returned %d items", len(ds))
-	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Errorf("watch returned after %v, before the timeout", elapsed)
-	}
-}
-
-func TestWatchUnknownUser(t *testing.T) {
-	c, _ := startServer(t)
-	if _, err := c.Watch("ghost", 0, time.Second); err == nil {
-		t.Error("watch for unknown user accepted")
-	}
-}
-
 func TestFetchContent(t *testing.T) {
-	// startServer's broker does not retain content; build one that does.
-	b := pubsub.New(pubsub.Options{Threshold: 0.2, RetainContent: true})
-	srv := NewServer(b, func(string, ...any) {})
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, _, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, RetainContent: true})
 
 	doc, _, err := c.Publish(catPage)
 	if err != nil {
@@ -334,9 +183,13 @@ func TestImportErrors(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	c, _ := startServer(t)
-	_, err := c.roundTrip(Request{Op: "dance"})
-	if err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("unknown op: %v", err)
+	// "poll" and "watch" were drains of the queue before the session became
+	// the only one; an old client must get an error, not a hang.
+	for _, op := range []Op{"dance", "poll", "watch"} {
+		_, err := c.roundTrip(Request{Op: op, User: "alice"})
+		if err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %q: %v", op, err)
+		}
 	}
 }
 
