@@ -285,7 +285,7 @@ func main() {
 
 // httpStats fetches /statsz from a status listener and pretty-prints it:
 // scalars as aligned sorted key/value lines, histogram snapshots as
-// count/p50/p95/p99. With prom, the raw /metrics exposition follows.
+// count/p50/p95/p99, top-k dimensions as total and tracked/capacity. With prom, the raw /metrics exposition follows.
 func httpStats(addr string, prom bool) error {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
@@ -589,6 +589,11 @@ func printKV(m map[string]any, indent string) {
 	for _, k := range keys {
 		switch v := m[k].(type) {
 		case map[string]any:
+			if _, dim := v["total_weight"]; dim { // a top-k dimension; `mmclient top` lists its entries
+				fmt.Printf("%s%-*s  total=%s tracked=%s/%s\n", indent, width, k,
+					num(v["total_weight"]), num(v["tracked"]), num(v["capacity"]))
+				continue
+			}
 			fmt.Printf("%s%-*s  count=%s p50=%s p95=%s p99=%s\n", indent, width, k,
 				num(v["count"]), num(v["p50"]), num(v["p95"]), num(v["p99"]))
 		default:

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mmprofile/internal/metrics"
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/text"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/wire"
 )
 
@@ -209,7 +209,7 @@ func runSessions(cfg sessionsConfig) {
 // untracked keys by the sketch's epsilon. Returns true when any session
 // falls outside its band (which, against a freshly started server, means
 // attribution lost or invented drops).
-func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (topk.Snapshot, bool)) bool {
+func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (metrics.TopSnapshot, bool)) bool {
 	type row struct {
 		user string
 		gaps uint64
@@ -230,7 +230,7 @@ func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (
 		return rows[i].user < rows[j].user
 	})
 
-	var snap topk.Snapshot
+	var snap metrics.TopSnapshot
 	switch {
 	case localDrops != nil:
 		var ok bool
@@ -248,7 +248,7 @@ func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (
 		return false // socket run without -status: nothing to check against
 	}
 
-	byKey := make(map[string]topk.Entry, len(snap.Entries))
+	byKey := make(map[string]metrics.TopEntry, len(snap.Entries))
 	for _, e := range snap.Entries {
 		byKey[e.Key] = e
 	}
@@ -295,26 +295,26 @@ func reportDrops(cfg sessionsConfig, states []*wire.Session, localDrops func() (
 
 // fetchDrops reads the subscriber_drops dimension from a status listener's
 // /topz, asking for every tracked entry.
-func fetchDrops(addr string) (topk.Snapshot, error) {
+func fetchDrops(addr string) (metrics.TopSnapshot, error) {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
 	resp, err := http.Get(addr + "/topz?dim=subscriber_drops&k=1048576")
 	if err != nil {
-		return topk.Snapshot{}, err
+		return metrics.TopSnapshot{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return topk.Snapshot{}, fmt.Errorf("GET /topz: %s", resp.Status)
+		return metrics.TopSnapshot{}, fmt.Errorf("GET /topz: %s", resp.Status)
 	}
 	var out struct {
-		Dimensions []topk.Snapshot `json:"dimensions"`
+		Dimensions []metrics.TopSnapshot `json:"dimensions"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return topk.Snapshot{}, err
+		return metrics.TopSnapshot{}, err
 	}
 	if len(out.Dimensions) == 0 {
-		return topk.Snapshot{}, fmt.Errorf("server reports no subscriber_drops dimension")
+		return metrics.TopSnapshot{}, fmt.Errorf("server reports no subscriber_drops dimension")
 	}
 	return out.Dimensions[0], nil
 }
@@ -326,7 +326,7 @@ func fetchDrops(addr string) (topk.Snapshot, error) {
 // In pipe mode, drops reads the in-process broker's subscriber_drops
 // sketch for the post-run attribution cross-check; over sockets it is nil
 // and the cross-check goes through -status instead.
-func transport(cfg sessionsConfig) (dial func() (*wire.Client, error), shutdown func(), drops func() (topk.Snapshot, bool)) {
+func transport(cfg sessionsConfig) (dial func() (*wire.Client, error), shutdown func(), drops func() (metrics.TopSnapshot, bool)) {
 	if cfg.addr != "pipe" {
 		return func() (*wire.Client, error) { return wire.Dial(cfg.addr) }, func() {}, nil
 	}
@@ -337,12 +337,8 @@ func transport(cfg sessionsConfig) (dial func() (*wire.Client, error), shutdown 
 		srv.ServeConn(remote)
 		return wire.NewClient(local), nil
 	}
-	drops = func() (topk.Snapshot, bool) {
-		dim, ok := broker.Top().Find("subscriber_drops")
-		if !ok {
-			return topk.Snapshot{}, false
-		}
-		return dim.Snapshot(0), true
+	drops = func() (metrics.TopSnapshot, bool) {
+		return broker.Metrics().Top("subscriber_drops", 0)
 	}
 	return dial, func() { srv.Close() }, drops
 }

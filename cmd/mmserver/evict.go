@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"mmprofile/internal/topk"
+	"mmprofile/internal/metrics"
 )
 
 // evictScanK bounds how many of the hottest droppers are examined per
@@ -43,10 +43,9 @@ func newDropEvictor(limit float64, windows int, kick func(user, reason string) i
 	}
 }
 
-// tick advances the evictor by one window using the current state of the
-// drops dimension.
-func (e *dropEvictor) tick(now time.Time, dim topk.Dimension) {
-	snap := dim.Snapshot(evictScanK)
+// tick advances the evictor by one window using the current top
+// evictScanK entries of the drops dimension.
+func (e *dropEvictor) tick(now time.Time, snap metrics.TopSnapshot) {
 	cur := make(map[string]float64, len(snap.Entries))
 	for _, ent := range snap.Entries {
 		cur[ent.Key] = ent.Count

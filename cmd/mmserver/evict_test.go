@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"mmprofile/internal/topk"
+	"mmprofile/internal/metrics"
 )
 
 // TestDropEvictor drives the -evict-drop-rate policy over a real sketch:
@@ -13,7 +13,8 @@ import (
 // consecutive windows before its sessions are kicked, a slow dropper is
 // never kicked, and a breach that recovers resets the streak.
 func TestDropEvictor(t *testing.T) {
-	sk := topk.New[string]("subscriber_drops", "", 16, 1, topk.HashString, topk.FormatString)
+	reg := metrics.NewRegistry()
+	sk := metrics.TopK[string](reg, "subscriber_drops", "", 16, 1, metrics.HashString, metrics.FormatString)
 	var kicked []string
 	e := newDropEvictor(5, 3, func(user, reason string) int {
 		kicked = append(kicked, user)
@@ -31,7 +32,8 @@ func TestDropEvictor(t *testing.T) {
 		for i := 0; i < bobDrops; i++ {
 			sk.Offer("bob", 1)
 		}
-		e.tick(now, sk)
+		drops, _ := reg.Top("subscriber_drops", evictScanK)
+		e.tick(now, drops)
 		now = now.Add(time.Second)
 	}
 
@@ -66,20 +68,14 @@ func TestDropEvictor(t *testing.T) {
 	}
 }
 
-// TestConfigAttributionFlags pins the new flag surface: sketch capacity
-// reaches the broker options and the eviction policy defaults to off.
+// TestConfigAttributionFlags pins the eviction flags: the policy defaults
+// to off.
 func TestConfigAttributionFlags(t *testing.T) {
 	cfg := parse(t)
-	if cfg.topCap != 0 || cfg.evictRate != 0 || cfg.evictWins != 3 {
-		t.Errorf("attribution defaults = %d %v %d", cfg.topCap, cfg.evictRate, cfg.evictWins)
+	if cfg.evictRate != 0 || cfg.evictWins != 3 {
+		t.Errorf("attribution defaults = %v %d", cfg.evictRate, cfg.evictWins)
 	}
-	if opts := cfg.brokerOptions(nil); opts.TopCapacity != 0 {
-		t.Errorf("default TopCapacity = %d", opts.TopCapacity)
-	}
-	cfg = parse(t, "-top-capacity", "-1", "-evict-drop-rate", "12.5", "-evict-windows", "5")
-	if opts := cfg.brokerOptions(nil); opts.TopCapacity != -1 {
-		t.Errorf("-top-capacity -1 → %d", opts.TopCapacity)
-	}
+	cfg = parse(t, "-evict-drop-rate", "12.5", "-evict-windows", "5")
 	if cfg.evictRate != 12.5 || cfg.evictWins != 5 {
 		t.Errorf("eviction flags = %v %d", cfg.evictRate, cfg.evictWins)
 	}

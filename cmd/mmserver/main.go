@@ -19,13 +19,13 @@
 // diagnostic bundle under -dump-dir on panic, SIGQUIT, a sustained
 // match-latency burn over -match-slo, or POST /debugz/dump.
 //
-// Attribution and windows (DESIGN.md §16): hot-key sketches answer "who
-// is hot" per subscriber/term/lane on /topz (capacity per dimension via
-// -top-capacity), and a ring of per-second metric snapshots serves
-// windowed 1s/10s/60s rates on /tsz. The -match-slo trigger is a
-// multi-window burn rate over that ring, and -evict-drop-rate uses the
-// drops dimension to close push sessions whose windowed drop rate stays
-// pathological for -evict-windows consecutive ticks.
+// Attribution and windows (DESIGN.md §8): hot-key sketches answer "who
+// is hot" per subscriber/term/lane on /topz, and the registry's ring of
+// per-second samples serves windowed 1s/10s/60s rates on /tsz. The
+// -match-slo trigger is a multi-window burn rate over that ring, and
+// -evict-drop-rate uses the drops dimension to close push sessions whose
+// windowed drop rate stays pathological for -evict-windows consecutive
+// ticks.
 //
 // Usage:
 //
@@ -35,8 +35,7 @@
 //	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
 //	         [-pubsub-shards N] [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]
-//	         [-match-slo 0] [-top-capacity 0] [-evict-drop-rate 0]
-//	         [-evict-windows 3]
+//	         [-match-slo 0] [-evict-drop-rate 0] [-evict-windows 3]
 package main
 
 import (
@@ -59,7 +58,6 @@ import (
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/store"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/trace"
 	"mmprofile/internal/wire"
 )
@@ -88,7 +86,6 @@ type config struct {
 	logLevel    string
 	dumpDir     string
 	matchSLO    time.Duration
-	topCap      int
 	evictRate   float64
 	evictWins   int
 }
@@ -114,7 +111,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	fs.StringVar(&c.dumpDir, "dump-dir", "", "flight-recorder bundle directory (default <state>/dumps, or the OS temp dir without -state)")
 	fs.DurationVar(&c.matchSLO, "match-slo", 0, "p99 match-latency SLO; sustained breach triggers a flight-recorder bundle (0 = off)")
-	fs.IntVar(&c.topCap, "top-capacity", 0, "per-dimension hot-key sketch capacity for /topz (0 = default, negative = attribution off)")
 	fs.Float64Var(&c.evictRate, "evict-drop-rate", 0, "drops/second per subscriber that, sustained, closes its push sessions (0 = off)")
 	fs.IntVar(&c.evictWins, "evict-windows", 3, "consecutive 1s windows over -evict-drop-rate before a session is evicted")
 }
@@ -163,7 +159,6 @@ func (c *config) brokerOptions(reg *metrics.Registry) pubsub.Options {
 		Shards:        c.shards,
 		Metrics:       reg,
 		Trace:         c.tracer(),
-		TopCapacity:   c.topCap,
 	}
 }
 
@@ -175,15 +170,14 @@ func (c *config) storeOptions(reg *metrics.Registry) store.Options {
 // heartbeatEvery is how often the pipeline probe beats the health model;
 // heartbeatMaxAge is the staleness bound /readyz degrades at. The gap
 // tolerates scheduler hiccups without flapping.
-// samplerEvery doubles as the window-ring tick: one snapshot per second,
-// windowSamples of history, so /tsz can answer 1s/10s/60s spans with a
-// minute of slack for series plots. sloShort/sloLong are the burn-rate
-// windows the -match-slo trigger evaluates over that ring.
+// samplerEvery doubles as the registry's ring tick: one row per second,
+// so its 120 rows answer /tsz's 1s/10s/60s spans with a minute of slack
+// for series plots. sloShort/sloLong are the burn-rate windows the
+// -match-slo trigger evaluates over that ring.
 const (
 	heartbeatEvery  = time.Second
 	heartbeatMaxAge = 5 * time.Second
 	samplerEvery    = time.Second
-	windowSamples   = 120
 	sloCooldown     = time.Minute
 	sloShort        = 10 * time.Second
 	sloLong         = 60 * time.Second
@@ -202,28 +196,20 @@ func main() {
 	}
 
 	// One registry for the whole process: the broker, the index, the store,
-	// and the runtime sampler all record into it, and the HTTP endpoints
-	// expose it. The mm_store_* family is registered up front so /metrics
-	// carries every family even when the server runs without -state.
+	// the wire server and the runtime sampler all record into it — counters,
+	// histograms and hot-key dimensions alike — the sampler ticks its ring,
+	// and the HTTP endpoints and the flight recorder read it. The mm_store_*
+	// family is registered up front so /metrics carries every family even
+	// when the server runs without -state.
 	reg := metrics.NewRegistry()
 	store.RegisterMetrics(reg)
 
-	// One attribution registry too: the store's lane sketches, the
-	// broker's subscriber sketches, and the index's term sketch all land
-	// in it, and /topz + the flight recorder read it.
-	topReg := topk.NewRegistry()
-
 	opts := cfg.brokerOptions(reg)
 	opts.Log = logger
-	opts.Top = topReg
 
 	var st *store.Store
 	if cfg.stateDir != "" {
-		sopts := cfg.storeOptions(reg)
-		if cfg.topCap >= 0 {
-			sopts.Top = topReg
-		}
-		st, err = store.Open(cfg.stateDir, sopts)
+		st, err = store.Open(cfg.stateDir, cfg.storeOptions(reg))
 		if err != nil {
 			fatal(err)
 		}
@@ -268,35 +254,11 @@ func main() {
 		}
 	}()
 
-	// Window ring: one row of counter values + histogram buckets per
-	// sampler tick. Every attribution dimension's total is mirrored in as
-	// "top:<dimension>" so /topz can quote windowed rates next to the
-	// cumulative sketch counts (the naming contract wire.StatusOptions
-	// documents).
-	win := obs.NewWindow(windowSamples)
-	for _, name := range []string{
-		"mm_pubsub_published_total",
-		"mm_pubsub_deliveries_total",
-		"mm_pubsub_dropped_total",
-		"mm_pubsub_feedbacks_total",
-		"mm_pubsub_hydrations_total",
-	} {
-		c := reg.Counter(name, "")
-		win.RegisterCounter(name, func() float64 { return float64(c.Value()) })
-	}
-	matchHist := reg.Histogram("mm_pubsub_match_seconds",
-		"Latency of matching one published document against all subscriber profiles.")
-	win.RegisterHistogram("mm_pubsub_match_seconds", matchHist)
-	win.RegisterHistogram("mm_pubsub_publish_seconds", reg.Histogram("mm_pubsub_publish_seconds", ""))
-	for _, d := range topReg.Dimensions() {
-		win.RegisterCounter("top:"+d.Name(), d.Total)
-	}
-
 	// Flight recorder: panic (via the deferred RecoverRepanic here and in
 	// every wire connection handler), SIGQUIT, the match-SLO burn trigger
 	// below, and POST /debugz/dump all write bundles to dumpDir.
 	dumpDir := resolveDumpDir(cfg.dumpDir, cfg.stateDir)
-	src := obs.BundleSources{Metrics: reg, Tracer: broker.Tracer(), Health: health, Top: topReg, Window: win}
+	src := obs.BundleSources{Metrics: reg, Tracer: broker.Tracer(), Health: health}
 	if st != nil {
 		src.WALInfo = func() (any, error) { return st.WALInfo() }
 	}
@@ -306,11 +268,11 @@ func main() {
 	srv := wire.NewServerLogger(broker, logger)
 	srv.SetRecorder(rec)
 
-	// SLO trigger: a multi-window burn rate over the ring replaces the old
-	// single-sample p99 watermark — the 10s window proves the breach is
-	// current, the 60s window proves it is sustained, and a tick with no
-	// fresh match samples cannot breach (ShortCount is zero).
-	sloRule := obs.BurnRule{
+	// SLO trigger: a multi-window burn rate over the ring — the 10s window
+	// proves the breach is current, the 60s window proves it is sustained,
+	// and a tick with no fresh match samples cannot breach (ShortCount is
+	// zero).
+	sloRule := metrics.BurnRule{
 		Hist:      "mm_pubsub_match_seconds",
 		Limit:     cfg.matchSLO.Seconds(),
 		Objective: sloObjective,
@@ -324,16 +286,15 @@ func main() {
 	}
 	onTick := func(obs.RuntimeStats) {
 		now := time.Now()
-		win.Tick(now)
+		reg.Tick(now)
 		if evictor != nil {
-			if dim, ok := topReg.Find("subscriber_drops"); ok {
-				evictor.tick(now, dim)
-			}
+			drops, _ := reg.Top("subscriber_drops", evictScanK) // the broker always registers it
+			evictor.tick(now, drops)
 		}
 		if cfg.matchSLO <= 0 {
 			return
 		}
-		burn := win.Burn(sloRule)
+		burn := reg.Burn(sloRule)
 		if !burn.Breached {
 			return
 		}
@@ -351,14 +312,7 @@ func main() {
 	}
 	sampler := obs.StartRuntimeSampler(reg, samplerEvery, onTick)
 	defer sampler.Stop()
-	if tr := broker.Tracer(); tr != nil {
-		reg.GaugeFunc("mm_trace_sampled",
-			"Root spans captured by head sampling or remote join.",
-			func() float64 { s, _ := tr.Counts(); return float64(s) })
-		reg.GaugeFunc("mm_trace_slow_captured",
-			"Traces retained for meeting the slow threshold.",
-			func() float64 { _, s := tr.Counts(); return float64(s) })
-	}
+	registerTraceGauges(reg, broker.Tracer())
 
 	if st != nil {
 		if err := restore(st, broker, srv, logger, cfg.maxResident > 0); err != nil {
@@ -393,7 +347,7 @@ func main() {
 			fatal(err)
 		}
 		logger.Info("mmserver: status pages", slog.String("url", "http://"+httpLis.Addr().String()+"/"))
-		handler := wire.NewStatusHandlerOpts(broker, wire.StatusOptions{Health: health, Recorder: rec, Top: topReg, Window: win})
+		handler := wire.NewStatusHandler(broker, wire.StatusOptions{Health: health, Recorder: rec})
 		go func() {
 			if err := http.Serve(httpLis, handler); err != nil {
 				logger.Warn("mmserver: http", slog.String("err", err.Error()))
@@ -463,6 +417,20 @@ func main() {
 	if err := srv.Serve(lis); err != nil && !errors.Is(err, net.ErrClosed) {
 		logger.Error("mmserver: serve", slog.String("err", err.Error()))
 	}
+}
+
+// registerTraceGauges exposes the tracer's capture tallies; a nil tracer
+// (tracing off) registers nothing.
+func registerTraceGauges(reg *metrics.Registry, tr *trace.Tracer) {
+	if tr == nil {
+		return
+	}
+	reg.GaugeFunc("mm_trace_sampled",
+		"Root spans captured by head sampling or remote join.",
+		func() float64 { s, _ := tr.Counts(); return float64(s) })
+	reg.GaugeFunc("mm_trace_slow_captured",
+		"Traces retained for meeting the slow threshold.",
+		func() float64 { _, s := tr.Counts(); return float64(s) })
 }
 
 // listen binds the wire listener: "unix:<path>" binds a Unix domain

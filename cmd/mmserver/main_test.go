@@ -1,13 +1,18 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"path/filepath"
 	"slices"
 	"testing"
 	"time"
 
+	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
+	"mmprofile/internal/pubsub"
+	"mmprofile/internal/store"
+	"mmprofile/internal/wire"
 )
 
 // parse runs the config's flag surface over args, as main does.
@@ -51,8 +56,7 @@ func TestFlagSurface(t *testing.T) {
 		"evict-drop-rate", "evict-windows", "fsync", "http", "lanes",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
 		"pubsub-shards", "queue", "retain-content", "retention", "state",
-		"sync-interval", "threshold", "top-capacity", "trace-sample",
-		"trace-slow",
+		"sync-interval", "threshold", "trace-sample", "trace-slow",
 	}
 	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)
 	new(config).register(fs)
@@ -60,6 +64,121 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
 	if !slices.Equal(got, want) {
 		t.Errorf("flag surface changed:\n got %d: %v\nwant %d: %v", len(got), got, len(want), want)
+	}
+}
+
+// TestInstrumentSurface pins the exact (name, kind) list mmserver's wiring
+// registers — store family, broker + index, store lanes, wire server,
+// runtime sampler, trace gauges — in the order main makes those calls.
+// Every series is a thing to document, scrape and keep working: a new one
+// edits this table; one that disappears fails here first. Kinds are read
+// off the Snapshot value types, which Registry.Snapshot documents.
+func TestInstrumentSurface(t *testing.T) {
+	want := [][2]string{
+		{"lane_append_bytes", "topk"},
+		{"lane_fsyncs", "topk"},
+		{"mm_feedback_ignored_total", "counter"},
+		{"mm_index_blocks_skipped_total", "counter"},
+		{"mm_index_compaction_seconds", "histogram"},
+		{"mm_index_compactions_total", "counter"},
+		{"mm_index_live_vectors", "gauge"},
+		{"mm_index_match_seconds", "histogram"},
+		{"mm_index_postings_scanned_total", "counter"},
+		{"mm_index_quantization_error", "histogram"},
+		{"mm_index_rescores_total", "counter"},
+		{"mm_index_terms_pruned_total", "counter"},
+		{"mm_index_tombstone_ratio", "gauge"},
+		{"mm_profile_vectors", "gauge"},
+		{"mm_pubsub_deliver_seconds", "histogram"},
+		{"mm_pubsub_deliveries_total", "counter"},
+		{"mm_pubsub_dropped_total", "counter"},
+		{"mm_pubsub_feedback_seconds", "histogram"},
+		{"mm_pubsub_feedbacks_total", "counter"},
+		{"mm_pubsub_hydrate_seconds", "histogram"},
+		{"mm_pubsub_hydrations_total", "counter"},
+		{"mm_pubsub_match_seconds", "histogram"},
+		{"mm_pubsub_profile_evictions_total", "counter"},
+		{"mm_pubsub_publish_seconds", "histogram"},
+		{"mm_pubsub_published_total", "counter"},
+		{"mm_pubsub_resident_profiles", "gauge"},
+		{"mm_pubsub_retention_evictions_total", "counter"},
+		{"mm_pubsub_slow_evictions_total", "counter"},
+		{"mm_pubsub_subscribers", "gauge"},
+		{"mm_runtime_gc_cycles", "gauge"},
+		{"mm_runtime_gc_pause_p99_seconds", "gauge"},
+		{"mm_runtime_goroutines", "gauge"},
+		{"mm_runtime_heap_goal_bytes", "gauge"},
+		{"mm_runtime_heap_live_bytes", "gauge"},
+		{"mm_runtime_sched_latency_p99_seconds", "gauge"},
+		{"mm_runtime_total_memory_bytes", "gauge"},
+		{"mm_store_append_seconds", "histogram"},
+		{"mm_store_appends_total", "counter"},
+		{"mm_store_checkpoint_bytes", "gauge"},
+		{"mm_store_checkpoint_lanes_rewritten_total", "counter"},
+		{"mm_store_checkpoint_lanes_skipped_total", "counter"},
+		{"mm_store_checkpoint_seconds", "histogram"},
+		{"mm_store_checkpoints_total", "counter"},
+		{"mm_store_dirty_profiles", "gauge"},
+		{"mm_store_fsync_seconds", "histogram"},
+		{"mm_store_fsyncs_total", "counter"},
+		{"mm_store_group_commit_batch_records", "histogram"},
+		{"mm_store_group_commit_batches_total", "counter"},
+		{"mm_store_group_commit_records_total", "counter"},
+		{"mm_store_group_commit_wait_seconds", "histogram"},
+		{"mm_store_lanes", "gauge"},
+		{"mm_store_restore_read_bytes_total", "counter"},
+		{"mm_store_torn_tails_total", "counter"},
+		{"mm_store_user_restores_total", "counter"},
+		{"mm_trace_sampled", "gauge"},
+		{"mm_trace_slow_captured", "gauge"},
+		{"mm_vector_strength", "histogram"},
+		{"mm_vectors_annihilated_total", "counter"},
+		{"mm_vectors_created_total", "counter"},
+		{"mm_vectors_deleted_total", "counter"},
+		{"mm_vectors_incorporated_total", "counter"},
+		{"mm_vectors_merged_total", "counter"},
+		{"mm_wire_session_deliveries_total", "counter"},
+		{"mm_wire_session_frames_total", "counter"},
+		{"mm_wire_sessions", "gauge"},
+		{"subscriber_deliveries", "topk"},
+		{"subscriber_drops", "topk"},
+		{"subscriber_hydrations", "topk"},
+		{"subscriber_queue_full", "topk"},
+		{"term_postings_scanned", "topk"},
+	}
+
+	cfg := parse(t, "-trace-sample", "1")
+	reg := metrics.NewRegistry()
+	store.RegisterMetrics(reg)
+	st, err := store.Open(t.TempDir(), cfg.storeOptions(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	broker := pubsub.New(cfg.brokerOptions(reg))
+	wire.NewServerLogger(broker, nil)
+	sampler := obs.StartRuntimeSampler(reg, time.Hour, nil)
+	defer sampler.Stop()
+	registerTraceGauges(reg, broker.Tracer())
+
+	var got [][2]string
+	for name, v := range reg.Snapshot() {
+		kind := "?"
+		switch v.(type) {
+		case int64:
+			kind = "counter"
+		case float64:
+			kind = "gauge"
+		case metrics.HistogramSnapshot:
+			kind = "histogram"
+		case metrics.TopSnapshot:
+			kind = "topk"
+		}
+		got = append(got, [2]string{name, kind})
+	}
+	slices.SortFunc(got, func(a, b [2]string) int { return cmp.Compare(a[0], b[0]) })
+	if !slices.Equal(got, want) {
+		t.Errorf("instrument surface changed:\n got %d: %v\nwant %d: %v", len(got), got, len(want), want)
 	}
 }
 

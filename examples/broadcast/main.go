@@ -19,11 +19,11 @@ import (
 	"math/rand"
 	"sort"
 
+	"mmprofile/examples/broadcast/sched"
 	"mmprofile/internal/core"
 	"mmprofile/internal/corpus"
 	"mmprofile/internal/eval"
 	"mmprofile/internal/filter"
-	"mmprofile/internal/sched"
 	"mmprofile/internal/sim"
 	"mmprofile/internal/text"
 	"mmprofile/internal/vsm"

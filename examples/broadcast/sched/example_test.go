@@ -3,7 +3,7 @@ package sched_test
 import (
 	"fmt"
 
-	"mmprofile/internal/sched"
+	"mmprofile/examples/broadcast/sched"
 )
 
 // Example builds a broadcast-disk schedule over skewed demand and compares

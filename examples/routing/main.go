@@ -16,10 +16,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mmprofile/examples/routing/route"
 	"mmprofile/internal/core"
 	"mmprofile/internal/corpus"
 	"mmprofile/internal/eval"
-	"mmprofile/internal/route"
 	"mmprofile/internal/sim"
 	"mmprofile/internal/text"
 )

@@ -3,7 +3,7 @@ package route_test
 import (
 	"fmt"
 
-	"mmprofile/internal/route"
+	"mmprofile/examples/routing/route"
 	"mmprofile/internal/vsm"
 )
 

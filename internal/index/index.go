@@ -43,7 +43,6 @@ import (
 
 	"mmprofile/internal/intern"
 	"mmprofile/internal/metrics"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/vsm"
 )
 
@@ -298,10 +297,10 @@ type Index struct {
 	// once and fall through at zero cost when monitoring is off.
 	inst *instruments
 
-	// termAttr is nil until AttributeTerms is called; when set, accumulate
+	// termAttr is nil until Instrument is called; when set, accumulate
 	// offers each document term's postings-scanned delta so /topz can
-	// answer "which terms make matching expensive" (DESIGN.md §16).
-	termAttr *topk.Sketch[uint32]
+	// answer "which terms make matching expensive" (DESIGN.md §8).
+	termAttr *metrics.Sketch[uint32]
 }
 
 // pruneCounters aggregates matcher work; see PruneStats.
@@ -364,7 +363,16 @@ type instruments struct {
 // its caller — the broker's publish path already brackets MatchDoc with
 // its own clock reads and re-uses them via RecordMatchLatency, keeping the
 // hot path at three time.Now calls total.
+//
+// It also creates the per-term match-cost dimension — key: document term,
+// weight: postings scanned for that term. Term ids stay raw uint32 on the
+// hot path; they resolve to strings through the dictionary only at
+// snapshot time.
 func (ix *Index) Instrument(reg *metrics.Registry) {
+	ix.termAttr = metrics.TopK[uint32](reg, "term_postings_scanned",
+		"Postings scanned while matching, by document term.",
+		metrics.DimensionCapacity, 0, metrics.HashU32,
+		func(id uint32) string { return ix.dict.String(id) })
 	ix.inst = &instruments{
 		matchLat: reg.Histogram("mm_index_match_seconds",
 			"Latency of matching one document through the inverted profile index (Match/TopK entry points)."),
@@ -407,20 +415,6 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 			}
 			return float64(stale) / float64(live+stale)
 		})
-}
-
-// AttributeTerms creates the per-term match-cost attribution dimension —
-// key: document term, weight: postings scanned for that term — and
-// registers it with reg. Term ids stay raw uint32 on the hot path; they
-// resolve to strings through the dictionary only at snapshot time. Call
-// before the index is shared across goroutines (the broker does so at
-// construction), like Instrument.
-func (ix *Index) AttributeTerms(reg *topk.Registry, capacity int) {
-	ix.termAttr = topk.New[uint32]("term_postings_scanned",
-		"Postings scanned while matching, by document term.",
-		capacity, 0, topk.HashU32,
-		func(id uint32) string { return ix.dict.String(id) })
-	reg.Register(ix.termAttr)
 }
 
 // New returns an empty index with its own term dictionary.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"strconv"
 	"strings"
@@ -12,7 +11,9 @@ import (
 // (version 0.0.4), sorted by name. Histograms emit cumulative ≤-buckets
 // (only non-empty ones, plus the mandatory +Inf), _sum, and _count; an
 // empty histogram still emits its +Inf/_sum/_count triple so dashboards
-// can discover the series before traffic arrives.
+// can discover the series before traffic arrives. A top-k dimension emits
+// its total offered weight as one counter line: its entries are keyed by
+// unbounded user data, which belongs in /topz, not in label values.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range r.sortedEntries() {
@@ -26,7 +27,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString("# TYPE ")
 		bw.WriteString(e.name)
 		bw.WriteByte(' ')
-		bw.WriteString(e.m.kind())
+		kind := e.m.kind()
+		if kind == "topk" {
+			kind = "counter" // its one line is a monotone total
+		}
+		bw.WriteString(kind)
 		bw.WriteByte('\n')
 		switch m := e.m.(type) {
 		case *Counter:
@@ -35,17 +40,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			bw.WriteString(strconv.FormatInt(m.Value(), 10))
 			bw.WriteByte('\n')
 		case *Gauge:
-			writeGaugeLine(bw, e.name, m.Value())
+			writeFloatLine(bw, e.name, m.Value())
 		case *FuncGauge:
-			writeGaugeLine(bw, e.name, m.Value())
+			writeFloatLine(bw, e.name, m.Value())
 		case *Histogram:
 			writePromHistogram(bw, e.name, m)
+		case dimension:
+			writeFloatLine(bw, e.name, m.Total())
 		}
 	}
 	return bw.Flush()
 }
 
-func writeGaugeLine(bw *bufio.Writer, name string, v float64) {
+func writeFloatLine(bw *bufio.Writer, name string, v float64) {
 	bw.WriteString(name)
 	bw.WriteByte(' ')
 	bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
@@ -86,9 +93,4 @@ func writePromHistogram(bw *bufio.Writer, name string, h *Histogram) {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// WriteJSON writes the Snapshot as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r.Snapshot())
 }

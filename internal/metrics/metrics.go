@@ -1,7 +1,9 @@
 // Package metrics is the zero-dependency, low-overhead observability layer
 // of the dissemination pipeline (DESIGN.md §8): sharded atomic counters,
-// float gauges, and log-bucketed latency histograms, collected in a
-// Registry that exposes Prometheus text format and JSON snapshots.
+// float gauges, log-bucketed latency histograms and top-k attribution
+// sketches (sketch.go), collected in one Registry that exposes Prometheus
+// text format and JSON snapshots and keeps its own history — a ring of
+// per-tick samples (window.go) that answers windowed rates and quantiles.
 //
 // Design goals:
 //
@@ -313,31 +315,20 @@ func (h *Histogram) exemplars() []ExemplarSnapshot {
 // Quantile returns the interpolated q-quantile (0 < q < 1) of the
 // observations so far, 0 when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var counts [histBuckets + 1]int64
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return quantile(&counts, total, q)
+	counts := h.bucketCounts()
+	return countsQuantile(&counts, q)
 }
 
-// NumBuckets is the number of histogram buckets including the overflow
-// bucket, sized for BucketCounts arrays.
-const NumBuckets = histBuckets + 1
+// numBuckets is the number of histogram buckets including the overflow
+// bucket, sized for bucketCounts arrays.
+const numBuckets = histBuckets + 1
 
-// BucketCounts returns the cumulative per-bucket observation counts as a
+// bucketCounts returns the cumulative per-bucket observation counts as a
 // fixed-size array (by value: no heap allocation, safe to diff between
-// samples). Bucket i covers (BucketBound(i-1), BucketBound(i)]; the last
+// ring rows). Bucket i covers (bucketBound(i-1), bucketBound(i)]; the last
 // slot is the overflow bucket. A nil histogram returns all zeros.
-func (h *Histogram) BucketCounts() [NumBuckets]int64 {
-	var counts [NumBuckets]int64
+func (h *Histogram) bucketCounts() [numBuckets]int64 {
+	var counts [numBuckets]int64
 	if h == nil {
 		return counts
 	}
@@ -347,20 +338,20 @@ func (h *Histogram) BucketCounts() [NumBuckets]int64 {
 	return counts
 }
 
-// BucketBound returns bucket i's inclusive upper bound in seconds;
-// i = NumBuckets-1 (the overflow bucket) reports +Inf.
-func BucketBound(i int) float64 {
+// bucketBound returns bucket i's inclusive upper bound in seconds;
+// i = numBuckets-1 (the overflow bucket) reports +Inf.
+func bucketBound(i int) float64 {
 	if i >= histBuckets {
 		return math.Inf(1)
 	}
 	return upperBound(i)
 }
 
-// CountsQuantile interpolates the q-quantile from an externally-assembled
-// bucket-count array — typically the delta of two BucketCounts samples,
-// which yields a quantile over just the observations between them.
-// Returns 0 when the counts are empty.
-func CountsQuantile(counts *[NumBuckets]int64, q float64) float64 {
+// countsQuantile interpolates the q-quantile from an assembled
+// bucket-count array — the delta of two bucketCounts samples, which yields
+// a quantile over just the observations between them. Returns 0 when the
+// counts are empty.
+func countsQuantile(counts *[numBuckets]int64, q float64) float64 {
 	var total int64
 	for _, n := range counts {
 		total += n
@@ -416,18 +407,25 @@ func quantile(counts *[histBuckets + 1]int64, total int64, q float64) float64 {
 // programming error.
 type Registry struct {
 	mu     sync.RWMutex
-	order  []string
 	byName map[string]*entry
+
+	// What Tick samples, in registration order; both only ever grow, so
+	// an entry's col is its column in every ring row written after it
+	// registered (window.go).
+	series []*entry // counters and top-k dimensions
+	hists  []*entry // histograms
+	ring   ring
 }
 
 type entry struct {
 	name, help string
 	m          instrument
+	col        int // index into Registry.series or .hists; -1 for gauges
 }
 
 // instrument is the exposition contract each metric kind implements.
 type instrument interface {
-	kind() string       // "counter" | "gauge" | "histogram"
+	kind() string       // "counter" | "gauge" | "histogram" | "topk"
 	snapshotValue() any // JSON-marshalable value
 }
 
@@ -462,8 +460,16 @@ func (r *Registry) register(name, help string, fresh instrument) instrument {
 		}
 		return e.m
 	}
-	r.byName[name] = &entry{name: name, help: help, m: fresh}
-	r.order = append(r.order, name)
+	e := &entry{name: name, help: help, m: fresh, col: -1}
+	switch fresh.(type) {
+	case *Counter, dimension:
+		e.col = len(r.series)
+		r.series = append(r.series, e)
+	case *Histogram:
+		e.col = len(r.hists)
+		r.hists = append(r.hists, e)
+	}
+	r.byName[name] = e
 	return fresh
 }
 
@@ -512,39 +518,14 @@ func checkName(name string) {
 	}
 }
 
-// Export is one instrument's name, help, kind, and snapshot value —
-// int64 for counters, float64 for gauges, HistogramSnapshot for
-// histograms — in registration order.
-type Export struct {
-	Name string
-	Help string
-	Kind string
-	// Value is int64, float64, or HistogramSnapshot.
-	Value any
-}
-
-// Exports snapshots every instrument in registration order.
-func (r *Registry) Exports() []Export {
-	r.mu.RLock()
-	entries := make([]*entry, 0, len(r.order))
-	for _, name := range r.order {
-		entries = append(entries, r.byName[name])
-	}
-	r.mu.RUnlock()
-	out := make([]Export, len(entries))
-	for i, e := range entries {
-		out[i] = Export{Name: e.name, Help: e.help, Kind: e.m.kind(), Value: e.m.snapshotValue()}
-	}
-	return out
-}
-
 // Snapshot returns every instrument's current value keyed by name,
-// suitable for JSON encoding.
+// suitable for JSON encoding: int64 for counters, float64 for gauges,
+// HistogramSnapshot for histograms, TopSnapshot for top-k dimensions.
 func (r *Registry) Snapshot() map[string]any {
-	exports := r.Exports()
-	out := make(map[string]any, len(exports))
-	for _, e := range exports {
-		out[e.Name] = e.Value
+	entries := r.sortedEntries()
+	out := make(map[string]any, len(entries))
+	for _, e := range entries {
+		out[e.name] = e.m.snapshotValue()
 	}
 	return out
 }

@@ -55,6 +55,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		g *Gauge
 		f *FuncGauge
 		h *Histogram
+		k *Sketch[string]
 	)
 	c.Inc()
 	c.Add(5)
@@ -62,7 +63,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || f.Value() != 0 || h.Quantile(0.5) != 0 {
+	k.Offer("x", 1)
+	if c.Value() != 0 || g.Value() != 0 || f.Value() != 0 || h.Quantile(0.5) != 0 || k.Total() != 0 {
 		t.Fatal("nil instruments returned non-zero values")
 	}
 	if s := h.Snapshot(); s.Count != 0 {
@@ -151,12 +153,27 @@ func TestRegistryIdempotentAndKindClash(t *testing.T) {
 	if g.Value() != 2 {
 		t.Fatal("GaugeFunc re-registration must replace the callback")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind clash must panic")
-		}
-	}()
-	r.Gauge("reqs_total", "")
+	k1 := TopK[string](r, "hot_users", "", 8, 1, HashString, FormatString)
+	if k2 := TopK[string](r, "hot_users", "", 8, 1, HashString, FormatString); k1 != k2 {
+		t.Fatal("re-registering a top-k dimension must return the same instance")
+	}
+	for name, clash := range map[string]func(){
+		"gauge over counter": func() { r.Gauge("reqs_total", "") },
+		"counter over topk":  func() { r.Counter("hot_users", "") },
+		"topk over counter":  func() { TopK[string](r, "reqs_total", "", 8, 1, HashString, FormatString) },
+		"topk over another key type": func() {
+			TopK[uint32](r, "hot_users", "", 8, 1, HashU32, func(uint32) string { return "" })
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: kind clash must panic", name)
+				}
+			}()
+			clash()
+		}()
+	}
 }
 
 func TestRegistryRejectsBadNames(t *testing.T) {
@@ -183,6 +200,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.002)
 	h.Observe(0.004)
 	r.Histogram("mm_test_empty_seconds", "no observations yet")
+	TopK[string](r, "test_hot_keys", "weight by key", 8, 1, HashString, FormatString).Offer("k", 3)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -199,6 +217,10 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE mm_test_lat_seconds histogram",
 		`mm_test_lat_seconds_bucket{le="+Inf"} 3`,
 		"mm_test_lat_seconds_count 3",
+		// A dimension exposes its total weight as a counter.
+		"# HELP test_hot_keys weight by key",
+		"# TYPE test_hot_keys counter",
+		"test_hot_keys 3",
 		// Empty histograms still expose their series.
 		`mm_test_empty_seconds_bucket{le="+Inf"} 0`,
 		"mm_test_empty_seconds_count 0",
@@ -237,13 +259,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("c_total", "").Add(4)
 	r.Gauge("g", "").Set(1.5)
 	r.Histogram("h_seconds", "").Observe(0.5)
+	TopK[string](r, "hot", "", 8, 1, HashString, FormatString).Offer("k", 2)
 
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if decoded["c_total"].(float64) != 4 || decoded["g"].(float64) != 1.5 {
@@ -253,18 +276,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if hist["count"].(float64) != 1 {
 		t.Fatalf("histogram snapshot = %v", hist)
 	}
-}
-
-func TestExportsOrdered(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z_total", "")
-	r.Gauge("a", "")
-	ex := r.Exports()
-	if len(ex) != 2 || ex[0].Name != "z_total" || ex[1].Name != "a" {
-		t.Fatalf("Exports = %+v, want registration order", ex)
-	}
-	if ex[0].Kind != "counter" || ex[1].Kind != "gauge" {
-		t.Fatalf("kinds = %s/%s", ex[0].Kind, ex[1].Kind)
+	hot := decoded["hot"].(map[string]any)
+	if hot["total_weight"].(float64) != 2 || len(hot["entries"].([]any)) != 1 {
+		t.Fatalf("top-k snapshot = %v", hot)
 	}
 }
 
@@ -405,18 +419,18 @@ func TestHistogramExemplarConcurrent(t *testing.T) {
 	}
 }
 
-func TestBucketCountsDelta(t *testing.T) {
+func TestHistogramBucketDelta(t *testing.T) {
 	h := NewRegistry().Histogram("t_seconds", "")
 	h.Observe(0.001)
 	h.Observe(0.001)
-	before := h.BucketCounts()
+	before := h.bucketCounts()
 	// Quantile over the delta of two samples sees only the observations
 	// between them — the windowed-quantile building block.
 	h.Observe(1.0)
 	h.Observe(1.0)
 	h.Observe(1.0)
-	after := h.BucketCounts()
-	var delta [NumBuckets]int64
+	after := h.bucketCounts()
+	var delta [numBuckets]int64
 	var total int64
 	for i := range after {
 		delta[i] = after[i] - before[i]
@@ -425,28 +439,28 @@ func TestBucketCountsDelta(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("delta total %d, want 3", total)
 	}
-	q := CountsQuantile(&delta, 0.5)
+	q := countsQuantile(&delta, 0.5)
 	if q < 0.5 || q > 1.0 {
 		t.Fatalf("windowed p50 %v should reflect only the 1.0s observations", q)
 	}
-	if got := CountsQuantile(&before, 0.5); got > 0.01 {
+	if got := countsQuantile(&before, 0.5); got > 0.01 {
 		t.Fatalf("pre-window p50 %v should reflect only the 1ms observations", got)
 	}
-	var zero [NumBuckets]int64
-	if CountsQuantile(&zero, 0.99) != 0 {
+	var zero [numBuckets]int64
+	if countsQuantile(&zero, 0.99) != 0 {
 		t.Fatal("empty counts should report 0")
 	}
 	var nilH *Histogram
-	if nilH.BucketCounts() != zero {
+	if nilH.bucketCounts() != zero {
 		t.Fatal("nil histogram should report zero counts")
 	}
 }
 
 func TestBucketBound(t *testing.T) {
-	if !math.IsInf(BucketBound(NumBuckets-1), 1) {
+	if !math.IsInf(bucketBound(numBuckets-1), 1) {
 		t.Fatal("overflow bucket bound should be +Inf")
 	}
-	if BucketBound(0) >= BucketBound(1) {
+	if bucketBound(0) >= bucketBound(1) {
 		t.Fatal("bounds should increase")
 	}
 }

@@ -1,4 +1,6 @@
-// Package topk bounds the cardinality problem in attribution: "which
+package metrics
+
+// A top-k dimension bounds the cardinality problem in attribution: "which
 // subscriber is dropping", "which term is expensive", "which WAL lane is
 // hot" are all top-K-by-weight questions over key spaces (users, terms)
 // that are unbounded, while the answer that matters is always the heavy
@@ -28,46 +30,58 @@
 // steady state: the entry slab, heap, and map are all pre-sized, and the
 // evict path deletes a map key before inserting one, so the map's bucket
 // population never grows past capacity.
-package topk
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
 
-// Entry is one reported heavy hitter. Count overestimates the key's true
-// offered weight by at most Err: Count-Err ≤ true ≤ Count.
-type Entry struct {
+// TopEntry is one reported heavy hitter. Count overestimates the key's
+// true offered weight by at most Err: Count-Err ≤ true ≤ Count.
+type TopEntry struct {
 	Key   string  `json:"key"`
 	Count float64 `json:"count"`
 	Err   float64 `json:"err"`
 }
 
-// Snapshot is one dimension's current state: the top entries by count
+// TopSnapshot is one dimension's current state: the top entries by count
 // plus the bookkeeping needed to interpret them. Epsilon is the worst
 // per-stripe W_s/C_s bound — any key with true weight above Epsilon is
-// guaranteed to appear in the (full, k = capacity) table.
-type Snapshot struct {
-	Name     string  `json:"name"`
-	Help     string  `json:"help,omitempty"`
-	Capacity int     `json:"capacity"`
-	Tracked  int     `json:"tracked"`
-	Total    float64 `json:"total_weight"`
-	Epsilon  float64 `json:"epsilon"`
-	Entries  []Entry `json:"entries"`
+// guaranteed to appear in the (full, k = capacity) table. Name and Help
+// are the registration's, filled in by Registry.Top and Registry.Tops; in
+// Registry.Snapshot the map key already names the dimension.
+type TopSnapshot struct {
+	Name     string     `json:"name,omitempty"`
+	Help     string     `json:"help,omitempty"`
+	Capacity int        `json:"capacity"`
+	Tracked  int        `json:"tracked"`
+	Total    float64    `json:"total_weight"`
+	Epsilon  float64    `json:"epsilon"`
+	Entries  []TopEntry `json:"entries"`
 }
 
-// Dimension is the registry's view of one sketch: enough to enumerate,
-// snapshot, and rate-sample it without knowing its key type.
-type Dimension interface {
-	Name() string
-	Help() string
-	// Snapshot reports the top k entries (k ≤ 0 means all tracked).
-	Snapshot(k int) Snapshot
-	// Total returns the cumulative offered weight; monotone, suitable as
-	// a windowed-rate counter source.
+// dimension is the registry's view of one sketch: enough to snapshot and
+// rate-sample it without knowing its key type.
+type dimension interface {
+	instrument
+	Snapshot(k int) TopSnapshot
 	Total() float64
 }
+
+// DimensionCapacity is the entry budget of the broker's and the index's
+// dimensions, whose key spaces (subscribers, terms) are unbounded. 1024
+// tracked keys per dimension costs ~100KB and keeps the space-saving error
+// bound at W/1024 — tight enough that anything contributing over 0.1% of a
+// dimension's weight is guaranteed to be visible.
+const DimensionCapacity = 1024
+
+// snapshotTopK is how many entries of each dimension Registry.Snapshot
+// carries; /topz asks Registry.Tops for any other k.
+const snapshotTopK = 10
+
+func (s *Sketch[K]) kind() string       { return "topk" }
+func (s *Sketch[K]) snapshotValue() any { return s.Snapshot(snapshotTopK) }
 
 // slot is one resident entry inside a stripe. hpos tracks its position in
 // the stripe's min-heap so count changes can fix the heap in O(log C).
@@ -90,11 +104,9 @@ type stripe[K comparable] struct {
 }
 
 // Sketch is a striped space-saving sketch over keys of type K. The zero
-// value is not usable; construct with New. A nil *Sketch is a no-op on
-// Offer, so attribution points can hold one unconditionally.
+// value is not usable; construct with TopK. A nil *Sketch is a no-op on
+// Offer, so an uninstrumented component can hold one unconditionally.
 type Sketch[K comparable] struct {
-	name     string
-	help     string
 	capacity int // total across stripes
 	hash     func(K) uint32
 	format   func(K) string
@@ -102,13 +114,17 @@ type Sketch[K comparable] struct {
 	stripes  []stripe[K]
 }
 
-// New builds a sketch tracking at most capacity entries in total, split
-// over stripes sub-sketches (0 picks the default of 8; capacity is rounded
-// up to a multiple of the stripe count, minimum 1 per stripe). hash routes
-// keys to stripes — it only needs to spread keys, not be cryptographic —
-// and format renders a key for snapshots (called only at snapshot time, so
-// expensive lookups like term-id → string stay off the hot path).
-func New[K comparable](name, help string, capacity, stripes int, hash func(K) uint32, format func(K) string) *Sketch[K] {
+// TopK returns r's top-k dimension called name, creating it on first use
+// like Registry.Counter (a function, not a method, only because methods
+// cannot take type parameters). The sketch tracks at most capacity entries
+// in total, split over stripes sub-sketches (0 picks the default of 8;
+// capacity is rounded up to a multiple of the stripe count, minimum 1 per
+// stripe). hash routes keys to stripes — it only needs to spread keys, not
+// be cryptographic — and format renders a key for snapshots (called only
+// at snapshot time, so expensive lookups like term-id → string stay off
+// the hot path). Asking for an existing name with another key type panics,
+// like any kind collision.
+func TopK[K comparable](r *Registry, name, help string, capacity, stripes int, hash func(K) uint32, format func(K) string) *Sketch[K] {
 	if stripes <= 0 {
 		stripes = 8
 	}
@@ -123,8 +139,6 @@ func New[K comparable](name, help string, capacity, stripes int, hash func(K) ui
 		per = 1
 	}
 	s := &Sketch[K]{
-		name:     name,
-		help:     help,
 		capacity: per * stripes,
 		hash:     hash,
 		format:   format,
@@ -137,7 +151,11 @@ func New[K comparable](name, help string, capacity, stripes int, hash func(K) ui
 		st.pos = make(map[K]int32, per)
 		st.heap = make([]int32, 0, per)
 	}
-	return s
+	got, ok := r.register(name, help, s).(*Sketch[K])
+	if !ok {
+		panic(fmt.Sprintf("metrics: %q already registered as a topk over another key type", name))
+	}
+	return got
 }
 
 // Offer adds weight w to key. Non-positive weights are ignored. Safe for
@@ -213,13 +231,8 @@ func (st *stripe[K]) swap(a, b int) {
 	st.slots[st.heap[b]].hpos = int32(b)
 }
 
-// Name implements Dimension.
-func (s *Sketch[K]) Name() string { return s.name }
-
-// Help implements Dimension.
-func (s *Sketch[K]) Help() string { return s.help }
-
-// Total returns the cumulative weight offered across all stripes.
+// Total returns the cumulative weight offered across all stripes;
+// monotone, so the registry's ring samples it like a counter.
 func (s *Sketch[K]) Total() float64 {
 	if s == nil {
 		return 0
@@ -236,12 +249,12 @@ func (s *Sketch[K]) Total() float64 {
 
 // Snapshot reports the top k entries by count (k ≤ 0 means all tracked),
 // sorted by descending count with key as the tiebreak.
-func (s *Sketch[K]) Snapshot(k int) Snapshot {
+func (s *Sketch[K]) Snapshot(k int) TopSnapshot {
 	if s == nil {
-		return Snapshot{}
+		return TopSnapshot{}
 	}
-	snap := Snapshot{Name: s.name, Help: s.help, Capacity: s.capacity}
-	all := make([]Entry, 0, s.capacity)
+	snap := TopSnapshot{Capacity: s.capacity}
+	all := make([]TopEntry, 0, s.capacity)
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
@@ -252,7 +265,7 @@ func (s *Sketch[K]) Snapshot(k int) Snapshot {
 		}
 		for j := range st.slots {
 			sl := &st.slots[j]
-			all = append(all, Entry{Key: s.format(sl.key), Count: sl.count, Err: sl.err})
+			all = append(all, TopEntry{Key: s.format(sl.key), Count: sl.count, Err: sl.err})
 		}
 		st.mu.Unlock()
 	}
@@ -289,68 +302,41 @@ func HashU32(x uint32) uint32 {
 // FormatString is the identity key formatter for string-keyed sketches.
 func FormatString(s string) string { return s }
 
-// Registry names a set of dimensions so the status surface (/topz, the
-// flight recorder, mmclient top) can enumerate them uniformly. Register
-// order is presentation order. A nil *Registry is a no-op everywhere.
-type Registry struct {
-	mu    sync.RWMutex
-	order []string
-	dims  map[string]Dimension
+// top snapshots e as a dimension, filling in its registered name and help;
+// ok is false when e is another kind of instrument.
+func (e *entry) top(k int) (snap TopSnapshot, ok bool) {
+	d, ok := e.m.(dimension)
+	if !ok {
+		return TopSnapshot{}, false
+	}
+	snap = d.Snapshot(k)
+	snap.Name, snap.Help = e.name, e.help
+	return snap, true
 }
 
-// NewRegistry builds an empty dimension registry.
-func NewRegistry() *Registry {
-	return &Registry{dims: make(map[string]Dimension)}
-}
-
-// Register adds d under its name. Re-registering a name replaces the
-// previous dimension (last wins) without changing its position.
-func (r *Registry) Register(d Dimension) {
-	if r == nil || d == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.dims[d.Name()]; !ok {
-		r.order = append(r.order, d.Name())
-	}
-	r.dims[d.Name()] = d
-}
-
-// Dimensions returns the registered dimensions in registration order.
-func (r *Registry) Dimensions() []Dimension {
-	if r == nil {
-		return nil
-	}
+// Top snapshots the dimension registered as name (its top k entries;
+// k ≤ 0 means all tracked). ok is false when name is not a top-k
+// dimension.
+func (r *Registry) Top(name string, k int) (snap TopSnapshot, ok bool) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Dimension, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.dims[name])
+	e := r.byName[name]
+	r.mu.RUnlock()
+	if e == nil {
+		return TopSnapshot{}, false
 	}
-	return out
+	return e.top(k)
 }
 
-// Find returns the dimension registered under name.
-func (r *Registry) Find(name string) (Dimension, bool) {
-	if r == nil {
-		return nil, false
-	}
+// Tops snapshots every dimension with the same k, in registration order.
+func (r *Registry) Tops(k int) []TopSnapshot {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.dims[name]
-	return d, ok
-}
-
-// Snapshot snapshots every dimension with the same k, in order.
-func (r *Registry) Snapshot(k int) []Snapshot {
-	if r == nil {
-		return nil
-	}
-	dims := r.Dimensions()
-	out := make([]Snapshot, 0, len(dims))
-	for _, d := range dims {
-		out = append(out, d.Snapshot(k))
+	series := r.series
+	r.mu.RUnlock()
+	var out []TopSnapshot
+	for _, e := range series {
+		if snap, ok := e.top(k); ok {
+			out = append(out, snap)
+		}
 	}
 	return out
 }

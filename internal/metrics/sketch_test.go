@@ -1,4 +1,4 @@
-package topk
+package metrics
 
 import (
 	"fmt"
@@ -19,7 +19,7 @@ func TestSpaceSavingErrorBound(t *testing.T) {
 	for _, zs := range []float64{1.01, 1.3, 2.0} {
 		t.Run(fmt.Sprintf("zipf_s=%v", zs), func(t *testing.T) {
 			const capacity = 64
-			sk := New[string]("test", "", capacity, 1, oneStripe, FormatString)
+			sk := TopK[string](NewRegistry(), "test", "", capacity, 1, oneStripe, FormatString)
 			rng := rand.New(rand.NewSource(42))
 			zipf := rand.NewZipf(rng, zs, 1, 100_000)
 			truth := make(map[string]float64)
@@ -77,7 +77,7 @@ func TestSpaceSavingErrorBound(t *testing.T) {
 // TestSnapshotOrderAndK pins the snapshot contract: descending count,
 // key tiebreak, k-truncation.
 func TestSnapshotOrderAndK(t *testing.T) {
-	sk := New[string]("test", "", 8, 1, oneStripe, FormatString)
+	sk := TopK[string](NewRegistry(), "test", "", 8, 1, oneStripe, FormatString)
 	sk.Offer("b", 5)
 	sk.Offer("a", 5)
 	sk.Offer("c", 9)
@@ -96,7 +96,7 @@ func TestSnapshotOrderAndK(t *testing.T) {
 // TestConcurrentOfferSnapshot is the -race stress: writers hammer Offer
 // across stripes while readers snapshot; total weight must reconcile.
 func TestConcurrentOfferSnapshot(t *testing.T) {
-	sk := New[uint32]("test", "", 256, 8, HashU32, func(k uint32) string { return fmt.Sprintf("k%d", k) })
+	sk := TopK[uint32](NewRegistry(), "test", "", 256, 8, HashU32, func(k uint32) string { return fmt.Sprintf("k%d", k) })
 	const writers = 8
 	const perWriter = 20_000
 	var wg sync.WaitGroup
@@ -145,7 +145,7 @@ func TestConcurrentOfferSnapshot(t *testing.T) {
 // hot path: once a key is resident — and on the eviction path too — Offer
 // must not allocate.
 func TestOfferSteadyStateAllocs(t *testing.T) {
-	sk := New[string]("test", "", 32, 1, oneStripe, FormatString)
+	sk := TopK[string](NewRegistry(), "test", "", 32, 1, oneStripe, FormatString)
 	keys := make([]string, 64) // 2x capacity: half the offers evict
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%03d", i)
@@ -161,34 +161,25 @@ func TestOfferSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRegistry covers ordering, replacement, and lookup.
-func TestRegistry(t *testing.T) {
+// TestTopsOrderAndLookup covers the registry's view of its dimensions:
+// registration order (other kinds skipped), name and help filled in, and
+// lookup by name.
+func TestTopsOrderAndLookup(t *testing.T) {
 	reg := NewRegistry()
-	a := New[string]("a", "first", 8, 1, oneStripe, FormatString)
-	b := New[string]("b", "second", 8, 1, oneStripe, FormatString)
-	reg.Register(a)
-	reg.Register(b)
-	a.Offer("x", 1)
-	dims := reg.Dimensions()
-	if len(dims) != 2 || dims[0].Name() != "a" || dims[1].Name() != "b" {
-		t.Fatalf("dimensions: %v", dims)
+	a := TopK[string](reg, "z", "first", 8, 1, oneStripe, FormatString)
+	reg.Counter("between_total", "")
+	TopK[string](reg, "b", "second", 8, 1, oneStripe, FormatString)
+	a.Offer("x", 3)
+	tops := reg.Tops(5)
+	if len(tops) != 2 || tops[0].Name != "z" || tops[1].Name != "b" || tops[0].Help != "first" {
+		t.Fatalf("Tops: %+v", tops)
 	}
-	if d, ok := reg.Find("a"); !ok || d.Total() != 1 {
-		t.Fatalf("find a: %v %v", d, ok)
+	if snap, ok := reg.Top("z", 1); !ok || snap.Total != 3 || snap.Entries[0].Key != "x" {
+		t.Fatalf("Top(z): %+v %v", snap, ok)
 	}
-	snaps := reg.Snapshot(5)
-	if len(snaps) != 2 || snaps[0].Name != "a" {
-		t.Fatalf("snapshot: %v", snaps)
-	}
-	// nil registry and nil sketch are no-ops
-	var nilReg *Registry
-	nilReg.Register(a)
-	if nilReg.Snapshot(1) != nil {
-		t.Fatal("nil registry snapshot should be nil")
-	}
-	var nilSk *Sketch[string]
-	nilSk.Offer("x", 1)
-	if nilSk.Total() != 0 {
-		t.Fatal("nil sketch total should be 0")
+	for _, name := range []string{"between_total", "nope"} {
+		if _, ok := reg.Top(name, 1); ok {
+			t.Fatalf("Top(%s) should not be ok", name)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	mm "mmprofile/internal/metrics"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/trace"
 )
 
@@ -21,6 +20,10 @@ import (
 // "empty". WALInfo is a closure (not a *store.Store) to keep obs free of
 // a store dependency.
 type BundleSources struct {
+	// Metrics fills three sections: "metrics" (every instrument's value),
+	// "top" (its attribution dimensions — who was hot at crash time is
+	// usually the first triage question) and "window" (its ring, so a
+	// bundle carries the last minute of rates, not just point totals).
 	Metrics *mm.Registry
 	Tracer  *trace.Tracer
 	Health  *Health
@@ -28,15 +31,6 @@ type BundleSources struct {
 	// may be slow (it reads the WAL file), which is acceptable at dump
 	// frequency.
 	WALInfo func() (any, error)
-	// Runtime, when non-nil, supplies the latest sampler reading so the
-	// bundle matches the gauges; otherwise the recorder samples fresh.
-	Runtime func() RuntimeStats
-	// Top, when non-nil, contributes the hot-key attribution sketches
-	// (who was hot at crash time is usually the first triage question).
-	Top *topk.Registry
-	// Window, when non-nil, contributes the windowed time-series ring so
-	// a bundle carries the last minute of rates, not just point totals.
-	Window *Window
 }
 
 // Recorder is the flight recorder: it holds the event ring and, on
@@ -95,33 +89,35 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", fmt.Errorf("obs: no recorder configured")
 	}
 	now := time.Now()
+	// A section whose source is not wired says so, rather than going missing.
+	disabled := map[string]any{"enabled": false}
 	b := bundle{
 		Reason:       reason,
 		TimeUnixNano: now.UnixNano(),
 		Time:         now.UTC().Format(time.RFC3339Nano),
 		PID:          os.Getpid(),
 		GoVersion:    runtime.Version(),
+		Runtime:      ReadRuntimeStats(),
 		Goroutines:   goroutineDump(),
 		Health:       r.src.Health.Snapshot(),
 		Events:       r.ring.Snapshot(),
+		Metrics:      disabled,
+		Traces:       disabled,
+		Store:        disabled,
+		Top:          disabled,
+		Window:       disabled,
 	}
 	if b.Events == nil {
 		b.Events = []Event{}
 	}
-	if r.src.Runtime != nil {
-		b.Runtime = r.src.Runtime()
-	} else {
-		b.Runtime = ReadRuntimeStats()
-	}
-	if r.src.Metrics != nil {
-		b.Metrics = r.src.Metrics.Snapshot()
-	} else {
-		b.Metrics = map[string]any{"enabled": false}
+	if reg := r.src.Metrics; reg != nil {
+		b.Metrics = reg.Snapshot()
+		dims := reg.Tops(10)
+		b.Top = map[string]any{"enabled": len(dims) > 0, "dimensions": dims}
+		b.Window = reg.Window(60)
 	}
 	if r.src.Tracer != nil {
 		b.Traces = r.src.Tracer.Snapshot()
-	} else {
-		b.Traces = map[string]any{"enabled": false}
 	}
 	if r.src.WALInfo != nil {
 		if info, err := r.src.WALInfo(); err != nil {
@@ -129,18 +125,6 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		} else {
 			b.Store = info
 		}
-	} else {
-		b.Store = map[string]any{"enabled": false}
-	}
-	if r.src.Top != nil {
-		b.Top = map[string]any{"enabled": true, "dimensions": r.src.Top.Snapshot(10)}
-	} else {
-		b.Top = map[string]any{"enabled": false}
-	}
-	if r.src.Window != nil {
-		b.Window = r.src.Window.Snapshot(60)
-	} else {
-		b.Window = map[string]any{"enabled": false}
 	}
 
 	data, err := json.MarshalIndent(&b, "", "  ")

@@ -30,6 +30,8 @@ func fullRecorder(t *testing.T) (*Recorder, *EventRing) {
 	t.Helper()
 	reg := mm.NewRegistry()
 	reg.Counter("mm_test_total", "test").Inc()
+	mm.TopK[string](reg, "test_hot", "", 8, 1, mm.HashString, mm.FormatString).Offer("alice", 3)
+	reg.Tick(time.Now())
 	tr := trace.New(trace.Options{SampleRate: 1, Capacity: 4})
 	sp := tr.Root("req", trace.Remote{})
 	sp.End()
@@ -48,9 +50,11 @@ func fullRecorder(t *testing.T) (*Recorder, *EventRing) {
 	return rec, ring
 }
 
+// bundleSections are the keys every bundle carries, wired or not.
+var bundleSections = []string{"goroutines", "metrics", "traces", "store", "events", "health", "top", "window"}
+
 // TestDumpBundleSections is the crash-path coverage satellite: the bundle
-// must contain all five required sections — goroutines, metrics, traces,
-// store, events — and be valid JSON.
+// must contain all eight required sections and be valid JSON.
 func TestDumpBundleSections(t *testing.T) {
 	rec, _ := fullRecorder(t)
 	path, err := rec.Dump("test")
@@ -58,7 +62,7 @@ func TestDumpBundleSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := readBundle(t, path)
-	for _, section := range []string{"goroutines", "metrics", "traces", "store", "events"} {
+	for _, section := range bundleSections {
 		if _, ok := b[section]; !ok {
 			t.Errorf("bundle missing section %q", section)
 		}
@@ -88,6 +92,17 @@ func TestDumpBundleSections(t *testing.T) {
 	if b["health"].(map[string]any)["status"] != "ready" {
 		t.Errorf("health section = %v", b["health"])
 	}
+	// The registry holds a dimension and has been ticked: both of its
+	// other projections are live.
+	top := b["top"].(map[string]any)
+	dims, _ := top["dimensions"].([]any)
+	if top["enabled"] != true || len(dims) != 1 || dims[0].(map[string]any)["name"] != "test_hot" {
+		t.Errorf("top section = %v", top)
+	}
+	window := b["window"].(map[string]any)
+	if window["enabled"] != true || window["samples"] != float64(1) || len(window["counters"].([]any)) != 2 {
+		t.Errorf("window section = %v", window)
+	}
 	if b["time_unix_nano"] == nil || b["pid"] == nil || b["go_version"] == nil {
 		t.Error("bundle missing envelope fields")
 	}
@@ -107,13 +122,28 @@ func TestDumpWithoutSourcesStillComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := readBundle(t, path)
-	for _, section := range []string{"goroutines", "metrics", "traces", "store", "events"} {
+	for _, section := range bundleSections {
 		if _, ok := b[section]; !ok {
 			t.Errorf("bare bundle missing section %q", section)
 		}
 	}
-	if en := b["metrics"].(map[string]any)["enabled"]; en != false {
-		t.Errorf("unwired metrics section = %v", b["metrics"])
+	for _, section := range []string{"metrics", "top", "window"} {
+		if en := b[section].(map[string]any)["enabled"]; en != false {
+			t.Errorf("unwired %s section = %v", section, b[section])
+		}
+	}
+
+	// A registry with no dimension that nobody ticks: metrics are there,
+	// the other two projections say disabled.
+	rec = NewRecorder(t.TempDir(), nil, BundleSources{Metrics: mm.NewRegistry()})
+	if path, err = rec.Dump("idle"); err != nil {
+		t.Fatal(err)
+	}
+	b = readBundle(t, path)
+	for _, section := range []string{"top", "window"} {
+		if en := b[section].(map[string]any)["enabled"]; en != false {
+			t.Errorf("idle registry's %s section = %v", section, b[section])
+		}
 	}
 	if b["events"] == nil {
 		t.Error("events section must be [] not null")

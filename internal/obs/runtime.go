@@ -125,9 +125,6 @@ type RuntimeSampler struct {
 	done   chan struct{}
 	once   sync.Once
 
-	mu   sync.Mutex
-	last RuntimeStats
-
 	gGoroutines *mm.Gauge
 	gHeapLive   *mm.Gauge
 	gHeapGoal   *mm.Gauge
@@ -190,20 +187,10 @@ func (s *RuntimeSampler) SampleNow() RuntimeStats {
 	s.gGCCycles.Set(float64(rs.GCCycles))
 	s.gGCPauseP99.Set(rs.GCPauseP99Seconds)
 	s.gSchedP99.Set(rs.SchedLatP99Secs)
-	s.mu.Lock()
-	s.last = rs
-	s.mu.Unlock()
 	if s.onTick != nil {
 		s.onTick(rs)
 	}
 	return rs
-}
-
-// Last returns the most recent sample.
-func (s *RuntimeSampler) Last() RuntimeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
 }
 
 // Stop halts the sampler and waits for the loop to exit.

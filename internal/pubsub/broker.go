@@ -42,7 +42,6 @@ import (
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/text"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
@@ -145,16 +144,6 @@ type Options struct {
 	// zero allocations, zero clock reads (the obs zero-alloc contract,
 	// pinned by TestPublishUnsampledAddsNoAllocs).
 	Log *obs.Logger
-	// Top is the attribution-dimension registry the broker's hot-key
-	// sketches register into (DESIGN.md §16), shared with the store's
-	// per-lane dimensions in mmserver. Nil creates a private registry,
-	// reachable via Broker.Top(). Like Metrics: one broker per registry.
-	Top *topk.Registry
-	// TopCapacity bounds each attribution dimension's tracked-entry count
-	// (the space-saving error bound is total weight / capacity). 0 means
-	// DefaultTopCapacity; negative disables attribution entirely — the
-	// escape hatch the zero-alloc guard test uses as its baseline.
-	TopCapacity int
 }
 
 // DefaultOptions returns the broker defaults: threshold 0.25, queues of
@@ -255,10 +244,6 @@ type Broker struct {
 	// m holds every instrument the broker records into; the dissemination
 	// counters inside it also back Stats().
 	m brokerMetrics
-
-	// top holds the hot-key attribution sketches (topattr.go); its Offer
-	// call sites are unconditional because nil sketches no-op.
-	top brokerTop
 }
 
 // New creates a broker; zero fields of opts take defaults.
@@ -290,18 +275,6 @@ func New(opts Options) *Broker {
 		m:     newBrokerMetrics(reg),
 	}
 	b.idx.Instrument(reg)
-	topReg := opts.Top
-	if topReg == nil {
-		topReg = topk.NewRegistry()
-	}
-	b.top = newBrokerTop(topReg, opts.TopCapacity)
-	if opts.TopCapacity >= 0 {
-		cap := opts.TopCapacity
-		if cap == 0 {
-			cap = DefaultTopCapacity
-		}
-		b.idx.AttributeTerms(topReg, cap)
-	}
 	reg.GaugeFunc("mm_pubsub_subscribers",
 		"Currently registered subscribers.",
 		func() float64 { return float64(b.reg.len()) })
@@ -630,9 +603,9 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 		select {
 		case q <- d:
 			b.m.deliveries.Inc()
-			b.top.deliveries.Offer(s.id, 1)
+			b.m.topDeliveries.Offer(s.id, 1)
 			if overflowed {
-				b.top.queueFull.Offer(s.id, 1)
+				b.m.topQueueFull.Offer(s.id, 1)
 			}
 			return true
 		default:
@@ -641,7 +614,7 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 			case <-q:
 				s.dropped++
 				b.m.dropped.Inc()
-				b.top.drops.Offer(s.id, 1)
+				b.m.topDrops.Offer(s.id, 1)
 			default:
 			}
 		}

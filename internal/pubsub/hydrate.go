@@ -144,7 +144,7 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	}
 	b.m.residentProfiles.Add(1)
 	b.m.hydrations.Inc()
-	b.top.hydrations.Offer(s.id, 1)
+	b.m.topHydrations.Offer(s.id, 1)
 	b.m.hydrateLat.ObserveSince(t0)
 	if b.bounded() {
 		b.lru.touch(s)

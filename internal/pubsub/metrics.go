@@ -47,9 +47,19 @@ type brokerMetrics struct {
 	hydrations       *metrics.Counter
 	profileEvictions *metrics.Counter
 	hydrateLat       *metrics.Histogram
+
+	// Hot-key attribution: per-subscriber top-k dimensions answering "who
+	// is receiving / dropping / overflowing / hydrating the most".
+	topDeliveries *metrics.Sketch[string]
+	topDrops      *metrics.Sketch[string]
+	topQueueFull  *metrics.Sketch[string]
+	topHydrations *metrics.Sketch[string]
 }
 
 func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
+	topk := func(name, help string) *metrics.Sketch[string] {
+		return metrics.TopK[string](reg, name, help, metrics.DimensionCapacity, 0, metrics.HashString, metrics.FormatString)
+	}
 	return brokerMetrics{
 		reg: reg,
 		published: reg.Counter("mm_pubsub_published_total",
@@ -94,6 +104,14 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 			"Resident profiles dropped from the heap by the MaxResident LRU bound."),
 		hydrateLat: reg.Histogram("mm_pubsub_hydrate_seconds",
 			"Latency of rebuilding one evicted profile from its checkpoint segment and WAL-lane replay."),
+		topDeliveries: topk("subscriber_deliveries",
+			"Deliveries enqueued, by subscriber."),
+		topDrops: topk("subscriber_drops",
+			"Deliveries discarded by the drop-oldest policy, by subscriber."),
+		topQueueFull: topk("subscriber_queue_full",
+			"Enqueues that found the queue full (each forced at least one drop), by subscriber."),
+		topHydrations: topk("subscriber_hydrations",
+			"Profile rebuilds from the store after residency eviction, by subscriber."),
 	}
 }
 

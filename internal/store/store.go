@@ -51,7 +51,6 @@ import (
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
-	"mmprofile/internal/topk"
 	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
@@ -116,15 +115,13 @@ type Options struct {
 	// (faultfs.Sim). Nil means the real OS filesystem.
 	FS faultfs.FS
 	// Metrics, when non-nil, receives the mm_store_* instrument family
-	// (append/fsync/checkpoint/group-commit latencies and counts). Nil
-	// disables instrumentation entirely.
+	// (append/fsync/checkpoint/group-commit latencies and counts) and the
+	// per-lane attribution dimensions (DESIGN.md §8): WAL-append weight in
+	// bytes and fsync counts, keyed by lane — the skew view of which lanes
+	// the FNV routing is actually loading. Nil disables instrumentation
+	// entirely. mmserver shares one registry between the broker and the
+	// store.
 	Metrics *metrics.Registry
-	// Top, when non-nil, receives the store's per-lane attribution
-	// dimensions (DESIGN.md §16): WAL-append weight in bytes and fsync
-	// counts, keyed by lane — the skew view of which lanes the FNV
-	// routing is actually loading. mmserver shares one registry between
-	// the broker and the store.
-	Top *topk.Registry
 }
 
 // Store is a directory-backed profile store. Safe for concurrent use.
@@ -152,12 +149,12 @@ type Store struct {
 	// only change under it.
 	ckptMu sync.Mutex
 
-	// Per-lane attribution (Options.Top): append weight and fsync counts
-	// keyed by pre-rendered lane names, so the hot path offers a resident
-	// string with zero allocations. All nil (no-op) when Top is nil.
+	// Per-lane attribution: append weight and fsync counts keyed by
+	// pre-rendered lane names, so the hot path offers a resident string
+	// with zero allocations. All nil (no-op) when Options.Metrics is nil.
 	laneKeys  []string
-	topAppend *topk.Sketch[string]
-	topFsync  *topk.Sketch[string]
+	topAppend *metrics.Sketch[string]
+	topFsync  *metrics.Sketch[string]
 
 	stopFlush chan struct{} // interval flusher; nil unless SyncInterval armed
 	flushDone chan struct{}
@@ -219,19 +216,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	s.m.lanes.Set(float64(len(s.lanes)))
-	if opts.Top != nil {
+	if opts.Metrics != nil {
 		s.laneKeys = make([]string, len(s.lanes))
 		for i := range s.lanes {
 			s.laneKeys[i] = fmt.Sprintf("lane-%d", i)
 		}
-		s.topAppend = topk.New[string]("lane_append_bytes",
+		s.topAppend = metrics.TopK[string](opts.Metrics, "lane_append_bytes",
 			"WAL bytes appended, by lane.",
-			2*len(s.lanes), 1, topk.HashString, topk.FormatString)
-		s.topFsync = topk.New[string]("lane_fsyncs",
+			2*len(s.lanes), 1, metrics.HashString, metrics.FormatString)
+		s.topFsync = metrics.TopK[string](opts.Metrics, "lane_fsyncs",
 			"WAL fsyncs performed, by lane.",
-			2*len(s.lanes), 1, topk.HashString, topk.FormatString)
-		opts.Top.Register(s.topAppend)
-		opts.Top.Register(s.topFsync)
+			2*len(s.lanes), 1, metrics.HashString, metrics.FormatString)
 	}
 
 	if !opts.ReadOnly {

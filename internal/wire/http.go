@@ -24,11 +24,12 @@ import (
 	"html"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 
+	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
-	"mmprofile/internal/topk"
 )
 
 // StatusOptions wires the optional obs layer into the status handler.
@@ -38,18 +39,10 @@ type StatusOptions struct {
 	// Recorder backs POST /debugz/dump; nil makes the endpoint answer
 	// 503 with an explanatory error.
 	Recorder *obs.Recorder
-	// Top backs /topz and the "top" section of /statsz; nil falls back to
-	// the broker's own attribution registry (always present).
-	Top *topk.Registry
-	// Window backs /tsz and the per-dimension window rates in /topz; nil
-	// makes /tsz answer {"enabled": false} and /topz omit rates. When
-	// set, mmserver registers every attribution dimension's total weight
-	// as the window counter "top:<dimension>" — the naming contract /topz
-	// relies on for its rate lookups.
-	Window *obs.Window
 }
 
-// NewStatusHandler serves broker observability over HTTP:
+// NewStatusHandler serves broker observability over HTTP, every metrics
+// view a projection of the broker's one registry (b.Metrics()):
 //
 //	GET  /healthz      — liveness ("ok"; see the package comment for the
 //	                     liveness/readiness split)
@@ -58,15 +51,19 @@ type StatusOptions struct {
 //	                     (not_ready/draining)
 //	POST /debugz/dump  — trigger a flight-recorder bundle; returns its path
 //	GET  /statsz       — broker + index counters as JSON, plus a "metrics"
-//	                     object with the full registry snapshot
+//	                     object with the full registry snapshot (top-k
+//	                     dimensions included)
 //	GET  /metrics      — Prometheus text exposition (format 0.0.4);
 //	                     ?format=json returns the registry snapshot as JSON
 //	GET  /topz         — hot-key attribution: top-K entries per dimension
 //	                     with space-saving error bounds (?k=, ?dim=,
-//	                     ?format=table; window rates when a Window is wired)
-//	GET  /tsz          — windowed time series: per-counter 1s/10s/60s rates
-//	                     and raw series, per-histogram windowed quantiles
-//	                     (?name= filters, ?n= caps series length)
+//	                     ?format=table; window rates once the registry has
+//	                     been ticked twice)
+//	GET  /tsz          — the registry's ring: 1s/10s/60s rates and raw
+//	                     series of every counter and top-k total, windowed
+//	                     quantiles of every histogram (?name= filters, ?n=
+//	                     caps series length); {"enabled": false} until
+//	                     someone ticks the registry (mmserver's sampler)
 //	GET  /tracez       — sampled + slow request traces as JSON;
 //	                     ?trace=<id> looks up one trace by hex id
 //	GET  /explainz     — ?user= profile vectors + adaptation audit journal;
@@ -77,19 +74,10 @@ type StatusOptions struct {
 // Mounted by mmserver's -http flag; handlers are read-only except
 // /debugz/dump, which writes a diagnostic bundle under the server's dump
 // directory (pprof's profile/trace endpoints start collections but mutate
-// nothing). NewStatusHandler serves with no health model or recorder;
-// NewStatusHandlerOpts attaches them.
-func NewStatusHandler(b *pubsub.Broker) http.Handler {
-	return NewStatusHandlerOpts(b, StatusOptions{})
-}
-
-// NewStatusHandlerOpts is NewStatusHandler with the obs layer attached.
-func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
+// nothing). The zero StatusOptions serves with no health model or
+// recorder.
+func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 	reg := b.Metrics()
-	top := o.Top
-	if top == nil {
-		top = b.Top()
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -148,7 +136,6 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 				"index_shards":    lay.IndexShards,
 			},
 			"metrics": reg.Snapshot(),
-			"top":     top.Snapshot(5),
 		})
 	})
 	mux.HandleFunc("/topz", func(w http.ResponseWriter, r *http.Request) {
@@ -158,32 +145,29 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 				k = n
 			}
 		}
-		dimFilter := r.URL.Query().Get("dim")
-		type dimOut struct {
-			topk.Snapshot
-			Rates map[string]float64 `json:"rates_per_second,omitempty"`
-		}
-		var dims []dimOut
-		for _, d := range top.Dimensions() {
-			if dimFilter != "" && d.Name() != dimFilter {
-				continue
-			}
-			out := dimOut{Snapshot: d.Snapshot(k)}
-			if o.Window != nil {
-				out.Rates = map[string]float64{}
-				for _, span := range obs.StandardSpans {
-					if rate, ok := o.Window.Rate("top:"+d.Name(), span); ok {
-						out.Rates[span.String()] = rate
-					}
-				}
-			}
-			dims = append(dims, out)
-		}
-		if dimFilter != "" && len(dims) == 0 {
-			w.WriteHeader(http.StatusNotFound)
+		var snaps []metrics.TopSnapshot
+		if dimFilter := r.URL.Query().Get("dim"); dimFilter == "" {
+			snaps = reg.Tops(k)
+		} else if snap, ok := reg.Top(dimFilter, k); ok {
+			snaps = []metrics.TopSnapshot{snap}
+		} else {
 			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusNotFound)
 			json.NewEncoder(w).Encode(map[string]any{"error": "unknown dimension", "dim": dimFilter})
 			return
+		}
+		type dimOut struct {
+			metrics.TopSnapshot
+			Rates map[string]float64 `json:"rates_per_second,omitempty"`
+		}
+		dims := make([]dimOut, len(snaps))
+		for i, snap := range snaps {
+			dims[i] = dimOut{TopSnapshot: snap, Rates: map[string]float64{}}
+			for _, span := range metrics.StandardSpans {
+				if rate, ok := reg.Rate(snap.Name, span); ok {
+					dims[i].Rates[span.String()] = rate
+				}
+			}
 		}
 		if r.URL.Query().Get("format") == "table" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -205,32 +189,16 @@ func NewStatusHandlerOpts(b *pubsub.Broker, o StatusOptions) http.Handler {
 	})
 	mux.HandleFunc("/tsz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if o.Window == nil {
-			json.NewEncoder(w).Encode(map[string]any{"enabled": false})
-			return
-		}
 		seriesMax := 60
 		if v := r.URL.Query().Get("n"); v != "" {
 			if n, err := strconv.Atoi(v); err == nil && n >= 0 {
 				seriesMax = n
 			}
 		}
-		snap := o.Window.Snapshot(seriesMax)
+		snap := reg.Window(seriesMax)
 		if name := r.URL.Query().Get("name"); name != "" {
-			var cs []obs.CounterWindow
-			for _, c := range snap.Counters {
-				if c.Name == name {
-					cs = append(cs, c)
-				}
-			}
-			snap.Counters = cs
-			var hs []obs.HistWindow
-			for _, h := range snap.Histograms {
-				if h.Name == name {
-					hs = append(hs, h)
-				}
-			}
-			snap.Histograms = hs
+			snap.Counters = slices.DeleteFunc(snap.Counters, func(c metrics.CounterWindow) bool { return c.Name != name })
+			snap.Histograms = slices.DeleteFunc(snap.Histograms, func(h metrics.HistWindow) bool { return h.Name != name })
 		}
 		json.NewEncoder(w).Encode(snap)
 	})

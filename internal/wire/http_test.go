@@ -22,7 +22,7 @@ func TestStatusHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish("<html><body>cats cats cats</body></html>")
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	// /healthz
 	rec := httptest.NewRecorder()
@@ -91,7 +91,7 @@ func TestStatusHandlerMetrics(t *testing.T) {
 	if err := b.Feedback("alice", doc, filter.Relevant); err != nil {
 		t.Fatal(err)
 	}
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	// /metrics: Prometheus text with every family present.
 	rec := httptest.NewRecorder()
@@ -162,7 +162,10 @@ func TestStatusHandlerMetrics(t *testing.T) {
 
 // TestHTTPContentTypes audits every introspection endpoint's Content-Type:
 // machine-readable endpoints must declare JSON, text endpoints must say so,
-// and nothing may fall back to Go's content sniffing.
+// and nothing may fall back to Go's content sniffing — error answers
+// included. Headers are read from rec.Result(), the snapshot taken at
+// WriteHeader: rec.Header() would also show a Content-Type set after the
+// status line went out, which no client ever sees.
 func TestHTTPContentTypes(t *testing.T) {
 	tr := trace.New(trace.Options{SampleRate: 1})
 	b := pubsub.New(pubsub.Options{Threshold: 0.2, Trace: tr})
@@ -170,29 +173,38 @@ func TestHTTPContentTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish("<html><body>cats cats cats</body></html>")
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	cases := []struct {
 		path string
+		code int
 		want string // Content-Type prefix
 	}{
-		{"/healthz", "text/plain; charset=utf-8"},
-		{"/readyz", "application/json"},
-		{"/statsz", "application/json"},
-		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/metrics?format=json", "application/json"},
-		{"/tracez", "application/json"},
-		{"/explainz?user=alice", "application/json"},
-		{"/", "text/html; charset=utf-8"},
+		{"/healthz", 200, "text/plain; charset=utf-8"},
+		{"/readyz", 200, "application/json"},
+		{"/statsz", 200, "application/json"},
+		{"/metrics", 200, "text/plain; version=0.0.4; charset=utf-8"},
+		{"/metrics?format=json", 200, "application/json"},
+		{"/topz", 200, "application/json"},
+		{"/topz?format=table", 200, "text/plain; charset=utf-8"},
+		{"/tsz", 200, "application/json"},
+		{"/tracez", 200, "application/json"},
+		{"/explainz?user=alice", 200, "application/json"},
+		{"/", 200, "text/html; charset=utf-8"},
+		{"/topz?dim=nope", 404, "application/json"},
+		{"/explainz", 400, "application/json"},
+		{"/explainz?user=nobody", 404, "application/json"},
+		{"/tracez?trace=00", 404, "application/json"},
+		{"/debugz/dump", 405, "text/plain; charset=utf-8"},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
-		if rec.Code != 200 {
-			t.Errorf("%s: status %d", tc.path, rec.Code)
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d, want %d", tc.path, rec.Code, tc.code)
 			continue
 		}
-		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, tc.want) {
+		if ct := rec.Result().Header.Get("Content-Type"); !strings.HasPrefix(ct, tc.want) {
 			t.Errorf("%s: Content-Type = %q, want prefix %q", tc.path, ct, tc.want)
 		}
 	}
@@ -207,7 +219,7 @@ func TestReadyzEndpoint(t *testing.T) {
 
 	// No health model: /readyz answers 200 ready so the handler works
 	// unconfigured (tests, embedders).
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != 200 {
@@ -225,7 +237,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	health := obs.NewHealth()
 	health.Set("server", obs.StatusNotReady, "starting")
 	health.Set("store_wal", obs.StatusReady, "")
-	h = NewStatusHandlerOpts(b, StatusOptions{Health: health})
+	h = NewStatusHandler(b, StatusOptions{Health: health})
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
@@ -277,7 +289,7 @@ func TestDebugzDumpEndpoint(t *testing.T) {
 
 	// GET is rejected: the root dashboard links every GET endpoint, and
 	// crawling it must not write bundles.
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debugz/dump", nil))
 	if rec.Code != 405 || rec.Header().Get("Allow") != "POST" {
@@ -294,7 +306,7 @@ func TestDebugzDumpEndpoint(t *testing.T) {
 	// Wired recorder: 200 with the bundle path, and the file is real JSON.
 	dir := t.TempDir()
 	recd := obs.NewRecorder(dir, obs.NewEventRing(8), obs.BundleSources{Metrics: b.Metrics()})
-	h = NewStatusHandlerOpts(b, StatusOptions{Recorder: recd})
+	h = NewStatusHandler(b, StatusOptions{Recorder: recd})
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/debugz/dump", nil))
 	if rec.Code != 200 {
@@ -328,7 +340,7 @@ func TestTracezEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish("<html><body>cats cats cats</body></html>")
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tracez", nil))
@@ -365,7 +377,7 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 
 	// A broker without a tracer reports disabled rather than erroring.
-	h2 := NewStatusHandler(pubsub.New(pubsub.Options{Threshold: 0.2}))
+	h2 := NewStatusHandler(pubsub.New(pubsub.Options{Threshold: 0.2}), StatusOptions{})
 	rec = httptest.NewRecorder()
 	h2.ServeHTTP(rec, httptest.NewRequest("GET", "/tracez", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"enabled":false`) {
@@ -385,7 +397,7 @@ func TestExplainzEndpoint(t *testing.T) {
 	if err := b.Feedback("alice", doc, filter.Relevant); err != nil {
 		t.Fatal(err)
 	}
-	h := NewStatusHandler(b)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/explainz?user=alice", nil))

@@ -3,43 +3,39 @@ package wire
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"mmprofile/internal/obs"
+	"mmprofile/internal/metrics"
 	"mmprofile/internal/pubsub"
-	"mmprofile/internal/topk"
 )
 
-// topzFixture builds a broker with attribution traffic (drops included),
-// a window ticked twice over its dimensions, and the status handler.
-func topzFixture(t *testing.T) (*pubsub.Broker, *obs.Window, *httptest.ResponseRecorder) {
+// topzFixture builds a broker with attribution traffic (drops included)
+// whose registry has been ticked twice, and a response recorder.
+func topzFixture(t *testing.T) (*pubsub.Broker, *httptest.ResponseRecorder) {
 	t.Helper()
 	b := pubsub.New(pubsub.Options{Threshold: 0.2, QueueSize: 2})
 	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
-	win := obs.NewWindow(16)
-	for _, d := range b.Top().Dimensions() {
-		win.RegisterCounter("top:"+d.Name(), d.Total)
-	}
 	// Publish between the two ticks so the windowed deltas are non-zero.
 	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	win.Tick(now)
+	b.Metrics().Tick(now)
 	for i := 0; i < 10; i++ {
 		b.Publish("<html><body>cats cats cats</body></html>")
 	}
-	win.Tick(now.Add(time.Second))
-	return b, win, httptest.NewRecorder()
+	b.Metrics().Tick(now.Add(time.Second))
+	return b, httptest.NewRecorder()
 }
 
 // TestTopzEndpoint pins the /topz contract: every dimension with its
 // error bound, k honored, dim filtering (404 on unknown), the table
-// rendering, and windowed rates when a Window is wired.
+// rendering, and windowed rates once the registry has been ticked.
 func TestTopzEndpoint(t *testing.T) {
-	b, win, rec := topzFixture(t)
-	h := NewStatusHandlerOpts(b, StatusOptions{Window: win})
+	b, rec := topzFixture(t)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/topz", nil))
 	if rec.Code != 200 {
@@ -48,7 +44,7 @@ func TestTopzEndpoint(t *testing.T) {
 	var out struct {
 		K          int `json:"k"`
 		Dimensions []struct {
-			topk.Snapshot
+			metrics.TopSnapshot
 			Rates map[string]float64 `json:"rates_per_second"`
 		} `json:"dimensions"`
 	}
@@ -113,13 +109,14 @@ func TestTopzEndpoint(t *testing.T) {
 	}
 }
 
-// TestTszEndpoint pins /tsz: disabled without a window, and with one the
-// snapshot carries per-counter rates/series and windowed histogram spans.
+// TestTszEndpoint pins /tsz: disabled for a registry nobody ticks, and for
+// a ticked one the snapshot carries rates/series for every counter and
+// dimension — none of them signed up by hand — and windowed histogram spans.
 func TestTszEndpoint(t *testing.T) {
-	b, win, rec := topzFixture(t)
+	b, rec := topzFixture(t)
 
-	// No window wired → explicitly disabled, not an error.
-	hOff := NewStatusHandlerOpts(b, StatusOptions{})
+	// Never ticked → explicitly disabled, not an error.
+	hOff := NewStatusHandler(pubsub.New(pubsub.Options{Threshold: 0.2}), StatusOptions{})
 	hOff.ServeHTTP(rec, httptest.NewRequest("GET", "/tsz", nil))
 	var off struct {
 		Enabled bool `json:"enabled"`
@@ -128,57 +125,76 @@ func TestTszEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Code != 200 || off.Enabled {
-		t.Fatalf("tsz without window: %d enabled=%v", rec.Code, off.Enabled)
+		t.Fatalf("tsz without ticks: %d enabled=%v", rec.Code, off.Enabled)
 	}
 
-	h := NewStatusHandlerOpts(b, StatusOptions{Window: win})
+	h := NewStatusHandler(b, StatusOptions{})
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tsz?n=1", nil))
-	var snap obs.WindowSnapshot
+	var snap metrics.WindowSnapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
 	if !snap.Enabled || snap.Samples != 2 {
 		t.Fatalf("tsz = enabled %v samples %d", snap.Enabled, snap.Samples)
 	}
-	var found bool
+	want := map[string]bool{
+		"subscriber_deliveries":           true, // a dimension, under its own name
+		"mm_pubsub_deliveries_total":      true,
+		"mm_index_postings_scanned_total": true, // the index's, via the shared registry
+	}
 	for _, c := range snap.Counters {
-		if c.Name == "top:subscriber_deliveries" {
-			found = true
+		if want[c.Name] {
+			delete(want, c.Name)
 			if len(c.Serie) > 1 {
-				t.Errorf("?n=1 returned %d series points", len(c.Serie))
+				t.Errorf("%s: ?n=1 returned %d series points", c.Name, len(c.Serie))
+			}
+			if c.Rates["1s"] <= 0 {
+				t.Errorf("%s: rates = %v, want a positive 1s rate", c.Name, c.Rates)
 			}
 		}
 	}
-	if !found {
-		t.Error("top:subscriber_deliveries not in /tsz counters")
+	for name := range want {
+		t.Errorf("%s not in /tsz counters", name)
+	}
+	var hists []string
+	for _, hw := range snap.Histograms {
+		hists = append(hists, hw.Name)
+	}
+	if !slices.Contains(hists, "mm_pubsub_match_seconds") || !slices.Contains(hists, "mm_vector_strength") {
+		t.Errorf("/tsz histograms = %v", hists)
 	}
 
 	// ?name= filters to one series.
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tsz?name=top:subscriber_drops", nil))
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tsz?name=subscriber_drops", nil))
+	var one metrics.WindowSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &one); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Name != "top:subscriber_drops" {
-		t.Errorf("filtered tsz counters = %+v", snap.Counters)
+	if len(one.Counters) != 1 || one.Counters[0].Name != "subscriber_drops" || len(one.Histograms) != 0 {
+		t.Errorf("filtered tsz = %+v", one)
 	}
 }
 
-// TestStatszTopSectionAndRootLinks pins the satellite surface: /statsz
-// embeds a "top" section, and the root page links every endpoint.
+// TestStatszTopSectionAndRootLinks pins the satellite surface: /statsz's
+// "metrics" object carries the dimensions next to the counters (there is
+// no separate "top" key), and the root page links every endpoint.
 func TestStatszTopSectionAndRootLinks(t *testing.T) {
-	b, win, rec := topzFixture(t)
-	h := NewStatusHandlerOpts(b, StatusOptions{Window: win})
+	b, rec := topzFixture(t)
+	h := NewStatusHandler(b, StatusOptions{})
 
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/statsz", nil))
 	var stats map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	topSec, ok := stats["top"].([]any)
-	if !ok || len(topSec) == 0 {
-		t.Fatalf("statsz top section = %T %v", stats["top"], stats["top"])
+	if _, ok := stats["top"]; ok {
+		t.Errorf("statsz still has a separate top section: %v", stats["top"])
+	}
+	dim, ok := stats["metrics"].(map[string]any)["subscriber_deliveries"].(map[string]any)
+	if !ok || dim["total_weight"] != float64(10) || len(dim["entries"].([]any)) != 1 {
+		t.Fatalf("statsz metrics.subscriber_deliveries = %v", dim)
 	}
 
 	rec = httptest.NewRecorder()

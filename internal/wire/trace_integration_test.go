@@ -76,7 +76,7 @@ func fetchTrace(t *testing.T, h *httptest.Server, id string) trace.TraceSnapshot
 // (b) the audit events recording cosine vs θ and strength before/after.
 func TestTracedRequestLifecycle(t *testing.T) {
 	c, b, _ := startTracedServer(t)
-	h := httptest.NewServer(NewStatusHandler(b))
+	h := httptest.NewServer(NewStatusHandler(b, StatusOptions{}))
 	defer h.Close()
 
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
@@ -204,7 +204,7 @@ func TestTracedRequestLifecycle(t *testing.T) {
 // the captured trace records the remote parent span.
 func TestTracePropagationOverWire(t *testing.T) {
 	c, b, _ := startTracedServer(t)
-	h := httptest.NewServer(NewStatusHandler(b))
+	h := httptest.NewServer(NewStatusHandler(b, StatusOptions{}))
 	defer h.Close()
 
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {

@@ -77,10 +77,9 @@ func TestObsLifecycle(t *testing.T) {
 		Tracer:  tr,
 		Health:  health,
 		WALInfo: func() (any, error) { return st.WALInfo() },
-		Runtime: obs.ReadRuntimeStats,
 	})
 
-	hs := httptest.NewServer(wire.NewStatusHandlerOpts(broker, wire.StatusOptions{
+	hs := httptest.NewServer(wire.NewStatusHandler(broker, wire.StatusOptions{
 		Health: health, Recorder: rec,
 	}))
 	defer hs.Close()
