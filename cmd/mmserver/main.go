@@ -246,9 +246,10 @@ func main() {
 			case <-stopBeats:
 				return
 			case <-t.C:
+				// One read-only probe covers both: it ends in the index's
+				// locks, and a wedge anywhere stalls this goroutine.
 				broker.PingPipeline()
 				health.Beat("publish_loop")
-				broker.IndexStats()
 				health.Beat("index")
 			}
 		}

@@ -88,6 +88,7 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_index_rescores_total", "counter"},
 		{"mm_index_terms_pruned_total", "counter"},
 		{"mm_index_tombstone_ratio", "gauge"},
+		{"mm_intern_terms", "gauge"},
 		{"mm_profile_vectors", "gauge"},
 		{"mm_pubsub_deliver_seconds", "histogram"},
 		{"mm_pubsub_deliveries_total", "counter"},
@@ -129,6 +130,8 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_store_restore_read_bytes_total", "counter"},
 		{"mm_store_torn_tails_total", "counter"},
 		{"mm_store_user_restores_total", "counter"},
+		{"mm_text_term_cache_hits_total", "counter"},
+		{"mm_text_term_cache_misses_total", "counter"},
 		{"mm_trace_sampled", "gauge"},
 		{"mm_trace_slow_captured", "gauge"},
 		{"mm_vector_strength", "histogram"},

@@ -11,6 +11,10 @@ import (
 // profileCodecVersion guards the binary layout; bump on change.
 const profileCodecVersion = 1
 
+// minVectorBytes is the least a profile vector can occupy: an empty vsm
+// vector's one-byte header, the strength, and two one-byte varints.
+const minVectorBytes = 1 + 8 + 1 + 1
+
 func appendF64(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
@@ -128,10 +132,12 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 	if u, buf, err = readUvarint(buf); err != nil {
 		return err
 	}
-	n := int(u)
-	if n > 1<<20 {
-		return fmt.Errorf("core: implausible vector count %d", n)
+	// The count is input: allocate for what the bytes can hold, not for
+	// what it says.
+	if u > uint64(len(buf)/minVectorBytes) {
+		return fmt.Errorf("core: %d profile vectors in %d bytes", u, len(buf))
 	}
+	n := int(u)
 	vectors := make([]*ProfileVector, 0, n)
 	for i := 0; i < n; i++ {
 		var vec vsm.Vector

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mmprofile/internal/filter"
@@ -153,5 +155,32 @@ func TestProfileCodecEmptyProfile(t *testing.T) {
 	}
 	if restored.ProfileSize() != 0 || restored.Options() != DefaultOptions() {
 		t.Error("empty profile round trip failed")
+	}
+}
+
+// TestProfileCodecAllocatesForTheBytesNotTheCount: the vector count is
+// input. An otherwise valid empty snapshot claiming 2^20 vectors used to
+// reserve 8 MB of pointers before the first vector turned out to be missing
+// — and each of those a vector of 2^20 terms, had the bytes gone on.
+func TestProfileCodecAllocatesForTheBytesNotTheCount(t *testing.T) {
+	blob, err := NewDefault().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[len(blob)-1] != 0 {
+		t.Fatalf("an empty profile's snapshot ends in %d, not its zero vector count", blob[len(blob)-1])
+	}
+	hostile := binary.AppendUvarint(blob[:len(blob)-1:len(blob)-1], 1<<20)
+	hostile = append(binary.AppendUvarint(hostile, 1<<20), 0, 0, 0)
+	p := NewDefault()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = p.UnmarshalBinary(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a snapshot of 2^20 vectors in three bytes was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Errorf("rejecting %d hostile bytes allocated %d bytes", len(hostile), got)
 	}
 }

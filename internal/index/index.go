@@ -10,8 +10,9 @@
 //
 // Hot-path architecture (see DESIGN.md §7 and §12):
 //
-//   - Terms are interned to uint32 ids through a sharded dictionary
-//     (internal/intern), so matching compares integers, never strings.
+//   - Terms are interned to uint32 ids through the process-wide term table
+//     (intern.Terms), so matching compares integers, never strings, and
+//     the index keeps no term strings of its own.
 //   - Postings are sharded by term-id hash across independently locked
 //     shards. Within a term, committed postings are impact-ordered
 //     (descending weight), carved into fixed blocks with per-block
@@ -265,7 +266,6 @@ type Match struct {
 // liveness under the registry lock, so a concurrent Match observes a
 // user's old vector set or the new one — never an empty in-between.
 type Index struct {
-	dict   *intern.Dict
 	shards [numShards]shard
 
 	mu       sync.RWMutex // registry: everything below
@@ -336,9 +336,10 @@ func (ix *Index) PruneStats() PruneStats {
 	}
 }
 
-// SetPruning toggles threshold-aware block skipping at runtime (the
-// -prune=off escape hatch in mmserver/mmbench). Pruned and unpruned
-// matching return identical results; only the work differs.
+// SetPruning toggles threshold-aware block skipping at runtime: the exact
+// every-posting scan the index tests compare pruned matching against.
+// Pruned and unpruned matching return identical results; only the work
+// differs.
 func (ix *Index) SetPruning(on bool) { ix.pruneOff.Store(!on) }
 
 // PruningEnabled reports whether threshold-aware skipping is active.
@@ -372,7 +373,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 	ix.termAttr = metrics.TopK[uint32](reg, "term_postings_scanned",
 		"Postings scanned while matching, by document term.",
 		metrics.DimensionCapacity, 0, metrics.HashU32,
-		func(id uint32) string { return ix.dict.String(id) })
+		intern.Terms.String)
 	ix.inst = &instruments{
 		matchLat: reg.Histogram("mm_index_match_seconds",
 			"Latency of matching one document through the inverted profile index (Match/TopK entry points)."),
@@ -417,12 +418,12 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		})
 }
 
-// New returns an empty index with its own term dictionary.
+// New returns an empty index. Its term dictionary is intern.Terms, the
+// table decoded profiles already took their term strings from.
 func New() *Index {
 	ix := &Index{
 		dying:  make(map[uint32]int),
 		byUser: make(map[string]*userInfo),
-		dict:   intern.NewDict(),
 	}
 	for i := range ix.shards {
 		ix.shards[i].lists = make(map[uint32]*termList)
@@ -431,10 +432,6 @@ func New() *Index {
 	ix.pool.New = func() any { return new(matcher) }
 	return ix
 }
-
-// Dict exposes the index's term dictionary (shared with callers that want
-// to pre-intern document vectors via NewDoc).
-func (ix *Index) Dict() *intern.Dict { return ix.dict }
 
 // ---------------------------------------------------------------------------
 // Updates
@@ -456,7 +453,7 @@ func (ix *Index) prepare(vec int, v vsm.Vector) stagedVec {
 		ws:      make([]float32, len(v.Terms)),
 	}
 	for i, t := range v.Terms {
-		sv.termIDs[i] = ix.dict.Intern(t)
+		sv.termIDs[i] = intern.Terms.Intern(t)
 		sv.ws[i] = float32(v.Weights[i])
 	}
 	sortByIDAsc(sv.termIDs, sv.ws)
@@ -881,7 +878,7 @@ func (ix *Index) NewDoc(v vsm.Vector) Doc {
 		ws:  make([]float64, 0, len(v.Terms)),
 	}
 	for i, t := range v.Terms {
-		if id, ok := ix.dict.Lookup(t); ok {
+		if id, ok := intern.Terms.Lookup(t); ok {
 			d.ids = append(d.ids, id)
 			d.ws = append(d.ws, v.Weights[i])
 		}
@@ -997,7 +994,7 @@ func (m *matcher) resolve(ix *Index, doc vsm.Vector) {
 	m.docIDs = m.docIDs[:0]
 	m.docWs = m.docWs[:0]
 	for i, t := range doc.Terms {
-		if id, ok := ix.dict.Lookup(t); ok {
+		if id, ok := intern.Terms.Lookup(t); ok {
 			m.docIDs = append(m.docIDs, id)
 			m.docWs = append(m.docWs, doc.Weights[i])
 		}
@@ -1671,8 +1668,23 @@ type Stats struct {
 	Postings int
 }
 
+// Probe takes, for reading, every lock a match takes — the registry's and
+// each posting shard's — and returns the live vector count. It changes
+// nothing, so a liveness heartbeat can call it every second without
+// rewriting shards the compaction thresholds would leave alone.
+func (ix *Index) Probe() int {
+	for i := range ix.shards {
+		ix.shards[i].mu.RLock() // acquiring it is the probe
+		ix.shards[i].mu.RUnlock()
+	}
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.liveVecs
+}
+
 // Size returns current index statistics. It compacts first so the term and
-// posting counts reflect only live entries.
+// posting counts reflect only live entries — exact, and a write to every
+// dirty shard: for the stats operation, not for periodic probes.
 func (ix *Index) Size() Stats {
 	ix.Compact()
 	ix.mu.RLock()

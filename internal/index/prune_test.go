@@ -166,8 +166,8 @@ func TestMatchPrunedEqualsBruteForceEveryTheta(t *testing.T) {
 	}
 }
 
-// TestPruningOffMatchesPruningOn pins the -prune=off escape hatch: the
-// toggle changes the work done, never the answer.
+// TestPruningOffMatchesPruningOn pins SetPruning(false), the reference
+// scan: the toggle changes the work done, never the answer.
 func TestPruningOffMatchesPruningOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ix, _ := prunePopulation(rng, 600, 25)

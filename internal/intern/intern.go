@@ -1,51 +1,94 @@
-// Package intern provides a concurrent, sharded string↔uint32 term
-// dictionary. The dissemination hot path compares terms millions of times
-// per published document; interning every term once lets the inverted
-// index store and compare compact integer ids instead of hashing and
-// comparing strings on every posting.
+// Package intern provides the term table: a concurrent, sharded
+// string↔uint32 dictionary that is also the one place a term's bytes live.
+// The dissemination hot path compares terms millions of times per published
+// document; interning every term once lets the inverted index store and
+// compare compact integer ids instead of hashing and comparing strings on
+// every posting. And because every decoded profile vector takes its term
+// strings from the table (Canon), a term held by ten thousand profile
+// vectors is ten thousand 16-byte string headers over one backing array,
+// not ten thousand allocations (DESIGN.md §7, "Where a term lives").
 //
 // Ids are dense per shard and never recycled: an id, once handed out, maps
 // to the same string for the lifetime of the dictionary. The vocabulary of
 // a text collection is effectively bounded (stemmed word forms), so the
-// dictionary only ever grows to corpus-vocabulary size.
+// dictionary only ever grows to corpus-vocabulary size. Only profile-side
+// code inserts (Intern, Canon); document-side code uses Lookup and
+// LookupBytes, so nothing a publisher sends can grow it.
+//
+// Reads take no lock: each shard publishes an open-addressed table through
+// an atomic pointer, a key is hashed once (the low bits pick the shard, the
+// rest the probe start), both string and []byte keys are looked up without
+// allocating, and a slot carries everything that decides a short term, so
+// a lookup is one cache line. Writers serialise per shard and publish a
+// slot only after the string in it is in place.
 package intern
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 const (
 	shardBits = 6
-	numShards = 1 << shardBits // 64 independently locked shards
+	numShards = 1 << shardBits // 64 independently written shards
 	shardMask = numShards - 1
 
 	// maxPerShard caps ids so that local<<shardBits never overflows uint32:
 	// 2^26 terms per shard, ~4.3 billion total — far beyond any vocabulary.
 	maxPerShard = 1 << (32 - shardBits)
+
+	// minSlots is a shard's first table size; tables double from there.
+	minSlots = 16
 )
 
+// Terms is the process-wide term table: index.New uses it as its
+// dictionary and vsm.DecodeVector takes every decoded term from it, so a
+// term string exists once in the process however many profile vectors,
+// retained documents and statistics keys refer to it.
+var Terms = NewDict()
+
 // Dict is a concurrent string↔uint32 dictionary sharded by string hash.
-// The zero value is not usable; call NewDict.
 type Dict struct {
 	shards [numShards]shard
 }
 
 type shard struct {
-	mu   sync.RWMutex
-	ids  map[string]uint32
-	strs []string
+	mu  sync.Mutex            // serialises writers
+	tab atomic.Pointer[table] // nil until the shard's first term
+	n   atomic.Uint32         // terms in the shard: the local ids String resolves
+}
+
+// table is one generation of a shard: open addressing with linear probing,
+// at most three quarters full. Growing builds the next generation aside and
+// swaps the pointer; readers still on the old one see a valid, merely
+// older, dictionary.
+type table struct {
+	slots   []slot
+	byLocal []uint32 // local id → slot, for String
+}
+
+// slot is one term, 32 bytes so that it never straddles a cache line: a
+// lookup of a term of up to eight bytes — most stems — reads this line and
+// nothing else, not even the term's own bytes. meta is 0 while the slot is
+// empty and len<<32 | local id + 1 once it is not; a writer fills prefix
+// and str first and publishes them by storing meta, so a reader that loaded
+// a non-zero meta may read them plainly.
+type slot struct {
+	meta   atomic.Uint64
+	prefix uint64 // the term's first eight bytes, little-endian, zero-padded
+	str    string
 }
 
 // NewDict returns an empty dictionary.
-func NewDict() *Dict {
-	d := &Dict{}
-	for i := range d.shards {
-		d.shards[i].ids = make(map[string]uint32)
-	}
-	return d
-}
+func NewDict() *Dict { return &Dict{} }
 
-// fnv32 is the 32-bit FNV-1a hash, inlined to keep Intern/Lookup
-// allocation-free.
-func fnv32(s string) uint32 {
+// key is what a lookup accepts: the two spellings of a term's bytes.
+type key interface{ ~string | ~[]byte }
+
+// Hash is the 32-bit FNV-1a hash of a term's bytes, the table's own: its
+// low bits pick the shard. Exported so the other term-keyed stripes and
+// caches of the publish path hash the same way without a copy of it.
+func Hash[K key](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint32(s[i])) * 16777619
@@ -53,63 +96,145 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// Intern returns the id of s, assigning a fresh one on first sight.
-// The common already-interned case takes only a shard read lock.
-func (d *Dict) Intern(s string) uint32 {
-	si := fnv32(s) & shardMask
-	sh := &d.shards[si]
-	sh.mu.RLock()
-	id, ok := sh.ids[s]
-	sh.mu.RUnlock()
-	if ok {
-		return id
+// prefix packs the first eight bytes of k.
+func prefix[K key](k K) uint64 {
+	var p uint64
+	for i := 0; i < len(k) && i < 8; i++ {
+		p |= uint64(k[i]) << (8 * i)
 	}
+	return p
+}
+
+// find probes t for k, whose hash is h. Length and prefix together decide a
+// term of up to eight bytes; a longer one is compared in full.
+func find[K key](t *table, h uint32, k K) (local uint32, str string, ok bool) {
+	if t == nil {
+		return 0, "", false
+	}
+	size, pfx := uint64(uint32(len(k)))<<32, prefix(k)
+	mask := uint32(len(t.slots) - 1)
+	for i := (h >> shardBits) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		m := s.meta.Load()
+		if m == 0 {
+			return 0, "", false
+		}
+		if m&^0xffffffff == size && s.prefix == pfx && (len(k) <= 8 || s.str == string(k)) {
+			return uint32(m) - 1, s.str, true
+		}
+	}
+}
+
+// put writes term str, of local id local, into the first empty slot of its
+// probe sequence and returns that slot's meta word for the caller to store:
+// the store is what makes the term findable.
+func (t *table) put(local uint32, str string) (*atomic.Uint64, uint64) {
+	mask := uint32(len(t.slots) - 1)
+	for i := (Hash(str) >> shardBits) & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.meta.Load() == 0 {
+			s.prefix, s.str = prefix(str), str
+			t.byLocal[local] = i
+			return &s.meta, uint64(uint32(len(str)))<<32 | uint64(local+1)
+		}
+	}
+}
+
+// insert adds s, whose hash is h, unless another writer got there first,
+// and returns the term's local id and canonical string.
+func (sh *shard) insert(h uint32, s string) (uint32, string) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok := sh.ids[s]; ok { // lost the race to another writer
-		return id
+	t := sh.tab.Load()
+	if local, str, ok := find(t, h, s); ok {
+		return local, str
 	}
-	local := uint32(len(sh.strs))
+	local := sh.n.Load()
 	if local >= maxPerShard {
 		panic("intern: dictionary shard overflow")
 	}
-	id = local<<shardBits | si
-	sh.ids[s] = id
-	sh.strs = append(sh.strs, s)
-	return id
+	if t == nil || int(local) == len(t.byLocal) {
+		size := minSlots
+		if t != nil {
+			size = 2 * len(t.slots)
+		}
+		nt := &table{slots: make([]slot, size), byLocal: make([]uint32, size/4*3)}
+		for l := uint32(0); l < local; l++ {
+			meta, v := nt.put(l, t.slots[t.byLocal[l]].str)
+			meta.Store(v)
+		}
+		sh.tab.Store(nt)
+		t = nt
+	}
+	// Count the term before it can be found: whoever learns its id from the
+	// slot must already get its string from String.
+	meta, v := t.put(local, s)
+	sh.n.Store(local + 1)
+	meta.Store(v)
+	return local, s
+}
+
+// Intern returns the id of s, assigning a fresh one on first sight.
+func (d *Dict) Intern(s string) uint32 {
+	h := Hash(s)
+	si := h & shardMask
+	sh := &d.shards[si]
+	local, _, ok := find(sh.tab.Load(), h, s)
+	if !ok {
+		local, _ = sh.insert(h, s)
+	}
+	return local<<shardBits | si
+}
+
+// Canon returns the table's own copy of the term spelled by b, adding it on
+// first sight. Only that first sight allocates. Profile decoding calls it
+// for every term, so equal terms of all resident profiles share one string.
+func (d *Dict) Canon(b []byte) string {
+	h := Hash(b)
+	sh := &d.shards[h&shardMask]
+	if _, s, ok := find(sh.tab.Load(), h, b); ok {
+		return s
+	}
+	_, s := sh.insert(h, string(b))
+	return s
 }
 
 // Lookup returns the id of s without interning it; ok is false when s has
 // never been interned. Document-side code uses Lookup so that vocabulary
 // seen only in published pages never grows the dictionary.
 func (d *Dict) Lookup(s string) (uint32, bool) {
-	sh := &d.shards[fnv32(s)&shardMask]
-	sh.mu.RLock()
-	id, ok := sh.ids[s]
-	sh.mu.RUnlock()
-	return id, ok
+	h := Hash(s)
+	si := h & shardMask
+	local, _, ok := find(d.shards[si].tab.Load(), h, s)
+	if !ok {
+		return 0, false
+	}
+	return local<<shardBits | si, true
+}
+
+// LookupBytes returns the table's copy of the term spelled by b, without
+// adding it: the document-side counterpart of Canon.
+func (d *Dict) LookupBytes(b []byte) (string, bool) {
+	h := Hash(b)
+	_, s, ok := find(d.shards[h&shardMask].tab.Load(), h, b)
+	return s, ok
 }
 
 // String returns the term for an id, or "" for an id never handed out.
 func (d *Dict) String(id uint32) string {
 	sh := &d.shards[id&shardMask]
-	local := int(id >> shardBits)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if local >= len(sh.strs) {
+	local := id >> shardBits
+	if local >= sh.n.Load() {
 		return ""
 	}
-	return sh.strs[local]
+	t := sh.tab.Load()
+	return t.slots[t.byLocal[local]].str
 }
 
 // Len returns the number of distinct interned terms.
 func (d *Dict) Len() int {
 	n := 0
 	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		n += len(sh.strs)
-		sh.mu.RUnlock()
+		n += int(d.shards[i].n.Load())
 	}
 	return n
 }

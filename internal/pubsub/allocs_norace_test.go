@@ -6,3 +6,6 @@ package pubsub
 // 119a9e4 with attribution switched off (TestAttributedPublishAddsNoAllocs'
 // setup: one subscriber, queue of 1, every publish drops).
 const publishAllocsMax = 7
+
+// raceEnabled lets memory-budget tests skip under the race detector.
+const raceEnabled = false

@@ -39,6 +39,7 @@ import (
 	"mmprofile/internal/docstore"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/index"
+	"mmprofile/internal/intern"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/text"
@@ -275,6 +276,10 @@ func New(opts Options) *Broker {
 		m:     newBrokerMetrics(reg),
 	}
 	b.idx.Instrument(reg)
+	b.pipe.Instrument(reg)
+	reg.GaugeFunc("mm_intern_terms",
+		"Distinct terms in the process-wide term table (profile vocabulary; publishing never grows it).",
+		func() float64 { return float64(intern.Terms.Len()) })
 	reg.GaugeFunc("mm_pubsub_subscribers",
 		"Currently registered subscribers.",
 		func() float64 { return float64(b.reg.len()) })
@@ -863,22 +868,24 @@ func (b *Broker) Stats() Counters {
 	}
 }
 
-// IndexStats returns the profile index's size.
+// IndexStats returns the profile index's exact size, compacting every
+// shard that holds tombstones first.
 func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 
 // Log returns the broker's structured logger (nil when none configured).
 func (b *Broker) Log() *obs.Logger { return b.opts.Log }
 
 // PingPipeline probes the locks the publish path takes — a registry-shard
-// read, a docstore-shard read, and the index size scan — and returns once
-// all of them were acquired. Health heartbeat goroutines call it
+// read, a docstore-shard read, and the index's read locks — and returns once
+// all of them were acquired, having changed nothing (IndexStats compacts;
+// this must not). Health heartbeat goroutines call it
 // periodically: if any layer is wedged (a lock held forever), the ping
 // blocks, the heartbeat goes stale, and /readyz degrades — without the
 // /readyz handler itself ever touching the wedged lock.
 func (b *Broker) PingPipeline() {
 	_ = b.reg.len()
 	_, _ = b.docs.Get(0)
-	_ = b.idx.Size()
+	_ = b.idx.Probe()
 }
 
 // Layout reports how the broker's layers are sharded.

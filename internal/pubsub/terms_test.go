@@ -1,0 +1,190 @@
+package pubsub
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"mmprofile/internal/core"
+	"mmprofile/internal/corpus"
+	"mmprofile/internal/filter"
+	"mmprofile/internal/metrics"
+	"mmprofile/internal/text"
+	"mmprofile/internal/vsm"
+)
+
+// importProfile is what the wire import op and store hydration do: decode a
+// serialized profile and subscribe it.
+func importProfile(t *testing.T, b *Broker, id string, state []byte) *core.Profile {
+	t.Helper()
+	p := core.NewDefault()
+	if err := p.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe(id, p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestOneStringPerTerm: two imported profiles that share a term hold one
+// string between them, and a page published afterwards whose text stems to
+// that term retains the same string in its document vector — the term is
+// resident once, whoever refers to it.
+func TestOneStringPerTerm(t *testing.T) {
+	stem := text.Stem("deliveries")
+	state := func(other string) []byte {
+		p := core.NewDefault()
+		p.Observe(vsm.FromMap(map[string]float64{stem: 1, other: 1}).Normalized(), filter.Relevant)
+		blob, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	b := New(Options{Threshold: 0.1})
+	alice := importProfile(t, b, "alice", state("alpha"))
+	bob := importProfile(t, b, "bob", state("beta"))
+	termOf := func(p *core.Profile) string {
+		for _, term := range p.ProfileVectors()[0].Terms {
+			if term == stem {
+				return term
+			}
+		}
+		t.Fatalf("profile lost %q", stem)
+		return ""
+	}
+	if unsafe.StringData(termOf(alice)) != unsafe.StringData(termOf(bob)) {
+		t.Errorf("two imported profiles hold two copies of %q", stem)
+	}
+
+	doc, n := b.Publish("<p>Deliveries delivery delivering: the adaptive dissemination of deliveries to subscribers, measured.</p>")
+	if n != 2 {
+		t.Fatalf("delivered to %d subscribers, want both", n)
+	}
+	vec, ok := b.DocumentVector(doc)
+	if !ok {
+		t.Fatal("published document was not retained")
+	}
+	for _, term := range vec.Terms {
+		if term == stem {
+			if unsafe.StringData(term) != unsafe.StringData(termOf(alice)) {
+				t.Errorf("the retained document holds its own copy of %q", stem)
+			}
+			return
+		}
+	}
+	t.Fatalf("document vector %v has no %q", vec.Terms, stem)
+}
+
+// trainedStates serializes n MM profiles trained the way perf's match
+// population is: each on six relevant pages of each of two second-level
+// categories of the evaluation corpus.
+func trainedStates(t *testing.T, n int) [][]byte {
+	t.Helper()
+	cfg := corpus.DefaultConfig()
+	cfg.PagesPerSub = 10
+	pages := corpus.Generate(cfg).Pages
+	ncat := cfg.TopCategories * cfg.SubPerTop
+	byCat := make([][]vsm.Vector, ncat)
+	pipe, stats := text.NewPipeline(), vsm.NewStats()
+	terms := make([][]string, len(pages))
+	for i, pg := range pages {
+		terms[i] = pipe.Terms(pg.HTML)
+		stats.Add(terms[i])
+	}
+	for i, pg := range pages {
+		cat := pg.Cat.Top*cfg.SubPerTop + pg.Cat.Sub
+		byCat[cat] = append(byCat[cat], vsm.DocumentVector(terms[i], vsm.Bel{Stats: stats}))
+	}
+	rng := rand.New(rand.NewSource(19))
+	states := make([][]byte, n)
+	for i := range states {
+		p := core.NewDefault()
+		for k := 0; k < 2; k++ {
+			docs := byCat[(i*7+k*37)%ncat]
+			for d := 0; d < 6; d++ {
+				p.Observe(docs[rng.Intn(len(docs))], filter.Relevant)
+			}
+		}
+		var err error
+		if states[i], err = p.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return states
+}
+
+// TestResidentBytesPerTerm is the memory budget of the paper's fixed
+// 100-term vectors: what one more (vector, term) pair of an imported,
+// indexed profile costs in live heap. 250 profiles are loaded first, so
+// that the vocabulary, the term table and every posting list exist; the
+// next 500 are the measurement. A pair is a string header and a weight in
+// the profile (24 B), a (term, weight) in the index entry (8 B), a posting
+// (9 B) and slice slack. When every decoded term was its own string this
+// read 60 B; sharing the table's strings it reads 50 B.
+func TestResidentBytesPerTerm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is counted as heap")
+	}
+	states := trainedStates(t, 750)
+	b := New(Options{})
+	load := func(from, to int) (pairs int) {
+		for i := from; i < to; i++ {
+			for _, v := range importProfile(t, b, fmt.Sprintf("u%04d", i), states[i]).ProfileVectors() {
+				pairs += v.Len()
+			}
+		}
+		return pairs
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	load(0, 250)
+	before := liveHeap()
+	pairs := load(250, 750)
+	perPair := float64(liveHeap()-before) / float64(pairs)
+	t.Logf("%d pairs, %.1f live bytes per pair", pairs, perPair)
+	if perPair > 56 {
+		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 56", perPair)
+	}
+	runtime.KeepAlive(states)
+	runtime.KeepAlive(b)
+}
+
+// TestPingPipelineLeavesTombstonesAlone: the liveness probe mmserver runs
+// every second must not do the index's housekeeping for it. Tombstones under
+// the compaction thresholds stay until a threshold or an exact Size asks.
+func TestPingPipelineLeavesTombstonesAlone(t *testing.T) {
+	reg := metrics.NewRegistry()
+	b := New(Options{Metrics: reg})
+	for i := 0; i < 8; i++ {
+		if _, err := b.Subscribe(fmt.Sprintf("u%d", i), trainedMM("shared", fmt.Sprintf("own%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Unsubscribe("u3")
+	b.Unsubscribe("u5")
+	ratio := func() float64 { return reg.Snapshot()["mm_index_tombstone_ratio"].(float64) }
+	stale := ratio()
+	if stale == 0 {
+		t.Fatal("two unsubscribes left no tombstones: nothing for a probe to disturb")
+	}
+	for beat := 0; beat < 3; beat++ {
+		b.PingPipeline()
+	}
+	if got := ratio(); got != stale {
+		t.Errorf("tombstone ratio moved from %v to %v under the liveness probe", stale, got)
+	}
+	if st := b.IndexStats(); st.Users != 6 {
+		t.Errorf("IndexStats reports %d users, want 6", st.Users)
+	}
+	if got := ratio(); got != 0 {
+		t.Errorf("tombstone ratio %v after the exact, compacting IndexStats, want 0", got)
+	}
+}

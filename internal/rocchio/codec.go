@@ -79,8 +79,8 @@ func (r *Rocchio) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return nil, err
 		}
-		if count > 1<<20 {
-			return nil, fmt.Errorf("rocchio: implausible buffer size %d", count)
+		if count > uint64(len(buf)) { // a vector is at least its one-byte header
+			return nil, fmt.Errorf("rocchio: %d buffered vectors in %d bytes", count, len(buf))
 		}
 		out := make([]vsm.Vector, 0, count)
 		for i := uint64(0); i < count; i++ {
@@ -132,7 +132,7 @@ func (n *NRN) UnmarshalBinary(data []byte) error {
 	}
 	buf := data[1:]
 	count, k := binary.Uvarint(buf)
-	if k <= 0 || count > 1<<20 {
+	if k <= 0 || count > uint64(len(buf)-k) { // a vector is at least its one-byte header
 		return fmt.Errorf("rocchio: bad NRN vector count")
 	}
 	buf = buf[k:]

@@ -1,7 +1,9 @@
 package rocchio
 
 import (
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 
 	"mmprofile/internal/filter"
@@ -106,5 +108,18 @@ func TestNRNCodecRejectsCorruption(t *testing.T) {
 		if err := fresh.UnmarshalBinary(blob[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+	// A vector count the remaining bytes cannot hold is refused before
+	// anything is allocated for it (same rule as vsm.DecodeVector's).
+	hostile := append([]byte{nrnCodecVersion}, binary.AppendUvarint(nil, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewNRN().UnmarshalBinary(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("2^20 NRN vectors in no bytes accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Errorf("rejecting a hostile NRN count allocated %d bytes", got)
 	}
 }

@@ -8,7 +8,13 @@ func Stem(word string) string {
 	if len(word) < 3 {
 		return word
 	}
-	s := stemmer{b: []byte(word)}
+	return string(stemBytes([]byte(word)))
+}
+
+// stemBytes runs the algorithm on a word of at least three bytes, in place,
+// and returns the stem (b, shortened, or grown by one restored 'e').
+func stemBytes(b []byte) []byte {
+	s := stemmer{b: b}
 	s.step1a()
 	s.step1b()
 	s.step1c()
@@ -17,7 +23,7 @@ func Stem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
-	return string(s.b)
+	return s.b
 }
 
 // stemmer holds the word being stemmed. b is mutated in place; j marks the

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"mmprofile/internal/intern"
 )
 
 // Binary layout of a Vector (all integers unsigned varints):
@@ -26,16 +28,24 @@ func AppendVector(buf []byte, v Vector) []byte {
 	return buf
 }
 
+// minTermBytes is the least a term can occupy: a one-byte length, no bytes,
+// and the weight.
+const minTermBytes = 1 + 8
+
 // DecodeVector decodes one vector from the front of buf, returning it and
-// the remaining bytes.
+// the remaining bytes. Every term string is the process-wide term table's
+// copy (intern.Terms), not a fresh allocation: import, hydration and WAL
+// replay all come through here, so resident profiles share their terms.
 func DecodeVector(buf []byte) (Vector, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
 		return Vector{}, nil, fmt.Errorf("vsm: corrupt vector header")
 	}
 	buf = buf[k:]
-	if n > 1<<20 {
-		return Vector{}, nil, fmt.Errorf("vsm: implausible vector size %d", n)
+	// The header is input: allocate for what the bytes can hold, not for
+	// what it says.
+	if n > uint64(len(buf)/minTermBytes) {
+		return Vector{}, nil, fmt.Errorf("vsm: vector of %d terms in %d bytes", n, len(buf))
 	}
 	v := Vector{
 		Terms:   make([]string, 0, n),
@@ -47,7 +57,7 @@ func DecodeVector(buf []byte) (Vector, []byte, error) {
 			return Vector{}, nil, fmt.Errorf("vsm: truncated vector term %d", i)
 		}
 		buf = buf[k:]
-		v.Terms = append(v.Terms, string(buf[:l]))
+		v.Terms = append(v.Terms, intern.Terms.Canon(buf[:l]))
 		buf = buf[l:]
 		w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
 		buf = buf[8:]

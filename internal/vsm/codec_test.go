@@ -1,10 +1,13 @@
 package vsm
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestVectorCodecRoundTrip(t *testing.T) {
@@ -88,4 +91,55 @@ func randTerm(rng *rand.Rand) string {
 		b[i] = byte('a' + rng.Intn(26))
 	}
 	return string(b)
+}
+
+// hugeHeaders are a few bytes that announce a million-term vector.
+func hugeHeaders() [][]byte {
+	n := binary.AppendUvarint(nil, 1<<20)
+	return [][]byte{
+		n,
+		append(append([]byte{}, n...), 1, 'a', 0, 0, 0, 0, 0, 0, 0xf0, 0x3f),
+		binary.AppendUvarint(nil, 1<<62),
+	}
+}
+
+// allocatedBytes is what fn allocated, live or not.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeVectorAllocatesForTheBytesNotTheHeader: the term count is
+// input. A ten-byte message claiming 2^20 terms used to reserve 24 MB of
+// slices before the first term turned out to be missing.
+func TestDecodeVectorAllocatesForTheBytesNotTheHeader(t *testing.T) {
+	for _, buf := range hugeHeaders() {
+		var err error
+		got := allocatedBytes(func() { _, _, err = DecodeVector(buf) })
+		if err == nil {
+			t.Errorf("%d bytes decoded as a vector of many terms", len(buf))
+		}
+		if got > 4096 {
+			t.Errorf("decoding %d hostile bytes allocated %d bytes", len(buf), got)
+		}
+	}
+}
+
+// TestDecodedVectorsShareTerms: equal terms of separately decoded vectors
+// are one string, the table's.
+func TestDecodedVectorsShareTerms(t *testing.T) {
+	a, _, err := DecodeVector(AppendVector(nil, vec("alpha", 1.0, "shared", 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := DecodeVector(AppendVector(nil, vec("shared", 2.0, "zeta", 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Terms[1] != "shared" || unsafe.StringData(a.Terms[1]) != unsafe.StringData(b.Terms[0]) {
+		t.Errorf("two decodes of %q hold two strings", a.Terms[1])
+	}
 }

@@ -3,6 +3,8 @@ package vsm
 import (
 	"sync"
 	"sync/atomic"
+
+	"mmprofile/internal/intern"
 )
 
 // dfShardBits/dfShards size the ConcurrentStats stripe array. 64 stripes
@@ -18,7 +20,7 @@ const (
 // ConcurrentStats is a Stats variant safe for concurrent Add and read use:
 // the document count and total length are atomics, and the per-term
 // document frequencies are striped over independently read/write-locked
-// map shards (term → stripe by FNV-1a hash). It satisfies StatsView, so
+// map shards (term → stripe by intern.Hash). It satisfies StatsView, so
 // TFIDF and Bel weighting work against it unchanged.
 //
 // Readers are deliberately not snapshot-consistent with writers: a Weight
@@ -48,16 +50,6 @@ func NewConcurrentStats() *ConcurrentStats {
 	return s
 }
 
-// statsFNV32 is the 32-bit FNV-1a hash (same function the intern
-// dictionary uses), inlined to keep DF lookups allocation-free.
-func statsFNV32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
 // Add observes one document given as its (post-pipeline) term list,
 // updating N, document frequencies, and the running average length. Safe
 // for concurrent use with other Adds and with reads.
@@ -70,7 +62,7 @@ func (s *ConcurrentStats) Add(terms []string) {
 			continue
 		}
 		seen[t] = true
-		sh := &s.shards[statsFNV32(t)&dfShardMask]
+		sh := &s.shards[intern.Hash(t)&dfShardMask]
 		sh.mu.Lock()
 		sh.df[t]++
 		sh.mu.Unlock()
@@ -86,7 +78,7 @@ func (s *ConcurrentStats) Stripes() int { return dfShards }
 
 // DF returns the document frequency of term t.
 func (s *ConcurrentStats) DF(t string) int {
-	sh := &s.shards[statsFNV32(t)&dfShardMask]
+	sh := &s.shards[intern.Hash(t)&dfShardMask]
 	sh.mu.RLock()
 	df := sh.df[t]
 	sh.mu.RUnlock()

@@ -8,6 +8,9 @@ func FuzzDecodeVector(f *testing.F) {
 	f.Add(AppendVector(nil, vec("alpha", 1.0, "beta", 0.5)))
 	f.Add([]byte{255, 255, 255, 255, 255})
 	f.Add(append(AppendVector(nil, vec("a", 1.0)), 0xFF, 0x01))
+	for _, b := range hugeHeaders() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, rest, err := DecodeVector(data) // must not panic
 		if err != nil {
