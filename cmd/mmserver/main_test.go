@@ -89,6 +89,7 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_index_terms_pruned_total", "counter"},
 		{"mm_index_tombstone_ratio", "gauge"},
 		{"mm_intern_terms", "gauge"},
+		{"mm_profile_resident_pairs", "gauge"},
 		{"mm_profile_vectors", "gauge"},
 		{"mm_pubsub_deliver_seconds", "histogram"},
 		{"mm_pubsub_deliveries_total", "counter"},

@@ -68,10 +68,10 @@ func (p *Profile) MarshalBinary() ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.vectors)))
 	for _, pv := range p.vectors {
-		buf = vsm.AppendVector(buf, pv.Vec)
-		buf = appendF64(buf, pv.Strength)
-		buf = binary.AppendUvarint(buf, uint64(pv.CreatedAt))
-		buf = binary.AppendUvarint(buf, uint64(pv.Incorporations))
+		buf = vsm.AppendPacked(buf, pv.vec)
+		buf = appendF64(buf, pv.strength)
+		buf = binary.AppendUvarint(buf, uint64(pv.createdAt))
+		buf = binary.AppendUvarint(buf, uint64(pv.incorporations))
 	}
 	return buf, nil
 }
@@ -138,28 +138,26 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("core: %d profile vectors in %d bytes", u, len(buf))
 	}
 	n := int(u)
-	vectors := make([]*ProfileVector, 0, n)
+	vectors := make([]*resident, 0, n)
 	for i := 0; i < n; i++ {
-		var vec vsm.Vector
-		if vec, buf, err = vsm.DecodeVector(buf); err != nil {
+		pv := &resident{id: uint64(i + 1)}
+		if pv.vec, buf, err = vsm.DecodePacked(buf); err != nil {
 			return fmt.Errorf("core: vector %d: %w", i, err)
 		}
-		pv := &ProfileVector{Vec: vec}
-		if pv.Strength, buf, err = readF64(buf); err != nil {
+		if pv.strength, buf, err = readF64(buf); err != nil {
 			return err
 		}
-		if pv.Strength <= 0 || math.IsNaN(pv.Strength) || math.IsInf(pv.Strength, 0) {
-			return fmt.Errorf("core: vector %d has invalid strength %v", i, pv.Strength)
+		if pv.strength <= 0 || math.IsNaN(pv.strength) || math.IsInf(pv.strength, 0) {
+			return fmt.Errorf("core: vector %d has invalid strength %v", i, pv.strength)
 		}
 		if u, buf, err = readUvarint(buf); err != nil {
 			return err
 		}
-		pv.CreatedAt = int(u)
+		pv.createdAt = int(u)
 		if u, buf, err = readUvarint(buf); err != nil {
 			return err
 		}
-		pv.Incorporations = int(u)
-		pv.ID = uint64(i + 1)
+		pv.incorporations = int(u)
 		vectors = append(vectors, pv)
 	}
 	if len(buf) != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -182,5 +183,29 @@ func TestProfileCodecAllocatesForTheBytesNotTheCount(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
 		t.Errorf("rejecting %d hostile bytes allocated %d bytes", len(hostile), got)
+	}
+}
+
+// TestProfileCodecRefusesWeightsBeyondFloat32: a weight the match index
+// cannot narrow to a finite float32 is refused where it enters — 64 imports
+// of such a profile used to hang the index under a shard lock (index's
+// TestWeightsBeyondFloat32DoNotHang). MaxFloat32 itself is still a weight.
+func TestProfileCodecRefusesWeightsBeyondFloat32(t *testing.T) {
+	p := NewDefault()
+	p.Observe(vsm.FromMap(map[string]float64{"hostileweight": 1}), filter.Relevant)
+	blob, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(blob, []byte("hostileweight")) + len("hostileweight")
+	for bits, ok := range map[uint64]bool{
+		0x4800000000000000:                false, // 6.8e38
+		0xC800000000000000:                false,
+		math.Float64bits(math.MaxFloat32): true,
+	} {
+		binary.LittleEndian.PutUint64(blob[at:], bits)
+		if err := NewDefault().UnmarshalBinary(blob); (err == nil) != ok {
+			t.Errorf("weight %v: UnmarshalBinary = %v", math.Float64frombits(bits), err)
+		}
 	}
 }

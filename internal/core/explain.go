@@ -41,9 +41,11 @@ func (p *Profile) Explain(v vsm.Vector, maxTerms int) Explanation {
 	if v.IsZero() || len(p.vectors) == 0 {
 		return ex
 	}
+	doc := vsm.Resolve(v)
+	defer doc.Release()
 	for i, pv := range p.vectors {
-		// DotUnit keeps Explain's score identical to Score's.
-		if s := vsm.DotUnit(pv.Vec, v); s > ex.Score {
+		// The same dot product as Score's, so the same score.
+		if s := doc.Dot(pv.vec); s > ex.Score {
 			ex.Score = s
 			ex.Cluster = i
 		}
@@ -52,19 +54,20 @@ func (p *Profile) Explain(v vsm.Vector, maxTerms int) Explanation {
 		return ex
 	}
 	best := p.vectors[ex.Cluster]
-	ex.Strength = best.Strength
-	ex.VectorID = best.ID
+	ex.Strength = best.strength
+	ex.VectorID = best.id
 
 	// Shared-term contributions to the (normalized) dot product.
-	norm := best.Vec.Norm() * v.Norm()
+	bv := best.vec.Vector()
+	norm := bv.Norm() * v.Norm()
 	if norm == 0 {
 		return ex
 	}
 	m := make(map[string]float64)
 	docW := v.ToMap()
-	for i, t := range best.Vec.Terms {
+	for i, t := range bv.Terms {
 		if dw, ok := docW[t]; ok {
-			m[t] = best.Vec.Weights[i] * dw / norm
+			m[t] = bv.Weights[i] * dw / norm
 		}
 	}
 	contrib := vsm.FromMap(m) // sorts and drops non-positive

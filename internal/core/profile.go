@@ -9,7 +9,8 @@ import (
 )
 
 // ProfileVector is one cluster of the multi-modal profile: a representative
-// vector plus the strength statistic that drives deletion.
+// vector plus the strength statistic that drives deletion. It is the copy
+// Vectors hands out; the profile itself holds each cluster as a resident.
 type ProfileVector struct {
 	// ID identifies the vector across its lifetime, for the adaptation
 	// audit journal (audit.go): ids are assigned once at creation, never
@@ -40,11 +41,23 @@ type OpCounts struct {
 	Ignored      int // judgments with no effect (dissimilar non-relevant, …)
 }
 
+// resident is a cluster as the profile holds it: ProfileVector's fields
+// with the representative packed to term ids — 12 bytes per term and no
+// pointers, where the Vector callers see costs 24 (DESIGN.md §7). vec is
+// replaced, never written to, so PackedVectors can hand it out uncopied.
+type resident struct {
+	id             uint64
+	vec            vsm.Packed
+	strength       float64
+	createdAt      int
+	incorporations int
+}
+
 // Profile is the MM learner. It implements filter.Learner. A Profile is
 // not safe for concurrent use.
 type Profile struct {
 	opts    Options
-	vectors []*ProfileVector
+	vectors []*resident
 	step    int
 	ops     OpCounts
 
@@ -96,11 +109,11 @@ func (p *Profile) Vectors() []ProfileVector {
 	out := make([]ProfileVector, len(p.vectors))
 	for i, pv := range p.vectors {
 		out[i] = ProfileVector{
-			ID:             pv.ID,
-			Vec:            pv.Vec.Clone(),
-			Strength:       pv.Strength,
-			CreatedAt:      pv.CreatedAt,
-			Incorporations: pv.Incorporations,
+			ID:             pv.id,
+			Vec:            pv.vec.Vector(),
+			Strength:       pv.strength,
+			CreatedAt:      pv.createdAt,
+			Incorporations: pv.incorporations,
 		}
 	}
 	for i := 1; i < len(out); i++ {
@@ -116,7 +129,19 @@ func (p *Profile) Vectors() []ProfileVector {
 func (p *Profile) ProfileVectors() []vsm.Vector {
 	out := make([]vsm.Vector, len(p.vectors))
 	for i, pv := range p.vectors {
-		out[i] = pv.Vec.Clone()
+		out[i] = pv.vec.Vector()
+	}
+	return out
+}
+
+// PackedVectors returns the representatives ProfileVectors returns, in the
+// same order, as the profile holds them: no term or weight is copied,
+// because a Packed is never written to. It is what the broker hands the
+// match index after every step.
+func (p *Profile) PackedVectors() []vsm.Packed {
+	out := make([]vsm.Packed, len(p.vectors))
+	for i, pv := range p.vectors {
+		out[i] = pv.vec
 	}
 	return out
 }
@@ -128,7 +153,7 @@ func (p *Profile) ProfileVectors() []vsm.Vector {
 // method.
 func (p *Profile) ForEachStrength(fn func(float64)) {
 	for _, pv := range p.vectors {
-		fn(pv.Strength)
+		fn(pv.strength)
 	}
 }
 
@@ -150,11 +175,17 @@ func (p *Profile) Reset() {
 // vector (the Foltz–Dumais convention the paper adopts). An empty profile
 // scores everything 0. Profile vectors are unit-normalized by
 // construction and v must be too (all document vectors in this system
-// are), so the similarity is a plain dot product (vsm.DotUnit).
+// are), so the similarity is a plain dot product, the document resolved to
+// term ids once for all of them (vsm.Resolve).
 func (p *Profile) Score(v vsm.Vector) float64 {
 	best := 0.0
+	if len(p.vectors) == 0 {
+		return best
+	}
+	doc := vsm.Resolve(v)
+	defer doc.Release()
 	for _, pv := range p.vectors {
-		if s := vsm.DotUnit(pv.Vec, v); s > best {
+		if s := doc.Dot(pv.vec); s > best {
 			best = s
 		}
 	}
@@ -173,7 +204,9 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 		return
 	}
 
-	actIdx := p.closestTo(v, -1)
+	doc := vsm.Resolve(v)
+	defer doc.Release()
+	actIdx, sim := p.closestTo(doc, -1)
 	if actIdx < 0 {
 		// Empty profile: only a relevant document may seed it (§3.2).
 		if fd == filter.Relevant {
@@ -186,7 +219,6 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 	}
 
 	act := p.vectors[actIdx]
-	sim := vsm.DotUnit(act.Vec, v)
 	// Incorporation requires sim ≥ θ (so θ = 0 always incorporates and the
 	// profile stays a single vector, and θ = 1 creates a vector per distinct
 	// relevant document — the paper's two extremes in §3.5).
@@ -197,8 +229,8 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 			p.ops.Ignored++
 			p.audit(AuditEvent{
 				Op: AuditIgnore, Feedback: int(fd),
-				Vector: act.ID, Cosine: sim,
-				StrengthBefore: act.Strength, StrengthAfter: act.Strength,
+				Vector: act.id, Cosine: sim,
+				StrengthBefore: act.strength, StrengthAfter: act.strength,
 			})
 			return
 		}
@@ -218,18 +250,18 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 // audit journal so a create can be read as "closest cluster was sim < θ".
 func (p *Profile) create(v vsm.Vector, sim float64) {
 	p.nextID++
-	pv := &ProfileVector{
-		ID:        p.nextID,
-		Vec:       v.Truncated(p.opts.MaxTerms).Normalized(),
-		Strength:  p.opts.InitialStrength,
-		CreatedAt: p.step,
+	pv := &resident{
+		id:        p.nextID,
+		vec:       vsm.Pack(v.Truncated(p.opts.MaxTerms).Normalized()),
+		strength:  p.opts.InitialStrength,
+		createdAt: p.step,
 	}
 	p.vectors = append(p.vectors, pv)
 	p.ops.Created++
 	p.audit(AuditEvent{
 		Op: AuditCreate, Feedback: int(filter.Relevant),
-		Vector: pv.ID, Cosine: sim,
-		StrengthAfter: pv.Strength,
+		Vector: pv.id, Cosine: sim,
+		StrengthAfter: pv.strength,
 	})
 }
 
@@ -242,11 +274,11 @@ func (p *Profile) create(v vsm.Vector, sim float64) {
 // instantiation of the paper's "simple exponential decay" was chosen.
 func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim float64) {
 	act := p.vectors[actIdx]
-	before := act.Strength
-	moved := vsm.Combine(act.Vec, 1-p.opts.Eta, v, p.opts.Eta*float64(fd))
+	before := act.strength
+	moved := vsm.Combine(act.vec.Vector(), 1-p.opts.Eta, v, p.opts.Eta*float64(fd))
 	moved = moved.Truncated(p.opts.MaxTerms).Normalized()
 	p.ops.Incorporated++
-	act.Incorporations++
+	act.incorporations++
 
 	if moved.IsZero() {
 		// Negative feedback annihilated the vector entirely.
@@ -254,31 +286,31 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 		p.ops.Annihilated++
 		p.audit(AuditEvent{
 			Op: AuditAnnihilate, Feedback: int(fd),
-			Vector: act.ID, Cosine: sim,
+			Vector: act.id, Cosine: sim,
 			StrengthBefore: before,
 		})
 		return
 	}
-	act.Vec = moved
+	act.vec = vsm.Pack(moved)
 
 	if !p.opts.DisableDecay {
 		exponent := p.opts.DecayC * float64(fd)
 		if !p.opts.UnweightedDecay {
 			exponent *= sim
 		}
-		act.Strength *= math.Exp(exponent)
-		if act.Strength < p.opts.DeleteThreshold {
-			decayed := act.Strength
+		act.strength *= math.Exp(exponent)
+		if act.strength < p.opts.DeleteThreshold {
+			decayed := act.strength
 			p.remove(actIdx)
 			p.ops.Deleted++
 			p.audit(AuditEvent{
 				Op: AuditIncorporate, Feedback: int(fd),
-				Vector: act.ID, Cosine: sim,
+				Vector: act.id, Cosine: sim,
 				StrengthBefore: before, StrengthAfter: decayed,
 			})
 			p.audit(AuditEvent{
 				Op: AuditDelete, Feedback: int(fd),
-				Vector: act.ID, Cosine: sim,
+				Vector: act.id, Cosine: sim,
 				StrengthBefore: decayed,
 			})
 			return
@@ -286,8 +318,8 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 	}
 	p.audit(AuditEvent{
 		Op: AuditIncorporate, Feedback: int(fd),
-		Vector: act.ID, Cosine: sim,
-		StrengthBefore: before, StrengthAfter: act.Strength,
+		Vector: act.id, Cosine: sim,
+		StrengthBefore: before, StrengthAfter: act.strength,
 	})
 
 	// Merge check: only pairs containing the (moved) active vector can have
@@ -296,45 +328,48 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 	if p.opts.DisableMerge || len(p.vectors) < 2 {
 		return
 	}
-	cIdx := p.closestTo(act.Vec, actIdx)
+	// The siblings are held against the active vector the way they are
+	// against a document.
+	m := act.vec.Resolved()
+	defer m.Release()
+	cIdx, mergeSim := p.closestTo(m, actIdx)
 	if cIdx < 0 {
 		return
 	}
 	c := p.vectors[cIdx]
-	mergeSim := vsm.DotUnit(act.Vec, c.Vec)
 	if mergeSim < p.opts.Theta {
 		return
 	}
 	// Mixing ratio is the strength share of the removed vector (§3.3).
-	mergeBefore := act.Strength
-	r := c.Strength / (act.Strength + c.Strength)
-	merged := vsm.Combine(act.Vec, 1-r, c.Vec, r)
-	act.Vec = merged.Truncated(p.opts.MaxTerms).Normalized()
-	act.Strength += c.Strength
-	act.Incorporations += c.Incorporations
+	mergeBefore := act.strength
+	r := c.strength / (act.strength + c.strength)
+	merged := vsm.Combine(moved, 1-r, c.vec.Vector(), r)
+	act.vec = vsm.Pack(merged.Truncated(p.opts.MaxTerms).Normalized())
+	act.strength += c.strength
+	act.incorporations += c.incorporations
 	p.remove(cIdx)
 	p.ops.Merged++
 	p.audit(AuditEvent{
 		Op: AuditMerge, Feedback: int(fd),
-		Vector: act.ID, Merged: c.ID, Cosine: mergeSim,
-		StrengthBefore: mergeBefore, StrengthAfter: act.Strength,
+		Vector: act.id, Merged: c.id, Cosine: mergeSim,
+		StrengthBefore: mergeBefore, StrengthAfter: act.strength,
 	})
 }
 
-// closestTo returns the index of the profile vector most similar to v,
-// skipping index skip (pass −1 to consider all); −1 when the profile is
-// empty or only contains the skipped vector.
-func (p *Profile) closestTo(v vsm.Vector, skip int) int {
-	best, bestIdx := -1.0, -1
+// closestTo returns the index of the profile vector most similar to v and
+// that similarity, skipping index skip (pass −1 to consider all); −1 when
+// the profile is empty or only contains the skipped vector.
+func (p *Profile) closestTo(v *vsm.Resolved, skip int) (int, float64) {
+	bestIdx, best := -1, -1.0
 	for i, pv := range p.vectors {
 		if i == skip {
 			continue
 		}
-		if s := vsm.DotUnit(pv.Vec, v); s > best {
-			best, bestIdx = s, i
+		if s := v.Dot(pv.vec); s > best {
+			bestIdx, best = i, s
 		}
 	}
-	return bestIdx
+	return bestIdx, best
 }
 
 // remove deletes the vector at index i, preserving the order of the rest

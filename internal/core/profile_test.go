@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -444,5 +445,35 @@ func TestRegisteredLearners(t *testing.T) {
 		if l.Name() != name {
 			t.Errorf("learner %s reports name %s", name, l.Name())
 		}
+	}
+}
+
+// TestPackedVectorsAreTheResidentVectors: PackedVectors hands out what the
+// profile holds — the same representatives, in ProfileVectors' order,
+// without copying a term or a weight — and a step replaces the vector it
+// moves rather than writing into it, so what was handed out stays as it was.
+func TestPackedVectorsAreTheResidentVectors(t *testing.T) {
+	p := NewDefault()
+	p.Observe(vec("cat", 1.0, "dog", 1.0), filter.Relevant)
+	p.Observe(vec("stock", 1.0, "bond", 1.0), filter.Relevant)
+	packed, copies := p.PackedVectors(), p.ProfileVectors()
+	if len(packed) != 2 || len(copies) != 2 {
+		t.Fatalf("%d packed, %d copies, want 2 and 2", len(packed), len(copies))
+	}
+	for i := range packed {
+		if !reflect.DeepEqual(packed[i].Vector(), copies[i]) {
+			t.Errorf("vector %d: packed %v, copy %v", i, packed[i].Vector(), copies[i])
+		}
+	}
+	if again := p.PackedVectors(); &again[0].IDs[0] != &packed[0].IDs[0] || &again[0].Weights[0] != &packed[0].Weights[0] {
+		t.Error("PackedVectors copied the resident vector")
+	}
+	before := packed[0].Vector()
+	p.Observe(vec("cat", 1.0, "bird", 1.0), filter.Relevant)
+	if !reflect.DeepEqual(packed[0].Vector(), before) {
+		t.Error("a feedback step wrote into a vector PackedVectors had handed out")
+	}
+	if reflect.DeepEqual(p.PackedVectors()[0].Vector(), before) {
+		t.Error("the feedback step did not move the vector it was meant to")
 	}
 }

@@ -177,11 +177,15 @@ func (l *termList) requantize() {
 		l.refreshMaxW()
 		return
 	}
-	maxw := l.ws[0]
+	// An infinite weight — a float64 beyond float32's range, narrowed by
+	// prepare — has no covering scale: bound it, or the bump loop below
+	// never ends, under the shard's write lock. Its quantum saturates at
+	// 255, and maxW, which stays infinite, remains the list's true bound.
+	maxw := min(l.ws[0], math.MaxFloat32)
 	scale := maxw / 255
-	if scale <= 0 || math.IsInf(float64(scale), 0) {
-		// Degenerate weights (≤ 0 or overflow): a unit scale keeps the
-		// over-estimate invariant through the bump loop below.
+	if scale <= 0 {
+		// Degenerate weights (≤ 0): a unit scale keeps the over-estimate
+		// invariant through the bump loop below.
 		scale = 1
 	}
 	for float64(255)*float64(scale) < float64(maxw) {
@@ -436,9 +440,9 @@ func New() *Index {
 // ---------------------------------------------------------------------------
 // Updates
 
-// stagedVec is one profile vector prepared for insertion: interned terms
-// sorted ascending (the order rescoreDense sums in), float32 weights, and
-// the entry slot assigned during staging.
+// stagedVec is one profile vector prepared for insertion: term ids sorted
+// ascending (the order rescoreDense sums in), float32 weights, and the
+// entry slot assigned during staging.
 type stagedVec struct {
 	vec     int
 	termIDs []uint32
@@ -446,50 +450,66 @@ type stagedVec struct {
 	slot    uint32
 }
 
-func (ix *Index) prepare(vec int, v vsm.Vector) stagedVec {
+// prepare copies a packed vector into the index's own form. The ids are
+// the term table's already — a profile holds its vectors packed — so
+// nothing is hashed here; the copy is re-sorted from term order to id
+// order and the weights narrowed.
+func prepare(vec int, p vsm.Packed) stagedVec {
 	sv := stagedVec{
 		vec:     vec,
-		termIDs: make([]uint32, len(v.Terms)),
-		ws:      make([]float32, len(v.Terms)),
+		termIDs: append([]uint32(nil), p.IDs...),
+		ws:      make([]float32, len(p.Weights)),
 	}
-	for i, t := range v.Terms {
-		sv.termIDs[i] = intern.Terms.Intern(t)
-		sv.ws[i] = float32(v.Weights[i])
+	for i, w := range p.Weights {
+		sv.ws[i] = float32(w)
 	}
 	sortByIDAsc(sv.termIDs, sv.ws)
 	return sv
 }
 
-// Upsert installs (or replaces) profile vector slot vec of the given user.
-// A zero vector removes the slot.
+// install is the index's one write path: the vectors' postings are staged
+// first, then one registry commit retires the entries they replace and
+// activates them, so no concurrent Match can observe the user with zero
+// vectors mid-update.
+func (ix *Index) install(user string, svs []stagedVec, replaceAll bool) {
+	ix.stage(user, svs)
+	ix.insertPostings(svs)
+	ix.commit(user, svs, replaceAll)
+}
+
+// SetPacked replaces every vector of the user with the given set, the
+// common operation after a feedback step reshapes a profile; vector i
+// takes slot number i, and a zero vector leaves its slot empty. The
+// replacement is atomic with respect to Match.
+func (ix *Index) SetPacked(user string, vecs []vsm.Packed) {
+	svs := make([]stagedVec, 0, len(vecs))
+	for i, p := range vecs {
+		if p.Len() == 0 {
+			continue
+		}
+		svs = append(svs, prepare(i, p))
+	}
+	ix.install(user, svs, true)
+}
+
+// SetUser is SetPacked for callers that hold their vectors as strings: it
+// packs them, which is what interns their terms.
+func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
+	packed := make([]vsm.Packed, len(vecs))
+	for i, v := range vecs {
+		packed[i] = vsm.Pack(v)
+	}
+	ix.SetPacked(user, packed)
+}
+
+// Upsert installs (or replaces) profile vector slot vec of the given user
+// and leaves the user's other slots alone. A zero vector removes the slot.
 func (ix *Index) Upsert(user string, vec int, v vsm.Vector) {
 	if v.IsZero() {
 		ix.Remove(user, vec)
 		return
 	}
-	svs := []stagedVec{ix.prepare(vec, v)}
-	ix.stage(user, svs)
-	ix.insertPostings(svs)
-	ix.commit(user, svs, false)
-}
-
-// SetUser replaces every vector of the user with the given set, the common
-// operation after a feedback step reshapes a profile. The replacement is
-// atomic with respect to Match: the new vectors' postings are staged
-// first, then one registry commit retires the old entries and activates
-// the new ones, so no concurrent Match can observe the user with zero
-// vectors mid-update.
-func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
-	svs := make([]stagedVec, 0, len(vecs))
-	for i, v := range vecs {
-		if v.IsZero() {
-			continue
-		}
-		svs = append(svs, ix.prepare(i, v))
-	}
-	ix.stage(user, svs)
-	ix.insertPostings(svs)
-	ix.commit(user, svs, true)
+	ix.install(user, []stagedVec{prepare(vec, vsm.Pack(v))}, false)
 }
 
 // stage allocates not-yet-alive entry slots for the vectors.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"mmprofile/internal/vsm"
 )
@@ -253,5 +254,48 @@ func TestPostingCleanup(t *testing.T) {
 	ix.Remove("a", 0)
 	if st := ix.Size(); st.Terms != 0 || st.Postings != 0 {
 		t.Errorf("postings leaked: %+v", st)
+	}
+}
+
+// TestWeightsBeyondFloat32DoNotHang: a float64 weight above MaxFloat32 is
+// +Inf once narrowed. When the 64th such posting of a term made its list
+// rebuild, requantize used to look for a scale with 255·scale ≥ +Inf, one
+// ulp at a time, for ever, holding the shard's write lock. The decoders now
+// refuse such weights, but SetUser, SetPacked and Upsert are exported: they
+// must return whatever they are given, and Match must still answer.
+func TestWeightsBeyondFloat32DoNotHang(t *testing.T) {
+	huge := math.Float64frombits(0x4800000000000000) // 6.8e38
+	for name, w := range map[string]float64{"huge": huge, "-huge": -huge, "+Inf": math.Inf(1), "NaN": math.NaN()} {
+		done := make(chan []Match)
+		go func() {
+			ix := New()
+			hostile := vsm.Vector{Terms: []string{"hostile~" + name, "shared"}, Weights: []float64{w, 0.5}}
+			for u := 0; u < 2*blockSize+1; u++ {
+				switch u % 3 {
+				case 0:
+					ix.SetUser(fmt.Sprintf("u%d", u), []vsm.Vector{hostile})
+				case 1:
+					ix.SetPacked(fmt.Sprintf("u%d", u), []vsm.Packed{vsm.Pack(hostile)})
+				default:
+					ix.Upsert(fmt.Sprintf("u%d", u), 0, hostile)
+				}
+			}
+			ix.SetUser("honest", []vsm.Vector{vec("shared", 1.0)})
+			ix.Optimize()
+			ix.Match(vsm.Vector{Terms: []string{"hostile~" + name}, Weights: []float64{1}}, 0.25)
+			done <- ix.Match(vec("shared", 1.0), 0.9)
+		}()
+		select {
+		case ms := <-done:
+			found := false
+			for _, m := range ms {
+				found = found || m.User == "honest"
+			}
+			if !found {
+				t.Errorf("%s: the well-formed profile beside the hostile ones no longer matches: %+v", name, ms)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the index did not come back from %d postings of that weight", name, 2*blockSize+1)
+		}
 	}
 }

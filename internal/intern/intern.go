@@ -3,17 +3,17 @@
 // The dissemination hot path compares terms millions of times per published
 // document; interning every term once lets the inverted index store and
 // compare compact integer ids instead of hashing and comparing strings on
-// every posting. And because every decoded profile vector takes its term
-// strings from the table (Canon), a term held by ten thousand profile
-// vectors is ten thousand 16-byte string headers over one backing array,
-// not ten thousand allocations (DESIGN.md §7, "Where a term lives").
+// every posting. And because every decoded profile vector takes its terms
+// from the table, a term held by ten thousand profile vectors is ten
+// thousand 4-byte ids (InternBytes, vsm.Packed) over one backing array, not
+// ten thousand strings (DESIGN.md §7, "Where a term lives").
 //
 // Ids are dense per shard and never recycled: an id, once handed out, maps
 // to the same string for the lifetime of the dictionary. The vocabulary of
 // a text collection is effectively bounded (stemmed word forms), so the
 // dictionary only ever grows to corpus-vocabulary size. Only profile-side
-// code inserts (Intern, Canon); document-side code uses Lookup and
-// LookupBytes, so nothing a publisher sends can grow it.
+// code inserts (Intern, InternBytes, Canon); document-side code uses Lookup
+// and LookupBytes, so nothing a publisher sends can grow it.
 //
 // Reads take no lock: each shard publishes an open-addressed table through
 // an atomic pointer, a key is hashed once (the low bits pick the shard, the
@@ -42,7 +42,7 @@ const (
 )
 
 // Terms is the process-wide term table: index.New uses it as its
-// dictionary and vsm.DecodeVector takes every decoded term from it, so a
+// dictionary and vsm's decoders take every decoded term from it, so a
 // term string exists once in the process however many profile vectors,
 // retained documents and statistics keys refer to it.
 var Terms = NewDict()
@@ -173,21 +173,31 @@ func (sh *shard) insert(h uint32, s string) (uint32, string) {
 	return local, s
 }
 
-// Intern returns the id of s, assigning a fresh one on first sight.
-func (d *Dict) Intern(s string) uint32 {
-	h := Hash(s)
+// internKey is Intern and InternBytes: look up, or insert on first sight.
+func internKey[K key](d *Dict, k K) uint32 {
+	h := Hash(k)
 	si := h & shardMask
 	sh := &d.shards[si]
-	local, _, ok := find(sh.tab.Load(), h, s)
+	local, _, ok := find(sh.tab.Load(), h, k)
 	if !ok {
-		local, _ = sh.insert(h, s)
+		local, _ = sh.insert(h, string(k))
 	}
 	return local<<shardBits | si
 }
 
+// Intern returns the id of s, assigning a fresh one on first sight.
+func (d *Dict) Intern(s string) uint32 { return internKey(d, s) }
+
+// InternBytes returns the id of the term spelled by b, assigning a fresh one
+// on first sight; only that first sight allocates. Profile decoding
+// (vsm.DecodePacked) calls it for every term: a resident profile vector
+// holds the ids, and the term's bytes stay here.
+func (d *Dict) InternBytes(b []byte) uint32 { return internKey(d, b) }
+
 // Canon returns the table's own copy of the term spelled by b, adding it on
-// first sight. Only that first sight allocates. Profile decoding calls it
-// for every term, so equal terms of all resident profiles share one string.
+// first sight. Only that first sight allocates. Decoding a vector that keeps
+// its strings (vsm.DecodeVector: WAL document vectors) calls it for every
+// term, so equal terms share one string.
 func (d *Dict) Canon(b []byte) string {
 	h := Hash(b)
 	sh := &d.shards[h&shardMask]

@@ -123,6 +123,28 @@ func TestCanonSharesOneString(t *testing.T) {
 	}
 }
 
+// TestInternBytesIsIntern: the two spellings of a term get one id, whichever
+// arrives first, and String gives it back.
+func TestInternBytesIsIntern(t *testing.T) {
+	d := NewDict()
+	for i, term := range []string{"", "a", "stem", "eightlen", "internationalis"} {
+		var byBytes, byString uint32
+		if i%2 == 0 {
+			byBytes = d.InternBytes([]byte(term))
+			byString = d.Intern(term)
+		} else {
+			byString = d.Intern(term)
+			byBytes = d.InternBytes([]byte(term))
+		}
+		if byBytes != byString || d.String(byBytes) != term {
+			t.Errorf("%q: InternBytes %d, Intern %d, String %q", term, byBytes, byString, d.String(byBytes))
+		}
+	}
+	if d.Len() != 5 {
+		t.Errorf("Len = %d after five terms", d.Len())
+	}
+}
+
 // TestTermsThatOnlyLengthOrTailTellApart covers what a slot decides without
 // reading the term (length and first eight bytes) and what it cannot.
 func TestTermsThatOnlyLengthOrTailTellApart(t *testing.T) {
@@ -172,6 +194,7 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 		"LookupBytes": func() { d.LookupBytes(short); d.LookupBytes(long); d.LookupBytes([]byte("absent")) },
 		"Lookup":      func() { d.Lookup("stem"); d.Lookup("absent") },
 		"Intern":      func() { d.Intern("internationalis") },
+		"InternBytes": func() { d.InternBytes(short); d.InternBytes(long) },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

@@ -190,7 +190,7 @@ type Layout struct {
 type subscriber struct {
 	id string
 
-	// mu guards learner, closed, lastOps, lastSize — and serializes each
+	// mu guards learner, closed, lastOps, lastSize, lastPairs — and serializes each
 	// profile mutation with its journal append and its index refresh, so
 	// the WAL order, the learner state, and the index entries for one
 	// subscriber can never disagree (see Feedback and Unsubscribe).
@@ -222,6 +222,10 @@ type subscriber struct {
 	// hydration).
 	lastOps  core.OpCounts
 	lastSize int
+	// lastPairs is the (vector, term) pair count last handed to the index
+	// (indexLocked): what mm_profile_resident_pairs holds for this
+	// subscriber.
+	lastPairs int
 
 	// Intrusive residency-LRU links, guarded by Broker.lru.mu only (a leaf
 	// lock; see residencyLRU).
@@ -412,11 +416,12 @@ func (b *Broker) closeRemoved(s *subscriber) {
 	close(b.queueLocked(s)) // made here if never used: later readers must still find it closed
 	b.idx.RemoveUser(id)
 	resident := s.learner != nil
-	gone := s.lastSize
-	s.lastSize = 0
+	gone, pairs := s.lastSize, s.lastPairs
+	s.lastSize, s.lastPairs = 0, 0
 	s.mu.Unlock()
 	b.lru.drop(s)
 	b.m.profileVectors.Add(float64(-gone))
+	b.m.residentPairs.Add(float64(-pairs))
 	if resident {
 		b.m.residentProfiles.Add(-1)
 	}
@@ -737,14 +742,44 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 	b.recordAdaptation(s)
 	if s.indexed {
 		rs := sp.Child("index.reindex")
-		b.idx.SetUser(s.id, s.learner.(filter.VectorSource).ProfileVectors())
+		b.indexLocked(s)
 		rs.End()
 	}
 	return nil
 }
 
+// packedSource is implemented by learners that hold their vectors packed
+// to term ids (core.Profile): the index takes those as they are.
+type packedSource interface {
+	PackedVectors() []vsm.Packed
+}
+
+// indexLocked hands an indexable learner's current vectors to the match
+// index — as the learner holds them when it holds them packed, no copy and
+// no hashing; packed here from its ProfileVectors copies otherwise — and
+// settles the resident-pairs gauge on the way. It is the one place
+// subscribe, feedback and hydration reindex through. Caller holds s.mu;
+// s.indexed and s.learner != nil.
+func (b *Broker) indexLocked(s *subscriber) {
+	var vecs []vsm.Packed
+	if ps, ok := s.learner.(packedSource); ok {
+		vecs = ps.PackedVectors()
+	} else {
+		for _, v := range s.learner.(filter.VectorSource).ProfileVectors() {
+			vecs = append(vecs, vsm.Pack(v))
+		}
+	}
+	pairs := 0
+	for _, p := range vecs {
+		pairs += p.Len()
+	}
+	b.m.residentPairs.Add(float64(pairs - s.lastPairs))
+	s.lastPairs = pairs
+	b.idx.SetPacked(s.id, vecs)
+}
+
 // reindex refreshes a subscriber's inverted-index entries. The closed
-// check and the SetUser share the subscriber's lock so a racing
+// check and the index write share the subscriber's lock so a racing
 // Unsubscribe cannot interleave between them (see Unsubscribe).
 func (b *Broker) reindex(s *subscriber) {
 	if !s.indexed {
@@ -755,7 +790,7 @@ func (b *Broker) reindex(s *subscriber) {
 	if s.closed || s.learner == nil {
 		return
 	}
-	b.idx.SetUser(s.id, s.learner.(filter.VectorSource).ProfileVectors())
+	b.indexLocked(s)
 }
 
 // SyncJournal forces the journal's durability barrier, when the journal

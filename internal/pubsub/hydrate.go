@@ -138,7 +138,7 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	s.lastSize = l.ProfileSize()
 	b.m.profileVectors.Add(float64(s.lastSize))
 	if s.indexed {
-		b.idx.SetUser(s.id, l.(filter.VectorSource).ProfileVectors())
+		b.indexLocked(s)
 	} else {
 		b.reg.rejoinBrute(s.id, s)
 	}
@@ -185,11 +185,12 @@ func (b *Broker) evictLocked(s *subscriber) {
 	} else {
 		b.reg.dropBrute(s.id)
 	}
-	gone := s.lastSize
-	s.lastSize = 0
+	gone, pairs := s.lastSize, s.lastPairs
+	s.lastSize, s.lastPairs = 0, 0
 	s.lastOps = core.OpCounts{}
 	b.lru.drop(s)
 	b.m.profileVectors.Add(float64(-gone))
+	b.m.residentPairs.Add(float64(-pairs))
 	b.m.residentProfiles.Add(-1)
 	b.m.profileEvictions.Inc()
 	if b.opts.Log.Enabled(obs.LevelDebug) {

@@ -246,6 +246,11 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 	if got := ms["mm_pubsub_hydrations_total"].(int64); got < 2 {
 		t.Errorf("hydrations = %d, want >= 2", got)
 	}
+	// Pairs leave with an evicted profile and come back with a hydrated
+	// one: only bob, one one-term vector, is resident.
+	if got := ms["mm_profile_resident_pairs"].(float64); got != 1 {
+		t.Errorf("resident pairs = %v, want bob's 1", got)
+	}
 	if got := subs["carol"].ProfileSize(); got == 0 {
 		t.Error("carol did not hydrate on ProfileSize")
 	}

@@ -39,6 +39,7 @@ type brokerMetrics struct {
 	fbIgnored       *metrics.Counter
 	strength        *metrics.Histogram
 	profileVectors  *metrics.Gauge
+	residentPairs   *metrics.Gauge
 
 	// Residency telemetry (lazy hydration, hydrate.go): how many profiles
 	// are in-heap right now, and the evict/hydrate churn the
@@ -96,6 +97,8 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 			"Distribution of profile-vector strengths, sampled from the judged profile after every feedback step."),
 		profileVectors: reg.Gauge("mm_profile_vectors",
 			"Profile vectors currently held across all subscribers (learner view, including non-indexable learners)."),
+		residentPairs: reg.Gauge("mm_profile_resident_pairs",
+			"(vector, term) pairs held by resident indexable profiles, the unit server memory is linear in: mm_runtime_heap_live_bytes over this is the live bytes one pair costs."),
 		residentProfiles: reg.Gauge("mm_pubsub_resident_profiles",
 			"Subscriber profiles currently resident in the heap (subscribers minus evicted)."),
 		hydrations: reg.Counter("mm_pubsub_hydrations_total",

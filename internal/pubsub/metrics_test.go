@@ -7,6 +7,7 @@ import (
 	"mmprofile/internal/docstore"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
+	"mmprofile/internal/rocchio"
 )
 
 // TestDocKeyOffsetInvariant pins the docs-map/eviction-ring keying: the
@@ -104,6 +105,9 @@ func TestAdaptationTelemetry(t *testing.T) {
 	if got := b.m.profileVectors.Value(); got != 1 {
 		t.Fatalf("profileVectors gauge = %v, want 1", got)
 	}
+	if got := b.m.residentPairs.Value(); got != 1 {
+		t.Fatalf("residentPairs gauge = %v, want the one-term vector's 1", got)
+	}
 
 	// Relevant feedback on a dissimilar document creates a second vector.
 	id, _ := b.PublishVector(vec("stock", 1.0))
@@ -115,6 +119,9 @@ func TestAdaptationTelemetry(t *testing.T) {
 	}
 	if got := b.m.profileVectors.Value(); got != 2 {
 		t.Errorf("profileVectors gauge = %v, want 2", got)
+	}
+	if got := b.m.residentPairs.Value(); got != 2 {
+		t.Errorf("residentPairs gauge = %v, want 2", got)
 	}
 	if s := b.m.strength.Snapshot(); s.Count == 0 {
 		t.Error("strength histogram empty after feedback")
@@ -130,6 +137,36 @@ func TestAdaptationTelemetry(t *testing.T) {
 	b.Unsubscribe("alice")
 	if got := b.m.profileVectors.Value(); got != 0 {
 		t.Errorf("profileVectors gauge after unsubscribe = %v, want 0", got)
+	}
+	if got := b.m.residentPairs.Value(); got != 0 {
+		t.Errorf("residentPairs gauge after unsubscribe = %v, want 0", got)
+	}
+}
+
+// TestResidentPairsCountStringLearners: a learner that holds its vectors as
+// strings is packed on its way into the index, and its pairs count like an
+// MM profile's.
+func TestResidentPairsCountStringLearners(t *testing.T) {
+	b := New(Options{Threshold: 0.3})
+	if _, err := b.Subscribe("alice", trainedMM("cat")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Subscribe("rocco", rocchio.NewRI()); err != nil {
+		t.Fatal(err)
+	}
+	id, _ := b.PublishVector(vec("bond", 1.0, "stock", 1.0, "yield", 1.0))
+	if err := b.Feedback("rocco", id, filter.Relevant); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.m.residentPairs.Value(); got != 4 {
+		t.Fatalf("residentPairs gauge = %v, want 1 + 3", got)
+	}
+	if _, n := b.PublishVector(vec("stock", 1.0, "yield", 1.0)); n != 1 {
+		t.Errorf("the packed Rocchio profile took %d deliveries, want 1", n)
+	}
+	b.Unsubscribe("rocco")
+	if got := b.m.residentPairs.Value(); got != 1 {
+		t.Errorf("residentPairs gauge = %v after rocco left, want 1", got)
 	}
 }
 

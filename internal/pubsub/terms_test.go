@@ -121,23 +121,32 @@ func trainedStates(t *testing.T, n int) [][]byte {
 // 100-term vectors: what one more (vector, term) pair of an imported,
 // indexed profile costs in live heap. 250 profiles are loaded first, so
 // that the vocabulary, the term table and every posting list exist; the
-// next 500 are the measurement. A pair is a string header and a weight in
-// the profile (24 B), a (term, weight) in the index entry (8 B), a posting
+// next 500 are the measurement. A pair is a term id and a weight in the
+// profile (12 B), a (term, weight) in the index entry (8 B), a posting
 // (9 B) and slice slack. When every decoded term was its own string this
-// read 60 B; sharing the table's strings it reads 50 B.
+// read 60 B; sharing the table's strings, 50 B; holding ids, 37 B. The
+// pairs are read off mm_profile_resident_pairs, as an operator would read
+// them to do the same division on a live server.
 func TestResidentBytesPerTerm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is counted as heap")
 	}
 	states := trainedStates(t, 750)
-	b := New(Options{})
+	reg := metrics.NewRegistry()
+	b := New(Options{Metrics: reg})
+	counted := 0
 	load := func(from, to int) (pairs int) {
+		before := reg.Snapshot()["mm_profile_resident_pairs"].(float64)
 		for i := from; i < to; i++ {
 			for _, v := range importProfile(t, b, fmt.Sprintf("u%04d", i), states[i]).ProfileVectors() {
-				pairs += v.Len()
+				counted += v.Len()
 			}
 		}
-		return pairs
+		gauge := reg.Snapshot()["mm_profile_resident_pairs"].(float64)
+		if int(gauge) != counted {
+			t.Fatalf("mm_profile_resident_pairs reads %v, the profiles hold %d pairs", gauge, counted)
+		}
+		return int(gauge - before)
 	}
 	liveHeap := func() uint64 {
 		var m runtime.MemStats
@@ -150,8 +159,8 @@ func TestResidentBytesPerTerm(t *testing.T) {
 	pairs := load(250, 750)
 	perPair := float64(liveHeap()-before) / float64(pairs)
 	t.Logf("%d pairs, %.1f live bytes per pair", pairs, perPair)
-	if perPair > 56 {
-		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 56", perPair)
+	if perPair > 42 {
+		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 42", perPair)
 	}
 	runtime.KeepAlive(states)
 	runtime.KeepAlive(b)

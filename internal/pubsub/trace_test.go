@@ -20,6 +20,12 @@ import (
 // broker does. Measured as a delta so docstore/index allocations inherent
 // to publishing don't turn the test into a moving target.
 func TestPublishUnsampledAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		// The race runtime drops a random share of sync.Pool puts, so the
+		// three brokers read 11 or 12 allocs/op in no fixed order; the plain
+		// build's CI step runs this guard.
+		t.Skip("allocation counts are not repeatable under the race detector")
+	}
 	doc := vec("cat", 1.0, "dog", 0.5)
 	setup := func(tr *trace.Tracer, lg *obs.Logger) *Broker {
 		b := New(Options{Threshold: 0.3, Retention: 1 << 16, Trace: tr, Log: lg})

@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -8,7 +9,8 @@ import (
 	"mmprofile/internal/intern"
 )
 
-// Binary layout of a Vector (all integers unsigned varints):
+// Binary layout of a vector, Vector and Packed alike (all integers
+// unsigned varints):
 //
 //	uvarint  term count n
 //	n ×      { uvarint len(term), term bytes, 8-byte float64 weight }
@@ -16,14 +18,22 @@ import (
 // The format is self-delimiting so vectors can be concatenated in logs and
 // snapshots.
 
+func appendHeader(buf []byte, n int) []byte {
+	return binary.AppendUvarint(buf, uint64(n))
+}
+
+func appendTerm(buf []byte, t string, w float64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(t)))
+	buf = append(buf, t...)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
+}
+
 // AppendVector appends v's binary encoding to buf and returns the extended
 // slice.
 func AppendVector(buf []byte, v Vector) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(v.Terms)))
+	buf = appendHeader(buf, len(v.Terms))
 	for i, t := range v.Terms {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		buf = append(buf, t...)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Weights[i]))
+		buf = appendTerm(buf, t, v.Weights[i])
 	}
 	return buf
 }
@@ -32,44 +42,65 @@ func AppendVector(buf []byte, v Vector) []byte {
 // and the weight.
 const minTermBytes = 1 + 8
 
-// DecodeVector decodes one vector from the front of buf, returning it and
-// the remaining bytes. Every term string is the process-wide term table's
-// copy (intern.Terms), not a fresh allocation: import, hydration and WAL
-// replay all come through here, so resident profiles share their terms.
-func DecodeVector(buf []byte) (Vector, []byte, error) {
+// readHeader reads a vector's term count and refuses one the remaining
+// bytes cannot hold: the header is input, so a decoder allocates for what
+// the bytes can hold, not for what it says.
+func readHeader(buf []byte) (int, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return Vector{}, nil, fmt.Errorf("vsm: corrupt vector header")
+		return 0, nil, fmt.Errorf("vsm: corrupt vector header")
 	}
 	buf = buf[k:]
-	// The header is input: allocate for what the bytes can hold, not for
-	// what it says.
 	if n > uint64(len(buf)/minTermBytes) {
-		return Vector{}, nil, fmt.Errorf("vsm: vector of %d terms in %d bytes", n, len(buf))
+		return 0, nil, fmt.Errorf("vsm: vector of %d terms in %d bytes", n, len(buf))
+	}
+	return int(n), buf, nil
+}
+
+// readTerm reads term i — its bytes, still in buf, and its weight — and
+// returns the remaining bytes. prev is term i−1 (unused for i = 0): terms
+// must ascend strictly. A weight must be finite as a float32, the width
+// the index narrows it to: one that overflows there is an infinite posting
+// weight that no quantization scale covers. Both decoders read through
+// here, so they refuse the same inputs.
+func readTerm(buf, prev []byte, i int) ([]byte, float64, []byte, error) {
+	l, k := binary.Uvarint(buf)
+	// Compared this way round: a length near 2^64 would wrap k+l+8.
+	if k <= 0 || len(buf)-k < 8 || l > uint64(len(buf)-k-8) {
+		return nil, 0, nil, fmt.Errorf("vsm: truncated vector term %d", i)
+	}
+	term := buf[k : k+int(l)]
+	buf = buf[k+int(l):]
+	w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
+	if math.IsNaN(w) || math.IsInf(float64(float32(w)), 0) {
+		return nil, 0, nil, fmt.Errorf("vsm: weight of term %d is not finite as float32", i)
+	}
+	if i > 0 && bytes.Compare(prev, term) >= 0 {
+		return nil, 0, nil, fmt.Errorf("vsm: vector terms not sorted/unique")
+	}
+	return term, w, buf[8:], nil
+}
+
+// DecodeVector decodes one vector from the front of buf, returning it and
+// the remaining bytes. Every term string is the process-wide term table's
+// copy (intern.Terms), not a fresh allocation. It is the decoder of
+// vectors that stay strings — a journaled judgment's document vector;
+// profile vectors decode through DecodePacked.
+func DecodeVector(buf []byte) (Vector, []byte, error) {
+	n, buf, err := readHeader(buf)
+	if err != nil {
+		return Vector{}, nil, err
 	}
 	v := Vector{
-		Terms:   make([]string, 0, n),
-		Weights: make([]float64, 0, n),
+		Terms:   make([]string, n),
+		Weights: make([]float64, n),
 	}
-	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(buf)
-		if k <= 0 || uint64(len(buf)) < uint64(k)+l+8 {
-			return Vector{}, nil, fmt.Errorf("vsm: truncated vector term %d", i)
+	var term []byte
+	for i := range v.Terms {
+		if term, v.Weights[i], buf, err = readTerm(buf, term, i); err != nil {
+			return Vector{}, nil, err
 		}
-		buf = buf[k:]
-		v.Terms = append(v.Terms, intern.Terms.Canon(buf[:l]))
-		buf = buf[l:]
-		w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
-		buf = buf[8:]
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return Vector{}, nil, fmt.Errorf("vsm: non-finite weight in term %d", i)
-		}
-		v.Weights = append(v.Weights, w)
-	}
-	for i := 1; i < len(v.Terms); i++ {
-		if v.Terms[i-1] >= v.Terms[i] {
-			return Vector{}, nil, fmt.Errorf("vsm: vector terms not sorted/unique")
-		}
+		v.Terms[i] = intern.Terms.Canon(term)
 	}
 	return v, buf, nil
 }

@@ -114,16 +114,21 @@ func allocatedBytes(fn func()) uint64 {
 
 // TestDecodeVectorAllocatesForTheBytesNotTheHeader: the term count is
 // input. A ten-byte message claiming 2^20 terms used to reserve 24 MB of
-// slices before the first term turned out to be missing.
+// slices before the first term turned out to be missing. Both decoders.
 func TestDecodeVectorAllocatesForTheBytesNotTheHeader(t *testing.T) {
-	for _, buf := range hugeHeaders() {
-		var err error
-		got := allocatedBytes(func() { _, _, err = DecodeVector(buf) })
-		if err == nil {
-			t.Errorf("%d bytes decoded as a vector of many terms", len(buf))
-		}
-		if got > 4096 {
-			t.Errorf("decoding %d hostile bytes allocated %d bytes", len(buf), got)
+	for name, decode := range map[string]func([]byte) error{
+		"DecodeVector": func(buf []byte) error { _, _, err := DecodeVector(buf); return err },
+		"DecodePacked": func(buf []byte) error { _, _, err := DecodePacked(buf); return err },
+	} {
+		for _, buf := range hugeHeaders() {
+			var err error
+			got := allocatedBytes(func() { err = decode(buf) })
+			if err == nil {
+				t.Errorf("%s: %d bytes decoded as a vector of many terms", name, len(buf))
+			}
+			if got > 4096 {
+				t.Errorf("%s: decoding %d hostile bytes allocated %d bytes", name, len(buf), got)
+			}
 		}
 	}
 }

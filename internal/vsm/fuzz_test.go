@@ -11,6 +11,9 @@ func FuzzDecodeVector(f *testing.F) {
 	for _, b := range hugeHeaders() {
 		f.Add(b)
 	}
+	for _, b := range hostileVectors() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, rest, err := DecodeVector(data) // must not panic
 		if err != nil {

@@ -1,0 +1,182 @@
+package vsm
+
+import (
+	"math/bits"
+	"sync"
+
+	"mmprofile/internal/intern"
+)
+
+// Packed is a Vector whose terms are ids of the process-wide term table
+// (intern.Terms): what a resident profile vector is stored as. 12 bytes
+// per (vector, term) pair where a Vector spends 24, and nothing in it is a
+// pointer the collector has to mark.
+//
+// IDs[i] is the id of the i-th term in the lexicographic order of the term
+// strings — the order of the Vector it was packed from — never in id
+// order. Ids are handed out in arrival order, so they differ from process
+// to process, while every sum and merge over a vector (Dot, Combine, the
+// codec) must run in an order all processes agree on: a replay elsewhere
+// has to reproduce a profile byte for byte (DESIGN.md §7).
+//
+// A Packed is immutable once built: the profile that holds it, the index
+// and every PackedVectors caller share its slices and none writes to them.
+type Packed struct {
+	IDs     []uint32
+	Weights []float64
+}
+
+// Pack interns v's terms and returns v as ids and weights, in v's order.
+// Only profile-side code packs: it is, with DecodePacked, what grows the
+// term table.
+func Pack(v Vector) Packed {
+	p := Packed{
+		IDs:     make([]uint32, len(v.Terms)),
+		Weights: append([]float64(nil), v.Weights...),
+	}
+	for i, t := range v.Terms {
+		p.IDs[i] = intern.Terms.Intern(t)
+	}
+	return p
+}
+
+// Len returns the number of terms.
+func (p Packed) Len() int { return len(p.IDs) }
+
+// Vector returns p as an independent Vector; the term strings are the
+// table's.
+func (p Packed) Vector() Vector {
+	v := Vector{
+		Terms:   make([]string, len(p.IDs)),
+		Weights: append([]float64(nil), p.Weights...),
+	}
+	for i, id := range p.IDs {
+		v.Terms[i] = intern.Terms.String(id)
+	}
+	return v
+}
+
+// Resolved is a document's weights keyed by term id: the side of a dot
+// product that is probed while the Packed side is walked. One Score or
+// Observe call resolves its document once — one table lookup per term — and
+// then every profile vector costs a probe per pair in a table the size of
+// the document, with no string compared. Terms the table has never seen
+// are dropped: no packed vector can hold them, so resolving never grows the
+// table (publishing must not).
+type Resolved struct {
+	keys  []uint32 // open addressing on id+1 (the last id needs 2^32 terms interned); 0 is an empty slot
+	ws    []float64
+	shift uint32 // 32 − log2(len(keys)): Fibonacci hashing keeps the top bits
+}
+
+var resolvedPool = sync.Pool{New: func() any { return new(Resolved) }}
+
+// newResolved takes a table from the pool, emptied and sized to stay at
+// most half full with n terms in it.
+func newResolved(n int) *Resolved {
+	logn := max(4, bits.Len(uint(2*n)))
+	r := resolvedPool.Get().(*Resolved)
+	if size := 1 << logn; cap(r.keys) < size {
+		r.keys, r.ws = make([]uint32, size), make([]float64, size)
+	} else {
+		r.keys, r.ws = r.keys[:size], r.ws[:size]
+		clear(r.keys)
+	}
+	r.shift = uint32(32 - logn)
+	return r
+}
+
+func (r *Resolved) put(id uint32, w float64) {
+	mask := uint32(len(r.keys) - 1)
+	h := (id * 0x9E3779B1) >> r.shift
+	for r.keys[h] != 0 {
+		h = (h + 1) & mask
+	}
+	r.keys[h], r.ws[h] = id+1, w
+}
+
+// Resolve looks doc's terms up in the term table. The result comes from a
+// pool: Release it when the dot products are done.
+func Resolve(doc Vector) *Resolved {
+	r := newResolved(len(doc.Terms))
+	for i, t := range doc.Terms {
+		if id, ok := intern.Terms.Lookup(t); ok {
+			r.put(id, doc.Weights[i])
+		}
+	}
+	return r
+}
+
+// Resolved returns p in the probed form, for holding other packed vectors
+// against it: its ids are at hand, so nothing is looked up. Release it like
+// Resolve's.
+func (p Packed) Resolved() *Resolved {
+	r := newResolved(len(p.IDs))
+	for i, id := range p.IDs {
+		r.put(id, p.Weights[i])
+	}
+	return r
+}
+
+// Release returns r to the pool; r must not be used afterwards.
+func (r *Resolved) Release() { resolvedPool.Put(r) }
+
+// Dot returns the inner product of p and the resolved document. The
+// products are added in p's stored order, the lexicographic order of the
+// terms — the order Dot's merge adds them in — so for well-formed vectors
+// the sum is Dot(p.Vector(), doc) bit for bit, in every process, whatever
+// ids the terms happen to have there.
+func (r *Resolved) Dot(p Packed) float64 {
+	var s float64
+	mask := uint32(len(r.keys) - 1)
+	for i, id := range p.IDs {
+		for h := (id * 0x9E3779B1) >> r.shift; r.keys[h] != 0; h = (h + 1) & mask {
+			if r.keys[h] == id+1 {
+				s += p.Weights[i] * r.ws[h]
+				break
+			}
+		}
+	}
+	return s
+}
+
+// DotPacked returns the inner product of p and doc, Dot(p.Vector(), doc)
+// bit for bit. Callers with several vectors to hold against one document
+// Resolve it once instead.
+func DotPacked(p Packed, doc Vector) float64 {
+	r := Resolve(doc)
+	defer r.Release()
+	return r.Dot(p)
+}
+
+// AppendPacked appends p's binary encoding to buf: the bytes AppendVector
+// writes for p.Vector().
+func AppendPacked(buf []byte, p Packed) []byte {
+	buf = appendHeader(buf, len(p.IDs))
+	for i, id := range p.IDs {
+		buf = appendTerm(buf, intern.Terms.String(id), p.Weights[i])
+	}
+	return buf
+}
+
+// DecodePacked decodes one vector from the front of buf straight into ids,
+// returning it and the remaining bytes: no string is made for a term the
+// table already holds. It accepts exactly what DecodeVector accepts.
+func DecodePacked(buf []byte) (Packed, []byte, error) {
+	n, buf, err := readHeader(buf)
+	if err != nil {
+		return Packed{}, nil, err
+	}
+	p := Packed{
+		IDs:     make([]uint32, n),
+		Weights: make([]float64, n),
+	}
+	var term []byte
+	for i := range p.IDs {
+		if term, p.Weights[i], buf, err = readTerm(buf, term, i); err != nil {
+			return Packed{}, nil, err
+		}
+		p.IDs[i] = intern.Terms.InternBytes(term)
+	}
+	return p, buf, nil
+}

@@ -1,0 +1,230 @@
+package vsm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"mmprofile/internal/intern"
+)
+
+// randVector draws up to n terms from a small shared vocabulary, so two
+// draws overlap, with weights on very different scales, so the order of a
+// sum shows in its low bits.
+func randVector(rng *rand.Rand, n int) Vector {
+	m := map[string]float64{}
+	for i := rng.Intn(n + 1); i > 0; i-- {
+		t := string(rune('a' + rng.Intn(26)))
+		if rng.Intn(2) == 0 {
+			t += string(rune('a' + rng.Intn(4)))
+		}
+		m[t] = math.Ldexp(rng.Float64()+0.001, rng.Intn(40)-20)
+	}
+	return FromMap(m)
+}
+
+// sameVector compares two vectors entry by entry, weights on their bits.
+func sameVector(a, b Vector) bool {
+	if len(a.Terms) != len(b.Terms) || len(a.Weights) != len(b.Weights) {
+		return false
+	}
+	for i := range a.Terms {
+		if a.Terms[i] != b.Terms[i] || math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkPackedMirrors holds every Packed function against the Vector
+// function it mirrors, for a profile-side vector a and a document b.
+func checkPackedMirrors(t *testing.T, a, b Vector) {
+	t.Helper()
+	p := Pack(a)
+	if !sameVector(p.Vector(), a) {
+		t.Fatalf("Pack(%v).Vector() = %v", a, p.Vector())
+	}
+	if got, want := DotPacked(p, b), Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("DotPacked = %x, Dot = %x (%v · %v)", math.Float64bits(got), math.Float64bits(want), a.Terms, b.Terms)
+	}
+	enc := AppendVector([]byte("x"), a)
+	if got := AppendPacked([]byte("x"), p); !bytes.Equal(got, enc) {
+		t.Fatalf("AppendPacked wrote %x, AppendVector %x", got, enc)
+	}
+	v, restV, errV := DecodeVector(append(enc[1:], 7))
+	q, restP, errP := DecodePacked(append(enc[1:], 7))
+	if (errV == nil) != (errP == nil) {
+		t.Fatalf("DecodeVector: %v, DecodePacked: %v", errV, errP)
+	}
+	if errV == nil && (!sameVector(q.Vector(), v) || !bytes.Equal(restP, restV)) {
+		t.Fatalf("DecodePacked = %v + %x, DecodeVector = %v + %x", q.Vector(), restP, v, restV)
+	}
+}
+
+func TestPackedMirrorsVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 2000; i++ {
+		checkPackedMirrors(t, randVector(rng, 40), randVector(rng, 40))
+	}
+	// The edges: nothing in common, nothing at all, everything in common.
+	a := vec("alpha", 0.25, "beta", 0.5, "gamma", 1.25)
+	for _, b := range []Vector{{}, a, vec("a", 1.0), vec("zeta", 1.0), vec("beta", 3.0)} {
+		checkPackedMirrors(t, a, b)
+		checkPackedMirrors(t, b, a)
+	}
+}
+
+// TestPackedKeepsTermOrderNotIDOrder: ids are arrival order. A vector whose
+// terms were interned in descending order still packs, sums and encodes in
+// ascending term order.
+func TestPackedKeepsTermOrderNotIDOrder(t *testing.T) {
+	terms := []string{"order~a", "order~b", "order~c", "order~d"}
+	for i := len(terms) - 1; i >= 0; i-- {
+		intern.Terms.Intern(terms[i])
+	}
+	v := Vector{Terms: terms, Weights: []float64{1e-9, 1, 1e9, 3}}
+	p := Pack(v)
+	for i, term := range terms {
+		if intern.Terms.String(p.IDs[i]) != term {
+			t.Fatalf("IDs[%d] is %q, want %q", i, intern.Terms.String(p.IDs[i]), term)
+		}
+	}
+	checkPackedMirrors(t, v, Vector{Terms: terms, Weights: []float64{3, 1e9, 1, 1e-9}})
+}
+
+// weightBits is a one-term vector whose weight is the given float64 bits.
+func weightBits(bits uint64) []byte {
+	buf := []byte{1, 1, 'a'}
+	return binary.LittleEndian.AppendUint64(buf, bits)
+}
+
+// hostileVectors are encodings both decoders must refuse, each for its own
+// reason.
+func hostileVectors() map[string][]byte {
+	wrapped := binary.AppendUvarint([]byte{1}, ^uint64(0)-8) // 10 + l + 8 wraps to 9
+	wrapped = append(wrapped, make([]byte, 8)...)
+	return map[string][]byte{
+		"empty":                 {},
+		"unsorted":              AppendVector(nil, Vector{Terms: []string{"b", "a"}, Weights: []float64{1, 2}}),
+		"duplicate":             AppendVector(nil, Vector{Terms: []string{"a", "a"}, Weights: []float64{1, 2}}),
+		"NaN":                   weightBits(math.Float64bits(math.NaN())),
+		"+Inf":                  weightBits(math.Float64bits(math.Inf(1))),
+		"-Inf":                  weightBits(math.Float64bits(math.Inf(-1))),
+		"6.8e38":                weightBits(0x4800000000000000), // finite, but +Inf as a float32
+		"-6.8e38":               weightBits(0xC800000000000000),
+		"term length wraps":     wrapped,
+		"term longer than rest": {1, 200, 'a', 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+	}
+}
+
+// TestDecodersRefuseTheSameInputs: what DecodeVector refuses DecodePacked
+// refuses, and the other way round — including the weight the index cannot
+// narrow to a finite float32 and the term length that wraps the bounds sum.
+func TestDecodersRefuseTheSameInputs(t *testing.T) {
+	for name, buf := range hostileVectors() {
+		if _, _, err := DecodeVector(buf); err == nil {
+			t.Errorf("DecodeVector accepted %s", name)
+		}
+		if _, _, err := DecodePacked(buf); err == nil {
+			t.Errorf("DecodePacked accepted %s", name)
+		}
+	}
+	for _, buf := range hugeHeaders() {
+		if _, _, err := DecodePacked(buf); err == nil {
+			t.Errorf("DecodePacked accepted a %d-byte million-term vector", len(buf))
+		}
+	}
+	// The largest weight the index can hold is still a weight.
+	ok := weightBits(math.Float64bits(math.MaxFloat32))
+	if _, _, err := DecodeVector(ok); err != nil {
+		t.Errorf("DecodeVector refused MaxFloat32: %v", err)
+	}
+	if _, _, err := DecodePacked(ok); err != nil {
+		t.Errorf("DecodePacked refused MaxFloat32: %v", err)
+	}
+	// Every truncation of a good vector is refused by both.
+	buf := AppendVector(nil, vec("alpha", 1.0, "beta", 2.0))
+	for cut := 0; cut < len(buf); cut++ {
+		if _, _, err := DecodePacked(buf[:cut]); err == nil {
+			t.Errorf("DecodePacked accepted a truncation at %d", cut)
+		}
+	}
+}
+
+func FuzzDecodePacked(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add(AppendVector(nil, vec("alpha", 1.0, "beta", 0.5)))
+	f.Add(append(AppendVector(nil, vec("a", 1.0)), 0xFF, 0x01))
+	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 0x40}) // "" then "a"
+	for _, b := range hugeHeaders() {
+		f.Add(b)
+	}
+	for _, b := range hostileVectors() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, restV, errV := DecodeVector(data)
+		p, restP, errP := DecodePacked(data) // must not panic
+		if (errV == nil) != (errP == nil) {
+			t.Fatalf("DecodeVector: %v, DecodePacked: %v", errV, errP)
+		}
+		if errV != nil {
+			return
+		}
+		if !sameVector(p.Vector(), v) || !bytes.Equal(restP, restV) {
+			t.Fatalf("DecodePacked = %v + %x, DecodeVector = %v + %x", p.Vector(), restP, v, restV)
+		}
+		for i, w := range v.Weights {
+			if math.IsInf(float64(float32(w)), 0) {
+				t.Fatalf("accepted weight %v of %q, infinite as a float32", w, v.Terms[i])
+			}
+		}
+		// A document sharing every other term, and the vector itself.
+		doc := Vector{}
+		for i := 0; i < len(v.Terms); i += 2 {
+			doc.Terms = append(doc.Terms, v.Terms[i])
+			doc.Weights = append(doc.Weights, v.Weights[len(v.Terms)-1-i])
+		}
+		checkPackedMirrors(t, v, doc)
+		checkPackedMirrors(t, v, v)
+	})
+}
+
+// TestPackedCostsTwelveBytesAPair: a full profile vector — the paper's 100
+// terms — costs its ids and weights, in two allocations, whichever way it
+// was made, and nothing per term once the table knows the terms.
+func TestPackedCostsTwelveBytesAPair(t *testing.T) {
+	const terms = 100
+	m := map[string]float64{}
+	for i := 0; i < terms; i++ {
+		m[string(rune('a'+i%26))+string(rune('a'+i/26))+"~size"] = float64(i + 1)
+	}
+	v := FromMap(m)
+	enc := AppendVector(nil, v)
+	Pack(v) // the table learns the terms once
+	var sink Packed
+	for name, fn := range map[string]func(){
+		"Pack":         func() { sink = Pack(v) },
+		"DecodePacked": func() { sink, _, _ = DecodePacked(enc) },
+	} {
+		const runs = 100
+		if allocs := testing.AllocsPerRun(runs, fn); allocs > 2 {
+			t.Errorf("%s: %v allocations for one vector, want ≤ 2", name, allocs)
+		}
+		perPair := float64(allocatedBytes(func() {
+			for i := 0; i < runs; i++ {
+				fn()
+			}
+		})) / runs / terms
+		t.Logf("%s: %.2f B per (vector, term) pair", name, perPair)
+		if perPair > 13.5 {
+			t.Errorf("%s: %.2f B per pair, want ≤ 13.5 (4 B id + 8 B weight + size-class slack)", name, perPair)
+		}
+	}
+	if !reflect.DeepEqual(sink.Vector(), v) {
+		t.Error("the measured vector is not the vector")
+	}
+}
