@@ -292,10 +292,20 @@ func BenchmarkMMScore(b *testing.B) {
 	}
 }
 
-// matchTier lazily builds the match-tier collection (bench.MatchTierConfig):
-// 10k distinct pages, so the 1M-vector population below is ~100 copies of
-// each page rather than ~7000. Only the 1M case pays the build.
-var matchTier = bench.NewHarness(bench.MatchTierConfig())
+// matchTier lazily builds the match-tier collection: 10k distinct pages
+// (10×10×100), so the 1M-vector population below is ~100 copies of each
+// page rather than the quick corpus's ~7000 — which would make ~0.7% of
+// the index an exact duplicate of every probe and leave each posting list
+// only 144 distinct weights, flattening the impact-ordered decay that
+// block-max skipping feeds on. Only the 1M case pays the build.
+var matchTier = bench.NewHarness(func() bench.Config {
+	cfg := bench.DefaultConfig()
+	cfg.Corpus.PagesPerSub = 100
+	cfg.Corpus.MaxWords = 250
+	cfg.TrainDocs = 90
+	cfg.Runs = 2
+	return cfg
+}())
 
 // BenchmarkIndexMatch measures matching one document against n indexed
 // profile vectors via the inverted index — the paper's argument that

@@ -136,7 +136,7 @@ func main() {
 		fs := flag.NewFlagSet("subscribe", flag.ExitOnError)
 		user := fs.String("user", "", "subscriber id")
 		learner := fs.String("learner", "", "algorithm (default MM)")
-		keywords := fs.String("keywords", "", "comma-separated seed keywords")
+		keywords := fs.String("keywords", "", "comma-separated seed keywords (MM only)")
 		parse(fs, rest)
 		var kw []string
 		if *keywords != "" {

@@ -6,8 +6,8 @@
 //
 // With -state, profiles are durable: subscriptions and judgments are
 // journaled to a sharded write-ahead log (-lanes), compacted by periodic
-// incremental checkpoints (only lanes with at least -checkpoint-dirty
-// changed profiles rewrite their segment), and restored on restart. With
+// incremental checkpoints (only lanes with changed profiles rewrite their
+// segment), and restored on restart. With
 // -max-resident-profiles, restored profiles boot as evicted stubs and
 // hydrate from the store on first use, and the broker keeps at most that
 // many profiles in the heap (DESIGN.md §14).
@@ -31,7 +31,7 @@
 //
 //	mmserver [-addr :7070 | -addr unix:/path.sock] [-threshold 0.25]
 //	         [-queue 128] [-retention 4096]
-//	         [-state DIR] [-checkpoint 5m] [-checkpoint-dirty 1] [-lanes 4]
+//	         [-state DIR] [-checkpoint 5m] [-lanes 4]
 //	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
 //	         [-pubsub-shards N] [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]
@@ -77,7 +77,6 @@ type config struct {
 	fsync       bool
 	syncEvery   time.Duration
 	lanes       int
-	ckptDirty   int
 	maxResident int
 	shards      int
 	traceSample float64
@@ -102,7 +101,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.fsync, "fsync", false, "durable journal: feedback is acked only once fsynced (group-committed)")
 	fs.DurationVar(&c.syncEvery, "sync-interval", 0, "without -fsync: background journal fsync interval (0 = OS-flushed only)")
 	fs.IntVar(&c.lanes, "lanes", 0, "WAL lanes the journal is sharded into by user (0 = store default; pinned by the manifest on reopen)")
-	fs.IntVar(&c.ckptDirty, "checkpoint-dirty", 1, "minimum changed profiles before a checkpoint rewrites a lane's segment")
 	fs.IntVar(&c.maxResident, "max-resident-profiles", 0, "profiles kept in the heap; colder ones hydrate from -state on demand (0 = all resident; requires -state)")
 	fs.IntVar(&c.shards, "pubsub-shards", 0, "suggested shard count for the broker's registry/docstore layers (0 = GOMAXPROCS, rounded to a power of two)")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of requests to capture as traces, 0..1 (0 = off; see /tracez)")
@@ -316,7 +314,7 @@ func main() {
 	registerTraceGauges(reg, broker.Tracer())
 
 	if st != nil {
-		if err := restore(st, broker, srv, logger, cfg.maxResident > 0); err != nil {
+		if err := restore(st, broker, logger, cfg.maxResident > 0); err != nil {
 			fatal(err)
 		}
 	}
@@ -364,7 +362,7 @@ func main() {
 			for {
 				select {
 				case <-t.C:
-					if err := runCheckpoint(st, broker, cfg.ckptDirty, logger); err != nil {
+					if err := runCheckpoint(st, broker, logger); err != nil {
 						logger.Error("mmserver: checkpoint", slog.String("err", err.Error()))
 					}
 				case <-stopCheckpoints:
@@ -404,9 +402,8 @@ func main() {
 				if err := broker.SyncJournal(); err != nil {
 					logger.Error("mmserver: journal sync", slog.String("err", err.Error()))
 				}
-				// Compact every dirty lane regardless of -checkpoint-dirty:
-				// a clean shutdown should leave the shortest possible replay.
-				if err := runCheckpoint(st, broker, 1, logger); err != nil {
+				// A clean shutdown leaves the shortest possible replay.
+				if err := runCheckpoint(st, broker, logger); err != nil {
 					logger.Error("mmserver: final checkpoint", slog.String("err", err.Error()))
 				}
 			}
@@ -449,21 +446,22 @@ func listen(addr string) (net.Listener, error) {
 }
 
 // restore rebuilds subscriptions from the lane segments + journal and
-// registers them with both broker and server. Registration never
-// re-journals (SubscribeRestored): the store already holds each profile.
-// Eagerly, every learner is replayed into the heap at boot; lazily (with
-// -max-resident-profiles), each user becomes an evicted stub that
-// hydrates from the store on first use — the names come from the store's
-// offset index, so boot reads each segment once through a fixed buffer and
-// holds O(subscribers) index entries, never the state. Either way a boot
-// checkpoint then compacts every dirty lane, so replays (the next boot's,
-// and each lazy hydration's) start from segments instead of long logs.
-func restore(st *store.Store, broker *pubsub.Broker, srv *wire.Server, logger *obs.Logger, lazy bool) error {
-	names := map[string]string{}
-	learners := map[string]filter.Learner{}
+// registers them with the broker, which is all the wire server needs to
+// address them. Registration never re-journals (SubscribeRestored): the
+// store already holds each profile. Eagerly, every learner is replayed into
+// the heap at boot; lazily (with -max-resident-profiles), each user becomes
+// an evicted stub that hydrates from the store on first use — the users
+// come from the store's offset index, so boot reads each segment once
+// through a fixed buffer and holds O(subscribers) index entries, never the
+// state. Either way a boot checkpoint then compacts every dirty lane, so
+// replays (the next boot's, and each lazy hydration's) start from segments
+// instead of long logs.
+func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bool) error {
+	var users []string
+	var learners map[string]filter.Learner // stays nil when lazy: every user boots as a stub
 	if lazy {
 		var err error
-		if names, err = st.RestoredNames(); err != nil {
+		if users, err = st.RestoredUsers(); err != nil {
 			return err
 		}
 	} else {
@@ -474,21 +472,15 @@ func restore(st *store.Store, broker *pubsub.Broker, srv *wire.Server, logger *o
 		if learners, err = store.Restore(profiles, events); err != nil {
 			return err
 		}
-		for u, l := range learners {
-			names[u] = l.Name()
+		for u := range learners {
+			users = append(users, u)
 		}
+		sort.Strings(users)
 	}
-	users := make([]string, 0, len(names))
-	for u := range names {
-		users = append(users, u)
-	}
-	sort.Strings(users)
 	for _, user := range users {
-		sub, err := broker.SubscribeRestored(user, names[user], learners[user])
-		if err != nil {
+		if _, err := broker.SubscribeRestored(user, learners[user]); err != nil {
 			return fmt.Errorf("restoring %q: %w", user, err)
 		}
-		srv.Adopt(user, sub)
 	}
 	if len(users) > 0 {
 		logger.Info("mmserver: restored subscribers",
@@ -499,15 +491,14 @@ func restore(st *store.Store, broker *pubsub.Broker, srv *wire.Server, logger *o
 	return err
 }
 
-// checkpoint runs one incremental checkpoint: the journal's durability
+// runCheckpoint runs one incremental checkpoint: the journal's durability
 // barrier first (so the relaxed -sync-interval window never spans a
-// checkpoint), then a segment rewrite of every lane with at least
-// minDirty changed profiles.
-func runCheckpoint(st *store.Store, broker *pubsub.Broker, minDirty int, logger *obs.Logger) error {
+// checkpoint), then a segment rewrite of every lane the WAL has touched.
+func runCheckpoint(st *store.Store, broker *pubsub.Broker, logger *obs.Logger) error {
 	if err := broker.SyncJournal(); err != nil {
 		return err
 	}
-	stats, err := st.Checkpoint(minDirty)
+	stats, err := st.Checkpoint(1)
 	if err != nil {
 		return err
 	}

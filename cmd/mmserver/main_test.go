@@ -52,7 +52,7 @@ func TestConfigDefaults(t *testing.T) {
 // this table and say which two existing workloads need different values.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "checkpoint", "checkpoint-dirty", "dump-dir",
+		"addr", "checkpoint", "dump-dir",
 		"evict-drop-rate", "evict-windows", "fsync", "http", "lanes",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
 		"pubsub-shards", "queue", "retain-content", "retention", "state",

@@ -37,18 +37,18 @@ func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()
 	broker := pubsub.New(opts)
 	srv := wire.NewServer(broker, func(string, ...any) {})
 
+	// Registering with the broker is all the wire server needs: it resolves
+	// every user through the broker's registry.
 	if st != nil {
 		if maxResident > 0 {
-			names, err := st.RestoredNames()
+			users, err := st.RestoredUsers()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for user, name := range names {
-				sub, err := broker.SubscribeRestored(user, name, nil)
-				if err != nil {
+			for _, user := range users {
+				if _, err := broker.SubscribeRestored(user, nil); err != nil {
 					t.Fatal(err)
 				}
-				srv.Adopt(user, sub)
 			}
 		} else {
 			profiles, events, err := st.Load()
@@ -60,11 +60,9 @@ func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()
 				t.Fatal(err)
 			}
 			for user, l := range learners {
-				sub, err := broker.SubscribeRestored(user, l.Name(), l)
-				if err != nil {
+				if _, err := broker.SubscribeRestored(user, l); err != nil {
 					t.Fatal(err)
 				}
-				srv.Adopt(user, sub)
 			}
 		}
 	}
@@ -162,8 +160,15 @@ func TestIntegrationDurability(t *testing.T) {
 	if after.Size != before.Size || after.Learner != before.Learner {
 		t.Fatalf("profile changed across restart: %+v vs %+v", after, before)
 	}
-	if _, delivered, err := c2.Publish(integPage); err != nil || delivered != 1 {
+	doc2, delivered, err := c2.Publish(integPage)
+	if err != nil || delivered != 1 {
 		t.Fatalf("restored subscriber missed delivery: %v, %d", err, delivered)
+	}
+	// The restored subscriber is addressable by session too.
+	sess := openSession(t, c2, "alice")
+	defer sess.Close()
+	if frame, err := sess.Recv(); err != nil || len(frame.Deliveries) != 1 || frame.Deliveries[0].Doc != doc2 {
+		t.Fatalf("restored subscriber's session frame: %v %+v", err, frame)
 	}
 }
 
@@ -218,6 +223,14 @@ func TestIntegrationLazyHydration(t *testing.T) {
 	}
 	if err := c2.Feedback("carol", doc2, true); err != nil {
 		t.Fatal(err)
+	}
+	// Every stub is addressable over the wire, hydrated or not: a session
+	// hydrates nothing, a profile request hydrates its user.
+	for _, u := range []string{"alice", "bob", "carol"} {
+		openSession(t, c2, u).Close()
+		if p, err := c2.Profile(u); err != nil || p.Size == 0 {
+			t.Fatalf("profile %s after lazy restart: %+v, %v", u, p, err)
+		}
 	}
 }
 

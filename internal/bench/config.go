@@ -64,26 +64,6 @@ func QuickConfig() Config {
 	return cfg
 }
 
-// MatchTierConfig returns the population used to benchmark the 1M-vector
-// match tier (BenchmarkIndexMatch/vectors=1000000).
-// The quick corpus's 144 distinct pages are fine for figure-shape runs,
-// but cycled to a million vectors they make ~0.7% of the index an exact
-// duplicate of every probe document: duplicate matches alone dominate
-// matcher cost, and each posting list carries only 144 distinct weights,
-// flattening the impact-ordered decay that block-max skipping feeds on.
-// Scaling the collection to 10k distinct pages (10×10×100) keeps the
-// duplication factor at the tier realistic (~100 copies per page, ~20
-// exact-duplicate matches per probe) while preserving the generator's
-// category structure and Zipf vocabulary.
-func MatchTierConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Corpus.PagesPerSub = 100 // 10×10×100 = 10k distinct pages
-	cfg.Corpus.MaxWords = 250
-	cfg.TrainDocs = 90
-	cfg.Runs = 2
-	return cfg
-}
-
 // Harness caches the vectorized dataset, which is shared by every
 // experiment for a given corpus configuration. Safe for concurrent use.
 type Harness struct {

@@ -30,9 +30,6 @@
 //     invariants). SetPruning(false) is the escape hatch.
 //   - Per-call score accumulators are dense slices indexed by entry slot,
 //     drawn from a sync.Pool; a touched-list makes reset O(candidates).
-//   - TopK sorts candidates by upper bound and keeps a min-heap of the
-//     best per-user scores; once the heap is full its floor retires the
-//     remaining candidates without rescoring them.
 package index
 
 import (
@@ -364,7 +361,7 @@ type instruments struct {
 
 // Instrument registers the index's metrics with reg and starts recording.
 // Call it before the index is shared across goroutines (the broker does so
-// at construction). Self-timing covers Match and TopK; MatchDoc is left to
+// at construction). Self-timing covers Match; MatchDoc is left to
 // its caller — the broker's publish path already brackets MatchDoc with
 // its own clock reads and re-uses them via RecordMatchLatency, keeping the
 // hot path at three time.Now calls total.
@@ -380,7 +377,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		intern.Terms.String)
 	ix.inst = &instruments{
 		matchLat: reg.Histogram("mm_index_match_seconds",
-			"Latency of matching one document through the inverted profile index (Match/TopK entry points)."),
+			"Latency of matching one document through the inverted profile index (Match entry point)."),
 		compactions: reg.Counter("mm_index_compactions_total",
 			"Posting-shard compactions performed (tombstone garbage collection)."),
 		compactLat: reg.Histogram("mm_index_compaction_seconds",
@@ -913,7 +910,7 @@ func (ix *Index) NewDoc(v vsm.Vector) Doc {
 // matcher is the pooled per-call scoring state: a dense accumulator over
 // entry slots, a dense best-per-user table over uids, the touched lists
 // that make resetting them O(candidates) instead of O(capacity), and the
-// pruning scratch (term bounds, suffix sums, candidate and floor heaps).
+// pruning scratch (term bounds, suffix sums).
 type matcher struct {
 	docIDs   []uint32
 	docWs    []float64
@@ -927,9 +924,6 @@ type matcher struct {
 	scores   []float64 // exact float64 accumulator (unpruned path)
 	scores32 []float32 // upper-bound float32 accumulator (pruned path)
 	touched  []uint32
-	cands    []uint32
-	candUB   []float64
-	floor    []float64
 	best     []float64
 	bestAt   []uint32
 	uids     []uint32
@@ -1360,97 +1354,6 @@ func (m *matcher) record(ix *Index, slot uint32, sc float64) {
 	}
 }
 
-// harvestTopK is harvestAll with the heap floor fed back into pruning:
-// candidates are rescored in descending upper-bound order while a min-heap
-// tracks the k best first-qualifying per-user scores; once full, its floor
-// retires every candidate whose bound falls below it. The floor
-// under-estimates the true kth-best user score (a user's best only
-// improves after its first score), so no output-affecting candidate is
-// dropped, and the per-user bests equal Match's for every emitted user —
-// pinning TopK(θ,k) ≡ sort(Match(θ))[:k]. Caller holds the registry read
-// lock; the caller sorts and truncates to k.
-func (ix *Index) harvestTopK(m *matcher, ascIDs []uint32, ascWs []float64, threshold float64, k int, slackTotal float64, prune bool) []Match {
-	m.cands = m.cands[:0]
-	m.candUB = m.candUB[:0]
-	if prune {
-		cut := sweepCut(threshold, slackTotal)
-		for slot, sc32 := range m.scores32 {
-			if sc32 < cut {
-				continue
-			}
-			if !ix.entries[slot].alive {
-				continue
-			}
-			m.cands = append(m.cands, uint32(slot))
-			// The upper bound mirrors sweepCut's margin so float32
-			// rounding can't place a candidate's bound below its exact
-			// score (the floor test depends on UB ≥ exact).
-			m.candUB = append(m.candUB, float64(sc32)+slackTotal+sweepMargin*threshold)
-		}
-		clear(m.scores32)
-	} else {
-		for _, slot := range m.touched {
-			sc := m.scores[slot]
-			m.scores[slot] = 0
-			if sc < threshold {
-				continue
-			}
-			if !ix.entries[slot].alive {
-				continue
-			}
-			m.cands = append(m.cands, slot)
-			m.candUB = append(m.candUB, sc)
-		}
-	}
-	heapsortDesc(m.candUB, m.cands)
-	m.best = grow(m.best, int(ix.nextUID))
-	m.bestAt = grow(m.bestAt, int(ix.nextUID))
-	m.uids = m.uids[:0]
-	m.floor = m.floor[:0]
-	if prune {
-		m.fillDense(ascIDs, ascWs)
-		defer m.clearDense(ascIDs)
-	}
-	for ci, slot := range m.cands {
-		if len(m.floor) == k && m.candUB[ci] < m.floor[0] {
-			break // no remaining candidate can enter or reorder the top k
-		}
-		e := &ix.entries[slot]
-		sc := m.candUB[ci]
-		if prune {
-			m.stats.candidates++
-			m.stats.rescores++
-			m.stats.rescored = true
-			ex := rescoreDense(e, m.dense)
-			if over := sc - slackTotal - ex; over > m.stats.maxOver {
-				m.stats.maxOver = over
-			}
-			sc = ex
-		}
-		if sc < threshold {
-			continue
-		}
-		uid := e.uid
-		cur := m.best[uid]
-		if cur == 0 {
-			m.uids = append(m.uids, uid)
-			m.best[uid] = sc
-			m.bestAt[uid] = slot
-			m.floor = floorPush(m.floor, sc, k)
-		} else if sc > cur || (sc == cur && e.vec < ix.entries[m.bestAt[uid]].vec) {
-			m.best[uid] = sc
-			m.bestAt[uid] = slot
-		}
-	}
-	out := make([]Match, 0, len(m.uids))
-	for _, uid := range m.uids {
-		e := &ix.entries[m.bestAt[uid]]
-		out = append(out, Match{User: e.user, Score: m.best[uid], Vector: e.vec})
-		m.best[uid] = 0
-	}
-	return out
-}
-
 // flushStats batches the match's pruning work into the index counters and,
 // when instrumented, the exported metrics. Called after locks drop.
 func (m *matcher) flushStats(ix *Index) {
@@ -1515,36 +1418,6 @@ func sortMatches(out []Match) {
 		}
 		return 0
 	})
-}
-
-// TopK returns the k best matches above the threshold. The accumulator
-// pass prunes against θ like Match; the harvest pass then tightens the
-// effective threshold as the per-user heap fills (see harvestTopK), so
-// low-bound candidates are never rescored at all.
-func (ix *Index) TopK(doc vsm.Vector, threshold float64, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
-	var t0 time.Time
-	if ix.inst != nil {
-		t0 = time.Now()
-		defer func() { ix.inst.matchLat.ObserveSince(t0) }()
-	}
-	m := ix.pool.Get().(*matcher)
-	m.resolve(ix, doc)
-	m.fillAsc()
-	prune := threshold > 0 && !ix.pruneOff.Load()
-	ix.mu.RLock()
-	slackTotal := ix.accumulate(m, m.docIDs, m.docWs, true, threshold, prune)
-	out := ix.harvestTopK(m, m.ascIDs, m.ascWs, threshold, k, slackTotal, prune)
-	ix.mu.RUnlock()
-	m.flushStats(ix)
-	ix.pool.Put(m)
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -1637,44 +1510,6 @@ func siftDownMin[K float32 | float64](keys []K, vals []uint32, i, n int) {
 		vals[i], vals[small] = vals[small], vals[i]
 		i = small
 	}
-}
-
-// floorPush feeds one first-qualifying user score into the bounded
-// min-heap whose root is the TopK pruning floor.
-func floorPush(h []float64, x float64, k int) []float64 {
-	if len(h) < k {
-		h = append(h, x)
-		i := len(h) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if h[p] <= h[i] {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-		return h
-	}
-	if x > h[0] {
-		h[0] = x
-		i, n := 0, len(h)
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			small := l
-			if r := l + 1; r < n && h[r] < h[l] {
-				small = r
-			}
-			if h[small] >= h[i] {
-				break
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
-		}
-	}
-	return h
 }
 
 // ---------------------------------------------------------------------------

@@ -148,26 +148,6 @@ func TestSetUser(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	ix := New()
-	for i := 0; i < 10; i++ {
-		// Each user shares "cat" plus i distinct filler terms, so scores
-		// strictly decrease with i.
-		pairs := []any{"cat", 1.0}
-		for j := 0; j < i; j++ {
-			pairs = append(pairs, fmt.Sprintf("filler%d_%d", i, j), 1.0)
-		}
-		ix.Upsert(fmt.Sprintf("user%d", i), 0, vec(pairs...))
-	}
-	ms := ix.TopK(vec("cat", 1.0), 0, 3)
-	if len(ms) != 3 {
-		t.Fatalf("TopK returned %d", len(ms))
-	}
-	if ms[0].User != "user0" {
-		t.Errorf("TopK[0] = %+v", ms[0])
-	}
-}
-
 // TestMatchAgainstBruteForce cross-checks the index against direct cosine
 // computation on random data.
 func TestMatchAgainstBruteForce(t *testing.T) {

@@ -18,11 +18,11 @@ func TestInstrument(t *testing.T) {
 	if m := ix.Match(vec("cat", 1.0), 0.3); len(m) != 1 {
 		t.Fatalf("matches = %v", m)
 	}
-	ix.TopK(vec("dog", 1.0), 0.3, 1)
+	ix.Match(vec("dog", 1.0), 0.3)
 
 	snap := reg.Snapshot()
 	if h := snap["mm_index_match_seconds"].(metrics.HistogramSnapshot); h.Count != 2 {
-		t.Errorf("match observations = %d, want 2 (Match + TopK)", h.Count)
+		t.Errorf("match observations = %d, want 2 (one per Match)", h.Count)
 	}
 	if got := snap["mm_index_live_vectors"].(float64); got != 2 {
 		t.Errorf("live vectors = %v, want 2", got)

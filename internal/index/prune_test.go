@@ -194,38 +194,6 @@ func TestPruningOffMatchesPruningOn(t *testing.T) {
 	}
 }
 
-// TestTopKEqualsMatchPrefix pins the satellite contract: for any θ and k,
-// TopK(θ, k) ≡ sort(Match(θ))[:k], even though the heap floor retires
-// low-bound candidates before they are ever rescored.
-func TestTopKEqualsMatchPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	ix, _ := prunePopulation(rng, 700, 25)
-	requireHotLists(t, ix)
-	for trial := 0; trial < 12; trial++ {
-		doc := randProbe(rng, 25)
-		theta := 0.5 * rng.Float64() // include θ=0-adjacent and selective cutoffs
-		if trial%4 == 0 {
-			theta = 0
-		}
-		k := 1 + rng.Intn(12)
-		all := ix.Match(doc, theta)
-		topk := ix.TopK(doc, theta, k)
-		want := all
-		if len(want) > k {
-			want = want[:k]
-		}
-		if len(topk) != len(want) {
-			t.Fatalf("trial %d θ=%v k=%d: TopK %d results, want %d (Match returned %d)",
-				trial, theta, k, len(topk), len(want), len(all))
-		}
-		for i := range want {
-			if topk[i] != want[i] {
-				t.Fatalf("trial %d θ=%v k=%d [%d]: TopK %+v, want %+v", trial, theta, k, i, topk[i], want[i])
-			}
-		}
-	}
-}
-
 // TestPruneStatsProgress checks the observability side: pruned matches at a
 // selective θ must record skipped blocks or pruned terms, and disabling
 // pruning must stop the skip counters while scanning more postings.
@@ -328,7 +296,6 @@ func TestPruneStressConcurrent(t *testing.T) {
 						t.Errorf("match below threshold: %+v < %v", m, theta)
 					}
 				}
-				ix.TopK(doc, theta, 1+rng.Intn(8))
 				if i%20 == 0 {
 					ix.MatchDoc(ix.NewDoc(doc), theta)
 				}

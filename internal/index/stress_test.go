@@ -108,16 +108,6 @@ func TestMatchPropertyEquivalence(t *testing.T) {
 						round, trial, got[i].User, got[i].Score, want[i].Score)
 				}
 			}
-			k := 1 + rng.Intn(5)
-			top := ix.TopK(doc, threshold, k)
-			if len(top) != min(k, len(want)) {
-				t.Fatalf("round %d trial %d: TopK(%d) returned %d of %d", round, trial, k, len(top), len(want))
-			}
-			for i := range top {
-				if top[i].User != want[i].User || math.Abs(top[i].Score-want[i].Score) > 1e-9 {
-					t.Fatalf("round %d trial %d: TopK[%d] = %+v, want %+v", round, trial, i, top[i], want[i])
-				}
-			}
 		}
 	}
 }
@@ -211,7 +201,6 @@ func TestConcurrentStress(t *testing.T) {
 					}
 				}
 				if i%20 == 0 {
-					ix.TopK(doc, 0, 3)
 					ix.Size()
 				}
 				if i%50 == 0 {

@@ -12,8 +12,8 @@
 // Architecture: the Broker is a thin orchestrator over four independently
 // sharded layers (DESIGN.md §9) —
 //
-//   - a sharded subscriber registry (registry.go) holding the subscriber
-//     and brute-force tables;
+//   - a sharded subscriber registry (registry.go), the one subscriber
+//     table of the process;
 //   - the document retention window (internal/docstore), a sharded FIFO
 //     ring with a global atomic id allocator;
 //   - concurrent collection statistics (vsm.ConcurrentStats), striped DF
@@ -83,6 +83,17 @@ type auditTagger interface {
 // errDuplicate signals an id collision inside the registry; Subscribe
 // wraps it with the offending id.
 var errDuplicate = errors.New("duplicate subscriber")
+
+// errUnknown is what every by-id operation answers for an id that is not
+// (or no longer) registered.
+func errUnknown(id string) error {
+	return fmt.Errorf("pubsub: unknown subscriber %q", id)
+}
+
+// errNotIndexable refuses a learner the match index cannot hold.
+func errNotIndexable(id string, l filter.Learner) error {
+	return fmt.Errorf("pubsub: subscriber %q: learner %q exposes no profile vectors to index (filter.VectorSource)", id, l.Name())
+}
 
 // Options configures a Broker. The zero value gets sensible defaults from
 // New.
@@ -201,7 +212,6 @@ type subscriber struct {
 	learner filter.Learner
 	closed  bool
 
-	indexed bool // learner implements filter.VectorSource
 	// queue is made on first use, under mu (queueLocked): a subscriber
 	// nobody has delivered to or listened on — every evicted stub of a
 	// lazy boot — holds no buffer.
@@ -297,11 +307,26 @@ type Subscription struct {
 	sub *subscriber
 }
 
+// Subscription returns the handle of the subscriber currently registered
+// under id — however it got there: Subscribe, an import, or a boot-time
+// SubscribeRestored. The wire server resolves session and profile
+// requests through it, so the registry is the only subscriber table.
+func (b *Broker) Subscription(id string) (*Subscription, bool) {
+	s, ok := b.reg.get(id)
+	if !ok {
+		return nil, false
+	}
+	return &Subscription{b: b, sub: s}, true
+}
+
 // Subscribe registers a learner-backed profile under the given id. The
 // learner is owned by the broker from here on: all further access must go
 // through the subscription (the broker serializes updates per subscriber).
 // When a journal is configured, the subscription (with the learner's
-// initial state, if serializable) is logged before being applied.
+// initial state, if serializable) is logged before being applied. Profiles
+// are matched through the inverted index only (paper Section 4.3), so a
+// learner that is no filter.VectorSource is refused, before anything is
+// journaled or registered.
 func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
 	// The duplicate check, the journal record, and the insertion are one
 	// atomic step under the id's registry-shard lock (see registry.insert):
@@ -329,12 +354,10 @@ func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
 // subscribe is the shared registration path behind Subscribe (journaled)
 // and SubscribeRestored with a resident learner (journal nil).
 func (b *Broker) subscribe(id string, l filter.Learner, journal func() error) (*Subscription, error) {
-	_, indexed := l.(filter.VectorSource)
-	s := &subscriber{
-		id:      id,
-		learner: l,
-		indexed: indexed,
+	if _, ok := l.(filter.VectorSource); !ok {
+		return nil, errNotIndexable(id, l)
 	}
+	s := &subscriber{id: id, learner: l}
 	// Telemetry baselines: adaptation counters report only operations
 	// performed under this broker, not the learner's prior history
 	// (keyword seeding, journal replay). The learner is not yet shared,
@@ -397,15 +420,6 @@ func (b *Broker) Unsubscribe(id string) {
 	if !ok {
 		return
 	}
-	b.closeRemoved(s)
-}
-
-// closeRemoved finishes an unsubscribe after the registry removal: it
-// journals, closes the queue, clears the index entries, and settles the
-// residency accounting. Shared by Unsubscribe (removal by id) and
-// Subscription.Cancel (removal by identity).
-func (b *Broker) closeRemoved(s *subscriber) {
-	id := s.id
 	s.mu.Lock()
 	if b.opts.Journal != nil {
 		// Best-effort: an unlogged unsubscribe only means the user would be
@@ -496,11 +510,10 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	doc := b.idx.NewDoc(vec)
 	matches := b.idx.MatchDoc(doc, b.opts.Threshold)
 
-	// Fan-out cost is O(matches + brute-force subscribers), not
-	// O(all subscribers): indexed profiles are reached only through their
-	// match, and only learners without indexable vectors are scored at all.
-	// Each match resolves through its registry shard's read lock; no
-	// registry-wide lock is held at any point.
+	// Fan-out cost is O(matches), not O(all subscribers): a profile is
+	// reached only through its match. Each match resolves through its
+	// registry shard's read lock; no registry-wide lock is held at any
+	// point.
 	delivered := 0
 	targets := make([]*subscriber, 0, len(matches))
 	scores := make([]float64, 0, len(matches))
@@ -508,27 +521,6 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 		if s, ok := b.reg.get(m.User); ok {
 			targets = append(targets, s)
 			scores = append(scores, m.Score)
-		}
-	}
-	// Brute-force learners are scored from a snapshot taken under the
-	// shard locks and scored after they are released: a slow Score can
-	// never stall subscribes, unsubscribes, or other publishes. The
-	// lock-free count check keeps the all-indexed common case at zero cost.
-	if b.reg.bruteCount() > 0 {
-		for _, s := range b.reg.bruteSnapshot(nil) {
-			s.mu.Lock()
-			sc := 0.0
-			// The learner nil check covers an eviction racing the snapshot:
-			// evicted brutes leave the brute table, but this subscriber may
-			// have been evicted after it was snapped.
-			if !s.closed && s.learner != nil {
-				sc = s.learner.Score(vec)
-			}
-			s.mu.Unlock()
-			if sc >= b.opts.Threshold {
-				targets = append(targets, s)
-				scores = append(scores, sc)
-			}
 		}
 	}
 	// One clock read separates matching from fan-out; together with t0 and
@@ -657,9 +649,6 @@ func (b *Broker) FeedbackSpan(user string, doc int64, fd filter.Feedback, parent
 		sp = b.opts.Trace.RootAt("pubsub.feedback", t0, trace.Remote{})
 	}
 	err := b.applyFeedback(user, doc, fd, sp)
-	// Outside the subscriber's lock: the residency bound may pick this very
-	// subscriber as its victim.
-	b.enforceResidency()
 	t1 := time.Now()
 	tid := uint64(sp.Trace())
 	if sp != nil {
@@ -701,51 +690,75 @@ func (b *Broker) FeedbackSpan(user string, doc int64, fd filter.Feedback, parent
 func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *trace.Span) error {
 	s, ok := b.reg.get(user)
 	if !ok {
-		return fmt.Errorf("pubsub: unknown subscriber %q", user)
+		return errUnknown(user)
 	}
 	rec, ok := b.docs.Get(doc)
 	if !ok {
 		return fmt.Errorf("pubsub: document %d not retained (retention %d)", doc, b.opts.Retention)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
 	// An evicted subscriber hydrates before the journal append so the
 	// learner observes this judgment on top of its full history.
-	if err := b.residentLocked(s, sp); err != nil {
-		return err
-	}
-	if b.opts.Journal != nil {
-		var err error
-		if tj, ok := b.opts.Journal.(tracedJournal); ok {
-			// The store itself spans the WAL write and commit wait under sp.
-			err = tj.AppendFeedbackTraced(user, rec.Vec, fd, sp)
-		} else {
-			js := sp.Child("store.append")
-			err = b.opts.Journal.AppendFeedback(user, rec.Vec, fd)
-			js.End()
+	return b.withLearner(s, sp, func(l filter.Learner) error {
+		if b.opts.Journal != nil {
+			var err error
+			if tj, ok := b.opts.Journal.(tracedJournal); ok {
+				// The store itself spans the WAL write and commit wait under sp.
+				err = tj.AppendFeedbackTraced(user, rec.Vec, fd, sp)
+			} else {
+				js := sp.Child("store.append")
+				err = b.opts.Journal.AppendFeedback(user, rec.Vec, fd)
+				js.End()
+			}
+			if err != nil {
+				return fmt.Errorf("pubsub: journal: %w", err)
+			}
 		}
-		if err != nil {
-			return fmt.Errorf("pubsub: journal: %w", err)
+		if at, ok := l.(auditTagger); ok {
+			// Trace() is 0 (and the hex empty) when this request is untraced;
+			// the document id is worth tagging either way.
+			at.TagNextObserve(doc, sp.Trace().String())
 		}
-	}
-	if at, ok := s.learner.(auditTagger); ok {
-		// Trace() is 0 (and the hex empty) when this request is untraced;
-		// the document id is worth tagging either way.
-		at.TagNextObserve(doc, sp.Trace().String())
-	}
-	os := sp.Child("core.observe")
-	s.learner.Observe(rec.Vec, fd)
-	os.End()
-	b.recordAdaptation(s)
-	if s.indexed {
+		os := sp.Child("core.observe")
+		l.Observe(rec.Vec, fd)
+		os.End()
+		b.recordAdaptation(s)
 		rs := sp.Child("index.reindex")
 		b.indexLocked(s)
 		rs.End()
+		return nil
+	})
+}
+
+// withLearner is the one way to reach a subscriber's profile: it runs fn
+// on s's learner under s's lock, hydrating an evicted profile first and
+// refreshing its residency recency, and errors without calling fn when s
+// was unsubscribed or cannot be hydrated. The residency bound is enforced
+// after the lock is released — it may pick this very subscriber as its
+// victim.
+func (b *Broker) withLearner(s *subscriber, sp *trace.Span, fn func(filter.Learner) error) error {
+	defer b.enforceResidency()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errUnknown(s.id)
 	}
-	return nil
+	if s.learner == nil {
+		if err := b.hydrateLocked(s, sp); err != nil {
+			return err
+		}
+	} else if b.bounded() {
+		b.lru.touch(s)
+	}
+	return fn(s.learner)
+}
+
+// userLearner is withLearner by id.
+func (b *Broker) userLearner(user string, fn func(filter.Learner) error) error {
+	s, ok := b.reg.get(user)
+	if !ok {
+		return errUnknown(user)
+	}
+	return b.withLearner(s, nil, fn)
 }
 
 // packedSource is implemented by learners that hold their vectors packed
@@ -754,12 +767,13 @@ type packedSource interface {
 	PackedVectors() []vsm.Packed
 }
 
-// indexLocked hands an indexable learner's current vectors to the match
+// indexLocked hands a resident learner's current vectors to the match
 // index — as the learner holds them when it holds them packed, no copy and
 // no hashing; packed here from its ProfileVectors copies otherwise — and
 // settles the resident-pairs gauge on the way. It is the one place
 // subscribe, feedback and hydration reindex through. Caller holds s.mu;
-// s.indexed and s.learner != nil.
+// s.learner is a filter.VectorSource (subscribe and hydration refuse any
+// other).
 func (b *Broker) indexLocked(s *subscriber) {
 	var vecs []vsm.Packed
 	if ps, ok := s.learner.(packedSource); ok {
@@ -782,9 +796,6 @@ func (b *Broker) indexLocked(s *subscriber) {
 // check and the index write share the subscriber's lock so a racing
 // Unsubscribe cannot interleave between them (see Unsubscribe).
 func (b *Broker) reindex(s *subscriber) {
-	if !s.indexed {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.learner == nil {
@@ -806,69 +817,34 @@ func (b *Broker) SyncJournal() error {
 	return nil
 }
 
-// ProfileSnapshot is one subscriber's serialized profile, for
-// checkpointing through the persistence layer.
+// ProfileSnapshot is one subscriber's serialized profile, as ExportProfile
+// hands it out.
 type ProfileSnapshot struct {
 	User    string
 	Learner string
 	Data    []byte
 }
 
-// ExportProfiles serializes every resident subscriber's learner for a
-// checkpoint. Evicted subscribers are skipped rather than hydrated: their
-// state already lives, complete, in the store that evicted them. It fails
-// if any resident learner does not support serialization — checkpoints
-// must be complete or not taken at all.
-func (b *Broker) ExportProfiles() ([]ProfileSnapshot, error) {
-	subs := b.reg.snapshot()
-	out := make([]ProfileSnapshot, 0, len(subs))
-	for _, s := range subs {
-		s.mu.Lock()
-		if s.closed || s.learner == nil {
-			s.mu.Unlock()
-			continue
-		}
-		m, ok := s.learner.(interface{ MarshalBinary() ([]byte, error) })
-		if !ok {
-			name := s.learner.Name()
-			s.mu.Unlock()
-			return nil, fmt.Errorf("pubsub: subscriber %q learner %q is not serializable", s.id, name)
-		}
-		blob, err := m.MarshalBinary()
-		s.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("pubsub: snapshot %q: %w", s.id, err)
-		}
-		out = append(out, ProfileSnapshot{User: s.id, Learner: s.learner.Name(), Data: blob})
-	}
-	return out, nil
-}
-
 // ExportProfile serializes one subscriber's learner (profile portability:
 // download a profile from one broker, import it into another).
 func (b *Broker) ExportProfile(user string) (ProfileSnapshot, error) {
-	s, ok := b.reg.get(user)
-	if !ok {
-		return ProfileSnapshot{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	defer b.enforceResidency()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ProfileSnapshot{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	if err := b.residentLocked(s, nil); err != nil {
+	snap := ProfileSnapshot{User: user}
+	err := b.userLearner(user, func(l filter.Learner) error {
+		m, ok := l.(interface{ MarshalBinary() ([]byte, error) })
+		if !ok {
+			return fmt.Errorf("pubsub: learner %q is not serializable", l.Name())
+		}
+		blob, err := m.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("pubsub: export %q: %w", user, err)
+		}
+		snap.Learner, snap.Data = l.Name(), blob
+		return nil
+	})
+	if err != nil {
 		return ProfileSnapshot{}, err
 	}
-	m, ok := s.learner.(interface{ MarshalBinary() ([]byte, error) })
-	if !ok {
-		return ProfileSnapshot{}, fmt.Errorf("pubsub: learner %q is not serializable", s.learner.Name())
-	}
-	blob, err := m.MarshalBinary()
-	if err != nil {
-		return ProfileSnapshot{}, fmt.Errorf("pubsub: export %q: %w", user, err)
-	}
-	return ProfileSnapshot{User: user, Learner: s.learner.Name(), Data: blob}, nil
+	return snap, nil
 }
 
 // DocumentVector returns the retained vector of a published document, for
@@ -957,25 +933,6 @@ func (s *Subscription) DeliveryStats() (nextSeq, dropped uint64) {
 	return s.sub.nextSeq, s.sub.dropped
 }
 
-// Closed reports whether the subscription has been unsubscribed (its
-// delivery channel is closed; remaining queued items can still be drained).
-func (s *Subscription) Closed() bool {
-	s.sub.mu.Lock()
-	defer s.sub.mu.Unlock()
-	return s.sub.closed
-}
-
-// Cancel unsubscribes exactly this subscription: unlike Broker.Unsubscribe
-// (which removes whatever currently holds the id) it is identity-matched,
-// so canceling a stale handle after the id has been re-subscribed never
-// tears down the newer subscription. A no-op when this subscription is no
-// longer the registered one.
-func (s *Subscription) Cancel() {
-	if sub, ok := s.b.reg.removeMatch(s.sub.id, s.sub); ok {
-		s.b.closeRemoved(sub)
-	}
-}
-
 // Feedback reports a judgment for a delivered document.
 func (s *Subscription) Feedback(doc int64, fd filter.Feedback) error {
 	return s.b.Feedback(s.sub.id, doc, fd)
@@ -996,17 +953,10 @@ func (s *Subscription) ProfileSize() int {
 // introspection (the wire layer uses it to describe profiles). fn must
 // not retain the learner or call back into the broker.
 func (s *Subscription) WithLearner(fn func(filter.Learner)) error {
-	defer s.b.enforceResidency()
-	s.sub.mu.Lock()
-	defer s.sub.mu.Unlock()
-	if s.sub.closed {
-		return fmt.Errorf("pubsub: unknown subscriber %q", s.sub.id)
-	}
-	if err := s.b.residentLocked(s.sub, nil); err != nil {
-		return err
-	}
-	fn(s.sub.learner)
-	return nil
+	return s.b.withLearner(s.sub, nil, func(l filter.Learner) error {
+		fn(l)
+		return nil
+	})
 }
 
 // Score returns the profile's current score for a vector (diagnostics),

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -215,20 +216,35 @@ func TestSubscribeKeywords(t *testing.T) {
 	}
 }
 
-func TestBruteForcePathForUnindexableLearner(t *testing.T) {
-	// A learner that hides its vectors still gets deliveries via direct
-	// scoring.
-	b := New(Options{Threshold: 0.3})
-	inner := trainedMM("cat", "dog")
-	if _, err := b.Subscribe("alice", opaque{inner}); err != nil {
-		t.Fatal(err)
+// TestSubscribeRefusesLearnerWithoutVectors: the index is the only match
+// path, so a learner that exposes no vectors is refused — and the refusal
+// leaves the registry, the index and the journal as they were (the journal
+// here fails every subscribe it is shown, so an error that names
+// VectorSource instead means it was never reached).
+func TestSubscribeRefusesLearnerWithoutVectors(t *testing.T) {
+	b := New(Options{Threshold: 0.3, Journal: failingJournal{}})
+	for name, subscribe := range map[string]func(filter.Learner) error{
+		"Subscribe":         func(l filter.Learner) error { _, err := b.Subscribe("alice", l); return err },
+		"SubscribeRestored": func(l filter.Learner) error { _, err := b.SubscribeRestored("alice", l); return err },
+	} {
+		err := subscribe(opaque{trainedMM("cat", "dog")})
+		if err == nil || !strings.Contains(err.Error(), "VectorSource") {
+			t.Errorf("%s(opaque) = %v, want an error naming filter.VectorSource", name, err)
+		}
 	}
-	if _, n := b.PublishVector(vec("cat", 1.0, "dog", 1.0)); n != 1 {
-		t.Errorf("brute-force path delivered %d", n)
+	if _, ok := b.Subscription("alice"); ok || b.Stats().Subscribers != 0 {
+		t.Error("refused learner was registered")
+	}
+	if st := b.IndexStats(); st.Users != 0 || st.Vectors != 0 {
+		t.Errorf("refused learner reached the index: %+v", st)
+	}
+	if _, n := b.PublishVector(vec("cat", 1.0, "dog", 1.0)); n != 0 {
+		t.Errorf("refused learner took %d deliveries", n)
 	}
 }
 
-// opaque wraps a learner, stripping its VectorSource implementation.
+// opaque wraps a learner, stripping every optional capability — its
+// VectorSource implementation and its codec included.
 type opaque struct{ l filter.Learner }
 
 func (o opaque) Name() string                             { return o.l.Name() }
@@ -236,6 +252,13 @@ func (o opaque) Observe(v vsm.Vector, fd filter.Feedback) { o.l.Observe(v, fd) }
 func (o opaque) Score(v vsm.Vector) float64               { return o.l.Score(v) }
 func (o opaque) ProfileSize() int                         { return o.l.ProfileSize() }
 func (o opaque) Reset()                                   { o.l.Reset() }
+
+// unserializable is opaque with its vectors back: indexable, not exportable.
+type unserializable struct{ opaque }
+
+func (u unserializable) ProfileVectors() []vsm.Vector {
+	return u.l.(filter.VectorSource).ProfileVectors()
+}
 
 func TestRocchioSubscriberIndexed(t *testing.T) {
 	b := New(Options{Threshold: 0.3})
@@ -297,7 +320,9 @@ func TestExportProfile(t *testing.T) {
 		t.Error("restored profile scores differently")
 	}
 	// Non-serializable learners refuse.
-	b.Subscribe("eve", opaque{core.NewDefault()})
+	if _, err := b.Subscribe("eve", unserializable{opaque{core.NewDefault()}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.ExportProfile("eve"); err == nil {
 		t.Error("non-serializable export accepted")
 	}

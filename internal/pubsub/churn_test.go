@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mmprofile/internal/filter"
-	"mmprofile/internal/vsm"
+	"mmprofile/internal/rocchio"
 )
 
 // TestChurnStress runs concurrent Subscribe / Publish / Feedback / Unsubscribe against one broker (meaningful under -race) and
@@ -22,9 +21,11 @@ import (
 func TestChurnStress(t *testing.T) {
 	b := New(Options{Threshold: 0.2, QueueSize: 8})
 
-	// One persistent brute-force subscriber keeps the snapshot-and-score
-	// path active throughout the churn.
-	bruteSub, err := b.Subscribe("brute", opaque{trainedMM("topic0")})
+	// One persistent string-vector (non-packed) subscriber stays matchable
+	// throughout the churn.
+	ri := rocchio.NewRI()
+	ri.Observe(vec("topic0", 1.0), filter.Relevant)
+	riSub, err := b.Subscribe("ri", ri)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,8 @@ func TestChurnStress(t *testing.T) {
 		t.Errorf("Published = %d, want %d", st.Published, wantPublished)
 	}
 
-	live := 1 // the brute subscriber
-	indexed := 0
-	wantVectors := 0
+	live, indexed := 1, 1 // the RI subscriber
+	wantVectors := riSub.ProfileSize()
 	for _, subs := range kept {
 		for _, sub := range subs {
 			live++
@@ -92,7 +92,6 @@ func TestChurnStress(t *testing.T) {
 			wantVectors += sub.ProfileSize()
 		}
 	}
-	wantVectors += bruteSub.ProfileSize()
 	if st.Subscribers != live {
 		t.Errorf("Stats().Subscribers = %d, want %d", st.Subscribers, live)
 	}
@@ -116,7 +115,7 @@ func TestChurnStress(t *testing.T) {
 			b.Unsubscribe(sub.ID())
 		}
 	}
-	b.Unsubscribe("brute")
+	b.Unsubscribe("ri")
 	if got := b.IndexStats().Users; got != 0 {
 		t.Errorf("index users after full unsubscribe = %d, want 0", got)
 	}
@@ -152,61 +151,4 @@ func TestFeedbackUnsubscribeNoGhostEntries(t *testing.T) {
 			t.Fatalf("iteration %d: %d ghost index user(s) after unsubscribe", i, got)
 		}
 	}
-}
-
-// blockingLearner is an unindexable learner whose Score parks until
-// released, to hold the brute-force scoring path open mid-publish.
-type blockingLearner struct {
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (l *blockingLearner) Name() string                        { return "blocking" }
-func (l *blockingLearner) Observe(vsm.Vector, filter.Feedback) {}
-func (l *blockingLearner) ProfileSize() int                    { return 0 }
-func (l *blockingLearner) Reset()                              {}
-func (l *blockingLearner) Score(vsm.Vector) float64 {
-	l.entered <- struct{}{}
-	<-l.release
-	return 0
-}
-
-// TestBruteScoreOutsideRegistryLock pins the brute-force scoring fix:
-// learners are scored from a snapshot taken under the registry shard
-// locks and released before any Score call, so a slow learner can no
-// longer stall Subscribe/Unsubscribe (which the old code did by holding
-// the subscriber table's read lock across every brute Score).
-func TestBruteScoreOutsideRegistryLock(t *testing.T) {
-	b := New(Options{Threshold: 0.1})
-	l := &blockingLearner{entered: make(chan struct{}), release: make(chan struct{})}
-	if _, err := b.Subscribe("slow", l); err != nil {
-		t.Fatal(err)
-	}
-	published := make(chan struct{})
-	go func() {
-		b.PublishVector(vec("cat", 1.0))
-		close(published)
-	}()
-	<-l.entered // the publish is now parked inside Score
-
-	// Registry mutations across every shard must complete while the brute
-	// learner is still being scored.
-	churned := make(chan struct{})
-	go func() {
-		for i := 0; i < 32; i++ {
-			id := fmt.Sprintf("fast%d", i)
-			if _, err := b.Subscribe(id, trainedMM("dog")); err != nil {
-				t.Errorf("Subscribe(%s): %v", id, err)
-			}
-			b.Unsubscribe(id)
-		}
-		close(churned)
-	}()
-	select {
-	case <-churned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscribe/unsubscribe churn blocked behind a brute-force Score")
-	}
-	close(l.release)
-	<-published
 }

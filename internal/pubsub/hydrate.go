@@ -112,9 +112,8 @@ func (b *Broker) bounded() bool {
 }
 
 // hydrateLocked rebuilds an evicted subscriber's learner from the
-// hydrator and rejoins it to the match path (index entries for indexable
-// learners, the brute-force table otherwise). Caller holds s.mu; s is not
-// closed and s.learner is nil.
+// hydrator and returns its vectors to the match index. Caller holds s.mu;
+// s is not closed and s.learner is nil.
 func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	if b.opts.Hydrator == nil {
 		return fmt.Errorf("pubsub: subscriber %q is evicted and no hydrator is configured", s.id)
@@ -129,6 +128,9 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	if !ok {
 		return fmt.Errorf("pubsub: hydrate %q: no durable state", s.id)
 	}
+	if _, ok := l.(filter.VectorSource); !ok {
+		return errNotIndexable(s.id, l)
+	}
 	s.learner = l
 	// Re-baseline the adaptation telemetry: replay repeats operations that
 	// were already counted while the profile was resident.
@@ -137,11 +139,7 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	}
 	s.lastSize = l.ProfileSize()
 	b.m.profileVectors.Add(float64(s.lastSize))
-	if s.indexed {
-		b.indexLocked(s)
-	} else {
-		b.reg.rejoinBrute(s.id, s)
-	}
+	b.indexLocked(s)
 	b.m.residentProfiles.Add(1)
 	b.m.hydrations.Inc()
 	b.m.topHydrations.Offer(s.id, 1)
@@ -157,34 +155,15 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	return nil
 }
 
-// residentLocked ensures s has an in-heap learner, hydrating if needed,
-// and refreshes its residency recency. Caller holds s.mu and has checked
-// closed. Callers must follow up with enforceResidency after releasing
-// s.mu.
-func (b *Broker) residentLocked(s *subscriber, sp *trace.Span) error {
-	if s.learner == nil {
-		return b.hydrateLocked(s, sp)
-	}
-	if b.bounded() {
-		b.lru.touch(s)
-	}
-	return nil
-}
-
 // evictLocked drops a resident subscriber's learner from the heap: the
 // profile's state is fully recoverable from the journal (every mutation
 // was journaled before it was applied), so nothing is written. The
 // subscriber stays registered — its id, delivery queue, and subscription
-// handles remain valid — but it leaves the match path until rehydrated:
-// indexable learners lose their index entries, brute-force learners leave
-// the brute table. Caller holds s.mu.
+// handles remain valid — but its index entries go, so it leaves the match
+// path until rehydrated. Caller holds s.mu.
 func (b *Broker) evictLocked(s *subscriber) {
 	s.learner = nil
-	if s.indexed {
-		b.idx.RemoveUser(s.id)
-	} else {
-		b.reg.dropBrute(s.id)
-	}
+	b.idx.RemoveUser(s.id)
 	gone, pairs := s.lastSize, s.lastPairs
 	s.lastSize, s.lastPairs = 0, 0
 	s.lastOps = core.OpCounts{}
@@ -225,36 +204,28 @@ func (b *Broker) enforceResidency() {
 
 // SubscribeRestored registers a subscriber restored from the persistence
 // layer at boot, without journaling (the journal already contains its
-// subscribe record). learner names the filter algorithm; l is the
-// restored learner, or nil to register the subscriber evicted — it then
-// occupies no profile heap until its first feedback or introspection
-// hydrates it, which is how a server with -max-resident-profiles boots a
-// journal of any size in O(subscribers) stubs instead of O(events)
-// replay. A nil l requires a configured Hydrator.
-func (b *Broker) SubscribeRestored(id, learner string, l filter.Learner) (*Subscription, error) {
-	if l == nil {
-		if b.opts.Hydrator == nil {
-			return nil, fmt.Errorf("pubsub: restore %q: nil learner requires a hydrator", id)
-		}
-		// Instantiate the algorithm once to learn whether it is indexable;
-		// the probe is discarded (hydration builds the real learner).
-		probe, err := filter.New(learner)
-		if err != nil {
-			return nil, fmt.Errorf("pubsub: restore %q: %w", id, err)
-		}
-		_, indexed := probe.(filter.VectorSource)
-		s := &subscriber{id: id, indexed: indexed}
-		if err := b.reg.insert(id, s, nil); err != nil {
-			if err == errDuplicate {
-				return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)
-			}
-			return nil, err
-		}
-		if b.opts.Log.Enabled(obs.LevelDebug) {
-			b.opts.Log.Debug("pubsub: restore evicted",
-				slog.String("user", id), slog.String("learner", learner))
-		}
-		return &Subscription{b: b, sub: s}, nil
+// subscribe record). l is the restored learner, or nil to register the
+// subscriber evicted — it then occupies no profile heap until its first
+// feedback or introspection hydrates it, which is how a server with
+// -max-resident-profiles boots a journal of any size in O(subscribers)
+// stubs instead of O(events) replay. A nil l requires a configured
+// Hydrator.
+func (b *Broker) SubscribeRestored(id string, l filter.Learner) (*Subscription, error) {
+	if l != nil {
+		return b.subscribe(id, l, nil)
 	}
-	return b.subscribe(id, l, nil)
+	if b.opts.Hydrator == nil {
+		return nil, fmt.Errorf("pubsub: restore %q: nil learner requires a hydrator", id)
+	}
+	s := &subscriber{id: id}
+	if err := b.reg.insert(id, s, nil); err != nil {
+		if err == errDuplicate {
+			return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)
+		}
+		return nil, err
+	}
+	if b.opts.Log.Enabled(obs.LevelDebug) {
+		b.opts.Log.Debug("pubsub: restore evicted", slog.String("user", id))
+	}
+	return &Subscription{b: b, sub: s}, nil
 }

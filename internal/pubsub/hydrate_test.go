@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,33 +16,17 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-// blindLearner wraps an MM profile but hides filter.VectorSource, so the
-// broker must score it brute-force — exercising the brute-table leave/
-// rejoin half of eviction and hydration. It is serializable and
-// registered, so the store can journal and restore it.
-type blindLearner struct{ p *core.Profile }
-
-func (b blindLearner) Name() string                             { return "blindMM" }
-func (b blindLearner) Observe(v vsm.Vector, fd filter.Feedback) { b.p.Observe(v, fd) }
-func (b blindLearner) Score(v vsm.Vector) float64               { return b.p.Score(v) }
-func (b blindLearner) ProfileSize() int                         { return b.p.ProfileSize() }
-func (b blindLearner) Reset()                                   { b.p.Reset() }
-func (b blindLearner) MarshalBinary() ([]byte, error)           { return b.p.MarshalBinary() }
-func (b blindLearner) UnmarshalBinary(data []byte) error        { return b.p.UnmarshalBinary(data) }
-
-func init() {
-	filter.Register("blindMM", func() filter.Learner { return blindLearner{p: core.NewDefault()} })
-}
-
-// hydUsers builds the mixed user population: mostly indexable MM, a few
-// brute-force blindMM.
+// hydUsers builds the mixed user population: mostly MM, whose vectors the
+// index takes packed as they are, and a few RI, whose string vectors are
+// packed on every reindex — so eviction and hydration cover both halves of
+// indexLocked.
 func hydUsers(n int) ([]string, map[string]string) {
 	users := make([]string, n)
 	names := make(map[string]string, n)
 	for i := range users {
 		users[i] = fmt.Sprintf("user%02d", i)
 		if i%6 == 5 {
-			names[users[i]] = "blindMM"
+			names[users[i]] = "RI"
 		} else {
 			names[users[i]] = "MM"
 		}
@@ -201,15 +186,15 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	names, err := st2.RestoredNames()
+	users, err := st2.RestoredUsers()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
 	b2 := New(Options{Threshold: 0.3, Journal: st2, Hydrator: st2, MaxResident: 1, Metrics: reg})
 	subs := map[string]*Subscription{}
-	for u, name := range names {
-		sub, err := b2.SubscribeRestored(u, name, nil)
+	for _, u := range users {
+		sub, err := b2.SubscribeRestored(u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,10 +242,9 @@ func TestLazyBootHydratesOnDemand(t *testing.T) {
 }
 
 // TestSubscribeRestoredErrors pins the argument contract: a nil learner
-// needs a hydrator and a registered algorithm name, and duplicates are
-// refused.
+// needs a hydrator, and duplicates are refused.
 func TestSubscribeRestoredErrors(t *testing.T) {
-	if _, err := New(Options{}).SubscribeRestored("u", "MM", nil); err == nil {
+	if _, err := New(Options{}).SubscribeRestored("u", nil); err == nil {
 		t.Error("nil learner without hydrator accepted")
 	}
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -269,18 +253,34 @@ func TestSubscribeRestoredErrors(t *testing.T) {
 	}
 	defer st.Close()
 	b := New(Options{Journal: st, Hydrator: st, MaxResident: 1})
-	if _, err := b.SubscribeRestored("u", "no-such-learner", nil); err == nil {
-		t.Error("unknown learner name accepted")
-	}
-	if _, err := b.SubscribeRestored("u", "MM", nil); err != nil {
+	if _, err := b.SubscribeRestored("u", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SubscribeRestored("u", "MM", nil); err == nil {
+	if _, err := b.SubscribeRestored("u", nil); err == nil {
 		t.Error("duplicate restore accepted")
 	}
-	if _, err := b.SubscribeRestored("v", "MM", core.NewDefault()); err != nil {
+	if _, err := b.SubscribeRestored("v", core.NewDefault()); err != nil {
 		t.Fatal(err)
 	}
+	// A hydrator handing back a learner the index cannot hold is an error,
+	// not a panic, and the stub stays evicted.
+	sub, err := New(Options{Hydrator: opaqueHydrator{}}).SubscribeRestored("w", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.WithLearner(func(filter.Learner) { t.Error("fn ran on a refused learner") }); err == nil ||
+		!strings.Contains(err.Error(), "VectorSource") {
+		t.Errorf("hydrating an unindexable learner = %v, want an error naming filter.VectorSource", err)
+	}
+	if sub.sub.learner != nil {
+		t.Error("refused learner became resident")
+	}
+}
+
+type opaqueHydrator struct{}
+
+func (opaqueHydrator) RestoreUser(string) (filter.Learner, bool, error) {
+	return opaque{core.NewDefault()}, true, nil
 }
 
 // TestSubscribeRestoredStubHoldsNoQueue pins what an evicted stub costs:
@@ -299,7 +299,7 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 		if err := st.AppendSubscribe(u, "MM", nil); err != nil {
 			t.Fatal(err)
 		}
-		if subs[u], err = b.SubscribeRestored(u, "MM", nil); err != nil {
+		if subs[u], err = b.SubscribeRestored(u, nil); err != nil {
 			t.Fatal(err)
 		}
 		if subs[u].sub.queue != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mmprofile/internal/core"
+	"mmprofile/internal/filter"
 	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
@@ -52,33 +53,27 @@ type explainer interface {
 // ProfileInfo snapshots a subscriber's vectors and audit journal under the
 // subscriber's lock. topTerms bounds the terms reported per vector.
 func (b *Broker) ProfileInfo(user string, topTerms int) (ProfileInfo, error) {
-	s, ok := b.reg.get(user)
-	if !ok {
-		return ProfileInfo{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	defer b.enforceResidency()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ProfileInfo{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	if err := b.residentLocked(s, nil); err != nil {
-		return ProfileInfo{}, err
-	}
-	info := ProfileInfo{User: user, Learner: s.learner.Name(), Size: s.learner.ProfileSize()}
-	if vl, ok := s.learner.(vectorLister); ok {
-		for _, pv := range vl.Vectors() {
-			info.Vectors = append(info.Vectors, VectorInfo{
-				ID:             pv.ID,
-				Strength:       pv.Strength,
-				CreatedAt:      pv.CreatedAt,
-				Incorporations: pv.Incorporations,
-				TopTerms:       pv.Vec.TopTerms(topTerms),
-			})
+	info := ProfileInfo{User: user}
+	err := b.userLearner(user, func(l filter.Learner) error {
+		info.Learner, info.Size = l.Name(), l.ProfileSize()
+		if vl, ok := l.(vectorLister); ok {
+			for _, pv := range vl.Vectors() {
+				info.Vectors = append(info.Vectors, VectorInfo{
+					ID:             pv.ID,
+					Strength:       pv.Strength,
+					CreatedAt:      pv.CreatedAt,
+					Incorporations: pv.Incorporations,
+					TopTerms:       pv.Vec.TopTerms(topTerms),
+				})
+			}
 		}
-	}
-	if as, ok := s.learner.(auditSource); ok {
-		info.Audit = as.AuditTrail()
+		if as, ok := l.(auditSource); ok {
+			info.Audit = as.AuditTrail()
+		}
+		return nil
+	})
+	if err != nil {
+		return ProfileInfo{}, err
 	}
 	return info, nil
 }
@@ -92,22 +87,14 @@ func (b *Broker) ExplainDoc(user string, doc int64, maxTerms int) (core.Explanat
 	if !ok {
 		return core.Explanation{}, fmt.Errorf("pubsub: document %d not retained (retention %d)", doc, b.opts.Retention)
 	}
-	s, ok := b.reg.get(user)
-	if !ok {
-		return core.Explanation{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	defer b.enforceResidency()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return core.Explanation{}, fmt.Errorf("pubsub: unknown subscriber %q", user)
-	}
-	if err := b.residentLocked(s, nil); err != nil {
-		return core.Explanation{}, err
-	}
-	ex, ok := s.learner.(explainer)
-	if !ok {
-		return core.Explanation{}, fmt.Errorf("pubsub: learner %q does not support explanation", s.learner.Name())
-	}
-	return ex.Explain(rec.Vec, maxTerms), nil
+	var out core.Explanation
+	err := b.userLearner(user, func(l filter.Learner) error {
+		ex, ok := l.(explainer)
+		if !ok {
+			return fmt.Errorf("pubsub: learner %q does not support explanation", l.Name())
+		}
+		out = ex.Explain(rec.Vec, maxTerms)
+		return nil
+	})
+	return out, err
 }

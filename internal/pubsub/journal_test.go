@@ -55,24 +55,6 @@ func TestJournalIntegration(t *testing.T) {
 	}
 }
 
-// TestExportProfiles checks checkpoint export and its all-or-nothing rule.
-func TestExportProfiles(t *testing.T) {
-	b := New(Options{})
-	b.Subscribe("alice", trainedMM("cat"))
-	snaps, err := b.ExportProfiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].User != "alice" || snaps[0].Learner != "MM" || len(snaps[0].Data) == 0 {
-		t.Errorf("snaps = %+v", snaps)
-	}
-	// A non-serializable learner blocks the checkpoint.
-	b.Subscribe("eve", opaque{core.NewDefault()})
-	if _, err := b.ExportProfiles(); err == nil {
-		t.Error("export with non-serializable learner did not error")
-	}
-}
-
 // failingJournal simulates a full disk.
 type failingJournal struct{ failFeedback bool }
 

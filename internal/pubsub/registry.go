@@ -8,26 +8,21 @@ import (
 
 // registry is the broker's sharded subscriber table. Subscriber ids hash
 // (FNV-1a) to one of a power-of-two number of shards, each holding its own
-// subscriber and brute-force maps behind its own read/write lock, so
-// subscribe/unsubscribe churn on one shard never stalls publishes touching
-// the others — and no operation ever takes a table-wide lock.
+// subscriber map behind its own read/write lock, so subscribe/unsubscribe
+// churn on one shard never stalls publishes touching the others — and no
+// operation ever takes a table-wide lock.
 //
-// The subscriber count and the brute-force count are atomics maintained
-// alongside the maps: Stats() and the mm_pubsub_subscribers gauge read
-// them without touching any shard, and the publish hot path skips the
-// brute-force snapshot entirely while no unindexable learner is
-// registered (the common case).
+// The subscriber count is an atomic maintained alongside the maps: Stats()
+// and the mm_pubsub_subscribers gauge read it without touching any shard.
 type registry struct {
 	shards []regShard
 	mask   uint32
 	count  atomic.Int64 // live subscribers across all shards
-	brutes atomic.Int64 // live brute-force (unindexable) subscribers
 }
 
 type regShard struct {
-	mu    sync.RWMutex
-	subs  map[string]*subscriber
-	brute map[string]*subscriber
+	mu   sync.RWMutex
+	subs map[string]*subscriber
 }
 
 // newRegistry builds a registry with the given shard-count suggestion
@@ -43,7 +38,6 @@ func newRegistry(n int) *registry {
 	r := &registry{shards: make([]regShard, shards), mask: uint32(shards - 1)}
 	for i := range r.shards {
 		r.shards[i].subs = make(map[string]*subscriber)
-		r.shards[i].brute = make(map[string]*subscriber)
 	}
 	return r
 }
@@ -82,65 +76,17 @@ func (r *registry) insert(id string, s *subscriber, journal func() error) error 
 	}
 	sh.subs[id] = s
 	r.count.Add(1)
-	// Evicted stubs (learner nil, SubscribeRestored) stay out of the brute
-	// table until hydration rejoins them; s is not yet shared, so the
-	// learner field can be read without its lock.
-	if !s.indexed && s.learner != nil {
-		sh.brute[id] = s
-		r.brutes.Add(1)
-	}
 	return nil
-}
-
-// dropBrute removes an evicted brute-force subscriber from its shard's
-// brute table so publishes stop snapshotting it; the subscriber itself
-// stays registered.
-func (r *registry) dropBrute(id string) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.brute[id]; ok {
-		delete(sh.brute, id)
-		r.brutes.Add(-1)
-	}
-	sh.mu.Unlock()
-}
-
-// rejoinBrute returns a rehydrated brute-force subscriber to its shard's
-// brute table (idempotent).
-func (r *registry) rejoinBrute(id string, s *subscriber) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	if _, ok := sh.brute[id]; !ok {
-		sh.brute[id] = s
-		r.brutes.Add(1)
-	}
-	sh.mu.Unlock()
 }
 
 // remove deletes id from its shard and returns the removed subscriber.
 func (r *registry) remove(id string) (*subscriber, bool) {
-	return r.removeMatch(id, nil)
-}
-
-// removeMatch deletes id from its shard only while the registered
-// subscriber is identical to want (want nil matches anything, which is
-// plain remove). The identity check lets a stale Subscription handle be
-// canceled without any risk of tearing down a newer subscriber that has
-// since taken the same id.
-func (r *registry) removeMatch(id string, want *subscriber) (*subscriber, bool) {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
 	s, ok := sh.subs[id]
-	if ok && want != nil && s != want {
-		s, ok = nil, false
-	}
 	if ok {
 		delete(sh.subs, id)
 		r.count.Add(-1)
-		if _, wasBrute := sh.brute[id]; wasBrute {
-			delete(sh.brute, id)
-			r.brutes.Add(-1)
-		}
 	}
 	sh.mu.Unlock()
 	return s, ok
@@ -157,38 +103,3 @@ func (r *registry) get(id string) (*subscriber, bool) {
 
 // len returns the live subscriber count without touching any shard lock.
 func (r *registry) len() int { return int(r.count.Load()) }
-
-// bruteCount returns the live brute-force subscriber count lock-free; the
-// publish path uses it to skip the snapshot entirely when zero.
-func (r *registry) bruteCount() int { return int(r.brutes.Load()) }
-
-// bruteSnapshot appends every brute-force subscriber to dst (reusing its
-// capacity) under per-shard read locks. Callers score the snapshot after
-// releasing the locks, so a slow learner.Score can never stall
-// subscription churn or publishes on the same shard.
-func (r *registry) bruteSnapshot(dst []*subscriber) []*subscriber {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.brute {
-			dst = append(dst, s)
-		}
-		sh.mu.RUnlock()
-	}
-	return dst
-}
-
-// snapshot returns every registered subscriber, shard by shard. The result
-// is a point-in-time copy: iteration happens with no shard lock held.
-func (r *registry) snapshot() []*subscriber {
-	out := make([]*subscriber, 0, r.len())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.subs {
-			out = append(out, s)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}

@@ -262,7 +262,9 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 		return nil, 0, 0, err
 	}
 
-	// One slot per user the WAL touches; l is nil once unsubscribed.
+	// One slot per user the WAL touches: the learner apply has folded the
+	// user's events into so far (nil once unsubscribed) and its registry
+	// name, from the subscribe event or the segment record.
 	type slot struct {
 		l     filter.Learner
 		lname string
@@ -272,52 +274,41 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 		order = append(order, user)
 	}
 	sort.Slice(order, func(i, j int) bool { return ln.segIdx[order[i]].off < ln.segIdx[order[j]].off })
-	touched := make(map[string]*slot)
+	touched := make(map[string]slot)
 	var buf []byte
 	for i, p := range payloads {
 		ev, err := decodeEvent(p)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
 		}
-		sl := touched[ev.User]
+		sl, seen := touched[ev.User]
 		ref, inSeg := ln.segIdx[ev.User]
-		switch ev.Type {
-		case EventSubscribe:
-			l, err := newRestored(ev.User, ev.Learner, ev.State)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if sl == nil && !inSeg {
+		switch {
+		case ev.Type == EventSubscribe:
+			sl.lname = ev.Learner
+			if !seen && !inSeg {
 				order = append(order, ev.User)
 			}
-			touched[ev.User] = &slot{l: l, lname: ev.Learner}
-		case EventUnsubscribe:
-			if sl != nil || inSeg {
-				touched[ev.User] = &slot{}
+		case ev.Type == EventFeedback && !seen && inSeg:
+			// First touch of a segment profile: rehydrate it.
+			if sl.l, sl.lname, buf, err = s.segLearner(ln, ref, buf); err != nil {
+				return nil, 0, 0, err
 			}
-		case EventFeedback:
-			if sl == nil && inSeg {
-				// First touch of a segment profile: rehydrate it.
-				sl = &slot{lname: ref.learner}
-				if sl.l, buf, err = s.segLearner(ln, ref, buf); err != nil {
-					return nil, 0, 0, err
-				}
-				touched[ev.User] = sl
-			}
-			if sl == nil || sl.l == nil {
-				return nil, 0, 0, fmt.Errorf("store: lane %d compaction: feedback for unknown user %q", ln.id, ev.User)
-			}
-			sl.l.Observe(ev.Vec, ev.Fd)
-		default:
-			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: unknown event type %d", ln.id, ln.gen, i, ev.Type)
+		case ev.Type == EventUnsubscribe && !seen && !inSeg:
+			continue // of a user this lane never held: nothing to drop
 		}
+		if sl.l, err = apply(sl.l, ev); err != nil {
+			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+		}
+		touched[ev.User] = sl
 	}
 
 	idx = make(map[string]segRef, len(order))
 	for _, user := range order {
-		sl, ref := touched[user], ln.segIdx[user]
+		sl, dirty := touched[user]
+		ref := ln.segIdx[user]
 		switch {
-		case sl == nil: // clean: the old frame, verbatim
+		case !dirty: // clean: the old frame, verbatim
 			if buf, err = s.readAt(ln, segFile, ref.off, ref.n, buf); err != nil {
 				return nil, 0, 0, err
 			}
@@ -340,7 +331,7 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 			if err := writeRecord(w, payload); err != nil {
 				return nil, 0, 0, err
 			}
-			ref = segRef{n: uint32(len(payload)), learner: sl.lname}
+			ref = segRef{n: uint32(len(payload))}
 		}
 		ref.off = size
 		idx[user] = ref

@@ -31,7 +31,7 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 	var buf []byte // reused: each record is consumed before the next read
 	if ref, ok := ln.segIdx[user]; ok {
 		var err error
-		if l, buf, err = s.segLearner(ln, ref, buf); err != nil {
+		if l, _, buf, err = s.segLearner(ln, ref, buf); err != nil {
 			return nil, false, err
 		}
 		s.m.restoreReadBytes.Add(int64(len(buf)))
@@ -44,21 +44,11 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 		buf = frame
 		s.m.restoreReadBytes.Add(int64(len(frame)))
 		ev, err := decodeEvent(frame[8:])
+		if err == nil {
+			l, err = apply(l, ev)
+		}
 		if err != nil {
 			return nil, false, fmt.Errorf("store: lane %d wal %d offset %d: %w", ln.id, ln.gen, ref.off, err)
-		}
-		switch ev.Type {
-		case EventSubscribe:
-			if l, err = newRestored(user, ev.Learner, ev.State); err != nil {
-				return nil, false, err
-			}
-		case EventUnsubscribe:
-			l = nil
-		case EventFeedback:
-			if l == nil {
-				return nil, false, fmt.Errorf("store: lane %d: feedback for unknown user %q", ln.id, user)
-			}
-			l.Observe(ev.Vec, ev.Fd)
 		}
 	}
 	if l != nil {
@@ -68,16 +58,20 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 }
 
 // segLearner preads the segment record ref names and rebuilds its learner
-// (caller holds ln.mu). It returns the frame read, for reuse as buf.
-func (s *Store) segLearner(ln *lane, ref segRef, buf []byte) (filter.Learner, []byte, error) {
+// (caller holds ln.mu). It also returns the learner's registry name, which
+// the record carries, and the frame read, for reuse as buf.
+func (s *Store) segLearner(ln *lane, ref segRef, buf []byte) (filter.Learner, string, []byte, error) {
 	frame, err := s.readAt(ln, segFile, ref.off, ref.n, buf)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", nil, err
 	}
 	rec, err := decodeProfileRecord(frame[8:])
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, ref.off, err)
+	var l filter.Learner
+	if err == nil {
+		l, err = newRestored(rec.User, rec.Learner, rec.Data)
 	}
-	l, err := newRestored(rec.User, rec.Learner, rec.Data)
-	return l, frame, err
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, ref.off, err)
+	}
+	return l, rec.Learner, frame, nil
 }

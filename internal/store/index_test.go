@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -30,25 +31,26 @@ func marshal(t testing.TB, l filter.Learner) []byte {
 }
 
 // requireHydrationEqualsRestore holds the lazy read path to the eager one
-// on the same open store: RestoredNames lists exactly the users a full
+// on the same open store: RestoredUsers lists exactly the users a full
 // Load+Restore yields, and each hydrates through RestoreUser to the same
-// bytes.
+// learner type and bytes.
 func requireHydrationEqualsRestore(t *testing.T, s *Store, learners map[string]filter.Learner) {
 	t.Helper()
-	names, err := s.RestoredNames()
+	users, err := s.RestoredUsers()
 	if err != nil {
-		t.Fatalf("RestoredNames: %v", err)
+		t.Fatalf("RestoredUsers: %v", err)
 	}
-	if len(names) != len(learners) {
-		t.Fatalf("RestoredNames = %v, full restore has %d users", names, len(learners))
+	if len(users) != len(learners) || !sort.StringsAreSorted(users) {
+		t.Fatalf("RestoredUsers = %v, full restore has %d users", users, len(learners))
 	}
-	for u, want := range learners {
-		if names[u] != want.Name() {
-			t.Fatalf("RestoredNames[%q] = %q, want %q", u, names[u], want.Name())
+	for _, u := range users {
+		want := learners[u]
+		if want == nil {
+			t.Fatalf("RestoredUsers lists %q, the full restore does not have it", u)
 		}
 		l, found, err := s.RestoreUser(u)
-		if err != nil || !found {
-			t.Fatalf("RestoreUser(%q): found=%v err=%v", u, found, err)
+		if err != nil || !found || l.Name() != want.Name() {
+			t.Fatalf("RestoreUser(%q): found=%v err=%v, want a %s learner", u, found, err, want.Name())
 		}
 		if !bytes.Equal(marshal(t, l), marshal(t, want)) {
 			t.Fatalf("RestoreUser(%q) differs from the full restore", u)
@@ -126,8 +128,8 @@ func TestColdProfilesCostNoHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if names, err := s.RestoredNames(); err != nil || len(names) != users {
-		t.Fatalf("RestoredNames: %d users, %v", len(names), err)
+	if names, err := s.RestoredUsers(); err != nil || len(names) != users {
+		t.Fatalf("RestoredUsers: %d users, %v", len(names), err)
 	}
 	check("after a lazy boot")
 

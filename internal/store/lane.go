@@ -55,11 +55,10 @@ type lane struct {
 }
 
 // segRef locates one user's framed record in the lane's segment: header
-// offset, payload length, and the learner name (all a lazy boot needs).
+// offset and payload length.
 type segRef struct {
-	off     int64
-	n       uint32
-	learner string
+	off int64
+	n   uint32
 }
 
 // walRef locates one framed event in the lane's current WAL.
@@ -224,7 +223,6 @@ func (s *Store) indexLane(ln *lane) error {
 	}
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, math.MaxInt64), 64<<10)
 	var frame []byte
-	var learner string // the last record's: entries share one copy of a name
 	for off := int64(0); ; off += int64(len(frame)) {
 		if frame, err = readRecord(r, frame); err == io.EOF {
 			ln.segIdx = idx
@@ -237,10 +235,7 @@ func (s *Store) indexLane(ln *lane) error {
 		if err != nil {
 			return fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, off, err)
 		}
-		if rec.Learner != learner {
-			learner = rec.Learner
-		}
-		idx[rec.User] = segRef{off: off, n: uint32(len(frame) - 8), learner: learner}
+		idx[rec.User] = segRef{off: off, n: uint32(len(frame) - 8)}
 	}
 }
 

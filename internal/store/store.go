@@ -947,22 +947,48 @@ type restorable interface {
 }
 
 // newRestored builds a learner of the named type and loads state into it.
+// Its errors, like apply's, carry no "store:" prefix: every caller puts the
+// record's position in front.
 func newRestored(user, learner string, state []byte) (filter.Learner, error) {
 	l, err := filter.New(learner)
 	if err != nil {
-		return nil, fmt.Errorf("store: restore %q: %w", user, err)
+		return nil, fmt.Errorf("restore %q: %w", user, err)
 	}
 	if len(state) == 0 {
 		return l, nil
 	}
 	r, ok := l.(restorable)
 	if !ok {
-		return nil, fmt.Errorf("store: learner %q is not restorable", learner)
+		return nil, fmt.Errorf("learner %q is not restorable", learner)
 	}
 	if err := r.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("store: restore %q: %w", user, err)
+		return nil, fmt.Errorf("restore %q: %w", user, err)
 	}
 	return l, nil
+}
+
+// apply is the replay rule: it folds one journal event into its user's
+// learner slot (nil while the user does not exist) and returns the slot's
+// new content. A subscribe replaces whatever was there with a fresh learner
+// from the filter registry, an unsubscribe empties the slot, a feedback is
+// observed — and is an error on an empty slot, because the broker never
+// journals one. Restore, RestoreUser and compaction differ only in how they
+// walk the events and where they keep the slots.
+func apply(l filter.Learner, ev Event) (filter.Learner, error) {
+	switch ev.Type {
+	case EventSubscribe:
+		return newRestored(ev.User, ev.Learner, ev.State)
+	case EventUnsubscribe:
+		return nil, nil
+	case EventFeedback:
+		if l == nil {
+			return nil, fmt.Errorf("feedback for unknown user %q", ev.User)
+		}
+		l.Observe(ev.Vec, ev.Fd)
+		return l, nil
+	default:
+		return nil, fmt.Errorf("unknown event type %d", ev.Type)
+	}
 }
 
 // Restore reconstructs learners from a Load result: segment profiles are
@@ -974,83 +1000,62 @@ func newRestored(user, learner string, state []byte) (filter.Learner, error) {
 // for an unknown user) is an error.
 func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learner, error) {
 	out := make(map[string]filter.Learner, len(profiles))
-	for _, p := range profiles {
+	for i, p := range profiles {
 		l, err := newRestored(p.User, p.Learner, p.Data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: profile %d: %w", i, err)
 		}
 		out[p.User] = l
 	}
 	for i, ev := range events {
-		switch ev.Type {
-		case EventSubscribe:
-			l, err := newRestored(ev.User, ev.Learner, ev.State)
-			if err != nil {
-				return nil, err
-			}
-			out[ev.User] = l
-		case EventUnsubscribe:
+		l, err := apply(out[ev.User], ev)
+		if err != nil {
+			return nil, fmt.Errorf("store: event %d: %w", i, err)
+		}
+		if l == nil {
 			delete(out, ev.User)
-		case EventFeedback:
-			l, ok := out[ev.User]
-			if !ok {
-				return nil, fmt.Errorf("store: event %d: feedback for unknown user %q", i, ev.User)
-			}
-			l.Observe(ev.Vec, ev.Fd)
-		default:
-			return nil, fmt.Errorf("store: event %d: unknown type %d", i, ev.Type)
+		} else {
+			out[ev.User] = l
 		}
 	}
 	return out, nil
 }
 
-// RestoredNames maps each surviving user to its learner's registry name
-// from the lanes' offset indexes, without reading a profile or
-// instantiating a learner — the boot path for lazy hydration (pubsub
-// registers evicted stubs and hydrates on first touch). Only a user whose
-// subscription is newer than its segment costs a read, of that one event.
-func (s *Store) RestoredNames() (map[string]string, error) {
-	out := make(map[string]string)
+// RestoredUsers lists the surviving users, sorted, from the lanes' offset
+// indexes alone — no profile is read and no learner instantiated. It is the
+// boot path for lazy hydration: pubsub registers one evicted stub per name
+// and hydrates on first touch.
+func (s *Store) RestoredUsers() ([]string, error) {
+	var out []string
 	for _, ln := range s.lanes {
-		if err := s.laneNames(ln, out); err != nil {
+		ln.mu.Lock()
+		err := s.indexLane(ln)
+		if err == nil {
+			for user := range ln.segIdx {
+				if _, touched := ln.walIdx[user]; !touched {
+					out = append(out, user)
+				}
+			}
+			for user, refs := range ln.walIdx {
+				// The user's last subscribe or unsubscribe decides; with
+				// feedback only, the segment's entry stands.
+				i := len(refs) - 1
+				for i >= 0 && refs[i].typ == EventFeedback {
+					i--
+				}
+				_, inSeg := ln.segIdx[user]
+				if (i < 0 && inSeg) || (i >= 0 && refs[i].typ == EventSubscribe) {
+					out = append(out, user)
+				}
+			}
+		}
+		ln.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
+	sort.Strings(out)
 	return out, nil
-}
-
-func (s *Store) laneNames(ln *lane, out map[string]string) error {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if err := s.indexLane(ln); err != nil {
-		return err
-	}
-	for user, ref := range ln.segIdx {
-		out[user] = ref.learner
-	}
-	var buf []byte
-	for user, refs := range ln.walIdx {
-		i := len(refs) - 1
-		for i >= 0 && refs[i].typ == EventFeedback {
-			i--
-		}
-		switch {
-		case i < 0: // feedback only: the segment's entry stands
-		case refs[i].typ == EventUnsubscribe:
-			delete(out, user)
-		default:
-			frame, err := s.readAt(ln, walFile, refs[i].off, refs[i].n, buf)
-			if err != nil {
-				return err
-			}
-			ev, err := decodeEvent(frame[8:])
-			if err != nil {
-				return fmt.Errorf("store: lane %d wal %d offset %d: %w", ln.id, ln.gen, refs[i].off, err)
-			}
-			out[user], buf = ev.Learner, frame
-		}
-	}
-	return nil
 }
 
 // Users lists the distinct users across a Load result, sorted.

@@ -237,8 +237,8 @@ func TestTornTailIsDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names, err := ro.RestoredNames(); err != nil || len(names) != 1 || names["alice"] != "MM" {
-		t.Errorf("read-only RestoredNames over a torn tail = %v, %v", names, err)
+	if users, err := ro.RestoredUsers(); err != nil || len(users) != 1 || users[0] != "alice" {
+		t.Errorf("read-only RestoredUsers over a torn tail = %v, %v", users, err)
 	}
 	if l, found, err := ro.RestoreUser("alice"); err != nil || !found || l.ProfileSize() != 0 {
 		t.Errorf("read-only RestoreUser over a torn tail: found=%v err=%v", found, err)
@@ -295,12 +295,25 @@ func TestCorruptionMidLogIsAnError(t *testing.T) {
 }
 
 // TestRecoveryEquivalence is the headline guarantee: after checkpoint +
-// more feedback + crash, Restore rebuilds learners that score identically
-// to the originals. Users span several lanes, so this also covers the
+// more events + crash, each of the three replay callers — Restore,
+// RestoreUser, compaction — rebuilds learners byte-identical to the
+// originals. Users span several lanes, so this also covers the
 // lane-concatenated Load order.
 func TestRecoveryEquivalence(t *testing.T) {
+	// The same journal twice: one copy is closed and recovered, the other
+	// compacted while open (a reopened lane's dirty set starts empty, so a
+	// checkpoint after recovery would compact nothing).
 	dir := t.TempDir()
-	s := openStore(t, dir)
+	s, sc := openStore(t, dir), openStore(t, t.TempDir())
+	defer sc.Close()
+	both := func(appendTo func(*Store) error) {
+		t.Helper()
+		for _, st := range []*Store{s, sc} {
+			if err := appendTo(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	terms := []string{"a", "b", "c", "d", "e", "f"}
 	randVec := func() vsm.Vector {
@@ -320,19 +333,24 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		live[user] = l
-		if err := s.AppendSubscribe(user, learner, nil); err != nil {
-			t.Fatal(err)
-		}
+		both(func(st *Store) error { return st.AppendSubscribe(user, learner, nil) })
 	}
 	feedback := func(user string, v vsm.Vector, fd filter.Feedback) {
 		live[user].Observe(v, fd)
-		if err := s.AppendFeedback(user, v, fd); err != nil {
-			t.Fatal(err)
-		}
+		both(func(st *Store) error { return st.AppendFeedback(user, v, fd) })
+	}
+
+	unsubscribe := func(user string) {
+		delete(live, user)
+		both(func(st *Store) error { return st.AppendUnsubscribe(user) })
 	}
 
 	subscribe("alice", "MM")
 	subscribe("bob", "RI")
+	subscribe("dave", "MM")
+	subscribe("erin", "MM")
+	feedback("dave", randVec(), filter.Relevant)
+	feedback("erin", randVec(), filter.Relevant)
 	for i := 0; i < 40; i++ {
 		fd := filter.Relevant
 		if i%3 == 0 {
@@ -344,16 +362,45 @@ func TestRecoveryEquivalence(t *testing.T) {
 
 	// Checkpoint (compacting the journaled events into segments), then
 	// keep going: these events land in the fresh lane WALs.
-	if _, err := s.Checkpoint(1); err != nil {
-		t.Fatal(err)
-	}
+	both(func(st *Store) error { _, err := st.Checkpoint(1); return err })
 	subscribe("carol", "NRN")
 	for i := 0; i < 20; i++ {
 		feedback("alice", randVec(), filter.Relevant)
 		feedback("carol", randVec(), filter.Relevant)
 	}
+	// The sequences the replay rule has a case for, over users the segment
+	// holds (bob, dave, erin) and users only the WAL knows (carol, frank):
+	// resubscribe under another learner, unsubscribe, unsubscribe then
+	// resubscribe, each with feedback on both sides of it.
+	subscribe("bob", "MM")
+	unsubscribe("dave")
+	unsubscribe("erin")
+	subscribe("erin", "RI")
+	subscribe("frank", "MM")
+	feedback("frank", randVec(), filter.Relevant)
+	unsubscribe("frank")
+	unsubscribe("carol")
+	subscribe("carol", "MM")
+	for i := 0; i < 10; i++ {
+		for _, u := range []string{"bob", "erin", "carol"} {
+			feedback(u, randVec(), filter.Relevant)
+		}
+	}
 	s.Close() // "crash" after close; a real crash is the torn-tail test
 
+	// All three replay callers must land on the live learners' bytes.
+	requireLive := func(by string, got map[string]filter.Learner) {
+		t.Helper()
+		if len(got) != len(live) {
+			t.Fatalf("%s: %d users, want %d", by, len(got), len(live))
+		}
+		for user, orig := range live {
+			l := got[user]
+			if l == nil || l.Name() != orig.Name() || !bytes.Equal(marshal(t, l), marshal(t, orig)) {
+				t.Errorf("%s: user %s differs from the learner that lived through the events", by, user)
+			}
+		}
+	}
 	s2 := openStore(t, dir)
 	profiles, events, err := s2.Load()
 	if err != nil {
@@ -363,25 +410,55 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored) != len(live) {
-		t.Fatalf("restored %d users, want %d", len(restored), len(live))
-	}
-	for i := 0; i < 25; i++ {
-		probe := randVec()
-		for user, orig := range live {
-			got := restored[user].Score(probe)
-			want := orig.Score(probe)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("user %s probe %d: %v != %v", user, i, got, want)
-			}
+	requireLive("Restore", restored)
+	requireHydrationEqualsRestore(t, s2, restored) // RestoreUser, user by user
+	for _, gone := range []string{"dave", "frank"} {
+		if _, found, err := s2.RestoreUser(gone); err != nil || found {
+			t.Errorf("RestoreUser(%q): found=%v err=%v, want an unsubscribed user", gone, found, err)
 		}
 	}
-	for user, orig := range live {
-		if restored[user].ProfileSize() != orig.ProfileSize() {
-			t.Errorf("user %s size %d != %d", user, restored[user].ProfileSize(), orig.ProfileSize())
+	if st, err := sc.Checkpoint(1); err != nil || st.Rewritten == 0 {
+		t.Fatalf("Checkpoint = %+v, %v, want lanes rewritten", st, err)
+	}
+	profiles, events, err = sc.Load()
+	if err != nil || len(events) != 0 {
+		t.Fatalf("after the checkpoint: %d events, %v", len(events), err)
+	}
+	compacted, err := Restore(profiles, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireLive("compaction", compacted)
+
+	// Feedback after an unsubscribe is a journal the broker never writes:
+	// all three refuse it rather than invent a profile — for a user the
+	// segment holds (erin, in the compacted copy) and for one only the WAL
+	// knows (gus, in the recovered copy).
+	if err := s2.AppendSubscribe("gus", "MM", nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		st   *Store
+		user string
+	}{{sc, "erin"}, {s2, "gus"}} {
+		if err := c.st.AppendUnsubscribe(c.user); err != nil {
+			t.Fatal(err)
 		}
-		if restored[user].Name() != orig.Name() {
-			t.Errorf("user %s learner %s != %s", user, restored[user].Name(), orig.Name())
+		if err := c.st.AppendFeedback(c.user, randVec(), filter.Relevant); err != nil {
+			t.Fatal(err)
+		}
+		profiles, events, err := c.st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(profiles, events); err == nil {
+			t.Errorf("%s: Restore accepted feedback after an unsubscribe", c.user)
+		}
+		if _, _, err := c.st.RestoreUser(c.user); err == nil {
+			t.Errorf("%s: RestoreUser accepted feedback after an unsubscribe", c.user)
+		}
+		if _, err := c.st.Checkpoint(1); err == nil {
+			t.Errorf("%s: compaction accepted feedback after an unsubscribe", c.user)
 		}
 	}
 }
@@ -428,6 +505,9 @@ func TestUsers(t *testing.T) {
 	}
 }
 
+// TestRestoredNames: RestoredUsers names exactly the surviving users, in
+// order, from the offset indexes, and each hydrates as the learner its last
+// subscribe named.
 func TestRestoredNames(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -451,12 +531,17 @@ func TestRestoredNames(t *testing.T) {
 
 	check := func(s *Store) {
 		t.Helper()
-		got, err := s.RestoredNames()
+		got, err := s.RestoredUsers()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 2 || got["alice"] != "NRN" || got["kept"] != "MM" {
-			t.Errorf("RestoredNames = %v", got)
+		if len(got) != 2 || got[0] != "alice" || got[1] != "kept" {
+			t.Fatalf("RestoredUsers = %v, want [alice kept]", got)
+		}
+		for u, want := range map[string]string{"alice": "NRN", "kept": "MM"} {
+			if l, found, err := s.RestoreUser(u); err != nil || !found || l.Name() != want {
+				t.Errorf("RestoreUser(%q): found=%v err=%v, want a %s learner", u, found, err, want)
+			}
 		}
 	}
 	check(s)
@@ -487,8 +572,8 @@ func TestClosedStoreErrors(t *testing.T) {
 	if _, _, err := s.RestoreUser("a"); err == nil {
 		t.Error("hydration after close accepted")
 	}
-	if _, err := s.RestoredNames(); err == nil {
-		t.Error("names after close accepted")
+	if _, err := s.RestoredUsers(); err == nil {
+		t.Error("users after close accepted")
 	}
 	if err := s.Close(); err != nil {
 		t.Error("double close errored")

@@ -140,15 +140,6 @@ func (r *Resolved) Dot(p Packed) float64 {
 	return s
 }
 
-// DotPacked returns the inner product of p and doc, Dot(p.Vector(), doc)
-// bit for bit. Callers with several vectors to hold against one document
-// Resolve it once instead.
-func DotPacked(p Packed, doc Vector) float64 {
-	r := Resolve(doc)
-	defer r.Release()
-	return r.Dot(p)
-}
-
 // AppendPacked appends p's binary encoding to buf: the bytes AppendVector
 // writes for p.Vector().
 func AppendPacked(buf []byte, p Packed) []byte {

@@ -47,8 +47,11 @@ func checkPackedMirrors(t *testing.T, a, b Vector) {
 	if !sameVector(p.Vector(), a) {
 		t.Fatalf("Pack(%v).Vector() = %v", a, p.Vector())
 	}
-	if got, want := DotPacked(p, b), Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("DotPacked = %x, Dot = %x (%v · %v)", math.Float64bits(got), math.Float64bits(want), a.Terms, b.Terms)
+	r := Resolve(b)
+	got, want := r.Dot(p), Dot(a, b)
+	r.Release()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Resolved.Dot = %x, Dot = %x (%v · %v)", math.Float64bits(got), math.Float64bits(want), a.Terms, b.Terms)
 	}
 	enc := AppendVector([]byte("x"), a)
 	if got := AppendPacked([]byte("x"), p); !bytes.Equal(got, enc) {

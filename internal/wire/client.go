@@ -61,7 +61,8 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 }
 
 // Subscribe registers a profile under user. learner may be empty (MM) or a
-// registered learner name; keywords optionally seed the profile.
+// registered learner name; keywords optionally seed an MM profile (the
+// server refuses them with any other learner).
 func (c *Client) Subscribe(user, learner string, keywords []string) error {
 	_, err := c.roundTrip(Request{Op: OpSubscribe, User: user, Learner: learner, Keywords: keywords})
 	return err

@@ -52,7 +52,8 @@ type Request struct {
 	// Learner selects the profile algorithm at subscribe time (a name from
 	// the filter registry, e.g. "MM"); empty means MM.
 	Learner string `json:"learner,omitempty"`
-	// Keywords optionally seed the profile at subscribe time.
+	// Keywords optionally seed an MM profile at subscribe time; with any
+	// other learner the subscribe is refused.
 	Keywords []string `json:"keywords,omitempty"`
 	// Content is the raw page for publish.
 	Content string `json:"content,omitempty"`

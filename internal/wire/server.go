@@ -15,7 +15,6 @@ import (
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/trace"
-	"mmprofile/internal/vsm"
 
 	// Register the baseline learners so wire subscribers can select them
 	// by name (MM and MMND are registered via pubsub's core import).
@@ -23,7 +22,9 @@ import (
 )
 
 // Server serves the JSON protocol over a listener, one goroutine per
-// connection, all connections sharing one broker.
+// connection, all connections sharing one broker. It keeps no subscriber
+// table of its own: every op resolves its user through the broker, so a
+// subscriber is addressable however it was registered.
 type Server struct {
 	broker *pubsub.Broker
 	log    *obs.Logger
@@ -37,7 +38,6 @@ type Server struct {
 	slowEvictions     *metrics.Counter // sessions closed by the eviction policy
 
 	mu     sync.Mutex
-	subs   map[string]*pubsub.Subscription
 	closed bool
 	lis    net.Listener
 	conns  map[net.Conn]struct{}
@@ -78,7 +78,6 @@ func NewServerLogger(b *pubsub.Broker, logger *obs.Logger) *Server {
 			"Deliveries pushed to session connections across all frames."),
 		slowEvictions: reg.Counter("mm_pubsub_slow_evictions_total",
 			"Push sessions closed because their windowed drop rate stayed pathological (mmserver -evict-drop-rate)."),
-		subs:      make(map[string]*pubsub.Subscription),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
 		sessKicks: make(map[string]map[chan string]struct{}),
@@ -277,9 +276,6 @@ func (s *Server) dispatchTimed(req Request, d0, d1 time.Time) Response {
 	case OpSubscribe:
 		return s.subscribe(req)
 	case OpUnsubscribe:
-		s.mu.Lock()
-		delete(s.subs, req.User)
-		s.mu.Unlock()
 		s.broker.Unsubscribe(req.User)
 		return Response{OK: true}
 	case OpPublish:
@@ -383,11 +379,9 @@ func (s *Server) importProfile(req Request) Response {
 			return errResponse("wire: import %q: %v", req.User, err)
 		}
 	}
-	sub, err := s.broker.Subscribe(req.User, l)
-	if err != nil {
+	if _, err := s.broker.Subscribe(req.User, l); err != nil {
 		return errResponse("%v", err)
 	}
-	s.register(req.User, sub)
 	return Response{OK: true}
 }
 
@@ -395,27 +389,28 @@ func (s *Server) subscribe(req Request) Response {
 	if req.User == "" {
 		return errResponse("wire: subscribe requires user")
 	}
-	var (
-		sub *pubsub.Subscription
-		err error
-	)
-	if len(req.Keywords) > 0 && (req.Learner == "" || req.Learner == "MM") {
-		sub, err = s.broker.SubscribeKeywords(req.User, req.Keywords)
-	} else {
-		name := req.Learner
-		if name == "" {
-			name = "MM"
+	name := req.Learner
+	if name == "" {
+		name = "MM"
+	}
+	var err error
+	if len(req.Keywords) > 0 {
+		// Keyword seeding is MM's bootstrap (paper Section 6); no other
+		// learner has one, and dropping the list silently would leave the
+		// client with an empty profile it believes is seeded.
+		if name != "MM" {
+			return errResponse("wire: subscribe: keywords seed an MM profile only, not learner %q", name)
 		}
+		_, err = s.broker.SubscribeKeywords(req.User, req.Keywords)
+	} else {
 		var l filter.Learner
-		l, err = filter.New(name)
-		if err == nil {
-			sub, err = s.broker.Subscribe(req.User, l)
+		if l, err = filter.New(name); err == nil {
+			_, err = s.broker.Subscribe(req.User, l)
 		}
 	}
 	if err != nil {
 		return errResponse("%v", err)
 	}
-	s.register(req.User, sub)
 	return Response{OK: true}
 }
 
@@ -447,12 +442,11 @@ const defaultSessionBatch = 64
 // whatever else is queued (up to the batch bound) into a single frame —
 // one write per burst instead of one round trip per document. The pump
 // ends when the subscriber is unsubscribed (the final frame carries Closed
-// and whatever was still queued, and the subscriber is unregistered from
-// the server's map), the client closes or writes anything, a push fails,
-// or the server shuts down.
+// and whatever was still queued), the client closes or writes anything, a
+// push fails, or the server shuts down.
 func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, req Request) {
-	sub := s.lookup(req.User)
-	if sub == nil {
+	sub, ok := s.broker.Subscription(req.User)
+	if !ok {
 		_ = enc.Encode(errResponse("wire: unknown subscriber %q", req.User))
 		return
 	}
@@ -475,7 +469,7 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 	// Push mode inverts the connection: the only thing a client can send
 	// is teardown. A one-shot reader watches for it — EOF, a reset, or any
 	// stray frame all end the session — so an idle session notices a gone
-	// client instead of holding the subscriber map entry forever.
+	// client instead of holding its goroutine and kick entry forever.
 	clientGone := make(chan struct{})
 	go func() {
 		var stray Request
@@ -495,7 +489,6 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 		select {
 		case d, ok := <-q:
 			if !ok {
-				s.unregister(req.User, sub)
 				next, dropped := sub.DeliveryStats()
 				_ = enc.Encode(Response{OK: true, Closed: true, NextSeq: next, Dropped: dropped})
 				return
@@ -503,9 +496,6 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 			msgs = append(msgs[:0], DeliveryMsg{Doc: d.Doc, Score: d.Score, Seq: d.Seq})
 			var closed bool
 			msgs, closed = drain(sub, msgs, batch)
-			if closed { // before the frame: a client that saw Closed finds the entry gone
-				s.unregister(req.User, sub)
-			}
 			next, dropped := sub.DeliveryStats()
 			if err := enc.Encode(Response{OK: true, Deliveries: msgs, NextSeq: next, Dropped: dropped, Closed: closed}); err != nil {
 				return
@@ -527,76 +517,26 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, re
 	}
 }
 
+// profile describes a subscriber's learner: name, size and each vector's
+// heaviest terms, all read under one hold of the subscriber's lock so a
+// concurrent feedback cannot make size and vectors disagree.
 func (s *Server) profile(req Request) Response {
-	sub := s.lookup(req.User)
-	if sub == nil {
+	sub, ok := s.broker.Subscription(req.User)
+	if !ok {
 		return errResponse("wire: unknown subscriber %q", req.User)
 	}
-	msg := &ProfileMsg{Size: sub.ProfileSize()}
-	// Learner details go through the subscription to stay serialized.
-	msg.Learner, msg.Vectors = s.describe(sub)
-	return Response{OK: true, Profile: msg}
-}
-
-// describe snapshots a subscription's learner name and per-vector top terms.
-func (s *Server) describe(sub *pubsub.Subscription) (string, [][]string) {
-	type vectorSource interface {
-		ProfileVectors() []vsm.Vector
-	}
-	name := ""
-	var tops [][]string
+	msg := &ProfileMsg{}
 	// A hydration failure leaves the description empty rather than failing
-	// the profile request: size and learner identity are still reportable.
+	// the profile request.
 	_ = sub.WithLearner(func(l filter.Learner) {
-		name = l.Name()
-		if vs, ok := l.(vectorSource); ok {
+		msg.Learner, msg.Size = l.Name(), l.ProfileSize()
+		if vs, ok := l.(filter.VectorSource); ok {
 			for _, v := range vs.ProfileVectors() {
-				tops = append(tops, v.TopTerms(5))
+				msg.Vectors = append(msg.Vectors, v.TopTerms(5))
 			}
 		}
 	})
-	return name, tops
-}
-
-// lookup resolves the registered subscription for user (nil when absent).
-func (s *Server) lookup(user string) *pubsub.Subscription {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.subs[user]
-}
-
-// register binds user → sub in the connection-addressable map. When a
-// different subscription already held the name, the old one is canceled
-// (identity-matched, so a handle that was already replaced broker-side is
-// a no-op) instead of being silently overwritten and leaked with a live
-// queue nobody can drain.
-func (s *Server) register(user string, sub *pubsub.Subscription) {
-	s.mu.Lock()
-	old := s.subs[user]
-	s.subs[user] = sub
-	s.mu.Unlock()
-	if old != nil && old != sub {
-		old.Cancel()
-	}
-}
-
-// unregister removes the user → sub binding, but only while it still
-// points at sub: a concurrent re-subscribe may already have replaced it,
-// and its fresh entry must survive.
-func (s *Server) unregister(user string, sub *pubsub.Subscription) {
-	s.mu.Lock()
-	if s.subs[user] == sub {
-		delete(s.subs, user)
-	}
-	s.mu.Unlock()
-}
-
-// Adopt registers an existing subscription (e.g. one restored from the
-// persistence layer at boot) so session/profile requests can address it.
-// Adopting over a live entry closes the old subscription rather than
-// leaking it.
-func (s *Server) Adopt(user string, sub *pubsub.Subscription) {
-	s.register(user, sub)
+	return Response{OK: true, Profile: msg}
 }
 
 // Addr returns the bound address once serving (for tests/examples that

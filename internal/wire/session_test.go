@@ -145,7 +145,7 @@ func TestSessionBatchBoundsFrames(t *testing.T) {
 // with a final Closed frame — after which the server no longer holds the
 // subscriber.
 func TestSessionPushDelivery(t *testing.T) {
-	c, srv, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
+	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSessionPushDelivery(t *testing.T) {
 			t.Fatal("timed out waiting for the Closed frame")
 		}
 	}
-	if sub := srv.lookup("alice"); sub != nil {
+	if _, ok := b.Subscription("alice"); ok {
 		t.Fatal("closed session left the subscriber registered")
 	}
 }
@@ -202,7 +202,7 @@ func TestSessionPushDelivery(t *testing.T) {
 // reason, but leaves the subscription itself registered — eviction sheds
 // the consumer, not the profile.
 func TestSessionKickEvicts(t *testing.T) {
-	c, srv, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
+	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSessionKickEvicts(t *testing.T) {
 	if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted") {
 		t.Fatalf("recv after kick: %v, want session evicted", err)
 	}
-	if srv.lookup("alice") == nil {
+	if _, ok := b.Subscription("alice"); !ok {
 		t.Fatal("eviction removed the subscription itself")
 	}
 }
@@ -248,10 +248,10 @@ func TestSessionUnknownUser(t *testing.T) {
 	}
 }
 
-// TestSessionReturnsClosedTail pins the drain fix: a subscriber closed
-// broker-side (bypassing OpUnsubscribe) with deliveries still queued must
-// get that tail in the Closed frame, and the server must then drop its map
-// entry instead of leaking it forever.
+// TestSessionReturnsClosedTail pins the drain fix: when a subscriber is
+// closed broker-side (bypassing OpUnsubscribe) underneath an open session,
+// whatever was still queued reaches the client by the Closed frame, and
+// later sessions read the user as unknown.
 func TestSessionReturnsClosedTail(t *testing.T) {
 	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
@@ -262,15 +262,22 @@ func TestSessionReturnsClosedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sess := openSession(t, srv, "alice", 0)
 	b.Unsubscribe("alice") // closes the queue underneath the wire layer
-	frame, err := openSession(t, srv, "alice", 0).Recv()
-	if err != nil {
-		t.Fatal(err)
+	got := 0
+	for {
+		frame, err := sess.Recv()
+		if err != nil {
+			t.Fatalf("no Closed frame before the stream ended: %v", err)
+		}
+		got += len(frame.Deliveries)
+		if frame.Closed {
+			break
+		}
 	}
-	if !frame.Closed || len(frame.Deliveries) != 2 {
-		t.Fatalf("frame on closed subscriber = %+v, want Closed with the queued 2", frame)
+	if got != 2 {
+		t.Fatalf("session on a closed subscriber delivered %d, want the queued 2", got)
 	}
-	// The leak fix: the entry is gone, not wedged as "closed" forever.
 	if _, err := c.Session("alice", 0); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
 		t.Fatalf("session after the Closed frame: %v, want unknown subscriber", err)
 	}
@@ -283,8 +290,9 @@ func TestSessionClosedEmptyUnregisters(t *testing.T) {
 	if err := c.Subscribe("bob", "", nil); err != nil {
 		t.Fatal(err)
 	}
+	sess := openSession(t, srv, "bob", 0)
 	b.Unsubscribe("bob")
-	frame, err := openSession(t, srv, "bob", 0).Recv()
+	frame, err := sess.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,36 +304,33 @@ func TestSessionClosedEmptyUnregisters(t *testing.T) {
 	}
 }
 
-// TestAdoptCancelsReplaced pins the registration fix: adopting a new
-// subscription over a live entry closes the old one (identity-matched)
-// instead of silently overwriting it and leaking a queue nobody drains.
-func TestAdoptCancelsReplaced(t *testing.T) {
-	_, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
-	subA, err := b.SubscribeKeywords("inst-a", []string{"cats"})
+// TestInProcessSubscriberReachableOverWire: the broker's registry is the
+// only subscriber table, so a subscriber the wire server never saw being
+// made — in-process Subscribe, or a boot-time SubscribeRestored — answers
+// session and profile like one made by a wire subscribe (both said
+// "unknown subscriber" while the server kept its own map).
+func TestInProcessSubscriberReachableOverWire(t *testing.T) {
+	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := c.Publish(catPage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subB, err := b.SubscribeKeywords("inst-b", []string{"cats"})
+	if ds := recvN(t, openSession(t, srv, "alice", 0), 1); ds[0].Doc != doc {
+		t.Fatalf("session delivered %+v, want doc %d", ds, doc)
+	}
+	p, err := c.Profile("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Adopt("alias", subA)
-	srv.Adopt("alias", subB)
-	if !subA.Closed() {
-		t.Fatal("replaced subscription was not closed")
+	if p.Learner != "MM" || p.Size != 1 || len(p.Vectors) != p.Size {
+		t.Fatalf("profile = %+v, want one MM vector", p)
 	}
-	if subB.Closed() {
-		t.Fatal("replacing subscription was closed")
-	}
-	if got := srv.lookup("alias"); got != subB {
-		t.Fatal("alias does not resolve to the new subscription")
-	}
-	// Re-adopting the same subscription must not cancel it.
-	srv.Adopt("alias", subB)
-	if subB.Closed() {
-		t.Fatal("re-adopting the same subscription closed it")
-	}
-	if got := b.Stats().Subscribers; got != 1 {
-		t.Fatalf("%d broker subscribers, want 1", got)
+	// And it leaves both the same way.
+	b.Unsubscribe("alice")
+	if _, err := c.Profile("alice"); err == nil || !strings.Contains(err.Error(), "unknown subscriber") {
+		t.Fatalf("profile after an in-process unsubscribe: %v, want unknown subscriber", err)
 	}
 }

@@ -82,6 +82,14 @@ func TestProtocolErrors(t *testing.T) {
 	if err := c.Subscribe("", "", nil); err == nil {
 		t.Error("empty user accepted")
 	}
+	// Keywords seed MM only: with another learner they are refused by
+	// name, not dropped, and nothing is subscribed.
+	if err := c.Subscribe("kw", "RI", []string{"cats"}); err == nil || !strings.Contains(err.Error(), "keywords") {
+		t.Errorf("keywords with learner RI: %v, want an error naming keywords", err)
+	}
+	if _, err := c.Profile("kw"); err == nil {
+		t.Error("refused keyword subscribe left a subscriber behind")
+	}
 	// Duplicate subscription.
 	if err := c.Subscribe("dup", "", nil); err != nil {
 		t.Fatal(err)
