@@ -285,7 +285,9 @@ func main() {
 
 // httpStats fetches /statsz from a status listener and pretty-prints it:
 // scalars as aligned sorted key/value lines, histogram snapshots as
-// count/p50/p95/p99, top-k dimensions as total and tracked/capacity. With prom, the raw /metrics exposition follows.
+// count/p50/p95/p99, top-k dimensions as total and tracked/capacity, then the
+// share of vectors reindexing kept. With prom, the raw /metrics exposition
+// follows.
 func httpStats(addr string, prom bool) error {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
@@ -304,6 +306,15 @@ func httpStats(addr string, prom bool) error {
 	if len(metricsObj) > 0 {
 		fmt.Println("\nmetrics:")
 		printKV(metricsObj, "  ")
+	}
+	// What reindexing has done so far: near 1 on an MM population (a step
+	// moves one vector of several), near 0 when something copies vectors on
+	// their way to the index.
+	kept, _ := metricsObj["mm_index_vectors_kept_total"].(float64)
+	restaged, _ := metricsObj["mm_index_vectors_restaged_total"].(float64)
+	if kept+restaged > 0 {
+		fmt.Printf("\nreindex: %s vectors kept, %s restaged (kept share %.2f)\n",
+			num(kept), num(restaged), kept/(kept+restaged))
 	}
 	if prom {
 		raw, err := httpGet(addr + "/metrics")

@@ -88,6 +88,8 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_index_rescores_total", "counter"},
 		{"mm_index_terms_pruned_total", "counter"},
 		{"mm_index_tombstone_ratio", "gauge"},
+		{"mm_index_vectors_kept_total", "counter"},
+		{"mm_index_vectors_restaged_total", "counter"},
 		{"mm_intern_terms", "gauge"},
 		{"mm_profile_resident_pairs", "gauge"},
 		{"mm_profile_vectors", "gauge"},

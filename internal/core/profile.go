@@ -44,7 +44,10 @@ type OpCounts struct {
 // resident is a cluster as the profile holds it: ProfileVector's fields
 // with the representative packed to term ids — 12 bytes per term and no
 // pointers, where the Vector callers see costs 24 (DESIGN.md §7). vec is
-// replaced, never written to, so PackedVectors can hand it out uncopied.
+// replaced, never written to, so PackedVectors can hand it out uncopied —
+// and the match index, which holds those very slices as its entry and
+// restages only a vector whose slices it has not seen, depends on it: a
+// step that wrote into vec in place would go unindexed.
 type resident struct {
 	id             uint64
 	vec            vsm.Packed

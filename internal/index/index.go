@@ -24,12 +24,15 @@
 //   - Matching at θ > 0 prunes: terms are walked heaviest-document-weight
 //     first and abandoned once the remaining terms' bounds cannot reach θ;
 //     within a term, whole blocks are skipped once their block-max bound
-//     proves no accumulator can cross θ. Survivors are
-//     rescored exactly against the entry's own term/weight pairs, so
+//     proves no accumulator can cross θ. Survivors are rescored in float64
+//     against the profile's own vsm.Packed — the entry borrows it, it has
+//     no copy — in stored order: core.Profile.Score's sum, bit for bit, so
 //     pruned results are identical to the brute-force scorer (§12 for the
 //     invariants). SetPruning(false) is the escape hatch.
-//   - Per-call score accumulators are dense slices indexed by entry slot,
-//     drawn from a sync.Pool; a touched-list makes reset O(candidates).
+//   - A SetPacked handed slices an entry already holds keeps that slot and
+//     stages only the new vectors: after a feedback step, the one MM moved.
+//   - The per-call score accumulator is a dense slice indexed by entry
+//     slot, drawn from a sync.Pool, swept and cleared in one pass.
 package index
 
 import (
@@ -95,23 +98,25 @@ func shardOf(term uint32) uint32 {
 
 // termList is one term's postings: a committed body in impact order
 // (descending weight) with quantized weights and per-block maxima, plus an
-// unsorted exact staged tail of recent inserts.
+// unsorted unquantized staged tail of recent inserts.
 //
 // The bound invariants every reader may rely on (the property tests in
 // prune_test.go pin them):
 //
+//	ws[i], sws[i] ≥ the exact float64 weight of the pair they stand for
+//	                               (narrowUp; the exact weight is the entry's)
 //	maxW    ≥ w for every live posting weight w in the list
 //	qws[i]  · scale ≥ ws[i]        (quantization never under-estimates)
 //	bmax[b] ≥ qws[i] for i in block b
 //	ws, qws and bmax are non-increasing (impact order)
 type termList struct {
 	ids  []uint32  // committed: entry slots, impact-ordered
-	ws   []float32 // committed: exact weights, aligned with ids
+	ws   []float32 // committed: weights narrowed upward, aligned with ids
 	qws  []uint8   // committed: ceil-quantized weights, aligned with ids
 	bmax []uint8   // per-block max of qws (== block head, by impact order)
 
 	sids []uint32  // staged tail: entry slots, insertion order
-	sws  []float32 // staged tail: exact weights
+	sws  []float32 // staged tail: weights narrowed upward
 
 	maxW  float32 // ≥ every weight in the list, committed or staged
 	scale float32 // committed quantization scale; qw·scale ≥ w
@@ -175,7 +180,7 @@ func (l *termList) requantize() {
 		return
 	}
 	// An infinite weight — a float64 beyond float32's range, narrowed by
-	// prepare — has no covering scale: bound it, or the bump loop below
+	// narrowUp — has no covering scale: bound it, or the bump loop below
 	// never ends, under the shard's write lock. Its quantum saturates at
 	// 255, and maxW, which stays infinite, remains the list's true bound.
 	maxw := min(l.ws[0], math.MaxFloat32)
@@ -221,28 +226,29 @@ type shard struct {
 	dead  map[uint32]bool      // entry slots whose postings here are stale
 }
 
-// termWeight is one (term, weight) coordinate of an indexed vector. Entries
-// keep their own vector as a single []termWeight run — one allocation, one
-// cache stream — because the pruned harvest rescores every candidate by
-// walking it (rescoreDense) and pays the entry's memory locality directly.
-type termWeight struct {
-	t uint32
-	w float32
-}
-
-// entrySlot is one indexed profile vector. tws holds the vector's own
-// (term, weight) pairs sorted by ascending term id — rescoreDense sums in
-// that order to stay bit-for-bit consistent with the sorted-merge rescore
-// it replaced. Slots are recycled, but only after
-// every shard holding the dead slot's stale postings has compacted them
-// away — until then a stale posting can still accumulate score onto the
-// slot, which harvest discards via the alive flag.
+// entrySlot is one indexed profile vector. p is the vector as its profile
+// holds it: the same slices, borrowed, never written to (vsm.Packed's
+// contract), in the term order rescore sums in. Slots are recycled, but
+// only after every shard holding the dead slot's stale postings has
+// compacted them away — until then a stale posting can still accumulate
+// score onto the slot, which harvest discards via the alive flag.
 type entrySlot struct {
 	user  string
 	vec   int
 	uid   uint32
-	tws   []termWeight
+	p     vsm.Packed
 	alive bool
+}
+
+// holds reports whether the entry's vector is p itself — the same backing
+// arrays and lengths, not equal contents. A Packed is immutable, so
+// identity means the vector has not changed.
+func (e *entrySlot) holds(p vsm.Packed) bool {
+	return sameSlice(e.p.IDs, p.IDs) && sameSlice(e.p.Weights, p.Weights)
+}
+
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // userInfo tracks one user's slots and dense user id (uids index the
@@ -357,6 +363,8 @@ type instruments struct {
 	termsPruned     *metrics.Counter
 	rescores        *metrics.Counter
 	quantErr        *metrics.Histogram
+	kept            *metrics.Counter
+	restaged        *metrics.Counter
 }
 
 // Instrument registers the index's metrics with reg and starts recording.
@@ -392,6 +400,10 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 			"Candidate vectors exactly rescored after quantized upper-bound accumulation."),
 		quantErr: reg.Histogram("mm_index_quantization_error",
 			"Per-match maximum over-estimate of the quantized upper-bound score versus the exact rescored similarity."),
+		kept: reg.Counter("mm_index_vectors_kept_total",
+			"Vectors a reindex found already indexed — the same slices the profile still holds — and only renumbered."),
+		restaged: reg.Counter("mm_index_vectors_restaged_total",
+			"Vectors a reindex staged anew: entry slot allocated, postings inserted, the vector they replace tombstoned."),
 	}
 	reg.GaugeFunc("mm_index_live_vectors",
 		"Profile vectors currently live in the inverted index.",
@@ -437,54 +449,72 @@ func New() *Index {
 // ---------------------------------------------------------------------------
 // Updates
 
-// stagedVec is one profile vector prepared for insertion: term ids sorted
-// ascending (the order rescoreDense sums in), float32 weights, and the
-// entry slot assigned during staging.
+// stagedVec is one profile vector on its way in: its number among the
+// user's vectors, the vector, and its entry slot — allocated by stage, or,
+// for a kept vector, the live slot that already holds p.
 type stagedVec struct {
-	vec     int
-	termIDs []uint32
-	ws      []float32
-	slot    uint32
+	vec  int
+	p    vsm.Packed
+	slot uint32
 }
 
-// prepare copies a packed vector into the index's own form. The ids are
-// the term table's already — a profile holds its vectors packed — so
-// nothing is hashed here; the copy is re-sorted from term order to id
-// order and the weights narrowed.
-func prepare(vec int, p vsm.Packed) stagedVec {
-	sv := stagedVec{
-		vec:     vec,
-		termIDs: append([]uint32(nil), p.IDs...),
-		ws:      make([]float32, len(p.Weights)),
+// narrowUp is the float32 a posting stores for the exact weight w: the
+// nearest one not below it (+Inf beyond float32's range; NaN stays NaN).
+// The pruned scan's bounds (maxW, quantum·scale, block maxima) are built on
+// posting weights and a candidate is rescored with the entry's float64, so
+// "posting weight ≥ exact weight" is what makes them bounds.
+func narrowUp(w float64) float32 {
+	f := float32(w)
+	if float64(f) < w {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
-	for i, w := range p.Weights {
-		sv.ws[i] = float32(w)
-	}
-	sortByIDAsc(sv.termIDs, sv.ws)
-	return sv
+	return f
 }
 
-// install is the index's one write path: the vectors' postings are staged
-// first, then one registry commit retires the entries they replace and
-// activates them, so no concurrent Match can observe the user with zero
-// vectors mid-update.
+// install is the index's one write path. With replaceAll, vectors the user
+// already has indexed (holds) keep their entry slot and postings — keep
+// moves them to the front of svs; the rest are staged: slots allocated,
+// postings inserted. Then one registry commit renumbers the kept slots,
+// activates the staged ones and retires the slots they replace, so a
+// concurrent Match sees the user's old vector set or the new one, never a
+// mix and never none. The index does not serialise writers per user, so a
+// kept slot may be gone by then: commit hands those back to be staged.
 func (ix *Index) install(user string, svs []stagedVec, replaceAll bool) {
-	ix.stage(user, svs)
-	ix.insertPostings(svs)
-	ix.commit(user, svs, replaceAll)
+	kept := 0
+	if replaceAll {
+		kept = ix.keep(user, svs)
+	}
+	fresh := svs[kept:]
+	for {
+		ix.stage(user, fresh)
+		ix.insertPostings(fresh)
+		lost := ix.commit(user, svs, kept, replaceAll)
+		if lost == 0 {
+			break
+		}
+		kept -= lost
+		fresh = svs[kept : kept+lost]
+	}
+	if ix.inst != nil {
+		ix.inst.kept.Add(int64(kept))
+		ix.inst.restaged.Add(int64(len(svs) - kept))
+	}
 }
 
 // SetPacked replaces every vector of the user with the given set, the
 // common operation after a feedback step reshapes a profile; vector i
 // takes slot number i, and a zero vector leaves its slot empty. The
-// replacement is atomic with respect to Match.
+// replacement is atomic with respect to Match. The index borrows the
+// vectors' slices and takes "the same slices again" to mean "unchanged":
+// handed a profile's set after an MM step, it restages the vector the step
+// moved and only renumbers the others.
 func (ix *Index) SetPacked(user string, vecs []vsm.Packed) {
 	svs := make([]stagedVec, 0, len(vecs))
 	for i, p := range vecs {
 		if p.Len() == 0 {
 			continue
 		}
-		svs = append(svs, prepare(i, p))
+		svs = append(svs, stagedVec{vec: i, p: p})
 	}
 	ix.install(user, svs, true)
 }
@@ -506,7 +536,29 @@ func (ix *Index) Upsert(user string, vec int, v vsm.Vector) {
 		ix.Remove(user, vec)
 		return
 	}
-	ix.install(user, []stagedVec{prepare(vec, vsm.Pack(v))}, false)
+	ix.install(user, []stagedVec{{vec: vec, p: vsm.Pack(v)}}, false)
+}
+
+// keep moves to the front of svs the vectors some live slot of the user
+// already holds, notes that slot in each, and returns how many there are.
+// A slot is claimed once, even when the caller hands one Packed twice.
+func (ix *Index) keep(user string, svs []stagedVec) (kept int) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if ui := ix.byUser[user]; ui != nil {
+		for _, slot := range ui.slots {
+			e := &ix.entries[slot]
+			for i := kept; i < len(svs); i++ {
+				if e.holds(svs[i].p) {
+					svs[i].slot = slot
+					svs[i], svs[kept] = svs[kept], svs[i]
+					kept++
+					break
+				}
+			}
+		}
+	}
+	return kept
 }
 
 // stage allocates not-yet-alive entry slots for the vectors.
@@ -524,18 +576,15 @@ func (ix *Index) stage(user string, svs []stagedVec) {
 			slot = uint32(len(ix.entries))
 			ix.entries = append(ix.entries, entrySlot{})
 		}
-		tws := make([]termWeight, len(svs[i].termIDs))
-		for j, t := range svs[i].termIDs {
-			tws[j] = termWeight{t: t, w: svs[i].ws[j]}
-		}
-		ix.entries[slot] = entrySlot{user: user, vec: svs[i].vec, tws: tws}
+		ix.entries[slot] = entrySlot{user: user, vec: svs[i].vec, p: svs[i].p}
 		svs[i].slot = slot
 		var sumsq float64
-		for _, w := range svs[i].ws {
-			sumsq += float64(w) * float64(w)
+		for _, w := range svs[i].p.Weights {
+			sumsq += w * w
 		}
-		// The 1e-6 bump absorbs float32 weights and summation rounding so
-		// maxNorm·√Σdw² stays a true upper bound in accumulate.
+		// The norm of the exact float64 weights, the ones a candidate is
+		// rescored with. The 1e-6 bump absorbs this sum's rounding and
+		// accumulate's, so maxNorm·√Σdw² stays a true upper bound there.
 		if norm := math.Sqrt(sumsq) * (1 + 1e-6); norm > ix.maxNorm {
 			ix.maxNorm = norm
 		}
@@ -555,9 +604,9 @@ func (ix *Index) insertPostings(svs []stagedVec) {
 	}
 	var work [numShards][]ins
 	for _, sv := range svs {
-		for i, t := range sv.termIDs {
+		for i, t := range sv.p.IDs {
 			si := shardOf(t)
-			work[si] = append(work[si], ins{term: t, id: sv.slot, w: sv.ws[i]})
+			work[si] = append(work[si], ins{term: t, id: sv.slot, w: narrowUp(sv.p.Weights[i])})
 		}
 	}
 	for si := range work {
@@ -593,33 +642,59 @@ type tombShard struct {
 	count int
 }
 
-// commit activates the staged vectors and retires the slots they replace
-// (every previous slot of the user when replaceAll is set, otherwise only
-// same-numbered ones) in a single registry critical section.
-func (ix *Index) commit(user string, svs []stagedVec, replaceAll bool) {
+// commit is the single registry critical section of a write: it renumbers
+// the kept vectors svs[:kept], activates the staged ones svs[kept:] and
+// retires the slots they replace — every other slot of the user when
+// replaceAll is set, otherwise only same-numbered ones.
+//
+// Kept slots are validated first: still alive, this user's, holding the
+// very vector (another writer may have retired one, and the slot may have
+// been recycled since keep looked). If any fails, commit changes nothing,
+// moves the failures to the end of svs[:kept] and returns their number.
+func (ix *Index) commit(user string, svs []stagedVec, kept int, replaceAll bool) (lost int) {
 	ix.mu.Lock()
+	for i := 0; i < kept-lost; {
+		if e := &ix.entries[svs[i].slot]; e.alive && e.user == user && e.holds(svs[i].p) {
+			i++
+			continue
+		}
+		lost++
+		svs[i], svs[kept-lost] = svs[kept-lost], svs[i]
+	}
+	if lost > 0 {
+		ix.mu.Unlock()
+		return lost
+	}
 	ui := ix.byUser[user]
 	if ui == nil {
 		if len(svs) == 0 {
 			ix.mu.Unlock()
-			return
+			return 0
 		}
 		ui = &userInfo{uid: ix.allocUID(), slots: make(map[int]uint32, len(svs))}
 		ix.byUser[user] = ui
 	}
 	var old []uint32
 	if replaceAll {
+		for _, sv := range svs[:kept] {
+			delete(ui.slots, ix.entries[sv.slot].vec)
+		}
 		for _, slot := range ui.slots {
 			old = append(old, slot)
 		}
-		ui.slots = make(map[int]uint32, len(svs))
+		clear(ui.slots)
 	}
-	for _, sv := range svs {
+	for i, sv := range svs {
+		e := &ix.entries[sv.slot]
+		if i < kept {
+			e.vec = sv.vec
+			ui.slots[sv.vec] = sv.slot
+			continue
+		}
 		if prev, ok := ui.slots[sv.vec]; ok {
 			old = append(old, prev)
 		}
 		ui.slots[sv.vec] = sv.slot
-		e := &ix.entries[sv.slot]
 		e.uid = ui.uid
 		e.alive = true
 		ix.liveVecs++
@@ -631,6 +706,7 @@ func (ix *Index) commit(user string, svs []stagedVec, replaceAll bool) {
 	}
 	ix.mu.Unlock()
 	ix.tombstone(tomb)
+	return 0
 }
 
 // Remove deletes one profile vector slot.
@@ -693,8 +769,8 @@ func (ix *Index) killLocked(slots []uint32) *[numShards]tombShard {
 		e := &ix.entries[slot]
 		seen := 0
 		var touched [numShards]bool
-		for _, p := range e.tws {
-			si := shardOf(p.t)
+		for _, t := range e.p.IDs {
+			si := shardOf(t)
 			if !touched[si] {
 				touched[si] = true
 				seen++
@@ -708,7 +784,7 @@ func (ix *Index) killLocked(slots []uint32) *[numShards]tombShard {
 			ix.dying[slot] = seen
 		}
 		ix.liveVecs--
-		ix.entries[slot] = entrySlot{} // drop term ids and user string
+		ix.entries[slot] = entrySlot{} // let go of the vector and the user string
 	}
 	return tomb
 }
@@ -869,22 +945,16 @@ func (ix *Index) compactShard(s *shard) []uint32 {
 
 // Doc is a document vector resolved against the index's term dictionary:
 // terms the index has never seen are dropped (they cannot match), the rest
-// carry their interned ids. NewDoc also precomputes the two orders the
-// matcher wants — terms by descending document weight, and an ascending
-// term-id view for exact rescoring — so scoring the same document several
-// times re-derives neither.
+// carry their interned ids. NewDoc also precomputes the order the matcher
+// walks terms in — descending document weight — so scoring the same
+// document several times does not re-derive it.
 type Doc struct {
 	ids []uint32  // scan-order hint: descending document weight
 	ws  []float64 // aligned with ids
-	asc []uint32  // the same terms sorted by ascending id (rescore merge)
-	aws []float64 // aligned with asc
 }
 
-// Len returns the number of document terms known to the index.
-func (d Doc) Len() int { return len(d.ids) }
-
 // NewDoc resolves a unit-normalized document vector against the term
-// dictionary once and precomputes the matcher's two orders. The scan-order
+// dictionary once and precomputes the matcher's scan order. The
 // hint depends only on the document's own weights (heaviest first, the
 // order that collapses the matcher's Cauchy–Schwarz tail bound fastest),
 // so a Doc stays valid (and exact) across concurrent index updates — the
@@ -900,30 +970,22 @@ func (ix *Index) NewDoc(v vsm.Vector) Doc {
 			d.ws = append(d.ws, v.Weights[i])
 		}
 	}
-	d.asc = append([]uint32(nil), d.ids...)
-	d.aws = append([]float64(nil), d.ws...)
-	sortByIDAsc(d.asc, d.aws)
 	sortTermsByWDesc(nil, d.ids, d.ws, nil)
 	return d
 }
 
 // matcher is the pooled per-call scoring state: a dense accumulator over
-// entry slots, a dense best-per-user table over uids, the touched lists
-// that make resetting them O(candidates) instead of O(capacity), and the
-// pruning scratch (term bounds, suffix sums).
+// entry slots, a dense best-per-user table over uids with the list of uids
+// it holds, and the pruning scratch (term bounds, suffix sums).
 type matcher struct {
 	docIDs   []uint32
 	docWs    []float64
-	ascIDs   []uint32
-	ascWs    []float64
 	ubs      []float64
 	nb       []int32
 	suffix   []float64
 	csr      []float64
 	dense    []float64
-	scores   []float64 // exact float64 accumulator (unpruned path)
-	scores32 []float32 // upper-bound float32 accumulator (pruned path)
-	touched  []uint32
+	scores32 []float32 // upper-bound accumulator (pruned); touched marks (unpruned)
 	best     []float64
 	bestAt   []uint32
 	uids     []uint32
@@ -939,7 +1001,6 @@ type matchStats struct {
 	candidates      int
 	rescores        int
 	maxOver         float64
-	rescored        bool
 }
 
 func grow[T any](s []T, n int) []T {
@@ -961,8 +1022,7 @@ func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 	}
 	m := ix.pool.Get().(*matcher)
 	m.resolve(ix, doc)
-	m.fillAsc()
-	out := ix.matchInto(m, m.docIDs, m.docWs, m.ascIDs, m.ascWs, true, threshold)
+	out := ix.matchInto(m, m.docIDs, m.docWs, true, threshold)
 	ix.pool.Put(m)
 	sortMatches(out)
 	if ix.inst != nil {
@@ -977,7 +1037,7 @@ func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 // never correctness — when term maxima drifted since NewDoc.
 func (ix *Index) MatchDoc(d Doc, threshold float64) []Match {
 	m := ix.pool.Get().(*matcher)
-	out := ix.matchInto(m, d.ids, d.ws, d.asc, d.aws, false, threshold)
+	out := ix.matchInto(m, d.ids, d.ws, false, threshold)
 	ix.pool.Put(m)
 	sortMatches(out)
 	return out
@@ -1015,16 +1075,6 @@ func (m *matcher) resolve(ix *Index, doc vsm.Vector) {
 	}
 }
 
-// fillAsc derives the ascending term-id rescore view from the resolved doc.
-func (m *matcher) fillAsc() {
-	n := len(m.docIDs)
-	m.ascIDs = grow(m.ascIDs, n)
-	m.ascWs = grow(m.ascWs, n)
-	copy(m.ascIDs, m.docIDs)
-	copy(m.ascWs, m.docWs)
-	sortByIDAsc(m.ascIDs, m.ascWs)
-}
-
 // matchInto runs accumulate + harvest under the registry read lock —
 // freezing slot liveness across both phases — with per-shard read locks
 // nested inside (registry→shard is the global lock order; no writer
@@ -1033,11 +1083,11 @@ func (m *matcher) fillAsc() {
 // one, never a half-replaced mix or a vanished user. Postings inserted
 // concurrently for staged slots are harmless: staged slots are not alive,
 // and harvest discards them along with stale postings on dead slots.
-func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, ascIDs []uint32, ascWs []float64, canSort bool, threshold float64) []Match {
+func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, canSort bool, threshold float64) []Match {
 	prune := threshold > 0 && !ix.pruneOff.Load()
 	ix.mu.RLock()
 	slackTotal := ix.accumulate(m, ids, ws, canSort, threshold, prune)
-	out := ix.harvestAll(m, ascIDs, ascWs, threshold, slackTotal, prune)
+	out := ix.harvestAll(m, ids, ws, threshold, slackTotal, prune)
 	ix.mu.RUnlock()
 	m.flushStats(ix)
 	return out
@@ -1045,9 +1095,10 @@ func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, ascIDs []uint
 
 // accumulate walks posting lists term-at-a-time.
 //
-// With pruning off (or θ ≤ 0) every posting contributes its exact weight
-// to the float64 accumulator m.scores (reset via m.touched) and the
-// returned slack is 0.
+// With pruning off (or θ ≤ 0) every posting is read and only marks its
+// slot in m.scores32: the harvest then rescores every marked slot, so the
+// reference scan and the pruned one score a vector by the same arithmetic
+// and differ only in which vectors they look at. The returned slack is 0.
 //
 // With pruning on, every scanned posting contributes its quantized upper
 // bound to the dense float32 accumulator m.scores32 — unconditionally, no
@@ -1075,16 +1126,11 @@ func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, ascIDs []uint
 // slot per term) and cut terms by rest(stop). So the harvest sweep's
 // candidate filter (score32 + slackTotal ≥ θ, minus a float32 rounding
 // margin) admits a superset of the true result set, every candidate is
-// exactly rescored in float64, and pruned output is bit-identical to
-// Caller holds the registry read lock.
+// exactly rescored in float64, and pruned output is bit-identical to the
+// unpruned scan's. Caller holds the registry read lock.
 func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, canSort bool, threshold float64, prune bool) (slackTotal float64) {
 	nSlots := len(ix.entries)
-	if prune {
-		m.scores32 = grow(m.scores32, nSlots)
-	} else {
-		m.scores = grow(m.scores, nSlots)
-	}
-	m.touched = m.touched[:0]
+	m.scores32 = grow(m.scores32, nSlots)
 	m.stats = matchStats{}
 
 	n := len(ids)
@@ -1142,49 +1188,28 @@ func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, canSort bool
 			continue
 		}
 		if !prune {
-			// Staged ("hot") postings: few, exact, always scanned.
-			for k, id := range l.sids {
-				if int(id) >= nSlots {
-					continue // slot staged after this match began
+			for _, run := range [2][]uint32{l.sids, l.ids} {
+				for _, id := range run {
+					if int(id) < nSlots { // else: slot staged after this match began
+						m.scores32[id] = unprunedMark
+					}
 				}
-				sc := m.scores[id]
-				if sc == 0 {
-					m.touched = append(m.touched, id)
-				}
-				m.scores[id] = sc + dw*float64(l.sws[k])
+				scanned += len(run)
 			}
-			scanned += len(l.sids)
-			for k, id := range l.ids {
-				if int(id) >= nSlots {
-					continue
-				}
-				sc := m.scores[id]
-				if sc == 0 {
-					m.touched = append(m.touched, id)
-				}
-				m.scores[id] = sc + dw*float64(l.ws[k])
-			}
-			scanned += len(l.ids)
 			s.mu.RUnlock()
 			ix.termAttr.Offer(t, float64(scanned-scanBase))
 			continue
 		}
-		for k, id := range l.sids { // staged tail: exact, always scanned
+		for k, id := range l.sids { // staged tail: unquantized, always scanned
 			if int(id) >= nSlots {
 				continue // slot staged after this match began
 			}
 			m.scores32[id] += float32(dw * float64(l.sws[k]))
 		}
 		scanned += len(l.sids)
-		nc := len(l.ids)
-		if nc == 0 {
-			s.mu.RUnlock()
-			ix.termAttr.Offer(t, float64(scanned-scanBase))
-			continue
-		}
 		dws := dw * float64(l.scale) // folds the per-term dequantize scale
 		dws32 := float32(dws)
-		nb := l.blocks()
+		nc, nb := len(l.ids), l.blocks() // no committed body: no blocks
 		lids, qws, bmax := l.ids, l.qws, l.bmax
 		for b := 0; b < nb; b++ {
 			bub := dws * float64(bmax[b])
@@ -1224,41 +1249,41 @@ func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, canSort bool
 }
 
 // fillDense scatters the document's weights into a term-id-indexed scratch
-// array so rescoreDense can look doc weights up in O(1) instead of merging
-// two sorted sequences per candidate. Sized to the document's largest term
-// id; entry terms beyond it cannot be doc terms (ascIDs is sorted) and
-// contribute zero. clearDense undoes exactly the writes fillDense made,
-// keeping the pooled array all-zero between calls.
-func (m *matcher) fillDense(ascIDs []uint32, ascWs []float64) {
-	n := len(ascIDs)
-	if n == 0 {
+// array so rescore can look doc weights up in O(1). Sized to the document's
+// largest term id; entry terms beyond it cannot be doc terms and contribute
+// nothing. clearDense undoes exactly the writes fillDense made, keeping the
+// pooled array all-zero between calls.
+func (m *matcher) fillDense(ids []uint32, ws []float64) {
+	if len(ids) == 0 {
 		m.dense = m.dense[:0]
 		return
 	}
-	m.dense = grow(m.dense, int(ascIDs[n-1])+1)
-	for j, t := range ascIDs {
-		m.dense[t] = ascWs[j]
+	m.dense = grow(m.dense, int(slices.Max(ids))+1)
+	for j, t := range ids {
+		m.dense[t] = ws[j]
 	}
 }
 
-func (m *matcher) clearDense(ascIDs []uint32) {
-	for _, t := range ascIDs {
+func (m *matcher) clearDense(ids []uint32) {
+	for _, t := range ids {
 		if int(t) < len(m.dense) {
 			m.dense[t] = 0
 		}
 	}
 }
 
-// rescoreDense recomputes the exact similarity between an entry's own
-// vector and the document. Walking the entry's ascending term ids and
-// summing weight products in that order reproduces the sorted-merge
-// rescore's float arithmetic bit-for-bit; the entry's single termWeight
-// run keeps the walk one sequential cache stream.
-func rescoreDense(e *entrySlot, dense []float64) float64 {
+// rescore is the exact similarity between an indexed vector and the
+// document: the products of the shared terms, in float64, added in p's
+// stored order, terms the document lacks skipped — the sum
+// vsm.Resolved.Dot computes, so a Match score is core.Profile.Score's bit
+// for bit and "delivered" means Score ≥ θ, not nearly.
+func rescore(p vsm.Packed, dense []float64) float64 {
 	var sum float64
-	for _, p := range e.tws {
-		if int(p.t) < len(dense) {
-			sum += float64(p.w) * dense[p.t]
+	for i, t := range p.IDs {
+		if int(t) < len(dense) {
+			if dw := dense[t]; dw != 0 {
+				sum += p.Weights[i] * dw
+			}
 		}
 	}
 	return sum
@@ -1278,57 +1303,48 @@ func sweepCut(threshold, slackTotal float64) float32 {
 	return float32(threshold - slackTotal - sweepMargin*threshold)
 }
 
-// harvestAll reduces the accumulator to the best vector per user ≥ θ.
-//
-// Unpruned, it walks m.touched, resetting each touched float64 score and
-// keeping exact scores ≥ θ. Pruned, it sweeps the dense float32 bound
-// accumulator sequentially — at large slot counts nearly every slot was
-// touched anyway, and one linear pass plus a bulk clear is far cheaper
-// than a random-order touched walk — and exactly rescores the slots that
-// survive sweepCut. Caller holds the registry read lock.
-func (ix *Index) harvestAll(m *matcher, ascIDs []uint32, ascWs []float64, threshold float64, slackTotal float64, prune bool) []Match {
+// unprunedMark is what the unpruned scan leaves in m.scores32 for a slot
+// that shares a term with the document, and the cut its harvest sweeps at.
+const unprunedMark = 1
+
+// harvestAll reduces the accumulator to the best vector per user ≥ θ. It
+// sweeps m.scores32 sequentially — at large slot counts nearly every slot
+// was touched anyway, and one linear pass plus a bulk clear is far cheaper
+// than a random-order touched walk — and exactly rescores every live slot
+// at or above the cut: sweepCut's when pruning, the mark of a shared term
+// when not. Caller holds the registry read lock.
+func (ix *Index) harvestAll(m *matcher, ids []uint32, ws []float64, threshold float64, slackTotal float64, prune bool) []Match {
 	m.best = grow(m.best, int(ix.nextUID))
 	m.bestAt = grow(m.bestAt, int(ix.nextUID))
 	m.uids = m.uids[:0]
+	m.fillDense(ids, ws)
+	cut := float32(unprunedMark)
 	if prune {
-		m.fillDense(ascIDs, ascWs)
-		defer m.clearDense(ascIDs)
-		cut := sweepCut(threshold, slackTotal)
-		for slot, sc32 := range m.scores32 {
-			if sc32 < cut {
-				continue
-			}
-			e := &ix.entries[slot]
-			if !e.alive {
-				continue
-			}
+		cut = sweepCut(threshold, slackTotal)
+	}
+	for slot, sc32 := range m.scores32 {
+		if sc32 < cut {
+			continue
+		}
+		e := &ix.entries[slot]
+		if !e.alive {
+			continue
+		}
+		ex := rescore(e.p, m.dense)
+		if prune {
 			m.stats.candidates++
 			m.stats.rescores++
-			m.stats.rescored = true
-			ex := rescoreDense(e, m.dense)
 			if over := float64(sc32) - ex; over > m.stats.maxOver {
 				m.stats.maxOver = over
 			}
-			if ex < threshold {
-				continue
-			}
-			m.record(ix, uint32(slot), ex)
 		}
-		clear(m.scores32)
-	} else {
-		for _, slot := range m.touched {
-			sc := m.scores[slot]
-			m.scores[slot] = 0
-			if sc < threshold {
-				continue
-			}
-			e := &ix.entries[slot]
-			if !e.alive {
-				continue
-			}
-			m.record(ix, slot, sc)
+		if ex < threshold {
+			continue
 		}
+		m.record(ix, uint32(slot), ex)
 	}
+	clear(m.scores32)
+	m.clearDense(ids)
 	out := make([]Match, 0, len(m.uids))
 	for _, uid := range m.uids {
 		e := &ix.entries[m.bestAt[uid]]
@@ -1388,13 +1404,7 @@ func (m *matcher) flushStats(ix *Index) {
 	}
 	if st.rescores > 0 {
 		inst.rescores.Add(int64(st.rescores))
-	}
-	if st.rescored {
-		over := st.maxOver
-		if over < 0 {
-			over = 0
-		}
-		inst.quantErr.Observe(over)
+		inst.quantErr.Observe(st.maxOver) // ≥ 0: it starts there and only grows
 	}
 }
 
@@ -1422,20 +1432,6 @@ func sortMatches(out []Match) {
 
 // ---------------------------------------------------------------------------
 // Sorting scratch (closure-free so the match path stays allocation-free)
-
-// sortByIDAsc insertion-sorts parallel (id, weight) arrays by ascending id.
-// Inputs are vector-sized (≤ a few hundred terms).
-func sortByIDAsc[W any](ids []uint32, ws []W) {
-	for i := 1; i < len(ids); i++ {
-		id, w := ids[i], ws[i]
-		j := i - 1
-		for j >= 0 && ids[j] > id {
-			ids[j+1], ws[j+1] = ids[j], ws[j]
-			j--
-		}
-		ids[j+1], ws[j+1] = id, w
-	}
-}
 
 // sortTermsByWDesc insertion-sorts the parallel term arrays by descending
 // document weight. The walk order exists to make rest(i) collapse as fast

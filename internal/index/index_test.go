@@ -19,17 +19,6 @@ func vec(pairs ...any) vsm.Vector {
 	return vsm.FromMap(m).Normalized()
 }
 
-// quantize rounds a vector's weights through float32, mirroring what the
-// index stores in its postings; reference scores for exact comparisons
-// must apply the same rounding.
-func quantize(v vsm.Vector) vsm.Vector {
-	out := v.Clone()
-	for i, w := range out.Weights {
-		out.Weights[i] = float64(float32(w))
-	}
-	return out
-}
-
 func TestMatchBasic(t *testing.T) {
 	ix := New()
 	ix.Upsert("alice", 0, vec("cat", 1.0, "dog", 1.0))
@@ -40,8 +29,7 @@ func TestMatchBasic(t *testing.T) {
 	if len(ms) != 1 || ms[0].User != "alice" {
 		t.Fatalf("Match = %+v", ms)
 	}
-	want := vsm.Dot(quantize(vec("cat", 1.0, "dog", 1.0)), doc)
-	if math.Abs(ms[0].Score-want) > 1e-9 {
+	if want := vsm.Dot(vec("cat", 1.0, "dog", 1.0), doc); ms[0].Score != want {
 		t.Errorf("score = %v, want cosine %v", ms[0].Score, want)
 	}
 }
@@ -186,7 +174,7 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 		for user, vecs := range profiles {
 			best := 0.0
 			for _, pv := range vecs {
-				if s := vsm.Dot(quantize(pv), doc); s > best {
+				if s := vsm.Dot(pv, doc); s > best {
 					best = s
 				}
 			}
@@ -198,7 +186,7 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: got %d matches, want %d", trial, len(got), len(want))
 		}
 		for _, m := range got {
-			if w, ok := want[m.User]; !ok || math.Abs(w-m.Score) > 1e-9 {
+			if w, ok := want[m.User]; !ok || w != m.Score {
 				t.Fatalf("trial %d: user %s score %v, want %v", trial, m.User, m.Score, w)
 			}
 		}

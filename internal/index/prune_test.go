@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,21 +130,136 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no postings checked")
 	}
+
+	// Every bound above is a bound on posting weights; what a candidate is
+	// rescored with is the entry's exact float64 weight. The two meet in
+	// narrowUp: no live posting is below the weight it stands for — on
+	// random weights (almost none representable in float32), on weights one
+	// float64 ulp above a float32, and, below, on ones float32 cannot hold.
+	for i := 0; i < 100; i++ {
+		f := float64(float32(0.2 + 0.6*rng.Float64()))
+		ix.SetPacked(fmt.Sprintf("ulp%03d", i), []vsm.Packed{vsm.Pack(vsm.Vector{
+			Terms:   []string{"t000", "t002"},
+			Weights: []float64{math.Nextafter(f, 1), math.Nextafter(f, 0)},
+		})})
+	}
+	requirePostingsCoverExactWeights(t, ix)
+	ix.Optimize()
+	requirePostingsCoverExactWeights(t, ix)
 }
+
+// requirePostingsCoverExactWeights checks float64(posting weight) ≥ exact
+// Packed weight for every posting of a live entry, committed and staged. A
+// NaN weight has no order: its posting must be NaN too.
+func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
+	t.Helper()
+	checked := 0
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for si := range ix.shards {
+		s := &ix.shards[si]
+		s.mu.RLock()
+		for term, l := range s.lists {
+			for _, run := range []struct {
+				ids []uint32
+				ws  []float32
+			}{{l.ids, l.ws}, {l.sids, l.sws}} {
+				for k, slot := range run.ids {
+					e := &ix.entries[slot]
+					if !e.alive || s.dead[slot] {
+						continue
+					}
+					i := slices.Index(e.p.IDs, term)
+					if i < 0 {
+						t.Fatalf("term %d: a posting of live slot %d, whose vector lacks the term", term, slot)
+					}
+					exact, posted := e.p.Weights[i], float64(run.ws[k])
+					if math.IsNaN(exact) != math.IsNaN(posted) || posted < exact {
+						t.Fatalf("term %d slot %d: posting weight %v is below the exact weight %v", term, slot, posted, exact)
+					}
+					checked++
+				}
+			}
+		}
+		s.mu.RUnlock()
+	}
+	if checked == 0 {
+		t.Fatal("no postings checked")
+	}
+}
+
+// TestNarrowUp pins the float64 → float32 narrowing postings use: the
+// nearest float32 that is not below.
+func TestNarrowUp(t *testing.T) {
+	huge := math.Float64frombits(0x4800000000000000) // 6.8e38 > MaxFloat32
+	for _, w := range []float64{0, 0.5, 0.1, -0.1, 1.0 / 3, 1e-50, -1e-50, math.MaxFloat32, huge, -huge, math.Inf(1), math.Inf(-1)} {
+		f := narrowUp(w)
+		if float64(f) < w {
+			t.Errorf("narrowUp(%v) = %v, below it", w, f)
+		}
+		if below := math.Nextafter32(f, float32(math.Inf(-1))); float64(below) >= w && !math.IsInf(w, -1) {
+			t.Errorf("narrowUp(%v) = %v, but %v is not below it either", w, f, below)
+		}
+	}
+	if f := narrowUp(math.NaN()); f == f {
+		t.Errorf("narrowUp(NaN) = %v", f)
+	}
+}
+
+// TestHostileWeightsKeepPostingsAboveExact: the weights of
+// TestWeightsBeyondFloat32DoNotHang — beyond float32's range, infinite,
+// NaN — through staged tails and rebuilt lists: every posting still covers
+// its exact weight, Match still returns, and the honest profile that shares
+// a term with them still matches with its exact score.
+func TestHostileWeightsKeepPostingsAboveExact(t *testing.T) {
+	huge := math.Float64frombits(0x4800000000000000)
+	ix := New()
+	honest := vsm.Pack(vec("shared", 1.0, "own", 1.0))
+	ix.SetPacked("honest", []vsm.Packed{honest})
+	for name, w := range map[string]float64{"huge": huge, "-huge": -huge, "+Inf": math.Inf(1), "-Inf": math.Inf(-1), "NaN": math.NaN()} {
+		for u := 0; u < 2*blockSize+1; u++ {
+			ix.SetPacked(fmt.Sprintf("%s-%d", name, u), []vsm.Packed{vsm.Pack(vsm.Vector{
+				Terms: []string{"hostile~" + name, "shared"}, Weights: []float64{w, 0.5},
+			})})
+		}
+	}
+	requirePostingsCoverExactWeights(t, ix)
+	ix.Optimize()
+	requirePostingsCoverExactWeights(t, ix)
+	doc := vec("shared", 1.0, "own", 1.0)
+	want := vsm.Dot(honest.Vector(), doc)
+	for _, pruning := range []bool{true, false} {
+		ix.SetPruning(pruning)
+		found := false
+		for _, m := range ix.Match(doc, 0.9) {
+			if m.User == "honest" {
+				found = true
+				if m.Score != want {
+					t.Errorf("pruning %v: honest scores %v beside the hostile weights, want %v", pruning, m.Score, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("pruning %v: the honest profile no longer matches", pruning)
+		}
+	}
+}
+
+// thetaGrid spans (0, 1]: the thresholds the every-θ properties run at.
+var thetaGrid = []float64{0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0}
 
 // TestMatchPrunedEqualsBruteForceEveryTheta is the pruning property test:
 // at every θ on a grid spanning (0, 1], Match and MatchDoc with pruning on
-// must return exactly the users, vectors, ordering, and (±1e-9) scores of
-// the brute-force registry scorer — pruning plus exact rescore is lossless.
+// must return exactly the users, vectors, ordering and scores (==) of the
+// brute-force scorer — pruning plus exact rescore is lossless.
 func TestMatchPrunedEqualsBruteForceEveryTheta(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix, profiles := prunePopulation(rng, 900, 30)
 	requireHotLists(t, ix)
-	thetas := []float64{0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0}
 	for trial := 0; trial < 8; trial++ {
 		doc := randProbe(rng, 30)
 		d := ix.NewDoc(doc)
-		for _, theta := range thetas {
+		for _, theta := range thetaGrid {
 			want := bruteMatches(profiles, doc, theta)
 			for _, via := range []string{"Match", "MatchDoc"} {
 				var got []Match
@@ -156,8 +272,7 @@ func TestMatchPrunedEqualsBruteForceEveryTheta(t *testing.T) {
 					t.Fatalf("trial %d θ=%v %s: %d matches, want %d", trial, theta, via, len(got), len(want))
 				}
 				for i := range got {
-					if got[i].User != want[i].User || got[i].Vector != want[i].Vector ||
-						math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+					if got[i] != want[i] {
 						t.Fatalf("trial %d θ=%v %s [%d]: got %+v, want %+v", trial, theta, via, i, got[i], want[i])
 					}
 				}
@@ -186,8 +301,7 @@ func TestPruningOffMatchesPruningOn(t *testing.T) {
 			t.Fatalf("trial %d θ=%v: pruned %d matches, unpruned %d", trial, theta, len(on), len(off))
 		}
 		for i := range on {
-			if on[i].User != off[i].User || on[i].Vector != off[i].Vector ||
-				math.Abs(on[i].Score-off[i].Score) > 1e-9 {
+			if on[i] != off[i] {
 				t.Fatalf("trial %d θ=%v [%d]: pruned %+v, unpruned %+v", trial, theta, i, on[i], off[i])
 			}
 		}
@@ -313,7 +427,7 @@ func TestPruneStressConcurrent(t *testing.T) {
 			t.Fatalf("post-stress θ=%v: %d matches, want %d", theta, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].User != want[i].User || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			if got[i] != want[i] {
 				t.Fatalf("post-stress θ=%v [%d]: got %+v, want %+v", theta, i, got[i], want[i])
 			}
 		}

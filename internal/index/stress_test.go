@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -24,8 +23,10 @@ func randUnitVec(rng *rand.Rand, vocab []string, density float64) vsm.Vector {
 }
 
 // bruteMatches replicates Match's contract directly on a map of profiles:
-// best quantized dot per user, threshold applied, sorted by score descending
-// with ties broken by user ascending.
+// best dot per user (the lowest-numbered vector on a tie), threshold applied,
+// sorted by score descending with ties broken by user ascending. Scores are
+// the index's exactly: it sums in float64 in the vector's term order, as
+// vsm.Dot does.
 func bruteMatches(profiles map[string][]vsm.Vector, doc vsm.Vector, threshold float64) []Match {
 	var out []Match
 	for user, vecs := range profiles {
@@ -34,7 +35,7 @@ func bruteMatches(profiles map[string][]vsm.Vector, doc vsm.Vector, threshold fl
 			if pv.IsZero() {
 				continue
 			}
-			if s := vsm.Dot(quantize(pv), doc); s > best {
+			if s := vsm.Dot(pv, doc); s > best {
 				best, bestVec = s, i
 			}
 		}
@@ -54,7 +55,7 @@ func bruteMatches(profiles map[string][]vsm.Vector, doc vsm.Vector, threshold fl
 // TestMatchPropertyEquivalence is the property test of the index rewrite:
 // for random profile populations and random documents, Match must return
 // exactly the users a brute-force scan returns, with identical ordering and
-// scores equal to within 1e-9, and TopK must be a prefix of Match.
+// identical scores.
 func TestMatchPropertyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	vocab := make([]string, 40)
@@ -103,7 +104,7 @@ func TestMatchPropertyEquivalence(t *testing.T) {
 					t.Fatalf("round %d trial %d pos %d: user %s, want %s (ordering)",
 						round, trial, i, got[i].User, want[i].User)
 				}
-				if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+				if got[i].Score != want[i].Score {
 					t.Fatalf("round %d trial %d user %s: score %v, want %v",
 						round, trial, got[i].User, got[i].Score, want[i].Score)
 				}
@@ -231,7 +232,7 @@ func TestConcurrentStress(t *testing.T) {
 			t.Fatalf("trial %d: %d matches, want %d\n got=%+v\nwant=%+v", trial, len(got), len(want), got, want)
 		}
 		for i := range got {
-			if got[i].User != want[i].User || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			if got[i] != want[i] {
 				t.Fatalf("trial %d pos %d: %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}

@@ -21,6 +21,11 @@ import (
 //
 // A Packed is immutable once built: the profile that holds it, the index
 // and every PackedVectors caller share its slices and none writes to them.
+// The index leans on this twice: an entry is the Packed it was given, not a
+// copy, and "the same slices again" (same backing arrays, same lengths) is
+// how a reindex knows a vector has not changed. Code that needs a different
+// vector builds a new Packed; writing into one would leave postings that no
+// longer describe it.
 type Packed struct {
 	IDs     []uint32
 	Weights []float64
