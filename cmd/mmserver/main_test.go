@@ -104,6 +104,7 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_pubsub_profile_evictions_total", "counter"},
 		{"mm_pubsub_publish_seconds", "histogram"},
 		{"mm_pubsub_published_total", "counter"},
+		{"mm_pubsub_queue_slots", "gauge"},
 		{"mm_pubsub_resident_profiles", "gauge"},
 		{"mm_pubsub_retention_evictions_total", "counter"},
 		{"mm_pubsub_slow_evictions_total", "counter"},

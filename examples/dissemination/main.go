@@ -81,23 +81,22 @@ func main() {
 		// also browse the page on their own and judge it unprompted.
 		for _, r := range readers {
 			got := false
-			for drained := false; !drained; {
-				select {
-				case d := <-r.sub.Deliveries():
-					if d.Doc != id {
-						continue // stale item from the bootstrap batch
-					}
-					got = true
-					delivered++
-					if r.user.Relevant(doc.Cat) {
-						relevant++
-					}
-					if err := r.sub.Feedback(d.Doc, r.user.Feedback(doc)); err != nil {
-						panic(err)
-					}
-					drained = true
-				default:
-					drained = true
+			var next [1]pubsub.Delivery
+			for !got {
+				if n, _, _, _ := r.sub.Take(next[:]); n == 0 {
+					break
+				}
+				d := next[0]
+				if d.Doc != id {
+					continue // stale item from the bootstrap batch
+				}
+				got = true
+				delivered++
+				if r.user.Relevant(doc.Cat) {
+					relevant++
+				}
+				if err := r.sub.Feedback(d.Doc, r.user.Feedback(doc)); err != nil {
+					panic(err)
 				}
 			}
 			if !got && rng.Float64() < exploreRate {

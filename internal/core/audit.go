@@ -85,8 +85,8 @@ type AuditEvent struct {
 	Seq int `json:"seq"`
 	// Step is the feedback step (Observe call) that produced the event; a
 	// single step can emit several events (incorporate + delete, …).
-	Step     int   `json:"step"`
-	UnixNano int64 `json:"unix_nano"`
+	Step     int     `json:"step"`
+	UnixNano int64   `json:"unix_nano"`
 	Op       AuditOp `json:"op"`
 	// Feedback is the judgment's direction: +1 relevant, −1 not.
 	Feedback int `json:"feedback"`

@@ -54,9 +54,9 @@ func TestAuditIgnoreAndDissimilarCreate(t *testing.T) {
 	p := NewDefault()
 	p.Observe(vsm.Vector{}, filter.Relevant) // zero doc
 	p.Observe(vec("go", 1.0), filter.NotRelevant)
-	p.Observe(vec("go", 1.0), filter.Relevant)         // create id 1
-	p.Observe(vec("opera", 1.0), filter.NotRelevant)   // dissimilar, non-relevant
-	p.Observe(vec("opera", 1.0), filter.Relevant)      // dissimilar, relevant → create id 2
+	p.Observe(vec("go", 1.0), filter.Relevant)       // create id 1
+	p.Observe(vec("opera", 1.0), filter.NotRelevant) // dissimilar, non-relevant
+	p.Observe(vec("opera", 1.0), filter.Relevant)    // dissimilar, relevant → create id 2
 
 	trail := p.AuditTrail()
 	ops := make([]AuditOp, len(trail))
@@ -86,8 +86,8 @@ func TestAuditMergeRecordsBothIDs(t *testing.T) {
 	o := DefaultOptions()
 	o.Theta = 0.6
 	p := New(o)
-	p.Observe(vec("a", 1.0), filter.Relevant)            // id 1
-	p.Observe(vec("b", 1.0), filter.Relevant)            // id 2 (orthogonal)
+	p.Observe(vec("a", 1.0), filter.Relevant) // id 1
+	p.Observe(vec("b", 1.0), filter.Relevant) // id 2 (orthogonal)
 	// Pull vector 2 toward vector 1 until the pair passes θ and merges.
 	for i := 0; i < 20 && p.Counts().Merged == 0; i++ {
 		p.Observe(vec("a", 0.7, "b", 0.7), filter.Relevant)

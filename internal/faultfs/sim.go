@@ -44,7 +44,7 @@ const (
 
 // Op describes one mutating operation about to execute.
 type Op struct {
-	N    int    // 1-based global operation index
+	N    int // 1-based global operation index
 	Kind OpKind
 	Path string
 	Len  int // byte count for writes, 0 otherwise

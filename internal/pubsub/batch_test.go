@@ -62,13 +62,10 @@ func TestConcurrentPublishVector(t *testing.T) {
 		}
 		seen[r.Doc] = true
 	}
-	select {
-	case d := <-catSub.Deliveries():
-		if d.Doc != results[0].Doc {
-			t.Errorf("cat-fan received doc %d, want %d", d.Doc, results[0].Doc)
-		}
-	default:
+	if d, ok := recv(catSub, false); !ok {
 		t.Fatal("cat-fan got no delivery")
+	} else if d.Doc != results[0].Doc {
+		t.Errorf("cat-fan received doc %d, want %d", d.Doc, results[0].Doc)
 	}
 	if got := b.Stats(); got.Published != int64(len(docs)) {
 		t.Errorf("Published = %d, want %d", got.Published, len(docs))
@@ -157,10 +154,8 @@ func TestBrokerConcurrentStress(t *testing.T) {
 					t.Errorf("Subscribe(%s): %v", id, err)
 					continue
 				}
-				select {
-				case d := <-sub.Deliveries():
+				if d, ok := recv(sub, false); ok {
 					_ = sub.Feedback(d.Doc, filter.Relevant)
-				default:
 				}
 				if i%2 == 0 {
 					b.Unsubscribe(id)

@@ -212,10 +212,17 @@ type subscriber struct {
 	learner filter.Learner
 	closed  bool
 
-	// queue is made on first use, under mu (queueLocked): a subscriber
-	// nobody has delivered to or listened on — every evicted stub of a
-	// lazy boot — holds no buffer.
-	queue chan Delivery
+	// ring is the delivery queue, a circular buffer under mu: head indexes
+	// the oldest queued delivery and queued counts them. It is nil until the
+	// first delivery — a subscriber nobody has delivered to, every evicted
+	// stub of a lazy boot, holds no buffer — and grows 4 → 8 → … →
+	// Options.QueueSize as it fills, never shrinking (mm_pubsub_queue_slots
+	// shows what bursts have left allocated).
+	ring         []Delivery
+	head, queued int
+	// ready holds at most one wake token for consumers blocked on
+	// Subscription.Ready; made on first use, closed by Unsubscribe.
+	ready chan struct{}
 
 	// nextSeq is the sequence number the next delivery will carry (equal to
 	// the count of deliveries ever assigned to this subscriber); dropped
@@ -300,8 +307,8 @@ func New(opts Options) *Broker {
 	return b
 }
 
-// Subscription is a subscriber's handle: a delivery stream plus feedback
-// and introspection methods.
+// Subscription is a subscriber's handle: a delivery queue (Ready, Take)
+// plus feedback and introspection methods.
 type Subscription struct {
 	b   *Broker
 	sub *subscriber
@@ -409,7 +416,8 @@ func (b *Broker) SubscribeKeywords(id string, keywords []string) (*Subscription,
 	return b.Subscribe(id, l)
 }
 
-// Unsubscribe removes a subscriber and closes its delivery channel. The
+// Unsubscribe removes a subscriber and closes its delivery stream: what is
+// queued stays takeable, and every consumer waiting on Ready wakes. The
 // journal append, the close, and the index removal all happen under the
 // subscriber's lock: a Feedback racing this call either completes fully
 // before it (its journal record precedes the unsubscribe record, and its
@@ -427,7 +435,8 @@ func (b *Broker) Unsubscribe(id string) {
 		_ = b.opts.Journal.AppendUnsubscribe(id)
 	}
 	s.closed = true
-	close(b.queueLocked(s)) // made here if never used: later readers must still find it closed
+	close(s.readyLocked()) // made here if never used: later consumers must still find it closed
+	b.m.queueSlots.Add(float64(-len(s.ring)))
 	b.idx.RemoveUser(id)
 	resident := s.learner != nil
 	gone, pairs := s.lastSize, s.lastPairs
@@ -575,22 +584,39 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	return id, delivered
 }
 
-// queueLocked returns s's delivery queue, making it on first use. Caller
-// holds s.mu.
-func (b *Broker) queueLocked(s *subscriber) chan Delivery {
-	if s.queue == nil {
-		s.queue = make(chan Delivery, b.opts.QueueSize)
+// readyLocked returns s's wake channel, making it on first use: already
+// holding its token when deliveries are queued, so a consumer that arrives
+// after them does not wait for the next one. Caller holds s.mu.
+func (s *subscriber) readyLocked() chan struct{} {
+	if s.ready == nil {
+		s.ready = make(chan struct{}, 1)
+		if s.queued > 0 {
+			s.ready <- struct{}{}
+		}
 	}
-	return s.queue
+	return s.ready
+}
+
+// signalLocked leaves the wake token for whoever waits on Ready, if anyone
+// ever has and the token is not already there. Caller holds s.mu and has
+// checked s.closed (the channel is closed with the subscriber).
+func (s *subscriber) signalLocked() {
+	if s.ready != nil {
+		select {
+		case s.ready <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // deliver enqueues without blocking, dropping the oldest undelivered item
-// when the queue is full. It reports whether the delivery was enqueued
-// (false only when the subscriber is gone). Each enqueued delivery is
-// stamped with the subscriber's next sequence number under the same lock,
-// so sequence numbers enter the queue in strictly ascending order; each
-// drop bumps both the subscriber's own counter (the gap signal consumers
-// read via DeliveryStats) and the global mm_pubsub_dropped metric.
+// when the queue is full at Options.QueueSize. It reports whether the
+// delivery was enqueued (false only when the subscriber is gone). Each
+// enqueued delivery is stamped with the subscriber's next sequence number
+// under the same lock, so sequence numbers enter the queue in strictly
+// ascending order; a drop bumps both the subscriber's own counter (the gap
+// signal consumers read beside every batch) and the global mm_pubsub_dropped
+// metric.
 func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -599,28 +625,36 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 	}
 	d.Seq = s.nextSeq
 	s.nextSeq++
-	q := b.queueLocked(s)
-	overflowed := false
-	for {
-		select {
-		case q <- d:
-			b.m.deliveries.Inc()
-			b.m.topDeliveries.Offer(s.id, 1)
-			if overflowed {
-				b.m.topQueueFull.Offer(s.id, 1)
-			}
-			return true
-		default:
-			overflowed = true
-			select {
-			case <-q:
-				s.dropped++
-				b.m.dropped.Inc()
-				b.m.topDrops.Offer(s.id, 1)
-			default:
-			}
+	if s.queued == len(s.ring) {
+		if len(s.ring) < b.opts.QueueSize {
+			b.growLocked(s)
+		} else {
+			// Full: the slot the oldest delivery leaves is the one this takes.
+			s.head = (s.head + 1) % len(s.ring)
+			s.queued--
+			s.dropped++
+			b.m.dropped.Inc()
+			b.m.topDrops.Offer(s.id, 1)
+			b.m.topQueueFull.Offer(s.id, 1)
 		}
 	}
+	s.ring[(s.head+s.queued)%len(s.ring)] = d
+	s.queued++
+	b.m.deliveries.Inc()
+	b.m.topDeliveries.Offer(s.id, 1)
+	s.signalLocked()
+	return true
+}
+
+// growLocked doubles a full ring (from nothing to 4 slots), up to
+// Options.QueueSize, unwrapping it to start at slot 0. Caller holds s.mu.
+func (b *Broker) growLocked(s *subscriber) {
+	n := min(max(4, 2*len(s.ring)), b.opts.QueueSize)
+	ring := make([]Delivery, n)
+	k := copy(ring, s.ring[s.head:])
+	copy(ring[k:], s.ring[:s.head])
+	b.m.queueSlots.Add(float64(n - len(s.ring)))
+	s.ring, s.head = ring, 0
 }
 
 // Feedback applies a subscriber's relevance judgment for a delivered (or
@@ -883,6 +917,10 @@ func (b *Broker) Stats() Counters {
 // shard that holds tombstones first.
 func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 
+// QueueSize returns the most deliveries one subscriber's queue holds
+// (Options.QueueSize after defaults) — and so the most one Take can move.
+func (b *Broker) QueueSize() int { return b.opts.QueueSize }
+
 // Log returns the broker's structured logger (nil when none configured).
 func (b *Broker) Log() *obs.Logger { return b.opts.Log }
 
@@ -909,12 +947,40 @@ func (b *Broker) Layout() Layout {
 	}
 }
 
-// Deliveries returns the subscription's stream. The channel is closed by
-// Unsubscribe.
-func (s *Subscription) Deliveries() <-chan Delivery {
+// Ready returns the channel a consumer blocks on between Takes: it yields a
+// token when deliveries are queued, and is closed by Unsubscribe, so every
+// consumer of a closed subscriber wakes (and keeps waking) to Take the tail
+// and the closed report. There is one token however many deliveries are
+// queued and however many consumers wait; Take passes it on when it leaves
+// deliveries behind.
+func (s *Subscription) Ready() <-chan struct{} {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()
-	return s.b.queueLocked(s.sub)
+	return s.sub.readyLocked()
+}
+
+// Take moves up to len(buf) queued deliveries, oldest first, into buf and
+// reports how many, together with the accounting as of that same instant:
+// nextSeq and dropped as DeliveryStats defines them, and closed once the
+// subscriber is unsubscribed and its queue is empty — what Take returned
+// with it, possibly nothing, is the stream's tail. It never blocks; a
+// consumer that finds nothing waits on Ready.
+func (s *Subscription) Take(buf []Delivery) (n int, nextSeq, dropped uint64, closed bool) {
+	sub := s.sub
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	n = min(len(buf), sub.queued)
+	k := copy(buf[:n], sub.ring[sub.head:])
+	copy(buf[k:n], sub.ring)
+	if sub.queued -= n; sub.queued == 0 {
+		sub.head = 0
+	} else {
+		sub.head = (sub.head + n) % len(sub.ring)
+		if !sub.closed {
+			sub.signalLocked() // another consumer, or this one's next turn
+		}
+	}
+	return n, sub.nextSeq, sub.dropped, sub.closed && sub.queued == 0
 }
 
 // ID returns the subscriber id.

@@ -47,16 +47,15 @@ func TestSubscribePublishDeliver(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("delivered to %d subscribers, want 1", n)
 	}
-	select {
-	case d := <-sub.Deliveries():
-		if d.Doc != id {
-			t.Errorf("delivered doc %d, want %d", d.Doc, id)
-		}
-		if d.Score < 0.3 {
-			t.Errorf("delivered score %v below threshold", d.Score)
-		}
-	default:
+	d, ok := recv(sub, false)
+	if !ok {
 		t.Fatal("no delivery for alice")
+	}
+	if d.Doc != id {
+		t.Errorf("delivered doc %d, want %d", d.Doc, id)
+	}
+	if d.Score < 0.3 {
+		t.Errorf("delivered score %v below threshold", d.Score)
 	}
 }
 
@@ -177,8 +176,8 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 		t.Errorf("Dropped = %d, want 3", got)
 	}
 	// The two newest deliveries remain.
-	d1 := <-sub.Deliveries()
-	d2 := <-sub.Deliveries()
+	d1, _ := recv(sub, true)
+	d2, _ := recv(sub, true)
 	if d1.Doc != ids[3] || d2.Doc != ids[4] {
 		t.Errorf("queue kept docs %d,%d; want %d,%d", d1.Doc, d2.Doc, ids[3], ids[4])
 	}
@@ -188,8 +187,8 @@ func TestUnsubscribeClosesChannel(t *testing.T) {
 	b := New(Options{})
 	sub, _ := b.Subscribe("alice", trainedMM("cat"))
 	b.Unsubscribe("alice")
-	if _, open := <-sub.Deliveries(); open {
-		t.Error("channel not closed on unsubscribe")
+	if _, open := recv(sub, true); open {
+		t.Error("stream not closed on unsubscribe")
 	}
 	// Publishing after unsubscribe must not deliver or panic.
 	if _, n := b.PublishVector(vec("cat", 1.0)); n != 0 {
@@ -353,14 +352,12 @@ func TestConcurrentPublishFeedback(t *testing.T) {
 		go func(s *Subscription) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				select {
-				case d := <-s.Deliveries():
+				if d, ok := recv(s, false); ok {
 					fd := filter.Relevant
 					if i%3 == 0 {
 						fd = filter.NotRelevant
 					}
 					_ = s.Feedback(d.Doc, fd) // evicted docs may error; fine
-				default:
 				}
 			}
 		}(s)

@@ -22,13 +22,17 @@ func Example() {
 	_, n = broker.Publish("<html><body>quarterly bond market report</body></html>")
 	fmt.Println("deliveries:", n)
 
-	d := <-sub.Deliveries()
-	if err := sub.Feedback(d.Doc, filter.Relevant); err != nil {
+	<-sub.Ready() // a token while deliveries are queued; closed by Unsubscribe
+	var batch [8]pubsub.Delivery
+	n, _, _, _ = sub.Take(batch[:])
+	fmt.Println("taken:", n)
+	if err := sub.Feedback(batch[0].Doc, filter.Relevant); err != nil {
 		panic(err)
 	}
 	fmt.Println("profile vectors:", sub.ProfileSize())
 	// Output:
 	// deliveries: 1
 	// deliveries: 0
+	// taken: 1
 	// profile vectors: 1
 }

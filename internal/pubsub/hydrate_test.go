@@ -302,13 +302,13 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 		if subs[u], err = b.SubscribeRestored(u, nil); err != nil {
 			t.Fatal(err)
 		}
-		if subs[u].sub.queue != nil {
+		if subs[u].sub.ring != nil {
 			t.Fatalf("stub %q was born with a delivery buffer", u)
 		}
 	}
 	got := make(chan bool)
-	go func() { _, ok := <-subs["waited"].Deliveries(); got <- ok }()
-	for !subs["waited"].sub.queueMade() {
+	go func() { _, ok := recv(subs["waited"], true); got <- ok }()
+	for !subs["waited"].sub.waitedOn() {
 		runtime.Gosched()
 	}
 	b.Unsubscribe("waited")
@@ -316,7 +316,12 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 		t.Error("a reader waiting across the unsubscribe got a delivery, want a closed stream")
 	}
 	b.Unsubscribe("asked-late")
-	if _, ok := <-subs["asked-late"].Deliveries(); ok {
+	select {
+	case <-subs["asked-late"].Ready():
+	default:
+		t.Error("a reader arriving after the unsubscribe would wait: Ready is not closed")
+	}
+	if _, ok := recv(subs["asked-late"], true); ok {
 		t.Error("a reader arriving after the unsubscribe did not find the stream closed")
 	}
 
@@ -331,7 +336,7 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 	if _, n := b.PublishVector(vec("cat", 1.0)); n != 1 {
 		t.Fatalf("deliveries = %d, want 1", n)
 	}
-	if d := <-subs["matched"].Deliveries(); d.Seq != 0 {
+	if d, _ := recv(subs["matched"], true); d.Seq != 0 {
 		t.Errorf("first delivery carries seq %d, want 0", d.Seq)
 	}
 	if next, dropped := subs["matched"].DeliveryStats(); next != 1 || dropped != 0 {
@@ -343,7 +348,15 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 func (s *subscriber) queueMade() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queue != nil
+	return s.ring != nil
+}
+
+// waitedOn reports, under the lock, whether any consumer has asked for the
+// wake channel.
+func (s *subscriber) waitedOn() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ready != nil
 }
 
 // TestBoundedResidencyConcurrent churns feedbacks, publishes, and

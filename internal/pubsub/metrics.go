@@ -18,6 +18,7 @@ type brokerMetrics struct {
 	dropped    *metrics.Counter
 	feedbacks  *metrics.Counter
 	evictions  *metrics.Counter
+	queueSlots *metrics.Gauge
 
 	// Hot-path latencies. publishLat covers the whole publishRecord,
 	// matchLat the vectorized-document → matches interval, deliverLat the
@@ -73,6 +74,8 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 			"Relevance judgments applied to subscriber profiles."),
 		evictions: reg.Counter("mm_pubsub_retention_evictions_total",
 			"Documents evicted from the retention ring to admit newer ones."),
+		queueSlots: reg.Gauge("mm_pubsub_queue_slots",
+			"Delivery slots allocated across all subscriber queues: a queue grows with the bursts it has held and never shrinks."),
 		publishLat: reg.Histogram("mm_pubsub_publish_seconds",
 			"End-to-end latency of one publish: retention bookkeeping, index match, and delivery fan-out."),
 		matchLat: reg.Histogram("mm_pubsub_match_seconds",

@@ -76,16 +76,12 @@ func shiftSubscribers(t testing.TB, b *Broker, streams []shiftStream) (subs []*S
 // drain empties a subscription's delivery queue and reports the delivery of
 // doc, if it was in it.
 func drain(sub *Subscription, doc int64) (d Delivery, ok bool) {
-	for {
-		select {
-		case got := <-sub.Deliveries():
-			if got.Doc == doc {
-				d, ok = got, true
-			}
-		default:
-			return d, ok
+	for got, more := recv(sub, false); more; got, more = recv(sub, false) {
+		if got.Doc == doc {
+			d, ok = got, true
 		}
 	}
+	return d, ok
 }
 
 // TestDeliveredSetIsScoreAtLeastTheta is the paper's delivery rule held at

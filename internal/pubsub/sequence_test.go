@@ -27,8 +27,8 @@ func TestDeliverySequenceAndDropAccounting(t *testing.T) {
 		t.Fatalf("DeliveryStats = (next %d, dropped %d), want (5, 3)", next, dropped)
 	}
 	var seqs []uint64
-	for len(sub.Deliveries()) > 0 {
-		seqs = append(seqs, (<-sub.Deliveries()).Seq)
+	for d, ok := recv(sub, false); ok; d, ok = recv(sub, false) {
+		seqs = append(seqs, d.Seq)
 	}
 	if len(seqs) != 2 || seqs[0] != 3 || seqs[1] != 4 {
 		t.Fatalf("surviving seqs = %v, want [3 4]", seqs)
@@ -72,10 +72,10 @@ func TestConcurrentPublishDrainResubscribe(t *testing.T) {
 		go func() {
 			defer drainWG.Done()
 			received := uint64(0)
-			for range sub.Deliveries() {
+			for _, ok := recv(sub, true); ok; _, ok = recv(sub, true) {
 				received++
 			}
-			// The channel is closed and drained: the accounting must balance
+			// The stream is closed and drained: the accounting must balance
 			// exactly, or a delivery was lost without being counted.
 			next, dropped := sub.DeliveryStats()
 			if received+dropped != next {

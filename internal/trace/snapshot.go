@@ -19,9 +19,9 @@ type SpanSnapshot struct {
 
 // TraceSnapshot is one completed trace rendered for exposition.
 type TraceSnapshot struct {
-	Trace         string `json:"trace"`
-	Root          string `json:"root"` // root span name
-	StartUnixNano int64  `json:"start_unix_nano"`
+	Trace         string  `json:"trace"`
+	Root          string  `json:"root"` // root span name
+	StartUnixNano int64   `json:"start_unix_nano"`
 	DurationMS    float64 `json:"duration_ms"`
 	// Slow marks traces that met SlowThreshold.
 	Slow bool `json:"slow,omitempty"`

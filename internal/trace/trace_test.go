@@ -278,14 +278,14 @@ func TestParseContextMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"not-a-context",
-		"0123456789abcdef",                    // missing span half
-		"0123456789abcdef-0123456789abcde",    // short span
-		"0123456789abcdef_0123456789abcdef",   // wrong separator
-		"0123456789ABCDEF-0123456789abcdef",   // uppercase rejected
-		"0000000000000000-0123456789abcdef",   // zero trace id
-		"0123456789abcdef-0000000000000000",   // zero span id
-		"0123456789abcdeg-0123456789abcdef",   // non-hex digit
-		"0123456789abcdef-0123456789abcdef0",  // too long
+		"0123456789abcdef",                     // missing span half
+		"0123456789abcdef-0123456789abcde",     // short span
+		"0123456789abcdef_0123456789abcdef",    // wrong separator
+		"0123456789ABCDEF-0123456789abcdef",    // uppercase rejected
+		"0000000000000000-0123456789abcdef",    // zero trace id
+		"0123456789abcdef-0000000000000000",    // zero span id
+		"0123456789abcdeg-0123456789abcdef",    // non-hex digit
+		"0123456789abcdef-0123456789abcdef0",   // too long
 		"\x000123456789abcde-0123456789abcdef", // control bytes
 	}
 	for _, s := range bad {

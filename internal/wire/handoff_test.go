@@ -1,0 +1,295 @@
+package wire
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"net"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"mmprofile/internal/pubsub"
+)
+
+// pipeServer is a server with no listener: tests hand it one end of a
+// net.Pipe through ServeConn.
+func pipeServer(t *testing.T, opts pubsub.Options) (*Server, *pubsub.Broker) {
+	t.Helper()
+	b := pubsub.New(opts)
+	srv := NewServer(b, func(string, ...any) {})
+	t.Cleanup(func() { srv.Close() })
+	return srv, b
+}
+
+// pipeConn returns the client end of a fresh connection to srv; every read
+// and write on it gives up after ten seconds.
+func pipeConn(t *testing.T, srv *Server) net.Conn {
+	t.Helper()
+	local, remote := net.Pipe()
+	srv.ServeConn(remote)
+	t.Cleanup(func() { local.Close() })
+	if err := local.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	return local
+}
+
+// pipeSession opens a push session for user over a net.Pipe.
+func pipeSession(t *testing.T, srv *Server, user string, batch int) *Session {
+	t.Helper()
+	sess, err := NewClient(pipeConn(t, srv)).Session(user, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// anyGoroutines is the baseline for settled when other tests' goroutines
+// may still be winding down and only the server's own tables are checked.
+const anyGoroutines = 1 << 30
+
+// settled polls until the server holds no session state at all and the
+// process is back to at most baseline goroutines.
+func settled(t *testing.T, srv *Server, baseline int) {
+	t.Helper()
+	var conns, kicks, goroutines int
+	var sessions float64
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		conns, kicks = len(srv.conns), len(srv.sessKicks)
+		srv.mu.Unlock()
+		sessions, goroutines = srv.sessions.Value(), runtime.NumGoroutine()
+		if conns == 0 && kicks == 0 && sessions == 0 && goroutines <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("left behind: %d conns, %d kick entries, mm_wire_sessions %v, %d goroutines (baseline %d)",
+				conns, kicks, sessions, goroutines, baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSessionHugeBatchIsClamped pins the remote crash the batch field used
+// to be: MaxInt64 made the pump's make() panic after the ack and took the
+// process with it, 1e9 asked for 24 GB. A frame can never hold more than
+// the queue does, so the request's number sizes nothing.
+func TestSessionHugeBatchIsClamped(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 4})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []string{"9223372036854775807", "1000000000"} {
+		for i := 0; i < 6; i++ {
+			b.Publish(catPage)
+		}
+		conn := pipeConn(t, srv)
+		go fmt.Fprintf(conn, `{"op":"session","user":"alice","batch":%s}`+"\n", batch)
+		dec := json.NewDecoder(conn)
+		var ack, frame Response
+		if err := dec.Decode(&ack); err != nil || !ack.OK {
+			t.Fatalf("batch %s: ack %+v, %v", batch, ack, err)
+		}
+		if err := dec.Decode(&frame); err != nil || len(frame.Deliveries) != 4 {
+			t.Fatalf("batch %s: frame of %d deliveries (%v), want the queue's 4", batch, len(frame.Deliveries), err)
+		}
+		conn.Close()
+		settled(t, srv, anyGoroutines) // or the departing pump may take the next round's deliveries with it
+	}
+	// And the server is still there.
+	c := NewClient(pipeConn(t, srv))
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("server stopped serving: %v", err)
+	}
+	c.Close()
+	settled(t, srv, anyGoroutines)
+}
+
+// FuzzSessionHandshake sends an arbitrary first line to a live server on a
+// net.Pipe connection, reads whatever comes back and hangs up: no line may
+// panic the server (a panic in a connection goroutine kills this process),
+// and the connection, its kick entry and its mm_wire_sessions count must
+// all be released.
+func FuzzSessionHandshake(f *testing.F) {
+	f.Add(`{"op":"session","user":"alice","batch":9223372036854775807}`)
+	f.Add(`{"op":"session","user":"alice","batch":-1}`)
+	f.Add(`{"op":"session","user":"alice"}` + "\n\n \t x")
+	f.Add(`{"op":"session","user":"alice"}{"op":"stats"}`)
+	f.Add(`{"op":"session","user":"` + strings.Repeat("a", 1<<20) + `"}`)
+	f.Add(`{"op":"stats"}`)
+	f.Add(`{"op":"session"`)
+	b := pubsub.New(pubsub.Options{Threshold: 0.2, QueueSize: 4})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(b, func(string, ...any) {})
+	f.Cleanup(func() { srv.Close() })
+	f.Fuzz(func(t *testing.T, line string) {
+		b.Publish(catPage)
+		local, remote := net.Pipe()
+		srv.ServeConn(remote)
+		local.SetDeadline(time.Now().Add(200 * time.Millisecond))
+		go func() {
+			// The server may stop reading mid-line; the deadline ends the write.
+			// Once it has the whole line a reply is immediate or not coming.
+			_, _ = local.Write([]byte(line + "\n"))
+			local.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+		}()
+		r := bufio.NewReader(local)
+		for i := 0; i < 2; i++ { // an ack and a frame, at most
+			if _, err := r.ReadString('\n'); err != nil {
+				break
+			}
+		}
+		local.Close()
+		settled(t, srv, anyGoroutines)
+	})
+}
+
+// TestSessionGoroutinesReturnToBaseline: handle hands the connection to the
+// pump and returns, so the release it used to defer — close, conns entry,
+// drain count, session gauge, kick entry — is now the pump's to do exactly
+// once, whichever way the session ends. 500 sessions, a third ended each
+// way, and nothing is left: not a goroutine.
+func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
+	const n = 500
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	users := make([]string, n)
+	for i := range users {
+		users[i] = fmt.Sprintf("u%d", i)
+		if _, err := b.SubscribeKeywords(users[i], []string{"cats"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	sessions := make([]*Session, n)
+	for i, u := range users {
+		sessions[i] = pipeSession(t, srv, u, 0)
+	}
+	// A session registers just after its ack, so the last few may still be
+	// on their way in — and handle on its way out.
+	for deadline := time.Now().Add(10 * time.Second); srv.sessions.Value() != n || runtime.NumGoroutine()-baseline > 2*n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions open: mm_wire_sessions %v, %d goroutines over baseline, want two each",
+				n, srv.sessions.Value(), runtime.NumGoroutine()-baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, sess := range sessions {
+		switch i % 3 {
+		case 0:
+			sess.Close()
+		case 1:
+			if srv.KickSession(users[i], "test") != 1 {
+				t.Fatalf("kick found no session for %s", users[i])
+			}
+			if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted") {
+				t.Fatalf("recv after kick: %v", err)
+			}
+		case 2:
+			b.Unsubscribe(users[i])
+			if frame, err := sess.Recv(); err != nil || !frame.Closed {
+				t.Fatalf("recv after unsubscribe: %+v, %v", frame, err)
+			}
+		}
+	}
+	settled(t, srv, baseline)
+}
+
+// TestSplitNewlineKeepsSession: the watcher ends a session on anything the
+// client sends — except JSON whitespace, because the newline that ends the
+// session request can arrive in a later segment than the request and must
+// not read as teardown.
+func TestSplitNewlineKeepsSession(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	conn := pipeConn(t, srv)
+	dec := json.NewDecoder(conn)
+	go conn.Write([]byte(`{"op":"session","user":"alice"}`))
+	var ack, frame Response
+	if err := dec.Decode(&ack); err != nil || !ack.OK {
+		t.Fatalf("ack %+v, %v", ack, err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if _, err := conn.Write([]byte("\r\n \t")); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := b.Publish(catPage)
+	if err := dec.Decode(&frame); err != nil || len(frame.Deliveries) != 1 || frame.Deliveries[0].Doc != doc {
+		t.Fatalf("after the late newline: frame %+v, %v; want doc %d", frame, err, doc)
+	}
+	if _, err := conn.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&frame); err == nil {
+		t.Fatalf("a stray byte left the session open: %+v", frame)
+	}
+	settled(t, srv, anyGoroutines)
+}
+
+// TestTwoSessionsOneUserBothClose: two sessions on one subscriber compete
+// for its deliveries, and an unsubscribe reaches both — each gets a Closed
+// frame, every sequence number went to exactly one of them or was counted
+// as dropped, and both are released.
+func TestTwoSessionsOneUserBothClose(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		seqs          []uint64
+		next, dropped uint64
+		err           error
+	}
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		sess := pipeSession(t, srv, "alice", 3)
+		go func() {
+			var r result
+			for {
+				frame, err := sess.Recv()
+				if err != nil {
+					r.err = err
+					break
+				}
+				for _, d := range frame.Deliveries {
+					r.seqs = append(r.seqs, d.Seq)
+				}
+				if frame.Closed {
+					r.next, r.dropped = frame.NextSeq, frame.Dropped
+					break
+				}
+			}
+			results <- r
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		b.Publish(catPage)
+	}
+	b.Unsubscribe("alice")
+	seen := map[uint64]bool{}
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("a session ended without its Closed frame: %v", r.err)
+		}
+		if r.next != 200 {
+			t.Errorf("Closed frame reports next_seq %d, want 200", r.next)
+		}
+		for _, seq := range r.seqs {
+			if seen[seq] {
+				t.Errorf("seq %d reached both sessions", seq)
+			}
+			seen[seq] = true
+		}
+		if i == 1 && uint64(len(seen))+r.dropped != r.next {
+			t.Errorf("received %d + dropped %d != next_seq %d", len(seen), r.dropped, r.next)
+		}
+	}
+	settled(t, srv, anyGoroutines)
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,9 +23,10 @@ import (
 )
 
 // Server serves the JSON protocol over a listener, one goroutine per
-// connection, all connections sharing one broker. It keeps no subscriber
-// table of its own: every op resolves its user through the broker, so a
-// subscriber is addressable however it was registered.
+// request connection and two small ones per push session, all connections
+// sharing one broker. It keeps no subscriber table of its own: every op
+// resolves its user through the broker, so a subscriber is addressable
+// however it was registered.
 type Server struct {
 	broker *pubsub.Broker
 	log    *obs.Logger
@@ -48,7 +50,7 @@ type Server struct {
 	// user, so the slow-consumer eviction policy (mmserver
 	// -evict-drop-rate) can end sessions without owning the connection.
 	// Guarded by mu.
-	sessKicks map[string]map[chan string]struct{}
+	sessKicks map[string][]chan string
 }
 
 // NewServer wraps a broker. The logf signature is kept for compatibility:
@@ -80,30 +82,28 @@ func NewServerLogger(b *pubsub.Broker, logger *obs.Logger) *Server {
 			"Push sessions closed because their windowed drop rate stayed pathological (mmserver -evict-drop-rate)."),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
-		sessKicks: make(map[string]map[chan string]struct{}),
+		sessKicks: make(map[string][]chan string),
 	}
 }
 
 // addKick registers a session's kick channel under user.
 func (s *Server) addKick(user string, ch chan string) {
 	s.mu.Lock()
-	set := s.sessKicks[user]
-	if set == nil {
-		set = make(map[chan string]struct{})
-		s.sessKicks[user] = set
-	}
-	set[ch] = struct{}{}
+	s.sessKicks[user] = append(s.sessKicks[user], ch)
 	s.mu.Unlock()
 }
 
 // removeKick unregisters a session's kick channel.
 func (s *Server) removeKick(user string, ch chan string) {
 	s.mu.Lock()
-	if set := s.sessKicks[user]; set != nil {
-		delete(set, ch)
-		if len(set) == 0 {
-			delete(s.sessKicks, user)
-		}
+	chs := s.sessKicks[user]
+	if i := slices.Index(chs, ch); i >= 0 {
+		chs = slices.Delete(chs, i, i+1)
+	}
+	if len(chs) == 0 {
+		delete(s.sessKicks, user)
+	} else {
+		s.sessKicks[user] = chs
 	}
 	s.mu.Unlock()
 }
@@ -118,7 +118,7 @@ func (s *Server) removeKick(user string, ch chan string) {
 func (s *Server) KickSession(user, reason string) int {
 	s.mu.Lock()
 	n := 0
-	for ch := range s.sessKicks[user] {
+	for _, ch := range s.sessKicks[user] {
 		select {
 		case ch <- reason:
 			n++
@@ -208,16 +208,26 @@ func (s *Server) Close() error {
 	return err
 }
 
+// release closes a connection and gives back its conns entry and its count
+// in Close's drain: the last act of whichever goroutine owns the connection
+// — handle, or the pump handle handed a session to.
+func (s *Server) release(conn net.Conn) {
+	conn.Close()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
 func (s *Server) handle(conn net.Conn) {
 	// Outermost so it sees any panic from the request loop: the bundle is
 	// written, then the panic resumes and crashes the process as before.
 	defer s.rec.RecoverRepanic()
+	handedOff := false
 	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
+		if !handedOff {
+			s.release(conn)
+		}
 	}()
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
@@ -242,10 +252,11 @@ func (s *Server) handle(conn net.Conn) {
 			d1 = time.Now()
 		}
 		if req.Op == OpSession {
-			// Session mode takes over the connection: the ack and every
-			// subsequent frame are written by the pump, and the serial
-			// request loop never resumes.
-			s.session(conn, enc, dec, req)
+			// Session mode takes over the connection: once the ack is out the
+			// pump owns it and this goroutine — its stack grown by the decode
+			// above, its codec state — is gone; the serial request loop never
+			// resumes.
+			handedOff = s.session(conn, enc, dec.Buffered(), req)
 			return
 		}
 		resp := s.dispatchTimed(req, d0, d1)
@@ -414,107 +425,138 @@ func (s *Server) subscribe(req Request) Response {
 	return Response{OK: true}
 }
 
-// drain appends queued deliveries to out without blocking until the queue
-// is empty, the subscriber closes, or out reaches max.
-func drain(sub *pubsub.Subscription, out []DeliveryMsg, max int) (msgs []DeliveryMsg, closed bool) {
-	q := sub.Deliveries()
-	for len(out) < max {
-		select {
-		case d, ok := <-q:
-			if !ok {
-				return out, true
-			}
-			out = append(out, DeliveryMsg{Doc: d.Doc, Score: d.Score, Seq: d.Seq})
-		default:
-			return out, false
-		}
-	}
-	return out, false
-}
-
 // defaultSessionBatch caps deliveries coalesced into one session frame
 // when the client doesn't choose (Request.Batch).
 const defaultSessionBatch = 64
 
-// session runs the server-push pump for one subscriber on a dedicated
-// connection (OpSession). After the OK ack the server owns the socket:
-// every queued delivery is pushed as soon as it exists, coalesced with
-// whatever else is queued (up to the batch bound) into a single frame —
-// one write per burst instead of one round trip per document. The pump
-// ends when the subscriber is unsubscribed (the final frame carries Closed
-// and whatever was still queued), the client closes or writes anything, a
-// push fails, or the server shuts down.
-func (s *Server) session(conn net.Conn, enc *json.Encoder, dec *json.Decoder, req Request) {
+// session answers OpSession: it acks and, when the ack went out, hands conn
+// to two fresh goroutines — the pump and the watcher — and reports true; on
+// false the connection is still the caller's to release. What a session
+// holds at rest is then the connection, its handle on the subscriber's
+// queue, two channels and those two goroutines parked on small stacks
+// (DESIGN.md §15); everything a frame needs is borrowed for the write.
+func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req Request) (handedOff bool) {
 	sub, ok := s.broker.Subscription(req.User)
 	if !ok {
 		_ = enc.Encode(errResponse("wire: unknown subscriber %q", req.User))
-		return
+		return false
 	}
+	// A frame can never hold more than the queue does, so nothing is ever
+	// sized by the request's number.
 	batch := req.Batch
 	if batch <= 0 {
 		batch = defaultSessionBatch
 	}
+	batch = min(batch, s.broker.QueueSize())
 	next, dropped := sub.DeliveryStats()
 	if err := enc.Encode(Response{OK: true, NextSeq: next, Dropped: dropped}); err != nil {
-		return
+		return false
 	}
-	s.sessions.Add(1)
-	defer s.sessions.Add(-1)
+	// Push mode inverts the connection: the only thing a client can send is
+	// teardown, and that includes bytes the decoder already read past the
+	// request.
+	if !onlySpace(rest) {
+		return false
+	}
 	if s.log.Enabled(obs.LevelDebug) {
 		s.log.Debug("wire: session start",
 			slog.String("user", req.User),
 			slog.String("remote_addr", conn.RemoteAddr().String()))
 	}
-
-	// Push mode inverts the connection: the only thing a client can send
-	// is teardown. A one-shot reader watches for it — EOF, a reset, or any
-	// stray frame all end the session — so an idle session notices a gone
-	// client instead of holding its goroutine and kick entry forever.
-	clientGone := make(chan struct{})
-	go func() {
-		var stray Request
-		_ = dec.Decode(&stray)
-		close(clientGone)
-	}()
-
 	// Buffered so KickSession never blocks holding s.mu; a second kick
 	// while one is pending is dropped (the session is ending anyway).
 	kick := make(chan string, 1)
 	s.addKick(req.User, kick)
-	defer s.removeKick(req.User, kick)
+	s.sessions.Add(1)
+	// The watcher reads the client's half — EOF, a reset, or any stray byte
+	// all end the session — so an idle session notices a gone client instead
+	// of holding its goroutines and kick entry forever. It returns at the
+	// latest when the pump closes conn.
+	gone := make(chan struct{})
+	go func() {
+		onlySpace(conn)
+		close(gone)
+	}()
+	go s.pump(conn, sub, req.User, batch, kick, gone)
+	return true
+}
 
-	msgs := make([]DeliveryMsg, 0, batch)
-	q := sub.Deliveries()
+// onlySpace reads r to its end and reports whether it held nothing but JSON
+// whitespace (a request's own newline may arrive in a later segment than the
+// request); it returns false at the first other byte or error.
+func onlySpace(r io.Reader) bool {
+	var b [8]byte
+	for {
+		n, err := r.Read(b[:])
+		for _, c := range b[:n] {
+			if c != ' ' && c != '\n' && c != '\r' && c != '\t' {
+				return false
+			}
+		}
+		if err != nil {
+			return err == io.EOF
+		}
+	}
+}
+
+// pump owns one session connection: every queued delivery is pushed as soon
+// as it exists, coalesced with whatever else is queued (up to batch) into a
+// single frame — one write per burst instead of one round trip per
+// document. It ends when the subscriber is unsubscribed (the final frame
+// carries Closed and whatever was still queued), the client closes or
+// writes anything, a push fails, a kick arrives, or the server shuts down —
+// and then releases, once, everything the session held.
+func (s *Server) pump(conn net.Conn, sub *pubsub.Subscription, user string, batch int, kick chan string, gone <-chan struct{}) {
+	defer s.rec.RecoverRepanic()
+	defer func() {
+		s.removeKick(user, kick)
+		s.sessions.Add(-1)
+		s.release(conn)
+	}()
+	ready := sub.Ready()
 	for {
 		select {
-		case d, ok := <-q:
-			if !ok {
-				next, dropped := sub.DeliveryStats()
-				_ = enc.Encode(Response{OK: true, Closed: true, NextSeq: next, Dropped: dropped})
-				return
-			}
-			msgs = append(msgs[:0], DeliveryMsg{Doc: d.Doc, Score: d.Score, Seq: d.Seq})
-			var closed bool
-			msgs, closed = drain(sub, msgs, batch)
-			next, dropped := sub.DeliveryStats()
-			if err := enc.Encode(Response{OK: true, Deliveries: msgs, NextSeq: next, Dropped: dropped, Closed: closed}); err != nil {
-				return
-			}
-			s.sessionFrames.Inc()
-			s.sessionDeliveries.Add(int64(len(msgs)))
-			if closed {
+		case <-ready:
+			if !s.push(conn, sub, batch) {
 				return
 			}
 		case reason := <-kick:
-			_ = enc.Encode(errResponse("wire: session evicted: %s", reason))
+			_ = json.NewEncoder(conn).Encode(errResponse("wire: session evicted: %s", reason))
 			return
-		case <-clientGone:
+		case <-gone:
 			return
 		case <-s.done:
-			_ = enc.Encode(errResponse("wire: server shutting down"))
+			_ = json.NewEncoder(conn).Encode(errResponse("wire: server shutting down"))
 			return
 		}
 	}
+}
+
+// push takes what is queued for sub, up to batch deliveries, and writes it
+// as one frame whose next_seq and dropped are from the same instant as its
+// deliveries. It reports whether the session goes on.
+func (s *Server) push(conn net.Conn, sub *pubsub.Subscription, batch int) bool {
+	f := framePool.Get().(*frameScratch)
+	defer framePool.Put(f)
+	if cap(f.ds) < batch {
+		f.ds = make([]pubsub.Delivery, batch)
+	}
+	n, next, dropped, closed := sub.Take(f.ds[:batch])
+	if n == 0 && !closed {
+		return true // another session on this user took them
+	}
+	var ok bool
+	if f.out, ok = appendFrame(f.out[:0], f.ds[:n], next, dropped, closed); !ok {
+		return false
+	}
+	if _, err := conn.Write(f.out); err != nil {
+		return false
+	}
+	if n > 0 {
+		s.sessionFrames.Inc()
+		s.sessionDeliveries.Add(int64(n))
+	}
+	return !closed
 }
 
 // profile describes a subscriber's learner: name, size and each vector's
