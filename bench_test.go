@@ -326,9 +326,12 @@ func BenchmarkIndexMatch(b *testing.B) {
 		b.Run(fmt.Sprintf("vectors=%d", n), func(b *testing.B) {
 			ix := index.New()
 			users := n / 5
-			for i := 0; i < n; i++ {
-				d := ds.Docs[i%len(ds.Docs)]
-				ix.Upsert(fmt.Sprintf("user%05d", i%users), i/users, d.Vec)
+			for u := 0; u < users; u++ {
+				vecs := make([]vsm.Vector, 5)
+				for v := range vecs {
+					vecs[v] = ds.Docs[(v*users+u)%len(ds.Docs)].Vec
+				}
+				ix.SetUser(fmt.Sprintf("user%05d", u), vecs)
 			}
 			ix.Optimize()
 			// Building the 1M tier leaves a multi-GB heap behind; collect it
@@ -356,11 +359,12 @@ func BenchmarkIndexVsBruteForce(b *testing.B) {
 		ix := index.New()
 		var flat []vsm.Vector
 		for u := 0; u < users; u++ {
-			for v := 0; v < vecsPerUser; v++ {
-				d := ds.Docs[(u*vecsPerUser+v)%len(ds.Docs)]
-				ix.Upsert(fmt.Sprintf("user%04d", u), v, d.Vec)
-				flat = append(flat, d.Vec)
+			vecs := make([]vsm.Vector, vecsPerUser)
+			for v := range vecs {
+				vecs[v] = ds.Docs[(u*vecsPerUser+v)%len(ds.Docs)].Vec
 			}
+			ix.SetUser(fmt.Sprintf("user%04d", u), vecs)
+			flat = append(flat, vecs...)
 		}
 		b.Run(fmt.Sprintf("index/users=%d", users), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -6,11 +6,10 @@
 //
 //	mmbench [-fig KEY[,KEY...]|all|ablations|everything] [-list]
 //	        [-runs N] [-quick] [-csv DIR] [-svg DIR] [-seed N]
-//	        [-populations N,N,...]
 //
 // "all" runs the paper's figures; "ablations" runs the design-choice
 // ablations and extensions (η sweep, RG group-size sweep, merge on/off,
-// decay variants, LSI space, matching cost); "everything" runs both.
+// decay variants, LSI space); "everything" runs both.
 // -list prints every key. Performance is measured by perf/, not here.
 package main
 
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -37,9 +35,8 @@ type experiment struct {
 
 // env is what an experiment runs against.
 type env struct {
-	h           *bench.Harness
-	populations []int
-	threshold   []bench.Figure // Figs. 6 and 7 come out of one sweep
+	h         *bench.Harness
+	threshold []bench.Figure // Figs. 6 and 7 come out of one sweep
 }
 
 func (e *env) thresholdFigure(i int) []bench.Figure {
@@ -71,7 +68,6 @@ var experiments = []experiment{
 	{"noise", "ablations", "A6 — feedback-noise robustness", func(e *env) []bench.Figure { return one(e.h.NoiseFigure()) }},
 	{"kmeans", "ablations", "A7 — single-pass vs batch clustering", func(e *env) []bench.Figure { return two(e.h.BatchClusterFigure()) }},
 	{"lsi", "ablations", "A5 — keyword vs LSI space", func(e *env) []bench.Figure { return one(e.h.LSIFigure()) }},
-	{"scale", "ablations", "matching cost vs subscriber count (index vs brute force)", func(e *env) []bench.Figure { return one(e.h.ScaleFigure(e.populations)) }},
 	{"ttest", "", "paired significance tests (MM vs RG10, MM vs RI)", func(e *env) []bench.Figure {
 		n := max(e.h.Cfg.Runs, 10) // t-tests at the figure default of 4 runs have little power
 		bench.WriteComparisons(os.Stdout, e.h.Significance("MM", "RG10", n))
@@ -94,7 +90,6 @@ func main() {
 		svgDir  = flag.String("svg", "", "also write <fig>.svg charts into this directory")
 		seed    = flag.Int64("seed", 0, "base seed (0 = config default)")
 		list    = flag.Bool("list", false, "print the experiment index and exit")
-		pops    = flag.String("populations", "", "comma-separated subscriber counts for -fig scale (empty = defaults)")
 	)
 	flag.Parse()
 
@@ -104,18 +99,6 @@ func main() {
 			fmt.Printf("  %-9s %s\n", x.key, x.title)
 		}
 		return
-	}
-
-	var populations []int
-	if *pops != "" {
-		for _, p := range strings.Split(*pops, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "mmbench: bad -populations entry %q\n", p)
-				os.Exit(2)
-			}
-			populations = append(populations, n)
-		}
 	}
 
 	cfg := bench.DefaultConfig()
@@ -128,7 +111,7 @@ func main() {
 	if *seed != 0 {
 		cfg.BaseSeed = *seed
 	}
-	e := &env{h: bench.NewHarness(cfg), populations: populations}
+	e := &env{h: bench.NewHarness(cfg)}
 
 	want := strings.Split(*figFlag, ",")
 	selected := func(x experiment) bool {

@@ -453,9 +453,10 @@ func listen(addr string) (net.Listener, error) {
 // an evicted stub that hydrates from the store on first use — the users
 // come from the store's offset index, so boot reads each segment once
 // through a fixed buffer and holds O(subscribers) index entries, never the
-// state. Either way a boot checkpoint then compacts every dirty lane, so
-// replays (the next boot's, and each lazy hydration's) start from segments
-// instead of long logs.
+// state. Boot compacts nothing: a recovered WAL tail stays dirty in the
+// store (its offset index is its dirty set) until the first periodic or
+// shutdown checkpoint rewrites those lanes, and until then a hydration
+// reads its user's own tail records and no one else's.
 func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bool) error {
 	var users []string
 	var learners map[string]filter.Learner // stays nil when lazy: every user boots as a stub
@@ -487,8 +488,7 @@ func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bo
 			slog.Int("subscribers", len(users)),
 			slog.Bool("lazy", lazy))
 	}
-	_, err := st.Checkpoint(1)
-	return err
+	return nil
 }
 
 // runCheckpoint runs one incremental checkpoint: the journal's durability

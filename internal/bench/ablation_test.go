@@ -176,27 +176,6 @@ func TestBatchClusterShape(t *testing.T) {
 	}
 }
 
-func TestScaleFigureShape(t *testing.T) {
-	fig := quickHarness.ScaleFigure([]int{25, 75})
-	idx, brute := fig.SeriesByLabel("index"), fig.SeriesByLabel("brute-force")
-	if idx == nil || brute == nil || len(idx.Y) != 2 {
-		t.Fatalf("series: %+v", fig.Series)
-	}
-	// At the larger population the index must clearly beat the scan (it
-	// wins by 5–25× in practice; 1.5× keeps the test robust on loaded
-	// machines).
-	if idx.Y[1]*1.5 > brute.Y[1] {
-		t.Errorf("index (%v µs) not clearly faster than brute force (%v µs)", idx.Y[1], brute.Y[1])
-	}
-	for _, s := range fig.Series {
-		for i, y := range s.Y {
-			if y <= 0 {
-				t.Errorf("%s point %d non-positive: %v", s.Label, i, y)
-			}
-		}
-	}
-}
-
 func TestLSIFigureShape(t *testing.T) {
 	fig := quickHarness.LSIFigure()
 	for _, label := range []string{"MM", "LSI-MM", "LSI-NRN"} {

@@ -13,9 +13,11 @@ import (
 func Example() {
 	ix := index.New()
 	unit := func(m map[string]float64) vsm.Vector { return vsm.FromMap(m).Normalized() }
-	ix.Upsert("alice", 0, unit(map[string]float64{"cat": 1, "dog": 1}))
-	ix.Upsert("alice", 1, unit(map[string]float64{"guitar": 1}))
-	ix.Upsert("bob", 0, unit(map[string]float64{"stock": 1, "bond": 1}))
+	ix.SetUser("alice", []vsm.Vector{
+		unit(map[string]float64{"cat": 1, "dog": 1}),
+		unit(map[string]float64{"guitar": 1}),
+	})
+	ix.SetUser("bob", []vsm.Vector{unit(map[string]float64{"stock": 1, "bond": 1})})
 
 	doc := unit(map[string]float64{"cat": 1, "toy": 0.3})
 	for _, m := range ix.Match(doc, 0.2) {

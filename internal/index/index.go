@@ -251,11 +251,12 @@ func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// userInfo tracks one user's slots and dense user id (uids index the
-// pooled best-per-user arrays during harvest).
+// userInfo tracks one user's entry slots and dense user id (uids index the
+// pooled best-per-user arrays during harvest). A vector's number among the
+// user's is its entry's vec.
 type userInfo struct {
 	uid   uint32
-	slots map[int]uint32 // vector slot number → entry slot
+	slots []uint32
 }
 
 // Match is one hit of a document against the index: the user's best-scoring
@@ -471,24 +472,33 @@ func narrowUp(w float64) float32 {
 	return f
 }
 
-// install is the index's one write path. With replaceAll, vectors the user
-// already has indexed (holds) keep their entry slot and postings — keep
-// moves them to the front of svs; the rest are staged: slots allocated,
-// postings inserted. Then one registry commit renumbers the kept slots,
-// activates the staged ones and retires the slots they replace, so a
-// concurrent Match sees the user's old vector set or the new one, never a
-// mix and never none. The index does not serialise writers per user, so a
-// kept slot may be gone by then: commit hands those back to be staged.
-func (ix *Index) install(user string, svs []stagedVec, replaceAll bool) {
-	kept := 0
-	if replaceAll {
-		kept = ix.keep(user, svs)
+// SetPacked replaces every vector of the user with the given set, the
+// operation after a feedback step reshapes a profile, and the index's one
+// write path; vector i takes number i, and a zero vector leaves its number
+// empty. The index borrows the vectors' slices and takes "the same slices
+// again" to mean "unchanged": vectors the user already has indexed (holds)
+// keep their entry slot and postings — keep moves them to the front of svs;
+// the rest are staged: slots allocated, postings inserted. Handed a
+// profile's set after an MM step, that is the one vector the step moved.
+// Then one registry commit renumbers the kept slots, activates the staged
+// ones and retires every other slot of the user, so a concurrent Match sees
+// the user's old vector set or the new one, never a mix and never none. The
+// index does not serialise writers per user, so a kept slot may be gone by
+// then: commit hands those back to be staged.
+func (ix *Index) SetPacked(user string, vecs []vsm.Packed) {
+	svs := make([]stagedVec, 0, len(vecs))
+	for i, p := range vecs {
+		if p.Len() == 0 {
+			continue
+		}
+		svs = append(svs, stagedVec{vec: i, p: p})
 	}
+	kept := ix.keep(user, svs)
 	fresh := svs[kept:]
 	for {
 		ix.stage(user, fresh)
 		ix.insertPostings(fresh)
-		lost := ix.commit(user, svs, kept, replaceAll)
+		lost := ix.commit(user, svs, kept)
 		if lost == 0 {
 			break
 		}
@@ -501,24 +511,6 @@ func (ix *Index) install(user string, svs []stagedVec, replaceAll bool) {
 	}
 }
 
-// SetPacked replaces every vector of the user with the given set, the
-// common operation after a feedback step reshapes a profile; vector i
-// takes slot number i, and a zero vector leaves its slot empty. The
-// replacement is atomic with respect to Match. The index borrows the
-// vectors' slices and takes "the same slices again" to mean "unchanged":
-// handed a profile's set after an MM step, it restages the vector the step
-// moved and only renumbers the others.
-func (ix *Index) SetPacked(user string, vecs []vsm.Packed) {
-	svs := make([]stagedVec, 0, len(vecs))
-	for i, p := range vecs {
-		if p.Len() == 0 {
-			continue
-		}
-		svs = append(svs, stagedVec{vec: i, p: p})
-	}
-	ix.install(user, svs, true)
-}
-
 // SetUser is SetPacked for callers that hold their vectors as strings: it
 // packs them, which is what interns their terms.
 func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
@@ -527,16 +519,6 @@ func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
 		packed[i] = vsm.Pack(v)
 	}
 	ix.SetPacked(user, packed)
-}
-
-// Upsert installs (or replaces) profile vector slot vec of the given user
-// and leaves the user's other slots alone. A zero vector removes the slot.
-func (ix *Index) Upsert(user string, vec int, v vsm.Vector) {
-	if v.IsZero() {
-		ix.Remove(user, vec)
-		return
-	}
-	ix.install(user, []stagedVec{{vec: vec, p: vsm.Pack(v)}}, false)
 }
 
 // keep moves to the front of svs the vectors some live slot of the user
@@ -644,14 +626,13 @@ type tombShard struct {
 
 // commit is the single registry critical section of a write: it renumbers
 // the kept vectors svs[:kept], activates the staged ones svs[kept:] and
-// retires the slots they replace — every other slot of the user when
-// replaceAll is set, otherwise only same-numbered ones.
+// retires every other slot of the user.
 //
 // Kept slots are validated first: still alive, this user's, holding the
 // very vector (another writer may have retired one, and the slot may have
 // been recycled since keep looked). If any fails, commit changes nothing,
 // moves the failures to the end of svs[:kept] and returns their number.
-func (ix *Index) commit(user string, svs []stagedVec, kept int, replaceAll bool) (lost int) {
+func (ix *Index) commit(user string, svs []stagedVec, kept int) (lost int) {
 	ix.mu.Lock()
 	for i := 0; i < kept-lost; {
 		if e := &ix.entries[svs[i].slot]; e.alive && e.user == user && e.holds(svs[i].p) {
@@ -671,30 +652,27 @@ func (ix *Index) commit(user string, svs []stagedVec, kept int, replaceAll bool)
 			ix.mu.Unlock()
 			return 0
 		}
-		ui = &userInfo{uid: ix.allocUID(), slots: make(map[int]uint32, len(svs))}
+		ui = &userInfo{uid: ix.allocUID()}
 		ix.byUser[user] = ui
 	}
 	var old []uint32
-	if replaceAll {
+retire:
+	for _, slot := range ui.slots {
 		for _, sv := range svs[:kept] {
-			delete(ui.slots, ix.entries[sv.slot].vec)
+			if sv.slot == slot {
+				continue retire
+			}
 		}
-		for _, slot := range ui.slots {
-			old = append(old, slot)
-		}
-		clear(ui.slots)
+		old = append(old, slot)
 	}
+	ui.slots = ui.slots[:0]
 	for i, sv := range svs {
 		e := &ix.entries[sv.slot]
+		ui.slots = append(ui.slots, sv.slot)
 		if i < kept {
 			e.vec = sv.vec
-			ui.slots[sv.vec] = sv.slot
 			continue
 		}
-		if prev, ok := ui.slots[sv.vec]; ok {
-			old = append(old, prev)
-		}
-		ui.slots[sv.vec] = sv.slot
 		e.uid = ui.uid
 		e.alive = true
 		ix.liveVecs++
@@ -709,36 +687,13 @@ func (ix *Index) commit(user string, svs []stagedVec, kept int, replaceAll bool)
 	return 0
 }
 
-// Remove deletes one profile vector slot.
-func (ix *Index) Remove(user string, vec int) {
-	ix.mu.Lock()
-	ui := ix.byUser[user]
-	var tomb *[numShards]tombShard
-	if ui != nil {
-		if slot, ok := ui.slots[vec]; ok {
-			delete(ui.slots, vec)
-			tomb = ix.killLocked([]uint32{slot})
-			if len(ui.slots) == 0 {
-				ix.freeUID = append(ix.freeUID, ui.uid)
-				delete(ix.byUser, user)
-			}
-		}
-	}
-	ix.mu.Unlock()
-	ix.tombstone(tomb)
-}
-
 // RemoveUser deletes every vector of the user (unsubscribe).
 func (ix *Index) RemoveUser(user string) {
 	ix.mu.Lock()
 	ui := ix.byUser[user]
 	var tomb *[numShards]tombShard
 	if ui != nil {
-		slots := make([]uint32, 0, len(ui.slots))
-		for _, slot := range ui.slots {
-			slots = append(slots, slot)
-		}
-		tomb = ix.killLocked(slots)
+		tomb = ix.killLocked(ui.slots)
 		ix.freeUID = append(ix.freeUID, ui.uid)
 		delete(ix.byUser, user)
 	}
@@ -970,17 +925,14 @@ func (ix *Index) NewDoc(v vsm.Vector) Doc {
 			d.ws = append(d.ws, v.Weights[i])
 		}
 	}
-	sortTermsByWDesc(nil, d.ids, d.ws, nil)
+	sortTermsByWDesc(d.ids, d.ws)
 	return d
 }
 
 // matcher is the pooled per-call scoring state: a dense accumulator over
 // entry slots, a dense best-per-user table over uids with the list of uids
-// it holds, and the pruning scratch (term bounds, suffix sums).
+// it holds, and the pruning scratch (block counts, suffix sums).
 type matcher struct {
-	docIDs   []uint32
-	docWs    []float64
-	ubs      []float64
 	nb       []int32
 	suffix   []float64
 	csr      []float64
@@ -1014,30 +966,36 @@ func grow[T any](s []T, n int) []T {
 // shares a term with it and returns, per user, the best-scoring vector with
 // score ≥ threshold, sorted by descending score (ties by user for
 // determinism). doc must be unit-normalized, as all document vectors in
-// this system are.
+// this system are. It is MatchDoc of NewDoc, timed.
 func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 	var t0 time.Time
 	if ix.inst != nil {
 		t0 = time.Now()
 	}
-	m := ix.pool.Get().(*matcher)
-	m.resolve(ix, doc)
-	out := ix.matchInto(m, m.docIDs, m.docWs, true, threshold)
-	ix.pool.Put(m)
-	sortMatches(out)
+	out := ix.MatchDoc(ix.NewDoc(doc), threshold)
 	if ix.inst != nil {
 		ix.inst.matchLat.ObserveSince(t0)
 	}
 	return out
 }
 
-// MatchDoc is Match for a pre-resolved document. The Doc's precomputed
-// hint order stands in for the live upper-bound sort (Docs are shared and
-// must not be mutated), which trades at most a little pruning efficacy —
-// never correctness — when term maxima drifted since NewDoc.
+// MatchDoc is Match for a pre-resolved document: accumulate + harvest
+// under the registry read lock — freezing slot liveness across both phases
+// — with per-shard read locks nested inside (registry→shard is the global
+// lock order; no writer acquires the registry while holding a shard).
+// Commits therefore appear atomic to a match: it scores either a user's old
+// vector set or the new one, never a half-replaced mix or a vanished user.
+// Postings inserted concurrently for staged slots are harmless: staged
+// slots are not alive, and harvest discards them along with stale postings
+// on dead slots.
 func (ix *Index) MatchDoc(d Doc, threshold float64) []Match {
+	prune := threshold > 0 && !ix.pruneOff.Load()
 	m := ix.pool.Get().(*matcher)
-	out := ix.matchInto(m, d.ids, d.ws, false, threshold)
+	ix.mu.RLock()
+	slackTotal := ix.accumulate(m, d.ids, d.ws, threshold, prune)
+	out := ix.harvestAll(m, d.ids, d.ws, threshold, slackTotal, prune)
+	ix.mu.RUnlock()
+	m.flushStats(ix)
 	ix.pool.Put(m)
 	sortMatches(out)
 	return out
@@ -1060,37 +1018,6 @@ func (ix *Index) RecordMatchLatency(start, end time.Time, trace uint64) {
 		return
 	}
 	ix.inst.matchLat.Observe(sec)
-}
-
-// resolve looks every document term up in the dictionary, into the
-// matcher's scratch slices.
-func (m *matcher) resolve(ix *Index, doc vsm.Vector) {
-	m.docIDs = m.docIDs[:0]
-	m.docWs = m.docWs[:0]
-	for i, t := range doc.Terms {
-		if id, ok := intern.Terms.Lookup(t); ok {
-			m.docIDs = append(m.docIDs, id)
-			m.docWs = append(m.docWs, doc.Weights[i])
-		}
-	}
-}
-
-// matchInto runs accumulate + harvest under the registry read lock —
-// freezing slot liveness across both phases — with per-shard read locks
-// nested inside (registry→shard is the global lock order; no writer
-// acquires the registry while holding a shard). Commits therefore appear
-// atomic to a match: it scores either a user's old vector set or the new
-// one, never a half-replaced mix or a vanished user. Postings inserted
-// concurrently for staged slots are harmless: staged slots are not alive,
-// and harvest discards them along with stale postings on dead slots.
-func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, canSort bool, threshold float64) []Match {
-	prune := threshold > 0 && !ix.pruneOff.Load()
-	ix.mu.RLock()
-	slackTotal := ix.accumulate(m, ids, ws, canSort, threshold, prune)
-	out := ix.harvestAll(m, ids, ws, threshold, slackTotal, prune)
-	ix.mu.RUnlock()
-	m.flushStats(ix)
-	return out
 }
 
 // accumulate walks posting lists term-at-a-time.
@@ -1117,7 +1044,7 @@ func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, canSort bool,
 //     dropped whole.
 //
 // rest(i) is the tighter of two per-slot bounds on mass from terms [i, n):
-// the upper-bound sum Σ ub, and Cauchy–Schwarz — √(Σ dw²) times maxNorm,
+// the upper-bound sum Σ dw·maxW, and Cauchy–Schwarz — √(Σ dw²) times maxNorm,
 // since no entry holds more weight mass over those terms than its norm.
 //
 // The invariant is uniform: for EVERY slot, the mass its accumulator may
@@ -1128,15 +1055,20 @@ func (ix *Index) matchInto(m *matcher, ids []uint32, ws []float64, canSort bool,
 // margin) admits a superset of the true result set, every candidate is
 // exactly rescored in float64, and pruned output is bit-identical to the
 // unpruned scan's. Caller holds the registry read lock.
-func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, canSort bool, threshold float64, prune bool) (slackTotal float64) {
+func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, threshold float64, prune bool) (slackTotal float64) {
 	nSlots := len(ix.entries)
 	m.scores32 = grow(m.scores32, nSlots)
 	m.stats = matchStats{}
 
 	n := len(ids)
-	m.ubs = grow(m.ubs, n)
 	m.nb = grow(m.nb, n)
-	for i, t := range ids {
+	m.suffix = grow(m.suffix, n+1)
+	m.csr = grow(m.csr, n+1)
+	m.suffix[n], m.csr[n] = 0, 0
+	var sumsq float64
+	maxNorm := ix.maxNorm
+	for i := n - 1; i >= 0; i-- {
+		t := ids[i]
 		s := &ix.shards[shardOf(t)]
 		s.mu.RLock()
 		var maxw float64
@@ -1146,19 +1078,8 @@ func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, canSort bool
 			nb = int32(l.blocks())
 		}
 		s.mu.RUnlock()
-		m.ubs[i] = ws[i] * maxw
 		m.nb[i] = nb
-	}
-	if prune && canSort {
-		sortTermsByWDesc(m.ubs, ids, ws, m.nb)
-	}
-	m.suffix = grow(m.suffix, n+1)
-	m.csr = grow(m.csr, n+1)
-	m.suffix[n], m.csr[n] = 0, 0
-	var sumsq float64
-	maxNorm := ix.maxNorm
-	for i := n - 1; i >= 0; i-- {
-		m.suffix[i] = m.suffix[i+1] + m.ubs[i]
+		m.suffix[i] = m.suffix[i+1] + ws[i]*maxw
 		sumsq += ws[i] * ws[i]
 		m.csr[i] = maxNorm * math.Sqrt(sumsq)
 	}
@@ -1440,36 +1361,15 @@ func sortMatches(out []Match) {
 // first. High doc weights are high-idf (rare) terms with short posting
 // lists, so this order also keeps the broad mint zone over cheap lists
 // and leaves the fat common-term lists to the update/skip/cutoff levels.
-// nb may be nil (NewDoc's hint ordering carries no counts).
-func sortTermsByWDesc(ubs []float64, ids []uint32, ws []float64, nb []int32) {
+func sortTermsByWDesc(ids []uint32, ws []float64) {
 	for i := 1; i < len(ws); i++ {
 		id, w := ids[i], ws[i]
-		var u float64
-		if ubs != nil {
-			u = ubs[i]
-		}
-		var b int32
-		if nb != nil {
-			b = nb[i]
-		}
 		j := i - 1
 		for j >= 0 && ws[j] < w {
 			ids[j+1], ws[j+1] = ids[j], ws[j]
-			if ubs != nil {
-				ubs[j+1] = ubs[j]
-			}
-			if nb != nil {
-				nb[j+1] = nb[j]
-			}
 			j--
 		}
 		ids[j+1], ws[j+1] = id, w
-		if ubs != nil {
-			ubs[j+1] = u
-		}
-		if nb != nil {
-			nb[j+1] = b
-		}
 	}
 }
 

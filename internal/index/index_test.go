@@ -21,8 +21,8 @@ func vec(pairs ...any) vsm.Vector {
 
 func TestMatchBasic(t *testing.T) {
 	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0, "dog", 1.0))
-	ix.Upsert("bob", 0, vec("stock", 1.0, "bond", 1.0))
+	ix.SetUser("alice", []vsm.Vector{vec("cat", 1.0, "dog", 1.0)})
+	ix.SetUser("bob", []vsm.Vector{vec("stock", 1.0, "bond", 1.0)})
 
 	doc := vec("cat", 1.0)
 	ms := ix.Match(doc, 0)
@@ -36,8 +36,7 @@ func TestMatchBasic(t *testing.T) {
 
 func TestMatchPicksBestVectorPerUser(t *testing.T) {
 	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0))
-	ix.Upsert("alice", 1, vec("cat", 1.0, "dog", 1.0, "bird", 1.0))
+	ix.SetUser("alice", []vsm.Vector{vec("cat", 1.0), vec("cat", 1.0, "dog", 1.0, "bird", 1.0)})
 	doc := vec("cat", 1.0)
 	ms := ix.Match(doc, 0)
 	if len(ms) != 1 {
@@ -53,7 +52,7 @@ func TestMatchPicksBestVectorPerUser(t *testing.T) {
 
 func TestMatchThreshold(t *testing.T) {
 	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0, "dog", 1.0, "bird", 1.0, "fish", 1.0))
+	ix.SetUser("alice", []vsm.Vector{vec("cat", 1.0, "dog", 1.0, "bird", 1.0, "fish", 1.0)})
 	doc := vec("cat", 1.0) // cosine = 0.5
 	if got := ix.Match(doc, 0.6); len(got) != 0 {
 		t.Errorf("threshold not applied: %+v", got)
@@ -65,60 +64,57 @@ func TestMatchThreshold(t *testing.T) {
 
 func TestMatchOrdering(t *testing.T) {
 	ix := New()
-	ix.Upsert("low", 0, vec("cat", 1.0, "a", 1.0, "b", 1.0, "c", 1.0))
-	ix.Upsert("high", 0, vec("cat", 1.0))
+	ix.SetUser("low", []vsm.Vector{vec("cat", 1.0, "a", 1.0, "b", 1.0, "c", 1.0)})
+	ix.SetUser("high", []vsm.Vector{vec("cat", 1.0)})
 	ms := ix.Match(vec("cat", 1.0), 0)
 	if len(ms) != 2 || ms[0].User != "high" || ms[1].User != "low" {
 		t.Errorf("ordering wrong: %+v", ms)
 	}
 }
 
-func TestUpsertReplaces(t *testing.T) {
+// TestSetUserZeroVectorLeavesItsNumberEmpty: a zero vector takes no entry
+// and no postings, the vectors after it keep their numbers, and a set of
+// nothing but zero vectors is no user at all.
+func TestSetUserZeroVectorLeavesItsNumberEmpty(t *testing.T) {
 	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0))
-	ix.Upsert("alice", 0, vec("stock", 1.0))
-	if got := ix.Match(vec("cat", 1.0), 0); len(got) != 0 {
-		t.Errorf("stale postings: %+v", got)
-	}
-	if got := ix.Match(vec("stock", 1.0), 0); len(got) != 1 {
-		t.Errorf("replacement missing: %+v", got)
-	}
-	st := ix.Size()
-	if st.Vectors != 1 || st.Users != 1 {
+	ix.SetUser("alice", []vsm.Vector{vec("cat", 1.0), {}, vec("dog", 1.0)})
+	if st := ix.Size(); st.Vectors != 2 || st.Users != 1 || st.Terms != 2 {
 		t.Errorf("Size = %+v", st)
 	}
-}
-
-func TestUpsertZeroRemoves(t *testing.T) {
-	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0))
-	ix.Upsert("alice", 0, vsm.Vector{})
-	if st := ix.Size(); st.Vectors != 0 || st.Users != 0 || st.Terms != 0 {
-		t.Errorf("Size after zero upsert = %+v", st)
+	if ms := ix.Match(vec("dog", 1.0), 0); len(ms) != 1 || ms[0].Vector != 2 {
+		t.Errorf("the vector after the zero one: %+v, want vector 2", ms)
+	}
+	ix.SetUser("alice", []vsm.Vector{{}})
+	if st := ix.Size(); st != (Stats{}) {
+		t.Errorf("Size after a set of one zero vector = %+v", st)
 	}
 }
 
+// TestRemoveAndRemoveUser: a vector leaves when the user's next set lacks
+// it, the others keep their numbers, and RemoveUser takes the rest.
 func TestRemoveAndRemoveUser(t *testing.T) {
 	ix := New()
-	ix.Upsert("alice", 0, vec("cat", 1.0))
-	ix.Upsert("alice", 1, vec("dog", 1.0))
-	ix.Upsert("bob", 0, vec("cat", 1.0))
+	ix.SetUser("alice", []vsm.Vector{vec("cat", 1.0), vec("dog", 1.0)})
+	ix.SetUser("bob", []vsm.Vector{vec("cat", 1.0)})
 
-	ix.Remove("alice", 0)
+	ix.SetUser("alice", []vsm.Vector{{}, vec("dog", 1.0)})
 	ms := ix.Match(vec("cat", 1.0), 0)
 	if len(ms) != 1 || ms[0].User != "bob" {
-		t.Errorf("Remove left stale match: %+v", ms)
+		t.Errorf("the dropped vector still matches: %+v", ms)
+	}
+	if ms := ix.Match(vec("dog", 1.0), 0); len(ms) != 1 || ms[0].User != "alice" || ms[0].Vector != 1 {
+		t.Errorf("the vector beside the dropped one: %+v, want alice's vector 1", ms)
 	}
 	ix.RemoveUser("alice")
 	if got := ix.Match(vec("dog", 1.0), 0); len(got) != 0 {
 		t.Errorf("RemoveUser left matches: %+v", got)
 	}
+	// Removing the unknown is a no-op.
+	ix.SetUser("nobody", nil)
+	ix.RemoveUser("nobody")
 	if st := ix.Size(); st.Users != 1 || st.Vectors != 1 {
 		t.Errorf("Size = %+v", st)
 	}
-	// Removing the unknown is a no-op.
-	ix.Remove("nobody", 3)
-	ix.RemoveUser("nobody")
 }
 
 func TestSetUser(t *testing.T) {
@@ -133,6 +129,9 @@ func TestSetUser(t *testing.T) {
 	}
 	if got := ix.Match(vec("stock", 1.0), 0); len(got) != 1 {
 		t.Errorf("SetUser vectors missing: %+v", got)
+	}
+	if st := ix.Size(); st.Vectors != 1 || st.Users != 1 || st.Postings != 1 {
+		t.Errorf("Size after the replacement = %+v", st)
 	}
 }
 
@@ -159,10 +158,9 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 		user := fmt.Sprintf("u%02d", u)
 		n := 1 + rng.Intn(4)
 		for v := 0; v < n; v++ {
-			pv := randVec()
-			profiles[user] = append(profiles[user], pv)
-			ix.Upsert(user, v, pv)
+			profiles[user] = append(profiles[user], randVec())
 		}
+		ix.SetUser(user, profiles[user])
 	}
 	for trial := 0; trial < 50; trial++ {
 		doc := randVec()
@@ -201,8 +199,10 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			user := fmt.Sprintf("user%d", g)
+			var vecs [3]vsm.Vector
 			for i := 0; i < 200; i++ {
-				ix.Upsert(user, i%3, vec("cat", 1.0, fmt.Sprintf("t%d", i%7), 0.5))
+				vecs[i%3] = vec("cat", 1.0, fmt.Sprintf("t%d", i%7), 0.5)
+				ix.SetUser(user, vecs[:])
 				ix.Match(vec("cat", 1.0), 0.1)
 				if i%50 == 0 {
 					ix.Size()
@@ -218,8 +218,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestPostingCleanup(t *testing.T) {
 	ix := New()
-	ix.Upsert("a", 0, vec("unique", 1.0))
-	ix.Remove("a", 0)
+	ix.SetUser("a", []vsm.Vector{vec("unique", 1.0)})
+	ix.SetUser("a", nil)
 	if st := ix.Size(); st.Terms != 0 || st.Postings != 0 {
 		t.Errorf("postings leaked: %+v", st)
 	}
@@ -229,8 +229,8 @@ func TestPostingCleanup(t *testing.T) {
 // +Inf once narrowed. When the 64th such posting of a term made its list
 // rebuild, requantize used to look for a scale with 255·scale ≥ +Inf, one
 // ulp at a time, for ever, holding the shard's write lock. The decoders now
-// refuse such weights, but SetUser, SetPacked and Upsert are exported: they
-// must return whatever they are given, and Match must still answer.
+// refuse such weights, but SetUser and SetPacked are exported: they must
+// return whatever they are given, and Match must still answer.
 func TestWeightsBeyondFloat32DoNotHang(t *testing.T) {
 	huge := math.Float64frombits(0x4800000000000000) // 6.8e38
 	for name, w := range map[string]float64{"huge": huge, "-huge": -huge, "+Inf": math.Inf(1), "NaN": math.NaN()} {
@@ -239,13 +239,10 @@ func TestWeightsBeyondFloat32DoNotHang(t *testing.T) {
 			ix := New()
 			hostile := vsm.Vector{Terms: []string{"hostile~" + name, "shared"}, Weights: []float64{w, 0.5}}
 			for u := 0; u < 2*blockSize+1; u++ {
-				switch u % 3 {
-				case 0:
+				if u%2 == 0 {
 					ix.SetUser(fmt.Sprintf("u%d", u), []vsm.Vector{hostile})
-				case 1:
+				} else {
 					ix.SetPacked(fmt.Sprintf("u%d", u), []vsm.Packed{vsm.Pack(hostile)})
-				default:
-					ix.Upsert(fmt.Sprintf("u%d", u), 0, hostile)
 				}
 			}
 			ix.SetUser("honest", []vsm.Vector{vec("shared", 1.0)})

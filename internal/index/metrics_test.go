@@ -63,11 +63,13 @@ func TestCompactSkipsCleanShards(t *testing.T) {
 	ix := New()
 	ix.Instrument(reg)
 
-	for i := 0; i < 8; i++ {
-		ix.Upsert("keeper", i, vec("kept-term", 1.0))
+	keeper := make([]vsm.Vector, 8)
+	for i := range keeper {
+		keeper[i] = vec("kept-term", 1.0)
 	}
-	ix.Upsert("victim", 0, vec("doomed-term", 1.0))
-	ix.Remove("victim", 0)
+	ix.SetUser("keeper", keeper)
+	ix.SetUser("victim", []vsm.Vector{vec("doomed-term", 1.0)})
+	ix.SetUser("victim", nil)
 
 	ix.Compact()
 	if got := reg.Snapshot()["mm_index_compactions_total"].(int64); got != 1 {

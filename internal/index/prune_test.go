@@ -41,10 +41,9 @@ func prunePopulation(rng *rand.Rand, nUsers, vocab int) (*Index, map[string][]vs
 		user := fmt.Sprintf("u%04d", u)
 		n := 1 + rng.Intn(3)
 		for v := 0; v < n; v++ {
-			pv := randVec()
-			profiles[user] = append(profiles[user], pv)
-			ix.Upsert(user, v, pv)
+			profiles[user] = append(profiles[user], randVec())
 		}
+		ix.SetUser(user, profiles[user])
 	}
 	return ix, profiles
 }
@@ -94,7 +93,7 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 	// stresses the shared per-term scale.
 	for i := 0; i < 200; i++ {
 		w := math.Pow(10, -4*rng.Float64())
-		ix.Upsert(fmt.Sprintf("adv%03d", i), 0, vec("t000", w, "t001", 1-w))
+		ix.SetUser(fmt.Sprintf("adv%03d", i), []vsm.Vector{vec("t000", w, "t001", 1-w)})
 	}
 	checked := 0
 	for si := range ix.shards {

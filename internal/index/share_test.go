@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,6 +209,51 @@ func TestSetPackedKeepsTheSlicesItIsHandedAgain(t *testing.T) {
 	}
 }
 
+// TestDroppedVectorTombstonesAndItsSlotWaitsForCompaction: when the next
+// set lacks one vector of three, the other two stay in the entry slots they
+// had, the dropped one's postings are tombstoned where they lie, and its
+// slot is handed out again only once a compaction has swept them — until
+// then a stale posting could still score onto it.
+func TestDroppedVectorTombstonesAndItsSlotWaitsForCompaction(t *testing.T) {
+	ix := New()
+	slotsOf := func(user string) []uint32 {
+		ix.mu.RLock()
+		defer ix.mu.RUnlock()
+		return slices.Clone(ix.byUser[user].slots)
+	}
+	a, b, c := vsm.Pack(vec("cat", 1.0)), vsm.Pack(vec("stock", 1.0)), vsm.Pack(vec("rain", 1.0))
+	ix.SetPacked("u", []vsm.Packed{a, b, c})
+	before := slotsOf("u")
+	ix.SetPacked("u", []vsm.Packed{a, c})
+	if after := slotsOf("u"); !slices.Equal(after, []uint32{before[0], before[2]}) {
+		t.Fatalf("entry slots %v → %v: a and c should have kept theirs", before, after)
+	}
+	stale := func() (n int) {
+		for si := range ix.shards {
+			n += ix.shards[si].stale
+		}
+		return n
+	}
+	if stale() != 1 || ix.dying[before[1]] != 1 || len(ix.freeEnt) != 0 {
+		t.Fatalf("after the drop: %d stale postings, dying %v, free %v; want b's one posting stale and its slot dying", stale(), ix.dying, ix.freeEnt)
+	}
+	ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("snow", 1.0))})
+	if got := slotsOf("v"); got[0] == before[1] {
+		t.Fatalf("v took slot %d while b's posting still points at it", got[0])
+	}
+	ix.Compact()
+	if stale() != 0 || len(ix.dying) != 0 || !slices.Equal(ix.freeEnt, []uint32{before[1]}) {
+		t.Fatalf("after Compact: %d stale postings, dying %v, free %v; want b's slot free", stale(), ix.dying, ix.freeEnt)
+	}
+	ix.SetPacked("w", []vsm.Packed{vsm.Pack(vec("hail", 1.0))})
+	if got := slotsOf("w"); got[0] != before[1] {
+		t.Errorf("w took slot %d, want the recycled %d", got[0], before[1])
+	}
+	if ms := ix.Match(vec("stock", 1.0), 0); len(ms) != 0 {
+		t.Errorf("b still matches: %+v", ms)
+	}
+}
+
 // TestCommitRevalidatesKeptSlots drives the write path's steps by hand to
 // put another writer between keep and commit — the index does not serialise
 // writers per user, the broker does. A kept slot that was retired in
@@ -236,18 +282,18 @@ func TestCommitRevalidatesKeptSlots(t *testing.T) {
 			ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("cat", 1.0)), vsm.Pack(vec("dog", 1.0))})
 		}
 		before := ix.Size()
-		lost := ix.commit("u", svs, kept, true)
+		lost := ix.commit("u", svs, kept)
 		if lost != wantLost {
 			t.Fatalf("%s: commit lost %d kept slots, want %d", between, lost, wantLost)
 		}
 		if after := ix.Size(); after != before {
 			t.Fatalf("%s: a refused commit changed the index: %+v → %+v", between, before, after)
 		}
-		// What install does next.
+		// What SetPacked does next.
 		fresh := svs[kept-lost : kept]
 		ix.stage("u", fresh)
 		ix.insertPostings(fresh)
-		if lost := ix.commit("u", svs, kept-lost, true); lost != 0 {
+		if lost := ix.commit("u", svs, kept-lost); lost != 0 {
 			t.Fatalf("%s: second commit lost %d", between, lost)
 		}
 		oracle := New()

@@ -147,7 +147,7 @@ func TestConcurrentStress(t *testing.T) {
 					}
 					state[user] = vecs
 					ix.SetUser(user, vecs)
-				case 1: // Upsert one slot
+				case 1: // one vector replaced, or added past the end
 					pv := randUnitVec(rng, vocab, 0.3)
 					slot := rng.Intn(3)
 					cur := append([]vsm.Vector(nil), state[user]...)
@@ -156,15 +156,15 @@ func TestConcurrentStress(t *testing.T) {
 					}
 					cur[slot] = pv
 					state[user] = cur
-					ix.Upsert(user, slot, pv)
-				case 2: // Remove one slot
+					ix.SetUser(user, cur)
+				case 2: // one vector dropped, the others keep their numbers
 					slot := rng.Intn(3)
 					if cur := state[user]; slot < len(cur) {
 						cur = append([]vsm.Vector(nil), cur...)
 						cur[slot] = vsm.Vector{}
 						state[user] = cur
 					}
-					ix.Remove(user, slot)
+					ix.SetUser(user, state[user])
 				case 3:
 					delete(state, user)
 					ix.RemoveUser(user)

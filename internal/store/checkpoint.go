@@ -110,13 +110,13 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		if ln.failed != nil {
 			return st, fmt.Errorf("store: lane %d: %w", ln.id, ln.failed)
 		}
-		if len(ln.dirty) == 0 {
+		if len(ln.walIdx) == 0 {
 			st.Clean++
 			ln.mu.Unlock()
 			locked = locked[:len(locked)-1]
 			continue
 		}
-		if len(ln.dirty) < minDirty {
+		if len(ln.walIdx) < minDirty {
 			st.Skipped++
 			s.m.ckptLanesSkipped.Inc()
 			ln.mu.Unlock()
@@ -203,6 +203,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		// just wrote (openLaneWAL below starts the new WAL's index), and the
 		// read handles go before cleanStrays removes what they name.
 		ln.closeReaders()
+		compacted := len(ln.walIdx)
 		ln.gen, ln.segIdx = fl.gen, fl.idx
 		ln.wal = nil
 		if err := s.openLaneWAL(ln); err != nil {
@@ -214,8 +215,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 			continue
 		}
 		old.Close()
-		s.m.dirtyProfiles.Add(-float64(len(ln.dirty)))
-		ln.dirty = make(map[string]struct{})
+		s.m.dirtyProfiles.Add(-float64(compacted))
 		st.Rewritten++
 		s.m.ckptLanesRewritten.Inc()
 	}

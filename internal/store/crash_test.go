@@ -14,6 +14,7 @@ package store
 // rename), and the group-commit ack semantics all at once.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
+	"mmprofile/internal/metrics"
 	"mmprofile/internal/vsm"
 )
 
@@ -460,5 +462,161 @@ func TestOpenRefusesPreManifestLayout(t *testing.T) {
 				t.Errorf("%s after the refused opens = %q, %v", path, got, err)
 			}
 		}
+	}
+}
+
+// TestCheckpointAfterRecoveryCompactsTheTail: a WAL tail the store
+// recovered at Open is as dirty as one it appended itself. After a power
+// cut, and after a Close that took no checkpoint, the reopened store's
+// dirty gauge counts the recovered users, agreeing with what mmstore lanes
+// reads off the files; one Checkpoint(1) rewrites exactly the lanes the
+// tail touched; after it those users hydrate from their segment record
+// alone; and the compacted state is the pre-crash learners byte for byte.
+func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
+	const lanes = 4
+	touchedLanes := map[int]bool{0: true, 2: true}
+	for _, how := range []string{"power cut", "close"} {
+		t.Run(how, func(t *testing.T) {
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim := faultfs.NewSim()
+			s, err := Open("/state", Options{FS: sim, Lanes: lanes, Durable: true})
+			must(err)
+			live := map[string]filter.Learner{}
+			subscribe := func(user string) {
+				live[user] = core.NewDefault()
+				must(s.AppendSubscribe(user, "MM", nil))
+			}
+			feedback := func(user string, i int) {
+				live[user].Observe(fbVec(i), filter.Relevant)
+				must(s.AppendFeedback(user, fbVec(i), filter.Relevant))
+			}
+			// Three users a lane, all in segments; then a tail over two of
+			// the lanes: feedback for two users of each, one user who leaves,
+			// one who arrives.
+			byLane := make([][]string, lanes)
+			for i := 0; len(live) < 3*lanes; i++ {
+				user := fmt.Sprintf("user-%02d", i)
+				if id := s.laneFor(user).id; len(byLane[id]) < 3 {
+					byLane[id] = append(byLane[id], user)
+					subscribe(user)
+					feedback(user, i)
+				}
+			}
+			_, err = s.Checkpoint(1)
+			must(err)
+			tail := map[string]bool{}
+			for id := range touchedLanes {
+				for _, user := range byLane[id][:2] {
+					feedback(user, 100+id)
+					feedback(user, 200+id)
+					tail[user] = true
+				}
+			}
+			gone := byLane[0][2]
+			must(s.AppendUnsubscribe(gone))
+			delete(live, gone)
+			tail[gone] = true
+			for i := 0; ; i++ {
+				if late := fmt.Sprintf("late-%02d", i); s.laneFor(late).id == 2 {
+					subscribe(late)
+					feedback(late, 300)
+					tail[late] = true
+					break
+				}
+			}
+			if how == "close" {
+				must(s.Close())
+			}
+			sim.Reboot()
+
+			reg := metrics.NewRegistry()
+			s2, err := Open("/state", Options{FS: sim, Lanes: lanes, Metrics: reg})
+			must(err)
+			defer s2.Close()
+			dirtyGauge := func() int { return int(reg.Snapshot()["mm_store_dirty_profiles"].(float64)) }
+			readBytes := func() int64 { return reg.Snapshot()["mm_store_restore_read_bytes_total"].(int64) }
+			laneInfos := func() []LaneInfo {
+				t.Helper()
+				lis, err := s2.LaneInfos()
+				must(err)
+				return lis
+			}
+			before := laneInfos()
+			onDisk := 0
+			for _, li := range before {
+				onDisk += li.DirtyUsers
+				if (li.DirtyUsers > 0) != touchedLanes[li.Lane] {
+					t.Errorf("lane %d: %d dirty users on disk, the tail touched it: %v", li.Lane, li.DirtyUsers, touchedLanes[li.Lane])
+				}
+			}
+			if got := dirtyGauge(); got != len(tail) || got != onDisk {
+				t.Fatalf("after recovery mm_store_dirty_profiles = %d, LaneInfos count %d, the tail holds %d users", got, onDisk, len(tail))
+			}
+			hydrate := func(user string) (read, segRecord int64) {
+				t.Helper()
+				at := readBytes()
+				l, found, err := s2.RestoreUser(user)
+				if err != nil || !found || !bytes.Equal(marshal(t, l), marshal(t, live[user])) {
+					t.Fatalf("RestoreUser(%q): found=%v err=%v, or not the learner that lived through the events", user, found, err)
+				}
+				return readBytes() - at, 8 + int64(s2.laneFor(user).segIdx[user].n)
+			}
+			for user := range tail {
+				if user == gone {
+					continue
+				}
+				if read, seg := hydrate(user); read <= seg {
+					t.Errorf("%s before the checkpoint: read %d bytes, its segment record is %d: the tail was not read", user, read, seg)
+				}
+			}
+
+			st, err := s2.Checkpoint(1)
+			must(err)
+			if st.Rewritten != len(touchedLanes) || st.Clean != lanes-len(touchedLanes) || st.Skipped != 0 {
+				t.Fatalf("Checkpoint(1) after recovery = %+v, want %d lanes rewritten and %d clean", st, len(touchedLanes), lanes-len(touchedLanes))
+			}
+			if got := dirtyGauge(); got != 0 {
+				t.Errorf("mm_store_dirty_profiles = %d after the checkpoint", got)
+			}
+			for i, li := range laneInfos() {
+				wantGen := before[i].Gen
+				if touchedLanes[li.Lane] {
+					wantGen++
+				}
+				if li.DirtyUsers != 0 || li.Gen != wantGen {
+					t.Errorf("lane %d after the checkpoint: gen %d dirty %d, want gen %d and nothing dirty", li.Lane, li.Gen, li.DirtyUsers, wantGen)
+				}
+			}
+			for user := range tail {
+				if user == gone {
+					continue
+				}
+				if read, seg := hydrate(user); read != seg {
+					t.Errorf("%s after the checkpoint: read %d bytes, its segment record is %d", user, read, seg)
+				}
+			}
+			if _, found, err := s2.RestoreUser(gone); err != nil || found {
+				t.Errorf("RestoreUser(%q): found=%v err=%v, want an unsubscribed user", gone, found, err)
+			}
+			profiles, events, err := s2.Load()
+			if err != nil || len(events) != 0 {
+				t.Fatalf("Load after the checkpoint: %d events, %v", len(events), err)
+			}
+			restored, err := Restore(profiles, nil)
+			must(err)
+			if len(restored) != len(live) {
+				t.Fatalf("%d users restored, %d lived", len(restored), len(live))
+			}
+			for user, l := range live {
+				if r := restored[user]; r == nil || !bytes.Equal(marshal(t, r), marshal(t, l)) {
+					t.Errorf("%s: the compacted profile differs from the learner that lived through the events", user)
+				}
+			}
+		})
 	}
 }

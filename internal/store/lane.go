@@ -20,7 +20,7 @@ import (
 // one lane, so per-user event order survives the sharding even though
 // lanes append, fsync, and checkpoint independently: each lane owns its
 // WAL handle, committed byte length, torn-tail repair, write-path poison,
-// dirty-profile set, and durability watermark. Cross-lane coordination
+// offset index, and durability watermark. Cross-lane coordination
 // happens in exactly two places — the group-commit leader (Store.leadSync
 // fsyncs every lane with unacknowledged records in one pass) and the
 // checkpoint (one manifest rename commits all lane generations at once).
@@ -28,14 +28,13 @@ type lane struct {
 	id int
 
 	// mu guards the lane's write path: the WAL handle, the committed byte
-	// length, the record count, the dirty set, and the offset index.
+	// length, the record count, and the offset index.
 	mu     sync.Mutex
 	gen    uint64
 	wal    faultfs.File
-	walLen int64               // committed bytes in the current WAL (resets per generation)
-	recs   uint64              // records ever written to this lane (monotone across generations)
-	failed error               // sticky write-path failure; reopen repairs
-	dirty  map[string]struct{} // users with events in the current WAL generation
+	walLen int64  // committed bytes in the current WAL (resets per generation)
+	recs   uint64 // records ever written to this lane (monotone across generations)
+	failed error  // sticky write-path failure; reopen repairs
 
 	// Offset index (DESIGN.md §14): where each user's records sit in the
 	// current generation's files, so a cold profile costs index entries and
@@ -44,7 +43,9 @@ type lane struct {
 	// ReadOnly store on first use, as tolerant of a torn tail — and grows
 	// with every append. A checkpoint flip installs the offsets it wrote,
 	// starts an empty walIdx and closes the read handles, so nothing ever
-	// reads a removed generation.
+	// reads a removed generation. walIdx's keys are the lane's dirty users —
+	// those with events no segment holds yet — whether this process appended
+	// the events or recovered them: there is no other record of dirtiness.
 	rd     [2]faultfs.File // read handles, by segFile / walFile
 	segIdx map[string]segRef
 	walIdx map[string][]walRef
@@ -96,7 +97,7 @@ func (s *Store) laneFor(user string) *lane {
 func makeLanes(n int) []*lane {
 	lanes := make([]*lane, n)
 	for i := range lanes {
-		lanes[i] = &lane{id: i, dirty: make(map[string]struct{})}
+		lanes[i] = &lane{id: i}
 	}
 	return lanes
 }

@@ -231,12 +231,15 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	if !opts.ReadOnly {
 		s.cleanStrays()
+		recovered := 0
 		for _, ln := range s.lanes {
 			if err := s.openLaneWAL(ln); err != nil {
 				s.closeLaneHandles()
 				return nil, err
 			}
+			recovered += len(ln.walIdx)
 		}
+		s.m.dirtyProfiles.Set(float64(recovered))
 		// Persist the lanes' directory entries (file creations, and any
 		// torn-tail truncate's metadata) in one pass.
 		if err := fsys.SyncDir(dir); err != nil {
@@ -415,14 +418,14 @@ func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error
 		ws.End()
 		return err
 	}
-	ln.walIdx[user] = append(ln.walIdx[user], walRef{off: ln.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
+	refs := ln.walIdx[user]
+	if refs == nil {
+		s.m.dirtyProfiles.Add(1)
+	}
+	ln.walIdx[user] = append(refs, walRef{off: ln.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
 	ln.walLen += int64(len(payload)) + 8
 	ln.recs++
 	pos := ln.recs
-	if _, ok := ln.dirty[user]; !ok {
-		ln.dirty[user] = struct{}{}
-		s.m.dirtyProfiles.Add(1)
-	}
 	ln.mu.Unlock()
 	ws.SetInt("bytes", int64(len(payload))+8)
 	ws.End()

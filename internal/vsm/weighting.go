@@ -92,11 +92,6 @@ func (w Bel) Weight(term string, tf, docLen int) float64 {
 // counted, weighted by scheme w, the MaxDocumentTerms highest-weighted
 // terms kept, and the result scaled to unit length.
 func DocumentVector(terms []string, w Weighting) Vector {
-	return DocumentVectorK(terms, w, MaxDocumentTerms)
-}
-
-// DocumentVectorK is DocumentVector with an explicit term cap.
-func DocumentVectorK(terms []string, w Weighting, maxTerms int) Vector {
 	tf := make(map[string]int, len(terms))
 	for _, t := range terms {
 		tf[t]++
@@ -107,5 +102,5 @@ func DocumentVectorK(terms []string, w Weighting, maxTerms int) Vector {
 			weights[t] = wt
 		}
 	}
-	return FromMap(weights).Truncated(maxTerms).Normalized()
+	return FromMap(weights).Truncated(MaxDocumentTerms).Normalized()
 }
