@@ -3,10 +3,10 @@
 // publishes topic-tagged documents, and reconciles every session's
 // sequence state so that any delivery lost to queue overflow is observed —
 // received + dropped == next_seq per session, or the run exits nonzero.
-// With -addr pipe the harness runs the full wire.Server stack in-process
-// over net.Pipe connections, which is how 100k+ sessions fit under a 20k
-// file descriptor limit; any other -addr (host:port or unix:/path) drives
-// a real mmserver over sockets.
+// With -addr pipe the harness builds mmserver's server (internal/server)
+// in-process over net.Pipe connections, which is how 100k+ sessions fit
+// under a 20k file descriptor limit; any other -addr (host:port or
+// unix:/path) drives a real mmserver over sockets.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -13,7 +14,7 @@ import (
 	"time"
 
 	"mmprofile/internal/metrics"
-	"mmprofile/internal/pubsub"
+	"mmprofile/internal/server"
 	"mmprofile/internal/text"
 	"mmprofile/internal/wire"
 )
@@ -188,7 +189,7 @@ func runSessions(cfg sessionsConfig) {
 	// be the keys the server's subscriber_drops sketch ranks hottest, and
 	// every session's authoritative drop count must sit inside its sketch
 	// entry's [count−err, count] band (or below the sketch's error bound
-	// when untracked). Pipe mode reads the in-process broker's sketch
+	// when untracked). Pipe mode reads the in-process server's sketch
 	// directly; socket mode reads /topz via -status.
 	dropsFailed := reportDrops(cfg, states, localDrops)
 
@@ -320,27 +321,28 @@ func fetchDrops(addr string) (metrics.TopSnapshot, error) {
 }
 
 // transport builds the dial function for the configured address: "pipe"
-// runs the full wire.Server stack in-process and hands out net.Pipe
-// connections (no file descriptors, no ports — how 100k+ sessions fit on
-// one machine with a 20k fd limit); anything else dials a real server.
-// In pipe mode, drops reads the in-process broker's subscriber_drops
-// sketch for the post-run attribution cross-check; over sockets it is nil
-// and the cross-check goes through -status instead.
+// builds mmserver's server (internal/server) in-process and hands it net.Pipe
+// connections (no fds, no ports — how 100k+ sessions fit under a 20k fd
+// limit); anything else dials a real server. In pipe mode, drops reads that
+// server's subscriber_drops sketch for the attribution cross-check; over
+// sockets it is nil and the cross-check goes through -status instead.
 func transport(cfg sessionsConfig) (dial func() (*wire.Client, error), shutdown func(), drops func() (metrics.TopSnapshot, bool)) {
 	if cfg.addr != "pipe" {
 		return func() (*wire.Client, error) { return wire.Dial(cfg.addr) }, func() {}, nil
 	}
-	broker := pubsub.New(pubsub.Options{QueueSize: cfg.queue})
-	srv := wire.NewServer(broker, func(string, ...any) {})
+	srv, err := server.New(server.Config{Queue: cfg.queue}, server.Seams{Log: io.Discard})
+	if err != nil {
+		fail(err)
+	}
 	dial = func() (*wire.Client, error) {
 		local, remote := net.Pipe()
 		srv.ServeConn(remote)
 		return wire.NewClient(local), nil
 	}
 	drops = func() (metrics.TopSnapshot, bool) {
-		return broker.Metrics().Top("subscriber_drops", 0)
+		return srv.Registry().Top("subscriber_drops", 0)
 	}
-	return dial, func() { srv.Close() }, drops
+	return dial, srv.Stop, drops
 }
 
 // parallelFor runs fn(0..n-1) on up to workers goroutines and returns the

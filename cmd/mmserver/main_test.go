@@ -3,47 +3,40 @@ package main
 import (
 	"cmp"
 	"flag"
-	"path/filepath"
+	"io"
 	"slices"
 	"testing"
 	"time"
 
 	"mmprofile/internal/metrics"
-	"mmprofile/internal/obs"
-	"mmprofile/internal/pubsub"
-	"mmprofile/internal/store"
-	"mmprofile/internal/wire"
+	"mmprofile/internal/server"
 )
 
 // parse runs the config's flag surface over args, as main does.
-func parse(t *testing.T, args ...string) config {
+func parse(t *testing.T, args ...string) server.Config {
 	t.Helper()
 	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)
-	var cfg config
-	cfg.register(fs)
+	var cfg server.Config
+	cfg.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	return cfg
 }
 
-// TestConfigDefaults checks the zero-flag configuration: no tracer (the
-// publish hot path stays untraced), no durability, paper-default threshold.
+// TestConfigDefaults checks the zero-flag configuration: paper-default
+// threshold, no tracing (the publish hot path stays untraced), no durability.
+// What the server makes of each field is internal/server's TestConfigOptions.
 func TestConfigDefaults(t *testing.T) {
 	cfg := parse(t)
-	if cfg.threshold != 0.25 || cfg.queue != 128 || cfg.retention != 4096 {
+	if cfg.Threshold != 0.25 || cfg.Queue != 128 || cfg.Retention != 4096 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	if cfg.tracer() != nil {
-		t.Error("tracing enabled without trace flags")
+	if cfg.TraceSample != 0 || cfg.TraceSlow != 0 {
+		t.Errorf("tracing on without trace flags: %+v", cfg)
 	}
-	opts := cfg.brokerOptions(nil)
-	if opts.Trace != nil {
-		t.Error("broker options carry a tracer without trace flags")
-	}
-	st := cfg.storeOptions(nil)
-	if st.Durable || st.SyncInterval != 0 {
-		t.Errorf("store options = %+v", st)
+	if cfg.Fsync || cfg.SyncEvery != 0 {
+		t.Errorf("durability on without its flags: %+v", cfg)
 	}
 }
 
@@ -59,7 +52,7 @@ func TestFlagSurface(t *testing.T) {
 		"sync-interval", "threshold", "trace-sample", "trace-slow",
 	}
 	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)
-	new(config).register(fs)
+	new(server.Config).Register(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // sorted by name
 	if !slices.Equal(got, want) {
@@ -67,9 +60,9 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// TestInstrumentSurface pins the exact (name, kind) list mmserver's wiring
-// registers — store family, broker + index, store lanes, wire server,
-// runtime sampler, trace gauges — in the order main makes those calls.
+// TestInstrumentSurface pins the exact (name, kind) list a server built
+// with -state and tracing registers — store family, broker + index, store
+// lanes, wire server, runtime sampler, trace gauges.
 // Every series is a thing to document, scrape and keep working: a new one
 // edits this table; one that disappears fails here first. Kinds are read
 // off the Snapshot value types, which Registry.Snapshot documents.
@@ -154,22 +147,14 @@ func TestInstrumentSurface(t *testing.T) {
 		{"term_postings_scanned", "topk"},
 	}
 
-	cfg := parse(t, "-trace-sample", "1")
-	reg := metrics.NewRegistry()
-	store.RegisterMetrics(reg)
-	st, err := store.Open(t.TempDir(), cfg.storeOptions(reg))
+	srv, err := server.New(parse(t, "-trace-sample", "1", "-state", t.TempDir()), server.Seams{Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	broker := pubsub.New(cfg.brokerOptions(reg))
-	wire.NewServerLogger(broker, nil)
-	sampler := obs.StartRuntimeSampler(reg, time.Hour, nil)
-	defer sampler.Stop()
-	registerTraceGauges(reg, broker.Tracer())
+	defer srv.Stop()
 
 	var got [][2]string
-	for name, v := range reg.Snapshot() {
+	for name, v := range srv.Registry().Snapshot() {
 		kind := "?"
 		switch v.(type) {
 		case int64:
@@ -189,107 +174,71 @@ func TestInstrumentSurface(t *testing.T) {
 	}
 }
 
-// TestConfigTraceFlags checks -trace-sample / -trace-slow build an enabled
-// tracer and wire it into the broker options.
+// TestConfigTraceFlags checks -trace-sample / -trace-slow land in the
+// configuration, each alone.
 func TestConfigTraceFlags(t *testing.T) {
 	cfg := parse(t, "-trace-sample", "0.5", "-trace-slow", "50ms")
-	tr := cfg.tracer()
-	if tr == nil || !tr.Enabled() {
-		t.Fatal("trace flags did not enable tracing")
+	if cfg.TraceSample != 0.5 || cfg.TraceSlow != 50*time.Millisecond {
+		t.Errorf("trace flags = %v %v", cfg.TraceSample, cfg.TraceSlow)
 	}
-	snap := tr.Snapshot()
-	if snap.SampleEvery != 2 {
-		t.Errorf("sample 0.5 → every %d, want 2", snap.SampleEvery)
+	if cfg := parse(t, "-trace-sample", "1"); cfg.TraceSample != 1 || cfg.TraceSlow != 0 {
+		t.Errorf("-trace-sample alone = %v %v", cfg.TraceSample, cfg.TraceSlow)
 	}
-	if snap.SlowThresholdMS != 50 {
-		t.Errorf("slow threshold = %vms, want 50", snap.SlowThresholdMS)
-	}
-	if cfg.brokerOptions(nil).Trace == nil {
-		t.Error("broker options did not receive the tracer")
-	}
-
-	// Each flag alone is sufficient.
-	sampleOnly := parse(t, "-trace-sample", "1")
-	if sampleOnly.tracer() == nil {
-		t.Error("-trace-sample alone did not enable tracing")
-	}
-	slowOnly := parse(t, "-trace-slow", "1ms")
-	if slowOnly.tracer() == nil {
-		t.Error("-trace-slow alone did not enable tracing")
+	if cfg := parse(t, "-trace-slow", "1ms"); cfg.TraceSample != 0 || cfg.TraceSlow != time.Millisecond {
+		t.Errorf("-trace-slow alone = %v %v", cfg.TraceSample, cfg.TraceSlow)
 	}
 }
 
-// TestConfigLogFlags checks the -log-format / -log-level surface: defaults
-// build a text logger at info, explicit flags are honored, and bad values
-// error instead of silently logging wrong.
+// TestConfigLogFlags checks the -log-format / -log-level surface: text at
+// info by default, explicit flags honored, and bad values refused by New
+// before it opens anything instead of silently logging wrong.
 func TestConfigLogFlags(t *testing.T) {
 	cfg := parse(t)
-	if cfg.logFormat != "text" || cfg.logLevel != "info" {
-		t.Errorf("log defaults = %q %q", cfg.logFormat, cfg.logLevel)
+	if cfg.LogFormat != "text" || cfg.LogLevel != "info" {
+		t.Errorf("log defaults = %q %q", cfg.LogFormat, cfg.LogLevel)
 	}
-	lg, err := cfg.logger(nil)
-	if err != nil || lg == nil {
-		t.Fatalf("default logger: %v", err)
-	}
-	if lg.Enabled(obs.LevelDebug) || !lg.Enabled(obs.LevelInfo) {
-		t.Error("default logger is not at info level")
-	}
-
 	cfg = parse(t, "-log-format", "json", "-log-level", "debug")
-	lg, err = cfg.logger(nil)
-	if err != nil {
-		t.Fatal(err)
+	if cfg.LogFormat != "json" || cfg.LogLevel != "debug" {
+		t.Errorf("log flags = %q %q", cfg.LogFormat, cfg.LogLevel)
 	}
-	if !lg.Enabled(obs.LevelDebug) {
-		t.Error("-log-level debug did not lower the threshold")
-	}
-
-	badLevel := parse(t, "-log-level", "verbose")
-	if _, err := badLevel.logger(nil); err == nil {
-		t.Error("bad -log-level did not error")
-	}
-	badFormat := parse(t, "-log-format", "xml")
-	if _, err := badFormat.logger(nil); err == nil {
-		t.Error("bad -log-format did not error")
+	for _, bad := range [][]string{{"-log-level", "verbose"}, {"-log-format", "xml"}} {
+		if _, err := server.New(parse(t, bad...), server.Seams{Log: io.Discard}); err == nil {
+			t.Errorf("%v did not error", bad)
+		}
 	}
 }
 
 // TestConfigObsFlags pins the flight-recorder flag surface.
 func TestConfigObsFlags(t *testing.T) {
 	cfg := parse(t)
-	if cfg.dumpDir != "" || cfg.matchSLO != 0 {
-		t.Errorf("obs defaults = %q %v", cfg.dumpDir, cfg.matchSLO)
+	if cfg.DumpDir != "" || cfg.MatchSLO != 0 {
+		t.Errorf("obs defaults = %q %v", cfg.DumpDir, cfg.MatchSLO)
 	}
 	cfg = parse(t, "-dump-dir", "/tmp/bundles", "-match-slo", "25ms")
-	if cfg.dumpDir != "/tmp/bundles" || cfg.matchSLO != 25*time.Millisecond {
-		t.Errorf("obs flags = %q %v", cfg.dumpDir, cfg.matchSLO)
+	if cfg.DumpDir != "/tmp/bundles" || cfg.MatchSLO != 25*time.Millisecond {
+		t.Errorf("obs flags = %q %v", cfg.DumpDir, cfg.MatchSLO)
 	}
 }
 
-// TestResolveDumpDir checks the dump-directory fallback chain: explicit
-// flag beats the state dir, which beats the OS temp dir.
-func TestResolveDumpDir(t *testing.T) {
-	if got := resolveDumpDir("/explicit", "/state"); got != "/explicit" {
-		t.Errorf("explicit flag → %q", got)
-	}
-	if got := resolveDumpDir("", "/state"); got != filepath.Join("/state", "dumps") {
-		t.Errorf("state fallback → %q", got)
-	}
-	got := resolveDumpDir("", "")
-	if got == "" || filepath.Base(got) != "mmserver-dumps" {
-		t.Errorf("temp fallback → %q", got)
-	}
-}
-
-// TestConfigDurabilityFlags pins the -fsync / -sync-interval translation
-// the trace flags ride alongside.
+// TestConfigDurabilityFlags pins the -fsync / -sync-interval flags.
 func TestConfigDurabilityFlags(t *testing.T) {
-	cfg := parse(t, "-fsync")
-	if st := cfg.storeOptions(nil); !st.Durable {
-		t.Error("-fsync did not set Durable")
+	if cfg := parse(t, "-fsync"); !cfg.Fsync {
+		t.Error("-fsync did not set Fsync")
 	}
-	cfg = parse(t, "-sync-interval", "2s")
-	if st := cfg.storeOptions(nil); st.Durable || st.SyncInterval != 2*time.Second {
-		t.Errorf("-sync-interval 2s → %+v", st)
+	if cfg := parse(t, "-sync-interval", "2s"); cfg.Fsync || cfg.SyncEvery != 2*time.Second {
+		t.Errorf("-sync-interval 2s → %+v", cfg)
+	}
+}
+
+// TestConfigAttributionFlags pins the eviction flags: the policy defaults
+// to off.
+func TestConfigAttributionFlags(t *testing.T) {
+	cfg := parse(t)
+	if cfg.EvictRate != 0 || cfg.EvictWins != 3 {
+		t.Errorf("attribution defaults = %v %d", cfg.EvictRate, cfg.EvictWins)
+	}
+	cfg = parse(t, "-evict-drop-rate", "12.5", "-evict-windows", "5")
+	if cfg.EvictRate != 12.5 || cfg.EvictWins != 5 {
+		t.Errorf("eviction flags = %v %d", cfg.EvictRate, cfg.EvictWins)
 	}
 }

@@ -1,94 +1,65 @@
-// End-to-end integration tests: the full system assembled the way the
-// binaries assemble it — broker + persistence + TCP protocol — exercised
-// through real sockets and real state directories.
+// End-to-end integration tests: the server mmserver runs (internal/server)
+// with persistence, exercised through real sockets and real state
+// directories.
 package mmprofile_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"mmprofile/internal/pubsub"
-	"mmprofile/internal/store"
+	"mmprofile/internal/server"
 	"mmprofile/internal/wire"
 )
 
-// startStack boots a broker (optionally durable in dir) and a wire server
-// on a loopback socket, returning a connected client and a shutdown func.
-// maxResident > 0 bounds resident profiles the way mmserver's
-// -max-resident-profiles does: restored users boot as evicted stubs and
-// hydrate from the store on first use.
-func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()) {
+// newServer builds a silent server from cfg.
+func newServer(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
-	opts := pubsub.Options{Threshold: 0.2, QueueSize: 64, RetainContent: true}
-	var st *store.Store
-	if dir != "" {
-		var err error
-		st, err = store.Open(dir, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Journal = st
-		opts.Hydrator = st
-		opts.MaxResident = maxResident
+	srv, err := server.New(cfg, server.Seams{Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
 	}
-	broker := pubsub.New(opts)
-	srv := wire.NewServer(broker, func(string, ...any) {})
+	return srv
+}
 
-	// Registering with the broker is all the wire server needs: it resolves
-	// every user through the broker's registry.
-	if st != nil {
-		if maxResident > 0 {
-			users, err := st.RestoredUsers()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, user := range users {
-				if _, err := broker.SubscribeRestored(user, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			profiles, events, err := st.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			learners, err := store.Restore(profiles, events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for user, l := range learners {
-				if _, err := broker.SubscribeRestored(user, l); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-
+// serve runs srv on a loopback socket and returns its address and a
+// shutdown func (Stop, then Serve's return).
+func serve(t *testing.T, srv *server.Server) (string, func()) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		srv.Stop()
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(lis)
-	}()
-	c, err := wire.Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shutdown := func() {
-		c.Close()
-		srv.Close()
-		<-done
-		if st != nil {
-			st.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(lis) }()
+	return lis.Addr().String(), func() {
+		srv.Stop()
+		if err := <-done; !errors.Is(err, net.ErrClosed) {
+			t.Errorf("serve: %v", err)
 		}
 	}
-	return c, shutdown
+}
+
+// startStack boots a server (durable in dir, when given) and returns a
+// connected client and a shutdown func. maxResident > 0 is mmserver's
+// -max-resident-profiles: restored users boot as evicted stubs and hydrate
+// from the store on first use.
+func startStack(t *testing.T, dir string, maxResident int) (*wire.Client, func()) {
+	t.Helper()
+	addr, stop := serve(t, newServer(t, server.Config{
+		Threshold: 0.2, Queue: 64, RetainBody: true, StateDir: dir, MaxResident: maxResident,
+	}))
+	c, err := wire.Dial(addr)
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	return c, func() { c.Close(); stop() }
 }
 
 const integPage = "<html><head><title>t</title></head><body>cats and kittens and cat toys</body></html>"

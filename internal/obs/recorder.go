@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	mm "mmprofile/internal/metrics"
@@ -41,15 +40,12 @@ type Recorder struct {
 	dir  string
 	ring *EventRing
 	src  BundleSources
-
-	mu   sync.Mutex
-	last map[string]time.Time // reason → last dump, for cooldowns
 }
 
 // NewRecorder builds a recorder writing bundles under dir (created on
 // first dump).
 func NewRecorder(dir string, ring *EventRing, src BundleSources) *Recorder {
-	return &Recorder{dir: dir, ring: ring, src: src, last: make(map[string]time.Time)}
+	return &Recorder{dir: dir, ring: ring, src: src}
 }
 
 // Dir returns the bundle directory.
@@ -163,32 +159,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		d.Sync()
 		d.Close()
 	}
-	r.mu.Lock()
-	r.last[reason] = now
-	r.mu.Unlock()
 	return final, nil
-}
-
-// DumpCooldown dumps unless a bundle for the same reason was written
-// within cooldown; skipped=true means the trigger fired but was
-// rate-limited (the watermark trigger fires every sampler tick while p99
-// stays over SLO — one bundle a minute is evidence, sixty are a disk
-// filler).
-func (r *Recorder) DumpCooldown(reason string, cooldown time.Duration) (path string, skipped bool, err error) {
-	if r == nil {
-		return "", false, fmt.Errorf("obs: no recorder configured")
-	}
-	r.mu.Lock()
-	if t, ok := r.last[reason]; ok && time.Since(t) < cooldown {
-		r.mu.Unlock()
-		return "", true, nil
-	}
-	// Reserve the slot before the (slow) dump so concurrent triggers
-	// for the same reason collapse to one bundle.
-	r.last[reason] = time.Now()
-	r.mu.Unlock()
-	path, err = r.Dump(reason)
-	return path, false, err
 }
 
 // RecoverRepanic is deferred at the top of request handlers and main:

@@ -150,28 +150,6 @@ func TestDumpWithoutSourcesStillComplete(t *testing.T) {
 	}
 }
 
-func TestDumpCooldown(t *testing.T) {
-	rec, _ := fullRecorder(t)
-	p1, skipped, err := rec.DumpCooldown("match_slo", time.Hour)
-	if err != nil || skipped || p1 == "" {
-		t.Fatalf("first dump: path=%q skipped=%v err=%v", p1, skipped, err)
-	}
-	p2, skipped, err := rec.DumpCooldown("match_slo", time.Hour)
-	if err != nil || !skipped || p2 != "" {
-		t.Fatalf("second dump within cooldown: path=%q skipped=%v err=%v", p2, skipped, err)
-	}
-	// Different reasons have independent cooldowns.
-	p3, skipped, err := rec.DumpCooldown("sigquit", time.Hour)
-	if err != nil || skipped || p3 == "" {
-		t.Fatalf("other-reason dump: path=%q skipped=%v err=%v", p3, skipped, err)
-	}
-	// Zero cooldown never skips.
-	p4, skipped, err := rec.DumpCooldown("match_slo", 0)
-	if err != nil || skipped || p4 == "" {
-		t.Fatalf("zero-cooldown dump: path=%q skipped=%v err=%v", p4, skipped, err)
-	}
-}
-
 func TestRecoverRepanicWritesBundleAndPreservesValue(t *testing.T) {
 	rec, ring := fullRecorder(t)
 	func() {
@@ -228,9 +206,6 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	if _, err := r.Dump("x"); err == nil {
 		t.Error("nil recorder Dump succeeded")
-	}
-	if _, _, err := r.DumpCooldown("x", time.Second); err == nil {
-		t.Error("nil recorder DumpCooldown succeeded")
 	}
 	if r.Dir() != "" {
 		t.Error("nil recorder Dir != \"\"")

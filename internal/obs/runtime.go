@@ -2,8 +2,6 @@ package obs
 
 import (
 	"runtime/metrics"
-	"sync"
-	"time"
 
 	mm "mmprofile/internal/metrics"
 )
@@ -115,86 +113,44 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 	return h.Buckets[len(h.Buckets)-1]
 }
 
-// RuntimeSampler periodically projects ReadRuntimeStats into an
-// internal/metrics registry as mm_runtime_* gauges and runs an optional
-// per-tick hook (mmserver hangs the p99-over-SLO flight-recorder
-// watermark off it).
-type RuntimeSampler struct {
-	onTick func(RuntimeStats)
-	stop   chan struct{}
-	done   chan struct{}
-	once   sync.Once
-
-	gGoroutines *mm.Gauge
-	gHeapLive   *mm.Gauge
-	gHeapGoal   *mm.Gauge
-	gTotalMem   *mm.Gauge
-	gGCCycles   *mm.Gauge
-	gGCPauseP99 *mm.Gauge
-	gSchedP99   *mm.Gauge
+// runtimeGauges is the mm_runtime_* family: what of a RuntimeStats sample
+// /metrics carries.
+var runtimeGauges = [...]struct {
+	name, help string
+	value      func(RuntimeStats) float64
+}{
+	{"mm_runtime_goroutines", "Live goroutine count.", func(rs RuntimeStats) float64 { return float64(rs.Goroutines) }},
+	{"mm_runtime_heap_live_bytes", "Heap memory occupied by live objects at last GC.", func(rs RuntimeStats) float64 { return float64(rs.HeapLiveBytes) }},
+	{"mm_runtime_heap_goal_bytes", "Heap size target for the end of the current GC cycle.", func(rs RuntimeStats) float64 { return float64(rs.HeapGoalBytes) }},
+	{"mm_runtime_total_memory_bytes", "All memory mapped by the Go runtime.", func(rs RuntimeStats) float64 { return float64(rs.TotalMemoryBytes) }},
+	{"mm_runtime_gc_cycles", "Completed GC cycles.", func(rs RuntimeStats) float64 { return float64(rs.GCCycles) }},
+	{"mm_runtime_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", func(rs RuntimeStats) float64 { return rs.GCPauseP99Seconds }},
+	{"mm_runtime_sched_latency_p99_seconds", "p99 goroutine scheduling latency.", func(rs RuntimeStats) float64 { return rs.SchedLatP99Secs }},
 }
 
-// StartRuntimeSampler registers the mm_runtime_* gauges on reg (nil is
-// fine — gauges become no-ops), takes an immediate sample so the gauges
-// are live before the first tick, then samples every interval (default
-// 5s) until Stop. onTick (optional) runs after each sample with the
-// fresh stats.
-func StartRuntimeSampler(reg *mm.Registry, interval time.Duration, onTick func(RuntimeStats)) *RuntimeSampler {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	s := &RuntimeSampler{
-		onTick: onTick,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+// RuntimeSampler projects ReadRuntimeStats into a registry's mm_runtime_*
+// gauges, once per SampleNow; it owns no goroutine (internal/server's tick
+// calls it every second).
+type RuntimeSampler struct{ gauges [len(runtimeGauges)]*mm.Gauge }
+
+// NewRuntimeSampler registers the gauges on reg (nil is fine — they become
+// no-ops) and takes one sample, so they are live before the first tick.
+func NewRuntimeSampler(reg *mm.Registry) *RuntimeSampler {
+	s := &RuntimeSampler{}
 	if reg != nil {
-		s.gGoroutines = reg.Gauge("mm_runtime_goroutines", "Live goroutine count.")
-		s.gHeapLive = reg.Gauge("mm_runtime_heap_live_bytes", "Heap memory occupied by live objects at last GC.")
-		s.gHeapGoal = reg.Gauge("mm_runtime_heap_goal_bytes", "Heap size target for the end of the current GC cycle.")
-		s.gTotalMem = reg.Gauge("mm_runtime_total_memory_bytes", "All memory mapped by the Go runtime.")
-		s.gGCCycles = reg.Gauge("mm_runtime_gc_cycles", "Completed GC cycles.")
-		s.gGCPauseP99 = reg.Gauge("mm_runtime_gc_pause_p99_seconds", "p99 stop-the-world GC pause.")
-		s.gSchedP99 = reg.Gauge("mm_runtime_sched_latency_p99_seconds", "p99 goroutine scheduling latency.")
+		for i, g := range runtimeGauges {
+			s.gauges[i] = reg.Gauge(g.name, g.help)
+		}
 	}
 	s.SampleNow()
-	go s.loop(interval)
 	return s
 }
 
-func (s *RuntimeSampler) loop(interval time.Duration) {
-	defer close(s.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.SampleNow()
-		}
-	}
-}
-
-// SampleNow takes one sample synchronously (also the per-tick body);
-// exported so tests and dump paths can refresh without waiting.
+// SampleNow takes one sample synchronously and returns it.
 func (s *RuntimeSampler) SampleNow() RuntimeStats {
 	rs := ReadRuntimeStats()
-	s.gGoroutines.Set(float64(rs.Goroutines))
-	s.gHeapLive.Set(float64(rs.HeapLiveBytes))
-	s.gHeapGoal.Set(float64(rs.HeapGoalBytes))
-	s.gTotalMem.Set(float64(rs.TotalMemoryBytes))
-	s.gGCCycles.Set(float64(rs.GCCycles))
-	s.gGCPauseP99.Set(rs.GCPauseP99Seconds)
-	s.gSchedP99.Set(rs.SchedLatP99Secs)
-	if s.onTick != nil {
-		s.onTick(rs)
+	for i, g := range runtimeGauges {
+		s.gauges[i].Set(g.value(rs))
 	}
 	return rs
-}
-
-// Stop halts the sampler and waits for the loop to exit.
-func (s *RuntimeSampler) Stop() {
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"runtime/metrics"
 	"testing"
-	"time"
 
 	mm "mmprofile/internal/metrics"
 )
@@ -26,11 +25,9 @@ func TestReadRuntimeStatsSane(t *testing.T) {
 
 func TestRuntimeSamplerProjectsGauges(t *testing.T) {
 	reg := mm.NewRegistry()
-	var ticks int
-	s := StartRuntimeSampler(reg, time.Hour, func(RuntimeStats) { ticks++ })
-	defer s.Stop()
+	s := NewRuntimeSampler(reg)
 
-	// StartRuntimeSampler samples synchronously before returning.
+	// NewRuntimeSampler samples synchronously before returning.
 	snap := reg.Snapshot()
 	g, ok := snap["mm_runtime_goroutines"].(float64)
 	if !ok || g < 1 {
@@ -39,22 +36,13 @@ func TestRuntimeSamplerProjectsGauges(t *testing.T) {
 	if v, ok := snap["mm_runtime_total_memory_bytes"].(float64); !ok || v <= 0 {
 		t.Errorf("mm_runtime_total_memory_bytes = %v", snap["mm_runtime_total_memory_bytes"])
 	}
-	if ticks != 1 {
-		t.Errorf("onTick ran %d times after start, want 1", ticks)
-	}
 	if rs := s.SampleNow(); rs.Goroutines < 1 {
 		t.Errorf("SampleNow returned %+v", rs)
-	}
-	if ticks != 2 {
-		t.Errorf("onTick ran %d times after SampleNow, want 2", ticks)
 	}
 }
 
 func TestRuntimeSamplerNilRegistry(t *testing.T) {
-	s := StartRuntimeSampler(nil, time.Hour, nil)
-	s.SampleNow() // must not panic with no gauges
-	s.Stop()
-	s.Stop() // idempotent
+	NewRuntimeSampler(nil).SampleNow() // must not panic with no gauges
 }
 
 func TestHistQuantile(t *testing.T) {

@@ -921,9 +921,6 @@ func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 // (Options.QueueSize after defaults) — and so the most one Take can move.
 func (b *Broker) QueueSize() int { return b.opts.QueueSize }
 
-// Log returns the broker's structured logger (nil when none configured).
-func (b *Broker) Log() *obs.Logger { return b.opts.Log }
-
 // PingPipeline probes the locks the publish path takes — a registry-shard
 // read, a docstore-shard read, and the index's read locks — and returns once
 // all of them were acquired, having changed nothing (IndexStats compacts;

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"fmt"
@@ -12,14 +12,14 @@ import (
 // the top of the drops dimension.
 const evictScanK = 32
 
-// dropEvictor implements mmserver -evict-drop-rate: every sampler tick
+// dropEvictor implements mmserver -evict-drop-rate: every tick
 // it diffs the subscriber_drops sketch against the previous tick and
 // closes the push sessions of any subscriber whose drop rate stayed
 // above the limit for `windows` consecutive ticks. Sketch counts are
 // cumulative, so the per-tick delta is exact for a key tracked across
 // both ticks; a key that just entered the sketch (whose count may carry
 // takeover error) is baselined for one tick before being judged. Only
-// the sampler goroutine touches the evictor, so it needs no lock.
+// the goroutine that ticks the server touches the evictor, so it needs no lock.
 type dropEvictor struct {
 	limit   float64 // drops/second that counts as a breach
 	windows int     // consecutive breaching ticks before a kick

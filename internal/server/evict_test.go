@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"strings"
@@ -65,18 +65,5 @@ func TestDropEvictor(t *testing.T) {
 		if u == "bob" {
 			t.Fatal("slow dropper was kicked")
 		}
-	}
-}
-
-// TestConfigAttributionFlags pins the eviction flags: the policy defaults
-// to off.
-func TestConfigAttributionFlags(t *testing.T) {
-	cfg := parse(t)
-	if cfg.evictRate != 0 || cfg.evictWins != 3 {
-		t.Errorf("attribution defaults = %v %d", cfg.evictRate, cfg.evictWins)
-	}
-	cfg = parse(t, "-evict-drop-rate", "12.5", "-evict-windows", "5")
-	if cfg.evictRate != 12.5 || cfg.evictWins != 5 {
-		t.Errorf("eviction flags = %v %d", cfg.evictRate, cfg.evictWins)
 	}
 }

@@ -249,7 +249,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if opts.SyncInterval > 0 && !opts.Durable {
 			s.stopFlush = make(chan struct{})
 			s.flushDone = make(chan struct{})
-			go s.flushLoop(opts.SyncInterval)
+			go s.flushLoop(opts.SyncInterval, s.stopFlush)
 		}
 	}
 	return s, nil
@@ -276,8 +276,9 @@ func (s *Store) closeLaneHandles() {
 	}
 }
 
-// flushLoop is the SyncInterval background flusher.
-func (s *Store) flushLoop(d time.Duration) {
+// flushLoop is the SyncInterval background flusher. It is handed stop: Close
+// clears s.stopFlush, and a loop that read nil there would never end.
+func (s *Store) flushLoop(d time.Duration, stop <-chan struct{}) {
 	defer close(s.flushDone)
 	t := time.NewTicker(d)
 	defer t.Stop()
@@ -287,7 +288,7 @@ func (s *Store) flushLoop(d time.Duration) {
 			// Best-effort: a failure is sticky in the lane's syncErr and
 			// surfaces on the next explicit barrier or durable operation.
 			_ = s.Sync()
-		case <-s.stopFlush:
+		case <-stop:
 			return
 		}
 	}

@@ -62,12 +62,8 @@ func NewServer(b *pubsub.Broker, logf func(string, ...any)) *Server {
 	return NewServerLogger(b, obs.NewLogfLogger(logf, nil))
 }
 
-// NewServerLogger wraps a broker with a structured logger (nil → the
-// broker's logger, which may itself be nil for silence).
+// NewServerLogger wraps a broker with a structured logger (nil for silence).
 func NewServerLogger(b *pubsub.Broker, logger *obs.Logger) *Server {
-	if logger == nil {
-		logger = b.Log()
-	}
 	reg := b.Metrics()
 	return &Server{
 		broker: b,

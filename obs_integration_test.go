@@ -1,8 +1,7 @@
-// Diagnostics integration test: the obs stack assembled the way mmserver
-// assembles it — health model, flight recorder, status handler, wire
-// server — driven through a full lifecycle: starting → ready → a bundle
-// dumped over HTTP → draining. Pins the liveness/readiness split end to
-// end: /healthz stays green through the drain while /readyz flips to 503.
+// Diagnostics integration test: the server mmserver runs, driven through a
+// full lifecycle: starting → ready → a bundle dumped over HTTP → draining.
+// Pins the liveness/readiness split end to end: /healthz stays green through
+// the drain while /readyz flips to 503.
 package mmprofile_test
 
 import (
@@ -15,11 +14,8 @@ import (
 	"strings"
 	"testing"
 
-	"mmprofile/internal/filter"
-	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
-	"mmprofile/internal/pubsub"
-	"mmprofile/internal/store"
+	"mmprofile/internal/server"
 	"mmprofile/internal/trace"
 	"mmprofile/internal/wire"
 )
@@ -45,43 +41,12 @@ func readyzSnap(t *testing.T, base string) (int, obs.HealthSnapshot) {
 }
 
 func TestObsLifecycle(t *testing.T) {
-	stateDir := t.TempDir()
-	dumpDir := t.TempDir()
-
-	reg := metrics.NewRegistry()
-	st, err := store.Open(stateDir, store.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	ring := obs.NewEventRing(64)
-	logger, err := obs.NewLogger(obs.LogOptions{Format: "json", Output: io.Discard, Ring: ring})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := trace.New(trace.Options{SampleRate: 1})
-	broker := pubsub.New(pubsub.Options{
-		Threshold: 0.2, Retention: 1 << 10, Metrics: reg,
-		Trace: tr, Log: logger, Journal: st,
+	srv := newServer(t, server.Config{
+		Threshold: 0.2, Retention: 1 << 10, TraceSample: 1, LogFormat: "json",
+		StateDir: t.TempDir(), DumpDir: t.TempDir(),
 	})
-
-	// Health model wired as mmserver wires it: push "server", pull
-	// "store_wal" from the store's sticky state.
-	health := obs.NewHealth()
-	health.Set("server", obs.StatusNotReady, "starting")
-	health.RegisterCheck("store_wal", st.Health)
-
-	rec := obs.NewRecorder(dumpDir, ring, obs.BundleSources{
-		Metrics: reg,
-		Tracer:  tr,
-		Health:  health,
-		WALInfo: func() (any, error) { return st.WALInfo() },
-	})
-
-	hs := httptest.NewServer(wire.NewStatusHandler(broker, wire.StatusOptions{
-		Health: health, Recorder: rec,
-	}))
+	defer srv.Stop()
+	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	// Phase 1 — starting: not ready yet, but alive.
@@ -93,9 +58,18 @@ func TestObsLifecycle(t *testing.T) {
 		t.Errorf("starting: server component = %+v", snap.Components["server"])
 	}
 
-	// Phase 2 — ready: both components green, and some real traffic so
-	// the dumped bundle has non-trivial metrics and a captured trace.
-	health.Set("server", obs.StatusReady, "")
+	// Phase 2 — ready once served: both components green, and some real
+	// traffic so the dumped bundle has non-trivial metrics and a captured
+	// trace. (An answered request proves Serve is past reporting ready.)
+	addr, stop := serve(t, srv)
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
 	code, snap = readyzSnap(t, hs.URL)
 	if code != 200 || snap.Status != "ready" {
 		t.Fatalf("steady: readyz %d %q, want 200 ready", code, snap.Status)
@@ -103,15 +77,13 @@ func TestObsLifecycle(t *testing.T) {
 	if snap.Components["store_wal"].Status != "ready" {
 		t.Errorf("steady: store_wal = %+v", snap.Components["store_wal"])
 	}
-
-	if _, err := broker.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+	doc, _, err := c.Publish("<html><body>cats cats cats</body></html>")
+	if err != nil {
 		t.Fatal(err)
 	}
-	doc, _ := broker.Publish("<html><body>cats cats cats</body></html>")
-	if err := broker.Feedback("alice", doc, filter.Relevant); err != nil {
+	if err := c.Feedback("alice", doc, true); err != nil {
 		t.Fatal(err)
 	}
-	logger.Info("integration: traffic done")
 
 	// Phase 3 — dump a bundle over HTTP and validate all five sections
 	// landed with real content from this run.
@@ -165,7 +137,7 @@ func TestObsLifecycle(t *testing.T) {
 	}
 	found := false
 	for _, ev := range bundle.Events {
-		if ev.Msg == "integration: traffic done" {
+		if ev.Msg == "mmserver: listening" { // logged by Serve
 			found = true
 		}
 	}
@@ -177,7 +149,7 @@ func TestObsLifecycle(t *testing.T) {
 	}
 
 	// Phase 4 — drain: readiness refuses, liveness stays green.
-	health.StartDrain()
+	stop()
 	code, snap = readyzSnap(t, hs.URL)
 	if code != 503 || snap.Status != "draining" || !snap.Draining {
 		t.Fatalf("drain: readyz %d %+v, want 503 draining", code, snap)
