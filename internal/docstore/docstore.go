@@ -2,19 +2,19 @@
 // window: the paper notes document vectors are "typically only retained
 // for a short duration" (Section 4.3), just long enough for subscribers to
 // judge what they were sent. The store is a fixed-capacity FIFO — admitting
-// document N evicts document N-retention — implemented as a ring of ids
-// over a record map.
+// document N evicts document N-retention — implemented as a ring of records
+// in which a document's id is its position.
 //
 // Concurrency: ids come from one global atomic allocator, so document ids
-// remain totally ordered across concurrent publishers, but the ring and
-// map are sharded by id with one mutex per shard. Sequential ids
-// round-robin across shards, so concurrent Put calls almost always land on
-// different shards and never serialize behind a single store-wide lock.
+// remain totally ordered across concurrent publishers, but the ring is
+// sharded by id with one mutex per shard. Sequential ids round-robin across
+// shards, so concurrent Put calls almost always land on different shards
+// and never serialize behind a single store-wide lock.
 //
 // Sharding preserves the exact FIFO retention window: shard count is
 // clamped to a power of two that divides the retention capacity, so the
-// slot a document overwrites in its shard's ring is occupied by exactly
-// the document `retention` ids older.
+// slot a document takes in its shard's ring is occupied by exactly the
+// document `retention` ids older.
 package docstore
 
 import (
@@ -40,23 +40,25 @@ type Store struct {
 	shards    []shard
 }
 
+// shard is one slice of the ring. A slot is validated by the id it holds,
+// and by filled, which tells document 0 from a slot nothing was put in.
 type shard struct {
-	mu sync.Mutex
-	// docs and ring are keyed/filled with docKey(id), never the raw id:
-	// the ring's zero value means "empty slot", so keys are offset by one.
-	docs map[int64]Record
-	ring []int64
-	pos  int
+	mu   sync.Mutex
+	docs []slot
 }
 
-// docKey maps a document id to its key in a shard's docs map and eviction
-// ring. Document ids start at 0, but the ring uses the zero value to mean
-// "empty slot", so keys are offset by one: document id d is stored and
-// looked up under key d+1, never under d. Every docs access and every ring
-// entry must go through this helper — a raw docs[id] lookup would silently
-// return the *previous* document. The invariant is pinned by
-// TestDocKeyOffsetInvariant.
-func docKey(id int64) int64 { return id + 1 }
+type slot struct {
+	rec    Record
+	filled bool
+}
+
+// at returns the slot of document id — the id's count within its shard,
+// modulo the shard's ring — which holds it, an older document whose place
+// it will take, a newer one that took its place, or nothing.
+func (s *Store) at(id int64) (*shard, *slot) {
+	sh := &s.shards[id&s.mask]
+	return sh, &sh.docs[id/int64(len(s.shards))%int64(len(sh.docs))]
+}
 
 // New creates a store retaining the most recent `retention` documents
 // (min 1), sharded `shards` ways. The shard count is rounded down to the
@@ -76,10 +78,8 @@ func New(retention, shards int) *Store {
 		n /= 2
 	}
 	s := &Store{retention: retention, mask: int64(n - 1), shards: make([]shard, n)}
-	per := retention / n
 	for i := range s.shards {
-		s.shards[i].docs = make(map[int64]Record, per)
-		s.shards[i].ring = make([]int64, per)
+		s.shards[i].docs = make([]slot, retention/n)
 	}
 	return s
 }
@@ -91,18 +91,17 @@ func (s *Store) Retention() int { return s.retention }
 func (s *Store) Shards() int { return len(s.shards) }
 
 // Put admits a document, assigning it the next id in the global total
-// order, and reports whether an older document was evicted to make room.
+// order, and reports whether a document left the window to make room: the
+// one retention ids older, which held the slot — or, should retention
+// publishers have overtaken this one between the id and the lock, this one.
 func (s *Store) Put(vec vsm.Vector, content string) (id int64, evicted bool) {
 	id = s.next.Add(1) - 1
-	sh := &s.shards[id&s.mask]
+	sh, sl := s.at(id)
 	sh.mu.Lock()
-	if old := sh.ring[sh.pos]; old != 0 {
-		delete(sh.docs, old)
-		evicted = true
+	evicted = sl.filled
+	if !sl.filled || sl.rec.ID < id {
+		*sl = slot{Record{ID: id, Vec: vec, Content: content}, true}
 	}
-	sh.ring[sh.pos] = docKey(id)
-	sh.pos = (sh.pos + 1) % len(sh.ring)
-	sh.docs[docKey(id)] = Record{ID: id, Vec: vec, Content: content}
 	sh.mu.Unlock()
 	return id, evicted
 }
@@ -112,22 +111,19 @@ func (s *Store) Get(id int64) (Record, bool) {
 	if id < 0 {
 		return Record{}, false
 	}
-	sh := &s.shards[id&s.mask]
+	sh, sl := s.at(id)
 	sh.mu.Lock()
-	rec, ok := sh.docs[docKey(id)]
-	sh.mu.Unlock()
-	return rec, ok
+	defer sh.mu.Unlock()
+	if !sl.filled || sl.rec.ID != id { // never put, not put yet, or evicted
+		return Record{}, false
+	}
+	return sl.rec, true
 }
 
 // Len returns the number of currently retained documents.
 func (s *Store) Len() int {
 	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.docs)
-		sh.mu.Unlock()
-	}
+	s.Range(func(Record) { n++ })
 	return n
 }
 
@@ -137,8 +133,10 @@ func (s *Store) Range(fn func(Record)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, rec := range sh.docs {
-			fn(rec)
+		for k := range sh.docs {
+			if sh.docs[k].filled {
+				fn(sh.docs[k].rec)
+			}
 		}
 		sh.mu.Unlock()
 	}

@@ -12,15 +12,18 @@ func v(term string) vsm.Vector {
 	return vsm.FromMap(map[string]float64{term: 1}).Normalized()
 }
 
-// TestDocKeyOffsetInvariant pins the docs-map/eviction-ring keying: the
-// ring's zero value means "empty slot", so document id d lives under key
-// d+1. In particular the very first document (id 0) must be retrievable —
-// a raw docs[id] lookup would lose it and silently alias every doc to its
-// predecessor.
+// TestDocKeyOffsetInvariant pins what tells one document from another in
+// the ring: a slot answers only for the id it holds. Document 0 is
+// retrievable once put and absent before — an empty slot's zero id is not
+// document 0 — and an id whose slot holds an older document (not assigned
+// yet) or a newer one (evicted) misses instead of aliasing to it.
 func TestDocKeyOffsetInvariant(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s := New(4, shards)
+			if _, ok := s.Get(0); ok || s.Len() != 0 {
+				t.Fatalf("an empty store holds document 0 (Len %d)", s.Len())
+			}
 			terms := []string{"a", "b", "c", "d", "e", "f"}
 			evictions := 0
 			for i, term := range terms {
@@ -30,6 +33,13 @@ func TestDocKeyOffsetInvariant(t *testing.T) {
 				}
 				if evicted {
 					evictions++
+				}
+				// The slots of ids not assigned yet hold nothing, or — from
+				// the fifth document on — the document retention ids older.
+				for next := id + 1; next <= id+4; next++ {
+					if rec, ok := s.Get(next); ok {
+						t.Fatalf("after doc %d, Get(%d) answers with doc %d", id, next, rec.ID)
+					}
 				}
 			}
 			// Retention 4: ids 2..5 retained, ids 0..1 evicted — regardless
@@ -55,17 +65,14 @@ func TestDocKeyOffsetInvariant(t *testing.T) {
 			if s.Len() != 4 {
 				t.Errorf("Len = %d, want 4", s.Len())
 			}
-			// Internal shape: every map key is its record's id offset by
-			// one, and key 0 (the ring's empty-slot sentinel) never appears.
+			// Internal shape: every filled slot is the one its record's id
+			// maps to.
 			for i := range s.shards {
-				sh := &s.shards[i]
-				for k, rec := range sh.docs {
-					if k != docKey(rec.ID) {
-						t.Errorf("docs key %d holds record id %d, want key %d", k, rec.ID, docKey(rec.ID))
+				for k := range s.shards[i].docs {
+					sl := &s.shards[i].docs[k]
+					if _, at := s.at(sl.rec.ID); sl.filled && at != sl {
+						t.Errorf("shard %d slot %d holds doc %d, whose slot is another", i, k, sl.rec.ID)
 					}
-				}
-				if _, ok := sh.docs[0]; ok {
-					t.Error("docs map must never use key 0")
 				}
 			}
 		})

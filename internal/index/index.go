@@ -14,11 +14,11 @@
 //     (intern.Terms), so matching compares integers, never strings, and
 //     the index keeps no term strings of its own.
 //   - Postings are sharded by term-id hash across independently locked
-//     shards. Within a term, committed postings are impact-ordered
-//     (descending weight), carved into fixed blocks with per-block
-//     max-weight summaries, and their weights quantized to uint8 against a
-//     per-term scale; recent inserts sit in an unsorted exact staged tail
-//     until the list is hot enough to rebuild (hot/cold split). Removal
+//     shards. A posting is six bytes — an entry slot and the weight rounded
+//     up to 16 bits — and a term's postings are one pair of arrays: a prefix
+//     in impact order (descending weight), walked in fixed blocks each
+//     bounded by its head, and behind it the unsorted tail of recent
+//     inserts, merged in once the list is hot enough to rebuild. Removal
 //     tombstones postings lazily (per-shard dead-slot sets) and each shard
 //     compacts itself once tombstones exceed a fraction of its postings.
 //   - Matching at θ > 0 prunes: terms are walked heaviest-document-weight
@@ -63,17 +63,19 @@ const (
 	compactMinStale = 64
 	compactFraction = 4
 
-	// blockSize is the posting-block granularity: each committed run of
-	// blockSize postings carries one max-weight summary byte, the unit of
-	// skipping during pruned matches. 64 postings = 512B of (id, w) pairs,
-	// a few cache lines, small enough that a skip decision is worth making.
+	// blockSize is the posting-block granularity: the unit of skipping
+	// during pruned matches, bounded by its first posting. 64 postings =
+	// 384B of (slot, weight) pairs, a few cache lines, small enough that a
+	// skip decision is worth making.
 	blockSize = 64
 
-	// rebuildFraction gates merging a term's staged tail into its
-	// impact-ordered committed body: rebuild once the tail holds at least
-	// one block AND at least 1/rebuildFraction of the committed size, so
-	// rebuild work stays amortized O(1) per insert. Lists below one block
-	// never rebuild — they are the cold Zipf tail, scanned exactly.
+	// rebuildFraction gates merging a term's tail into its impact-ordered
+	// prefix: rebuild once the tail holds at least one block AND at least
+	// 1/rebuildFraction of the prefix, so rebuild work stays amortized O(1)
+	// per insert — and sizes the arrays a rebuild makes, so the next tail
+	// fits in them and capacity stays within that fraction of length. Lists
+	// below one block never rebuild — they are the cold Zipf tail, scanned
+	// whole.
 	rebuildFraction = 4
 
 	// slackBudget bounds, as a fraction of θ, the upper-bound slack a match
@@ -96,125 +98,95 @@ func shardOf(term uint32) uint32 {
 	return (term * 0x9E3779B1) >> (32 - 4) // log2(numShards) == 4
 }
 
-// termList is one term's postings: a committed body in impact order
-// (descending weight) with quantized weights and per-block maxima, plus an
-// unsorted unquantized staged tail of recent inserts.
+// termList is one term's postings, slot ids[k] with weight ws[k]: an
+// impact-ordered (descending weight) prefix [0:sorted) and, behind it, the
+// unsorted tail of recent inserts.
 //
 // The bound invariants every reader may rely on (the property tests in
 // prune_test.go pin them):
 //
-//	ws[i], sws[i] ≥ the exact float64 weight of the pair they stand for
-//	                               (narrowUp; the exact weight is the entry's)
-//	maxW    ≥ w for every live posting weight w in the list
-//	qws[i]  · scale ≥ ws[i]        (quantization never under-estimates)
-//	bmax[b] ≥ qws[i] for i in block b
-//	ws, qws and bmax are non-increasing (impact order)
+//	decode(ws[k]) ≥ the exact float64 weight of the pair it stands for
+//	                               (up16; the exact weight is the entry's)
+//	maxW          ≥ decode(w) for every posting weight w in the list
+//	ws[:sorted] is non-increasing, so a block's head bounds the block and
+//	everything sorted behind it
 type termList struct {
-	ids  []uint32  // committed: entry slots, impact-ordered
-	ws   []float32 // committed: weights narrowed upward, aligned with ids
-	qws  []uint8   // committed: ceil-quantized weights, aligned with ids
-	bmax []uint8   // per-block max of qws (== block head, by impact order)
-
-	sids []uint32  // staged tail: entry slots, insertion order
-	sws  []float32 // staged tail: weights narrowed upward
-
-	maxW  float32 // ≥ every weight in the list, committed or staged
-	scale float32 // committed quantization scale; qw·scale ≥ w
+	ids    []uint32
+	ws     []uint16
+	sorted int
+	maxW   float32
 }
 
-// blocks returns the committed block count.
-func (l *termList) blocks() int { return (len(l.ids) + blockSize - 1) / blockSize }
+// blocks returns the block count of the impact-ordered prefix.
+func (l *termList) blocks() int { return (l.sorted + blockSize - 1) / blockSize }
 
-// refreshMaxW recomputes the list bound after postings were dropped. The
-// committed body is impact-ordered so its head is its max.
-func (l *termList) refreshMaxW() {
-	var m float32
-	if len(l.ws) > 0 {
-		m = l.ws[0]
+// up16 is the weight a posting stores for the exact weight w: the high half
+// of narrowUp(w), bumped toward +Inf when the low half held anything, which
+// makes it the least 16-bit pattern whose decode is not below w (+Inf
+// beyond float32's range; NaN stays NaN). It over-estimates a normal w by
+// less than 2⁻⁷ of it. The pruned scan's bounds (maxW, block heads) are
+// built on decoded posting weights and a candidate is rescored with the
+// entry's float64, so "posting weight ≥ exact weight" is what makes them
+// bounds.
+func up16(w float64) uint16 {
+	if w != w {
+		return 0x7FC0
 	}
-	for _, w := range l.sws {
-		if w > m {
-			m = w
-		}
+	b := math.Float32bits(narrowUp(w))
+	h := uint16(b >> 16)
+	if b&0xFFFF != 0 && b>>31 == 0 { // dropping the low half rounds toward zero: down, unless negative
+		h++
 	}
-	l.maxW = m
+	return h
 }
 
-// rebuild merges the staged tail into the committed body, restoring impact
-// order, and requantizes. Caller holds the shard write lock.
+// decode is the float32 a stored weight stands for.
+func decode(h uint16) float32 { return math.Float32frombits(uint32(h) << 16) }
+
+// impact maps a stored weight to an integer ordered as decoded weights
+// are, and totally: a NaN sorts beyond the infinity of its sign rather
+// than breaking the order of the honest postings it shares a list with.
+func impact(h uint16) int16 {
+	k := int16(h)
+	return k ^ (k>>15)&0x7FFF
+}
+
+// sized returns an empty array for a list of n postings: a rebuildFraction-th
+// of headroom — the tail that triggers the next rebuild — and whatever more
+// the allocator's size class holds, which append takes as capacity. Every
+// posting array is made here — by a rebuild, by push when an array is full,
+// by a compaction that left one a third empty — so none grows by doubling
+// and none stays far above its length.
+func sized[T any](n int) []T {
+	return slices.Grow([]T(nil), n+(n+rebuildFraction-1)/rebuildFraction)
+}
+
+// push is append for a posting array: a full one grows by sized.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(sized[T](len(s)+1), s...)
+	}
+	return append(s, v)
+}
+
+// rebuild merges the tail into the impact-ordered prefix, in new arrays.
+// Caller holds the shard write lock.
 func (l *termList) rebuild() {
-	heapsortDesc(l.sws, l.sids)
-	n := len(l.ids) + len(l.sids)
-	ids := make([]uint32, 0, n)
-	ws := make([]float32, 0, n)
-	i, j := 0, 0
-	for i < len(l.ids) && j < len(l.sids) {
-		if l.ws[i] >= l.sws[j] {
-			ids = append(ids, l.ids[i])
-			ws = append(ws, l.ws[i])
+	n, i, j := len(l.ids), 0, l.sorted
+	heapsortDesc(l.ws[j:], l.ids[j:])
+	ids, ws := sized[uint32](n), sized[uint16](n)
+	for i < l.sorted && j < n {
+		if impact(l.ws[i]) >= impact(l.ws[j]) {
+			ids, ws = append(ids, l.ids[i]), append(ws, l.ws[i])
 			i++
 		} else {
-			ids = append(ids, l.sids[j])
-			ws = append(ws, l.sws[j])
+			ids, ws = append(ids, l.ids[j]), append(ws, l.ws[j])
 			j++
 		}
 	}
-	ids = append(ids, l.ids[i:]...)
-	ws = append(ws, l.ws[i:]...)
-	ids = append(ids, l.sids[j:]...)
-	ws = append(ws, l.sws[j:]...)
-	l.ids, l.ws = ids, ws
-	l.sids, l.sws = l.sids[:0], l.sws[:0]
-	l.requantize()
-}
-
-// requantize derives scale, qws and bmax from the committed body. The scale
-// is nudged up until 255·scale ≥ maxW in float64, and each quantum is the
-// smallest q with q·scale ≥ w, so quantized bounds over-estimate — never
-// under-estimate — every stored weight.
-func (l *termList) requantize() {
-	n := len(l.ids)
-	if n == 0 {
-		l.qws, l.bmax, l.scale = l.qws[:0], l.bmax[:0], 0
-		l.refreshMaxW()
-		return
-	}
-	// An infinite weight — a float64 beyond float32's range, narrowed by
-	// narrowUp — has no covering scale: bound it, or the bump loop below
-	// never ends, under the shard's write lock. Its quantum saturates at
-	// 255, and maxW, which stays infinite, remains the list's true bound.
-	maxw := min(l.ws[0], math.MaxFloat32)
-	scale := maxw / 255
-	if scale <= 0 {
-		// Degenerate weights (≤ 0): a unit scale keeps the over-estimate
-		// invariant through the bump loop below.
-		scale = 1
-	}
-	for float64(255)*float64(scale) < float64(maxw) {
-		scale = math.Nextafter32(scale, math.MaxFloat32)
-	}
-	l.scale = scale
-	s64 := float64(scale)
-	l.qws = grow(l.qws, n)
-	for i, w := range l.ws {
-		q := int(math.Ceil(float64(w) / s64))
-		if q < 0 {
-			q = 0
-		}
-		if q > 255 {
-			q = 255
-		}
-		for float64(q)*s64 < float64(w) && q < 255 {
-			q++
-		}
-		l.qws[i] = uint8(q)
-	}
-	nb := (n + blockSize - 1) / blockSize
-	l.bmax = grow(l.bmax, nb)
-	for b := 0; b < nb; b++ {
-		l.bmax[b] = l.qws[b*blockSize] // impact order: the block head is its max
-	}
-	l.refreshMaxW()
+	ids = append(append(ids, l.ids[i:l.sorted]...), l.ids[j:]...)
+	ws = append(append(ws, l.ws[i:l.sorted]...), l.ws[j:]...)
+	l.ids, l.ws, l.sorted = ids, ws, n
 }
 
 // shard is one independently locked slice of the posting space.
@@ -323,8 +295,7 @@ type pruneCounters struct {
 // PruneStats is a cumulative snapshot of matcher effort: how many postings
 // every match so far actually read, how many whole blocks the θ-bound let
 // it skip, how many document terms were cut off wholesale, and how many
-// survivor candidates needed an exact rescore. The bench prune figure
-// differences two snapshots around a probe batch.
+// survivor candidates needed an exact rescore.
 type PruneStats struct {
 	PostingsScanned uint64
 	BlocksSkipped   uint64
@@ -459,11 +430,8 @@ type stagedVec struct {
 	slot uint32
 }
 
-// narrowUp is the float32 a posting stores for the exact weight w: the
-// nearest one not below it (+Inf beyond float32's range; NaN stays NaN).
-// The pruned scan's bounds (maxW, quantum·scale, block maxima) are built on
-// posting weights and a candidate is rescored with the entry's float64, so
-// "posting weight ≥ exact weight" is what makes them bounds.
+// narrowUp is the nearest float32 not below w (+Inf beyond float32's range;
+// NaN stays NaN): the first half of up16.
 func narrowUp(w float64) float32 {
 	f := float32(w)
 	if float64(f) < w {
@@ -575,20 +543,20 @@ func (ix *Index) stage(user string, svs []stagedVec) {
 }
 
 // insertPostings appends the staged vectors' postings, one lock
-// acquisition per affected shard. Inserts land in the term's staged tail;
-// once the tail holds a block's worth and a rebuildFraction-th of the
-// committed body, the list rebuilds into impact order there and then.
+// acquisition per affected shard. Inserts land in the term's tail; once the
+// tail holds a block's worth and a rebuildFraction-th of the prefix, the
+// list rebuilds into impact order there and then.
 func (ix *Index) insertPostings(svs []stagedVec) {
 	type ins struct {
 		term uint32
 		id   uint32
-		w    float32
+		w    uint16
 	}
 	var work [numShards][]ins
 	for _, sv := range svs {
 		for i, t := range sv.p.IDs {
 			si := shardOf(t)
-			work[si] = append(work[si], ins{term: t, id: sv.slot, w: narrowUp(sv.p.Weights[i])})
+			work[si] = append(work[si], ins{term: t, id: sv.slot, w: up16(sv.p.Weights[i])})
 		}
 	}
 	for si := range work {
@@ -603,12 +571,11 @@ func (ix *Index) insertPostings(svs []stagedVec) {
 				l = &termList{}
 				s.lists[w.term] = l
 			}
-			l.sids = append(l.sids, w.id)
-			l.sws = append(l.sws, w.w)
-			if w.w > l.maxW {
-				l.maxW = w.w
+			l.ids, l.ws = push(l.ids, w.id), push(l.ws, w.w)
+			if f := decode(w.w); f > l.maxW {
+				l.maxW = f
 			}
-			if len(l.sids) >= blockSize && len(l.sids)*rebuildFraction >= len(l.ids) {
+			if tail := len(l.ids) - l.sorted; tail >= blockSize && tail*rebuildFraction >= l.sorted {
 				l.rebuild()
 			}
 		}
@@ -771,51 +738,43 @@ func (ix *Index) tombstone(tomb *[numShards]tombShard) {
 	ix.release(freed)
 }
 
-// compactLocked rebuilds every posting list in the shard, dropping stale
-// postings, and returns the slots whose postings are now gone from this
-// shard. Filtering preserves impact order, so block maxima are re-sliced
-// from the surviving block heads and the quantization scale stays valid.
+// compactLocked drops the stale postings of every list in the shard and
+// returns the slots whose postings are now gone from it. Filtering preserves
+// impact order on the prefix; maxW is retaken from what survives.
 // Caller holds the shard write lock.
 func (s *shard) compactLocked() []uint32 {
 	if len(s.dead) == 0 {
 		return nil
 	}
 	for t, l := range s.lists {
-		nc := 0
-		for i, id := range l.ids {
-			if !s.dead[id] {
-				l.ids[nc] = id
-				l.ws[nc] = l.ws[i]
-				l.qws[nc] = l.qws[i]
-				nc++
+		n, sorted, maxW := 0, 0, float32(0)
+		for k, id := range l.ids {
+			if s.dead[id] {
+				continue
+			}
+			w := l.ws[k]
+			l.ids[n], l.ws[n] = id, w
+			n++
+			if k < l.sorted {
+				sorted = n
+			}
+			if f := decode(w); f > maxW {
+				maxW = f
 			}
 		}
-		changed := nc != len(l.ids)
-		l.ids, l.ws, l.qws = l.ids[:nc], l.ws[:nc], l.qws[:nc]
-		if changed {
-			nb := (nc + blockSize - 1) / blockSize
-			l.bmax = l.bmax[:nb]
-			for b := 0; b < nb; b++ {
-				l.bmax[b] = l.qws[b*blockSize]
-			}
-		}
-		ns := 0
-		for i, id := range l.sids {
-			if !s.dead[id] {
-				l.sids[ns] = id
-				l.sws[ns] = l.sws[i]
-				ns++
-			}
-		}
-		changed = changed || ns != len(l.sids)
-		l.sids, l.sws = l.sids[:ns], l.sws[:ns]
-		if nc+ns == 0 {
+		if n == 0 {
 			delete(s.lists, t)
 			continue
 		}
-		if changed {
-			l.refreshMaxW()
+		l.ids, l.ws = l.ids[:n], l.ws[:n]
+		// Let go of what the dropped postings held once it is a third of the
+		// arrays — but not of a handful of slots, which a short list would
+		// free at every compaction only to grow back within a few inserts.
+		if c := cap(l.ids); c > blockSize/4 && c > n+n/2 {
+			l.ids = append(sized[uint32](n), l.ids...)
+			l.ws = append(sized[uint16](n), l.ws...)
 		}
+		l.sorted, l.maxW = sorted, maxW
 	}
 	freed := make([]uint32, 0, len(s.dead))
 	for slot := range s.dead {
@@ -841,19 +800,19 @@ func (ix *Index) release(freed []uint32) {
 	ix.mu.Unlock()
 }
 
-// Optimize merges every term's staged tail into its impact-ordered,
-// quantized committed body, leaving no exact-scan-only postings behind.
-// Background rebuilds keep staged tails amortized-small (≤ 1/rebuildFraction
-// of each list), but a freshly loaded index can still carry ~10% of its
-// postings in tails that pruned matches must scan exactly; a read-heavy
-// deployment calls Optimize once after bulk loading to make the whole
-// index block-max skippable. Safe (and pointless) to call repeatedly.
+// Optimize merges every term's tail into its impact-ordered prefix, leaving
+// no always-scanned postings behind. Background rebuilds keep tails
+// amortized-small (≤ 1/rebuildFraction of each list), but a freshly loaded
+// index can still carry ~10% of its postings in tails that pruned matches
+// must scan whole; a read-heavy deployment calls Optimize once after bulk
+// loading to make the whole index skippable. Safe (and pointless) to call
+// repeatedly.
 func (ix *Index) Optimize() {
 	for si := range ix.shards {
 		s := &ix.shards[si]
 		s.mu.Lock()
 		for _, l := range s.lists {
-			if len(l.sids) > 0 {
+			if l.sorted < len(l.ids) {
 				l.rebuild()
 			}
 		}
@@ -1027,16 +986,17 @@ func (ix *Index) RecordMatchLatency(start, end time.Time, trace uint64) {
 // reference scan and the pruned one score a vector by the same arithmetic
 // and differ only in which vectors they look at. The returned slack is 0.
 //
-// With pruning on, every scanned posting contributes its quantized upper
-// bound to the dense float32 accumulator m.scores32 — unconditionally, no
-// first-touch bookkeeping — and two skip levels bound what goes unscanned
-// (DESIGN.md §12):
+// With pruning on, every scanned posting contributes its upper bound
+// dw·decode(w) to the dense float32 accumulator m.scores32 — unconditionally,
+// no first-touch bookkeeping; the tail is always scanned — and two skip
+// levels bound what goes unscanned (DESIGN.md §12):
 //
-//  1. Block skip: a committed block whose bound bub = dw·bmax·scale fits
-//     the remaining skip budget retires the whole rest of the list for one
-//     charge of bub to slack — impact order makes the current block's max
-//     bound every later posting, and a slot holds at most one posting per
-//     term. This can fire at block 0, dropping an entire fat list.
+//  1. Block skip: a block of the prefix whose bound bub = dw·decode(head)
+//     fits the remaining skip budget retires the whole rest of the prefix
+//     for one charge of bub to slack — impact order makes the current
+//     block's head bound every later posting, and a slot holds at most one
+//     posting per term. This can fire at block 0, dropping an entire fat
+//     list.
 //  2. Term cutoff: terms are walked heaviest-document-weight first (the
 //     order that collapses the Cauchy–Schwarz branch of rest fastest, and
 //     one that front-loads rare short-listed terms); once slack + rest(i)
@@ -1109,49 +1069,30 @@ func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, threshold fl
 			continue
 		}
 		if !prune {
-			for _, run := range [2][]uint32{l.sids, l.ids} {
-				for _, id := range run {
-					if int(id) < nSlots { // else: slot staged after this match began
-						m.scores32[id] = unprunedMark
-					}
+			for _, id := range l.ids {
+				if int(id) < nSlots { // else: slot staged after this match began
+					m.scores32[id] = unprunedMark
 				}
-				scanned += len(run)
 			}
+			scanned += len(l.ids)
 			s.mu.RUnlock()
 			ix.termAttr.Offer(t, float64(scanned-scanBase))
 			continue
 		}
-		for k, id := range l.sids { // staged tail: unquantized, always scanned
-			if int(id) >= nSlots {
-				continue // slot staged after this match began
-			}
-			m.scores32[id] += float32(dw * float64(l.sws[k]))
-		}
-		scanned += len(l.sids)
-		dws := dw * float64(l.scale) // folds the per-term dequantize scale
-		dws32 := float32(dws)
-		nc, nb := len(l.ids), l.blocks() // no committed body: no blocks
-		lids, qws, bmax := l.ids, l.qws, l.bmax
-		for b := 0; b < nb; b++ {
-			bub := dws * float64(bmax[b])
+		dw32 := float32(dw)
+		m.add(l.ids[l.sorted:], l.ws[l.sorted:], dw32)
+		scanned += len(l.ids) - l.sorted
+		for start := 0; start < l.sorted; start += blockSize {
+			bub := dw * float64(decode(l.ws[start]))
 			// Three quarters of the budget may go to block skips; the
 			// remainder is reserved so the term cutoff can still fire.
 			if slack+bub <= budget*0.75 {
 				slack += bub
-				m.stats.blocksSkipped += nb - b
+				m.stats.blocksSkipped += l.blocks() - start/blockSize
 				break
 			}
-			start, end := b*blockSize, (b+1)*blockSize
-			if end > nc {
-				end = nc
-			}
-			for k := start; k < end; k++ {
-				id := lids[k]
-				if int(id) >= nSlots {
-					continue
-				}
-				m.scores32[id] += dws32 * float32(qws[k])
-			}
+			end := min(start+blockSize, l.sorted)
+			m.add(l.ids[start:end], l.ws[start:end], dw32)
 			scanned += end - start
 		}
 		s.mu.RUnlock()
@@ -1167,6 +1108,17 @@ func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, threshold fl
 	}
 	m.stats.postingsScanned = scanned
 	return slackTotal
+}
+
+// add is the scan kernel, the same for a block and for the tail: each
+// posting adds dw times its decoded weight to its slot's accumulator.
+func (m *matcher) add(ids []uint32, ws []uint16, dw float32) {
+	scores, ws := m.scores32, ws[:len(ids)]
+	for k, id := range ids {
+		if int(id) < len(scores) { // else: slot staged after this match began
+			scores[id] += dw * decode(ws[k])
+		}
+	}
 }
 
 // fillDense scatters the document's weights into a term-id-indexed scratch
@@ -1212,12 +1164,12 @@ func rescore(p vsm.Packed, dense []float64) float64 {
 
 // sweepCut is the pruned harvest's candidate filter: a slot survives when
 // score32 + slackTotal ≥ θ·(1 − sweepMargin). The margin absorbs every
-// float32 rounding the pruned accumulator admits — the per-term
-// float32(dw·scale) fold and the float32 additions — whose combined
-// relative error stays under (terms+3)·2⁻²³ ≈ 1.6e-5 for thousand-term
-// documents, three orders of magnitude inside the margin. Candidates are
-// exactly rescored in float64, so the margin only widens the candidate
-// superset; it never changes output.
+// float32 rounding the pruned accumulator admits — float32(dw), the
+// products and the additions — whose combined relative error stays under
+// (terms+3)·2⁻²³ ≈ 1.6e-5 for thousand-term documents, three orders of
+// magnitude inside the margin. Candidates are exactly rescored in float64,
+// so the margin only widens the candidate superset; it never changes
+// output.
 const sweepMargin = 1e-3
 
 func sweepCut(threshold, slackTotal float64) float32 {
@@ -1373,37 +1325,37 @@ func sortTermsByWDesc(ids []uint32, ws []float64) {
 	}
 }
 
-// heapsortDesc sorts parallel (key, value) arrays by descending key,
-// in place and allocation-free (candidate sets can reach many thousands,
-// too large for insertion sort).
-func heapsortDesc[K float32 | float64](keys []K, vals []uint32) {
-	n := len(keys)
+// heapsortDesc sorts a list's tail — parallel weights and slots — by
+// descending impact, in place and allocation-free (a tail can reach many
+// thousands, too large for insertion sort).
+func heapsortDesc(ws []uint16, ids []uint32) {
+	n := len(ws)
 	for i := n/2 - 1; i >= 0; i-- {
-		siftDownMin(keys, vals, i, n)
+		siftDownMin(ws, ids, i, n)
 	}
 	for end := n - 1; end > 0; end-- {
-		keys[0], keys[end] = keys[end], keys[0]
-		vals[0], vals[end] = vals[end], vals[0]
-		siftDownMin(keys, vals, 0, end)
+		ws[0], ws[end] = ws[end], ws[0]
+		ids[0], ids[end] = ids[end], ids[0]
+		siftDownMin(ws, ids, 0, end)
 	}
 }
 
-// siftDownMin restores the min-heap property at i over keys[:n].
-func siftDownMin[K float32 | float64](keys []K, vals []uint32, i, n int) {
+// siftDownMin restores the min-heap property at i over ws[:n].
+func siftDownMin(ws []uint16, ids []uint32, i, n int) {
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		small := l
-		if r := l + 1; r < n && keys[r] < keys[l] {
+		if r := l + 1; r < n && impact(ws[r]) < impact(ws[l]) {
 			small = r
 		}
-		if keys[small] >= keys[i] {
+		if impact(ws[small]) >= impact(ws[i]) {
 			return
 		}
-		keys[i], keys[small] = keys[small], keys[i]
-		vals[i], vals[small] = vals[small], vals[i]
+		ws[i], ws[small] = ws[small], ws[i]
+		ids[i], ids[small] = ids[small], ids[i]
 		i = small
 	}
 }

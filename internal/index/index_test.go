@@ -227,10 +227,11 @@ func TestPostingCleanup(t *testing.T) {
 
 // TestWeightsBeyondFloat32DoNotHang: a float64 weight above MaxFloat32 is
 // +Inf once narrowed. When the 64th such posting of a term made its list
-// rebuild, requantize used to look for a scale with 255·scale ≥ +Inf, one
-// ulp at a time, for ever, holding the shard's write lock. The decoders now
-// refuse such weights, but SetUser and SetPacked are exported: they must
-// return whatever they are given, and Match must still answer.
+// rebuild, the rebuild used to look for a quantization scale with
+// 255·scale ≥ +Inf, one ulp at a time, for ever, holding the shard's write
+// lock. The decoders now refuse such weights, but SetUser and SetPacked are
+// exported: they must return whatever they are given, and Match must still
+// answer.
 func TestWeightsBeyondFloat32DoNotHang(t *testing.T) {
 	huge := math.Float64frombits(0x4800000000000000) // 6.8e38
 	for name, w := range map[string]float64{"huge": huge, "-huge": -huge, "+Inf": math.Inf(1), "NaN": math.NaN()} {

@@ -12,8 +12,8 @@ import (
 )
 
 // prunePopulation builds an index plus a brute-force mirror that is large
-// enough to push the busy posting lists through staged→committed rebuilds,
-// so matches exercise the blocked, quantized, impact-ordered hot path (a
+// enough to push the busy posting lists through rebuilds, so matches
+// exercise the blocked, impact-ordered hot path (a
 // vocabulary of vocab terms over nUsers users with up to three vectors
 // each yields several blocks per term).
 func prunePopulation(rng *rand.Rand, nUsers, vocab int) (*Index, map[string][]vsm.Vector) {
@@ -66,7 +66,7 @@ func requireHotLists(t *testing.T, ix *Index) {
 		s := &ix.shards[si]
 		s.mu.RLock()
 		for _, l := range s.lists {
-			if len(l.ids) > 0 {
+			if l.sorted > 0 {
 				hot++
 				blocks += l.blocks()
 			}
@@ -79,18 +79,17 @@ func requireHotLists(t *testing.T, ix *Index) {
 }
 
 // TestQuantizedBoundsNeverUnderestimate pins the structural invariants the
-// pruning proofs rest on: for every committed posting the quantized weight
-// over-estimates the exact one (qw·scale ≥ w), block maxima dominate their
-// blocks, the committed body is impact-ordered, and maxW dominates every
-// live weight, staged or committed. A violated bound would surface as a
-// false negative at some θ; checking the representation directly covers
-// every θ ∈ (0, 1] at once.
+// pruning proofs rest on: the prefix of every list is impact-ordered, so a
+// block's head dominates its block and every block behind it, and maxW
+// dominates every weight, sorted or in the tail. A violated bound would
+// surface as a false negative at some θ; checking the representation
+// directly covers every θ ∈ (0, 1] at once.
 func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix, _ := prunePopulation(rng, 900, 30)
 	requireHotLists(t, ix)
-	// Adversarial weight spread: one list mixing tiny and near-max weights
-	// stresses the shared per-term scale.
+	// Adversarial weight spread: one list mixing tiny and near-max weights,
+	// which a 16-bit weight must round up at every magnitude alike.
 	for i := 0; i < 200; i++ {
 		w := math.Pow(10, -4*rng.Float64())
 		ix.SetUser(fmt.Sprintf("adv%03d", i), []vsm.Vector{vec("t000", w, "t001", 1-w)})
@@ -100,26 +99,21 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 		s := &ix.shards[si]
 		s.mu.RLock()
 		for term, l := range s.lists {
-			s64 := float64(l.scale)
-			for i, w := range l.ws {
-				if ub := float64(l.qws[i]) * s64; ub < float64(w) {
-					t.Fatalf("term %d posting %d: quantized bound %v under-estimates weight %v", term, i, ub, w)
-				}
-				if i > 0 && l.ws[i-1] < w {
-					t.Fatalf("term %d: impact order violated at %d (%v < %v)", term, i, l.ws[i-1], w)
-				}
-				if w > l.maxW {
-					t.Fatalf("term %d: maxW %v < committed weight %v", term, l.maxW, w)
-				}
-				b := i / blockSize
-				if l.bmax[b] < l.qws[i] {
-					t.Fatalf("term %d block %d: bmax %d < qw %d", term, b, l.bmax[b], l.qws[i])
-				}
-				checked++
+			if l.sorted > len(l.ids) || len(l.ws) != len(l.ids) {
+				t.Fatalf("term %d: %d slots, %d weights, %d of them sorted", term, len(l.ids), len(l.ws), l.sorted)
 			}
-			for _, w := range l.sws {
+			for k, h := range l.ws {
+				w := decode(h)
+				if k < l.sorted {
+					if k > 0 && decode(l.ws[k-1]) < w {
+						t.Fatalf("term %d: impact order violated at %d (%v < %v)", term, k, decode(l.ws[k-1]), w)
+					}
+					if head := decode(l.ws[k/blockSize*blockSize]); head < w {
+						t.Fatalf("term %d block %d: head %v < weight %v", term, k/blockSize, head, w)
+					}
+				}
 				if w > l.maxW {
-					t.Fatalf("term %d: maxW %v < staged weight %v", term, l.maxW, w)
+					t.Fatalf("term %d: maxW %v < weight %v at %d (%d sorted)", term, l.maxW, w, k, l.sorted)
 				}
 				checked++
 			}
@@ -132,9 +126,9 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 
 	// Every bound above is a bound on posting weights; what a candidate is
 	// rescored with is the entry's exact float64 weight. The two meet in
-	// narrowUp: no live posting is below the weight it stands for — on
-	// random weights (almost none representable in float32), on weights one
-	// float64 ulp above a float32, and, below, on ones float32 cannot hold.
+	// up16: no live posting is below the weight it stands for — on random
+	// weights (almost none representable in 16 bits), on weights one float64
+	// ulp above a float32, and, below, on ones float32 cannot hold.
 	for i := 0; i < 100; i++ {
 		f := float64(float32(0.2 + 0.6*rng.Float64()))
 		ix.SetPacked(fmt.Sprintf("ulp%03d", i), []vsm.Packed{vsm.Pack(vsm.Vector{
@@ -147,9 +141,9 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 	requirePostingsCoverExactWeights(t, ix)
 }
 
-// requirePostingsCoverExactWeights checks float64(posting weight) ≥ exact
-// Packed weight for every posting of a live entry, committed and staged. A
-// NaN weight has no order: its posting must be NaN too.
+// requirePostingsCoverExactWeights checks decoded posting weight ≥ exact
+// Packed weight for every posting of a live entry, sorted and in the tail.
+// A NaN weight has no order: its posting must be NaN too.
 func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 	t.Helper()
 	checked := 0
@@ -159,25 +153,20 @@ func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 		s := &ix.shards[si]
 		s.mu.RLock()
 		for term, l := range s.lists {
-			for _, run := range []struct {
-				ids []uint32
-				ws  []float32
-			}{{l.ids, l.ws}, {l.sids, l.sws}} {
-				for k, slot := range run.ids {
-					e := &ix.entries[slot]
-					if !e.alive || s.dead[slot] {
-						continue
-					}
-					i := slices.Index(e.p.IDs, term)
-					if i < 0 {
-						t.Fatalf("term %d: a posting of live slot %d, whose vector lacks the term", term, slot)
-					}
-					exact, posted := e.p.Weights[i], float64(run.ws[k])
-					if math.IsNaN(exact) != math.IsNaN(posted) || posted < exact {
-						t.Fatalf("term %d slot %d: posting weight %v is below the exact weight %v", term, slot, posted, exact)
-					}
-					checked++
+			for k, slot := range l.ids {
+				e := &ix.entries[slot]
+				if !e.alive || s.dead[slot] {
+					continue
 				}
+				i := slices.Index(e.p.IDs, term)
+				if i < 0 {
+					t.Fatalf("term %d: a posting of live slot %d, whose vector lacks the term", term, slot)
+				}
+				exact, posted := e.p.Weights[i], float64(decode(l.ws[k]))
+				if math.IsNaN(exact) != math.IsNaN(posted) || posted < exact {
+					t.Fatalf("term %d slot %d: posting weight %v is below the exact weight %v", term, slot, posted, exact)
+				}
+				checked++
 			}
 		}
 		s.mu.RUnlock()
@@ -187,7 +176,7 @@ func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 	}
 }
 
-// TestNarrowUp pins the float64 → float32 narrowing postings use: the
+// TestNarrowUp pins the float64 → float32 narrowing up16 starts from: the
 // nearest float32 that is not below.
 func TestNarrowUp(t *testing.T) {
 	huge := math.Float64frombits(0x4800000000000000) // 6.8e38 > MaxFloat32
@@ -205,9 +194,79 @@ func TestNarrowUp(t *testing.T) {
 	}
 }
 
+// TestUp16RoundsUpAndNoFurther pins the 16-bit posting weight over every
+// 16-bit pattern, its float64 neighbours on both sides, a million random
+// float64s and the edges of every range: the decoded weight is never below
+// the exact one, no 16-bit pattern lies in between, a NaN stays a NaN, and
+// both up16 and the integer order rebuild sorts by (impact) are monotone in
+// the weight.
+func TestUp16RoundsUpAndNoFurther(t *testing.T) {
+	var byImpact [1 << 16]uint16 // every pattern, in impact order
+	for p := 0; p < 1<<16; p++ {
+		byImpact[int(impact(uint16(p)))+1<<15] = uint16(p)
+	}
+	for i := 1; i < len(byImpact); i++ {
+		if lo, hi := decode(byImpact[i-1]), decode(byImpact[i]); lo > hi {
+			t.Fatalf("impact orders %#04x (%v) before %#04x (%v)", byImpact[i-1], lo, byImpact[i], hi)
+		}
+	}
+	check := func(w float64) uint16 {
+		h := up16(w)
+		got := float64(decode(h))
+		if w != w {
+			if got == got {
+				t.Fatalf("up16(NaN) = %#04x, which decodes to %v", h, got)
+			}
+			return h
+		}
+		if !(got >= w) {
+			t.Fatalf("up16(%v) = %#04x decodes to %v, below it", w, h, got)
+		}
+		if i := int(impact(h)) + 1<<15; i > 0 {
+			if below := float64(decode(byImpact[i-1])); below >= w && below < got {
+				t.Fatalf("up16(%v) = %#04x (%v), but %#04x (%v) is not below it either", w, h, got, byImpact[i-1], below)
+			}
+		}
+		if w >= 0x1p-126 && !math.IsInf(got, 1) && got-w > w/128 { // float32's normal range
+			t.Fatalf("up16(%v) decodes to %v, more than 2⁻⁷ above", w, got)
+		}
+		return h
+	}
+	for p := 0; p < 1<<16; p++ {
+		x := float64(decode(uint16(p)))
+		if h := check(x); x == x && h != uint16(p) {
+			t.Fatalf("up16 of the value of %#04x is %#04x", p, h)
+		}
+		check(math.Nextafter(x, math.Inf(1)))
+		check(math.Nextafter(x, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(3))
+	ws := []float64{0, 5e-324, -5e-324, math.MaxFloat32, -math.MaxFloat32,
+		math.Ldexp(1, 960), -math.Ldexp(1, 960), math.Inf(1), math.Inf(-1)}
+	for i := 0; i < 1_000_000; i++ {
+		switch i % 3 {
+		case 0: // a profile weight
+			ws = append(ws, rng.Float64())
+		case 1: // any float32, widened and nudged off it
+			ws = append(ws, math.Nextafter(float64(math.Float32frombits(rng.Uint32())), rng.NormFloat64()))
+		default: // any float64, most beyond float32 on one side or the other
+			ws = append(ws, math.Float64frombits(rng.Uint64()))
+		}
+	}
+	check(math.NaN())
+	ws = slices.DeleteFunc(ws, func(w float64) bool { return w != w })
+	slices.Sort(ws)
+	for i, w := range ws {
+		h := check(w)
+		if i > 0 && impact(h) < impact(up16(ws[i-1])) {
+			t.Fatalf("up16 is not monotone: %v → %#04x, %v → %#04x", ws[i-1], up16(ws[i-1]), w, h)
+		}
+	}
+}
+
 // TestHostileWeightsKeepPostingsAboveExact: the weights of
 // TestWeightsBeyondFloat32DoNotHang — beyond float32's range, infinite,
-// NaN — through staged tails and rebuilt lists: every posting still covers
+// NaN — through tails and rebuilt lists: every posting still covers
 // its exact weight, Match still returns, and the honest profile that shares
 // a term with them still matches with its exact score.
 func TestHostileWeightsKeepPostingsAboveExact(t *testing.T) {

@@ -198,6 +198,12 @@ type Layout struct {
 	IndexShards    int // inverted-index posting shards
 }
 
+// queueSlot is a queued Delivery without its Seq, which its position gives.
+type queueSlot struct {
+	doc   int64
+	score float64
+}
+
 type subscriber struct {
 	id string
 
@@ -217,8 +223,10 @@ type subscriber struct {
 	// first delivery — a subscriber nobody has delivered to, every evicted
 	// stub of a lazy boot, holds no buffer — and grows 4 → 8 → … →
 	// Options.QueueSize as it fills, never shrinking (mm_pubsub_queue_slots
-	// shows what bursts have left allocated).
-	ring         []Delivery
+	// shows what bursts have left allocated). A slot holds no sequence
+	// number: deliver stamps consecutive ones and dropping only ever takes
+	// the oldest, so the queue is always the run ending at nextSeq-1.
+	ring         []queueSlot
 	head, queued int
 	// ready holds at most one wake token for consumers blocked on
 	// Subscription.Ready; made on first use, closed by Unsubscribe.
@@ -547,7 +555,7 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 
 	ds := sp.ChildAt("pubsub.deliver", t1)
 	for i, s := range targets {
-		if b.deliver(s, Delivery{Doc: id, Score: scores[i]}) {
+		if b.deliver(s, id, scores[i]) {
 			delivered++
 		}
 	}
@@ -612,18 +620,17 @@ func (s *subscriber) signalLocked() {
 // deliver enqueues without blocking, dropping the oldest undelivered item
 // when the queue is full at Options.QueueSize. It reports whether the
 // delivery was enqueued (false only when the subscriber is gone). Each
-// enqueued delivery is stamped with the subscriber's next sequence number
-// under the same lock, so sequence numbers enter the queue in strictly
-// ascending order; a drop bumps both the subscriber's own counter (the gap
-// signal consumers read beside every batch) and the global mm_pubsub_dropped
+// enqueued delivery takes the subscriber's next sequence number under the
+// same lock, so sequence numbers enter the queue in strictly ascending
+// order; a drop bumps both the subscriber's own counter (the gap signal
+// consumers read beside every batch) and the global mm_pubsub_dropped
 // metric.
-func (b *Broker) deliver(s *subscriber, d Delivery) bool {
+func (b *Broker) deliver(s *subscriber, doc int64, score float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
-	d.Seq = s.nextSeq
 	s.nextSeq++
 	if s.queued == len(s.ring) {
 		if len(s.ring) < b.opts.QueueSize {
@@ -638,7 +645,7 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 			b.m.topQueueFull.Offer(s.id, 1)
 		}
 	}
-	s.ring[(s.head+s.queued)%len(s.ring)] = d
+	s.ring[(s.head+s.queued)%len(s.ring)] = queueSlot{doc, score}
 	s.queued++
 	b.m.deliveries.Inc()
 	b.m.topDeliveries.Offer(s.id, 1)
@@ -650,7 +657,7 @@ func (b *Broker) deliver(s *subscriber, d Delivery) bool {
 // Options.QueueSize, unwrapping it to start at slot 0. Caller holds s.mu.
 func (b *Broker) growLocked(s *subscriber) {
 	n := min(max(4, 2*len(s.ring)), b.opts.QueueSize)
-	ring := make([]Delivery, n)
+	ring := make([]queueSlot, n)
 	k := copy(ring, s.ring[s.head:])
 	copy(ring[k:], s.ring[:s.head])
 	b.m.queueSlots.Add(float64(n - len(s.ring)))
@@ -967,12 +974,18 @@ func (s *Subscription) Take(buf []Delivery) (n int, nextSeq, dropped uint64, clo
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	n = min(len(buf), sub.queued)
-	k := copy(buf[:n], sub.ring[sub.head:])
-	copy(buf[k:n], sub.ring)
+	seq, at := sub.nextSeq-uint64(sub.queued), sub.head
+	for i := range buf[:n] {
+		q := sub.ring[at]
+		buf[i] = Delivery{Doc: q.doc, Score: q.score, Seq: seq + uint64(i)}
+		if at++; at == len(sub.ring) {
+			at = 0
+		}
+	}
 	if sub.queued -= n; sub.queued == 0 {
 		sub.head = 0
 	} else {
-		sub.head = (sub.head + n) % len(sub.ring)
+		sub.head = at
 		if !sub.closed {
 			sub.signalLocked() // another consumer, or this one's next turn
 		}

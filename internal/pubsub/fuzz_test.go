@@ -26,10 +26,10 @@ func hostileWeightProfile(t testing.TB, bits uint64) []byte {
 
 // FuzzImportSubscribe is the wire import op from the bytes on: whatever
 // UnmarshalBinary accepts is subscribed under 65 names — one more than a
-// posting block, so every term's list rebuilds and requantizes at least
+// posting block, so every term's list rebuilds into impact order at least
 // once — and matched by a document sharing a term, all before a deadline.
 // The first seed is the profile that used to hang the server: a weight of
-// 6.8e38, finite as a float64 and +Inf as the index's float32.
+// 6.8e38, finite as a float64 and +Inf as a posting weight.
 func FuzzImportSubscribe(f *testing.F) {
 	f.Add(hostileWeightProfile(f, 0x4800000000000000))
 	f.Add(hostileWeightProfile(f, 0x47efffffe0000000)) // MaxFloat32: accepted

@@ -10,13 +10,16 @@ import (
 	"mmprofile/internal/rocchio"
 )
 
-// TestDocKeyOffsetInvariant pins the docs-map/eviction-ring keying: the
-// ring's zero value means "empty slot", so document id d lives under key
-// d+1. In particular the very first document (id 0) must be retrievable —
-// a raw b.docs[doc] lookup would lose it and silently alias every doc to
-// its predecessor.
+// TestDocKeyOffsetInvariant pins what tells one retained document from
+// another: a ring slot answers only for the id it holds. The very first
+// document (id 0) is retrievable once published and absent before — an
+// empty slot is not document 0 — and an evicted or not-yet-published id
+// misses instead of aliasing to the document in its slot.
 func TestDocKeyOffsetInvariant(t *testing.T) {
 	b := New(Options{Threshold: 0.3, Retention: 4})
+	if _, ok := b.DocumentVector(0); ok {
+		t.Fatal("a broker that has published nothing retains document 0")
+	}
 	vecs := []string{"a", "b", "c", "d", "e", "f"}
 	for i, term := range vecs {
 		id, _ := b.PublishVector(vec(term, 1.0))
@@ -40,9 +43,12 @@ func TestDocKeyOffsetInvariant(t *testing.T) {
 			t.Errorf("doc %d returned the wrong vector: %v", i, got)
 		}
 	}
-	// The retained window is exactly the newest Retention ids; the
-	// key-offset internals behind this (ring slot 0 as the empty sentinel)
-	// are pinned by the docstore package's own TestDocKeyOffsetInvariant.
+	if _, ok := b.DocumentVector(6); ok {
+		t.Error("doc 6 is not published yet, and its slot holds doc 2")
+	}
+	// The retained window is exactly the newest Retention ids; the slot
+	// validation behind this is pinned by the docstore package's own
+	// TestDocKeyOffsetInvariant.
 	retained := map[int64]bool{}
 	b.docs.Range(func(rec docstore.Record) { retained[rec.ID] = true })
 	if len(retained) != 4 || !retained[2] || !retained[5] {

@@ -6,15 +6,26 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestQueueSlotIsSixteenBytes: a queued delivery is its document and its
+// score; the sequence number is where it stands in the queue.
+func TestQueueSlotIsSixteenBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(queueSlot{}); sz != 16 {
+		t.Errorf("a queue slot is %d bytes, want 16", sz)
+	}
+}
 
 // TestRingEqualsModel drives one subscriber's queue with random deliver /
 // Take(k) / unsubscribe steps beside a plain-slice model of the drop-oldest
-// contract, at queue sizes that exercise the degenerate ring (1, 2), a
-// non-power-of-two cap (5) and the default (128). After every step the
-// sequence numbers taken are exactly the model's, ascending;
-// taken + dropped + queued == nextSeq; and the ring's capacity is one of
-// 0, 4, 8, …, QueueSize, summed into mm_pubsub_queue_slots.
+// contract that holds every Delivery whole — the ring stores none of their
+// sequence numbers — at queue sizes that exercise the degenerate ring
+// (1, 2), a non-power-of-two cap (5) and the default (128). After every
+// step the deliveries taken are exactly the model's, document, score and
+// sequence number, ascending; taken + dropped + queued == nextSeq; and the
+// ring's capacity is one of 0, 4, 8, …, QueueSize, summed into
+// mm_pubsub_queue_slots.
 func TestRingEqualsModel(t *testing.T) {
 	for _, size := range []int{1, 2, 5, 128} {
 		rng := rand.New(rand.NewSource(int64(size)))
@@ -26,7 +37,7 @@ func TestRingEqualsModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			var (
-				model          []uint64 // queued sequence numbers, oldest first
+				model          []Delivery // what is queued, oldest first
 				next, dropped  uint64
 				taken          uint64
 				lastTaken      = int64(-1)
@@ -38,7 +49,8 @@ func TestRingEqualsModel(t *testing.T) {
 				switch r := rng.Intn(100); {
 				case r < 55: // deliver, in bursts that overflow the smaller queues
 					for i := rng.Intn(4); i >= 0; i-- {
-						if ok := b.deliver(sub.sub, Delivery{Doc: int64(step)}); ok == closed {
+						d := Delivery{Doc: rng.Int63(), Score: rng.Float64()}
+						if ok := b.deliver(sub.sub, d.Doc, d.Score); ok == closed {
 							t.Fatalf("size %d: deliver on closed=%v subscriber returned %v", size, closed, ok)
 						}
 						if closed {
@@ -48,7 +60,8 @@ func TestRingEqualsModel(t *testing.T) {
 							model = model[1:]
 							dropped++
 						}
-						model = append(model, next)
+						d.Seq = next
+						model = append(model, d)
 						next++
 					}
 				case r < 98:
@@ -59,8 +72,8 @@ func TestRingEqualsModel(t *testing.T) {
 						t.Fatalf("size %d step %d: Take(%d) moved %d, model %d", size, step, k, n, len(want))
 					}
 					for i, d := range buf[:n] {
-						if d.Seq != want[i] || int64(d.Seq) <= lastTaken {
-							t.Fatalf("size %d step %d: took seq %d at %d, model %d, last taken %d", size, step, d.Seq, i, want[i], lastTaken)
+						if d != want[i] || int64(d.Seq) <= lastTaken {
+							t.Fatalf("size %d step %d: took %+v at %d, model %+v, last taken %d", size, step, d, i, want[i], lastTaken)
 						}
 						lastTaken = int64(d.Seq)
 					}
@@ -143,7 +156,7 @@ func TestNoLostWakeup(t *testing.T) {
 			go func() {
 				defer pubs.Done()
 				for i := 0; i < perPublisher; i++ {
-					b.deliver(sub.sub, Delivery{Doc: int64(i)})
+					b.deliver(sub.sub, int64(i), 0)
 				}
 			}()
 		}

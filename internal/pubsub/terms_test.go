@@ -123,9 +123,10 @@ func trainedStates(t *testing.T, n int) [][]byte {
 // that the vocabulary, the term table and every posting list exist; the
 // next 500 are the measurement. A pair is a term id and a weight in the
 // profile (12 B), which the index entry borrows rather than copies, a
-// posting (9 B) and slice slack. When every decoded term was its own string
+// posting (6 B) and slice slack. When every decoded term was its own string
 // this read 60 B; sharing the table's strings, 50 B; holding ids, 37 B;
-// without the entry's own (id, float32) copy, 28 B. The
+// without the entry's own (id, float32) copy, 28 B; with the posting's
+// weight in 16 bits and its arrays grown by quarters, 23 B. The
 // pairs are read off mm_profile_resident_pairs, as an operator would read
 // them to do the same division on a live server.
 func TestResidentBytesPerTerm(t *testing.T) {
@@ -160,8 +161,8 @@ func TestResidentBytesPerTerm(t *testing.T) {
 	pairs := load(250, 750)
 	perPair := float64(liveHeap()-before) / float64(pairs)
 	t.Logf("%d pairs, %.1f live bytes per pair", pairs, perPair)
-	if perPair > 32 {
-		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 32", perPair)
+	if perPair > 24 {
+		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 24", perPair)
 	}
 	runtime.KeepAlive(states)
 	runtime.KeepAlive(b)

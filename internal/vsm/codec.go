@@ -59,10 +59,10 @@ func readHeader(buf []byte) (int, []byte, error) {
 
 // readTerm reads term i — its bytes, still in buf, and its weight — and
 // returns the remaining bytes. prev is term i−1 (unused for i = 0): terms
-// must ascend strictly. A weight must be finite as a float32, the width
-// the index narrows it to: one that overflows there is an infinite posting
-// weight that no quantization scale covers. Both decoders read through
-// here, so they refuse the same inputs.
+// must ascend strictly. A weight must be finite as a float32, the range
+// of the index's posting weights: one that overflows there is an infinite
+// bound on every score it enters. Both decoders read through here, so they
+// refuse the same inputs.
 func readTerm(buf, prev []byte, i int) ([]byte, float64, []byte, error) {
 	l, k := binary.Uvarint(buf)
 	// Compared this way round: a length near 2^64 would wrap k+l+8.
