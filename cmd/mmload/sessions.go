@@ -149,7 +149,7 @@ func runSessions(cfg sessionsConfig) {
 		cfg.docs, pubElapsed.Round(time.Millisecond), float64(cfg.docs)/pubElapsed.Seconds())
 
 	// Quiesce: the run is drained when the global receive count holds still
-	// for 2s (bounded at 60s so a wedged pump can't hang the run).
+	// for 2s (bounded at 60s so a wedged session can't hang the run).
 	last, stableMS := int64(-1), 0
 	for waited := 0; waited < 60_000 && stableMS < 2_000; waited += 200 {
 		time.Sleep(200 * time.Millisecond)
@@ -160,7 +160,7 @@ func runSessions(cfg sessionsConfig) {
 		}
 	}
 
-	// Tear down: closing each connection ends its server pump and unblocks
+	// Tear down: closing each connection ends its server session and unblocks
 	// its consumer's Recv.
 	for _, sess := range states {
 		sess.Close()

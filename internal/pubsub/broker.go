@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -228,9 +229,9 @@ type subscriber struct {
 	// the oldest, so the queue is always the run ending at nextSeq-1.
 	ring         []queueSlot
 	head, queued int
-	// ready holds at most one wake token for consumers blocked on
-	// Subscription.Ready; made on first use, closed by Unsubscribe.
-	ready chan struct{}
+	// wakes are the consumers' registrations (Subscription.OnReady), called
+	// under mu; nil while nobody consumes, so an evicted stub holds none.
+	wakes []*func()
 
 	// nextSeq is the sequence number the next delivery will carry (equal to
 	// the count of deliveries ever assigned to this subscriber); dropped
@@ -315,7 +316,7 @@ func New(opts Options) *Broker {
 	return b
 }
 
-// Subscription is a subscriber's handle: a delivery queue (Ready, Take)
+// Subscription is a subscriber's handle: a delivery queue (OnReady, Take)
 // plus feedback and introspection methods.
 type Subscription struct {
 	b   *Broker
@@ -425,7 +426,7 @@ func (b *Broker) SubscribeKeywords(id string, keywords []string) (*Subscription,
 }
 
 // Unsubscribe removes a subscriber and closes its delivery stream: what is
-// queued stays takeable, and every consumer waiting on Ready wakes. The
+// queued stays takeable, and every registered consumer is woken. The
 // journal append, the close, and the index removal all happen under the
 // subscriber's lock: a Feedback racing this call either completes fully
 // before it (its journal record precedes the unsubscribe record, and its
@@ -443,7 +444,7 @@ func (b *Broker) Unsubscribe(id string) {
 		_ = b.opts.Journal.AppendUnsubscribe(id)
 	}
 	s.closed = true
-	close(s.readyLocked()) // made here if never used: later consumers must still find it closed
+	s.wakeLocked()
 	b.m.queueSlots.Add(float64(-len(s.ring)))
 	b.idx.RemoveUser(id)
 	resident := s.learner != nil
@@ -592,28 +593,10 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	return id, delivered
 }
 
-// readyLocked returns s's wake channel, making it on first use: already
-// holding its token when deliveries are queued, so a consumer that arrives
-// after them does not wait for the next one. Caller holds s.mu.
-func (s *subscriber) readyLocked() chan struct{} {
-	if s.ready == nil {
-		s.ready = make(chan struct{}, 1)
-		if s.queued > 0 {
-			s.ready <- struct{}{}
-		}
-	}
-	return s.ready
-}
-
-// signalLocked leaves the wake token for whoever waits on Ready, if anyone
-// ever has and the token is not already there. Caller holds s.mu and has
-// checked s.closed (the channel is closed with the subscriber).
-func (s *subscriber) signalLocked() {
-	if s.ready != nil {
-		select {
-		case s.ready <- struct{}{}:
-		default:
-		}
+// wakeLocked calls every consumer's wake. Caller holds s.mu.
+func (s *subscriber) wakeLocked() {
+	for _, w := range s.wakes {
+		(*w)()
 	}
 }
 
@@ -649,7 +632,7 @@ func (b *Broker) deliver(s *subscriber, doc int64, score float64) bool {
 	s.queued++
 	b.m.deliveries.Inc()
 	b.m.topDeliveries.Offer(s.id, 1)
-	s.signalLocked()
+	s.wakeLocked()
 	return true
 }
 
@@ -951,16 +934,33 @@ func (b *Broker) Layout() Layout {
 	}
 }
 
-// Ready returns the channel a consumer blocks on between Takes: it yields a
-// token when deliveries are queued, and is closed by Unsubscribe, so every
-// consumer of a closed subscriber wakes (and keeps waking) to Take the tail
-// and the closed report. There is one token however many deliveries are
-// queued and however many consumers wait; Take passes it on when it leaves
-// deliveries behind.
-func (s *Subscription) Ready() <-chan struct{} {
-	s.sub.mu.Lock()
-	defer s.sub.mu.Unlock()
-	return s.sub.readyLocked()
+// OnReady registers wake as a consumer's signal to Take: it is called when
+// a delivery is queued, when a Take leaves deliveries behind, and when
+// Unsubscribe closes the stream — and at once if deliveries are already
+// queued or the stream is closed — so a consumer that Takes after every
+// wake is woken until Take reports closed. A wake may find nothing: every
+// registration on a subscriber is woken, and another consumer may have
+// taken what it announced. wake runs under the subscriber's lock, so it
+// must neither block nor call back into the broker. cancel removes the
+// registration.
+func (s *Subscription) OnReady(wake func()) (cancel func()) {
+	sub, w := s.sub, &wake
+	sub.mu.Lock()
+	sub.wakes = append(sub.wakes, w)
+	if sub.queued > 0 || sub.closed {
+		wake()
+	}
+	sub.mu.Unlock()
+	return func() {
+		sub.mu.Lock()
+		if i := slices.Index(sub.wakes, w); i >= 0 {
+			sub.wakes = slices.Delete(sub.wakes, i, i+1)
+		}
+		if len(sub.wakes) == 0 {
+			sub.wakes = nil
+		}
+		sub.mu.Unlock()
+	}
 }
 
 // Take moves up to len(buf) queued deliveries, oldest first, into buf and
@@ -968,7 +968,7 @@ func (s *Subscription) Ready() <-chan struct{} {
 // nextSeq and dropped as DeliveryStats defines them, and closed once the
 // subscriber is unsubscribed and its queue is empty — what Take returned
 // with it, possibly nothing, is the stream's tail. It never blocks; a
-// consumer that finds nothing waits on Ready.
+// consumer that finds nothing waits for its OnReady wake.
 func (s *Subscription) Take(buf []Delivery) (n int, nextSeq, dropped uint64, closed bool) {
 	sub := s.sub
 	sub.mu.Lock()
@@ -986,9 +986,7 @@ func (s *Subscription) Take(buf []Delivery) (n int, nextSeq, dropped uint64, clo
 		sub.head = 0
 	} else {
 		sub.head = at
-		if !sub.closed {
-			sub.signalLocked() // another consumer, or this one's next turn
-		}
+		sub.wakeLocked() // another consumer, or this one's next turn
 	}
 	return n, sub.nextSeq, sub.dropped, sub.closed && sub.queued == 0
 }

@@ -22,7 +22,16 @@ func Example() {
 	_, n = broker.Publish("<html><body>quarterly bond market report</body></html>")
 	fmt.Println("deliveries:", n)
 
-	<-sub.Ready() // a token while deliveries are queued; closed by Unsubscribe
+	// A consumer that blocks adapts the wake to a channel holding one token.
+	ready := make(chan struct{}, 1)
+	cancel := sub.OnReady(func() {
+		select {
+		case ready <- struct{}{}:
+		default:
+		}
+	})
+	defer cancel()
+	<-ready // woken at once: a delivery is already queued
 	var batch [8]pubsub.Delivery
 	n, _, _, _ = sub.Take(batch[:])
 	fmt.Println("taken:", n)

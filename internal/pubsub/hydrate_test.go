@@ -284,9 +284,10 @@ func (opaqueHydrator) RestoreUser(string) (filter.Learner, bool, error) {
 }
 
 // TestSubscribeRestoredStubHoldsNoQueue pins what an evicted stub costs:
-// no delivery buffer until something is delivered to it or someone listens
-// on it — and an unsubscribe still closes the stream for readers who were
-// waiting on it and for readers who only ask afterwards.
+// no delivery buffer until something is delivered to it, no wake
+// registration while nobody listens — and an unsubscribe still closes the
+// stream for readers who were waiting on it and for readers who only
+// register afterwards.
 func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -302,8 +303,8 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 		if subs[u], err = b.SubscribeRestored(u, nil); err != nil {
 			t.Fatal(err)
 		}
-		if subs[u].sub.ring != nil {
-			t.Fatalf("stub %q was born with a delivery buffer", u)
+		if subs[u].sub.ring != nil || subs[u].sub.wakes != nil {
+			t.Fatalf("stub %q was born with a delivery buffer or a wake registration", u)
 		}
 	}
 	got := make(chan bool)
@@ -315,12 +316,17 @@ func TestSubscribeRestoredStubHoldsNoQueue(t *testing.T) {
 	if <-got {
 		t.Error("a reader waiting across the unsubscribe got a delivery, want a closed stream")
 	}
-	b.Unsubscribe("asked-late")
-	select {
-	case <-subs["asked-late"].Ready():
-	default:
-		t.Error("a reader arriving after the unsubscribe would wait: Ready is not closed")
+	if subs["waited"].sub.waitedOn() {
+		t.Error("a reader that returned left its wake registered")
 	}
+	b.Unsubscribe("asked-late")
+	ready, cancel := readyChan(subs["asked-late"])
+	select {
+	case <-ready:
+	default:
+		t.Error("a reader registering after the unsubscribe would wait: OnReady did not wake it")
+	}
+	cancel()
 	if _, ok := recv(subs["asked-late"], true); ok {
 		t.Error("a reader arriving after the unsubscribe did not find the stream closed")
 	}
@@ -351,12 +357,12 @@ func (s *subscriber) queueMade() bool {
 	return s.ring != nil
 }
 
-// waitedOn reports, under the lock, whether any consumer has asked for the
-// wake channel.
+// waitedOn reports, under the lock, whether any consumer has a wake
+// registered.
 func (s *subscriber) waitedOn() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ready != nil
+	return s.wakes != nil
 }
 
 // TestBoundedResidencyConcurrent churns feedbacks, publishes, and

@@ -110,10 +110,10 @@ func TestRingEqualsModel(t *testing.T) {
 	}
 }
 
-// TestNoLostWakeup: four publishers and two consumers blocked on one
-// subscriber's Ready. With a single wake token for any number of queued
-// deliveries and waiting consumers, the token must be passed on by every
-// Take that leaves deliveries behind — a first wave has to drain completely
+// TestNoLostWakeup: four publishers and two consumers blocked between
+// wakes of one subscriber, each registered through OnReady and holding at
+// most one token for any number of queued deliveries. A Take that leaves
+// deliveries behind must wake again — a first wave has to drain completely
 // with nobody closing anything — and an unsubscribe in the middle of the
 // second wave has to return both consumers with every sequence number
 // either taken exactly once or counted as dropped.
@@ -133,9 +133,11 @@ func TestNoLostWakeup(t *testing.T) {
 		consumers.Add(1)
 		go func() {
 			defer consumers.Done()
+			ready, cancel := readyChan(sub)
+			defer cancel()
 			var buf [3]Delivery
 			for {
-				<-sub.Ready()
+				<-ready
 				n, _, _, closed := sub.Take(buf[:])
 				mu.Lock()
 				for _, d := range buf[:n] {
@@ -188,7 +190,7 @@ func TestNoLostWakeup(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a consumer blocked on Ready did not return after the unsubscribe")
+		t.Fatal("a consumer waiting for its wake did not return after the unsubscribe")
 	}
 	next, dropped := sub.DeliveryStats()
 	if got := uint64(len(seen)) + dropped; got != next {

@@ -408,7 +408,7 @@ func TestSessionEvictedByTick(t *testing.T) {
 		}
 	}
 
-	// Eight documents nobody reads: at most two sit in the pump's blocked
+	// Eight documents nobody reads: at most two sit in the session's blocked
 	// write and two in the queue, so the drops sketch knows alice by now.
 	for tick := 0; tick <= windows; tick++ {
 		if n := counter(s, "mm_pubsub_slow_evictions_total"); n != 0 {

@@ -10,7 +10,7 @@ import (
 
 // frameScratch is what building one session frame needs and a resting
 // session does not: the batch Take fills and the bytes conn.Write sends.
-// A pump borrows one from a wake to the end of the write.
+// A session borrows one from a wake to the end of the write.
 type frameScratch struct {
 	ds  []pubsub.Delivery
 	out []byte

@@ -9,7 +9,7 @@ import (
 	"mmprofile/internal/pubsub"
 )
 
-// jsonFrame is the frame as the pump wrote it before appendFrame existed:
+// jsonFrame is the frame as sessions wrote it before appendFrame existed:
 // encoding/json's rendering of the Response, plus Encode's newline.
 func jsonFrame(ds []pubsub.Delivery, nextSeq, dropped uint64, closed bool) ([]byte, error) {
 	resp := Response{OK: true, NextSeq: nextSeq, Dropped: dropped, Closed: closed}

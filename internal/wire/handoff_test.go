@@ -3,10 +3,13 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,27 +57,27 @@ const anyGoroutines = 1 << 30
 // process is back to at most baseline goroutines.
 func settled(t *testing.T, srv *Server, baseline int) {
 	t.Helper()
-	var conns, kicks, goroutines int
+	var conns, handles, goroutines int
 	var sessions float64
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		srv.mu.Lock()
-		conns, kicks = len(srv.conns), len(srv.sessKicks)
+		conns, handles = len(srv.conns), len(srv.userSessions)
 		srv.mu.Unlock()
 		sessions, goroutines = srv.sessions.Value(), runtime.NumGoroutine()
-		if conns == 0 && kicks == 0 && sessions == 0 && goroutines <= baseline {
+		if conns == 0 && handles == 0 && sessions == 0 && goroutines <= baseline {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("left behind: %d conns, %d kick entries, mm_wire_sessions %v, %d goroutines (baseline %d)",
-				conns, kicks, sessions, goroutines, baseline)
+			t.Fatalf("left behind: %d conns, %d users with session handles, mm_wire_sessions %v, %d goroutines (baseline %d)",
+				conns, handles, sessions, goroutines, baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // TestSessionHugeBatchIsClamped pins the remote crash the batch field used
-// to be: MaxInt64 made the pump's make() panic after the ack and took the
+// to be: MaxInt64 made the session's make() panic after the ack and took the
 // process with it, 1e9 asked for 24 GB. A frame can never hold more than
 // the queue does, so the request's number sizes nothing.
 func TestSessionHugeBatchIsClamped(t *testing.T) {
@@ -97,7 +100,7 @@ func TestSessionHugeBatchIsClamped(t *testing.T) {
 			t.Fatalf("batch %s: frame of %d deliveries (%v), want the queue's 4", batch, len(frame.Deliveries), err)
 		}
 		conn.Close()
-		settled(t, srv, anyGoroutines) // or the departing pump may take the next round's deliveries with it
+		settled(t, srv, anyGoroutines) // or the departing session may take the next round's deliveries with it
 	}
 	// And the server is still there.
 	c := NewClient(pipeConn(t, srv))
@@ -111,8 +114,8 @@ func TestSessionHugeBatchIsClamped(t *testing.T) {
 // FuzzSessionHandshake sends an arbitrary first line to a live server on a
 // net.Pipe connection, reads whatever comes back and hangs up: no line may
 // panic the server (a panic in a connection goroutine kills this process),
-// and the connection, its kick entry and its mm_wire_sessions count must
-// all be released.
+// and the connection, its session handle and its mm_wire_sessions count
+// must all be released.
 func FuzzSessionHandshake(f *testing.F) {
 	f.Add(`{"op":"session","user":"alice","batch":9223372036854775807}`)
 	f.Add(`{"op":"session","user":"alice","batch":-1}`)
@@ -149,11 +152,12 @@ func FuzzSessionHandshake(f *testing.F) {
 	})
 }
 
-// TestSessionGoroutinesReturnToBaseline: handle hands the connection to the
-// pump and returns, so the release it used to defer — close, conns entry,
-// drain count, session gauge, kick entry — is now the pump's to do exactly
-// once, whichever way the session ends. 500 sessions, a third ended each
-// way, and nothing is left: not a goroutine.
+// TestSessionGoroutinesReturnToBaseline: handle hands the connection to one
+// session goroutine and returns, so an open session is exactly one
+// goroutine, and the release handle used to defer — close, conns entry,
+// drain count, session gauge, session handle — is that goroutine's to do
+// exactly once, whichever way the session ends. 500 sessions, a third
+// ended each way, and nothing is left: not a goroutine.
 func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 	const n = 500
 	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
@@ -171,9 +175,9 @@ func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 	}
 	// A session registers just after its ack, so the last few may still be
 	// on their way in — and handle on its way out.
-	for deadline := time.Now().Add(10 * time.Second); srv.sessions.Value() != n || runtime.NumGoroutine()-baseline > 2*n; {
+	for deadline := time.Now().Add(10 * time.Second); srv.sessions.Value() != n || runtime.NumGoroutine()-baseline != n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions open: mm_wire_sessions %v, %d goroutines over baseline, want two each",
+			t.Fatalf("%d sessions open: mm_wire_sessions %v, %d goroutines over baseline, want one each",
 				n, srv.sessions.Value(), runtime.NumGoroutine()-baseline)
 		}
 		time.Sleep(time.Millisecond)
@@ -199,8 +203,8 @@ func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 	settled(t, srv, baseline)
 }
 
-// TestSplitNewlineKeepsSession: the watcher ends a session on anything the
-// client sends — except JSON whitespace, because the newline that ends the
+// TestSplitNewlineKeepsSession: a session ends on anything the client
+// sends — except JSON whitespace, because the newline that ends the
 // session request can arrive in a later segment than the request and must
 // not read as teardown.
 func TestSplitNewlineKeepsSession(t *testing.T) {
@@ -291,5 +295,120 @@ func TestTwoSessionsOneUserBothClose(t *testing.T) {
 			t.Errorf("received %d + dropped %d != next_seq %d", len(seen), r.dropped, r.next)
 		}
 	}
+	settled(t, srv, anyGoroutines)
+}
+
+// TestKickEndsSessionBlockedInWrite: a session whose client stopped reading
+// is blocked writing a frame nobody takes, and a kick still ends it — the
+// kick expires the write deadline as well as the read one, and the evicted
+// frame is only offered for evictWriteTimeout — so everything is released
+// while the client still never reads.
+func TestKickEndsSessionBlockedInWrite(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	b.Publish(catPage) // queued before the session opens, so its first act is to write it
+	conn := pipeConn(t, srv)
+	go conn.Write([]byte(`{"op":"session","user":"alice"}` + "\n"))
+	var ack Response
+	if err := json.NewDecoder(conn).Decode(&ack); err != nil || !ack.OK {
+		t.Fatalf("ack %+v, %v", ack, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.KickSession("alice", "stopped reading") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("kick never found the session")
+		}
+	}
+	settled(t, srv, anyGoroutines)
+	if _, ok := b.Subscription("alice"); !ok {
+		t.Fatal("eviction removed the subscription itself")
+	}
+}
+
+// TestCloseEndsOpenSessions: Close ends every session open at that moment
+// by closing its connection — each client reads the end of its stream, not
+// a frame — and leaves no goroutine, connection or session handle behind.
+func TestCloseEndsOpenSessions(t *testing.T) {
+	const n = 50
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	baseline := runtime.NumGoroutine()
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		user := fmt.Sprintf("u%d", i)
+		if _, err := b.SubscribeKeywords(user, []string{"cats"}); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = pipeSession(t, srv, user, 0)
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.sessions.Value() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("mm_wire_sessions %v, want %d open", srv.sessions.Value(), n)
+		}
+	}
+	srv.Close()
+	for i, sess := range sessions {
+		if _, err := sess.Recv(); !errors.Is(err, io.EOF) {
+			t.Errorf("session %d after Close: %v, want EOF", i, err)
+		}
+	}
+	settled(t, srv, baseline)
+}
+
+// TestSessionWakeRacesItsLoop: a wake lands anywhere in a session's turn —
+// deadline expired, Read returned, deadline cleared, flag cleared, Take —
+// and none may be lost. Batch 1 makes every push leave the rest queued, so
+// the session also wakes itself from inside Take, while two publishers
+// queue 10k deliveries on a 4-slot queue; after the unsubscribe every
+// sequence number was received exactly once or counted as dropped.
+func TestSessionWakeRacesItsLoop(t *testing.T) {
+	const perPublisher = 5000
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 4})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	sess := pipeSession(t, srv, "alice", 1)
+	seen := map[uint64]bool{}
+	var last SessionFrame
+	done := make(chan error, 1)
+	go func() {
+		for {
+			frame, err := sess.Recv()
+			if err != nil {
+				done <- err
+				return
+			}
+			for _, d := range frame.Deliveries {
+				if seen[d.Seq] {
+					t.Errorf("seq %d received twice", d.Seq)
+				}
+				seen[d.Seq] = true
+			}
+			if frame.Closed {
+				last = frame
+				done <- nil
+				return
+			}
+		}
+	}()
+	var pubs sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			for i := 0; i < perPublisher; i++ {
+				b.Publish(catPage)
+			}
+		}()
+	}
+	pubs.Wait()
+	b.Unsubscribe("alice")
+	if err := <-done; err != nil {
+		t.Fatalf("the session ended without its Closed frame: %v", err)
+	}
+	if last.NextSeq != 2*perPublisher || uint64(len(seen))+last.Dropped != last.NextSeq {
+		t.Fatalf("received %d + dropped %d, next_seq %d; want %d in all", len(seen), last.Dropped, last.NextSeq, 2*perPublisher)
+	}
+	t.Logf("received %d, dropped %d", len(seen), last.Dropped)
 	settled(t, srv, anyGoroutines)
 }

@@ -3,12 +3,13 @@ package wire
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mmprofile/internal/filter"
@@ -23,10 +24,10 @@ import (
 )
 
 // Server serves the JSON protocol over a listener, one goroutine per
-// request connection and two small ones per push session, all connections
-// sharing one broker. It keeps no subscriber table of its own: every op
-// resolves its user through the broker, so a subscriber is addressable
-// however it was registered.
+// connection — a request loop, or a push session once the client asks for
+// one — all sharing one broker. It keeps no subscriber table of its own:
+// every op resolves its user through the broker, so a subscriber is
+// addressable however it was registered.
 type Server struct {
 	broker *pubsub.Broker
 	log    *obs.Logger
@@ -44,13 +45,34 @@ type Server struct {
 	lis    net.Listener
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
-	done   chan struct{} // closed by Close; unblocks session handlers
 
-	// sessKicks tracks every in-flight push session's kick channel by
-	// user, so the slow-consumer eviction policy (mmserver
-	// -evict-drop-rate) can end sessions without owning the connection.
-	// Guarded by mu.
-	sessKicks map[string][]chan string
+	// userSessions holds every open push session's handle by user, so the
+	// slow-consumer eviction policy (mmserver -evict-drop-rate) can end
+	// sessions without owning their connections. Guarded by mu.
+	userSessions map[string][]*session
+}
+
+// session is a push session's handle: what a wake or a kick needs to reach
+// the one goroutine that owns the connection, parked in its Read.
+type session struct {
+	conn  net.Conn
+	woken atomic.Bool            // the read deadline is expired, or about to be
+	kick  atomic.Pointer[string] // the eviction reason, once kicked
+}
+
+// expired is a deadline in the past: a pending Read or Write returns now.
+var expired = time.Unix(1, 0)
+
+// evictWriteTimeout bounds the write of a kicked session's last frame to a
+// client that may have stopped reading.
+const evictWriteTimeout = time.Second
+
+// wake is the session's OnReady registration: it expires the read deadline
+// once per turn of the session's loop. It runs under the subscriber's lock.
+func (h *session) wake() {
+	if h.woken.CompareAndSwap(false, true) {
+		_ = h.conn.SetReadDeadline(expired)
+	}
 }
 
 // NewServer wraps a broker. The logf signature is kept for compatibility:
@@ -76,49 +98,43 @@ func NewServerLogger(b *pubsub.Broker, logger *obs.Logger) *Server {
 			"Deliveries pushed to session connections across all frames."),
 		slowEvictions: reg.Counter("mm_pubsub_slow_evictions_total",
 			"Push sessions closed because their windowed drop rate stayed pathological (mmserver -evict-drop-rate)."),
-		conns:     make(map[net.Conn]struct{}),
-		done:      make(chan struct{}),
-		sessKicks: make(map[string][]chan string),
+		conns:        make(map[net.Conn]struct{}),
+		userSessions: make(map[string][]*session),
 	}
 }
 
-// addKick registers a session's kick channel under user.
-func (s *Server) addKick(user string, ch chan string) {
+// removeSession unregisters a session's handle.
+func (s *Server) removeSession(user string, h *session) {
 	s.mu.Lock()
-	s.sessKicks[user] = append(s.sessKicks[user], ch)
-	s.mu.Unlock()
-}
-
-// removeKick unregisters a session's kick channel.
-func (s *Server) removeKick(user string, ch chan string) {
-	s.mu.Lock()
-	chs := s.sessKicks[user]
-	if i := slices.Index(chs, ch); i >= 0 {
-		chs = slices.Delete(chs, i, i+1)
+	hs := s.userSessions[user]
+	if i := slices.Index(hs, h); i >= 0 {
+		hs = slices.Delete(hs, i, i+1)
 	}
-	if len(chs) == 0 {
-		delete(s.sessKicks, user)
+	if len(hs) == 0 {
+		delete(s.userSessions, user)
 	} else {
-		s.sessKicks[user] = chs
+		s.userSessions[user] = hs
 	}
 	s.mu.Unlock()
 }
 
-// KickSession ends every push session currently open for user: each
-// session's pump sends the client a final error frame carrying reason and
-// returns, releasing the connection. The subscription itself survives —
-// eviction sheds the consumer, not the profile. Returns how many sessions
-// were signalled; each one bumps mm_pubsub_slow_evictions_total and
-// writes an audit event through the server's structured log (which the
-// flight recorder's ring tees into crash bundles).
+// KickSession ends every push session currently open for user: each one
+// stops waiting or writing, offers the client a final error frame carrying
+// reason for evictWriteTimeout, and releases the connection. The
+// subscription itself survives — eviction sheds the consumer, not the
+// profile. Returns how many sessions were signalled; each one bumps
+// mm_pubsub_slow_evictions_total and writes an audit event through the
+// server's structured log (which the flight recorder's ring tees into
+// crash bundles).
 func (s *Server) KickSession(user, reason string) int {
 	s.mu.Lock()
 	n := 0
-	for _, ch := range s.sessKicks[user] {
-		select {
-		case ch <- reason:
+	for _, h := range s.userSessions[user] {
+		if h.kick.CompareAndSwap(nil, &reason) {
+			// Both deadlines: a session blocked writing to a client that
+			// stopped reading must give up too.
+			_ = h.conn.SetDeadline(expired)
 			n++
-		default: // already signalled
 		}
 	}
 	s.mu.Unlock()
@@ -170,6 +186,7 @@ func (s *Server) Serve(lis net.Listener) error {
 // connection is handled on its own goroutine and participates in Close's
 // drain like any accepted one. Used for transports that never touch a
 // listener — net.Pipe in tests and mmload's in-process session harness.
+// A push session needs the connection's deadlines: they are how it wakes.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
@@ -184,12 +201,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 }
 
 // Close stops accepting, closes every live connection, and waits for the
-// handlers to drain.
+// handlers to drain. A push session's client sees its stream end (EOF).
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if !s.closed {
-		close(s.done)
-	}
 	s.closed = true
 	lis := s.lis
 	for c := range s.conns {
@@ -206,7 +220,7 @@ func (s *Server) Close() error {
 
 // release closes a connection and gives back its conns entry and its count
 // in Close's drain: the last act of whichever goroutine owns the connection
-// — handle, or the pump handle handed a session to.
+// — handle, or the session goroutine handle handed it to.
 func (s *Server) release(conn net.Conn) {
 	conn.Close()
 	s.mu.Lock()
@@ -249,9 +263,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if req.Op == OpSession {
 			// Session mode takes over the connection: once the ack is out the
-			// pump owns it and this goroutine — its stack grown by the decode
-			// above, its codec state — is gone; the serial request loop never
-			// resumes.
+			// session goroutine owns it and this one — its stack grown by the
+			// decode above, its codec state — is gone; the serial request loop
+			// never resumes.
 			handedOff = s.session(conn, enc, dec.Buffered(), req)
 			return
 		}
@@ -426,10 +440,10 @@ func (s *Server) subscribe(req Request) Response {
 const defaultSessionBatch = 64
 
 // session answers OpSession: it acks and, when the ack went out, hands conn
-// to two fresh goroutines — the pump and the watcher — and reports true; on
-// false the connection is still the caller's to release. What a session
-// holds at rest is then the connection, its handle on the subscriber's
-// queue, two channels and those two goroutines parked on small stacks
+// to one fresh goroutine, serveSession, and reports true; on false the
+// connection is still the caller's to release. What a session holds at rest
+// is then the connection, its handle, its wake registration on the
+// subscriber's queue and that goroutine parked in Read on a small stack
 // (DESIGN.md §15); everything a frame needs is borrowed for the write.
 func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req Request) (handedOff bool) {
 	sub, ok := s.broker.Subscription(req.User)
@@ -451,7 +465,7 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req R
 	// Push mode inverts the connection: the only thing a client can send is
 	// teardown, and that includes bytes the decoder already read past the
 	// request.
-	if !onlySpace(rest) {
+	if b, _ := io.ReadAll(rest); !space(b) {
 		return false
 	}
 	if s.log.Enabled(obs.LevelDebug) {
@@ -459,70 +473,64 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req R
 			slog.String("user", req.User),
 			slog.String("remote_addr", conn.RemoteAddr().String()))
 	}
-	// Buffered so KickSession never blocks holding s.mu; a second kick
-	// while one is pending is dropped (the session is ending anyway).
-	kick := make(chan string, 1)
-	s.addKick(req.User, kick)
+	h := &session{conn: conn}
+	s.mu.Lock()
+	s.userSessions[req.User] = append(s.userSessions[req.User], h)
+	s.mu.Unlock()
 	s.sessions.Add(1)
-	// The watcher reads the client's half — EOF, a reset, or any stray byte
-	// all end the session — so an idle session notices a gone client instead
-	// of holding its goroutines and kick entry forever. It returns at the
-	// latest when the pump closes conn.
-	gone := make(chan struct{})
-	go func() {
-		onlySpace(conn)
-		close(gone)
-	}()
-	go s.pump(conn, sub, req.User, batch, kick, gone)
+	go s.serveSession(h, sub, req.User, batch)
 	return true
 }
 
-// onlySpace reads r to its end and reports whether it held nothing but JSON
-// whitespace (a request's own newline may arrive in a later segment than the
-// request); it returns false at the first other byte or error.
-func onlySpace(r io.Reader) bool {
-	var b [8]byte
-	for {
-		n, err := r.Read(b[:])
-		for _, c := range b[:n] {
-			if c != ' ' && c != '\n' && c != '\r' && c != '\t' {
-				return false
-			}
-		}
-		if err != nil {
-			return err == io.EOF
+// space reports whether b is nothing but JSON whitespace — all a session's
+// client may send short of teardown, because a request's own newline may
+// arrive in a later segment than the request.
+func space(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\n' && c != '\r' && c != '\t' {
+			return false
 		}
 	}
+	return true
 }
 
-// pump owns one session connection: every queued delivery is pushed as soon
-// as it exists, coalesced with whatever else is queued (up to batch) into a
-// single frame — one write per burst instead of one round trip per
-// document. It ends when the subscriber is unsubscribed (the final frame
-// carries Closed and whatever was still queued), the client closes or
-// writes anything, a push fails, a kick arrives, or the server shuts down —
-// and then releases, once, everything the session held.
-func (s *Server) pump(conn net.Conn, sub *pubsub.Subscription, user string, batch int, kick chan string, gone <-chan struct{}) {
+// serveSession is a push session's one goroutine, and its one wait is the
+// Read on the client's half: EOF, an error or any byte that is not JSON
+// whitespace ends the session, so an idle session notices a gone client,
+// and an expired deadline is a wake or a kick. A wake pushes what is
+// queued, up to batch deliveries in one frame. The session also ends when
+// the subscriber is unsubscribed (the final frame carries Closed and
+// whatever was still queued) or a push fails, and then releases, once,
+// everything it held.
+func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string, batch int) {
 	defer s.rec.RecoverRepanic()
+	cancel := sub.OnReady(h.wake)
 	defer func() {
-		s.removeKick(user, kick)
+		cancel()
+		if reason := h.kick.Load(); reason != nil {
+			_ = h.conn.SetWriteDeadline(time.Now().Add(evictWriteTimeout))
+			_ = json.NewEncoder(h.conn).Encode(errResponse("wire: session evicted: %s", *reason))
+		}
+		s.removeSession(user, h)
 		s.sessions.Add(-1)
-		s.release(conn)
+		s.release(h.conn)
 	}()
-	ready := sub.Ready()
+	var b [8]byte
 	for {
-		select {
-		case <-ready:
-			if !s.push(conn, sub, batch) {
-				return
-			}
-		case reason := <-kick:
-			_ = json.NewEncoder(conn).Encode(errResponse("wire: session evicted: %s", reason))
+		n, err := h.conn.Read(b[:])
+		if !space(b[:n]) || err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
-		case <-gone:
-			return
-		case <-s.done:
-			_ = json.NewEncoder(conn).Encode(errResponse("wire: server shutting down"))
+		}
+		if err == nil {
+			continue
+		}
+		// Deadline first, flag second: a wake between the two does nothing,
+		// but the Take below sees what it announced; a wake after both
+		// expires the deadline again. A kick stores its reason before it
+		// expires the deadline, so one this check misses expires it again.
+		_ = h.conn.SetReadDeadline(time.Time{})
+		h.woken.Store(false)
+		if h.kick.Load() != nil || !s.push(h.conn, sub, batch) {
 			return
 		}
 	}
@@ -575,15 +583,4 @@ func (s *Server) profile(req Request) Response {
 		}
 	})
 	return Response{OK: true, Profile: msg}
-}
-
-// Addr returns the bound address once serving (for tests/examples that
-// listen on :0).
-func (s *Server) Addr() (net.Addr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis == nil {
-		return nil, fmt.Errorf("wire: server not serving")
-	}
-	return s.lis.Addr(), nil
 }

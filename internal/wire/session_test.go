@@ -9,12 +9,20 @@ import (
 	"mmprofile/internal/pubsub"
 )
 
+// testServer is a Server on a loopback listener, with the listener's
+// address: tests dial that, not anything Serve stores, which they may
+// reach before Serve does.
+type testServer struct {
+	*Server
+	addr string
+}
+
 // startServerOpts runs a server for a broker built from opts on a loopback
 // listener and returns a connected client, the server and the broker (so
 // tests can drive it from underneath the wire layer, e.g. closing a
 // subscriber without going through OpUnsubscribe); shutdown is registered
 // as cleanup.
-func startServerOpts(t *testing.T, opts pubsub.Options) (*Client, *Server, *pubsub.Broker) {
+func startServerOpts(t *testing.T, opts pubsub.Options) (*Client, *testServer, *pubsub.Broker) {
 	t.Helper()
 	b := pubsub.New(opts)
 	srv := NewServer(b, func(string, ...any) {})
@@ -36,19 +44,15 @@ func startServerOpts(t *testing.T, opts pubsub.Options) (*Client, *Server, *pubs
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, srv, b
+	return c, &testServer{srv, lis.Addr().String()}, b
 }
 
 // openSession dials a second connection to srv and switches it into push
 // mode for user; reads on it give up after ten seconds rather than hanging
 // the test binary.
-func openSession(t *testing.T, srv *Server, user string, batch int) *Session {
+func openSession(t *testing.T, srv *testServer, user string, batch int) *Session {
 	t.Helper()
-	addr, err := srv.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Dial(addr.String())
+	sc, err := Dial(srv.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +153,7 @@ func TestSessionPushDelivery(t *testing.T) {
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Dial(addr.String())
+	sc, err := Dial(srv.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +206,7 @@ func TestSessionKickEvicts(t *testing.T) {
 	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Dial(addr.String())
+	sc, err := Dial(srv.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +218,7 @@ func TestSessionKickEvicts(t *testing.T) {
 	if n := srv.KickSession("ghost", "no such session"); n != 0 {
 		t.Fatalf("kick for unknown user signalled %d sessions", n)
 	}
-	// The session registers its kick channel just after the handshake ack,
+	// The session registers its handle just after the handshake ack,
 	// so poll until the kick lands instead of racing it.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.KickSession("alice", "drop rate 12.0/s over 3 windows") == 0 {

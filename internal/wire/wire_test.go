@@ -10,7 +10,7 @@ import (
 )
 
 // startServer is startServerOpts with the configuration most tests use.
-func startServer(t *testing.T) (*Client, *Server) {
+func startServer(t *testing.T) (*Client, *testServer) {
 	t.Helper()
 	c, srv, _ := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
 	return c, srv
@@ -203,10 +203,6 @@ func TestUnknownOp(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	c0, srv := startServer(t)
-	addr, err := srv.Addr()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := c0.Subscribe("watcher", "", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +212,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr.String())
+			c, err := Dial(srv.addr)
 			if err != nil {
 				errs <- err
 				return
