@@ -24,11 +24,13 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-// Record is one retained document.
+// Record is one retained document: its id, its vector in the form the
+// broker keeps it (vsm.Retained, whose layout is vsm's business), and the
+// raw page when the caller retains content.
 type Record struct {
 	ID      int64
-	Vec     vsm.Vector
-	Content string // only when the caller retains raw content
+	Doc     vsm.Retained
+	Content string
 }
 
 // Store is a sharded fixed-capacity document window. Safe for concurrent
@@ -94,19 +96,20 @@ func (s *Store) Shards() int { return len(s.shards) }
 // order, and reports whether a document left the window to make room: the
 // one retention ids older, which held the slot — or, should retention
 // publishers have overtaken this one between the id and the lock, this one.
-func (s *Store) Put(vec vsm.Vector, content string) (id int64, evicted bool) {
+func (s *Store) Put(doc vsm.Retained, content string) (id int64, evicted bool) {
 	id = s.next.Add(1) - 1
 	sh, sl := s.at(id)
 	sh.mu.Lock()
 	evicted = sl.filled
 	if !sl.filled || sl.rec.ID < id {
-		*sl = slot{Record{ID: id, Vec: vec, Content: content}, true}
+		*sl = slot{Record{ID: id, Doc: doc, Content: content}, true}
 	}
 	sh.mu.Unlock()
 	return id, evicted
 }
 
-// Get returns the retained record of a document id.
+// Get returns the retained record of a document id. It allocates nothing:
+// a caller that needs the vector builds it with rec.Doc.Vector().
 func (s *Store) Get(id int64) (Record, bool) {
 	if id < 0 {
 		return Record{}, false

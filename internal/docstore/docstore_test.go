@@ -8,8 +8,8 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-func v(term string) vsm.Vector {
-	return vsm.FromMap(map[string]float64{term: 1}).Normalized()
+func v(term string) vsm.Retained {
+	return vsm.Retain(vsm.FromMap(map[string]float64{term: 1}).Normalized())
 }
 
 // TestDocKeyOffsetInvariant pins what tells one document from another in
@@ -55,8 +55,8 @@ func TestDocKeyOffsetInvariant(t *testing.T) {
 				if !ok {
 					t.Fatalf("doc %d not retained", i)
 				}
-				if rec.Vec.Weight(term) == 0 {
-					t.Errorf("doc %d returned the wrong vector: %v", i, rec.Vec)
+				if vec := rec.Doc.Vector(); vec.Weight(term) == 0 {
+					t.Errorf("doc %d returned the wrong vector: %v", i, vec)
 				}
 			}
 			if evictions != 2 {

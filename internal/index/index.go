@@ -857,41 +857,13 @@ func (ix *Index) compactShard(s *shard) []uint32 {
 // ---------------------------------------------------------------------------
 // Matching
 
-// Doc is a document vector resolved against the index's term dictionary:
-// terms the index has never seen are dropped (they cannot match), the rest
-// carry their interned ids. NewDoc also precomputes the order the matcher
-// walks terms in — descending document weight — so scoring the same
-// document several times does not re-derive it.
-type Doc struct {
-	ids []uint32  // scan-order hint: descending document weight
-	ws  []float64 // aligned with ids
-}
-
-// NewDoc resolves a unit-normalized document vector against the term
-// dictionary once and precomputes the matcher's scan order. The
-// hint depends only on the document's own weights (heaviest first, the
-// order that collapses the matcher's Cauchy–Schwarz tail bound fastest),
-// so a Doc stays valid (and exact) across concurrent index updates — the
-// matcher re-reads live term maxima for its pruning bounds.
-func (ix *Index) NewDoc(v vsm.Vector) Doc {
-	d := Doc{
-		ids: make([]uint32, 0, len(v.Terms)),
-		ws:  make([]float64, 0, len(v.Terms)),
-	}
-	for i, t := range v.Terms {
-		if id, ok := intern.Terms.Lookup(t); ok {
-			d.ids = append(d.ids, id)
-			d.ws = append(d.ws, v.Weights[i])
-		}
-	}
-	sortTermsByWDesc(d.ids, d.ws)
-	return d
-}
-
-// matcher is the pooled per-call scoring state: a dense accumulator over
-// entry slots, a dense best-per-user table over uids with the list of uids
-// it holds, and the pruning scratch (block counts, suffix sums).
+// matcher is the pooled per-call scoring state: the document's terms in
+// walk order, a dense accumulator over entry slots, a dense best-per-user
+// table over uids with the list of uids it holds, and the pruning scratch
+// (block counts, suffix sums).
 type matcher struct {
+	ids      []uint32  // the document's term ids, heaviest document weight first
+	ws       []float64 // aligned with ids
 	nb       []int32
 	suffix   []float64
 	csr      []float64
@@ -925,21 +897,27 @@ func grow[T any](s []T, n int) []T {
 // shares a term with it and returns, per user, the best-scoring vector with
 // score ≥ threshold, sorted by descending score (ties by user for
 // determinism). doc must be unit-normalized, as all document vectors in
-// this system are. It is MatchDoc of NewDoc, timed.
+// this system are. It is MatchDoc of doc's retained form, timed.
 func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 	var t0 time.Time
 	if ix.inst != nil {
 		t0 = time.Now()
 	}
-	out := ix.MatchDoc(ix.NewDoc(doc), threshold)
+	out := ix.MatchDoc(vsm.Retain(doc), threshold)
 	if ix.inst != nil {
 		ix.inst.matchLat.ObserveSince(t0)
 	}
 	return out
 }
 
-// MatchDoc is Match for a pre-resolved document: accumulate + harvest
-// under the registry read lock — freezing slot liveness across both phases
+// MatchDoc is Match for a retained document. Its ids were looked up when
+// it was retained; a term the table did not hold then cannot match and is
+// skipped. The rest are walked heaviest document weight first (the order
+// that collapses the Cauchy–Schwarz tail bound fastest), sorted in the
+// pooled matcher, so a match allocates only its result.
+//
+// Accumulate + harvest run under the registry read lock — freezing slot
+// liveness across both phases
 // — with per-shard read locks nested inside (registry→shard is the global
 // lock order; no writer acquires the registry while holding a shard).
 // Commits therefore appear atomic to a match: it scores either a user's old
@@ -947,12 +925,14 @@ func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 // Postings inserted concurrently for staged slots are harmless: staged
 // slots are not alive, and harvest discards them along with stale postings
 // on dead slots.
-func (ix *Index) MatchDoc(d Doc, threshold float64) []Match {
+func (ix *Index) MatchDoc(d vsm.Retained, threshold float64) []Match {
 	prune := threshold > 0 && !ix.pruneOff.Load()
 	m := ix.pool.Get().(*matcher)
+	m.ids, m.ws = d.AppendHits(m.ids[:0], m.ws[:0])
+	sortTermsByWDesc(m.ids, m.ws)
 	ix.mu.RLock()
-	slackTotal := ix.accumulate(m, d.ids, d.ws, threshold, prune)
-	out := ix.harvestAll(m, d.ids, d.ws, threshold, slackTotal, prune)
+	slackTotal := ix.accumulate(m, threshold, prune)
+	out := ix.harvestAll(m, threshold, slackTotal, prune)
 	ix.mu.RUnlock()
 	m.flushStats(ix)
 	ix.pool.Put(m)
@@ -1015,7 +995,8 @@ func (ix *Index) RecordMatchLatency(start, end time.Time, trace uint64) {
 // margin) admits a superset of the true result set, every candidate is
 // exactly rescored in float64, and pruned output is bit-identical to the
 // unpruned scan's. Caller holds the registry read lock.
-func (ix *Index) accumulate(m *matcher, ids []uint32, ws []float64, threshold float64, prune bool) (slackTotal float64) {
+func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTotal float64) {
+	ids, ws := m.ids, m.ws
 	nSlots := len(ix.entries)
 	m.scores32 = grow(m.scores32, nSlots)
 	m.stats = matchStats{}
@@ -1126,19 +1107,19 @@ func (m *matcher) add(ids []uint32, ws []uint16, dw float32) {
 // largest term id; entry terms beyond it cannot be doc terms and contribute
 // nothing. clearDense undoes exactly the writes fillDense made, keeping the
 // pooled array all-zero between calls.
-func (m *matcher) fillDense(ids []uint32, ws []float64) {
-	if len(ids) == 0 {
+func (m *matcher) fillDense() {
+	if len(m.ids) == 0 {
 		m.dense = m.dense[:0]
 		return
 	}
-	m.dense = grow(m.dense, int(slices.Max(ids))+1)
-	for j, t := range ids {
-		m.dense[t] = ws[j]
+	m.dense = grow(m.dense, int(slices.Max(m.ids))+1)
+	for j, t := range m.ids {
+		m.dense[t] = m.ws[j]
 	}
 }
 
-func (m *matcher) clearDense(ids []uint32) {
-	for _, t := range ids {
+func (m *matcher) clearDense() {
+	for _, t := range m.ids {
 		if int(t) < len(m.dense) {
 			m.dense[t] = 0
 		}
@@ -1186,11 +1167,11 @@ const unprunedMark = 1
 // than a random-order touched walk — and exactly rescores every live slot
 // at or above the cut: sweepCut's when pruning, the mark of a shared term
 // when not. Caller holds the registry read lock.
-func (ix *Index) harvestAll(m *matcher, ids []uint32, ws []float64, threshold float64, slackTotal float64, prune bool) []Match {
+func (ix *Index) harvestAll(m *matcher, threshold float64, slackTotal float64, prune bool) []Match {
 	m.best = grow(m.best, int(ix.nextUID))
 	m.bestAt = grow(m.bestAt, int(ix.nextUID))
 	m.uids = m.uids[:0]
-	m.fillDense(ids, ws)
+	m.fillDense()
 	cut := float32(unprunedMark)
 	if prune {
 		cut = sweepCut(threshold, slackTotal)
@@ -1217,7 +1198,7 @@ func (ix *Index) harvestAll(m *matcher, ids []uint32, ws []float64, threshold fl
 		m.record(ix, uint32(slot), ex)
 	}
 	clear(m.scores32)
-	m.clearDense(ids)
+	m.clearDense()
 	out := make([]Match, 0, len(m.uids))
 	for _, uid := range m.uids {
 		e := &ix.entries[m.bestAt[uid]]

@@ -316,7 +316,7 @@ func TestMatchPrunedEqualsBruteForceEveryTheta(t *testing.T) {
 	requireHotLists(t, ix)
 	for trial := 0; trial < 8; trial++ {
 		doc := randProbe(rng, 30)
-		d := ix.NewDoc(doc)
+		d := vsm.Retain(doc)
 		for _, theta := range thetaGrid {
 			want := bruteMatches(profiles, doc, theta)
 			for _, via := range []string{"Match", "MatchDoc"} {
@@ -469,7 +469,7 @@ func TestPruneStressConcurrent(t *testing.T) {
 					}
 				}
 				if i%20 == 0 {
-					ix.MatchDoc(ix.NewDoc(doc), theta)
+					ix.MatchDoc(vsm.Retain(doc), theta)
 				}
 			}
 		}(r)

@@ -58,7 +58,7 @@ func TestMatchScoreIsProfileScore(t *testing.T) {
 	check := func(state string) {
 		t.Helper()
 		for pi, doc := range probes {
-			d := ix.NewDoc(doc)
+			d := vsm.Retain(doc)
 			want := map[string]float64{}
 			for user, vecs := range packed {
 				if s := profileScore(doc, vecs); s > 0 {

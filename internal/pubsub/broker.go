@@ -506,9 +506,12 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	if sp == nil {
 		sp = b.opts.Trace.RootAt("pubsub.publish", t0, trace.Remote{})
 	}
-	// Retain the vector for feedback resolution; the docstore assigns the
-	// id and evicts the oldest document under its shard's lock.
-	id, evicted := b.docs.Put(vec, content)
+	// Each term is looked up once, into the form the docstore keeps for
+	// feedback resolution and the matcher reads: ids for the terms the table
+	// holds, strings for the rest. The docstore assigns the id and evicts
+	// the oldest document under its shard's lock.
+	doc := vsm.Retain(vec)
+	id, evicted := b.docs.Put(doc, content)
 	b.m.published.Inc()
 	if evicted {
 		b.m.evictions.Inc()
@@ -522,10 +525,7 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 		return id, 0
 	}
 
-	// Resolve the document against the index's term dictionary once; the
-	// whole tokenize→weight→match path then never re-hashes a term string.
 	ms := sp.ChildAt("index.match", t0)
-	doc := b.idx.NewDoc(vec)
 	matches := b.idx.MatchDoc(doc, b.opts.Threshold)
 
 	// Fan-out cost is O(matches), not O(all subscribers): a profile is
@@ -720,6 +720,7 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 	if !ok {
 		return fmt.Errorf("pubsub: document %d not retained (retention %d)", doc, b.opts.Retention)
 	}
+	vec := rec.Doc.Vector()
 	// An evicted subscriber hydrates before the journal append so the
 	// learner observes this judgment on top of its full history.
 	return b.withLearner(s, sp, func(l filter.Learner) error {
@@ -727,10 +728,10 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 			var err error
 			if tj, ok := b.opts.Journal.(tracedJournal); ok {
 				// The store itself spans the WAL write and commit wait under sp.
-				err = tj.AppendFeedbackTraced(user, rec.Vec, fd, sp)
+				err = tj.AppendFeedbackTraced(user, vec, fd, sp)
 			} else {
 				js := sp.Child("store.append")
-				err = b.opts.Journal.AppendFeedback(user, rec.Vec, fd)
+				err = b.opts.Journal.AppendFeedback(user, vec, fd)
 				js.End()
 			}
 			if err != nil {
@@ -743,7 +744,7 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 			at.TagNextObserve(doc, sp.Trace().String())
 		}
 		os := sp.Child("core.observe")
-		l.Observe(rec.Vec, fd)
+		l.Observe(vec, fd)
 		os.End()
 		b.recordAdaptation(s)
 		rs := sp.Child("index.reindex")
@@ -878,7 +879,9 @@ func (b *Broker) DocumentVector(doc int64) (vsm.Vector, bool) {
 	if !ok {
 		return vsm.Vector{}, false
 	}
-	return rec.Vec.Clone(), true
+	v := rec.Doc.Vector()
+	v.Weights = slices.Clone(v.Weights)
+	return v, true
 }
 
 // DocumentContent returns the retained raw page of a published document;

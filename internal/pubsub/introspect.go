@@ -93,7 +93,7 @@ func (b *Broker) ExplainDoc(user string, doc int64, maxTerms int) (core.Explanat
 		if !ok {
 			return fmt.Errorf("pubsub: learner %q does not support explanation", l.Name())
 		}
-		out = ex.Explain(rec.Vec, maxTerms)
+		out = ex.Explain(rec.Doc.Vector(), maxTerms)
 		return nil
 	})
 	return out, err

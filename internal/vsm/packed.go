@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -59,6 +60,87 @@ func (p Packed) Vector() Vector {
 		v.Terms[i] = intern.Terms.String(id)
 	}
 	return v
+}
+
+// Retained is a published document as the broker keeps it for the paper's
+// "short duration" (Section 4.3): per term of its vector, in the vector's
+// order, a term-table id, or the string itself for a miss (a term no
+// profile holds), beside the vector's own weights. A hit costs 4 bytes
+// where a Vector spends a 16-byte string header.
+//
+// Retain only looks terms up, so retaining never grows the table, as
+// publishing must not. The table never forgets, so a hit's id names its
+// term while the document is kept, and a miss some profile interns later
+// stays a string. Vector gives the vector back exactly — terms, order and
+// weight bits — whatever order, duplicates or weights it held, so what a
+// judgment journals and learns from is what was published.
+//
+// A Retained is immutable: its weights are those of the Vector it was
+// built from and of every Vector it returns, and none of them is written.
+type Retained struct {
+	ids    []uint32 // missID where the term is in misses
+	ws     []float64
+	misses []string // the terms at missID positions, in order
+}
+
+// missID marks a miss in Retained.ids. The table would hand it out as its
+// last id, after 2^26 terms in one shard; a term with that id is kept as a
+// string (Resolved cannot hold that id either), so only matching, never the
+// vector, would miss it.
+const missID = math.MaxUint32
+
+// Retain builds v's retained form: one table lookup per term, ids sized to
+// v and the misses to exactly their count.
+func Retain(v Vector) Retained {
+	r := Retained{ids: make([]uint32, len(v.Terms)), ws: v.Weights}
+	misses := 0
+	for i, t := range v.Terms {
+		id, ok := intern.Terms.Lookup(t)
+		if !ok || id == missID {
+			id = missID
+			misses++
+		}
+		r.ids[i] = id
+	}
+	if misses > 0 {
+		r.misses = make([]string, 0, misses)
+		for i, id := range r.ids {
+			if id == missID {
+				r.misses = append(r.misses, v.Terms[i])
+			}
+		}
+	}
+	return r
+}
+
+// Len returns the number of terms.
+func (r Retained) Len() int { return len(r.ids) }
+
+// Vector returns the retained vector: fresh Terms, in which a hit's string
+// is the table's, over the retained Weights, which no caller writes.
+func (r Retained) Vector() Vector {
+	v := Vector{Terms: make([]string, len(r.ids)), Weights: r.ws}
+	misses := r.misses
+	for i, id := range r.ids {
+		if id == missID {
+			v.Terms[i], misses = misses[0], misses[1:]
+		} else {
+			v.Terms[i] = intern.Terms.String(id)
+		}
+	}
+	return v
+}
+
+// AppendHits appends the id and weight of every term the table held when r
+// was built, in r's order, to ids and ws: the document as a matcher sees
+// it, since a term no profile held cannot match.
+func (r Retained) AppendHits(ids []uint32, ws []float64) ([]uint32, []float64) {
+	for i, id := range r.ids {
+		if id != missID {
+			ids, ws = append(ids, id), append(ws, r.ws[i])
+		}
+	}
+	return ids, ws
 }
 
 // Resolved is a document's weights keyed by term id: the side of a dot

@@ -196,6 +196,102 @@ func FuzzDecodePacked(f *testing.F) {
 	})
 }
 
+// checkRetained holds Retain(v) to its contract: Vector gives v back bit
+// for bit, AppendHits gives exactly the terms the table holds with their
+// weights, in v's order, and retaining grows the table by nothing.
+func checkRetained(t *testing.T, v Vector) {
+	t.Helper()
+	before := intern.Terms.Len()
+	r := Retain(v)
+	if intern.Terms.Len() != before {
+		t.Fatalf("Retain grew the term table from %d to %d", before, intern.Terms.Len())
+	}
+	if got := r.Vector(); !sameVector(got, v) || r.Len() != len(v.Terms) {
+		t.Fatalf("Retain(%v).Vector() = %v", v, got)
+	}
+	ids, ws := r.AppendHits(nil, nil)
+	k := 0
+	for i, term := range v.Terms {
+		id, ok := intern.Terms.Lookup(term)
+		if !ok {
+			continue
+		}
+		if k == len(ids) || ids[k] != id || math.Float64bits(ws[k]) != math.Float64bits(v.Weights[i]) {
+			t.Fatalf("hit %d of %q: AppendHits gave %v %v", k, v.Terms, ids, ws)
+		}
+		k++
+	}
+	if k != len(ids) || len(ids) != len(ws) {
+		t.Fatalf("AppendHits gave %d ids and %d weights for %d hits", len(ids), len(ws), k)
+	}
+}
+
+// TestRetainedRoundTrip: what PublishVector accepts from an in-process
+// caller comes back from its retained form exactly, whatever the weights,
+// term order or share of terms the table holds.
+func TestRetainedRoundTrip(t *testing.T) {
+	for _, term := range []string{"keep~a", "keep~c", "keep~e"} {
+		intern.Terms.Intern(term)
+	}
+	w := func(bits uint64) float64 { return math.Float64frombits(bits) }
+	cases := map[string]Vector{
+		"empty":    {},
+		"all hit":  {Terms: []string{"keep~a", "keep~c", "keep~e"}, Weights: []float64{0.25, 0.5, 1.25}},
+		"all miss": {Terms: []string{"keep~b", "keep~d"}, Weights: []float64{1, 2}},
+		"mixed":    {Terms: []string{"keep~a", "keep~b", "keep~c", "keep~d", "keep~e"}, Weights: []float64{1, 2, 3, 4, 5}},
+		"unsorted": {Terms: []string{"keep~e", "keep~b", "keep~a"}, Weights: []float64{1, 2, 3}},
+		"duplicate": {Terms: []string{"keep~a", "keep~a", "keep~b", "keep~b"},
+			Weights: []float64{1, 2, 3, 4}},
+		"hostile weights": {Terms: []string{"keep~a", "keep~b", "keep~c", "keep~d", "keep~e", "keep~f", "keep~g"},
+			Weights: []float64{w(0x7ff8000000000001), w(0xfff0000000000abc), math.Inf(1), math.Inf(-1),
+				w(0x4800000000000000), w(1), -w(0x000fffffffffffff)}},
+	}
+	for name, v := range cases {
+		t.Run(name, func(t *testing.T) { checkRetained(t, v) })
+	}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 500; i++ {
+		v := randVector(rng, 40)
+		for _, term := range v.Terms {
+			if rng.Intn(2) == 0 {
+				intern.Terms.Intern(term)
+			}
+		}
+		checkRetained(t, v)
+	}
+}
+
+// FuzzRetainedDocument: any vector — terms in any order, repeated or
+// empty, some interned and some not, weights of any bits — survives
+// retention exactly.
+func FuzzRetainedDocument(f *testing.F) {
+	f.Add([]byte{}, uint64(0))
+	f.Add([]byte{1, 'a', 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 1, 'b', 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint64(1))
+	f.Add([]byte{1, 'b', 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 'b', 0, 0, 0, 0, 0, 0, 0, 0x48, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, ^uint64(0))
+	for _, b := range hostileVectors() {
+		f.Add(b, uint64(0b101))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, interned uint64) {
+		// data is a run of {length byte, term bytes, 8 weight bytes}; bit
+		// i%64 of interned says whether term i is in the table.
+		var v Vector
+		for len(data) > 0 {
+			l := int(data[0])
+			if len(data) < 1+l+8 {
+				break
+			}
+			term := "fuzz~" + string(data[1:1+l])
+			if interned>>(len(v.Terms)%64)&1 == 1 {
+				intern.Terms.Intern(term)
+			}
+			v.Terms = append(v.Terms, term)
+			v.Weights = append(v.Weights, math.Float64frombits(binary.LittleEndian.Uint64(data[1+l:])))
+			data = data[1+l+8:]
+		}
+		checkRetained(t, v)
+	})
+}
+
 // TestPackedCostsTwelveBytesAPair: a full profile vector — the paper's 100
 // terms — costs its ids and weights, in two allocations, whichever way it
 // was made, and nothing per term once the table knows the terms.

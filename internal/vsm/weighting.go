@@ -102,5 +102,13 @@ func DocumentVector(terms []string, w Weighting) Vector {
 			weights[t] = wt
 		}
 	}
-	return FromMap(weights).Truncated(MaxDocumentTerms).Normalized()
+	// Truncated returns FromMap's arrays or fresh ones, both this call's, so
+	// they are scaled in place: Normalized's division without its copy.
+	v := FromMap(weights).Truncated(MaxDocumentTerms)
+	if n := v.Norm(); n != 0 {
+		for i := range v.Weights {
+			v.Weights[i] /= n
+		}
+	}
+	return v
 }
