@@ -7,7 +7,9 @@ package mmprofile_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
 
@@ -17,9 +19,11 @@ import (
 	"mmprofile/internal/filter"
 	"mmprofile/internal/index"
 	"mmprofile/internal/pubsub"
+	"mmprofile/internal/server"
 	"mmprofile/internal/sim"
 	"mmprofile/internal/text"
 	"mmprofile/internal/vsm"
+	"mmprofile/internal/wire"
 )
 
 // harness is shared across benchmarks: the dataset build is not what any
@@ -477,5 +481,84 @@ func BenchmarkBrokerFeedback(b *testing.B) {
 		if err := sub.Feedback(ids[j], u.Feedback(ds.Docs[j])); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// perfShapedProfile is an MM profile shaped like those perf/'s match
+// workload imports: seven vectors, each one relevant page from a category
+// of its own, of up to vsm.MaxDocumentTerms terms.
+func perfShapedProfile(b *testing.B) *core.Profile {
+	b.Helper()
+	mm := core.NewDefault()
+	seen := map[corpus.Category]bool{}
+	for _, d := range harness.Dataset().Docs {
+		if !seen[d.Cat] {
+			seen[d.Cat] = true
+			mm.Observe(d.Vec, filter.Relevant)
+		}
+		if mm.ProfileSize() == 7 {
+			return mm
+		}
+	}
+	b.Fatalf("the corpus grew a profile of %d vectors, not 7", mm.ProfileSize())
+	return nil
+}
+
+// BenchmarkServerImport measures one Import of a perf-shaped profile over
+// net.Pipe into the server mmserver runs: the request read off the
+// connection, the profile decoded, subscribed and indexed, the reply read.
+// It is the unit of perf/'s set-up, which imports each of its users once.
+func BenchmarkServerImport(b *testing.B) {
+	state, err := perfShapedProfile(b).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Threshold: 0.25, Queue: 128, Retention: 4096}, server.Seams{Log: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Stop()
+	local, remote := net.Pipe()
+	srv.ServeConn(remote)
+	c := wire.NewClient(local)
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Import(fmt.Sprintf("user%07d", i), "MM", state); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(state)), "state-bytes")
+}
+
+// BenchmarkIndexSetPackedFresh measures indexing a new user's perf-shaped
+// profile — seven vectors of up to 100 terms, none of them indexed yet —
+// into an index of 4 000 such users: the index's share of an Import. The
+// user is removed again, untimed, so the index keeps its size.
+func BenchmarkIndexSetPackedFresh(b *testing.B) {
+	docs := harness.Dataset().Docs
+	fresh := func(u int) []vsm.Packed {
+		vecs := make([]vsm.Packed, 7)
+		for v := range vecs {
+			vecs[v] = vsm.Pack(docs[(u*7+v)%len(docs)].Vec)
+		}
+		return vecs
+	}
+	ix := index.New()
+	for u := 0; u < 4000; u++ {
+		ix.SetPacked(fmt.Sprintf("user%04d", u), fresh(u))
+	}
+	vecs := make([][]vsm.Packed, 64)
+	for i := range vecs {
+		vecs[i] = fresh(4000 + i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.SetPacked("new", vecs[i%len(vecs)])
+		b.StopTimer()
+		ix.RemoveUser("new")
+		b.StartTimer()
 	}
 }

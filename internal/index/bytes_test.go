@@ -52,25 +52,21 @@ func trainedVectors(n int) [][]vsm.Packed {
 // length — beside the live postings they are held for, and the number of
 // lists that hold arrays for no posting at all.
 func postingBytes(ix *Index) (bytes, live, empty int) {
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.RLock()
-		for _, l := range s.lists {
-			bytes += cap(l.ids)*int(unsafe.Sizeof(l.ids[0])) + cap(l.ws)*int(unsafe.Sizeof(l.ws[0]))
-			if len(l.ids) == 0 {
-				empty++
-			}
+	ix.pmu.RLock()
+	defer ix.pmu.RUnlock()
+	for _, l := range ix.lists {
+		bytes += cap(l.ids)*int(unsafe.Sizeof(l.ids[0])) + cap(l.ws)*int(unsafe.Sizeof(l.ws[0]))
+		if len(l.ids) == 0 && cap(l.ids)+cap(l.ws) > 0 {
+			empty++
 		}
-		live += s.live
-		s.mu.RUnlock()
 	}
-	return bytes, live, empty
+	return bytes, ix.live, empty
 }
 
 // TestPostingBytesStayBounded: a posting is six bytes, and what the lists
 // hold allocated for it stays under nine — after a load, and after every
-// round of a churn in which each user replaces one vector and the shards
-// compact. (A quarter of headroom and an allocator size class weigh more
+// round of a churn in which each user replaces one vector and the posting
+// space compacts. (A quarter of headroom and an allocator size class weigh more
 // on a short list, so this population of 750, 18 postings a list, reads
 // above a large one.) A list that kept the arrays of a tail it had merged
 // away, or of postings compacted out of it, is what this is for.

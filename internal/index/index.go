@@ -13,14 +13,14 @@
 //   - Terms are interned to uint32 ids through the process-wide term table
 //     (intern.Terms), so matching compares integers, never strings, and
 //     the index keeps no term strings of its own.
-//   - Postings are sharded by term-id hash across independently locked
-//     shards. A posting is six bytes — an entry slot and the weight rounded
-//     up to 16 bits — and a term's postings are one pair of arrays: a prefix
-//     in impact order (descending weight), walked in fixed blocks each
-//     bounded by its head, and behind it the unsorted tail of recent
-//     inserts, merged in once the list is hot enough to rebuild. Removal
-//     tombstones postings lazily (per-shard dead-slot sets) and each shard
-//     compacts itself once tombstones exceed a fraction of its postings.
+//   - Postings live in one posting space under one lock: a list per term,
+//     in a slice indexed by term id. A posting is six bytes — an entry slot
+//     and the weight rounded up to 16 bits — and a term's postings are one
+//     pair of arrays: a prefix in impact order (descending weight), walked
+//     in fixed blocks each bounded by its head, and behind it the unsorted
+//     tail of recent inserts, merged in once the list is hot enough to
+//     rebuild. Removal tombstones postings lazily (a dead-slot list) and the
+//     space compacts once tombstones exceed a fraction of its postings.
 //   - Matching at θ > 0 prunes: terms are walked heaviest-document-weight
 //     first and abandoned once the remaining terms' bounds cannot reach θ;
 //     within a term, whole blocks are skipped once their block-max bound
@@ -47,17 +47,8 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-// NumShards is the posting-shard count, exported for layout introspection
-// (pubsub.Broker.Layout).
-const NumShards = numShards
-
 const (
-	// numShards is the posting-shard count; a power of two so shardOf is a
-	// multiply and a shift. 16 shards keep writer collisions rare without
-	// bloating the per-index footprint.
-	numShards = 16
-
-	// compactMinStale and compactFraction gate shard compaction: a shard
+	// compactMinStale and compactFraction gate compaction: the posting space
 	// rebuilds its lists once it holds more than compactMinStale tombstoned
 	// postings and they exceed 1/compactFraction of its total.
 	compactMinStale = 64
@@ -90,13 +81,6 @@ const (
 	// evaluation corpus (see DESIGN.md §12).
 	slackBudget = 0.5
 )
-
-// shardOf maps a term id to its posting shard (Fibonacci hashing, so the
-// dictionary's own shard bits in the low end of the id do not bias the
-// distribution).
-func shardOf(term uint32) uint32 {
-	return (term * 0x9E3779B1) >> (32 - 4) // log2(numShards) == 4
-}
 
 // termList is one term's postings, slot ids[k] with weight ws[k]: an
 // impact-ordered (descending weight) prefix [0:sorted) and, behind it, the
@@ -170,7 +154,7 @@ func push[T any](s []T, v T) []T {
 }
 
 // rebuild merges the tail into the impact-ordered prefix, in new arrays.
-// Caller holds the shard write lock.
+// Caller holds the posting write lock.
 func (l *termList) rebuild() {
 	n, i, j := len(l.ids), 0, l.sorted
 	heapsortDesc(l.ws[j:], l.ids[j:])
@@ -189,21 +173,12 @@ func (l *termList) rebuild() {
 	l.ids, l.ws, l.sorted = ids, ws, n
 }
 
-// shard is one independently locked slice of the posting space.
-type shard struct {
-	mu    sync.RWMutex
-	lists map[uint32]*termList // term id → postings
-	live  int                  // postings referencing live entries
-	stale int                  // tombstoned postings awaiting compaction
-	dead  map[uint32]bool      // entry slots whose postings here are stale
-}
-
 // entrySlot is one indexed profile vector. p is the vector as its profile
 // holds it: the same slices, borrowed, never written to (vsm.Packed's
 // contract), in the term order rescore sums in. Slots are recycled, but
-// only after every shard holding the dead slot's stale postings has
-// compacted them away — until then a stale posting can still accumulate
-// score onto the slot, which harvest discards via the alive flag.
+// only after a compaction has dropped the dead slot's stale postings —
+// until then a stale posting can still accumulate score onto the slot,
+// which harvest discards via the alive flag.
 type entrySlot struct {
 	user  string
 	vec   int
@@ -241,17 +216,20 @@ type Match struct {
 }
 
 // Index is a concurrent inverted index over profile vectors. Matching
-// walks posting shards under per-shard read locks and consults the entry
-// registry once per call; updates stage postings first and then flip entry
+// reads the posting space under its read lock, taken once per call inside
+// the entry registry's; updates stage postings first and then flip entry
 // liveness under the registry lock, so a concurrent Match observes a
 // user's old vector set or the new one — never an empty in-between.
 type Index struct {
-	shards [numShards]shard
+	pmu   sync.RWMutex // the posting space: lists, live, stale, dead
+	lists []termList   // by intern.Terms id; empty for a term no vector holds
+	live  int          // postings referencing live entries
+	stale int          // tombstoned postings awaiting compaction
+	dead  []uint32     // entry slots whose postings are stale
 
 	mu       sync.RWMutex // registry: everything below
 	entries  []entrySlot
 	freeEnt  []uint32
-	dying    map[uint32]int // dead slot → shards still holding stale postings
 	byUser   map[string]*userInfo
 	nextUID  uint32
 	freeUID  []uint32
@@ -359,9 +337,9 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		matchLat: reg.Histogram("mm_index_match_seconds",
 			"Latency of matching one document through the inverted profile index (Match entry point)."),
 		compactions: reg.Counter("mm_index_compactions_total",
-			"Posting-shard compactions performed (tombstone garbage collection)."),
+			"Posting-space compactions performed (tombstone garbage collection)."),
 		compactLat: reg.Histogram("mm_index_compaction_seconds",
-			"Duration of individual posting-shard compactions."),
+			"Duration of individual posting-space compactions."),
 		postingsScanned: reg.Counter("mm_index_postings_scanned_total",
 			"Postings actually read while matching (pruning skips the rest)."),
 		blocksSkipped: reg.Counter("mm_index_blocks_skipped_total",
@@ -388,14 +366,9 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("mm_index_tombstone_ratio",
 		"Fraction of postings that are tombstoned and awaiting compaction (0 = fully compact).",
 		func() float64 {
-			var live, stale int
-			for i := range ix.shards {
-				s := &ix.shards[i]
-				s.mu.RLock()
-				live += s.live
-				stale += s.stale
-				s.mu.RUnlock()
-			}
+			ix.pmu.RLock()
+			live, stale := ix.live, ix.stale
+			ix.pmu.RUnlock()
 			if live+stale == 0 {
 				return 0
 			}
@@ -406,14 +379,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 // New returns an empty index. Its term dictionary is intern.Terms, the
 // table decoded profiles already took their term strings from.
 func New() *Index {
-	ix := &Index{
-		dying:  make(map[uint32]int),
-		byUser: make(map[string]*userInfo),
-	}
-	for i := range ix.shards {
-		ix.shards[i].lists = make(map[uint32]*termList)
-		ix.shards[i].dead = make(map[uint32]bool)
-	}
+	ix := &Index{byUser: make(map[string]*userInfo)}
 	ix.pool.New = func() any { return new(matcher) }
 	return ix
 }
@@ -542,53 +508,40 @@ func (ix *Index) stage(user string, svs []stagedVec) {
 	ix.mu.Unlock()
 }
 
-// insertPostings appends the staged vectors' postings, one lock
-// acquisition per affected shard. Inserts land in the term's tail; once the
-// tail holds a block's worth and a rebuildFraction-th of the prefix, the
-// list rebuilds into impact order there and then.
+// insertPostings appends the staged vectors' postings to their terms'
+// lists under one hold of the posting lock. Inserts land in the term's
+// tail; once the tail holds a block's worth and a rebuildFraction-th of the
+// prefix, the list rebuilds into impact order there and then.
 func (ix *Index) insertPostings(svs []stagedVec) {
-	type ins struct {
-		term uint32
-		id   uint32
-		w    uint16
+	if len(svs) == 0 {
+		return
 	}
-	var work [numShards][]ins
+	ix.pmu.Lock()
 	for _, sv := range svs {
 		for i, t := range sv.p.IDs {
-			si := shardOf(t)
-			work[si] = append(work[si], ins{term: t, id: sv.slot, w: up16(sv.p.Weights[i])})
-		}
-	}
-	for si := range work {
-		if len(work[si]) == 0 {
-			continue
-		}
-		s := &ix.shards[si]
-		s.mu.Lock()
-		for _, w := range work[si] {
-			l := s.lists[w.term]
-			if l == nil {
-				l = &termList{}
-				s.lists[w.term] = l
+			if n := int(t) + 1; n > len(ix.lists) {
+				ix.lists = slices.Grow(ix.lists, n-len(ix.lists))[:n]
 			}
-			l.ids, l.ws = push(l.ids, w.id), push(l.ws, w.w)
-			if f := decode(w.w); f > l.maxW {
+			l := &ix.lists[t]
+			w := up16(sv.p.Weights[i])
+			l.ids, l.ws = push(l.ids, sv.slot), push(l.ws, w)
+			if f := decode(w); f > l.maxW {
 				l.maxW = f
 			}
 			if tail := len(l.ids) - l.sorted; tail >= blockSize && tail*rebuildFraction >= l.sorted {
 				l.rebuild()
 			}
 		}
-		s.live += len(work[si])
-		s.mu.Unlock()
+		ix.live += len(sv.p.IDs)
 	}
+	ix.pmu.Unlock()
 }
 
-// tombShard is the per-shard share of a retirement: which slots died and
-// how many of their postings live in the shard.
-type tombShard struct {
-	slots []uint32
-	count int
+// tomb is a retirement on its way from the registry to the posting space:
+// the slots that died and how many postings they hold.
+type tomb struct {
+	slots    []uint32
+	postings int
 }
 
 // commit is the single registry critical section of a write: it renumbers
@@ -658,7 +611,7 @@ retire:
 func (ix *Index) RemoveUser(user string) {
 	ix.mu.Lock()
 	ui := ix.byUser[user]
-	var tomb *[numShards]tombShard
+	var tomb tomb
 	if ui != nil {
 		tomb = ix.killLocked(ui.slots)
 		ix.freeUID = append(ix.freeUID, ui.uid)
@@ -679,77 +632,59 @@ func (ix *Index) allocUID() uint32 {
 	return uid
 }
 
-// killLocked marks slots dead and plans their tombstoning. Caller holds
-// the registry write lock; the returned work is applied by tombstone()
-// after the lock is released.
-func (ix *Index) killLocked(slots []uint32) *[numShards]tombShard {
-	if len(slots) == 0 {
-		return nil
-	}
-	tomb := new([numShards]tombShard)
+// killLocked marks slots dead — every entry holds postings, so none is
+// free before a compaction drops them. Caller holds the registry write
+// lock; tombstone applies the returned retirement once it is released.
+func (ix *Index) killLocked(slots []uint32) tomb {
+	t := tomb{slots: slots}
 	for _, slot := range slots {
-		e := &ix.entries[slot]
-		seen := 0
-		var touched [numShards]bool
-		for _, t := range e.p.IDs {
-			si := shardOf(t)
-			if !touched[si] {
-				touched[si] = true
-				seen++
-				tomb[si].slots = append(tomb[si].slots, slot)
-			}
-			tomb[si].count++
-		}
-		if seen == 0 { // no postings to tombstone: reusable immediately
-			ix.freeEnt = append(ix.freeEnt, slot)
-		} else {
-			ix.dying[slot] = seen
-		}
+		t.postings += len(ix.entries[slot].p.IDs)
 		ix.liveVecs--
 		ix.entries[slot] = entrySlot{} // let go of the vector and the user string
 	}
-	return tomb
+	return t
 }
 
-// tombstone applies planned retirement to the posting shards, compacting
-// any shard whose stale share crossed the threshold, and releases entry
-// slots whose postings are fully gone.
-func (ix *Index) tombstone(tomb *[numShards]tombShard) {
-	if tomb == nil {
+// tombstone hands a retirement to the posting space, compacting it once
+// its stale share crosses the threshold, and releases the entry slots a
+// compaction freed.
+func (ix *Index) tombstone(t tomb) {
+	if len(t.slots) == 0 {
 		return
 	}
 	var freed []uint32
-	for si := range tomb {
-		if len(tomb[si].slots) == 0 {
-			continue
-		}
-		s := &ix.shards[si]
-		s.mu.Lock()
-		for _, slot := range tomb[si].slots {
-			s.dead[slot] = true
-		}
-		s.stale += tomb[si].count
-		s.live -= tomb[si].count
-		if s.stale > compactMinStale && s.stale*compactFraction > s.stale+s.live {
-			freed = append(freed, ix.compactShard(s)...)
-		}
-		s.mu.Unlock()
+	ix.pmu.Lock()
+	ix.dead = append(ix.dead, t.slots...)
+	ix.stale += t.postings
+	ix.live -= t.postings
+	if ix.stale > compactMinStale && ix.stale*compactFraction > ix.stale+ix.live {
+		freed = ix.compactLocked()
 	}
+	ix.pmu.Unlock()
 	ix.release(freed)
 }
 
-// compactLocked drops the stale postings of every list in the shard and
-// returns the slots whose postings are now gone from it. Filtering preserves
-// impact order on the prefix; maxW is retaken from what survives.
-// Caller holds the shard write lock.
-func (s *shard) compactLocked() []uint32 {
-	if len(s.dead) == 0 {
+// compactLocked drops every stale posting and returns the dead slots, whose
+// postings are now gone, recording the compaction when instrumented.
+// Filtering preserves impact order on the prefix; maxW is retaken from
+// what survives. Caller holds the posting write lock.
+func (ix *Index) compactLocked() []uint32 {
+	if len(ix.dead) == 0 {
 		return nil
 	}
-	for t, l := range s.lists {
+	var t0 time.Time
+	if ix.inst != nil {
+		t0 = time.Now()
+	}
+	dead := make([]bool, slices.Max(ix.dead)+1)
+	for _, slot := range ix.dead {
+		dead[slot] = true
+	}
+	for t := range ix.lists {
+		l := &ix.lists[t]
 		n, sorted, maxW := 0, 0, float32(0)
 		for k, id := range l.ids {
-			if s.dead[id] {
+			if int(id) < len(dead) && dead[id] {
 				continue
 			}
 			w := l.ws[k]
@@ -763,7 +698,7 @@ func (s *shard) compactLocked() []uint32 {
 			}
 		}
 		if n == 0 {
-			delete(s.lists, t)
+			*l = termList{}
 			continue
 		}
 		l.ids, l.ws = l.ids[:n], l.ws[:n]
@@ -776,27 +711,22 @@ func (s *shard) compactLocked() []uint32 {
 		}
 		l.sorted, l.maxW = sorted, maxW
 	}
-	freed := make([]uint32, 0, len(s.dead))
-	for slot := range s.dead {
-		freed = append(freed, slot)
+	freed := ix.dead
+	ix.dead, ix.stale = nil, 0
+	if ix.inst != nil {
+		ix.inst.compactions.Inc()
+		ix.inst.compactLat.ObserveSince(t0)
 	}
-	s.dead = make(map[uint32]bool)
-	s.stale = 0
 	return freed
 }
 
-// release returns fully compacted dead slots to the free list.
+// release returns compacted dead slots to the free list.
 func (ix *Index) release(freed []uint32) {
 	if len(freed) == 0 {
 		return
 	}
 	ix.mu.Lock()
-	for _, slot := range freed {
-		if ix.dying[slot]--; ix.dying[slot] <= 0 {
-			delete(ix.dying, slot)
-			ix.freeEnt = append(ix.freeEnt, slot)
-		}
-	}
+	ix.freeEnt = append(ix.freeEnt, freed...)
 	ix.mu.Unlock()
 }
 
@@ -808,50 +738,24 @@ func (ix *Index) release(freed []uint32) {
 // loading to make the whole index skippable. Safe (and pointless) to call
 // repeatedly.
 func (ix *Index) Optimize() {
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.Lock()
-		for _, l := range s.lists {
-			if l.sorted < len(l.ids) {
-				l.rebuild()
-			}
+	ix.pmu.Lock()
+	for t := range ix.lists {
+		if l := &ix.lists[t]; l.sorted < len(l.ids) {
+			l.rebuild()
 		}
-		s.mu.Unlock()
 	}
+	ix.pmu.Unlock()
 }
 
-// Compact eagerly rebuilds every dirty shard's posting lists, dropping all
-// tombstones; clean shards (zero tombstones) are untouched and not counted.
-// Updates trigger compaction automatically; Compact exists for callers
-// that want exact statistics or minimal memory right now.
+// Compact eagerly drops every tombstoned posting; with none there is
+// nothing to do and nothing is counted. Updates trigger compaction
+// automatically; Compact exists for callers that want exact statistics or
+// minimal memory right now.
 func (ix *Index) Compact() {
-	var freed []uint32
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.Lock()
-		freed = append(freed, ix.compactShard(s)...)
-		s.mu.Unlock()
-	}
+	ix.pmu.Lock()
+	freed := ix.compactLocked()
+	ix.pmu.Unlock()
 	ix.release(freed)
-}
-
-// compactShard runs one shard's compaction under its (already held) write
-// lock, recording the compaction count and duration when instrumented.
-// No-op shards (no tombstones) are not counted.
-func (ix *Index) compactShard(s *shard) []uint32 {
-	if len(s.dead) == 0 {
-		return nil
-	}
-	var t0 time.Time
-	if ix.inst != nil {
-		t0 = time.Now()
-	}
-	freed := s.compactLocked()
-	if ix.inst != nil {
-		ix.inst.compactions.Inc()
-		ix.inst.compactLat.ObserveSince(t0)
-	}
-	return freed
 }
 
 // ---------------------------------------------------------------------------
@@ -917,9 +821,9 @@ func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 // pooled matcher, so a match allocates only its result.
 //
 // Accumulate + harvest run under the registry read lock — freezing slot
-// liveness across both phases
-// — with per-shard read locks nested inside (registry→shard is the global
-// lock order; no writer acquires the registry while holding a shard).
+// liveness across both phases — with the posting read lock nested inside
+// accumulate (registry → postings is the lock order; no writer acquires
+// the registry while holding the postings).
 // Commits therefore appear atomic to a match: it scores either a user's old
 // vector set or the new one, never a half-replaced mix or a vanished user.
 // Postings inserted concurrently for staged slots are harmless: staged
@@ -1008,17 +912,16 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 	m.suffix[n], m.csr[n] = 0, 0
 	var sumsq float64
 	maxNorm := ix.maxNorm
+	ix.pmu.RLock()
+	defer ix.pmu.RUnlock()
+	lists := ix.lists
 	for i := n - 1; i >= 0; i-- {
-		t := ids[i]
-		s := &ix.shards[shardOf(t)]
-		s.mu.RLock()
 		var maxw float64
 		var nb int32
-		if l := s.lists[t]; l != nil {
-			maxw = float64(l.maxW)
-			nb = int32(l.blocks())
+		if t := ids[i]; int(t) < len(lists) {
+			maxw = float64(lists[t].maxW)
+			nb = int32(lists[t].blocks())
 		}
-		s.mu.RUnlock()
 		m.nb[i] = nb
 		m.suffix[i] = m.suffix[i+1] + ws[i]*maxw
 		sumsq += ws[i] * ws[i]
@@ -1040,15 +943,12 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 			stop = i
 			break
 		}
-		dw := ws[i]
-		scanBase := scanned
-		s := &ix.shards[shardOf(t)]
-		s.mu.RLock()
-		l := s.lists[t]
-		if l == nil {
-			s.mu.RUnlock()
+		if int(t) >= len(lists) || len(lists[t].ids) == 0 {
 			continue
 		}
+		dw := ws[i]
+		scanBase := scanned
+		l := &lists[t]
 		if !prune {
 			for _, id := range l.ids {
 				if int(id) < nSlots { // else: slot staged after this match began
@@ -1056,7 +956,6 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 				}
 			}
 			scanned += len(l.ids)
-			s.mu.RUnlock()
 			ix.termAttr.Offer(t, float64(scanned-scanBase))
 			continue
 		}
@@ -1076,7 +975,6 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 			m.add(l.ids[start:end], l.ws[start:end], dw32)
 			scanned += end - start
 		}
-		s.mu.RUnlock()
 		ix.termAttr.Offer(t, float64(scanned-scanBase))
 	}
 	slackTotal = slack
@@ -1353,33 +1251,32 @@ type Stats struct {
 }
 
 // Probe takes, for reading, every lock a match takes — the registry's and
-// each posting shard's — and returns the live vector count. It changes
+// the posting space's — and returns the live vector count. It changes
 // nothing, so a liveness heartbeat can call it every second without
-// rewriting shards the compaction thresholds would leave alone.
+// compacting what the thresholds would leave alone.
 func (ix *Index) Probe() int {
-	for i := range ix.shards {
-		ix.shards[i].mu.RLock() // acquiring it is the probe
-		ix.shards[i].mu.RUnlock()
-	}
+	ix.pmu.RLock() // acquiring it is the probe
+	ix.pmu.RUnlock()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.liveVecs
 }
 
 // Size returns current index statistics. It compacts first so the term and
-// posting counts reflect only live entries — exact, and a write to every
-// dirty shard: for the stats operation, not for periodic probes.
+// posting counts reflect only live entries — exact, and a write to a dirty
+// posting space: for the stats operation, not for periodic probes.
 func (ix *Index) Size() Stats {
 	ix.Compact()
 	ix.mu.RLock()
 	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs}
 	ix.mu.RUnlock()
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.RLock()
-		s.Terms += len(sh.lists)
-		s.Postings += sh.live
-		sh.mu.RUnlock()
+	ix.pmu.RLock()
+	for t := range ix.lists {
+		if len(ix.lists[t].ids) > 0 {
+			s.Terms++
+		}
 	}
+	s.Postings = ix.live
+	ix.pmu.RUnlock()
 	return s
 }

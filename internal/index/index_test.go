@@ -228,7 +228,7 @@ func TestPostingCleanup(t *testing.T) {
 // TestWeightsBeyondFloat32DoNotHang: a float64 weight above MaxFloat32 is
 // +Inf once narrowed. When the 64th such posting of a term made its list
 // rebuild, the rebuild used to look for a quantization scale with
-// 255·scale ≥ +Inf, one ulp at a time, for ever, holding the shard's write
+// 255·scale ≥ +Inf, one ulp at a time, for ever, holding the posting write
 // lock. The decoders now refuse such weights, but SetUser and SetPacked are
 // exported: they must return whatever they are given, and Match must still
 // answer.

@@ -43,7 +43,7 @@ func TestInstrument(t *testing.T) {
 		t.Errorf("tombstone ratio = %v, want 0 after Compact", got)
 	}
 	if got := snap["mm_index_compactions_total"].(int64); got == 0 {
-		t.Error("Compact did not record any shard compactions")
+		t.Error("Compact did not record any compactions")
 	}
 	if h := snap["mm_index_compaction_seconds"].(metrics.HistogramSnapshot); h.Count == 0 {
 		t.Error("compaction duration histogram empty")
@@ -53,12 +53,11 @@ func TestInstrument(t *testing.T) {
 	}
 }
 
-// TestCompactSkipsCleanShards pins that per-shard compaction is a strict
-// no-op for shards without tombstones: a single-term removal dirties
-// exactly one of the 16 shards, so a full Compact() must record exactly
-// one compaction — and a second Compact(), with nothing left to sweep,
-// must record none.
-func TestCompactSkipsCleanShards(t *testing.T) {
+// TestCompactSkipsCleanSpace pins that compaction is a strict no-op for a
+// posting space without tombstones: after a removal, Compact() must record
+// exactly one compaction — and a second Compact(), with nothing left to
+// sweep, must record none.
+func TestCompactSkipsCleanSpace(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ix := New()
 	ix.Instrument(reg)
@@ -73,7 +72,7 @@ func TestCompactSkipsCleanShards(t *testing.T) {
 
 	ix.Compact()
 	if got := reg.Snapshot()["mm_index_compactions_total"].(int64); got != 1 {
-		t.Errorf("compactions after one dirty shard = %d, want 1 (clean shards must be skipped)", got)
+		t.Errorf("compactions after one removal = %d, want 1", got)
 	}
 	ix.Compact()
 	if got := reg.Snapshot()["mm_index_compactions_total"].(int64); got != 1 {

@@ -62,17 +62,14 @@ func randProbe(rng *rand.Rand, vocab int) vsm.Vector {
 func requireHotLists(t *testing.T, ix *Index) {
 	t.Helper()
 	hot, blocks := 0, 0
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.RLock()
-		for _, l := range s.lists {
-			if l.sorted > 0 {
-				hot++
-				blocks += l.blocks()
-			}
+	ix.pmu.RLock()
+	for _, l := range ix.lists {
+		if l.sorted > 0 {
+			hot++
+			blocks += l.blocks()
 		}
-		s.mu.RUnlock()
 	}
+	ix.pmu.RUnlock()
 	if hot == 0 || blocks < 8 {
 		t.Fatalf("population too small to exercise the hot path: %d hot lists, %d blocks", hot, blocks)
 	}
@@ -95,31 +92,28 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 		ix.SetUser(fmt.Sprintf("adv%03d", i), []vsm.Vector{vec("t000", w, "t001", 1-w)})
 	}
 	checked := 0
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.RLock()
-		for term, l := range s.lists {
-			if l.sorted > len(l.ids) || len(l.ws) != len(l.ids) {
-				t.Fatalf("term %d: %d slots, %d weights, %d of them sorted", term, len(l.ids), len(l.ws), l.sorted)
-			}
-			for k, h := range l.ws {
-				w := decode(h)
-				if k < l.sorted {
-					if k > 0 && decode(l.ws[k-1]) < w {
-						t.Fatalf("term %d: impact order violated at %d (%v < %v)", term, k, decode(l.ws[k-1]), w)
-					}
-					if head := decode(l.ws[k/blockSize*blockSize]); head < w {
-						t.Fatalf("term %d block %d: head %v < weight %v", term, k/blockSize, head, w)
-					}
-				}
-				if w > l.maxW {
-					t.Fatalf("term %d: maxW %v < weight %v at %d (%d sorted)", term, l.maxW, w, k, l.sorted)
-				}
-				checked++
-			}
+	ix.pmu.RLock()
+	for term, l := range ix.lists {
+		if l.sorted > len(l.ids) || len(l.ws) != len(l.ids) {
+			t.Fatalf("term %d: %d slots, %d weights, %d of them sorted", term, len(l.ids), len(l.ws), l.sorted)
 		}
-		s.mu.RUnlock()
+		for k, h := range l.ws {
+			w := decode(h)
+			if k < l.sorted {
+				if k > 0 && decode(l.ws[k-1]) < w {
+					t.Fatalf("term %d: impact order violated at %d (%v < %v)", term, k, decode(l.ws[k-1]), w)
+				}
+				if head := decode(l.ws[k/blockSize*blockSize]); head < w {
+					t.Fatalf("term %d block %d: head %v < weight %v", term, k/blockSize, head, w)
+				}
+			}
+			if w > l.maxW {
+				t.Fatalf("term %d: maxW %v < weight %v at %d (%d sorted)", term, l.maxW, w, k, l.sorted)
+			}
+			checked++
+		}
 	}
+	ix.pmu.RUnlock()
 	if checked == 0 {
 		t.Fatal("no postings checked")
 	}
@@ -149,27 +143,24 @@ func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 	checked := 0
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for si := range ix.shards {
-		s := &ix.shards[si]
-		s.mu.RLock()
-		for term, l := range s.lists {
-			for k, slot := range l.ids {
-				e := &ix.entries[slot]
-				if !e.alive || s.dead[slot] {
-					continue
-				}
-				i := slices.Index(e.p.IDs, term)
-				if i < 0 {
-					t.Fatalf("term %d: a posting of live slot %d, whose vector lacks the term", term, slot)
-				}
-				exact, posted := e.p.Weights[i], float64(decode(l.ws[k]))
-				if math.IsNaN(exact) != math.IsNaN(posted) || posted < exact {
-					t.Fatalf("term %d slot %d: posting weight %v is below the exact weight %v", term, slot, posted, exact)
-				}
-				checked++
+	ix.pmu.RLock()
+	defer ix.pmu.RUnlock()
+	for term, l := range ix.lists {
+		for k, slot := range l.ids {
+			e := &ix.entries[slot]
+			if !e.alive || slices.Contains(ix.dead, slot) {
+				continue
 			}
+			i := slices.Index(e.p.IDs, uint32(term))
+			if i < 0 {
+				t.Fatalf("term %d: a posting of live slot %d, whose vector lacks the term", term, slot)
+			}
+			exact, posted := e.p.Weights[i], float64(decode(l.ws[k]))
+			if math.IsNaN(exact) != math.IsNaN(posted) || posted < exact {
+				t.Fatalf("term %d slot %d: posting weight %v is below the exact weight %v", term, slot, posted, exact)
+			}
+			checked++
 		}
-		s.mu.RUnlock()
 	}
 	if checked == 0 {
 		t.Fatal("no postings checked")

@@ -228,22 +228,16 @@ func TestDroppedVectorTombstonesAndItsSlotWaitsForCompaction(t *testing.T) {
 	if after := slotsOf("u"); !slices.Equal(after, []uint32{before[0], before[2]}) {
 		t.Fatalf("entry slots %v → %v: a and c should have kept theirs", before, after)
 	}
-	stale := func() (n int) {
-		for si := range ix.shards {
-			n += ix.shards[si].stale
-		}
-		return n
-	}
-	if stale() != 1 || ix.dying[before[1]] != 1 || len(ix.freeEnt) != 0 {
-		t.Fatalf("after the drop: %d stale postings, dying %v, free %v; want b's one posting stale and its slot dying", stale(), ix.dying, ix.freeEnt)
+	if ix.stale != 1 || !slices.Equal(ix.dead, []uint32{before[1]}) || len(ix.freeEnt) != 0 {
+		t.Fatalf("after the drop: %d stale postings, dead %v, free %v; want b's one posting stale and its slot dead", ix.stale, ix.dead, ix.freeEnt)
 	}
 	ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("snow", 1.0))})
 	if got := slotsOf("v"); got[0] == before[1] {
 		t.Fatalf("v took slot %d while b's posting still points at it", got[0])
 	}
 	ix.Compact()
-	if stale() != 0 || len(ix.dying) != 0 || !slices.Equal(ix.freeEnt, []uint32{before[1]}) {
-		t.Fatalf("after Compact: %d stale postings, dying %v, free %v; want b's slot free", stale(), ix.dying, ix.freeEnt)
+	if ix.stale != 0 || len(ix.dead) != 0 || !slices.Equal(ix.freeEnt, []uint32{before[1]}) {
+		t.Fatalf("after Compact: %d stale postings, dead %v, free %v; want b's slot free", ix.stale, ix.dead, ix.freeEnt)
 	}
 	ix.SetPacked("w", []vsm.Packed{vsm.Pack(vec("hail", 1.0))})
 	if got := slotsOf("w"); got[0] != before[1] {
@@ -396,7 +390,7 @@ func TestKeptSlotSurvivesConcurrentWriters(t *testing.T) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if len(ix.dying) != 0 || len(ix.freeEnt) != len(ix.entries) {
-		t.Errorf("%d entry slots, %d free, %d dying: a slot was lost", len(ix.entries), len(ix.freeEnt), len(ix.dying))
+	if len(ix.dead) != 0 || len(ix.freeEnt) != len(ix.entries) {
+		t.Errorf("%d entry slots, %d free, %d dead: a slot was lost", len(ix.entries), len(ix.freeEnt), len(ix.dead))
 	}
 }

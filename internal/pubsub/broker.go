@@ -196,7 +196,6 @@ type Layout struct {
 	RegistryShards int // subscriber-table shards
 	DocShards      int // document retention-ring shards
 	StatsStripes   int // collection-statistics DF stripes
-	IndexShards    int // inverted-index posting shards
 }
 
 // queueSlot is a queued Delivery without its Seq, which its position gives.
@@ -933,7 +932,6 @@ func (b *Broker) Layout() Layout {
 		RegistryShards: len(b.reg.shards),
 		DocShards:      b.docs.Shards(),
 		StatsStripes:   b.stats.Stripes(),
-		IndexShards:    index.NumShards,
 	}
 }
 

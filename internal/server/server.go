@@ -214,8 +214,7 @@ func (s *Server) start(addr net.Addr) error {
 		slog.String("dump_dir", s.rec.Dir()),
 		slog.Int("registry_shards", lay.RegistryShards),
 		slog.Int("doc_shards", lay.DocShards),
-		slog.Int("stats_stripes", lay.StatsStripes),
-		slog.Int("index_shards", lay.IndexShards))
+		slog.Int("stats_stripes", lay.StatsStripes))
 	if s.broker.Tracer() != nil {
 		s.log.Info("mmserver: tracing on — /tracez on the -http listener",
 			slog.Float64("sample", s.cfg.TraceSample),

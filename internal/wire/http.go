@@ -133,7 +133,6 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 				"registry_shards": lay.RegistryShards,
 				"doc_shards":      lay.DocShards,
 				"stats_stripes":   lay.StatsStripes,
-				"index_shards":    lay.IndexShards,
 			},
 			"metrics": reg.Snapshot(),
 		})
@@ -291,13 +290,13 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 <tr><td>deliveries</td><td>%d (dropped %d)</td></tr>
 <tr><td>feedbacks</td><td>%d</td></tr>
 <tr><td>index</td><td>%d vectors over %d terms (%d postings)</td></tr>
-<tr><td>sharding</td><td>registry ×%d · docstore ×%d · termstats ×%d · index ×%d</td></tr>
+<tr><td>sharding</td><td>registry ×%d · docstore ×%d · termstats ×%d</td></tr>
 </table>
 <p><a href="%s">/statsz</a> · <a href="%s">/metrics</a> · <a href="%s">/topz</a> · <a href="%s">/tsz</a> · <a href="%s">/tracez</a> · <a href="%s">/explainz</a> · <a href="%s">/debug/pprof/</a> · <a href="%s">/healthz</a> · <a href="%s">/readyz</a> · POST /debugz/dump</p>
 </body></html>`,
 			c.Subscribers, c.Published, c.Deliveries, c.Dropped, c.Feedbacks,
 			ix.Vectors, ix.Terms, ix.Postings,
-			lay.RegistryShards, lay.DocShards, lay.StatsStripes, lay.IndexShards,
+			lay.RegistryShards, lay.DocShards, lay.StatsStripes,
 			html.EscapeString("/statsz"), html.EscapeString("/metrics"),
 			html.EscapeString("/topz"), html.EscapeString("/tsz"),
 			html.EscapeString("/tracez"), html.EscapeString("/explainz?user="),

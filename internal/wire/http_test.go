@@ -51,7 +51,7 @@ func TestStatusHandler(t *testing.T) {
 	if !ok {
 		t.Fatal("statsz has no layout object")
 	}
-	for _, key := range []string{"registry_shards", "doc_shards", "stats_stripes", "index_shards"} {
+	for _, key := range []string{"registry_shards", "doc_shards", "stats_stripes"} {
 		if v, ok := layout[key].(float64); !ok || v < 1 {
 			t.Errorf("layout[%q] = %v, want >= 1", key, layout[key])
 		}

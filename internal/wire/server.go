@@ -239,7 +239,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.release(conn)
 		}
 	}()
-	dec := json.NewDecoder(conn)
+	rd := newRequestReader(conn)
 	enc := json.NewEncoder(conn)
 	// The decode clocks are read only when the broker can trace at all, so
 	// untraced servers keep the old two-syscalls-per-request loop.
@@ -250,7 +250,7 @@ func (s *Server) handle(conn net.Conn) {
 			d0 = time.Now()
 		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := rd.next(&req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.log.Warn("wire: decode",
 					slog.String("remote_addr", conn.RemoteAddr().String()),
@@ -264,9 +264,9 @@ func (s *Server) handle(conn net.Conn) {
 		if req.Op == OpSession {
 			// Session mode takes over the connection: once the ack is out the
 			// session goroutine owns it and this one — its stack grown by the
-			// decode above, its codec state — is gone; the serial request loop
+			// decode above, its read buffer — is gone; the serial request loop
 			// never resumes.
-			handedOff = s.session(conn, enc, dec.Buffered(), req)
+			handedOff = s.session(conn, enc, rd.buffered(), req)
 			return
 		}
 		resp := s.dispatchTimed(req, d0, d1)
@@ -445,7 +445,7 @@ const defaultSessionBatch = 64
 // is then the connection, its handle, its wake registration on the
 // subscriber's queue and that goroutine parked in Read on a small stack
 // (DESIGN.md §15); everything a frame needs is borrowed for the write.
-func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req Request) (handedOff bool) {
+func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Request) (handedOff bool) {
 	sub, ok := s.broker.Subscription(req.User)
 	if !ok {
 		_ = enc.Encode(errResponse("wire: unknown subscriber %q", req.User))
@@ -463,9 +463,9 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest io.Reader, req R
 		return false
 	}
 	// Push mode inverts the connection: the only thing a client can send is
-	// teardown, and that includes bytes the decoder already read past the
+	// teardown, and that includes bytes the reader already read past the
 	// request.
-	if b, _ := io.ReadAll(rest); !space(b) {
+	if !space(rest) {
 		return false
 	}
 	if s.log.Enabled(obs.LevelDebug) {
