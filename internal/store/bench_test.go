@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
 )
@@ -92,6 +93,31 @@ func benchDurableAppendLanes(b *testing.B, lanes, workers int) {
 	if appends > 0 {
 		b.ReportMetric(float64(fsyncs)/float64(appends), "fsyncs/append")
 	}
+}
+
+// BenchmarkLazyBoot measures a lazy boot's store half — Open, RestoredUsers,
+// Close — over 4 000 users of ~6 KB in segments, the population of perf's
+// restart workload, and reports the segment bytes it reads.
+func BenchmarkLazyBoot(b *testing.B) {
+	const users = 4000
+	dir := b.TempDir()
+	checkpointedStore(b, dir, users, trainedProfile(b, 3))
+	cfs := &countingFS{FS: faultfs.OS()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Options{FS: cfs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if names, err := s.RestoredUsers(); err != nil || len(names) != users {
+			b.Fatalf("RestoredUsers: %d users, %v", len(names), err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cfs.seg.Load())/float64(b.N), "seg-B/op")
 }
 
 func BenchmarkDurableAppendLanes(b *testing.B) {

@@ -83,6 +83,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		ln        *lane
 		gen       uint64            // new generation
 		idx       map[string]segRef // the new segment's offset index
+		idxOff    int64             // where its index frame starts
 		durableTo uint64
 	}
 	var flips []*flip
@@ -150,7 +151,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		if err != nil {
 			return st, fmt.Errorf("store: %w", err)
 		}
-		idx, carried, size, werr := s.compactLane(ln, tmp)
+		idx, idxOff, carried, size, werr := s.compactLane(ln, tmp)
 		if werr == nil {
 			if werr = tmp.Sync(); werr != nil {
 				werr = fmt.Errorf("store: %w", werr)
@@ -166,7 +167,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 			s.fsys.Remove(tmp.Name())
 			return st, werr
 		}
-		fl.idx = idx
+		fl.idx, fl.idxOff = idx, idxOff
 		st.Profiles += len(idx)
 		st.Carried += carried
 		st.Bytes += size
@@ -184,7 +185,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 	// generations.
 	mf := s.manifestNow()
 	for _, fl := range flips {
-		mf.gens[fl.ln.id] = fl.gen
+		mf.gens[fl.ln.id], mf.idx[fl.ln.id] = fl.gen, fl.idxOff
 	}
 	mf.epoch = s.epoch.Load() + 1
 	if err := s.writeManifest(mf); err != nil {
@@ -204,7 +205,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 		// read handles go before cleanStrays removes what they name.
 		ln.closeReaders()
 		compacted := len(ln.walIdx)
-		ln.gen, ln.segIdx = fl.gen, fl.idx
+		ln.gen, ln.segIdx, ln.idxOff = fl.gen, fl.idx, fl.idxOff
 		ln.wal = nil
 		if err := s.openLaneWAL(ln); err != nil {
 			ln.failed = err
@@ -246,20 +247,21 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 }
 
 // compactLane replays ln's committed WAL over its current segment and
-// streams the next segment to w, returning its offset index (caller holds
-// ln.mu). Clean users' frames are copied from the old segment file one at
-// a time, checksums verified; users touched by the WAL are rehydrated
-// through the filter registry, replayed, and re-serialized — so a
-// checkpoint holds the lane's dirty profiles and never the lane. Segment
-// order is preserved, with users first seen in the WAL appended in event
-// order, so compaction is deterministic.
-func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carried int, size int64, err error) {
+// streams the next segment to w, returning its offset index, where its
+// index frame starts and its size (caller holds ln.mu). Clean users' frames
+// are copied from the old segment file one at a time, checksums and names
+// verified; users touched by the WAL are rehydrated through the filter
+// registry, replayed, and re-serialized — so a checkpoint holds the lane's
+// dirty profiles and never the lane. Segment order is preserved, with users
+// first seen in the WAL appended in event order, so compaction is
+// deterministic. The index frame follows the last record.
+func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, idxOff int64, carried int, size int64, err error) {
 	if err := s.indexLane(ln); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	payloads, err := s.laneRecords(ln, walFile)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 
 	// One slot per user the WAL touches: the learner apply has folded the
@@ -279,7 +281,7 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 	for i, p := range payloads {
 		ev, err := decodeEvent(p)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, 0, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
 		}
 		sl, seen := touched[ev.User]
 		ref, inSeg := ln.segIdx[ev.User]
@@ -291,29 +293,33 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 			}
 		case ev.Type == EventFeedback && !seen && inSeg:
 			// First touch of a segment profile: rehydrate it.
-			if sl.l, sl.lname, buf, err = s.segLearner(ln, ref, buf); err != nil {
-				return nil, 0, 0, err
+			if sl.l, sl.lname, buf, err = s.segLearner(ln, ev.User, ref, buf); err != nil {
+				return nil, 0, 0, 0, err
 			}
 		case ev.Type == EventUnsubscribe && !seen && !inSeg:
 			continue // of a user this lane never held: nothing to drop
 		}
 		if sl.l, err = apply(sl.l, ev); err != nil {
-			return nil, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, 0, 0, 0, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
 		}
 		touched[ev.User] = sl
 	}
 
 	idx = make(map[string]segRef, len(order))
+	var entries []byte
 	for _, user := range order {
 		sl, dirty := touched[user]
 		ref := ln.segIdx[user]
 		switch {
 		case !dirty: // clean: the old frame, verbatim
-			if buf, err = s.readAt(ln, segFile, ref.off, ref.n, buf); err != nil {
-				return nil, 0, 0, err
+			if buf, err = s.readAt(ln, segFile, ref.off, ref.n, buf); err == nil {
+				err = checkRecordUser(buf[8:], user)
+			}
+			if err != nil {
+				return nil, 0, 0, 0, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, ref.off, err)
 			}
 			if _, err := w.Write(buf); err != nil {
-				return nil, 0, 0, fmt.Errorf("store: %w", err)
+				return nil, 0, 0, 0, fmt.Errorf("store: %w", err)
 			}
 			carried++
 		case sl.l == nil:
@@ -321,21 +327,26 @@ func (s *Store) compactLane(ln *lane, w io.Writer) (idx map[string]segRef, carri
 		default:
 			m, ok := sl.l.(encoding.BinaryMarshaler)
 			if !ok {
-				return nil, 0, 0, fmt.Errorf("store: learner %q for %q is not serializable", sl.lname, user)
+				return nil, 0, 0, 0, fmt.Errorf("store: learner %q for %q is not serializable", sl.lname, user)
 			}
 			data, err := m.MarshalBinary()
 			if err != nil {
-				return nil, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
+				return nil, 0, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
 			}
 			payload := encodeProfilePayload(user, sl.lname, data)
 			if err := writeRecord(w, payload); err != nil {
-				return nil, 0, 0, err
+				return nil, 0, 0, 0, err
 			}
 			ref = segRef{n: uint32(len(payload))}
 		}
 		ref.off = size
 		idx[user] = ref
+		entries = appendSegIndexEntry(entries, user, ref.n)
 		size += 8 + int64(ref.n)
 	}
-	return idx, carried, size, nil
+	index := encodeSegIndex(len(idx), entries)
+	if err := writeRecord(w, index); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	return idx, size, carried, size + 8 + int64(len(index)), nil
 }

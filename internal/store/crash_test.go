@@ -7,8 +7,9 @@ package store
 // succeeds and yields exactly a prefix of the workload — never shorter
 // than what durability was acknowledged for, never a panic, never an
 // error, and always appendable afterwards — and that the lazy read path
-// (RestoredNames + RestoreUser over the offset index) agrees with it user
-// for user. This is the test that proves
+// (RestoredUsers + RestoreUser over the offset index, decoded from the
+// index frame each checkpointed segment ends with) agrees with it user for
+// user. This is the test that proves
 // the torn-tail repair, the segment/manifest rename ordering in
 // Checkpoint (including crashes between a lane's fsync and the manifest
 // rename), and the group-commit ack semantics all at once.
@@ -39,7 +40,10 @@ type matrixOp struct {
 // barriers; feedback indices are globally unique so the recovered state
 // reveals exactly which ops survived. Users "u" and "z" hash to different
 // lanes of a two-lane store (pinned in crashMatrix), so every crash point
-// also exercises the cross-lane commit.
+// also exercises the cross-lane commit. "w" shares "u"'s lane: the second
+// checkpoint writes an index over two users there and an empty one in
+// "z"'s lane, and the third carries "u"'s record verbatim beside "w"'s
+// rewritten one.
 var matrixScript = []matrixOp{
 	{kind: "sub", user: "u"},
 	{kind: "fb", user: "u", fbIdx: 0},
@@ -55,6 +59,11 @@ var matrixScript = []matrixOp{
 	{kind: "sync"},
 	{kind: "fb", user: "u", fbIdx: 7},
 	{kind: "fb", user: "u", fbIdx: 8},
+	{kind: "sub", user: "w"},
+	{kind: "fb", user: "w", fbIdx: 9},
+	{kind: "ckpt"},
+	{kind: "fb", user: "w", fbIdx: 10},
+	{kind: "ckpt"},
 }
 
 // fbVec is feedback i's document vector: a unit vector on a term only
@@ -166,8 +175,8 @@ func TestCrashMatrixDurable(t *testing.T) { crashMatrix(t, true) }
 func TestCrashMatrixRelaxed(t *testing.T) { crashMatrix(t, false) }
 
 func crashMatrix(t *testing.T, durable bool) {
-	if laneFNV32("u")%2 == laneFNV32("z")%2 {
-		t.Fatal("matrix users collided on one lane — pick users that spread")
+	if laneFNV32("u")%2 == laneFNV32("z")%2 || laneFNV32("u")%2 != laneFNV32("w")%2 {
+		t.Fatal("matrix users moved lanes — \"u\" and \"w\" must share one, \"z\" have the other")
 	}
 	opts := func(sim *faultfs.Sim) Options {
 		return Options{FS: sim, Durable: durable, Lanes: 2}

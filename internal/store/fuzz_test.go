@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
 	"mmprofile/internal/filter"
@@ -103,6 +105,73 @@ func FuzzDecodeEvent(f *testing.F) {
 		case EventFeedback, EventSubscribe, EventUnsubscribe:
 		default:
 			t.Fatalf("accepted unknown event type %d", ev.Type)
+		}
+	})
+}
+
+// FuzzSegmentIndex hits the index-frame decoder with arbitrary payloads
+// and offsets: it must error, or return entries that tile [0, end) — each
+// within maxRecordLen — and it must never panic or allocate more than the
+// payload's length can justify (a claimed count is bounded before the map
+// is sized for it).
+func FuzzSegmentIndex(f *testing.F) {
+	// A real index: the frame a checkpoint of three users ends its segment
+	// with.
+	dir := f.TempDir()
+	s, err := Open(dir, Options{Lanes: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, u := range []string{"alice", "bob", "carol"} {
+		s.AppendSubscribe(u, "MM", nil)
+		s.AppendFeedback(u, vec("cat", 1.0, u, 0.5), filter.Relevant)
+	}
+	if _, err := s.Checkpoint(1); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-000-00000001.db"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	end := s.lanes[0].idxOff
+	real := seg[end+8:]
+	if _, err := decodeSegIndex(real, end); err != nil {
+		f.Fatalf("the checkpoint's own index: %v", err)
+	}
+	f.Add(real, end)
+	f.Add(real[:len(real)-2], end)
+	f.Add(real, end+8) // a record short of the offset
+	dup := encodeSegIndex(2, appendSegIndexEntry(appendSegIndexEntry(nil, "alice", 7), "alice", 9))
+	f.Add(dup, int64(8+7+8+9))
+	f.Add([]byte{0}, int64(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0}, int64(16)) // huge varint count
+	f.Add(binary.AppendUvarint(nil, 1<<20), int64(0))                                          // a million entries in three bytes
+	f.Fuzz(func(t *testing.T, payload []byte, end int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx, err := decodeSegIndex(payload, end)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(payload))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		refs := make([]segRef, 0, len(idx))
+		for _, ref := range idx {
+			refs = append(refs, ref)
+		}
+		sort.Slice(refs, func(i, j int) bool { return refs[i].off < refs[j].off })
+		off := int64(0)
+		for _, ref := range refs {
+			if ref.off != off || ref.n > maxRecordLen {
+				t.Fatalf("entries %v do not tile [0, %d)", refs, end)
+			}
+			off += 8 + int64(ref.n)
+		}
+		if off != end {
+			t.Fatalf("entries cover [0, %d), the index starts at %d", off, end)
 		}
 	})
 }

@@ -31,7 +31,7 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 	var buf []byte // reused: each record is consumed before the next read
 	if ref, ok := ln.segIdx[user]; ok {
 		var err error
-		if l, _, buf, err = s.segLearner(ln, ref, buf); err != nil {
+		if l, _, buf, err = s.segLearner(ln, user, ref, buf); err != nil {
 			return nil, false, err
 		}
 		s.m.restoreReadBytes.Add(int64(len(buf)))
@@ -57,15 +57,19 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 	return l, l != nil, nil
 }
 
-// segLearner preads the segment record ref names and rebuilds its learner
-// (caller holds ln.mu). It also returns the learner's registry name, which
-// the record carries, and the frame read, for reuse as buf.
-func (s *Store) segLearner(ln *lane, ref segRef, buf []byte) (filter.Learner, string, []byte, error) {
+// segLearner preads user's segment record, which the index places at ref,
+// and rebuilds its learner (caller holds ln.mu). A record that names
+// another user is refused. It also returns the learner's registry name,
+// which the record carries, and the frame read, for reuse as buf.
+func (s *Store) segLearner(ln *lane, user string, ref segRef, buf []byte) (filter.Learner, string, []byte, error) {
 	frame, err := s.readAt(ln, segFile, ref.off, ref.n, buf)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	rec, err := decodeProfileRecord(frame[8:])
+	var rec ProfileRecord
+	if err = checkRecordUser(frame[8:], user); err == nil {
+		rec, err = decodeProfileRecord(frame[8:])
+	}
 	var l filter.Learner
 	if err == nil {
 		l, err = newRestored(rec.User, rec.Learner, rec.Data)

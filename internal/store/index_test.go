@@ -67,19 +67,26 @@ func requireHydrationEqualsRestore(t *testing.T, s *Store, learners map[string]f
 // 100-term vectors, the size the paper's setting implies per user.
 func bigProfile(t testing.TB) []byte {
 	t.Helper()
+	blob := trainedProfile(t, 6)
+	if len(blob) < 8<<10 {
+		t.Fatalf("profile blob is %d bytes, want about 10 KB", len(blob))
+	}
+	return blob
+}
+
+// trainedProfile is the serialized MM profile of a user who judged
+// vectors distinct 100-term documents relevant: about 1.7 KB a vector.
+func trainedProfile(tb testing.TB, vectors int) []byte {
+	tb.Helper()
 	p := core.NewDefault()
-	for v := 0; v < 6; v++ {
+	for v := 0; v < vectors; v++ {
 		pairs := make([]any, 0, 200)
 		for i := 0; i < 100; i++ {
 			pairs = append(pairs, fmt.Sprintf("v%dterm%03d", v, i), 1.0+float64(i%7))
 		}
 		p.Observe(vec(pairs...), filter.Relevant)
 	}
-	blob := marshal(t, p)
-	if len(blob) < 8<<10 {
-		t.Fatalf("profile blob is %d bytes, want about 10 KB", len(blob))
-	}
-	return blob
+	return marshal(tb, p)
 }
 
 func heapAlloc() int64 {

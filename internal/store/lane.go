@@ -2,6 +2,8 @@ package store
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -38,8 +40,10 @@ type lane struct {
 
 	// Offset index (DESIGN.md §14): where each user's records sit in the
 	// current generation's files, so a cold profile costs index entries and
-	// no payload bytes. segIdx is built by one streaming pass on first use
-	// (nil until then); walIdx by the scan that opens the WAL — in a
+	// no payload bytes. segIdx is decoded on first use (nil until then) from
+	// the index frame the segment ends with — at idxOff, which the manifest
+	// commits — or, for a segment without one, built by one streaming pass
+	// over its records; walIdx by the scan that opens the WAL — in a
 	// ReadOnly store on first use, as tolerant of a torn tail — and grows
 	// with every append. A checkpoint flip installs the offsets it wrote,
 	// starts an empty walIdx and closes the read handles, so nothing ever
@@ -47,6 +51,7 @@ type lane struct {
 	// those with events no segment holds yet — whether this process appended
 	// the events or recovered them: there is no other record of dirtiness.
 	rd     [2]faultfs.File // read handles, by segFile / walFile
+	idxOff int64           // where the current segment's index frame starts, or noIndex
 	segIdx map[string]segRef
 	walIdx map[string][]walRef
 
@@ -97,7 +102,7 @@ func (s *Store) laneFor(user string) *lane {
 func makeLanes(n int) []*lane {
 	lanes := make([]*lane, n)
 	for i := range lanes {
-		lanes[i] = &lane{id: i}
+		lanes[i] = &lane{id: i, idxOff: noIndex}
 	}
 	return lanes
 }
@@ -197,11 +202,9 @@ func (s *Store) indexWAL(ln *lane) (size int64, err error) {
 }
 
 // indexLane makes sure both of ln's offset indexes exist (caller holds
-// ln.mu). The segment is streamed through one buffer, every record
-// checksummed and decoded once, so indexing never holds more than one
-// profile; segments are written via temp + rename and referenced only
-// after a manifest commit, so any failure here is real corruption, never
-// a torn write.
+// ln.mu). Segments are written via temp + rename and referenced only after
+// a manifest commit, so any failure here is real corruption, never a torn
+// write.
 func (s *Store) indexLane(ln *lane) error {
 	if ln.wal == nil && !s.opts.ReadOnly {
 		return errClosed
@@ -214,30 +217,128 @@ func (s *Store) indexLane(ln *lane) error {
 	if ln.segIdx != nil {
 		return nil
 	}
-	idx := make(map[string]segRef)
 	f, err := s.reader(ln, segFile)
 	if errors.Is(err, fs.ErrNotExist) { // generation 0: no segment yet
-		ln.segIdx = idx
+		ln.segIdx = map[string]segRef{}
 		return nil
 	} else if err != nil {
 		return err
 	}
+	ln.segIdx, _, err = s.segIndex(ln, f)
+	return err
+}
+
+// segIndex returns the offset index of ln's current segment, read through
+// f, and the segment's byte size (caller holds ln.mu). An indexed segment
+// costs one pread of its index frame; one without is streamed through one
+// buffer, every record checksummed and decoded once, so indexing never
+// holds more than one profile.
+func (s *Store) segIndex(ln *lane, f io.ReaderAt) (map[string]segRef, int64, error) {
+	if ln.idxOff != noIndex {
+		idx, size, err := readSegIndex(f, ln.idxOff)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: lane %d segment %d index at %d: %w", ln.id, ln.gen, ln.idxOff, err)
+		}
+		return idx, size, nil
+	}
+	idx := make(map[string]segRef)
 	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, math.MaxInt64), 64<<10)
 	var frame []byte
 	for off := int64(0); ; off += int64(len(frame)) {
+		var err error
 		if frame, err = readRecord(r, frame); err == io.EOF {
-			ln.segIdx = idx
-			return nil
+			return idx, off, nil
 		}
 		var rec ProfileRecord
 		if err == nil {
 			rec, err = decodeProfileRecord(frame[8:])
 		}
 		if err != nil {
-			return fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, off, err)
+			return nil, 0, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, off, err)
 		}
 		idx[rec.User] = segRef{off: off, n: uint32(len(frame) - 8)}
 	}
+}
+
+// readSegIndex reads and verifies the index frame at off and returns the
+// index and the segment's size, which ends with that frame.
+func readSegIndex(f io.ReaderAt, off int64) (map[string]segRef, int64, error) {
+	frame, err := readRecord(io.NewSectionReader(f, off, 8+maxRecordLen), nil)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the manifest names a frame here
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	idx, err := decodeSegIndex(frame[8:], off)
+	return idx, off + int64(len(frame)), err
+}
+
+// A segment's index frame is the CRC32-framed record after its profile
+// records: a uvarint entry count, then per record in segment order the
+// user (uvarint length + bytes) and the record's payload length (uvarint).
+// Offsets follow from the order, so an entry is the id plus two or three
+// bytes.
+
+// appendSegIndexEntry appends one record's entry to an index under
+// construction.
+func appendSegIndexEntry(entries []byte, user string, n uint32) []byte {
+	entries = binary.AppendUvarint(entries, uint64(len(user)))
+	entries = append(entries, user...)
+	return binary.AppendUvarint(entries, uint64(n))
+}
+
+// encodeSegIndex is the index payload for count entries.
+func encodeSegIndex(count int, entries []byte) []byte {
+	return append(binary.AppendUvarint(make([]byte, 0, 10+len(entries)), uint64(count)), entries...)
+}
+
+// decodeSegIndex parses an index payload for a segment whose records end
+// at end. The lengths must tile [0, end) exactly, each within
+// maxRecordLen, and no user may repeat; anything else is corruption. The
+// claimed count is bounded by the payload's length (an entry is at least
+// two bytes) before anything is allocated for it.
+func decodeSegIndex(p []byte, end int64) (map[string]segRef, error) {
+	count, k := binary.Uvarint(p)
+	if k <= 0 || count > uint64(len(p)-k)/2 {
+		return nil, errors.New("implausible index entry count")
+	}
+	p = p[k:]
+	idx := make(map[string]segRef, count)
+	var off int64
+	for i := uint64(0); i < count; i++ {
+		user, rest, err := readLenBytes(p)
+		if err != nil {
+			return nil, fmt.Errorf("index entry %d: %w", i, err)
+		}
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || n > maxRecordLen {
+			return nil, fmt.Errorf("index entry %d: bad record length", i)
+		}
+		if _, dup := idx[string(user)]; dup {
+			return nil, fmt.Errorf("index entry %d: %q named twice", i, user)
+		}
+		idx[string(user)] = segRef{off: off, n: uint32(n)}
+		off += 8 + int64(n)
+		p = rest[k:]
+	}
+	if len(p) != 0 {
+		return nil, errors.New("trailing index bytes")
+	}
+	if off != end {
+		return nil, fmt.Errorf("index records cover %d bytes, the index starts at %d", off, end)
+	}
+	return idx, nil
+}
+
+// checkRecordUser refuses a profile payload whose user is not the one the
+// index names for its offset.
+func checkRecordUser(payload []byte, user string) error {
+	got, _, err := readLenBytes(payload)
+	if err == nil && string(got) != user {
+		err = fmt.Errorf("record is %q's, the index names %q", got, user)
+	}
+	return err
 }
 
 // reader returns ln's read handle on its current segment or WAL, opening
@@ -286,12 +387,13 @@ func (ln *lane) closeReaders() {
 	}
 }
 
-// laneRecords reads and verifies one of ln's current files whole, for the
-// paths that want every record at once — Load and compaction's replay
-// (caller holds ln.mu). A segment must parse to its last byte;
-// so must a WAL up to its committed length (bytes past it can only be a
-// poisoned write's remnants and are clamped away), except that ReadOnly
-// mode tolerates a torn tail exactly the way recovery would.
+// laneRecords reads and verifies one of ln's current files whole, for
+// Load and compaction's replay (caller holds ln.mu). A segment's records
+// must parse to its index frame — each the user its index entry names — or,
+// without one, to its last byte; a WAL must parse up to its committed
+// length (bytes past it can only be a poisoned write's remnants and are
+// clamped away), except that ReadOnly mode tolerates a torn tail exactly
+// the way recovery would.
 func (s *Store) laneRecords(ln *lane, which int) ([][]byte, error) {
 	path, strict := s.segPath(ln, ln.gen), true
 	if which == walFile {
@@ -304,12 +406,41 @@ func (s *Store) laneRecords(ln *lane, which int) ([][]byte, error) {
 	if which == walFile && strict && int64(len(data)) > ln.walLen {
 		data = data[:ln.walLen]
 	}
-	payloads, committed, err := scanRecords(data)
-	if err == nil && strict && committed != len(data) {
-		err = fmt.Errorf("truncated record at offset %d", committed)
+	var idx map[string]segRef
+	if which == segFile && ln.idxOff != noIndex {
+		if idx, _, err = readSegIndex(bytes.NewReader(data), ln.idxOff); err == nil {
+			data = data[:ln.idxOff]
+		}
+	}
+	var payloads [][]byte
+	if err == nil {
+		var committed int
+		payloads, committed, err = scanRecords(data)
+		if err == nil && strict && committed != len(data) {
+			err = fmt.Errorf("truncated record at offset %d", committed)
+		}
+	}
+	if err == nil && idx != nil {
+		err = matchSegIndex(payloads, idx)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: lane %d %s: %w", ln.id, filepath.Base(path), err)
 	}
 	return payloads, nil
+}
+
+// matchSegIndex requires that the records a segment scan found are the
+// ones its index names. Both tile [0, idxOff), so a record at each entry's
+// offset, of the entry's length and named as it says, is the whole
+// correspondence.
+func matchSegIndex(payloads [][]byte, idx map[string]segRef) error {
+	off := int64(0)
+	for _, p := range payloads {
+		user, _, err := readLenBytes(p)
+		if ref, ok := idx[string(user)]; err != nil || !ok || ref.off != off || int(ref.n) != len(p) {
+			return fmt.Errorf("the record at offset %d is not the one the index names there", off)
+		}
+		off += 8 + int64(len(p))
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -13,7 +14,8 @@ import (
 )
 
 // The manifest is the commit point of the sharded layout: a single framed
-// record naming the current generation of every lane. Recovery trusts
+// record naming the current generation of every lane and, from version 2,
+// where that generation's segment keeps its offset index. Recovery trusts
 // only files the manifest references, so checkpoints can stage new
 // segments freely — nothing becomes authoritative until the one atomic
 // MANIFEST rename lands, and everything unreferenced is removable
@@ -24,29 +26,39 @@ const (
 	// maxLanes bounds the manifest's claimed lane count; anything larger
 	// is corruption, not configuration.
 	maxLanes = 1024
+	// noIndex is a lane's index offset when its segment carries no index
+	// frame: written under manifest version 1, or generation 0 (no segment).
+	noIndex = -1
 )
 
 type manifest struct {
 	epoch uint64
 	gens  []uint64 // current generation per lane, indexed by lane id
+	idx   []int64  // where each lane's segment index frame starts, or noIndex
 }
 
+// encodeManifest writes version 2: per lane the generation, then the
+// index offset plus one (0 for noIndex).
 func encodeManifest(mf manifest) []byte {
-	payload := []byte{'M', 'M', 'L', 'N', 1}
+	payload := []byte{'M', 'M', 'L', 'N', 2}
 	payload = binary.AppendUvarint(payload, mf.epoch)
 	payload = binary.AppendUvarint(payload, uint64(len(mf.gens)))
-	for _, g := range mf.gens {
+	for i, g := range mf.gens {
 		payload = binary.AppendUvarint(payload, g)
+		payload = binary.AppendUvarint(payload, uint64(mf.idx[i]+1))
 	}
 	return payload
 }
 
+// decodeManifest reads versions 1 and 2; a version-1 manifest names no
+// index, so every lane it opens is indexed by the segment scan.
 func decodeManifest(payload []byte) (manifest, error) {
 	if len(payload) < 5 || string(payload[:4]) != "MMLN" {
 		return manifest{}, fmt.Errorf("bad manifest magic")
 	}
-	if payload[4] != 1 {
-		return manifest{}, fmt.Errorf("unsupported manifest version %d", payload[4])
+	version := payload[4]
+	if version != 1 && version != 2 {
+		return manifest{}, fmt.Errorf("unsupported manifest version %d", version)
 	}
 	rest := payload[5:]
 	epoch, k := binary.Uvarint(rest)
@@ -62,19 +74,28 @@ func decodeManifest(payload []byte) (manifest, error) {
 	if n == 0 || n > maxLanes {
 		return manifest{}, fmt.Errorf("implausible lane count %d", n)
 	}
-	gens := make([]uint64, n)
-	for i := range gens {
+	mf := manifest{epoch: epoch, gens: make([]uint64, n), idx: make([]int64, n)}
+	for i := range mf.gens {
 		g, k := binary.Uvarint(rest)
 		if k <= 0 {
 			return manifest{}, fmt.Errorf("truncated manifest generation %d", i)
 		}
-		gens[i] = g
+		mf.gens[i], mf.idx[i] = g, noIndex
+		rest = rest[k:]
+		if version == 1 {
+			continue
+		}
+		at, k := binary.Uvarint(rest)
+		if k <= 0 || at > math.MaxInt64 {
+			return manifest{}, fmt.Errorf("bad manifest index offset %d", i)
+		}
+		mf.idx[i] = int64(at) - 1
 		rest = rest[k:]
 	}
 	if len(rest) != 0 {
 		return manifest{}, fmt.Errorf("trailing manifest bytes")
 	}
-	return manifest{epoch: epoch, gens: gens}, nil
+	return mf, nil
 }
 
 // readManifest loads dir's MANIFEST. found is false when none exists. The
@@ -103,13 +124,13 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, bool, error) {
 	return mf, true, nil
 }
 
-// manifestNow snapshots the lane generations into a manifest value.
-// Caller holds ckptMu (generations only change under it), so reading
-// ln.gen without the lane locks is safe.
+// manifestNow snapshots the lane generations and index offsets into a
+// manifest value. Caller holds ckptMu (both only change under it), so
+// reading them without the lane locks is safe.
 func (s *Store) manifestNow() manifest {
-	mf := manifest{epoch: s.epoch.Load(), gens: make([]uint64, len(s.lanes))}
+	mf := manifest{epoch: s.epoch.Load(), gens: make([]uint64, len(s.lanes)), idx: make([]int64, len(s.lanes))}
 	for i, ln := range s.lanes {
-		mf.gens[i] = ln.gen
+		mf.gens[i], mf.idx[i] = ln.gen, ln.idxOff
 	}
 	return mf
 }

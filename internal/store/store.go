@@ -43,6 +43,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -200,8 +201,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if found {
 		s.epoch.Store(mf.epoch)
 		s.lanes = makeLanes(len(mf.gens))
-		for i, g := range mf.gens {
-			s.lanes[i].gen = g
+		for i, ln := range s.lanes {
+			ln.gen, ln.idxOff = mf.gens[i], mf.idx[i]
 		}
 	} else {
 		if err := detectLegacy(fsys, dir); err != nil {
@@ -676,8 +677,10 @@ type LaneInfo struct {
 	SegBytes    int64  // byte size of the current segment
 }
 
-// LaneInfos scans every lane's files and reports their integrity. A
-// non-nil error means corruption before some lane's tail; the returned
+// LaneInfos scans every lane's WAL and reports its integrity; a segment's
+// profile count and size come from its index frame (or, without one, from
+// streaming its records), so no segment is read whole. A non-nil error
+// means corruption before some lane's tail or in a segment; the returned
 // infos still describe every lane's valid prefix.
 func (s *Store) LaneInfos() ([]LaneInfo, error) {
 	var firstErr error
@@ -707,17 +710,29 @@ func (s *Store) LaneInfos() ([]LaneInfo, error) {
 			}
 		}
 		if ln.gen > 0 {
-			if sdata, err := s.readFileOrEmpty(s.segPath(ln, ln.gen)); err == nil {
-				li.SegBytes = int64(len(sdata))
-				if payloads, _, serr := scanRecords(sdata); serr == nil {
-					li.SegProfiles = len(payloads)
-				}
+			if err := s.segInfo(ln, &li); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		ln.mu.Unlock()
 		out = append(out, li)
 	}
 	return out, firstErr
+}
+
+// segInfo fills li's segment fields through a handle of its own, so a
+// closed store's lanes keep no reader (caller holds ln.mu).
+func (s *Store) segInfo(ln *lane, li *LaneInfo) error {
+	f, err := s.fsys.OpenFile(s.segPath(ln, ln.gen), os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	idx, size, err := s.segIndex(ln, f)
+	li.SegProfiles, li.SegBytes = len(idx), size
+	return err
 }
 
 // WALInfo describes the journal's aggregate on-disk integrity across all
