@@ -21,7 +21,7 @@
 //	         [-queue 128] [-retention 4096]
 //	         [-state DIR] [-checkpoint 5m] [-lanes 4]
 //	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
-//	         [-pubsub-shards N] [-trace-sample 0.01] [-trace-slow 50ms]
+//	         [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]
 //	         [-match-slo 0] [-evict-drop-rate 0] [-evict-windows 3]
 package main

@@ -48,7 +48,7 @@ func TestFlagSurface(t *testing.T) {
 		"addr", "checkpoint", "dump-dir",
 		"evict-drop-rate", "evict-windows", "fsync", "http", "lanes",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
-		"pubsub-shards", "queue", "retain-content", "retention", "state",
+		"queue", "retain-content", "retention", "state",
 		"sync-interval", "threshold", "trace-sample", "trace-slow",
 	}
 	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)

@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 
-	"mmprofile/internal/cluster"
+	"mmprofile/internal/bench/cluster"
+	"mmprofile/internal/bench/lsi"
 	"mmprofile/internal/core"
 	"mmprofile/internal/eval"
 	"mmprofile/internal/filter"
-	"mmprofile/internal/lsi"
 	"mmprofile/internal/rocchio"
 	"mmprofile/internal/sim"
 	"mmprofile/internal/vsm"

@@ -37,7 +37,7 @@ func TestRetainedDocumentBytes(t *testing.T) {
 		profiles[i] = vsm.Pack(vsm.DocumentVector(ts, vsm.Bel{Stats: stats}))
 	}
 	const retention = 4096
-	s := New(retention, 1)
+	s := New(retention)
 	liveHeap := func() uint64 {
 		var m runtime.MemStats
 		runtime.GC()

@@ -5,16 +5,11 @@
 // document N evicts document N-retention — implemented as a ring of records
 // in which a document's id is its position.
 //
-// Concurrency: ids come from one global atomic allocator, so document ids
-// remain totally ordered across concurrent publishers, but the ring is
-// sharded by id with one mutex per shard. Sequential ids round-robin across
-// shards, so concurrent Put calls almost always land on different shards
-// and never serialize behind a single store-wide lock.
-//
-// Sharding preserves the exact FIFO retention window: shard count is
-// clamped to a power of two that divides the retention capacity, so the
-// slot a document takes in its shard's ring is occupied by exactly the
-// document `retention` ids older.
+// Concurrency: ids come from one atomic allocator, so document ids remain
+// totally ordered across concurrent publishers, and the ring is behind one
+// mutex. Ids are drawn outside it, so a publisher may reach the lock after
+// one holding a newer id: Put never lets an older document overwrite a
+// newer one.
 package docstore
 
 import (
@@ -33,64 +28,34 @@ type Record struct {
 	Content string
 }
 
-// Store is a sharded fixed-capacity document window. Safe for concurrent
-// use. The zero value is not usable; call New.
+// Store is a fixed-capacity document window. Safe for concurrent use. The
+// zero value is not usable; call New.
 type Store struct {
-	retention int
-	mask      int64 // len(shards)-1; shard of id is id & mask
-	next      atomic.Int64
-	shards    []shard
-}
-
-// shard is one slice of the ring. A slot is validated by the id it holds,
-// and by filled, which tells document 0 from a slot nothing was put in.
-type shard struct {
+	next atomic.Int64
 	mu   sync.Mutex
-	docs []slot
+	docs []slot // document id's slot is id mod len(docs)
 }
 
+// slot is one place in the ring. It is validated by the id it holds, and by
+// filled, which tells document 0 from a slot nothing was put in.
 type slot struct {
 	rec    Record
 	filled bool
 }
 
-// at returns the slot of document id — the id's count within its shard,
-// modulo the shard's ring — which holds it, an older document whose place
-// it will take, a newer one that took its place, or nothing.
-func (s *Store) at(id int64) (*shard, *slot) {
-	sh := &s.shards[id&s.mask]
-	return sh, &sh.docs[id/int64(len(s.shards))%int64(len(sh.docs))]
-}
+// at returns the slot of document id, which holds it, an older document
+// whose place it will take, a newer one that took its place, or nothing.
+// Caller holds s.mu.
+func (s *Store) at(id int64) *slot { return &s.docs[id%int64(len(s.docs))] }
 
 // New creates a store retaining the most recent `retention` documents
-// (min 1), sharded `shards` ways. The shard count is rounded down to the
-// largest power of two that divides retention — the clamp that keeps
-// per-shard ring eviction identical to a single global FIFO — so callers
-// can pass any suggestion (GOMAXPROCS, a flag) without thinking about
-// divisibility; shards <= 0 means 1.
-func New(retention, shards int) *Store {
-	if retention < 1 {
-		retention = 1
-	}
-	n := 1
-	for n*2 <= shards {
-		n *= 2
-	}
-	for retention%n != 0 {
-		n /= 2
-	}
-	s := &Store{retention: retention, mask: int64(n - 1), shards: make([]shard, n)}
-	for i := range s.shards {
-		s.shards[i].docs = make([]slot, retention/n)
-	}
-	return s
+// (min 1).
+func New(retention int) *Store {
+	return &Store{docs: make([]slot, max(retention, 1))}
 }
 
 // Retention returns the store's capacity in documents.
-func (s *Store) Retention() int { return s.retention }
-
-// Shards returns the number of independently locked shards.
-func (s *Store) Shards() int { return len(s.shards) }
+func (s *Store) Retention() int { return len(s.docs) }
 
 // Put admits a document, assigning it the next id in the global total
 // order, and reports whether a document left the window to make room: the
@@ -98,13 +63,13 @@ func (s *Store) Shards() int { return len(s.shards) }
 // publishers have overtaken this one between the id and the lock, this one.
 func (s *Store) Put(doc vsm.Retained, content string) (id int64, evicted bool) {
 	id = s.next.Add(1) - 1
-	sh, sl := s.at(id)
-	sh.mu.Lock()
+	s.mu.Lock()
+	sl := s.at(id)
 	evicted = sl.filled
 	if !sl.filled || sl.rec.ID < id {
 		*sl = slot{Record{ID: id, Doc: doc, Content: content}, true}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return id, evicted
 }
 
@@ -114,9 +79,9 @@ func (s *Store) Get(id int64) (Record, bool) {
 	if id < 0 {
 		return Record{}, false
 	}
-	sh, sl := s.at(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sl := s.at(id)
 	if !sl.filled || sl.rec.ID != id { // never put, not put yet, or evicted
 		return Record{}, false
 	}
@@ -130,17 +95,14 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Range calls fn for every retained record, shard by shard (diagnostics
-// and tests; order is unspecified). fn must not call back into the store.
+// Range calls fn for every retained record (diagnostics and tests; order
+// is unspecified). fn must not call back into the store.
 func (s *Store) Range(fn func(Record)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.docs {
-			if sh.docs[k].filled {
-				fn(sh.docs[k].rec)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.docs {
+		if s.docs[k].filled {
+			fn(s.docs[k].rec)
 		}
-		sh.mu.Unlock()
 	}
 }

@@ -18,120 +18,80 @@ func v(term string) vsm.Retained {
 // document 0 — and an id whose slot holds an older document (not assigned
 // yet) or a newer one (evicted) misses instead of aliasing to it.
 func TestDocKeyOffsetInvariant(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := New(4, shards)
-			if _, ok := s.Get(0); ok || s.Len() != 0 {
-				t.Fatalf("an empty store holds document 0 (Len %d)", s.Len())
-			}
-			terms := []string{"a", "b", "c", "d", "e", "f"}
-			evictions := 0
-			for i, term := range terms {
-				id, evicted := s.Put(v(term), "")
-				if id != int64(i) {
-					t.Fatalf("doc id = %d, want %d", id, i)
-				}
-				if evicted {
-					evictions++
-				}
-				// The slots of ids not assigned yet hold nothing, or — from
-				// the fifth document on — the document retention ids older.
-				for next := id + 1; next <= id+4; next++ {
-					if rec, ok := s.Get(next); ok {
-						t.Fatalf("after doc %d, Get(%d) answers with doc %d", id, next, rec.ID)
-					}
-				}
-			}
-			// Retention 4: ids 2..5 retained, ids 0..1 evicted — regardless
-			// of the shard count, because shards divide the retention.
-			for i, term := range terms {
-				rec, ok := s.Get(int64(i))
-				if i < 2 {
-					if ok {
-						t.Errorf("doc %d should have been evicted", i)
-					}
-					continue
-				}
-				if !ok {
-					t.Fatalf("doc %d not retained", i)
-				}
-				if vec := rec.Doc.Vector(); vec.Weight(term) == 0 {
-					t.Errorf("doc %d returned the wrong vector: %v", i, vec)
-				}
-			}
-			if evictions != 2 {
-				t.Errorf("evictions = %d, want 2", evictions)
-			}
-			if s.Len() != 4 {
-				t.Errorf("Len = %d, want 4", s.Len())
-			}
-			// Internal shape: every filled slot is the one its record's id
-			// maps to.
-			for i := range s.shards {
-				for k := range s.shards[i].docs {
-					sl := &s.shards[i].docs[k]
-					if _, at := s.at(sl.rec.ID); sl.filled && at != sl {
-						t.Errorf("shard %d slot %d holds doc %d, whose slot is another", i, k, sl.rec.ID)
-					}
-				}
-			}
-		})
+	s := New(4)
+	if _, ok := s.Get(0); ok || s.Len() != 0 {
+		t.Fatalf("an empty store holds document 0 (Len %d)", s.Len())
 	}
-}
-
-// TestShardClamp pins the divisibility clamp: the shard count is the
-// largest power of two <= the suggestion that divides retention, so the
-// sharded ring evicts exactly like a single global FIFO.
-func TestShardClamp(t *testing.T) {
-	cases := []struct {
-		retention, want, suggest int
-	}{
-		{4096, 16, 16},
-		{4096, 8, 8},
-		{3, 1, 16},  // odd retention: only 1 divides
-		{6, 2, 16},  // 2 divides, 4 does not
-		{100, 4, 8}, // 4 divides 100, 8 does not
-		{8, 8, 100}, // suggestion rounds down to pow2 first
-		{5, 1, 0},   // non-positive suggestion means 1
-	}
-	for _, c := range cases {
-		s := New(c.retention, c.suggest)
-		if s.Shards() != c.want {
-			t.Errorf("New(%d, %d).Shards() = %d, want %d",
-				c.retention, c.suggest, s.Shards(), c.want)
+	terms := []string{"a", "b", "c", "d", "e", "f"}
+	evictions := 0
+	for i, term := range terms {
+		id, evicted := s.Put(v(term), "")
+		if id != int64(i) {
+			t.Fatalf("doc id = %d, want %d", id, i)
 		}
-		if s.Retention() != c.retention {
-			t.Errorf("New(%d, %d).Retention() = %d", c.retention, c.suggest, s.Retention())
+		if evicted {
+			evictions++
+		}
+		// The slots of ids not assigned yet hold nothing, or — from the
+		// fifth document on — the document retention ids older.
+		for next := id + 1; next <= id+4; next++ {
+			if rec, ok := s.Get(next); ok {
+				t.Fatalf("after doc %d, Get(%d) answers with doc %d", id, next, rec.ID)
+			}
+		}
+	}
+	// Retention 4: ids 2..5 retained, ids 0..1 evicted.
+	for i, term := range terms {
+		rec, ok := s.Get(int64(i))
+		if i < 2 {
+			if ok {
+				t.Errorf("doc %d should have been evicted", i)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("doc %d not retained", i)
+		}
+		if vec := rec.Doc.Vector(); vec.Weight(term) == 0 {
+			t.Errorf("doc %d returned the wrong vector: %v", i, vec)
+		}
+	}
+	if evictions != 2 {
+		t.Errorf("evictions = %d, want 2", evictions)
+	}
+	if s.Len() != 4 {
+		t.Errorf("Len = %d, want 4", s.Len())
+	}
+	// Internal shape: every filled slot is the one its record's id maps to.
+	for k := range s.docs {
+		if sl := &s.docs[k]; sl.filled && s.at(sl.rec.ID) != sl {
+			t.Errorf("slot %d holds doc %d, whose slot is another", k, sl.rec.ID)
 		}
 	}
 }
 
-// TestExactFIFOAcrossShards checks the retention window stays exact under
-// sharding: after publishing k documents, exactly the last min(k, retention)
-// are retrievable.
-func TestExactFIFOAcrossShards(t *testing.T) {
-	const retention = 12
-	for _, shards := range []int{1, 2, 4} {
-		s := New(retention, shards)
-		const total = 40
-		for i := 0; i < total; i++ {
-			s.Put(v(fmt.Sprintf("t%d", i)), "")
+// TestExactFIFO checks the retention window is exact: after publishing k
+// documents, exactly the last min(k, retention) are retrievable.
+func TestExactFIFO(t *testing.T) {
+	const retention, total = 12, 40
+	s := New(retention)
+	for i := 0; i < total; i++ {
+		s.Put(v(fmt.Sprintf("t%d", i)), "")
+	}
+	for i := 0; i < total; i++ {
+		_, ok := s.Get(int64(i))
+		if want := i >= total-retention; ok != want {
+			t.Errorf("Get(%d) = %v, want %v", i, ok, want)
 		}
-		for i := 0; i < total; i++ {
-			_, ok := s.Get(int64(i))
-			if want := i >= total-retention; ok != want {
-				t.Errorf("shards=%d: Get(%d) = %v, want %v", shards, i, ok, want)
-			}
-		}
-		if s.Len() != retention {
-			t.Errorf("shards=%d: Len = %d, want %d", shards, s.Len(), retention)
-		}
+	}
+	if s.Len() != retention || s.Retention() != retention {
+		t.Errorf("Len = %d, Retention = %d, want %d", s.Len(), s.Retention(), retention)
 	}
 }
 
 // TestContentRetention checks raw content rides along with the vector.
 func TestContentRetention(t *testing.T) {
-	s := New(2, 2)
+	s := New(2)
 	id, _ := s.Put(v("a"), "<html>a</html>")
 	rec, ok := s.Get(id)
 	if !ok || rec.Content != "<html>a</html>" {
@@ -154,7 +114,7 @@ func TestConcurrentPutGet(t *testing.T) {
 		perG    = 100
 		ret     = 64
 	)
-	s := New(ret, 8)
+	s := New(ret)
 	ids := make([][]int64, writers)
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {

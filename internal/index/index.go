@@ -255,8 +255,8 @@ type Index struct {
 	// once and fall through at zero cost when monitoring is off.
 	inst *instruments
 
-	// termAttr is nil until Instrument is called; when set, accumulate
-	// offers each document term's postings-scanned delta so /topz can
+	// termAttr is nil until Instrument is called; when set, each match
+	// offers its document terms' postings-scanned counts so /topz can
 	// answer "which terms make matching expensive" (DESIGN.md §8).
 	termAttr *metrics.Sketch[uint32]
 }
@@ -331,7 +331,7 @@ type instruments struct {
 func (ix *Index) Instrument(reg *metrics.Registry) {
 	ix.termAttr = metrics.TopK[uint32](reg, "term_postings_scanned",
 		"Postings scanned while matching, by document term.",
-		metrics.DimensionCapacity, 0, metrics.HashU32,
+		metrics.DimensionCapacity,
 		intern.Terms.String)
 	ix.inst = &instruments{
 		matchLat: reg.Histogram("mm_index_match_seconds",
@@ -519,7 +519,10 @@ func (ix *Index) insertPostings(svs []stagedVec) {
 	ix.pmu.Lock()
 	for _, sv := range svs {
 		for i, t := range sv.p.IDs {
-			if n := int(t) + 1; n > len(ix.lists) {
+			if int(t) >= len(ix.lists) {
+				// Ids are dense, so the table's length bounds them all:
+				// one growth covers every term interned so far.
+				n := max(int(t)+1, intern.Terms.Len())
 				ix.lists = slices.Grow(ix.lists, n-len(ix.lists))[:n]
 			}
 			l := &ix.lists[t]
@@ -776,6 +779,7 @@ type matcher struct {
 	best     []float64
 	bestAt   []uint32
 	uids     []uint32
+	scans    []float64 // aligned with ids: postings each term scanned, for termAttr
 	stats    matchStats
 }
 
@@ -910,6 +914,8 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 	m.suffix = grow(m.suffix, n+1)
 	m.csr = grow(m.csr, n+1)
 	m.suffix[n], m.csr[n] = 0, 0
+	m.scans = grow(m.scans, n)
+	clear(m.scans)
 	var sumsq float64
 	maxNorm := ix.maxNorm
 	ix.pmu.RLock()
@@ -956,7 +962,7 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 				}
 			}
 			scanned += len(l.ids)
-			ix.termAttr.Offer(t, float64(scanned-scanBase))
+			m.scans[i] = float64(scanned - scanBase)
 			continue
 		}
 		dw32 := float32(dw)
@@ -975,7 +981,7 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 			m.add(l.ids[start:end], l.ws[start:end], dw32)
 			scanned += end - start
 		}
-		ix.termAttr.Offer(t, float64(scanned-scanBase))
+		m.scans[i] = float64(scanned - scanBase)
 	}
 	slackTotal = slack
 	if stop < n {
@@ -1123,8 +1129,10 @@ func (m *matcher) record(ix *Index, slot uint32, sc float64) {
 }
 
 // flushStats batches the match's pruning work into the index counters and,
-// when instrumented, the exported metrics. Called after locks drop.
+// when instrumented, the exported metrics and the per-term dimension (one
+// hold of its lock per match). Called after locks drop.
 func (m *matcher) flushStats(ix *Index) {
+	ix.termAttr.OfferEach(len(m.ids), func(i int) (uint32, float64) { return m.ids[i], m.scans[i] })
 	st := &m.stats
 	if st.postingsScanned > 0 {
 		ix.stats.postingsScanned.Add(uint64(st.postingsScanned))

@@ -202,8 +202,8 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestConcurrentCanonWhileGrowing has writers push every shard through
-// several table generations while readers look up, by every spelling, terms
+// TestConcurrentCanonWhileGrowing has writers push the table through
+// several generations while readers look up, by every spelling, terms
 // they know are in. Meaningful under -race.
 func TestConcurrentCanonWhileGrowing(t *testing.T) {
 	d := NewDict()
@@ -236,5 +236,20 @@ func TestConcurrentCanonWhileGrowing(t *testing.T) {
 	wg.Wait()
 	if d.Len() != vocab {
 		t.Fatalf("Len = %d, want %d", d.Len(), vocab)
+	}
+}
+
+// TestIDsAreDense: ids are 0..Len()-1 in order of first sight, across every
+// growth of the table, so an array indexed by id has no holes.
+func TestIDsAreDense(t *testing.T) {
+	d := NewDict()
+	for i := 0; i < 5000; i++ {
+		term := fmt.Sprintf("w%d", i)
+		if id := d.Intern(term); id != uint32(i) {
+			t.Fatalf("%s got id %d, want %d", term, id, i)
+		}
+	}
+	if d.Len() != 5000 || d.String(4999) != "w4999" || d.String(5000) != "" {
+		t.Errorf("Len %d, String(4999) %q, String(5000) %q", d.Len(), d.String(4999), d.String(5000))
 	}
 }

@@ -1,5 +1,5 @@
 // Package metrics is the zero-dependency, low-overhead observability layer
-// of the dissemination pipeline (DESIGN.md §8): sharded atomic counters,
+// of the dissemination pipeline (DESIGN.md §8): atomic counters,
 // float gauges, log-bucketed latency histograms and top-k attribution
 // sketches (sketch.go), collected in one Registry that exposes Prometheus
 // text format and JSON snapshots and keeps its own history — a ring of
@@ -26,35 +26,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // ---------------------------------------------------------------------------
 // Counter
 
-// counterStripes is the number of independently updated cache lines a
-// Counter spreads its increments over; a power of two.
-const counterStripes = 8
-
-type counterStripe struct {
-	n atomic.Int64
-	_ [56]byte // pad to a 64-byte cache line to prevent false sharing
-}
-
-// Counter is a monotonically increasing counter, sharded across cache
-// lines so concurrent publishers do not serialize on one atomic word.
-// The zero value is ready to use; a nil *Counter is a no-op.
+// Counter is a monotonically increasing counter: one atomic word. The zero
+// value is ready to use; a nil *Counter is a no-op.
 type Counter struct {
-	stripes [counterStripes]counterStripe
-}
-
-// stripeIdx picks a stripe from the address of a stack variable: every
-// goroutine has its own stack, so concurrent writers spread across stripes
-// without any per-goroutine state or allocation.
-func stripeIdx() uint32 {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return uint32((p>>6)*2654435761) >> 29 // top 3 bits: 0..7
+	n atomic.Int64
 }
 
 // Inc adds one.
@@ -65,19 +45,15 @@ func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.stripes[stripeIdx()].n.Add(d)
+	c.n.Add(d)
 }
 
-// Value returns the current total across stripes.
+// Value returns the current total.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // ---------------------------------------------------------------------------

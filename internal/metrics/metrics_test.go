@@ -153,16 +153,16 @@ func TestRegistryIdempotentAndKindClash(t *testing.T) {
 	if g.Value() != 2 {
 		t.Fatal("GaugeFunc re-registration must replace the callback")
 	}
-	k1 := TopK[string](r, "hot_users", "", 8, 1, HashString, FormatString)
-	if k2 := TopK[string](r, "hot_users", "", 8, 1, HashString, FormatString); k1 != k2 {
+	k1 := TopK[string](r, "hot_users", "", 8, FormatString)
+	if k2 := TopK[string](r, "hot_users", "", 8, FormatString); k1 != k2 {
 		t.Fatal("re-registering a top-k dimension must return the same instance")
 	}
 	for name, clash := range map[string]func(){
 		"gauge over counter": func() { r.Gauge("reqs_total", "") },
 		"counter over topk":  func() { r.Counter("hot_users", "") },
-		"topk over counter":  func() { TopK[string](r, "reqs_total", "", 8, 1, HashString, FormatString) },
+		"topk over counter":  func() { TopK[string](r, "reqs_total", "", 8, FormatString) },
 		"topk over another key type": func() {
-			TopK[uint32](r, "hot_users", "", 8, 1, HashU32, func(uint32) string { return "" })
+			TopK[uint32](r, "hot_users", "", 8, func(uint32) string { return "" })
 		},
 	} {
 		func() {
@@ -200,7 +200,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(0.002)
 	h.Observe(0.004)
 	r.Histogram("mm_test_empty_seconds", "no observations yet")
-	TopK[string](r, "test_hot_keys", "weight by key", 8, 1, HashString, FormatString).Offer("k", 3)
+	TopK[string](r, "test_hot_keys", "weight by key", 8, FormatString).Offer("k", 3)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -259,7 +259,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("c_total", "").Add(4)
 	r.Gauge("g", "").Set(1.5)
 	r.Histogram("h_seconds", "").Observe(0.5)
-	TopK[string](r, "hot", "", 8, 1, HashString, FormatString).Offer("k", 2)
+	TopK[string](r, "hot", "", 8, FormatString).Offer("k", 2)
 
 	data, err := json.Marshal(r.Snapshot())
 	if err != nil {

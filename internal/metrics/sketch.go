@@ -20,16 +20,12 @@ package metrics
 // err, and err itself is bounded by W/C. Any key whose true weight exceeds
 // W/C is guaranteed to be present.
 //
-// Writes are striped: a caller-supplied hash routes each key to one of S
-// independent sub-sketches, so concurrent Offer calls from different
-// publish workers contend only when their keys collide on a stripe. Each
-// stripe owns a disjoint keyspace, which keeps Snapshot a concatenation
-// (no cross-stripe merge of the same key) at the cost of the per-entry
-// bound holding with the stripe's own W_s/C_s. Offer is O(log C) worst
-// case (a heap fix on a fixed-capacity heap) and allocates nothing in
-// steady state: the entry slab, heap, and map are all pre-sized, and the
-// evict path deletes a map key before inserting one, so the map's bucket
-// population never grows past capacity.
+// One sketch covers the whole capacity behind one mutex, so the bound above
+// holds for the dimension as a whole. Offer is O(log C) worst case (a heap
+// fix on a fixed-capacity heap) and allocates nothing in steady state: the
+// entry slab, heap, and map are all pre-sized, and the evict path deletes a
+// map key before inserting one, so the map's bucket population never grows
+// past capacity.
 
 import (
 	"fmt"
@@ -46,9 +42,9 @@ type TopEntry struct {
 }
 
 // TopSnapshot is one dimension's current state: the top entries by count
-// plus the bookkeeping needed to interpret them. Epsilon is the worst
-// per-stripe W_s/C_s bound — any key with true weight above Epsilon is
-// guaranteed to appear in the (full, k = capacity) table. Name and Help
+// plus the bookkeeping needed to interpret them. Epsilon is the W/C bound —
+// any key with true weight above Epsilon is guaranteed to appear in the
+// (full, k = capacity) table. Name and Help
 // are the registration's, filled in by Registry.Top and Registry.Tops; in
 // Registry.Snapshot the map key already names the dimension.
 type TopSnapshot struct {
@@ -83,73 +79,47 @@ const snapshotTopK = 10
 func (s *Sketch[K]) kind() string       { return "topk" }
 func (s *Sketch[K]) snapshotValue() any { return s.Snapshot(snapshotTopK) }
 
-// slot is one resident entry inside a stripe. hpos tracks its position in
-// the stripe's min-heap so count changes can fix the heap in O(log C).
+// slot is one resident entry. Its count lives in its heap entry, at hpos,
+// so a heap fix compares counts without leaving the heap array.
 type slot[K comparable] struct {
-	key   K
-	count float64
-	err   float64
-	hpos  int32
+	key  K
+	err  float64
+	hpos int32
 }
 
-// stripe is one independent sub-sketch. pad spaces stripes a cache line
-// apart so uncontended Offers on different stripes don't false-share.
-type stripe[K comparable] struct {
+// heapEntry is one heap position: a slot's count and the slot.
+type heapEntry struct {
+	count float64
+	slot  int32
+}
+
+// Sketch is a space-saving sketch over keys of type K. The zero value is
+// not usable; construct with TopK. A nil *Sketch is a no-op on Offer, so an
+// uninstrumented component can hold one unconditionally.
+type Sketch[K comparable] struct {
+	format func(K) string
+
 	mu    sync.Mutex
 	w     float64
 	slots []slot[K]
 	pos   map[K]int32
-	heap  []int32 // slot indexes, min-heap ordered by count
-	_     [24]byte
-}
-
-// Sketch is a striped space-saving sketch over keys of type K. The zero
-// value is not usable; construct with TopK. A nil *Sketch is a no-op on
-// Offer, so an uninstrumented component can hold one unconditionally.
-type Sketch[K comparable] struct {
-	capacity int // total across stripes
-	hash     func(K) uint32
-	format   func(K) string
-	mask     uint32
-	stripes  []stripe[K]
+	heap  []heapEntry // min-heap by count
 }
 
 // TopK returns r's top-k dimension called name, creating it on first use
 // like Registry.Counter (a function, not a method, only because methods
 // cannot take type parameters). The sketch tracks at most capacity entries
-// in total, split over stripes sub-sketches (0 picks the default of 8;
-// capacity is rounded up to a multiple of the stripe count, minimum 1 per
-// stripe). hash routes keys to stripes — it only needs to spread keys, not
-// be cryptographic — and format renders a key for snapshots (called only
-// at snapshot time, so expensive lookups like term-id → string stay off
-// the hot path). Asking for an existing name with another key type panics,
+// (minimum 1), and format renders a key for snapshots (called only at
+// snapshot time, so expensive lookups like term-id → string stay off the
+// hot path). Asking for an existing name with another key type panics,
 // like any kind collision.
-func TopK[K comparable](r *Registry, name, help string, capacity, stripes int, hash func(K) uint32, format func(K) string) *Sketch[K] {
-	if stripes <= 0 {
-		stripes = 8
-	}
-	// Round stripes to a power of two so routing is a mask, not a mod.
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	stripes = n
-	per := (capacity + stripes - 1) / stripes
-	if per < 1 {
-		per = 1
-	}
+func TopK[K comparable](r *Registry, name, help string, capacity int, format func(K) string) *Sketch[K] {
+	capacity = max(capacity, 1)
 	s := &Sketch[K]{
-		capacity: per * stripes,
-		hash:     hash,
-		format:   format,
-		mask:     uint32(stripes - 1),
-		stripes:  make([]stripe[K], stripes),
-	}
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.slots = make([]slot[K], 0, per)
-		st.pos = make(map[K]int32, per)
-		st.heap = make([]int32, 0, per)
+		format: format,
+		slots:  make([]slot[K], 0, capacity),
+		pos:    make(map[K]int32, capacity),
+		heap:   make([]heapEntry, 0, capacity),
 	}
 	got, ok := r.register(name, help, s).(*Sketch[K])
 	if !ok {
@@ -164,87 +134,105 @@ func (s *Sketch[K]) Offer(key K, w float64) {
 	if s == nil || w <= 0 {
 		return
 	}
-	st := &s.stripes[s.hash(key)&s.mask]
-	st.mu.Lock()
-	st.w += w
-	if i, ok := st.pos[key]; ok {
-		st.slots[i].count += w
-		st.siftDown(int(st.slots[i].hpos))
-	} else if len(st.slots) < cap(st.slots) {
-		i := int32(len(st.slots))
-		st.slots = append(st.slots, slot[K]{key: key, count: w})
-		st.pos[key] = i
-		st.heap = append(st.heap, i)
-		st.slots[i].hpos = int32(len(st.heap) - 1)
-		st.siftUp(len(st.heap) - 1)
+	s.mu.Lock()
+	s.offer(key, w)
+	s.mu.Unlock()
+}
+
+// OfferEach offers the n weighted keys at(0), …, at(n-1) under one hold of
+// the lock, so a caller with many offers at once — a match, one per document
+// term; a publish, one per delivery — takes it once. Non-positive weights
+// are ignored; at must not call back into the sketch.
+func (s *Sketch[K]) OfferEach(n int, at func(i int) (K, float64)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	for i := 0; i < n; i++ {
+		if key, w := at(i); w > 0 {
+			s.offer(key, w)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// offer is one Offer of a positive weight. Caller holds s.mu.
+func (s *Sketch[K]) offer(key K, w float64) {
+	s.w += w
+	if i, ok := s.pos[key]; ok {
+		hp := int(s.slots[i].hpos)
+		s.heap[hp].count += w
+		s.siftDown(hp)
+	} else if len(s.slots) < cap(s.slots) {
+		i := int32(len(s.slots))
+		s.slots = append(s.slots, slot[K]{key: key})
+		s.pos[key] = i
+		s.heap = append(s.heap, heapEntry{w, i})
+		s.siftUp(len(s.heap) - 1)
 	} else {
 		// Space-saving takeover: the minimum-count entry surrenders its
 		// slot; its count becomes the newcomer's error bound.
-		vi := st.heap[0]
-		v := &st.slots[vi]
-		delete(st.pos, v.key)
-		v.err = v.count
-		v.count += w
+		low := &s.heap[0]
+		v := &s.slots[low.slot]
+		delete(s.pos, v.key)
+		v.err = low.count
+		low.count += w
 		v.key = key
-		st.pos[key] = vi
-		st.siftDown(0)
+		s.pos[key] = low.slot
+		s.siftDown(0)
 	}
-	st.mu.Unlock()
 }
 
 // siftDown restores the min-heap below heap position hp after the count
 // at hp grew.
-func (st *stripe[K]) siftDown(hp int) {
-	n := len(st.heap)
+func (s *Sketch[K]) siftDown(hp int) {
+	e, n := s.heap[hp], len(s.heap)
 	for {
-		l, r := 2*hp+1, 2*hp+2
-		min := hp
-		if l < n && st.slots[st.heap[l]].count < st.slots[st.heap[min]].count {
-			min = l
+		c := 2*hp + 1
+		if c >= n {
+			break
 		}
-		if r < n && st.slots[st.heap[r]].count < st.slots[st.heap[min]].count {
-			min = r
+		if r := c + 1; r < n && s.heap[r].count < s.heap[c].count {
+			c = r
 		}
-		if min == hp {
-			return
+		if e.count <= s.heap[c].count {
+			break
 		}
-		st.swap(hp, min)
-		hp = min
+		s.place(hp, s.heap[c])
+		hp = c
 	}
+	s.place(hp, e)
 }
 
 // siftUp restores the min-heap above heap position hp after an insert.
-func (st *stripe[K]) siftUp(hp int) {
+func (s *Sketch[K]) siftUp(hp int) {
+	e := s.heap[hp]
 	for hp > 0 {
 		parent := (hp - 1) / 2
-		if st.slots[st.heap[parent]].count <= st.slots[st.heap[hp]].count {
-			return
+		if s.heap[parent].count <= e.count {
+			break
 		}
-		st.swap(hp, parent)
+		s.place(hp, s.heap[parent])
 		hp = parent
 	}
+	s.place(hp, e)
 }
 
-func (st *stripe[K]) swap(a, b int) {
-	st.heap[a], st.heap[b] = st.heap[b], st.heap[a]
-	st.slots[st.heap[a]].hpos = int32(a)
-	st.slots[st.heap[b]].hpos = int32(b)
+// place puts e at heap position hp and tells its slot.
+func (s *Sketch[K]) place(hp int, e heapEntry) {
+	s.heap[hp] = e
+	s.slots[e.slot].hpos = int32(hp)
 }
 
-// Total returns the cumulative weight offered across all stripes;
-// monotone, so the registry's ring samples it like a counter.
+// Total returns the cumulative weight offered; monotone, so the registry's
+// ring samples it like a counter.
 func (s *Sketch[K]) Total() float64 {
 	if s == nil {
 		return 0
 	}
-	var w float64
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		w += st.w
-		st.mu.Unlock()
-	}
-	return w
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w
 }
 
 // Snapshot reports the top k entries by count (k ≤ 0 means all tracked),
@@ -253,22 +241,14 @@ func (s *Sketch[K]) Snapshot(k int) TopSnapshot {
 	if s == nil {
 		return TopSnapshot{}
 	}
-	snap := TopSnapshot{Capacity: s.capacity}
-	all := make([]TopEntry, 0, s.capacity)
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		snap.Total += st.w
-		per := float64(cap(st.slots))
-		if eps := st.w / per; eps > snap.Epsilon {
-			snap.Epsilon = eps
-		}
-		for j := range st.slots {
-			sl := &st.slots[j]
-			all = append(all, TopEntry{Key: s.format(sl.key), Count: sl.count, Err: sl.err})
-		}
-		st.mu.Unlock()
+	s.mu.Lock()
+	snap := TopSnapshot{Capacity: cap(s.slots), Total: s.w, Epsilon: s.w / float64(cap(s.slots))}
+	all := make([]TopEntry, len(s.slots))
+	for j := range s.slots {
+		sl := &s.slots[j]
+		all[j] = TopEntry{Key: s.format(sl.key), Count: s.heap[sl.hpos].count, Err: sl.err}
 	}
+	s.mu.Unlock()
 	snap.Tracked = len(all)
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Count != all[b].Count {
@@ -281,22 +261,6 @@ func (s *Sketch[K]) Snapshot(k int) TopSnapshot {
 	}
 	snap.Entries = all
 	return snap
-}
-
-// HashString is an FNV-1a stripe router for string keys.
-func HashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// HashU32 is a Fibonacci-multiplier stripe router for integer keys (term
-// ids are dense and sequential; multiplication spreads them).
-func HashU32(x uint32) uint32 {
-	return (x * 2654435761) >> 16
 }
 
 // FormatString is the identity key formatter for string-keyed sketches.

@@ -7,10 +7,6 @@ import (
 	"testing"
 )
 
-// oneStripe forces every key into stripe 0 so the per-stripe bound is the
-// whole sketch's bound and the property checks are exact.
-func oneStripe(string) uint32 { return 0 }
-
 // TestSpaceSavingErrorBound drives adversarial Zipf streams through a
 // small sketch and checks the space-saving invariants against the exact
 // counts: every reported count overestimates by at most its recorded err,
@@ -19,7 +15,7 @@ func TestSpaceSavingErrorBound(t *testing.T) {
 	for _, zs := range []float64{1.01, 1.3, 2.0} {
 		t.Run(fmt.Sprintf("zipf_s=%v", zs), func(t *testing.T) {
 			const capacity = 64
-			sk := TopK[string](NewRegistry(), "test", "", capacity, 1, oneStripe, FormatString)
+			sk := TopK[string](NewRegistry(), "test", "", capacity, FormatString)
 			rng := rand.New(rand.NewSource(42))
 			zipf := rand.NewZipf(rng, zs, 1, 100_000)
 			truth := make(map[string]float64)
@@ -77,7 +73,7 @@ func TestSpaceSavingErrorBound(t *testing.T) {
 // TestSnapshotOrderAndK pins the snapshot contract: descending count,
 // key tiebreak, k-truncation.
 func TestSnapshotOrderAndK(t *testing.T) {
-	sk := TopK[string](NewRegistry(), "test", "", 8, 1, oneStripe, FormatString)
+	sk := TopK[string](NewRegistry(), "test", "", 8, FormatString)
 	sk.Offer("b", 5)
 	sk.Offer("a", 5)
 	sk.Offer("c", 9)
@@ -94,9 +90,9 @@ func TestSnapshotOrderAndK(t *testing.T) {
 }
 
 // TestConcurrentOfferSnapshot is the -race stress: writers hammer Offer
-// across stripes while readers snapshot; total weight must reconcile.
+// while readers snapshot; total weight must reconcile.
 func TestConcurrentOfferSnapshot(t *testing.T) {
-	sk := TopK[uint32](NewRegistry(), "test", "", 256, 8, HashU32, func(k uint32) string { return fmt.Sprintf("k%d", k) })
+	sk := TopK[uint32](NewRegistry(), "test", "", 256, func(k uint32) string { return fmt.Sprintf("k%d", k) })
 	const writers = 8
 	const perWriter = 20_000
 	var wg sync.WaitGroup
@@ -145,7 +141,7 @@ func TestConcurrentOfferSnapshot(t *testing.T) {
 // hot path: once a key is resident — and on the eviction path too — Offer
 // must not allocate.
 func TestOfferSteadyStateAllocs(t *testing.T) {
-	sk := TopK[string](NewRegistry(), "test", "", 32, 1, oneStripe, FormatString)
+	sk := TopK[string](NewRegistry(), "test", "", 32, FormatString)
 	keys := make([]string, 64) // 2x capacity: half the offers evict
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%03d", i)
@@ -166,9 +162,9 @@ func TestOfferSteadyStateAllocs(t *testing.T) {
 // lookup by name.
 func TestTopsOrderAndLookup(t *testing.T) {
 	reg := NewRegistry()
-	a := TopK[string](reg, "z", "first", 8, 1, oneStripe, FormatString)
+	a := TopK[string](reg, "z", "first", 8, FormatString)
 	reg.Counter("between_total", "")
-	TopK[string](reg, "b", "second", 8, 1, oneStripe, FormatString)
+	TopK[string](reg, "b", "second", 8, FormatString)
 	a.Offer("x", 3)
 	tops := reg.Tops(5)
 	if len(tops) != 2 || tops[0].Name != "z" || tops[1].Name != "b" || tops[0].Help != "first" {
@@ -181,5 +177,21 @@ func TestTopsOrderAndLookup(t *testing.T) {
 		if _, ok := reg.Top(name, 1); ok {
 			t.Fatalf("Top(%s) should not be ok", name)
 		}
+	}
+}
+
+// TestOfferEachIsOffers: one OfferEach is the Offers of its pairs in order,
+// non-positive weights skipped, takeovers included.
+func TestOfferEachIsOffers(t *testing.T) {
+	keys := []string{"a", "b", "a", "c", "d", "e", "b", "f"}
+	ws := []float64{1, 2, 0, 3, -1, 1, 4, 2}
+	one := TopK[string](NewRegistry(), "test", "", 4, FormatString)
+	each := TopK[string](NewRegistry(), "test", "", 4, FormatString)
+	for i, k := range keys {
+		one.Offer(k, ws[i])
+	}
+	each.OfferEach(len(keys), func(i int) (string, float64) { return keys[i], ws[i] })
+	if a, b := fmt.Sprint(one.Snapshot(0)), fmt.Sprint(each.Snapshot(0)); a != b {
+		t.Fatalf("Offer one by one: %s\nOfferEach:          %s", a, b)
 	}
 }

@@ -166,7 +166,7 @@ func TestWindowSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat_seconds", "")
 	c := reg.Counter("c", "")
-	hot := TopK[string](reg, "hot", "", 8, 1, HashString, FormatString)
+	hot := TopK[string](reg, "hot", "", 8, FormatString)
 	reg.Gauge("g", "").Set(1)
 	if snap := reg.Window(0); snap.Enabled || snap.Samples != 0 || snap.Counters != nil {
 		t.Fatalf("never-ticked registry: %+v", snap)
@@ -272,7 +272,7 @@ func TestTickConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
 	h := reg.Histogram("h_seconds", "")
-	hot := TopK[string](reg, "hot", "", 8, 0, HashString, FormatString)
+	hot := TopK[string](reg, "hot", "", 8, FormatString)
 	const writers, perWriter = 4, 5000
 	var writing, reading sync.WaitGroup
 	stop := make(chan struct{})

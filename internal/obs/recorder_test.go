@@ -30,7 +30,7 @@ func fullRecorder(t *testing.T) (*Recorder, *EventRing) {
 	t.Helper()
 	reg := mm.NewRegistry()
 	reg.Counter("mm_test_total", "test").Inc()
-	mm.TopK[string](reg, "test_hot", "", 8, 1, mm.HashString, mm.FormatString).Offer("alice", 3)
+	mm.TopK[string](reg, "test_hot", "", 8, mm.FormatString).Offer("alice", 3)
 	reg.Tick(time.Now())
 	tr := trace.New(trace.Options{SampleRate: 1, Capacity: 4})
 	sp := tr.Root("req", trace.Remote{})

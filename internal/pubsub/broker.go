@@ -10,15 +10,15 @@
 // 4 prescribes for a real filtering deployment.
 //
 // Architecture: the Broker is a thin orchestrator over four independently
-// sharded layers (DESIGN.md §9) —
+// locked layers (DESIGN.md §9) —
 //
-//   - a sharded subscriber registry (registry.go), the one subscriber
-//     table of the process;
-//   - the document retention window (internal/docstore), a sharded FIFO
-//     ring with a global atomic id allocator;
-//   - concurrent collection statistics (vsm.ConcurrentStats), striped DF
-//     counters publishes update and read without a statistics mutex;
-//   - the inverted profile index (internal/index), sharded by term.
+//   - the subscriber registry (registry.go), the one subscriber table of
+//     the process;
+//   - the document retention window (internal/docstore), a FIFO ring with
+//     an atomic id allocator;
+//   - concurrent collection statistics (vsm.ConcurrentStats), which a
+//     publish updates once and reads per term;
+//   - the inverted profile index (internal/index), one posting space.
 //
 // No broker-wide lock exists: publishes from many goroutines proceed in
 // parallel end to end, serializing only per subscriber (each subscriber's
@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -116,12 +115,6 @@ type Options struct {
 	// were sent (DocumentContent / the wire "fetch" op). Off by default:
 	// raw pages dominate memory at scale.
 	RetainContent bool
-	// Shards suggests how many ways the subscriber registry and the
-	// document retention window are sharded (mmserver -pubsub-shards);
-	// 0 means GOMAXPROCS. The registry rounds up to a power of two; the
-	// docstore additionally clamps to a divisor of Retention so the FIFO
-	// window stays exact.
-	Shards int
 	// Metrics is the registry the broker's instrumentation registers into,
 	// shared with the profile store and exposition endpoints in mmserver.
 	// When nil the broker creates a private registry, reachable via
@@ -190,14 +183,6 @@ type Counters struct {
 	Subscribers int
 }
 
-// Layout describes how the broker's layers are sharded, for introspection
-// (the wire /statsz endpoint reports it).
-type Layout struct {
-	RegistryShards int // subscriber-table shards
-	DocShards      int // document retention-ring shards
-	StatsStripes   int // collection-statistics DF stripes
-}
-
 // queueSlot is a queued Delivery without its Seq, which its position gives.
 type queueSlot struct {
 	doc   int64
@@ -259,7 +244,7 @@ type subscriber struct {
 }
 
 // Broker is the dissemination engine: an orchestrator composing the
-// sharded registry, docstore, termstats, and index layers. All methods are
+// registry, docstore, termstats, and index layers. All methods are
 // safe for concurrent use.
 type Broker struct {
 	opts Options
@@ -288,9 +273,6 @@ func New(opts Options) *Broker {
 	if opts.Retention <= 0 {
 		opts.Retention = def.Retention
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -300,8 +282,8 @@ func New(opts Options) *Broker {
 		pipe:  text.NewPipeline(),
 		stats: vsm.NewConcurrentStats(),
 		idx:   index.New(),
-		reg:   newRegistry(opts.Shards),
-		docs:  docstore.New(opts.Retention, opts.Shards),
+		reg:   newRegistry(),
+		docs:  docstore.New(opts.Retention),
 		m:     newBrokerMetrics(reg),
 	}
 	b.idx.Instrument(reg)
@@ -344,7 +326,7 @@ func (b *Broker) Subscription(id string) (*Subscription, bool) {
 // journaled or registered.
 func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
 	// The duplicate check, the journal record, and the insertion are one
-	// atomic step under the id's registry-shard lock (see registry.insert):
+	// atomic step under the registry lock (see registry.insert):
 	// journaling a subscribe that then fails as a duplicate would clobber
 	// the existing user's profile on replay.
 	var journal func() error
@@ -476,7 +458,7 @@ func (b *Broker) Publish(page string) (int64, int) {
 // broker roots its own trace when the tracer samples this publish.
 func (b *Broker) PublishSpan(page string, parent *trace.Span) (int64, int) {
 	terms := b.pipe.Terms(page)
-	// The striped statistics admit concurrent updates and reads, so the
+	// The statistics admit concurrent updates and reads, so the
 	// expensive vectorization runs outside any statistics critical section;
 	// each term weight sees the statistics as they stand at that instant.
 	b.stats.Add(terms)
@@ -508,7 +490,7 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	// Each term is looked up once, into the form the docstore keeps for
 	// feedback resolution and the matcher reads: ids for the terms the table
 	// holds, strings for the rest. The docstore assigns the id and evicts
-	// the oldest document under its shard's lock.
+	// the oldest document under its lock.
 	doc := vsm.Retain(vec)
 	id, evicted := b.docs.Put(doc, content)
 	b.m.published.Inc()
@@ -528,18 +510,16 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	matches := b.idx.MatchDoc(doc, b.opts.Threshold)
 
 	// Fan-out cost is O(matches), not O(all subscribers): a profile is
-	// reached only through its match. Each match resolves through its
-	// registry shard's read lock; no registry-wide lock is held at any
-	// point.
-	delivered := 0
-	targets := make([]*subscriber, 0, len(matches))
-	scores := make([]float64, 0, len(matches))
+	// reached only through its match. Every match resolves under one hold
+	// of the registry's read lock, released before any delivery.
+	targets := make([]fanout, 0, len(matches))
+	b.reg.mu.RLock()
 	for _, m := range matches {
-		if s, ok := b.reg.get(m.User); ok {
-			targets = append(targets, s)
-			scores = append(scores, m.Score)
+		if s, ok := b.reg.subs[m.User]; ok {
+			targets = append(targets, fanout{s: s, score: m.Score})
 		}
 	}
+	b.reg.mu.RUnlock()
 	// One clock read separates matching from fan-out; together with t0 and
 	// the final read it yields all three hot-path histograms, the two
 	// phase spans, and the index's own match histogram.
@@ -554,11 +534,11 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	}
 
 	ds := sp.ChildAt("pubsub.deliver", t1)
-	for i, s := range targets {
-		if b.deliver(s, id, scores[i]) {
-			delivered++
-		}
+	for i := range targets {
+		t := &targets[i]
+		t.delivered, t.dropped = b.deliver(t.s, id, t.score)
 	}
+	delivered := b.attribute(targets)
 	t2 := time.Now()
 	ds.EndAt(t2)
 	if sp != nil {
@@ -599,19 +579,59 @@ func (s *subscriber) wakeLocked() {
 	}
 }
 
+// fanout is one matched subscriber of a publish, and what delivering to it
+// did.
+type fanout struct {
+	s                  *subscriber
+	score              float64
+	delivered, dropped bool
+}
+
+// attribute adds one publish's deliveries and drops to the dissemination
+// counters and the per-subscriber dimensions, taking each sketch's lock
+// once per publish rather than once per delivery, and returns how many
+// deliveries there were.
+func (b *Broker) attribute(ts []fanout) (delivered int) {
+	dropped := 0
+	for _, t := range ts {
+		delivered += int(one(t.delivered))
+		dropped += int(one(t.dropped))
+	}
+	if delivered == 0 {
+		return 0
+	}
+	b.m.deliveries.Add(int64(delivered))
+	b.m.topDeliveries.OfferEach(len(ts), func(i int) (string, float64) { return ts[i].s.id, one(ts[i].delivered) })
+	if dropped > 0 {
+		b.m.dropped.Add(int64(dropped))
+		drops := func(i int) (string, float64) { return ts[i].s.id, one(ts[i].dropped) }
+		b.m.topDrops.OfferEach(len(ts), drops)
+		b.m.topQueueFull.OfferEach(len(ts), drops)
+	}
+	return delivered
+}
+
+// one is a flag as an offer's weight: 1 when set, 0 (not offered) when not.
+func one(set bool) float64 {
+	if set {
+		return 1
+	}
+	return 0
+}
+
 // deliver enqueues without blocking, dropping the oldest undelivered item
 // when the queue is full at Options.QueueSize. It reports whether the
-// delivery was enqueued (false only when the subscriber is gone). Each
-// enqueued delivery takes the subscriber's next sequence number under the
-// same lock, so sequence numbers enter the queue in strictly ascending
-// order; a drop bumps both the subscriber's own counter (the gap signal
-// consumers read beside every batch) and the global mm_pubsub_dropped
-// metric.
-func (b *Broker) deliver(s *subscriber, doc int64, score float64) bool {
+// delivery was enqueued (false only when the subscriber is gone) and
+// whether an older one was dropped for it; the publish counts both
+// (attribute). Each enqueued delivery takes the subscriber's next sequence
+// number under the same lock, so sequence numbers enter the queue in
+// strictly ascending order; a drop bumps the subscriber's own counter, the
+// gap signal consumers read beside every batch.
+func (b *Broker) deliver(s *subscriber, doc int64, score float64) (ok, dropped bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		return false, false
 	}
 	s.nextSeq++
 	if s.queued == len(s.ring) {
@@ -622,17 +642,13 @@ func (b *Broker) deliver(s *subscriber, doc int64, score float64) bool {
 			s.head = (s.head + 1) % len(s.ring)
 			s.queued--
 			s.dropped++
-			b.m.dropped.Inc()
-			b.m.topDrops.Offer(s.id, 1)
-			b.m.topQueueFull.Offer(s.id, 1)
+			dropped = true
 		}
 	}
 	s.ring[(s.head+s.queued)%len(s.ring)] = queueSlot{doc, score}
 	s.queued++
-	b.m.deliveries.Inc()
-	b.m.topDeliveries.Offer(s.id, 1)
 	s.wakeLocked()
-	return true
+	return true, dropped
 }
 
 // growLocked doubles a full ring (from nothing to 4 slots), up to
@@ -905,34 +921,25 @@ func (b *Broker) Stats() Counters {
 	}
 }
 
-// IndexStats returns the profile index's exact size, compacting every
-// shard that holds tombstones first.
+// IndexStats returns the profile index's exact size, compacting the
+// posting space first if it holds tombstones.
 func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 
 // QueueSize returns the most deliveries one subscriber's queue holds
 // (Options.QueueSize after defaults) — and so the most one Take can move.
 func (b *Broker) QueueSize() int { return b.opts.QueueSize }
 
-// PingPipeline probes the locks the publish path takes — a registry-shard
-// read, a docstore-shard read, and the index's read locks — and returns once
+// PingPipeline probes the locks the publish path takes — a registry read,
+// a docstore read, and the index's read locks — and returns once
 // all of them were acquired, having changed nothing (IndexStats compacts;
 // this must not). Health heartbeat goroutines call it
 // periodically: if any layer is wedged (a lock held forever), the ping
 // blocks, the heartbeat goes stale, and /readyz degrades — without the
 // /readyz handler itself ever touching the wedged lock.
 func (b *Broker) PingPipeline() {
-	_ = b.reg.len()
+	_, _ = b.reg.get("")
 	_, _ = b.docs.Get(0)
 	_ = b.idx.Probe()
-}
-
-// Layout reports how the broker's layers are sharded.
-func (b *Broker) Layout() Layout {
-	return Layout{
-		RegistryShards: len(b.reg.shards),
-		DocShards:      b.docs.Shards(),
-		StatsStripes:   b.stats.Stripes(),
-	}
 }
 
 // OnReady registers wake as a consumer's signal to Take: it is called when

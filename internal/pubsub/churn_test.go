@@ -10,7 +10,7 @@ import (
 )
 
 // TestChurnStress runs concurrent Subscribe / Publish / Feedback / Unsubscribe against one broker (meaningful under -race) and
-// then checks the cross-layer invariants the sharded design must hold:
+// then checks the cross-layer invariants the layered design must hold:
 //
 //   - no ghost index entries: the index holds exactly the live indexed
 //     subscribers, none of the unsubscribed ones;

@@ -60,7 +60,7 @@ type brokerMetrics struct {
 
 func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 	topk := func(name, help string) *metrics.Sketch[string] {
-		return metrics.TopK[string](reg, name, help, metrics.DimensionCapacity, 0, metrics.HashString, metrics.FormatString)
+		return metrics.TopK[string](reg, name, help, metrics.DimensionCapacity, metrics.FormatString)
 	}
 	return brokerMetrics{
 		reg: reg,

@@ -50,7 +50,7 @@ func TestRingEqualsModel(t *testing.T) {
 				case r < 55: // deliver, in bursts that overflow the smaller queues
 					for i := rng.Intn(4); i >= 0; i-- {
 						d := Delivery{Doc: rng.Int63(), Score: rng.Float64()}
-						if ok := b.deliver(sub.sub, d.Doc, d.Score); ok == closed {
+						if ok, _ := b.deliver(sub.sub, d.Doc, d.Score); ok == closed {
 							t.Fatalf("size %d: deliver on closed=%v subscriber returned %v", size, closed, ok)
 						}
 						if closed {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmprofile/internal/filter"
+	"mmprofile/internal/intern"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/store"
 )
@@ -111,5 +112,43 @@ func TestHydrationAttribution(t *testing.T) {
 	}
 	if hyd, _ := reg.Top("subscriber_hydrations", 1); hyd.Total == 0 {
 		t.Fatal("hydration dimension saw no rebuilds")
+	}
+}
+
+// TestSubscriberDimensionHoldsItsBound checks the guarantee
+// metrics.DimensionCapacity documents on the sketch the broker actually
+// builds: every key heavier than W/DimensionCapacity is tracked. The keys
+// all share FNV-1a's low three bits, the routing a hash-striped sketch would
+// use, so no layout that splits the capacity by key hash can pass: a
+// stripe's share of the slots is smaller than the keys it would own.
+func TestSubscriberDimensionHoldsItsBound(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m := newBrokerMetrics(reg)
+	var keys []string
+	for i := 0; len(keys) < 200; i++ {
+		if k := fmt.Sprintf("user-%d", i); intern.Hash(k)&7 == 0 {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
+		m.topDrops.Offer(k, 1)
+	}
+	snap, ok := reg.Top("subscriber_drops", 0)
+	if !ok {
+		t.Fatal("no subscriber_drops dimension")
+	}
+	eps := snap.Total / metrics.DimensionCapacity
+	if eps >= 1 {
+		t.Fatalf("ε = W/%d = %.3f: the unit keys are not heavier than it", metrics.DimensionCapacity, eps)
+	}
+	tracked := make(map[string]bool, len(snap.Entries))
+	for _, e := range snap.Entries {
+		tracked[e.Key] = true
+	}
+	for _, k := range keys {
+		if !tracked[k] {
+			t.Fatalf("%s weighs 1 > ε = %.3f but is not tracked (%d of %d keys are)",
+				k, eps, len(snap.Entries), len(keys))
+		}
 	}
 }

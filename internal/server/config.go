@@ -28,7 +28,6 @@ type Config struct {
 	SyncEvery   time.Duration
 	Lanes       int
 	MaxResident int
-	Shards      int
 	TraceSample float64
 	TraceSlow   time.Duration
 	LogFormat   string
@@ -53,7 +52,6 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&c.SyncEvery, "sync-interval", 0, "without -fsync: background journal fsync interval (0 = OS-flushed only)")
 	fs.IntVar(&c.Lanes, "lanes", 0, "WAL lanes the journal is sharded into by user (0 = store default; pinned by the manifest on reopen)")
 	fs.IntVar(&c.MaxResident, "max-resident-profiles", 0, "profiles kept in the heap; colder ones hydrate from -state on demand (0 = all resident; requires -state)")
-	fs.IntVar(&c.Shards, "pubsub-shards", 0, "suggested shard count for the broker's registry/docstore layers (0 = GOMAXPROCS, rounded to a power of two)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", 0, "fraction of requests to capture as traces, 0..1 (0 = off; see /tracez)")
 	fs.DurationVar(&c.TraceSlow, "trace-slow", 0, "capture any request slower than this even when unsampled (0 = off)")
 	fs.StringVar(&c.LogFormat, "log-format", "text", "log encoding: text or json")
@@ -88,7 +86,6 @@ func (c *Config) brokerOptions(reg *metrics.Registry) pubsub.Options {
 		QueueSize:     c.Queue,
 		Retention:     c.Retention,
 		RetainContent: c.RetainBody,
-		Shards:        c.Shards,
 		Metrics:       reg,
 	}
 	if c.TraceSample > 0 || c.TraceSlow > 0 {

@@ -14,7 +14,7 @@ import (
 // never kicked, and a breach that recovers resets the streak.
 func TestDropEvictor(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sk := metrics.TopK[string](reg, "subscriber_drops", "", 16, 1, metrics.HashString, metrics.FormatString)
+	sk := metrics.TopK[string](reg, "subscriber_drops", "", 16, metrics.FormatString)
 	var kicked []string
 	e := newDropEvictor(5, 3, func(user, reason string) int {
 		kicked = append(kicked, user)

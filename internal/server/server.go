@@ -206,15 +206,11 @@ func (s *Server) start(addr net.Addr) error {
 		return net.ErrClosed
 	default:
 	}
-	lay := s.broker.Layout()
 	s.log.Info("mmserver: listening",
 		slog.String("addr", addr.String()),
 		slog.Float64("threshold", s.cfg.Threshold),
 		slog.String("state", s.cfg.StateDir),
-		slog.String("dump_dir", s.rec.Dir()),
-		slog.Int("registry_shards", lay.RegistryShards),
-		slog.Int("doc_shards", lay.DocShards),
-		slog.Int("stats_stripes", lay.StatsStripes))
+		slog.String("dump_dir", s.rec.Dir()))
 	if s.broker.Tracer() != nil {
 		s.log.Info("mmserver: tracing on — /tracez on the -http listener",
 			slog.Float64("sample", s.cfg.TraceSample),

@@ -224,10 +224,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.topAppend = metrics.TopK[string](opts.Metrics, "lane_append_bytes",
 			"WAL bytes appended, by lane.",
-			2*len(s.lanes), 1, metrics.HashString, metrics.FormatString)
+			2*len(s.lanes), metrics.FormatString)
 		s.topFsync = metrics.TopK[string](opts.Metrics, "lane_fsyncs",
 			"WAL fsyncs performed, by lane.",
-			2*len(s.lanes), 1, metrics.HashString, metrics.FormatString)
+			2*len(s.lanes), metrics.FormatString)
 	}
 
 	if !opts.ReadOnly {

@@ -83,10 +83,8 @@ type Retained struct {
 	misses []string // the terms at missID positions, in order
 }
 
-// missID marks a miss in Retained.ids. The table would hand it out as its
-// last id, after 2^26 terms in one shard; a term with that id is kept as a
-// string (Resolved cannot hold that id either), so only matching, never the
-// vector, would miss it.
+// missID marks a miss in Retained.ids. The table never hands it out: its
+// overflow check stops one id short.
 const missID = math.MaxUint32
 
 // Retain builds v's retained form: one table lookup per term, ids sized to
@@ -96,7 +94,7 @@ func Retain(v Vector) Retained {
 	misses := 0
 	for i, t := range v.Terms {
 		id, ok := intern.Terms.Lookup(t)
-		if !ok || id == missID {
+		if !ok {
 			id = missID
 			misses++
 		}

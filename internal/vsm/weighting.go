@@ -17,7 +17,7 @@ type Weighting interface {
 }
 
 // StatsView is the read side of collection statistics, the slice every
-// weighting scheme needs. Both the single-writer *Stats and the lock-striped
+// weighting scheme needs. Both the single-writer *Stats and the locked
 // *ConcurrentStats satisfy it, so schemes work unchanged against either.
 type StatsView interface {
 	// N returns the number of documents observed.

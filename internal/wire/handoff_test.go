@@ -412,3 +412,78 @@ func TestSessionWakeRacesItsLoop(t *testing.T) {
 	t.Logf("received %d, dropped %d", len(seen), last.Dropped)
 	settled(t, srv, anyGoroutines)
 }
+
+// splitDeadlineConn is the server end of a net.Pipe whose SetDeadline, like
+// net.Pipe's own, sets the read deadline first and the write deadline
+// second, but parks between the two halves until the session starts its
+// eviction write (a SetWriteDeadline in the future) or splitPark passes.
+// The eviction write itself then waits for the second half to land, so a
+// session that begins that write before the kick is done loses its frame
+// every time instead of now and then.
+type splitDeadlineConn struct {
+	net.Conn
+	evicting, kicked chan struct{}
+	once             sync.Once
+}
+
+const splitPark = 500 * time.Millisecond
+
+func (c *splitDeadlineConn) SetDeadline(t time.Time) error {
+	err := c.Conn.SetReadDeadline(t)
+	select {
+	case <-c.evicting:
+	case <-time.After(splitPark):
+	}
+	if werr := c.Conn.SetWriteDeadline(t); err == nil {
+		err = werr
+	}
+	close(c.kicked)
+	return err
+}
+
+func (c *splitDeadlineConn) SetWriteDeadline(t time.Time) error {
+	err := c.Conn.SetWriteDeadline(t)
+	if t.After(time.Now()) {
+		c.once.Do(func() { close(c.evicting) })
+	}
+	return err
+}
+
+func (c *splitDeadlineConn) Write(b []byte) (int, error) {
+	select {
+	case <-c.evicting:
+		<-c.kicked
+	default:
+	}
+	return c.Conn.Write(b)
+}
+
+// TestKickFrameSurvivesSplitDeadline: a kick expires both deadlines in two
+// steps, and the session it wakes must not start its eviction write between
+// them, or the kick's second step expires the deadline that write set and
+// the client reads EOF instead of the reason it was evicted.
+func TestKickFrameSurvivesSplitDeadline(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
+		t.Fatal(err)
+	}
+	local, remote := net.Pipe()
+	t.Cleanup(func() { local.Close() })
+	if err := local.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeConn(&splitDeadlineConn{Conn: remote, evicting: make(chan struct{}), kicked: make(chan struct{})})
+	sess, err := NewClient(local).Session("alice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.KickSession("alice", "split") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("kick never found the session")
+		}
+	}
+	if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted: split") {
+		t.Fatalf("recv after kick: %v, want session evicted: split", err)
+	}
+	settled(t, srv, anyGoroutines)
+}

@@ -117,7 +117,6 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
 		c := b.Stats()
 		ix := b.IndexStats()
-		lay := b.Layout()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"published":      c.Published,
@@ -129,12 +128,7 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 			"index_vectors":  ix.Vectors,
 			"index_terms":    ix.Terms,
 			"index_postings": ix.Postings,
-			"layout": map[string]int{
-				"registry_shards": lay.RegistryShards,
-				"doc_shards":      lay.DocShards,
-				"stats_stripes":   lay.StatsStripes,
-			},
-			"metrics": reg.Snapshot(),
+			"metrics":        reg.Snapshot(),
 		})
 	})
 	mux.HandleFunc("/topz", func(w http.ResponseWriter, r *http.Request) {
@@ -280,7 +274,6 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 		}
 		c := b.Stats()
 		ix := b.IndexStats()
-		lay := b.Layout()
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprintf(w, `<!DOCTYPE html><html><head><title>mmserver</title></head><body>
 <h1>mmserver</h1>
@@ -290,13 +283,11 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 <tr><td>deliveries</td><td>%d (dropped %d)</td></tr>
 <tr><td>feedbacks</td><td>%d</td></tr>
 <tr><td>index</td><td>%d vectors over %d terms (%d postings)</td></tr>
-<tr><td>sharding</td><td>registry ×%d · docstore ×%d · termstats ×%d</td></tr>
 </table>
 <p><a href="%s">/statsz</a> · <a href="%s">/metrics</a> · <a href="%s">/topz</a> · <a href="%s">/tsz</a> · <a href="%s">/tracez</a> · <a href="%s">/explainz</a> · <a href="%s">/debug/pprof/</a> · <a href="%s">/healthz</a> · <a href="%s">/readyz</a> · POST /debugz/dump</p>
 </body></html>`,
 			c.Subscribers, c.Published, c.Deliveries, c.Dropped, c.Feedbacks,
 			ix.Vectors, ix.Terms, ix.Postings,
-			lay.RegistryShards, lay.DocShards, lay.StatsStripes,
 			html.EscapeString("/statsz"), html.EscapeString("/metrics"),
 			html.EscapeString("/topz"), html.EscapeString("/tsz"),
 			html.EscapeString("/tracez"), html.EscapeString("/explainz?user="),

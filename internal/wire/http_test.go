@@ -47,15 +47,6 @@ func TestStatusHandler(t *testing.T) {
 	if _, ok := stats["index_vectors"]; !ok {
 		t.Error("index stats missing")
 	}
-	layout, ok := stats["layout"].(map[string]any)
-	if !ok {
-		t.Fatal("statsz has no layout object")
-	}
-	for _, key := range []string{"registry_shards", "doc_shards", "stats_stripes"} {
-		if v, ok := layout[key].(float64); !ok || v < 1 {
-			t.Errorf("layout[%q] = %v, want >= 1", key, layout[key])
-		}
-	}
 
 	// dashboard
 	rec = httptest.NewRecorder()
@@ -138,11 +129,13 @@ func TestStatusHandlerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"published", "deliveries", "dropped", "feedbacks",
-		"subscribers", "index_users", "index_vectors", "index_terms", "index_postings",
-		"layout"} {
+		"subscribers", "index_users", "index_vectors", "index_terms", "index_postings"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("statsz lost legacy key %q", key)
 		}
+	}
+	if _, ok := stats["layout"]; ok {
+		t.Error("statsz reports a shard layout; every layer is one structure")
 	}
 	inner, ok := stats["metrics"].(map[string]any)
 	if !ok {

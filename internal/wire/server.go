@@ -507,11 +507,14 @@ func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string,
 	cancel := sub.OnReady(h.wake)
 	defer func() {
 		cancel()
+		// Unregister first: that takes s.mu, which a kick holds until both
+		// halves of its SetDeadline have landed, so the eviction write's
+		// own deadline comes after them and is not overwritten.
+		s.removeSession(user, h)
 		if reason := h.kick.Load(); reason != nil {
 			_ = h.conn.SetWriteDeadline(time.Now().Add(evictWriteTimeout))
 			_ = json.NewEncoder(h.conn).Encode(errResponse("wire: session evicted: %s", *reason))
 		}
-		s.removeSession(user, h)
 		s.sessions.Add(-1)
 		s.release(h.conn)
 	}()
