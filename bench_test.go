@@ -538,10 +538,13 @@ func BenchmarkServerImport(b *testing.B) {
 // user is removed again, untimed, so the index keeps its size.
 func BenchmarkIndexSetPackedFresh(b *testing.B) {
 	docs := harness.Dataset().Docs
+	// The documents repeat across users, so each user's vectors get a first
+	// weight of their own: equal content would join an entry, not make one.
 	fresh := func(u int) []vsm.Packed {
 		vecs := make([]vsm.Packed, 7)
 		for v := range vecs {
 			vecs[v] = vsm.Pack(docs[(u*7+v)%len(docs)].Vec)
+			vecs[v].Weights[0] *= 1 + float64(u+1)/(1<<30)
 		}
 		return vecs
 	}

@@ -276,7 +276,7 @@ func main() {
 		fmt.Printf("deliveries  %d (dropped %d)\n", st.Deliveries, st.Dropped)
 		fmt.Printf("feedbacks   %d\n", st.Feedbacks)
 		fmt.Printf("subscribers %d\n", st.Subscribers)
-		fmt.Printf("index       %d vectors over %d terms\n", st.IndexVectors, st.IndexTerms)
+		fmt.Printf("index       %d vectors (%d distinct) over %d terms\n", st.IndexVectors, st.IndexDistinct, st.IndexTerms)
 
 	default:
 		usage()

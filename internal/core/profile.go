@@ -45,9 +45,10 @@ type OpCounts struct {
 // with the representative packed to term ids — 12 bytes per term and no
 // pointers, where the Vector callers see costs 24 (DESIGN.md §7). vec is
 // replaced, never written to, so PackedVectors can hand it out uncopied —
-// and the match index, which holds those very slices as its entry and
-// restages only a vector whose slices it has not seen, depends on it: a
-// step that wrote into vec in place would go unindexed.
+// and the match index, which holds those very slices as its entry (or
+// hands back an equal copy other profiles share, which AdoptPacked puts
+// here) and keeps a vector whose slices it has seen, depends on it: a step
+// that wrote into vec in place would go unindexed.
 type resident struct {
 	id             uint64
 	vec            vsm.Packed
@@ -147,6 +148,19 @@ func (p *Profile) PackedVectors() []vsm.Packed {
 		out[i] = pv.vec
 	}
 	return out
+}
+
+// AdoptPacked takes, for each profile vector, the Packed at its position
+// in shared when the two are equal (vsm.Packed.Equal): the match index
+// hands back its own copy of a vector it already held, and adopting it lets
+// the profile's duplicate arrays go. Equal means bit for bit, so nothing the
+// profile scores, learns or exports changes.
+func (p *Profile) AdoptPacked(shared []vsm.Packed) {
+	for i, pv := range p.vectors {
+		if i < len(shared) && pv.vec.Equal(shared[i]) {
+			pv.vec = shared[i]
+		}
+	}
 }
 
 // ForEachStrength calls fn with each profile vector's current strength,

@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -96,10 +98,14 @@ func TestPostingBytesStayBounded(t *testing.T) {
 	check("loaded")
 	for round := 1; round <= 20; round++ {
 		for u, vecs := range users {
-			// Another user's vector, in slices of its own: a new vector to
-			// the index, whose postings move between lists.
+			// Another user's vector, in slices of its own and one weight a
+			// bit heavier, so that it does not join that user's entry: a new
+			// vector to the index, whose postings move between lists.
 			other := users[(u+round)%len(users)]
-			vecs[round%len(vecs)] = vsm.Pack(other[round%len(other)].Vector())
+			p := other[round%len(other)]
+			ws := slices.Clone(p.Weights)
+			ws[0] = math.Nextafter(ws[0], 2)
+			vecs[round%len(vecs)] = vsm.Packed{IDs: slices.Clone(p.IDs), Weights: ws}
 			ix.SetPacked(fmt.Sprintf("u%04d", u), vecs)
 		}
 		ix.Compact()

@@ -29,8 +29,12 @@
 //     no copy — in stored order: core.Profile.Score's sum, bit for bit, so
 //     pruned results are identical to the brute-force scorer (§12 for the
 //     invariants). SetPruning(false) is the escape hatch.
-//   - A SetPacked handed slices an entry already holds keeps that slot and
-//     stages only the new vectors: after a feedback step, the one MM moved.
+//   - An entry is a distinct vector, not a (user, vector) pair: equal
+//     vectors (vsm.Packed.Equal) share one entry, one set of postings and
+//     one rescore, whose score the harvest folds into each holder's best.
+//   - A SetPacked handed slices an entry already holds keeps that holding,
+//     joins a vector equal to a live entry's, and stages only the rest:
+//     after a feedback step, at most the one vector MM moved.
 //   - The per-call score accumulator is a dense slice indexed by entry
 //     slot, drawn from a sync.Pool, swept and cleared in one pass.
 package index
@@ -173,37 +177,76 @@ func (l *termList) rebuild() {
 	l.ids, l.ws, l.sorted = ids, ws, n
 }
 
-// entrySlot is one indexed profile vector. p is the vector as its profile
-// holds it: the same slices, borrowed, never written to (vsm.Packed's
-// contract), in the term order rescore sums in. Slots are recycled, but
-// only after a compaction has dropped the dead slot's stale postings —
-// until then a stale posting can still accumulate score onto the slot,
-// which harvest discards via the alive flag.
+// entrySlot is one distinct indexed vector. p is the vector as the first
+// profile to hold it handed it over: the same slices, borrowed, never
+// written to (vsm.Packed's contract), in the term order rescore sums in.
+// Every (user, vector) holding of equal content is a holder of this one
+// entry, so a vector many users hold has one set of postings and one
+// rescore. The first holder is inline: a vector one user holds needs no
+// slice. An entry is alive while it has a holder — not yet while staged,
+// no longer once dead. Slots are recycled, but only after a compaction has
+// dropped the dead slot's stale postings — until then a stale posting can
+// still accumulate score onto the slot, which harvest discards because the
+// slot is not alive.
 type entrySlot struct {
-	user  string
-	vec   int
-	uid   uint32
-	p     vsm.Packed
-	alive bool
+	p    vsm.Packed
+	more []holder // holders 1..n-1
+	one  holder
+	n    uint32
 }
 
-// holds reports whether the entry's vector is p itself — the same backing
+func (e *entrySlot) alive() bool { return e.n > 0 }
+
+// at is the holder at position pos; 0 is the inline one.
+func (e *entrySlot) at(pos uint32) *holder {
+	if pos == 0 {
+		return &e.one
+	}
+	return &e.more[pos-1]
+}
+
+// add appends h to the entry's holders and returns its position.
+func (e *entrySlot) add(h holder) uint32 {
+	if e.n == 0 {
+		e.one = h
+	} else {
+		e.more = append(e.more, h)
+	}
+	e.n++
+	return e.n - 1
+}
+
+// holder is one (user, vector) holding of an entry: the user's dense id,
+// the holding's index in that user's held list, and the vector's number
+// among the user's. holder.idx and held.pos point at each other, which is
+// what makes a join or a leave O(1) whatever the holder count.
+type holder struct {
+	uid, idx, vec uint32
+}
+
+// held is the user's side of a holding: the entry slot and the holding's
+// position among the entry's holders.
+type held struct {
+	slot, pos uint32
+}
+
+// identical reports whether p and q are one vector — the same backing
 // arrays and lengths, not equal contents. A Packed is immutable, so
 // identity means the vector has not changed.
-func (e *entrySlot) holds(p vsm.Packed) bool {
-	return sameSlice(e.p.IDs, p.IDs) && sameSlice(e.p.Weights, p.Weights)
+func identical(p, q vsm.Packed) bool {
+	return sameSlice(p.IDs, q.IDs) && sameSlice(p.Weights, q.Weights)
 }
 
 func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// userInfo tracks one user's entry slots and dense user id (uids index the
-// pooled best-per-user arrays during harvest). A vector's number among the
-// user's is its entry's vec.
+// userInfo is one user: its name, its dense id (uids index the pooled
+// best-per-user arrays during harvest) and its holdings, in no order.
 type userInfo struct {
-	uid   uint32
-	slots []uint32
+	name string
+	uid  uint32
+	held []held
 }
 
 // Match is one hit of a document against the index: the user's best-scoring
@@ -230,10 +273,12 @@ type Index struct {
 	mu       sync.RWMutex // registry: everything below
 	entries  []entrySlot
 	freeEnt  []uint32
+	content  map[uint64]uint32 // content hash → entry slot (content.go)
 	byUser   map[string]*userInfo
-	nextUID  uint32
+	users    []*userInfo // by uid; nil for a free uid
 	freeUID  []uint32
-	liveVecs int
+	liveVecs int // (user, vector) holdings
+	distinct int // live entries
 	// maxNorm over-estimates every live entry's vector norm (profile
 	// vectors are unit-normalized, so it hovers at 1). It only grows —
 	// removals leave it stale-high, which keeps the Cauchy–Schwarz
@@ -351,12 +396,12 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		quantErr: reg.Histogram("mm_index_quantization_error",
 			"Per-match maximum over-estimate of the quantized upper-bound score versus the exact rescored similarity."),
 		kept: reg.Counter("mm_index_vectors_kept_total",
-			"Vectors a reindex found already indexed — the same slices the profile still holds — and only renumbered."),
+			"Vectors a reindex found already indexed — the same slices the profile still holds, or an equal live vector it joined — and inserted no posting for."),
 		restaged: reg.Counter("mm_index_vectors_restaged_total",
-			"Vectors a reindex staged anew: entry slot allocated, postings inserted, the vector they replace tombstoned."),
+			"Vectors a reindex staged anew: entry slot allocated, postings inserted."),
 	}
 	reg.GaugeFunc("mm_index_live_vectors",
-		"Profile vectors currently live in the inverted index.",
+		"Profile vectors currently live in the inverted index: (user, vector) holdings, shared entries counted once per holder.",
 		func() float64 {
 			ix.mu.RLock()
 			n := ix.liveVecs
@@ -379,7 +424,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 // New returns an empty index. Its term dictionary is intern.Terms, the
 // table decoded profiles already took their term strings from.
 func New() *Index {
-	ix := &Index{byUser: make(map[string]*userInfo)}
+	ix := &Index{byUser: make(map[string]*userInfo), content: make(map[uint64]uint32)}
 	ix.pool.New = func() any { return new(matcher) }
 	return ix
 }
@@ -388,12 +433,16 @@ func New() *Index {
 // Updates
 
 // stagedVec is one profile vector on its way in: its number among the
-// user's vectors, the vector, and its entry slot — allocated by stage, or,
-// for a kept vector, the live slot that already holds p.
+// user's vectors, the vector, its content hash, and its entry slot. The
+// slot is the live one that already holds p (kept: own is the holding's
+// index in the user's held list), a live one of equal content (joined: own
+// is -1), or, for a fresh vector, the one stage allocates.
 type stagedVec struct {
 	vec  int
 	p    vsm.Packed
+	hash uint64
 	slot uint32
+	own  int32
 }
 
 // narrowUp is the nearest float32 not below w (+Inf beyond float32's range;
@@ -411,38 +460,60 @@ func narrowUp(w float64) float32 {
 // write path; vector i takes number i, and a zero vector leaves its number
 // empty. The index borrows the vectors' slices and takes "the same slices
 // again" to mean "unchanged": vectors the user already has indexed (holds)
-// keep their entry slot and postings — keep moves them to the front of svs;
-// the rest are staged: slots allocated, postings inserted. Handed a
-// profile's set after an MM step, that is the one vector the step moved.
-// Then one registry commit renumbers the kept slots, activates the staged
-// ones and retires every other slot of the user, so a concurrent Match sees
-// the user's old vector set or the new one, never a mix and never none. The
-// index does not serialise writers per user, so a kept slot may be gone by
-// then: commit hands those back to be staged.
-func (ix *Index) SetPacked(user string, vecs []vsm.Packed) {
+// keep their holding — keep moves them to the front of svs. A vector equal
+// to a live entry's (vsm.Packed.Equal) joins that entry: one holding more,
+// no posting. Only the rest are staged: slots allocated, postings
+// inserted. Handed a profile's set after an MM step, that is at most the
+// one vector the step moved. Then one registry commit renumbers the kept
+// holdings, adds the joined and staged ones and retires every other
+// holding of the user, so a concurrent Match sees the user's old vector set
+// or the new one, never a mix and never none. The index does not serialise
+// writers per user, so a kept or joined entry may be gone by then: commit
+// hands those back to be staged.
+//
+// It returns the vectors as the index holds them: vecs itself when every
+// vector is the entry's own, else a copy in which a joined vector is the
+// entry's equal Packed. A caller that takes those in place of its own
+// (core.Profile.AdoptPacked) lets its duplicate arrays go.
+func (ix *Index) SetPacked(user string, vecs []vsm.Packed) []vsm.Packed {
 	svs := make([]stagedVec, 0, len(vecs))
 	for i, p := range vecs {
 		if p.Len() == 0 {
 			continue
 		}
-		svs = append(svs, stagedVec{vec: i, p: p})
+		svs = append(svs, stagedVec{vec: i, p: p, own: -1})
 	}
-	kept := ix.keep(user, svs)
-	fresh := svs[kept:]
+	found := ix.keep(user, svs)
+	fresh := svs[found:]
 	for {
-		ix.stage(user, fresh)
+		ix.stage(fresh)
 		ix.insertPostings(fresh)
-		lost := ix.commit(user, svs, kept)
+		lost := ix.commit(user, svs, found)
 		if lost == 0 {
 			break
 		}
-		kept -= lost
-		fresh = svs[kept : kept+lost]
+		found -= lost
+		fresh = svs[found : found+lost]
+		for i := range fresh {
+			if fresh[i].own >= 0 {
+				fresh[i].own, fresh[i].hash = -1, contentHash(fresh[i].p)
+			}
+		}
 	}
 	if ix.inst != nil {
-		ix.inst.kept.Add(int64(kept))
-		ix.inst.restaged.Add(int64(len(svs) - kept))
+		ix.inst.kept.Add(int64(found))
+		ix.inst.restaged.Add(int64(len(svs) - found))
 	}
+	out := vecs
+	for _, sv := range svs {
+		if !identical(sv.p, vecs[sv.vec]) {
+			if sameSlice(out, vecs) {
+				out = slices.Clone(vecs)
+			}
+			out[sv.vec] = sv.p
+		}
+	}
+	return out
 }
 
 // SetUser is SetPacked for callers that hold their vectors as strings: it
@@ -455,30 +526,42 @@ func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
 	ix.SetPacked(user, packed)
 }
 
-// keep moves to the front of svs the vectors some live slot of the user
-// already holds, notes that slot in each, and returns how many there are.
-// A slot is claimed once, even when the caller hands one Packed twice.
-func (ix *Index) keep(user string, svs []stagedVec) (kept int) {
+// keep sorts svs into kept, joined and fresh, in that order, and returns
+// where the joined and the fresh ones start. A vector is kept when a live
+// holding of the user already holds its very slices (a holding is claimed
+// once, even when the caller hands one Packed twice), and joined when the
+// content table names a live entry of equal content. Every vector that is
+// not kept leaves with its content hash.
+func (ix *Index) keep(user string, svs []stagedVec) (found int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	if ui := ix.byUser[user]; ui != nil {
-		for _, slot := range ui.slots {
-			e := &ix.entries[slot]
-			for i := kept; i < len(svs); i++ {
-				if e.holds(svs[i].p) {
-					svs[i].slot = slot
-					svs[i], svs[kept] = svs[kept], svs[i]
-					kept++
+		for k, h := range ui.held {
+			e := &ix.entries[h.slot]
+			for i := found; i < len(svs); i++ {
+				if identical(e.p, svs[i].p) {
+					svs[i].slot, svs[i].own = h.slot, int32(k)
+					svs[i], svs[found] = svs[found], svs[i]
+					found++
 					break
 				}
 			}
 		}
 	}
-	return kept
+	for i := found; i < len(svs); i++ {
+		sv := &svs[i]
+		sv.hash = contentHash(sv.p)
+		if slot, ok := ix.lookup(sv.hash, sv.p); ok {
+			sv.slot = slot
+			svs[i], svs[found] = svs[found], svs[i]
+			found++
+		}
+	}
+	return found
 }
 
 // stage allocates not-yet-alive entry slots for the vectors.
-func (ix *Index) stage(user string, svs []stagedVec) {
+func (ix *Index) stage(svs []stagedVec) {
 	if len(svs) == 0 {
 		return
 	}
@@ -492,7 +575,7 @@ func (ix *Index) stage(user string, svs []stagedVec) {
 			slot = uint32(len(ix.entries))
 			ix.entries = append(ix.entries, entrySlot{})
 		}
-		ix.entries[slot] = entrySlot{user: user, vec: svs[i].vec, p: svs[i].p}
+		ix.entries[slot] = entrySlot{p: svs[i].p}
 		svs[i].slot = slot
 		var sumsq float64
 		for _, w := range svs[i].p.Weights {
@@ -541,111 +624,172 @@ func (ix *Index) insertPostings(svs []stagedVec) {
 }
 
 // tomb is a retirement on its way from the registry to the posting space:
-// the slots that died and how many postings they hold.
+// the entry slots that died and how many postings they hold.
 type tomb struct {
 	slots    []uint32
 	postings int
 }
 
 // commit is the single registry critical section of a write: it renumbers
-// the kept vectors svs[:kept], activates the staged ones svs[kept:] and
-// retires every other slot of the user.
+// the kept holdings svs[:found] with own ≥ 0, adds a holding for every
+// other vector — a join of a live entry in svs[:found], an activation of a
+// staged one in svs[found:] — and retires every other holding of the user.
+// It adds before it retires, so a vector that leaves an entry and rejoins
+// it in one commit does not kill it. A staged vector whose content some
+// entry went live with since keep looked joins that entry instead, so the
+// content table names at most one live entry per content.
 //
-// Kept slots are validated first: still alive, this user's, holding the
-// very vector (another writer may have retired one, and the slot may have
-// been recycled since keep looked). If any fails, commit changes nothing,
-// moves the failures to the end of svs[:kept] and returns their number.
-func (ix *Index) commit(user string, svs []stagedVec, kept int) (lost int) {
+// svs[:found] are validated first: a kept holding must still be the user's
+// and hold the very vector, a joined entry must still be alive and equal
+// (another writer may have retired either, and the slot may have been
+// recycled since keep looked). If any fails, commit changes nothing, moves
+// the failures to the end of svs[:found] and returns their number.
+func (ix *Index) commit(user string, svs []stagedVec, found int) (lost int) {
 	ix.mu.Lock()
-	for i := 0; i < kept-lost; {
-		if e := &ix.entries[svs[i].slot]; e.alive && e.user == user && e.holds(svs[i].p) {
+	ui := ix.byUser[user]
+	for i := 0; i < found-lost; {
+		if ix.valid(ui, &svs[i]) {
 			i++
 			continue
 		}
 		lost++
-		svs[i], svs[kept-lost] = svs[kept-lost], svs[i]
+		svs[i], svs[found-lost] = svs[found-lost], svs[i]
 	}
 	if lost > 0 {
 		ix.mu.Unlock()
 		return lost
 	}
-	ui := ix.byUser[user]
 	if ui == nil {
 		if len(svs) == 0 {
 			ix.mu.Unlock()
 			return 0
 		}
-		ui = &userInfo{uid: ix.allocUID()}
-		ix.byUser[user] = ui
+		ui = ix.addUser(user)
 	}
-	var old []uint32
+	old := len(ui.held)
+	var t tomb
+	for i := range svs {
+		sv := &svs[i]
+		if sv.own >= 0 {
+			h := ui.held[sv.own]
+			ix.entries[h.slot].at(h.pos).vec = uint32(sv.vec)
+			continue
+		}
+		e := &ix.entries[sv.slot]
+		if !e.alive() {
+			if slot, named := ix.lookup(sv.hash, sv.p); named {
+				// Equal content went live after keep looked — another
+				// writer's, or an earlier vector of this set: join it, and
+				// this staged entry dies unborn.
+				t.slots = append(t.slots, sv.slot)
+				t.postings += len(e.p.IDs)
+				*e = entrySlot{}
+				sv.slot, e = slot, &ix.entries[slot]
+			} else {
+				ix.distinct++
+				ix.name(sv.hash, sv.slot)
+			}
+		}
+		sv.p = e.p
+		pos := e.add(holder{uid: ui.uid, idx: uint32(len(ui.held)), vec: uint32(sv.vec)})
+		ui.held = append(ui.held, held{slot: sv.slot, pos: pos})
+		ix.liveVecs++
+	}
 retire:
-	for _, slot := range ui.slots {
-		for _, sv := range svs[:kept] {
-			if sv.slot == slot {
+	for k := old - 1; k >= 0; k-- {
+		for _, sv := range svs[:found] {
+			if int(sv.own) == k {
 				continue retire
 			}
 		}
-		old = append(old, slot)
-	}
-	ui.slots = ui.slots[:0]
-	for i, sv := range svs {
-		e := &ix.entries[sv.slot]
-		ui.slots = append(ui.slots, sv.slot)
-		if i < kept {
-			e.vec = sv.vec
-			continue
-		}
-		e.uid = ui.uid
-		e.alive = true
-		ix.liveVecs++
-	}
-	tomb := ix.killLocked(old)
-	if len(ui.slots) == 0 {
-		ix.freeUID = append(ix.freeUID, ui.uid)
-		delete(ix.byUser, user)
+		ix.leave(ui, k, &t)
 	}
 	ix.mu.Unlock()
-	ix.tombstone(tomb)
+	ix.tombstone(t)
 	return 0
+}
+
+// valid reports whether a kept or joined vector's entry is still what keep
+// found. Caller holds the registry write lock.
+func (ix *Index) valid(ui *userInfo, sv *stagedVec) bool {
+	e := &ix.entries[sv.slot]
+	if !e.alive() {
+		return false
+	}
+	if sv.own < 0 {
+		return e.p.Equal(sv.p)
+	}
+	return ui != nil && int(sv.own) < len(ui.held) && ui.held[sv.own].slot == sv.slot && identical(e.p, sv.p)
+}
+
+// leave ends the user's k-th holding. The entry's last holder moves into
+// its position and the user's last holding into index k, each telling its
+// other side where it went, so nothing is scanned. An entry left with no
+// holder dies: it leaves the content table and its postings join t. A
+// user left with no holding is dropped. Caller holds the registry write
+// lock and applies t once it is released.
+func (ix *Index) leave(ui *userInfo, k int, t *tomb) {
+	h := ui.held[k]
+	e := &ix.entries[h.slot]
+	e.n--
+	if h.pos != e.n {
+		mv := *e.at(e.n)
+		*e.at(h.pos) = mv
+		ix.users[mv.uid].held[mv.idx].pos = h.pos
+	}
+	if e.n <= 1 {
+		e.more = nil
+	} else {
+		e.more = e.more[:e.n-1]
+	}
+	last := len(ui.held) - 1
+	if k != last {
+		mv := ui.held[last]
+		ui.held[k] = mv
+		ix.entries[mv.slot].at(mv.pos).idx = uint32(k)
+	}
+	ui.held = ui.held[:last]
+	ix.liveVecs--
+	if e.n == 0 {
+		ix.unname(contentHash(e.p), h.slot)
+		t.slots = append(t.slots, h.slot)
+		t.postings += len(e.p.IDs)
+		ix.distinct--
+		*e = entrySlot{} // let go of the vector
+	}
+	if len(ui.held) == 0 {
+		ix.users[ui.uid] = nil
+		ix.freeUID = append(ix.freeUID, ui.uid)
+		delete(ix.byUser, ui.name)
+	}
 }
 
 // RemoveUser deletes every vector of the user (unsubscribe).
 func (ix *Index) RemoveUser(user string) {
 	ix.mu.Lock()
-	ui := ix.byUser[user]
-	var tomb tomb
-	if ui != nil {
-		tomb = ix.killLocked(ui.slots)
-		ix.freeUID = append(ix.freeUID, ui.uid)
-		delete(ix.byUser, user)
+	var t tomb
+	if ui := ix.byUser[user]; ui != nil {
+		for k := len(ui.held) - 1; k >= 0; k-- {
+			ix.leave(ui, k, &t)
+		}
 	}
 	ix.mu.Unlock()
-	ix.tombstone(tomb)
+	ix.tombstone(t)
 }
 
-func (ix *Index) allocUID() uint32 {
+// addUser registers a user with no holdings yet, under a free uid if there
+// is one. Caller holds the registry write lock.
+func (ix *Index) addUser(user string) *userInfo {
+	ui := &userInfo{name: user, uid: uint32(len(ix.users))}
 	if n := len(ix.freeUID); n > 0 {
-		uid := ix.freeUID[n-1]
+		ui.uid = ix.freeUID[n-1]
 		ix.freeUID = ix.freeUID[:n-1]
-		return uid
+		ix.users[ui.uid] = ui
+	} else {
+		ix.users = append(ix.users, ui)
 	}
-	uid := ix.nextUID
-	ix.nextUID++
-	return uid
-}
-
-// killLocked marks slots dead — every entry holds postings, so none is
-// free before a compaction drops them. Caller holds the registry write
-// lock; tombstone applies the returned retirement once it is released.
-func (ix *Index) killLocked(slots []uint32) tomb {
-	t := tomb{slots: slots}
-	for _, slot := range slots {
-		t.postings += len(ix.entries[slot].p.IDs)
-		ix.liveVecs--
-		ix.entries[slot] = entrySlot{} // let go of the vector and the user string
-	}
-	return t
+	ix.byUser[user] = ui
+	return ui
 }
 
 // tombstone hands a retirement to the posting space, compacting it once
@@ -777,7 +921,7 @@ type matcher struct {
 	dense    []float64
 	scores32 []float32 // upper-bound accumulator (pruned); touched marks (unpruned)
 	best     []float64
-	bestAt   []uint32
+	bestVec  []uint32
 	uids     []uint32
 	scans    []float64 // aligned with ids: postings each term scanned, for termAttr
 	stats    matchStats
@@ -1072,8 +1216,8 @@ const unprunedMark = 1
 // at or above the cut: sweepCut's when pruning, the mark of a shared term
 // when not. Caller holds the registry read lock.
 func (ix *Index) harvestAll(m *matcher, threshold float64, slackTotal float64, prune bool) []Match {
-	m.best = grow(m.best, int(ix.nextUID))
-	m.bestAt = grow(m.bestAt, int(ix.nextUID))
+	m.best = grow(m.best, len(ix.users))
+	m.bestVec = grow(m.bestVec, len(ix.users))
 	m.uids = m.uids[:0]
 	m.fillDense()
 	cut := float32(unprunedMark)
@@ -1085,7 +1229,7 @@ func (ix *Index) harvestAll(m *matcher, threshold float64, slackTotal float64, p
 			continue
 		}
 		e := &ix.entries[slot]
-		if !e.alive {
+		if !e.alive() {
 			continue
 		}
 		ex := rescore(e.p, m.dense)
@@ -1099,32 +1243,33 @@ func (ix *Index) harvestAll(m *matcher, threshold float64, slackTotal float64, p
 		if ex < threshold {
 			continue
 		}
-		m.record(ix, uint32(slot), ex)
+		m.record(e.one, ex)
+		for _, h := range e.more {
+			m.record(h, ex)
+		}
 	}
 	clear(m.scores32)
 	m.clearDense()
 	out := make([]Match, 0, len(m.uids))
 	for _, uid := range m.uids {
-		e := &ix.entries[m.bestAt[uid]]
-		out = append(out, Match{User: e.user, Score: m.best[uid], Vector: e.vec})
+		out = append(out, Match{User: ix.users[uid].name, Score: m.best[uid], Vector: int(m.bestVec[uid])})
 		m.best[uid] = 0
 	}
 	return out
 }
 
-// record folds one qualifying (slot, exact score) into the per-user bests.
-func (m *matcher) record(ix *Index, slot uint32, sc float64) {
-	e := &ix.entries[slot]
-	uid := e.uid
-	cur := m.best[uid]
+// record folds one holding of a qualifying entry, at the entry's exact
+// score, into the per-user bests; a tie goes to the lower vector number.
+func (m *matcher) record(h holder, sc float64) {
+	cur := m.best[h.uid]
 	switch {
 	case cur == 0:
-		m.uids = append(m.uids, uid)
+		m.uids = append(m.uids, h.uid)
 		fallthrough
 	case sc > cur,
-		sc == cur && e.vec < ix.entries[m.bestAt[uid]].vec:
-		m.best[uid] = sc
-		m.bestAt[uid] = slot
+		sc == cur && h.vec < m.bestVec[h.uid]:
+		m.best[h.uid] = sc
+		m.bestVec[h.uid] = h.vec
 	}
 }
 
@@ -1250,10 +1395,13 @@ func siftDownMin(ws []uint16, ids []uint32, i, n int) {
 // ---------------------------------------------------------------------------
 // Statistics
 
-// Stats reports index size for monitoring.
+// Stats reports index size for monitoring. Vectors counts (user, vector)
+// holdings and Distinct the entries they share; postings are the distinct
+// entries'.
 type Stats struct {
 	Users    int
 	Vectors  int
+	Distinct int
 	Terms    int
 	Postings int
 }
@@ -1276,7 +1424,7 @@ func (ix *Index) Probe() int {
 func (ix *Index) Size() Stats {
 	ix.Compact()
 	ix.mu.RLock()
-	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs}
+	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs, Distinct: ix.distinct}
 	ix.mu.RUnlock()
 	ix.pmu.RLock()
 	for t := range ix.lists {

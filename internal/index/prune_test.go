@@ -148,7 +148,7 @@ func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 	for term, l := range ix.lists {
 		for k, slot := range l.ids {
 			e := &ix.entries[slot]
-			if !e.alive || slices.Contains(ix.dead, slot) {
+			if !e.alive() || slices.Contains(ix.dead, slot) {
 				continue
 			}
 			i := slices.Index(e.p.IDs, uint32(term))
@@ -300,29 +300,44 @@ var thetaGrid = []float64{0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 
 // TestMatchPrunedEqualsBruteForceEveryTheta is the pruning property test:
 // at every θ on a grid spanning (0, 1], Match and MatchDoc with pruning on
 // must return exactly the users, vectors, ordering and scores (==) of the
-// brute-force scorer — pruning plus exact rescore is lossless.
+// brute-force scorer — pruning plus exact rescore is lossless. It holds on
+// a population of distinct vectors and on one where most vectors are
+// shared entries, held by several users and twice by some.
 func TestMatchPrunedEqualsBruteForceEveryTheta(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix, profiles := prunePopulation(rng, 900, 30)
-	requireHotLists(t, ix)
-	for trial := 0; trial < 8; trial++ {
-		doc := randProbe(rng, 30)
-		d := vsm.Retain(doc)
-		for _, theta := range thetaGrid {
-			want := bruteMatches(profiles, doc, theta)
-			for _, via := range []string{"Match", "MatchDoc"} {
-				var got []Match
-				if via == "Match" {
-					got = ix.Match(doc, theta)
-				} else {
-					got = ix.MatchDoc(d, theta)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("trial %d θ=%v %s: %d matches, want %d", trial, theta, via, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d θ=%v %s [%d]: got %+v, want %+v", trial, theta, via, i, got[i], want[i])
+	dix, packed := packedPopulation(rng, 300, 30, 3)
+	dprofiles := map[string][]vsm.Vector{}
+	for user, vecs := range packed {
+		for _, p := range vecs {
+			dprofiles[user] = append(dprofiles[user], p.Vector())
+		}
+	}
+	for _, pop := range []struct {
+		name     string
+		ix       *Index
+		profiles map[string][]vsm.Vector
+	}{{"distinct", ix, profiles}, {"duplicated", dix, dprofiles}} {
+		requireHotLists(t, pop.ix)
+		for trial := 0; trial < 8; trial++ {
+			doc := randProbe(rng, 30)
+			d := vsm.Retain(doc)
+			for _, theta := range thetaGrid {
+				want := bruteMatches(pop.profiles, doc, theta)
+				for _, via := range []string{"Match", "MatchDoc"} {
+					var got []Match
+					if via == "Match" {
+						got = pop.ix.Match(doc, theta)
+					} else {
+						got = pop.ix.MatchDoc(d, theta)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s trial %d θ=%v %s: %d matches, want %d", pop.name, trial, theta, via, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s trial %d θ=%v %s [%d]: got %+v, want %+v", pop.name, trial, theta, via, i, got[i], want[i])
+						}
 					}
 				}
 			}

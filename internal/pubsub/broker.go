@@ -802,21 +802,26 @@ func (b *Broker) userLearner(user string, fn func(filter.Learner) error) error {
 }
 
 // packedSource is implemented by learners that hold their vectors packed
-// to term ids (core.Profile): the index takes those as they are.
+// to term ids (core.Profile): the index takes those as they are, and hands
+// back its own copy of a vector it already held with equal content, which
+// the learner adopts in place of its own.
 type packedSource interface {
 	PackedVectors() []vsm.Packed
+	AdoptPacked(shared []vsm.Packed)
 }
 
 // indexLocked hands a resident learner's current vectors to the match
-// index — as the learner holds them when it holds them packed, no copy and
-// no hashing; packed here from its ProfileVectors copies otherwise — and
-// settles the resident-pairs gauge on the way. It is the one place
-// subscribe, feedback and hydration reindex through. Caller holds s.mu;
-// s.learner is a filter.VectorSource (subscribe and hydration refuse any
-// other).
+// index — as the learner holds them when it holds them packed, no copy;
+// packed here from its ProfileVectors copies otherwise — and settles the
+// resident-pairs gauge on the way. A packed learner then adopts the
+// vectors the index shares with other holders, so a vector many users hold
+// is one copy in the process. It is the one place subscribe, feedback and
+// hydration reindex through. Caller holds s.mu; s.learner is a
+// filter.VectorSource (subscribe and hydration refuse any other).
 func (b *Broker) indexLocked(s *subscriber) {
 	var vecs []vsm.Packed
-	if ps, ok := s.learner.(packedSource); ok {
+	ps, packed := s.learner.(packedSource)
+	if packed {
 		vecs = ps.PackedVectors()
 	} else {
 		for _, v := range s.learner.(filter.VectorSource).ProfileVectors() {
@@ -829,7 +834,9 @@ func (b *Broker) indexLocked(s *subscriber) {
 	}
 	b.m.residentPairs.Add(float64(pairs - s.lastPairs))
 	s.lastPairs = pairs
-	b.idx.SetPacked(s.id, vecs)
+	if shared := b.idx.SetPacked(s.id, vecs); packed && len(vecs) > 0 && &shared[0] != &vecs[0] {
+		ps.AdoptPacked(shared)
+	}
 }
 
 // reindex refreshes a subscriber's inverted-index entries. The closed

@@ -1,15 +1,18 @@
 package pubsub
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"mmprofile/internal/core"
 	"mmprofile/internal/corpus"
 	"mmprofile/internal/filter"
+	"mmprofile/internal/intern"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/text"
 	"mmprofile/internal/vsm"
@@ -81,8 +84,10 @@ func TestOneStringPerTerm(t *testing.T) {
 
 // trainedStates serializes n MM profiles trained the way perf's match
 // population is: each on six relevant pages of each of two second-level
-// categories of the evaluation corpus.
-func trainedStates(t *testing.T, n int) [][]byte {
+// categories of the evaluation corpus. Users who judge the same page hold
+// equal vectors, as perf's do; with own, every page a user judges carries a
+// term of that user's too, so no two users hold an equal vector.
+func trainedStates(t *testing.T, n int, own bool) [][]byte {
 	t.Helper()
 	cfg := corpus.DefaultConfig()
 	cfg.PagesPerSub = 10
@@ -106,7 +111,15 @@ func trainedStates(t *testing.T, n int) [][]byte {
 		for k := 0; k < 2; k++ {
 			docs := byCat[(i*7+k*37)%ncat]
 			for d := 0; d < 6; d++ {
-				p.Observe(docs[rng.Intn(len(docs))], filter.Relevant)
+				doc := docs[rng.Intn(len(docs))]
+				if own { // at the page's top weight, so no truncation drops it
+					m := map[string]float64{fmt.Sprintf("own%04d", i): slices.Max(doc.Weights)}
+					for j, term := range doc.Terms {
+						m[term] = doc.Weights[j]
+					}
+					doc = vsm.FromMap(m).Normalized()
+				}
+				p.Observe(doc, filter.Relevant)
 			}
 		}
 		var err error
@@ -121,7 +134,10 @@ func trainedStates(t *testing.T, n int) [][]byte {
 // 100-term vectors: what one more (vector, term) pair of an imported,
 // indexed profile costs in live heap. 250 profiles are loaded first, so
 // that the vocabulary, the term table and every posting list exist; the
-// next 500 are the measurement. A pair is a term id and a weight in the
+// next 500 are the measurement. The budget holds for profiles whose
+// vectors are all their own ("distinct") — since equal vectors share one
+// copy and one index entry, that is the dearest population — and for the
+// trained profiles as they are, many of whose vectors are equal. A pair is a term id and a weight in the
 // profile (12 B), which the index entry borrows rather than copies, a
 // posting (6 B) and slice slack. When every decoded term was its own string
 // this read 60 B; sharing the table's strings, 50 B; holding ids, 37 B;
@@ -133,7 +149,19 @@ func TestResidentBytesPerTerm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is counted as heap")
 	}
-	states := trainedStates(t, 750)
+	for _, own := range []bool{true, false} {
+		name := map[bool]string{true: "distinct", false: "as trained"}[own]
+		perPair := residentBytesPerPair(t, trainedStates(t, 750, own))
+		if perPair > 24 {
+			t.Errorf("%s: an imported profile costs %.1f live bytes per (vector, term) pair, budget 24", name, perPair)
+		}
+		t.Logf("%s: %.1f live bytes per pair", name, perPair)
+	}
+}
+
+// residentBytesPerPair imports states[:250], then measures the live heap
+// that importing states[250:] adds per (vector, term) pair.
+func residentBytesPerPair(t *testing.T, states [][]byte) float64 {
 	reg := metrics.NewRegistry()
 	b := New(Options{Metrics: reg})
 	counted := 0
@@ -160,12 +188,9 @@ func TestResidentBytesPerTerm(t *testing.T) {
 	before := liveHeap()
 	pairs := load(250, 750)
 	perPair := float64(liveHeap()-before) / float64(pairs)
-	t.Logf("%d pairs, %.1f live bytes per pair", pairs, perPair)
-	if perPair > 24 {
-		t.Errorf("an imported profile costs %.1f live bytes per (vector, term) pair, budget 24", perPair)
-	}
 	runtime.KeepAlive(states)
 	runtime.KeepAlive(b)
+	return perPair
 }
 
 // TestPingPipelineLeavesTombstonesAlone: the liveness probe mmserver runs
@@ -197,5 +222,84 @@ func TestPingPipelineLeavesTombstonesAlone(t *testing.T) {
 	}
 	if got := ratio(); got != 0 {
 		t.Errorf("tombstone ratio %v after the exact, compacting IndexStats, want 0", got)
+	}
+}
+
+// TestIdenticalImportsShareOneEntry: users who import byte-identical
+// profiles hold one copy of each vector between them — the index keeps one
+// entry per distinct vector, and every profile adopts the index's copy, so
+// its own decoded arrays go — and each still exports the bytes it
+// imported. Then one user's judgment moves one of its vectors: that vector
+// leaves the shared entry for one of its own, while every other holding,
+// the other users' included, stays on the shared one.
+func TestIdenticalImportsShareOneEntry(t *testing.T) {
+	const n = 8
+	state := trainedStates(t, 1, false)[0]
+	b := New(Options{Threshold: 0.25})
+	profiles := make([]*core.Profile, n)
+	for i := range profiles {
+		profiles[i] = importProfile(t, b, fmt.Sprintf("u%d", i), state)
+	}
+	shared := profiles[0].PackedVectors()
+	pairs := 0
+	for _, p := range shared {
+		pairs += p.Len()
+	}
+	if st := b.IndexStats(); st.Vectors != n*len(shared) || st.Distinct != len(shared) || st.Postings != pairs {
+		t.Fatalf("%d imports of a %d-vector profile: index %+v, want %d vectors, %d distinct, %d postings",
+			n, len(shared), st, n*len(shared), len(shared), pairs)
+	}
+	same := func(a, b vsm.Packed) bool { return &a.IDs[0] == &b.IDs[0] && &a.Weights[0] == &b.Weights[0] }
+	for i, p := range profiles {
+		for k, v := range p.PackedVectors() {
+			if !same(v, shared[k]) {
+				t.Errorf("u%d's vector %d is a copy of its own, not the shared one", i, k)
+			}
+		}
+		snap, err := b.ExportProfile(fmt.Sprintf("u%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Data, state) {
+			t.Errorf("u%d exports other bytes than it imported", i)
+		}
+	}
+
+	// A page close to vector 0 with one term more: judged relevant, MM
+	// folds it into that vector, which moves.
+	m := map[string]float64{"sharedimportextra": 0.3}
+	for k, id := range shared[0].IDs {
+		m[intern.Terms.String(id)] = shared[0].Weights[k]
+	}
+	doc, _ := b.PublishVector(vsm.FromMap(m).Normalized())
+	c0 := profiles[0].Counts()
+	if err := b.Feedback("u0", doc, filter.Relevant); err != nil {
+		t.Fatal(err)
+	}
+	if c := profiles[0].Counts(); c.Incorporated != c0.Incorporated+1 || c.Merged != c0.Merged || c.Created != c0.Created {
+		t.Fatalf("the judgment took the counts from %+v to %+v; the test wants one incorporation", c0, c)
+	}
+	moved := 0
+	for k, v := range profiles[0].PackedVectors() {
+		if !same(v, shared[k]) {
+			moved++
+			pairs += v.Len()
+		}
+	}
+	if moved != 1 {
+		t.Fatalf("%d of u0's vectors left the shared entries, want 1", moved)
+	}
+	if st := b.IndexStats(); st.Vectors != n*len(shared) || st.Distinct != len(shared)+1 || st.Postings != pairs {
+		t.Errorf("after u0's judgment: index %+v, want %d vectors, %d distinct, %d postings", st, n*len(shared), len(shared)+1, pairs)
+	}
+	for i, p := range profiles[1:] {
+		for k, v := range p.PackedVectors() {
+			if !same(v, shared[k]) {
+				t.Errorf("u%d's vector %d moved with u0's", i+1, k)
+			}
+		}
+		if snap, _ := b.ExportProfile(fmt.Sprintf("u%d", i+1)); !bytes.Equal(snap.Data, state) {
+			t.Errorf("u%d's export changed with u0's judgment", i+1)
+		}
 	}
 }

@@ -23,8 +23,9 @@ import (
 // A Packed is immutable once built: the profile that holds it, the index
 // and every PackedVectors caller share its slices and none writes to them.
 // The index leans on this twice: an entry is the Packed it was given, not a
-// copy, and "the same slices again" (same backing arrays, same lengths) is
-// how a reindex knows a vector has not changed. Code that needs a different
+// copy — and every profile holding an Equal vector may share it — and "the
+// same slices again" (same backing arrays, same lengths) is how a reindex
+// knows a vector has not changed. Code that needs a different
 // vector builds a new Packed; writing into one would leave postings that no
 // longer describe it.
 type Packed struct {
@@ -48,6 +49,26 @@ func Pack(v Vector) Packed {
 
 // Len returns the number of terms.
 func (p Packed) Len() int { return len(p.IDs) }
+
+// Equal reports whether p and q are the same vector bit for bit: the same
+// ids in the same stored order, and weights with equal math.Float64bits
+// (so a NaN equals the same NaN and 0 does not equal -0). Equal vectors
+// score every document alike and encode to the same bytes, so either may
+// stand in for the other.
+func (p Packed) Equal(q Packed) bool {
+	if len(p.IDs) != len(q.IDs) || len(p.Weights) != len(q.Weights) {
+		return false
+	}
+	if len(p.IDs) > 0 && &p.IDs[0] == &q.IDs[0] && &p.Weights[0] == &q.Weights[0] {
+		return true
+	}
+	for i, id := range p.IDs {
+		if id != q.IDs[i] || math.Float64bits(p.Weights[i]) != math.Float64bits(q.Weights[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Vector returns p as an independent Vector; the term strings are the
 // table's.

@@ -80,6 +80,32 @@ func TestPackedMirrorsVector(t *testing.T) {
 	}
 }
 
+// TestPackedEqualIsBitForBit: Equal is the index's sharing test, so it must
+// hold exactly when the two vectors score and encode alike: the same ids in
+// the same order and the same weight bits — a NaN equals itself, 0 is not
+// -0, and a weight one ulp off or a reordered pair is another vector.
+func TestPackedEqualIsBitForBit(t *testing.T) {
+	nan := math.Float64frombits(0x7FF8000000000001)
+	p := Packed{IDs: []uint32{3, 1, 2}, Weights: []float64{0.5, nan, 0}}
+	clone := Packed{IDs: []uint32{3, 1, 2}, Weights: []float64{0.5, nan, 0}}
+	for name, c := range map[string]struct {
+		q    Packed
+		want bool
+	}{
+		"itself":       {p, true},
+		"a copy":       {clone, true},
+		"minus zero":   {Packed{IDs: p.IDs, Weights: []float64{0.5, nan, math.Copysign(0, -1)}}, false},
+		"one ulp":      {Packed{IDs: p.IDs, Weights: []float64{math.Nextafter(0.5, 1), nan, 0}}, false},
+		"another NaN":  {Packed{IDs: p.IDs, Weights: []float64{0.5, math.Float64frombits(0x7FF8000000000002), 0}}, false},
+		"reordered":    {Packed{IDs: []uint32{1, 3, 2}, Weights: []float64{nan, 0.5, 0}}, false},
+		"a term short": {Packed{IDs: p.IDs[:2], Weights: p.Weights[:2]}, false},
+	} {
+		if got := p.Equal(c.q); got != c.want || c.q.Equal(p) != c.want {
+			t.Errorf("%s: Equal = %v, want %v", name, got, c.want)
+		}
+	}
+}
+
 // TestPackedKeepsTermOrderNotIDOrder: ids are arrival order. A vector whose
 // terms were interned in descending order still packs, sums and encodes in
 // ascending term order.

@@ -126,6 +126,7 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 			"subscribers":    c.Subscribers,
 			"index_users":    ix.Users,
 			"index_vectors":  ix.Vectors,
+			"index_distinct": ix.Distinct,
 			"index_terms":    ix.Terms,
 			"index_postings": ix.Postings,
 			"metrics":        reg.Snapshot(),
@@ -282,12 +283,12 @@ func NewStatusHandler(b *pubsub.Broker, o StatusOptions) http.Handler {
 <tr><td>published</td><td>%d</td></tr>
 <tr><td>deliveries</td><td>%d (dropped %d)</td></tr>
 <tr><td>feedbacks</td><td>%d</td></tr>
-<tr><td>index</td><td>%d vectors over %d terms (%d postings)</td></tr>
+<tr><td>index</td><td>%d vectors (%d distinct) over %d terms (%d postings)</td></tr>
 </table>
 <p><a href="%s">/statsz</a> · <a href="%s">/metrics</a> · <a href="%s">/topz</a> · <a href="%s">/tsz</a> · <a href="%s">/tracez</a> · <a href="%s">/explainz</a> · <a href="%s">/debug/pprof/</a> · <a href="%s">/healthz</a> · <a href="%s">/readyz</a> · POST /debugz/dump</p>
 </body></html>`,
 			c.Subscribers, c.Published, c.Deliveries, c.Dropped, c.Feedbacks,
-			ix.Vectors, ix.Terms, ix.Postings,
+			ix.Vectors, ix.Distinct, ix.Terms, ix.Postings,
 			html.EscapeString("/statsz"), html.EscapeString("/metrics"),
 			html.EscapeString("/topz"), html.EscapeString("/tsz"),
 			html.EscapeString("/tracez"), html.EscapeString("/explainz?user="),

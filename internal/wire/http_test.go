@@ -129,7 +129,7 @@ func TestStatusHandlerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"published", "deliveries", "dropped", "feedbacks",
-		"subscribers", "index_users", "index_vectors", "index_terms", "index_postings"} {
+		"subscribers", "index_users", "index_vectors", "index_distinct", "index_terms", "index_postings"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("statsz lost legacy key %q", key)
 		}

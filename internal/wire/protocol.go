@@ -93,7 +93,10 @@ type StatsMsg struct {
 	Feedbacks    int64 `json:"feedbacks"`
 	Subscribers  int   `json:"subscribers"`
 	IndexVectors int   `json:"index_vectors"`
-	IndexTerms   int   `json:"index_terms"`
+	// IndexDistinct counts the distinct vectors IndexVectors share:
+	// equal vectors are one index entry.
+	IndexDistinct int `json:"index_distinct"`
+	IndexTerms    int `json:"index_terms"`
 }
 
 // ProfileMsg describes a subscriber's current profile.

@@ -311,13 +311,14 @@ func (s *Server) dispatchTimed(req Request, d0, d1 time.Time) Response {
 		c := s.broker.Stats()
 		ix := s.broker.IndexStats()
 		return Response{OK: true, Stats: &StatsMsg{
-			Published:    c.Published,
-			Deliveries:   c.Deliveries,
-			Dropped:      c.Dropped,
-			Feedbacks:    c.Feedbacks,
-			Subscribers:  c.Subscribers,
-			IndexVectors: ix.Vectors,
-			IndexTerms:   ix.Terms,
+			Published:     c.Published,
+			Deliveries:    c.Deliveries,
+			Dropped:       c.Dropped,
+			Feedbacks:     c.Feedbacks,
+			Subscribers:   c.Subscribers,
+			IndexVectors:  ix.Vectors,
+			IndexDistinct: ix.Distinct,
+			IndexTerms:    ix.Terms,
 		}}
 	case OpProfile:
 		return s.profile(req)
