@@ -23,7 +23,7 @@
 //	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
 //	         [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]
-//	         [-match-slo 0] [-evict-drop-rate 0] [-evict-windows 3]
+//	         [-match-slo 0]
 package main
 
 import (

@@ -45,8 +45,7 @@ func TestConfigDefaults(t *testing.T) {
 // this table and say which two existing workloads need different values.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "checkpoint", "dump-dir",
-		"evict-drop-rate", "evict-windows", "fsync", "http", "lanes",
+		"addr", "checkpoint", "dump-dir", "fsync", "http", "lanes",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
 		"queue", "retain-content", "retention", "state",
 		"sync-interval", "threshold", "trace-sample", "trace-slow",
@@ -100,7 +99,6 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_pubsub_queue_slots", "gauge"},
 		{"mm_pubsub_resident_profiles", "gauge"},
 		{"mm_pubsub_retention_evictions_total", "counter"},
-		{"mm_pubsub_slow_evictions_total", "counter"},
 		{"mm_pubsub_subscribers", "gauge"},
 		{"mm_runtime_gc_cycles", "gauge"},
 		{"mm_runtime_gc_pause_p99_seconds", "gauge"},
@@ -227,18 +225,5 @@ func TestConfigDurabilityFlags(t *testing.T) {
 	}
 	if cfg := parse(t, "-sync-interval", "2s"); cfg.Fsync || cfg.SyncEvery != 2*time.Second {
 		t.Errorf("-sync-interval 2s → %+v", cfg)
-	}
-}
-
-// TestConfigAttributionFlags pins the eviction flags: the policy defaults
-// to off.
-func TestConfigAttributionFlags(t *testing.T) {
-	cfg := parse(t)
-	if cfg.EvictRate != 0 || cfg.EvictWins != 3 {
-		t.Errorf("attribution defaults = %v %d", cfg.EvictRate, cfg.EvictWins)
-	}
-	cfg = parse(t, "-evict-drop-rate", "12.5", "-evict-windows", "5")
-	if cfg.EvictRate != 12.5 || cfg.EvictWins != 5 {
-		t.Errorf("eviction flags = %v %d", cfg.EvictRate, cfg.EvictWins)
 	}
 }

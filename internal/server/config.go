@@ -34,8 +34,6 @@ type Config struct {
 	LogLevel    string
 	DumpDir     string
 	MatchSLO    time.Duration
-	EvictRate   float64
-	EvictWins   int
 }
 
 // Register binds every field to its flag on fs, with mmserver's defaults.
@@ -58,8 +56,6 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.LogLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	fs.StringVar(&c.DumpDir, "dump-dir", "", "flight-recorder bundle directory (default <state>/dumps, or the OS temp dir without -state)")
 	fs.DurationVar(&c.MatchSLO, "match-slo", 0, "p99 match-latency SLO; sustained breach triggers a flight-recorder bundle (0 = off)")
-	fs.Float64Var(&c.EvictRate, "evict-drop-rate", 0, "drops/second per subscriber that, sustained, closes its push sessions (0 = off)")
-	fs.IntVar(&c.EvictWins, "evict-windows", 3, "consecutive 1s windows over -evict-drop-rate before a session is evicted")
 }
 
 // resolveDumpDir picks the flight-recorder directory: the explicit flag,

@@ -1,6 +1,6 @@
 // Package server is the one assembly of the dissemination server: registry →
-// store → broker → health → flight recorder → wire server → evictor, restored
-// from the state directory and run on one schedule. mmserver, the integration
+// store → broker → health → flight recorder → wire server, restored from the
+// state directory and run on one schedule. mmserver, the integration
 // tests and mmload -addr pipe all build this value; nothing else wires those
 // packages together (DESIGN.md §13).
 package server
@@ -60,7 +60,6 @@ type Server struct {
 	rec     *obs.Recorder
 	wire    *wire.Server
 	sampler *obs.RuntimeSampler
-	evictor *dropEvictor // nil without -evict-drop-rate
 	sloRule metrics.BurnRule
 
 	// tick's own state: only its caller — the loop Serve starts, or a test
@@ -139,9 +138,6 @@ func New(cfg Config, seams Seams) (*Server, error) {
 	// sustained; a tick with no fresh match samples cannot breach.
 	s.sloRule = metrics.BurnRule{Hist: "mm_pubsub_match_seconds", Limit: cfg.MatchSLO.Seconds(),
 		Objective: sloObjective, Short: sloShort, Long: sloLong, Factor: 1}
-	if cfg.EvictRate > 0 {
-		s.evictor = newDropEvictor(cfg.EvictRate, cfg.EvictWins, s.wire.KickSession)
-	}
 	s.sampler = obs.NewRuntimeSampler(s.reg)
 	if tr := s.broker.Tracer(); tr != nil {
 		s.reg.GaugeFunc("mm_trace_sampled",
@@ -254,10 +250,6 @@ func (s *Server) start(addr net.Addr) error {
 func (s *Server) tick(now time.Time) {
 	s.sampler.SampleNow()
 	s.reg.Tick(now)
-	if s.evictor != nil {
-		drops, _ := s.reg.Top("subscriber_drops", evictScanK) // the broker always registers it
-		s.evictor.tick(now, drops)
-	}
 	// Never breached with -match-slo 0. A breach lasts many ticks: one bundle
 	// a cooldown is evidence, one a second is a disk filler.
 	if burn := s.reg.Burn(s.sloRule); burn.Breached && !now.Before(s.nextSLODump) {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -386,54 +385,6 @@ func TestTickCheckpoint(t *testing.T) {
 		t.Errorf("a second checkpoint started beside one in flight (%d)", n)
 	}
 	s.checkpointing.Store(false)
-}
-
-// TestSessionEvictedByTick drives -evict-drop-rate where it is wired: a push
-// session on a 2-slot queue stops reading, documents keep coming, and after
-// one baseline tick and -evict-windows breaching ones the session gets its
-// error frame, the eviction is counted once, and the subscription survives.
-func TestSessionEvictedByTick(t *testing.T) {
-	const windows = 3
-	s := mustNew(t, Config{Threshold: 0.2, Queue: 2, EvictRate: 2, EvictWins: windows}, nil)
-	defer s.Stop()
-	c := dial(s)
-	must(t, c.Subscribe("alice", "", []string{"cats"}))
-	sess, err := dial(s).Session("alice", 0)
-	must(t, err)
-	defer sess.Close()
-	// The session can be kicked once it is counted (wire.Server.session).
-	for deadline := time.Now().Add(5 * time.Second); s.reg.Snapshot()["mm_wire_sessions"] != 1.0; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-	}
-
-	// Eight documents nobody reads: at most two sit in the session's blocked
-	// write and two in the queue, so the drops sketch knows alice by now.
-	for tick := 0; tick <= windows; tick++ {
-		if n := counter(s, "mm_pubsub_slow_evictions_total"); n != 0 {
-			t.Fatalf("evicted after %d of %d breaching ticks", tick-1, windows)
-		}
-		for i := 0; i < 8; i++ {
-			_, _, err := c.Publish(testPage)
-			must(t, err)
-		}
-		s.tick(t0.Add(time.Duration(tick) * time.Second))
-	}
-	if n := counter(s, "mm_pubsub_slow_evictions_total"); n != 1 {
-		t.Fatalf("mm_pubsub_slow_evictions_total = %d after %d breaching ticks, want 1", n, windows)
-	}
-	for {
-		if _, err := sess.Recv(); err != nil {
-			if !strings.Contains(err.Error(), "session evicted") {
-				t.Fatalf("session ended with %v, want its eviction frame", err)
-			}
-			break
-		}
-	}
-	if p, err := c.Profile("alice"); err != nil || p.Size == 0 {
-		t.Errorf("eviction took the subscription with the session: %+v, %v", p, err)
-	}
 }
 
 // TestTickMatchSLO: a tick that finds -match-slo breached over both burn

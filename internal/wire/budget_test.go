@@ -73,3 +73,41 @@ func TestRestingSessionBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(conns)
 }
+
+// TestRestingSessionStack: over a socket, a session's goroutine writes its
+// frames, under the write bound, within the stack it parked in Read on, so
+// delivering grows no stack. One slog attribute built in push's frame is
+// enough to double every session's stack, which is most of what an idle
+// session costs in RSS.
+func TestRestingSessionStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector deepens every frame")
+	}
+	const n = 1000
+	_, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2})
+	stacks := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // frees the stacks of the exited request goroutines
+		runtime.ReadMemStats(&m)
+		return m.StackInuse
+	}
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		user := fmt.Sprintf("u%d", i)
+		if _, err := b.SubscribeKeywords(user, []string{"cats"}); err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = openSession(t, srv, user, 0)
+	}
+	before := stacks()
+	b.Publish(catPage)
+	for _, sess := range sessions {
+		recvN(t, sess, 1)
+	}
+	grown := (float64(stacks()) - float64(before)) / n
+	t.Logf("stack grown per session by its first frame: %.0f B", grown)
+	if grown > 512 {
+		t.Errorf("writing a frame grew each session's stack by %.0f B: the write path outgrew the first stack", grown)
+	}
+}

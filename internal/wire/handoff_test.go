@@ -13,15 +13,17 @@ import (
 	"testing"
 	"time"
 
+	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
 )
 
 // pipeServer is a server with no listener: tests hand it one end of a
-// net.Pipe through ServeConn.
+// net.Pipe through ServeConn. Its log prints nothing and keeps its records
+// in an event ring, as the flight recorder's does.
 func pipeServer(t *testing.T, opts pubsub.Options) (*Server, *pubsub.Broker) {
 	t.Helper()
 	b := pubsub.New(opts)
-	srv := NewServer(b, func(string, ...any) {})
+	srv := NewServerLogger(b, obs.NewLogfLogger(func(string, ...any) {}, obs.NewEventRing(0)))
 	t.Cleanup(func() { srv.Close() })
 	return srv, b
 }
@@ -53,24 +55,24 @@ func pipeSession(t *testing.T, srv *Server, user string, batch int) *Session {
 // may still be winding down and only the server's own tables are checked.
 const anyGoroutines = 1 << 30
 
-// settled polls until the server holds no session state at all and the
-// process is back to at most baseline goroutines.
+// settled polls until the server holds no connection and no session and
+// the process is back to at most baseline goroutines.
 func settled(t *testing.T, srv *Server, baseline int) {
 	t.Helper()
-	var conns, handles, goroutines int
+	var conns, goroutines int
 	var sessions float64
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		srv.mu.Lock()
-		conns, handles = len(srv.conns), len(srv.userSessions)
+		conns = len(srv.conns)
 		srv.mu.Unlock()
 		sessions, goroutines = srv.sessions.Value(), runtime.NumGoroutine()
-		if conns == 0 && handles == 0 && sessions == 0 && goroutines <= baseline {
+		if conns == 0 && sessions == 0 && goroutines <= baseline {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("left behind: %d conns, %d users with session handles, mm_wire_sessions %v, %d goroutines (baseline %d)",
-				conns, handles, sessions, goroutines, baseline)
+			t.Fatalf("left behind: %d conns, mm_wire_sessions %v, %d goroutines (baseline %d)",
+				conns, sessions, goroutines, baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -114,8 +116,7 @@ func TestSessionHugeBatchIsClamped(t *testing.T) {
 // FuzzSessionHandshake sends an arbitrary first line to a live server on a
 // net.Pipe connection, reads whatever comes back and hangs up: no line may
 // panic the server (a panic in a connection goroutine kills this process),
-// and the connection, its session handle and its mm_wire_sessions count
-// must all be released.
+// and the connection and its mm_wire_sessions count must both be released.
 func FuzzSessionHandshake(f *testing.F) {
 	f.Add(`{"op":"session","user":"alice","batch":9223372036854775807}`)
 	f.Add(`{"op":"session","user":"alice","batch":-1}`)
@@ -155,12 +156,15 @@ func FuzzSessionHandshake(f *testing.F) {
 // TestSessionGoroutinesReturnToBaseline: handle hands the connection to one
 // session goroutine and returns, so an open session is exactly one
 // goroutine, and the release handle used to defer — close, conns entry,
-// drain count, session gauge, session handle — is that goroutine's to do
-// exactly once, whichever way the session ends. 500 sessions, a third
-// ended each way, and nothing is left: not a goroutine.
+// drain count, session gauge — is that goroutine's to do exactly once,
+// whichever way the session ends: its client closes, its client stops
+// reading (the unsubscribe's Closed frame is never read, so the write bound
+// ends it), or it is unsubscribed. 500 sessions, a third ended each way,
+// and nothing is left: not a goroutine.
 func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 	const n = 500
 	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	srv.writeTimeout = 200 * time.Millisecond
 	users := make([]string, n)
 	for i := range users {
 		users[i] = fmt.Sprintf("u%d", i)
@@ -187,12 +191,7 @@ func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 		case 0:
 			sess.Close()
 		case 1:
-			if srv.KickSession(users[i], "test") != 1 {
-				t.Fatalf("kick found no session for %s", users[i])
-			}
-			if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted") {
-				t.Fatalf("recv after kick: %v", err)
-			}
+			b.Unsubscribe(users[i])
 		case 2:
 			b.Unsubscribe(users[i])
 			if frame, err := sess.Recv(); err != nil || !frame.Closed {
@@ -298,13 +297,29 @@ func TestTwoSessionsOneUserBothClose(t *testing.T) {
 	settled(t, srv, anyGoroutines)
 }
 
-// TestKickEndsSessionBlockedInWrite: a session whose client stopped reading
-// is blocked writing a frame nobody takes, and a kick still ends it — the
-// kick expires the write deadline as well as the read one, and the evicted
-// frame is only offered for evictWriteTimeout — so everything is released
-// while the client still never reads.
-func TestKickEndsSessionBlockedInWrite(t *testing.T) {
+// stallLogged fails t unless the server's log ring holds the record the
+// write bound leaves when it releases a client that stopped reading: the
+// flight recorder's way to name the stalled consumer. user is empty for a
+// request connection.
+func stallLogged(t *testing.T, srv *Server, user string) {
+	t.Helper()
+	for _, e := range srv.log.Ring().Snapshot() {
+		if e.Msg == "wire: client stopped reading" && e.Level == "WARN" &&
+			e.Attrs["remote_addr"] == "pipe" && (user == "" || e.Attrs["user"] == user) {
+			return
+		}
+	}
+	t.Fatalf("no stopped-reader record for %q in the log ring: %+v", user, srv.log.Ring().Snapshot())
+}
+
+// TestStoppedReaderIsReleased: a session whose client stopped reading is
+// blocked writing a frame nobody takes, and the write bound ends it, so
+// everything is released while the client still never reads. The
+// subscription survives: the bound lets go of the consumer, not the
+// profile.
+func TestStoppedReaderIsReleased(t *testing.T) {
 	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	srv.writeTimeout = 200 * time.Millisecond // long enough for the ack to be read
 	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,20 +330,30 @@ func TestKickEndsSessionBlockedInWrite(t *testing.T) {
 	if err := json.NewDecoder(conn).Decode(&ack); err != nil || !ack.OK {
 		t.Fatalf("ack %+v, %v", ack, err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.KickSession("alice", "stopped reading") == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("kick never found the session")
-		}
+	settled(t, srv, anyGoroutines)
+	stallLogged(t, srv, "alice")
+	if _, ok := b.Subscription("alice"); !ok {
+		t.Fatal("the write bound removed the subscription itself")
+	}
+}
+
+// TestRequestClientThatStopsReadingIsReleased: a request's reply is written
+// under the same bound, so a client that sends a request and never reads
+// the reply holds its connection and goroutine only that long.
+func TestRequestClientThatStopsReadingIsReleased(t *testing.T) {
+	srv, _ := pipeServer(t, pubsub.Options{Threshold: 0.2})
+	srv.writeTimeout = 50 * time.Millisecond
+	conn := pipeConn(t, srv)
+	if _, err := conn.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
+		t.Fatal(err)
 	}
 	settled(t, srv, anyGoroutines)
-	if _, ok := b.Subscription("alice"); !ok {
-		t.Fatal("eviction removed the subscription itself")
-	}
+	stallLogged(t, srv, "")
 }
 
 // TestCloseEndsOpenSessions: Close ends every session open at that moment
 // by closing its connection — each client reads the end of its stream, not
-// a frame — and leaves no goroutine, connection or session handle behind.
+// a frame — and leaves no goroutine, connection or session behind.
 func TestCloseEndsOpenSessions(t *testing.T) {
 	const n = 50
 	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
@@ -410,80 +435,5 @@ func TestSessionWakeRacesItsLoop(t *testing.T) {
 		t.Fatalf("received %d + dropped %d, next_seq %d; want %d in all", len(seen), last.Dropped, last.NextSeq, 2*perPublisher)
 	}
 	t.Logf("received %d, dropped %d", len(seen), last.Dropped)
-	settled(t, srv, anyGoroutines)
-}
-
-// splitDeadlineConn is the server end of a net.Pipe whose SetDeadline, like
-// net.Pipe's own, sets the read deadline first and the write deadline
-// second, but parks between the two halves until the session starts its
-// eviction write (a SetWriteDeadline in the future) or splitPark passes.
-// The eviction write itself then waits for the second half to land, so a
-// session that begins that write before the kick is done loses its frame
-// every time instead of now and then.
-type splitDeadlineConn struct {
-	net.Conn
-	evicting, kicked chan struct{}
-	once             sync.Once
-}
-
-const splitPark = 500 * time.Millisecond
-
-func (c *splitDeadlineConn) SetDeadline(t time.Time) error {
-	err := c.Conn.SetReadDeadline(t)
-	select {
-	case <-c.evicting:
-	case <-time.After(splitPark):
-	}
-	if werr := c.Conn.SetWriteDeadline(t); err == nil {
-		err = werr
-	}
-	close(c.kicked)
-	return err
-}
-
-func (c *splitDeadlineConn) SetWriteDeadline(t time.Time) error {
-	err := c.Conn.SetWriteDeadline(t)
-	if t.After(time.Now()) {
-		c.once.Do(func() { close(c.evicting) })
-	}
-	return err
-}
-
-func (c *splitDeadlineConn) Write(b []byte) (int, error) {
-	select {
-	case <-c.evicting:
-		<-c.kicked
-	default:
-	}
-	return c.Conn.Write(b)
-}
-
-// TestKickFrameSurvivesSplitDeadline: a kick expires both deadlines in two
-// steps, and the session it wakes must not start its eviction write between
-// them, or the kick's second step expires the deadline that write set and
-// the client reads EOF instead of the reason it was evicted.
-func TestKickFrameSurvivesSplitDeadline(t *testing.T) {
-	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
-	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
-		t.Fatal(err)
-	}
-	local, remote := net.Pipe()
-	t.Cleanup(func() { local.Close() })
-	if err := local.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	srv.ServeConn(&splitDeadlineConn{Conn: remote, evicting: make(chan struct{}), kicked: make(chan struct{})})
-	sess, err := NewClient(local).Session("alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.KickSession("alice", "split") == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("kick never found the session")
-		}
-	}
-	if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted: split") {
-		t.Fatalf("recv after kick: %v, want session evicted: split", err)
-	}
 	settled(t, srv, anyGoroutines)
 }

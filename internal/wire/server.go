@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,34 +37,32 @@ type Server struct {
 	sessions          *metrics.Gauge   // connections currently in push mode
 	sessionFrames     *metrics.Counter // coalesced frames pushed
 	sessionDeliveries *metrics.Counter // deliveries pushed across all frames
-	slowEvictions     *metrics.Counter // sessions closed by the eviction policy
+
+	writeTimeout time.Duration // tests shorten it before handing out connections
 
 	mu     sync.Mutex
 	closed bool
 	lis    net.Listener
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
-
-	// userSessions holds every open push session's handle by user, so the
-	// slow-consumer eviction policy (mmserver -evict-drop-rate) can end
-	// sessions without owning their connections. Guarded by mu.
-	userSessions map[string][]*session
 }
 
-// session is a push session's handle: what a wake or a kick needs to reach
-// the one goroutine that owns the connection, parked in its Read.
+// writeTimeout bounds every write to a client. A frame is at most 64
+// deliveries, about 5 KB, and a Write blocks only once the client has left
+// a whole socket buffer unread, so a write still blocked after 10 s means
+// the client stopped reading: the connection is released, and the loss a
+// reader that merely lags can cause stays in the queue's dropped count.
+const writeTimeout = 10 * time.Second
+
+// session is a push session's handle: what a wake needs to reach the one
+// goroutine that owns the connection, parked in its Read.
 type session struct {
 	conn  net.Conn
-	woken atomic.Bool            // the read deadline is expired, or about to be
-	kick  atomic.Pointer[string] // the eviction reason, once kicked
+	woken atomic.Bool // the read deadline is expired, or about to be
 }
 
-// expired is a deadline in the past: a pending Read or Write returns now.
+// expired is a deadline in the past: a pending Read returns now.
 var expired = time.Unix(1, 0)
-
-// evictWriteTimeout bounds the write of a kicked session's last frame to a
-// client that may have stopped reading.
-const evictWriteTimeout = time.Second
 
 // wake is the session's OnReady registration: it expires the read deadline
 // once per turn of the session's loop. It runs under the subscriber's lock.
@@ -96,56 +93,31 @@ func NewServerLogger(b *pubsub.Broker, logger *obs.Logger) *Server {
 			"Coalesced delivery frames pushed to session connections."),
 		sessionDeliveries: reg.Counter("mm_wire_session_deliveries_total",
 			"Deliveries pushed to session connections across all frames."),
-		slowEvictions: reg.Counter("mm_pubsub_slow_evictions_total",
-			"Push sessions closed because their windowed drop rate stayed pathological (mmserver -evict-drop-rate)."),
+		writeTimeout: writeTimeout,
 		conns:        make(map[net.Conn]struct{}),
-		userSessions: make(map[string][]*session),
 	}
 }
 
-// removeSession unregisters a session's handle.
-func (s *Server) removeSession(user string, h *session) {
-	s.mu.Lock()
-	hs := s.userSessions[user]
-	if i := slices.Index(hs, h); i >= 0 {
-		hs = slices.Delete(hs, i, i+1)
-	}
-	if len(hs) == 0 {
-		delete(s.userSessions, user)
-	} else {
-		s.userSessions[user] = hs
-	}
-	s.mu.Unlock()
+// bound arms the write deadline for the write that follows it.
+func (s *Server) bound(conn net.Conn) {
+	_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 }
 
-// KickSession ends every push session currently open for user: each one
-// stops waiting or writing, offers the client a final error frame carrying
-// reason for evictWriteTimeout, and releases the connection. The
-// subscription itself survives — eviction sheds the consumer, not the
-// profile. Returns how many sessions were signalled; each one bumps
-// mm_pubsub_slow_evictions_total and writes an audit event through the
-// server's structured log (which the flight recorder's ring tees into
-// crash bundles).
-func (s *Server) KickSession(user, reason string) int {
-	s.mu.Lock()
-	n := 0
-	for _, h := range s.userSessions[user] {
-		if h.kick.CompareAndSwap(nil, &reason) {
-			// Both deadlines: a session blocked writing to a client that
-			// stopped reading must give up too.
-			_ = h.conn.SetDeadline(expired)
-			n++
-		}
+// stalled logs a write the write bound ended, naming the client that
+// stopped reading (user is empty on a request connection), and reports
+// whether that is how err came about. Its arguments are plain values: an
+// attribute built in push's frame would outgrow the session goroutine's
+// first stack on every write.
+func (s *Server) stalled(err error, conn net.Conn, user string) bool {
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return false
 	}
-	s.mu.Unlock()
-	if n > 0 {
-		s.slowEvictions.Add(int64(n))
-		s.log.Warn("wire: session evicted",
-			slog.String("user", user),
-			slog.String("reason", reason),
-			slog.Int("sessions", n))
+	attrs := []slog.Attr{slog.String("remote_addr", conn.RemoteAddr().String())}
+	if user != "" {
+		attrs = append(attrs, slog.String("user", user))
 	}
-	return n
+	s.log.Warn("wire: client stopped reading", attrs...)
+	return true
 }
 
 // SetRecorder attaches a flight recorder: a panic in a connection handler
@@ -186,7 +158,8 @@ func (s *Server) Serve(lis net.Listener) error {
 // connection is handled on its own goroutine and participates in Close's
 // drain like any accepted one. Used for transports that never touch a
 // listener — net.Pipe in tests and mmload's in-process session harness.
-// A push session needs the connection's deadlines: they are how it wakes.
+// The connection's deadlines are how a push session wakes and how any write
+// to a client that stopped reading gives up.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
@@ -270,7 +243,11 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		resp := s.dispatchTimed(req, d0, d1)
+		s.bound(conn)
 		if err := enc.Encode(resp); err != nil {
+			if s.stalled(err, conn, "") {
+				return
+			}
 			s.log.Warn("wire: encode",
 				slog.String("remote_addr", conn.RemoteAddr().String()),
 				slog.String("err", err.Error()),
@@ -447,6 +424,7 @@ const defaultSessionBatch = 64
 // subscriber's queue and that goroutine parked in Read on a small stack
 // (DESIGN.md §15); everything a frame needs is borrowed for the write.
 func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Request) (handedOff bool) {
+	s.bound(conn)
 	sub, ok := s.broker.Subscription(req.User)
 	if !ok {
 		_ = enc.Encode(errResponse("wire: unknown subscriber %q", req.User))
@@ -461,6 +439,7 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Requ
 	batch = min(batch, s.broker.QueueSize())
 	next, dropped := sub.DeliveryStats()
 	if err := enc.Encode(Response{OK: true, NextSeq: next, Dropped: dropped}); err != nil {
+		s.stalled(err, conn, req.User)
 		return false
 	}
 	// Push mode inverts the connection: the only thing a client can send is
@@ -474,12 +453,8 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Requ
 			slog.String("user", req.User),
 			slog.String("remote_addr", conn.RemoteAddr().String()))
 	}
-	h := &session{conn: conn}
-	s.mu.Lock()
-	s.userSessions[req.User] = append(s.userSessions[req.User], h)
-	s.mu.Unlock()
 	s.sessions.Add(1)
-	go s.serveSession(h, sub, req.User, batch)
+	go s.serveSession(&session{conn: conn}, sub, req.User, batch)
 	return true
 }
 
@@ -498,24 +473,16 @@ func space(b []byte) bool {
 // serveSession is a push session's one goroutine, and its one wait is the
 // Read on the client's half: EOF, an error or any byte that is not JSON
 // whitespace ends the session, so an idle session notices a gone client,
-// and an expired deadline is a wake or a kick. A wake pushes what is
-// queued, up to batch deliveries in one frame. The session also ends when
-// the subscriber is unsubscribed (the final frame carries Closed and
-// whatever was still queued) or a push fails, and then releases, once,
-// everything it held.
+// and an expired deadline is a wake. A wake pushes what is queued, up to
+// batch deliveries in one frame. The session also ends when the subscriber
+// is unsubscribed (the final frame carries Closed and whatever was still
+// queued) or a push fails — the client is gone, or stopped reading for
+// writeTimeout — and then releases, once, everything it held.
 func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string, batch int) {
 	defer s.rec.RecoverRepanic()
 	cancel := sub.OnReady(h.wake)
 	defer func() {
 		cancel()
-		// Unregister first: that takes s.mu, which a kick holds until both
-		// halves of its SetDeadline have landed, so the eviction write's
-		// own deadline comes after them and is not overwritten.
-		s.removeSession(user, h)
-		if reason := h.kick.Load(); reason != nil {
-			_ = h.conn.SetWriteDeadline(time.Now().Add(evictWriteTimeout))
-			_ = json.NewEncoder(h.conn).Encode(errResponse("wire: session evicted: %s", *reason))
-		}
 		s.sessions.Add(-1)
 		s.release(h.conn)
 	}()
@@ -530,11 +497,10 @@ func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string,
 		}
 		// Deadline first, flag second: a wake between the two does nothing,
 		// but the Take below sees what it announced; a wake after both
-		// expires the deadline again. A kick stores its reason before it
-		// expires the deadline, so one this check misses expires it again.
+		// expires the deadline again.
 		_ = h.conn.SetReadDeadline(time.Time{})
 		h.woken.Store(false)
-		if h.kick.Load() != nil || !s.push(h.conn, sub, batch) {
+		if !s.push(h.conn, sub, user, batch) {
 			return
 		}
 	}
@@ -543,7 +509,7 @@ func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string,
 // push takes what is queued for sub, up to batch deliveries, and writes it
 // as one frame whose next_seq and dropped are from the same instant as its
 // deliveries. It reports whether the session goes on.
-func (s *Server) push(conn net.Conn, sub *pubsub.Subscription, batch int) bool {
+func (s *Server) push(conn net.Conn, sub *pubsub.Subscription, user string, batch int) bool {
 	f := framePool.Get().(*frameScratch)
 	defer framePool.Put(f)
 	if cap(f.ds) < batch {
@@ -557,7 +523,9 @@ func (s *Server) push(conn net.Conn, sub *pubsub.Subscription, batch int) bool {
 	if f.out, ok = appendFrame(f.out[:0], f.ds[:n], next, dropped, closed); !ok {
 		return false
 	}
+	s.bound(conn)
 	if _, err := conn.Write(f.out); err != nil {
+		s.stalled(err, conn, user)
 		return false
 	}
 	if n > 0 {

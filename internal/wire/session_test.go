@@ -197,44 +197,6 @@ func TestSessionPushDelivery(t *testing.T) {
 	}
 }
 
-// TestSessionKickEvicts pins the slow-consumer eviction hook: KickSession
-// ends an in-flight push session with a final error frame naming the
-// reason, but leaves the subscription itself registered — eviction sheds
-// the consumer, not the profile.
-func TestSessionKickEvicts(t *testing.T) {
-	c, srv, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, QueueSize: 64})
-	if err := c.Subscribe("alice", "", []string{"cats"}); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Dial(srv.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	sess, err := sc.Session("alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := srv.KickSession("ghost", "no such session"); n != 0 {
-		t.Fatalf("kick for unknown user signalled %d sessions", n)
-	}
-	// The session registers its handle just after the handshake ack,
-	// so poll until the kick lands instead of racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.KickSession("alice", "drop rate 12.0/s over 3 windows") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("kick never found the session")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, err := sess.Recv(); err == nil || !strings.Contains(err.Error(), "session evicted") {
-		t.Fatalf("recv after kick: %v, want session evicted", err)
-	}
-	if _, ok := b.Subscription("alice"); !ok {
-		t.Fatal("eviction removed the subscription itself")
-	}
-}
-
 // TestSessionUnknownUser checks the session handshake rejects a user that
 // was never subscribed.
 func TestSessionUnknownUser(t *testing.T) {
