@@ -5,9 +5,9 @@
 // online.
 //
 // With -state, profiles are durable: subscriptions and judgments are
-// journaled to a sharded write-ahead log (-lanes), compacted by periodic
-// incremental checkpoints (only lanes with changed profiles rewrite their
-// segment), and restored on restart. With -max-resident-profiles, restored
+// journaled to a write-ahead log, compacted by periodic incremental
+// checkpoints (changed profiles are re-encoded, the rest copied verbatim),
+// and restored on restart. With -max-resident-profiles, restored
 // profiles boot as evicted stubs and hydrate from the store on first use, and
 // the broker keeps at most that many in the heap (DESIGN.md §14).
 //
@@ -19,7 +19,7 @@
 //
 //	mmserver [-addr :7070 | -addr unix:/path.sock] [-threshold 0.25]
 //	         [-queue 128] [-retention 4096]
-//	         [-state DIR] [-checkpoint 5m] [-lanes 4]
+//	         [-state DIR] [-checkpoint 5m]
 //	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
 //	         [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]

@@ -45,7 +45,7 @@ func TestConfigDefaults(t *testing.T) {
 // this table and say which two existing workloads need different values.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "checkpoint", "dump-dir", "fsync", "http", "lanes",
+		"addr", "checkpoint", "dump-dir", "fsync", "http",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
 		"queue", "retain-content", "retention", "state",
 		"sync-interval", "threshold", "trace-sample", "trace-slow",
@@ -60,15 +60,13 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestInstrumentSurface pins the exact (name, kind) list a server built
-// with -state and tracing registers — store family, broker + index, store
-// lanes, wire server, runtime sampler, trace gauges.
+// with -state and tracing registers — store family, broker + index, wire
+// server, runtime sampler, trace gauges.
 // Every series is a thing to document, scrape and keep working: a new one
 // edits this table; one that disappears fails here first. Kinds are read
 // off the Snapshot value types, which Registry.Snapshot documents.
 func TestInstrumentSurface(t *testing.T) {
 	want := [][2]string{
-		{"lane_append_bytes", "topk"},
-		{"lane_fsyncs", "topk"},
 		{"mm_feedback_ignored_total", "counter"},
 		{"mm_index_blocks_skipped_total", "counter"},
 		{"mm_index_compaction_seconds", "histogram"},
@@ -110,8 +108,6 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_store_append_seconds", "histogram"},
 		{"mm_store_appends_total", "counter"},
 		{"mm_store_checkpoint_bytes", "gauge"},
-		{"mm_store_checkpoint_lanes_rewritten_total", "counter"},
-		{"mm_store_checkpoint_lanes_skipped_total", "counter"},
 		{"mm_store_checkpoint_seconds", "histogram"},
 		{"mm_store_checkpoints_total", "counter"},
 		{"mm_store_dirty_profiles", "gauge"},
@@ -121,7 +117,6 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_store_group_commit_batches_total", "counter"},
 		{"mm_store_group_commit_records_total", "counter"},
 		{"mm_store_group_commit_wait_seconds", "histogram"},
-		{"mm_store_lanes", "gauge"},
 		{"mm_store_restore_read_bytes_total", "counter"},
 		{"mm_store_torn_tails_total", "counter"},
 		{"mm_store_user_restores_total", "counter"},

@@ -1,15 +1,15 @@
 // Command mmstore inspects an mmserver state directory (see
-// internal/store): the manifest-committed lane layout, each lane's
-// segment and journal (including crash damage: torn tails and committed
-// extent), and the profiles that recovery would reconstruct. The
-// directory is opened read-only, so it is safe to point at a live
-// server's state.
+// internal/store): the manifest-committed generation, the segment and
+// journal (including crash damage: torn tails and committed extent), and
+// the profiles that recovery would reconstruct. The directory is opened
+// read-only, so it is safe to point at a live server's state; a directory
+// an older release wrote with several lanes is refused until a server has
+// opened it once.
 //
 // Usage:
 //
-//	mmstore -state DIR           # summary: manifest epoch, lanes, users
+//	mmstore -state DIR           # summary: generation, bytes, dirty users, users
 //	mmstore -state DIR -user ID  # one restored profile in detail
-//	mmstore lanes -state DIR     # per-lane generation, bytes, dirty counts
 package main
 
 import (
@@ -26,19 +26,6 @@ import (
 )
 
 func main() {
-	// The lanes subcommand gets its own flag set so both spellings parse:
-	// `mmstore lanes -state DIR`.
-	if len(os.Args) > 1 && os.Args[1] == "lanes" {
-		fs := flag.NewFlagSet("lanes", flag.ExitOnError)
-		stateDir := fs.String("state", "", "state directory")
-		fs.Parse(os.Args[2:])
-		if *stateDir == "" {
-			fmt.Fprintln(os.Stderr, "mmstore lanes: need -state DIR")
-			os.Exit(2)
-		}
-		lanes(*stateDir)
-		return
-	}
 	var (
 		stateDir = flag.String("state", "", "state directory")
 		user     = flag.String("user", "", "show one user's restored profile")
@@ -64,7 +51,7 @@ func main() {
 		// Surface the journal damage before giving up on the replay.
 		if infoErr != nil {
 			fmt.Fprintf(os.Stderr, "mmstore: journal generation %d: %v (%d record(s) readable, %d committed byte(s))\n",
-				info.Seq, infoErr, info.Records, info.Committed)
+				info.Gen, infoErr, info.Records, info.Committed)
 		}
 		fail(err)
 	}
@@ -84,38 +71,11 @@ func main() {
 	describe(*user, l)
 }
 
-// lanes prints the per-lane breakdown: each lane's generation, its
-// checkpoint segment, and its journal's committed/torn extents and
-// dirty-profile count — the inputs the incremental checkpoint policy
-// works from.
-func lanes(stateDir string) {
-	st, err := store.Open(stateDir, store.Options{ReadOnly: true})
-	if err != nil {
-		fail(err)
-	}
-	defer st.Close()
-	infos, infoErr := st.LaneInfos()
-	fmt.Printf("%-5s %-4s %-9s %-10s %-10s %-6s %-9s %-10s\n",
-		"lane", "gen", "segprofs", "segbytes", "committed", "torn", "records", "dirty")
-	for _, li := range infos {
-		fmt.Printf("%-5d %-4d %-9d %-10d %-10d %-6d %-9d %-10d\n",
-			li.Lane, li.Gen, li.SegProfiles, li.SegBytes,
-			li.Committed, li.Torn, li.Records, li.DirtyUsers)
-	}
-	if infoErr != nil {
-		fail(infoErr)
-	}
-}
-
 func summarize(profiles []store.ProfileRecord, events []store.Event, info store.WALInfo) {
 	fmt.Printf("manifest epoch:   %d\n", info.Seq)
-	fmt.Printf("wal lanes:        %d\n", info.Lanes)
-	fmt.Printf("segment records:  %d\n", len(profiles))
-	var snapBytes int
-	for _, p := range profiles {
-		snapBytes += len(p.Data)
-	}
-	fmt.Printf("segment bytes:    %d\n", snapBytes)
+	fmt.Printf("generation:       %d\n", info.Gen)
+	fmt.Printf("segment profiles: %d\n", info.SegProfiles)
+	fmt.Printf("segment bytes:    %d\n", info.SegBytes)
 	counts := map[store.EventType]int{}
 	for _, ev := range events {
 		counts[ev.Type]++
@@ -129,6 +89,7 @@ func summarize(profiles []store.ProfileRecord, events []store.Event, info store.
 		fmt.Printf(" + %d torn (crash artifact; repaired on next server start)", info.Torn)
 	}
 	fmt.Println()
+	fmt.Printf("dirty users:      %d\n", info.DirtyUsers)
 	users := store.Users(profiles, events)
 	fmt.Printf("users after replay: %d\n", len(users))
 	for _, u := range users {

@@ -1,10 +1,10 @@
 package metrics
 
 // A top-k dimension bounds the cardinality problem in attribution: "which
-// subscriber is dropping", "which term is expensive", "which WAL lane is
-// hot" are all top-K-by-weight questions over key spaces (users, terms)
-// that are unbounded, while the answer that matters is always the heavy
-// head of a Zipf-skewed distribution. A space-saving (stream-summary)
+// subscriber is dropping" and "which term is expensive" are top-K-by-weight
+// questions over key spaces (users, terms) that are unbounded, while the
+// answer that matters is always the heavy head of a Zipf-skewed
+// distribution. A space-saving (stream-summary)
 // sketch answers them in fixed memory with a deterministic error bound.
 //
 // The sketch keeps at most C (key, count, err) entries. Offering weight w

@@ -15,7 +15,7 @@ import (
 // Hydrator restores one subscriber's learner from durable storage, for
 // lazy profile hydration (DESIGN.md §14). *store.Store implements it: the
 // learner is rebuilt from the user's checkpoint segment plus a replay of
-// the user's WAL-lane records. RestoreUser reports ok=false when the user
+// the user's WAL records. RestoreUser reports ok=false when the user
 // has no durable state (never subscribed, or unsubscribed).
 //
 // Because the broker journals every profile mutation *before* applying it

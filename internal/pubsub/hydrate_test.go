@@ -62,12 +62,12 @@ func TestBoundedResidencyMatchesUnbounded(t *testing.T) {
 		steps       = 300
 	)
 	reg := metrics.NewRegistry()
-	stA, err := store.Open(t.TempDir(), store.Options{Lanes: 4})
+	stA, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stA.Close()
-	stB, err := store.Open(t.TempDir(), store.Options{Lanes: 4})
+	stB, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBoundedResidencyMatchesUnbounded(t *testing.T) {
 // hydrate to exactly the state the journal describes.
 func TestLazyBootHydratesOnDemand(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{Lanes: 2})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func (s *subscriber) waitedOn() bool {
 // introspection against a tiny residency bound from many goroutines — the
 // race detector's view of the evict/hydrate/LRU interplay.
 func TestBoundedResidencyConcurrent(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{Lanes: 4})
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

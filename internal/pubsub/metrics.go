@@ -109,7 +109,7 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 		profileEvictions: reg.Counter("mm_pubsub_profile_evictions_total",
 			"Resident profiles dropped from the heap by the MaxResident LRU bound."),
 		hydrateLat: reg.Histogram("mm_pubsub_hydrate_seconds",
-			"Latency of rebuilding one evicted profile from its checkpoint segment and WAL-lane replay."),
+			"Latency of rebuilding one evicted profile from its checkpoint segment and WAL replay."),
 		topDeliveries: topk("subscriber_deliveries",
 			"Deliveries enqueued, by subscriber."),
 		topDrops: topk("subscriber_drops",

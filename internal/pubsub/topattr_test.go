@@ -89,7 +89,7 @@ func TestBrokerAttributionDimensions(t *testing.T) {
 // per-subscriber hydration dimension counts rebuilds.
 func TestHydrationAttribution(t *testing.T) {
 	reg := metrics.NewRegistry()
-	st, err := store.Open(t.TempDir(), store.Options{Lanes: 2})
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

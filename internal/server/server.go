@@ -290,7 +290,7 @@ func (s *Server) tick(now time.Time) {
 // running. Readiness flips first, so balancers watching /readyz stop routing
 // (/healthz stays green: the process must not be restarted mid-drain). The
 // schedule and every connection end before the final checkpoint, so no late
-// judgment re-dirties a lane behind it and a clean shutdown leaves no WAL
+// judgment re-dirties a profile behind it and a clean shutdown leaves no WAL
 // tail. A second call waits for the first.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
@@ -323,7 +323,7 @@ func (s *Server) Stop() {
 // first use — the names come from the store's offset index, so boot holds
 // O(subscribers) index entries, never the state. Boot compacts nothing: a
 // recovered WAL tail stays dirty until the first periodic or shutdown
-// checkpoint rewrites those lanes (DESIGN.md §14).
+// checkpoint compacts it (DESIGN.md §14).
 func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bool) error {
 	var users []string
 	var learners map[string]filter.Learner // stays nil when lazy: every user boots as a stub
@@ -357,7 +357,7 @@ func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bo
 
 // runCheckpoint runs one incremental checkpoint: the journal's durability
 // barrier first (so the relaxed -sync-interval window never spans a
-// checkpoint), then a segment rewrite of every lane the WAL has touched.
+// checkpoint), then a segment rewrite when the WAL has touched any profile.
 func runCheckpoint(st *store.Store, broker *pubsub.Broker, logger *obs.Logger) error {
 	if err := broker.SyncJournal(); err != nil {
 		return err
@@ -367,11 +367,8 @@ func runCheckpoint(st *store.Store, broker *pubsub.Broker, logger *obs.Logger) e
 		return err
 	}
 	logger.Debug("mmserver: checkpoint",
-		slog.Int("lanes", stats.Lanes),
-		slog.Int("rewritten", stats.Rewritten),
-		slog.Int("skipped", stats.Skipped),
-		slog.Int("clean", stats.Clean),
 		slog.Int("profiles", stats.Profiles),
+		slog.Int("carried", stats.Carried),
 		slog.Int64("bytes", stats.Bytes))
 	return nil
 }

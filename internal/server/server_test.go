@@ -88,25 +88,25 @@ func counter(s *Server, name string) int64 {
 	return v
 }
 
-// lanes opens the state directory read-only, as mmstore does, and reports
-// every lane.
-func lanes(t *testing.T, fs faultfs.FS) ([]store.LaneInfo, *store.Store) {
+// journal opens the state directory read-only, as mmstore does, and
+// reports the journal.
+func journal(t *testing.T, fs faultfs.FS) (store.WALInfo, *store.Store) {
 	t.Helper()
 	st, err := store.Open(stateDir, store.Options{ReadOnly: true, FS: fs})
 	must(t, err)
 	t.Cleanup(func() { st.Close() })
-	infos, err := st.LaneInfos()
+	info, err := st.WALInfo()
 	must(t, err)
-	return infos, st
+	return info, st
 }
 
 // crashed builds a state directory the way the CI smoke's crash leg did: a
 // first boot subscribes alice and bob and shuts down clean; a second, with
 // -fsync, takes two durable judgments from alice and loses power halfway
 // through writing her third. It returns the filesystem after power-on,
-// alice's Export as of the last acknowledged judgment, and each lane's
+// alice's Export as of the last acknowledged judgment, and the journal's
 // generation as the crash left it.
-func crashed(t *testing.T) (sim *faultfs.Sim, want []byte, gens []uint64) {
+func crashed(t *testing.T) (sim *faultfs.Sim, want []byte, gen uint64) {
 	t.Helper()
 	sim = faultfs.NewSim()
 	cfg := Config{StateDir: stateDir, Fsync: true, Threshold: 0.2}
@@ -127,11 +127,8 @@ func crashed(t *testing.T) (sim *faultfs.Sim, want []byte, gens []uint64) {
 	must(t, c.Feedback("alice", doc, true))
 	_, want, err = c.Export("alice")
 	must(t, err)
-	infos, err := s.st.LaneInfos()
+	info, err := s.st.WALInfo()
 	must(t, err)
-	for _, li := range infos {
-		gens = append(gens, li.Gen)
-	}
 	sim.SetHook(faultfs.CrashAt(sim.Ops() + 1))
 	if err := c.Feedback("alice", doc, true); err == nil {
 		t.Fatal("a judgment torn mid-append was acknowledged")
@@ -139,37 +136,26 @@ func crashed(t *testing.T) (sim *faultfs.Sim, want []byte, gens []uint64) {
 	s.Stop() // the machine is dead: nothing it writes lands
 	sim.SetHook(nil)
 	sim.Reboot()
-	return sim, want, gens
+	return sim, want, info.Gen
 }
 
 // TestCrashReboot boots, serves, crashes and reboots a complete server —
 // every connection a net.Pipe, the disk a faultfs.Sim, the schedule unrun.
 // Both ways of rebooting (eager, and lazy under -max-resident-profiles 1)
 // must hold every acknowledged judgment bit for bit, compact nothing at boot
-// (generations unmoved, alice's lane the one dirty lane), answer for a stub,
-// and leave, after Stop, dirty 0 everywhere and a generation one higher on
-// that lane and no other. These are the facts CI's smoke step used to check
-// from the shell against a binary.
+// (the generation unmoved, alice the one dirty user), answer for a stub,
+// and leave, after Stop, no dirty user and the generation one higher. These
+// are the facts CI's smoke step used to check from the shell against a
+// binary.
 func TestCrashReboot(t *testing.T) {
 	for _, maxResident := range []int{0, 1} {
-		sim, want, gens := crashed(t)
+		sim, want, gen := crashed(t)
 		s := mustNew(t, Config{StateDir: stateDir, Fsync: true, Threshold: 0.2, MaxResident: maxResident}, sim)
-		infos, err := s.st.LaneInfos()
+		info, err := s.st.WALInfo()
 		must(t, err)
-		dirty := -1
-		for i, li := range infos {
-			if li.Gen != gens[i] {
-				t.Errorf("max-resident %d: boot moved lane %d from generation %d to %d", maxResident, i, gens[i], li.Gen)
-			}
-			if li.DirtyUsers > 0 {
-				if dirty >= 0 {
-					t.Errorf("max-resident %d: lanes %d and %d both dirty after the crash", maxResident, dirty, i)
-				}
-				dirty = i
-			}
-		}
-		if dirty < 0 {
-			t.Fatalf("max-resident %d: no dirty lane after the crash: %+v", maxResident, infos)
+		if info.Gen != gen || info.DirtyUsers != 1 {
+			t.Errorf("max-resident %d: after boot generation %d with %d dirty users; want generation %d, 1 dirty",
+				maxResident, info.Gen, info.DirtyUsers, gen)
 		}
 
 		c := dial(s)
@@ -183,16 +169,9 @@ func TestCrashReboot(t *testing.T) {
 		}
 		s.Stop()
 
-		after, _ := lanes(t, sim)
-		for i, li := range after {
-			wantGen := gens[i]
-			if i == dirty {
-				wantGen++
-			}
-			if li.DirtyUsers != 0 || li.Records != 0 || li.Gen != wantGen {
-				t.Errorf("max-resident %d: after Stop lane %d has dirty %d, %d records, generation %d; want 0, 0, %d",
-					maxResident, i, li.DirtyUsers, li.Records, li.Gen, wantGen)
-			}
+		if after, _ := journal(t, sim); after.DirtyUsers != 0 || after.Records != 0 || after.Gen != gen+1 {
+			t.Errorf("max-resident %d: after Stop dirty %d, %d records, generation %d; want 0, 0, %d",
+				maxResident, after.DirtyUsers, after.Records, after.Gen, gen+1)
 		}
 	}
 }
@@ -225,11 +204,9 @@ func TestStopUnderLiveFeedback(t *testing.T) {
 	s.Stop()
 	n := <-acked
 
-	infos, st := lanes(t, sim)
-	for _, li := range infos {
-		if li.DirtyUsers != 0 || li.Records != 0 {
-			t.Errorf("clean shutdown left lane %d with %d dirty users, %d WAL records", li.Lane, li.DirtyUsers, li.Records)
-		}
+	info, st := journal(t, sim)
+	if info.DirtyUsers != 0 || info.Records != 0 {
+		t.Errorf("clean shutdown left %d dirty users, %d WAL records", info.DirtyUsers, info.Records)
 	}
 	profiles, events, err := st.Load()
 	must(t, err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 // benchDurableAppend measures the durable append path and reports the
 // real fsync amplification from the metrics registry. The serial case is
 // the old SyncEveryAppend behavior by construction (every append leads
-// its own batch: 1 fsync per append); the parallel cases show group
-// commit coalescing concurrent appenders onto shared fsyncs.
+// its own batch: 1 fsync per append); the parallel cases, each writer its
+// own user, show group commit coalescing concurrent appenders onto shared
+// fsyncs.
 func benchDurableAppend(b *testing.B, workers int) {
 	reg := metrics.NewRegistry()
 	s, err := Open(b.TempDir(), Options{Durable: true, Metrics: reg})
@@ -59,42 +61,6 @@ func BenchmarkDurableAppend(b *testing.B) {
 	}
 }
 
-// benchDurableAppendLanes measures the sharded-journal durable append path:
-// 64 concurrent writers spread across user ids (and therefore across WAL
-// lanes), with the lane count swept. Reports the same fsyncs/append
-// amplification metric as benchDurableAppend so the two tables compare
-// directly.
-func benchDurableAppendLanes(b *testing.B, lanes, workers int) {
-	reg := metrics.NewRegistry()
-	s, err := Open(b.TempDir(), Options{Durable: true, Lanes: lanes, Metrics: reg})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	doc := vec("cat", 1.0, "dog", 0.5)
-
-	var id atomic.Int64
-	b.ResetTimer()
-	b.SetParallelism(workers)
-	b.RunParallel(func(pb *testing.PB) {
-		// Distinct users per goroutine so writers spread over every lane.
-		user := fmt.Sprintf("u%d", id.Add(1))
-		for pb.Next() {
-			if err := s.AppendFeedback(user, doc, filter.Relevant); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-
-	snap := reg.Snapshot()
-	fsyncs := snap["mm_store_fsyncs_total"].(int64)
-	appends := snap["mm_store_appends_total"].(int64)
-	if appends > 0 {
-		b.ReportMetric(float64(fsyncs)/float64(appends), "fsyncs/append")
-	}
-}
-
 // BenchmarkLazyBoot measures a lazy boot's store half — Open, RestoredUsers,
 // Close — over 4 000 users of ~6 KB in segments, the population of perf's
 // restart workload, and reports the segment bytes it reads.
@@ -120,8 +86,40 @@ func BenchmarkLazyBoot(b *testing.B) {
 	b.ReportMetric(float64(cfs.seg.Load())/float64(b.N), "seg-B/op")
 }
 
-func BenchmarkDurableAppendLanes(b *testing.B) {
-	for _, lanes := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) { benchDurableAppendLanes(b, lanes, 64) })
+// BenchmarkCheckpoint measures one Checkpoint(1) over 4 000 users of ~5.5 KB
+// in segments, perf's restart population, after a tail of 400 judgments
+// spread uniformly over them, and reports the segment bytes it writes.
+func BenchmarkCheckpoint(b *testing.B) {
+	const users, tail = 4000, 400
+	dir := b.TempDir()
+	checkpointedStore(b, dir, users, trainedProfile(b, 3))
+	s, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer s.Close()
+	pairs := make([]any, 0, 200)
+	for i := 0; i < 100; i++ {
+		pairs = append(pairs, fmt.Sprintf("tailterm%03d", i), 1.0+float64(i%5))
+	}
+	doc := vec(pairs...)
+	rng := rand.New(rand.NewSource(1))
+	var written int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < tail; j++ {
+			if err := s.AppendFeedback(fmt.Sprintf("user-%05d", rng.Intn(users)), doc, filter.Relevant); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		st, err := s.Checkpoint(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		written += st.Bytes
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(written)/float64(b.N), "B-written/op")
 }

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 )
@@ -95,7 +94,7 @@ func manifestOf(t *testing.T, dir string) manifest {
 }
 
 // TestLazyBootReadsOnlyTheIndex is the boot's I/O bound: over 2 000 users
-// of ~10 KB in segments, Open + RestoredUsers reads each lane's index
+// of ~10 KB in segments, Open + RestoredUsers reads the segment's index
 // frame — at most 64 B a user — and no record, and lists exactly the users
 // an eager Load holds.
 func TestLazyBootReadsOnlyTheIndex(t *testing.T) {
@@ -127,10 +126,10 @@ func TestLazyBootReadsOnlyTheIndex(t *testing.T) {
 	}
 }
 
-// TestWALInfoReadsIndexesNotSegments: the flight recorder's WALInfo (and
-// mmstore's LaneInfos) take a segment's profile count and size from its
-// index frame, so over indexed lanes they read the index frames and the
-// WALs and nothing else — and still count every profile.
+// TestWALInfoReadsIndexesNotSegments: the flight recorder's and mmstore's
+// WALInfo takes the segment's profile count and size from its index frame,
+// so it reads the index frame and the WAL and nothing else — and still
+// counts every profile.
 func TestWALInfoReadsIndexesNotSegments(t *testing.T) {
 	const users = 200
 	dir := t.TempDir()
@@ -141,54 +140,41 @@ func TestWALInfoReadsIndexesNotSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 20; i++ { // a WAL tail over some lanes
+	for i := 0; i < 20; i++ { // a WAL tail
 		if err := s.AppendFeedback(fmt.Sprintf("user-%05d", i), vec("cat", 1.0), filter.Relevant); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	var indexBytes, walBytes, segBytes int64
-	mf := manifestOf(t, dir)
-	for _, ln := range s.lanes {
-		seg, err := os.Stat(s.segPath(ln, ln.gen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wal, err := os.Stat(s.walPath(ln, ln.gen))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mf.idx[ln.id] == noIndex {
-			t.Fatalf("lane %d: the checkpoint committed no index offset", ln.id)
-		}
-		indexBytes += seg.Size() - mf.idx[ln.id]
-		segBytes += seg.Size()
-		walBytes += wal.Size()
+	at := manifestOf(t, dir).idx[0]
+	if at == noIndex {
+		t.Fatal("the checkpoint committed no index offset")
 	}
-	cfs.seg.Store(0)
-	cfs.wal.Store(0)
-	if _, err := s.WALInfo(); err != nil {
-		t.Fatal(err)
-	}
-	if seg, wal := cfs.seg.Load(), cfs.wal.Load(); seg > indexBytes || wal > walBytes {
-		t.Errorf("WALInfo read %d segment and %d WAL bytes; the index frames are %d of %d segment bytes, the WALs %d",
-			seg, wal, indexBytes, segBytes, walBytes)
-	}
-	lis, err := s.LaneInfos()
+	seg, err := os.Stat(s.segPath(s.gen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, sizes := 0, int64(0)
-	for _, li := range lis {
-		profiles += li.SegProfiles
-		sizes += li.SegBytes
+	wal, err := os.Stat(s.walPath(s.gen))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if profiles != users || sizes != segBytes {
-		t.Errorf("LaneInfos: %d profiles in %d segment bytes, want %d in %d", profiles, sizes, users, segBytes)
+	cfs.seg.Store(0)
+	cfs.wal.Store(0)
+	info, err := s.WALInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segRead, walRead := cfs.seg.Load(), cfs.wal.Load(); segRead > seg.Size()-at || walRead > wal.Size() {
+		t.Errorf("WALInfo read %d segment and %d WAL bytes; the index frame is %d of %d segment bytes, the WAL %d",
+			segRead, walRead, seg.Size()-at, seg.Size(), wal.Size())
+	}
+	if info.SegProfiles != users || info.SegBytes != seg.Size() || info.DirtyUsers != 20 {
+		t.Errorf("WALInfo: %d profiles in %d segment bytes, %d dirty; want %d in %d, 20 dirty",
+			info.SegProfiles, info.SegBytes, info.DirtyUsers, users, seg.Size())
 	}
 }
 
-// damageRecord rewrites user's segment frame in dir's one-lane store: how
+// damageRecord rewrites user's segment frame in the file at path: how
 // "payload" flips a byte of the profile data and leaves the checksum
 // stale; "name" flips a byte of the user name and fixes the checksum, so
 // only the index's name can tell.
@@ -215,13 +201,13 @@ func damageRecord(t *testing.T, path string, ref segRef, how string) {
 // records it does not read, so a damaged cold record must be caught where
 // it is first read — a hydration, a checkpoint's verbatim carry, an eager
 // Load — and never served or carried into a new segment. The rest of the
-// lane keeps working.
+// store keeps working.
 func TestDamagedColdRecordNeverServed(t *testing.T) {
 	users := []string{"alice", "bob", "carol", "dave", "erin"}
 	for _, how := range []string{"payload", "name"} {
 		t.Run(how, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{Lanes: 1})
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +227,7 @@ func TestDamagedColdRecordNeverServed(t *testing.T) {
 				}
 				want[u] = marshal(t, l)
 			}
-			ref, segPath := s.lanes[0].segIdx["carol"], s.segPath(s.lanes[0], 1)
+			ref, segPath := s.segIdx["carol"], s.segPath(1)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +238,7 @@ func TestDamagedColdRecordNeverServed(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s = openStoreLanes(t, dir, 1)
+			s = openStore(t, dir)
 			names, err := s.RestoredUsers()
 			if err != nil || fmt.Sprint(names) != fmt.Sprint(users) {
 				t.Fatalf("lazy boot over a damaged cold record: %v, %v; want every user", names, err)
@@ -297,7 +283,7 @@ func TestDamagedColdRecordNeverServed(t *testing.T) {
 // Open or RestoredUsers — and never list a wrong set of users.
 func TestDamagedIndexRefusesBoot(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	for _, u := range []string{"alice", "bob", "carol"} {
 		if err := s.AppendSubscribe(u, "MM", trainedProfile(t, 1)); err != nil {
 			t.Fatal(err)
@@ -306,7 +292,7 @@ func TestDamagedIndexRefusesBoot(t *testing.T) {
 	if _, err := s.Checkpoint(1); err != nil {
 		t.Fatal(err)
 	}
-	segPath := s.segPath(s.lanes[0], 1)
+	segPath := s.segPath(1)
 	s.Close()
 	at := manifestOf(t, dir).idx[0]
 	data, err := os.ReadFile(segPath)
@@ -330,87 +316,4 @@ func TestDamagedIndexRefusesBoot(t *testing.T) {
 		}
 		data[off] ^= 0x10
 	}
-}
-
-// TestOpensVersion1Layout: a directory a version-1 store wrote — segments
-// of bare profile records, a manifest without index offsets — opens, lists
-// and hydrates the same users through the segment scan; a checkpoint then
-// writes manifest version 2, with an index for the lane it rewrote and
-// none for the lane it did not.
-func TestOpensVersion1Layout(t *testing.T) {
-	const lanes = 2
-	dir := t.TempDir()
-	live := map[string]filter.Learner{}
-	segs := make([]bytes.Buffer, lanes)
-	for i := 0; len(live) < 6; i++ {
-		user := fmt.Sprintf("user-%d", i)
-		l := core.NewDefault()
-		l.Observe(fbVec(i), filter.Relevant)
-		live[user] = l
-		if err := writeRecord(&segs[laneFNV32(user)%lanes], encodeProfilePayload(user, "MM", marshal(t, l))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := range segs {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%03d-00000001.db", id)), segs[id].Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1 := []byte{'M', 'M', 'L', 'N', 1, 1, lanes, 1, 1} // epoch 1, generation 1 in both lanes
-	var mf bytes.Buffer
-	if err := writeRecord(&mf, v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), mf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(s *Store) {
-		t.Helper()
-		profiles, events, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		learners, err := Restore(profiles, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for user, l := range live {
-			if r := learners[user]; r == nil || !bytes.Equal(marshal(t, r), marshal(t, l)) {
-				t.Fatalf("%s does not restore to the learner written", user)
-			}
-		}
-		requireHydrationEqualsRestore(t, s, learners)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(s)
-	user := "user-0"
-	live[user].Observe(fbVec(99), filter.Relevant)
-	if err := s.AppendFeedback(user, fbVec(99), filter.Relevant); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := s.Checkpoint(1); err != nil || st.Rewritten != 1 {
-		t.Fatalf("checkpoint: %+v, %v", st, err)
-	}
-	check(s)
-	s.Close()
-
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if payloads, _, err := scanRecords(data); err != nil || len(payloads) != 1 || payloads[0][4] != 2 {
-		t.Fatalf("the manifest after a checkpoint is not version 2: %v", err)
-	}
-	got := manifestOf(t, dir)
-	for id := 0; id < lanes; id++ {
-		if rewritten := id == int(laneFNV32(user)%lanes); (got.idx[id] != noIndex) != rewritten {
-			t.Errorf("lane %d: index offset %d, rewritten %v", id, got.idx[id], rewritten)
-		}
-	}
-	s = openStore(t, dir)
-	check(s)
 }

@@ -1,7 +1,7 @@
 package store
 
 // The crash matrix: run a fixed Subscribe/Feedback/Checkpoint/Sync
-// workload against a two-lane store on the simulated filesystem, kill the
+// workload against a store on the simulated filesystem, kill the
 // machine at every single syscall boundary (faultfs.CrashAt tears the
 // in-flight write), reboot, reopen, and require that Load+Restore
 // succeeds and yields exactly a prefix of the workload — never shorter
@@ -11,8 +11,8 @@ package store
 // index frame each checkpointed segment ends with) agrees with it user for
 // user. This is the test that proves
 // the torn-tail repair, the segment/manifest rename ordering in
-// Checkpoint (including crashes between a lane's fsync and the manifest
-// rename), and the group-commit ack semantics all at once.
+// Checkpoint (including crashes between the segment's fsync and the
+// manifest rename), and the group-commit ack semantics all at once.
 
 import (
 	"bytes"
@@ -38,12 +38,10 @@ type matrixOp struct {
 
 // matrixScript mixes every record type with checkpoints and explicit
 // barriers; feedback indices are globally unique so the recovered state
-// reveals exactly which ops survived. Users "u" and "z" hash to different
-// lanes of a two-lane store (pinned in crashMatrix), so every crash point
-// also exercises the cross-lane commit. "w" shares "u"'s lane: the second
-// checkpoint writes an index over two users there and an empty one in
-// "z"'s lane, and the third carries "u"'s record verbatim beside "w"'s
-// rewritten one.
+// reveals exactly which ops survived. The second checkpoint writes "z"
+// into the segment beside "u"; the third drops "z" again after its
+// unsubscribe, rewrites "u" and adds "w"; the fourth carries "u"'s record
+// verbatim beside "w"'s rewritten one.
 var matrixScript = []matrixOp{
 	{kind: "sub", user: "u"},
 	{kind: "fb", user: "u", fbIdx: 0},
@@ -54,6 +52,7 @@ var matrixScript = []matrixOp{
 	{kind: "fb", user: "z", fbIdx: 3},
 	{kind: "fb", user: "u", fbIdx: 4},
 	{kind: "fb", user: "z", fbIdx: 5},
+	{kind: "ckpt"},
 	{kind: "unsub", user: "z"},
 	{kind: "fb", user: "u", fbIdx: 6},
 	{kind: "sync"},
@@ -175,11 +174,8 @@ func TestCrashMatrixDurable(t *testing.T) { crashMatrix(t, true) }
 func TestCrashMatrixRelaxed(t *testing.T) { crashMatrix(t, false) }
 
 func crashMatrix(t *testing.T, durable bool) {
-	if laneFNV32("u")%2 == laneFNV32("z")%2 || laneFNV32("u")%2 != laneFNV32("w")%2 {
-		t.Fatal("matrix users moved lanes — \"u\" and \"w\" must share one, \"z\" have the other")
-	}
 	opts := func(sim *faultfs.Sim) Options {
-		return Options{FS: sim, Durable: durable, Lanes: 2}
+		return Options{FS: sim, Durable: durable}
 	}
 
 	// Calibration pass: count the workload's total syscall footprint.
@@ -254,7 +250,7 @@ func crashMatrix(t *testing.T, durable bool) {
 			}
 
 			// The reopened store must be fully usable: the torn-tail
-			// repair has to leave every lane appendable (this is the exact
+			// repair has to leave the log appendable (this is the exact
 			// reopen-append-reload sequence that corrupted the store
 			// before the fix).
 			if err := s2.AppendSubscribe("q", "MM", nil); err != nil {
@@ -368,12 +364,12 @@ func TestLyingFsyncIsOutOfScope(t *testing.T) {
 }
 
 // TestWriteErrorPoisonsStore pins the short-write policy: after a failed
-// append the lane refuses further appends (the file tail is of unknown
+// append the store refuses further appends (the file tail is of unknown
 // extent) and Health reports it, Load still serves the committed prefix,
-// other lanes keep working, and reopening repairs.
+// and reopening repairs.
 func TestWriteErrorPoisonsStore(t *testing.T) {
 	sim := faultfs.NewSim()
-	s, err := Open("/state", Options{FS: sim, Lanes: 2})
+	s, err := Open("/state", Options{FS: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,21 +390,20 @@ func TestWriteErrorPoisonsStore(t *testing.T) {
 	if err := s.AppendFeedback("u", fbVec(1), filter.Relevant); err == nil {
 		t.Fatal("append accepted after a torn write — would corrupt the log")
 	}
-	if err := s.Health(); err == nil {
-		t.Fatal("poisoned lane not reported by Health")
+	if err := s.AppendSubscribe("z", "MM", nil); err == nil {
+		t.Fatal("another user's append accepted after a torn write")
 	}
-	// The other lane still accepts appends ("z" hashes away from "u").
-	if err := s.AppendSubscribe("z", "MM", nil); err != nil {
-		t.Fatalf("healthy lane refused an append: %v", err)
+	if err := s.Health(); err == nil {
+		t.Fatal("poisoned store not reported by Health")
 	}
 	// The committed prefix is still readable around the poison.
 	_, events, err := s.Load()
-	if err != nil || len(events) != 2 {
+	if err != nil || len(events) != 1 {
 		t.Fatalf("load on poisoned store: %d events, %v", len(events), err)
 	}
 	s.Close()
 	// Reopen repairs the torn tail and appends flow again.
-	s2, err := Open("/state", Options{FS: sim, Lanes: 2})
+	s2, err := Open("/state", Options{FS: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +412,7 @@ func TestWriteErrorPoisonsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, events, err = s2.Load()
-	if err != nil || len(events) != 3 {
+	if err != nil || len(events) != 2 {
 		t.Fatalf("after repair: %d events, %v", len(events), err)
 	}
 }
@@ -449,7 +444,7 @@ func TestOpenRefusesPreManifestLayout(t *testing.T) {
 		}
 		seeded := sim.Ops()
 
-		for _, opts := range []Options{{FS: sim, Lanes: 2}, {FS: sim, ReadOnly: true}} {
+		for _, opts := range []Options{{FS: sim}, {FS: sim, ReadOnly: true}} {
 			s, err := Open("/state", opts)
 			if err == nil {
 				s.Close()
@@ -477,13 +472,12 @@ func TestOpenRefusesPreManifestLayout(t *testing.T) {
 // TestCheckpointAfterRecoveryCompactsTheTail: a WAL tail the store
 // recovered at Open is as dirty as one it appended itself. After a power
 // cut, and after a Close that took no checkpoint, the reopened store's
-// dirty gauge counts the recovered users, agreeing with what mmstore lanes
-// reads off the files; one Checkpoint(1) rewrites exactly the lanes the
-// tail touched; after it those users hydrate from their segment record
-// alone; and the compacted state is the pre-crash learners byte for byte.
+// dirty gauge counts the recovered users, agreeing with what WALInfo reads
+// off the files; one Checkpoint(1) compacts them into the next generation,
+// carrying every other record verbatim; after it those users hydrate from
+// their segment record alone; and the compacted state is the pre-crash
+// learners byte for byte.
 func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
-	const lanes = 4
-	touchedLanes := map[int]bool{0: true, 2: true}
 	for _, how := range []string{"power cut", "close"} {
 		t.Run(how, func(t *testing.T) {
 			must := func(err error) {
@@ -493,7 +487,7 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 				}
 			}
 			sim := faultfs.NewSim()
-			s, err := Open("/state", Options{FS: sim, Lanes: lanes, Durable: true})
+			s, err := Open("/state", Options{FS: sim, Durable: true})
 			must(err)
 			live := map[string]filter.Learner{}
 			subscribe := func(user string) {
@@ -504,67 +498,49 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 				live[user].Observe(fbVec(i), filter.Relevant)
 				must(s.AppendFeedback(user, fbVec(i), filter.Relevant))
 			}
-			// Three users a lane, all in segments; then a tail over two of
-			// the lanes: feedback for two users of each, one user who leaves,
-			// one who arrives.
-			byLane := make([][]string, lanes)
-			for i := 0; len(live) < 3*lanes; i++ {
-				user := fmt.Sprintf("user-%02d", i)
-				if id := s.laneFor(user).id; len(byLane[id]) < 3 {
-					byLane[id] = append(byLane[id], user)
-					subscribe(user)
-					feedback(user, i)
-				}
+			// Twelve users, all in the segment; then a tail: feedback for
+			// four of them, one user who leaves, one who arrives.
+			var users []string
+			for i := 0; i < 12; i++ {
+				users = append(users, fmt.Sprintf("user-%02d", i))
+				subscribe(users[i])
+				feedback(users[i], i)
 			}
 			_, err = s.Checkpoint(1)
 			must(err)
 			tail := map[string]bool{}
-			for id := range touchedLanes {
-				for _, user := range byLane[id][:2] {
-					feedback(user, 100+id)
-					feedback(user, 200+id)
-					tail[user] = true
-				}
+			for i, user := range users[:4] {
+				feedback(user, 100+i)
+				feedback(user, 200+i)
+				tail[user] = true
 			}
-			gone := byLane[0][2]
+			gone := users[4]
 			must(s.AppendUnsubscribe(gone))
 			delete(live, gone)
 			tail[gone] = true
-			for i := 0; ; i++ {
-				if late := fmt.Sprintf("late-%02d", i); s.laneFor(late).id == 2 {
-					subscribe(late)
-					feedback(late, 300)
-					tail[late] = true
-					break
-				}
-			}
+			subscribe("late")
+			feedback("late", 300)
+			tail["late"] = true
 			if how == "close" {
 				must(s.Close())
 			}
 			sim.Reboot()
 
 			reg := metrics.NewRegistry()
-			s2, err := Open("/state", Options{FS: sim, Lanes: lanes, Metrics: reg})
+			s2, err := Open("/state", Options{FS: sim, Metrics: reg})
 			must(err)
 			defer s2.Close()
 			dirtyGauge := func() int { return int(reg.Snapshot()["mm_store_dirty_profiles"].(float64)) }
 			readBytes := func() int64 { return reg.Snapshot()["mm_store_restore_read_bytes_total"].(int64) }
-			laneInfos := func() []LaneInfo {
+			walInfo := func() WALInfo {
 				t.Helper()
-				lis, err := s2.LaneInfos()
+				info, err := s2.WALInfo()
 				must(err)
-				return lis
+				return info
 			}
-			before := laneInfos()
-			onDisk := 0
-			for _, li := range before {
-				onDisk += li.DirtyUsers
-				if (li.DirtyUsers > 0) != touchedLanes[li.Lane] {
-					t.Errorf("lane %d: %d dirty users on disk, the tail touched it: %v", li.Lane, li.DirtyUsers, touchedLanes[li.Lane])
-				}
-			}
-			if got := dirtyGauge(); got != len(tail) || got != onDisk {
-				t.Fatalf("after recovery mm_store_dirty_profiles = %d, LaneInfos count %d, the tail holds %d users", got, onDisk, len(tail))
+			before := walInfo()
+			if got := dirtyGauge(); got != len(tail) || got != before.DirtyUsers {
+				t.Fatalf("after recovery mm_store_dirty_profiles = %d, WALInfo counts %d, the tail holds %d users", got, before.DirtyUsers, len(tail))
 			}
 			hydrate := func(user string) (read, segRecord int64) {
 				t.Helper()
@@ -573,7 +549,7 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 				if err != nil || !found || !bytes.Equal(marshal(t, l), marshal(t, live[user])) {
 					t.Fatalf("RestoreUser(%q): found=%v err=%v, or not the learner that lived through the events", user, found, err)
 				}
-				return readBytes() - at, 8 + int64(s2.laneFor(user).segIdx[user].n)
+				return readBytes() - at, 8 + int64(s2.segIdx[user].n)
 			}
 			for user := range tail {
 				if user == gone {
@@ -586,20 +562,14 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 
 			st, err := s2.Checkpoint(1)
 			must(err)
-			if st.Rewritten != len(touchedLanes) || st.Clean != lanes-len(touchedLanes) || st.Skipped != 0 {
-				t.Fatalf("Checkpoint(1) after recovery = %+v, want %d lanes rewritten and %d clean", st, len(touchedLanes), lanes-len(touchedLanes))
+			if carried := len(users) - (len(tail) - 1); st.Profiles != len(live) || st.Carried != carried {
+				t.Fatalf("Checkpoint(1) after recovery = %+v, want %d profiles, %d carried", st, len(live), carried)
 			}
 			if got := dirtyGauge(); got != 0 {
 				t.Errorf("mm_store_dirty_profiles = %d after the checkpoint", got)
 			}
-			for i, li := range laneInfos() {
-				wantGen := before[i].Gen
-				if touchedLanes[li.Lane] {
-					wantGen++
-				}
-				if li.DirtyUsers != 0 || li.Gen != wantGen {
-					t.Errorf("lane %d after the checkpoint: gen %d dirty %d, want gen %d and nothing dirty", li.Lane, li.Gen, li.DirtyUsers, wantGen)
-				}
+			if after := walInfo(); after.DirtyUsers != 0 || after.Gen != before.Gen+1 {
+				t.Errorf("after the checkpoint: gen %d dirty %d, want gen %d and nothing dirty", after.Gen, after.DirtyUsers, before.Gen+1)
 			}
 			for user := range tail {
 				if user == gone {

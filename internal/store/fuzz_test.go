@@ -16,7 +16,7 @@ import (
 func sampleWAL(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	s, err := Open(dir, Options{Lanes: 1})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func FuzzLoadWAL(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(fdir, "wal-000-00000000.log"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(fdir, Options{Lanes: 1})
+		st, err := Open(fdir, Options{})
 		if err != nil {
 			// Mid-log corruption refused at open; the read-only path must
 			// still be able to inspect it without panicking.
@@ -118,7 +118,7 @@ func FuzzSegmentIndex(f *testing.F) {
 	// A real index: the frame a checkpoint of three users ends its segment
 	// with.
 	dir := f.TempDir()
-	s, err := Open(dir, Options{Lanes: 1})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func FuzzSegmentIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	end := s.lanes[0].idxOff
+	end := s.idxOff
 	real := seg[end+8:]
 	if _, err := decodeSegIndex(real, end); err != nil {
 		f.Fatalf("the checkpoint's own index: %v", err)

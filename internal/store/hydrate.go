@@ -7,37 +7,36 @@ import (
 )
 
 // RestoreUser rebuilds one user's learner from durable state: the user's
-// record in its lane's segment (if any) plus a replay of the user's
-// events in the lane's current WAL. Learner update rules are
+// record in the segment (if any) plus a replay of the user's events in the
+// current WAL. Learner update rules are
 // deterministic and the journal is written before any in-heap state
 // mutates, so the result is bit-identical to the learner the broker would
 // hold had the user never been evicted — this is the hydration half of
 // the pubsub LRU residency bound. found is false when the user does not
 // exist (or its last event is an unsubscribe).
 //
-// Cost is what the user's own records cost, whatever else the lane holds:
-// the offset index (lane.go) names the user's segment record and its
+// Cost is what the user's own records cost, whatever else the store holds:
+// the offset index (journal.go) names the user's segment record and its
 // events in the current WAL, and each is pread and checksummed on its
 // own. mm_store_restore_read_bytes_total counts the bytes.
 func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
-	ln := s.laneFor(user)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
-	if err := s.indexLane(ln); err != nil {
+	if err := s.indexJournal(); err != nil {
 		return nil, false, err
 	}
 	var l filter.Learner
 	var buf []byte // reused: each record is consumed before the next read
-	if ref, ok := ln.segIdx[user]; ok {
+	if ref, ok := s.segIdx[user]; ok {
 		var err error
-		if l, _, buf, err = s.segLearner(ln, user, ref, buf); err != nil {
+		if l, _, buf, err = s.segLearner(user, ref, buf); err != nil {
 			return nil, false, err
 		}
 		s.m.restoreReadBytes.Add(int64(len(buf)))
 	}
-	for _, ref := range ln.walIdx[user] {
-		frame, err := s.readAt(ln, walFile, ref.off, ref.n, buf)
+	for _, ref := range s.walIdx[user] {
+		frame, err := s.readAt(walFile, ref.off, ref.n, buf)
 		if err != nil {
 			return nil, false, err
 		}
@@ -48,7 +47,7 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 			l, err = apply(l, ev)
 		}
 		if err != nil {
-			return nil, false, fmt.Errorf("store: lane %d wal %d offset %d: %w", ln.id, ln.gen, ref.off, err)
+			return nil, false, fmt.Errorf("store: wal %d offset %d: %w", s.gen, ref.off, err)
 		}
 	}
 	if l != nil {
@@ -58,11 +57,11 @@ func (s *Store) RestoreUser(user string) (filter.Learner, bool, error) {
 }
 
 // segLearner preads user's segment record, which the index places at ref,
-// and rebuilds its learner (caller holds ln.mu). A record that names
+// and rebuilds its learner (caller holds s.mu). A record that names
 // another user is refused. It also returns the learner's registry name,
 // which the record carries, and the frame read, for reuse as buf.
-func (s *Store) segLearner(ln *lane, user string, ref segRef, buf []byte) (filter.Learner, string, []byte, error) {
-	frame, err := s.readAt(ln, segFile, ref.off, ref.n, buf)
+func (s *Store) segLearner(user string, ref segRef, buf []byte) (filter.Learner, string, []byte, error) {
+	frame, err := s.readAt(segFile, ref.off, ref.n, buf)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -75,7 +74,7 @@ func (s *Store) segLearner(ln *lane, user string, ref segRef, buf []byte) (filte
 		l, err = newRestored(rec.User, rec.Learner, rec.Data)
 	}
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("store: lane %d segment %d offset %d: %w", ln.id, ln.gen, ref.off, err)
+		return nil, "", nil, fmt.Errorf("store: segment %d offset %d: %w", s.gen, ref.off, err)
 	}
 	return l, rec.Learner, frame, nil
 }

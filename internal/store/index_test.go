@@ -2,7 +2,7 @@ package store
 
 // Tests for the offset index and the pread read path (DESIGN.md §14):
 // the two bounds it exists for — a cold profile costs index entries, not
-// heap; a hydration reads its own records, not its lane — and the fault
+// heap; a hydration reads its own records, not the WAL — and the fault
 // cases the new path adds.
 
 import (
@@ -147,13 +147,13 @@ func TestColdProfilesCostNoHeap(t *testing.T) {
 	}
 	check("after 200 hydrations")
 
-	for i := 0; i < users; i += 50 { // dirty every lane, then compact them all
+	for i := 0; i < users; i += 50 { // dirty one user in 50, then compact
 		if err := s.AppendFeedback(name(i), vec("cat", 1.0), filter.Relevant); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st, err := s.Checkpoint(1)
-	if err != nil || st.Rewritten != st.Lanes || st.Profiles != users || st.Carried != users-users/50 {
+	if err != nil || st.Profiles != users || st.Carried != users-users/50 {
 		t.Fatalf("checkpoint: %+v, %v", st, err)
 	}
 	check("after a checkpoint")
@@ -163,24 +163,24 @@ func TestColdProfilesCostNoHeap(t *testing.T) {
 }
 
 // TestRestoreUserReadsOnlyOwnRecords is the I/O bound: hydrating a user
-// with three records out of a lane WAL holding 5 000 of other users'
+// with three records out of a WAL holding 5 000 of other users'
 // reads those three frames and nothing else — from the index the appends
 // built, and from the one a reopen's scan rebuilds.
 func TestRestoreUserReadsOnlyOwnRecords(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	s, err := Open(dir, Options{Lanes: 1, Metrics: reg})
+	s, err := Open(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := s.lanes[0]
+	first := s
 	var own int64
 	mine := func(err error, before int64) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		own += ln.walLen - before
+		own += s.walLen - before
 	}
 	noise := func(n int) {
 		t.Helper()
@@ -196,13 +196,13 @@ func TestRestoreUserReadsOnlyOwnRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	at := ln.walLen
+	at := s.walLen
 	mine(s.AppendSubscribe("target", "MM", nil), at)
 	noise(2500)
-	at = ln.walLen
+	at = s.walLen
 	mine(s.AppendFeedback("target", vec("cat", 1.0), filter.Relevant), at)
 	noise(2500)
-	at = ln.walLen
+	at = s.walLen
 	mine(s.AppendFeedback("target", vec("dog", 1.0), filter.NotRelevant), at)
 
 	readBytes := func() int64 { return reg.Snapshot()["mm_store_restore_read_bytes_total"].(int64) }
@@ -214,7 +214,7 @@ func TestRestoreUserReadsOnlyOwnRecords(t *testing.T) {
 			t.Fatalf("%s: RestoreUser: found=%v err=%v", when, found, err)
 		}
 		if got := readBytes() - before; got <= 0 || got > own {
-			t.Errorf("%s: hydration read %d bytes; the user's three frames are %d of the WAL's %d", when, got, own, ln.walLen)
+			t.Errorf("%s: hydration read %d bytes; the user's three frames are %d of the WAL's %d", when, got, own, first.walLen)
 		}
 	}
 	hydrate(s, "live index")
@@ -233,7 +233,7 @@ func TestRestoreUserReadsOnlyOwnRecords(t *testing.T) {
 // an error, never with a profile, and recover once the byte is restored.
 func TestRestoreUserDetectsBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	for _, u := range []string{"alice", "bob"} {
 		if err := s.AppendSubscribe(u, "MM", nil); err != nil {
 			t.Fatal(err)
@@ -255,8 +255,7 @@ func TestRestoreUserDetectsBitFlip(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("RestoreUser: found=%v err=%v", found, err)
 	}
-	ln := s.lanes[0]
-	seg, wal := ln.segIdx["bob"], ln.walIdx["bob"][0]
+	seg, wal := s.segIdx["bob"], s.walIdx["bob"][0]
 	for _, c := range []struct {
 		path   string
 		off, n int64

@@ -13,21 +13,23 @@ import (
 	"mmprofile/internal/faultfs"
 )
 
-// The manifest is the commit point of the sharded layout: a single framed
-// record naming the current generation of every lane and, from version 2,
-// where that generation's segment keeps its offset index. Recovery trusts
-// only files the manifest references, so checkpoints can stage new
-// segments freely — nothing becomes authoritative until the one atomic
-// MANIFEST rename lands, and everything unreferenced is removable
-// garbage. The epoch counts manifest commits, for inspection tooling.
+// The manifest is the commit point of the layout: a single framed record
+// naming the journal's current generation and, from version 2, where that
+// generation's segment keeps its offset index. Recovery trusts only files
+// the manifest references, so checkpoints can stage new segments freely —
+// nothing becomes authoritative until the one atomic MANIFEST rename lands,
+// and everything unreferenced is removable garbage. The epoch counts
+// manifest commits, for inspection tooling. The format names a list of
+// lanes; this release writes one, and folds a directory that names more
+// (fold.go).
 
 const (
 	manifestName = "MANIFEST"
 	// maxLanes bounds the manifest's claimed lane count; anything larger
-	// is corruption, not configuration.
+	// is corruption.
 	maxLanes = 1024
-	// noIndex is a lane's index offset when its segment carries no index
-	// frame: written under manifest version 1, or generation 0 (no segment).
+	// noIndex is the index offset of generation 0, which has no segment,
+	// and of a segment an older release wrote without an index frame.
 	noIndex = -1
 )
 
@@ -37,21 +39,18 @@ type manifest struct {
 	idx   []int64  // where each lane's segment index frame starts, or noIndex
 }
 
-// encodeManifest writes version 2: per lane the generation, then the
+// encodeManifest writes version 2 naming one lane: its generation, then the
 // index offset plus one (0 for noIndex).
-func encodeManifest(mf manifest) []byte {
+func encodeManifest(epoch, gen uint64, idxOff int64) []byte {
 	payload := []byte{'M', 'M', 'L', 'N', 2}
-	payload = binary.AppendUvarint(payload, mf.epoch)
-	payload = binary.AppendUvarint(payload, uint64(len(mf.gens)))
-	for i, g := range mf.gens {
-		payload = binary.AppendUvarint(payload, g)
-		payload = binary.AppendUvarint(payload, uint64(mf.idx[i]+1))
-	}
-	return payload
+	payload = binary.AppendUvarint(payload, epoch)
+	payload = binary.AppendUvarint(payload, 1)
+	payload = binary.AppendUvarint(payload, gen)
+	return binary.AppendUvarint(payload, uint64(idxOff+1))
 }
 
-// decodeManifest reads versions 1 and 2; a version-1 manifest names no
-// index, so every lane it opens is indexed by the segment scan.
+// decodeManifest reads versions 1 and 2 with any lane count; a version-1
+// manifest names no index.
 func decodeManifest(payload []byte) (manifest, error) {
 	if len(payload) < 5 || string(payload[:4]) != "MMLN" {
 		return manifest{}, fmt.Errorf("bad manifest magic")
@@ -124,29 +123,19 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, bool, error) {
 	return mf, true, nil
 }
 
-// manifestNow snapshots the lane generations and index offsets into a
-// manifest value. Caller holds ckptMu (both only change under it), so
-// reading them without the lane locks is safe.
-func (s *Store) manifestNow() manifest {
-	mf := manifest{epoch: s.epoch.Load(), gens: make([]uint64, len(s.lanes)), idx: make([]int64, len(s.lanes))}
-	for i, ln := range s.lanes {
-		mf.gens[i], mf.idx[i] = ln.gen, ln.idxOff
-	}
-	return mf
-}
-
-// writeManifest atomically publishes a new manifest: temp file + fsync +
-// rename + directory fsync. The rename is the commit point for every
-// layout change — segment flips and WAL swaps become visible to recovery
-// all at once or not at all, which is exactly what the crash matrix
-// exercises by killing the store between the two renames.
-func (s *Store) writeManifest(mf manifest) error {
+// writeManifest atomically publishes a new manifest naming generation gen,
+// its segment's index frame at idxOff: temp file + fsync + rename +
+// directory fsync. The rename is the commit point for every layout change
+// — a segment flip and its WAL swap, or a fold, become visible to recovery
+// all at once or not at all, which is exactly what the crash matrices
+// exercise by killing the store between the renames.
+func (s *Store) writeManifest(epoch, gen uint64, idxOff int64) error {
 	tmp, err := s.fsys.CreateTemp(s.dir, "manifest-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer s.fsys.Remove(tmp.Name()) // no-op after successful rename
-	if err := writeRecord(tmp, encodeManifest(mf)); err != nil {
+	if err := writeRecord(tmp, encodeManifest(epoch, gen, idxOff)); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -167,9 +156,9 @@ func (s *Store) writeManifest(mf manifest) error {
 }
 
 // cleanStrays removes files the manifest does not reference: stale or
-// uncommitted lane generations and temp files from crashed checkpoints.
-// Removal is best-effort
-// — an unreferenced file is harmless until the next cleanup — but the
+// uncommitted generations, the lanes a fold replaced, and temp files from
+// crashed checkpoints and folds. Removal is best-effort — an unreferenced
+// file is harmless until the next cleanup — but the
 // directory sync after a successful pass keeps crash-looped checkpoints
 // from accumulating garbage. Caller holds ckptMu (or is the constructor).
 func (s *Store) cleanStrays() {
@@ -177,13 +166,9 @@ func (s *Store) cleanStrays() {
 	if err != nil {
 		return
 	}
-	live := make(map[string]bool, 2*len(s.lanes)+1)
-	live[manifestName] = true
-	for _, ln := range s.lanes {
-		live[filepath.Base(s.walPath(ln, ln.gen))] = true
-		if ln.gen > 0 {
-			live[filepath.Base(s.segPath(ln, ln.gen))] = true
-		}
+	live := map[string]bool{manifestName: true, filepath.Base(s.walPath(s.gen)): true}
+	if s.gen > 0 {
+		live[filepath.Base(s.segPath(s.gen))] = true
 	}
 	removed := false
 	for _, e := range entries {
@@ -191,12 +176,7 @@ func (s *Store) cleanStrays() {
 		if live[name] {
 			continue
 		}
-		stale := strings.HasSuffix(name, ".tmp")
-		if _, _, ok := laneFile(name, walPrefix, ".log"); ok {
-			stale = true
-		} else if _, _, ok := laneFile(name, segPrefix, ".db"); ok {
-			stale = true
-		}
+		stale := strings.HasSuffix(name, ".tmp") || laneFile(name, walPrefix, ".log") || laneFile(name, segPrefix, ".db")
 		if stale && s.fsys.Remove(filepath.Join(s.dir, name)) == nil {
 			removed = true
 		}
@@ -223,6 +203,15 @@ func detectLegacy(fsys faultfs.FS, dir string) error {
 		}
 	}
 	return nil
+}
+
+// laneFile reports whether name is a lane-qualified file name
+// (wal-003-00000042.log, seg-003-00000042.db). Pre-manifest names
+// (wal-00000042.log) have no lane part and do not match.
+func laneFile(name, prefix, suffix string) bool {
+	mid, ok := strings.CutPrefix(name, prefix)
+	id, rest, dash := strings.Cut(mid, "-")
+	return ok && dash && seqFile(id, "", "") && seqFile(rest, "", suffix)
 }
 
 // seqFile reports whether name is prefix + decimal sequence + suffix.

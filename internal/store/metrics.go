@@ -27,15 +27,11 @@ type storeMetrics struct {
 	groupBatchRecs *metrics.Histogram
 	groupWaitLat   *metrics.Histogram
 
-	// Lane instruments (DESIGN.md §14): the sharded-journal shape —
-	// lane count, dirty profiles awaiting compaction, which lanes each
-	// checkpoint rewrote vs deferred, and single-user hydration replays.
-	lanes              *metrics.Gauge
-	dirtyProfiles      *metrics.Gauge
-	ckptLanesRewritten *metrics.Counter
-	ckptLanesSkipped   *metrics.Counter
-	userRestores       *metrics.Counter
-	restoreReadBytes   *metrics.Counter
+	// Incremental-checkpoint instruments (DESIGN.md §14): dirty profiles
+	// awaiting compaction, and single-user hydration replays.
+	dirtyProfiles    *metrics.Gauge
+	userRestores     *metrics.Counter
+	restoreReadBytes *metrics.Counter
 }
 
 // RegisterMetrics registers the store's instrument family on reg and
@@ -70,17 +66,11 @@ func RegisterMetrics(reg *metrics.Registry) storeMetrics {
 			"Records acknowledged per group-commit fsync batch."),
 		groupWaitLat: reg.Histogram("mm_store_group_commit_wait_seconds",
 			"Time a durable append waited for its covering fsync."),
-		lanes: reg.Gauge("mm_store_lanes",
-			"WAL lanes (journal shards) in the open store."),
 		dirtyProfiles: reg.Gauge("mm_store_dirty_profiles",
 			"Distinct users with WAL events not yet compacted into a segment."),
-		ckptLanesRewritten: reg.Counter("mm_store_checkpoint_lanes_rewritten_total",
-			"Lanes compacted into a new segment by checkpoints."),
-		ckptLanesSkipped: reg.Counter("mm_store_checkpoint_lanes_skipped_total",
-			"Dirty lanes left alone by checkpoints (below the dirty threshold)."),
 		userRestores: reg.Counter("mm_store_user_restores_total",
-			"Single-user hydration replays served from segment plus lane WAL."),
+			"Single-user hydration replays served from segment plus WAL."),
 		restoreReadBytes: reg.Counter("mm_store_restore_read_bytes_total",
-			"Bytes single-user hydration read from segments and lane WALs (framing included)."),
+			"Bytes single-user hydration read from the segment and WAL (framing included)."),
 	}
 }

@@ -37,10 +37,9 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	// Each sequential durable append leads its own group-commit batch (3
 	// fsyncs); the explicit Sync finds everything durable and issues none;
-	// the checkpoint fsyncs each of the two dirty lanes' outgoing logs
-	// ("alice" and "bob" hash apart under the default lane count).
-	if got := snap["mm_store_fsyncs_total"].(int64); got != 5 {
-		t.Errorf("fsyncs = %d, want 5", got)
+	// the checkpoint fsyncs the outgoing log once.
+	if got := snap["mm_store_fsyncs_total"].(int64); got != 4 {
+		t.Errorf("fsyncs = %d, want 4", got)
 	}
 	if got := snap["mm_store_group_commit_batches_total"].(int64); got != 3 {
 		t.Errorf("group-commit batches = %d, want 3", got)
@@ -54,13 +53,7 @@ func TestStoreMetrics(t *testing.T) {
 	if got := snap["mm_store_checkpoint_bytes"].(float64); got <= 0 {
 		t.Errorf("checkpoint bytes = %v, want > 0", got)
 	}
-	if got := snap["mm_store_lanes"].(float64); got != DefaultLanes {
-		t.Errorf("lanes gauge = %v, want %d", got, DefaultLanes)
-	}
-	if got := snap["mm_store_checkpoint_lanes_rewritten_total"].(int64); got != 2 {
-		t.Errorf("lanes rewritten = %d, want 2", got)
-	}
-	// The checkpoint drained both dirty sets.
+	// The checkpoint drained the dirty set.
 	if got := snap["mm_store_dirty_profiles"].(float64); got != 0 {
 		t.Errorf("dirty profiles gauge = %v, want 0", got)
 	}

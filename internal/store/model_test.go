@@ -117,7 +117,7 @@ func TestRandomOperationSequences(t *testing.T) {
 						t.Fatal(err)
 					}
 					delete(model, user)
-				case op < 9: // checkpoint (compacts dirty lanes from the journal)
+				case op < 9: // checkpoint (compacts the dirty profiles from the journal)
 					if _, err := s.Checkpoint(1); err != nil {
 						t.Fatal(err)
 					}

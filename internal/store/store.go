@@ -1,39 +1,36 @@
 // Package store persists user profiles, the long-lived state of a
 // filtering system ("profile vectors are stored and maintained for long
-// periods of time", paper Section 4.3). It scales the classic checkpoint
-// + write-ahead-log design past one machine's RAM by sharding it
-// (DESIGN.md §14):
+// periods of time", paper Section 4.3), with the classic checkpoint +
+// write-ahead-log design (DESIGN.md §14):
 //
-//   - users hash (FNV-1a) to one of N WAL lanes; each lane appends
-//     feedback/subscribe/unsubscribe events to its own log
-//     (wal-<lane>-<gen>.log) and tracks its own dirty-profile set;
-//   - each lane's profiles live in an immutable segment
-//     (seg-<lane>-<gen>.db), rewritten only when the lane is dirty enough
-//     — Checkpoint compacts a lane's WAL into its segment instead of
-//     rewriting every profile in the store;
-//   - a MANIFEST file names the current generation of every lane and is
-//     replaced atomically (temp + fsync + rename + directory fsync), so a
-//     multi-lane checkpoint commits all lanes at once or not at all.
+//   - subscribe/feedback/unsubscribe events append to one write-ahead log
+//     (wal-000-<gen>.log), whose distinct users are the dirty profiles;
+//   - the profiles live in an immutable segment (seg-000-<gen>.db) that
+//     ends with an offset index — Checkpoint compacts the WAL into the
+//     next segment, copying clean profiles' records verbatim instead of
+//     re-encoding every profile in the store;
+//   - a MANIFEST file names the current generation and is replaced
+//     atomically (temp + fsync + rename + directory fsync), so a
+//     checkpoint commits at once or not at all.
 //
-// Recovery loads each lane's manifest-referenced segment and replays its
-// log; the learners' update rules are deterministic, so replay
-// reconstructs the exact pre-crash profiles, and RestoreUser replays a
-// single user on demand for lazy hydration. Every record is
-// length-prefixed and CRC32-guarded. A torn tail (crash mid-append) is
-// detected at Open and truncated away before any new append can land
-// behind it; corruption anywhere before the tail is refused, never
-// silently skipped.
+// Recovery loads the manifest-referenced segment and replays the log; the
+// learners' update rules are deterministic, so replay reconstructs the
+// exact pre-crash profiles, and RestoreUser replays a single user on demand
+// for lazy hydration. Every record is length-prefixed and CRC32-guarded. A
+// torn tail (crash mid-append) is detected at Open and truncated away before
+// any new append can land behind it; corruption anywhere before the tail is
+// refused, never silently skipped. A directory an older release sharded
+// into several lanes is folded into one journal the first time it is opened
+// for writing (fold.go).
 //
 // Durability is group-committed (DESIGN.md §10): with Options.Durable,
-// each Append* returns only after an fsync covers its record. One leader
-// at a time fsyncs every lane with unacknowledged records — in parallel
-// when several lanes are dirty — so concurrent appenders coalesce onto a
-// single leader pass no matter which lanes they landed in.
-// Options.SyncInterval instead bounds the loss window with a background
-// flusher, and Sync() is always available as an explicit barrier. All
-// filesystem access goes through internal/faultfs, so the crash-matrix
-// test can kill the store at every syscall boundary; production runs on
-// bare *os.File handles.
+// each Append* returns only after an fsync covers its record. One leader at
+// a time fsyncs the log for every record appended so far, so concurrent
+// appenders coalesce onto a single leader pass. Options.SyncInterval
+// instead bounds the loss window with a background flusher, and Sync() is
+// always available as an explicit barrier. All filesystem access goes
+// through internal/faultfs, so the crash-matrix tests can kill the store at
+// every syscall boundary; production runs on bare *os.File handles.
 package store
 
 import (
@@ -88,10 +85,6 @@ type Event struct {
 	State   []byte
 }
 
-// DefaultLanes is the lane count for stores created without an explicit
-// Options.Lanes. An existing manifest always pins the count.
-const DefaultLanes = 4
-
 // Options configures a Store.
 type Options struct {
 	// Durable makes every Append* return only once an fsync covers its
@@ -101,61 +94,71 @@ type Options struct {
 	Durable bool
 	// SyncInterval, when > 0 and Durable is off, bounds the loss window
 	// instead: appends return immediately and a background flusher fsyncs
-	// the lanes every interval. Sync() remains an explicit barrier.
+	// the log every interval. Sync() remains an explicit barrier.
 	SyncInterval time.Duration
 	// ReadOnly opens the store for inspection: no torn-tail repair, no
 	// log handles, no manifest write, and Load tolerates a torn tail the way
-	// recovery would. Appends, Checkpoint, and Sync fail. mmstore uses
-	// this so inspecting a crashed state directory never mutates it.
+	// recovery would. Appends, Checkpoint, and Sync fail, and a directory
+	// that needs a fold is refused. mmstore uses this so inspecting a
+	// crashed state directory never mutates it.
 	ReadOnly bool
-	// Lanes is the WAL lane (shard) count used when creating a store from
-	// scratch. An existing manifest pins the count and this value is
-	// ignored. <= 0 means DefaultLanes.
-	Lanes int
 	// FS overrides the filesystem — fault injection in tests
 	// (faultfs.Sim). Nil means the real OS filesystem.
 	FS faultfs.FS
 	// Metrics, when non-nil, receives the mm_store_* instrument family
-	// (append/fsync/checkpoint/group-commit latencies and counts) and the
-	// per-lane attribution dimensions (DESIGN.md §8): WAL-append weight in
-	// bytes and fsync counts, keyed by lane — the skew view of which lanes
-	// the FNV routing is actually loading. Nil disables instrumentation
-	// entirely. mmserver shares one registry between the broker and the
-	// store.
+	// (append/fsync/checkpoint/group-commit latencies and counts, DESIGN.md
+	// §8). Nil disables instrumentation entirely. mmserver shares one
+	// registry between the broker and the store.
 	Metrics *metrics.Registry
 }
 
 // Store is a directory-backed profile store. Safe for concurrent use.
 type Store struct {
-	opts Options
-	fsys faultfs.FS
-	m    storeMetrics // all-nil (no-op) when opts.Metrics is nil
-	dir  string
-
-	lanes []*lane
+	opts  Options
+	fsys  faultfs.FS
+	m     storeMetrics // all-nil (no-op) when opts.Metrics is nil
+	dir   string
 	epoch atomic.Uint64 // manifest commit counter
 
-	// cmu guards the group-commit state: the global sync token plus every
-	// lane's durability watermark and sticky fsync error. Lock
-	// discipline: no goroutine ever waits for cmu while holding a lane
-	// mutex (appenders release their lane before joining a commit), so
-	// the sync leader may take lane mutexes briefly while the token is
-	// claimed.
+	// mu guards the journal's write path: the generation, the WAL handle,
+	// its committed byte length, the record count, and the offset index.
+	mu     sync.Mutex
+	gen    uint64
+	wal    faultfs.File
+	walLen int64  // committed bytes in the current WAL (resets per generation)
+	recs   uint64 // records ever written (monotone across generations)
+	failed error  // sticky write-path failure; reopen repairs
+
+	// Offset index (DESIGN.md §14): where each user's records sit in the
+	// current generation's files, so a cold profile costs index entries and
+	// no payload bytes. segIdx is decoded on first use (nil until then) from
+	// the index frame the segment ends with — at idxOff, which the manifest
+	// commits; walIdx by the scan that opens the WAL — in a ReadOnly store
+	// on first use, as tolerant of a torn tail — and grows with every
+	// append. A checkpoint flip installs the offsets it wrote, starts an
+	// empty walIdx and closes the read handles, so nothing ever reads a
+	// removed generation. walIdx's keys are the dirty users — those with
+	// events no segment holds yet — whether this process appended the
+	// events or recovered them: there is no other record of dirtiness.
+	rd     [2]faultfs.File // read handles, by segFile / walFile
+	idxOff int64           // where the current segment's index frame starts, or noIndex
+	segIdx map[string]segRef
+	walIdx map[string][]walRef
+
+	// cmu guards the group-commit state: the sync token, the durability
+	// watermark and the sticky fsync error. Lock discipline: no goroutine
+	// ever waits for cmu while holding mu (appenders release mu before
+	// joining a commit), so the sync leader may take mu briefly while the
+	// token is claimed.
 	cmu     sync.Mutex
 	cond    *sync.Cond
-	syncing bool // sync token: one leader pass (or one layout change) at a time
+	syncing bool // sync token: one leader pass (or one checkpoint) at a time
 	closed  bool
+	durable uint64 // records covered by the last acknowledged fsync
+	syncErr error  // sticky fsync failure: durability is unknowable past it
 
-	// ckptMu serializes checkpoints and manifest writes; lane generations
-	// only change under it.
+	// ckptMu serializes checkpoints; the generation only changes under it.
 	ckptMu sync.Mutex
-
-	// Per-lane attribution: append weight and fsync counts keyed by
-	// pre-rendered lane names, so the hot path offers a resident string
-	// with zero allocations. All nil (no-op) when Options.Metrics is nil.
-	laneKeys  []string
-	topAppend *metrics.Sketch[string]
-	topFsync  *metrics.Sketch[string]
 
 	stopFlush chan struct{} // interval flusher; nil unless SyncInterval armed
 	flushDone chan struct{}
@@ -174,12 +177,14 @@ const (
 var errClosed = errors.New("store: closed")
 
 // Open opens (or initializes) a store in dir, creating it if needed. A
-// torn lane tail left by a crash mid-append is truncated here, before any
+// torn WAL tail left by a crash mid-append is truncated here, before any
 // append can land behind it; mid-log corruption makes Open fail rather
-// than risk silently dropping everything after the damage. A directory
-// without a manifest that holds pre-manifest files (wal-<seq>.log,
-// snap-<seq>.db) is refused untouched: initializing it as a fresh store
-// would discard a journal some earlier release acknowledged.
+// than risk silently dropping everything after the damage. A directory an
+// older release wrote with several lanes, or with a segment that has no
+// index frame, is folded into one journal first (fold.go); a ReadOnly open
+// refuses it. A directory without a manifest that holds pre-manifest files
+// (wal-<seq>.log, snap-<seq>.db) is refused untouched: initializing it as a
+// fresh store would discard a journal some earlier release acknowledged.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -188,63 +193,48 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{opts: opts, fsys: fsys, dir: dir}
+	s := &Store{opts: opts, fsys: fsys, dir: dir, idxOff: noIndex}
 	s.cond = sync.NewCond(&s.cmu)
 	if opts.Metrics != nil {
 		s.m = RegisterMetrics(opts.Metrics)
 	}
 
 	mf, found, err := readManifest(fsys, dir)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if found {
-		s.epoch.Store(mf.epoch)
-		s.lanes = makeLanes(len(mf.gens))
-		for i, ln := range s.lanes {
-			ln.gen, ln.idxOff = mf.gens[i], mf.idx[i]
-		}
-	} else {
+	case !found:
 		if err := detectLegacy(fsys, dir); err != nil {
 			return nil, err
 		}
-		s.lanes = makeLanes(laneCount(opts))
 		if !opts.ReadOnly { // an empty directory is inspected as it is
 			s.epoch.Store(1)
-			if err := s.writeManifest(s.manifestNow()); err != nil {
+			if err := s.writeManifest(1, 0, noIndex); err != nil {
 				return nil, err
 			}
 		}
-	}
-	s.m.lanes.Set(float64(len(s.lanes)))
-	if opts.Metrics != nil {
-		s.laneKeys = make([]string, len(s.lanes))
-		for i := range s.lanes {
-			s.laneKeys[i] = fmt.Sprintf("lane-%d", i)
+	case !needsFold(mf):
+		s.epoch.Store(mf.epoch)
+		s.gen, s.idxOff = mf.gens[0], mf.idx[0]
+	case opts.ReadOnly:
+		return nil, fmt.Errorf("store: %s is an older release's layout (%d lanes, or a segment without an index); open it once for writing to fold it into one journal",
+			dir, len(mf.gens))
+	default:
+		if err := s.fold(mf); err != nil {
+			return nil, fmt.Errorf("store: folding %d lanes into one journal: %w", len(mf.gens), err)
 		}
-		s.topAppend = metrics.TopK[string](opts.Metrics, "lane_append_bytes",
-			"WAL bytes appended, by lane.",
-			2*len(s.lanes), metrics.FormatString)
-		s.topFsync = metrics.TopK[string](opts.Metrics, "lane_fsyncs",
-			"WAL fsyncs performed, by lane.",
-			2*len(s.lanes), metrics.FormatString)
 	}
 
 	if !opts.ReadOnly {
 		s.cleanStrays()
-		recovered := 0
-		for _, ln := range s.lanes {
-			if err := s.openLaneWAL(ln); err != nil {
-				s.closeLaneHandles()
-				return nil, err
-			}
-			recovered += len(ln.walIdx)
+		if err := s.openWAL(); err != nil {
+			return nil, err
 		}
-		s.m.dirtyProfiles.Set(float64(recovered))
-		// Persist the lanes' directory entries (file creations, and any
-		// torn-tail truncate's metadata) in one pass.
+		s.m.dirtyProfiles.Set(float64(len(s.walIdx)))
+		// Persist the WAL's directory entry (its creation, or a torn-tail
+		// truncate's metadata).
 		if err := fsys.SyncDir(dir); err != nil {
-			s.closeLaneHandles()
+			s.wal.Close()
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		if opts.SyncInterval > 0 && !opts.Durable {
@@ -256,27 +246,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func laneCount(opts Options) int {
-	n := opts.Lanes
-	if n <= 0 {
-		n = DefaultLanes
-	}
-	if n > maxLanes {
-		n = maxLanes
-	}
-	return n
-}
-
-// closeLaneHandles abandons a half-constructed store's WAL handles.
-func (s *Store) closeLaneHandles() {
-	for _, ln := range s.lanes {
-		if ln.wal != nil {
-			ln.wal.Close()
-			ln.wal = nil
-		}
-	}
-}
-
 // flushLoop is the SyncInterval background flusher. It is handed stop: Close
 // clears s.stopFlush, and a loop that read nil there would never end.
 func (s *Store) flushLoop(d time.Duration, stop <-chan struct{}) {
@@ -286,8 +255,8 @@ func (s *Store) flushLoop(d time.Duration, stop <-chan struct{}) {
 	for {
 		select {
 		case <-t.C:
-			// Best-effort: a failure is sticky in the lane's syncErr and
-			// surfaces on the next explicit barrier or durable operation.
+			// Best-effort: a failure is sticky in syncErr and surfaces on
+			// the next explicit barrier or durable operation.
 			_ = s.Sync()
 		case <-stop:
 			return
@@ -295,8 +264,8 @@ func (s *Store) flushLoop(d time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// Close drains any in-flight group commit, flushes every lane, and closes
-// the log handles. Safe to call twice.
+// Close drains any in-flight group commit, flushes the log, and closes its
+// handles. Safe to call twice.
 func (s *Store) Close() error {
 	s.cmu.Lock()
 	stop := s.stopFlush
@@ -315,39 +284,27 @@ func (s *Store) Close() error {
 	s.cmu.Unlock()
 
 	var err error
-	type fin struct {
-		ln   *lane
-		recs uint64
-	}
-	var fins []fin
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		ln.closeReaders()
-		if ln.wal != nil {
-			var lerr error
-			if ln.failed == nil {
-				lerr = ln.wal.Sync()
-			}
-			if cerr := ln.wal.Close(); lerr == nil {
-				lerr = cerr
-			}
-			ln.wal = nil
-			if lerr == nil {
-				fins = append(fins, fin{ln, ln.recs})
-			} else if err == nil {
-				err = lerr
-			}
+	flushed := false
+	s.mu.Lock()
+	s.closeReaders()
+	if s.wal != nil {
+		if s.failed == nil {
+			err = s.wal.Sync()
 		}
-		ln.mu.Unlock()
+		if cerr := s.wal.Close(); err == nil {
+			err = cerr
+		}
+		s.wal = nil
+		flushed = err == nil
 	}
+	recs := s.recs
+	s.mu.Unlock()
 
 	s.cmu.Lock()
 	s.syncing = false
 	s.closed = true
-	for _, f := range fins {
-		if f.recs > f.ln.durable {
-			f.ln.durable = f.recs
-		}
+	if flushed && recs > s.durable {
+		s.durable = recs
 	}
 	s.cond.Broadcast()
 	s.cmu.Unlock()
@@ -361,9 +318,9 @@ func (s *Store) AppendFeedback(user string, v vsm.Vector, fd filter.Feedback) er
 
 // AppendFeedbackTraced is AppendFeedback with request tracing: when sp is a
 // live span (it may be nil), the append's phases are recorded as child
-// spans — store.wal_write for the serialized write under the lane lock and
-// store.commit_wait for the group-commit fsync wait (durable mode only),
-// the two very different reasons an append can be slow.
+// spans — store.wal_write for the serialized write under the journal lock
+// and store.commit_wait for the group-commit fsync wait (durable mode
+// only), the two very different reasons an append can be slow.
 func (s *Store) AppendFeedbackTraced(user string, v vsm.Vector, fd filter.Feedback, sp *trace.Span) error {
 	payload := []byte{byte(EventFeedback)}
 	payload = appendLenBytes(payload, []byte(user))
@@ -395,50 +352,45 @@ func (s *Store) AppendUnsubscribe(user string) error {
 
 func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error {
 	t0 := time.Now()
-	ln := s.laneFor(user)
 	ws := sp.ChildAt("store.wal_write", t0)
-	ln.mu.Lock()
-	if ln.wal == nil {
-		ln.mu.Unlock()
+	s.mu.Lock()
+	if s.wal == nil {
+		s.mu.Unlock()
 		if s.opts.ReadOnly {
 			return errors.New("store: read-only")
 		}
 		return errClosed
 	}
-	if ln.failed != nil {
-		err := ln.failed
-		ln.mu.Unlock()
+	if s.failed != nil {
+		err := s.failed
+		s.mu.Unlock()
 		return err
 	}
-	if err := writeRecord(ln.wal, payload); err != nil {
+	if err := writeRecord(s.wal, payload); err != nil {
 		// A failed or short write leaves bytes of unknown extent in the
-		// lane's file; any later append would land behind garbage. Poison
-		// this lane's write path — reopening repairs via the torn-tail
-		// scan. Other lanes keep accepting appends.
-		ln.failed = err
-		ln.mu.Unlock()
+		// file; any later append would land behind garbage. Poison the
+		// write path — reopening repairs via the torn-tail scan.
+		s.failed = err
+		s.mu.Unlock()
 		ws.End()
 		return err
 	}
-	refs := ln.walIdx[user]
+	refs := s.walIdx[user]
 	if refs == nil {
 		s.m.dirtyProfiles.Add(1)
 	}
-	ln.walIdx[user] = append(refs, walRef{off: ln.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
-	ln.walLen += int64(len(payload)) + 8
-	ln.recs++
-	pos := ln.recs
-	ln.mu.Unlock()
+	s.walIdx[user] = append(refs, walRef{off: s.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
+	s.walLen += int64(len(payload)) + 8
+	s.recs++
+	pos := s.recs
+	s.mu.Unlock()
 	ws.SetInt("bytes", int64(len(payload))+8)
 	ws.End()
 
 	s.m.appends.Inc()
-	if s.topAppend != nil {
-		s.topAppend.Offer(s.laneKeys[ln.id], float64(len(payload))+8)
-	}
 	if s.opts.Durable {
 		cw := sp.Child("store.commit_wait")
-		err := s.waitDurable(ln, pos)
+		err := s.waitDurable(pos)
 		cw.End()
 		if err != nil {
 			return err
@@ -454,53 +406,37 @@ func appendLenBytes(buf, b []byte) []byte {
 }
 
 // Sync is the durability barrier: it returns once every record appended
-// to any lane before the call is fsynced, leading at most one group pass
-// itself (and none when group commits already covered them).
+// before the call is fsynced, leading at most one group pass itself (and
+// none when group commits already covered them).
 func (s *Store) Sync() error {
 	if s.opts.ReadOnly {
 		return errors.New("store: read-only")
 	}
-	type point struct {
-		ln  *lane
-		pos uint64
+	s.mu.Lock()
+	open, pos := s.wal != nil, s.recs
+	s.mu.Unlock()
+	if !open {
+		return errClosed
 	}
-	points := make([]point, 0, len(s.lanes))
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		if ln.wal == nil {
-			ln.mu.Unlock()
-			return errClosed
-		}
-		points = append(points, point{ln, ln.recs})
-		ln.mu.Unlock()
-	}
-	for _, p := range points {
-		// The first wait's leader pass fsyncs every lane with pending
-		// records, so the remaining waits almost always return instantly.
-		if err := s.waitDurable(p.ln, p.pos); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.waitDurable(pos)
 }
 
-// waitDurable blocks until ln's records 1..pos are covered by an
-// acknowledged fsync. The first waiter to find no leader in flight claims
-// the token and leads one pass over every lane with unacknowledged
-// records; waiters that arrive mid-pass coalesce onto the next one. This
-// is the group commit: under N concurrent durable appenders — across any
-// mix of lanes — each leader pass acknowledges a whole batch.
-func (s *Store) waitDurable(ln *lane, pos uint64) error {
+// waitDurable blocks until records 1..pos are covered by an acknowledged
+// fsync. The first waiter to find no leader in flight claims the token and
+// leads one pass; waiters that arrive mid-pass coalesce onto the next one.
+// This is the group commit: under N concurrent durable appenders, each
+// leader pass acknowledges a whole batch.
+func (s *Store) waitDurable(pos uint64) error {
 	t0 := time.Now()
 	s.cmu.Lock()
 	for {
-		if ln.durable >= pos {
+		if s.durable >= pos {
 			s.cmu.Unlock()
 			s.m.groupWaitLat.ObserveSince(t0)
 			return nil
 		}
-		if ln.syncErr != nil {
-			err := ln.syncErr
+		if s.syncErr != nil {
+			err := s.syncErr
 			s.cmu.Unlock()
 			return err
 		}
@@ -519,63 +455,37 @@ func (s *Store) waitDurable(ln *lane, pos uint64) error {
 	}
 }
 
-// syncTarget is one lane the leader pass must fsync.
-type syncTarget struct {
-	ln  *lane
-	f   faultfs.File
-	to  uint64
-	err error
-}
-
-// leadSync performs one group-commit pass: fsync every lane holding
-// records beyond its durability watermark — in parallel when there are
-// several — then advance all the watermarks at once. Caller holds the
-// sync token (not cmu); the token keeps the log handles stable —
-// Checkpoint and Close wait for it before swapping or closing WALs.
+// leadSync performs one group-commit pass: one fsync of the log when it
+// holds records beyond the durability watermark, then the watermark's
+// advance. Caller holds the sync token (not cmu); the token keeps the log
+// handle stable — Checkpoint and Close wait for it before swapping or
+// closing the WAL.
 func (s *Store) leadSync() {
-	var targets []*syncTarget
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		f, to := ln.wal, ln.recs
-		ln.mu.Unlock()
-		s.cmu.Lock()
-		pending := ln.syncErr == nil && to > ln.durable
-		s.cmu.Unlock()
-		if pending {
-			tg := &syncTarget{ln: ln, f: f, to: to}
-			if f == nil {
-				tg.err = errClosed
-			}
-			targets = append(targets, tg)
-		}
-	}
+	s.mu.Lock()
+	f, to := s.wal, s.recs
+	s.mu.Unlock()
+	s.cmu.Lock()
+	pending := s.syncErr == nil && to > s.durable
+	s.cmu.Unlock()
 
-	if len(targets) == 1 {
-		s.syncLane(targets[0])
-	} else if len(targets) > 1 {
-		var wg sync.WaitGroup
-		for _, tg := range targets {
-			wg.Add(1)
-			go func(tg *syncTarget) {
-				defer wg.Done()
-				s.syncLane(tg)
-			}(tg)
+	var err error
+	if pending {
+		t0 := time.Now()
+		if f == nil {
+			err = errClosed
+		} else if err = f.Sync(); err == nil {
+			s.m.fsyncs.Inc()
+			s.m.fsyncLat.ObserveSince(t0)
 		}
-		wg.Wait()
 	}
 
 	s.cmu.Lock()
 	s.syncing = false
-	var batch uint64
-	for _, tg := range targets {
-		if tg.err != nil {
-			tg.ln.syncErr = tg.err
-		} else if tg.to > tg.ln.durable {
-			batch += tg.to - tg.ln.durable
-			tg.ln.durable = tg.to
-		}
-	}
-	if batch > 0 {
+	if pending && err != nil {
+		s.syncErr = err
+	} else if pending && to > s.durable {
+		batch := to - s.durable
+		s.durable = to
 		s.m.groupBatches.Inc()
 		s.m.groupRecords.Add(int64(batch))
 		s.m.groupBatchRecs.Observe(float64(batch))
@@ -584,48 +494,15 @@ func (s *Store) leadSync() {
 	s.cmu.Unlock()
 }
 
-func (s *Store) syncLane(tg *syncTarget) {
-	if tg.err != nil {
-		return
-	}
-	t0 := time.Now()
-	if tg.err = tg.f.Sync(); tg.err == nil {
-		s.m.fsyncs.Inc()
-		s.m.fsyncLat.ObserveSince(t0)
-		if s.topFsync != nil {
-			s.topFsync.Offer(s.laneKeys[tg.ln.id], 1)
-		}
-	}
-}
-
-// Load reads every lane's segment and log, lane by lane under each lane's
-// lock, so a concurrent append can never be misread as a torn tail and
-// silently dropped. Profiles and events are concatenated in lane order;
-// a user's records all live in one lane, so per-user order — the only
-// order replay depends on — is exactly the append order. In ReadOnly mode
-// a genuinely torn tail is tolerated exactly as recovery would tolerate
-// it; in read-write mode the tails were already truncated at Open, so any
-// trailing garbage is an error.
+// Load reads the segment and log under the journal lock, so a concurrent
+// append can never be misread as a torn tail and silently dropped. In
+// ReadOnly mode a genuinely torn tail is tolerated exactly as recovery
+// would tolerate it; in read-write mode the tail was already truncated at
+// Open, so any trailing garbage is an error.
 func (s *Store) Load() ([]ProfileRecord, []Event, error) {
-	var profiles []ProfileRecord
-	var events []Event
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		ps, evs, err := s.loadLane(ln)
-		ln.mu.Unlock()
-		if err != nil {
-			return nil, nil, err
-		}
-		profiles = append(profiles, ps...)
-		events = append(events, evs...)
-	}
-	return profiles, events, nil
-}
-
-// loadLane decodes one lane's segment and committed WAL (caller holds
-// ln.mu).
-func (s *Store) loadLane(ln *lane) ([]ProfileRecord, []Event, error) {
-	segs, err := s.laneRecords(ln, segFile)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	segs, err := s.records(segFile)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -633,11 +510,11 @@ func (s *Store) loadLane(ln *lane) ([]ProfileRecord, []Event, error) {
 	for i, payload := range segs {
 		rec, err := decodeProfileRecord(payload)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: lane %d segment %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, nil, fmt.Errorf("store: segment %d record %d: %w", s.gen, i, err)
 		}
 		profiles = append(profiles, rec)
 	}
-	payloads, err := s.laneRecords(ln, walFile)
+	payloads, err := s.records(walFile)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -645,7 +522,7 @@ func (s *Store) loadLane(ln *lane) ([]ProfileRecord, []Event, error) {
 	for i, payload := range payloads {
 		ev, err := decodeEvent(payload)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: lane %d wal %d record %d: %w", ln.id, ln.gen, i, err)
+			return nil, nil, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
 		}
 		events = append(events, ev)
 	}
@@ -664,10 +541,10 @@ func (s *Store) readFileOrEmpty(path string) ([]byte, error) {
 	return data, nil
 }
 
-// LaneInfo describes one lane's on-disk state, for inspection tooling
-// (mmstore lanes).
-type LaneInfo struct {
-	Lane        int    // lane id
+// WALInfo describes the journal's on-disk state, for inspection tooling
+// (mmstore) and the flight recorder.
+type WALInfo struct {
+	Seq         uint64 // manifest epoch (commit count)
 	Gen         uint64 // manifest-committed generation
 	Records     int    // complete, checksummed WAL records
 	Committed   int64  // byte length of the WAL's valid prefix
@@ -677,121 +554,77 @@ type LaneInfo struct {
 	SegBytes    int64  // byte size of the current segment
 }
 
-// LaneInfos scans every lane's WAL and reports its integrity; a segment's
-// profile count and size come from its index frame (or, without one, from
-// streaming its records), so no segment is read whole. A non-nil error
-// means corruption before some lane's tail or in a segment; the returned
-// infos still describe every lane's valid prefix.
-func (s *Store) LaneInfos() ([]LaneInfo, error) {
-	var firstErr error
-	out := make([]LaneInfo, 0, len(s.lanes))
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		li := LaneInfo{Lane: ln.id, Gen: ln.gen}
-		data, err := s.readFileOrEmpty(s.walPath(ln, ln.gen))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("store: lane %d: %w", ln.id, err)
-			}
-		} else {
-			payloads, committed, serr := scanRecords(data)
-			li.Records = len(payloads)
-			li.Committed = int64(committed)
-			li.Torn = int64(len(data) - committed)
-			seen := make(map[string]bool)
-			for _, p := range payloads {
-				if ev, derr := decodeEvent(p); derr == nil {
-					seen[ev.User] = true
-				}
-			}
-			li.DirtyUsers = len(seen)
-			if serr != nil && firstErr == nil {
-				firstErr = fmt.Errorf("store: lane %d wal %d: %w", ln.id, ln.gen, serr)
-			}
-		}
-		if ln.gen > 0 {
-			if err := s.segInfo(ln, &li); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		ln.mu.Unlock()
-		out = append(out, li)
+// WALInfo scans the WAL and reports its integrity; the segment's profile
+// count and size come from its index frame, so the segment is never read
+// whole. A non-nil error means corruption before the WAL's tail or in the
+// segment's index; the returned info still describes the valid prefix.
+func (s *Store) WALInfo() (WALInfo, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	info := WALInfo{Seq: s.epoch.Load(), Gen: s.gen}
+	data, err := s.readFileOrEmpty(s.walPath(s.gen))
+	if err != nil {
+		return info, fmt.Errorf("store: %w", err)
 	}
-	return out, firstErr
+	payloads, committed, err := scanRecords(data)
+	if err != nil {
+		err = fmt.Errorf("store: wal %d: %w", s.gen, err)
+	}
+	info.Records, info.Committed, info.Torn = len(payloads), int64(committed), int64(len(data)-committed)
+	seen := make(map[string]bool)
+	for _, p := range payloads {
+		if ev, derr := decodeEvent(p); derr == nil {
+			seen[ev.User] = true
+		}
+	}
+	info.DirtyUsers = len(seen)
+	if s.gen > 0 {
+		if serr := s.segInfo(&info); err == nil {
+			err = serr
+		}
+	}
+	return info, err
 }
 
-// segInfo fills li's segment fields through a handle of its own, so a
-// closed store's lanes keep no reader (caller holds ln.mu).
-func (s *Store) segInfo(ln *lane, li *LaneInfo) error {
-	f, err := s.fsys.OpenFile(s.segPath(ln, ln.gen), os.O_RDONLY, 0)
+// segInfo fills info's segment fields through a handle of its own, so a
+// closed store keeps no reader (caller holds s.mu).
+func (s *Store) segInfo(info *WALInfo) error {
+	f, err := s.fsys.OpenFile(s.segPath(s.gen), os.O_RDONLY, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	} else if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	idx, size, err := s.segIndex(ln, f)
-	li.SegProfiles, li.SegBytes = len(idx), size
+	idx, size, err := s.segIndex(f)
+	info.SegProfiles, info.SegBytes = len(idx), size
 	return err
 }
 
-// WALInfo describes the journal's aggregate on-disk integrity across all
-// lanes, for inspection tooling (mmstore) and the flight recorder.
-type WALInfo struct {
-	Seq       uint64 // manifest epoch (commit count)
-	Lanes     int    // lane count
-	Records   int    // complete, checksummed records across all lane WALs
-	Committed int64  // byte length of the valid prefixes
-	Torn      int64  // trailing bytes past the valid prefixes (crash residue)
-}
-
-// WALInfo aggregates LaneInfos. A non-nil error means corruption before
-// some lane's tail; the returned info still describes the valid prefixes.
-func (s *Store) WALInfo() (WALInfo, error) {
-	lis, err := s.LaneInfos()
-	info := WALInfo{Seq: s.epoch.Load(), Lanes: len(lis)}
-	for _, li := range lis {
-		info.Records += li.Records
-		info.Committed += li.Committed
-		info.Torn += li.Torn
-	}
-	return info, err
-}
-
-// Health rolls up the store's sticky failure state without touching disk,
-// worst lane first: a write-path poison on any lane, then closed, then
-// any lane's sticky fsync failure. Nil means every lane's write path is
-// healthy. ReadOnly stores report a degraded-style error since they
-// cannot accept appends. Cheap enough to poll from /readyz — one mutex
-// acquisition per lane plus one for the commit state, no I/O.
+// Health rolls up the store's sticky failure state without touching disk:
+// a write-path poison first, then closed, then a sticky fsync failure. Nil
+// means the write path is healthy. ReadOnly stores report a degraded-style
+// error since they cannot accept appends. Cheap enough to poll from
+// /readyz — two mutex acquisitions, no I/O.
 func (s *Store) Health() error {
 	if s.opts.ReadOnly {
 		return errors.New("store: opened read-only")
 	}
-	var failed error
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		if ln.failed != nil && failed == nil {
-			failed = fmt.Errorf("store: lane %d: %w", ln.id, ln.failed)
-		}
-		ln.mu.Unlock()
-	}
+	s.mu.Lock()
+	failed := s.failed
+	s.mu.Unlock()
 	if failed != nil {
-		return failed
+		return fmt.Errorf("store: journal: %w", failed)
 	}
-	var syncErr error
 	s.cmu.Lock()
-	closed := s.closed
-	for _, ln := range s.lanes {
-		if ln.syncErr != nil && syncErr == nil {
-			syncErr = fmt.Errorf("store: lane %d: %w", ln.id, ln.syncErr)
-		}
-	}
-	s.cmu.Unlock()
-	if closed {
+	defer s.cmu.Unlock()
+	if s.closed {
 		return errClosed
 	}
-	return syncErr
+	if s.syncErr != nil {
+		return fmt.Errorf("store: journal: %w", s.syncErr)
+	}
+	return nil
 }
 
 func encodeProfilePayload(user, learner string, data []byte) []byte {
@@ -1012,10 +845,7 @@ func apply(l filter.Learner, ev Event) (filter.Learner, error) {
 
 // Restore reconstructs learners from a Load result: segment profiles are
 // instantiated via the filter registry and unmarshalled, then the event
-// log is replayed in order. Events arrive concatenated lane by lane, but
-// a user's events all live in one lane, so the per-user order — the only
-// order deterministic replay depends on — is the append order. Recovery
-// is all-or-nothing: any undecodable record or inconsistency (feedback
+// log is replayed in append order. Recovery is all-or-nothing: any undecodable record or inconsistency (feedback
 // for an unknown user) is an error.
 func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learner, error) {
 	out := make(map[string]filter.Learner, len(profiles))
@@ -1040,37 +870,32 @@ func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learne
 	return out, nil
 }
 
-// RestoredUsers lists the surviving users, sorted, from the lanes' offset
-// indexes alone — no profile is read and no learner instantiated. It is the
-// boot path for lazy hydration: pubsub registers one evicted stub per name
-// and hydrates on first touch.
+// RestoredUsers lists the surviving users, sorted, from the offset indexes
+// alone — no profile is read and no learner instantiated. It is the boot
+// path for lazy hydration: pubsub registers one evicted stub per name and
+// hydrates on first touch.
 func (s *Store) RestoredUsers() ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.indexJournal(); err != nil {
+		return nil, err
+	}
 	var out []string
-	for _, ln := range s.lanes {
-		ln.mu.Lock()
-		err := s.indexLane(ln)
-		if err == nil {
-			for user := range ln.segIdx {
-				if _, touched := ln.walIdx[user]; !touched {
-					out = append(out, user)
-				}
-			}
-			for user, refs := range ln.walIdx {
-				// The user's last subscribe or unsubscribe decides; with
-				// feedback only, the segment's entry stands.
-				i := len(refs) - 1
-				for i >= 0 && refs[i].typ == EventFeedback {
-					i--
-				}
-				_, inSeg := ln.segIdx[user]
-				if (i < 0 && inSeg) || (i >= 0 && refs[i].typ == EventSubscribe) {
-					out = append(out, user)
-				}
-			}
+	for user := range s.segIdx {
+		if _, touched := s.walIdx[user]; !touched {
+			out = append(out, user)
 		}
-		ln.mu.Unlock()
-		if err != nil {
-			return nil, err
+	}
+	for user, refs := range s.walIdx {
+		// The user's last subscribe or unsubscribe decides; with feedback
+		// only, the segment's entry stands.
+		i := len(refs) - 1
+		for i >= 0 && refs[i].typ == EventFeedback {
+			i--
+		}
+		_, inSeg := s.segIdx[user]
+		if (i < 0 && inSeg) || (i >= 0 && refs[i].typ == EventSubscribe) {
+			out = append(out, user)
 		}
 	}
 	sort.Strings(out)

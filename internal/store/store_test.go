@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
@@ -32,18 +30,6 @@ func vec(pairs ...any) vsm.Vector {
 func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// openStoreLanes pins the lane count — for tests that name lane files on
-// disk or assert per-lane behavior.
-func openStoreLanes(t *testing.T, dir string, lanes int) *Store {
-	t.Helper()
-	s, err := Open(dir, Options{Lanes: lanes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +64,7 @@ func TestEmptyStore(t *testing.T) {
 
 func TestAppendAndLoadEvents(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1) // one lane so Load's order is append order
+	s := openStore(t, dir)
 	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +130,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestCheckpointCompactsLogAndCleansUp(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +141,7 @@ func TestCheckpointCompactsLogAndCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rewritten != 1 || st.Profiles != 1 {
+	if st.Bytes == 0 || st.Profiles != 1 {
 		t.Fatalf("checkpoint stats = %+v", st)
 	}
 	profiles, events, err := s.Load()
@@ -189,12 +175,16 @@ func TestCheckpointCompactsLogAndCleansUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rewritten != 0 || st.Clean != 1 {
+	if st != (CheckpointStats{}) {
 		t.Fatalf("idle checkpoint stats = %+v", st)
 	}
-	// More feedback, another checkpoint, reopen: the state survives.
+	// More feedback, another checkpoint, reopen: the state survives. One
+	// dirty user is below a threshold of two, so Checkpoint(2) leaves it.
 	if err := s.AppendFeedback("alice", vec("dog", 1.0), filter.Relevant); err != nil {
 		t.Fatal(err)
+	}
+	if st, err := s.Checkpoint(2); err != nil || st != (CheckpointStats{}) || fmt.Sprint(dirNames(t, dir)) != fmt.Sprint(want) {
+		t.Fatalf("Checkpoint(2) with one dirty user: %+v, %v, files %v", st, err, dirNames(t, dir))
 	}
 	if _, err := s.Checkpoint(1); err != nil {
 		t.Fatal(err)
@@ -212,7 +202,7 @@ func TestCheckpointCompactsLogAndCleansUp(t *testing.T) {
 
 func TestTornTailIsDiscarded(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +250,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 
 func TestCorruptionMidLogIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	for i := 0; i < 3; i++ {
 		if err := s.AppendFeedback("alice", vec("cat", 1.0), filter.Relevant); err != nil {
 			t.Fatal(err)
@@ -297,8 +287,7 @@ func TestCorruptionMidLogIsAnError(t *testing.T) {
 // TestRecoveryEquivalence is the headline guarantee: after checkpoint +
 // more events + crash, each of the three replay callers — Restore,
 // RestoreUser, compaction — rebuilds learners byte-identical to the
-// originals. Users span several lanes, so this also covers the
-// lane-concatenated Load order.
+// originals.
 func TestRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -354,7 +343,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}
 
 	// Checkpoint (compacting the journaled events into segments), then
-	// keep going: these events land in the fresh lane WALs.
+	// keep going: these events land in the fresh WAL.
 	_, err := s.Checkpoint(1)
 	must(err)
 	subscribe("carol", "NRN")
@@ -413,8 +402,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}
 	// Compaction, of the recovered store itself: the tail it recovered is
 	// as dirty as a tail it appended.
-	if st, err := s2.Checkpoint(1); err != nil || st.Rewritten == 0 {
-		t.Fatalf("Checkpoint = %+v, %v, want lanes rewritten", st, err)
+	if st, err := s2.Checkpoint(1); err != nil || st.Bytes == 0 {
+		t.Fatalf("Checkpoint = %+v, %v, want a new segment", st, err)
 	}
 	profiles, events, err = s2.Load()
 	if err != nil || len(events) != 0 {
@@ -604,10 +593,10 @@ func TestDurableAppend(t *testing.T) {
 // TestTornTailReopenAppendReload is a headline regression: an Open that
 // left a torn tail in place and blindly O_APPENDed behind it buried every
 // later record behind garbage, so the next Load rejected the log. Open
-// truncates the torn lane tail before appending.
+// truncates the torn tail before appending.
 func TestTornTailReopenAppendReload(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +641,7 @@ func TestTornTailReopenAppendReload(t *testing.T) {
 }
 
 // TestLoadConcurrentWithAppends pins the Load/append race fix: Load holds
-// each lane's write lock and snapshots the committed length, so a reader
+// the journal's write lock and snapshots the committed length, so a reader
 // never mistakes an in-flight append for a torn tail and silently drops
 // live records. Run under -race this also proves the lock discipline.
 func TestLoadConcurrentWithAppends(t *testing.T) {
@@ -704,12 +693,12 @@ func TestLoadConcurrentWithAppends(t *testing.T) {
 }
 
 // TestCheckpointCleansStrays pins stray collection: anything the manifest
-// does not reference — stale or uncommitted lane generations, orphaned
-// temp files — is removed by the next checkpoint's
-// cleanup pass, regardless of generation gaps.
+// does not reference — stale or uncommitted generations, another lane's
+// files, orphaned temp files — is removed by the next checkpoint's cleanup
+// pass, regardless of generation gaps.
 func TestCheckpointCleansStrays(t *testing.T) {
 	dir := t.TempDir()
-	s := openStoreLanes(t, dir, 1)
+	s := openStore(t, dir)
 	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -724,9 +713,9 @@ func TestCheckpointCleansStrays(t *testing.T) {
 	}
 	ck()
 	ck()
-	// Plant debris: a stale lane log, an uncommitted lane generation, and
-	// an orphaned checkpoint temp file.
-	for _, stray := range []string{"wal-000-00000001.log", "seg-000-00000099.db", "seg-123456.tmp"} {
+	// Plant debris: a stale log, an uncommitted generation, another lane's
+	// log, and an orphaned checkpoint temp file.
+	for _, stray := range []string{"wal-000-00000001.log", "seg-000-00000099.db", "wal-003-00000002.log", "seg-123456.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("debris"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -738,83 +727,6 @@ func TestCheckpointCleansStrays(t *testing.T) {
 	want := []string{"MANIFEST", "seg-000-00000003.db", "wal-000-00000003.log"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("directory after checkpoint = %v, want %v", names, want)
-	}
-}
-
-// TestCheckpointOnlyRewritesDirtyLanes is the incremental-checkpoint
-// guarantee, pinned by counters: a pass rewrites exactly the lanes whose
-// dirty-profile count reached the threshold and leaves every other lane's
-// generation (and segment file) untouched.
-func TestCheckpointOnlyRewritesDirtyLanes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, err := Open(t.TempDir(), Options{Lanes: 4, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.laneFor("u").id == s.laneFor("z").id {
-		t.Fatal("test users collided on one lane")
-	}
-	for _, u := range []string{"u", "z"} {
-		if err := s.AppendSubscribe(u, "MM", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := s.Checkpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rewritten != 2 || st.Clean != 2 || st.Skipped != 0 {
-		t.Fatalf("first checkpoint stats = %+v", st)
-	}
-	// Dirty one lane only: the other lane's generation must not move.
-	if err := s.AppendFeedback("u", vec("cat", 1.0), filter.Relevant); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s.Checkpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rewritten != 1 || st.Clean != 3 {
-		t.Fatalf("second checkpoint stats = %+v", st)
-	}
-	lis, err := s.LaneInfos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens := map[int]uint64{}
-	for _, li := range lis {
-		gens[li.Lane] = li.Gen
-	}
-	if gens[s.laneFor("u").id] != 2 || gens[s.laneFor("z").id] != 1 {
-		t.Fatalf("lane generations = %v", gens)
-	}
-	// Below the dirty threshold a lane is skipped outright, and its
-	// events stay in the WAL.
-	if err := s.AppendFeedback("z", vec("dog", 1.0), filter.Relevant); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s.Checkpoint(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rewritten != 0 || st.Skipped != 1 {
-		t.Fatalf("thresholded checkpoint stats = %+v", st)
-	}
-	_, events, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].User != "z" {
-		t.Fatalf("events after thresholded checkpoint = %+v", events)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap["mm_store_checkpoint_lanes_rewritten_total"].(int64); got != 3 {
-		t.Errorf("lanes rewritten counter = %d, want 3", got)
-	}
-	if got := snap["mm_store_checkpoint_lanes_skipped_total"].(int64); got != 1 {
-		t.Errorf("lanes skipped counter = %d, want 1", got)
 	}
 }
 
@@ -870,116 +782,7 @@ func TestRestoreResubscribeAcrossCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRestoreInterleavedAcrossLanes: two users interleaving feedback land
-// in different lanes, so Load returns their events lane-concatenated —
-// globally out of append order. Restore depends only on per-user order,
-// which sharding preserves, so recovery matches the live learners.
-func TestRestoreInterleavedAcrossLanes(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Lanes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := []string{"u", "z"}
-	if s.laneFor(users[0]).id == s.laneFor(users[1]).id {
-		t.Fatal("test users collided on one lane")
-	}
-	live := map[string]filter.Learner{}
-	for _, u := range users {
-		live[u] = core.NewDefault()
-		if err := s.AppendSubscribe(u, "MM", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		u := users[i%2]
-		fd := filter.Relevant
-		if i%5 == 0 {
-			fd = filter.NotRelevant
-		}
-		v := vec(fmt.Sprintf("t%02d", i), 1.0)
-		live[u].Observe(v, fd)
-		if err := s.AppendFeedback(u, v, fd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	profiles, events, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 22 {
-		t.Fatalf("events = %d, want 22", len(events))
-	}
-	restored, err := Restore(profiles, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		u := users[i%2]
-		probe := vec(fmt.Sprintf("t%02d", i), 1.0)
-		if got, want := restored[u].Score(probe), live[u].Score(probe); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("user %s term %d: %v != %v", u, i, got, want)
-		}
-	}
-}
-
-// TestEmptyLaneReopen: lanes that never saw a record survive checkpoint
-// and reopen cleanly, the manifest pins the lane count against a
-// conflicting Options.Lanes, and a first append into a never-used lane
-// just works.
-func TestEmptyLaneReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Lanes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendSubscribe("u", "MM", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Checkpoint(1); err != nil {
-		t.Fatal(err) // three lanes stay clean at generation 0
-	}
-	s.Close()
-
-	s2, err := Open(dir, Options{Lanes: 16}) // ignored: manifest pins 4
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if len(s2.lanes) != 4 {
-		t.Fatalf("lane count = %d, want the manifest's 4", len(s2.lanes))
-	}
-	profiles, events, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 1 || len(events) != 0 {
-		t.Fatalf("after reopen: %d profiles, %d events", len(profiles), len(events))
-	}
-	// "z" hashes to a lane that has never held a record.
-	if s2.laneFor("z").id == s2.laneFor("u").id {
-		t.Fatal("test users collided on one lane")
-	}
-	if err := s2.AppendSubscribe("z", "MM", nil); err != nil {
-		t.Fatal(err)
-	}
-	_, events, err = s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 {
-		t.Fatalf("events after first append to empty lane = %d", len(events))
-	}
-}
-
-// TestRestoreUserHydration: single-user hydration from segment + lane WAL
+// TestRestoreUserHydration: single-user hydration from segment + WAL
 // is bit-identical to the learner a full Restore produces; unknown and
 // unsubscribed users report found=false.
 func TestRestoreUserHydration(t *testing.T) {
@@ -1071,22 +874,14 @@ func (f slowSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestGroupCommitCoalesces proves durable mode batches fsyncs — in the
-// single-lane store and in a multi-lane one, where the global leader pass
-// fsyncs every pending lane per batch: many concurrent appenders share
-// far fewer fsyncs than appends, yet every append is individually
-// acknowledged durable.
+// TestGroupCommitCoalesces proves durable mode batches fsyncs: many
+// concurrent appenders share far fewer fsyncs than appends, yet every
+// append is individually acknowledged durable.
 func TestGroupCommitCoalesces(t *testing.T) {
-	t.Run("single_lane", func(t *testing.T) { testGroupCommit(t, 1, 8) })
-	t.Run("multi_lane", func(t *testing.T) { testGroupCommit(t, 4, 16) })
-}
-
-func testGroupCommit(t *testing.T, lanes, workers int) {
-	const perW = 20
+	const workers, perW = 16, 20
 	reg := metrics.NewRegistry()
 	s, err := Open(t.TempDir(), Options{
 		Durable: true,
-		Lanes:   lanes,
 		Metrics: reg,
 		FS:      slowSyncFS{faultfs.OS(), 200 * time.Microsecond},
 	})
@@ -1129,8 +924,8 @@ func testGroupCommit(t *testing.T, lanes, workers int) {
 		t.Fatalf("group-commit records = %d, want %d (every durable append must ride a batch)", batched, appends)
 	}
 	if fsyncs > appends/2 {
-		t.Fatalf("fsyncs = %d for %d appends across %d lanes: group commit is not coalescing", fsyncs, appends, lanes)
+		t.Fatalf("fsyncs = %d for %d appends: group commit is not coalescing", fsyncs, appends)
 	}
-	t.Logf("group commit over %d lanes: %d appends / %d fsyncs = %.1f records per fsync",
-		lanes, appends, fsyncs, float64(appends)/float64(fsyncs))
+	t.Logf("group commit: %d appends / %d fsyncs = %.1f records per fsync",
+		appends, fsyncs, float64(appends)/float64(fsyncs))
 }
