@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mmclient [-addr host:7070] subscribe -user alice [-learner MM] [-keywords "cats,jazz"]
+//	mmclient [-addr host:7070] subscribe -user alice [-learner MM|MMND] [-keywords "cats,jazz"]
 //	mmclient publish -file page.html        (or -text "...")
 //	mmclient listen -user alice [-batch 64] (server-push session; streams until closed)
 //	mmclient feedback -user alice -doc 12 -relevant=true
@@ -135,7 +135,7 @@ func main() {
 	case "subscribe":
 		fs := flag.NewFlagSet("subscribe", flag.ExitOnError)
 		user := fs.String("user", "", "subscriber id")
-		learner := fs.String("learner", "", "algorithm (default MM)")
+		learner := fs.String("learner", "", "MM or MMND (default MM)")
 		keywords := fs.String("keywords", "", "comma-separated seed keywords (MM only)")
 		parse(fs, rest)
 		var kw []string

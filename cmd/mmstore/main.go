@@ -18,11 +18,8 @@ import (
 	"os"
 	"strings"
 
-	"mmprofile/internal/filter"
+	"mmprofile/internal/core"
 	"mmprofile/internal/store"
-
-	_ "mmprofile/internal/core"    // register MM/MMND for restore
-	_ "mmprofile/internal/rocchio" // register baselines for restore
 )
 
 func main() {
@@ -60,11 +57,11 @@ func main() {
 		summarize(profiles, events, info)
 		return
 	}
-	learners, err := store.Restore(profiles, events)
+	restored, err := store.Restore(profiles, events)
 	if err != nil {
 		fail(err)
 	}
-	l, ok := learners[*user]
+	l, ok := restored[*user]
 	if !ok {
 		fail(fmt.Errorf("no such user %q (known: %v)", *user, store.Users(profiles, events)))
 	}
@@ -97,18 +94,16 @@ func summarize(profiles []store.ProfileRecord, events []store.Event, info store.
 	}
 }
 
-func describe(user string, l filter.Learner) {
+func describe(user string, l *core.Profile) {
 	fmt.Printf("user:         %s\n", user)
 	fmt.Printf("learner:      %s\n", l.Name())
 	fmt.Printf("profile size: %d vector(s)\n", l.ProfileSize())
-	if vs, ok := l.(filter.VectorSource); ok {
-		for i, v := range vs.ProfileVectors() {
-			if i >= 10 {
-				fmt.Printf("  … and %d more\n", l.ProfileSize()-10)
-				break
-			}
-			fmt.Printf("  #%d (%d terms): %s\n", i+1, v.Len(), strings.Join(v.TopTerms(6), " "))
+	for i, v := range l.ProfileVectors() {
+		if i >= 10 {
+			fmt.Printf("  … and %d more\n", l.ProfileSize()-10)
+			break
 		}
+		fmt.Printf("  #%d (%d terms): %s\n", i+1, v.Len(), strings.Join(v.TopTerms(6), " "))
 	}
 }
 

@@ -65,7 +65,7 @@ func (a *Aggregate) Add(v vsm.Vector) {
 	a.vectors = append(a.vectors, v.Truncated(a.MaxTerms))
 }
 
-// AddAll folds a whole profile (e.g. filter.VectorSource output).
+// AddAll folds a whole profile (e.g. core.Profile.ProfileVectors output).
 func (a *Aggregate) AddAll(vs []vsm.Vector) {
 	for _, v := range vs {
 		a.Add(v)

@@ -109,7 +109,7 @@ func (k *KMeans) Score(v vsm.Vector) float64 {
 // ProfileSize implements filter.Learner.
 func (k *KMeans) ProfileSize() int { return len(k.centroids) }
 
-// ProfileVectors implements filter.VectorSource.
+// ProfileVectors returns copies of the k centroids.
 func (k *KMeans) ProfileVectors() []vsm.Vector {
 	out := make([]vsm.Vector, len(k.centroids))
 	for i, c := range k.centroids {

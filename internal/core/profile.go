@@ -128,8 +128,8 @@ func (p *Profile) Vectors() []ProfileVector {
 	return out
 }
 
-// ProfileVectors implements filter.VectorSource: the current cluster
-// representatives, unit-normalized, as independent copies.
+// ProfileVectors returns the current cluster representatives,
+// unit-normalized, as independent copies.
 func (p *Profile) ProfileVectors() []vsm.Vector {
 	out := make([]vsm.Vector, len(p.vectors))
 	for i, pv := range p.vectors {
@@ -400,11 +400,37 @@ func (p *Profile) String() string {
 	return fmt.Sprintf("%s{vectors: %d, steps: %d, ops: %+v}", p.Name(), len(p.vectors), p.step, p.ops)
 }
 
-func init() {
-	filter.Register("MM", func() filter.Learner { return NewDefault() })
-	filter.Register("MMND", func() filter.Learner {
-		o := DefaultOptions()
+// served lists the learner names NewNamed builds: the names the
+// dissemination server takes from a client and keeps in its records.
+var served = []string{"MM", "MMND"}
+
+// NewNamed returns a profile of the served learner name: MM with the
+// paper's defaults, or MMND, the same without decay. A non-empty state is
+// a MarshalBinary snapshot, loaded over the fresh profile. Any other name
+// is refused with an error that names it and the served set.
+func NewNamed(name string, state []byte) (*Profile, error) {
+	o := DefaultOptions()
+	switch name {
+	case "MM":
+	case "MMND":
 		o.DisableDecay = true
-		return New(o)
-	})
+	default:
+		return nil, fmt.Errorf("core: learner %q is not served (served: %v)", name, served)
+	}
+	p := New(o)
+	if len(state) > 0 {
+		if err := p.UnmarshalBinary(state); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+func init() {
+	for _, name := range served {
+		filter.Register(name, func() filter.Learner {
+			p, _ := NewNamed(name, nil)
+			return p
+		})
+	}
 }

@@ -1,7 +1,8 @@
 // Package filter defines the interface every profile-learning algorithm in
-// this repository implements, so that the evaluator, the benchmark harness,
-// and the dissemination engine can treat the paper's MM algorithm and its
-// baselines (RI, RG, batch Rocchio, NRN) uniformly.
+// this repository implements, so that the evaluator and the benchmark
+// harness can treat the paper's MM algorithm and its baselines (RI, RG,
+// batch Rocchio, NRN) uniformly. The dissemination server holds MM profiles
+// only (core.Profile, built by name with core.NewNamed).
 package filter
 
 import (
@@ -37,8 +38,7 @@ func (f Feedback) String() string {
 // Learner is an incremental profile learner: it consumes a stream of
 // (document vector, feedback) pairs and scores unseen documents by
 // predicted relevance. Learners are not safe for concurrent use; callers
-// that share one across goroutines must serialize access (pubsub.Broker
-// does).
+// that share one across goroutines must serialize access.
 type Learner interface {
 	// Name identifies the algorithm in reports ("MM", "RI", "RG", ...).
 	Name() string
@@ -54,16 +54,6 @@ type Learner interface {
 	ProfileSize() int
 	// Reset discards all learned state.
 	Reset()
-}
-
-// VectorSource is implemented by learners whose profile state is a set of
-// unit-normalized term vectors. The dissemination engine registers these
-// vectors in its inverted index so that matching a document against all
-// subscribed profiles walks posting lists instead of every profile.
-type VectorSource interface {
-	// ProfileVectors returns copies of the profile's current vectors, each
-	// unit-normalized.
-	ProfileVectors() []vsm.Vector
 }
 
 // Factory constructs a fresh learner with algorithm-default parameters.

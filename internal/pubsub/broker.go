@@ -2,8 +2,8 @@
 // profiles exist to serve (Section 1): a broker that accepts published web
 // pages, matches each one against every subscriber's profile through an
 // inverted profile index, delivers matches, and feeds subscriber relevance
-// judgments back into the profiles — which adapt online via the MM
-// algorithm (or any other filter.Learner).
+// judgments back into the profiles — MM profiles (core.Profile), which
+// adapt online.
 //
 // Collection statistics (document frequencies, average length) accumulate
 // incrementally as documents are published, exactly as the paper's footnote
@@ -54,30 +54,14 @@ import (
 type Journal interface {
 	AppendSubscribe(user, learner string, state []byte) error
 	AppendUnsubscribe(user string) error
-	AppendFeedback(user string, v vsm.Vector, fd filter.Feedback) error
-}
-
-// journalSyncer is the optional durability barrier a Journal may
-// implement (*store.Store does): Sync returns once every record appended
-// before the call is on stable storage.
-type journalSyncer interface {
-	Sync() error
-}
-
-// tracedJournal is the optional traced feedback append a Journal may
-// implement (*store.Store does): when the request is sampled, the append's
-// WAL write and group-commit wait become child spans of sp, separating the
-// two very different ways a durable append can be slow.
-type tracedJournal interface {
+	// AppendFeedbackTraced records one judgment. When sp is a live span (it
+	// may be nil) the append's WAL write and group-commit wait become its
+	// children, separating the two very different ways a durable append
+	// can be slow.
 	AppendFeedbackTraced(user string, v vsm.Vector, fd filter.Feedback, sp *trace.Span) error
-}
-
-// auditTagger is implemented by learners that keep an adaptation audit
-// journal (core.Profile): before applying a judgment the broker tags it
-// with the judged document id and the trace that carried it, so audit
-// events join back to deliveries and request traces.
-type auditTagger interface {
-	TagNextObserve(doc int64, trace string)
+	// Sync returns once every record appended before the call is on stable
+	// storage.
+	Sync() error
 }
 
 // errDuplicate signals an id collision inside the registry; Subscribe
@@ -88,11 +72,6 @@ var errDuplicate = errors.New("duplicate subscriber")
 // (or no longer) registered.
 func errUnknown(id string) error {
 	return fmt.Errorf("pubsub: unknown subscriber %q", id)
-}
-
-// errNotIndexable refuses a learner the match index cannot hold.
-func errNotIndexable(id string, l filter.Learner) error {
-	return fmt.Errorf("pubsub: subscriber %q: learner %q exposes no profile vectors to index (filter.VectorSource)", id, l.Name())
 }
 
 // Options configures a Broker. The zero value gets sensible defaults from
@@ -194,13 +173,13 @@ type subscriber struct {
 
 	// mu guards learner, closed, lastOps, lastSize, lastPairs — and serializes each
 	// profile mutation with its journal append and its index refresh, so
-	// the WAL order, the learner state, and the index entries for one
+	// the WAL order, the profile state, and the index entries for one
 	// subscriber can never disagree (see Feedback and Unsubscribe).
 	// learner is nil while the subscriber is evicted (lazy hydration,
 	// hydrate.go): the profile's state lives only in the store until the
 	// next access rebuilds it.
 	mu      sync.Mutex
-	learner filter.Learner
+	learner *core.Profile
 	closed  bool
 
 	// ring is the delivery queue, a circular buffer under mu: head indexes
@@ -227,7 +206,7 @@ type subscriber struct {
 	dropped uint64
 
 	// lastOps/lastSize are the adaptation-telemetry baselines: the
-	// learner's operation tallies and vector count as of the last
+	// profile's operation tallies and vector count as of the last
 	// recordAdaptation (initialized at Subscribe, re-baselined on
 	// hydration).
 	lastOps  core.OpCounts
@@ -316,15 +295,12 @@ func (b *Broker) Subscription(id string) (*Subscription, bool) {
 	return &Subscription{b: b, sub: s}, true
 }
 
-// Subscribe registers a learner-backed profile under the given id. The
-// learner is owned by the broker from here on: all further access must go
-// through the subscription (the broker serializes updates per subscriber).
-// When a journal is configured, the subscription (with the learner's
-// initial state, if serializable) is logged before being applied. Profiles
-// are matched through the inverted index only (paper Section 4.3), so a
-// learner that is no filter.VectorSource is refused, before anything is
-// journaled or registered.
-func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
+// Subscribe registers a profile under the given id. The profile is owned
+// by the broker from here on: all further access must go through the
+// subscription (the broker serializes updates per subscriber). When a
+// journal is configured, the subscription, with the profile's initial
+// state, is logged before being applied.
+func (b *Broker) Subscribe(id string, l *core.Profile) (*Subscription, error) {
 	// The duplicate check, the journal record, and the insertion are one
 	// atomic step under the registry lock (see registry.insert):
 	// journaling a subscribe that then fails as a duplicate would clobber
@@ -332,12 +308,9 @@ func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
 	var journal func() error
 	if b.opts.Journal != nil {
 		journal = func() error {
-			var state []byte
-			if m, ok := l.(interface{ MarshalBinary() ([]byte, error) }); ok {
-				var err error
-				if state, err = m.MarshalBinary(); err != nil {
-					return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
-				}
+			state, err := l.MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
 			}
 			if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
 				return fmt.Errorf("pubsub: journal: %w", err)
@@ -349,20 +322,13 @@ func (b *Broker) Subscribe(id string, l filter.Learner) (*Subscription, error) {
 }
 
 // subscribe is the shared registration path behind Subscribe (journaled)
-// and SubscribeRestored with a resident learner (journal nil).
-func (b *Broker) subscribe(id string, l filter.Learner, journal func() error) (*Subscription, error) {
-	if _, ok := l.(filter.VectorSource); !ok {
-		return nil, errNotIndexable(id, l)
-	}
-	s := &subscriber{id: id, learner: l}
+// and SubscribeRestored with a resident profile (journal nil).
+func (b *Broker) subscribe(id string, l *core.Profile, journal func() error) (*Subscription, error) {
 	// Telemetry baselines: adaptation counters report only operations
-	// performed under this broker, not the learner's prior history
-	// (keyword seeding, journal replay). The learner is not yet shared,
+	// performed under this broker, not the profile's prior history
+	// (keyword seeding, journal replay). The profile is not yet shared,
 	// so no lock is needed.
-	if oc, ok := l.(opCounter); ok {
-		s.lastOps = oc.Counts()
-	}
-	s.lastSize = l.ProfileSize()
+	s := &subscriber{id: id, learner: l, lastOps: l.Counts(), lastSize: l.ProfileSize()}
 	if err := b.reg.insert(id, s, journal); err != nil {
 		if errors.Is(err, errDuplicate) {
 			return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)
@@ -738,26 +704,16 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 	vec := rec.Doc.Vector()
 	// An evicted subscriber hydrates before the journal append so the
 	// learner observes this judgment on top of its full history.
-	return b.withLearner(s, sp, func(l filter.Learner) error {
+	return b.withLearner(s, sp, func(l *core.Profile) error {
 		if b.opts.Journal != nil {
-			var err error
-			if tj, ok := b.opts.Journal.(tracedJournal); ok {
-				// The store itself spans the WAL write and commit wait under sp.
-				err = tj.AppendFeedbackTraced(user, vec, fd, sp)
-			} else {
-				js := sp.Child("store.append")
-				err = b.opts.Journal.AppendFeedback(user, vec, fd)
-				js.End()
-			}
-			if err != nil {
+			// The store itself spans the WAL write and commit wait under sp.
+			if err := b.opts.Journal.AppendFeedbackTraced(user, vec, fd, sp); err != nil {
 				return fmt.Errorf("pubsub: journal: %w", err)
 			}
 		}
-		if at, ok := l.(auditTagger); ok {
-			// Trace() is 0 (and the hex empty) when this request is untraced;
-			// the document id is worth tagging either way.
-			at.TagNextObserve(doc, sp.Trace().String())
-		}
+		// Trace() is 0 (and the hex empty) when this request is untraced;
+		// the document id is worth tagging either way.
+		l.TagNextObserve(doc, sp.Trace().String())
 		os := sp.Child("core.observe")
 		l.Observe(vec, fd)
 		os.End()
@@ -770,12 +726,12 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 }
 
 // withLearner is the one way to reach a subscriber's profile: it runs fn
-// on s's learner under s's lock, hydrating an evicted profile first and
+// on s's profile under s's lock, hydrating an evicted profile first and
 // refreshing its residency recency, and errors without calling fn when s
 // was unsubscribed or cannot be hydrated. The residency bound is enforced
 // after the lock is released — it may pick this very subscriber as its
 // victim.
-func (b *Broker) withLearner(s *subscriber, sp *trace.Span, fn func(filter.Learner) error) error {
+func (b *Broker) withLearner(s *subscriber, sp *trace.Span, fn func(*core.Profile) error) error {
 	defer b.enforceResidency()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -793,7 +749,7 @@ func (b *Broker) withLearner(s *subscriber, sp *trace.Span, fn func(filter.Learn
 }
 
 // userLearner is withLearner by id.
-func (b *Broker) userLearner(user string, fn func(filter.Learner) error) error {
+func (b *Broker) userLearner(user string, fn func(*core.Profile) error) error {
 	s, ok := b.reg.get(user)
 	if !ok {
 		return errUnknown(user)
@@ -801,41 +757,22 @@ func (b *Broker) userLearner(user string, fn func(filter.Learner) error) error {
 	return b.withLearner(s, nil, fn)
 }
 
-// packedSource is implemented by learners that hold their vectors packed
-// to term ids (core.Profile): the index takes those as they are, and hands
-// back its own copy of a vector it already held with equal content, which
-// the learner adopts in place of its own.
-type packedSource interface {
-	PackedVectors() []vsm.Packed
-	AdoptPacked(shared []vsm.Packed)
-}
-
-// indexLocked hands a resident learner's current vectors to the match
-// index — as the learner holds them when it holds them packed, no copy;
-// packed here from its ProfileVectors copies otherwise — and settles the
-// resident-pairs gauge on the way. A packed learner then adopts the
+// indexLocked hands a resident profile's current vectors to the match
+// index as the profile holds them, packed to term ids, with no copy — and
+// settles the resident-pairs gauge on the way. The profile then adopts the
 // vectors the index shares with other holders, so a vector many users hold
 // is one copy in the process. It is the one place subscribe, feedback and
-// hydration reindex through. Caller holds s.mu; s.learner is a
-// filter.VectorSource (subscribe and hydration refuse any other).
+// hydration reindex through. Caller holds s.mu and s.learner is set.
 func (b *Broker) indexLocked(s *subscriber) {
-	var vecs []vsm.Packed
-	ps, packed := s.learner.(packedSource)
-	if packed {
-		vecs = ps.PackedVectors()
-	} else {
-		for _, v := range s.learner.(filter.VectorSource).ProfileVectors() {
-			vecs = append(vecs, vsm.Pack(v))
-		}
-	}
+	vecs := s.learner.PackedVectors()
 	pairs := 0
 	for _, p := range vecs {
 		pairs += p.Len()
 	}
 	b.m.residentPairs.Add(float64(pairs - s.lastPairs))
 	s.lastPairs = pairs
-	if shared := b.idx.SetPacked(s.id, vecs); packed && len(vecs) > 0 && &shared[0] != &vecs[0] {
-		ps.AdoptPacked(shared)
+	if shared := b.idx.SetPacked(s.id, vecs); len(vecs) > 0 && &shared[0] != &vecs[0] {
+		s.learner.AdoptPacked(shared)
 	}
 }
 
@@ -851,17 +788,16 @@ func (b *Broker) reindex(s *subscriber) {
 	b.indexLocked(s)
 }
 
-// SyncJournal forces the journal's durability barrier, when the journal
-// supports one: every subscribe/unsubscribe/feedback journaled before the
-// call is durable when it returns. A no-op (nil) without a journal or
-// with one that has no barrier. Servers call it at shutdown and before
-// checkpoints so the relaxed SyncInterval window never spans a clean
-// exit.
+// SyncJournal forces the journal's durability barrier: every
+// subscribe/unsubscribe/feedback journaled before the call is durable when
+// it returns. A no-op (nil) without a journal. Servers call it at shutdown
+// and before checkpoints so the relaxed SyncInterval window never spans a
+// clean exit.
 func (b *Broker) SyncJournal() error {
-	if js, ok := b.opts.Journal.(journalSyncer); ok {
-		return js.Sync()
+	if b.opts.Journal == nil {
+		return nil
 	}
-	return nil
+	return b.opts.Journal.Sync()
 }
 
 // ProfileSnapshot is one subscriber's serialized profile, as ExportProfile
@@ -872,16 +808,12 @@ type ProfileSnapshot struct {
 	Data    []byte
 }
 
-// ExportProfile serializes one subscriber's learner (profile portability:
+// ExportProfile serializes one subscriber's profile (profile portability:
 // download a profile from one broker, import it into another).
 func (b *Broker) ExportProfile(user string) (ProfileSnapshot, error) {
 	snap := ProfileSnapshot{User: user}
-	err := b.userLearner(user, func(l filter.Learner) error {
-		m, ok := l.(interface{ MarshalBinary() ([]byte, error) })
-		if !ok {
-			return fmt.Errorf("pubsub: learner %q is not serializable", l.Name())
-		}
-		blob, err := m.MarshalBinary()
+	err := b.userLearner(user, func(l *core.Profile) error {
+		blob, err := l.MarshalBinary()
 		if err != nil {
 			return fmt.Errorf("pubsub: export %q: %w", user, err)
 		}
@@ -1032,17 +964,17 @@ func (s *Subscription) Feedback(doc int64, fd filter.Feedback) error {
 // hydration fails).
 func (s *Subscription) ProfileSize() int {
 	n := 0
-	_ = s.WithLearner(func(l filter.Learner) { n = l.ProfileSize() })
+	_ = s.WithLearner(func(l *core.Profile) { n = l.ProfileSize() })
 	return n
 }
 
-// WithLearner runs fn with the subscription's learner under the
+// WithLearner runs fn with the subscription's profile under the
 // subscriber's lock, hydrating an evicted profile first; it errors when
 // the subscriber is unsubscribed or hydration fails. For read-only
 // introspection (the wire layer uses it to describe profiles). fn must
-// not retain the learner or call back into the broker.
-func (s *Subscription) WithLearner(fn func(filter.Learner)) error {
-	return s.b.withLearner(s.sub, nil, func(l filter.Learner) error {
+// not retain the profile or call back into the broker.
+func (s *Subscription) WithLearner(fn func(*core.Profile)) error {
+	return s.b.withLearner(s.sub, nil, func(l *core.Profile) error {
 		fn(l)
 		return nil
 	})
@@ -1053,6 +985,6 @@ func (s *Subscription) WithLearner(fn func(filter.Learner)) error {
 // hydration).
 func (s *Subscription) Score(v vsm.Vector) float64 {
 	sc := 0.0
-	_ = s.WithLearner(func(l filter.Learner) { sc = l.Score(v) })
+	_ = s.WithLearner(func(l *core.Profile) { sc = l.Score(v) })
 	return sc
 }

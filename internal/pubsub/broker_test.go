@@ -2,13 +2,11 @@ package pubsub
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
 	"mmprofile/internal/core"
 	"mmprofile/internal/filter"
-	"mmprofile/internal/rocchio"
 	"mmprofile/internal/vsm"
 )
 
@@ -18,6 +16,16 @@ func vec(pairs ...any) vsm.Vector {
 		m[pairs[i].(string)] = pairs[i+1].(float64)
 	}
 	return vsm.FromMap(m).Normalized()
+}
+
+// mmnd returns a fresh MMND profile: MM without decay, the server's other
+// learner.
+func mmnd() *core.Profile {
+	p, err := core.NewNamed("MMND", nil)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // trainedMM returns an MM learner already interested in the given concept
@@ -215,65 +223,6 @@ func TestSubscribeKeywords(t *testing.T) {
 	}
 }
 
-// TestSubscribeRefusesLearnerWithoutVectors: the index is the only match
-// path, so a learner that exposes no vectors is refused — and the refusal
-// leaves the registry, the index and the journal as they were (the journal
-// here fails every subscribe it is shown, so an error that names
-// VectorSource instead means it was never reached).
-func TestSubscribeRefusesLearnerWithoutVectors(t *testing.T) {
-	b := New(Options{Threshold: 0.3, Journal: failingJournal{}})
-	for name, subscribe := range map[string]func(filter.Learner) error{
-		"Subscribe":         func(l filter.Learner) error { _, err := b.Subscribe("alice", l); return err },
-		"SubscribeRestored": func(l filter.Learner) error { _, err := b.SubscribeRestored("alice", l); return err },
-	} {
-		err := subscribe(opaque{trainedMM("cat", "dog")})
-		if err == nil || !strings.Contains(err.Error(), "VectorSource") {
-			t.Errorf("%s(opaque) = %v, want an error naming filter.VectorSource", name, err)
-		}
-	}
-	if _, ok := b.Subscription("alice"); ok || b.Stats().Subscribers != 0 {
-		t.Error("refused learner was registered")
-	}
-	if st := b.IndexStats(); st.Users != 0 || st.Vectors != 0 {
-		t.Errorf("refused learner reached the index: %+v", st)
-	}
-	if _, n := b.PublishVector(vec("cat", 1.0, "dog", 1.0)); n != 0 {
-		t.Errorf("refused learner took %d deliveries", n)
-	}
-}
-
-// opaque wraps a learner, stripping every optional capability — its
-// VectorSource implementation and its codec included.
-type opaque struct{ l filter.Learner }
-
-func (o opaque) Name() string                             { return o.l.Name() }
-func (o opaque) Observe(v vsm.Vector, fd filter.Feedback) { o.l.Observe(v, fd) }
-func (o opaque) Score(v vsm.Vector) float64               { return o.l.Score(v) }
-func (o opaque) ProfileSize() int                         { return o.l.ProfileSize() }
-func (o opaque) Reset()                                   { o.l.Reset() }
-
-// unserializable is opaque with its vectors back: indexable, not exportable.
-type unserializable struct{ opaque }
-
-func (u unserializable) ProfileVectors() []vsm.Vector {
-	return u.l.(filter.VectorSource).ProfileVectors()
-}
-
-func TestRocchioSubscriberIndexed(t *testing.T) {
-	b := New(Options{Threshold: 0.3})
-	r := rocchio.NewRI()
-	r.Observe(vec("cat", 1.0, "dog", 1.0), filter.Relevant)
-	if _, err := b.Subscribe("alice", r); err != nil {
-		t.Fatal(err)
-	}
-	if st := b.IndexStats(); st.Vectors != 1 {
-		t.Errorf("index vectors = %d, want 1", st.Vectors)
-	}
-	if _, n := b.PublishVector(vec("cat", 1.0)); n != 1 {
-		t.Errorf("Rocchio subscriber missed delivery")
-	}
-}
-
 func TestContentRetention(t *testing.T) {
 	b := New(Options{RetainContent: true, Retention: 2})
 	page := "<html><body>felines</body></html>"
@@ -317,13 +266,6 @@ func TestExportProfile(t *testing.T) {
 	probe := vec("cat", 1.0)
 	if restored.Score(probe) != sub.Score(probe) {
 		t.Error("restored profile scores differently")
-	}
-	// Non-serializable learners refuse.
-	if _, err := b.Subscribe("eve", unserializable{opaque{core.NewDefault()}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ExportProfile("eve"); err == nil {
-		t.Error("non-serializable export accepted")
 	}
 }
 

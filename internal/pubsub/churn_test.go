@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mmprofile/internal/filter"
-	"mmprofile/internal/rocchio"
 )
 
 // TestChurnStress runs concurrent Subscribe / Publish / Feedback / Unsubscribe against one broker (meaningful under -race) and
@@ -21,11 +20,11 @@ import (
 func TestChurnStress(t *testing.T) {
 	b := New(Options{Threshold: 0.2, QueueSize: 8})
 
-	// One persistent string-vector (non-packed) subscriber stays matchable
+	// One persistent subscriber of the other learner, MMND, stays matchable
 	// throughout the churn.
-	ri := rocchio.NewRI()
-	ri.Observe(vec("topic0", 1.0), filter.Relevant)
-	riSub, err := b.Subscribe("ri", ri)
+	nd := mmnd()
+	nd.Observe(vec("topic0", 1.0), filter.Relevant)
+	ndSub, err := b.Subscribe("nd", nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestChurnStress(t *testing.T) {
 	}
 
 	live, indexed := 1, 1 // the RI subscriber
-	wantVectors := riSub.ProfileSize()
+	wantVectors := ndSub.ProfileSize()
 	for _, subs := range kept {
 		for _, sub := range subs {
 			live++
@@ -113,7 +112,7 @@ func TestChurnStress(t *testing.T) {
 			b.Unsubscribe(sub.ID())
 		}
 	}
-	b.Unsubscribe("ri")
+	b.Unsubscribe("nd")
 	if got := b.IndexStats().Users; got != 0 {
 		t.Errorf("index users after full unsubscribe = %d, want 0", got)
 	}

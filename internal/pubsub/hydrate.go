@@ -7,24 +7,23 @@ import (
 	"time"
 
 	"mmprofile/internal/core"
-	"mmprofile/internal/filter"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/trace"
 )
 
-// Hydrator restores one subscriber's learner from durable storage, for
+// Hydrator restores one subscriber's profile from durable storage, for
 // lazy profile hydration (DESIGN.md §14). *store.Store implements it: the
-// learner is rebuilt from the user's checkpoint segment plus a replay of
+// profile is rebuilt from the user's checkpoint segment plus a replay of
 // the user's WAL records. RestoreUser reports ok=false when the user
 // has no durable state (never subscribed, or unsubscribed).
 //
 // Because the broker journals every profile mutation *before* applying it
-// in memory (see Journal), a learner rebuilt by the hydrator is
-// bit-identical (in MarshalBinary terms) to the in-heap learner it
-// replaces — which is what lets the broker drop cold learners entirely
+// in memory (see Journal), a profile rebuilt by the hydrator is
+// bit-identical (in MarshalBinary terms) to the in-heap profile it
+// replaces — which is what lets the broker drop cold profiles entirely
 // instead of spilling them.
 type Hydrator interface {
-	RestoreUser(user string) (filter.Learner, bool, error)
+	RestoreUser(user string) (*core.Profile, bool, error)
 }
 
 // residencyLRU orders resident subscribers by last profile access, most
@@ -111,7 +110,7 @@ func (b *Broker) bounded() bool {
 	return b.opts.MaxResident > 0 && b.opts.Hydrator != nil
 }
 
-// hydrateLocked rebuilds an evicted subscriber's learner from the
+// hydrateLocked rebuilds an evicted subscriber's profile from the
 // hydrator and returns its vectors to the match index. Caller holds s.mu;
 // s is not closed and s.learner is nil.
 func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
@@ -128,16 +127,10 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	if !ok {
 		return fmt.Errorf("pubsub: hydrate %q: no durable state", s.id)
 	}
-	if _, ok := l.(filter.VectorSource); !ok {
-		return errNotIndexable(s.id, l)
-	}
 	s.learner = l
 	// Re-baseline the adaptation telemetry: replay repeats operations that
 	// were already counted while the profile was resident.
-	if oc, ok := l.(opCounter); ok {
-		s.lastOps = oc.Counts()
-	}
-	s.lastSize = l.ProfileSize()
+	s.lastOps, s.lastSize = l.Counts(), l.ProfileSize()
 	b.m.profileVectors.Add(float64(s.lastSize))
 	b.indexLocked(s)
 	b.m.residentProfiles.Add(1)
@@ -155,7 +148,7 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	return nil
 }
 
-// evictLocked drops a resident subscriber's learner from the heap: the
+// evictLocked drops a resident subscriber's profile from the heap: the
 // profile's state is fully recoverable from the journal (every mutation
 // was journaled before it was applied), so nothing is written. The
 // subscriber stays registered — its id, delivery queue, and subscription
@@ -204,18 +197,18 @@ func (b *Broker) enforceResidency() {
 
 // SubscribeRestored registers a subscriber restored from the persistence
 // layer at boot, without journaling (the journal already contains its
-// subscribe record). l is the restored learner, or nil to register the
+// subscribe record). l is the restored profile, or nil to register the
 // subscriber evicted — it then occupies no profile heap until its first
 // feedback or introspection hydrates it, which is how a server with
 // -max-resident-profiles boots a journal of any size in O(subscribers)
 // stubs instead of O(events) replay. A nil l requires a configured
 // Hydrator.
-func (b *Broker) SubscribeRestored(id string, l filter.Learner) (*Subscription, error) {
+func (b *Broker) SubscribeRestored(id string, l *core.Profile) (*Subscription, error) {
 	if l != nil {
 		return b.subscribe(id, l, nil)
 	}
 	if b.opts.Hydrator == nil {
-		return nil, fmt.Errorf("pubsub: restore %q: nil learner requires a hydrator", id)
+		return nil, fmt.Errorf("pubsub: restore %q: nil profile requires a hydrator", id)
 	}
 	s := &subscriber{id: id}
 	if err := b.reg.insert(id, s, nil); err != nil {

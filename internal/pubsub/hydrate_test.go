@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -16,17 +17,15 @@ import (
 	"mmprofile/internal/vsm"
 )
 
-// hydUsers builds the mixed user population: mostly MM, whose vectors the
-// index takes packed as they are, and a few RI, whose string vectors are
-// packed on every reindex — so eviction and hydration cover both halves of
-// indexLocked.
+// hydUsers builds the mixed user population: mostly MM and a few MMND, so
+// eviction and hydration replay both served learner names.
 func hydUsers(n int) ([]string, map[string]string) {
 	users := make([]string, n)
 	names := make(map[string]string, n)
 	for i := range users {
 		users[i] = fmt.Sprintf("user%02d", i)
 		if i%6 == 5 {
-			names[users[i]] = "RI"
+			names[users[i]] = "MMND"
 		} else {
 			names[users[i]] = "MM"
 		}
@@ -78,11 +77,11 @@ func TestBoundedResidencyMatchesUnbounded(t *testing.T) {
 
 	users, names := hydUsers(nUsers)
 	for _, u := range users {
-		la, err := filter.New(names[u])
+		la, err := core.NewNamed(names[u], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := filter.New(names[u])
+		lb, err := core.NewNamed(names[u], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,25 +261,25 @@ func TestSubscribeRestoredErrors(t *testing.T) {
 	if _, err := b.SubscribeRestored("v", core.NewDefault()); err != nil {
 		t.Fatal(err)
 	}
-	// A hydrator handing back a learner the index cannot hold is an error,
-	// not a panic, and the stub stays evicted.
-	sub, err := New(Options{Hydrator: opaqueHydrator{}}).SubscribeRestored("w", nil)
+	// A hydrator that fails is an error, not a panic, and the stub stays
+	// evicted.
+	sub, err := New(Options{Hydrator: failingHydrator{}}).SubscribeRestored("w", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.WithLearner(func(filter.Learner) { t.Error("fn ran on a refused learner") }); err == nil ||
-		!strings.Contains(err.Error(), "VectorSource") {
-		t.Errorf("hydrating an unindexable learner = %v, want an error naming filter.VectorSource", err)
+	if err := sub.WithLearner(func(*core.Profile) { t.Error("fn ran on a failed hydration") }); err == nil ||
+		!strings.Contains(err.Error(), "segment unreadable") {
+		t.Errorf("a failed hydration = %v, want the hydrator's error", err)
 	}
 	if sub.sub.learner != nil {
-		t.Error("refused learner became resident")
+		t.Error("a failed hydration left a resident profile")
 	}
 }
 
-type opaqueHydrator struct{}
+type failingHydrator struct{}
 
-func (opaqueHydrator) RestoreUser(string) (filter.Learner, bool, error) {
-	return opaque{core.NewDefault()}, true, nil
+func (failingHydrator) RestoreUser(string) (*core.Profile, bool, error) {
+	return nil, false, errors.New("segment unreadable")
 }
 
 // TestSubscribeRestoredStubHoldsNoQueue pins what an evicted stub costs:
@@ -377,7 +376,7 @@ func TestBoundedResidencyConcurrent(t *testing.T) {
 	b := New(Options{Threshold: 0.3, Journal: st, Hydrator: st, MaxResident: 2})
 	users, names := hydUsers(8)
 	for _, u := range users {
-		l, err := filter.New(names[u])
+		l, err := core.NewNamed(names[u], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"mmprofile/internal/core"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/store"
+	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
 
@@ -65,12 +66,13 @@ func (f failingJournal) AppendSubscribe(string, string, []byte) error {
 	return nil
 }
 func (f failingJournal) AppendUnsubscribe(string) error { return nil }
-func (f failingJournal) AppendFeedback(string, vsm.Vector, filter.Feedback) error {
+func (f failingJournal) AppendFeedbackTraced(string, vsm.Vector, filter.Feedback, *trace.Span) error {
 	if f.failFeedback {
 		return errors.New("disk full")
 	}
 	return nil
 }
+func (f failingJournal) Sync() error { return nil }
 
 func TestJournalFailuresSurface(t *testing.T) {
 	b := New(Options{Journal: failingJournal{}})
@@ -105,19 +107,12 @@ func (j *syncCountingJournal) Sync() error {
 }
 
 // TestSyncJournal pins the broker's explicit durability barrier: it
-// reaches the journal's Sync when one is available, and is a safe no-op
-// for journals without one (or no journal at all).
+// reaches the journal's Sync, and is a safe no-op with no journal at all.
 func TestSyncJournal(t *testing.T) {
 	// No journal: nothing to sync, no error.
 	if err := New(Options{}).SyncJournal(); err != nil {
 		t.Fatal(err)
 	}
-	// A journal without Sync: still a no-op.
-	b := New(Options{Journal: failingJournal{failFeedback: true}})
-	if err := b.SyncJournal(); err != nil {
-		t.Fatal(err)
-	}
-	// A syncable journal: the barrier goes through.
 	j := &syncCountingJournal{failingJournal: failingJournal{failFeedback: true}}
 	b2 := New(Options{Journal: j})
 	if err := b2.SyncJournal(); err != nil {

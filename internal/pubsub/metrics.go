@@ -1,9 +1,6 @@
 package pubsub
 
-import (
-	"mmprofile/internal/core"
-	"mmprofile/internal/metrics"
-)
+import "mmprofile/internal/metrics"
 
 // brokerMetrics bundles every instrument the broker records into
 // (DESIGN.md §8). The dissemination counters double as the backing store
@@ -99,9 +96,9 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 		strength: reg.Histogram("mm_vector_strength",
 			"Distribution of profile-vector strengths, sampled from the judged profile after every feedback step."),
 		profileVectors: reg.Gauge("mm_profile_vectors",
-			"Profile vectors currently held across all subscribers (learner view, including non-indexable learners)."),
+			"Profile vectors currently held across all resident subscribers."),
 		residentPairs: reg.Gauge("mm_profile_resident_pairs",
-			"(vector, term) pairs held by resident indexable profiles, the unit server memory is linear in: mm_runtime_heap_live_bytes over this is the live bytes one pair costs."),
+			"(vector, term) pairs held by resident profiles, the unit server memory is linear in: mm_runtime_heap_live_bytes over this is the live bytes one pair costs."),
 		residentProfiles: reg.Gauge("mm_pubsub_resident_profiles",
 			"Subscriber profiles currently resident in the heap (subscribers minus evicted)."),
 		hydrations: reg.Counter("mm_pubsub_hydrations_total",
@@ -121,39 +118,22 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 	}
 }
 
-// opCounter is the slice of core.Profile the broker needs for adaptation
-// telemetry; any learner exposing MM-style operation tallies qualifies.
-type opCounter interface {
-	Counts() core.OpCounts
-}
-
-// strengthSource is implemented by learners whose vectors carry the
-// paper's strength statistic (core.Profile).
-type strengthSource interface {
-	ForEachStrength(func(float64))
-}
-
-// recordAdaptation diffs a learner's operation tallies against the last
+// recordAdaptation diffs a profile's operation tallies against the last
 // ones seen for the subscriber and publishes the deltas, then samples the
 // current strength distribution. Caller holds the subscriber lock. The
 // baseline is captured at Subscribe, so only adaptation performed under
 // this broker is counted (a profile's pre-subscribe history — keyword
 // seeds, journal replay — is not).
 func (b *Broker) recordAdaptation(s *subscriber) {
-	if oc, ok := s.learner.(opCounter); ok {
-		c := oc.Counts()
-		last := s.lastOps
-		s.lastOps = c
-		b.m.vecCreated.Add(int64(c.Created - last.Created))
-		b.m.vecIncorporated.Add(int64(c.Incorporated - last.Incorporated))
-		b.m.vecMerged.Add(int64(c.Merged - last.Merged))
-		b.m.vecDeleted.Add(int64(c.Deleted - last.Deleted))
-		b.m.vecAnnihilated.Add(int64(c.Annihilated - last.Annihilated))
-		b.m.fbIgnored.Add(int64(c.Ignored - last.Ignored))
-	}
-	if ss, ok := s.learner.(strengthSource); ok {
-		ss.ForEachStrength(b.m.strength.Observe)
-	}
+	c, last := s.learner.Counts(), s.lastOps
+	s.lastOps = c
+	b.m.vecCreated.Add(int64(c.Created - last.Created))
+	b.m.vecIncorporated.Add(int64(c.Incorporated - last.Incorporated))
+	b.m.vecMerged.Add(int64(c.Merged - last.Merged))
+	b.m.vecDeleted.Add(int64(c.Deleted - last.Deleted))
+	b.m.vecAnnihilated.Add(int64(c.Annihilated - last.Annihilated))
+	b.m.fbIgnored.Add(int64(c.Ignored - last.Ignored))
+	s.learner.ForEachStrength(b.m.strength.Observe)
 	size := s.learner.ProfileSize()
 	if d := size - s.lastSize; d != 0 {
 		s.lastSize = size

@@ -7,7 +7,6 @@ import (
 	"mmprofile/internal/docstore"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
-	"mmprofile/internal/rocchio"
 )
 
 // TestDocKeyOffsetInvariant pins what tells one retained document from
@@ -149,15 +148,15 @@ func TestAdaptationTelemetry(t *testing.T) {
 	}
 }
 
-// TestResidentPairsCountStringLearners: a learner that holds its vectors as
-// strings is packed on its way into the index, and its pairs count like an
-// MM profile's.
+// TestResidentPairsCountStringLearners: an MMND profile, subscribed empty
+// and given one judgment, counts its pairs beside an MM profile's and gives
+// them back when it leaves.
 func TestResidentPairsCountStringLearners(t *testing.T) {
 	b := New(Options{Threshold: 0.3})
 	if _, err := b.Subscribe("alice", trainedMM("cat")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Subscribe("rocco", rocchio.NewRI()); err != nil {
+	if _, err := b.Subscribe("rocco", mmnd()); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := b.PublishVector(vec("bond", 1.0, "stock", 1.0, "yield", 1.0))
@@ -168,7 +167,7 @@ func TestResidentPairsCountStringLearners(t *testing.T) {
 		t.Fatalf("residentPairs gauge = %v, want 1 + 3", got)
 	}
 	if _, n := b.PublishVector(vec("stock", 1.0, "yield", 1.0)); n != 1 {
-		t.Errorf("the packed Rocchio profile took %d deliveries, want 1", n)
+		t.Errorf("the MMND profile took %d deliveries, want 1", n)
 	}
 	b.Unsubscribe("rocco")
 	if got := b.m.residentPairs.Value(); got != 1 {

@@ -168,7 +168,7 @@ func TestIncrementalReindexEqualsSetPacked(t *testing.T) {
 	}()
 
 	packedOf := func(sub *Subscription) (vecs []vsm.Packed) {
-		if err := sub.WithLearner(func(l filter.Learner) { vecs = l.(packedSource).PackedVectors() }); err != nil {
+		if err := sub.WithLearner(func(l *core.Profile) { vecs = l.PackedVectors() }); err != nil {
 			t.Fatal(err)
 		}
 		return vecs
@@ -218,8 +218,8 @@ func TestIncrementalReindexEqualsSetPacked(t *testing.T) {
 
 	var ops core.OpCounts
 	for _, sub := range subs {
-		_ = sub.WithLearner(func(l filter.Learner) {
-			c := l.(*core.Profile).Counts()
+		_ = sub.WithLearner(func(l *core.Profile) {
+			c := l.Counts()
 			ops.Created += c.Created
 			ops.Incorporated += c.Incorporated
 			ops.Merged += c.Merged

@@ -8,6 +8,7 @@ import (
 	"mmprofile/internal/filter"
 	"mmprofile/internal/intern"
 	"mmprofile/internal/text"
+	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
 
@@ -17,10 +18,11 @@ type recordingJournal struct{ feedback [][]byte }
 
 func (j *recordingJournal) AppendSubscribe(string, string, []byte) error { return nil }
 func (j *recordingJournal) AppendUnsubscribe(string) error               { return nil }
-func (j *recordingJournal) AppendFeedback(_ string, v vsm.Vector, _ filter.Feedback) error {
+func (j *recordingJournal) AppendFeedbackTraced(_ string, v vsm.Vector, _ filter.Feedback, _ *trace.Span) error {
 	j.feedback = append(j.feedback, vsm.AppendVector(nil, v))
 	return nil
 }
+func (j *recordingJournal) Sync() error { return nil }
 
 // TestMissInternedBeforeFeedback: a page whose terms no profile holds is
 // retained as strings; a profile imported afterwards interns some of them;

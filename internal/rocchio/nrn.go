@@ -54,15 +54,6 @@ func (n *NRN) Score(v vsm.Vector) float64 {
 // ProfileSize implements filter.Learner: one vector per stored document.
 func (n *NRN) ProfileSize() int { return len(n.vectors) }
 
-// ProfileVectors implements filter.VectorSource.
-func (n *NRN) ProfileVectors() []vsm.Vector {
-	out := make([]vsm.Vector, len(n.vectors))
-	for i, v := range n.vectors {
-		out[i] = v.Clone()
-	}
-	return out
-}
-
 // Reset implements filter.Learner.
 func (n *NRN) Reset() { n.vectors = nil }
 

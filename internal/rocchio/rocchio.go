@@ -29,7 +29,7 @@ type Rocchio struct {
 	maxTerms  int
 
 	profile vsm.Vector
-	norm    float64 // cached ‖profile‖, maintained by Flush/Reset/restore
+	norm    float64 // cached ‖profile‖, maintained by Flush and Reset
 	rel     []vsm.Vector
 	nonRel  []vsm.Vector
 	updates int
@@ -78,16 +78,6 @@ func (r *Rocchio) ProfileSize() int {
 
 // Profile returns a copy of the current profile vector.
 func (r *Rocchio) Profile() vsm.Vector { return r.profile.Clone() }
-
-// ProfileVectors implements filter.VectorSource: the single profile vector,
-// unit-normalized (cosine scoring is scale-invariant, so the normalized
-// copy scores identically to Score).
-func (r *Rocchio) ProfileVectors() []vsm.Vector {
-	if r.profile.IsZero() {
-		return nil
-	}
-	return []vsm.Vector{r.profile.Normalized()}
-}
 
 // Reset implements filter.Learner.
 func (r *Rocchio) Reset() {

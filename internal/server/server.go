@@ -16,8 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
-	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
@@ -318,7 +318,7 @@ func (s *Server) Stop() {
 
 // restore registers the store's subscribers with the broker, which is all
 // the wire server needs to address them; SubscribeRestored never re-journals.
-// Eagerly, every learner is replayed into the heap; lazily (with
+// Eagerly, every profile is replayed into the heap; lazily (with
 // -max-resident-profiles), each user becomes an evicted stub that hydrates on
 // first use — the names come from the store's offset index, so boot holds
 // O(subscribers) index entries, never the state. Boot compacts nothing: a
@@ -326,24 +326,24 @@ func (s *Server) Stop() {
 // checkpoint compacts it (DESIGN.md §14).
 func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bool) error {
 	var users []string
-	var learners map[string]filter.Learner // stays nil when lazy: every user boots as a stub
+	var profiles map[string]*core.Profile // stays nil when lazy: every user boots as a stub
 	if lazy {
 		var err error
 		if users, err = st.RestoredUsers(); err != nil {
 			return err
 		}
 	} else {
-		profiles, events, err := st.Load()
+		records, events, err := st.Load()
 		if err != nil {
 			return err
 		}
-		if learners, err = store.Restore(profiles, events); err != nil {
+		if profiles, err = store.Restore(records, events); err != nil {
 			return err
 		}
-		users = store.Users(profiles, events)
+		users = store.Users(records, events)
 	}
 	for _, user := range users {
-		if _, err := broker.SubscribeRestored(user, learners[user]); err != nil {
+		if _, err := broker.SubscribeRestored(user, profiles[user]); err != nil {
 			return fmt.Errorf("restoring %q: %w", user, err)
 		}
 	}

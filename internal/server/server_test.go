@@ -2,12 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,9 +214,9 @@ func TestStopUnderLiveFeedback(t *testing.T) {
 	}
 	profiles, events, err := st.Load()
 	must(t, err)
-	learners, err := store.Restore(profiles, events)
+	restored, err := store.Restore(profiles, events)
 	must(t, err)
-	got, err := learners["alice"].(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+	got, err := restored["alice"].MarshalBinary()
 	must(t, err)
 
 	// The same judgments through a server with no disk.
@@ -276,8 +280,11 @@ func TestStatusListener(t *testing.T) {
 
 // TestNewFailure: New refuses a bad configuration before it touches the
 // disk, and a failure after the store is open (here, restore meeting a
-// learner nobody registered) closes it again — no open journal, no flusher
-// goroutine left behind.
+// learner nobody registered, or a baseline learner the server no longer
+// serves) closes it again — no open journal, no flusher goroutine left
+// behind, not a byte of the directory changed. A lazy boot of the same
+// directory serves every other user and answers the baseline user's
+// profile with an error.
 func TestNewFailure(t *testing.T) {
 	sim := faultfs.NewSim()
 	for _, cfg := range []Config{
@@ -307,6 +314,88 @@ func TestNewFailure(t *testing.T) {
 	st, err = store.Open(stateDir, store.Options{FS: sim})
 	must(t, err)
 	st.Close()
+
+	// A directory an older release wrote, holding an RI subscriber.
+	sim = faultfs.NewSim()
+	st, err = store.Open(stateDir, store.Options{FS: sim})
+	must(t, err)
+	must(t, st.AppendSubscribe("alice", "MM", nil))
+	must(t, st.AppendSubscribe("rocco", "RI", nil))
+	must(t, st.AppendSubscribe("bob", "MMND", nil))
+	must(t, st.Close())
+	files := dirBytes(t, sim)
+	before = runtime.NumGoroutine()
+	_, err = New(Config{StateDir: stateDir, SyncEvery: time.Hour}, Seams{FS: sim, Log: io.Discard})
+	if err == nil || !strings.Contains(err.Error(), `"rocco"`) || !strings.Contains(err.Error(), `"RI"`) {
+		t.Errorf("eager boot over an RI subscriber = %v, want an error naming rocco and RI", err)
+	}
+	if n := settle(before); n != 0 {
+		t.Errorf("failed New left %d goroutine(s) behind", n)
+	}
+	if !reflect.DeepEqual(dirBytes(t, sim), files) {
+		t.Error("the failed boot changed the state directory")
+	}
+	s := mustNew(t, Config{StateDir: stateDir, SyncEvery: time.Hour, MaxResident: 1}, sim)
+	defer s.Stop()
+	c := dial(s)
+	for user, learner := range map[string]string{"alice": "MM", "bob": "MMND"} {
+		if p, err := c.Profile(user); err != nil || p.Learner != learner {
+			t.Errorf("lazy boot: %s answers %+v, %v; want a %s profile", user, p, err, learner)
+		}
+	}
+	if p, err := c.Profile("rocco"); err == nil || !strings.Contains(err.Error(), `"RI"`) {
+		t.Errorf("lazy boot: rocco answers %+v, %v; want an error naming RI", p, err)
+	}
+}
+
+// TestUnreachableProfileIsAnError: a stub whose segment record has one bit
+// flipped cannot hydrate, and `profile` says so, as export does, instead of
+// answering an empty description.
+func TestUnreachableProfileIsAnError(t *testing.T) {
+	sim := faultfs.NewSim()
+	s := mustNew(t, Config{StateDir: stateDir}, sim)
+	c := dial(s)
+	must(t, c.Subscribe("alice", "", []string{"cats"}))
+	must(t, c.Subscribe("bob", "", []string{"kittens"}))
+	s.Stop() // the shutdown checkpoint writes both to the segment, alice first
+
+	for name, data := range dirBytes(t, sim) {
+		if strings.HasPrefix(name, "seg-") {
+			data[8+binary.LittleEndian.Uint32(data)-1] ^= 1 // the last byte of alice's record
+			f, err := sim.OpenFile(filepath.Join(stateDir, name), os.O_WRONLY|os.O_TRUNC, 0o644)
+			must(t, err)
+			_, err = f.Write(data)
+			must(t, err)
+			must(t, f.Sync())
+			must(t, f.Close())
+		}
+	}
+	s = mustNew(t, Config{StateDir: stateDir, MaxResident: 1}, sim)
+	defer s.Stop()
+	c = dial(s)
+	if p, err := c.Profile("bob"); err != nil || p.Size != 1 {
+		t.Errorf("bob answers %+v, %v", p, err)
+	}
+	if p, err := c.Profile("alice"); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("alice's damaged record answers %+v, %v; want a checksum error", p, err)
+	}
+	if _, _, err := c.Export("alice"); err == nil {
+		t.Error("alice's damaged record exports")
+	}
+}
+
+// dirBytes reads every file of the state directory.
+func dirBytes(t *testing.T, sim *faultfs.Sim) map[string][]byte {
+	t.Helper()
+	entries, err := sim.ReadDir(stateDir)
+	must(t, err)
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := sim.ReadFile(filepath.Join(stateDir, e.Name()))
+		must(t, err)
+		out[e.Name()] = data
+	}
+	return out
 }
 
 // TestOneGoroutine: New starts nothing, a resting server runs one periodic

@@ -1,14 +1,13 @@
 package store
 
 import (
-	"encoding"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
-	"mmprofile/internal/filter"
+	"mmprofile/internal/core"
 )
 
 // CheckpointStats reports what one Checkpoint pass did.
@@ -36,8 +35,7 @@ type CheckpointStats struct {
 // recoverable.
 //
 // On success, every record appended before the call is durable. Replay
-// requires the learner types to be registered with the filter registry,
-// same as Restore.
+// refuses a learner name outside core.NewNamed's set, same as Restore.
 func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 	var st CheckpointStats
 	if s.opts.ReadOnly {
@@ -206,11 +204,11 @@ func (s *Store) stage(path string, fill func(io.Writer) error) error {
 // the next segment to w, returning its offset index, where its index frame
 // starts and its size (caller holds s.mu). Clean users' frames are copied
 // from the old segment file one at a time, checksums and names verified;
-// users touched by the WAL are rehydrated through the filter registry,
-// replayed, and re-serialized — so a checkpoint holds the dirty profiles
-// and never the whole store. Segment order is preserved, with users first
-// seen in the WAL appended in event order, so compaction is deterministic.
-// The index frame follows the last record.
+// users touched by the WAL are rehydrated (core.NewNamed), replayed, and
+// re-serialized — so a checkpoint holds the dirty profiles and never the
+// whole store. Segment order is preserved, with users first seen in the WAL
+// appended in event order, so compaction is deterministic. The index frame
+// follows the last record.
 func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carried int, size int64, err error) {
 	if err := s.indexJournal(); err != nil {
 		return nil, 0, 0, 0, err
@@ -220,51 +218,43 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 		return nil, 0, 0, 0, err
 	}
 
-	// One slot per user the WAL touches: the learner apply has folded the
-	// user's events into so far (nil once unsubscribed) and its registry
-	// name, from the subscribe event or the segment record.
-	type slot struct {
-		l     filter.Learner
-		lname string
-	}
+	// One slot per user the WAL touches: the profile apply has folded the
+	// user's events into so far (nil once unsubscribed).
 	order := make([]string, 0, len(s.segIdx))
 	for user := range s.segIdx {
 		order = append(order, user)
 	}
 	sort.Slice(order, func(i, j int) bool { return s.segIdx[order[i]].off < s.segIdx[order[j]].off })
-	touched := make(map[string]slot)
+	touched := make(map[string]*core.Profile)
 	var buf []byte
 	for i, p := range payloads {
 		ev, err := decodeEvent(p)
 		if err != nil {
 			return nil, 0, 0, 0, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
 		}
-		sl, seen := touched[ev.User]
+		l, seen := touched[ev.User]
 		ref, inSeg := s.segIdx[ev.User]
 		switch {
-		case ev.Type == EventSubscribe:
-			sl.lname = ev.Learner
-			if !seen && !inSeg {
-				order = append(order, ev.User)
-			}
+		case ev.Type == EventSubscribe && !seen && !inSeg:
+			order = append(order, ev.User)
 		case ev.Type == EventFeedback && !seen && inSeg:
 			// First touch of a segment profile: rehydrate it.
-			if sl.l, sl.lname, buf, err = s.segLearner(ev.User, ref, buf); err != nil {
+			if l, buf, err = s.segProfile(ev.User, ref, buf); err != nil {
 				return nil, 0, 0, 0, err
 			}
 		case ev.Type == EventUnsubscribe && !seen && !inSeg:
 			continue // of a user the store never held: nothing to drop
 		}
-		if sl.l, err = apply(sl.l, ev); err != nil {
+		if l, err = apply(l, ev); err != nil {
 			return nil, 0, 0, 0, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
 		}
-		touched[ev.User] = sl
+		touched[ev.User] = l
 	}
 
 	idx = make(map[string]segRef, len(order))
 	var entries []byte
 	for _, user := range order {
-		sl, dirty := touched[user]
+		l, dirty := touched[user]
 		ref := s.segIdx[user]
 		switch {
 		case !dirty: // clean: the old frame, verbatim
@@ -278,18 +268,14 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 				return nil, 0, 0, 0, fmt.Errorf("store: %w", err)
 			}
 			carried++
-		case sl.l == nil:
+		case l == nil:
 			continue // unsubscribed: dropped from the new segment
 		default:
-			m, ok := sl.l.(encoding.BinaryMarshaler)
-			if !ok {
-				return nil, 0, 0, 0, fmt.Errorf("store: learner %q for %q is not serializable", sl.lname, user)
-			}
-			data, err := m.MarshalBinary()
+			data, err := l.MarshalBinary()
 			if err != nil {
 				return nil, 0, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
 			}
-			payload := encodeProfilePayload(user, sl.lname, data)
+			payload := encodeProfilePayload(user, l.Name(), data)
 			if err := writeRecord(w, payload); err != nil {
 				return nil, 0, 0, 0, err
 			}

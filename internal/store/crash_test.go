@@ -111,7 +111,7 @@ func expectedState(n int) matrixState {
 
 // probeState extracts the observable state from restored learners: a
 // feedback was applied iff its private term scores positive.
-func probeState(learners map[string]filter.Learner, maxFb int) matrixState {
+func probeState(learners map[string]*core.Profile, maxFb int) matrixState {
 	st := matrixState{}
 	for u, l := range learners {
 		fbs := map[int]bool{}
@@ -133,7 +133,7 @@ func TestProbeStateSanity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Observe(fbVec(i), filter.Relevant)
 	}
-	st := probeState(map[string]filter.Learner{"u": l}, 9)
+	st := probeState(map[string]*core.Profile{"u": l}, 9)
 	want := matrixState{"u": {0: true, 1: true, 2: true, 3: true, 4: true}}
 	if !st.equal(want) {
 		t.Fatalf("probe = %v, want %v", st, want)
@@ -489,7 +489,7 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 			sim := faultfs.NewSim()
 			s, err := Open("/state", Options{FS: sim, Durable: true})
 			must(err)
-			live := map[string]filter.Learner{}
+			live := map[string]*core.Profile{}
 			subscribe := func(user string) {
 				live[user] = core.NewDefault()
 				must(s.AppendSubscribe(user, "MM", nil))

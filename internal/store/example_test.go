@@ -7,8 +7,6 @@ import (
 	"mmprofile/internal/filter"
 	"mmprofile/internal/store"
 	"mmprofile/internal/vsm"
-
-	_ "mmprofile/internal/core" // register MM for Restore
 )
 
 // Example walks the durability cycle: journal a subscription and a

@@ -48,7 +48,7 @@ var oldLayouts = map[string]oldLayout{
 // directory synced, and returns the learners it holds. Each lane's WAL is
 // the WAL a one-journal store writes for the same appends, so the records
 // are the real encoder's.
-func (ly oldLayout) write(t *testing.T, fsys faultfs.FS, dir string) map[string]filter.Learner {
+func (ly oldLayout) write(t *testing.T, fsys faultfs.FS, dir string) map[string]*core.Profile {
 	t.Helper()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func (ly oldLayout) write(t *testing.T, fsys faultfs.FS, dir string) map[string]
 			t.Fatal(err)
 		}
 	}
-	live := map[string]filter.Learner{}
+	live := map[string]*core.Profile{}
 	mf := []byte{'M', 'M', 'L', 'N', ly.version, 7, byte(ly.lanes)} // epoch 7, one-byte uvarints
 	for id := 0; id < ly.lanes; id++ {
 		gen := ly.gens[id]
@@ -160,7 +160,7 @@ func frameOf(t *testing.T, payload []byte) []byte {
 
 // requireHolds checks that s holds exactly live, by Load + Restore and by
 // hydration.
-func requireHolds(t *testing.T, s *Store, live map[string]filter.Learner) {
+func requireHolds(t *testing.T, s *Store, live map[string]*core.Profile) {
 	t.Helper()
 	profiles, events, err := s.Load()
 	if err != nil {

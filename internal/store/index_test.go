@@ -7,7 +7,6 @@ package store
 
 import (
 	"bytes"
-	"encoding"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,9 +20,9 @@ import (
 	"mmprofile/internal/metrics"
 )
 
-func marshal(t testing.TB, l filter.Learner) []byte {
+func marshal(t testing.TB, l *core.Profile) []byte {
 	t.Helper()
-	data, err := l.(encoding.BinaryMarshaler).MarshalBinary()
+	data, err := l.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func marshal(t testing.TB, l filter.Learner) []byte {
 // on the same open store: RestoredUsers lists exactly the users a full
 // Load+Restore yields, and each hydrates through RestoreUser to the same
 // learner type and bytes.
-func requireHydrationEqualsRestore(t *testing.T, s *Store, learners map[string]filter.Learner) {
+func requireHydrationEqualsRestore(t *testing.T, s *Store, learners map[string]*core.Profile) {
 	t.Helper()
 	users, err := s.RestoredUsers()
 	if err != nil {
@@ -306,7 +305,7 @@ func TestHydrationConcurrentWithCheckpoint(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	type ref struct {
 		mu sync.RWMutex // appends+observes exclude hydrate+compare
-		l  filter.Learner
+		l  *core.Profile
 	}
 	refs := make([]*ref, users)
 	name := func(i int) string { return fmt.Sprintf("user-%d", i) }

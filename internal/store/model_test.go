@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/vsm"
 )
@@ -26,9 +27,9 @@ func TestRandomOperationSequences(t *testing.T) {
 			}
 			defer func() { s.Close() }()
 
-			model := map[string]filter.Learner{}
+			model := map[string]*core.Profile{}
 			users := []string{"u0", "u1", "u2", "u3"}
-			learnerNames := []string{"MM", "RI", "NRN"}
+			learnerNames := []string{"MM", "MMND"}
 			terms := []string{"a", "b", "c", "d", "e", "f"}
 
 			randVec := func() vsm.Vector {
@@ -78,7 +79,7 @@ func TestRandomOperationSequences(t *testing.T) {
 						continue
 					}
 					name := learnerNames[rng.Intn(len(learnerNames))]
-					l, err := filter.New(name)
+					l, err := core.NewNamed(name, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -13,8 +13,8 @@
 //     atomically (temp + fsync + rename + directory fsync), so a
 //     checkpoint commits at once or not at all.
 //
-// Recovery loads the manifest-referenced segment and replays the log; the
-// learners' update rules are deterministic, so replay reconstructs the
+// Recovery loads the manifest-referenced segment and replays the log; MM's
+// update rules are deterministic, so replay reconstructs the
 // exact pre-crash profiles, and RestoreUser replays a single user on demand
 // for lazy hydration. Every record is length-prefixed and CRC32-guarded. A
 // torn tail (crash mid-append) is detected at Open and truncated away before
@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
@@ -56,8 +57,14 @@ import (
 // ProfileRecord is one user's serialized profile in a segment.
 type ProfileRecord struct {
 	User    string
-	Learner string // registry name, used to reconstruct the right type
-	Data    []byte // learner's MarshalBinary output
+	Learner string // served learner name (core.NewNamed)
+	Data    []byte // the profile's MarshalBinary output
+}
+
+// event is the subscribe a segment record stands for: replaying it gives
+// the checkpointed profile.
+func (r ProfileRecord) event() Event {
+	return Event{Type: EventSubscribe, User: r.User, Learner: r.Learner, State: r.Data}
 }
 
 // EventType tags a log record.
@@ -67,7 +74,7 @@ const (
 	// EventFeedback is a relevance judgment (user, fd, document vector).
 	EventFeedback EventType = iota
 	// EventSubscribe is a new subscription (user, learner name, and the
-	// learner's initial serialized state, e.g. a keyword seed).
+	// profile's initial serialized state, e.g. a keyword seed).
 	EventSubscribe
 	// EventUnsubscribe removes a user.
 	EventUnsubscribe
@@ -333,7 +340,7 @@ func (s *Store) AppendFeedbackTraced(user string, v vsm.Vector, fd filter.Feedba
 	return s.appendPayload(user, payload, sp)
 }
 
-// AppendSubscribe records a new subscription together with the learner's
+// AppendSubscribe records a new subscription together with the profile's
 // initial serialized state.
 func (s *Store) AppendSubscribe(user, learner string, state []byte) error {
 	payload := []byte{byte(EventSubscribe)}
@@ -792,44 +799,24 @@ func scanRecords(data []byte) (payloads [][]byte, committed int, err error) {
 	return payloads, off, nil
 }
 
-// restorable is the serialization contract learners must meet to be
-// persisted (core.Profile, rocchio.Rocchio, rocchio.NRN all do).
-type restorable interface {
-	UnmarshalBinary([]byte) error
-}
-
-// newRestored builds a learner of the named type and loads state into it.
-// Its errors, like apply's, carry no "store:" prefix: every caller puts the
-// record's position in front.
-func newRestored(user, learner string, state []byte) (filter.Learner, error) {
-	l, err := filter.New(learner)
-	if err != nil {
-		return nil, fmt.Errorf("restore %q: %w", user, err)
-	}
-	if len(state) == 0 {
-		return l, nil
-	}
-	r, ok := l.(restorable)
-	if !ok {
-		return nil, fmt.Errorf("learner %q is not restorable", learner)
-	}
-	if err := r.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("restore %q: %w", user, err)
-	}
-	return l, nil
-}
-
 // apply is the replay rule: it folds one journal event into its user's
-// learner slot (nil while the user does not exist) and returns the slot's
-// new content. A subscribe replaces whatever was there with a fresh learner
-// from the filter registry, an unsubscribe empties the slot, a feedback is
-// observed — and is an error on an empty slot, because the broker never
-// journals one. Restore, RestoreUser and compaction differ only in how they
-// walk the events and where they keep the slots.
-func apply(l filter.Learner, ev Event) (filter.Learner, error) {
+// profile slot (nil while the user does not exist) and returns the slot's
+// new content. A subscribe replaces whatever was there with a profile of
+// the named learner (core.NewNamed) loaded from the event's state, an
+// unsubscribe empties the slot, a feedback is observed — and is an error on
+// an empty slot, because the broker never journals one. A segment record is
+// replayed as the subscribe it stands for. Restore, RestoreUser and
+// compaction differ only in how they walk the events and where they keep
+// the slots. Its errors carry no "store:" prefix: every caller puts the
+// record's position in front.
+func apply(l *core.Profile, ev Event) (*core.Profile, error) {
 	switch ev.Type {
 	case EventSubscribe:
-		return newRestored(ev.User, ev.Learner, ev.State)
+		p, err := core.NewNamed(ev.Learner, ev.State)
+		if err != nil {
+			return nil, fmt.Errorf("restore %q: %w", ev.User, err)
+		}
+		return p, nil
 	case EventUnsubscribe:
 		return nil, nil
 	case EventFeedback:
@@ -843,14 +830,15 @@ func apply(l filter.Learner, ev Event) (filter.Learner, error) {
 	}
 }
 
-// Restore reconstructs learners from a Load result: segment profiles are
-// instantiated via the filter registry and unmarshalled, then the event
-// log is replayed in append order. Recovery is all-or-nothing: any undecodable record or inconsistency (feedback
-// for an unknown user) is an error.
-func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learner, error) {
-	out := make(map[string]filter.Learner, len(profiles))
+// Restore reconstructs profiles from a Load result: segment profiles are
+// rebuilt and unmarshalled, then the event log is replayed in append
+// order. Recovery is all-or-nothing: any undecodable record, learner name
+// outside core.NewNamed's set or inconsistency (feedback for an unknown
+// user) is an error.
+func Restore(profiles []ProfileRecord, events []Event) (map[string]*core.Profile, error) {
+	out := make(map[string]*core.Profile, len(profiles))
 	for i, p := range profiles {
-		l, err := newRestored(p.User, p.Learner, p.Data)
+		l, err := apply(nil, p.event())
 		if err != nil {
 			return nil, fmt.Errorf("store: profile %d: %w", i, err)
 		}
@@ -871,7 +859,7 @@ func Restore(profiles []ProfileRecord, events []Event) (map[string]filter.Learne
 }
 
 // RestoredUsers lists the surviving users, sorted, from the offset indexes
-// alone — no profile is read and no learner instantiated. It is the boot
+// alone — no profile is read or rebuilt. It is the boot
 // path for lazy hydration: pubsub registers one evicted stub per name and
 // hydrates on first touch.
 func (s *Store) RestoredUsers() ([]string, error) {

@@ -11,12 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/vsm"
-
-	_ "mmprofile/internal/rocchio" // registry entries for Restore
 )
 
 func vec(pairs ...any) vsm.Vector {
@@ -309,9 +308,9 @@ func TestRecoveryEquivalence(t *testing.T) {
 		return vsm.FromMap(m).Normalized()
 	}
 
-	live := map[string]filter.Learner{}
+	live := map[string]*core.Profile{}
 	subscribe := func(user, learner string) {
-		l, err := filter.New(learner)
+		l, err := core.NewNamed(learner, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +327,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}
 
 	subscribe("alice", "MM")
-	subscribe("bob", "RI")
+	subscribe("bob", "MMND")
 	subscribe("dave", "MM")
 	subscribe("erin", "MM")
 	feedback("dave", randVec(), filter.Relevant)
@@ -346,7 +345,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	// keep going: these events land in the fresh WAL.
 	_, err := s.Checkpoint(1)
 	must(err)
-	subscribe("carol", "NRN")
+	subscribe("carol", "MMND")
 	for i := 0; i < 20; i++ {
 		feedback("alice", randVec(), filter.Relevant)
 		feedback("carol", randVec(), filter.Relevant)
@@ -358,7 +357,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	subscribe("bob", "MM")
 	unsubscribe("dave")
 	unsubscribe("erin")
-	subscribe("erin", "RI")
+	subscribe("erin", "MMND")
 	subscribe("frank", "MM")
 	feedback("frank", randVec(), filter.Relevant)
 	unsubscribe("frank")
@@ -372,7 +371,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	s.Close() // "crash" after close; a real crash is the torn-tail test
 
 	// All three replay callers must land on the live learners' bytes.
-	requireLive := func(by string, got map[string]filter.Learner) {
+	requireLive := func(by string, got map[string]*core.Profile) {
 		t.Helper()
 		if len(got) != len(live) {
 			t.Fatalf("%s: %d users, want %d", by, len(got), len(live))
@@ -498,8 +497,8 @@ func TestRestoredNames(t *testing.T) {
 	if _, err := s.Checkpoint(1); err != nil {
 		t.Fatal(err) // zed and kept now live in segments
 	}
-	must(s.AppendSubscribe("alice", "RI", nil))
-	must(s.AppendSubscribe("alice", "NRN", nil)) // resubscribe wins
+	must(s.AppendSubscribe("alice", "MM", nil))
+	must(s.AppendSubscribe("alice", "MMND", nil)) // resubscribe wins
 	must(s.AppendFeedback("alice", vec("x", 1.0), filter.Relevant))
 	must(s.AppendFeedback("kept", vec("x", 1.0), filter.Relevant)) // feedback only: the segment's name stands
 	must(s.AppendUnsubscribe("zed"))
@@ -514,7 +513,7 @@ func TestRestoredNames(t *testing.T) {
 		if len(got) != 2 || got[0] != "alice" || got[1] != "kept" {
 			t.Fatalf("RestoredUsers = %v, want [alice kept]", got)
 		}
-		for u, want := range map[string]string{"alice": "NRN", "kept": "MM"} {
+		for u, want := range map[string]string{"alice": "MMND", "kept": "MM"} {
 			if l, found, err := s.RestoreUser(u); err != nil || !found || l.Name() != want {
 				t.Errorf("RestoreUser(%q): found=%v err=%v, want a %s learner", u, found, err, want)
 			}
@@ -829,11 +828,11 @@ func TestRestoreUserHydration(t *testing.T) {
 		if err != nil || !found {
 			t.Fatalf("RestoreUser(%s): found=%v err=%v", u, found, err)
 		}
-		want, err := full[u].(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+		want, err := full[u].MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := l.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+		got, err := l.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

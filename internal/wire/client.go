@@ -60,9 +60,9 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	return resp, nil
 }
 
-// Subscribe registers a profile under user. learner may be empty (MM) or a
-// registered learner name; keywords optionally seed an MM profile (the
-// server refuses them with any other learner).
+// Subscribe registers a profile under user. learner is "MM" (or empty) or
+// "MMND"; keywords optionally seed an MM profile (the server refuses them
+// with MMND).
 func (c *Client) Subscribe(user, learner string, keywords []string) error {
 	_, err := c.roundTrip(Request{Op: OpSubscribe, User: user, Learner: learner, Keywords: keywords})
 	return err

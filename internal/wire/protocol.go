@@ -49,8 +49,8 @@ const (
 type Request struct {
 	Op   Op     `json:"op"`
 	User string `json:"user,omitempty"`
-	// Learner selects the profile algorithm at subscribe time (a name from
-	// the filter registry, e.g. "MM"); empty means MM.
+	// Learner selects the profile algorithm at subscribe and import time:
+	// "MM" or "MMND" (core.NewNamed); empty means MM at subscribe.
 	Learner string `json:"learner,omitempty"`
 	// Keywords optionally seed an MM profile at subscribe time; with any
 	// other learner the subscribe is refused.

@@ -11,15 +11,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/filter"
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/obs"
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/trace"
-
-	// Register the baseline learners so wire subscribers can select them
-	// by name (MM and MMND are registered via pubsub's core import).
-	_ "mmprofile/internal/rocchio"
 )
 
 // Server serves the JSON protocol over a listener, one goroutine per
@@ -365,18 +362,9 @@ func (s *Server) importProfile(req Request) Response {
 	if req.User == "" || req.Learner == "" {
 		return errResponse("wire: import requires user and learner")
 	}
-	l, err := filter.New(req.Learner)
+	l, err := core.NewNamed(req.Learner, req.State)
 	if err != nil {
-		return errResponse("%v", err)
-	}
-	if len(req.State) > 0 {
-		u, ok := l.(interface{ UnmarshalBinary([]byte) error })
-		if !ok {
-			return errResponse("wire: learner %q is not restorable", req.Learner)
-		}
-		if err := u.UnmarshalBinary(req.State); err != nil {
-			return errResponse("wire: import %q: %v", req.User, err)
-		}
+		return errResponse("wire: import %q: %v", req.User, err)
 	}
 	if _, err := s.broker.Subscribe(req.User, l); err != nil {
 		return errResponse("%v", err)
@@ -394,16 +382,16 @@ func (s *Server) subscribe(req Request) Response {
 	}
 	var err error
 	if len(req.Keywords) > 0 {
-		// Keyword seeding is MM's bootstrap (paper Section 6); no other
-		// learner has one, and dropping the list silently would leave the
-		// client with an empty profile it believes is seeded.
+		// Keyword seeding is MM's bootstrap (paper Section 6); MMND has
+		// none, and dropping the list silently would leave the client with
+		// an empty profile it believes is seeded.
 		if name != "MM" {
 			return errResponse("wire: subscribe: keywords seed an MM profile only, not learner %q", name)
 		}
 		_, err = s.broker.SubscribeKeywords(req.User, req.Keywords)
 	} else {
-		var l filter.Learner
-		if l, err = filter.New(name); err == nil {
+		var l *core.Profile
+		if l, err = core.NewNamed(name, nil); err == nil {
 			_, err = s.broker.Subscribe(req.User, l)
 		}
 	}
@@ -535,24 +523,25 @@ func (s *Server) push(conn net.Conn, sub *pubsub.Subscription, user string, batc
 	return !closed
 }
 
-// profile describes a subscriber's learner: name, size and each vector's
-// heaviest terms, all read under one hold of the subscriber's lock so a
-// concurrent feedback cannot make size and vectors disagree.
+// profile describes a subscriber's profile: learner name, size and each
+// vector's heaviest terms, all read under one hold of the subscriber's lock
+// so a concurrent feedback cannot make size and vectors disagree. A profile
+// that cannot be reached — its hydration failed, or the user unsubscribed
+// after the lookup — is an error, as it is to export.
 func (s *Server) profile(req Request) Response {
 	sub, ok := s.broker.Subscription(req.User)
 	if !ok {
 		return errResponse("wire: unknown subscriber %q", req.User)
 	}
 	msg := &ProfileMsg{}
-	// A hydration failure leaves the description empty rather than failing
-	// the profile request.
-	_ = sub.WithLearner(func(l filter.Learner) {
+	err := sub.WithLearner(func(l *core.Profile) {
 		msg.Learner, msg.Size = l.Name(), l.ProfileSize()
-		if vs, ok := l.(filter.VectorSource); ok {
-			for _, v := range vs.ProfileVectors() {
-				msg.Vectors = append(msg.Vectors, v.TopTerms(5))
-			}
+		for _, v := range l.ProfileVectors() {
+			msg.Vectors = append(msg.Vectors, v.TopTerms(5))
 		}
 	})
+	if err != nil {
+		return errResponse("%v", err)
+	}
 	return Response{OK: true, Profile: msg}
 }

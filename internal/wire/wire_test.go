@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -54,20 +56,68 @@ func TestEndToEndSubscribePublishSessionFeedback(t *testing.T) {
 	}
 }
 
+// TestSubscribeLearnerSelection: the server serves MM and MMND; the
+// baselines and an unknown name are refused, on subscribe and on import,
+// with an error that names the learner and the served set, and nothing is
+// subscribed.
 func TestSubscribeLearnerSelection(t *testing.T) {
 	c, _ := startServer(t)
-	if err := c.Subscribe("bob", "RI", nil); err != nil {
+	if err := c.Subscribe("bob", "MMND", nil); err != nil {
 		t.Fatal(err)
 	}
 	p, err := c.Profile("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Learner != "RI" {
+	if p.Learner != "MMND" {
 		t.Errorf("learner = %q", p.Learner)
 	}
-	if err := c.Subscribe("eve", "NoSuchAlgorithm", nil); err == nil {
-		t.Error("unknown learner accepted")
+	_, state, err := c.Export("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"RI", "NRN", "NoSuchAlgorithm"} {
+		for op, err := range map[string]error{
+			"subscribe": c.Subscribe("eve", name, nil),
+			"import":    c.Import("eve", name, state),
+		} {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) || !strings.Contains(err.Error(), "MMND") {
+				t.Errorf("%s learner %s: %v, want an error naming %s and the served set", op, name, err, name)
+			}
+		}
+	}
+	if _, err := c.Profile("eve"); err == nil {
+		t.Error("a refused learner left a subscriber behind")
+	}
+}
+
+// TestMMNDRoundTrip: an MMND profile exported and imported under another
+// user exports the same learner and the same bytes.
+func TestMMNDRoundTrip(t *testing.T) {
+	c, _ := startServer(t)
+	if err := c.Subscribe("nd", "MMND", nil); err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := c.Publish(catPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Feedback("nd", doc, true); err != nil {
+		t.Fatal(err)
+	}
+	learner, state, err := c.Export("nd")
+	if err != nil || learner != "MMND" {
+		t.Fatalf("export = %q, %v", learner, err)
+	}
+	if err := c.Import("nd2", learner, state); err != nil {
+		t.Fatal(err)
+	}
+	learner2, state2, err := c.Export("nd2")
+	if err != nil || learner2 != "MMND" || !bytes.Equal(state2, state) {
+		t.Errorf("re-export = %q (%d bytes), %v; want MMND and the %d bytes imported", learner2, len(state2), err, len(state))
+	}
+	if p, err := c.Profile("nd2"); err != nil || p.Size != 1 {
+		t.Errorf("imported profile = %+v, %v", p, err)
 	}
 }
 
@@ -84,8 +134,8 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	// Keywords seed MM only: with another learner they are refused by
 	// name, not dropped, and nothing is subscribed.
-	if err := c.Subscribe("kw", "RI", []string{"cats"}); err == nil || !strings.Contains(err.Error(), "keywords") {
-		t.Errorf("keywords with learner RI: %v, want an error naming keywords", err)
+	if err := c.Subscribe("kw", "MMND", []string{"cats"}); err == nil || !strings.Contains(err.Error(), "keywords") {
+		t.Errorf("keywords with learner MMND: %v, want an error naming keywords", err)
 	}
 	if _, err := c.Profile("kw"); err == nil {
 		t.Error("refused keyword subscribe left a subscriber behind")
