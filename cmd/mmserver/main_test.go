@@ -72,7 +72,6 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_index_compaction_seconds", "histogram"},
 		{"mm_index_compactions_total", "counter"},
 		{"mm_index_live_vectors", "gauge"},
-		{"mm_index_match_seconds", "histogram"},
 		{"mm_index_postings_scanned_total", "counter"},
 		{"mm_index_quantization_error", "histogram"},
 		{"mm_index_rescores_total", "counter"},
@@ -136,7 +135,6 @@ func TestInstrumentSurface(t *testing.T) {
 		{"subscriber_deliveries", "topk"},
 		{"subscriber_drops", "topk"},
 		{"subscriber_hydrations", "topk"},
-		{"subscriber_queue_full", "topk"},
 		{"term_postings_scanned", "topk"},
 	}
 

@@ -350,7 +350,6 @@ func (ix *Index) PruningEnabled() bool { return !ix.pruneOff.Load() }
 // instruments holds the index's metrics (DESIGN.md §8). All fields are
 // nil-safe no-ops until Instrument wires them to a registry.
 type instruments struct {
-	matchLat        *metrics.Histogram
 	compactions     *metrics.Counter
 	compactLat      *metrics.Histogram
 	postingsScanned *metrics.Counter
@@ -364,10 +363,9 @@ type instruments struct {
 
 // Instrument registers the index's metrics with reg and starts recording.
 // Call it before the index is shared across goroutines (the broker does so
-// at construction). Self-timing covers Match; MatchDoc is left to
-// its caller — the broker's publish path already brackets MatchDoc with
-// its own clock reads and re-uses them via RecordMatchLatency, keeping the
-// hot path at three time.Now calls total.
+// at construction). Matching is not timed here: the broker's publish path
+// brackets MatchDoc with clock reads it needs anyway and feeds
+// mm_pubsub_match_seconds from them.
 //
 // It also creates the per-term match-cost dimension — key: document term,
 // weight: postings scanned for that term. Term ids stay raw uint32 on the
@@ -379,8 +377,6 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		metrics.DimensionCapacity,
 		intern.Terms.String)
 	ix.inst = &instruments{
-		matchLat: reg.Histogram("mm_index_match_seconds",
-			"Latency of matching one document through the inverted profile index (Match entry point)."),
 		compactions: reg.Counter("mm_index_compactions_total",
 			"Posting-space compactions performed (tombstone garbage collection)."),
 		compactLat: reg.Histogram("mm_index_compaction_seconds",
@@ -949,17 +945,9 @@ func grow[T any](s []T, n int) []T {
 // shares a term with it and returns, per user, the best-scoring vector with
 // score ≥ threshold, sorted by descending score (ties by user for
 // determinism). doc must be unit-normalized, as all document vectors in
-// this system are. It is MatchDoc of doc's retained form, timed.
+// this system are. It is MatchDoc of doc's retained form.
 func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
-	var t0 time.Time
-	if ix.inst != nil {
-		t0 = time.Now()
-	}
-	out := ix.MatchDoc(vsm.Retain(doc), threshold)
-	if ix.inst != nil {
-		ix.inst.matchLat.ObserveSince(t0)
-	}
-	return out
+	return ix.MatchDoc(vsm.Retain(doc), threshold)
 }
 
 // MatchDoc is Match for a retained document. Its ids were looked up when
@@ -990,25 +978,6 @@ func (ix *Index) MatchDoc(d vsm.Retained, threshold float64) []Match {
 	ix.pool.Put(m)
 	sortMatches(out)
 	return out
-}
-
-// RecordMatchLatency feeds an externally timed MatchDoc call into
-// mm_index_match_seconds. MatchDoc does not self-time (see Instrument);
-// the broker brackets it with clock reads it needs anyway and hands them
-// here, so the index's histogram still covers the hot path without extra
-// time.Now calls. A non-zero trace links the observation to its trace as
-// a per-bucket exemplar; pass 0 for unsampled requests (the common case —
-// exemplars are only useful for traces that were actually captured).
-func (ix *Index) RecordMatchLatency(start, end time.Time, trace uint64) {
-	if ix.inst == nil {
-		return
-	}
-	sec := end.Sub(start).Seconds()
-	if trace != 0 {
-		ix.inst.matchLat.ObserveExemplar(sec, trace)
-		return
-	}
-	ix.inst.matchLat.Observe(sec)
 }
 
 // accumulate walks posting lists term-at-a-time.

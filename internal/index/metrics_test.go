@@ -2,7 +2,6 @@ package index
 
 import (
 	"testing"
-	"time"
 
 	"mmprofile/internal/metrics"
 	"mmprofile/internal/vsm"
@@ -21,9 +20,6 @@ func TestInstrument(t *testing.T) {
 	ix.Match(vec("dog", 1.0), 0.3)
 
 	snap := reg.Snapshot()
-	if h := snap["mm_index_match_seconds"].(metrics.HistogramSnapshot); h.Count != 2 {
-		t.Errorf("match observations = %d, want 2 (one per Match)", h.Count)
-	}
 	if got := snap["mm_index_live_vectors"].(float64); got != 2 {
 		t.Errorf("live vectors = %v, want 2", got)
 	}
@@ -81,30 +77,6 @@ func TestCompactSkipsCleanSpace(t *testing.T) {
 	if h := reg.Snapshot()["mm_index_compaction_seconds"].(metrics.HistogramSnapshot); h.Count != 1 {
 		t.Errorf("compaction durations = %d, want 1", h.Count)
 	}
-}
-
-// TestRecordMatchLatency covers the externally-timed MatchDoc recording
-// the broker uses: plain observations land in the histogram, traced ones
-// additionally register a per-bucket exemplar, and an uninstrumented index
-// ignores the call entirely.
-func TestRecordMatchLatency(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ix := New()
-	ix.Instrument(reg)
-
-	base := time.Unix(0, 0)
-	ix.RecordMatchLatency(base, base.Add(time.Millisecond), 0)
-	ix.RecordMatchLatency(base, base.Add(2*time.Millisecond), 0xabcd)
-
-	h := reg.Snapshot()["mm_index_match_seconds"].(metrics.HistogramSnapshot)
-	if h.Count != 2 {
-		t.Fatalf("observations = %d, want 2", h.Count)
-	}
-	if len(h.Exemplars) != 1 || h.Exemplars[0].Trace != "000000000000abcd" {
-		t.Fatalf("exemplars = %+v", h.Exemplars)
-	}
-
-	New().RecordMatchLatency(base, base.Add(time.Millisecond), 1) // no Instrument: no-op
 }
 
 // TestUninstrumentedIndexRecordsNothing pins the zero-cost default: an

@@ -487,12 +487,11 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 	}
 	b.reg.mu.RUnlock()
 	// One clock read separates matching from fan-out; together with t0 and
-	// the final read it yields all three hot-path histograms, the two
-	// phase spans, and the index's own match histogram.
+	// the final read it yields all three hot-path histograms and the two
+	// phase spans.
 	t1 := time.Now()
 	ms.EndAt(t1)
 	tid := uint64(sp.Trace())
-	b.idx.RecordMatchLatency(t0, t1, tid)
 	if tid != 0 {
 		b.m.matchLat.ObserveExemplar(t1.Sub(t0).Seconds(), tid)
 	} else {
@@ -570,9 +569,7 @@ func (b *Broker) attribute(ts []fanout) (delivered int) {
 	b.m.topDeliveries.OfferEach(len(ts), func(i int) (string, float64) { return ts[i].s.id, one(ts[i].delivered) })
 	if dropped > 0 {
 		b.m.dropped.Add(int64(dropped))
-		drops := func(i int) (string, float64) { return ts[i].s.id, one(ts[i].dropped) }
-		b.m.topDrops.OfferEach(len(ts), drops)
-		b.m.topQueueFull.OfferEach(len(ts), drops)
+		b.m.topDrops.OfferEach(len(ts), func(i int) (string, float64) { return ts[i].s.id, one(ts[i].dropped) })
 	}
 	return delivered
 }

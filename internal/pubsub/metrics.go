@@ -48,10 +48,9 @@ type brokerMetrics struct {
 	hydrateLat       *metrics.Histogram
 
 	// Hot-key attribution: per-subscriber top-k dimensions answering "who
-	// is receiving / dropping / overflowing / hydrating the most".
+	// is receiving / dropping / hydrating the most".
 	topDeliveries *metrics.Sketch[string]
 	topDrops      *metrics.Sketch[string]
-	topQueueFull  *metrics.Sketch[string]
 	topHydrations *metrics.Sketch[string]
 }
 
@@ -111,8 +110,6 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 			"Deliveries enqueued, by subscriber."),
 		topDrops: topk("subscriber_drops",
 			"Deliveries discarded by the drop-oldest policy, by subscriber."),
-		topQueueFull: topk("subscriber_queue_full",
-			"Enqueues that found the queue full (each forced at least one drop), by subscriber."),
 		topHydrations: topk("subscriber_hydrations",
 			"Profile rebuilds from the store after residency eviction, by subscriber."),
 	}

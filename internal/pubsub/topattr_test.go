@@ -19,7 +19,7 @@ import (
 func TestAttributedPublishAddsNoAllocs(t *testing.T) {
 	doc := vec("cat", 1.0, "dog", 0.5)
 	// QueueSize 1 with no consumer forces the drop-oldest path every
-	// publish, so the drops and queue-full offers are measured too.
+	// publish, so the drop offers are measured too.
 	b := New(Options{Threshold: 0.3, Retention: 1 << 16, QueueSize: 1})
 	if _, err := b.Subscribe("alice", trainedMM("cat", "dog")); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestAttributedPublishAddsNoAllocs(t *testing.T) {
 }
 
 // TestBrokerAttributionDimensions checks the broker wires every dimension
-// and that deliveries/drops/queue-full/terms attribute to the right keys.
+// and that deliveries/drops/terms attribute to the right keys.
 func TestBrokerAttributionDimensions(t *testing.T) {
 	reg := metrics.NewRegistry()
 	b := New(Options{Threshold: 0.3, QueueSize: 2, Metrics: reg})
@@ -48,7 +48,6 @@ func TestBrokerAttributionDimensions(t *testing.T) {
 	want := map[string]bool{
 		"subscriber_deliveries": true,
 		"subscriber_drops":      true,
-		"subscriber_queue_full": true,
 		"subscriber_hydrations": true,
 		"term_postings_scanned": true,
 	}
@@ -63,13 +62,9 @@ func TestBrokerAttributionDimensions(t *testing.T) {
 	if len(snap.Entries) != 1 || snap.Entries[0].Key != "alice" || snap.Entries[0].Count != 10 {
 		t.Fatalf("deliveries snapshot: %+v", snap)
 	}
-	// Queue of 2 with 10 matched publishes and no consumer: 8 drops, each
-	// preceded by a queue-full event.
+	// Queue of 2 with 10 matched publishes and no consumer: 8 drops.
 	if ds, _ := reg.Top("subscriber_drops", 1); len(ds.Entries) != 1 || ds.Entries[0].Count != 8 {
 		t.Fatalf("drops snapshot: %+v", ds)
-	}
-	if qs, _ := reg.Top("subscriber_queue_full", 1); len(qs.Entries) != 1 || qs.Entries[0].Count != 8 {
-		t.Fatalf("queue-full snapshot: %+v", qs)
 	}
 	// Per-term attribution resolves ids back to strings via the dict.
 	ts, _ := reg.Top("term_postings_scanned", 10)

@@ -202,37 +202,40 @@ func TestSessionGoroutinesReturnToBaseline(t *testing.T) {
 	settled(t, srv, baseline)
 }
 
-// TestSplitNewlineKeepsSession: a session ends on anything the client
-// sends — except JSON whitespace, because the newline that ends the
-// session request can arrive in a later segment than the request and must
-// not read as teardown.
+// TestSplitNewlineKeepsSession: a session request is its line, newline
+// included, however the client's writes split it. Split at every byte, it
+// is acked once and the session delivers; then any byte the client sends
+// ends the session.
 func TestSplitNewlineKeepsSession(t *testing.T) {
 	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
 	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
 		t.Fatal(err)
 	}
-	conn := pipeConn(t, srv)
-	dec := json.NewDecoder(conn)
-	go conn.Write([]byte(`{"op":"session","user":"alice"}`))
-	var ack, frame Response
-	if err := dec.Decode(&ack); err != nil || !ack.OK {
-		t.Fatalf("ack %+v, %v", ack, err)
+	req := []byte(`{"op":"session","user":"alice"}` + "\n")
+	for k := 1; k < len(req); k++ {
+		conn := pipeConn(t, srv)
+		for _, part := range [][]byte{req[:k], req[k:]} {
+			if _, err := conn.Write(part); err != nil {
+				t.Fatalf("split at %d: %v", k, err)
+			}
+		}
+		dec := json.NewDecoder(conn)
+		var ack, frame Response
+		if err := dec.Decode(&ack); err != nil || !ack.OK || len(ack.Deliveries) != 0 {
+			t.Fatalf("split at %d: ack %+v, %v", k, ack, err)
+		}
+		doc, _ := b.Publish(catPage)
+		if err := dec.Decode(&frame); err != nil || len(frame.Deliveries) != 1 || frame.Deliveries[0].Doc != doc {
+			t.Fatalf("split at %d: frame %+v, %v; want doc %d alone", k, frame, err, doc)
+		}
+		if _, err := conn.Write([]byte("\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&frame); err == nil {
+			t.Fatalf("split at %d: a stray byte left the session open: %+v", k, frame)
+		}
+		settled(t, srv, anyGoroutines) // or the departing session may take the next round's delivery
 	}
-	time.Sleep(50 * time.Millisecond)
-	if _, err := conn.Write([]byte("\r\n \t")); err != nil {
-		t.Fatal(err)
-	}
-	doc, _ := b.Publish(catPage)
-	if err := dec.Decode(&frame); err != nil || len(frame.Deliveries) != 1 || frame.Deliveries[0].Doc != doc {
-		t.Fatalf("after the late newline: frame %+v, %v; want doc %d", frame, err, doc)
-	}
-	if _, err := conn.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&frame); err == nil {
-		t.Fatalf("a stray byte left the session open: %+v", frame)
-	}
-	settled(t, srv, anyGoroutines)
 }
 
 // TestTwoSessionsOneUserBothClose: two sessions on one subscriber compete

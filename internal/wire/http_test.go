@@ -104,7 +104,7 @@ func TestStatusHandlerMetrics(t *testing.T) {
 		// index: counter, gauge, histogram.
 		"# TYPE mm_index_compactions_total counter",
 		"# TYPE mm_index_live_vectors gauge",
-		"# TYPE mm_index_match_seconds histogram",
+		"# TYPE mm_index_compaction_seconds histogram",
 		// store: counter, gauge, histogram (journaled subscribe + feedback).
 		"# TYPE mm_store_appends_total counter",
 		"mm_store_appends_total 2",

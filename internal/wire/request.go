@@ -3,7 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/base64"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -15,7 +15,7 @@ import (
 )
 
 // maxRequestBytes bounds one request: a connection that sends this many
-// bytes without closing its object is refused. The largest legitimate
+// bytes without ending its line is refused. The largest legitimate
 // request is the import of a maximal profile's Export: 768 MM vectors —
 // five times the 139 of the broadest profile the Fig. 7 sweep grows
 // (EXPERIMENTS.md E4) — each of vsm.MaxDocumentTerms terms at the text
@@ -28,7 +28,7 @@ const maxRequestBytes = 4 << 20
 // read is given, as in json.Decoder, so an idle connection holds no more
 // than it did (TestIdleRequestConnBytes). A request that leaves less room
 // doubles the buffer, up to maxRequestBytes, and once that request is
-// parsed the buffer goes back to this size and the grown one to readBufs.
+// decoded the buffer goes back to this size and the grown one to readBufs.
 const minReadBuf = 512
 
 // readBufs holds read buffers grown for a long request, for the next long
@@ -36,93 +36,86 @@ const minReadBuf = 512
 // few arrays.
 var readBufs sync.Pool // *[]byte
 
-// maxDepth is encoding/json's nesting limit, which an unknown member's
-// value must respect too.
-const maxDepth = 10000
-
 var errTooLong = fmt.Errorf("wire: request longer than %d bytes", maxRequestBytes)
 
-// requestReader reads Requests off a connection in one pass over their
-// bytes. What it yields, and which streams it refuses, is what
-// json.Decoder.Decode into a Request yields and refuses (FuzzReadRequest):
-// escapes and surrogate pairs, U+FFFD for bytes that are not UTF-8, keys
-// matched ignoring case, the last of duplicate keys, null, unknown members
-// validated and skipped, integers in int64. A request ends at its closing
-// brace; whatever follows stays buffered for the next one.
+// requestReader reads Requests off a connection, one per line. A line in
+// the form json.Encoder writes a Request in is decoded in one pass over
+// its bytes (decodeLine); any other line is whatever json.Unmarshal makes
+// of it (FuzzReadRequest). Blank lines are skipped, and at the end of the
+// stream the bytes after the last newline are a last line.
 type requestReader struct {
-	src   io.Reader
-	buf   []byte
-	off   int   // the next byte to parse
-	end   int   // buf[:end] has been read
-	start int   // the first byte of the request being parsed; -1 between requests
-	err   error // the read error that ends the stream once buf[off:end] is parsed
-	brim  bool  // the last read filled all the room it was given
+	src io.Reader
+	buf []byte
+	off int   // the first byte not yet returned in a line
+	end int   // buf[:end] has been read
+	err error // the read error that ends the stream once buf[off:end] is used
 }
 
 func newRequestReader(src io.Reader) *requestReader {
-	return &requestReader{src: src, start: -1}
+	return &requestReader{src: src}
 }
 
-// next reads the next request into req, which must be zero. A top-level
-// null leaves it zero, as it leaves json.Decoder's target. next returns
+// next reads the next request into req, which must be zero. It returns
 // io.EOF when the stream ends between requests.
 func (rd *requestReader) next(req *Request) error {
-	c, err := rd.skipSpace()
-	if err != nil {
-		return err
+	for {
+		line, err := rd.line()
+		if err != nil {
+			return err
+		}
+		if len(bytes.TrimLeft(line, " \t\r")) == 0 {
+			continue
+		}
+		if !decodeLine(line, req) {
+			// Declared here, so only a line that falls back pays for the
+			// Request json.Unmarshal moves to the heap.
+			var v Request
+			if err := json.Unmarshal(line, &v); err != nil {
+				return fmt.Errorf("wire: request: %w", err)
+			}
+			*req = v
+		}
+		// The request holds copies of what it took from line, so a grown
+		// buffer is free to go.
+		if len(rd.buf) > minReadBuf && rd.end-rd.off <= minReadBuf {
+			grown := rd.buf
+			rd.buf = make([]byte, minReadBuf)
+			rd.end = copy(rd.buf, grown[rd.off:rd.end])
+			rd.off = 0
+			readBufs.Put(&grown)
+		}
+		return nil
 	}
-	rd.start = rd.off
-	switch c {
-	case '{':
-		err = rd.object(req)
-	case 'n':
-		err = rd.literal("null")
-	default:
-		err = errors.New("wire: a request is a JSON object")
-	}
-	rd.start = -1
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	// A request whose closing brace ended a read that filled its room may
-	// have more of the client's write behind it, such as the newline
-	// wire.Client sends. Over net.Pipe that client is still in Write until
-	// every byte is read, so a reply written now would block both sides
-	// (TestPipeRequestOfAnyLengthIsAnswered). Read on once; an error is
-	// kept for the next call.
-	if err == nil && rd.off == rd.end && rd.brim {
-		_ = rd.fill()
-	}
-	if err == nil && len(rd.buf) > minReadBuf && rd.end-rd.off <= minReadBuf {
-		grown := rd.buf
-		rd.buf = make([]byte, minReadBuf)
-		rd.end = copy(rd.buf, grown[rd.off:rd.end])
-		rd.off = 0
-		readBufs.Put(&grown)
-	}
-	return err
 }
 
 // buffered returns the bytes read past the last request.
 func (rd *requestReader) buffered() []byte { return rd.buf[rd.off:rd.end] }
 
-// fill reads more bytes into at least minReadBuf of room. It makes room by
-// dropping what is parsed and not part of the current request — so
-// positions held across it are kept relative to start — and then, if that
-// is not enough, by growing the buffer. A read error is returned once
-// everything read before it is parsed.
-func (rd *requestReader) fill() error {
-	for rd.err == nil {
-		keep := rd.off
-		if rd.start >= 0 {
-			keep = rd.start
+// line returns the next line without its newline, valid until the next
+// call. It reads into at least minReadBuf of room, made by dropping the
+// lines already returned and then, if that is not enough, by growing the
+// buffer; a line that fills maxRequestBytes is errTooLong.
+func (rd *requestReader) line() ([]byte, error) {
+	scanned := rd.off
+	for {
+		if i := bytes.IndexByte(rd.buf[scanned:rd.end], '\n'); i >= 0 {
+			line := rd.buf[rd.off : scanned+i]
+			rd.off = scanned + i + 1
+			return line, nil
 		}
-		if len(rd.buf)-rd.end < minReadBuf && keep > 0 {
-			rd.end = copy(rd.buf, rd.buf[keep:rd.end])
-			rd.off -= keep
-			if rd.start >= 0 {
-				rd.start = 0
+		scanned = rd.end
+		if rd.err != nil {
+			if rd.err != io.EOF || rd.off == rd.end {
+				return nil, rd.err
 			}
+			line := rd.buf[rd.off:rd.end]
+			rd.off = rd.end
+			return line, nil
+		}
+		if len(rd.buf)-rd.end < minReadBuf && rd.off > 0 {
+			rd.end = copy(rd.buf, rd.buf[rd.off:rd.end])
+			scanned -= rd.off
+			rd.off = 0
 		}
 		if len(rd.buf)-rd.end < minReadBuf && len(rd.buf) < maxRequestBytes {
 			n := min(max(2*len(rd.buf), minReadBuf), maxRequestBytes)
@@ -137,61 +130,12 @@ func (rd *requestReader) fill() error {
 		}
 		room := rd.buf[rd.end:]
 		if len(room) == 0 {
-			return errTooLong
+			return nil, errTooLong
 		}
 		var n int
 		n, rd.err = rd.src.Read(room)
 		rd.end += n
-		rd.brim = n == len(room)
-		if n > 0 {
-			return nil
-		}
 	}
-	return rd.err
-}
-
-// peek returns the next byte without consuming it.
-func (rd *requestReader) peek() (byte, error) {
-	if rd.off == rd.end {
-		if err := rd.fill(); err != nil {
-			return 0, err
-		}
-	}
-	return rd.buf[rd.off], nil
-}
-
-// skipSpace consumes JSON whitespace and returns the byte after it, which
-// it does not consume.
-func (rd *requestReader) skipSpace() (byte, error) {
-	for {
-		for ; rd.off < rd.end; rd.off++ {
-			if c := rd.buf[rd.off]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-				return c, nil
-			}
-		}
-		if err := rd.fill(); err != nil {
-			return 0, err
-		}
-	}
-}
-
-func syntaxError(c byte, where string) error {
-	return fmt.Errorf("wire: invalid character %q %s", c, where)
-}
-
-// literal consumes lit, whose first byte is the next one.
-func (rd *requestReader) literal(lit string) error {
-	for i := 0; i < len(lit); i++ {
-		c, err := rd.peek()
-		if err != nil {
-			return err
-		}
-		if c != lit[i] {
-			return syntaxError(c, "in literal "+lit)
-		}
-		rd.off++
-	}
-	return nil
 }
 
 // Request's members, in the order requestFields names them.
@@ -211,380 +155,146 @@ const (
 // requestFields are Request's JSON member names.
 var requestFields = [...]string{"op", "user", "learner", "keywords", "content", "doc", "relevant", "batch", "state", "trace"}
 
-// object decodes the members of the object whose brace is the next byte.
-func (rd *requestReader) object(req *Request) error {
-	rd.off++
-	c, err := rd.skipSpace()
-	if err != nil {
-		return err
+// decodeLine decodes line into req, which must be zero, if the line is in
+// the form json.Encoder writes a Request in: one object with no
+// whitespace, each member a distinct known key, spelt exactly, with a
+// value of its field's type — a string, an integer, true or false, an
+// array of strings, or for state a base64 string with no escape. It
+// reports whether it did; on false req may be partly filled, and the line
+// is json.Unmarshal's to decode or refuse. On true, req is what
+// json.Unmarshal makes of the line (FuzzReadRequest).
+func decodeLine(line []byte, req *Request) bool {
+	if len(line) < 2 || line[0] != '{' {
+		return false
 	}
-	if c == '}' {
-		rd.off++
-		return nil
+	p := line[1:]
+	if p[0] == '}' {
+		return len(p) == 1
 	}
+	var seen uint16
 	for {
-		if c != '"' {
-			return syntaxError(c, "looking for beginning of object key string")
+		if p[0] != '"' {
+			return false
 		}
-		f, err := rd.key()
-		if err != nil {
-			return err
+		q := bytes.IndexByte(p[1:], '"')
+		if q < 0 {
+			return false
 		}
-		if c, err = rd.skipSpace(); err != nil {
-			return err
+		f := fieldOf(p[1 : 1+q])
+		if f < 0 || seen&(1<<f) != 0 {
+			return false
 		}
-		if c != ':' {
-			return syntaxError(c, "after object key")
+		seen |= 1 << f
+		if p = p[q+2:]; len(p) == 0 || p[0] != ':' {
+			return false
 		}
-		rd.off++
-		if c, err = rd.skipSpace(); err != nil {
-			return err
+		var ok bool
+		if p, ok = member(req, f, p[1:]); !ok || len(p) == 0 {
+			return false
 		}
-		if err := rd.member(req, f, c); err != nil {
-			return err
-		}
-		if c, err = rd.skipSpace(); err != nil {
-			return err
-		}
-		rd.off++
-		switch c {
+		switch p[0] {
 		case '}':
-			return nil
+			return len(p) == 1
 		case ',':
+			if p = p[1:]; len(p) == 0 {
+				return false
+			}
 		default:
-			return syntaxError(c, "after object key:value pair")
-		}
-		if c, err = rd.skipSpace(); err != nil {
-			return err
+			return false
 		}
 	}
 }
 
-// key consumes a member name and returns the field it names, or -1. Names
-// match ignoring case as encoding/json matches them, by Unicode simple
-// folding: "K" (Kelvin) is k and "ſ" (long s) is s.
-func (rd *requestReader) key() (int, error) {
-	raw, plain, err := rd.scanString()
-	if err != nil {
-		return -1, err
-	}
-	if !plain {
-		raw = []byte(unquote(raw))
-	}
+// fieldOf is the field key names exactly, or -1.
+func fieldOf(key []byte) int {
 	for f, name := range requestFields {
-		if bytes.EqualFold(raw, []byte(name)) {
-			return f, nil
+		if string(key) == name {
+			return f
 		}
 	}
-	return -1, nil
+	return -1
 }
 
-// member decodes one member's value, whose first byte is c, into field f
-// as encoding/json would: null leaves a string, a number or a bool as it
-// was and empties a slice, a value of another type is an error, and an
-// unknown member's value is validated and dropped.
-func (rd *requestReader) member(req *Request, f int, c byte) error {
-	if c == 'n' {
-		switch f {
-		case fieldKeywords:
-			req.Keywords = nil
-		case fieldState:
-			req.State = nil
-		}
-		return rd.literal("null")
-	}
+// member decodes the value at the start of p into field f and returns
+// what follows it, or false if the value is not one decodeLine takes.
+func member(req *Request, f int, p []byte) ([]byte, bool) {
 	var ok bool
-	switch f {
-	case fieldOp, fieldUser, fieldLearner, fieldContent, fieldTrace, fieldState:
-		ok = c == '"'
-	case fieldKeywords:
-		ok = c == '['
-	case fieldDoc, fieldBatch:
-		ok = c == '-' || '0' <= c && c <= '9'
-	case fieldRelevant:
-		ok = c == 't' || c == 'f'
-	default:
-		return rd.skipValue(c, 1)
-	}
-	if !ok {
-		return fmt.Errorf("wire: %s %s", requestFields[f], typeMismatch(c))
-	}
-	var err error
 	switch f {
 	case fieldOp:
 		var s string
-		s, err = rd.str()
+		s, p, ok = str(p)
 		req.Op = Op(s)
 	case fieldUser:
-		req.User, err = rd.str()
+		req.User, p, ok = str(p)
 	case fieldLearner:
-		req.Learner, err = rd.str()
+		req.Learner, p, ok = str(p)
 	case fieldContent:
-		req.Content, err = rd.str()
+		req.Content, p, ok = str(p)
 	case fieldTrace:
-		req.Trace, err = rd.str()
+		req.Trace, p, ok = str(p)
 	case fieldState:
-		req.State, err = rd.base64()
+		req.State, p, ok = base64Str(p)
 	case fieldKeywords:
-		err = rd.keywords(req)
+		req.Keywords, p, ok = strs(p)
 	case fieldDoc:
-		req.Doc, err = rd.int64()
+		req.Doc, p, ok = integer(p, 64)
 	case fieldBatch:
 		var n int64
-		n, err = rd.int64()
+		n, p, ok = integer(p, strconv.IntSize)
 		req.Batch = int(n)
 	case fieldRelevant:
-		req.Relevant = c == 't'
-		if req.Relevant {
-			err = rd.literal("true")
-		} else {
-			err = rd.literal("false")
+		switch {
+		case bytes.HasPrefix(p, []byte("true")):
+			req.Relevant, p, ok = true, p[4:], true
+		case bytes.HasPrefix(p, []byte("false")):
+			p, ok = p[5:], true
 		}
 	}
-	return err
+	return p, ok
 }
 
-// typeMismatch names what a value that begins with c cannot be decoded as.
-func typeMismatch(c byte) string {
-	switch c {
-	case '"':
-		return "cannot be a string"
-	case '{':
-		return "cannot be an object"
-	case '[':
-		return "cannot be an array"
-	case 't', 'f':
-		return "cannot be a bool"
-	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-		return "cannot be a number"
+// strs decodes an array of strings at the start of p. [] is empty, not
+// nil, as json.Unmarshal leaves it.
+func strs(p []byte) ([]string, []byte, bool) {
+	if len(p) < 2 || p[0] != '[' {
+		return nil, p, false
 	}
-	return fmt.Sprintf("cannot begin with %q", c)
-}
-
-// keywords decodes a string array into req.Keywords the way encoding/json
-// fills a slice: element i goes into the slice already there, whose
-// element a null leaves as it was, the slice grows as append grows it, and
-// it ends at the last element — [] is empty, not nil.
-func (rd *requestReader) keywords(req *Request) error {
-	ks := req.Keywords
-	rd.off++
-	c, err := rd.skipSpace()
-	if err != nil {
-		return err
+	if p[1] == ']' {
+		return []string{}, p[2:], true
 	}
-	i := 0
-	for c != ']' {
-		if i == len(ks) {
-			if i < cap(ks) {
-				ks = ks[:i+1]
-			} else {
-				ks = append(ks, "")
-			}
+	var ks []string
+	for p = p[1:]; ; p = p[1:] {
+		s, rest, ok := str(p)
+		if !ok || len(rest) == 0 {
+			return nil, p, false
 		}
-		switch c {
-		case 'n':
-			err = rd.literal("null")
-		case '"':
-			ks[i], err = rd.str()
+		ks, p = append(ks, s), rest
+		switch p[0] {
+		case ']':
+			return ks, p[1:], true
+		case ',':
 		default:
-			err = fmt.Errorf("wire: keywords element %s", typeMismatch(c))
+			return nil, p, false
 		}
-		if err != nil {
-			return err
-		}
+	}
+}
+
+// integer decodes an integer that fits in bits at the start of p: an
+// optional minus and digits with no leading zero.
+func integer(p []byte, bits int) (int64, []byte, bool) {
+	i := 0
+	if len(p) > 0 && p[0] == '-' {
 		i++
-		if c, err = rd.skipSpace(); err != nil {
-			return err
-		}
-		if c == ']' {
-			break
-		}
-		if c != ',' {
-			return syntaxError(c, "after array element")
-		}
-		rd.off++
-		if c, err = rd.skipSpace(); err != nil {
-			return err
-		}
-		if c == ']' {
-			return syntaxError(c, "looking for beginning of value")
-		}
 	}
-	rd.off++
-	if i == 0 {
-		ks = []string{}
+	j := i
+	for j < len(p) && '0' <= p[j] && p[j] <= '9' {
+		j++
 	}
-	req.Keywords = ks[:i]
-	return nil
-}
-
-// int64 decodes a number that must be an integer in int64's range.
-func (rd *requestReader) int64() (int64, error) {
-	raw, err := rd.number()
-	if err != nil {
-		return 0, err
+	if j == i || p[i] == '0' && j > i+1 {
+		return 0, p, false
 	}
-	n, err := strconv.ParseInt(string(raw), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("wire: number %s is not an int64", raw)
-	}
-	return n, nil
-}
-
-// number consumes a JSON number and returns its text, valid until the next
-// read.
-func (rd *requestReader) number() ([]byte, error) {
-	s := rd.off - rd.start
-	c, err := rd.peek()
-	if err != nil {
-		return nil, err
-	}
-	if c == '-' {
-		rd.off++
-		if c, err = rd.peek(); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case c == '0':
-		rd.off++
-	case '1' <= c && c <= '9':
-		if _, err := rd.digits(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, syntaxError(c, "in numeric literal")
-	}
-	if c, err = rd.peek(); err != nil {
-		return nil, err
-	}
-	if c == '.' {
-		rd.off++
-		if n, err := rd.digits(); n == 0 {
-			return nil, orSyntax(err, rd, "after decimal point in numeric literal")
-		}
-		if c, err = rd.peek(); err != nil {
-			return nil, err
-		}
-	}
-	if c == 'e' || c == 'E' {
-		rd.off++
-		if c, err = rd.peek(); err != nil {
-			return nil, err
-		}
-		if c == '+' || c == '-' {
-			rd.off++
-		}
-		if n, err := rd.digits(); n == 0 {
-			return nil, orSyntax(err, rd, "in exponent of numeric literal")
-		}
-	}
-	return rd.buf[rd.start+s : rd.off], nil
-}
-
-// digits consumes decimal digits and returns how many.
-func (rd *requestReader) digits() (int, error) {
-	for n := 0; ; n++ {
-		c, err := rd.peek()
-		if err != nil || c < '0' || c > '9' {
-			return n, err
-		}
-		rd.off++
-	}
-}
-
-// orSyntax is err, or when there is none, a syntax error at the next byte.
-func orSyntax(err error, rd *requestReader, where string) error {
-	if err != nil {
-		return err
-	}
-	return syntaxError(rd.buf[rd.off], where)
-}
-
-// skipValue validates and drops one value whose first byte is c, nested in
-// depth containers.
-func (rd *requestReader) skipValue(c byte, depth int) error {
-	switch c {
-	case '"':
-		_, _, err := rd.scanString()
-		return err
-	case 't':
-		return rd.literal("true")
-	case 'f':
-		return rd.literal("false")
-	case 'n':
-		return rd.literal("null")
-	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-		_, err := rd.number()
-		return err
-	case '{', '[':
-	default:
-		return syntaxError(c, "looking for beginning of value")
-	}
-	if depth >= maxDepth {
-		return errors.New("wire: exceeded max depth")
-	}
-	end := byte(']')
-	if c == '{' {
-		end = '}'
-	}
-	rd.off++
-	c, err := rd.skipSpace()
-	if err != nil {
-		return err
-	}
-	if c == end {
-		rd.off++
-		return nil
-	}
-	for {
-		if end == '}' {
-			if c != '"' {
-				return syntaxError(c, "looking for beginning of object key string")
-			}
-			if _, _, err := rd.scanString(); err != nil {
-				return err
-			}
-			if c, err = rd.skipSpace(); err != nil {
-				return err
-			}
-			if c != ':' {
-				return syntaxError(c, "after object key")
-			}
-			rd.off++
-			if c, err = rd.skipSpace(); err != nil {
-				return err
-			}
-		}
-		if err := rd.skipValue(c, depth+1); err != nil {
-			return err
-		}
-		if c, err = rd.skipSpace(); err != nil {
-			return err
-		}
-		rd.off++
-		if c == end {
-			return nil
-		}
-		if c != ',' {
-			return syntaxError(c, "after value")
-		}
-		if c, err = rd.skipSpace(); err != nil {
-			return err
-		}
-	}
-}
-
-// str decodes a string.
-func (rd *requestReader) str() (string, error) {
-	raw, plain, err := rd.scanString()
-	if err != nil {
-		return "", err
-	}
-	if plain {
-		return string(raw), nil
-	}
-	return unquote(raw), nil
+	n, err := strconv.ParseInt(string(p[:j]), 10, bits)
+	return n, p[j:], err == nil
 }
 
 // plainByte marks the bytes a string holds as themselves: printable ASCII
@@ -596,57 +306,47 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-// scanString consumes a string whose opening quote is the next byte and
-// returns what lies between its quotes, escapes unresolved and valid until
-// the next read, and whether those bytes are plain: all of them plainByte,
-// so they are the string.
-func (rd *requestReader) scanString() (raw []byte, plain bool, err error) {
-	s := rd.off + 1 - rd.start
-	i, plain := s, true
-	for {
-		b := rd.buf[rd.start:rd.end]
-	scan:
-		for i < len(b) {
-			c := b[i]
-			if plainByte[c] {
-				i++
-				continue
+// str decodes a string at the start of p. A string of plain bytes is
+// copied as it stands; escapes and bytes outside ASCII go through unquote.
+func str(p []byte) (string, []byte, bool) {
+	if len(p) == 0 || p[0] != '"' {
+		return "", p, false
+	}
+	plain := true
+	for i := 1; i < len(p); {
+		c := p[i]
+		switch {
+		case plainByte[c]:
+			i++
+		case c == '"':
+			if plain {
+				return string(p[1:i]), p[i+1:], true
 			}
-			switch {
-			case c == '"':
-				rd.off = rd.start + i + 1
-				return b[s:i], plain, nil
-			case c == '\\':
-				plain = false
-				if i+1 >= len(b) {
-					break scan
-				}
-				switch b[i+1] {
-				case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-					i += 2
-				case 'u':
-					if i+6 > len(b) {
-						break scan
-					}
-					if hex4(b[i+2:i+6]) < 0 {
-						return nil, false, errors.New("wire: invalid \\u escape in string literal")
-					}
-					i += 6
-				default:
-					return nil, false, syntaxError(b[i+1], "in string escape code")
-				}
-			case c < 0x20:
-				return nil, false, syntaxError(c, "in string literal")
-			default: // not ASCII: resolved as UTF-8 by unquote
-				plain = false
-				i++
+			return unquote(p[1:i]), p[i+1:], true
+		case c == '\\':
+			plain = false
+			if i+1 == len(p) {
+				return "", p, false
 			}
-		}
-		rd.off = rd.start + i
-		if err := rd.fill(); err != nil {
-			return nil, false, err
+			switch p[i+1] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i += 2
+			case 'u':
+				if i+6 > len(p) || hex4(p[i+2:i+6]) < 0 {
+					return "", p, false
+				}
+				i += 6
+			default:
+				return "", p, false
+			}
+		case c < 0x20:
+			return "", p, false
+		default: // not ASCII: resolved as UTF-8 by unquote
+			plain = false
+			i++
 		}
 	}
+	return "", p, false
 }
 
 // hex4 is the value of four hex digits, or -1.
@@ -668,10 +368,10 @@ func hex4(b []byte) rune {
 	return r
 }
 
-// unquote is the value of a string scanString found not plain, as
-// encoding/json computes it: escapes resolved, a \u surrogate pair joined,
-// and a lone surrogate, or a byte that does not begin valid UTF-8,
-// replaced by U+FFFD.
+// unquote is the value of a string str found not plain, as encoding/json
+// computes it: escapes resolved, a \u surrogate pair joined, and a lone
+// surrogate, or a byte that does not begin valid UTF-8, replaced by
+// U+FFFD.
 func unquote(raw []byte) string {
 	var sb strings.Builder
 	sb.Grow(len(raw))
@@ -724,44 +424,27 @@ func unquote(raw []byte) string {
 	return sb.String()
 }
 
-// base64 decodes a base64 string, as encoding/json decodes one into a
-// []byte. A string with no escape — every one an encoder writes — is
-// decoded straight out of the read buffer, found by its closing quote.
-func (rd *requestReader) base64() ([]byte, error) {
-	s := rd.off + 1 - rd.start
-	for i := s; ; {
-		b := rd.buf[rd.start:rd.end]
-		if q := bytes.IndexByte(b[i:], '"'); q >= 0 {
-			raw := b[s : i+q]
-			if bytes.IndexByte(raw, '\\') >= 0 {
-				break
-			}
-			rd.off = rd.start + i + q + 1
-			// The decoder skips \r and \n, which a JSON string may not hold
-			// raw; every other byte it accepts is one a string may hold.
-			if bytes.IndexByte(raw, '\n') >= 0 || bytes.IndexByte(raw, '\r') >= 0 {
-				return nil, errors.New("wire: invalid character in string literal")
-			}
-			return decodeBase64(raw)
-		}
-		i = len(b)
-		if err := rd.fill(); err != nil {
-			return nil, err
-		}
+// base64Str decodes a base64 string at the start of p, found by its
+// closing quote, as encoding/json decodes one into a []byte. A string with
+// an escape is not taken, and neither is one holding \r, which the base64
+// decoder would skip where a JSON string may not hold it raw; any other
+// byte a string may not hold raw the decoder refuses.
+func base64Str(p []byte) ([]byte, []byte, bool) {
+	if len(p) == 0 || p[0] != '"' {
+		return nil, p, false
 	}
-	rd.off = rd.start + s - 1
-	str, err := rd.str()
+	q := bytes.IndexByte(p[1:], '"')
+	if q < 0 {
+		return nil, p, false
+	}
+	raw := p[1 : 1+q]
+	if bytes.IndexByte(raw, '\\') >= 0 || bytes.IndexByte(raw, '\r') >= 0 {
+		return nil, p, false
+	}
+	b := make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
+	n, err := base64.StdEncoding.Decode(b, raw)
 	if err != nil {
-		return nil, err
+		return nil, p, false
 	}
-	return decodeBase64([]byte(str))
-}
-
-func decodeBase64(src []byte) ([]byte, error) {
-	b := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-	n, err := base64.StdEncoding.Decode(b, src)
-	if err != nil {
-		return nil, fmt.Errorf("wire: state: %w", err)
-	}
-	return b[:n], nil
+	return b[:n], p[q+2:], true
 }

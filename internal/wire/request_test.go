@@ -15,7 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"mmprofile/internal/core"
+	"mmprofile/internal/corpus"
+	"mmprofile/internal/filter"
 	"mmprofile/internal/pubsub"
+	"mmprofile/internal/text"
+	"mmprofile/internal/vsm"
 )
 
 // chunkReader returns its bytes in reads whose sizes cycle through the
@@ -41,37 +46,43 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// checkReadRequest decodes stream with json.Decoder and with the request
-// reader, split by cuts, and fails unless they agree request by request
-// up to json's first error, which the reader must share.
+// checkReadRequest reads stream, split by cuts, with the request reader and
+// fails unless it yields json.Unmarshal of each non-blank line, in order,
+// up to the first line json refuses, which the reader must refuse too. A
+// line the one-pass decoder takes must decode there as json decodes it.
 func checkReadRequest(t *testing.T, stream []byte, cuts uint64) {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(stream))
 	rd := newRequestReader(&chunkReader{b: stream, cuts: cuts})
-	for i := 0; ; i++ {
-		var want, got Request
-		werr := dec.Decode(&want)
+	for i, line := range bytes.Split(stream, []byte("\n")) {
+		if len(bytes.TrimLeft(line, " \t\r")) == 0 {
+			continue
+		}
+		var want, fast, got Request
+		werr := json.Unmarshal(line, &want)
+		if decodeLine(line, &fast) && (werr != nil || !reflect.DeepEqual(fast, want)) {
+			t.Fatalf("line %d %q:\none pass       %#v\njson.Unmarshal %#v, %v", i, line, fast, want, werr)
+		}
 		gerr := rd.next(&got)
 		if werr != nil {
-			if gerr == nil {
-				t.Fatalf("request %d of %q: json.Decoder: %v; reader: %+v", i, stream, werr, got)
-			}
-			if (werr == io.EOF) != (gerr == io.EOF) {
-				t.Fatalf("request %d of %q: json.Decoder: %v; reader: %v", i, stream, werr, gerr)
+			if gerr == nil || errors.Is(gerr, io.EOF) {
+				t.Fatalf("line %d %q: json.Unmarshal: %v; reader: %+v, %v", i, line, werr, got, gerr)
 			}
 			return
 		}
 		if gerr != nil {
-			t.Fatalf("request %d of %q: json.Decoder: %+v; reader: %v", i, stream, want, gerr)
+			t.Fatalf("line %d %q: json.Unmarshal: %+v; reader: %v", i, line, want, gerr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("request %d of %q:\nreader        %#v\njson.Decoder  %#v", i, stream, got, want)
+			t.Fatalf("line %d %q:\nreader         %#v\njson.Unmarshal %#v", i, line, got, want)
 		}
+	}
+	if err := rd.next(&Request{}); err != io.EOF {
+		t.Fatalf("after the last line of %q: %v, want EOF", stream, err)
 	}
 }
 
 // readRequestSeeds are every op wire.Client sends, as it sends them, and
-// the corners of the grammar a hand-written reader gets wrong.
+// the corners of the grammar where the one-pass decoder must step aside.
 func readRequestSeeds() []string {
 	var seeds []string
 	for _, req := range []Request{
@@ -110,11 +121,94 @@ func readRequestSeeds() []string {
 		`{"x":[`+strings.Repeat("[", 10000)+strings.Repeat("]", 10000)+`]}`,
 		`{"x":`+strings.Repeat("[", 9999)+strings.Repeat("]", 9999)+`,"op":"stats"}`,
 		"\r\n\t {\"op\":\"stats\"}\r\n\t ",
+		"{\"op\":\"stats\"}\n\n \r\n{\"op\":\"profile\",\"user\":\"a\"}",
+		`{"op":"stats"}`+"\n"+`{"op":"st`, `{"op":"stats"} `, `{"keywords":["a","b"]`,
+		"{\"state\":\"QUJD\rRA==\"}\n", `{"relevant":false,"batch":-0,"keywords":[]}`,
 	)
 }
 
+// TestClientTrafficTakesOnePass: every op wire.Client sends, with what a
+// benchmark sends in it — corpus pages as content, a trained profile's
+// Export as state, keyword lists, trace context — is decoded in one pass,
+// never by json.Unmarshal, and as json.Unmarshal decodes it.
+func TestClientTrafficTakesOnePass(t *testing.T) {
+	cfg := corpus.DefaultConfig()
+	cfg.PagesPerSub = 1
+	pages := corpus.Generate(cfg).Pages
+	pipe, stats := text.NewPipeline(), vsm.NewStats()
+	terms := make([][]string, len(pages))
+	for i, p := range pages {
+		terms[i] = pipe.Terms(p.HTML)
+		stats.Add(terms[i])
+	}
+	profile := core.NewDefault()
+	for _, ts := range terms {
+		profile.Observe(vsm.DocumentVector(ts, vsm.Bel{Stats: stats}), filter.Relevant)
+	}
+	state, err := profile.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The other end of the client's connection answers each line with
+	// whether the one-pass decoder took it as json.Unmarshal takes it.
+	local, remote := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer remote.Close()
+		r, enc := bufio.NewReader(remote), json.NewEncoder(remote)
+		for {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				return
+			}
+			line = line[:len(line)-1]
+			var fast, want Request
+			resp := Response{OK: true, Stats: &StatsMsg{}, Profile: &ProfileMsg{}}
+			if !decodeLine(line, &fast) {
+				resp = errResponse("fell back to json.Unmarshal: %.200q", line)
+			} else if err := json.Unmarshal(line, &want); err != nil || !reflect.DeepEqual(fast, want) {
+				resp = errResponse("one pass %.200q, json.Unmarshal %.200q, %v", fmt.Sprint(fast), fmt.Sprint(want), err)
+			}
+			if enc.Encode(resp) != nil {
+				return
+			}
+		}
+	}()
+	c := NewClient(local)
+	const ctx = "0123456789abcdef-fedcba9876543210"
+	var errs []error
+	for _, p := range pages {
+		_, _, _, err := c.PublishTrace(p.HTML, ctx)
+		errs = append(errs, err)
+	}
+	_, ferr := c.FeedbackTrace("alice", 1<<40, true, ctx)
+	_, serr := c.Stats()
+	_, perr := c.Profile("alice")
+	_, xerr := c.Fetch(123)
+	_, _, eerr := c.Export("alice")
+	errs = append(errs,
+		c.Subscribe("alice", "", []string{"cats", "jazz", "naïve", "<b>&"}),
+		c.Subscribe("bob", "MMND", nil),
+		c.Import("carol", "MM", state),
+		c.Feedback("alice", 0, false),
+		ferr, serr, perr, xerr, eerr,
+		c.Unsubscribe("alice"),
+	)
+	_, err = c.Session("alice", 16) // last: the connection is the session's now
+	for _, err := range append(errs, err) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	t.Logf("%d requests, a %d B import among them", len(errs)+1, len(state))
+	c.Close()
+	<-done
+}
+
 // FuzzReadRequest: for any byte stream, split at any points, the request
-// reader yields the Requests json.Decoder decodes, and errors where it
+// reader yields json.Unmarshal of each non-blank line, and errors where it
 // errors.
 func FuzzReadRequest(f *testing.F) {
 	for _, s := range readRequestSeeds() {
@@ -124,7 +218,7 @@ func FuzzReadRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, stream []byte, cuts uint64) {
 		if len(stream) >= maxRequestBytes {
-			return // refused here, decoded there
+			return // a line this long is refused
 		}
 		checkReadRequest(t, stream, cuts)
 	})
@@ -265,12 +359,12 @@ func exportState(t *testing.T, b *pubsub.Broker) string {
 	return strings.Trim(string(state), `"`)
 }
 
-// TestReadRequestKeepsWhatFollows: a request ends at its closing brace, so
-// what a client sent behind it — the next request, or a session request's
-// late newline — is still there, and a grown buffer shrinks back.
+// TestReadRequestKeepsWhatFollows: a request ends at its newline, so what
+// a client sent behind it — the next request, or a byte behind a session
+// request — is still there, and a grown buffer shrinks back.
 func TestReadRequestKeepsWhatFollows(t *testing.T) {
 	big := strings.Repeat("x", 3*minReadBuf)
-	stream := `{"op":"publish","content":"` + big + `"} {"op":"stats"}` + "\n"
+	stream := `{"op":"publish","content":"` + big + `"}` + "\n" + `{"op":"stats"}` + "\n"
 	rd := newRequestReader(&chunkReader{b: []byte(stream), cuts: ^uint64(0)})
 	var req Request
 	if err := rd.next(&req); err != nil || req.Content != big {
@@ -279,7 +373,7 @@ func TestReadRequestKeepsWhatFollows(t *testing.T) {
 	if len(rd.buf) != minReadBuf {
 		t.Errorf("buffer of %d bytes after the long request, want %d", len(rd.buf), minReadBuf)
 	}
-	if rest := string(rd.buffered()); !strings.HasPrefix(` {"op":"stats"}`+"\n", rest) {
+	if rest := string(rd.buffered()); !strings.HasPrefix(`{"op":"stats"}`+"\n", rest) {
 		t.Errorf("buffered %q", rest)
 	}
 	req = Request{}

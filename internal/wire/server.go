@@ -432,8 +432,8 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Requ
 	}
 	// Push mode inverts the connection: the only thing a client can send is
 	// teardown, and that includes bytes the reader already read past the
-	// request.
-	if !space(rest) {
+	// request's line.
+	if len(rest) > 0 {
 		return false
 	}
 	if s.log.Enabled(obs.LevelDebug) {
@@ -446,26 +446,14 @@ func (s *Server) session(conn net.Conn, enc *json.Encoder, rest []byte, req Requ
 	return true
 }
 
-// space reports whether b is nothing but JSON whitespace — all a session's
-// client may send short of teardown, because a request's own newline may
-// arrive in a later segment than the request.
-func space(b []byte) bool {
-	for _, c := range b {
-		if c != ' ' && c != '\n' && c != '\r' && c != '\t' {
-			return false
-		}
-	}
-	return true
-}
-
 // serveSession is a push session's one goroutine, and its one wait is the
-// Read on the client's half: EOF, an error or any byte that is not JSON
-// whitespace ends the session, so an idle session notices a gone client,
-// and an expired deadline is a wake. A wake pushes what is queued, up to
-// batch deliveries in one frame. The session also ends when the subscriber
-// is unsubscribed (the final frame carries Closed and whatever was still
-// queued) or a push fails — the client is gone, or stopped reading for
-// writeTimeout — and then releases, once, everything it held.
+// Read on the client's half: EOF, an error or any byte ends the session,
+// so an idle session notices a gone client, and an expired deadline is a
+// wake. A wake pushes what is queued, up to batch deliveries in one frame.
+// The session also ends when the subscriber is unsubscribed (the final
+// frame carries Closed and whatever was still queued) or a push fails —
+// the client is gone, or stopped reading for writeTimeout — and then
+// releases, once, everything it held.
 func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string, batch int) {
 	defer s.rec.RecoverRepanic()
 	cancel := sub.OnReady(h.wake)
@@ -474,10 +462,10 @@ func (s *Server) serveSession(h *session, sub *pubsub.Subscription, user string,
 		s.sessions.Add(-1)
 		s.release(h.conn)
 	}()
-	var b [8]byte
+	var b [1]byte
 	for {
 		n, err := h.conn.Read(b[:])
-		if !space(b[:n]) || err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		if n > 0 || err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
 		}
 		if err == nil {

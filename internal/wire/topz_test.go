@@ -59,8 +59,7 @@ func TestTopzEndpoint(t *testing.T) {
 		byName[d.Name] = i
 	}
 	for _, want := range []string{
-		"subscriber_deliveries", "subscriber_drops",
-		"subscriber_queue_full", "subscriber_hydrations", "term_postings_scanned",
+		"subscriber_deliveries", "subscriber_drops", "subscriber_hydrations", "term_postings_scanned",
 	} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("dimension %s missing from /topz", want)
