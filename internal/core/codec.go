@@ -79,11 +79,22 @@ func (p *Profile) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, fully replacing
 // the profile's state with the snapshot.
 func (p *Profile) UnmarshalBinary(data []byte) error {
+	_, err := p.UnmarshalFrom(data, nil)
+	return err
+}
+
+// UnmarshalFrom is UnmarshalBinary with a source of vectors decoded
+// before: a profile vector whose bytes src holds a vector for is taken from
+// src, uncopied, not decoded again (vsm.DecodeNamed). It returns, in the
+// profile's vector order, the digest of each vector's bytes — the names
+// index.Index.SetPacked gives the entries they land in — or nil when src is
+// nil, which decodes every vector and hashes none.
+func (p *Profile) UnmarshalFrom(data []byte, src vsm.Source) ([]vsm.Digest, error) {
 	if len(data) < 1 {
-		return fmt.Errorf("core: empty profile snapshot")
+		return nil, fmt.Errorf("core: empty profile snapshot")
 	}
 	if data[0] != profileCodecVersion {
-		return fmt.Errorf("core: unsupported profile codec version %d", data[0])
+		return nil, fmt.Errorf("core: unsupported profile codec version %d", data[0])
 	}
 	buf := data[1:]
 
@@ -94,11 +105,11 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 		&opts.DeleteThreshold, &opts.InitialStrength,
 	} {
 		if *dst, buf, err = readF64(buf); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if len(buf) < 1 {
-		return fmt.Errorf("core: truncated flags")
+		return nil, fmt.Errorf("core: truncated flags")
 	}
 	opts.DisableDecay = buf[0]&1 != 0
 	opts.DisableMerge = buf[0]&2 != 0
@@ -106,62 +117,71 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 	buf = buf[1:]
 	var u uint64
 	if u, buf, err = readUvarint(buf); err != nil {
-		return err
+		return nil, err
 	}
 	opts.MaxTerms = int(u)
 	if u, buf, err = readUvarint(buf); err != nil {
-		return err
+		return nil, err
 	}
 	opts.MaxVectors = int(u)
 	if err := opts.Validate(); err != nil {
-		return fmt.Errorf("core: snapshot options: %w", err)
+		return nil, fmt.Errorf("core: snapshot options: %w", err)
 	}
 
 	if u, buf, err = readUvarint(buf); err != nil {
-		return err
+		return nil, err
 	}
 	step := int(u)
 	var counts [6]int
 	for i := range counts {
 		if u, buf, err = readUvarint(buf); err != nil {
-			return err
+			return nil, err
 		}
 		counts[i] = int(u)
 	}
 
 	if u, buf, err = readUvarint(buf); err != nil {
-		return err
+		return nil, err
 	}
 	// The count is input: allocate for what the bytes can hold, not for
 	// what it says.
 	if u > uint64(len(buf)/minVectorBytes) {
-		return fmt.Errorf("core: %d profile vectors in %d bytes", u, len(buf))
+		return nil, fmt.Errorf("core: %d profile vectors in %d bytes", u, len(buf))
 	}
 	n := int(u)
 	vectors := make([]*resident, 0, n)
+	var names []vsm.Digest
+	if src != nil {
+		names = make([]vsm.Digest, n)
+	}
 	for i := 0; i < n; i++ {
 		pv := &resident{id: uint64(i + 1)}
-		if pv.vec, buf, err = vsm.DecodePacked(buf); err != nil {
-			return fmt.Errorf("core: vector %d: %w", i, err)
+		if src != nil {
+			pv.vec, names[i], buf, err = vsm.DecodeNamed(buf, src)
+		} else {
+			pv.vec, buf, err = vsm.DecodePacked(buf)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: vector %d: %w", i, err)
 		}
 		if pv.strength, buf, err = readF64(buf); err != nil {
-			return err
+			return nil, err
 		}
 		if pv.strength <= 0 || math.IsNaN(pv.strength) || math.IsInf(pv.strength, 0) {
-			return fmt.Errorf("core: vector %d has invalid strength %v", i, pv.strength)
+			return nil, fmt.Errorf("core: vector %d has invalid strength %v", i, pv.strength)
 		}
 		if u, buf, err = readUvarint(buf); err != nil {
-			return err
+			return nil, err
 		}
 		pv.createdAt = int(u)
 		if u, buf, err = readUvarint(buf); err != nil {
-			return err
+			return nil, err
 		}
 		pv.incorporations = int(u)
 		vectors = append(vectors, pv)
 	}
 	if len(buf) != 0 {
-		return fmt.Errorf("core: %d trailing bytes in profile snapshot", len(buf))
+		return nil, fmt.Errorf("core: %d trailing bytes in profile snapshot", len(buf))
 	}
 
 	// The audit journal and vector ids are runtime-only diagnostics: the
@@ -186,5 +206,5 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 		Ignored:      counts[5],
 	}
 	p.vectors = vectors
-	return nil
+	return names, nil
 }

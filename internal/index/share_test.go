@@ -371,7 +371,7 @@ func TestCommitRevalidatesKeptSlots(t *testing.T) {
 			ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("cat", 1.0)), vsm.Pack(vec("dog", 1.0))})
 		}
 		before := ix.Size()
-		lost := ix.commit("u", svs, kept)
+		lost := ix.commit("u", svs, kept, nil)
 		if lost != wantLost {
 			t.Fatalf("%s: commit lost %d kept slots, want %d", between, lost, wantLost)
 		}
@@ -385,7 +385,7 @@ func TestCommitRevalidatesKeptSlots(t *testing.T) {
 		}
 		ix.stage(fresh)
 		ix.insertPostings(fresh)
-		if lost := ix.commit("u", svs, kept-lost); lost != 0 {
+		if lost := ix.commit("u", svs, kept-lost, nil); lost != 0 {
 			t.Fatalf("%s: second commit lost %d", between, lost)
 		}
 		oracle := New()
@@ -565,7 +565,7 @@ func TestJoinRacingLastLeaveIsRestaged(t *testing.T) {
 			}
 		}
 		before := ix.Size()
-		if lost := ix.commit("u", svs, 1); lost != 1 {
+		if lost := ix.commit("u", svs, 1, nil); lost != 1 {
 			t.Fatalf("%s: commit lost %d joins, want 1", between, lost)
 		}
 		if after := ix.Size(); after != before {
@@ -573,7 +573,7 @@ func TestJoinRacingLastLeaveIsRestaged(t *testing.T) {
 		}
 		ix.stage(svs)
 		ix.insertPostings(svs)
-		if lost := ix.commit("u", svs, 0); lost != 0 {
+		if lost := ix.commit("u", svs, 0, nil); lost != 0 {
 			t.Fatalf("%s: second commit lost %d", between, lost)
 		}
 		ix.RemoveUser("v")

@@ -301,29 +301,79 @@ func (b *Broker) Subscription(id string) (*Subscription, bool) {
 // journal is configured, the subscription, with the profile's initial
 // state, is logged before being applied.
 func (b *Broker) Subscribe(id string, l *core.Profile) (*Subscription, error) {
-	// The duplicate check, the journal record, and the insertion are one
-	// atomic step under the registry lock (see registry.insert):
-	// journaling a subscribe that then fails as a duplicate would clobber
-	// the existing user's profile on replay.
-	var journal func() error
-	if b.opts.Journal != nil {
-		journal = func() error {
-			state, err := l.MarshalBinary()
-			if err != nil {
-				return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
-			}
-			if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
-				return fmt.Errorf("pubsub: journal: %w", err)
-			}
-			return nil
-		}
-	}
-	return b.subscribe(id, l, journal)
+	return b.subscribe(id, l, b.journalSubscribe(id, l), nil)
 }
 
-// subscribe is the shared registration path behind Subscribe (journaled)
-// and SubscribeRestored with a resident profile (journal nil).
-func (b *Broker) subscribe(id string, l *core.Profile, journal func() error) (*Subscription, error) {
+// Import subscribes id with a profile of the named learner (core.NewNamed)
+// loaded from state, a MarshalBinary snapshot; an empty state is a fresh
+// profile. It is Subscribe for the bytes a client exported, and decodes
+// them against the match index (core.Profile.UnmarshalFrom): a vector the
+// index holds, decoded from the very same bytes, is taken from it, and
+// every other vector's digest names the entry it lands in.
+func (b *Broker) Import(id, learner string, state []byte) (*Subscription, error) {
+	l, err := core.NewNamed(learner, nil)
+	if err != nil {
+		return nil, fmt.Errorf("pubsub: import %q: %w", id, err)
+	}
+	var im *imported
+	if len(state) > 0 {
+		names, err := l.UnmarshalFrom(state, b.idx)
+		if err != nil {
+			return nil, fmt.Errorf("pubsub: import %q: %w", id, err)
+		}
+		im = &imported{vecs: l.PackedVectors(), names: names}
+	}
+	return b.subscribe(id, l, b.journalSubscribe(id, l), im)
+}
+
+// imported is what Import decoded, for the subscriber's first reindex:
+// the profile's vectors as the decode gave them and their digests.
+type imported struct {
+	vecs  []vsm.Packed
+	names []vsm.Digest
+}
+
+// namesOf returns the digests for vecs, the profile's vectors at its first
+// reindex: a judgment let in between the registration and that reindex
+// may have moved some, and a vector no longer equal to the one decoded at
+// its position gets no name. Nil has none.
+func (im *imported) namesOf(vecs []vsm.Packed) []vsm.Digest {
+	if im == nil {
+		return nil
+	}
+	for i, v := range im.vecs {
+		if i >= len(vecs) || !vecs[i].Equal(v) {
+			im.names[i] = vsm.Digest{}
+		}
+	}
+	return im.names
+}
+
+// journalSubscribe returns the journal record of id's subscription with
+// l's initial state, or nil without a journal. The duplicate check, the
+// record and the insertion are one atomic step under the registry lock
+// (see registry.insert): journaling a subscribe that then fails as a
+// duplicate would clobber the existing user's profile on replay.
+func (b *Broker) journalSubscribe(id string, l *core.Profile) func() error {
+	if b.opts.Journal == nil {
+		return nil
+	}
+	return func() error {
+		state, err := l.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
+		}
+		if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
+			return fmt.Errorf("pubsub: journal: %w", err)
+		}
+		return nil
+	}
+}
+
+// subscribe is the shared registration path behind Subscribe and Import
+// (journaled) and SubscribeRestored with a resident profile (journal nil).
+// im is what Import decoded, nil otherwise.
+func (b *Broker) subscribe(id string, l *core.Profile, journal func() error, im *imported) (*Subscription, error) {
 	// Telemetry baselines: adaptation counters report only operations
 	// performed under this broker, not the profile's prior history
 	// (keyword seeding, journal replay). The profile is not yet shared,
@@ -337,7 +387,7 @@ func (b *Broker) subscribe(id string, l *core.Profile, journal func() error) (*S
 	}
 	b.m.profileVectors.Add(float64(s.lastSize))
 	b.m.residentProfiles.Add(1)
-	b.reindex(s)
+	b.reindex(s, im)
 	if b.bounded() {
 		b.lru.touch(s)
 		b.enforceResidency()
@@ -716,7 +766,7 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 		os.End()
 		b.recordAdaptation(s)
 		rs := sp.Child("index.reindex")
-		b.indexLocked(s)
+		b.indexLocked(s, nil)
 		rs.End()
 		return nil
 	})
@@ -759,8 +809,9 @@ func (b *Broker) userLearner(user string, fn func(*core.Profile) error) error {
 // settles the resident-pairs gauge on the way. The profile then adopts the
 // vectors the index shares with other holders, so a vector many users hold
 // is one copy in the process. It is the one place subscribe, feedback and
-// hydration reindex through. Caller holds s.mu and s.learner is set.
-func (b *Broker) indexLocked(s *subscriber) {
+// hydration reindex through; an import's first reindex hands its digests
+// along (im). Caller holds s.mu and s.learner is set.
+func (b *Broker) indexLocked(s *subscriber, im *imported) {
 	vecs := s.learner.PackedVectors()
 	pairs := 0
 	for _, p := range vecs {
@@ -768,7 +819,7 @@ func (b *Broker) indexLocked(s *subscriber) {
 	}
 	b.m.residentPairs.Add(float64(pairs - s.lastPairs))
 	s.lastPairs = pairs
-	if shared := b.idx.SetPacked(s.id, vecs); len(vecs) > 0 && &shared[0] != &vecs[0] {
+	if shared := b.idx.SetPacked(s.id, vecs, im.namesOf(vecs)...); len(vecs) > 0 && &shared[0] != &vecs[0] {
 		s.learner.AdoptPacked(shared)
 	}
 }
@@ -776,13 +827,13 @@ func (b *Broker) indexLocked(s *subscriber) {
 // reindex refreshes a subscriber's inverted-index entries. The closed
 // check and the index write share the subscriber's lock so a racing
 // Unsubscribe cannot interleave between them (see Unsubscribe).
-func (b *Broker) reindex(s *subscriber) {
+func (b *Broker) reindex(s *subscriber, im *imported) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.learner == nil {
 		return
 	}
-	b.indexLocked(s)
+	b.indexLocked(s, im)
 }
 
 // SyncJournal forces the journal's durability barrier: every

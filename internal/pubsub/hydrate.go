@@ -132,7 +132,7 @@ func (b *Broker) hydrateLocked(s *subscriber, sp *trace.Span) error {
 	// were already counted while the profile was resident.
 	s.lastOps, s.lastSize = l.Counts(), l.ProfileSize()
 	b.m.profileVectors.Add(float64(s.lastSize))
-	b.indexLocked(s)
+	b.indexLocked(s, nil)
 	b.m.residentProfiles.Add(1)
 	b.m.hydrations.Inc()
 	b.m.topHydrations.Offer(s.id, 1)
@@ -205,7 +205,7 @@ func (b *Broker) enforceResidency() {
 // Hydrator.
 func (b *Broker) SubscribeRestored(id string, l *core.Profile) (*Subscription, error) {
 	if l != nil {
-		return b.subscribe(id, l, nil)
+		return b.subscribe(id, l, nil, nil)
 	}
 	if b.opts.Hydrator == nil {
 		return nil, fmt.Errorf("pubsub: restore %q: nil profile requires a hydrator", id)

@@ -81,6 +81,33 @@ func readTerm(buf, prev []byte, i int) ([]byte, float64, []byte, error) {
 	return term, w, buf[8:], nil
 }
 
+// span splits buf after the vector at its front by its frame lengths alone
+// — the framing readTerm checks, no term read or compared — and reports
+// whether they frame one. Bytes it frames may still hold a vector the
+// decoders refuse (unsorted terms, a weight infinite as a float32); bytes
+// it does not frame, every decoder refuses.
+func span(buf []byte) (vec, rest []byte, ok bool) {
+	n, body, err := readHeader(buf)
+	if err != nil {
+		return nil, nil, false
+	}
+	off := len(buf) - len(body)
+	for ; n > 0; n-- {
+		if off == len(buf) {
+			return nil, nil, false
+		}
+		l, k := uint64(buf[off]), 1 // most terms: one length byte
+		if l >= 0x80 {
+			l, k = binary.Uvarint(buf[off:])
+		}
+		if k <= 0 || len(buf)-off-k < 8 || l > uint64(len(buf)-off-k-8) {
+			return nil, nil, false
+		}
+		off += k + int(l) + 8
+	}
+	return buf[:off], buf[off:], true
+}
+
 // DecodeVector decodes one vector from the front of buf, returning it and
 // the remaining bytes. Every term string is the process-wide term table's
 // copy (intern.Terms), not a fresh allocation. It is the decoder of

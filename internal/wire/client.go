@@ -141,6 +141,9 @@ func (c *Client) Stats() (StatsMsg, error) {
 	if err != nil {
 		return StatsMsg{}, err
 	}
+	if resp.Stats == nil {
+		return StatsMsg{}, fmt.Errorf("wire: stats reply without \"stats\"")
+	}
 	return *resp.Stats, nil
 }
 
@@ -250,6 +253,9 @@ func (c *Client) Profile(user string) (ProfileMsg, error) {
 	resp, err := c.roundTrip(Request{Op: OpProfile, User: user})
 	if err != nil {
 		return ProfileMsg{}, err
+	}
+	if resp.Profile == nil {
+		return ProfileMsg{}, fmt.Errorf("wire: profile reply without \"profile\"")
 	}
 	return *resp.Profile, nil
 }

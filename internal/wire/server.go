@@ -362,11 +362,7 @@ func (s *Server) importProfile(req Request) Response {
 	if req.User == "" || req.Learner == "" {
 		return errResponse("wire: import requires user and learner")
 	}
-	l, err := core.NewNamed(req.Learner, req.State)
-	if err != nil {
-		return errResponse("wire: import %q: %v", req.User, err)
-	}
-	if _, err := s.broker.Subscribe(req.User, l); err != nil {
+	if _, err := s.broker.Import(req.User, req.Learner, req.State); err != nil {
 		return errResponse("%v", err)
 	}
 	return Response{OK: true}

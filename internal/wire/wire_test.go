@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,6 +238,30 @@ func TestImportErrors(t *testing.T) {
 	}
 	if err := c.Import("x", "MM", []byte{9, 9, 9}); err == nil {
 		t.Error("import with corrupt state accepted")
+	}
+}
+
+// TestReplyWithoutItsFieldIsAnError: a server (a stub, or an older one)
+// that answers stats and profile with a bare {"ok":true} gets an error
+// naming the missing field from the client, not a nil dereference.
+func TestReplyWithoutItsFieldIsAnError(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	go func() {
+		lines := bufio.NewScanner(remote)
+		for lines.Scan() {
+			if _, err := remote.Write([]byte("{\"ok\":true}\n")); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewClient(local)
+	defer c.Close()
+	if _, err := c.Stats(); err == nil || !strings.Contains(err.Error(), `"stats"`) {
+		t.Errorf("Stats: %v, want an error naming \"stats\"", err)
+	}
+	if _, err := c.Profile("alice"); err == nil || !strings.Contains(err.Error(), `"profile"`) {
+		t.Errorf("Profile: %v, want an error naming \"profile\"", err)
 	}
 }
 
