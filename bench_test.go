@@ -523,8 +523,8 @@ func BenchmarkServerImport(b *testing.B) {
 // BenchmarkServerImportFresh is BenchmarkServerImport with every vector of
 // every import new to the server: import i writes i into the low mantissa
 // bits of each vector's first weight, so no vector is held, by digest or
-// by content, and each is hashed, decoded, staged and indexed: the import
-// path's miss, the digest included.
+// by content, and each is hashed, decoded and indexed: the import path's
+// miss, the digest included.
 func BenchmarkServerImportFresh(b *testing.B) {
 	mm := perfShapedProfile(b)
 	state, err := mm.MarshalBinary()

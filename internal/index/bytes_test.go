@@ -54,8 +54,8 @@ func trainedVectors(n int) [][]vsm.Packed {
 // length — beside the live postings they are held for, and the number of
 // lists that hold arrays for no posting at all.
 func postingBytes(ix *Index) (bytes, live, empty int) {
-	ix.pmu.RLock()
-	defer ix.pmu.RUnlock()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	for _, l := range ix.lists {
 		bytes += cap(l.ids)*int(unsafe.Sizeof(l.ids[0])) + cap(l.ws)*int(unsafe.Sizeof(l.ws[0]))
 		if len(l.ids) == 0 && cap(l.ids)+cap(l.ws) > 0 {

@@ -19,7 +19,7 @@ func contentHash(p vsm.Packed) uint64 {
 	return h
 }
 
-// The content table (Index.content, guarded by the registry lock) maps a
+// The content table (Index.content, guarded by the index lock) maps a
 // content hash to the one live entry a new equal vector joins. A hash
 // names at most one entry; an entry whose hash another content already
 // took is unnamed, so equal vectors after it make entries of their own —
@@ -49,7 +49,7 @@ func (ix *Index) unname(h uint64, slot uint32) {
 	}
 }
 
-// The name table (Index.names and Index.byName, guarded by the registry
+// The name table (Index.names and Index.byName, guarded by the index
 // lock) maps a vsm.Digest — the name of bytes a vector was decoded from —
 // to the live entry that vector is, so an import of the same bytes takes
 // the entry's vector instead of decoding them again (Named). names[slot] is

@@ -10,17 +10,21 @@
 //
 // Hot-path architecture (see DESIGN.md §7 and §12):
 //
+//   - The index is one structure behind one sync.RWMutex. A match holds
+//     the read lock once, for its whole walk; a write (SetPacked,
+//     RemoveUser) holds the write lock once, for the whole write, so a
+//     match sees a user's old vector set or the new one, never a mix.
 //   - Terms are interned to uint32 ids through the process-wide term table
 //     (intern.Terms), so matching compares integers, never strings, and
 //     the index keeps no term strings of its own.
-//   - Postings live in one posting space under one lock: a list per term,
-//     in a slice indexed by term id. A posting is six bytes — an entry slot
-//     and the weight rounded up to 16 bits — and a term's postings are one
-//     pair of arrays: a prefix in impact order (descending weight), walked
-//     in fixed blocks each bounded by its head, and behind it the unsorted
-//     tail of recent inserts, merged in once the list is hot enough to
-//     rebuild. Removal tombstones postings lazily (a dead-slot list) and the
-//     space compacts once tombstones exceed a fraction of its postings.
+//   - Postings are a list per term, in a slice indexed by term id. A
+//     posting is six bytes — an entry slot and the weight rounded up to 16
+//     bits — and a term's postings are one pair of arrays: a prefix in
+//     impact order (descending weight), walked in fixed blocks each bounded
+//     by its head, and behind it the unsorted tail of recent inserts,
+//     merged in once the list is hot enough to rebuild. Removal tombstones
+//     postings lazily (a dead-slot list) and the index compacts once
+//     tombstones exceed a fraction of its postings.
 //   - Matching at θ > 0 prunes: terms are walked heaviest-document-weight
 //     first and abandoned once the remaining terms' bounds cannot reach θ;
 //     within a term, whole blocks are skipped once their block-max bound
@@ -33,8 +37,8 @@
 //     vectors (vsm.Packed.Equal) share one entry, one set of postings and
 //     one rescore, whose score the harvest folds into each holder's best.
 //   - A SetPacked handed slices an entry already holds keeps that holding,
-//     joins a vector equal to a live entry's, and stages only the rest:
-//     after a feedback step, at most the one vector MM moved.
+//     joins a vector equal to a live entry's, and inserts postings only for
+//     the rest: after a feedback step, at most the one vector MM moved.
 //   - The per-call score accumulator is a dense slice indexed by entry
 //     slot, drawn from a sync.Pool, swept and cleared in one pass.
 package index
@@ -52,7 +56,7 @@ import (
 )
 
 const (
-	// compactMinStale and compactFraction gate compaction: the posting space
+	// compactMinStale and compactFraction gate compaction: the index
 	// rebuilds its lists once it holds more than compactMinStale tombstoned
 	// postings and they exceed 1/compactFraction of its total.
 	compactMinStale = 64
@@ -158,7 +162,7 @@ func push[T any](s []T, v T) []T {
 }
 
 // rebuild merges the tail into the impact-ordered prefix, in new arrays.
-// Caller holds the posting write lock.
+// Caller holds the write lock.
 func (l *termList) rebuild() {
 	n, i, j := len(l.ids), 0, l.sorted
 	heapsortDesc(l.ws[j:], l.ids[j:])
@@ -183,8 +187,8 @@ func (l *termList) rebuild() {
 // Every (user, vector) holding of equal content is a holder of this one
 // entry, so a vector many users hold has one set of postings and one
 // rescore. The first holder is inline: a vector one user holds needs no
-// slice. An entry is alive while it has a holder — not yet while staged,
-// no longer once dead. Slots are recycled, but only after a compaction has
+// slice. An entry is alive while it has a holder, and dead once its last
+// holder leaves. Slots are recycled, but only after a compaction has
 // dropped the dead slot's stale postings — until then a stale posting can
 // still accumulate score onto the slot, which harvest discards because the
 // slot is not alive.
@@ -258,19 +262,17 @@ type Match struct {
 	Vector int
 }
 
-// Index is a concurrent inverted index over profile vectors. Matching
-// reads the posting space under its read lock, taken once per call inside
-// the entry registry's; updates stage postings first and then flip entry
-// liveness under the registry lock, so a concurrent Match observes a
-// user's old vector set or the new one — never an empty in-between.
+// Index is a concurrent inverted index over profile vectors. One RWMutex
+// guards all of it: a Match holds the read lock once, and a write holds
+// the write lock once, so a concurrent Match observes a user's old vector
+// set or the new one — never a mix, never an empty in-between.
 type Index struct {
-	pmu   sync.RWMutex // the posting space: lists, live, stale, dead
+	mu    sync.RWMutex // everything below, up to pool
 	lists []termList   // by intern.Terms id; empty for a term no vector holds
 	live  int          // postings referencing live entries
 	stale int          // tombstoned postings awaiting compaction
 	dead  []uint32     // entry slots whose postings are stale
 
-	mu       sync.RWMutex // registry: everything below
 	entries  []entrySlot
 	freeEnt  []uint32
 	content  map[uint64]uint32 // content hash → entry slot (content.go)
@@ -346,9 +348,6 @@ func (ix *Index) PruneStats() PruneStats {
 // differs.
 func (ix *Index) SetPruning(on bool) { ix.pruneOff.Store(!on) }
 
-// PruningEnabled reports whether threshold-aware skipping is active.
-func (ix *Index) PruningEnabled() bool { return !ix.pruneOff.Load() }
-
 // instruments holds the index's metrics (DESIGN.md §8). All fields are
 // nil-safe no-ops until Instrument wires them to a registry.
 type instruments struct {
@@ -396,7 +395,7 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 		kept: reg.Counter("mm_index_vectors_kept_total",
 			"Vectors a reindex found already indexed — the same slices the profile still holds, or an equal live vector it joined — and inserted no posting for."),
 		restaged: reg.Counter("mm_index_vectors_restaged_total",
-			"Vectors a reindex staged anew: entry slot allocated, postings inserted."),
+			"Vectors a reindex indexed anew: entry slot allocated, postings inserted."),
 	}
 	reg.GaugeFunc("mm_index_live_vectors",
 		"Profile vectors currently live in the inverted index: (user, vector) holdings, shared entries counted once per holder.",
@@ -409,9 +408,9 @@ func (ix *Index) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("mm_index_tombstone_ratio",
 		"Fraction of postings that are tombstoned and awaiting compaction (0 = fully compact).",
 		func() float64 {
-			ix.pmu.RLock()
+			ix.mu.RLock()
 			live, stale := ix.live, ix.stale
-			ix.pmu.RUnlock()
+			ix.mu.RUnlock()
 			if live+stale == 0 {
 				return 0
 			}
@@ -430,19 +429,6 @@ func New() *Index {
 // ---------------------------------------------------------------------------
 // Updates
 
-// stagedVec is one profile vector on its way in: its number among the
-// user's vectors, the vector, its content hash, and its entry slot. The
-// slot is the live one that already holds p (kept: own is the holding's
-// index in the user's held list), a live one of equal content (joined: own
-// is -1), or, for a fresh vector, the one stage allocates.
-type stagedVec struct {
-	vec  int
-	p    vsm.Packed
-	hash uint64
-	slot uint32
-	own  int32
-}
-
 // narrowUp is the nearest float32 not below w (+Inf beyond float32's range;
 // NaN stays NaN): the first half of up16.
 func narrowUp(w float64) float32 {
@@ -456,22 +442,23 @@ func narrowUp(w float64) float32 {
 // SetPacked replaces every vector of the user with the given set, the
 // operation after a feedback step reshapes a profile, and the index's one
 // write path; vector i takes number i, and a zero vector leaves its number
-// empty. The index borrows the vectors' slices and takes "the same slices
-// again" to mean "unchanged": vectors the user already has indexed (holds)
-// keep their holding — keep moves them to the front of svs. A vector equal
-// to a live entry's (vsm.Packed.Equal) joins that entry: one holding more,
-// no posting. Only the rest are staged: slots allocated, postings
-// inserted. Handed a profile's set after an MM step, that is at most the
-// one vector the step moved. Then one registry commit renumbers the kept
-// holdings, adds the joined and staged ones and retires every other
-// holding of the user, so a concurrent Match sees the user's old vector set
-// or the new one, never a mix and never none. The index does not serialise
-// writers per user, so a kept or joined entry may be gone by then: commit
-// hands those back to be staged.
+// empty. It is one hold of the write lock, so a concurrent Match sees the
+// user's old vector set or the new one, never a mix and never none.
+//
+// The vectors are taken in order, each one of three kinds. Kept: a holding
+// of the user not yet claimed by this set holds its very slices — the index
+// borrows a vector's slices and takes "the same slices again" to mean
+// "unchanged" — so the holding is renumbered. Joined: the content table
+// names a live entry equal to it (vsm.Packed.Equal), perhaps one an earlier
+// vector of this set created, so it adds a holding and no posting. Fresh:
+// a slot is allocated and its postings inserted. Handed a profile's set
+// after an MM step, that is at most the one vector the step moved. Every
+// holding of the user the set did not keep then retires: adds come first,
+// so a vector that leaves an entry and rejoins it does not kill it.
 //
 // names, when given, are the vectors' digests (vsm.DecodeNamed): names[i]
 // is the digest of the bytes vecs[i] was decoded from, or zero. A joined
-// or staged vector's digest names its entry unless either has a name
+// or fresh vector's digest names its entry unless either has a name
 // already, so an import of the same bytes finds it (Named).
 //
 // It returns the vectors as the index holds them: vecs itself when every
@@ -479,42 +466,62 @@ func narrowUp(w float64) float32 {
 // entry's equal Packed. A caller that takes those in place of its own
 // (core.Profile.AdoptPacked) lets its duplicate arrays go.
 func (ix *Index) SetPacked(user string, vecs []vsm.Packed, names ...vsm.Digest) []vsm.Packed {
-	svs := make([]stagedVec, 0, len(vecs))
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ui := ix.byUser[user]
+	var kept []bool // by the user's holdings before this write
+	if ui != nil {
+		kept = make([]bool, len(ui.held))
+	}
+	out, found, fresh := vecs, 0, 0
+next:
 	for i, p := range vecs {
 		if p.Len() == 0 {
 			continue
 		}
-		svs = append(svs, stagedVec{vec: i, p: p, own: -1})
-	}
-	found := ix.keep(user, svs)
-	fresh := svs[found:]
-	for {
-		ix.stage(fresh)
-		ix.insertPostings(fresh)
-		lost := ix.commit(user, svs, found, names)
-		if lost == 0 {
-			break
-		}
-		found -= lost
-		fresh = svs[found : found+lost]
-		for i := range fresh {
-			if fresh[i].own >= 0 {
-				fresh[i].own, fresh[i].hash = -1, contentHash(fresh[i].p)
+		for k, claimed := range kept {
+			if h := ui.held[k]; !claimed && identical(ix.entries[h.slot].p, p) {
+				kept[k] = true
+				ix.entries[h.slot].at(h.pos).vec = uint32(i)
+				found++
+				continue next
 			}
 		}
+		hash := contentHash(p)
+		slot, ok := ix.lookup(hash, p)
+		if ok {
+			found++
+			if q := ix.entries[slot].p; !identical(q, p) {
+				if sameSlice(out, vecs) {
+					out = slices.Clone(vecs)
+				}
+				out[i] = q
+			}
+		} else {
+			slot = ix.insert(p)
+			ix.name(hash, slot)
+			ix.distinct++
+			fresh++
+		}
+		if i < len(names) {
+			ix.nameSlot(names[i], slot)
+		}
+		if ui == nil {
+			ui = ix.addUser(user)
+		}
+		pos := ix.entries[slot].add(holder{uid: ui.uid, idx: uint32(len(ui.held)), vec: uint32(i)})
+		ui.held = append(ui.held, held{slot: slot, pos: pos})
+		ix.liveVecs++
 	}
+	for k := len(kept) - 1; k >= 0; k-- {
+		if !kept[k] {
+			ix.leave(ui, k)
+		}
+	}
+	ix.compactIfStale()
 	if ix.inst != nil {
 		ix.inst.kept.Add(int64(found))
-		ix.inst.restaged.Add(int64(len(svs) - found))
-	}
-	out := vecs
-	for _, sv := range svs {
-		if !identical(sv.p, vecs[sv.vec]) {
-			if sameSlice(out, vecs) {
-				out = slices.Clone(vecs)
-			}
-			out[sv.vec] = sv.p
-		}
+		ix.inst.restaged.Add(int64(fresh))
 	}
 	return out
 }
@@ -529,215 +536,57 @@ func (ix *Index) SetUser(user string, vecs []vsm.Vector) {
 	ix.SetPacked(user, packed)
 }
 
-// keep sorts svs into kept, joined and fresh, in that order, and returns
-// where the joined and the fresh ones start. A vector is kept when a live
-// holding of the user already holds its very slices (a holding is claimed
-// once, even when the caller hands one Packed twice), and joined when the
-// content table names a live entry of equal content. Every vector that is
-// not kept leaves with its content hash.
-func (ix *Index) keep(user string, svs []stagedVec) (found int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ui := ix.byUser[user]; ui != nil {
-		for k, h := range ui.held {
-			e := &ix.entries[h.slot]
-			for i := found; i < len(svs); i++ {
-				if identical(e.p, svs[i].p) {
-					svs[i].slot, svs[i].own = h.slot, int32(k)
-					svs[i], svs[found] = svs[found], svs[i]
-					found++
-					break
-				}
-			}
+// insert allocates an entry slot for p, with no holder yet, and appends
+// its postings to their terms' lists. Inserts land in the term's tail;
+// once the tail holds a block's worth and a rebuildFraction-th of the
+// prefix, the list rebuilds into impact order there and then. Caller holds
+// the write lock.
+func (ix *Index) insert(p vsm.Packed) uint32 {
+	var slot uint32
+	if n := len(ix.freeEnt); n > 0 {
+		slot = ix.freeEnt[n-1]
+		ix.freeEnt = ix.freeEnt[:n-1]
+	} else {
+		slot = uint32(len(ix.entries))
+		ix.entries = append(ix.entries, entrySlot{})
+	}
+	ix.entries[slot] = entrySlot{p: p}
+	var sumsq float64
+	for i, t := range p.IDs {
+		if int(t) >= len(ix.lists) {
+			// Ids are dense, so the table's length bounds them all: one
+			// growth covers every term interned so far.
+			n := max(int(t)+1, intern.Terms.Len())
+			ix.lists = slices.Grow(ix.lists, n-len(ix.lists))[:n]
 		}
-	}
-	for i := found; i < len(svs); i++ {
-		sv := &svs[i]
-		sv.hash = contentHash(sv.p)
-		if slot, ok := ix.lookup(sv.hash, sv.p); ok {
-			sv.slot = slot
-			svs[i], svs[found] = svs[found], svs[i]
-			found++
+		l := &ix.lists[t]
+		w := up16(p.Weights[i])
+		l.ids, l.ws = push(l.ids, slot), push(l.ws, w)
+		if f := decode(w); f > l.maxW {
+			l.maxW = f
 		}
-	}
-	return found
-}
-
-// stage allocates not-yet-alive entry slots for the vectors.
-func (ix *Index) stage(svs []stagedVec) {
-	if len(svs) == 0 {
-		return
-	}
-	ix.mu.Lock()
-	for i := range svs {
-		var slot uint32
-		if n := len(ix.freeEnt); n > 0 {
-			slot = ix.freeEnt[n-1]
-			ix.freeEnt = ix.freeEnt[:n-1]
-		} else {
-			slot = uint32(len(ix.entries))
-			ix.entries = append(ix.entries, entrySlot{})
+		if tail := len(l.ids) - l.sorted; tail >= blockSize && tail*rebuildFraction >= l.sorted {
+			l.rebuild()
 		}
-		ix.entries[slot] = entrySlot{p: svs[i].p}
-		svs[i].slot = slot
-		var sumsq float64
-		for _, w := range svs[i].p.Weights {
-			sumsq += w * w
-		}
-		// The norm of the exact float64 weights, the ones a candidate is
-		// rescored with. The 1e-6 bump absorbs this sum's rounding and
-		// accumulate's, so maxNorm·√Σdw² stays a true upper bound there.
-		if norm := math.Sqrt(sumsq) * (1 + 1e-6); norm > ix.maxNorm {
-			ix.maxNorm = norm
-		}
+		sumsq += p.Weights[i] * p.Weights[i]
 	}
-	ix.mu.Unlock()
-}
-
-// insertPostings appends the staged vectors' postings to their terms'
-// lists under one hold of the posting lock. Inserts land in the term's
-// tail; once the tail holds a block's worth and a rebuildFraction-th of the
-// prefix, the list rebuilds into impact order there and then.
-func (ix *Index) insertPostings(svs []stagedVec) {
-	if len(svs) == 0 {
-		return
+	ix.live += len(p.IDs)
+	// The norm of the exact float64 weights, the ones a candidate is
+	// rescored with. The 1e-6 bump absorbs this sum's rounding and
+	// accumulate's, so maxNorm·√Σdw² stays a true upper bound there.
+	if norm := math.Sqrt(sumsq) * (1 + 1e-6); norm > ix.maxNorm {
+		ix.maxNorm = norm
 	}
-	ix.pmu.Lock()
-	for _, sv := range svs {
-		for i, t := range sv.p.IDs {
-			if int(t) >= len(ix.lists) {
-				// Ids are dense, so the table's length bounds them all:
-				// one growth covers every term interned so far.
-				n := max(int(t)+1, intern.Terms.Len())
-				ix.lists = slices.Grow(ix.lists, n-len(ix.lists))[:n]
-			}
-			l := &ix.lists[t]
-			w := up16(sv.p.Weights[i])
-			l.ids, l.ws = push(l.ids, sv.slot), push(l.ws, w)
-			if f := decode(w); f > l.maxW {
-				l.maxW = f
-			}
-			if tail := len(l.ids) - l.sorted; tail >= blockSize && tail*rebuildFraction >= l.sorted {
-				l.rebuild()
-			}
-		}
-		ix.live += len(sv.p.IDs)
-	}
-	ix.pmu.Unlock()
-}
-
-// tomb is a retirement on its way from the registry to the posting space:
-// the entry slots that died and how many postings they hold.
-type tomb struct {
-	slots    []uint32
-	postings int
-}
-
-// commit is the single registry critical section of a write: it renumbers
-// the kept holdings svs[:found] with own ≥ 0, adds a holding for every
-// other vector — a join of a live entry in svs[:found], an activation of a
-// staged one in svs[found:] — and retires every other holding of the user.
-// It adds before it retires, so a vector that leaves an entry and rejoins
-// it in one commit does not kill it. A staged vector whose content some
-// entry went live with since keep looked joins that entry instead, so the
-// content table names at most one live entry per content.
-//
-// Each joined or activated vector's digest in names (by its number) names
-// its entry.
-//
-// svs[:found] are validated first: a kept holding must still be the user's
-// and hold the very vector, a joined entry must still be alive and equal
-// (another writer may have retired either, and the slot may have been
-// recycled since keep looked). If any fails, commit changes nothing, moves
-// the failures to the end of svs[:found] and returns their number.
-func (ix *Index) commit(user string, svs []stagedVec, found int, names []vsm.Digest) (lost int) {
-	ix.mu.Lock()
-	ui := ix.byUser[user]
-	for i := 0; i < found-lost; {
-		if ix.valid(ui, &svs[i]) {
-			i++
-			continue
-		}
-		lost++
-		svs[i], svs[found-lost] = svs[found-lost], svs[i]
-	}
-	if lost > 0 {
-		ix.mu.Unlock()
-		return lost
-	}
-	if ui == nil {
-		if len(svs) == 0 {
-			ix.mu.Unlock()
-			return 0
-		}
-		ui = ix.addUser(user)
-	}
-	old := len(ui.held)
-	var t tomb
-	for i := range svs {
-		sv := &svs[i]
-		if sv.own >= 0 {
-			h := ui.held[sv.own]
-			ix.entries[h.slot].at(h.pos).vec = uint32(sv.vec)
-			continue
-		}
-		e := &ix.entries[sv.slot]
-		if !e.alive() {
-			if slot, named := ix.lookup(sv.hash, sv.p); named {
-				// Equal content went live after keep looked — another
-				// writer's, or an earlier vector of this set: join it, and
-				// this staged entry dies unborn.
-				t.slots = append(t.slots, sv.slot)
-				t.postings += len(e.p.IDs)
-				*e = entrySlot{}
-				sv.slot, e = slot, &ix.entries[slot]
-			} else {
-				ix.distinct++
-				ix.name(sv.hash, sv.slot)
-			}
-		}
-		sv.p = e.p
-		if sv.vec < len(names) {
-			ix.nameSlot(names[sv.vec], sv.slot)
-		}
-		pos := e.add(holder{uid: ui.uid, idx: uint32(len(ui.held)), vec: uint32(sv.vec)})
-		ui.held = append(ui.held, held{slot: sv.slot, pos: pos})
-		ix.liveVecs++
-	}
-retire:
-	for k := old - 1; k >= 0; k-- {
-		for _, sv := range svs[:found] {
-			if int(sv.own) == k {
-				continue retire
-			}
-		}
-		ix.leave(ui, k, &t)
-	}
-	ix.mu.Unlock()
-	ix.tombstone(t)
-	return 0
-}
-
-// valid reports whether a kept or joined vector's entry is still what keep
-// found. Caller holds the registry write lock.
-func (ix *Index) valid(ui *userInfo, sv *stagedVec) bool {
-	e := &ix.entries[sv.slot]
-	if !e.alive() {
-		return false
-	}
-	if sv.own < 0 {
-		return e.p.Equal(sv.p)
-	}
-	return ui != nil && int(sv.own) < len(ui.held) && ui.held[sv.own].slot == sv.slot && identical(e.p, sv.p)
+	return slot
 }
 
 // leave ends the user's k-th holding. The entry's last holder moves into
 // its position and the user's last holding into index k, each telling its
 // other side where it went, so nothing is scanned. An entry left with no
-// holder dies: it leaves the content and name tables and its postings join
-// t. A user left with no holding is dropped. Caller holds the registry
-// write lock and applies t once it is released.
-func (ix *Index) leave(ui *userInfo, k int, t *tomb) {
+// holder dies: it leaves the content and name tables and its postings are
+// tombstoned. A user left with no holding is dropped. Caller holds the
+// write lock.
+func (ix *Index) leave(ui *userInfo, k int) {
 	h := ui.held[k]
 	e := &ix.entries[h.slot]
 	e.n--
@@ -762,8 +611,9 @@ func (ix *Index) leave(ui *userInfo, k int, t *tomb) {
 	if e.n == 0 {
 		ix.unname(contentHash(e.p), h.slot)
 		ix.unnameSlot(h.slot)
-		t.slots = append(t.slots, h.slot)
-		t.postings += len(e.p.IDs)
+		ix.dead = append(ix.dead, h.slot)
+		ix.stale += len(e.p.IDs)
+		ix.live -= len(e.p.IDs)
 		ix.distinct--
 		*e = entrySlot{} // let go of the vector
 	}
@@ -777,18 +627,17 @@ func (ix *Index) leave(ui *userInfo, k int, t *tomb) {
 // RemoveUser deletes every vector of the user (unsubscribe).
 func (ix *Index) RemoveUser(user string) {
 	ix.mu.Lock()
-	var t tomb
+	defer ix.mu.Unlock()
 	if ui := ix.byUser[user]; ui != nil {
 		for k := len(ui.held) - 1; k >= 0; k-- {
-			ix.leave(ui, k, &t)
+			ix.leave(ui, k)
 		}
 	}
-	ix.mu.Unlock()
-	ix.tombstone(t)
+	ix.compactIfStale()
 }
 
 // addUser registers a user with no holdings yet, under a free uid if there
-// is one. Caller holds the registry write lock.
+// is one. Caller holds the write lock.
 func (ix *Index) addUser(user string) *userInfo {
 	ui := &userInfo{name: user, uid: uint32(len(ix.users))}
 	if n := len(ix.freeUID); n > 0 {
@@ -802,32 +651,22 @@ func (ix *Index) addUser(user string) *userInfo {
 	return ui
 }
 
-// tombstone hands a retirement to the posting space, compacting it once
-// its stale share crosses the threshold, and releases the entry slots a
-// compaction freed.
-func (ix *Index) tombstone(t tomb) {
-	if len(t.slots) == 0 {
-		return
-	}
-	var freed []uint32
-	ix.pmu.Lock()
-	ix.dead = append(ix.dead, t.slots...)
-	ix.stale += t.postings
-	ix.live -= t.postings
+// compactIfStale compacts once the tombstoned postings exceed
+// compactMinStale and 1/compactFraction of all postings. Caller holds the
+// write lock.
+func (ix *Index) compactIfStale() {
 	if ix.stale > compactMinStale && ix.stale*compactFraction > ix.stale+ix.live {
-		freed = ix.compactLocked()
+		ix.compactLocked()
 	}
-	ix.pmu.Unlock()
-	ix.release(freed)
 }
 
 // compactLocked drops every stale posting and returns the dead slots, whose
-// postings are now gone, recording the compaction when instrumented.
-// Filtering preserves impact order on the prefix; maxW is retaken from
-// what survives. Caller holds the posting write lock.
-func (ix *Index) compactLocked() []uint32 {
+// postings are now gone, to the free list, recording the compaction when
+// instrumented. Filtering preserves impact order on the prefix; maxW is
+// retaken from what survives. Caller holds the write lock.
+func (ix *Index) compactLocked() {
 	if len(ix.dead) == 0 {
-		return nil
+		return
 	}
 	var t0 time.Time
 	if ix.inst != nil {
@@ -868,23 +707,12 @@ func (ix *Index) compactLocked() []uint32 {
 		}
 		l.sorted, l.maxW = sorted, maxW
 	}
-	freed := ix.dead
+	ix.freeEnt = append(ix.freeEnt, ix.dead...)
 	ix.dead, ix.stale = nil, 0
 	if ix.inst != nil {
 		ix.inst.compactions.Inc()
 		ix.inst.compactLat.ObserveSince(t0)
 	}
-	return freed
-}
-
-// release returns compacted dead slots to the free list.
-func (ix *Index) release(freed []uint32) {
-	if len(freed) == 0 {
-		return
-	}
-	ix.mu.Lock()
-	ix.freeEnt = append(ix.freeEnt, freed...)
-	ix.mu.Unlock()
 }
 
 // Optimize merges every term's tail into its impact-ordered prefix, leaving
@@ -895,13 +723,13 @@ func (ix *Index) release(freed []uint32) {
 // loading to make the whole index skippable. Safe (and pointless) to call
 // repeatedly.
 func (ix *Index) Optimize() {
-	ix.pmu.Lock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for t := range ix.lists {
 		if l := &ix.lists[t]; l.sorted < len(l.ids) {
 			l.rebuild()
 		}
 	}
-	ix.pmu.Unlock()
 }
 
 // Compact eagerly drops every tombstoned posting; with none there is
@@ -909,10 +737,9 @@ func (ix *Index) Optimize() {
 // automatically; Compact exists for callers that want exact statistics or
 // minimal memory right now.
 func (ix *Index) Compact() {
-	ix.pmu.Lock()
-	freed := ix.compactLocked()
-	ix.pmu.Unlock()
-	ix.release(freed)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.compactLocked()
 }
 
 // ---------------------------------------------------------------------------
@@ -970,15 +797,11 @@ func (ix *Index) Match(doc vsm.Vector, threshold float64) []Match {
 // that collapses the Cauchy–Schwarz tail bound fastest), sorted in the
 // pooled matcher, so a match allocates only its result.
 //
-// Accumulate + harvest run under the registry read lock — freezing slot
-// liveness across both phases — with the posting read lock nested inside
-// accumulate (registry → postings is the lock order; no writer acquires
-// the registry while holding the postings).
-// Commits therefore appear atomic to a match: it scores either a user's old
-// vector set or the new one, never a half-replaced mix or a vanished user.
-// Postings inserted concurrently for staged slots are harmless: staged
-// slots are not alive, and harvest discards them along with stale postings
-// on dead slots.
+// Accumulate + harvest run under one hold of the read lock, and a write is
+// one hold of the write lock, so a write appears atomic to a match: it
+// scores either a user's old vector set or the new one, never a
+// half-replaced mix or a vanished user. Stale postings on dead slots are
+// harmless: harvest discards them.
 func (ix *Index) MatchDoc(d vsm.Retained, threshold float64) []Match {
 	prune := threshold > 0 && !ix.pruneOff.Load()
 	m := ix.pool.Get().(*matcher)
@@ -1029,11 +852,10 @@ func (ix *Index) MatchDoc(d vsm.Retained, threshold float64) []Match {
 // candidate filter (score32 + slackTotal ≥ θ, minus a float32 rounding
 // margin) admits a superset of the true result set, every candidate is
 // exactly rescored in float64, and pruned output is bit-identical to the
-// unpruned scan's. Caller holds the registry read lock.
+// unpruned scan's. Caller holds the read lock.
 func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTotal float64) {
 	ids, ws := m.ids, m.ws
-	nSlots := len(ix.entries)
-	m.scores32 = grow(m.scores32, nSlots)
+	m.scores32 = grow(m.scores32, len(ix.entries))
 	m.stats = matchStats{}
 
 	n := len(ids)
@@ -1045,8 +867,6 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 	clear(m.scans)
 	var sumsq float64
 	maxNorm := ix.maxNorm
-	ix.pmu.RLock()
-	defer ix.pmu.RUnlock()
 	lists := ix.lists
 	for i := n - 1; i >= 0; i-- {
 		var maxw float64
@@ -1084,9 +904,7 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 		l := &lists[t]
 		if !prune {
 			for _, id := range l.ids {
-				if int(id) < nSlots { // else: slot staged after this match began
-					m.scores32[id] = unprunedMark
-				}
+				m.scores32[id] = unprunedMark
 			}
 			scanned += len(l.ids)
 			m.scans[i] = float64(scanned - scanBase)
@@ -1127,9 +945,7 @@ func (ix *Index) accumulate(m *matcher, threshold float64, prune bool) (slackTot
 func (m *matcher) add(ids []uint32, ws []uint16, dw float32) {
 	scores, ws := m.scores32, ws[:len(ids)]
 	for k, id := range ids {
-		if int(id) < len(scores) { // else: slot staged after this match began
-			scores[id] += dw * decode(ws[k])
-		}
+		scores[id] += dw * decode(ws[k])
 	}
 }
 
@@ -1197,7 +1013,7 @@ const unprunedMark = 1
 // was touched anyway, and one linear pass plus a bulk clear is far cheaper
 // than a random-order touched walk — and exactly rescores every live slot
 // at or above the cut: sweepCut's when pruning, the mark of a shared term
-// when not. Caller holds the registry read lock.
+// when not. Caller holds the read lock.
 func (ix *Index) harvestAll(m *matcher, threshold float64, slackTotal float64, prune bool) []Match {
 	m.best = grow(m.best, len(ix.users))
 	m.bestVec = grow(m.bestVec, len(ix.users))
@@ -1389,13 +1205,10 @@ type Stats struct {
 	Postings int
 }
 
-// Probe takes, for reading, every lock a match takes — the registry's and
-// the posting space's — and returns the live vector count. It changes
-// nothing, so a liveness heartbeat can call it every second without
-// compacting what the thresholds would leave alone.
+// Probe takes the lock a match takes, for reading, and returns the live
+// vector count. It changes nothing, so a liveness heartbeat can call it
+// every second without compacting what the thresholds would leave alone.
 func (ix *Index) Probe() int {
-	ix.pmu.RLock() // acquiring it is the probe
-	ix.pmu.RUnlock()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.liveVecs
@@ -1403,19 +1216,16 @@ func (ix *Index) Probe() int {
 
 // Size returns current index statistics. It compacts first so the term and
 // posting counts reflect only live entries — exact, and a write to a dirty
-// posting space: for the stats operation, not for periodic probes.
+// index: for the stats operation, not for periodic probes.
 func (ix *Index) Size() Stats {
 	ix.Compact()
 	ix.mu.RLock()
-	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs, Distinct: ix.distinct}
-	ix.mu.RUnlock()
-	ix.pmu.RLock()
+	defer ix.mu.RUnlock()
+	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs, Distinct: ix.distinct, Postings: ix.live}
 	for t := range ix.lists {
 		if len(ix.lists[t].ids) > 0 {
 			s.Terms++
 		}
 	}
-	s.Postings = ix.live
-	ix.pmu.RUnlock()
 	return s
 }

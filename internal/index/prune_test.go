@@ -62,14 +62,14 @@ func randProbe(rng *rand.Rand, vocab int) vsm.Vector {
 func requireHotLists(t *testing.T, ix *Index) {
 	t.Helper()
 	hot, blocks := 0, 0
-	ix.pmu.RLock()
+	ix.mu.RLock()
 	for _, l := range ix.lists {
 		if l.sorted > 0 {
 			hot++
 			blocks += l.blocks()
 		}
 	}
-	ix.pmu.RUnlock()
+	ix.mu.RUnlock()
 	if hot == 0 || blocks < 8 {
 		t.Fatalf("population too small to exercise the hot path: %d hot lists, %d blocks", hot, blocks)
 	}
@@ -92,7 +92,7 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 		ix.SetUser(fmt.Sprintf("adv%03d", i), []vsm.Vector{vec("t000", w, "t001", 1-w)})
 	}
 	checked := 0
-	ix.pmu.RLock()
+	ix.mu.RLock()
 	for term, l := range ix.lists {
 		if l.sorted > len(l.ids) || len(l.ws) != len(l.ids) {
 			t.Fatalf("term %d: %d slots, %d weights, %d of them sorted", term, len(l.ids), len(l.ws), l.sorted)
@@ -113,7 +113,7 @@ func TestQuantizedBoundsNeverUnderestimate(t *testing.T) {
 			checked++
 		}
 	}
-	ix.pmu.RUnlock()
+	ix.mu.RUnlock()
 	if checked == 0 {
 		t.Fatal("no postings checked")
 	}
@@ -143,8 +143,6 @@ func requirePostingsCoverExactWeights(t *testing.T, ix *Index) {
 	checked := 0
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.pmu.RLock()
-	defer ix.pmu.RUnlock()
 	for term, l := range ix.lists {
 		for k, slot := range l.ids {
 			e := &ix.entries[slot]
@@ -351,7 +349,7 @@ func TestPruningOffMatchesPruningOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ix, _ := prunePopulation(rng, 600, 25)
 	requireHotLists(t, ix)
-	if !ix.PruningEnabled() {
+	if ix.pruneOff.Load() {
 		t.Fatal("pruning should default to on")
 	}
 	for trial := 0; trial < 10; trial++ {

@@ -343,78 +343,85 @@ func slotsOf(ix *Index, user string) []uint32 {
 	return slots
 }
 
-// TestCommitRevalidatesKeptSlots drives the write path's steps by hand to
-// put another writer between keep and commit — the index does not serialise
-// writers per user, the broker does. A kept slot that was retired in
-// between, or retired and recycled for someone else's vector, must not be
-// renumbered: commit changes nothing and hands the vector back for staging.
-func TestCommitRevalidatesKeptSlots(t *testing.T) {
+// sameAsFresh compares ix on Match and Size with an index built by one
+// SetPacked of user's set.
+func sameAsFresh(t *testing.T, name string, ix *Index, user string, set []vsm.Packed, docs ...vsm.Vector) {
+	t.Helper()
+	oracle := New()
+	oracle.SetPacked(user, set)
+	for _, doc := range docs {
+		if got, want := ix.Match(doc, 0.1), oracle.Match(doc, 0.1); !slices.Equal(got, want) {
+			t.Errorf("%s: Match(%v) = %+v, want %+v", name, doc.Terms, got, want)
+		}
+	}
+	if got, want := ix.Size(), oracle.Size(); got != want {
+		t.Errorf("%s: Size %+v, want %+v", name, got, want)
+	}
+}
+
+// TestKeptSlotGoneBetweenWrites: between two writes of one user, the slots
+// its first write made are retired — by RemoveUser, by a write that keeps
+// only one of them — or recycled for equal content of another user. The
+// second write, handed the first one's very slices again, leaves the user
+// matching as a fresh index says it should.
+func TestKeptSlotGoneBetweenWrites(t *testing.T) {
 	a, b := vsm.Pack(vec("cat", 1.0)), vsm.Pack(vec("dog", 1.0))
 	for _, between := range []string{"RemoveUser", "replaced", "recycled"} {
 		ix := New()
 		ix.SetPacked("u", []vsm.Packed{a, b})
-		svs := []stagedVec{{vec: 0, p: b, own: -1}, {vec: 1, p: a, own: -1}}
-		kept := ix.keep("u", svs)
-		if kept != 2 {
-			t.Fatalf("%s: keep found %d of 2", between, kept)
-		}
-		wantLost := 2
 		switch between {
 		case "RemoveUser":
 			ix.RemoveUser("u")
-		case "replaced": // the other writer keeps a, drops b
+		case "replaced": // a is kept, b dropped
 			ix.SetPacked("u", []vsm.Packed{a})
-			wantLost = 1
 		case "recycled":
+			slots := slotsOf(ix, "u")
 			ix.RemoveUser("u")
 			ix.Compact() // both slots free again
 			ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("cat", 1.0)), vsm.Pack(vec("dog", 1.0))})
-		}
-		before := ix.Size()
-		lost := ix.commit("u", svs, kept, nil)
-		if lost != wantLost {
-			t.Fatalf("%s: commit lost %d kept slots, want %d", between, lost, wantLost)
-		}
-		if after := ix.Size(); after != before {
-			t.Fatalf("%s: a refused commit changed the index: %+v → %+v", between, before, after)
-		}
-		// What SetPacked does next.
-		fresh := svs[kept-lost : kept]
-		for i := range fresh {
-			fresh[i].own, fresh[i].hash = -1, contentHash(fresh[i].p)
-		}
-		ix.stage(fresh)
-		ix.insertPostings(fresh)
-		if lost := ix.commit("u", svs, kept-lost, nil); lost != 0 {
-			t.Fatalf("%s: second commit lost %d", between, lost)
-		}
-		oracle := New()
-		oracle.SetPacked("u", []vsm.Packed{b, a})
-		if between == "recycled" {
-			ix.RemoveUser("v")
-		}
-		for _, doc := range []vsm.Vector{vec("cat", 1.0), vec("dog", 1.0)} {
-			got, want := ix.Match(doc, 0.5), oracle.Match(doc, 0.5)
-			if len(got) != 1 || got[0] != want[0] {
-				t.Errorf("%s: Match(%v) = %+v, want %+v", between, doc.Terms, got, want)
+			if got := slotsOf(ix, "v"); !slices.Contains(got, slots[0]) || !slices.Contains(got, slots[1]) {
+				t.Fatalf("%s: v took slots %v, not u's old %v", between, got, slots)
 			}
 		}
-		if got, want := ix.Size(), oracle.Size(); got != want {
-			t.Errorf("%s: Size %+v, want %+v", between, got, want)
+		ix.SetPacked("u", []vsm.Packed{b, a})
+		ix.RemoveUser("v")
+		sameAsFresh(t, between, ix, "u", []vsm.Packed{b, a}, vec("cat", 1.0), vec("dog", 1.0))
+	}
+}
+
+// TestJoinTargetLeftBeforeTheWrite: a vector equal to an entry whose last
+// holder has left — its slot perhaps recycled for other content since — is
+// indexed anew, and its user matches as a fresh index says it should.
+func TestJoinTargetLeftBeforeTheWrite(t *testing.T) {
+	x := vsm.Pack(vec("cat", 1.0, "dog", 0.5))
+	for _, between := range []string{"left", "recycled"} {
+		ix := New()
+		ix.SetPacked("w", []vsm.Packed{x})
+		slot := slotsOf(ix, "w")[0]
+		ix.RemoveUser("w")
+		if between == "recycled" {
+			ix.Compact()
+			ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("stock", 1.0))})
+			if slotsOf(ix, "v")[0] != slot {
+				t.Fatalf("%s: v did not take the dead entry's slot", between)
+			}
 		}
+		ix.SetPacked("u", []vsm.Packed{clonePacked(x)})
+		ix.RemoveUser("v")
+		sameAsFresh(t, between, ix, "u", []vsm.Packed{x}, vec("cat", 1.0), vec("stock", 1.0))
 	}
 }
 
 // TestKeptSlotSurvivesConcurrentWriters: two writers SetPacked and
 // RemoveUser the same user with overlapping slices while a reader matches.
-// Whatever the interleaving — a kept slot retired under the writer that
-// meant to keep it, a slot recycled between keep and commit — nothing
-// panics, a reader never sees a vector number the sets do not have, and
-// once the writers are done the next write leaves exactly its own set: no
-// ghost entry, no ghost posting.
+// Whatever the order the writes take the lock in — a slot the previous
+// write kept retired by the next, a slot recycled for the other writer's
+// vector — nothing panics, a reader never sees a vector number the sets do
+// not have, and once the writers are done the next write leaves exactly its
+// own set: no ghost entry, no ghost posting.
 func TestKeptSlotSurvivesConcurrentWriters(t *testing.T) {
-	// Vectors of the paper's size: staging one takes long enough, between
-	// keep and commit, for the other writer to get in.
+	// Vectors of the paper's size, so a write holds the lock long enough
+	// for the reader and the other writer to queue behind it.
 	pool := make([]vsm.Packed, 6)
 	for i := range pool {
 		m := map[string]float64{"common": 3, fmt.Sprintf("own%d", i): 3}
@@ -530,64 +537,25 @@ func TestPostingsAreDistinctVectors(t *testing.T) {
 		t.Errorf("after a user of copies: Size %+v, want %d postings, %d distinct, %d vectors", st, pairs, distinct, vectors+len(src))
 	}
 
-	// New content twice in one set: both are staged, and the second to go
-	// live joins the first.
+	// New content twice in one set: the first is fresh and the second joins
+	// the entry it made — one set of postings, none tombstoned.
+	reg := metrics.NewRegistry()
+	ix.Instrument(reg)
+	live, stale, dead := ix.live, ix.stale, len(ix.dead)
 	z := paperVector("z", 20, 1)
 	got = ix.SetPacked("twice", []vsm.Packed{z, clonePacked(z)})
 	if !sameSlice(got[1].IDs, z.IDs) {
 		t.Error("the second copy of new content was not handed back as the first")
 	}
+	if ix.live != live+z.Len() || ix.stale != stale || len(ix.dead) != dead {
+		t.Errorf("new content twice: postings live %d → %d, stale %d → %d, dead slots %d → %d; want %d more live and nothing tombstoned",
+			live, ix.live, stale, ix.stale, dead, len(ix.dead), z.Len())
+	}
+	if k, r := counter(reg, "mm_index_vectors_kept_total"), counter(reg, "mm_index_vectors_restaged_total"); k != 1 || r != 1 {
+		t.Errorf("new content twice: kept %d restaged %d, want 1 and 1", k, r)
+	}
 	if st := ix.Size(); st.Distinct != distinct+1 || st.Postings != pairs+z.Len() {
 		t.Errorf("after new content twice: Size %+v, want %d distinct and %d postings", st, distinct+1, pairs+z.Len())
-	}
-}
-
-// TestJoinRacingLastLeaveIsRestaged drives the write path by hand: a vector
-// keep found equal to a live entry, whose last holder leaves before the
-// commit — and whose slot may even hold other content by then — is handed
-// back as lost and staged anew, and its user then matches as a fresh index
-// says it should.
-func TestJoinRacingLastLeaveIsRestaged(t *testing.T) {
-	x := vsm.Pack(vec("cat", 1.0, "dog", 0.5))
-	for _, between := range []string{"left", "recycled"} {
-		ix := New()
-		ix.SetPacked("w", []vsm.Packed{x})
-		svs := []stagedVec{{vec: 0, p: clonePacked(x), own: -1}}
-		if found := ix.keep("u", svs); found != 1 || svs[0].own != -1 {
-			t.Fatalf("%s: keep found %d, own %d: the copy should join w's entry", between, found, svs[0].own)
-		}
-		ix.RemoveUser("w")
-		if between == "recycled" {
-			ix.Compact()
-			ix.SetPacked("v", []vsm.Packed{vsm.Pack(vec("stock", 1.0))})
-			if slotsOf(ix, "v")[0] != svs[0].slot {
-				t.Fatalf("%s: v did not take the dead entry's slot", between)
-			}
-		}
-		before := ix.Size()
-		if lost := ix.commit("u", svs, 1, nil); lost != 1 {
-			t.Fatalf("%s: commit lost %d joins, want 1", between, lost)
-		}
-		if after := ix.Size(); after != before {
-			t.Fatalf("%s: a refused commit changed the index: %+v → %+v", between, before, after)
-		}
-		ix.stage(svs)
-		ix.insertPostings(svs)
-		if lost := ix.commit("u", svs, 0, nil); lost != 0 {
-			t.Fatalf("%s: second commit lost %d", between, lost)
-		}
-		ix.RemoveUser("v")
-		oracle := New()
-		oracle.SetPacked("u", []vsm.Packed{x})
-		for _, doc := range []vsm.Vector{vec("cat", 1.0), vec("stock", 1.0)} {
-			got, want := ix.Match(doc, 0.1), oracle.Match(doc, 0.1)
-			if len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
-				t.Errorf("%s: Match(%v) = %+v, want %+v", between, doc.Terms, got, want)
-			}
-		}
-		if got, want := ix.Size(), oracle.Size(); got != want {
-			t.Errorf("%s: Size %+v, want %+v", between, got, want)
-		}
 	}
 }
 
@@ -757,8 +725,8 @@ func TestJoiningAddsNoPostingAndFewBytes(t *testing.T) {
 		return m.HeapAlloc
 	}
 	livePostings := func(ix *Index) int {
-		ix.pmu.RLock()
-		defer ix.pmu.RUnlock()
+		ix.mu.RLock()
+		defer ix.mu.RUnlock()
 		return ix.live
 	}
 	shared := paperVector("shared", 96, 1)

@@ -16,9 +16,10 @@
 //     the process;
 //   - the document retention window (internal/docstore), a FIFO ring with
 //     an atomic id allocator;
-//   - concurrent collection statistics (vsm.ConcurrentStats), which a
-//     publish updates once and reads per term;
-//   - the inverted profile index (internal/index), one posting space.
+//   - the collection statistics (vsm.Stats), which a publish updates
+//     once and reads per term;
+//   - the inverted profile index (internal/index), one structure behind
+//     one RWMutex.
 //
 // No broker-wide lock exists: publishes from many goroutines proceed in
 // parallel end to end, serializing only per subscriber (each subscriber's
@@ -230,7 +231,7 @@ type Broker struct {
 	pipe *text.Pipeline
 	idx  *index.Index
 
-	stats *vsm.ConcurrentStats
+	stats *vsm.Stats
 	docs  *docstore.Store
 	reg   *registry
 	lru   residencyLRU
@@ -259,7 +260,7 @@ func New(opts Options) *Broker {
 	b := &Broker{
 		opts:  opts,
 		pipe:  text.NewPipeline(),
-		stats: vsm.NewConcurrentStats(),
+		stats: vsm.NewStats(),
 		idx:   index.New(),
 		reg:   newRegistry(),
 		docs:  docstore.New(opts.Retention),
@@ -917,7 +918,7 @@ func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 func (b *Broker) QueueSize() int { return b.opts.QueueSize }
 
 // PingPipeline probes the locks the publish path takes — a registry read,
-// a docstore read, and the index's read locks — and returns once
+// a docstore read, and the index's read lock — and returns once
 // all of them were acquired, having changed nothing (IndexStats compacts;
 // this must not). Health heartbeat goroutines call it
 // periodically: if any layer is wedged (a lock held forever), the ping

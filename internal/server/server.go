@@ -279,7 +279,7 @@ func (s *Server) tick(now time.Time) {
 		}
 	}
 	// Last, because it is the one step that can block: the probe ends in the
-	// index's read locks, and a wedge anywhere on the publish path leaves
+	// index's read lock, and a wedge anywhere on the publish path leaves
 	// both beats to go stale.
 	s.broker.PingPipeline()
 	s.health.Beat("publish_loop")

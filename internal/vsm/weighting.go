@@ -16,23 +16,11 @@ type Weighting interface {
 	Weight(term string, tf, docLen int) float64
 }
 
-// StatsView is the read side of collection statistics, the slice every
-// weighting scheme needs. Both the single-writer *Stats and the locked
-// *ConcurrentStats satisfy it, so schemes work unchanged against either.
-type StatsView interface {
-	// N returns the number of documents observed.
-	N() int
-	// DF returns the document frequency of term t.
-	DF(t string) int
-	// AvgLen returns the average document length in terms.
-	AvgLen() float64
-}
-
 // TFIDF is the classical scheme of Section 2.1:
 // w = tf · log2(N/df). Terms absent from the collection statistics get
 // df = 1 so that out-of-collection terms still receive a (maximal) weight.
 type TFIDF struct {
-	Stats StatsView
+	Stats *Stats
 }
 
 // Name implements Weighting.
@@ -58,7 +46,7 @@ func (w TFIDF) Weight(term string, tf, docLen int) float64 {
 //	tfbel     = tf / (tf + 0.5 + 1.5·len_d/avglen)
 //	idf(t)    = log((N+0.5)/df_t) / log(N+1)
 type Bel struct {
-	Stats StatsView
+	Stats *Stats
 }
 
 // Name implements Weighting.
