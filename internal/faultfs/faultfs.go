@@ -11,9 +11,11 @@
 //   - NewSim() returns an in-memory filesystem that models the page cache:
 //     every byte written is volatile until the file is fsynced, every
 //     create/rename/remove is volatile until the parent directory is
-//     fsynced, and Crash() discards all volatile state — exactly what a
-//     power cut does to ext4. A hook can fail, tear, or crash any
-//     operation at any syscall boundary (sim.go).
+//     fsynced, and Reboot() discards all volatile state — exactly what a
+//     power cut does to ext4. RebootKeeping() instead lets any subset of
+//     the unsynced entry changes survive, a later one without an earlier
+//     one. A hook can fail, tear, or crash any operation at any syscall
+//     boundary (sim.go).
 //
 // The split is what makes crash consistency testable: the store's
 // durability claims are proven by killing a Sim at every operation index

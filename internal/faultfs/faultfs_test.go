@@ -94,6 +94,48 @@ func TestRenameNeedsDirSync(t *testing.T) {
 	}
 }
 
+// TestEntryChangesPersistOneByOne pins the per-entry crash mode: between
+// two directory fsyncs each entry change may persist without the ones
+// before it — here a later rename without an earlier one — a rename moves
+// both its names or neither, and a SyncDir leaves nothing for RebootKeeping
+// to choose from.
+func TestEntryChangesPersistOneByOne(t *testing.T) {
+	s := NewSim()
+	mustMkdir(t, s, "/d")
+	for _, name := range []string{"/d/a.tmp", "/d/b.tmp"} {
+		f, _ := s.OpenFile(name, os.O_CREATE|os.O_WRONLY, 0o644)
+		writeAll(t, f, []byte(name))
+		f.Sync()
+	}
+	s.SyncDir("/d")
+	s.Rename("/d/a.tmp", "/d/a")
+	s.Rename("/d/b.tmp", "/d/b")
+	if n := s.Unsynced("/d"); n != 2 {
+		t.Fatalf("Unsynced = %d, want the two renames", n)
+	}
+	s.RebootKeeping(func(dir string, i, n int) bool { return dir == "/d" && i == n-1 })
+	want := map[string]string{"/d/a.tmp": "/d/a.tmp", "/d/b": "/d/b.tmp"}
+	for _, name := range []string{"/d/a", "/d/a.tmp", "/d/b", "/d/b.tmp"} {
+		data, err := s.ReadFile(name)
+		if w, ok := want[name]; ok != (err == nil) || string(data) != w {
+			t.Errorf("%s after keeping only the later rename: %q, %v", name, data, err)
+		}
+	}
+	if n := s.Unsynced("/d"); n != 0 {
+		t.Errorf("Unsynced = %d after the reboot", n)
+	}
+
+	s.Rename("/d/a.tmp", "/d/a")
+	s.SyncDir("/d")
+	if n := s.Unsynced("/d"); n != 0 {
+		t.Errorf("Unsynced = %d after SyncDir", n)
+	}
+	s.RebootKeeping(func(string, int, int) bool { return true })
+	if data, err := s.ReadFile("/d/a"); err != nil || string(data) != "/d/a.tmp" {
+		t.Errorf("synced rename after RebootKeeping: %q, %v", data, err)
+	}
+}
+
 func TestTornWriteCrash(t *testing.T) {
 	s := NewSim()
 	mustMkdir(t, s, "/d")

@@ -101,19 +101,41 @@ type simFile struct {
 	durable []byte
 }
 
-// simDir is one directory: the live entry table plus the durable entry
-// table as of the last acknowledged directory fsync. Entries map base
-// names to inodes; an inode can be reachable from a durable entry under
-// one name and a volatile entry under another (mid-rename).
+// simDir is one directory: the live entry table, the durable entry table
+// as of the last acknowledged directory fsync, and the entry changes made
+// since, in order. Entries map base names to inodes; an inode can be
+// reachable from a durable entry under one name and a volatile entry under
+// another (mid-rename).
 type simDir struct {
 	entries map[string]*simFile
 	durable map[string]*simFile
+	pending [][]entryEdit // one change each: a create, a removal, or a rename's two names
+}
+
+// entryEdit points name at file, or removes it when file is nil.
+type entryEdit struct {
+	name string
+	file *simFile
+}
+
+// change applies one entry change to the live table and queues it until
+// the next SyncDir.
+func (d *simDir) change(edits ...entryEdit) {
+	for _, e := range edits {
+		if e.file == nil {
+			delete(d.entries, e.name)
+		} else {
+			d.entries[e.name] = e.file
+		}
+	}
+	d.pending = append(d.pending, edits)
 }
 
 // Sim is an in-memory filesystem with explicit durability: writes land in
 // the volatile image until File.Sync, namespace changes land in the
-// volatile directory table until SyncDir, and Crash/Reboot discard
-// everything volatile. Safe for concurrent use.
+// volatile directory table until SyncDir, and Reboot discards everything
+// volatile — or, with RebootKeeping, keeps any chosen subset of the
+// unsynced namespace changes. Safe for concurrent use.
 type Sim struct {
 	mu      sync.Mutex
 	hook    Hook
@@ -156,18 +178,52 @@ func (s *Sim) Crashed() bool {
 // table, all pre-reboot handles become invalid, and the machine runs
 // again. The operation counter and hook are preserved so callers can keep
 // counting across incarnations; most tests disarm the hook first.
-func (s *Sim) Reboot() {
+func (s *Sim) Reboot() { s.RebootKeeping(nil) }
+
+// RebootKeeping is Reboot in the per-entry crash mode. Nothing orders two
+// directory entry changes unless a SyncDir lies between them, so each
+// unsynced change — a create, a removal, a rename with both its names —
+// may reach the disk without the ones made before it. keep is asked about
+// each directory's unsynced changes in the order they were made (the i-th
+// of n); those it accepts persist over the durable table, the rest are
+// lost. A nil keep accepts none, which is Reboot. keep is called with the
+// simulator's lock held and must not call back into the Sim.
+func (s *Sim) RebootKeeping(keep func(dir string, i, n int) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashed = false
 	s.epoch++
-	for _, d := range s.dirs {
+	for path, d := range s.dirs {
+		for i, edits := range d.pending {
+			if keep == nil || !keep(path, i, len(d.pending)) {
+				continue
+			}
+			for _, e := range edits {
+				if e.file == nil {
+					delete(d.durable, e.name)
+				} else {
+					d.durable[e.name] = e.file
+				}
+			}
+		}
+		d.pending = nil
 		d.entries = make(map[string]*simFile, len(d.durable))
 		for name, f := range d.durable {
 			d.entries[name] = f
 			f.data = append([]byte(nil), f.durable...)
 		}
 	}
+}
+
+// Unsynced returns how many entry changes dir holds that no SyncDir has
+// persisted: the n RebootKeeping would offer.
+func (s *Sim) Unsynced(dir string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d := s.dir(dir); d != nil {
+		return len(d.pending)
+	}
+	return 0
 }
 
 // step counts a mutating operation and applies the hook's verdict.
@@ -254,7 +310,7 @@ func (s *Sim) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 			return nil, err
 		}
 		f = &simFile{}
-		d.entries[base] = f
+		d.change(entryEdit{base, f})
 	case flag&os.O_TRUNC != 0:
 		if _, err := s.step(OpTruncate, name, 0); err != nil {
 			return nil, err
@@ -286,7 +342,7 @@ func (s *Sim) CreateTemp(dir, pattern string) (File, error) {
 		return nil, err
 	}
 	f := &simFile{}
-	d.entries[base] = f
+	d.change(entryEdit{base, f})
 	return &simHandle{sim: s, file: f, name: name, epoch: s.epoch}, nil
 }
 
@@ -339,8 +395,13 @@ func (s *Sim) Rename(oldpath, newpath string) error {
 	if _, err := s.step(OpRename, newpath, 0); err != nil {
 		return err
 	}
-	delete(od.entries, obase)
-	nd.entries[filepath.Base(newpath)] = f
+	gone, named := entryEdit{obase, nil}, entryEdit{filepath.Base(newpath), f}
+	if od == nd {
+		od.change(gone, named)
+	} else {
+		od.change(gone)
+		nd.change(named)
+	}
 	return nil
 }
 
@@ -357,7 +418,7 @@ func (s *Sim) Remove(name string) error {
 	if _, err := s.step(OpRemove, name, 0); err != nil {
 		return err
 	}
-	delete(d.entries, base)
+	d.change(entryEdit{base, nil})
 	return nil
 }
 
@@ -382,6 +443,7 @@ func (s *Sim) SyncDir(dir string) error {
 	for n, file := range d.entries {
 		d.durable[n] = file
 	}
+	d.pending = nil
 	return nil
 }
 

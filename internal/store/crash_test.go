@@ -170,10 +170,19 @@ func runMatrixWorkload(s *Store, durablePerAppend bool) (applied, guaranteed int
 	return applied, guaranteed, nil
 }
 
-func TestCrashMatrixDurable(t *testing.T) { crashMatrix(t, true) }
-func TestCrashMatrixRelaxed(t *testing.T) { crashMatrix(t, false) }
+func TestCrashMatrixDurable(t *testing.T) { crashMatrix(t, true, false) }
+func TestCrashMatrixRelaxed(t *testing.T) { crashMatrix(t, false, false) }
 
-func crashMatrix(t *testing.T, durable bool) {
+// TestCrashMatrixPerEntry is the durable matrix in faultfs's per-entry
+// crash mode: at every crash point, each subset of the directory's unsynced
+// entry changes survives the power cut in turn (subtest keep_<mask>, bit i
+// the i-th change), a later rename without an earlier one included. It is
+// the matrix that needs every directory fsync a checkpoint makes: without
+// the one between the segment's rename and the manifest's, a MANIFEST can
+// survive that names a segment whose rename did not.
+func TestCrashMatrixPerEntry(t *testing.T) { crashMatrix(t, true, true) }
+
+func crashMatrix(t *testing.T, durable, perEntry bool) {
 	opts := func(sim *faultfs.Sim) Options {
 		return Options{FS: sim, Durable: durable}
 	}
@@ -195,11 +204,10 @@ func crashMatrix(t *testing.T, durable bool) {
 
 	for k := 1; k <= total; k++ {
 		k := k
-		t.Run(fmt.Sprintf("crash_at_%03d", k), func(t *testing.T) {
-			sim := faultfs.NewSim()
+		// crash runs the workload on a fresh machine that dies at op k.
+		crash := func(t *testing.T) (sim *faultfs.Sim, applied, guaranteed int) {
+			sim = faultfs.NewSim()
 			sim.SetHook(faultfs.CrashAt(k))
-
-			applied, guaranteed := 0, 0
 			s, err := Open("/state", opts(sim))
 			if err == nil {
 				applied, guaranteed, err = runMatrixWorkload(s, durable)
@@ -213,73 +221,98 @@ func crashMatrix(t *testing.T, durable bool) {
 				// op was applied, the durability guarantees are unchanged.
 				applied = len(matrixScript)
 			}
-
-			// Power-cycle: volatile state is gone, the machine is back.
 			sim.SetHook(nil)
-			sim.Reboot()
-
-			// Recovery must never error and never lose an acknowledged
-			// record, at every single crash point.
-			s2, err := Open("/state", opts(sim))
-			if err != nil {
-				t.Fatalf("reopen after crash: %v", err)
+			return sim, applied, guaranteed
+		}
+		t.Run(fmt.Sprintf("crash_at_%03d", k), func(t *testing.T) {
+			sim, applied, guaranteed := crash(t)
+			if !perEntry {
+				// Power-cycle: volatile state is gone, the machine is back.
+				sim.Reboot()
+				requireRecovers(t, sim, opts(sim), applied, guaranteed)
+				return
 			}
-			profiles, events, err := s2.Load()
-			if err != nil {
-				t.Fatalf("load after crash: %v", err)
+			n := sim.Unsynced("/state")
+			if n > 8 {
+				t.Fatalf("%d unsynced entry changes at one crash point", n)
 			}
-			learners, err := Restore(profiles, events)
-			if err != nil {
-				t.Fatalf("restore after crash: %v", err)
-			}
-			// The offset index the reopen built over whatever the crash left
-			// — torn tails, half-staged segments, either side of the manifest
-			// rename — must hydrate every user to what the full load holds.
-			requireHydrationEqualsRestore(t, s2, learners)
-			got := probeState(learners, len(matrixScript))
-			match := -1
-			for m := guaranteed; m <= applied+1 && m <= len(matrixScript); m++ {
-				if got.equal(expectedState(m)) {
-					match = m
-					break
-				}
-			}
-			if match < 0 {
-				t.Fatalf("recovered state %v is no prefix ≥ %d of the workload (applied %d)",
-					got, guaranteed, applied)
-			}
-
-			// The reopened store must be fully usable: the torn-tail
-			// repair has to leave the log appendable (this is the exact
-			// reopen-append-reload sequence that corrupted the store
-			// before the fix).
-			if err := s2.AppendSubscribe("q", "MM", nil); err != nil {
-				t.Fatalf("append after recovery: %v", err)
-			}
-			if err := s2.AppendFeedback("q", fbVec(9), filter.Relevant); err != nil {
-				t.Fatalf("append after recovery: %v", err)
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatalf("close after recovery: %v", err)
-			}
-			s3, err := Open("/state", opts(sim))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s3.Close()
-			p3, e3, err := s3.Load()
-			if err != nil {
-				t.Fatalf("reload after post-recovery appends: %v", err)
-			}
-			l3, err := Restore(p3, e3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireHydrationEqualsRestore(t, s3, l3)
-			if l3["q"] == nil || l3["q"].Score(fbVec(9)) <= 1e-9 {
-				t.Fatalf("post-recovery appends lost")
+			for mask := 0; mask < 1<<n; mask++ {
+				t.Run(fmt.Sprintf("keep_%0*b", max(n, 1), mask), func(t *testing.T) {
+					if mask > 0 {
+						sim, applied, guaranteed = crash(t)
+					}
+					sim.RebootKeeping(func(_ string, i, _ int) bool { return mask>>i&1 == 1 })
+					requireRecovers(t, sim, opts(sim), applied, guaranteed)
+				})
 			}
 		})
+	}
+}
+
+// requireRecovers reopens a rebooted machine and requires what the crash
+// matrix promises: recovery never errors and never loses an acknowledged
+// record, the state is a prefix of the workload at least guaranteed ops
+// long, and the store stays appendable.
+func requireRecovers(t *testing.T, sim *faultfs.Sim, opts Options, applied, guaranteed int) {
+	t.Helper()
+	s2, err := Open("/state", opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	profiles, events, err := s2.Load()
+	if err != nil {
+		t.Fatalf("load after crash: %v", err)
+	}
+	learners, err := Restore(profiles, events)
+	if err != nil {
+		t.Fatalf("restore after crash: %v", err)
+	}
+	// The offset index the reopen built over whatever the crash left
+	// — torn tails, half-staged segments, either side of the manifest
+	// rename — must hydrate every user to what the full load holds.
+	requireHydrationEqualsRestore(t, s2, learners)
+	got := probeState(learners, len(matrixScript))
+	match := -1
+	for m := guaranteed; m <= applied+1 && m <= len(matrixScript); m++ {
+		if got.equal(expectedState(m)) {
+			match = m
+			break
+		}
+	}
+	if match < 0 {
+		t.Fatalf("recovered state %v is no prefix ≥ %d of the workload (applied %d)",
+			got, guaranteed, applied)
+	}
+
+	// The reopened store must be fully usable: the torn-tail
+	// repair has to leave the log appendable (this is the exact
+	// reopen-append-reload sequence that corrupted the store
+	// before the fix).
+	if err := s2.AppendSubscribe("q", "MM", nil); err != nil {
+		t.Fatalf("append after recovery: %v", err)
+	}
+	if err := s2.AppendFeedback("q", fbVec(9), filter.Relevant); err != nil {
+		t.Fatalf("append after recovery: %v", err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatalf("close after recovery: %v", err)
+	}
+	s3, err := Open("/state", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	p3, e3, err := s3.Load()
+	if err != nil {
+		t.Fatalf("reload after post-recovery appends: %v", err)
+	}
+	l3, err := Restore(p3, e3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireHydrationEqualsRestore(t, s3, l3)
+	if l3["q"] == nil || l3["q"].Score(fbVec(9)) <= 1e-9 {
+		t.Fatalf("post-recovery appends lost")
 	}
 }
 
