@@ -2,9 +2,7 @@
 // internal/store): the manifest-committed generation, the segment and
 // journal (including crash damage: torn tails and committed extent), and
 // the profiles that recovery would reconstruct. The directory is opened
-// read-only, so it is safe to point at a live server's state; a directory
-// an older release wrote with several lanes is refused until a server has
-// opened it once.
+// read-only, so it is safe to point at a live server's state.
 //
 // Usage:
 //

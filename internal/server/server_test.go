@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -381,6 +383,45 @@ func TestUnreachableProfileIsAnError(t *testing.T) {
 	}
 	if _, _, err := c.Export("alice"); err == nil {
 		t.Error("alice's damaged record exports")
+	}
+}
+
+// TestNewRefusesLanedDirectory: a state directory an older release wrote
+// with four WAL lanes fails New with an error naming the layout, and the
+// failure performs no filesystem mutation, changes no byte of the directory
+// and leaves no goroutine behind, as TestNewFailure's RI directory does.
+func TestNewRefusesLanedDirectory(t *testing.T) {
+	sim := faultfs.NewSim()
+	must(t, sim.MkdirAll(stateDir, 0o755))
+	put := func(name string, payload []byte) {
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		f, err := sim.OpenFile(filepath.Join(stateDir, name), os.O_WRONLY|os.O_CREATE, 0o644)
+		must(t, err)
+		_, err = f.Write(append(frame, payload...))
+		must(t, err)
+		must(t, f.Sync())
+		must(t, f.Close())
+	}
+	// Manifest version 2, epoch 3, four lanes at generation 0 (no index);
+	// each lane's WAL subscribes one user.
+	put("MANIFEST", []byte{'M', 'M', 'L', 'N', 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0})
+	for lane := 0; lane < 4; lane++ {
+		sub := append([]byte{1, 6}, fmt.Sprintf("user-%d", lane)...)
+		put(fmt.Sprintf("wal-%03d-00000000.log", lane), append(sub, 2, 'M', 'M', 0))
+	}
+	must(t, sim.SyncDir(stateDir))
+	files, ops := dirBytes(t, sim), sim.Ops()
+	before := runtime.NumGoroutine()
+	_, err := New(Config{StateDir: stateDir, SyncEvery: time.Hour}, Seams{FS: sim, Log: io.Discard})
+	if err == nil || !strings.Contains(err.Error(), "4 WAL lanes") {
+		t.Errorf("New over a 4-lane directory = %v, want an error naming its 4 WAL lanes", err)
+	}
+	if n := settle(before); n != 0 {
+		t.Errorf("failed New left %d goroutine(s) behind", n)
+	}
+	if n := sim.Ops() - ops; n != 0 || !reflect.DeepEqual(dirBytes(t, sim), files) {
+		t.Errorf("the refused boot made %d filesystem mutation(s) or changed the state directory", n)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestWALInfoReadsIndexesNotSegments(t *testing.T) {
 		}
 	}
 
-	at := manifestOf(t, dir).idx[0]
+	at := manifestOf(t, dir).idx
 	if at == noIndex {
 		t.Fatal("the checkpoint committed no index offset")
 	}
@@ -294,7 +294,7 @@ func TestDamagedIndexRefusesBoot(t *testing.T) {
 	}
 	segPath := s.segPath(1)
 	s.Close()
-	at := manifestOf(t, dir).idx[0]
+	at := manifestOf(t, dir).idx
 	data, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)

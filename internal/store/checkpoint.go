@@ -177,8 +177,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 }
 
 // stage writes a file through fill into a temp file, fsyncs it and renames
-// it to path, for a checkpoint or a fold: until a manifest names the file
-// it is a stray. The caller fsyncs the directory. Errors carry no "store:"
+// it to path: until a manifest names the file it is a stray. The caller fsyncs the directory. Errors carry no "store:"
 // prefix, fill's included.
 func (s *Store) stage(path string, fill func(io.Writer) error) error {
 	tmp, err := s.fsys.CreateTemp(s.dir, "stage-*.tmp")
@@ -218,8 +217,8 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 		return nil, 0, 0, 0, err
 	}
 
-	// One slot per user the WAL touches: the profile apply has folded the
-	// user's events into so far (nil once unsubscribed).
+	// One slot per user the WAL touches: the profile apply has made of the
+	// user's events so far (nil once unsubscribed).
 	order := make([]string, 0, len(s.segIdx))
 	for user := range s.segIdx {
 		order = append(order, user)

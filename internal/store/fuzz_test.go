@@ -176,6 +176,32 @@ func FuzzSegmentIndex(f *testing.F) {
 	})
 }
 
+// FuzzManifest hits the manifest decoder, the first reader of a state
+// directory's bytes: any payload either decodes to a manifest that
+// encodeManifest writes back byte for byte — one lane, generation 0
+// exactly when there is no index — or is refused. The seeds are today's
+// encoding and the three layouts of older releases it refuses.
+func FuzzManifest(f *testing.F) {
+	f.Add(encodeManifest(1, 0, noIndex))
+	f.Add(encodeManifest(9, 4, 4321))
+	f.Add(olderManifest(2, []uint64{3, 1, 0, 2}, []uint64{40, 40, 0, 40}))
+	f.Add(olderManifest(1, []uint64{1, 1}, nil))
+	f.Add(olderManifest(2, []uint64{3}, []uint64{0}))
+	f.Add([]byte{'M', 'M', 'L', 'N', 2, 0x81, 0, 1, 0, 0}) // an epoch of 1 in two bytes
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		mf, err := decodeManifest(payload)
+		if err != nil {
+			return
+		}
+		if (mf.gen == 0) != (mf.idx == noIndex) || mf.idx < noIndex {
+			t.Fatalf("decoded generation %d with index offset %d", mf.gen, mf.idx)
+		}
+		if again := encodeManifest(mf.epoch, mf.gen, mf.idx); !bytes.Equal(again, payload) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x", payload, mf, again)
+		}
+	})
+}
+
 // TestBitFlipEveryOffset is the exhaustive corruption sweep: flipping any
 // single bit anywhere in a valid log must leave the scanner with exactly
 // three outcomes — an explicit error, the full record list (flip in torn-

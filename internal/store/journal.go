@@ -32,16 +32,16 @@ const (
 	walFile
 )
 
-// lanePath names lane id's file of generation gen. The journal is lane 0
-// (walPath, segPath); other lanes exist only in a directory an older release
-// wrote, until Open folds it (fold.go).
-func (s *Store) lanePath(prefix string, id int, gen uint64, suffix string) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%03d-%08d%s", prefix, id, gen, suffix))
+// journalPath names the journal's file of generation gen. The 000 is the
+// lane number an older release put in every name; keeping it keeps each
+// directory written since readable as it is.
+func (s *Store) journalPath(prefix string, gen uint64, suffix string) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s000-%08d%s", prefix, gen, suffix))
 }
 
-func (s *Store) walPath(gen uint64) string { return s.lanePath(walPrefix, 0, gen, ".log") }
+func (s *Store) walPath(gen uint64) string { return s.journalPath(walPrefix, gen, ".log") }
 
-func (s *Store) segPath(gen uint64) string { return s.lanePath(segPrefix, 0, gen, ".db") }
+func (s *Store) segPath(gen uint64) string { return s.journalPath(segPrefix, gen, ".db") }
 
 // openWAL opens the current-generation log for appending, truncating any
 // torn tail first and indexing the records before it. Caller holds s.mu (or

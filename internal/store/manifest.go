@@ -14,33 +14,27 @@ import (
 )
 
 // The manifest is the commit point of the layout: a single framed record
-// naming the journal's current generation and, from version 2, where that
-// generation's segment keeps its offset index. Recovery trusts only files
-// the manifest references, so checkpoints can stage new segments freely —
-// nothing becomes authoritative until the one atomic MANIFEST rename lands,
-// and everything unreferenced is removable garbage. The epoch counts
-// manifest commits, for inspection tooling. The format names a list of
-// lanes; this release writes one, and folds a directory that names more
-// (fold.go).
+// naming the journal's current generation and where that generation's
+// segment keeps its offset index. Recovery trusts only files the manifest
+// references, so checkpoints can stage new segments freely — nothing
+// becomes authoritative until the one atomic MANIFEST rename lands, and
+// everything unreferenced is removable garbage. The epoch counts manifest
+// commits, for inspection tooling.
 
 const (
 	manifestName = "MANIFEST"
-	// maxLanes bounds the manifest's claimed lane count; anything larger
-	// is corruption.
-	maxLanes = 1024
-	// noIndex is the index offset of generation 0, which has no segment,
-	// and of a segment an older release wrote without an index frame.
+	// noIndex is the index offset of generation 0, which has no segment.
 	noIndex = -1
 )
 
 type manifest struct {
 	epoch uint64
-	gens  []uint64 // current generation per lane, indexed by lane id
-	idx   []int64  // where each lane's segment index frame starts, or noIndex
+	gen   uint64 // the journal's current generation
+	idx   int64  // where the generation's segment index frame starts, or noIndex
 }
 
-// encodeManifest writes version 2 naming one lane: its generation, then the
-// index offset plus one (0 for noIndex).
+// encodeManifest writes version 2: the epoch, a lane count of 1, the
+// generation, and the index offset plus one (0 for noIndex).
 func encodeManifest(epoch, gen uint64, idxOff int64) []byte {
 	payload := []byte{'M', 'M', 'L', 'N', 2}
 	payload = binary.AppendUvarint(payload, epoch)
@@ -49,52 +43,49 @@ func encodeManifest(epoch, gen uint64, idxOff int64) []byte {
 	return binary.AppendUvarint(payload, uint64(idxOff+1))
 }
 
-// decodeManifest reads versions 1 and 2 with any lane count; a version-1
-// manifest names no index.
+// decodeManifest reads exactly what encodeManifest writes and refuses
+// anything else. An older release's layout — version 1, whose segments have
+// no index frame, several WAL lanes, or a segment without an index — is
+// refused by name, so Open fails before it touches the directory.
 func decodeManifest(payload []byte) (manifest, error) {
 	if len(payload) < 5 || string(payload[:4]) != "MMLN" {
 		return manifest{}, fmt.Errorf("bad manifest magic")
 	}
-	version := payload[4]
-	if version != 1 && version != 2 {
-		return manifest{}, fmt.Errorf("unsupported manifest version %d", version)
+	if v := payload[4]; v != 2 {
+		if v == 1 {
+			return manifest{}, olderLayout("manifest version 1")
+		}
+		return manifest{}, fmt.Errorf("unsupported manifest version %d", v)
 	}
+	var f [4]uint64 // epoch, lane count, generation, index offset + 1
 	rest := payload[5:]
-	epoch, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return manifest{}, fmt.Errorf("truncated manifest epoch")
-	}
-	rest = rest[k:]
-	n, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return manifest{}, fmt.Errorf("truncated manifest lane count")
-	}
-	rest = rest[k:]
-	if n == 0 || n > maxLanes {
-		return manifest{}, fmt.Errorf("implausible lane count %d", n)
-	}
-	mf := manifest{epoch: epoch, gens: make([]uint64, n), idx: make([]int64, n)}
-	for i := range mf.gens {
-		g, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return manifest{}, fmt.Errorf("truncated manifest generation %d", i)
+	for i := range f {
+		var k int
+		f[i], k = binary.Uvarint(rest)
+		if k <= 0 || k != len(binary.AppendUvarint(nil, f[i])) {
+			return manifest{}, fmt.Errorf("bad manifest field %d", i)
 		}
-		mf.gens[i], mf.idx[i] = g, noIndex
-		rest = rest[k:]
-		if version == 1 {
-			continue
-		}
-		at, k := binary.Uvarint(rest)
-		if k <= 0 || at > math.MaxInt64 {
-			return manifest{}, fmt.Errorf("bad manifest index offset %d", i)
-		}
-		mf.idx[i] = int64(at) - 1
 		rest = rest[k:]
 	}
-	if len(rest) != 0 {
+	mf := manifest{epoch: f[0], gen: f[2], idx: int64(f[3]) - 1}
+	switch {
+	case f[1] != 1:
+		return manifest{}, olderLayout(fmt.Sprintf("%d WAL lanes", f[1]))
+	case len(rest) != 0:
 		return manifest{}, fmt.Errorf("trailing manifest bytes")
+	case f[3] > math.MaxInt64:
+		return manifest{}, fmt.Errorf("bad manifest index offset %d", f[3])
+	case mf.gen > 0 && mf.idx == noIndex:
+		return manifest{}, olderLayout(fmt.Sprintf("generation %d without a segment index", mf.gen))
+	case mf.gen == 0 && mf.idx != noIndex:
+		return manifest{}, fmt.Errorf("generation 0 names a segment index")
 	}
 	return mf, nil
+}
+
+// olderLayout is the refusal of a layout an older release wrote.
+func olderLayout(what string) error {
+	return fmt.Errorf("%s: an older release's layout, which this version does not read; open it once with a release that rewrites it as one journal", what)
 }
 
 // readManifest loads dir's MANIFEST. found is false when none exists. The
@@ -118,7 +109,7 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, bool, error) {
 	}
 	mf, err := decodeManifest(payloads[0])
 	if err != nil {
-		return manifest{}, false, fmt.Errorf("store: manifest: %w", err)
+		return manifest{}, false, fmt.Errorf("store: %s: %w", filepath.Join(dir, manifestName), err)
 	}
 	return mf, true, nil
 }
@@ -126,9 +117,9 @@ func readManifest(fsys faultfs.FS, dir string) (manifest, bool, error) {
 // writeManifest atomically publishes a new manifest naming generation gen,
 // its segment's index frame at idxOff: temp file + fsync + rename +
 // directory fsync. The rename is the commit point for every layout change
-// — a segment flip and its WAL swap, or a fold, become visible to recovery
-// all at once or not at all, which is exactly what the crash matrices
-// exercise by killing the store between the renames.
+// — a segment flip and its WAL swap become visible to recovery all at once
+// or not at all, which is exactly what the crash matrices exercise by
+// killing the store between the renames.
 func (s *Store) writeManifest(epoch, gen uint64, idxOff int64) error {
 	tmp, err := s.fsys.CreateTemp(s.dir, "manifest-*.tmp")
 	if err != nil {
@@ -156,11 +147,13 @@ func (s *Store) writeManifest(epoch, gen uint64, idxOff int64) error {
 }
 
 // cleanStrays removes files the manifest does not reference: stale or
-// uncommitted generations, the lanes a fold replaced, and temp files from
-// crashed checkpoints and folds. Removal is best-effort — an unreferenced
-// file is harmless until the next cleanup — but the
-// directory sync after a successful pass keeps crash-looped checkpoints
-// from accumulating garbage. Caller holds ckptMu (or is the constructor).
+// uncommitted generations, temp files from crashed checkpoints, and any
+// other lane-qualified file — an older release that rewrote a laned
+// directory as one journal may have crashed before its own sweep. Removal
+// is best-effort — an unreferenced file is harmless until the next cleanup
+// — but the directory sync after a successful pass keeps crash-looped
+// checkpoints from accumulating garbage. Caller holds ckptMu (or is the
+// constructor).
 func (s *Store) cleanStrays() {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {

@@ -19,9 +19,8 @@
 // for lazy hydration. Every record is length-prefixed and CRC32-guarded. A
 // torn tail (crash mid-append) is detected at Open and truncated away before
 // any new append can land behind it; corruption anywhere before the tail is
-// refused, never silently skipped. A directory an older release sharded
-// into several lanes is folded into one journal the first time it is opened
-// for writing (fold.go).
+// refused, never silently skipped. A directory in an older release's
+// layout is refused untouched.
 //
 // Durability is group-committed (DESIGN.md §10): with Options.Durable,
 // each Append* returns only after an fsync covers its record. One leader at
@@ -105,9 +104,8 @@ type Options struct {
 	SyncInterval time.Duration
 	// ReadOnly opens the store for inspection: no torn-tail repair, no
 	// log handles, no manifest write, and Load tolerates a torn tail the way
-	// recovery would. Appends, Checkpoint, and Sync fail, and a directory
-	// that needs a fold is refused. mmstore uses this so inspecting a
-	// crashed state directory never mutates it.
+	// recovery would. Appends, Checkpoint, and Sync fail. mmstore uses this
+	// so inspecting a crashed state directory never mutates it.
 	ReadOnly bool
 	// FS overrides the filesystem — fault injection in tests
 	// (faultfs.Sim). Nil means the real OS filesystem.
@@ -186,12 +184,12 @@ var errClosed = errors.New("store: closed")
 // Open opens (or initializes) a store in dir, creating it if needed. A
 // torn WAL tail left by a crash mid-append is truncated here, before any
 // append can land behind it; mid-log corruption makes Open fail rather
-// than risk silently dropping everything after the damage. A directory an
-// older release wrote with several lanes, or with a segment that has no
-// index frame, is folded into one journal first (fold.go); a ReadOnly open
-// refuses it. A directory without a manifest that holds pre-manifest files
-// (wal-<seq>.log, snap-<seq>.db) is refused untouched: initializing it as a
-// fresh store would discard a journal some earlier release acknowledged.
+// than risk silently dropping everything after the damage. A directory in
+// an older release's layout is refused, in both modes, before anything is
+// written, renamed or removed: a manifest naming several WAL lanes, version
+// 1, or a segment without an index frame (decodeManifest); or no manifest
+// beside pre-manifest files (wal-<seq>.log, snap-<seq>.db), which
+// initializing as a fresh store would discard.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -220,16 +218,9 @@ func Open(dir string, opts Options) (*Store, error) {
 				return nil, err
 			}
 		}
-	case !needsFold(mf):
-		s.epoch.Store(mf.epoch)
-		s.gen, s.idxOff = mf.gens[0], mf.idx[0]
-	case opts.ReadOnly:
-		return nil, fmt.Errorf("store: %s is an older release's layout (%d lanes, or a segment without an index); open it once for writing to fold it into one journal",
-			dir, len(mf.gens))
 	default:
-		if err := s.fold(mf); err != nil {
-			return nil, fmt.Errorf("store: folding %d lanes into one journal: %w", len(mf.gens), err)
-		}
+		s.epoch.Store(mf.epoch)
+		s.gen, s.idxOff = mf.gen, mf.idx
 	}
 
 	if !opts.ReadOnly {
@@ -799,7 +790,7 @@ func scanRecords(data []byte) (payloads [][]byte, committed int, err error) {
 	return payloads, off, nil
 }
 
-// apply is the replay rule: it folds one journal event into its user's
+// apply is the replay rule: it applies one journal event to its user's
 // profile slot (nil while the user does not exist) and returns the slot's
 // new content. A subscribe replaces whatever was there with a profile of
 // the named learner (core.NewNamed) loaded from the event's state, an

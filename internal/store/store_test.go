@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -34,6 +35,16 @@ func openStore(t *testing.T, dir string) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// frameOf is payload framed as a record.
+func frameOf(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := writeRecord(&b, payload); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func dirNames(t *testing.T, dir string) []string {
@@ -927,4 +938,44 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	t.Logf("group commit: %d appends / %d fsyncs = %.1f records per fsync",
 		appends, fsyncs, float64(appends)/float64(fsyncs))
+}
+
+// TestManifestBytesUnchanged pins what the store writes: MANIFEST version 2
+// with a lane count of 1, byte for byte as releases since the WAL lost its
+// lanes wrote it, and the journal's names wal-000-<gen>.log and
+// seg-000-<gen>.db, so every directory they wrote opens as it did.
+func TestManifestBytesUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		epoch, gen uint64
+		idx        int64
+		want       string
+	}{
+		{1, 0, noIndex, "4d4d4c4e0201010000"},
+		{7, 3, 1234, "4d4d4c4e02070103d309"},
+		{1 << 40, 1 << 33, 1 << 35, "4d4d4c4e02808080808020018080808020818080808001"},
+	} {
+		if got := hex.EncodeToString(encodeManifest(c.epoch, c.gen, c.idx)); got != c.want {
+			t.Errorf("encodeManifest(%d, %d, %d) = %s, want %s", c.epoch, c.gen, c.idx, got, c.want)
+		}
+	}
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if got, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || hex.EncodeToString(got) != "09000000e10d0b0e4d4d4c4e0201010000" {
+		t.Errorf("a fresh store's MANIFEST = %x, %v", got, err)
+	}
+	if err := s.AppendSubscribe("u", "MM", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	entries, err := os.ReadDir(dir)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := "[MANIFEST seg-000-00000001.db wal-000-00000001.log]"; err != nil || fmt.Sprint(names) != want {
+		t.Errorf("after one checkpoint the directory holds %v (%v), want %s", names, err, want)
+	}
 }
