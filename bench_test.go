@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"mmprofile/internal/bench"
@@ -603,4 +604,66 @@ func BenchmarkIndexSetPackedFresh(b *testing.B) {
 		ix.RemoveUser("new")
 		b.StartTimer()
 	}
+}
+
+// BenchmarkIndexMatchDuringWrites puts the index's readers and a writer on
+// its one lock at once: RunParallel matchers on one index.Index of 2 000
+// users while one goroutine loops SetPacked / RemoveUser over a rotating
+// set of 64 users, each SetPacked of content the index does not hold. An
+// op is one match; matches/op is what a match returns and writes/op the
+// writes completed per match, so at -cpu 2 a writer that starves the
+// matchers, or the reverse, shows in one of the two.
+func BenchmarkIndexMatchDuringWrites(b *testing.B) {
+	docs := harness.Dataset().Docs
+	packed := func(u int) []vsm.Packed {
+		vecs := make([]vsm.Packed, 5)
+		for v := range vecs {
+			vecs[v] = vsm.Pack(docs[(u*5+v)%len(docs)].Vec)
+			vecs[v].Weights[0] *= 1 + float64(u+1)/(1<<30) // content of its own
+		}
+		return vecs
+	}
+	ix := index.New()
+	for u := 0; u < 2000; u++ {
+		ix.SetPacked(fmt.Sprintf("user%04d", u), packed(u))
+	}
+	const rotation = 64
+	names, sets := make([]string, rotation), make([][]vsm.Packed, rotation)
+	for u := range names {
+		names[u], sets[u] = fmt.Sprintf("writer%02d", u), packed(2000+u)
+	}
+	retained := make([]vsm.Retained, len(docs))
+	for i, d := range docs {
+		retained[i] = vsm.Retain(d.Vec)
+	}
+	stop, done := make(chan struct{}), make(chan int)
+	var matches atomic.Int64
+	b.ResetTimer()
+	go func() {
+		writes := 0
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- writes
+				return
+			default:
+			}
+			u := i % rotation
+			ix.SetPacked(names[u], sets[u])
+			ix.RemoveUser(names[(u+rotation/2)%rotation])
+			writes += 2
+		}
+	}()
+	b.RunParallel(func(pb *testing.PB) {
+		found := 0
+		for i := 0; pb.Next(); i++ {
+			found += len(ix.MatchDoc(retained[i%len(retained)], 0.25))
+		}
+		matches.Add(int64(found))
+	})
+	b.StopTimer()
+	close(stop)
+	writes := <-done
+	b.ReportMetric(float64(matches.Load())/float64(b.N), "matches/op")
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
 }
