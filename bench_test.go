@@ -572,6 +572,56 @@ func benchImport(b *testing.B, state []byte, vary func(i int)) {
 	b.ReportMetric(float64(len(state)), "state-bytes")
 }
 
+// BenchmarkServerImportDurable is BenchmarkServerImport into a server with
+// -state and -fsync, from four net.Pipe connections at once: each import is
+// acknowledged only once its subscribe record is fsynced, and imports that
+// wait together share a group commit. It reports the fsyncs an import
+// costs, the quantity behind perf/'s adapt set-up of 2 000 durable imports;
+// ns/op is the wall time of one import.
+func BenchmarkServerImportDurable(b *testing.B) {
+	state, err := perfShapedProfile(b).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Threshold: 0.25, Queue: 128, Retention: 4096, StateDir: b.TempDir(), Fsync: true},
+		server.Seams{Log: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Stop()
+	clients := make([]*wire.Client, 4)
+	for i := range clients {
+		local, remote := net.Pipe()
+		srv.ServeConn(remote)
+		clients[i] = wire.NewClient(local)
+		defer clients[i].Close()
+	}
+	fsyncs := func() int64 { n, _ := srv.Registry().Snapshot()["mm_store_fsyncs_total"].(int64); return n }
+	before := fsyncs()
+	var next atomic.Int64
+	errs := make(chan error, len(clients))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, c := range clients {
+		go func(c *wire.Client) {
+			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+				if err := c.Import(fmt.Sprintf("user%07d", i), "MM", state); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/import")
+}
+
 // BenchmarkIndexSetPackedFresh measures indexing a new user's perf-shaped
 // profile — seven vectors of up to 100 terms, none of them indexed yet —
 // into an index of 4 000 such users: the index's share of an Import. The

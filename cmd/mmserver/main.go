@@ -20,7 +20,7 @@
 //	mmserver [-addr :7070 | -addr unix:/path.sock] [-threshold 0.25]
 //	         [-queue 128] [-retention 4096]
 //	         [-state DIR] [-checkpoint 5m]
-//	         [-max-resident-profiles 0] [-fsync] [-sync-interval 2s]
+//	         [-max-resident-profiles 0] [-fsync]
 //	         [-trace-sample 0.01] [-trace-slow 50ms]
 //	         [-log-format text|json] [-log-level info] [-dump-dir DIR]
 //	         [-match-slo 0]

@@ -35,7 +35,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.TraceSample != 0 || cfg.TraceSlow != 0 {
 		t.Errorf("tracing on without trace flags: %+v", cfg)
 	}
-	if cfg.Fsync || cfg.SyncEvery != 0 {
+	if cfg.Fsync {
 		t.Errorf("durability on without its flags: %+v", cfg)
 	}
 }
@@ -48,7 +48,7 @@ func TestFlagSurface(t *testing.T) {
 		"addr", "checkpoint", "dump-dir", "fsync", "http",
 		"log-format", "log-level", "match-slo", "max-resident-profiles",
 		"queue", "retain-content", "retention", "state",
-		"sync-interval", "threshold", "trace-sample", "trace-slow",
+		"threshold", "trace-sample", "trace-slow",
 	}
 	fs := flag.NewFlagSet("mmserver", flag.ContinueOnError)
 	new(server.Config).Register(fs)
@@ -211,12 +211,9 @@ func TestConfigObsFlags(t *testing.T) {
 	}
 }
 
-// TestConfigDurabilityFlags pins the -fsync / -sync-interval flags.
+// TestConfigDurabilityFlags pins the -fsync flag, the one durability knob.
 func TestConfigDurabilityFlags(t *testing.T) {
 	if cfg := parse(t, "-fsync"); !cfg.Fsync {
 		t.Error("-fsync did not set Fsync")
-	}
-	if cfg := parse(t, "-sync-interval", "2s"); cfg.Fsync || cfg.SyncEvery != 2*time.Second {
-		t.Errorf("-sync-interval 2s → %+v", cfg)
 	}
 }

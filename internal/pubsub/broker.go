@@ -29,7 +29,6 @@
 package pubsub
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -49,9 +48,12 @@ import (
 )
 
 // Journal receives the broker's profile-mutating operations for durable
-// logging; *store.Store implements it. Subscribe and Feedback surface
-// journal failures to the caller (the mutation is not applied in memory
-// when journaling fails); Unsubscribe journaling is best-effort.
+// logging; *store.Store implements it. Subscribe, Feedback and Unsubscribe
+// surface journal failures to the caller (the mutation is not applied in
+// memory when journaling fails). Every record of a user is appended while
+// the broker holds that user's subscriber lock, never the registry's, so
+// one user's records reach the journal in the order their operations take
+// effect (DESIGN.md §9).
 type Journal interface {
 	AppendSubscribe(user, learner string, state []byte) error
 	AppendUnsubscribe(user string) error
@@ -60,14 +62,12 @@ type Journal interface {
 	// children, separating the two very different ways a durable append
 	// can be slow.
 	AppendFeedbackTraced(user string, v vsm.Vector, fd filter.Feedback, sp *trace.Span) error
-	// Sync returns once every record appended before the call is on stable
-	// storage.
-	Sync() error
 }
 
-// errDuplicate signals an id collision inside the registry; Subscribe
-// wraps it with the offending id.
-var errDuplicate = errors.New("duplicate subscriber")
+// errDuplicate is what registering a taken id answers.
+func errDuplicate(id string) error {
+	return fmt.Errorf("pubsub: duplicate subscriber %q", id)
+}
 
 // errUnknown is what every by-id operation answers for an id that is not
 // (or no longer) registered.
@@ -302,7 +302,7 @@ func (b *Broker) Subscription(id string) (*Subscription, bool) {
 // journal is configured, the subscription, with the profile's initial
 // state, is logged before being applied.
 func (b *Broker) Subscribe(id string, l *core.Profile) (*Subscription, error) {
-	return b.subscribe(id, l, b.journalSubscribe(id, l), nil)
+	return b.subscribe(id, l, true, nil)
 }
 
 // Import subscribes id with a profile of the named learner (core.NewNamed)
@@ -324,7 +324,7 @@ func (b *Broker) Import(id, learner string, state []byte) (*Subscription, error)
 		}
 		im = &imported{vecs: l.PackedVectors(), names: names}
 	}
-	return b.subscribe(id, l, b.journalSubscribe(id, l), im)
+	return b.subscribe(id, l, true, im)
 }
 
 // imported is what Import decoded, for the subscriber's first reindex:
@@ -350,48 +350,40 @@ func (im *imported) namesOf(vecs []vsm.Packed) []vsm.Digest {
 	return im.names
 }
 
-// journalSubscribe returns the journal record of id's subscription with
-// l's initial state, or nil without a journal. The duplicate check, the
-// record and the insertion are one atomic step under the registry lock
-// (see registry.insert): journaling a subscribe that then fails as a
-// duplicate would clobber the existing user's profile on replay.
-func (b *Broker) journalSubscribe(id string, l *core.Profile) func() error {
-	if b.opts.Journal == nil {
-		return nil
-	}
-	return func() error {
-		state, err := l.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
-		}
-		if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
-			return fmt.Errorf("pubsub: journal: %w", err)
-		}
-		return nil
-	}
-}
-
-// subscribe is the shared registration path behind Subscribe and Import
-// (journaled) and SubscribeRestored with a resident profile (journal nil).
-// im is what Import decoded, nil otherwise.
-func (b *Broker) subscribe(id string, l *core.Profile, journal func() error, im *imported) (*Subscription, error) {
+// subscribe is the one registration path behind Subscribe and Import
+// (journaled) and SubscribeRestored with a resident profile (journal false:
+// the store holds its record already). im is what Import decoded, nil
+// otherwise.
+//
+// The subscriber is registered already locked, and its record is appended
+// and indexed under that hold alone, as every record of a user is: nothing
+// is delivered to it before the record is durable, and a Feedback or
+// Unsubscribe of the id waits for the outcome. A journal error closes it
+// and frees the id. The record follows the duplicate check, so a subscribe
+// that fails as a duplicate never clobbers the existing user on replay.
+func (b *Broker) subscribe(id string, l *core.Profile, journal bool, im *imported) (*Subscription, error) {
 	// Telemetry baselines: adaptation counters report only operations
 	// performed under this broker, not the profile's prior history
-	// (keyword seeding, journal replay). The profile is not yet shared,
-	// so no lock is needed.
+	// (keyword seeding, journal replay).
 	s := &subscriber{id: id, learner: l, lastOps: l.Counts(), lastSize: l.ProfileSize()}
-	if err := b.reg.insert(id, s, journal); err != nil {
-		if errors.Is(err, errDuplicate) {
-			return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)
+	defer b.enforceResidency()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !b.reg.insert(id, s) {
+		return nil, errDuplicate(id)
+	}
+	if journal && b.opts.Journal != nil {
+		if err := b.journalSubscribe(id, l); err != nil {
+			s.closed = true
+			b.reg.remove(id, s)
+			return nil, err
 		}
-		return nil, err
 	}
 	b.m.profileVectors.Add(float64(s.lastSize))
 	b.m.residentProfiles.Add(1)
-	b.reindex(s, im)
+	b.indexLocked(s, im)
 	if b.bounded() {
 		b.lru.touch(s)
-		b.enforceResidency()
 	}
 	// Debug, not info: load tests subscribe by the hundred thousand.
 	if b.opts.Log.Enabled(obs.LevelDebug) {
@@ -401,6 +393,18 @@ func (b *Broker) subscribe(id string, l *core.Profile, journal func() error, im 
 			slog.Int("profile_vectors", s.lastSize))
 	}
 	return &Subscription{b: b, sub: s}, nil
+}
+
+// journalSubscribe appends id's subscribe record with l's initial state.
+func (b *Broker) journalSubscribe(id string, l *core.Profile) error {
+	state, err := l.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
+	}
+	if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
+		return fmt.Errorf("pubsub: journal: %w", err)
+	}
+	return nil
 }
 
 // SubscribeKeywords registers a fresh MM profile seeded from an explicit
@@ -425,21 +429,29 @@ func (b *Broker) SubscribeKeywords(id string, keywords []string) (*Subscription,
 
 // Unsubscribe removes a subscriber and closes its delivery stream: what is
 // queued stays takeable, and every registered consumer is woken. The
-// journal append, the close, and the index removal all happen under the
-// subscriber's lock: a Feedback racing this call either completes fully
-// before it (its journal record precedes the unsubscribe record, and its
-// index entries are removed here) or observes closed and does nothing —
-// it can never re-insert ghost index entries for the removed user.
-func (b *Broker) Unsubscribe(id string) {
-	s, ok := b.reg.remove(id)
+// journal append, the close, the index removal and, last, the id's removal
+// from the registry all happen under the subscriber's lock: a Feedback
+// racing this call either completes fully before it (its journal record
+// precedes the unsubscribe record, and its index entries are removed here)
+// or observes closed and does nothing, and a Subscribe of the same id
+// either fails as a duplicate or appends its record after this one. A
+// journal failure is returned with nothing removed; an unknown id is not
+// an error.
+func (b *Broker) Unsubscribe(id string) error {
+	s, ok := b.reg.get(id)
 	if !ok {
-		return
+		return nil
 	}
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
 	if b.opts.Journal != nil {
-		// Best-effort: an unlogged unsubscribe only means the user would be
-		// restored after a crash, never data loss.
-		_ = b.opts.Journal.AppendUnsubscribe(id)
+		if err := b.opts.Journal.AppendUnsubscribe(id); err != nil {
+			s.mu.Unlock()
+			return fmt.Errorf("pubsub: journal: %w", err)
+		}
 	}
 	s.closed = true
 	s.wakeLocked()
@@ -448,6 +460,7 @@ func (b *Broker) Unsubscribe(id string) {
 	resident := s.learner != nil
 	gone, pairs := s.lastSize, s.lastPairs
 	s.lastSize, s.lastPairs = 0, 0
+	b.reg.remove(id, s)
 	s.mu.Unlock()
 	b.lru.drop(s)
 	b.m.profileVectors.Add(float64(-gone))
@@ -458,6 +471,7 @@ func (b *Broker) Unsubscribe(id string) {
 	if b.opts.Log.Enabled(obs.LevelDebug) {
 		b.opts.Log.Debug("pubsub: unsubscribe", slog.String("user", id))
 	}
+	return nil
 }
 
 // Publish ingests one raw page: it is run through the processing pipeline,
@@ -823,30 +837,6 @@ func (b *Broker) indexLocked(s *subscriber, im *imported) {
 	if shared := b.idx.SetPacked(s.id, vecs, im.namesOf(vecs)...); len(vecs) > 0 && &shared[0] != &vecs[0] {
 		s.learner.AdoptPacked(shared)
 	}
-}
-
-// reindex refreshes a subscriber's inverted-index entries. The closed
-// check and the index write share the subscriber's lock so a racing
-// Unsubscribe cannot interleave between them (see Unsubscribe).
-func (b *Broker) reindex(s *subscriber, im *imported) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.learner == nil {
-		return
-	}
-	b.indexLocked(s, im)
-}
-
-// SyncJournal forces the journal's durability barrier: every
-// subscribe/unsubscribe/feedback journaled before the call is durable when
-// it returns. A no-op (nil) without a journal. Servers call it at shutdown
-// and before checkpoints so the relaxed SyncInterval window never spans a
-// clean exit.
-func (b *Broker) SyncJournal() error {
-	if b.opts.Journal == nil {
-		return nil
-	}
-	return b.opts.Journal.Sync()
 }
 
 // ProfileSnapshot is one subscriber's serialized profile, as ExportProfile

@@ -205,17 +205,14 @@ func (b *Broker) enforceResidency() {
 // Hydrator.
 func (b *Broker) SubscribeRestored(id string, l *core.Profile) (*Subscription, error) {
 	if l != nil {
-		return b.subscribe(id, l, nil, nil)
+		return b.subscribe(id, l, false, nil)
 	}
 	if b.opts.Hydrator == nil {
 		return nil, fmt.Errorf("pubsub: restore %q: nil profile requires a hydrator", id)
 	}
 	s := &subscriber{id: id}
-	if err := b.reg.insert(id, s, nil); err != nil {
-		if err == errDuplicate {
-			return nil, fmt.Errorf("pubsub: duplicate subscriber %q", id)
-		}
-		return nil, err
+	if !b.reg.insert(id, s) {
+		return nil, errDuplicate(id)
 	}
 	if b.opts.Log.Enabled(obs.LevelDebug) {
 		b.opts.Log.Debug("pubsub: restore evicted", slog.String("user", id))

@@ -99,7 +99,7 @@ func TestImportHitRacingLastLeave(t *testing.T) {
 			t.Fatalf("vector %d's name outlived its last holder", k)
 		}
 	}
-	if _, err := b.subscribe("b", l, nil, &imported{vecs: l.PackedVectors(), names: got}); err != nil {
+	if _, err := b.subscribe("b", l, false, &imported{vecs: l.PackedVectors(), names: got}); err != nil {
 		t.Fatal(err)
 	}
 	if intern.Terms.Len() != terms {

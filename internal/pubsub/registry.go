@@ -10,6 +10,9 @@ import (
 //
 // The subscriber count is an atomic maintained alongside the map: Stats()
 // and the mm_pubsub_subscribers gauge read it without taking the lock.
+//
+// The lock is a leaf below each subscriber's mu: a caller may hold a
+// subscriber's lock while it takes this one, never the other way round.
 type registry struct {
 	mu    sync.RWMutex
 	subs  map[string]*subscriber
@@ -20,38 +23,26 @@ func newRegistry() *registry {
 	return &registry{subs: make(map[string]*subscriber)}
 }
 
-// insert registers s under id. The duplicate check, the journal append
-// (when journal is non-nil), and the map insertion happen as one atomic
-// step under the registry lock — journaling a subscribe that then fails
-// as a duplicate would clobber the existing user's profile on replay.
-// Returns errDuplicate when id is taken; a journal error aborts the
-// insertion.
-func (r *registry) insert(id string, s *subscriber, journal func() error) error {
+// insert registers s under id, or reports false when id is taken.
+func (r *registry) insert(id string, s *subscriber) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.subs[id]; dup {
-		return errDuplicate
-	}
-	if journal != nil {
-		if err := journal(); err != nil {
-			return err
-		}
+		return false
 	}
 	r.subs[id] = s
 	r.count.Add(1)
-	return nil
+	return true
 }
 
-// remove deletes id and returns the removed subscriber.
-func (r *registry) remove(id string) (*subscriber, bool) {
+// remove deletes id if it still names s.
+func (r *registry) remove(id string, s *subscriber) {
 	r.mu.Lock()
-	s, ok := r.subs[id]
-	if ok {
+	if r.subs[id] == s {
 		delete(r.subs, id)
 		r.count.Add(-1)
 	}
 	r.mu.Unlock()
-	return s, ok
 }
 
 // get resolves one subscriber id under the read lock.

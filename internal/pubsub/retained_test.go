@@ -22,7 +22,6 @@ func (j *recordingJournal) AppendFeedbackTraced(_ string, v vsm.Vector, _ filter
 	j.feedback = append(j.feedback, vsm.AppendVector(nil, v))
 	return nil
 }
-func (j *recordingJournal) Sync() error { return nil }
 
 // TestMissInternedBeforeFeedback: a page whose terms no profile holds is
 // retained as strings; a profile imported afterwards interns some of them;

@@ -25,7 +25,6 @@ type Config struct {
 	Retention   int
 	RetainBody  bool
 	Fsync       bool
-	SyncEvery   time.Duration
 	MaxResident int
 	TraceSample float64
 	TraceSlow   time.Duration
@@ -46,7 +45,6 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.Retention, "retention", 4096, "recent documents kept for feedback")
 	fs.BoolVar(&c.RetainBody, "retain-content", false, "keep raw page content for the retention window (enables fetch)")
 	fs.BoolVar(&c.Fsync, "fsync", false, "durable journal: feedback is acked only once fsynced (group-committed)")
-	fs.DurationVar(&c.SyncEvery, "sync-interval", 0, "without -fsync: background journal fsync interval (0 = OS-flushed only)")
 	fs.IntVar(&c.MaxResident, "max-resident-profiles", 0, "profiles kept in the heap; colder ones hydrate from -state on demand (0 = all resident; requires -state)")
 	fs.Float64Var(&c.TraceSample, "trace-sample", 0, "fraction of requests to capture as traces, 0..1 (0 = off; see /tracez)")
 	fs.DurationVar(&c.TraceSlow, "trace-slow", 0, "capture any request slower than this even when unsampled (0 = off)")
@@ -88,7 +86,7 @@ func (c *Config) brokerOptions(reg *metrics.Registry) pubsub.Options {
 	return o
 }
 
-// storeOptions translates the durability flags into the store configuration.
+// storeOptions translates the durability flag into the store configuration.
 func (c *Config) storeOptions(reg *metrics.Registry) store.Options {
-	return store.Options{Durable: c.Fsync, SyncInterval: c.SyncEvery, Metrics: reg}
+	return store.Options{Durable: c.Fsync, Metrics: reg}
 }

@@ -19,7 +19,7 @@ func TestConfigOptions(t *testing.T) {
 	if zero.brokerOptions(nil).Trace != nil {
 		t.Error("tracing enabled by the zero config")
 	}
-	if st := zero.storeOptions(nil); st.Durable || st.SyncInterval != 0 {
+	if st := zero.storeOptions(nil); st.Durable {
 		t.Errorf("store options = %+v", st)
 	}
 	s := mustNew(t, zero, nil)
@@ -42,9 +42,6 @@ func TestConfigOptions(t *testing.T) {
 
 	if st := (&Config{Fsync: true}).storeOptions(nil); !st.Durable {
 		t.Error("Fsync did not set Durable")
-	}
-	if st := (&Config{SyncEvery: 2 * time.Second}).storeOptions(nil); st.Durable || st.SyncInterval != 2*time.Second {
-		t.Errorf("SyncEvery 2s → %+v", st)
 	}
 
 	s = mustNew(t, Config{LogFormat: "json", LogLevel: "debug"}, nil)

@@ -272,7 +272,7 @@ func (s *Server) tick(now time.Time) {
 			go func() {
 				defer s.scheduled.Done()
 				defer s.checkpointing.Store(false)
-				if err := runCheckpoint(s.st, s.broker, s.log); err != nil {
+				if err := runCheckpoint(s.st, s.log); err != nil {
 					s.log.Error("mmserver: checkpoint", slog.String("err", err.Error()))
 				}
 			}()
@@ -303,7 +303,7 @@ func (s *Server) Stop() {
 		s.scheduled.Wait()
 		s.wire.Close()
 		if s.st != nil {
-			if err := runCheckpoint(s.st, s.broker, s.log); err != nil {
+			if err := runCheckpoint(s.st, s.log); err != nil {
 				s.log.Error("mmserver: final checkpoint", slog.String("err", err.Error()))
 			}
 		}
@@ -355,13 +355,9 @@ func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bo
 	return nil
 }
 
-// runCheckpoint runs one incremental checkpoint: the journal's durability
-// barrier first (so the relaxed -sync-interval window never spans a
-// checkpoint), then a segment rewrite when the WAL has touched any profile.
-func runCheckpoint(st *store.Store, broker *pubsub.Broker, logger *obs.Logger) error {
-	if err := broker.SyncJournal(); err != nil {
-		return err
-	}
+// runCheckpoint runs one incremental checkpoint: a segment rewrite when the
+// WAL has touched any profile (Checkpoint fsyncs the outgoing WAL first).
+func runCheckpoint(st *store.Store, logger *obs.Logger) error {
 	stats, err := st.Checkpoint(1)
 	if err != nil {
 		return err

@@ -182,6 +182,105 @@ func TestCrashReboot(t *testing.T) {
 	}
 }
 
+// playOneUser runs the crash family's script for one id through a complete
+// -fsync server on sim — subscribe u, import v (state), feedback u,
+// unsubscribe u, re-subscribe u, feedback u, each judged page published
+// from a second connection — and stops it. It returns how many operations
+// were acknowledged before the first that failed, the exports after each
+// of those (states[0] before any), and the exports when the script ended.
+// A crash that strikes the first boot leaves nothing acknowledged.
+func playOneUser(t *testing.T, sim *faultfs.Sim, state []byte) (acked int, states []map[string][]byte, end map[string][]byte) {
+	t.Helper()
+	s, err := New(Config{StateDir: stateDir, Fsync: true, Threshold: 0.2}, Seams{FS: sim, Log: io.Discard})
+	if err != nil {
+		return 0, nil, nil
+	}
+	defer s.Stop()
+	c, pub := dial(s), dial(s)
+	judge := func() error {
+		doc, _, err := pub.Publish(testPage)
+		must(t, err)
+		return c.Feedback("u", doc, true)
+	}
+	states = append(states, exports(t, c))
+	failed := false
+	for _, op := range []func() error{
+		func() error { return c.Subscribe("u", "", []string{"cats", "kittens"}) },
+		func() error { return c.Import("v", "MM", state) },
+		judge,
+		func() error { return c.Unsubscribe("u") },
+		func() error { return c.Subscribe("u", "", []string{"toys"}) },
+		judge,
+	} {
+		if err := op(); err != nil {
+			failed = true
+		} else if !failed {
+			acked++
+			states = append(states, exports(t, c))
+		}
+	}
+	return acked, states, exports(t, c)
+}
+
+// exports is every user of the crash family's script that c can export,
+// with the bytes it exports.
+func exports(t *testing.T, c *wire.Client) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for _, user := range []string{"u", "v"} {
+		_, state, err := c.Export(user)
+		switch {
+		case err == nil:
+			out[user] = state
+		case !strings.Contains(err.Error(), "unknown subscriber"):
+			t.Fatalf("export %s: %v", user, err)
+		}
+	}
+	return out
+}
+
+// TestCrashFamilyOneUser crashes playOneUser's script at every syscall
+// index, its first boot and final checkpoint included, then reboots twice,
+// eagerly and lazily. No boot may fail (no judgment replays before its
+// subscribe), a failed operation applies nothing in memory, and each
+// reboot holds every acknowledged operation and the unacknowledged one
+// either not at all or whole.
+func TestCrashFamilyOneUser(t *testing.T) {
+	ref := mustNew(t, Config{}, nil)
+	rc := dial(ref)
+	must(t, rc.Subscribe("x", "", []string{"kittens", "toys"}))
+	_, state, err := rc.Export("x")
+	must(t, err)
+	ref.Stop()
+
+	clean := faultfs.NewSim()
+	all, states, _ := playOneUser(t, clean, state)
+	if all != 6 {
+		t.Fatalf("%d of 6 operations acknowledged without a crash", all)
+	}
+	for i := 1; i <= clean.Ops(); i++ {
+		sim := faultfs.NewSim()
+		sim.SetHook(faultfs.CrashAt(i))
+		acked, _, end := playOneUser(t, sim, state)
+		if end != nil && !reflect.DeepEqual(end, states[acked]) {
+			t.Errorf("crash at op %d: a failed operation changed the live server (%d acknowledged)", i, acked)
+		}
+		sim.SetHook(nil)
+		sim.Reboot()
+		for _, maxResident := range []int{0, 1} {
+			s, err := New(Config{StateDir: stateDir, Fsync: true, MaxResident: maxResident}, Seams{FS: sim, Log: io.Discard})
+			if err != nil {
+				t.Fatalf("crash at op %d of %d, reboot (max-resident %d): %v", i, clean.Ops(), maxResident, err)
+			}
+			got := exports(t, dial(s))
+			s.Stop()
+			if !reflect.DeepEqual(got, states[acked]) && (acked == all || !reflect.DeepEqual(got, states[acked+1])) {
+				t.Errorf("crash at op %d, reboot (max-resident %d): the state after %d acknowledged operations is lost", i, maxResident, acked)
+			}
+		}
+	}
+}
+
 // TestStopUnderLiveFeedback: a client keeps sending durable judgments while
 // Stop runs, until its connection dies. Stop closes connections before its
 // checkpoint, so the state directory it leaves has no WAL tail and holds
@@ -283,8 +382,8 @@ func TestStatusListener(t *testing.T) {
 // TestNewFailure: New refuses a bad configuration before it touches the
 // disk, and a failure after the store is open (here, restore meeting a
 // learner nobody registered, or a baseline learner the server no longer
-// serves) closes it again — no open journal, no flusher goroutine left
-// behind, not a byte of the directory changed. A lazy boot of the same
+// serves) closes it again — no open journal, no goroutine left behind, not
+// a byte of the directory changed. A lazy boot of the same
 // directory serves every other user and answers the baseline user's
 // profile with an error.
 func TestNewFailure(t *testing.T) {
@@ -307,7 +406,7 @@ func TestNewFailure(t *testing.T) {
 	must(t, st.AppendSubscribe("mallory", "no-such-learner", nil))
 	must(t, st.Close())
 	before := runtime.NumGoroutine()
-	if _, err := New(Config{StateDir: stateDir, SyncEvery: time.Hour}, Seams{FS: sim, Log: io.Discard}); err == nil {
+	if _, err := New(Config{StateDir: stateDir}, Seams{FS: sim, Log: io.Discard}); err == nil {
 		t.Fatal("New restored a learner nobody registered")
 	}
 	if n := settle(before); n != 0 {
@@ -327,7 +426,7 @@ func TestNewFailure(t *testing.T) {
 	must(t, st.Close())
 	files := dirBytes(t, sim)
 	before = runtime.NumGoroutine()
-	_, err = New(Config{StateDir: stateDir, SyncEvery: time.Hour}, Seams{FS: sim, Log: io.Discard})
+	_, err = New(Config{StateDir: stateDir}, Seams{FS: sim, Log: io.Discard})
 	if err == nil || !strings.Contains(err.Error(), `"rocco"`) || !strings.Contains(err.Error(), `"RI"`) {
 		t.Errorf("eager boot over an RI subscriber = %v, want an error naming rocco and RI", err)
 	}
@@ -337,7 +436,7 @@ func TestNewFailure(t *testing.T) {
 	if !reflect.DeepEqual(dirBytes(t, sim), files) {
 		t.Error("the failed boot changed the state directory")
 	}
-	s := mustNew(t, Config{StateDir: stateDir, SyncEvery: time.Hour, MaxResident: 1}, sim)
+	s := mustNew(t, Config{StateDir: stateDir, MaxResident: 1}, sim)
 	defer s.Stop()
 	c := dial(s)
 	for user, learner := range map[string]string{"alice": "MM", "bob": "MMND"} {
@@ -413,7 +512,7 @@ func TestNewRefusesLanedDirectory(t *testing.T) {
 	must(t, sim.SyncDir(stateDir))
 	files, ops := dirBytes(t, sim), sim.Ops()
 	before := runtime.NumGoroutine()
-	_, err := New(Config{StateDir: stateDir, SyncEvery: time.Hour}, Seams{FS: sim, Log: io.Discard})
+	_, err := New(Config{StateDir: stateDir}, Seams{FS: sim, Log: io.Discard})
 	if err == nil || !strings.Contains(err.Error(), "4 WAL lanes") {
 		t.Errorf("New over a 4-lane directory = %v, want an error naming its 4 WAL lanes", err)
 	}
@@ -445,7 +544,7 @@ func dirBytes(t *testing.T, sim *faultfs.Sim) map[string][]byte {
 // connection handler are gone.
 func TestOneGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := mustNew(t, Config{StateDir: stateDir, Checkpoint: time.Minute, SyncEvery: 0}, faultfs.NewSim())
+	s := mustNew(t, Config{StateDir: stateDir, Checkpoint: time.Minute}, faultfs.NewSim())
 	if n := settle(before); n != 0 {
 		t.Errorf("New started %d goroutine(s)", n)
 	}

@@ -25,11 +25,11 @@
 // Durability is group-committed (DESIGN.md §10): with Options.Durable,
 // each Append* returns only after an fsync covers its record. One leader at
 // a time fsyncs the log for every record appended so far, so concurrent
-// appenders coalesce onto a single leader pass. Options.SyncInterval
-// instead bounds the loss window with a background flusher, and Sync() is
-// always available as an explicit barrier. All filesystem access goes
-// through internal/faultfs, so the crash-matrix tests can kill the store at
-// every syscall boundary; production runs on bare *os.File handles.
+// appenders coalesce onto a single leader pass. Without it a record is
+// durable at the next Checkpoint or clean Close, and Sync() is an explicit
+// barrier. All filesystem access goes through internal/faultfs, so the
+// crash-matrix tests can kill the store at every syscall boundary;
+// production runs on bare *os.File handles.
 package store
 
 import (
@@ -98,10 +98,6 @@ type Options struct {
 	// the next leader pass (group commit), so the cost under concurrency
 	// is far below one fsync per append.
 	Durable bool
-	// SyncInterval, when > 0 and Durable is off, bounds the loss window
-	// instead: appends return immediately and a background flusher fsyncs
-	// the log every interval. Sync() remains an explicit barrier.
-	SyncInterval time.Duration
 	// ReadOnly opens the store for inspection: no torn-tail repair, no
 	// log handles, no manifest write, and Load tolerates a torn tail the way
 	// recovery would. Appends, Checkpoint, and Sync fail. mmstore uses this
@@ -164,9 +160,6 @@ type Store struct {
 
 	// ckptMu serializes checkpoints; the generation only changes under it.
 	ckptMu sync.Mutex
-
-	stopFlush chan struct{} // interval flusher; nil unless SyncInterval armed
-	flushDone chan struct{}
 }
 
 const (
@@ -235,45 +228,13 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.wal.Close()
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if opts.SyncInterval > 0 && !opts.Durable {
-			s.stopFlush = make(chan struct{})
-			s.flushDone = make(chan struct{})
-			go s.flushLoop(opts.SyncInterval, s.stopFlush)
-		}
 	}
 	return s, nil
-}
-
-// flushLoop is the SyncInterval background flusher. It is handed stop: Close
-// clears s.stopFlush, and a loop that read nil there would never end.
-func (s *Store) flushLoop(d time.Duration, stop <-chan struct{}) {
-	defer close(s.flushDone)
-	t := time.NewTicker(d)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			// Best-effort: a failure is sticky in syncErr and surfaces on
-			// the next explicit barrier or durable operation.
-			_ = s.Sync()
-		case <-stop:
-			return
-		}
-	}
 }
 
 // Close drains any in-flight group commit, flushes the log, and closes its
 // handles. Safe to call twice.
 func (s *Store) Close() error {
-	s.cmu.Lock()
-	stop := s.stopFlush
-	s.stopFlush = nil
-	s.cmu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-s.flushDone
-	}
-
 	s.cmu.Lock()
 	for s.syncing {
 		s.cond.Wait()

@@ -271,7 +271,9 @@ func (s *Server) dispatchTimed(req Request, d0, d1 time.Time) Response {
 	case OpSubscribe:
 		return s.subscribe(req)
 	case OpUnsubscribe:
-		s.broker.Unsubscribe(req.User)
+		if err := s.broker.Unsubscribe(req.User); err != nil {
+			return errResponse("%v", err)
+		}
 		return Response{OK: true}
 	case OpPublish:
 		return s.publishOp(req, d0, d1)
