@@ -549,6 +549,25 @@ func BenchmarkServerImportFresh(b *testing.B) {
 	})
 }
 
+// sentConn counts the bytes written through it.
+type sentConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c sentConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// reportImportBytes reports the state's size and the bytes the client
+// wrote per import: a request line and the state.
+func reportImportBytes(b *testing.B, state []byte, sent *atomic.Int64) {
+	b.ReportMetric(float64(len(state)), "state-bytes")
+	b.ReportMetric(float64(sent.Load())/float64(b.N), "sent-bytes")
+}
+
 // benchImport imports state b.N times, under new names, into a server over
 // net.Pipe, calling vary(i) before import i.
 func benchImport(b *testing.B, state []byte, vary func(i int)) {
@@ -559,7 +578,8 @@ func benchImport(b *testing.B, state []byte, vary func(i int)) {
 	defer srv.Stop()
 	local, remote := net.Pipe()
 	srv.ServeConn(remote)
-	c := wire.NewClient(local)
+	var sent atomic.Int64
+	c := wire.NewClient(sentConn{local, &sent})
 	defer c.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -569,7 +589,7 @@ func benchImport(b *testing.B, state []byte, vary func(i int)) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(state)), "state-bytes")
+	reportImportBytes(b, state, &sent)
 }
 
 // BenchmarkServerImportDurable is BenchmarkServerImport into a server with
@@ -590,10 +610,11 @@ func BenchmarkServerImportDurable(b *testing.B) {
 	}
 	defer srv.Stop()
 	clients := make([]*wire.Client, 4)
+	var sent atomic.Int64
 	for i := range clients {
 		local, remote := net.Pipe()
 		srv.ServeConn(remote)
-		clients[i] = wire.NewClient(local)
+		clients[i] = wire.NewClient(sentConn{local, &sent})
 		defer clients[i].Close()
 	}
 	fsyncs := func() int64 { n, _ := srv.Registry().Snapshot()["mm_store_fsyncs_total"].(int64); return n }
@@ -620,6 +641,7 @@ func BenchmarkServerImportDurable(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/import")
+	reportImportBytes(b, state, &sent)
 }
 
 // BenchmarkIndexSetPackedFresh measures indexing a new user's perf-shaped

@@ -1,6 +1,7 @@
 package mmprofile_test
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,16 +21,20 @@ var (
 	docGoFile    = regexp.MustCompile(`^[\w./-]+\.go$`)
 	docTestFunc  = regexp.MustCompile(`^(Test|Benchmark|Fuzz)\w*\*?$`)
 	docInstrName = regexp.MustCompile(`^mm_\w+$`)
+	docFlag      = regexp.MustCompile(`^-([a-z][\w-]*)([ =].*)?$`)
 )
 
 // TestDocsNameRealCode keeps DESIGN.md and README.md from naming code that
-// is gone. Three kinds of backticked name are checked: a Go file
+// is gone. Four kinds of backticked name are checked: a Go file
 // (`journal.go`, `internal/store/journal.go`) must exist in the tree; a
 // test, benchmark or fuzz target must be a declared function, a trailing *
-// matching as a prefix (`TestCrashMatrix*`); and a full mm_* name must be
-// an instrument of a server with a state directory and tracing on, a
-// histogram's _bucket, _sum and _count series included. Names that end in
-// _ or hold a / (a prefix, a path) are not instruments and are skipped.
+// matching as a prefix (`TestCrashMatrix*`); a full mm_* name must be an
+// instrument of a server with a state directory and tracing on, a
+// histogram's _bucket, _sum and _count series included; and a span that
+// starts with a flag (`-state DIR`) must name one server.Config.Register
+// defines, so another tool's flag is named in its command
+// (`mmcorpus -out dir`). Names that end in _ or hold a / (a prefix, a
+// path) are not instruments and are skipped.
 func TestDocsNameRealCode(t *testing.T) {
 	files, funcs := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -65,6 +70,8 @@ func TestDocsNameRealCode(t *testing.T) {
 	}
 	defer srv.Stop()
 	instruments := srv.Registry().Snapshot()
+	flags := flag.NewFlagSet("mmserver", flag.ContinueOnError)
+	new(server.Config).Register(flags)
 
 	real := func(name string) bool {
 		switch {
@@ -88,6 +95,8 @@ func TestDocsNameRealCode(t *testing.T) {
 				}
 			}
 			return false
+		case docFlag.MatchString(name):
+			return flags.Lookup(docFlag.FindStringSubmatch(name)[1]) != nil
 		}
 		return true // not a kind of name this test checks
 	}

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -14,8 +18,9 @@ import (
 // mutex or pool connections to share).
 type Client struct {
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
+	out  bytes.Buffer  // the request being sent: its line, then its state
+	enc  *json.Encoder // writes into out
+	in   *replyReader
 }
 
 // Dial connects to a server: host:port dials TCP, "unix:<path>" dials a
@@ -35,7 +40,11 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an existing connection (tests use net.Pipe).
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	// A resting client holds what a resting server connection does: load
+	// harnesses hold 100k of them in one process.
+	c := &Client{conn: conn, in: &replyReader{r: bufio.NewReaderSize(conn, minReadBuf)}}
+	c.enc = json.NewEncoder(&c.out)
+	return c
 }
 
 // Close closes the connection.
@@ -44,20 +53,69 @@ func (c *Client) Close() error { return c.conn.Close() }
 // RemoteAddr returns the server address this client is connected to.
 func (c *Client) RemoteAddr() string { return c.conn.RemoteAddr().String() }
 
-// roundTrip sends one request and decodes the reply, surfacing protocol
-// errors as Go errors.
+// roundTrip sends one request, its line and its state in one write, and
+// reads the reply, surfacing protocol errors as Go errors.
 func (c *Client) roundTrip(req Request) (Response, error) {
+	req.StateLen = len(req.State)
+	c.out.Reset()
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, fmt.Errorf("wire: send %s: %w", req.Op, err)
 	}
+	c.out.Write(req.State)
+	if _, err := c.conn.Write(c.out.Bytes()); err != nil {
+		return Response{}, fmt.Errorf("wire: send %s: %w", req.Op, err)
+	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.in.next(&resp); err != nil {
 		return Response{}, fmt.Errorf("wire: recv %s: %w", req.Op, err)
 	}
 	if !resp.OK {
 		return resp, fmt.Errorf("wire: %s: %s", req.Op, resp.Error)
 	}
 	return resp, nil
+}
+
+// replyReader reads Responses off a connection, one line each, the line
+// followed by its state when it gives a state_len. A Client's round trips
+// and then its Session read through one, so bytes read past one reply
+// stay for the next.
+type replyReader struct {
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer, gathered
+}
+
+func (rr *replyReader) next(resp *Response) error {
+	line, err := rr.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		rr.long = append(rr.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = rr.r.ReadSlice('\n')
+			rr.long = append(rr.long, line...)
+		}
+		line = rr.long
+	}
+	if err != nil {
+		if err == io.EOF && len(line) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	if err := json.Unmarshal(line, resp); err != nil {
+		return err
+	}
+	if resp.StateLen < 0 || resp.StateLen > maxRequestBytes {
+		return fmt.Errorf("state_len %d outside [0, %d]", resp.StateLen, maxRequestBytes)
+	}
+	if resp.StateLen > 0 {
+		resp.State = make([]byte, resp.StateLen)
+		if _, err := io.ReadFull(rr.r, resp.State); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Subscribe registers a profile under user. learner is "MM" (or empty) or
@@ -158,7 +216,7 @@ func (c *Client) Session(user string, batch int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{conn: c.conn, dec: c.dec, user: user, nextSeq: resp.NextSeq, dropped: resp.Dropped}
+	s := &Session{conn: c.conn, in: c.in, user: user, nextSeq: resp.NextSeq, dropped: resp.Dropped}
 	// A subscriber that has never been delivered to acks with next_seq 0,
 	// so the very first delivery is expected to carry seq 0 and anything
 	// later is an observable gap. On a subscriber with prior traffic the
@@ -186,7 +244,7 @@ type SessionFrame struct {
 // may be read concurrently.
 type Session struct {
 	conn net.Conn
-	dec  *json.Decoder
+	in   *replyReader
 	user string
 
 	mu       sync.Mutex
@@ -203,7 +261,7 @@ type Session struct {
 // breaks; a frame with Closed set is the subscriber's last.
 func (s *Session) Recv() (SessionFrame, error) {
 	var resp Response
-	if err := s.dec.Decode(&resp); err != nil {
+	if err := s.in.next(&resp); err != nil {
 		return SessionFrame{}, fmt.Errorf("wire: session recv %s: %w", s.user, err)
 	}
 	if !resp.OK {

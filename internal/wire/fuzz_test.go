@@ -28,6 +28,8 @@ func FuzzDispatch(f *testing.F) {
 		`{"op":"???"}`,
 		`{}`,
 		`{"op":"subscribe","user":"","keywords":["x","y"]}`,
+		`{"op":"import","user":"c","learner":"MM","state_len":3}`, // its state is not the line's
+		`{"op":"export","user":"a"}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

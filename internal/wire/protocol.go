@@ -3,6 +3,12 @@
 // run as a standalone daemon (cmd/mmserver) with remote publishers and
 // subscribers (cmd/mmclient).
 //
+// A message is one JSON line, and a message that carries a profile (the
+// import request, the export reply) gives its length there as
+// "state_len":N and is followed, after its newline, by the N raw bytes.
+// A line with a "state" member is refused: profile bytes never travel
+// inside the JSON.
+//
 // Deliveries reach clients one way: "session" switches a connection into
 // server-push mode. The server owns the socket from the ack onward and
 // pushes coalesced delivery batches as they happen, with no per-batch
@@ -63,9 +69,11 @@ type Request struct {
 	// Batch bounds how many deliveries a session coalesces into one pushed
 	// frame (≤ 0 means the server default of 64).
 	Batch int `json:"batch,omitempty"`
-	// State carries a serialized profile for import (JSON base64-encodes
-	// byte slices automatically).
-	State []byte `json:"state,omitempty"`
+	// StateLen is the length of the serialized profile an import carries:
+	// the StateLen bytes after the line's newline, which are State. Writers
+	// set it from State; on any other op it is refused.
+	StateLen int    `json:"state_len,omitempty"`
+	State    []byte `json:"-"`
 	// Trace carries propagated trace context ("<trace>-<span>", two
 	// 16-hex-digit ids — see trace.FormatContext) on publish and feedback.
 	// When present and well-formed, the server joins the caller's trace and
@@ -132,9 +140,11 @@ type Response struct {
 	Profile *ProfileMsg `json:"profile,omitempty"`
 	// Content answers fetch.
 	Content string `json:"content,omitempty"`
-	// Learner and State answer export.
-	Learner string `json:"learner,omitempty"`
-	State   []byte `json:"state,omitempty"`
+	// Learner and State answer export; State is the StateLen raw bytes
+	// after the line's newline, as in Request.
+	Learner  string `json:"learner,omitempty"`
+	StateLen int    `json:"state_len,omitempty"`
+	State    []byte `json:"-"`
 	// Trace is the trace id (16 hex digits) under which the server captured
 	// this request, when it did; clients print it so an operator can jump
 	// straight to /tracez?trace=<id>.

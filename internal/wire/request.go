@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,21 +13,22 @@ import (
 	"unicode/utf8"
 )
 
-// maxRequestBytes bounds one request: a connection that sends this many
-// bytes without ending its line is refused. The largest legitimate
-// request is the import of a maximal profile's Export: 768 MM vectors —
-// five times the 139 of the broadest profile the Fig. 7 sweep grows
-// (EXPERIMENTS.md E4) — each of vsm.MaxDocumentTerms terms at the text
-// pipeline's longest word (25 bytes) with its 8-byte weight, 768 × (100 ×
-// 34 + 15) B ≈ 2.6 MB of state. As base64 that is 3.5 MB, inside 4 MiB
-// with room for the rest of the request.
+// maxRequestBytes bounds one request, its line and its attachment
+// together: a connection that sends this many bytes without ending its
+// line, or whose line announces a state_len that would take the request
+// past it, is closed. The largest legitimate request is the import of a
+// maximal profile's Export: 768 MM vectors — five times the 139 of the
+// broadest profile the Fig. 7 sweep grows (EXPERIMENTS.md E4) — each of
+// vsm.MaxDocumentTerms terms at the text pipeline's longest word (25
+// bytes) with its 8-byte weight, 768 × (100 × 34 + 15) B ≈ 2.6 MB of raw
+// state (TestMaximalProfileRoundTrip), inside 4 MiB with room for the line.
 const maxRequestBytes = 4 << 20
 
 // minReadBuf is a connection's read buffer at rest and the least room a
 // read is given, as in json.Decoder, so an idle connection holds no more
 // than it did (TestIdleRequestConnBytes). A request that leaves less room
 // doubles the buffer, up to maxRequestBytes, and once that request is
-// decoded the buffer goes back to this size and the grown one to readBufs.
+// answered the buffer goes back to this size and the grown one to readBufs.
 const minReadBuf = 512
 
 // readBufs holds read buffers grown for a long request, for the next long
@@ -38,15 +38,24 @@ var readBufs sync.Pool // *[]byte
 
 var errTooLong = fmt.Errorf("wire: request longer than %d bytes", maxRequestBytes)
 
-// requestReader reads Requests off a connection, one per line. A line in
-// the form json.Encoder writes a Request in is decoded in one pass over
-// its bytes (decodeLine); any other line is whatever json.Unmarshal makes
-// of it (FuzzReadRequest). Blank lines are skipped, and at the end of the
-// stream the bytes after the last newline are a last line.
+// refusal is a request the server answers with an error and reads past:
+// its line and its attachment were read whole, so the next line parses.
+type refusal string
+
+func (r refusal) Error() string { return string(r) }
+
+const errStateMember = refusal(`wire: a profile travels as "state_len" and that many raw bytes after the line, not as a "state" member`)
+
+// requestReader reads Requests off a connection, one per line, each
+// followed by its attachment when it announces one. A line in the form
+// json.Encoder writes a Request in is decoded in one pass over its bytes
+// (decodeLine); any other line is whatever json.Unmarshal makes of it
+// (FuzzReadRequest). Blank lines are skipped, and at the end of the stream
+// the bytes after the last newline are a last line.
 type requestReader struct {
 	src io.Reader
 	buf []byte
-	off int   // the first byte not yet returned in a line
+	off int   // the first byte not yet returned in a request
 	end int   // buf[:end] has been read
 	err error // the read error that ends the stream once buf[off:end] is used
 }
@@ -56,8 +65,20 @@ func newRequestReader(src io.Reader) *requestReader {
 }
 
 // next reads the next request into req, which must be zero. It returns
-// io.EOF when the stream ends between requests.
+// io.EOF when the stream ends between requests, and a refusal for a
+// request to answer with an error and read on past. req.State is the
+// attachment where it lies in the reader's buffer, valid until the next
+// call: the caller answers a request before it asks for the next one.
 func (rd *requestReader) next(req *Request) error {
+	// The last request is answered, so a buffer grown for it is free to
+	// go, unless what was read past it needs the room.
+	if len(rd.buf) > minReadBuf && rd.end-rd.off <= minReadBuf {
+		grown := rd.buf
+		rd.buf = make([]byte, minReadBuf)
+		rd.end = copy(rd.buf, grown[rd.off:rd.end])
+		rd.off = 0
+		readBufs.Put(&grown)
+	}
 	for {
 		line, err := rd.line()
 		if err != nil {
@@ -66,23 +87,34 @@ func (rd *requestReader) next(req *Request) error {
 		if len(bytes.TrimLeft(line, " \t\r")) == 0 {
 			continue
 		}
+		stateMember := false
 		if !decodeLine(line, req) {
 			// Declared here, so only a line that falls back pays for the
-			// Request json.Unmarshal moves to the heap.
-			var v Request
+			// Request json.Unmarshal moves to the heap. The State member
+			// catches a "state" key, spelt in any case json matches.
+			var v struct {
+				Request
+				State json.RawMessage `json:"state"`
+			}
 			if err := json.Unmarshal(line, &v); err != nil {
 				return fmt.Errorf("wire: request: %w", err)
 			}
-			*req = v
+			*req, stateMember = v.Request, v.State != nil
 		}
-		// The request holds copies of what it took from line, so a grown
-		// buffer is free to go.
-		if len(rd.buf) > minReadBuf && rd.end-rd.off <= minReadBuf {
-			grown := rd.buf
-			rd.buf = make([]byte, minReadBuf)
-			rd.end = copy(rd.buf, grown[rd.off:rd.end])
-			rd.off = 0
-			readBufs.Put(&grown)
+		n := req.StateLen
+		if bound := maxRequestBytes - len(line) - 1; n < 0 || n > bound {
+			return fmt.Errorf("wire: request: state_len %d outside [0, %d]", n, bound)
+		}
+		if n > 0 {
+			if req.State, err = rd.attachment(n); err != nil {
+				return err
+			}
+		}
+		switch {
+		case stateMember:
+			return errStateMember
+		case n > 0 && req.Op != OpImport:
+			return refusal(fmt.Sprintf(`wire: op %q takes no "state_len"`, req.Op))
 		}
 		return nil
 	}
@@ -92,18 +124,16 @@ func (rd *requestReader) next(req *Request) error {
 func (rd *requestReader) buffered() []byte { return rd.buf[rd.off:rd.end] }
 
 // line returns the next line without its newline, valid until the next
-// call. It reads into at least minReadBuf of room, made by dropping the
-// lines already returned and then, if that is not enough, by growing the
-// buffer; a line that fills maxRequestBytes is errTooLong.
+// call. A line that fills maxRequestBytes is errTooLong.
 func (rd *requestReader) line() ([]byte, error) {
-	scanned := rd.off
+	scanned := 0 // buf[off:off+scanned] holds no newline
 	for {
-		if i := bytes.IndexByte(rd.buf[scanned:rd.end], '\n'); i >= 0 {
-			line := rd.buf[rd.off : scanned+i]
-			rd.off = scanned + i + 1
+		if i := bytes.IndexByte(rd.buf[rd.off+scanned:rd.end], '\n'); i >= 0 {
+			line := rd.buf[rd.off : rd.off+scanned+i]
+			rd.off += scanned + i + 1
 			return line, nil
 		}
-		scanned = rd.end
+		scanned = rd.end - rd.off
 		if rd.err != nil {
 			if rd.err != io.EOF || rd.off == rd.end {
 				return nil, rd.err
@@ -112,30 +142,61 @@ func (rd *requestReader) line() ([]byte, error) {
 			rd.off = rd.end
 			return line, nil
 		}
-		if len(rd.buf)-rd.end < minReadBuf && rd.off > 0 {
-			rd.end = copy(rd.buf, rd.buf[rd.off:rd.end])
-			scanned -= rd.off
-			rd.off = 0
+		if err := rd.fill(); err != nil {
+			return nil, err
 		}
-		if len(rd.buf)-rd.end < minReadBuf && len(rd.buf) < maxRequestBytes {
-			n := min(max(2*len(rd.buf), minReadBuf), maxRequestBytes)
-			var grown []byte
-			if p, _ := readBufs.Get().(*[]byte); p != nil && len(*p) >= n {
-				grown = *p
-			} else {
-				grown = make([]byte, n)
-			}
-			copy(grown, rd.buf[:rd.end])
-			rd.buf = grown
-		}
-		room := rd.buf[rd.end:]
-		if len(room) == 0 {
-			return nil, errTooLong
-		}
-		var n int
-		n, rd.err = rd.src.Read(room)
-		rd.end += n
 	}
+}
+
+// attachment returns the n bytes that follow the line just returned, valid
+// until the next call to line; n leaves room for that line within
+// maxRequestBytes. The buffer grows as the bytes arrive, not as the line
+// announces them.
+func (rd *requestReader) attachment(n int) ([]byte, error) {
+	for rd.end-rd.off < n {
+		if rd.err != nil {
+			if rd.err == io.EOF {
+				return nil, fmt.Errorf("wire: request: state: %w", io.ErrUnexpectedEOF)
+			}
+			return nil, rd.err
+		}
+		if err := rd.fill(); err != nil {
+			return nil, err
+		}
+	}
+	b := rd.buf[rd.off : rd.off+n : rd.off+n]
+	rd.off += n
+	return b, nil
+}
+
+// fill reads once into the room after end, first made at least
+// minReadBuf where it can be: by dropping what was already returned and
+// then by doubling the buffer, as far as maxRequestBytes. A full buffer of
+// that size is errTooLong.
+func (rd *requestReader) fill() error {
+	if len(rd.buf)-rd.end < minReadBuf && rd.off > 0 {
+		rd.end = copy(rd.buf, rd.buf[rd.off:rd.end])
+		rd.off = 0
+	}
+	if len(rd.buf)-rd.end < minReadBuf && len(rd.buf) < maxRequestBytes {
+		n := min(max(2*len(rd.buf), minReadBuf), maxRequestBytes)
+		var grown []byte
+		if p, _ := readBufs.Get().(*[]byte); p != nil && len(*p) >= n {
+			grown = *p
+		} else {
+			grown = make([]byte, n)
+		}
+		copy(grown, rd.buf[:rd.end])
+		rd.buf = grown
+	}
+	room := rd.buf[rd.end:]
+	if len(room) == 0 {
+		return errTooLong
+	}
+	var n int
+	n, rd.err = rd.src.Read(room)
+	rd.end += n
+	return nil
 }
 
 // Request's members, in the order requestFields names them.
@@ -148,21 +209,21 @@ const (
 	fieldDoc
 	fieldRelevant
 	fieldBatch
-	fieldState
+	fieldStateLen
 	fieldTrace
 )
 
 // requestFields are Request's JSON member names.
-var requestFields = [...]string{"op", "user", "learner", "keywords", "content", "doc", "relevant", "batch", "state", "trace"}
+var requestFields = [...]string{"op", "user", "learner", "keywords", "content", "doc", "relevant", "batch", "state_len", "trace"}
 
 // decodeLine decodes line into req, which must be zero, if the line is in
 // the form json.Encoder writes a Request in: one object with no
 // whitespace, each member a distinct known key, spelt exactly, with a
-// value of its field's type — a string, an integer, true or false, an
-// array of strings, or for state a base64 string with no escape. It
-// reports whether it did; on false req may be partly filled, and the line
-// is json.Unmarshal's to decode or refuse. On true, req is what
-// json.Unmarshal makes of the line (FuzzReadRequest).
+// value of its field's type — a string, an integer, true or false, or an
+// array of strings. It reports whether it did; on false req may be partly
+// filled, and the line is json.Unmarshal's to decode or refuse: a "state"
+// key is not one it knows. On true, req is what json.Unmarshal makes of
+// the line (FuzzReadRequest).
 func decodeLine(line []byte, req *Request) bool {
 	if len(line) < 2 || line[0] != '{' {
 		return false
@@ -232,8 +293,6 @@ func member(req *Request, f int, p []byte) ([]byte, bool) {
 		req.Content, p, ok = str(p)
 	case fieldTrace:
 		req.Trace, p, ok = str(p)
-	case fieldState:
-		req.State, p, ok = base64Str(p)
 	case fieldKeywords:
 		req.Keywords, p, ok = strs(p)
 	case fieldDoc:
@@ -242,6 +301,10 @@ func member(req *Request, f int, p []byte) ([]byte, bool) {
 		var n int64
 		n, p, ok = integer(p, strconv.IntSize)
 		req.Batch = int(n)
+	case fieldStateLen:
+		var n int64
+		n, p, ok = integer(p, strconv.IntSize)
+		req.StateLen = int(n)
 	case fieldRelevant:
 		switch {
 		case bytes.HasPrefix(p, []byte("true")):
@@ -422,29 +485,4 @@ func unquote(raw []byte) string {
 		raw = raw[2:]
 	}
 	return sb.String()
-}
-
-// base64Str decodes a base64 string at the start of p, found by its
-// closing quote, as encoding/json decodes one into a []byte. A string with
-// an escape is not taken, and neither is one holding \r, which the base64
-// decoder would skip where a JSON string may not hold it raw; any other
-// byte a string may not hold raw the decoder refuses.
-func base64Str(p []byte) ([]byte, []byte, bool) {
-	if len(p) == 0 || p[0] != '"' {
-		return nil, p, false
-	}
-	q := bytes.IndexByte(p[1:], '"')
-	if q < 0 {
-		return nil, p, false
-	}
-	raw := p[1 : 1+q]
-	if bytes.IndexByte(raw, '\\') >= 0 || bytes.IndexByte(raw, '\r') >= 0 {
-		return nil, p, false
-	}
-	b := make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
-	n, err := base64.StdEncoding.Decode(b, raw)
-	if err != nil {
-		return nil, p, false
-	}
-	return b[:n], p[q+2:], true
 }

@@ -47,13 +47,20 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 }
 
 // checkReadRequest reads stream, split by cuts, with the request reader and
-// fails unless it yields json.Unmarshal of each non-blank line, in order,
-// up to the first line json refuses, which the reader must refuse too. A
-// line the one-pass decoder takes must decode there as json decodes it.
+// fails unless it yields json.Unmarshal of each non-blank line, with the
+// state_len bytes after the line as its state, in order, up to the first
+// line the connection ends on, where the reader must end it too: one json
+// refuses, one whose state_len is negative or takes the request past
+// maxRequestBytes, or one whose state the stream cuts short. A line with a
+// member json matches to "state", or a state_len on an op other than
+// import, must be a refusal, with its state read past. A line the one-pass
+// decoder takes must decode there as json decodes it.
 func checkReadRequest(t *testing.T, stream []byte, cuts uint64) {
 	t.Helper()
 	rd := newRequestReader(&chunkReader{b: stream, cuts: cuts})
-	for i, line := range bytes.Split(stream, []byte("\n")) {
+	for i, rest := 0, stream; len(rest) > 0; i++ {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
 		if len(bytes.TrimLeft(line, " \t\r")) == 0 {
 			continue
 		}
@@ -63,11 +70,30 @@ func checkReadRequest(t *testing.T, stream []byte, cuts uint64) {
 			t.Fatalf("line %d %q:\none pass       %#v\njson.Unmarshal %#v, %v", i, line, fast, want, werr)
 		}
 		gerr := rd.next(&got)
-		if werr != nil {
-			if gerr == nil || errors.Is(gerr, io.EOF) {
-				t.Fatalf("line %d %q: json.Unmarshal: %v; reader: %+v, %v", i, line, werr, got, gerr)
+		var refused refusal
+		n := want.StateLen
+		if werr != nil || n < 0 || len(line)+1+n > maxRequestBytes || n > len(rest) {
+			if gerr == nil || errors.Is(gerr, io.EOF) || errors.As(gerr, &refused) {
+				t.Fatalf("line %d %q: json.Unmarshal: %v, state_len %d of %d bytes left; reader: %+v, %v",
+					i, line, werr, n, len(rest), got, gerr)
 			}
 			return
+		}
+		if n > 0 {
+			want.State = rest[:n]
+		}
+		rest = rest[n:]
+		var members map[string]json.RawMessage
+		_ = json.Unmarshal(line, &members)
+		stateMember := false
+		for k := range members {
+			stateMember = stateMember || strings.EqualFold(k, "state")
+		}
+		if stateMember || n > 0 && want.Op != OpImport {
+			if !errors.As(gerr, &refused) || !strings.Contains(gerr.Error(), "state_len") {
+				t.Fatalf("line %d %q: reader: %+v, %v; want a refusal naming state_len", i, line, got, gerr)
+			}
+			continue
 		}
 		if gerr != nil {
 			t.Fatalf("line %d %q: json.Unmarshal: %+v; reader: %v", i, line, want, gerr)
@@ -81,8 +107,20 @@ func checkReadRequest(t *testing.T, stream []byte, cuts uint64) {
 	}
 }
 
+// encodeRequest is req as wire.Client sends it: its line, then its state.
+func encodeRequest(req Request) []byte {
+	req.StateLen = len(req.State)
+	b, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return append(append(b, '\n'), req.State...)
+}
+
 // readRequestSeeds are every op wire.Client sends, as it sends them, and
-// the corners of the grammar where the one-pass decoder must step aside.
+// the corners of the grammar where the one-pass decoder must step aside,
+// where a state must be refused and read past, and where the connection
+// must end.
 func readRequestSeeds() []string {
 	var seeds []string
 	for _, req := range []Request{
@@ -92,30 +130,41 @@ func readRequestSeeds() []string {
 		{Op: OpFeedback, User: "alice", Doc: 9223372036854775807, Relevant: true},
 		{Op: OpFetch, Doc: -3},
 		{Op: OpExport, User: "alice"},
-		{Op: OpImport, User: "alice", Learner: "MM", State: []byte("\x01\x00\xff profile bytes \xfe")},
+		{Op: OpImport, User: "alice", Learner: "MM", State: []byte("\x01\x00\xff profile\nbytes \xfe")},
 		{Op: OpImport, User: "bob", Learner: "MM", State: []byte{}},
 		{Op: OpStats},
 		{Op: OpSession, User: "alice", Batch: 16},
 		{Op: OpProfile, User: "alice"},
 	} {
-		b, err := json.Marshal(req)
-		if err != nil {
-			panic(err)
-		}
-		seeds = append(seeds, string(b)+"\n")
+		seeds = append(seeds, string(encodeRequest(req)))
 	}
+	imp := string(encodeRequest(Request{Op: OpImport, User: "u", Learner: "MM", State: []byte("{\"op\":\"stats\"}\n")}))
+	stats := `{"op":"stats"}` + "\n"
 	return append(seeds,
+		// Attachments: one holding a line, one the next line follows at once.
+		imp+imp+stats, `{"op":"import","state_len":3}`+"\nabc"+stats+`{"op":"import","state_len":1}`+"\n\n",
+		`{"state_len":0}`+"\n"+stats, `{"op":"import","state_len":null}`+"\n"+stats,
+		// Refused, read past: a state member, in any case, and a state on an op that takes none.
+		`{"op":"import","user":"u","learner":"MM","state":"QUJD"}`+"\n"+stats,
+		`{"op":"stats","state_len":2}`+"\nxy"+stats, `{"op":"session","user":"a","state_len":1}`+"\n\n"+stats,
+		`{"STATE":null,"op":"stats"}`+"\n"+stats, "{\"\u017ftate\":1}\n"+stats,
+		`{"state":"QQ==","op":"import","state_len":1}`+"\nz"+stats,
+		// The connection ends.
+		`{"op":"import","state_len":-1}`+"\n"+stats, `{"op":"import","state_len":1.5}`+"\n.", `{"op":"import","state_len":"5"}`,
+		`{"op":"import","state_len":1e3}`, `{"op":"import","state_len":4194304}`+"\n"+stats,
+		`{"op":"import","state_len":4194269}`+"\n"+stats, `{"op":"import","state_len":9223372036854775808}`,
+		`{"op":"import","state_len":10}`+"\nshort", `{"op":"import","state_len":1}`,
 		`{"op":"stats"}{"op":"profile","user":"a"}`+"\n"+`{"op":"stats"}`,
 		`{"user":"\ud83d\ude00 \ud800 \udc00\ud800 \ud800\u0041 \ud83d\ud83d\ude00","content":"\u003c\/p\u003e\n\"\\\b\f\r\t"}`,
 		"{\"user\":\"\xff\xfe a\xc3 \xed\xa0\x80 \xef\xbf\xbd\",\"op\":\"stats\"}",
-		"{\"\u212aeywords\":[\"k\"],\"\u017ftate\":\"QUJD\",\"OP\":\"stats\",\"uSeR\":\"u\",\"\\u0064oc\":5}",
-		`{"user":"a","user":"b","keywords":["x","y"],"keywords":["z"],"keywords":[null,null,"w"],"state":"QQ==","state":null}`,
+		"{\"\u212aeywords\":[\"k\"],\"\u017ftate_len\":2,\"OP\":\"import\",\"uSeR\":\"u\",\"\\u0064oc\":5}\nab",
+		`{"user":"a","user":"b","keywords":["x","y"],"keywords":["z"],"keywords":[null,null,"w"],"state_len":2,"state_len":null}`,
 		`{"keywords":["x"],"keywords":[],"doc":1,"doc":null,"relevant":true,"relevant":null,"op":null}`,
 		`null`, `null{"op":"stats"}`, ` {} `, `nul`, `[]`, `"op"`, `5`, `true`,
 		`{"x":{"y":[1,-2.5e+3,{"z":null}],"w":"\u00e9"},"op":"stats","v":[[],{}],"t":true,"f":false}`,
 		`{"doc":1e2}`, `{"doc":1.0}`, `{"doc":9223372036854775808}`, `{"doc":-9223372036854775808}`,
 		`{"doc":-0}`, `{"doc":01}`, `{"doc":-}`, `{"doc":"5"}`, `{"batch":1.5e300}`, `{"x":1.}`, `{"x":1e}`,
-		`{"state":"QUJD\nRA=="}`, `{"state":"QUJDRA\u003d\u003d"}`, `{"state":"QUJ"}`, `{"state":"\u00ff"}`, "{\"state\":\"QU\nJD\"}",
+		`{"state":"QUJD\nRA=="}`, `{"state":"QUJDRA\u003d\u003d"}`, `{"state":"\u00ff"}`,
 		"{\"user\":\"a\x01\"}", `{"user":"\x"}`, `{"user":"\u12G4"}`, `{"op":"stats",}`, `{,}`, `{"op" "stats"}`,
 		`{"keywords":["a",]}`, `{"keywords":[1]}`, `{"keywords":"a"}`, `{"relevant":"true"}`, `{"op":["stats"]}`,
 		`{"x":[`+strings.Repeat("[", 10000)+strings.Repeat("]", 10000)+`]}`,
@@ -123,14 +172,16 @@ func readRequestSeeds() []string {
 		"\r\n\t {\"op\":\"stats\"}\r\n\t ",
 		"{\"op\":\"stats\"}\n\n \r\n{\"op\":\"profile\",\"user\":\"a\"}",
 		`{"op":"stats"}`+"\n"+`{"op":"st`, `{"op":"stats"} `, `{"keywords":["a","b"]`,
-		"{\"state\":\"QUJD\rRA==\"}\n", `{"relevant":false,"batch":-0,"keywords":[]}`,
+		`{"relevant":false,"batch":-0,"keywords":[],"state_len":-0}`,
 	)
 }
 
 // TestClientTrafficTakesOnePass: every op wire.Client sends, with what a
 // benchmark sends in it — corpus pages as content, a trained profile's
 // Export as state, keyword lists, trace context — is decoded in one pass,
-// never by json.Unmarshal, and as json.Unmarshal decodes it.
+// never by json.Unmarshal, and as json.Unmarshal decodes it; an import's
+// state follows its line as it stands, and an export's reply hands the
+// client the state that follows the reply's line.
 func TestClientTrafficTakesOnePass(t *testing.T) {
 	cfg := corpus.DefaultConfig()
 	cfg.PagesPerSub = 1
@@ -151,7 +202,8 @@ func TestClientTrafficTakesOnePass(t *testing.T) {
 	}
 
 	// The other end of the client's connection answers each line with
-	// whether the one-pass decoder took it as json.Unmarshal takes it.
+	// whether the one-pass decoder took it as json.Unmarshal takes it, and
+	// an export with state.
 	local, remote := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -171,7 +223,23 @@ func TestClientTrafficTakesOnePass(t *testing.T) {
 			} else if err := json.Unmarshal(line, &want); err != nil || !reflect.DeepEqual(fast, want) {
 				resp = errResponse("one pass %.200q, json.Unmarshal %.200q, %v", fmt.Sprint(fast), fmt.Sprint(want), err)
 			}
+			got := make([]byte, want.StateLen)
+			if _, err := io.ReadFull(r, got); err != nil {
+				return
+			}
+			switch {
+			case want.Op == OpImport && !bytes.Equal(got, state):
+				resp = errResponse("import carried %d bytes, not the %d of the state", len(got), len(state))
+			case want.Op == OpExport:
+				resp.StateLen = len(state)
+			}
 			if enc.Encode(resp) != nil {
+				return
+			}
+			if resp.StateLen == 0 {
+				continue
+			}
+			if _, err := remote.Write(state); err != nil {
 				return
 			}
 		}
@@ -187,7 +255,10 @@ func TestClientTrafficTakesOnePass(t *testing.T) {
 	_, serr := c.Stats()
 	_, perr := c.Profile("alice")
 	_, xerr := c.Fetch(123)
-	_, _, eerr := c.Export("alice")
+	_, exported, eerr := c.Export("alice")
+	if !bytes.Equal(exported, state) {
+		t.Errorf("export gave %d bytes, not the %d the server sent", len(exported), len(state))
+	}
 	errs = append(errs,
 		c.Subscribe("alice", "", []string{"cats", "jazz", "naïve", "<b>&"}),
 		c.Subscribe("bob", "MMND", nil),
@@ -227,7 +298,10 @@ func FuzzReadRequest(f *testing.F) {
 // TestRequestTooLongCloses: a request that never ends is refused once it
 // reaches maxRequestBytes — the connection closes and the server logs
 // "wire: decode" — and its buffer never grows much past the limit, however
-// much the client goes on sending.
+// much the client goes on sending. A line whose state_len is negative, not
+// an integer, or one byte more than the limit leaves its line is refused
+// the same way, before any of its state is read; one that fills the limit
+// exactly is read and answered.
 func TestRequestTooLongCloses(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory counts as heap")
@@ -254,7 +328,7 @@ func TestRequestTooLongCloses(t *testing.T) {
 
 	chunk := bytes.Repeat([]byte("A"), 4096)
 	sent, peak := 0, uint64(0)
-	_, err := local.Write([]byte(`{"op":"import","user":"u","learner":"MM","state":"`))
+	_, err := local.Write([]byte(`{"op":"publish","content":"`))
 	for err == nil && sent < 2*maxRequestBytes {
 		var n int
 		n, err = local.Write(chunk)
@@ -277,22 +351,59 @@ func TestRequestTooLongCloses(t *testing.T) {
 		t.Errorf("live heap grew %d B while reading one request, want at most %d", peak, limit)
 	}
 	settled(t, srv, anyGoroutines)
+
+	edge := func(over int) string {
+		line := `{"op":"import","user":"u","learner":"MM","state_len":0000000}`
+		return fmt.Sprintf(`{"op":"import","user":"u","learner":"MM","state_len":%d}`, maxRequestBytes-len(line)-1+over)
+	}
+	bad := []string{
+		`{"op":"import","user":"u","learner":"MM","state_len":-1}`,
+		`{"op":"import","user":"u","learner":"MM","state_len":1.5}`,
+		`{"op":"import","user":"u","learner":"MM","state_len":"5"}`,
+		`{"op":"import","user":"u","learner":"MM","state_len":1e3}`,
+		edge(1),
+	}
+	for _, line := range bad {
+		local, remote := net.Pipe()
+		srv.ServeConn(remote)
+		local.SetDeadline(time.Now().Add(10 * time.Second))
+		go local.Write([]byte(line + "\n" + strings.Repeat("A", 4096)))
+		if n, err := local.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("%s: read %d bytes, %v; want the connection closed", line, n, err)
+		}
+		local.Close()
+	}
+	conn := pipeConn(t, srv)
+	r := bufio.NewReader(conn)
+	for _, req := range []string{edge(0) + "\n" + strings.Repeat("\x00", maxRequestBytes-len(edge(0))-1), `{"op":"stats"}` + "\n"} {
+		go conn.Write([]byte(req))
+		if line, err := r.ReadSlice('\n'); err != nil || !bytes.HasPrefix(line, []byte(`{"ok":`)) {
+			t.Fatalf("request of %d bytes: reply %q, %v", len(req), line, err)
+		}
+	}
+	conn.Close()
+	settled(t, srv, anyGoroutines)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(logged) != 1 || !strings.Contains(logged[0], "wire: decode") || !strings.Contains(logged[0], "longer than") {
-		t.Errorf("logged %q, want one wire: decode line naming the limit", logged)
+	if len(logged) != 1+len(bad) || !strings.Contains(logged[0], "wire: decode") || !strings.Contains(logged[0], "longer than") {
+		t.Fatalf("logged %q, want a wire: decode line naming the limit, then one for each bad state_len", logged)
+	}
+	for i, l := range logged[1:] {
+		if !strings.Contains(l, "wire: decode") || !strings.Contains(l, "state_len") {
+			t.Errorf("%s: logged %q, want a wire: decode line naming state_len", bad[i], l)
+		}
 	}
 }
 
 // TestIdleRequestConnBytes: a request connection waiting for its next
 // request holds no more heap than one did with a json.Decoder, which read
-// 4.5–5.0 KB here — connection, pipe and handler included — even after an
-// import that grew its read buffer.
+// 4.5–5.0 KB here — connection, pipe and handler included — even after a
+// run of imports that grew its read buffer.
 func TestIdleRequestConnBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory counts as heap")
 	}
-	const n, budget = 2000, 4.5 * 1024
+	const n, imports, budget = 2000, 3, 4.5 * 1024
 	b := pubsub.New(pubsub.Options{Threshold: 0.2})
 	srv := NewServer(b, func(string, ...any) {})
 	defer srv.Close()
@@ -312,10 +423,13 @@ func TestIdleRequestConnBytes(t *testing.T) {
 		local, remote := net.Pipe()
 		defer local.Close()
 		srv.ServeConn(remote)
-		req := fmt.Sprintf(`{"op":"stats"}`+"\n"+`{"op":"import","user":"u%d","learner":"MM","state":%q}`+"\n", i, state)
-		go local.Write([]byte(req))
+		req := []byte(`{"op":"stats"}` + "\n")
+		for k := 0; k < imports; k++ {
+			req = append(req, encodeRequest(Request{Op: OpImport, User: fmt.Sprintf("u%d-%d", i, k), Learner: "MM", State: state})...)
+		}
+		go local.Write(req)
 		r.Reset(local)
-		for k := 0; k < 2; k++ {
+		for k := 0; k < 1+imports; k++ {
 			if line, err := r.ReadSlice('\n'); err != nil || !bytes.Contains(line, []byte(`"ok":true`)) {
 				t.Fatalf("reply %q, %v", line, err)
 			}
@@ -325,7 +439,9 @@ func TestIdleRequestConnBytes(t *testing.T) {
 	heap1 := live()
 	// The imported profiles are not the connection's: take them out.
 	for i := range conns {
-		b.Unsubscribe(fmt.Sprintf("u%d", i))
+		for k := 0; k < imports; k++ {
+			b.Unsubscribe(fmt.Sprintf("u%d-%d", i, k))
+		}
 	}
 	heap2 := live()
 	per := (float64(heap1) - float64(heap0) - (float64(heap1) - float64(heap2))) / n
@@ -336,9 +452,9 @@ func TestIdleRequestConnBytes(t *testing.T) {
 	runtime.KeepAlive(conns)
 }
 
-// exportState is the base64 of the Export of a profile seeded with 300
-// keywords: longer than a resting read buffer.
-func exportState(t *testing.T, b *pubsub.Broker) string {
+// exportState is the Export of a profile seeded with 300 keywords: longer
+// than a resting read buffer.
+func exportState(t *testing.T, b *pubsub.Broker) []byte {
 	t.Helper()
 	var kws []string
 	for i := 0; i < 300; i++ {
@@ -352,16 +468,38 @@ func exportState(t *testing.T, b *pubsub.Broker) string {
 		t.Fatal(err)
 	}
 	b.Unsubscribe("seed")
-	state, err := json.Marshal(snap.Data)
-	if err != nil {
-		t.Fatal(err)
+	return snap.Data
+}
+
+// TestRefusedStateIsReadPast: an import whose profile rides in a "state"
+// member, as base64, is answered with an error naming state_len and
+// subscribes nobody, and a state_len on an op that takes no state is
+// answered the same way with its bytes read past: the connection goes on
+// with the next line.
+func TestRefusedStateIsReadPast(t *testing.T) {
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2})
+	conn := pipeConn(t, srv)
+	r := bufio.NewReader(conn)
+	for _, c := range []struct{ req, reply string }{
+		{`{"op":"import","user":"a","learner":"MM","state":"AQID"}` + "\n", `"ok":false`},
+		{`{"op":"stats","state_len":3}` + "\n{}\n", `"ok":false`},
+		{`{"op":"stats"}` + "\n", `"ok":true`},
+	} {
+		go conn.Write([]byte(c.req))
+		line, err := r.ReadSlice('\n')
+		if err != nil || !bytes.Contains(line, []byte(c.reply)) || c.reply == `"ok":false` && !bytes.Contains(line, []byte("state_len")) {
+			t.Fatalf("%q: reply %q, %v; want %s", c.req, line, err, c.reply)
+		}
 	}
-	return strings.Trim(string(state), `"`)
+	if _, ok := b.Subscription("a"); ok {
+		t.Error("an import with a state member subscribed its user")
+	}
 }
 
 // TestReadRequestKeepsWhatFollows: a request ends at its newline, so what
 // a client sent behind it — the next request, or a byte behind a session
-// request — is still there, and a grown buffer shrinks back.
+// request — is still there, and a grown buffer shrinks back once the next
+// request is asked for.
 func TestReadRequestKeepsWhatFollows(t *testing.T) {
 	big := strings.Repeat("x", 3*minReadBuf)
 	stream := `{"op":"publish","content":"` + big + `"}` + "\n" + `{"op":"stats"}` + "\n"
@@ -370,15 +508,15 @@ func TestReadRequestKeepsWhatFollows(t *testing.T) {
 	if err := rd.next(&req); err != nil || req.Content != big {
 		t.Fatalf("first request: %v", err)
 	}
-	if len(rd.buf) != minReadBuf {
-		t.Errorf("buffer of %d bytes after the long request, want %d", len(rd.buf), minReadBuf)
-	}
 	if rest := string(rd.buffered()); !strings.HasPrefix(`{"op":"stats"}`+"\n", rest) {
 		t.Errorf("buffered %q", rest)
 	}
 	req = Request{}
 	if err := rd.next(&req); err != nil || req.Op != OpStats {
 		t.Fatalf("second request: %+v, %v", req, err)
+	}
+	if len(rd.buf) != minReadBuf {
+		t.Errorf("buffer of %d bytes after the request behind the long one, want %d", len(rd.buf), minReadBuf)
 	}
 	if err := rd.next(&req); !errors.Is(err, io.EOF) {
 		t.Fatalf("after the last request: %v, want EOF", err)

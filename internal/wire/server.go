@@ -220,28 +220,39 @@ func (s *Server) handle(conn net.Conn) {
 			d0 = time.Now()
 		}
 		var req Request
-		if err := rd.next(&req); err != nil {
+		var resp Response
+		var refused refusal
+		switch err := rd.next(&req); {
+		case errors.As(err, &refused):
+			resp = errResponse("%v", refused)
+		case err != nil:
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.log.Warn("wire: decode",
 					slog.String("remote_addr", conn.RemoteAddr().String()),
 					slog.String("err", err.Error()))
 			}
 			return
-		}
-		if tracing {
-			d1 = time.Now()
-		}
-		if req.Op == OpSession {
+		case req.Op == OpSession:
 			// Session mode takes over the connection: once the ack is out the
 			// session goroutine owns it and this one — its stack grown by the
 			// decode above, its read buffer — is gone; the serial request loop
 			// never resumes.
 			handedOff = s.session(conn, enc, rd.buffered(), req)
 			return
+		default:
+			if tracing {
+				d1 = time.Now()
+			}
+			resp = s.dispatchTimed(req, d0, d1)
 		}
-		resp := s.dispatchTimed(req, d0, d1)
+		// The reply's line, then its state: an export's profile as it is.
+		resp.StateLen = len(resp.State)
 		s.bound(conn)
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(resp)
+		if err == nil && len(resp.State) > 0 {
+			_, err = conn.Write(resp.State)
+		}
+		if err != nil {
 			if s.stalled(err, conn, "") {
 				return
 			}
@@ -360,6 +371,8 @@ func (s *Server) feedbackOp(req Request, d0, d1 time.Time) Response {
 }
 
 // importProfile subscribes req.User with a previously exported profile.
+// req.State lies in the connection's read buffer, and Import decodes it
+// there: the profile and the index keep nothing of those bytes.
 func (s *Server) importProfile(req Request) Response {
 	if req.User == "" || req.Learner == "" {
 		return errResponse("wire: import requires user and learner")

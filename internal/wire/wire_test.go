@@ -10,7 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"mmprofile/internal/core"
+	"mmprofile/internal/filter"
 	"mmprofile/internal/pubsub"
+	"mmprofile/internal/vsm"
 )
 
 // startServer is startServerOpts with the configuration most tests use.
@@ -121,6 +124,47 @@ func TestMMNDRoundTrip(t *testing.T) {
 	if p, err := c.Profile("nd2"); err != nil || p.Size != 1 {
 		t.Errorf("imported profile = %+v, %v", p, err)
 	}
+}
+
+// TestMaximalProfileRoundTrip: the largest profile maxRequestBytes is
+// sized for — 768 MM vectors, each of vsm.MaxDocumentTerms 25-byte terms —
+// exports, imports under another user and exports again with the same
+// bytes over net.Pipe. The import keeps nothing of the read buffer it was
+// decoded in: an import of as many zero bytes, read into that buffer
+// next, changes nothing.
+func TestMaximalProfileRoundTrip(t *testing.T) {
+	const vectors, word = 768, 25
+	p := core.NewDefault()
+	for v := 0; v < vectors; v++ {
+		m := make(map[string]float64, vsm.MaxDocumentTerms)
+		for i := 0; i < vsm.MaxDocumentTerms; i++ {
+			m[fmt.Sprintf("t%0*d", word-1, v*vsm.MaxDocumentTerms+i)] = 1 + float64(i)/7
+		}
+		p.Observe(vsm.FromMap(m).Normalized(), filter.Relevant)
+	}
+	if p.ProfileSize() != vectors {
+		t.Fatalf("built a profile of %d vectors, want %d", p.ProfileSize(), vectors)
+	}
+	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2})
+	if _, err := b.Subscribe("max", p); err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(pipeConn(t, srv))
+	learner, state, err := c.Export("max")
+	if err != nil || len(state) < 2_600_000 {
+		t.Fatalf("export: %d bytes, %v; want the 2.6 MB of a maximal profile", len(state), err)
+	}
+	if err := c.Import("max2", learner, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Import("zeros", learner, make([]byte, len(state))); err == nil {
+		t.Fatal("an import of zero bytes was taken")
+	}
+	learner2, state2, err := c.Export("max2")
+	if err != nil || learner2 != learner || !bytes.Equal(state2, state) {
+		t.Fatalf("re-export = %q (%d bytes), %v; want %s and the %d bytes imported", learner2, len(state2), err, learner, len(state))
+	}
+	t.Logf("%d B of state", len(state))
 }
 
 func TestProtocolErrors(t *testing.T) {
