@@ -302,7 +302,14 @@ func (b *Broker) Subscription(id string) (*Subscription, bool) {
 // journal is configured, the subscription, with the profile's initial
 // state, is logged before being applied.
 func (b *Broker) Subscribe(id string, l *core.Profile) (*Subscription, error) {
-	return b.subscribe(id, l, true, nil)
+	var state []byte
+	if b.opts.Journal != nil {
+		var err error
+		if state, err = l.MarshalBinary(); err != nil {
+			return nil, fmt.Errorf("pubsub: snapshot %q: %w", id, err)
+		}
+	}
+	return b.subscribe(id, l, true, state, nil)
 }
 
 // Import subscribes id with a profile of the named learner (core.NewNamed)
@@ -310,58 +317,38 @@ func (b *Broker) Subscribe(id string, l *core.Profile) (*Subscription, error) {
 // profile. It is Subscribe for the bytes a client exported, and decodes
 // them against the match index (core.Profile.UnmarshalFrom): a vector the
 // index holds, decoded from the very same bytes, is taken from it, and
-// every other vector's digest names the entry it lands in.
+// every other vector's digest names the entry it lands in. The journal
+// records state itself, not a re-encoding: replay decodes the bytes the
+// import decoded. state is not retained.
 func (b *Broker) Import(id, learner string, state []byte) (*Subscription, error) {
 	l, err := core.NewNamed(learner, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: import %q: %w", id, err)
 	}
-	var im *imported
+	var names []vsm.Digest
 	if len(state) > 0 {
-		names, err := l.UnmarshalFrom(state, b.idx)
-		if err != nil {
+		if names, err = l.UnmarshalFrom(state, b.idx); err != nil {
 			return nil, fmt.Errorf("pubsub: import %q: %w", id, err)
 		}
-		im = &imported{vecs: l.PackedVectors(), names: names}
 	}
-	return b.subscribe(id, l, true, im)
-}
-
-// imported is what Import decoded, for the subscriber's first reindex:
-// the profile's vectors as the decode gave them and their digests.
-type imported struct {
-	vecs  []vsm.Packed
-	names []vsm.Digest
-}
-
-// namesOf returns the digests for vecs, the profile's vectors at its first
-// reindex: a judgment let in between the registration and that reindex
-// may have moved some, and a vector no longer equal to the one decoded at
-// its position gets no name. Nil has none.
-func (im *imported) namesOf(vecs []vsm.Packed) []vsm.Digest {
-	if im == nil {
-		return nil
-	}
-	for i, v := range im.vecs {
-		if i >= len(vecs) || !vecs[i].Equal(v) {
-			im.names[i] = vsm.Digest{}
-		}
-	}
-	return im.names
+	return b.subscribe(id, l, true, state, names)
 }
 
 // subscribe is the one registration path behind Subscribe and Import
-// (journaled) and SubscribeRestored with a resident profile (journal false:
-// the store holds its record already). im is what Import decoded, nil
+// (journaled, with state as the record's) and SubscribeRestored with a
+// resident profile (journal false: the store holds its record already).
+// names are the digests of the profile's vectors an import decoded, nil
 // otherwise.
 //
 // The subscriber is registered already locked, and its record is appended
 // and indexed under that hold alone, as every record of a user is: nothing
 // is delivered to it before the record is durable, and a Feedback or
-// Unsubscribe of the id waits for the outcome. A journal error closes it
-// and frees the id. The record follows the duplicate check, so a subscribe
-// that fails as a duplicate never clobbers the existing user on replay.
-func (b *Broker) subscribe(id string, l *core.Profile, journal bool, im *imported) (*Subscription, error) {
+// Unsubscribe of the id waits for the outcome — so the vectors the first
+// reindex hands over are the ones names were taken of. A journal error
+// closes it and frees the id. The record follows the duplicate check, so a
+// subscribe that fails as a duplicate never clobbers the existing user on
+// replay.
+func (b *Broker) subscribe(id string, l *core.Profile, journal bool, state []byte, names []vsm.Digest) (*Subscription, error) {
 	// Telemetry baselines: adaptation counters report only operations
 	// performed under this broker, not the profile's prior history
 	// (keyword seeding, journal replay).
@@ -373,15 +360,15 @@ func (b *Broker) subscribe(id string, l *core.Profile, journal bool, im *importe
 		return nil, errDuplicate(id)
 	}
 	if journal && b.opts.Journal != nil {
-		if err := b.journalSubscribe(id, l); err != nil {
+		if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
 			s.closed = true
 			b.reg.remove(id, s)
-			return nil, err
+			return nil, fmt.Errorf("pubsub: journal: %w", err)
 		}
 	}
 	b.m.profileVectors.Add(float64(s.lastSize))
 	b.m.residentProfiles.Add(1)
-	b.indexLocked(s, im)
+	b.indexLocked(s, names)
 	if b.bounded() {
 		b.lru.touch(s)
 	}
@@ -393,18 +380,6 @@ func (b *Broker) subscribe(id string, l *core.Profile, journal bool, im *importe
 			slog.Int("profile_vectors", s.lastSize))
 	}
 	return &Subscription{b: b, sub: s}, nil
-}
-
-// journalSubscribe appends id's subscribe record with l's initial state.
-func (b *Broker) journalSubscribe(id string, l *core.Profile) error {
-	state, err := l.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("pubsub: snapshot %q: %w", id, err)
-	}
-	if err := b.opts.Journal.AppendSubscribe(id, l.Name(), state); err != nil {
-		return fmt.Errorf("pubsub: journal: %w", err)
-	}
-	return nil
 }
 
 // SubscribeKeywords registers a fresh MM profile seeded from an explicit
@@ -824,9 +799,10 @@ func (b *Broker) userLearner(user string, fn func(*core.Profile) error) error {
 // settles the resident-pairs gauge on the way. The profile then adopts the
 // vectors the index shares with other holders, so a vector many users hold
 // is one copy in the process. It is the one place subscribe, feedback and
-// hydration reindex through; an import's first reindex hands its digests
-// along (im). Caller holds s.mu and s.learner is set.
-func (b *Broker) indexLocked(s *subscriber, im *imported) {
+// hydration reindex through; an import's first reindex hands along the
+// digests of the vectors it decoded (names). Caller holds s.mu and
+// s.learner is set.
+func (b *Broker) indexLocked(s *subscriber, names []vsm.Digest) {
 	vecs := s.learner.PackedVectors()
 	pairs := 0
 	for _, p := range vecs {
@@ -834,7 +810,7 @@ func (b *Broker) indexLocked(s *subscriber, im *imported) {
 	}
 	b.m.residentPairs.Add(float64(pairs - s.lastPairs))
 	s.lastPairs = pairs
-	if shared := b.idx.SetPacked(s.id, vecs, im.namesOf(vecs)...); len(vecs) > 0 && &shared[0] != &vecs[0] {
+	if shared := b.idx.SetPacked(s.id, vecs, names...); len(vecs) > 0 && &shared[0] != &vecs[0] {
 		s.learner.AdoptPacked(shared)
 	}
 }

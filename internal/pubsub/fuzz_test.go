@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"mmprofile/internal/core"
+	"mmprofile/internal/faultfs"
+	"mmprofile/internal/store"
 	"mmprofile/internal/vsm"
 )
 
@@ -73,6 +76,77 @@ func FuzzImportSubscribe(f *testing.F) {
 			}
 		case <-time.After(20 * time.Second):
 			t.Fatalf("a %d-byte profile, imported 65 times, holds the broker past the deadline", len(data))
+		}
+	})
+}
+
+// FuzzImportReplay: whatever bytes UnmarshalFrom accepts, imported into a
+// broker journaled on a simulated disk, replay from the journal — in full
+// (store.Restore) and for the one user (RestoreUser) — as the profile the
+// import made. The journal holds the bytes themselves, and decoding is a
+// function of them. Two seeds are encodings the decoder accepts and the
+// encoder never writes: the flags byte with bit 3 set, and the vector count
+// with a needless continuation byte.
+func FuzzImportReplay(f *testing.F) {
+	trained, err := trainedMM("cat", "dog", "bird").MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	const flagsAt = 1 + 5*8 // after the version byte and five float64 options
+	flags := slices.Clone(trained)
+	flags[flagsAt] |= 8
+	at := flagsAt + 1
+	for range 9 { // MaxTerms, MaxVectors, step, six operation counts
+		_, k := binary.Uvarint(trained[at:])
+		at += k
+	}
+	if trained[at] >= 0x80 {
+		f.Fatalf("the seed wants a one-byte vector count, not %x", trained[at])
+	}
+	long := slices.Concat(trained[:at], []byte{trained[at] | 0x80, 0}, trained[at+1:])
+	for _, seed := range [][]byte{trained, flags, long} {
+		if err := core.NewDefault().UnmarshalBinary(seed); err != nil {
+			f.Fatalf("the decoder refuses a seed: %v", err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := core.NewDefault().UnmarshalFrom(data, nil); err != nil {
+			return
+		}
+		st, err := store.Open("/state", store.Options{FS: faultfs.NewSim()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		b := New(Options{Journal: st})
+		if _, err := b.Import("u", "MM", data); err != nil {
+			t.Fatalf("the bytes decoded once and then not: %v", err)
+		}
+		live, err := b.ExportProfile("u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles, events, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := store.Restore(profiles, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, ok, err := st.RestoreUser("u")
+		if err != nil || !ok {
+			t.Fatalf("RestoreUser: %v, found %v", err, ok)
+		}
+		for how, p := range map[string]*core.Profile{"Restore": restored["u"], "RestoreUser": one} {
+			got, err := p.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, live.Data) {
+				t.Fatalf("%s replays a profile other than the import made", how)
+			}
 		}
 	})
 }

@@ -205,7 +205,7 @@ func (b *Broker) enforceResidency() {
 // Hydrator.
 func (b *Broker) SubscribeRestored(id string, l *core.Profile) (*Subscription, error) {
 	if l != nil {
-		return b.subscribe(id, l, false, nil)
+		return b.subscribe(id, l, false, nil, nil)
 	}
 	if b.opts.Hydrator == nil {
 		return nil, fmt.Errorf("pubsub: restore %q: nil profile requires a hydrator", id)

@@ -99,7 +99,7 @@ func TestImportHitRacingLastLeave(t *testing.T) {
 			t.Fatalf("vector %d's name outlived its last holder", k)
 		}
 	}
-	if _, err := b.subscribe("b", l, false, &imported{vecs: l.PackedVectors(), names: got}); err != nil {
+	if _, err := b.subscribe("b", l, false, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	if intern.Terms.Len() != terms {
@@ -259,5 +259,63 @@ func TestImportNamesDieWithTheLastHolder(t *testing.T) {
 		if _, ok := b.idx.Named(n.d); ok {
 			t.Errorf("name %d outlived every holder", i)
 		}
+	}
+}
+
+// TestFeedbackRacingImport: a judgment sent while its user's import is in
+// flight waits for the import's first reindex, since registration, journal
+// append and that reindex are one hold of the subscriber's lock — so the
+// digests the reindex names entries by are always of the profile's own
+// vectors. Each round one goroutine imports u while another retries a
+// judgment that moves u's vector 0 until it lands; then every name must
+// find the vector decoded under it, and a second import of the same bytes,
+// which takes what the names find, must export those bytes. Run under the
+// race detector too.
+func TestFeedbackRacingImport(t *testing.T) {
+	state := trainedStates(t, 1, false)[0]
+	names := digestsOf(t, state)
+	p := core.NewDefault()
+	if err := p.UnmarshalBinary(state); err != nil {
+		t.Fatal(err)
+	}
+	decoded := p.PackedVectors()
+	m := map[string]float64{"racingimportextra": 0.3}
+	for k, id := range decoded[0].IDs {
+		m[intern.Terms.String(id)] = decoded[0].Weights[k]
+	}
+	b := New(Options{Threshold: 0.1})
+	doc, _ := b.PublishVector(vsm.FromMap(m).Normalized())
+	for round := 0; round < 40; round++ {
+		u := fmt.Sprintf("u%d", round)
+		imported := make(chan error, 1)
+		go func() {
+			_, err := b.Import(u, "MM", state)
+			imported <- err
+		}()
+		for b.Feedback(u, doc, filter.Relevant) != nil {
+			select {
+			case err := <-imported:
+				if err != nil {
+					t.Fatal(err)
+				}
+				imported <- nil
+			default:
+			}
+		}
+		if err := <-imported; err != nil {
+			t.Fatal(err)
+		}
+		if b.reg.subs[u].learner.PackedVectors()[0].Equal(decoded[0]) {
+			t.Fatalf("round %d: the judgment left vector 0 where it was", round)
+		}
+		for k, d := range names {
+			if v, ok := b.idx.Named(d); ok && !v.Equal(decoded[k]) {
+				t.Fatalf("round %d: name %d finds a vector other than the one decoded under it", round, k)
+			}
+		}
+		importProfile(t, b, "w", state)
+		checkExports(t, b, state, "w")
+		b.Unsubscribe("w")
+		b.Unsubscribe(u)
 	}
 }

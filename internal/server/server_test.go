@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
 	"mmprofile/internal/store"
 	"mmprofile/internal/wire"
@@ -239,13 +240,14 @@ func exports(t *testing.T, c *wire.Client) map[string][]byte {
 	return out
 }
 
-// TestCrashFamilyOneUser crashes playOneUser's script at every syscall
-// index, its first boot and final checkpoint included, then reboots twice,
-// eagerly and lazily. No boot may fail (no judgment replays before its
-// subscribe), a failed operation applies nothing in memory, and each
-// reboot holds every acknowledged operation and the unacknowledged one
-// either not at all or whole.
-func TestCrashFamilyOneUser(t *testing.T) {
+// faultFamily runs playOneUser's script once per fault hook(i), for every
+// operation index i of a clean run that pick accepts, then powers the
+// machine off and reboots twice, eagerly and lazily. No boot may fail (no
+// judgment replays before its subscribe), a failed operation applies
+// nothing in memory — a failed import leaves no subscriber under its id —
+// and each reboot holds every acknowledged operation and the
+// unacknowledged one either not at all or whole.
+func faultFamily(t *testing.T, pick func(faultfs.OpKind) bool, hook func(i int) faultfs.Hook) {
 	ref := mustNew(t, Config{}, nil)
 	rc := dial(ref)
 	must(t, rc.Subscribe("x", "", []string{"kittens", "toys"}))
@@ -253,30 +255,122 @@ func TestCrashFamilyOneUser(t *testing.T) {
 	must(t, err)
 	ref.Stop()
 
+	var kinds []faultfs.OpKind
 	clean := faultfs.NewSim()
+	clean.SetHook(func(op faultfs.Op) faultfs.Fault {
+		kinds = append(kinds, op.Kind)
+		return faultfs.Fault{}
+	})
 	all, states, _ := playOneUser(t, clean, state)
 	if all != 6 {
-		t.Fatalf("%d of 6 operations acknowledged without a crash", all)
+		t.Fatalf("%d of 6 operations acknowledged without a fault", all)
 	}
-	for i := 1; i <= clean.Ops(); i++ {
+	for i := 1; i <= len(kinds); i++ {
+		if !pick(kinds[i-1]) {
+			continue
+		}
 		sim := faultfs.NewSim()
-		sim.SetHook(faultfs.CrashAt(i))
+		sim.SetHook(hook(i))
 		acked, _, end := playOneUser(t, sim, state)
 		if end != nil && !reflect.DeepEqual(end, states[acked]) {
-			t.Errorf("crash at op %d: a failed operation changed the live server (%d acknowledged)", i, acked)
+			t.Errorf("fault at op %d (%s): a failed operation changed the live server (%d acknowledged)", i, kinds[i-1], acked)
 		}
 		sim.SetHook(nil)
 		sim.Reboot()
 		for _, maxResident := range []int{0, 1} {
 			s, err := New(Config{StateDir: stateDir, Fsync: true, MaxResident: maxResident}, Seams{FS: sim, Log: io.Discard})
 			if err != nil {
-				t.Fatalf("crash at op %d of %d, reboot (max-resident %d): %v", i, clean.Ops(), maxResident, err)
+				t.Fatalf("fault at op %d (%s) of %d, reboot (max-resident %d): %v", i, kinds[i-1], len(kinds), maxResident, err)
 			}
 			got := exports(t, dial(s))
 			s.Stop()
 			if !reflect.DeepEqual(got, states[acked]) && (acked == all || !reflect.DeepEqual(got, states[acked+1])) {
-				t.Errorf("crash at op %d, reboot (max-resident %d): the state after %d acknowledged operations is lost", i, maxResident, acked)
+				t.Errorf("fault at op %d (%s), reboot (max-resident %d): the state after %d acknowledged operations is lost", i, kinds[i-1], maxResident, acked)
 			}
+		}
+	}
+}
+
+// TestCrashFamilyOneUser crashes playOneUser's script at every syscall
+// index, its first boot and final checkpoint included (faultFamily).
+func TestCrashFamilyOneUser(t *testing.T) {
+	faultFamily(t, func(faultfs.OpKind) bool { return true }, faultfs.CrashAt)
+}
+
+// TestFailureFamilyOneUser fails, without crashing, each write and each
+// fsync of playOneUser's script in turn (faultFamily): the machine keeps
+// running, the store refuses what the failure left unknowable, and the
+// power goes off only once the script has ended.
+func TestFailureFamilyOneUser(t *testing.T) {
+	faultFamily(t, func(k faultfs.OpKind) bool { return k == faultfs.OpWrite || k == faultfs.OpSync },
+		func(i int) faultfs.Hook { return faultfs.ErrAt(i, faultfs.ErrInjected, 0) })
+}
+
+// importCrashed imports state as v into an -fsync server on a fresh
+// faultfs.Sim and loses power right after the acknowledgement. It returns
+// the filesystem after power-on, v's Export before the crash, and the
+// state of v's subscribe record as the journal holds it.
+func importCrashed(t *testing.T, state []byte) (sim *faultfs.Sim, want, journaled []byte) {
+	t.Helper()
+	sim = faultfs.NewSim()
+	s := mustNew(t, Config{StateDir: stateDir, Fsync: true, Threshold: 0.2}, sim)
+	c := dial(s)
+	must(t, c.Import("v", "MM", state))
+	_, want, err := c.Export("v")
+	must(t, err)
+	sim.SetHook(faultfs.CrashAt(sim.Ops() + 1))
+	s.Stop() // its checkpoint's first write is the crash: the WAL stands
+	sim.SetHook(nil)
+	sim.Reboot()
+
+	_, st := journal(t, sim)
+	_, events, err := st.Load()
+	must(t, err)
+	if len(events) != 1 || events[0].Type != store.EventSubscribe || events[0].User != "v" {
+		t.Fatalf("the journal holds %+v, want v's subscribe alone", events)
+	}
+	return sim, want, events[0].State
+}
+
+// TestImportJournalsRequestBytes: a durable import's subscribe record
+// holds the bytes the request carried, byte for byte — for a trained
+// profile our codec wrote, the very record a re-encoding of the decoded
+// profile makes — and a crash and reboot, eager or lazy, give back the
+// profile the import made.
+func TestImportJournalsRequestBytes(t *testing.T) {
+	ref := mustNew(t, Config{Threshold: 0.2}, nil)
+	rc := dial(ref)
+	must(t, rc.Subscribe("x", "", []string{"cats", "kittens"}))
+	for range 3 {
+		doc, _, err := rc.Publish(testPage)
+		must(t, err)
+		must(t, rc.Feedback("x", doc, true))
+	}
+	_, state, err := rc.Export("x")
+	must(t, err)
+	ref.Stop()
+	decoded, err := core.NewNamed("MM", state)
+	must(t, err)
+	if decoded.Counts().Incorporated == 0 {
+		t.Fatal("the profile learned nothing from its judgments")
+	}
+	reencoded, err := decoded.MarshalBinary()
+	must(t, err)
+
+	for _, maxResident := range []int{0, 1} {
+		sim, want, journaled := importCrashed(t, state)
+		if !bytes.Equal(journaled, state) {
+			t.Error("the subscribe record's state is not the bytes the import carried")
+		}
+		if !bytes.Equal(journaled, reencoded) {
+			t.Error("the subscribe record's state is not the decoded profile's MarshalBinary")
+		}
+		s := mustNew(t, Config{StateDir: stateDir, Fsync: true, MaxResident: maxResident}, sim)
+		_, got, err := dial(s).Export("v")
+		must(t, err)
+		s.Stop()
+		if !bytes.Equal(got, want) {
+			t.Errorf("max-resident %d: v's Export after the reboot differs from before the crash", maxResident)
 		}
 	}
 }

@@ -274,20 +274,22 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 			if err != nil {
 				return nil, 0, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
 			}
-			payload := encodeProfilePayload(user, l.Name(), data)
-			if err := writeRecord(w, payload); err != nil {
+			learner := l.Name()
+			frame := newFrame(lenBytesSize(len(user)) + lenBytesSize(len(learner)) + lenBytesSize(len(data)))
+			frame = appendProfilePayload(frame, user, learner, data)
+			if err := writeFrame(w, frame); err != nil {
 				return nil, 0, 0, 0, err
 			}
-			ref = segRef{n: uint32(len(payload))}
+			ref = segRef{n: uint32(len(frame) - 8)}
 		}
 		ref.off = size
 		idx[user] = ref
 		entries = appendSegIndexEntry(entries, user, ref.n)
 		size += 8 + int64(ref.n)
 	}
-	index := encodeSegIndex(len(idx), entries)
-	if err := writeRecord(w, index); err != nil {
+	index := appendSegIndex(newFrame(uvarintSize(uint64(len(idx)))+len(entries)), len(idx), entries)
+	if err := writeFrame(w, index); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	return idx, size, carried, size + 8 + int64(len(index)), nil
+	return idx, size, carried, size + int64(len(index)), nil
 }

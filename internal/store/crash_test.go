@@ -450,6 +450,55 @@ func TestWriteErrorPoisonsStore(t *testing.T) {
 	}
 }
 
+// TestSyncErrorPoisonsStore: a failed group fsync refuses the records it
+// covered and poisons the write path before their appenders hear of it.
+// No later record is written, Checkpoint refuses and Close syncs nothing,
+// so the refused records never become durable behind the refusal, and
+// nothing appended after it exists to land on top of them.
+func TestSyncErrorPoisonsStore(t *testing.T) {
+	sim := faultfs.NewSim()
+	s, err := Open("/state", Options{FS: sim, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendSubscribe("u", "MM", nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.SetHook(func(op faultfs.Op) faultfs.Fault {
+		if op.Kind == faultfs.OpSync {
+			return faultfs.Fault{Err: faultfs.ErrInjected}
+		}
+		return faultfs.Fault{}
+	})
+	if err := s.AppendFeedback("u", fbVec(0), filter.Relevant); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("want ErrInjected, got %v", err)
+	}
+	sim.SetHook(nil)
+	ops := sim.Ops()
+	if err := s.AppendUnsubscribe("u"); err == nil {
+		t.Fatal("append accepted after a failed fsync")
+	}
+	if err := s.Health(); err == nil {
+		t.Fatal("poisoned store not reported by Health")
+	}
+	if _, err := s.Checkpoint(1); err == nil {
+		t.Fatal("checkpoint of a poisoned store succeeded")
+	}
+	s.Close()
+	if n := sim.Ops() - ops; n != 0 {
+		t.Fatalf("%d writes or syncs after the failed fsync", n)
+	}
+	sim.Reboot()
+	s2, err := Open("/state", Options{FS: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, events, err := s2.Load(); err != nil || len(events) != 1 {
+		t.Fatalf("after reboot: %d events, %v; want the acknowledged subscribe alone", len(events), err)
+	}
+}
+
 // TestOpenRefusesPreManifestLayout: a directory without a MANIFEST that
 // holds wal-<seq>.log / snap-<seq>.db files is some earlier release's
 // acknowledged journal. Open — read-write and ReadOnly — must name the

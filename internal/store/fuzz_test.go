@@ -142,7 +142,7 @@ func FuzzSegmentIndex(f *testing.F) {
 	f.Add(real, end)
 	f.Add(real[:len(real)-2], end)
 	f.Add(real, end+8) // a record short of the offset
-	dup := encodeSegIndex(2, appendSegIndexEntry(appendSegIndexEntry(nil, "alice", 7), "alice", 9))
+	dup := appendSegIndex(nil, 2, appendSegIndexEntry(appendSegIndexEntry(nil, "alice", 7), "alice", 9))
 	f.Add(dup, int64(8+7+8+9))
 	f.Add([]byte{0}, int64(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0}, int64(16)) // huge varint count
@@ -178,12 +178,12 @@ func FuzzSegmentIndex(f *testing.F) {
 
 // FuzzManifest hits the manifest decoder, the first reader of a state
 // directory's bytes: any payload either decodes to a manifest that
-// encodeManifest writes back byte for byte — one lane, generation 0
+// appendManifest writes back byte for byte — one lane, generation 0
 // exactly when there is no index — or is refused. The seeds are today's
 // encoding and the three layouts of older releases it refuses.
 func FuzzManifest(f *testing.F) {
-	f.Add(encodeManifest(1, 0, noIndex))
-	f.Add(encodeManifest(9, 4, 4321))
+	f.Add(appendManifest(nil, 1, 0, noIndex))
+	f.Add(appendManifest(nil, 9, 4, 4321))
 	f.Add(olderManifest(2, []uint64{3, 1, 0, 2}, []uint64{40, 40, 0, 40}))
 	f.Add(olderManifest(1, []uint64{1, 1}, nil))
 	f.Add(olderManifest(2, []uint64{3}, []uint64{0}))
@@ -196,7 +196,7 @@ func FuzzManifest(f *testing.F) {
 		if (mf.gen == 0) != (mf.idx == noIndex) || mf.idx < noIndex {
 			t.Fatalf("decoded generation %d with index offset %d", mf.gen, mf.idx)
 		}
-		if again := encodeManifest(mf.epoch, mf.gen, mf.idx); !bytes.Equal(again, payload) {
+		if again := appendManifest(nil, mf.epoch, mf.gen, mf.idx); !bytes.Equal(again, payload) {
 			t.Fatalf("%x decodes to %+v, which encodes as %x", payload, mf, again)
 		}
 	})

@@ -166,14 +166,12 @@ func readSegIndex(f io.ReaderAt, off int64) (map[string]segRef, int64, error) {
 // appendSegIndexEntry appends one record's entry to an index under
 // construction.
 func appendSegIndexEntry(entries []byte, user string, n uint32) []byte {
-	entries = binary.AppendUvarint(entries, uint64(len(user)))
-	entries = append(entries, user...)
-	return binary.AppendUvarint(entries, uint64(n))
+	return binary.AppendUvarint(appendLenBytes(entries, user), uint64(n))
 }
 
-// encodeSegIndex is the index payload for count entries.
-func encodeSegIndex(count int, entries []byte) []byte {
-	return append(binary.AppendUvarint(make([]byte, 0, 10+len(entries)), uint64(count)), entries...)
+// appendSegIndex appends the index payload for count entries.
+func appendSegIndex(buf []byte, count int, entries []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(count)), entries...)
 }
 
 // decodeSegIndex parses an index payload for a segment whose records end

@@ -50,15 +50,15 @@ func TestOpenRefusesOlderLayouts(t *testing.T) {
 			for id, gen := range tc.gens {
 				user := []byte(fmt.Sprintf("user-%d", id))
 				sub := appendLenBytes(appendLenBytes([]byte{byte(EventSubscribe)}, user), []byte("MM"))
-				put(fmt.Sprintf("wal-%03d-%08d.log", id, gen), frameOf(t, appendLenBytes(sub, nil)))
+				put(fmt.Sprintf("wal-%03d-%08d.log", id, gen), frameOf(t, appendLenBytes(sub, []byte(nil))))
 				if gen == 0 {
 					continue
 				}
-				payload := encodeProfilePayload(string(user), "MM", nil)
+				payload := appendProfilePayload(nil, string(user), "MM", nil)
 				seg := frameOf(t, payload)
 				if tc.indexed {
 					at[id] = uint64(len(seg)) + 1
-					seg = append(seg, frameOf(t, encodeSegIndex(1, appendSegIndexEntry(nil, string(user), uint32(len(payload)))))...)
+					seg = append(seg, frameOf(t, appendSegIndex(nil, 1, appendSegIndexEntry(nil, string(user), uint32(len(payload)))))...)
 				}
 				put(fmt.Sprintf("seg-%03d-%08d.db", id, gen), seg)
 			}

@@ -33,17 +33,20 @@ type manifest struct {
 	idx   int64  // where the generation's segment index frame starts, or noIndex
 }
 
-// encodeManifest writes version 2: the epoch, a lane count of 1, the
+// manifestSize bounds a manifest payload: magic, version, four uvarints.
+const manifestSize = 5 + 4*binary.MaxVarintLen64
+
+// appendManifest appends version 2: the epoch, a lane count of 1, the
 // generation, and the index offset plus one (0 for noIndex).
-func encodeManifest(epoch, gen uint64, idxOff int64) []byte {
-	payload := []byte{'M', 'M', 'L', 'N', 2}
+func appendManifest(buf []byte, epoch, gen uint64, idxOff int64) []byte {
+	payload := append(buf, 'M', 'M', 'L', 'N', 2)
 	payload = binary.AppendUvarint(payload, epoch)
 	payload = binary.AppendUvarint(payload, 1)
 	payload = binary.AppendUvarint(payload, gen)
 	return binary.AppendUvarint(payload, uint64(idxOff+1))
 }
 
-// decodeManifest reads exactly what encodeManifest writes and refuses
+// decodeManifest reads exactly what appendManifest writes and refuses
 // anything else. An older release's layout — version 1, whose segments have
 // no index frame, several WAL lanes, or a segment without an index — is
 // refused by name, so Open fails before it touches the directory.
@@ -126,7 +129,7 @@ func (s *Store) writeManifest(epoch, gen uint64, idxOff int64) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer s.fsys.Remove(tmp.Name()) // no-op after successful rename
-	if err := writeRecord(tmp, encodeManifest(epoch, gen, idxOff)); err != nil {
+	if err := writeFrame(tmp, appendManifest(newFrame(manifestSize), epoch, gen, idxOff)); err != nil {
 		tmp.Close()
 		return err
 	}

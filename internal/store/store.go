@@ -4,7 +4,9 @@
 // write-ahead-log design (DESIGN.md §14):
 //
 //   - subscribe/feedback/unsubscribe events append to one write-ahead log
-//     (wal-000-<gen>.log), whose distinct users are the dirty profiles;
+//     (wal-000-<gen>.log), whose distinct users are the dirty profiles; a
+//     subscribe record holds the bytes the import carried, and replay
+//     decodes them as the import did;
 //   - the profiles live in an immutable segment (seg-000-<gen>.db) that
 //     ends with an offset index — Checkpoint compacts the WAL into the
 //     next segment, copying clean profiles' records verbatim instead of
@@ -39,6 +41,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -73,7 +76,8 @@ const (
 	// EventFeedback is a relevance judgment (user, fd, document vector).
 	EventFeedback EventType = iota
 	// EventSubscribe is a new subscription (user, learner name, and the
-	// profile's initial serialized state, e.g. a keyword seed).
+	// profile's initial state: the bytes an import carried, or a fresh
+	// profile's MarshalBinary output, e.g. a keyword seed).
 	EventSubscribe
 	// EventUnsubscribe removes a user.
 	EventUnsubscribe
@@ -254,7 +258,8 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 		s.wal = nil
-		flushed = err == nil
+		// A poisoned log was not synced: its waiters are not covered.
+		flushed = err == nil && s.failed == nil
 	}
 	recs := s.recs
 	s.mu.Unlock()
@@ -281,35 +286,41 @@ func (s *Store) AppendFeedback(user string, v vsm.Vector, fd filter.Feedback) er
 // and store.commit_wait for the group-commit fsync wait (durable mode
 // only), the two very different reasons an append can be slow.
 func (s *Store) AppendFeedbackTraced(user string, v vsm.Vector, fd filter.Feedback, sp *trace.Span) error {
-	payload := []byte{byte(EventFeedback)}
-	payload = appendLenBytes(payload, []byte(user))
+	frame := newFrame(1 + lenBytesSize(len(user)) + 1 + vsm.EncodedSize(v))
+	frame = append(frame, byte(EventFeedback))
+	frame = appendLenBytes(frame, user)
 	b := byte(0)
 	if fd == filter.Relevant {
 		b = 1
 	}
-	payload = append(payload, b)
-	payload = vsm.AppendVector(payload, v)
-	return s.appendPayload(user, payload, sp)
+	frame = append(frame, b)
+	frame = vsm.AppendVector(frame, v)
+	return s.appendFrame(user, frame, sp)
 }
 
 // AppendSubscribe records a new subscription together with the profile's
-// initial serialized state.
+// initial state, bytes core.NewNamed loads: replay decodes exactly these.
+// They are copied into the record and not retained.
 func (s *Store) AppendSubscribe(user, learner string, state []byte) error {
-	payload := []byte{byte(EventSubscribe)}
-	payload = appendLenBytes(payload, []byte(user))
-	payload = appendLenBytes(payload, []byte(learner))
-	payload = appendLenBytes(payload, state)
-	return s.appendPayload(user, payload, nil)
+	frame := newFrame(1 + lenBytesSize(len(user)) + lenBytesSize(len(learner)) + lenBytesSize(len(state)))
+	frame = append(frame, byte(EventSubscribe))
+	frame = appendLenBytes(frame, user)
+	frame = appendLenBytes(frame, learner)
+	frame = appendLenBytes(frame, state)
+	return s.appendFrame(user, frame, nil)
 }
 
 // AppendUnsubscribe records a user's removal.
 func (s *Store) AppendUnsubscribe(user string) error {
-	payload := []byte{byte(EventUnsubscribe)}
-	payload = appendLenBytes(payload, []byte(user))
-	return s.appendPayload(user, payload, nil)
+	frame := newFrame(1 + lenBytesSize(len(user)))
+	frame = append(frame, byte(EventUnsubscribe))
+	frame = appendLenBytes(frame, user)
+	return s.appendFrame(user, frame, nil)
 }
 
-func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error {
+// appendFrame writes one event's record, built by newFrame, to the WAL and
+// indexes it under user.
+func (s *Store) appendFrame(user string, frame []byte, sp *trace.Span) error {
 	t0 := time.Now()
 	ws := sp.ChildAt("store.wal_write", t0)
 	s.mu.Lock()
@@ -325,7 +336,7 @@ func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error
 		s.mu.Unlock()
 		return err
 	}
-	if err := writeRecord(s.wal, payload); err != nil {
+	if err := writeFrame(s.wal, frame); err != nil {
 		// A failed or short write leaves bytes of unknown extent in the
 		// file; any later append would land behind garbage. Poison the
 		// write path — reopening repairs via the torn-tail scan.
@@ -338,12 +349,12 @@ func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error
 	if refs == nil {
 		s.m.dirtyProfiles.Add(1)
 	}
-	s.walIdx[user] = append(refs, walRef{off: s.walLen, n: uint32(len(payload)), typ: EventType(payload[0])})
-	s.walLen += int64(len(payload)) + 8
+	s.walIdx[user] = append(refs, walRef{off: s.walLen, n: uint32(len(frame) - 8), typ: EventType(frame[8])})
+	s.walLen += int64(len(frame))
 	s.recs++
 	pos := s.recs
 	s.mu.Unlock()
-	ws.SetInt("bytes", int64(len(payload))+8)
+	ws.SetInt("bytes", int64(len(frame)))
 	ws.End()
 
 	s.m.appends.Inc()
@@ -359,10 +370,17 @@ func (s *Store) appendPayload(user string, payload []byte, sp *trace.Span) error
 	return nil
 }
 
-func appendLenBytes(buf, b []byte) []byte {
+// appendLenBytes appends b as a uvarint length and its bytes.
+func appendLenBytes[T string | []byte](buf []byte, b T) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
 }
+
+// lenBytesSize is how many bytes appendLenBytes appends for n bytes.
+func lenBytesSize(n int) int { return uvarintSize(uint64(n)) + n }
+
+// uvarintSize is the length of x's uvarint encoding.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Sync is the durability barrier: it returns once every record appended
 // before the call is fsynced, leading at most one group pass itself (and
@@ -435,6 +453,17 @@ func (s *Store) leadSync() {
 		} else if err = f.Sync(); err == nil {
 			s.m.fsyncs.Inc()
 			s.m.fsyncLat.ObserveSince(t0)
+		} else {
+			// The records it covered are refused but lie in the file, and a
+			// later fsync would make them durable, with anything appended
+			// after their refusal on top. Poison the write path before any
+			// waiter hears of the failure: nothing more is written, Close
+			// syncs nothing and Checkpoint refuses.
+			s.mu.Lock()
+			if s.failed == nil {
+				s.failed = fmt.Errorf("store: %w", err)
+			}
+			s.mu.Unlock()
 		}
 	}
 
@@ -586,14 +615,12 @@ func (s *Store) Health() error {
 	return nil
 }
 
-func encodeProfilePayload(user, learner string, data []byte) []byte {
-	payload := binary.AppendUvarint(nil, uint64(len(user)))
-	payload = append(payload, user...)
-	payload = binary.AppendUvarint(payload, uint64(len(learner)))
-	payload = append(payload, learner...)
-	payload = binary.AppendUvarint(payload, uint64(len(data)))
-	payload = append(payload, data...)
-	return payload
+// appendProfilePayload appends a segment record's payload: the user, the
+// learner name and the profile's MarshalBinary output, each length-prefixed.
+func appendProfilePayload(buf []byte, user, learner string, data []byte) []byte {
+	buf = appendLenBytes(buf, user)
+	buf = appendLenBytes(buf, learner)
+	return appendLenBytes(buf, data)
 }
 
 func decodeProfileRecord(payload []byte) (ProfileRecord, error) {
@@ -670,15 +697,26 @@ func readLenBytes(buf []byte) ([]byte, []byte, error) {
 }
 
 // Record framing: 4-byte little-endian payload length, 4-byte CRC32
-// (IEEE) of the payload, payload bytes — written in a single Write call
-// so a torn append is always a contiguous prefix of one record.
+// (IEEE) of the payload, payload bytes. Every record — WAL event, segment
+// profile, segment index, manifest — is built once, in a buffer newFrame
+// sizes up front with the header reserved, and written by writeFrame in a
+// single Write call, so a torn append is always a contiguous prefix of one
+// record.
 
-func writeRecord(w io.Writer, payload []byte) error {
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	if _, err := w.Write(buf); err != nil {
+// newFrame returns an empty record with room for n payload bytes, to be
+// appended after the reserved header.
+func newFrame(n int) []byte { return make([]byte, 8, 8+n) }
+
+// sealFrame fills frame's header from its payload, frame[8:].
+func sealFrame(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[8:]))
+	return frame
+}
+
+// writeFrame seals frame and writes it in one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	if _, err := w.Write(sealFrame(frame)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

@@ -40,11 +40,7 @@ func openStore(t *testing.T, dir string) *Store {
 // frameOf is payload framed as a record.
 func frameOf(t *testing.T, payload []byte) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	if err := writeRecord(&b, payload); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
+	return sealFrame(append(newFrame(len(payload)), payload...))
 }
 
 func dirNames(t *testing.T, dir string) []string {
@@ -954,8 +950,8 @@ func TestManifestBytesUnchanged(t *testing.T) {
 		{7, 3, 1234, "4d4d4c4e02070103d309"},
 		{1 << 40, 1 << 33, 1 << 35, "4d4d4c4e02808080808020018080808020818080808001"},
 	} {
-		if got := hex.EncodeToString(encodeManifest(c.epoch, c.gen, c.idx)); got != c.want {
-			t.Errorf("encodeManifest(%d, %d, %d) = %s, want %s", c.epoch, c.gen, c.idx, got, c.want)
+		if got := hex.EncodeToString(appendManifest(nil, c.epoch, c.gen, c.idx)); got != c.want {
+			t.Errorf("appendManifest(nil, %d, %d, %d) = %s, want %s", c.epoch, c.gen, c.idx, got, c.want)
 		}
 	}
 	dir := t.TempDir()

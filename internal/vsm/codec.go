@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mmprofile/internal/intern"
 )
@@ -37,6 +38,19 @@ func AppendVector(buf []byte, v Vector) []byte {
 	}
 	return buf
 }
+
+// EncodedSize is the length of v's binary encoding, what AppendVector
+// appends.
+func EncodedSize(v Vector) int {
+	n := uvarintSize(len(v.Terms))
+	for _, t := range v.Terms {
+		n += uvarintSize(len(t)) + len(t) + 8
+	}
+	return n
+}
+
+// uvarintSize is the length of n's uvarint encoding.
+func uvarintSize(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // minTermBytes is the least a term can occupy: a one-byte length, no bytes,
 // and the weight.

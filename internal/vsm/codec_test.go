@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -16,9 +17,13 @@ func TestVectorCodecRoundTrip(t *testing.T) {
 		{},
 		vec("a", 1.0),
 		vec("alpha", 0.25, "beta", 0.5, "gamma", 1.25),
+		vec(strings.Repeat("long", 40), 0.5), // a two-byte length
 	}
 	for _, v := range cases {
 		buf := AppendVector(nil, v)
+		if n := EncodedSize(v); n != len(buf) {
+			t.Errorf("EncodedSize %d, AppendVector wrote %d bytes", n, len(buf))
+		}
 		got, rest, err := DecodeVector(buf)
 		if err != nil {
 			t.Fatalf("decode %v: %v", v, err)

@@ -33,7 +33,11 @@ func FuzzDecodeVector(f *testing.F) {
 				}
 			}
 		}
-		back, rest2, err := DecodeVector(AppendVector(nil, v))
+		enc := AppendVector(nil, v)
+		if EncodedSize(v) != len(enc) {
+			t.Fatalf("EncodedSize %d, AppendVector wrote %d bytes", EncodedSize(v), len(enc))
+		}
+		back, rest2, err := DecodeVector(enc)
 		if err != nil || len(rest2) != 0 {
 			t.Fatalf("re-encode failed: %v", err)
 		}
