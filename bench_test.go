@@ -603,45 +603,100 @@ func BenchmarkServerImportDurable(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sent atomic.Int64
+	clients, fsyncs := durableClients(b, &sent)
+	before := fsyncs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	onClients(b, clients, func(_ int, c *wire.Client, i int) error {
+		return c.Import(fmt.Sprintf("user%07d", i), "MM", state)
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/import")
+	reportImportBytes(b, state, &sent)
+}
+
+// BenchmarkServerFeedbackDurable is BenchmarkServerImportDurable's server
+// and four connections sending durable judgments: each connection judges
+// retained pages for sixteen imported users of its own, relevant when the
+// page is in the user's top-level category, and each judgment is
+// acknowledged only once its feedback record is fsynced. It reports the
+// fsyncs a judgment costs: the path of perf/'s adapt window.
+func BenchmarkServerFeedbackDurable(b *testing.B) {
+	state, err := perfShapedProfile(b).MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	clients, fsyncs := durableClients(b, new(atomic.Int64))
+	const usersPer = 16
+	for k, c := range clients {
+		for u := 0; u < usersPer; u++ {
+			if err := c.Import(fmt.Sprintf("c%du%02d", k, u), "MM", state); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pages := corpus.Generate(harness.Cfg.Corpus).Pages
+	docs := make([]int64, len(pages))
+	for p, pg := range pages {
+		if docs[p], _, err = clients[0].Publish(pg.HTML); err != nil {
+			b.Fatal(err)
+		}
+	}
+	tops := harness.Cfg.Corpus.TopCategories
+	before := fsyncs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	onClients(b, clients, func(k int, c *wire.Client, i int) error {
+		u, p := i%usersPer, i%len(pages)
+		return c.Feedback(fmt.Sprintf("c%du%02d", k, u), docs[p], pages[p].Cat.Top == u%tops)
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/judgment")
+}
+
+// durableClients starts the server mmserver runs with -state and -fsync
+// and connects four clients to it over net.Pipe, counting the bytes they
+// write in sent. fsyncs reads the server's fsync count.
+func durableClients(b *testing.B, sent *atomic.Int64) (clients []*wire.Client, fsyncs func() int64) {
 	srv, err := server.New(server.Config{Threshold: 0.25, Queue: 128, Retention: 4096, StateDir: b.TempDir(), Fsync: true},
 		server.Seams{Log: io.Discard})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Stop()
-	clients := make([]*wire.Client, 4)
-	var sent atomic.Int64
-	for i := range clients {
+	b.Cleanup(srv.Stop)
+	clients = make([]*wire.Client, 4)
+	for k := range clients {
 		local, remote := net.Pipe()
 		srv.ServeConn(remote)
-		clients[i] = wire.NewClient(sentConn{local, &sent})
-		defer clients[i].Close()
+		clients[k] = wire.NewClient(sentConn{local, sent})
+		b.Cleanup(func() { clients[k].Close() })
 	}
-	fsyncs := func() int64 { n, _ := srv.Registry().Snapshot()["mm_store_fsyncs_total"].(int64); return n }
-	before := fsyncs()
+	fsyncs = func() int64 { n, _ := srv.Registry().Snapshot()["mm_store_fsyncs_total"].(int64); return n }
+	return clients, fsyncs
+}
+
+// onClients runs op for every i in [0, b.N), each i on whichever client k
+// asks for it next, all clients at once.
+func onClients(b *testing.B, clients []*wire.Client, op func(k int, c *wire.Client, i int) error) {
 	var next atomic.Int64
 	errs := make(chan error, len(clients))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, c := range clients {
-		go func(c *wire.Client) {
+	for k, c := range clients {
+		go func(k int, c *wire.Client) {
 			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
-				if err := c.Import(fmt.Sprintf("user%07d", i), "MM", state); err != nil {
+				if err := op(k, c, int(i)); err != nil {
 					errs <- err
 					return
 				}
 			}
 			errs <- nil
-		}(c)
+		}(k, c)
 	}
 	for range clients {
 		if err := <-errs; err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/import")
-	reportImportBytes(b, state, &sent)
 }
 
 // BenchmarkIndexSetPackedFresh measures indexing a new user's perf-shaped

@@ -43,6 +43,7 @@ import (
 	"io/fs"
 	"math/bits"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -437,7 +438,15 @@ func (s *Store) waitDurable(pos uint64) error {
 // advance. Caller holds the sync token (not cmu); the token keeps the log
 // handle stable — Checkpoint and Close wait for it before swapping or
 // closing the WAL.
+//
+// The leader yields once before it reads the batch end. A real fsync is a
+// blocking syscall that keeps the leader's P, so an appender that is
+// runnable but not running when the fsync starts writes its record during
+// it and waits for a whole second fsync; at GOMAXPROCS 1 that is every
+// other appender. The yield lets each of them write first and join this
+// batch (DESIGN.md §10).
 func (s *Store) leadSync() {
+	runtime.Gosched()
 	s.mu.Lock()
 	f, to := s.wal, s.recs
 	s.mu.Unlock()

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -882,7 +884,11 @@ func (f slowSyncFile) Sync() error {
 
 // TestGroupCommitCoalesces proves durable mode batches fsyncs: many
 // concurrent appenders share far fewer fsyncs than appends, yet every
-// append is individually acknowledged durable.
+// append is individually acknowledged durable. Its fsync is a sleep, which
+// parks the leader and frees its P, so appenders write during it and share
+// the next one even when the leader does not yield first: it does not see
+// what a real fsync, a syscall that keeps the P, does to a batch
+// (TestReadyAppendersShareOneFsync does).
 func TestGroupCommitCoalesces(t *testing.T) {
 	const workers, perW = 16, 20
 	reg := metrics.NewRegistry()
@@ -934,6 +940,48 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	t.Logf("group commit: %d appends / %d fsyncs = %.1f records per fsync",
 		appends, fsyncs, float64(appends)/float64(fsyncs))
+}
+
+// TestReadyAppendersShareOneFsync releases eight durable appenders at once
+// on one P and counts the fsyncs they cost. The simulated fsync, like a
+// real one, keeps the leader's P, so a leader that fsyncs as soon as it is
+// elected covers only its own record, and each appender in turn leads a
+// pass of its own: eight fsyncs. A leader that yields before it reads the
+// batch end lets every ready appender write first and covers them all.
+func TestReadyAppendersShareOneFsync(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const appenders = 8
+	sim := faultfs.NewSim()
+	s, err := Open("/state", Options{Durable: true, FS: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var syncs atomic.Int64
+	sim.SetHook(func(op faultfs.Op) faultfs.Fault {
+		if op.Kind == faultfs.OpSync {
+			syncs.Add(1)
+		}
+		return faultfs.Fault{}
+	})
+
+	start := make(chan struct{})
+	errs := make(chan error, appenders)
+	for w := 0; w < appenders; w++ {
+		go func(w int) {
+			<-start
+			errs <- s.AppendFeedback(fmt.Sprintf("u%d", w), vec("cat", 1.0), filter.Relevant)
+		}(w)
+	}
+	close(start)
+	for w := 0; w < appenders; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := syncs.Load(); n > 2 {
+		t.Fatalf("%d ready appenders cost %d fsyncs, want at most 2: the leader fsyncs before they can join its batch", appenders, n)
+	}
 }
 
 // TestManifestBytesUnchanged pins what the store writes: MANIFEST version 2
