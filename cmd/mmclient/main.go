@@ -10,7 +10,7 @@
 //	mmclient feedback -user alice -doc 12 -relevant=true
 //	mmclient profile -user alice
 //	mmclient fetch -doc 12                  (server must run -retain-content)
-//	mmclient export -user alice -out alice.profile
+//	mmclient export -user alice -out alice.profile   (or > alice.profile)
 //	mmclient import -user alice -in alice.profile
 //	mmclient stats                          (wire-protocol counters)
 //	mmclient stats -http localhost:8080     (full /statsz + /metrics dump)
@@ -22,7 +22,7 @@
 package main
 
 import (
-	"encoding/base64"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -243,30 +243,16 @@ func main() {
 	case "export":
 		fs := flag.NewFlagSet("export", flag.ExitOnError)
 		user := fs.String("user", "", "subscriber id")
-		out := fs.String("out", "", "file to write the profile to (default stdout as base64)")
+		out := fs.String("out", "", "file to write the profile to (default stdout)")
 		parse(fs, rest)
-		learner, state, err := c.Export(*user)
-		check(err)
-		if *out == "" {
-			fmt.Printf("%s %s\n", learner, base64.StdEncoding.EncodeToString(state))
-			return
-		}
-		blob := append([]byte(learner+"\n"), state...)
-		check(os.WriteFile(*out, blob, 0o644))
-		fmt.Printf("exported %s profile of %s (%d bytes) to %s\n", learner, *user, len(state), *out)
+		check(export(c, *user, *out, os.Stdout))
 
 	case "import":
 		fs := flag.NewFlagSet("import", flag.ExitOnError)
 		user := fs.String("user", "", "subscriber id")
 		in := fs.String("in", "", "file written by export")
 		parse(fs, rest)
-		raw, err := os.ReadFile(*in)
-		check(err)
-		nl := strings.IndexByte(string(raw), '\n')
-		if nl < 0 {
-			fail(fmt.Errorf("malformed profile file %s", *in))
-		}
-		check(c.Import(*user, string(raw[:nl]), raw[nl+1:]))
+		check(importFile(c, *user, *in))
 		fmt.Printf("imported %s as %s\n", *in, *user)
 
 	case "stats":
@@ -281,6 +267,39 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// export writes user's profile to the file out, or to stdout when out is
+// empty, in the one form importFile reads: the learner's name, a newline,
+// then the exported bytes.
+func export(c *wire.Client, user, out string, stdout io.Writer) error {
+	learner, state, err := c.Export(user)
+	if err != nil {
+		return err
+	}
+	blob := append([]byte(learner+"\n"), state...)
+	if out == "" {
+		_, err := stdout.Write(blob)
+		return err
+	}
+	if err := os.WriteFile(out, blob, 0o644); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(stdout, "exported %s profile of %s (%d bytes) to %s\n", learner, user, len(state), out)
+	return err
+}
+
+// importFile imports, as user, a profile that export wrote to the file in.
+func importFile(c *wire.Client, user, in string) error {
+	raw, err := os.ReadFile(in)
+	if err != nil {
+		return err
+	}
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
+		return fmt.Errorf("malformed profile file %s", in)
+	}
+	return c.Import(user, string(raw[:nl]), raw[nl+1:])
 }
 
 // httpStats fetches /statsz from a status listener and pretty-prints it:

@@ -35,14 +35,14 @@ func fullRecorder(t *testing.T) (*Recorder, *EventRing) {
 	tr := trace.New(trace.Options{SampleRate: 1, Capacity: 4})
 	sp := tr.Root("req", trace.Remote{})
 	sp.End()
-	h := NewHealth()
-	h.RegisterCheck("store_wal", func() error { return nil })
 	ring := NewEventRing(16)
 	ring.Push(Event{TimeUnixNano: 1, Level: "INFO", Msg: "boot"})
 	rec := NewRecorder(t.TempDir(), ring, BundleSources{
 		Metrics: reg,
 		Tracer:  tr,
-		Health:  h,
+		Health: func() HealthSnapshot {
+			return HealthSnapshot{Status: "ready", Components: map[string]ComponentHealth{"store_wal": {Status: "ready"}}}
+		},
 		WALInfo: func() (any, error) {
 			return map[string]any{"generation": 3, "committed": 4096}, nil
 		},
@@ -147,6 +147,23 @@ func TestDumpWithoutSourcesStillComplete(t *testing.T) {
 	}
 	if b["events"] == nil {
 		t.Error("events section must be [] not null")
+	}
+}
+
+// TestDumpRefreshesRuntimeGauges: a bundle's runtime figures are the
+// mm_runtime_* gauges of its metrics section, sampled by the dump itself
+// rather than left as the last tick saw them.
+func TestDumpRefreshesRuntimeGauges(t *testing.T) {
+	reg := mm.NewRegistry()
+	sampler := NewRuntimeSampler(reg)
+	reg.Gauge("mm_runtime_goroutines", "").Set(0) // a stale sample
+	rec := NewRecorder(t.TempDir(), nil, BundleSources{Metrics: reg, Sampler: sampler})
+	path, err := rec.Dump("runtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := readBundle(t, path)["metrics"].(map[string]any)["mm_runtime_goroutines"].(float64); v < 1 {
+		t.Errorf("bundle mm_runtime_goroutines = %v, want a fresh sample >= 1", v)
 	}
 }
 

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +21,7 @@ import (
 
 	"mmprofile/internal/core"
 	"mmprofile/internal/faultfs"
+	"mmprofile/internal/obs"
 	"mmprofile/internal/store"
 	"mmprofile/internal/wire"
 )
@@ -709,5 +712,80 @@ func TestTickMatchSLO(t *testing.T) {
 		if len(names) != step.bundles {
 			t.Fatalf("after the tick at +%v: %d match_slo bundles, want %d", step.at, len(names), step.bundles)
 		}
+	}
+}
+
+// TestReadiness walks /readyz through each cause it answers for, one per
+// step, on a server whose schedule is tick(now) and whose disk is a
+// faultfs.Sim: starting, ready, a stale publish-path beat, a store poisoned
+// by a failed group fsync, and the drain, which /healthz sits out. Two
+// steps hold two causes at once, to pin which one the status names.
+func TestReadiness(t *testing.T) {
+	sim := faultfs.NewSim()
+	s := mustNew(t, Config{StateDir: stateDir, Fsync: true, Threshold: 0.2}, sim)
+	defer s.Stop()
+	h := s.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	step := func(name string, code int, status string) obs.HealthSnapshot {
+		t.Helper()
+		rec := get("/readyz")
+		var snap obs.HealthSnapshot
+		must(t, json.Unmarshal(rec.Body.Bytes(), &snap))
+		if rec.Code != code || snap.Status != status {
+			t.Fatalf("%s: /readyz %d %+v, want %d %s", name, rec.Code, snap, code, status)
+		}
+		for _, c := range []string{"publish_path", "server", "store_wal"} {
+			if _, ok := snap.Components[c]; !ok || len(snap.Components) != 3 {
+				t.Errorf("%s: components %v, want publish_path, server, store_wal", name, snap.Components)
+			}
+		}
+		return snap
+	}
+
+	if c := step("before Serve", 503, "not_ready").Components["server"]; c.Status != "not_ready" || c.Reason != "starting" {
+		t.Errorf("before Serve: server = %+v", c)
+	}
+
+	s.tick(time.Now())
+	s.serving.Store(true) // what Serve's start does after its first tick
+	step("after a tick", 200, "ready")
+
+	s.tick(time.Now().Add(-2 * heartbeatMaxAge))
+	c := step("after a stale tick", 200, "degraded").Components["publish_path"]
+	if c.Status != "degraded" || c.LastBeatAgoMS < (2*heartbeatMaxAge).Milliseconds() || !strings.Contains(c.Reason, "heartbeat stale") {
+		t.Errorf("after a stale tick: publish_path = %+v", c)
+	}
+
+	s.tick(time.Now())
+	sim.SetHook(func(op faultfs.Op) faultfs.Fault {
+		if op.Kind == faultfs.OpSync {
+			return faultfs.Fault{Err: faultfs.ErrInjected}
+		}
+		return faultfs.Fault{}
+	})
+	if err := dial(s).Subscribe("alice", "", []string{"cats"}); err == nil {
+		t.Fatal("a subscribe whose fsync failed was acknowledged")
+	}
+	snap := step("after a failed fsync", 503, "not_ready")
+	if c := snap.Components["store_wal"]; c.Status != "not_ready" || !strings.Contains(c.Reason, faultfs.ErrInjected.Error()) {
+		t.Errorf("after a failed fsync: store_wal = %+v", c)
+	}
+	if c := snap.Components["publish_path"]; c.Status != "ready" {
+		t.Errorf("after a failed fsync: publish_path = %+v, want ready (one cause per step)", c)
+	}
+	s.tick(time.Now().Add(-2 * heartbeatMaxAge))
+	step("a failed store and a stale tick", 503, "not_ready") // not_ready outranks degraded
+
+	s.Stop()
+	// Draining outranks the rest, which each component still reports.
+	if snap := step("after Stop", 503, "draining"); !snap.Draining || snap.Components["store_wal"].Status != "not_ready" {
+		t.Errorf("after Stop: %+v, want draining over a failed store_wal", snap)
+	}
+	if rec := get("/healthz"); rec.Code != 200 {
+		t.Errorf("after Stop: /healthz %d, want 200", rec.Code)
 	}
 }

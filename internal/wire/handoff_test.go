@@ -18,14 +18,22 @@ import (
 )
 
 // pipeServer is a server with no listener: tests hand it one end of a
-// net.Pipe through ServeConn. Its log prints nothing and keeps its records
-// in an event ring, as the flight recorder's does.
+// net.Pipe through ServeConn. Its log prints nothing.
 func pipeServer(t *testing.T, opts pubsub.Options) (*Server, *pubsub.Broker) {
 	t.Helper()
-	b := pubsub.New(opts)
-	srv := NewServerLogger(b, obs.NewLogfLogger(func(string, ...any) {}, obs.NewEventRing(0)))
-	t.Cleanup(func() { srv.Close() })
+	srv, b, _ := loggedPipeServer(t, opts)
 	return srv, b
+}
+
+// loggedPipeServer is a pipeServer whose log keeps its records in the
+// event ring it returns, as the flight recorder's does.
+func loggedPipeServer(t *testing.T, opts pubsub.Options) (*Server, *pubsub.Broker, *obs.EventRing) {
+	t.Helper()
+	b := pubsub.New(opts)
+	ring := obs.NewEventRing(0)
+	srv := NewServerLogger(b, obs.NewLogfLogger(func(string, ...any) {}, ring))
+	t.Cleanup(func() { srv.Close() })
+	return srv, b, ring
 }
 
 // pipeConn returns the client end of a fresh connection to srv; every read
@@ -304,15 +312,15 @@ func TestTwoSessionsOneUserBothClose(t *testing.T) {
 // write bound leaves when it releases a client that stopped reading: the
 // flight recorder's way to name the stalled consumer. user is empty for a
 // request connection.
-func stallLogged(t *testing.T, srv *Server, user string) {
+func stallLogged(t *testing.T, ring *obs.EventRing, user string) {
 	t.Helper()
-	for _, e := range srv.log.Ring().Snapshot() {
+	for _, e := range ring.Snapshot() {
 		if e.Msg == "wire: client stopped reading" && e.Level == "WARN" &&
 			e.Attrs["remote_addr"] == "pipe" && (user == "" || e.Attrs["user"] == user) {
 			return
 		}
 	}
-	t.Fatalf("no stopped-reader record for %q in the log ring: %+v", user, srv.log.Ring().Snapshot())
+	t.Fatalf("no stopped-reader record for %q in the log ring: %+v", user, ring.Snapshot())
 }
 
 // TestStoppedReaderIsReleased: a session whose client stopped reading is
@@ -321,7 +329,7 @@ func stallLogged(t *testing.T, srv *Server, user string) {
 // subscription survives: the bound lets go of the consumer, not the
 // profile.
 func TestStoppedReaderIsReleased(t *testing.T) {
-	srv, b := pipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
+	srv, b, ring := loggedPipeServer(t, pubsub.Options{Threshold: 0.2, QueueSize: 8})
 	srv.writeTimeout = 200 * time.Millisecond // long enough for the ack to be read
 	if _, err := b.SubscribeKeywords("alice", []string{"cats"}); err != nil {
 		t.Fatal(err)
@@ -334,7 +342,7 @@ func TestStoppedReaderIsReleased(t *testing.T) {
 		t.Fatalf("ack %+v, %v", ack, err)
 	}
 	settled(t, srv, anyGoroutines)
-	stallLogged(t, srv, "alice")
+	stallLogged(t, ring, "alice")
 	if _, ok := b.Subscription("alice"); !ok {
 		t.Fatal("the write bound removed the subscription itself")
 	}
@@ -344,14 +352,14 @@ func TestStoppedReaderIsReleased(t *testing.T) {
 // under the same bound, so a client that sends a request and never reads
 // the reply holds its connection and goroutine only that long.
 func TestRequestClientThatStopsReadingIsReleased(t *testing.T) {
-	srv, _ := pipeServer(t, pubsub.Options{Threshold: 0.2})
+	srv, _, ring := loggedPipeServer(t, pubsub.Options{Threshold: 0.2})
 	srv.writeTimeout = 50 * time.Millisecond
 	conn := pipeConn(t, srv)
 	if _, err := conn.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	settled(t, srv, anyGoroutines)
-	stallLogged(t, srv, "")
+	stallLogged(t, ring, "")
 }
 
 // TestCloseEndsOpenSessions: Close ends every session open at that moment

@@ -204,13 +204,13 @@ func TestHTTPContentTypes(t *testing.T) {
 }
 
 // TestReadyzEndpoint checks the readiness endpoint: the unconfigured
-// handler reports a bare ready, a wired health model surfaces per-component
+// handler reports a bare ready, a wired snapshot func surfaces per-component
 // state, and the status code flips with the rollup (200 while serving,
 // 503 while refusing).
 func TestReadyzEndpoint(t *testing.T) {
 	b := pubsub.New(pubsub.Options{Threshold: 0.2})
 
-	// No health model: /readyz answers 200 ready so the handler works
+	// No snapshot func: /readyz answers 200 ready so the handler works
 	// unconfigured (tests, embedders).
 	h := NewStatusHandler(b, StatusOptions{})
 	rec := httptest.NewRecorder()
@@ -226,11 +226,12 @@ func TestReadyzEndpoint(t *testing.T) {
 		t.Errorf("bare readyz status = %q", snap.Status)
 	}
 
-	// Wired model: components appear, and the worst one drives the code.
-	health := obs.NewHealth()
-	health.Set("server", obs.StatusNotReady, "starting")
-	health.Set("store_wal", obs.StatusReady, "")
-	h = NewStatusHandler(b, StatusOptions{Health: health})
+	// Wired snapshot: components appear, and the rollup drives the code.
+	health := obs.HealthSnapshot{Status: "not_ready", Components: map[string]obs.ComponentHealth{
+		"server":    {Status: "not_ready", Reason: "starting"},
+		"store_wal": {Status: "ready"},
+	}}
+	h = NewStatusHandler(b, StatusOptions{Health: func() obs.HealthSnapshot { return health }})
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
@@ -244,7 +245,7 @@ func TestReadyzEndpoint(t *testing.T) {
 		t.Errorf("starting snapshot = %+v", snap)
 	}
 
-	health.Set("server", obs.StatusReady, "")
+	health.Status, health.Components["server"] = "ready", obs.ComponentHealth{Status: "ready"}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != 200 {
@@ -252,7 +253,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	}
 
 	// Degraded still serves: load balancers keep routing.
-	health.Set("store_wal", obs.StatusDegraded, "read-only")
+	health.Status, health.Components["publish_path"] = "degraded", obs.ComponentHealth{Status: "degraded", Reason: "heartbeat stale"}
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
@@ -263,7 +264,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	}
 
 	// Draining overrides everything and refuses.
-	health.StartDrain()
+	health.Status, health.Draining = "draining", true
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
