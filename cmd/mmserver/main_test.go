@@ -100,6 +100,7 @@ func TestInstrumentSurface(t *testing.T) {
 		{"mm_runtime_gc_cycles", "gauge"},
 		{"mm_runtime_gc_pause_p99_seconds", "gauge"},
 		{"mm_runtime_goroutines", "gauge"},
+		{"mm_runtime_heap_allocs_objects", "gauge"},
 		{"mm_runtime_heap_goal_bytes", "gauge"},
 		{"mm_runtime_heap_live_bytes", "gauge"},
 		{"mm_runtime_sched_latency_p99_seconds", "gauge"},

@@ -734,8 +734,8 @@ func (ix *Index) Optimize() {
 
 // Compact eagerly drops every tombstoned posting; with none there is
 // nothing to do and nothing is counted. Updates trigger compaction
-// automatically; Compact exists for callers that want exact statistics or
-// minimal memory right now.
+// automatically; Compact exists for callers that want minimal memory right
+// now.
 func (ix *Index) Compact() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -1206,24 +1206,26 @@ type Stats struct {
 }
 
 // Probe takes the lock a match takes, for reading, and returns the live
-// vector count. It changes nothing, so a liveness heartbeat can call it
-// every second without compacting what the thresholds would leave alone.
+// vector count: one field, where Size walks every term list, so a liveness
+// heartbeat can call it every second.
 func (ix *Index) Probe() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.liveVecs
 }
 
-// Size returns current index statistics. It compacts first so the term and
-// posting counts reflect only live entries — exact, and a write to a dirty
-// index: for the stats operation, not for periodic probes.
+// Size returns current index statistics, exact and under the read lock: it
+// changes nothing, tombstones included. Postings count only live entries'
+// (ix.live), and a term counts when one of its postings names a live
+// entry, so a dirty index reports what a freshly built one of the same
+// profiles would.
 func (ix *Index) Size() Stats {
-	ix.Compact()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	s := Stats{Users: len(ix.byUser), Vectors: ix.liveVecs, Distinct: ix.distinct, Postings: ix.live}
+	alive := func(id uint32) bool { return ix.entries[id].alive() }
 	for t := range ix.lists {
-		if len(ix.lists[t].ids) > 0 {
+		if slices.ContainsFunc(ix.lists[t].ids, alive) {
 			s.Terms++
 		}
 	}

@@ -15,6 +15,7 @@ var runtimeGauges = [...]struct{ name, help, sample string }{
 	{"mm_runtime_goroutines", "Live goroutine count.", "/sched/goroutines:goroutines"},
 	{"mm_runtime_heap_live_bytes", "Heap memory occupied by live objects at last GC.", "/gc/heap/live:bytes"},
 	{"mm_runtime_heap_goal_bytes", "Heap size target for the end of the current GC cycle.", "/gc/heap/goal:bytes"},
+	{"mm_runtime_heap_allocs_objects", "Heap objects allocated since the process started; its rise over a count of operations is allocations per operation.", "/gc/heap/allocs:objects"},
 	{"mm_runtime_total_memory_bytes", "All memory mapped by the Go runtime.", "/memory/classes/total:bytes"},
 	{"mm_runtime_gc_cycles", "Completed GC cycles.", "/gc/cycles/total:gc-cycles"},
 	{"mm_runtime_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", "/gc/pauses:seconds"},

@@ -33,16 +33,21 @@ func TestRuntimeSamplerProjectsGauges(t *testing.T) {
 	reg := mm.NewRegistry()
 	NewRuntimeSampler(reg)
 
-	// NewRuntimeSampler registers the whole mm_runtime_* family and sets
-	// it synchronously before returning.
+	// NewRuntimeSampler registers the whole mm_runtime_* family, all eight,
+	// and sets it synchronously before returning.
 	snap := reg.Snapshot()
+	if len(runtimeGauges) != 8 {
+		t.Errorf("%d mm_runtime_* gauges, want 8", len(runtimeGauges))
+	}
 	for _, g := range runtimeGauges {
 		if _, ok := snap[g.name].(float64); !ok {
 			t.Errorf("%s = %v (%T), want a registered gauge", g.name, snap[g.name], snap[g.name])
 		}
 	}
-	if g, _ := snap["mm_runtime_goroutines"].(float64); g < 1 {
-		t.Errorf("mm_runtime_goroutines = %v before any SampleNow, want >= 1", g)
+	for _, name := range []string{"mm_runtime_goroutines", "mm_runtime_heap_allocs_objects"} {
+		if g, _ := snap[name].(float64); g < 1 {
+			t.Errorf("%s = %v before any SampleNow, want >= 1", name, g)
+		}
 	}
 }
 

@@ -459,40 +459,52 @@ func (b *Broker) Publish(page string) (int64, int) {
 }
 
 // PublishSpan is Publish under an explicit parent span, which may be nil:
-// the wire server passes its request root so the broker's match and
-// fan-out phases nest inside the request trace. Without a parent the
+// the wire server passes its request root so the broker's vectorise, match
+// and fan-out phases nest inside the request trace. Without a parent the
 // broker roots its own trace when the tracer samples this publish.
 func (b *Broker) PublishSpan(page string, parent *trace.Span) (int64, int) {
+	t0 := time.Now()
+	sp := b.publishSpan(parent, t0)
 	terms := b.pipe.Terms(page)
 	// The statistics admit concurrent updates and reads, so the
 	// expensive vectorization runs outside any statistics critical section;
 	// each term weight sees the statistics as they stand at that instant.
 	b.stats.Add(terms)
 	vec := vsm.DocumentVector(terms, vsm.Bel{Stats: b.stats})
+	// Vectorising is most of a page's cost, so the publish histogram and
+	// span start before it; matching starts at this second read.
+	tm := time.Now()
+	sp.ChildAt("text.vectorise", t0).EndAt(tm)
 	content := ""
 	if b.opts.RetainContent {
 		content = page
 	}
-	return b.publishRecord(vec, content, parent)
+	return b.publishRecord(vec, content, sp, t0, tm)
 }
 
 // PublishVector ingests a pre-vectorized document (it must be unit-
 // normalized); used when documents arrive already processed, and by the
 // benchmarks.
 func (b *Broker) PublishVector(vec vsm.Vector) (int64, int) {
-	return b.publishRecord(vec, "", nil)
+	t0 := time.Now()
+	return b.publishRecord(vec, "", b.publishSpan(nil, t0), t0, t0)
 }
 
-func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Span) (int64, int) {
-	t0 := time.Now()
-	// Span setup costs nothing unless this request is captured: ChildAt on
-	// a nil parent and RootAt without a winning sampling decision both
-	// return nil, and every Span method on nil is a no-op. Timestamps are
-	// the three clock reads the latency histograms take anyway.
-	sp := parent.ChildAt("pubsub.publish", t0)
-	if sp == nil {
-		sp = b.opts.Trace.RootAt("pubsub.publish", t0, trace.Remote{})
+// publishSpan opens a publish's span at t0. Span setup costs nothing
+// unless this request is captured: ChildAt on a nil parent and RootAt
+// without a winning sampling decision both return nil, and every Span
+// method on nil is a no-op.
+func (b *Broker) publishSpan(parent *trace.Span, t0 time.Time) *trace.Span {
+	if sp := parent.ChildAt("pubsub.publish", t0); sp != nil {
+		return sp
 	}
+	return b.opts.Trace.RootAt("pubsub.publish", t0, trace.Remote{})
+}
+
+// publishRecord retains, matches and delivers a vectorized document under
+// sp, the publish that began at t0; matching begins at tm. Timestamps are
+// the clock reads the latency histograms take anyway.
+func (b *Broker) publishRecord(vec vsm.Vector, content string, sp *trace.Span, t0, tm time.Time) (int64, int) {
 	// Each term is looked up once, into the form the docstore keeps for
 	// feedback resolution and the matcher reads: ids for the terms the table
 	// holds, strings for the rest. The docstore assigns the id and evicts
@@ -512,7 +524,7 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 		return id, 0
 	}
 
-	ms := sp.ChildAt("index.match", t0)
+	ms := sp.ChildAt("index.match", tm)
 	matches := b.idx.MatchDoc(doc, b.opts.Threshold)
 
 	// Fan-out cost is O(matches), not O(all subscribers): a profile is
@@ -526,16 +538,16 @@ func (b *Broker) publishRecord(vec vsm.Vector, content string, parent *trace.Spa
 		}
 	}
 	b.reg.mu.RUnlock()
-	// One clock read separates matching from fan-out; together with t0 and
-	// the final read it yields all three hot-path histograms and the two
+	// One clock read separates matching from fan-out; together with t0, tm
+	// and the final read it yields all three hot-path histograms and the
 	// phase spans.
 	t1 := time.Now()
 	ms.EndAt(t1)
 	tid := uint64(sp.Trace())
 	if tid != 0 {
-		b.m.matchLat.ObserveExemplar(t1.Sub(t0).Seconds(), tid)
+		b.m.matchLat.ObserveExemplar(t1.Sub(tm).Seconds(), tid)
 	} else {
-		b.m.matchLat.Observe(t1.Sub(t0).Seconds())
+		b.m.matchLat.Observe(t1.Sub(tm).Seconds())
 	}
 
 	ds := sp.ChildAt("pubsub.deliver", t1)
@@ -875,8 +887,8 @@ func (b *Broker) Stats() Counters {
 	}
 }
 
-// IndexStats returns the profile index's exact size, compacting the
-// posting space first if it holds tombstones.
+// IndexStats returns the profile index's exact size. It takes the index's
+// read lock and changes nothing, so a status read never compacts.
 func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 
 // QueueSize returns the most deliveries one subscriber's queue holds
@@ -884,10 +896,9 @@ func (b *Broker) IndexStats() index.Stats { return b.idx.Size() }
 func (b *Broker) QueueSize() int { return b.opts.QueueSize }
 
 // PingPipeline probes the locks the publish path takes — a registry read,
-// a docstore read, and the index's read lock — and returns once
-// all of them were acquired, having changed nothing (IndexStats compacts;
-// this must not). Health heartbeat goroutines call it
-// periodically: if any layer is wedged (a lock held forever), the ping
+// a docstore read, and the index's read lock — and returns once all of
+// them were acquired, having changed nothing. Health heartbeat goroutines
+// call it periodically: if any layer is wedged (a lock held forever), the ping
 // blocks, the heartbeat goes stale, and /readyz degrades — without the
 // /readyz handler itself ever touching the wedged lock.
 func (b *Broker) PingPipeline() {

@@ -17,9 +17,10 @@ type brokerMetrics struct {
 	evictions  *metrics.Counter
 	queueSlots *metrics.Gauge
 
-	// Hot-path latencies. publishLat covers the whole publishRecord,
-	// matchLat the vectorized-document → matches interval, deliverLat the
-	// fan-out loop; all three come from the same three clock reads.
+	// Hot-path latencies. publishLat covers the whole publish, vectorising
+	// included, matchLat the vectorized-document → matches interval,
+	// deliverLat the fan-out loop; all three come from the same four clock
+	// reads (three for PublishVector, which has nothing to vectorise).
 	publishLat  *metrics.Histogram
 	matchLat    *metrics.Histogram
 	deliverLat  *metrics.Histogram
@@ -73,7 +74,7 @@ func newBrokerMetrics(reg *metrics.Registry) brokerMetrics {
 		queueSlots: reg.Gauge("mm_pubsub_queue_slots",
 			"Delivery slots allocated across all subscriber queues: a queue grows with the bursts it has held and never shrinks."),
 		publishLat: reg.Histogram("mm_pubsub_publish_seconds",
-			"End-to-end latency of one publish: retention bookkeeping, index match, and delivery fan-out."),
+			"End-to-end latency of one publish: vectorising the page, retention bookkeeping, index match, and delivery fan-out."),
 		matchLat: reg.Histogram("mm_pubsub_match_seconds",
 			"Latency of matching one published document against all subscriber profiles."),
 		deliverLat: reg.Histogram("mm_pubsub_deliver_seconds",

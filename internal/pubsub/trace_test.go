@@ -67,6 +67,43 @@ func TestPublishUnsampledAddsNoAllocs(t *testing.T) {
 
 // TestPublishSampledSpanTree checks a head-sampled publish is captured with
 // its phase children and the doc/delivery attributes.
+// TestPublishSpansVectorise: a sampled page publish times vectorising as
+// text.vectorise, a child of pubsub.publish that starts with it, and
+// index.match starts no earlier than vectorising ended: the publish span
+// starts before the page is tokenised.
+func TestPublishSpansVectorise(t *testing.T) {
+	tr := trace.New(trace.Options{SampleRate: 1})
+	b := New(Options{Threshold: 0.3, Trace: tr})
+	if _, err := b.Subscribe("alice", trainedMM("cat", "dog")); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := b.Publish("<html><body>the cat chased the dog around the cat tree</body></html>"); n != 1 {
+		t.Fatalf("deliveries = %d, want 1", n)
+	}
+	snap := tr.Snapshot()
+	if len(snap.Recent) != 1 {
+		t.Fatalf("captured %d traces, want 1", len(snap.Recent))
+	}
+	spans := map[string]trace.SpanSnapshot{}
+	for _, s := range snap.Recent[0].Spans {
+		spans[s.Name] = s
+	}
+	pub, vec, match := spans["pubsub.publish"], spans["text.vectorise"], spans["index.match"]
+	if vec.ID == "" || vec.Parent != pub.ID {
+		t.Fatalf("text.vectorise %+v is not a child of pubsub.publish %+v", vec, pub)
+	}
+	if vec.StartUnixNano != pub.StartUnixNano {
+		t.Errorf("text.vectorise starts %d ns after pubsub.publish, want 0", vec.StartUnixNano-pub.StartUnixNano)
+	}
+	if vecEnd := vec.StartUnixNano + int64(vec.DurationUS*1e3); match.StartUnixNano < vecEnd-1 {
+		t.Errorf("index.match starts at %d, before text.vectorise ends at %d", match.StartUnixNano, vecEnd)
+	}
+	if pub.DurationUS < vec.DurationUS+match.DurationUS {
+		t.Errorf("pubsub.publish %.1f µs is shorter than its text.vectorise %.1f µs and index.match %.1f µs",
+			pub.DurationUS, vec.DurationUS, match.DurationUS)
+	}
+}
+
 func TestPublishSampledSpanTree(t *testing.T) {
 	tr := trace.New(trace.Options{SampleRate: 1})
 	b := New(Options{Threshold: 0.3, Trace: tr})

@@ -83,7 +83,7 @@ func (a Attr) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the {"key": ..., "value": ...} form back, so
-// /tracez consumers (mmclient trace) can decode spans into this struct.
+// /tracez consumers can decode spans into this struct.
 // Numbers decode as int when integral, float otherwise.
 func (a *Attr) UnmarshalJSON(b []byte) error {
 	var raw struct {

@@ -442,3 +442,72 @@ func TestExplainzEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestStatusReadsLeaveTheIndexAlone: /statsz, the dashboard and the stats
+// op are reads. On an index holding tombstones (alice re-profiled, so her
+// old vector's postings are stale and "jazz" names only a dead entry) they
+// must neither compact it nor count what a compaction would drop: the
+// sizes they report are those of an index built fresh from the same
+// profiles.
+func TestStatusReadsLeaveTheIndexAlone(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, _, b := startServerOpts(t, pubsub.Options{Threshold: 0.2, Metrics: reg})
+	for _, err := range []error{
+		c.Subscribe("alice", "", []string{"cats", "jazz"}),
+		c.Subscribe("bob", "", []string{"cats", "fish"}),
+		c.Unsubscribe("alice"),
+		c.Subscribe("alice", "", []string{"opera"}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := pubsub.New(pubsub.Options{Threshold: 0.2})
+	for user, kw := range map[string][]string{"alice": {"opera"}, "bob": {"cats", "fish"}} {
+		if _, err := fresh.SubscribeKeywords(user, kw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fresh.IndexStats()
+
+	housekeeping := func() (compactions int64, ratio float64) {
+		snap := reg.Snapshot()
+		return snap["mm_index_compactions_total"].(int64), snap["mm_index_tombstone_ratio"].(float64)
+	}
+	compactions, ratio := housekeeping()
+	if ratio == 0 {
+		t.Fatal("re-profiling left no tombstones: nothing for a status read to disturb")
+	}
+
+	h := NewStatusHandler(b, StatusOptions{})
+	for _, path := range []string{"/statsz", "/"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		if path == "/statsz" {
+			var got map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			for key, w := range map[string]int{"index_users": want.Users, "index_vectors": want.Vectors,
+				"index_distinct": want.Distinct, "index_terms": want.Terms, "index_postings": want.Postings} {
+				if got[key].(float64) != float64(w) {
+					t.Errorf("statsz %s = %v, a fresh index of the same profiles reports %d", key, got[key], w)
+				}
+			}
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.IndexVectors != want.Vectors || st.IndexDistinct != want.Distinct || st.IndexTerms != want.Terms {
+		t.Errorf("stats op: %d vectors (%d distinct) over %d terms; a fresh index reports %d (%d) over %d",
+			st.IndexVectors, st.IndexDistinct, st.IndexTerms, want.Vectors, want.Distinct, want.Terms)
+	}
+	if gc, gr := housekeeping(); gc != compactions || gr != ratio {
+		t.Errorf("status reads moved the index: compactions %v → %v, tombstone ratio %v → %v", compactions, gc, ratio, gr)
+	}
+}
