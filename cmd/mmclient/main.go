@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"mmprofile/internal/wire"
@@ -38,6 +39,9 @@ func main() {
 		usage()
 	}
 	cmd, rest := args[0], args[1:]
+	if !slices.Contains(commands, cmd) {
+		usage() // before the dial: a mistyped command is not a network error
+	}
 
 	c, err := wire.Dial(*addr)
 	if err != nil {
@@ -178,8 +182,6 @@ func main() {
 		fmt.Printf("subscribers %d\n", st.Subscribers)
 		fmt.Printf("index       %d vectors (%d distinct) over %d terms\n", st.IndexVectors, st.IndexDistinct, st.IndexTerms)
 
-	default:
-		usage()
 	}
 }
 
@@ -231,7 +233,10 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// commands are the subcommands main's switch handles.
+var commands = []string{"subscribe", "unsubscribe", "publish", "listen", "feedback", "profile", "fetch", "export", "import", "stats"}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mmclient [-addr host:port] subscribe|unsubscribe|publish|listen|feedback|profile|fetch|export|import|stats [flags]")
+	fmt.Fprintf(os.Stderr, "usage: mmclient [-addr host:port] %s [flags]\n", strings.Join(commands, "|"))
 	os.Exit(2)
 }

@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"mmprofile/internal/trace"
 )
 
 // The adaptation audit journal: a bounded ring of MM's structural
 // operations (paper §3.2–3.4), kept per profile so every vector's
 // existence — and disappearance — can be traced back to the feedback
 // step that caused it. The journal is an in-memory diagnostic: it is not
-// serialized with the profile (MarshalBinary skips it) and survives only
-// as long as the process. The wire layer exposes it via /explainz.
+// serialized with the profile (MarshalBinary skips it), a replayed
+// judgment files nothing in it (Replay), and it survives only as long as
+// the process. The wire layer exposes it via /explainz.
 
 // AuditOp names one structural operation on the profile.
 type AuditOp uint8
@@ -113,6 +116,26 @@ type AuditEvent struct {
 	VectorsAfter int `json:"vectors_after"`
 }
 
+// auditRecord is an AuditEvent as the ring holds it: 80 bytes, where the
+// event is 128. What the profile already knows is not stored: Seq is the
+// record's place in the ring counted back from auditSeq, and Theta and
+// Eta are the profile's options, which nothing changes while the journal
+// holds a record (Reset and UnmarshalFrom empty it). The trace id stays a
+// number until AuditTrail renders it.
+type auditRecord struct {
+	step           int
+	unixNano       int64
+	doc            int64
+	trace          trace.TraceID
+	vector, merged uint64
+	cosine         float64
+	strengthBefore float64
+	strengthAfter  float64
+	vectorsAfter   uint32
+	op             AuditOp
+	feedback       int8
+}
+
 // defaultAuditCapacity bounds the journal when Options.AuditCapacity is 0.
 const defaultAuditCapacity = 64
 
@@ -128,51 +151,75 @@ func (p *Profile) auditCap() int {
 	}
 }
 
-// TagNextObserve attaches a document id and trace id (hex, from
-// internal/trace) to every audit event the next Observe call emits. The
-// broker calls it just before applying feedback, closing the loop from
-// "this vector exists" back to "because user U judged doc D in trace T".
-func (p *Profile) TagNextObserve(doc int64, trace string) {
-	p.tagDoc, p.tagTrace = doc, trace
+// TagNextObserve attaches a document id and trace id to every audit
+// event the next Observe call emits. The broker calls it just before
+// applying feedback, closing the loop from "this vector exists" back to
+// "because user U judged doc D in trace T".
+func (p *Profile) TagNextObserve(doc int64, tr trace.TraceID) {
+	p.tagDoc, p.tagTrace = doc, tr
 }
 
-// audit files one event, stamping the shared per-step fields. All call
-// sites run inside Observe, which owns step/time/tag state.
-func (p *Profile) audit(ev AuditEvent) {
+// audit files one record, stamping the shared per-step fields. All call
+// sites run inside Observe, which owns step/time/tag state. The ring grows
+// by doubling from one record up to its capacity, so a profile that has
+// filed one event holds one record.
+func (p *Profile) audit(r auditRecord) {
 	capacity := p.auditCap()
-	if capacity == 0 {
+	if capacity == 0 || p.replaying {
 		return
 	}
-	ev.Seq = p.auditSeq
 	p.auditSeq++
-	ev.Step = p.step
-	ev.UnixNano = p.stepTime
-	ev.Doc = p.tagDoc
-	ev.Trace = p.tagTrace
-	ev.Theta = p.opts.Theta
-	ev.Eta = p.opts.Eta
-	ev.VectorsAfter = len(p.vectors)
-	if len(p.auditBuf) < capacity {
-		p.auditBuf = append(p.auditBuf, ev)
+	r.step = p.step
+	r.unixNano = p.stepTime
+	r.doc = p.tagDoc
+	r.trace = p.tagTrace
+	r.vectorsAfter = uint32(len(p.vectors))
+	if n := len(p.auditBuf); n < capacity {
+		if n == cap(p.auditBuf) {
+			grown := make([]auditRecord, n, min(max(2*n, 1), capacity))
+			copy(grown, p.auditBuf)
+			p.auditBuf = grown
+		}
+		p.auditBuf = append(p.auditBuf, r)
 		return
 	}
-	p.auditBuf[p.auditPos] = ev
+	p.auditBuf[p.auditPos] = r
 	p.auditPos = (p.auditPos + 1) % capacity
 }
 
-// AuditTrail returns a copy of the journal, oldest event first. The Seq
-// field exposes how many earlier events the bounded ring has dropped.
+// AuditTrail returns the journal as events, oldest first. The Seq field
+// exposes how many earlier events the bounded ring has dropped.
 func (p *Profile) AuditTrail() []AuditEvent {
-	out := make([]AuditEvent, 0, len(p.auditBuf))
-	out = append(out, p.auditBuf[p.auditPos:]...)
-	out = append(out, p.auditBuf[:p.auditPos]...)
+	n := len(p.auditBuf)
+	out := make([]AuditEvent, n)
+	for i := range out {
+		r := &p.auditBuf[(p.auditPos+i)%n]
+		out[i] = AuditEvent{
+			Seq:            p.auditSeq - n + i,
+			Step:           r.step,
+			UnixNano:       r.unixNano,
+			Op:             r.op,
+			Feedback:       int(r.feedback),
+			Doc:            r.doc,
+			Trace:          r.trace.String(),
+			Vector:         r.vector,
+			Merged:         r.merged,
+			Cosine:         r.cosine,
+			Theta:          p.opts.Theta,
+			Eta:            p.opts.Eta,
+			StrengthBefore: r.strengthBefore,
+			StrengthAfter:  r.strengthAfter,
+			VectorsAfter:   int(r.vectorsAfter),
+		}
+	}
 	return out
 }
 
 // beginStep stamps the wall clock for the events of one Observe call; the
-// read is skipped entirely when the journal is disabled.
+// read is skipped entirely when the journal is disabled or the step is
+// replayed.
 func (p *Profile) beginStep() {
-	if p.auditCap() > 0 {
+	if p.auditCap() > 0 && !p.replaying {
 		p.stepTime = time.Now().UnixNano()
 	}
 }
@@ -180,5 +227,5 @@ func (p *Profile) beginStep() {
 // endStep clears the per-step tag so a stale doc/trace never leaks onto a
 // later, untagged judgment.
 func (p *Profile) endStep() {
-	p.tagDoc, p.tagTrace = 0, ""
+	p.tagDoc, p.tagTrace = 0, 0
 }

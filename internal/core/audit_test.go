@@ -2,10 +2,16 @@ package core
 
 import (
 	"encoding/json"
+	"math/rand"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mmprofile/internal/filter"
+	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
 
@@ -169,7 +175,7 @@ func TestAuditDeleteAndAnnihilate(t *testing.T) {
 
 func TestAuditTagNextObserve(t *testing.T) {
 	p := NewDefault()
-	p.TagNextObserve(42, "00000000000000ab")
+	p.TagNextObserve(42, 0xab)
 	p.Observe(vec("go", 1.0), filter.Relevant)
 	p.Observe(vec("go", 1.0), filter.Relevant) // untagged
 
@@ -268,7 +274,7 @@ func TestAuditResetAndCodecRestart(t *testing.T) {
 
 func TestAuditEventJSON(t *testing.T) {
 	p := NewDefault()
-	p.TagNextObserve(7, "deadbeefdeadbeef")
+	p.TagNextObserve(7, 0xdeadbeefdeadbeef)
 	p.Observe(vec("go", 1.0), filter.Relevant)
 	blob, err := json.Marshal(p.AuditTrail())
 	if err != nil {
@@ -301,5 +307,217 @@ func TestExplainVectorID(t *testing.T) {
 func TestAuditOpString(t *testing.T) {
 	if AuditMerge.String() != "merge" || AuditOp(200).String() == "" {
 		t.Fatal("AuditOp.String")
+	}
+}
+
+// TestAuditRecordIsEightyBytes: the ring's record, against the 128 bytes of
+// the AuditEvent it stands for.
+func TestAuditRecordIsEightyBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(auditRecord{}); sz > 80 {
+		t.Errorf("an audit record is %d bytes, want at most 80", sz)
+	}
+}
+
+// auditTrailFile holds auditStream's two trails, UnixNano zeroed, as the
+// ring of whole AuditEvents that the 80-byte record replaced returned them.
+const auditTrailFile = "testdata/audit_trail.json"
+
+// TestAuditTrailMatchesTheEventRing: every field of every event AuditTrail
+// rebuilds, UnixNano aside, is what the ring of whole events gave over the
+// same stream — Seq before and after the ring wraps, Theta and Eta from
+// non-default options, and the trace hex, top bit set or not.
+func TestAuditTrailMatchesTheEventRing(t *testing.T) {
+	blob, err := os.ReadFile(auditTrailFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]AuditEvent
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := auditStream()
+	ops := map[AuditOp]bool{}
+	for _, ev := range got[0] {
+		ops[ev.Op] = true
+	}
+	if len(ops) != len(auditOpNames) {
+		t.Fatalf("the scripted opening files %d of the %d operations", len(ops), len(auditOpNames))
+	}
+	if last := got[1][len(got[1])-1]; last.Seq < 2*defaultAuditCapacity {
+		t.Fatalf("the stream ends at seq %d: the ring has not wrapped", last.Seq)
+	}
+	for i := range got {
+		for j := range got[i] {
+			if got[i][j].UnixNano == 0 {
+				t.Fatalf("trail %d event %d carries no wall clock", i, j)
+			}
+			got[i][j].UnixNano = 0
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d trails, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("trail %d holds %d events, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if !reflect.DeepEqual(got[i][j], want[i][j]) {
+				t.Errorf("trail %d event %d:\n got %+v\nwant %+v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+func auditTag(p *Profile, doc int64, id uint64) { p.TagNextObserve(doc, trace.TraceID(id)) }
+
+// auditStream judges a fixed stream into a fresh profile (θ 0.3, η 0.5,
+// the default 64-event journal) and returns its trail twice: after a
+// scripted opening that files each of the six operations once or more,
+// and after 200 seeded random judgments over six terms that wrap the ring.
+// A third of the random judgments are tagged with a document, half of
+// those with a trace id as well, the top bit set on some.
+func auditStream() [][]AuditEvent {
+	o := DefaultOptions()
+	o.Theta, o.Eta = 0.3, 0.5
+	p := New(o)
+	p.Observe(vsm.Vector{}, filter.Relevant)     // ignore: zero document
+	p.Observe(vec("x", 1.0), filter.NotRelevant) // ignore: empty profile
+	p.Observe(vec("x", 1.0), filter.Relevant)    // create
+	p.Observe(vec("x", 1.0), filter.NotRelevant) // annihilate
+	p.Observe(vec("a", 1.0), filter.Relevant)    // create
+	auditTag(p, 7, 0xab)
+	p.Observe(vec("b", 1.0), filter.Relevant) // create
+	auditTag(p, 0, 0xdeadbeefdeadbeef)
+	p.Observe(vec("a", 0.7, "b", 0.7), filter.Relevant) // incorporate + merge
+	p.Observe(vec("c", 1.0), filter.Relevant)           // create
+	auditTag(p, 12, 0)
+	p.Observe(vec("c", 0.9, "d", 0.4), filter.NotRelevant) // incorporate + delete
+	p.Observe(vec("e", 1.0), filter.NotRelevant)           // ignore: dissimilar
+	trails := [][]AuditEvent{p.AuditTrail()}
+
+	terms := []string{"a", "b", "c", "d", "e", "f"}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 200; i++ {
+		var pairs []any
+		for _, t := range terms {
+			if rng.Intn(3) == 0 {
+				pairs = append(pairs, t, 0.1+rng.Float64())
+			}
+		}
+		if rng.Intn(3) == 0 {
+			var id uint64
+			if rng.Intn(2) == 0 {
+				id = rng.Uint64() | uint64(rng.Intn(2))<<63
+			}
+			auditTag(p, int64(rng.Intn(1000)), id)
+		}
+		fd := filter.Relevant
+		if rng.Intn(3) == 0 {
+			fd = filter.NotRelevant
+		}
+		p.Observe(vec(pairs...), fd)
+	}
+	return append(trails, p.AuditTrail())
+}
+
+// TestAuditJournalHeapBytes: the live heap a journal adds to a profile, as
+// the difference between profiles judged alike with the journal on and
+// off. A full journal of 64 events holds 64 records and its allocator size
+// class (5 120 B in a 5 376 B class; the event ring held 8 192); a journal
+// of one event holds one record, so a profile that has judged once — a
+// keyword subscriber's create — pays 80 B and not a chunk of ring.
+func TestAuditJournalHeapBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is counted as heap")
+	}
+	const profiles = 2000
+	rec := int(unsafe.Sizeof(auditRecord{}))
+	for _, tc := range []struct {
+		events, budget int
+	}{
+		{1, rec},
+		{defaultAuditCapacity, defaultAuditCapacity*rec + 256},
+	} {
+		// The least of three readings: what else the process allocates
+		// meanwhile (the test runner, the runtime) only adds to one.
+		perProfile := journalHeapBytes(profiles, tc.events)
+		for i := 0; i < 2; i++ {
+			perProfile = min(perProfile, journalHeapBytes(profiles, tc.events))
+		}
+		t.Logf("%d-event journal: %.1f live bytes a profile", tc.events, perProfile)
+		// Half a byte a profile is the noise of a heap reading over 2 000.
+		if perProfile > float64(tc.budget)+0.5 {
+			t.Errorf("a %d-event journal costs %.1f live bytes a profile, budget %d", tc.events, perProfile, tc.budget)
+		}
+	}
+}
+
+// journalHeapBytes judges n profiles events times each, journal on and
+// off, and returns the live heap per profile the journal accounts for.
+func journalHeapBytes(n, events int) float64 {
+	doc := vec("go", 1.0)
+	build := func(capacity int) []*Profile {
+		o := DefaultOptions()
+		o.AuditCapacity = capacity
+		ps := make([]*Profile, n)
+		for i := range ps {
+			ps[i] = New(o)
+			for j := 0; j < events; j++ {
+				ps[i].Observe(doc, filter.Relevant)
+			}
+		}
+		return ps
+	}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC() // twice: what vsm's sync.Pools held lives one more cycle
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := liveHeap()
+	off := build(-1)
+	withoutJournal := liveHeap() - base
+	on := build(0)
+	withJournal := liveHeap() - base - withoutJournal
+	runtime.KeepAlive(off)
+	runtime.KeepAlive(on)
+	return (float64(withJournal) - float64(withoutJournal)) / float64(n)
+}
+
+// TestReplayFilesNothing: Replay changes the profile exactly as Observe
+// does — the same export bytes — but journals no event, even on a
+// profile whose journal already holds some.
+func TestReplayFilesNothing(t *testing.T) {
+	observed, replayed := NewDefault(), NewDefault()
+	observed.Observe(vec("go", 1.0), filter.Relevant)
+	replayed.Observe(vec("go", 1.0), filter.Relevant)
+	for _, d := range []struct {
+		v  vsm.Vector
+		fd filter.Feedback
+	}{
+		{vec("go", 0.8, "rust", 0.6), filter.Relevant},
+		{vec("opera", 1.0), filter.Relevant},
+		{vec("opera", 0.9, "jazz", 0.4), filter.NotRelevant},
+		{vsm.Vector{}, filter.Relevant},
+	} {
+		observed.Observe(d.v, d.fd)
+		replayed.TagNextObserve(9, 0xab)
+		replayed.Replay(d.v, d.fd)
+	}
+	a, err := observed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := replayed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Error("a replayed profile exports other bytes than an observed one")
+	}
+	if trail := replayed.AuditTrail(); len(trail) != 1 || trail[0].Op != AuditCreate {
+		t.Errorf("replay filed events: %+v", trail)
 	}
 }

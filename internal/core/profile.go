@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mmprofile/internal/filter"
+	"mmprofile/internal/trace"
 	"mmprofile/internal/vsm"
 )
 
@@ -68,12 +69,14 @@ type Profile struct {
 	// nextID seeds ProfileVector.ID; the audit journal state lives in
 	// audit.go and is not part of the serialized snapshot.
 	nextID   uint64
-	auditBuf []AuditEvent
+	auditBuf []auditRecord
 	auditPos int
 	auditSeq int
 	stepTime int64
 	tagDoc   int64
-	tagTrace string
+	tagTrace trace.TraceID
+	// replaying is set for the length of one Replay call.
+	replaying bool
 }
 
 // New constructs an MM profile; it panics if opts fail validation, since
@@ -217,7 +220,7 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 	defer p.endStep()
 	if v.IsZero() {
 		p.ops.Ignored++
-		p.audit(AuditEvent{Op: AuditIgnore, Feedback: int(fd)})
+		p.audit(auditRecord{op: AuditIgnore, feedback: int8(fd)})
 		return
 	}
 
@@ -230,7 +233,7 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 			p.create(v, 0)
 		} else {
 			p.ops.Ignored++
-			p.audit(AuditEvent{Op: AuditIgnore, Feedback: int(fd)})
+			p.audit(auditRecord{op: AuditIgnore, feedback: int8(fd)})
 		}
 		return
 	}
@@ -244,10 +247,10 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 		// cluster, non-relevant ones are ignored (§3.2).
 		if fd != filter.Relevant {
 			p.ops.Ignored++
-			p.audit(AuditEvent{
-				Op: AuditIgnore, Feedback: int(fd),
-				Vector: act.id, Cosine: sim,
-				StrengthBefore: act.strength, StrengthAfter: act.strength,
+			p.audit(auditRecord{
+				op: AuditIgnore, feedback: int8(fd),
+				vector: act.id, cosine: sim,
+				strengthBefore: act.strength, strengthAfter: act.strength,
 			})
 			return
 		}
@@ -260,6 +263,16 @@ func (p *Profile) Observe(v vsm.Vector, fd filter.Feedback) {
 		return
 	}
 	p.incorporate(actIdx, v, fd, sim)
+}
+
+// Replay applies a judgment exactly as Observe does, but files no audit
+// event and reads no clock. It is how a store rebuilds a profile from its
+// log: the judgment was journalled, if at all, by the process that first
+// observed it, and a rebuilt profile starts a fresh journal.
+func (p *Profile) Replay(v vsm.Vector, fd filter.Feedback) {
+	p.replaying = true
+	p.Observe(v, fd)
+	p.replaying = false
 }
 
 // create inserts v as a new profile vector. sim is the cosine to the
@@ -275,10 +288,10 @@ func (p *Profile) create(v vsm.Vector, sim float64) {
 	}
 	p.vectors = append(p.vectors, pv)
 	p.ops.Created++
-	p.audit(AuditEvent{
-		Op: AuditCreate, Feedback: int(filter.Relevant),
-		Vector: pv.id, Cosine: sim,
-		StrengthAfter: pv.strength,
+	p.audit(auditRecord{
+		op: AuditCreate, feedback: int8(filter.Relevant),
+		vector: pv.id, cosine: sim,
+		strengthAfter: pv.strength,
 	})
 }
 
@@ -301,10 +314,10 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 		// Negative feedback annihilated the vector entirely.
 		p.remove(actIdx)
 		p.ops.Annihilated++
-		p.audit(AuditEvent{
-			Op: AuditAnnihilate, Feedback: int(fd),
-			Vector: act.id, Cosine: sim,
-			StrengthBefore: before,
+		p.audit(auditRecord{
+			op: AuditAnnihilate, feedback: int8(fd),
+			vector: act.id, cosine: sim,
+			strengthBefore: before,
 		})
 		return
 	}
@@ -320,23 +333,23 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 			decayed := act.strength
 			p.remove(actIdx)
 			p.ops.Deleted++
-			p.audit(AuditEvent{
-				Op: AuditIncorporate, Feedback: int(fd),
-				Vector: act.id, Cosine: sim,
-				StrengthBefore: before, StrengthAfter: decayed,
+			p.audit(auditRecord{
+				op: AuditIncorporate, feedback: int8(fd),
+				vector: act.id, cosine: sim,
+				strengthBefore: before, strengthAfter: decayed,
 			})
-			p.audit(AuditEvent{
-				Op: AuditDelete, Feedback: int(fd),
-				Vector: act.id, Cosine: sim,
-				StrengthBefore: decayed,
+			p.audit(auditRecord{
+				op: AuditDelete, feedback: int8(fd),
+				vector: act.id, cosine: sim,
+				strengthBefore: decayed,
 			})
 			return
 		}
 	}
-	p.audit(AuditEvent{
-		Op: AuditIncorporate, Feedback: int(fd),
-		Vector: act.id, Cosine: sim,
-		StrengthBefore: before, StrengthAfter: act.strength,
+	p.audit(auditRecord{
+		op: AuditIncorporate, feedback: int8(fd),
+		vector: act.id, cosine: sim,
+		strengthBefore: before, strengthAfter: act.strength,
 	})
 
 	// Merge check: only pairs containing the (moved) active vector can have
@@ -366,10 +379,10 @@ func (p *Profile) incorporate(actIdx int, v vsm.Vector, fd filter.Feedback, sim 
 	act.incorporations += c.incorporations
 	p.remove(cIdx)
 	p.ops.Merged++
-	p.audit(AuditEvent{
-		Op: AuditMerge, Feedback: int(fd),
-		Vector: act.id, Merged: c.id, Cosine: mergeSim,
-		StrengthBefore: mergeBefore, StrengthAfter: act.strength,
+	p.audit(auditRecord{
+		op: AuditMerge, feedback: int8(fd),
+		vector: act.id, merged: c.id, cosine: mergeSim,
+		strengthBefore: mergeBefore, strengthAfter: act.strength,
 	})
 }
 

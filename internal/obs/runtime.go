@@ -15,12 +15,21 @@ var runtimeGauges = [...]struct{ name, help, sample string }{
 	{"mm_runtime_goroutines", "Live goroutine count.", "/sched/goroutines:goroutines"},
 	{"mm_runtime_heap_live_bytes", "Heap memory occupied by live objects at last GC.", "/gc/heap/live:bytes"},
 	{"mm_runtime_heap_goal_bytes", "Heap size target for the end of the current GC cycle.", "/gc/heap/goal:bytes"},
-	{"mm_runtime_heap_allocs_objects", "Heap objects allocated since the process started; its rise over a count of operations is allocations per operation.", "/gc/heap/allocs:objects"},
+	{"mm_runtime_heap_allocs_objects", "Heap objects allocated since the process started, tiny ones included; its rise over a count of operations is allocations per operation.", heapAllocsSample},
 	{"mm_runtime_total_memory_bytes", "All memory mapped by the Go runtime.", "/memory/classes/total:bytes"},
 	{"mm_runtime_gc_cycles", "Completed GC cycles.", "/gc/cycles/total:gc-cycles"},
 	{"mm_runtime_gc_pause_p99_seconds", "p99 stop-the-world GC pause.", "/gc/pauses:seconds"},
 	{"mm_runtime_sched_latency_p99_seconds", "p99 goroutine scheduling latency.", "/sched/latencies:seconds"},
 }
+
+// The runtime counts tiny allocations (pointer-free objects under 16 B,
+// several packed into one block) apart from heapAllocsSample, which sees
+// only their blocks; mm_runtime_heap_allocs_objects adds them back, so it
+// counts what MemStats.Mallocs and testing.AllocsPerRun count.
+const (
+	heapAllocsSample = "/gc/heap/allocs:objects"
+	tinyAllocsSample = "/gc/heap/tiny/allocs:objects"
+)
 
 // RuntimeSampler writes runtime/metrics into a registry's mm_runtime_*
 // gauges, once per SampleNow; it owns no goroutine (internal/server's tick
@@ -43,18 +52,25 @@ func NewRuntimeSampler(reg *mm.Registry) *RuntimeSampler {
 // SampleNow reads runtime/metrics once and sets every gauge. Safe for
 // concurrent use: each call reads into its own samples.
 func (s *RuntimeSampler) SampleNow() {
-	samples := make([]metrics.Sample, len(runtimeGauges))
+	samples := make([]metrics.Sample, len(runtimeGauges)+1)
 	for i, g := range runtimeGauges {
 		samples[i].Name = g.sample
 	}
+	samples[len(runtimeGauges)].Name = tinyAllocsSample
 	metrics.Read(samples)
-	for i, sm := range samples {
-		var v float64
+	value := func(sm metrics.Sample) float64 {
 		switch sm.Value.Kind() {
 		case metrics.KindUint64:
-			v = float64(sm.Value.Uint64())
+			return float64(sm.Value.Uint64())
 		case metrics.KindFloat64Histogram:
-			v = histQuantile(sm.Value.Float64Histogram(), 0.99)
+			return histQuantile(sm.Value.Float64Histogram(), 0.99)
+		}
+		return 0
+	}
+	for i, g := range runtimeGauges {
+		v := value(samples[i])
+		if g.sample == heapAllocsSample {
+			v += value(samples[len(runtimeGauges)])
 		}
 		s.gauges[i].Set(v)
 	}

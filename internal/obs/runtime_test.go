@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"runtime/metrics"
 	"testing"
 
@@ -48,6 +49,30 @@ func TestRuntimeSamplerProjectsGauges(t *testing.T) {
 		if g, _ := snap[name].(float64); g < 1 {
 			t.Errorf("%s = %v before any SampleNow, want >= 1", name, g)
 		}
+	}
+}
+
+var tinySink *int64
+
+// TestHeapAllocsGaugeCountsTinyAllocations: n escaping eight-byte
+// allocations, which the tiny allocator packs two to a block, raise
+// mm_runtime_heap_allocs_objects by at least n — not by the n/2 blocks
+// /gc/heap/allocs:objects alone sees.
+func TestHeapAllocsGaugeCountsTinyAllocations(t *testing.T) {
+	reg := mm.NewRegistry()
+	s := NewRuntimeSampler(reg)
+	read := func() float64 {
+		runtime.GC() // flushes every P's allocation counts
+		s.SampleNow()
+		return reg.Snapshot()["mm_runtime_heap_allocs_objects"].(float64)
+	}
+	const n = 100_000
+	before := read()
+	for i := 0; i < n; i++ {
+		tinySink = new(int64)
+	}
+	if rise := read() - before; rise < n {
+		t.Errorf("mm_runtime_heap_allocs_objects rose by %.0f over %d tiny allocations", rise, n)
 	}
 }
 

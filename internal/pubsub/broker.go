@@ -760,9 +760,9 @@ func (b *Broker) applyFeedback(user string, doc int64, fd filter.Feedback, sp *t
 				return fmt.Errorf("pubsub: journal: %w", err)
 			}
 		}
-		// Trace() is 0 (and the hex empty) when this request is untraced;
-		// the document id is worth tagging either way.
-		l.TagNextObserve(doc, sp.Trace().String())
+		// Trace() is 0 when this request is untraced; the document id is
+		// worth tagging either way.
+		l.TagNextObserve(doc, sp.Trace())
 		os := sp.Child("core.observe")
 		l.Observe(vec, fd)
 		os.End()

@@ -87,10 +87,25 @@ func BenchmarkLazyBoot(b *testing.B) {
 }
 
 // BenchmarkCheckpoint measures one Checkpoint(1) over 4 000 users of ~5.5 KB
-// in segments, perf's restart population, after a tail of 400 judgments
-// spread uniformly over them, and reports the segment bytes it writes.
+// in segments, perf's restart population, and reports the segment bytes it
+// writes. In tail=400 the WAL holds 400 judgments spread uniformly over the
+// users, so most records are carried clean; in all-dirty it holds eight
+// judgments of every user, so every profile is decoded, replayed and
+// marshalled again.
 func BenchmarkCheckpoint(b *testing.B) {
-	const users, tail = 4000, 400
+	const users = 4000
+	b.Run("tail=400", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		benchCheckpoint(b, users, 400, func(int) int { return rng.Intn(users) })
+	})
+	b.Run("all-dirty", func(b *testing.B) {
+		benchCheckpoint(b, users, 8*users, func(j int) int { return j % users })
+	})
+}
+
+// benchCheckpoint appends a tail of judgments, the j-th for user(j), before
+// each timed Checkpoint(1).
+func benchCheckpoint(b *testing.B, users, tail int, user func(j int) int) {
 	dir := b.TempDir()
 	checkpointedStore(b, dir, users, trainedProfile(b, 3))
 	s, err := Open(dir, Options{})
@@ -103,13 +118,13 @@ func BenchmarkCheckpoint(b *testing.B) {
 		pairs = append(pairs, fmt.Sprintf("tailterm%03d", i), 1.0+float64(i%5))
 	}
 	doc := vec(pairs...)
-	rng := rand.New(rand.NewSource(1))
 	var written int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for j := 0; j < tail; j++ {
-			if err := s.AppendFeedback(fmt.Sprintf("user-%05d", rng.Intn(users)), doc, filter.Relevant); err != nil {
+			if err := s.AppendFeedback(fmt.Sprintf("user-%05d", user(j)), doc, filter.Relevant); err != nil {
 				b.Fatal(err)
 			}
 		}

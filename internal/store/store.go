@@ -802,9 +802,10 @@ func scanRecords(data []byte) (payloads [][]byte, committed int, err error) {
 // profile slot (nil while the user does not exist) and returns the slot's
 // new content. A subscribe replaces whatever was there with a profile of
 // the named learner (core.NewNamed) loaded from the event's state, an
-// unsubscribe empties the slot, a feedback is observed — and is an error on
-// an empty slot, because the broker never journals one. A segment record is
-// replayed as the subscribe it stands for. Restore, RestoreUser and
+// unsubscribe empties the slot, a feedback is replayed (Profile.Replay,
+// which files no audit event) — and is an error on an empty slot, because
+// the broker never journals one. A segment record is replayed as the
+// subscribe it stands for. Restore, RestoreUser and
 // compaction differ only in how they walk the events and where they keep
 // the slots. Its errors carry no "store:" prefix: every caller puts the
 // record's position in front.
@@ -822,7 +823,7 @@ func apply(l *core.Profile, ev Event) (*core.Profile, error) {
 		if l == nil {
 			return nil, fmt.Errorf("feedback for unknown user %q", ev.User)
 		}
-		l.Observe(ev.Vec, ev.Fd)
+		l.Replay(ev.Vec, ev.Fd)
 		return l, nil
 	default:
 		return nil, fmt.Errorf("unknown event type %d", ev.Type)

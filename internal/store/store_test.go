@@ -882,6 +882,64 @@ func (f slowSyncFile) Sync() error {
 	return f.File.Sync()
 }
 
+// TestReplayFilesNoAuditEvent: a profile rebuilt from the log — by
+// RestoreUser, by a boot's Load and Restore, and across a checkpoint's
+// compaction — holds an empty audit journal, though its judgments were
+// replayed through MM's update, and exports the bytes of the profile that
+// observed them live.
+func TestReplayFilesNoAuditEvent(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	live := core.NewDefault()
+	judge := func(v vsm.Vector, fd filter.Feedback) {
+		t.Helper()
+		if err := s.AppendFeedback("alice", v, fd); err != nil {
+			t.Fatal(err)
+		}
+		live.Observe(v, fd)
+	}
+	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
+		t.Fatal(err)
+	}
+	judge(vec("cat", 1.0), filter.Relevant)
+	judge(vec("cat", 0.8, "dog", 0.6), filter.Relevant)
+	judge(vec("cat", 0.6, "fish", 0.8), filter.NotRelevant)
+	if len(live.AuditTrail()) == 0 {
+		t.Fatal("the live profile journalled nothing")
+	}
+	rebuilt := func(how string, l *core.Profile) {
+		t.Helper()
+		if trail := l.AuditTrail(); len(trail) != 0 {
+			t.Errorf("%s: the rebuilt profile journalled %d replayed events: %+v", how, len(trail), trail)
+		}
+		if !bytes.Equal(marshal(t, l), marshal(t, live)) {
+			t.Errorf("%s: the rebuilt profile exports other bytes than the live one", how)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		l, found, err := s.RestoreUser("alice")
+		if err != nil || !found {
+			t.Fatalf("RestoreUser %s: found=%v err=%v", when, found, err)
+		}
+		rebuilt("RestoreUser "+when, l)
+		profiles, events, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		learners, err := Restore(profiles, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt("Restore "+when, learners["alice"])
+	}
+	check("from the WAL")
+	if _, err := s.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	judge(vec("dog", 1.0), filter.Relevant)
+	check("from a segment and the WAL")
+}
+
 // TestGroupCommitCoalesces proves durable mode batches fsyncs: many
 // concurrent appenders share far fewer fsyncs than appends, yet every
 // append is individually acknowledged durable. Its fsync is a sleep, which
