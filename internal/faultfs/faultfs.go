@@ -56,7 +56,6 @@ type FS interface {
 	// CreateTemp creates a unique temporary file in dir (os.CreateTemp
 	// pattern rules).
 	CreateTemp(dir, pattern string) (File, error)
-	ReadFile(name string) ([]byte, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -80,8 +79,6 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 }
 
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 

@@ -259,7 +259,7 @@ func TestOSRoundTrip(t *testing.T) {
 	if err := fsys.Rename(dir+"/a", dir+"/b"); err != nil {
 		t.Fatal(err)
 	}
-	data, err := fsys.ReadFile(dir + "/b")
+	data, err := os.ReadFile(dir + "/b")
 	if err != nil || string(data) != "he" {
 		t.Fatalf("read back %q, %v", data, err)
 	}

@@ -346,6 +346,7 @@ func (s *Sim) CreateTemp(dir, pattern string) (File, error) {
 	return &simHandle{sim: s, file: f, name: name, epoch: s.epoch}, nil
 }
 
+// ReadFile returns a copy of name's volatile image, for tests to inspect.
 func (s *Sim) ReadFile(name string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

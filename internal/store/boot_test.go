@@ -8,6 +8,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -21,11 +22,11 @@ import (
 	"mmprofile/internal/filter"
 )
 
-// countingFS counts the bytes read out of segment and WAL files, whole or
-// by pread.
+// countingFS counts the bytes read out of segment and WAL files, and
+// keeps the largest single read of either.
 type countingFS struct {
 	faultfs.FS
-	seg, wal atomic.Int64
+	seg, wal, largest atomic.Int64
 }
 
 func (c *countingFS) count(name string, n int) {
@@ -34,13 +35,11 @@ func (c *countingFS) count(name string, n int) {
 		c.seg.Add(int64(n))
 	case strings.HasPrefix(base, walPrefix):
 		c.wal.Add(int64(n))
+	default:
+		return
 	}
-}
-
-func (c *countingFS) ReadFile(name string) ([]byte, error) {
-	data, err := c.FS.ReadFile(name)
-	c.count(name, len(data))
-	return data, err
+	for m := c.largest.Load(); int64(n) > m && !c.largest.CompareAndSwap(m, int64(n)); m = c.largest.Load() {
+	}
 }
 
 func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
@@ -127,9 +126,10 @@ func TestLazyBootReadsOnlyTheIndex(t *testing.T) {
 }
 
 // TestWALInfoReadsIndexesNotSegments: the flight recorder's and mmstore's
-// WALInfo takes the segment's profile count and size from its index frame,
-// so it reads the index frame and the WAL and nothing else — and still
-// counts every profile.
+// WALInfo takes the segment's profile count and size from its index frame
+// and, on a live store, the WAL's extent and users from the offset index,
+// so it reads the index frame and no WAL byte — and still counts every
+// profile and dirty user.
 func TestWALInfoReadsIndexesNotSegments(t *testing.T) {
 	const users = 200
 	dir := t.TempDir()
@@ -164,13 +164,130 @@ func TestWALInfoReadsIndexesNotSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segRead, walRead := cfs.seg.Load(), cfs.wal.Load(); segRead > seg.Size()-at || walRead > wal.Size() {
-		t.Errorf("WALInfo read %d segment and %d WAL bytes; the index frame is %d of %d segment bytes, the WAL %d",
-			segRead, walRead, seg.Size()-at, seg.Size(), wal.Size())
+	if segRead, walRead := cfs.seg.Load(), cfs.wal.Load(); segRead > seg.Size()-at || walRead != 0 {
+		t.Errorf("WALInfo read %d segment and %d WAL bytes; the index frame is %d of %d segment bytes, and no WAL byte is needed",
+			segRead, walRead, seg.Size()-at, seg.Size())
 	}
-	if info.SegProfiles != users || info.SegBytes != seg.Size() || info.DirtyUsers != 20 {
-		t.Errorf("WALInfo: %d profiles in %d segment bytes, %d dirty; want %d in %d, 20 dirty",
-			info.SegProfiles, info.SegBytes, info.DirtyUsers, users, seg.Size())
+	if info.SegProfiles != users || info.SegBytes != seg.Size() || info.DirtyUsers != 20 || info.Records != 20 || info.Committed != wal.Size() {
+		t.Errorf("WALInfo: %d profiles in %d segment bytes, %d records of %d dirty users in %d bytes; want %d in %d, 20 of 20 in %d",
+			info.SegProfiles, info.SegBytes, info.Records, info.DirtyUsers, info.Committed, users, seg.Size(), wal.Size())
+	}
+}
+
+// TestWALInfoEqualsReadOnlyOpen: what a live store answers from its index
+// is what a ReadOnly open of the same directory reads off the files, field
+// by field — on a whole log, and after a short write poisons the log, when
+// Torn is exactly the bytes the failed write left past the committed
+// length.
+func TestWALInfoEqualsReadOnlyOpen(t *testing.T) {
+	for _, partial := range []int{3, 20} { // a torn header, a torn payload
+		t.Run(fmt.Sprint(partial), func(t *testing.T) {
+			sim := faultfs.NewSim()
+			s, err := Open("/state", Options{FS: sim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 6; i++ {
+				must(s.AppendSubscribe(fmt.Sprintf("user-%d", i), "MM", nil))
+				must(s.AppendFeedback(fmt.Sprintf("user-%d", i), fbVec(i), filter.Relevant))
+			}
+			_, err = s.Checkpoint(1)
+			must(err)
+			must(s.AppendFeedback("user-1", fbVec(10), filter.Relevant))
+			must(s.AppendFeedback("user-1", fbVec(11), filter.NotRelevant))
+			must(s.AppendUnsubscribe("user-2"))
+			must(s.AppendSubscribe("late", "MM", nil))
+
+			same := func(when string, torn int64) {
+				t.Helper()
+				live, err := s.WALInfo()
+				must(err)
+				ro, err := Open("/state", Options{FS: sim, ReadOnly: true})
+				must(err)
+				defer ro.Close()
+				read, err := ro.WALInfo()
+				must(err)
+				if live != read {
+					t.Errorf("%s: live WALInfo %+v, ReadOnly %+v", when, live, read)
+				}
+				if live.Torn != torn || live.Committed != s.walLen || live.Records != 4 || live.DirtyUsers != 3 || live.SegProfiles != 6 {
+					t.Errorf("%s: WALInfo %+v; want 4 records of 3 users in %d bytes, %d torn, 6 profiles", when, live, s.walLen, torn)
+				}
+			}
+			same("whole log", 0)
+
+			sim.SetHook(func(op faultfs.Op) faultfs.Fault {
+				if op.Kind == faultfs.OpWrite {
+					return faultfs.Fault{Err: faultfs.ErrNoSpace, Partial: partial}
+				}
+				return faultfs.Fault{}
+			})
+			if err := s.AppendFeedback("user-3", fbVec(12), filter.Relevant); !errors.Is(err, faultfs.ErrNoSpace) {
+				t.Fatalf("want ErrNoSpace, got %v", err)
+			}
+			sim.SetHook(nil)
+			same("poisoned log", int64(partial))
+		})
+	}
+}
+
+// TestReadsAreOneFrameAtATime: Open, Load and Checkpoint stream a
+// multi-megabyte WAL and segment through the scan's buffer, so no single
+// read of either file is larger than that buffer or the largest frame —
+// never the file.
+func TestReadsAreOneFrameAtATime(t *testing.T) {
+	const users = 200
+	dir := t.TempDir()
+	checkpointedStore(t, dir, users, bigProfile(t))
+	s := openStore(t, dir)
+	pairs := make([]any, 0, 200)
+	for i := 0; i < 100; i++ {
+		pairs = append(pairs, fmt.Sprintf("tailterm%03d", i), 1.0+float64(i%5))
+	}
+	doc := vec(pairs...)
+	for j := 0; s.walLen < 4<<20; j++ {
+		if err := s.AppendFeedback(fmt.Sprintf("user-%05d", j%users), doc, filter.Relevant); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := int64(0)
+	for _, refs := range s.walIdx {
+		frame = max(frame, 8+int64(refs[0].n))
+	}
+	if _, err := s.RestoredUsers(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range s.segIdx {
+		frame = max(frame, 8+int64(ref.n))
+	}
+	walBytes := s.walLen
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfs := &countingFS{FS: faultfs.OS()}
+	s, err := Open(dir, Options{FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	bound := max(scanBufSize, frame)
+	t.Logf("over a %d-byte WAL: largest single read %d bytes (buffer %d, largest frame %d)", walBytes, cfs.largest.Load(), scanBufSize, frame)
+	if got := cfs.largest.Load(); got > bound {
+		t.Errorf("a single read took %d bytes of a %d-byte WAL or its segment; want at most %d", got, walBytes, bound)
 	}
 }
 

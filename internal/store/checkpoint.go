@@ -212,11 +212,6 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 	if err := s.indexJournal(); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	payloads, err := s.records(walFile)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-
 	// One slot per user the WAL touches: the profile apply has made of the
 	// user's events so far (nil once unsubscribed).
 	order := make([]string, 0, len(s.segIdx))
@@ -226,11 +221,7 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 	sort.Slice(order, func(i, j int) bool { return s.segIdx[order[i]].off < s.segIdx[order[j]].off })
 	touched := make(map[string]*core.Profile)
 	var buf []byte
-	for i, p := range payloads {
-		ev, err := decodeEvent(p)
-		if err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
-		}
+	err = s.scanWAL(func(off int64, ev Event) error {
 		l, seen := touched[ev.User]
 		ref, inSeg := s.segIdx[ev.User]
 		switch {
@@ -238,16 +229,22 @@ func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carri
 			order = append(order, ev.User)
 		case ev.Type == EventFeedback && !seen && inSeg:
 			// First touch of a segment profile: rehydrate it.
+			var err error
 			if l, buf, err = s.segProfile(ev.User, ref, buf); err != nil {
-				return nil, 0, 0, 0, err
+				return err
 			}
 		case ev.Type == EventUnsubscribe && !seen && !inSeg:
-			continue // of a user the store never held: nothing to drop
+			return nil // of a user the store never held: nothing to drop
 		}
-		if l, err = apply(l, ev); err != nil {
-			return nil, 0, 0, 0, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
+		l, err := apply(l, ev)
+		if err != nil {
+			return fmt.Errorf("store: wal %d offset %d: %w", s.gen, off, err)
 		}
 		touched[ev.User] = l
+		return nil
+	})
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
 
 	idx = make(map[string]segRef, len(order))

@@ -31,6 +31,17 @@ func sampleWAL(tb testing.TB) []byte {
 	return data
 }
 
+// scanBytes runs scan over data and returns copies of the payloads it
+// handed over and the valid prefix's length.
+func scanBytes(data []byte) ([][]byte, int, error) {
+	var payloads [][]byte
+	end, _, err := scan(bytes.NewReader(data), func(_ int64, p []byte) error {
+		payloads = append(payloads, bytes.Clone(p))
+		return nil
+	})
+	return payloads, int(end), err
+}
+
 // FuzzLoadWAL feeds arbitrary bytes to the log reader: Open and Load must
 // never panic. Open may refuse mid-log corruption; whatever a successful
 // Load accepts must be structurally sound events.
@@ -86,7 +97,7 @@ func FuzzLoadWAL(f *testing.F) {
 // it must error or decode, never panic or read out of bounds.
 func FuzzDecodeEvent(f *testing.F) {
 	real := sampleWAL(f)
-	payloads, _, err := scanRecords(real)
+	payloads, _, err := scanBytes(real)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func FuzzManifest(f *testing.F) {
 // record (CRC32 catches all single-bit errors).
 func TestBitFlipEveryOffset(t *testing.T) {
 	data := sampleWAL(t)
-	want, committed, err := scanRecords(data)
+	want, committed, err := scanBytes(data)
 	if err != nil || committed != len(data) {
 		t.Fatalf("sample log unclean: %d/%d, %v", committed, len(data), err)
 	}
@@ -218,7 +229,7 @@ func TestBitFlipEveryOffset(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), data...)
 			mut[off] ^= 1 << bit
-			payloads, _, err := scanRecords(mut)
+			payloads, _, err := scanBytes(mut)
 			if err != nil {
 				continue // detected and reported: fine
 			}
@@ -245,7 +256,7 @@ func TestBitFlipEveryOffset(t *testing.T) {
 func TestImplausibleLengthIs32BitSafe(t *testing.T) {
 	data := make([]byte, 64)
 	binary.LittleEndian.PutUint32(data[0:4], 0xF0000000)
-	if _, _, err := scanRecords(data); err == nil {
+	if _, _, err := scanBytes(data); err == nil {
 		t.Fatal("implausible length accepted")
 	}
 	// Same for the varint field lengths inside a payload.

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -26,7 +26,7 @@ type walRef struct {
 	typ EventType
 }
 
-// The journal's two files, as reader, readAt and records name them.
+// The journal's two files, as reader and readAt name them.
 const (
 	segFile = iota
 	walFile
@@ -48,7 +48,7 @@ func (s *Store) segPath(gen uint64) string { return s.journalPath(segPrefix, gen
 // is the constructor). The new directory entry is NOT synced here: Open and
 // Checkpoint each follow with one SyncDir.
 func (s *Store) openWAL() error {
-	size, err := s.indexWAL()
+	torn, err := s.indexWAL()
 	if err != nil {
 		return err
 	}
@@ -56,7 +56,7 @@ func (s *Store) openWAL() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if s.walLen < size {
+	if torn {
 		// Torn tail from a crash mid-append: chop it so the next append
 		// starts at a record boundary — appending after garbage is what
 		// used to turn one torn record into a whole-log loss on the
@@ -75,33 +75,71 @@ func (s *Store) openWAL() error {
 	return nil
 }
 
-// indexWAL scans the current WAL once: it sets s.walLen to the valid
-// prefix's length, rebuilds s.walIdx from that prefix and returns the file's
-// size. A torn tail is not an error — the prefix stops before it, which is
-// all a ReadOnly store ever does about one. Valid records beyond the damage
-// are: that is no torn append, and truncating would lose them.
-func (s *Store) indexWAL() (size int64, err error) {
-	data, err := s.readFileOrEmpty(s.walPath(s.gen))
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
+// indexWAL scans the current WAL once: it sets s.walIdx and s.walLen to
+// the valid prefix and reports whether a torn tail follows it. A WAL a crash kept
+// from being created is empty. A torn tail is not an error — the prefix
+// stops before it, which is all a ReadOnly store ever does about one. Valid
+// records beyond the damage are: that is no torn append, and truncating
+// would lose them.
+func (s *Store) indexWAL() (torn bool, err error) {
+	idx, end := map[string][]walRef{}, int64(0)
+	err = s.readOwn(s.walPath(s.gen), func(r io.ReaderAt) (err error) {
+		idx, end, torn, err = s.walkWAL(r)
+		return err
+	})
+	if err == nil {
+		s.walIdx, s.walLen = idx, end
 	}
-	payloads, committed, err := scanRecords(data)
-	if err != nil {
-		return 0, fmt.Errorf("store: wal %d: %w", s.gen, err)
-	}
+	return torn, err
+}
+
+// walkWAL indexes the valid prefix of r, the current WAL, decoding only
+// each event's head: type byte, then the user, and reports whether a torn
+// tail follows it. On corruption it returns the index and length of the
+// prefix before the damage with the error.
+func (s *Store) walkWAL(r io.ReaderAt) (map[string][]walRef, int64, bool, error) {
 	idx := make(map[string][]walRef)
-	off := int64(0)
-	for i, p := range payloads {
-		// Only the event's head is decoded: type byte, then the user.
+	end, torn, err := scan(r, func(off int64, p []byte) error {
 		user, _, err := readLenBytes(p[min(1, len(p)):])
 		if err != nil {
-			return 0, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
+			return fmt.Errorf("record at offset %d: %w", off, err)
 		}
 		idx[string(user)] = append(idx[string(user)], walRef{off: off, n: uint32(len(p)), typ: EventType(p[0])})
-		off += 8 + int64(len(p))
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("store: wal %d: %w", s.gen, err)
 	}
-	s.walIdx, s.walLen = idx, int64(committed)
-	return int64(len(data)), nil
+	return idx, end, torn, err
+}
+
+// scanWAL streams the events of the current WAL's indexed prefix — up to
+// walLen, which must be whole — through fn (caller holds s.mu, after
+// indexJournal). fn's errors are returned as they are.
+func (s *Store) scanWAL(fn func(off int64, ev Event) error) error {
+	if s.walLen == 0 { // nothing to read, maybe not even a file
+		return nil
+	}
+	f, err := s.reader(walFile)
+	if err != nil {
+		return err
+	}
+	var ferr error
+	end, _, err := scan(io.NewSectionReader(f, 0, s.walLen), func(off int64, p []byte) error {
+		ev, err := decodeEvent(p)
+		if err != nil {
+			return fmt.Errorf("record at offset %d: %w", off, err)
+		}
+		ferr = fn(off, ev)
+		return ferr
+	})
+	if err == nil && end != s.walLen {
+		err = fmt.Errorf("truncated record at offset %d", end)
+	}
+	if err != nil && err != ferr {
+		err = fmt.Errorf("store: wal %d: %w", s.gen, err)
+	}
+	return err
 }
 
 // indexJournal makes sure both offset indexes exist (caller holds s.mu).
@@ -132,29 +170,22 @@ func (s *Store) indexJournal() error {
 	return err
 }
 
-// segIndex returns the offset index of the current segment, read through f
-// with one pread of its index frame, and the segment's byte size (caller
-// holds s.mu).
+// segIndex reads and verifies the current segment's index frame through f,
+// with one pread, and returns the index and the segment's size, which ends
+// with that frame (caller holds s.mu).
 func (s *Store) segIndex(f io.ReaderAt) (map[string]segRef, int64, error) {
-	idx, size, err := readSegIndex(f, s.idxOff)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: segment %d index at %d: %w", s.gen, s.idxOff, err)
-	}
-	return idx, size, nil
-}
-
-// readSegIndex reads and verifies the index frame at off and returns the
-// index and the segment's size, which ends with that frame.
-func readSegIndex(f io.ReaderAt, off int64) (map[string]segRef, int64, error) {
-	frame, err := readRecord(io.NewSectionReader(f, off, 8+maxRecordLen), nil)
+	frame, err := readRecord(io.NewSectionReader(f, s.idxOff, 8+maxRecordLen), nil)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF // the manifest names a frame here
 	}
-	if err != nil {
-		return nil, 0, err
+	var idx map[string]segRef
+	if err == nil {
+		idx, err = decodeSegIndex(frame[8:], s.idxOff)
 	}
-	idx, err := decodeSegIndex(frame[8:], off)
-	return idx, off + int64(len(frame)), err
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: segment %d index at %d: %w", s.gen, s.idxOff, err)
+	}
+	return idx, s.idxOff + int64(len(frame)), nil
 }
 
 // A segment's index frame is the CRC32-framed record after its profile
@@ -239,6 +270,20 @@ func (s *Store) reader(which int) (faultfs.File, error) {
 	return s.rd[which], nil
 }
 
+// readOwn hands fn a read handle of its own on path and closes it after,
+// so a closed store keeps no reader. A missing file is not read and not an
+// error.
+func (s *Store) readOwn(path string, fn func(io.ReaderAt) error) error {
+	f, err := s.fsys.OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	return fn(f)
+}
+
 // readAt preads the record of n payload bytes framed at off in the current
 // segment or WAL and verifies it (caller holds s.mu). It returns the frame,
 // payload at [8:], in buf when that is large enough.
@@ -249,7 +294,7 @@ func (s *Store) readAt(which int, off int64, n uint32, buf []byte) ([]byte, erro
 	}
 	frame, err := readRecord(io.NewSectionReader(f, off, 8+int64(n)), buf)
 	if err == nil && len(frame) != 8+int(n) {
-		err = errors.New("checksum mismatch") // in the length field
+		err = errChecksum // in the length field
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %s offset %d: %w", f.Name(), off, err)
@@ -266,61 +311,4 @@ func (s *Store) closeReaders() {
 			s.rd[i] = nil
 		}
 	}
-}
-
-// records reads and verifies one of the current files whole, for Load and
-// compaction's replay (caller holds s.mu). A segment's records must parse to
-// its index frame, each the user its index entry names; a WAL must parse up
-// to its committed length (bytes past it can only be a poisoned write's
-// remnants and are clamped away), except that ReadOnly mode tolerates a torn
-// tail exactly the way recovery would.
-func (s *Store) records(which int) ([][]byte, error) {
-	path, strict := s.segPath(s.gen), true
-	if which == walFile {
-		path, strict = s.walPath(s.gen), !s.opts.ReadOnly
-	}
-	data, err := s.readFileOrEmpty(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if which == walFile && strict && int64(len(data)) > s.walLen {
-		data = data[:s.walLen]
-	}
-	var idx map[string]segRef
-	if which == segFile && s.idxOff != noIndex {
-		if idx, _, err = readSegIndex(bytes.NewReader(data), s.idxOff); err == nil {
-			data = data[:s.idxOff]
-		}
-	}
-	var payloads [][]byte
-	if err == nil {
-		var committed int
-		payloads, committed, err = scanRecords(data)
-		if err == nil && strict && committed != len(data) {
-			err = fmt.Errorf("truncated record at offset %d", committed)
-		}
-	}
-	if err == nil && idx != nil {
-		err = matchSegIndex(payloads, idx)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
-	}
-	return payloads, nil
-}
-
-// matchSegIndex requires that the records a segment scan found are the
-// ones its index names. Both tile [0, idxOff), so a record at each entry's
-// offset, of the entry's length and named as it says, is the whole
-// correspondence.
-func matchSegIndex(payloads [][]byte, idx map[string]segRef) error {
-	off := int64(0)
-	for _, p := range payloads {
-		user, _, err := readLenBytes(p)
-		if ref, ok := idx[string(user)]; err != nil || !ok || ref.off != off || int(ref.n) != len(p) {
-			return fmt.Errorf("the record at offset %d is not the one the index names there", off)
-		}
-		off += 8 + int64(len(p))
-	}
-	return nil
 }

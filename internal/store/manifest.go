@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -96,23 +97,26 @@ func olderLayout(what string) error {
 // corrupt one is real damage and fails the open instead of silently
 // falling back a generation.
 func readManifest(fsys faultfs.FS, dir string) (manifest, bool, error) {
-	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	f, err := fsys.OpenFile(filepath.Join(dir, manifestName), os.O_RDONLY, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		return manifest{}, false, nil
 	}
 	if err != nil {
 		return manifest{}, false, fmt.Errorf("store: manifest: %w", err)
 	}
-	payloads, committed, err := scanRecords(data)
-	if err == nil && (len(payloads) != 1 || committed != len(data)) {
+	defer f.Close()
+	var mf manifest
+	n := 0
+	_, torn, err := scan(f, func(_ int64, p []byte) (err error) {
+		n++
+		mf, err = decodeManifest(p)
+		return err
+	})
+	if err == nil && (n != 1 || torn) {
 		err = fmt.Errorf("malformed framing")
 	}
 	if err != nil {
-		return manifest{}, false, fmt.Errorf("store: manifest: %w", err)
-	}
-	mf, err := decodeManifest(payloads[0])
-	if err != nil {
-		return manifest{}, false, fmt.Errorf("store: %s: %w", filepath.Join(dir, manifestName), err)
+		return manifest{}, false, fmt.Errorf("store: %s: %w", f.Name(), err)
 	}
 	return mf, true, nil
 }

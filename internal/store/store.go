@@ -35,14 +35,16 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
+	"math"
 	"math/bits"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -491,51 +493,53 @@ func (s *Store) leadSync() {
 	s.cmu.Unlock()
 }
 
-// Load reads the segment and log under the journal lock, so a concurrent
-// append can never be misread as a torn tail and silently dropped. In
-// ReadOnly mode a genuinely torn tail is tolerated exactly as recovery
-// would tolerate it; in read-write mode the tail was already truncated at
-// Open, so any trailing garbage is an error.
+// Load streams the segment and log, a frame at a time, under the journal
+// lock, so a concurrent append can never be misread as a torn tail and
+// silently dropped. Every segment record must be the one its index entry
+// names at that offset, and the WAL is read to the prefix its index covers:
+// in read-write mode Open truncated any torn tail; in ReadOnly mode the
+// first index build stopped before one, exactly as recovery would.
 func (s *Store) Load() ([]ProfileRecord, []Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segs, err := s.records(segFile)
-	if err != nil {
+	if err := s.indexJournal(); err != nil {
 		return nil, nil, err
 	}
-	profiles := make([]ProfileRecord, 0, len(segs))
-	for i, payload := range segs {
-		rec, err := decodeProfileRecord(payload)
+	profiles := make([]ProfileRecord, 0, len(s.segIdx))
+	if s.gen > 0 {
+		f, err := s.reader(segFile)
 		if err != nil {
-			return nil, nil, fmt.Errorf("store: segment %d record %d: %w", s.gen, i, err)
+			return nil, nil, err
 		}
-		profiles = append(profiles, rec)
-	}
-	payloads, err := s.records(walFile)
-	if err != nil {
-		return nil, nil, err
+		end, _, err := scan(io.NewSectionReader(f, 0, s.idxOff), func(off int64, p []byte) error {
+			rec, err := decodeProfileRecord(p)
+			if ref, ok := s.segIdx[rec.User]; err == nil && (!ok || ref.off != off || int(ref.n) != len(p)) {
+				err = errors.New("not the record the index names there")
+			}
+			if err != nil {
+				return fmt.Errorf("offset %d: %w", off, err)
+			}
+			rec.Data = bytes.Clone(rec.Data)
+			profiles = append(profiles, rec)
+			return nil
+		})
+		if err == nil && end != s.idxOff {
+			err = fmt.Errorf("truncated record at offset %d", end)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: segment %d: %w", s.gen, err)
+		}
 	}
 	var events []Event
-	for i, payload := range payloads {
-		ev, err := decodeEvent(payload)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: wal %d record %d: %w", s.gen, i, err)
-		}
+	err := s.scanWAL(func(_ int64, ev Event) error {
+		ev.State = bytes.Clone(ev.State)
 		events = append(events, ev)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return profiles, events, nil
-}
-
-// readFileOrEmpty reads a file, mapping absence to emptiness.
-func (s *Store) readFileOrEmpty(path string) ([]byte, error) {
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return data, nil
 }
 
 // WALInfo describes the journal's on-disk state, for inspection tooling
@@ -551,51 +555,39 @@ type WALInfo struct {
 	SegBytes    int64  // byte size of the current segment
 }
 
-// WALInfo scans the WAL and reports its integrity; the segment's profile
-// count and size come from its index frame, so the segment is never read
-// whole. A non-nil error means corruption before the WAL's tail or in the
-// segment's index; the returned info still describes the valid prefix.
+// WALInfo reports the journal's integrity. A writable store answers from
+// its offset index and committed length, which Open verified and every
+// append maintains, and reads only the bytes past that length: a poisoned
+// write's remnants, if any. A ReadOnly store walks the WAL as its index
+// build does. The segment's figures come from its index frame. A non-nil
+// error means corruption before the WAL's tail or in the segment's index;
+// the returned info still describes the valid prefix.
 func (s *Store) WALInfo() (WALInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := WALInfo{Seq: s.epoch.Load(), Gen: s.gen}
-	data, err := s.readFileOrEmpty(s.walPath(s.gen))
-	if err != nil {
-		return info, fmt.Errorf("store: %w", err)
-	}
-	payloads, committed, err := scanRecords(data)
-	if err != nil {
-		err = fmt.Errorf("store: wal %d: %w", s.gen, err)
-	}
-	info.Records, info.Committed, info.Torn = len(payloads), int64(committed), int64(len(data)-committed)
-	seen := make(map[string]bool)
-	for _, p := range payloads {
-		if ev, derr := decodeEvent(p); derr == nil {
-			seen[ev.User] = true
+	idx, end := s.walIdx, s.walLen
+	var werr, serr error
+	rerr := s.readOwn(s.walPath(s.gen), func(r io.ReaderAt) (err error) {
+		if s.opts.ReadOnly {
+			idx, end, _, werr = s.walkWAL(r)
 		}
+		info.Torn, err = io.Copy(io.Discard, io.NewSectionReader(r, end, math.MaxInt64-end))
+		return err
+	})
+	info.Committed, info.DirtyUsers = end, len(idx)
+	for _, refs := range idx {
+		info.Records += len(refs)
 	}
-	info.DirtyUsers = len(seen)
 	if s.gen > 0 {
-		if serr := s.segInfo(&info); err == nil {
-			err = serr
-		}
+		serr = s.readOwn(s.segPath(s.gen), func(r io.ReaderAt) (err error) {
+			var idx map[string]segRef
+			idx, info.SegBytes, err = s.segIndex(r)
+			info.SegProfiles = len(idx)
+			return err
+		})
 	}
-	return info, err
-}
-
-// segInfo fills info's segment fields through a handle of its own, so a
-// closed store keeps no reader (caller holds s.mu).
-func (s *Store) segInfo(info *WALInfo) error {
-	f, err := s.fsys.OpenFile(s.segPath(s.gen), os.O_RDONLY, 0)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	idx, size, err := s.segIndex(f)
-	info.SegProfiles, info.SegBytes = len(idx), size
-	return err
+	return info, cmp.Or(werr, rerr, serr)
 }
 
 // Health rolls up the store's sticky failure state without touching disk:
@@ -731,9 +723,11 @@ func writeFrame(w io.Writer, frame []byte) error {
 	return nil
 }
 
+var errChecksum = errors.New("checksum mismatch")
+
 // readRecord reads the next framed record from r into buf (replaced when
-// too small) and verifies it as scanRecords would. It returns the whole
-// frame, payload at [8:]; io.EOF means r ended cleanly before the record.
+// too small) and verifies it. It returns the whole frame, payload at [8:];
+// io.EOF means r ended cleanly before the record.
 func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 8 {
 		buf = make([]byte, 8)
@@ -755,47 +749,64 @@ func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(buf[8:]) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, errors.New("checksum mismatch")
+		return nil, errChecksum
 	}
 	return buf, nil
 }
 
-// scanRecords parses framed records from data, returning the records of
-// the valid prefix — sub-slices of data, back to back from offset 0 with
-// 8 bytes of framing each — and that prefix's byte length. A remainder
-// that looks like one torn append — a truncated header, a record extending past EOF,
-// or a checksum failure on the final record — is not an error: committed
-// simply stops before it. Anything else (a bad checksum or implausible
-// length with valid data beyond it) is corruption and returns an error,
-// because records are written in a single call: any fully readable length
-// field was fully written, so mid-file damage is never a torn append.
-func scanRecords(data []byte) (payloads [][]byte, committed int, err error) {
-	off := 0
-	for off < len(data) {
-		if len(data)-off < 8 {
-			return payloads, off, nil // torn header at tail
-		}
-		n := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if n > maxRecordLen {
-			return payloads, off, fmt.Errorf("implausible record size %d at offset %d", n, off)
-		}
-		// n ≤ maxRecordLen < MaxInt32: the int conversions below are safe
-		// on 32-bit platforms.
-		if int64(len(data)-off-8) < n {
-			return payloads, off, nil // torn record at tail
-		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			if off+8+int(n) == len(data) {
-				return payloads, off, nil // torn final record
+// scanBufSize is the scan's read buffer: it reads no more at once, except
+// straight into a frame larger than the buffer.
+const scanBufSize = 64 << 10
+
+// scan streams the framed records of r from offset 0 to its end, handing
+// fn each record's offset and payload, which fn may use only during the
+// call; fn's error ends the scan. It returns the valid prefix's length and
+// whether a torn append follows it: a short header, a frame that runs past
+// the end, or a checksum failure with no byte after its frame. Anything
+// else before the end — an implausible length, a checksum failure with
+// bytes behind it — is corruption: records are written in one call each,
+// so a readable length field was fully written, and damage before the tail
+// is never a torn append.
+func scan(r io.ReaderAt, fn func(off int64, payload []byte) error) (end int64, torn bool, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, math.MaxInt64), scanBufSize)
+	var buf []byte
+	for {
+		// A frame larger than the buffer must end inside the file before
+		// readRecord sizes a buffer for it: a garbage length costs a probe,
+		// not an allocation of up to maxRecordLen.
+		if hdr, err := br.Peek(8); err == nil {
+			n := int64(binary.LittleEndian.Uint32(hdr))
+			if n <= maxRecordLen && 8+n > scanBufSize {
+				if ok, err := hasByte(r, end+8+n-1); err != nil || !ok {
+					return end, err == nil, err
+				}
 			}
-			return payloads, off, fmt.Errorf("checksum mismatch at offset %d", off)
 		}
-		payloads = append(payloads, payload)
-		off += 8 + int(n)
+		frame, err := readRecord(br, buf)
+		switch _, next := br.Peek(1); {
+		case err == io.EOF:
+			return end, false, nil
+		case err == io.ErrUnexpectedEOF || err == errChecksum && next == io.EOF:
+			return end, true, nil
+		case err != nil:
+			return end, false, fmt.Errorf("%w at offset %d", err, end)
+		}
+		if err := fn(end, frame[8:]); err != nil {
+			return end, false, err
+		}
+		end += int64(len(frame))
+		buf = frame
 	}
-	return payloads, off, nil
+}
+
+// hasByte reports whether r holds a byte at off.
+func hasByte(r io.ReaderAt, off int64) (bool, error) {
+	var b [1]byte
+	n, err := r.ReadAt(b[:], off)
+	if n == 1 || err == io.EOF {
+		err = nil
+	}
+	return n == 1, err
 }
 
 // apply is the replay rule: it applies one journal event to its user's
