@@ -12,6 +12,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -24,6 +26,7 @@ import (
 	"mmprofile/internal/pubsub"
 	"mmprofile/internal/server"
 	"mmprofile/internal/sim"
+	"mmprofile/internal/store"
 	"mmprofile/internal/text"
 	"mmprofile/internal/vsm"
 	"mmprofile/internal/wire"
@@ -590,6 +593,107 @@ func benchImport(b *testing.B, state []byte, vary func(i int)) {
 		}
 	}
 	reportImportBytes(b, state, &sent)
+}
+
+// BenchmarkServerBoot times server.New over a crashed state directory of
+// perf's restart shape: 4 000 MM users of ~5.5 KB in a checkpointed
+// segment and a 400-judgment tail in the WAL. eager replays every profile
+// into the heap (-max-resident-profiles 0), lazy registers evicted stubs
+// from the offset index (-max-resident-profiles 400). Each boot opens a
+// fresh copy of the directory, made outside the timer, as is the shutdown
+// checkpoint that ends it.
+func BenchmarkServerBoot(b *testing.B) {
+	crashed := crashedStateDir(b, 4000, 400)
+	for _, c := range []struct {
+		name        string
+		maxResident int
+	}{{"eager", 0}, {"lazy", 400}} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := filepath.Join(b.TempDir(), "state")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copyDir(b, crashed, dir)
+				b.StartTimer()
+				srv, err := server.New(server.Config{Threshold: 0.25, Queue: 128, Retention: 4096, StateDir: dir, MaxResident: c.maxResident},
+					server.Seams{Log: io.Discard})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				srv.Stop()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// crashedStateDir writes a state directory holding users MM profiles of
+// three 100-term vectors in a segment, then tail judgments of uniformly
+// drawn users in a WAL that no checkpoint compacted.
+func crashedStateDir(b *testing.B, users, tail int) string {
+	b.Helper()
+	dir := b.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	doc := func(prefix string) vsm.Vector {
+		m := map[string]float64{}
+		for i := 0; i < 100; i++ {
+			m[fmt.Sprintf("%sterm%03d", prefix, i)] = 1 + float64(i%7)
+		}
+		return vsm.FromMap(m).Normalized()
+	}
+	p := core.NewDefault()
+	for v := 0; v < 3; v++ {
+		p.Observe(doc(fmt.Sprintf("v%d", v)), filter.Relevant)
+	}
+	state, err := p.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < users; i++ {
+		if err := st.AppendSubscribe(fmt.Sprintf("user-%05d", i), "MM", state); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := st.Checkpoint(1); err != nil {
+		b.Fatal(err)
+	}
+	rng, judged := rand.New(rand.NewSource(1)), doc("tail")
+	for j := 0; j < tail; j++ {
+		if err := st.AppendFeedback(fmt.Sprintf("user-%05d", rng.Intn(users)), judged, filter.Relevant); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// copyDir copies the files of directory from into a new directory to.
+func copyDir(b *testing.B, from, to string) {
+	b.Helper()
+	entries, err := os.ReadDir(from)
+	if err == nil {
+		err = os.MkdirAll(to, 0o755)
+	}
+	for _, e := range entries {
+		var data []byte
+		if data, err = os.ReadFile(filepath.Join(from, e.Name())); err == nil {
+			err = os.WriteFile(filepath.Join(to, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkServerImportDurable is BenchmarkServerImport into a server with

@@ -41,9 +41,9 @@ func main() {
 	}
 	defer st.Close()
 	info, infoErr := st.WALInfo()
-	profiles, events, err := st.Load()
+	users, err := st.RestoredUsers()
 	if err != nil {
-		// Surface the journal damage before giving up on the replay.
+		// Surface the journal damage before giving up.
 		if infoErr != nil {
 			fmt.Fprintf(os.Stderr, "mmstore: journal generation %d: %v (%d record(s) readable, %d committed byte(s))\n",
 				info.Gen, infoErr, info.Records, info.Committed)
@@ -52,31 +52,26 @@ func main() {
 	}
 
 	if *user == "" {
-		summarize(profiles, events, info)
+		summarize(users, info)
 		return
 	}
-	restored, err := store.Restore(profiles, events)
+	l, ok, err := st.RestoreUser(*user)
 	if err != nil {
 		fail(err)
 	}
-	l, ok := restored[*user]
 	if !ok {
-		fail(fmt.Errorf("no such user %q (known: %v)", *user, store.Users(profiles, events)))
+		fail(fmt.Errorf("no such user %q (known: %v)", *user, users))
 	}
 	describe(*user, l)
 }
 
-func summarize(profiles []store.ProfileRecord, events []store.Event, info store.WALInfo) {
+func summarize(users []string, info store.WALInfo) {
 	fmt.Printf("manifest epoch:   %d\n", info.Seq)
 	fmt.Printf("generation:       %d\n", info.Gen)
 	fmt.Printf("segment profiles: %d\n", info.SegProfiles)
 	fmt.Printf("segment bytes:    %d\n", info.SegBytes)
-	counts := map[store.EventType]int{}
-	for _, ev := range events {
-		counts[ev.Type]++
-	}
-	fmt.Printf("journal events:   %d (%d feedback, %d subscribe, %d unsubscribe)\n",
-		len(events), counts[store.EventFeedback], counts[store.EventSubscribe], counts[store.EventUnsubscribe])
+	fmt.Printf("journal events:   %d (%d feedback, %d subscribe, %d unsubscribe)\n", info.Records,
+		info.ByType[store.EventFeedback], info.ByType[store.EventSubscribe], info.ByType[store.EventUnsubscribe])
 	fmt.Printf("journal bytes:    %d committed", info.Committed)
 	if info.Torn > 0 {
 		// A torn tail is a crash artifact, not corruption: the next writing
@@ -85,7 +80,6 @@ func summarize(profiles []store.ProfileRecord, events []store.Event, info store.
 	}
 	fmt.Println()
 	fmt.Printf("dirty users:      %d\n", info.DirtyUsers)
-	users := store.Users(profiles, events)
 	fmt.Printf("users after replay: %d\n", len(users))
 	for _, u := range users {
 		fmt.Printf("  %s\n", u)

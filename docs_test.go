@@ -303,7 +303,7 @@ func TestDocsNameRealCode(t *testing.T) {
 func goTestNames(text string) (names []string, prefix []bool) {
 	for _, m := range goTestFlag.FindAllStringSubmatch(text, -1) {
 		for _, alt := range strings.Split(strings.Trim(m[2], `'"`), "|") {
-			alt = strings.TrimPrefix(alt, "^")
+			alt, _, _ = strings.Cut(strings.TrimPrefix(alt, "^"), "/") // the top-level name
 			if m[1] == "bench" && !strings.HasPrefix(alt, "Benchmark") {
 				alt = "Benchmark" + alt
 			}

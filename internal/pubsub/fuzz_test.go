@@ -82,7 +82,7 @@ func FuzzImportSubscribe(f *testing.F) {
 
 // FuzzImportReplay: whatever bytes UnmarshalFrom accepts, imported into a
 // broker journaled on a simulated disk, replay from the journal — in full
-// (store.Restore) and for the one user (RestoreUser) — as the profile the
+// (Store.RestoreAll) and for the one user (RestoreUser) — as the profile the
 // import made. The journal holds the bytes themselves, and decoding is a
 // function of them. Two seeds are encodings the decoder accepts and the
 // encoder never writes: the flags byte with bit 3 set, and the vector count
@@ -127,11 +127,7 @@ func FuzzImportReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		profiles, events, err := st.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := store.Restore(profiles, events)
+		restored, err := st.RestoreAll()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +135,7 @@ func FuzzImportReplay(f *testing.F) {
 		if err != nil || !ok {
 			t.Fatalf("RestoreUser: %v, found %v", err, ok)
 		}
-		for how, p := range map[string]*core.Profile{"Restore": restored["u"], "RestoreUser": one} {
+		for how, p := range map[string]*core.Profile{"RestoreAll": restored["u"], "RestoreUser": one} {
 			got, err := p.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)

@@ -46,11 +46,7 @@ func TestJournalIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	profiles, events, err := st2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	learners, err := store.Restore(profiles, events)
+	learners, err := st2.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}

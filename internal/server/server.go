@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,7 +338,8 @@ func (s *Server) Stop() {
 
 // restore registers the store's subscribers with the broker, which is all
 // the wire server needs to address them; SubscribeRestored never re-journals.
-// Eagerly, every profile is replayed into the heap; lazily (with
+// Eagerly, every profile is replayed into the heap in one walk of the
+// journal (Store.RestoreAll); lazily (with
 // -max-resident-profiles), each user becomes an evicted stub that hydrates on
 // first use — the names come from the store's offset index, so boot holds
 // O(subscribers) index entries, never the state. Boot compacts nothing: a
@@ -346,20 +348,17 @@ func (s *Server) Stop() {
 func restore(st *store.Store, broker *pubsub.Broker, logger *obs.Logger, lazy bool) error {
 	var users []string
 	var profiles map[string]*core.Profile // stays nil when lazy: every user boots as a stub
+	var err error
 	if lazy {
-		var err error
-		if users, err = st.RestoredUsers(); err != nil {
-			return err
+		users, err = st.RestoredUsers()
+	} else if profiles, err = st.RestoreAll(); err == nil {
+		for user := range profiles {
+			users = append(users, user)
 		}
-	} else {
-		records, events, err := st.Load()
-		if err != nil {
-			return err
-		}
-		if profiles, err = store.Restore(records, events); err != nil {
-			return err
-		}
-		users = store.Users(records, events)
+		sort.Strings(users)
+	}
+	if err != nil {
+		return err
 	}
 	for _, user := range users {
 		if _, err := broker.SubscribeRestored(user, profiles[user]); err != nil {

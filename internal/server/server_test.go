@@ -410,9 +410,7 @@ func TestStopUnderLiveFeedback(t *testing.T) {
 	if info.DirtyUsers != 0 || info.Records != 0 {
 		t.Errorf("clean shutdown left %d dirty users, %d WAL records", info.DirtyUsers, info.Records)
 	}
-	profiles, events, err := st.Load()
-	must(t, err)
-	restored, err := store.Restore(profiles, events)
+	restored, err := st.RestoreAll()
 	must(t, err)
 	got, err := restored["alice"].MarshalBinary()
 	must(t, err)

@@ -14,6 +14,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -95,7 +96,7 @@ func manifestOf(t *testing.T, dir string) manifest {
 // TestLazyBootReadsOnlyTheIndex is the boot's I/O bound: over 2 000 users
 // of ~10 KB in segments, Open + RestoredUsers reads the segment's index
 // frame — at most 64 B a user — and no record, and lists exactly the users
-// an eager Load holds.
+// an eager RestoreAll rebuilds.
 func TestLazyBootReadsOnlyTheIndex(t *testing.T) {
 	const users = 2000
 	dir := t.TempDir()
@@ -116,12 +117,17 @@ func TestLazyBootReadsOnlyTheIndex(t *testing.T) {
 	if read > 64*users {
 		t.Errorf("lazy boot read %d segment bytes, want at most %d (64 B a user)", read, 64*users)
 	}
-	profiles, events, err := s.Load()
+	all, err := s.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Users(profiles, events); len(names) != users || fmt.Sprint(names) != fmt.Sprint(want) {
-		t.Fatalf("RestoredUsers lists %d users, eager Load %d, or not the same ones", len(names), len(want))
+	var want []string
+	for user := range all {
+		want = append(want, user)
+	}
+	sort.Strings(want)
+	if len(names) != users || fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("RestoredUsers lists %d users, eager RestoreAll %d, or not the same ones", len(names), len(want))
 	}
 }
 
@@ -288,6 +294,54 @@ func TestReadsAreOneFrameAtATime(t *testing.T) {
 	t.Logf("over a %d-byte WAL: largest single read %d bytes (buffer %d, largest frame %d)", walBytes, cfs.largest.Load(), scanBufSize, frame)
 	if got := cfs.largest.Load(); got > bound {
 		t.Errorf("a single read took %d bytes of a %d-byte WAL or its segment; want at most %d", got, walBytes, bound)
+	}
+}
+
+// TestInspectionReadsTheWALOnce: mmstore's summary — a ReadOnly Open,
+// WALInfo and RestoredUsers — over a WAL of more than a megabyte reads each
+// WAL byte at most once, when Open indexes it, and of the segment only its
+// index frame.
+func TestInspectionReadsTheWALOnce(t *testing.T) {
+	const users = 200
+	dir := t.TempDir()
+	checkpointedStore(t, dir, users, bigProfile(t))
+	s := openStore(t, dir)
+	doc := vec("cat", 1.0, "dog", 0.5, "fish", 0.25)
+	for j := 0; s.walLen < 1<<20; j++ {
+		if err := s.AppendFeedback(fmt.Sprintf("user-%05d", j%users), doc, filter.Relevant); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walBytes := s.walLen
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	at := manifestOf(t, dir).idx
+	seg, err := os.Stat(filepath.Join(dir, "seg-000-00000001.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfs := &countingFS{FS: faultfs.OS()}
+	ro, err := Open(dir, Options{FS: cfs, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	info, err := ro.WALInfo()
+	if err != nil || info.Committed != walBytes || info.DirtyUsers != users || info.ByType[EventFeedback] != info.Records {
+		t.Fatalf("WALInfo = %+v, %v; want %d feedback-only bytes of %d users", info, err, walBytes, users)
+	}
+	if names, err := ro.RestoredUsers(); err != nil || len(names) != users {
+		t.Fatalf("RestoredUsers: %d users, %v", len(names), err)
+	}
+	t.Logf("read %d of %d WAL bytes and %d of %d segment bytes (index frame %d)",
+		cfs.wal.Load(), walBytes, cfs.seg.Load(), seg.Size(), seg.Size()-at)
+	if got := cfs.wal.Load(); got > walBytes {
+		t.Errorf("read %d WAL bytes of %d: some more than once", got, walBytes)
+	}
+	if got := cfs.seg.Load(); got > seg.Size()-at {
+		t.Errorf("read %d segment bytes; the index frame is %d", got, seg.Size()-at)
 	}
 }
 

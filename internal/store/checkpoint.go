@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"mmprofile/internal/core"
@@ -35,7 +34,7 @@ type CheckpointStats struct {
 // recoverable.
 //
 // On success, every record appended before the call is durable. Replay
-// refuses a learner name outside core.NewNamed's set, same as Restore.
+// refuses a learner name outside core.NewNamed's set, same as RestoreAll.
 func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 	var st CheckpointStats
 	if s.opts.ReadOnly {
@@ -143,7 +142,7 @@ func (s *Store) Checkpoint(minDirty int) (CheckpointStats, error) {
 	s.closeReaders()
 	compacted := len(s.walIdx)
 	old := s.wal
-	s.gen, s.segIdx, s.idxOff, s.wal = gen, idx, idxOff, nil
+	s.gen, s.segIdx, s.segLen, s.idxOff, s.wal = gen, idx, st.Bytes, idxOff, nil
 	err = s.openWAL()
 	old.Close()
 	if err != nil {
@@ -201,88 +200,40 @@ func (s *Store) stage(path string, fill func(io.Writer) error) error {
 
 // compact replays the committed WAL over the current segment and streams
 // the next segment to w, returning its offset index, where its index frame
-// starts and its size (caller holds s.mu). Clean users' frames are copied
-// from the old segment file one at a time, checksums and names verified;
-// users touched by the WAL are rehydrated (core.NewNamed), replayed, and
-// re-serialized — so a checkpoint holds the dirty profiles and never the
-// whole store. Segment order is preserved, with users first seen in the WAL
-// appended in event order, so compaction is deterministic. The index frame
-// follows the last record.
+// starts and its size (caller holds s.mu). It writes what replay hands it:
+// a clean user's record byte for byte, checksums and names verified on the
+// way, and a dirty survivor re-serialized — so a checkpoint decodes the
+// dirty profiles and never the whole store. Segment order is preserved,
+// with users first seen in the WAL appended in event order, so compaction
+// is deterministic. The index frame follows the last record.
 func (s *Store) compact(w io.Writer) (idx map[string]segRef, idxOff int64, carried int, size int64, err error) {
 	if err := s.indexJournal(); err != nil {
 		return nil, 0, 0, 0, err
 	}
-	// One slot per user the WAL touches: the profile apply has made of the
-	// user's events so far (nil once unsubscribed).
-	order := make([]string, 0, len(s.segIdx))
-	for user := range s.segIdx {
-		order = append(order, user)
-	}
-	sort.Slice(order, func(i, j int) bool { return s.segIdx[order[i]].off < s.segIdx[order[j]].off })
-	touched := make(map[string]*core.Profile)
-	var buf []byte
-	err = s.scanWAL(func(off int64, ev Event) error {
-		l, seen := touched[ev.User]
-		ref, inSeg := s.segIdx[ev.User]
-		switch {
-		case ev.Type == EventSubscribe && !seen && !inSeg:
-			order = append(order, ev.User)
-		case ev.Type == EventFeedback && !seen && inSeg:
-			// First touch of a segment profile: rehydrate it.
-			var err error
-			if l, buf, err = s.segProfile(ev.User, ref, buf); err != nil {
-				return err
+	idx = make(map[string]segRef, len(s.segIdx))
+	frame, entries := newFrame(0), []byte(nil)
+	err = s.replay(func(user string, p []byte, l *core.Profile) error {
+		if l == nil { // clean: its record, verbatim
+			frame = append(frame[:8], p...)
+			carried++
+		} else {
+			data, err := l.MarshalBinary()
+			if err != nil {
+				return fmt.Errorf("store: serializing %q: %w", user, err)
 			}
-		case ev.Type == EventUnsubscribe && !seen && !inSeg:
-			return nil // of a user the store never held: nothing to drop
+			frame = appendProfilePayload(frame[:8], user, l.Name(), data)
 		}
-		l, err := apply(l, ev)
-		if err != nil {
-			return fmt.Errorf("store: wal %d offset %d: %w", s.gen, off, err)
+		if err := writeFrame(w, frame); err != nil {
+			return err
 		}
-		touched[ev.User] = l
+		n := uint32(len(frame) - 8)
+		idx[user] = segRef{off: size, n: n}
+		entries = appendSegIndexEntry(entries, user, n)
+		size += int64(len(frame))
 		return nil
 	})
 	if err != nil {
 		return nil, 0, 0, 0, err
-	}
-
-	idx = make(map[string]segRef, len(order))
-	var entries []byte
-	for _, user := range order {
-		l, dirty := touched[user]
-		ref := s.segIdx[user]
-		switch {
-		case !dirty: // clean: the old frame, verbatim
-			if buf, err = s.readAt(segFile, ref.off, ref.n, buf); err == nil {
-				err = checkRecordUser(buf[8:], user)
-			}
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("store: segment %d offset %d: %w", s.gen, ref.off, err)
-			}
-			if _, err := w.Write(buf); err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("store: %w", err)
-			}
-			carried++
-		case l == nil:
-			continue // unsubscribed: dropped from the new segment
-		default:
-			data, err := l.MarshalBinary()
-			if err != nil {
-				return nil, 0, 0, 0, fmt.Errorf("store: serializing %q: %w", user, err)
-			}
-			learner := l.Name()
-			frame := newFrame(lenBytesSize(len(user)) + lenBytesSize(len(learner)) + lenBytesSize(len(data)))
-			frame = appendProfilePayload(frame, user, learner, data)
-			if err := writeFrame(w, frame); err != nil {
-				return nil, 0, 0, 0, err
-			}
-			ref = segRef{n: uint32(len(frame) - 8)}
-		}
-		ref.off = size
-		idx[user] = ref
-		entries = appendSegIndexEntry(entries, user, ref.n)
-		size += 8 + int64(ref.n)
 	}
 	index := appendSegIndex(newFrame(uvarintSize(uint64(len(idx)))+len(entries)), len(idx), entries)
 	if err := writeFrame(w, index); err != nil {

@@ -3,7 +3,7 @@ package store
 // The crash matrix: run a fixed Subscribe/Feedback/Checkpoint/Sync
 // workload against a store on the simulated filesystem, kill the
 // machine at every single syscall boundary (faultfs.CrashAt tears the
-// in-flight write), reboot, reopen, and require that Load+Restore
+// in-flight write), reboot, reopen, and require that RestoreAll
 // succeeds and yields exactly a prefix of the workload — never shorter
 // than what durability was acknowledged for, never a panic, never an
 // error, and always appendable afterwards — and that the lazy read path
@@ -259,18 +259,10 @@ func requireRecovers(t *testing.T, sim *faultfs.Sim, opts Options, applied, guar
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
-	profiles, events, err := s2.Load()
-	if err != nil {
-		t.Fatalf("load after crash: %v", err)
-	}
-	learners, err := Restore(profiles, events)
-	if err != nil {
-		t.Fatalf("restore after crash: %v", err)
-	}
 	// The offset index the reopen built over whatever the crash left
 	// — torn tails, half-staged segments, either side of the manifest
-	// rename — must hydrate every user to what the full load holds.
-	requireHydrationEqualsRestore(t, s2, learners)
+	// rename — must hydrate every user to what the full replay holds.
+	learners := requireRebuildersAgree(t, s2)
 	got := probeState(learners, len(matrixScript))
 	match := -1
 	for m := guaranteed; m <= applied+1 && m <= len(matrixScript); m++ {
@@ -302,15 +294,7 @@ func requireRecovers(t *testing.T, sim *faultfs.Sim, opts Options, applied, guar
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	p3, e3, err := s3.Load()
-	if err != nil {
-		t.Fatalf("reload after post-recovery appends: %v", err)
-	}
-	l3, err := Restore(p3, e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireHydrationEqualsRestore(t, s3, l3)
+	l3 := requireRebuildersAgree(t, s3)
 	if l3["q"] == nil || l3["q"].Score(fbVec(9)) <= 1e-9 {
 		t.Fatalf("post-recovery appends lost")
 	}
@@ -349,14 +333,9 @@ func TestCheckpointDurableAcrossCrash(t *testing.T) {
 	if len(profiles) != 1 || len(events) != 0 {
 		t.Fatalf("checkpoint not durable: %d profiles, %d events", len(profiles), len(events))
 	}
-	learners, err := Restore(profiles, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if learners["u"].Score(fbVec(0)) <= 1e-9 {
+	if learners := requireRebuildersAgree(t, s2); learners["u"].Score(fbVec(0)) <= 1e-9 {
 		t.Fatal("checkpointed profile lost feedback 0")
 	}
-	requireHydrationEqualsRestore(t, s2, learners)
 }
 
 // TestLyingFsyncIsOutOfScope documents the fault model's boundary: a
@@ -664,12 +643,10 @@ func TestCheckpointAfterRecoveryCompactsTheTail(t *testing.T) {
 			if _, found, err := s2.RestoreUser(gone); err != nil || found {
 				t.Errorf("RestoreUser(%q): found=%v err=%v, want an unsubscribed user", gone, found, err)
 			}
-			profiles, events, err := s2.Load()
-			if err != nil || len(events) != 0 {
-				t.Fatalf("Load after the checkpoint: %d events, %v", len(events), err)
+			if info := walInfo(); info.Records != 0 {
+				t.Fatalf("after the checkpoint the WAL holds %d records", info.Records)
 			}
-			restored, err := Restore(profiles, nil)
-			must(err)
+			restored := requireRebuildersAgree(t, s2)
 			if len(restored) != len(live) {
 				t.Fatalf("%d users restored, %d lived", len(restored), len(live))
 			}

@@ -29,11 +29,7 @@ func Example() {
 		panic(err)
 	}
 	defer s2.Close()
-	profiles, events, err := s2.Load()
-	if err != nil {
-		panic(err)
-	}
-	learners, err := store.Restore(profiles, events)
+	learners, err := s2.RestoreAll()
 	if err != nil {
 		panic(err)
 	}

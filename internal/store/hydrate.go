@@ -65,9 +65,9 @@ func (s *Store) segProfile(user string, ref segRef, buf []byte) (*core.Profile, 
 	if err != nil {
 		return nil, nil, err
 	}
-	var rec ProfileRecord
-	if err = checkRecordUser(frame[8:], user); err == nil {
-		rec, err = decodeProfileRecord(frame[8:])
+	rec, err := decodeProfileRecord(frame[8:])
+	if err == nil && rec.User != user {
+		err = fmt.Errorf("record is %q's, the index names %q", rec.User, user)
 	}
 	var l *core.Profile
 	if err == nil {

@@ -29,37 +29,42 @@ func marshal(t testing.TB, l *core.Profile) []byte {
 	return data
 }
 
-// requireHydrationEqualsRestore holds the lazy read path to the eager one
-// on the same open store: RestoredUsers lists exactly the users a full
-// Load+Restore yields, and each hydrates through RestoreUser to the same
-// learner type and bytes.
-func requireHydrationEqualsRestore(t *testing.T, s *Store, learners map[string]*core.Profile) {
+// requireRebuildersAgree holds the store's two production rebuilders to
+// each other on the same open store and returns what the eager one built:
+// RestoredUsers lists exactly the users RestoreAll returns, and each
+// hydrates through RestoreUser to the same learner and Export bytes.
+func requireRebuildersAgree(t *testing.T, s *Store) map[string]*core.Profile {
 	t.Helper()
+	learners, err := s.RestoreAll()
+	if err != nil {
+		t.Fatalf("RestoreAll: %v", err)
+	}
 	users, err := s.RestoredUsers()
 	if err != nil {
 		t.Fatalf("RestoredUsers: %v", err)
 	}
 	if len(users) != len(learners) || !sort.StringsAreSorted(users) {
-		t.Fatalf("RestoredUsers = %v, full restore has %d users", users, len(learners))
+		t.Fatalf("RestoredUsers = %v, RestoreAll has %d users", users, len(learners))
 	}
 	for _, u := range users {
 		want := learners[u]
 		if want == nil {
-			t.Fatalf("RestoredUsers lists %q, the full restore does not have it", u)
+			t.Fatalf("RestoredUsers lists %q, RestoreAll does not have it", u)
 		}
 		l, found, err := s.RestoreUser(u)
 		if err != nil || !found || l.Name() != want.Name() {
 			t.Fatalf("RestoreUser(%q): found=%v err=%v, want a %s learner", u, found, err, want.Name())
 		}
 		if !bytes.Equal(marshal(t, l), marshal(t, want)) {
-			t.Fatalf("RestoreUser(%q) differs from the full restore", u)
+			t.Fatalf("RestoreUser(%q) differs from RestoreAll's", u)
 		}
 	}
 	for _, u := range []string{"u", "z", "q", "alice", "nobody"} {
 		if _, found, err := s.RestoreUser(u); err != nil || found != (learners[u] != nil) {
-			t.Fatalf("RestoreUser(%q): found=%v err=%v, full restore has it: %v", u, found, err, learners[u] != nil)
+			t.Fatalf("RestoreUser(%q): found=%v err=%v, RestoreAll has it: %v", u, found, err, learners[u] != nil)
 		}
 	}
+	return learners
 }
 
 // bigProfile is a trained MM profile of roughly 10 KB: several

@@ -75,42 +75,30 @@ func (s *Store) openWAL() error {
 	return nil
 }
 
-// indexWAL scans the current WAL once: it sets s.walIdx and s.walLen to
-// the valid prefix and reports whether a torn tail follows it. A WAL a crash kept
+// indexWAL scans the current WAL once, decoding only each event's head
+// (type byte, then the user): it sets s.walIdx and s.walLen to the valid
+// prefix and reports whether a torn tail follows it. A WAL a crash kept
 // from being created is empty. A torn tail is not an error — the prefix
-// stops before it, which is all a ReadOnly store ever does about one. Valid
-// records beyond the damage are: that is no torn append, and truncating
-// would lose them.
+// stops before it, which is all a ReadOnly store ever does about one. Nor
+// is corruption left out of the prefix: valid records beyond the damage
+// are no torn append, and truncating would lose them.
 func (s *Store) indexWAL() (torn bool, err error) {
-	idx, end := map[string][]walRef{}, int64(0)
+	s.walIdx, s.walLen = map[string][]walRef{}, 0
 	err = s.readOwn(s.walPath(s.gen), func(r io.ReaderAt) (err error) {
-		idx, end, torn, err = s.walkWAL(r)
+		s.walLen, torn, err = scan(r, func(off int64, p []byte) error {
+			user, _, err := readLenBytes(p[min(1, len(p)):])
+			if err != nil {
+				return fmt.Errorf("record at offset %d: %w", off, err)
+			}
+			s.walIdx[string(user)] = append(s.walIdx[string(user)], walRef{off: off, n: uint32(len(p)), typ: EventType(p[0])})
+			return nil
+		})
+		if err != nil {
+			err = fmt.Errorf("store: wal %d: %w", s.gen, err)
+		}
 		return err
 	})
-	if err == nil {
-		s.walIdx, s.walLen = idx, end
-	}
 	return torn, err
-}
-
-// walkWAL indexes the valid prefix of r, the current WAL, decoding only
-// each event's head: type byte, then the user, and reports whether a torn
-// tail follows it. On corruption it returns the index and length of the
-// prefix before the damage with the error.
-func (s *Store) walkWAL(r io.ReaderAt) (map[string][]walRef, int64, bool, error) {
-	idx := make(map[string][]walRef)
-	end, torn, err := scan(r, func(off int64, p []byte) error {
-		user, _, err := readLenBytes(p[min(1, len(p)):])
-		if err != nil {
-			return fmt.Errorf("record at offset %d: %w", off, err)
-		}
-		idx[string(user)] = append(idx[string(user)], walRef{off: off, n: uint32(len(p)), typ: EventType(p[0])})
-		return nil
-	})
-	if err != nil {
-		err = fmt.Errorf("store: wal %d: %w", s.gen, err)
-	}
-	return idx, end, torn, err
 }
 
 // scanWAL streams the events of the current WAL's indexed prefix — up to
@@ -142,6 +130,41 @@ func (s *Store) scanWAL(fn func(off int64, ev Event) error) error {
 	return err
 }
 
+// scanSegment streams the current segment's records up to its index
+// frame, a frame at a time, handing fn each one decoded and its payload,
+// which fn may use only during the call (caller holds s.mu, after
+// indexJournal). Every record must be the one the index names at its
+// offset, and the last must end where the index frame starts. fn's errors
+// are returned as they are.
+func (s *Store) scanSegment(fn func(rec ProfileRecord, payload []byte) error) error {
+	if s.gen == 0 { // no segment yet
+		return nil
+	}
+	f, err := s.reader(segFile)
+	if err != nil {
+		return err
+	}
+	var ferr error
+	end, _, err := scan(io.NewSectionReader(f, 0, s.idxOff), func(off int64, p []byte) error {
+		rec, err := decodeProfileRecord(p)
+		if ref, ok := s.segIdx[rec.User]; err == nil && (!ok || ref.off != off || int(ref.n) != len(p)) {
+			err = errors.New("not the record the index names there")
+		}
+		if err != nil {
+			return fmt.Errorf("offset %d: %w", off, err)
+		}
+		ferr = fn(rec, p)
+		return ferr
+	})
+	if err == nil && end != s.idxOff {
+		err = fmt.Errorf("truncated record at offset %d", end)
+	}
+	if err != nil && err != ferr {
+		err = fmt.Errorf("store: segment %d: %w", s.gen, err)
+	}
+	return err
+}
+
 // indexJournal makes sure both offset indexes exist (caller holds s.mu).
 // Segments are written via temp + rename and referenced only after a
 // manifest commit, so any failure here is real corruption, never a torn
@@ -150,11 +173,16 @@ func (s *Store) indexJournal() error {
 	if s.wal == nil && !s.opts.ReadOnly {
 		return errClosed
 	}
-	if s.walIdx == nil { // ReadOnly: no openWAL ran
-		if _, err := s.indexWAL(); err != nil {
-			return err
-		}
+	if s.walErr != nil {
+		return s.walErr
 	}
+	return s.indexSegment()
+}
+
+// indexSegment decodes the current segment's index frame on first use,
+// through a handle of its own, so that a closed store keeps no reader
+// (caller holds s.mu).
+func (s *Store) indexSegment() error {
 	if s.segIdx != nil {
 		return nil
 	}
@@ -162,11 +190,12 @@ func (s *Store) indexJournal() error {
 		s.segIdx = map[string]segRef{}
 		return nil
 	}
-	f, err := s.reader(segFile)
+	f, err := s.fsys.OpenFile(s.segPath(s.gen), os.O_RDONLY, 0)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
-	s.segIdx, _, err = s.segIndex(f)
+	defer f.Close()
+	s.segIdx, s.segLen, err = s.segIndex(f)
 	return err
 }
 
@@ -241,16 +270,6 @@ func decodeSegIndex(p []byte, end int64) (map[string]segRef, error) {
 		return nil, fmt.Errorf("index records cover %d bytes, the index starts at %d", off, end)
 	}
 	return idx, nil
-}
-
-// checkRecordUser refuses a profile payload whose user is not the one the
-// index names for its offset.
-func checkRecordUser(payload []byte, user string) error {
-	got, _, err := readLenBytes(payload)
-	if err == nil && string(got) != user {
-		err = fmt.Errorf("record is %q's, the index names %q", got, user)
-	}
-	return err
 }
 
 // reader returns the read handle on the current segment or WAL, opening it

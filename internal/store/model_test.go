@@ -43,14 +43,7 @@ func TestRandomOperationSequences(t *testing.T) {
 			}
 
 			verify := func(step int) {
-				profiles, events, err := s.Load()
-				if err != nil {
-					t.Fatalf("step %d: load: %v", step, err)
-				}
-				restored, err := Restore(profiles, events)
-				if err != nil {
-					t.Fatalf("step %d: restore: %v", step, err)
-				}
+				restored := requireRebuildersAgree(t, s)
 				if len(restored) != len(model) {
 					t.Fatalf("step %d: restored %d users, model has %d", step, len(restored), len(model))
 				}

@@ -106,9 +106,10 @@ type Options struct {
 	// is far below one fsync per append.
 	Durable bool
 	// ReadOnly opens the store for inspection: no torn-tail repair, no
-	// log handles, no manifest write, and Load tolerates a torn tail the way
-	// recovery would. Appends, Checkpoint, and Sync fail. mmstore uses this
-	// so inspecting a crashed state directory never mutates it.
+	// log handles, no manifest write. Open indexes the WAL once, up to a
+	// torn tail the way recovery would, and keeps any corruption before it
+	// for every read to report. Appends, Checkpoint, and Sync fail. mmstore
+	// uses this so inspecting a crashed state directory never mutates it.
 	ReadOnly bool
 	// FS overrides the filesystem — fault injection in tests
 	// (faultfs.Sim). Nil means the real OS filesystem.
@@ -141,17 +142,19 @@ type Store struct {
 	// current generation's files, so a cold profile costs index entries and
 	// no payload bytes. segIdx is decoded on first use (nil until then) from
 	// the index frame the segment ends with — at idxOff, which the manifest
-	// commits; walIdx by the scan that opens the WAL — in a ReadOnly store
-	// on first use, as tolerant of a torn tail — and grows with every
-	// append. A checkpoint flip installs the offsets it wrote, starts an
-	// empty walIdx and closes the read handles, so nothing ever reads a
-	// removed generation. walIdx's keys are the dirty users — those with
-	// events no segment holds yet — whether this process appended the
-	// events or recovered them: there is no other record of dirtiness.
+	// commits; walIdx by the scan at Open — in a ReadOnly store up to the
+	// first damage, which walErr keeps — and grows with every append. A
+	// checkpoint flip installs the offsets it wrote, starts an empty walIdx
+	// and closes the read handles, so nothing ever reads a removed
+	// generation. walIdx's keys are the dirty users — those with events no
+	// segment holds yet — whether this process appended the events or
+	// recovered them: there is no other record of dirtiness.
 	rd     [2]faultfs.File // read handles, by segFile / walFile
 	idxOff int64           // where the current segment's index frame starts, or noIndex
+	segLen int64           // the current segment's size, once segIdx is decoded
 	segIdx map[string]segRef
 	walIdx map[string][]walRef
+	walErr error // ReadOnly: the corruption the WAL's index stopped before
 
 	// cmu guards the group-commit state: the sync token, the durability
 	// watermark and the sticky fsync error. Lock discipline: no goroutine
@@ -223,18 +226,20 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.gen, s.idxOff = mf.gen, mf.idx
 	}
 
-	if !opts.ReadOnly {
-		s.cleanStrays()
-		if err := s.openWAL(); err != nil {
-			return nil, err
-		}
-		s.m.dirtyProfiles.Set(float64(len(s.walIdx)))
-		// Persist the WAL's directory entry (its creation, or a torn-tail
-		// truncate's metadata).
-		if err := fsys.SyncDir(dir); err != nil {
-			s.wal.Close()
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if opts.ReadOnly {
+		_, s.walErr = s.indexWAL()
+		return s, nil
+	}
+	s.cleanStrays()
+	if err := s.openWAL(); err != nil {
+		return nil, err
+	}
+	s.m.dirtyProfiles.Set(float64(len(s.walIdx)))
+	// Persist the WAL's directory entry (its creation, or a torn-tail
+	// truncate's metadata).
+	if err := fsys.SyncDir(dir); err != nil {
+		s.wal.Close()
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return s, nil
 }
@@ -497,8 +502,8 @@ func (s *Store) leadSync() {
 // lock, so a concurrent append can never be misread as a torn tail and
 // silently dropped. Every segment record must be the one its index entry
 // names at that offset, and the WAL is read to the prefix its index covers:
-// in read-write mode Open truncated any torn tail; in ReadOnly mode the
-// first index build stopped before one, exactly as recovery would.
+// in read-write mode Open truncated any torn tail; in ReadOnly mode its
+// index stopped before one, exactly as recovery would.
 func (s *Store) Load() ([]ProfileRecord, []Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -506,32 +511,16 @@ func (s *Store) Load() ([]ProfileRecord, []Event, error) {
 		return nil, nil, err
 	}
 	profiles := make([]ProfileRecord, 0, len(s.segIdx))
-	if s.gen > 0 {
-		f, err := s.reader(segFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		end, _, err := scan(io.NewSectionReader(f, 0, s.idxOff), func(off int64, p []byte) error {
-			rec, err := decodeProfileRecord(p)
-			if ref, ok := s.segIdx[rec.User]; err == nil && (!ok || ref.off != off || int(ref.n) != len(p)) {
-				err = errors.New("not the record the index names there")
-			}
-			if err != nil {
-				return fmt.Errorf("offset %d: %w", off, err)
-			}
-			rec.Data = bytes.Clone(rec.Data)
-			profiles = append(profiles, rec)
-			return nil
-		})
-		if err == nil && end != s.idxOff {
-			err = fmt.Errorf("truncated record at offset %d", end)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: segment %d: %w", s.gen, err)
-		}
+	err := s.scanSegment(func(rec ProfileRecord, _ []byte) error {
+		rec.Data = bytes.Clone(rec.Data)
+		profiles = append(profiles, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	var events []Event
-	err := s.scanWAL(func(_ int64, ev Event) error {
+	err = s.scanWAL(func(_ int64, ev Event) error {
 		ev.State = bytes.Clone(ev.State)
 		events = append(events, ev)
 		return nil
@@ -548,6 +537,7 @@ type WALInfo struct {
 	Seq         uint64 // manifest epoch (commit count)
 	Gen         uint64 // manifest-committed generation
 	Records     int    // complete, checksummed WAL records
+	ByType      [3]int // of those, feedbacks, subscribes and unsubscribes (by EventType)
 	Committed   int64  // byte length of the WAL's valid prefix
 	Torn        int64  // trailing bytes past the valid prefix (crash residue)
 	DirtyUsers  int    // distinct users with events in the current WAL
@@ -555,39 +545,31 @@ type WALInfo struct {
 	SegBytes    int64  // byte size of the current segment
 }
 
-// WALInfo reports the journal's integrity. A writable store answers from
-// its offset index and committed length, which Open verified and every
-// append maintains, and reads only the bytes past that length: a poisoned
-// write's remnants, if any. A ReadOnly store walks the WAL as its index
-// build does. The segment's figures come from its index frame. A non-nil
-// error means corruption before the WAL's tail or in the segment's index;
-// the returned info still describes the valid prefix.
+// WALInfo reports the journal's integrity from the offset index, which
+// Open built and every append maintains, and reads only the WAL's bytes
+// past its committed length: a torn tail, or a poisoned write's remnants.
+// The segment's figures come from its index frame. A non-nil error means
+// corruption before the WAL's tail or in the segment's index; the returned
+// info still describes the valid prefix.
 func (s *Store) WALInfo() (WALInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := WALInfo{Seq: s.epoch.Load(), Gen: s.gen}
-	idx, end := s.walIdx, s.walLen
-	var werr, serr error
-	rerr := s.readOwn(s.walPath(s.gen), func(r io.ReaderAt) (err error) {
-		if s.opts.ReadOnly {
-			idx, end, _, werr = s.walkWAL(r)
+	info := WALInfo{Seq: s.epoch.Load(), Gen: s.gen, Committed: s.walLen, DirtyUsers: len(s.walIdx)}
+	for _, refs := range s.walIdx {
+		info.Records += len(refs)
+		for _, ref := range refs {
+			if int(ref.typ) < len(info.ByType) {
+				info.ByType[ref.typ]++
+			}
 		}
-		info.Torn, err = io.Copy(io.Discard, io.NewSectionReader(r, end, math.MaxInt64-end))
+	}
+	rerr := s.readOwn(s.walPath(s.gen), func(r io.ReaderAt) (err error) {
+		info.Torn, err = io.Copy(io.Discard, io.NewSectionReader(r, s.walLen, math.MaxInt64-s.walLen))
 		return err
 	})
-	info.Committed, info.DirtyUsers = end, len(idx)
-	for _, refs := range idx {
-		info.Records += len(refs)
-	}
-	if s.gen > 0 {
-		serr = s.readOwn(s.segPath(s.gen), func(r io.ReaderAt) (err error) {
-			var idx map[string]segRef
-			idx, info.SegBytes, err = s.segIndex(r)
-			info.SegProfiles = len(idx)
-			return err
-		})
-	}
-	return info, cmp.Or(werr, rerr, serr)
+	serr := s.indexSegment()
+	info.SegProfiles, info.SegBytes = len(s.segIdx), s.segLen
+	return info, cmp.Or(s.walErr, rerr, serr)
 }
 
 // Health rolls up the store's sticky failure state without touching disk:
@@ -816,10 +798,10 @@ func hasByte(r io.ReaderAt, off int64) (bool, error) {
 // unsubscribe empties the slot, a feedback is replayed (Profile.Replay,
 // which files no audit event) — and is an error on an empty slot, because
 // the broker never journals one. A segment record is replayed as the
-// subscribe it stands for. Restore, RestoreUser and
-// compaction differ only in how they walk the events and where they keep
-// the slots. Its errors carry no "store:" prefix: every caller puts the
-// record's position in front.
+// subscribe it stands for. Its two walkers, replay (checkpoints and the
+// eager boot) and RestoreUser (one user), differ only in how they reach
+// the events and where they keep the slots. Its errors carry no "store:"
+// prefix: every caller puts the record's position in front.
 func apply(l *core.Profile, ev Event) (*core.Profile, error) {
 	switch ev.Type {
 	case EventSubscribe:
@@ -841,30 +823,93 @@ func apply(l *core.Profile, ev Event) (*core.Profile, error) {
 	}
 }
 
-// Restore reconstructs profiles from a Load result: segment profiles are
-// rebuilt and unmarshalled, then the event log is replayed in append
-// order. Recovery is all-or-nothing: any undecodable record, learner name
-// outside core.NewNamed's set or inconsistency (feedback for an unknown
-// user) is an error.
-func Restore(profiles []ProfileRecord, events []Event) (map[string]*core.Profile, error) {
-	out := make(map[string]*core.Profile, len(profiles))
-	for i, p := range profiles {
-		l, err := apply(nil, p.event())
-		if err != nil {
-			return nil, fmt.Errorf("store: profile %d: %w", i, err)
+// replay walks the whole journal once, in the order a checkpoint writes it
+// (caller holds s.mu, after indexJournal). One streamed pass of the WAL
+// applies every event to the users it touches, a dirty segment user's
+// profile read first by segProfile. One streamed pass of the segment then
+// hands fn each surviving user in segment order, and the users only the
+// WAL holds follow in first-subscribe order. A clean user comes with its
+// record's payload, valid only during the call, and a nil profile; a dirty
+// one with its replayed profile and a nil payload.
+func (s *Store) replay(fn func(user string, payload []byte, l *core.Profile) error) error {
+	// One slot per user the WAL touches: the profile apply has made of the
+	// user's events so far (nil once unsubscribed).
+	touched := make(map[string]*core.Profile, len(s.walIdx))
+	var fresh []string
+	var buf []byte
+	err := s.scanWAL(func(off int64, ev Event) error {
+		l, seen := touched[ev.User]
+		ref, inSeg := s.segIdx[ev.User]
+		switch {
+		case ev.Type == EventSubscribe && !seen && !inSeg:
+			fresh = append(fresh, ev.User)
+		case ev.Type == EventFeedback && !seen && inSeg:
+			// First touch of a segment profile: rehydrate it.
+			var err error
+			if l, buf, err = s.segProfile(ev.User, ref, buf); err != nil {
+				return err
+			}
+		case ev.Type == EventUnsubscribe && !seen && !inSeg:
+			return nil // of a user the store never held: nothing to drop
 		}
-		out[p.User] = l
+		l, err := apply(l, ev)
+		if err != nil {
+			return fmt.Errorf("store: wal %d offset %d: %w", s.gen, off, err)
+		}
+		touched[ev.User] = l
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	for i, ev := range events {
-		l, err := apply(out[ev.User], ev)
-		if err != nil {
-			return nil, fmt.Errorf("store: event %d: %w", i, err)
+	err = s.scanSegment(func(rec ProfileRecord, p []byte) error {
+		switch l, dirty := touched[rec.User]; {
+		case !dirty:
+			return fn(rec.User, p, nil)
+		case l != nil:
+			return fn(rec.User, nil, l)
 		}
-		if l == nil {
-			delete(out, ev.User)
-		} else {
-			out[ev.User] = l
+		return nil // unsubscribed
+	})
+	if err != nil {
+		return err
+	}
+	for _, user := range fresh {
+		if l := touched[user]; l != nil {
+			if err := fn(user, nil, l); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// RestoreAll rebuilds every surviving profile from durable state in one
+// walk of the journal (replay): the eager boot. Recovery is all-or-nothing:
+// any undecodable record, learner name outside core.NewNamed's set or
+// inconsistency (feedback for an unknown user) is an error.
+func (s *Store) RestoreAll() (map[string]*core.Profile, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.indexJournal(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]*core.Profile, len(s.segIdx))
+	err := s.replay(func(user string, p []byte, l *core.Profile) error {
+		if l == nil { // clean: its segment record
+			rec, err := decodeProfileRecord(p)
+			if err == nil {
+				l, err = apply(nil, rec.event())
+			}
+			if err != nil {
+				return fmt.Errorf("store: segment %d: %w", s.gen, err)
+			}
+		}
+		out[user] = l
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -899,25 +944,4 @@ func (s *Store) RestoredUsers() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// Users lists the distinct users across a Load result, sorted.
-func Users(profiles []ProfileRecord, events []Event) []string {
-	seen := map[string]bool{}
-	for _, p := range profiles {
-		seen[p.User] = true
-	}
-	for _, ev := range events {
-		if ev.Type == EventUnsubscribe {
-			delete(seen, ev.User)
-		} else {
-			seen[ev.User] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -163,7 +163,7 @@ func TestCheckpointCompactsLogAndCleansUp(t *testing.T) {
 		t.Errorf("log not reset after checkpoint: %d events", len(events))
 	}
 	// The compacted profile absorbed the journaled feedback.
-	restored, err := Restore(profiles, events)
+	restored, err := s.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCorruptionMidLogIsAnError(t *testing.T) {
 }
 
 // TestRecoveryEquivalence is the headline guarantee: after checkpoint +
-// more events + crash, each of the three replay callers — Restore,
+// more events + crash, each of the three replay callers — RestoreAll,
 // RestoreUser, compaction — rebuilds learners byte-identical to the
 // originals.
 func TestRecoveryEquivalence(t *testing.T) {
@@ -393,16 +393,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 		}
 	}
 	s2 := openStore(t, dir)
-	profiles, events, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(profiles, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireLive("Restore", restored)
-	requireHydrationEqualsRestore(t, s2, restored) // RestoreUser, user by user
+	requireLive("RestoreAll", requireRebuildersAgree(t, s2)) // and RestoreUser, user by user
 	for _, gone := range []string{"dave", "frank"} {
 		if _, found, err := s2.RestoreUser(gone); err != nil || found {
 			t.Errorf("RestoreUser(%q): found=%v err=%v, want an unsubscribed user", gone, found, err)
@@ -413,13 +404,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 	if st, err := s2.Checkpoint(1); err != nil || st.Bytes == 0 {
 		t.Fatalf("Checkpoint = %+v, %v, want a new segment", st, err)
 	}
-	profiles, events, err = s2.Load()
-	if err != nil || len(events) != 0 {
-		t.Fatalf("after the checkpoint: %d events, %v", len(events), err)
+	if info, err := s2.WALInfo(); err != nil || info.Records != 0 {
+		t.Fatalf("after the checkpoint: %d events, %v", info.Records, err)
 	}
-	compacted, err := Restore(profiles, nil)
-	must(err)
-	requireLive("compaction", compacted)
+	requireLive("compaction", requireRebuildersAgree(t, s2))
 
 	// Feedback after an unsubscribe is a journal the broker never writes:
 	// all three refuse it rather than invent a profile — for a user the
@@ -433,10 +421,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 	}{{s2, "erin"}, {fresh, "gus"}} {
 		must(c.st.AppendUnsubscribe(c.user))
 		must(c.st.AppendFeedback(c.user, randVec(), filter.Relevant))
-		profiles, events, err := c.st.Load()
-		must(err)
-		if _, err := Restore(profiles, events); err == nil {
-			t.Errorf("%s: Restore accepted feedback after an unsubscribe", c.user)
+		if _, err := c.st.RestoreAll(); err == nil {
+			t.Errorf("%s: RestoreAll accepted feedback after an unsubscribe", c.user)
 		}
 		if _, _, err := c.st.RestoreUser(c.user); err == nil {
 			t.Errorf("%s: RestoreUser accepted feedback after an unsubscribe", c.user)
@@ -448,12 +434,17 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 func TestRestoreUnsubscribe(t *testing.T) {
-	events := []Event{
-		{Type: EventSubscribe, User: "alice", Learner: "MM"},
-		{Type: EventSubscribe, User: "bob", Learner: "MM"},
-		{Type: EventUnsubscribe, User: "alice"},
+	s := openStore(t, t.TempDir())
+	for _, err := range []error{
+		s.AppendSubscribe("alice", "MM", nil),
+		s.AppendSubscribe("bob", "MM", nil),
+		s.AppendUnsubscribe("alice"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	restored, err := Restore(nil, events)
+	restored, err := s.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,27 +456,54 @@ func TestRestoreUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestRestoreErrors: a journal that holds a record the broker never
+// writes — feedback for an unknown user, a learner core.NewNamed does not
+// serve, a profile state that does not decode — is refused by every
+// rebuilder: RestoreAll, RestoreUser and a checkpoint's compaction.
 func TestRestoreErrors(t *testing.T) {
-	if _, err := Restore(nil, []Event{{Type: EventFeedback, User: "ghost"}}); err == nil {
-		t.Error("feedback for unknown user accepted")
-	}
-	if _, err := Restore([]ProfileRecord{{User: "x", Learner: "NoSuch"}}, nil); err == nil {
-		t.Error("unknown learner accepted")
-	}
-	if _, err := Restore([]ProfileRecord{{User: "x", Learner: "MM", Data: []byte{9, 9}}}, nil); err == nil {
-		t.Error("corrupt profile blob accepted")
+	for _, c := range []struct {
+		name   string
+		append func(s *Store) error
+	}{
+		{"feedback for unknown user", func(s *Store) error { return s.AppendFeedback("x", vec("cat", 1.0), filter.Relevant) }},
+		{"unknown learner", func(s *Store) error { return s.AppendSubscribe("x", "NoSuch", nil) }},
+		{"corrupt profile blob", func(s *Store) error { return s.AppendSubscribe("x", "MM", []byte{9, 9}) }},
+	} {
+		s := openStore(t, t.TempDir())
+		if err := c.append(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RestoreAll(); err == nil {
+			t.Errorf("%s accepted by RestoreAll", c.name)
+		}
+		if _, _, err := s.RestoreUser("x"); err == nil {
+			t.Errorf("%s accepted by RestoreUser", c.name)
+		}
+		if _, err := s.Checkpoint(1); err == nil {
+			t.Errorf("%s accepted by Checkpoint", c.name)
+		}
 	}
 }
 
+// TestUsers: RestoredUsers leaves out a segment user the WAL unsubscribes
+// and lists one it subscribes.
 func TestUsers(t *testing.T) {
-	profiles := []ProfileRecord{{User: "zed", Learner: "MM"}}
-	events := []Event{
-		{Type: EventSubscribe, User: "alice", Learner: "MM"},
-		{Type: EventUnsubscribe, User: "zed"},
+	s := openStore(t, t.TempDir())
+	if err := s.AppendSubscribe("zed", "MM", nil); err != nil {
+		t.Fatal(err)
 	}
-	got := Users(profiles, events)
-	if len(got) != 1 || got[0] != "alice" {
-		t.Errorf("Users = %v", got)
+	if _, err := s.Checkpoint(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendSubscribe("alice", "MM", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendUnsubscribe("zed"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RestoredUsers()
+	if err != nil || len(got) != 1 || got[0] != "alice" {
+		t.Errorf("RestoredUsers = %v, %v", got, err)
 	}
 }
 
@@ -762,11 +780,7 @@ func TestRestoreResubscribeAcrossCheckpoint(t *testing.T) {
 	s.Close()
 
 	s2 := openStore(t, dir)
-	profiles, events, err := s2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(profiles, events)
+	restored, err := s2.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -786,12 +800,12 @@ func TestRestoreResubscribeAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("RestoreUser: found=%v err=%v", found, err)
 	}
 	if l.Score(vec("new", 1.0)) <= 1e-9 || l.Score(vec("old", 1.0)) > 1e-9 {
-		t.Error("RestoreUser state disagrees with Restore")
+		t.Error("RestoreUser state disagrees with RestoreAll")
 	}
 }
 
 // TestRestoreUserHydration: single-user hydration from segment + WAL
-// is bit-identical to the learner a full Restore produces; unknown and
+// is bit-identical to the learner RestoreAll produces; unknown and
 // unsubscribed users report found=false.
 func TestRestoreUserHydration(t *testing.T) {
 	dir := t.TempDir()
@@ -824,11 +838,7 @@ func TestRestoreUserHydration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	profiles, events, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Restore(profiles, events)
+	full, err := s.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,7 +893,7 @@ func (f slowSyncFile) Sync() error {
 }
 
 // TestReplayFilesNoAuditEvent: a profile rebuilt from the log — by
-// RestoreUser, by a boot's Load and Restore, and across a checkpoint's
+// RestoreUser, by a boot's RestoreAll, and across a checkpoint's
 // compaction — holds an empty audit journal, though its judgments were
 // replayed through MM's update, and exports the bytes of the profile that
 // observed them live.
@@ -922,15 +932,11 @@ func TestReplayFilesNoAuditEvent(t *testing.T) {
 			t.Fatalf("RestoreUser %s: found=%v err=%v", when, found, err)
 		}
 		rebuilt("RestoreUser "+when, l)
-		profiles, events, err := s.Load()
+		learners, err := s.RestoreAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		learners, err := Restore(profiles, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuilt("Restore "+when, learners["alice"])
+		rebuilt("RestoreAll "+when, learners["alice"])
 	}
 	check("from the WAL")
 	if _, err := s.Checkpoint(1); err != nil {
